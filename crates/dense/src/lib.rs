@@ -75,6 +75,16 @@ pub enum Error {
     /// `potrf` found a non-positive diagonal entry: the matrix is not
     /// positive definite (index of the offending leading minor).
     NotPositiveDefinite(usize),
+    /// A distributed driver was handed a `rows × cols` matrix where its
+    /// configuration describes an `expected × expected` one.
+    ShapeMismatch {
+        /// The dimension `n` the configuration was built for.
+        expected: usize,
+        /// Rows of the matrix actually passed.
+        rows: usize,
+        /// Columns of the matrix actually passed.
+        cols: usize,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -84,6 +94,14 @@ impl std::fmt::Display for Error {
             Error::NotPositiveDefinite(k) => {
                 write!(f, "matrix is not positive definite (leading minor {k})")
             }
+            Error::ShapeMismatch {
+                expected,
+                rows,
+                cols,
+            } => write!(
+                f,
+                "matrix is {rows}x{cols}, configuration expects {expected}x{expected}"
+            ),
         }
     }
 }
@@ -101,12 +119,27 @@ impl xmpi::Wire for Error {
                 out.push(1);
                 k.encode(out);
             }
+            Error::ShapeMismatch {
+                expected,
+                rows,
+                cols,
+            } => {
+                out.push(2);
+                expected.encode(out);
+                rows.encode(out);
+                cols.encode(out);
+            }
         }
     }
     fn decode(input: &mut &[u8]) -> std::result::Result<Self, xmpi::XmpiError> {
         match u8::decode(input)? {
             0 => Ok(Error::SingularAt(usize::decode(input)?)),
             1 => Ok(Error::NotPositiveDefinite(usize::decode(input)?)),
+            2 => Ok(Error::ShapeMismatch {
+                expected: usize::decode(input)?,
+                rows: usize::decode(input)?,
+                cols: usize::decode(input)?,
+            }),
             b => Err(xmpi::XmpiError::Truncated {
                 expected: 1,
                 got: b as usize,
@@ -119,3 +152,32 @@ impl xmpi::Wire for Error {
 
 /// Result alias for factorization kernels.
 pub type Result<T> = std::result::Result<T, Error>;
+
+#[cfg(test)]
+mod tests {
+    use super::Error;
+    use xmpi::wire::{decode_all, encode_vec};
+
+    /// Every variant survives the socket backend's control channel.
+    #[test]
+    fn errors_round_trip_through_the_wire_codec() {
+        for e in [
+            Error::SingularAt(7),
+            Error::NotPositiveDefinite(3),
+            Error::ShapeMismatch {
+                expected: 64,
+                rows: 65,
+                cols: 64,
+            },
+        ] {
+            assert_eq!(decode_all::<Error>(&encode_vec(&e)), Ok(e.clone()));
+        }
+        let shown = Error::ShapeMismatch {
+            expected: 64,
+            rows: 65,
+            cols: 64,
+        }
+        .to_string();
+        assert_eq!(shown, "matrix is 65x64, configuration expects 64x64");
+    }
+}

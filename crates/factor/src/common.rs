@@ -1,9 +1,14 @@
 //! Shared machinery for the distributed factorization schedules: tile
-//! bookkeeping, active-row masks (the paper's row masking), and assembly of
-//! collected factor entries into a packed LU matrix.
+//! bookkeeping, active-row masks (the paper's row masking), the rank
+//! programs' step-boundary `State`, and assembly of collected factor
+//! entries into a packed LU matrix.
 
 use dense::Matrix;
+use std::collections::HashMap;
 use xmpi::{Comm, Grid3};
+
+/// A rank's `v × v` tiles, keyed by tile coordinates `(I, J)`.
+pub(crate) type Tiles = HashMap<(usize, usize), Matrix>;
 
 /// Declare a measurement phase on `comm`, embedding the rank's cumulative
 /// local flop count (from [`dense::flops::thread_flops`] — each simulated
@@ -143,6 +148,78 @@ impl RowMask {
 /// `(global row, global column, value)`. Rows are *original* (unpermuted)
 /// indices; the final permutation re-addresses them during assembly.
 pub type Entry = (u32, u32, f64);
+
+/// Everything a COnfLUX / COnfCHOX rank carries from one block step to the
+/// next, besides its immutable input tiles. A rank program starts from a
+/// `State` — empty for a fresh run, decoded from a checkpoint for a resumed
+/// one — and hands the updated value to its end-of-step callback, so the
+/// step boundary is the one place a run can be snapshotted or re-entered.
+#[derive(Default)]
+pub(crate) struct State {
+    /// The next block step to execute.
+    pub step: usize,
+    /// Pivot rows chosen so far, in pivot order (stays empty for Cholesky).
+    pub perm: Vec<usize>,
+    /// Factor entries this rank has collected so far.
+    pub entries: Vec<Entry>,
+    /// Layer-local Schur-update accumulators, allocated on first touch.
+    pub acc: Tiles,
+}
+
+/// The drivers' input check: `a` must be the `n × n` matrix the
+/// configuration was built for. Runs before any world is launched.
+pub(crate) fn check_shape(a: &Matrix, n: usize) -> Result<(), dense::Error> {
+    let (rows, cols) = (a.rows(), a.cols());
+    if (rows, cols) == (n, n) {
+        return Ok(());
+    }
+    Err(dense::Error::ShapeMismatch {
+        expected: n,
+        rows,
+        cols,
+    })
+}
+
+/// Layer-0 tile staging straight from a globally-known matrix (the
+/// "already distributed" convention of the paper: no measured traffic).
+/// `lower_only` keeps just the tiles on or below the diagonal — COnfCHOX's
+/// storage.
+pub(crate) fn stage_from_global(comm: &Comm, til: &Tiling, a: &Matrix, lower_only: bool) -> Tiles {
+    let (pi, pj, pk) = til.grid.coords(comm.rank());
+    let v = til.v;
+    let mut orig = Tiles::new();
+    if pk == 0 {
+        for ti in til.tile_rows_of(pi) {
+            for tj in til.tile_cols_of(pj) {
+                if ti >= tj || !lower_only {
+                    orig.insert((ti, tj), a.block(ti * v, tj * v, v, v).to_owned());
+                }
+            }
+        }
+    }
+    orig
+}
+
+/// Appends this rank's up-to-date contribution for global row `r` of tile
+/// column `tj`: original value (layer 0) minus accumulated updates.
+pub(crate) fn push_contrib(
+    orig: &Tiles,
+    acc: &Tiles,
+    r: usize,
+    tj: usize,
+    v: usize,
+    buf: &mut Vec<f64>,
+) {
+    let ti = r / v;
+    let lr = r % v;
+    let o = orig.get(&(ti, tj));
+    let ac = acc.get(&(ti, tj));
+    for c in 0..v {
+        let oo = o.map_or(0.0, |m| m[(lr, c)]);
+        let aa = ac.map_or(0.0, |m| m[(lr, c)]);
+        buf.push(oo - aa);
+    }
+}
 
 /// Assemble collected factor entries into a packed LU matrix in pivoted row
 /// coordinates, i.e. a matrix `F` with `P·A = L·U`, `L` unit-lower in `F`'s

@@ -20,13 +20,17 @@
 //! blocking schedule; factors, per-rank volume, and per-phase byte
 //! attribution are identical either way.
 
-use crate::common::{assemble_packed, phase, phase_end, pick_grid_and_block, Entry, Tiling};
+use crate::common::{
+    assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
+    stage_from_global, State, Tiles, Tiling,
+};
+use crate::conflux::scatter_z;
+use crate::ft::{Guard, StepEnd};
 use dense::gemm::{gemm, gemmt, CUplo, Trans};
 use dense::potrf::potrf_unblocked;
 use dense::trsm::{trsm, Diag, Side, Uplo};
-use dense::{Error, Matrix};
-use std::collections::HashMap;
-use xmpi::{BcastRequest, Comm, Grid3, WorldStats};
+use dense::{Error, MatRef, Matrix};
+use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
 
 const TAG_L10ROW: u64 = 6_000_000;
 
@@ -103,18 +107,18 @@ pub struct CholOutput {
 /// Only the lower triangle of `a` is read.
 ///
 /// # Errors
+/// [`Error::ShapeMismatch`] if `a` is not `n × n`;
 /// [`Error::NotPositiveDefinite`] if a diagonal block fails to factor.
-///
-/// # Panics
-/// If `a` is not `n × n`.
 pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput, Error> {
-    assert_eq!(a.rows(), cfg.n, "matrix shape mismatch");
-    assert_eq!(a.cols(), cfg.n, "matrix shape mismatch");
+    check_shape(a, cfg.n)?;
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     // Backend-aware launch: threads by default, rank processes over a
     // socket mesh when the socket backend is ambient.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
-        let tiles = stage_from_global(comm, cfg, a);
-        rank_program(comm, cfg, tiles)
+        let tiles = stage_from_global(comm, &til, a, true);
+        let mut guard = Guard::new(false);
+        let done = rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        Ok::<_, Error>(done.entries)
     });
     let mut all_entries = Vec::with_capacity(out.results.len());
     for res in out.results {
@@ -130,37 +134,23 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
     })
 }
 
-/// Layer-0 staging of the lower-triangular tiles straight from a
-/// globally-known matrix (no measured traffic).
-pub(crate) fn stage_from_global(
-    comm: &Comm,
-    cfg: &ConfchoxConfig,
-    a: &Matrix,
-) -> HashMap<(usize, usize), Matrix> {
-    let g = cfg.grid;
-    let til = Tiling::new(cfg.n, cfg.v, g);
-    let (pi, pj, pk) = g.coords(comm.rank());
-    let v = cfg.v;
-    let mut orig = HashMap::new();
-    if pk == 0 {
-        for ti in til.tile_rows_of(pi) {
-            for tj in til.tile_cols_of(pj) {
-                if ti >= tj {
-                    orig.insert((ti, tj), a.block(ti * v, tj * v, v, v).to_owned());
-                }
-            }
-        }
-    }
-    orig
-}
-
-/// The SPMD program one rank executes. `orig` holds this rank's layer-0
-/// lower-triangular tiles (empty on layers > 0).
+/// The SPMD program one rank executes — the only implementation of the
+/// schedule. `orig` holds this rank's layer-0 lower-triangular tiles (empty
+/// on layers > 0). `guard`, `state` and `at_step_end` are the two seams of
+/// [`crate::conflux`]'s rank program (`state.perm` stays empty: no
+/// pivoting). Returns the final state.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfchoxConfig,
-    orig: HashMap<(usize, usize), Matrix>,
-) -> Result<Vec<Entry>, Error> {
+    orig: Tiles,
+    guard: &mut Guard,
+    mut state: State,
+    at_step_end: Option<StepEnd<'_>>,
+) -> Result<State, Error> {
+    assert!(
+        at_step_end.is_none() || !cfg.lookahead,
+        "a step-boundary callback needs the blocking schedule"
+    );
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
@@ -171,13 +161,10 @@ pub(crate) fn rank_program(
     let xcol = comm.subcomm(3, &g.x_members(pj, pk));
     let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
 
-    let mut acc: HashMap<(usize, usize), Matrix> = HashMap::new();
-    let mut entries: Vec<Entry> = Vec::new();
-
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingChol<'_>> = None;
 
-    for step in 0..nt {
+    for step in state.step..nt {
         let jt = step % g.py;
         let it = step % g.px;
         let last = step + 1 == nt;
@@ -209,24 +196,21 @@ pub(crate) fn rank_program(
                     return Err(pp.err.unwrap_or(Error::NotPositiveDefinite(step * v)));
                 }
                 l00_flat = match pp.l00 {
-                    Some(req) => req.wait_f64(),
-                    None => Vec::new(),
+                    Some(req) => req.wait_buf_f64(),
+                    None => Buf::from(Vec::new()),
                 };
                 panel_vals = pp.panel_vals;
             }
             None => {
                 let form = form_panel(
                     comm,
-                    g,
                     &til,
-                    (pi, pj, pk),
-                    v,
                     &zfib,
+                    guard,
                     &orig,
-                    &acc,
+                    &mut state,
                     step,
                     cfg.collect,
-                    &mut entries,
                 );
                 // One status word to everyone, so an indefinite block aborts
                 // all ranks cleanly instead of deadlocking the world.
@@ -236,12 +220,12 @@ pub(crate) fn rank_program(
                 if status[0] != 0.0 {
                     return Err(form.err.unwrap_or(Error::NotPositiveDefinite(step * v)));
                 }
-                let mut lf = form.l00_flat;
-                if pj == jt && pk == 0 {
+                l00_flat = if pj == jt && pk == 0 {
                     // Broadcast L00 within the panel group (column `jt`).
-                    panel_comm.as_ref().unwrap().bcast_f64(it, &mut lf);
-                }
-                l00_flat = lf;
+                    guard.bcast(panel_comm.as_ref().unwrap(), it, form.l00_flat, v, v)
+                } else {
+                    Buf::from(form.l00_flat)
+                };
                 panel_vals = form.panel_vals;
             }
         }
@@ -250,7 +234,7 @@ pub(crate) fn rank_program(
         phase(comm, "panel_trsm");
         let mut l10 = Matrix::zeros(0, v);
         if pj == jt && pk == 0 && !trail_rows.is_empty() {
-            let l00 = Matrix::from_vec(v, v, l00_flat);
+            let l00 = MatRef::from_slice(&l00_flat[..v * v], v, v, v);
             l10 = panel_vals;
             trsm(
                 Side::Right,
@@ -258,14 +242,14 @@ pub(crate) fn rank_program(
                 Trans::T,
                 Diag::NonUnit,
                 1.0,
-                l00.as_ref(),
+                l00,
                 l10.as_mut(),
             );
             if cfg.collect {
                 for (bi, &ti) in trail_rows.iter().enumerate() {
                     for r in 0..v {
                         for c in 0..v {
-                            entries.push((
+                            state.entries.push((
                                 (ti * v + r) as u32,
                                 (step * v + c) as u32,
                                 l10[(bi * v + r, c)],
@@ -282,31 +266,22 @@ pub(crate) fn rank_program(
 
         // ---- 4a. Distribute L10, row role (by tile row, z-sliced) ------
         phase(comm, "scatter_panels");
-        let mut l10_row = Matrix::zeros(trail_rows.len() * v, ks);
+        let n_row = trail_rows.len() * v;
+        let mut l10_row_flat = Buf::from(Vec::new());
         if !trail_rows.is_empty() {
-            if pj == jt {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = l10.block(0, pk2 * ks, trail_rows.len() * v, ks).to_owned();
-                        if pk2 == 0 {
-                            l10_row = sl;
-                        } else {
-                            comm.send_f64(
-                                g.rank_of(pi, jt, pk2),
-                                TAG_L10ROW + step as u64,
-                                sl.data(),
-                            );
-                        }
-                    }
-                } else {
-                    let flat = comm.recv_f64(g.rank_of(pi, jt, 0), TAG_L10ROW + step as u64);
-                    l10_row = Matrix::from_vec(trail_rows.len() * v, ks, flat);
-                }
-            }
-            let mut flat = l10_row.into_vec();
-            yrow.bcast_f64(jt, &mut flat);
-            l10_row = Matrix::from_vec(trail_rows.len() * v, ks, flat);
+            let mine = if pj == jt {
+                let tag = TAG_L10ROW + step as u64;
+                scatter_z(comm, guard, g, tag, (n_row, ks), |k| {
+                    l10.block(0, k * ks, n_row, ks)
+                })
+            } else {
+                Vec::new()
+            };
+            // The broadcast keeps the tree's shared storage: the update
+            // below reads it through a borrowed view.
+            l10_row_flat = guard.bcast(&yrow, jt, mine, n_row, ks);
         }
+        let l10_row = MatRef::from_slice(&l10_row_flat[..n_row * ks], n_row, ks, ks);
 
         // ---- 4b. Distribute L10, column role (by tile column) ----------
         // The row-role broadcast already placed, on every rank of the
@@ -326,7 +301,14 @@ pub(crate) fn rank_program(
                     piece.extend_from_slice(l10_row.row(bi * v + r));
                 }
             }
-            let pieces = xcol.allgather_f64(&piece);
+            // Group `grp` of the x-fibre contributes its trailing tiles that
+            // also match this process column, `v` rows each.
+            let pieces = guard.allgather(&xcol, &piece, ks, |grp| {
+                (step + 1..nt)
+                    .filter(|&ti| ti % g.px == grp && ti % g.py == pj)
+                    .count()
+                    * v
+            });
             // Reassemble rows in ascending tile order.
             let mut cursors = vec![0usize; g.px];
             for (bi, &ti) in col_role_tiles.iter().enumerate() {
@@ -346,8 +328,7 @@ pub(crate) fn rank_program(
         // `want` selects tile columns; splitting the update by column is
         // exact (tiles are disjoint), so the lookahead split stays bitwise
         // equal to the one-shot blocking update.
-        let apply_update = |acc: &mut HashMap<(usize, usize), Matrix>,
-                            want: &dyn Fn(usize) -> bool| {
+        let apply_update = |acc: &mut Tiles, want: &dyn Fn(usize) -> bool| {
             if trail_rows.is_empty() || !any_col_tiles {
                 return;
             }
@@ -382,21 +363,18 @@ pub(crate) fn rank_program(
             // 5a. Update the next panel's tile column first, so its
             // z-reduction reads the same values as the blocking schedule.
             let next = step + 1;
-            apply_update(&mut acc, &|tj| tj == next);
+            apply_update(&mut state.acc, &|tj| tj == next);
             // 5b. Reduce + factor the next diagonal block and post its
             // broadcasts; they travel while the bulk update below runs.
             let form = form_panel(
                 comm,
-                g,
                 &til,
-                (pi, pj, pk),
-                v,
                 &zfib,
+                guard,
                 &orig,
-                &acc,
+                &mut state,
                 next,
                 cfg.collect,
-                &mut entries,
             );
             let (it1, jt1) = (next % g.px, next % g.py);
             let flag = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
@@ -415,14 +393,20 @@ pub(crate) fn rank_program(
             });
             // 5c. Bulk update of the remaining trailing columns.
             phase(comm, "update_a11");
-            apply_update(&mut acc, &|tj| tj != next);
+            apply_update(&mut state.acc, &|tj| tj != next);
         } else {
-            apply_update(&mut acc, &|_| true);
+            apply_update(&mut state.acc, &|_| true);
+        }
+
+        // ---- Step boundary (never reached by the last step) -----------
+        state.step = step + 1;
+        if let Some(at_step_end) = at_step_end {
+            at_step_end(&state, guard);
         }
     }
 
     phase_end(comm);
-    Ok(entries)
+    Ok(state)
 }
 
 /// Panel broadcasts in flight between two steps (lookahead mode).
@@ -446,17 +430,16 @@ struct PendingChol<'c> {
 #[allow(clippy::too_many_arguments)]
 fn form_panel(
     comm: &Comm,
-    g: Grid3,
     til: &Tiling,
-    (pi, pj, pk): (usize, usize, usize),
-    v: usize,
     zfib: &Comm,
-    orig: &HashMap<(usize, usize), Matrix>,
-    acc: &HashMap<(usize, usize), Matrix>,
+    guard: &mut Guard,
+    orig: &Tiles,
+    state: &mut State,
     step: usize,
     collect: bool,
-    entries: &mut Vec<Entry>,
 ) -> CholForm {
+    let (g, v) = (til.grid, til.v);
+    let (pi, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
     let it = step % g.px;
     let trail_rows: Vec<usize> = til
@@ -474,16 +457,17 @@ fn form_panel(
         let mut buf = Vec::new();
         if own_diag {
             for r in til.rows_of_tile(step) {
-                push_contrib(orig, acc, r, step, v, &mut buf);
+                push_contrib(orig, &state.acc, r, step, v, &mut buf);
             }
         }
         for &ti in &trail_rows {
             for r in til.rows_of_tile(ti) {
-                push_contrib(orig, acc, r, step, v, &mut buf);
+                push_contrib(orig, &state.acc, r, step, v, &mut buf);
             }
         }
         if !buf.is_empty() {
-            zfib.reduce_sum_f64(0, &mut buf);
+            let rows = buf.len() / v;
+            guard.reduce(zfib, 0, &mut buf, rows, v);
         }
         if pk == 0 {
             let nd = if own_diag { v } else { 0 };
@@ -504,7 +488,8 @@ fn form_panel(
         if err.is_none() && collect {
             for r in 0..v {
                 for c in 0..=r {
-                    entries.push(((step * v + r) as u32, (step * v + c) as u32, d[(r, c)]));
+                    let (row, col) = ((step * v + r) as u32, (step * v + c) as u32);
+                    state.entries.push((row, col, d[(r, c)]));
                 }
             }
         }
@@ -522,24 +507,6 @@ struct CholForm {
     panel_vals: Matrix,
     l00_flat: Vec<f64>,
     err: Option<Error>,
-}
-
-/// Push this rank's contribution for row `r` of tile column `tj`.
-fn push_contrib(
-    orig: &HashMap<(usize, usize), Matrix>,
-    acc: &HashMap<(usize, usize), Matrix>,
-    r: usize,
-    tj: usize,
-    v: usize,
-    buf: &mut Vec<f64>,
-) {
-    let ti = r / v;
-    let lr = r % v;
-    let o = orig.get(&(ti, tj));
-    let ac = acc.get(&(ti, tj));
-    for c in 0..v {
-        buf.push(o.map_or(0.0, |m| m[(lr, c)]) - ac.map_or(0.0, |m| m[(lr, c)]));
-    }
 }
 
 fn shift_err(e: Error, offset: usize) -> Error {

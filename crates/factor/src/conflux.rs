@@ -43,8 +43,10 @@
 //! the `xtrace` replay turns into hidden-communication time.
 
 use crate::common::{
-    assemble_packed, phase, phase_end, pick_grid_and_block, Entry, RowMask, Tiling,
+    assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
+    stage_from_global, RowMask, State, Tiles, Tiling,
 };
+use crate::ft::{Guard, StepEnd};
 use crate::tourn::tournament;
 use dense::gemm::{par_gemm, Trans};
 use dense::matrix::MatRef;
@@ -141,18 +143,18 @@ pub struct LuOutput {
 /// algorithm").
 ///
 /// # Errors
-/// Returns the underlying kernel error if the matrix is singular.
-///
-/// # Panics
-/// If `a` is not `n × n`.
+/// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; the underlying
+/// kernel error if the matrix is singular.
 pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Error> {
-    assert_eq!(a.rows(), cfg.n, "matrix shape mismatch");
-    assert_eq!(a.cols(), cfg.n, "matrix shape mismatch");
+    check_shape(a, cfg.n)?;
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     // Backend-aware launch: threads by default, child processes over a
     // socket mesh when `xmpi::with_backend(Backend::Socket(..))` is armed.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
-        let tiles = stage_from_global(comm, cfg, a);
-        rank_program(comm, cfg, tiles)
+        let tiles = stage_from_global(comm, &til, a, false);
+        let mut guard = Guard::new(false);
+        let done = rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        Ok::<_, dense::Error>((done.entries, done.perm))
     });
     let mut all_entries = Vec::with_capacity(out.results.len());
     let mut perm = Vec::new();
@@ -173,37 +175,29 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
     })
 }
 
-/// Layer-0 tile staging straight from a globally-known matrix (the
-/// "already distributed" convention of the paper: no measured traffic).
-pub(crate) fn stage_from_global(
-    comm: &Comm,
-    cfg: &ConfluxConfig,
-    a: &Matrix,
-) -> HashMap<(usize, usize), Matrix> {
-    let g = cfg.grid;
-    let til = Tiling::new(cfg.n, cfg.v, g);
-    let (pi, pj, pk) = g.coords(comm.rank());
-    let v = cfg.v;
-    let mut orig = HashMap::new();
-    if pk == 0 {
-        for ti in til.tile_rows_of(pi) {
-            for tj in til.tile_cols_of(pj) {
-                orig.insert((ti, tj), a.block(ti * v, tj * v, v, v).to_owned());
-            }
-        }
-    }
-    orig
-}
-
-/// The SPMD program one rank executes. `orig` is this rank's layer-0 tile
-/// set (empty on layers > 0), produced by [`stage_from_global`] or by a
-/// measured redistribution from a caller's layout (the ScaLAPACK wrapper).
-#[allow(clippy::type_complexity)]
+/// The SPMD program one rank executes — the only implementation of the
+/// schedule; plain, ScaLAPACK-wrapped and fault-tolerant runs differ in
+/// what they pass here. `orig` is this rank's layer-0 tile set (empty on
+/// layers > 0), produced by [`stage_from_global`] or by a measured
+/// redistribution from a caller's layout. Every bulk `f64` transfer is
+/// issued through `guard` (see [`crate::ft`]); the nonblocking lookahead
+/// broadcasts are not. The run starts at `state.step` with `state`'s
+/// pivots, entries and accumulators, and after every step but the last
+/// hands the updated state to `at_step_end` — which needs a quiescent
+/// boundary, so it is only ever combined with the blocking schedule.
+/// Returns the final state.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
-    orig: HashMap<(usize, usize), Matrix>,
-) -> Result<(Vec<Entry>, Vec<usize>), dense::Error> {
+    orig: Tiles,
+    guard: &mut Guard,
+    mut state: State,
+    at_step_end: Option<StepEnd<'_>>,
+) -> Result<State, dense::Error> {
+    assert!(
+        at_step_end.is_none() || !cfg.lookahead,
+        "a step-boundary callback needs the blocking schedule"
+    );
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
@@ -216,17 +210,14 @@ pub(crate) fn rank_program(
     let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
 
     // Layer 0 holds the original tiles; every layer holds lazily-allocated
-    // update accumulators.
-    let mut acc: HashMap<(usize, usize), Matrix> = HashMap::new();
-
+    // update accumulators (`state.acc`).
     let mut mask = RowMask::new(n);
-    let mut perm: Vec<usize> = Vec::with_capacity(n);
-    let mut entries: Vec<Entry> = Vec::new();
+    mask.retire(&state.perm);
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingPanel<'_>> = None;
 
-    for step in 0..nt {
+    for step in state.step..nt {
         let jt = step % g.py;
         let it = step % g.px;
         let last = step + 1 == nt;
@@ -236,7 +227,7 @@ pub(crate) fn rank_program(
         // Either complete the broadcasts posted at the end of the previous
         // step (lookahead) or form the panel and broadcast blocking, right
         // here. Both paths attribute their traffic to the same phases.
-        let (panel_rows, panel_vals, a00_flat, piv_ids);
+        let (panel_rows, panel_vals, a00_buf, piv_ids);
         match pending.take() {
             Some(pp) => {
                 phase(comm, "bcast_a00");
@@ -247,7 +238,7 @@ pub(crate) fn rank_program(
                 if status[0] != 0.0 {
                     return Err(pp.err.unwrap_or(dense::Error::SingularAt(step * v)));
                 }
-                a00_flat = pp.a00.wait_f64();
+                a00_buf = pp.a00.wait_buf_f64();
                 piv_ids = pp.piv.wait_u64();
                 panel_rows = pp.rows;
                 panel_vals = pp.vals;
@@ -255,15 +246,13 @@ pub(crate) fn rank_program(
             None => {
                 let form = form_panel(
                     comm,
-                    g,
                     &til,
-                    (pi, pj, pk),
-                    v,
                     &zfib,
                     panel_comm.as_ref(),
+                    guard,
                     &mask,
                     &orig,
-                    &acc,
+                    &state.acc,
                     step,
                 );
                 phase(comm, "bcast_a00");
@@ -274,26 +263,26 @@ pub(crate) fn rank_program(
                 if status[0] != 0.0 {
                     return Err(form.err.unwrap_or(dense::Error::SingularAt(step * v)));
                 }
-                let mut af = form.a00_flat;
-                comm.bcast_f64(root, &mut af);
+                a00_buf = guard.bcast(comm, root, form.a00_flat, v, v);
                 let mut pv = form.piv_ids;
                 comm.bcast_u64(root, &mut pv);
-                a00_flat = af;
                 piv_ids = pv;
                 panel_rows = form.rows;
                 panel_vals = form.vals;
             }
         }
-        let a00 = Matrix::from_vec(v, v, a00_flat);
+        let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
         let pivots: Vec<usize> = piv_ids.iter().map(|&x| x as usize).collect();
         if cfg.collect && comm.rank() == root {
             for (r, &p) in pivots.iter().enumerate() {
                 for c in 0..v {
-                    entries.push((p as u32, (step * v + c) as u32, a00[(r, c)]));
+                    state
+                        .entries
+                        .push((p as u32, (step * v + c) as u32, a00.get(r, c)));
                 }
             }
         }
-        perm.extend_from_slice(&pivots);
+        state.perm.extend_from_slice(&pivots);
         mask.retire(&pivots);
 
         // Trailing tile columns this process column owns.
@@ -317,10 +306,10 @@ pub(crate) fn rank_program(
             if !my_piv.is_empty() {
                 for &p in &my_piv {
                     for &tj in &trail_cols {
-                        push_contrib(&orig, &acc, p, tj, v, &mut a01_contrib);
+                        push_contrib(&orig, &state.acc, p, tj, v, &mut a01_contrib);
                     }
                 }
-                zfib.reduce_sum_f64(0, &mut a01_contrib);
+                guard.reduce(&zfib, 0, &mut a01_contrib, my_piv.len(), trail_len);
             }
             // Gather the pivot-row segments at the step's U-owner and solve.
             if pk == 0 {
@@ -339,7 +328,8 @@ pub(crate) fn rank_program(
                         let buf = if src == owner {
                             a01_contrib.clone()
                         } else {
-                            comm_recv_world(comm, src, TAG_A01 + step as u64)
+                            let cnt = pivots.iter().filter(|&&p| (p / v) % g.px == spi).count();
+                            guard.recv(comm, src, TAG_A01 + step as u64, cnt, trail_len)
                         };
                         group_bufs.insert(spi, (buf, 0));
                     }
@@ -357,14 +347,14 @@ pub(crate) fn rank_program(
                         Trans::N,
                         Diag::Unit,
                         1.0,
-                        a00.as_ref(),
+                        a00,
                         a01m.as_mut(),
                     );
                     if cfg.collect {
                         for (pos, &p) in pivots.iter().enumerate() {
                             for (cj, &tj) in trail_cols.iter().enumerate() {
                                 for c in 0..v {
-                                    entries.push((
+                                    state.entries.push((
                                         p as u32,
                                         (tj * v + c) as u32,
                                         a01m[(pos, cj * v + c)],
@@ -375,7 +365,14 @@ pub(crate) fn rank_program(
                     }
                     u01 = a01m;
                 } else if !my_piv.is_empty() {
-                    comm_send_world(comm, owner, TAG_A01 + step as u64, &a01_contrib);
+                    guard.send(
+                        comm,
+                        owner,
+                        TAG_A01 + step as u64,
+                        &a01_contrib,
+                        my_piv.len(),
+                        trail_len,
+                    );
                 }
             }
         }
@@ -394,14 +391,16 @@ pub(crate) fn rank_program(
                 Trans::N,
                 Diag::NonUnit,
                 1.0,
-                a00.as_ref(),
+                a00,
                 l10.as_mut(),
             );
             if cfg.collect {
                 for (i, &ki) in keep.iter().enumerate() {
                     let r = panel_rows[ki];
                     for c in 0..v {
-                        entries.push((r as u32, (step * v + c) as u32, l10[(i, c)]));
+                        state
+                            .entries
+                            .push((r as u32, (step * v + c) as u32, l10[(i, c)]));
                     }
                 }
             }
@@ -422,74 +421,47 @@ pub(crate) fn rank_program(
         phase(comm, "scatter_panels");
         let mut l10_flat = Buf::from(Vec::new());
         if !last && !my_l10_rows.is_empty() {
-            let mut l10_slice = Matrix::zeros(my_l10_rows.len(), ks);
-            if pj == jt {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = l10.block(0, pk2 * ks, my_l10_rows.len(), ks).to_owned();
-                        if pk2 == 0 {
-                            l10_slice = sl;
-                        } else {
-                            comm_send_world(
-                                comm,
-                                g.rank_of(pi, jt, pk2),
-                                TAG_L10 + step as u64,
-                                sl.data(),
-                            );
-                        }
-                    }
-                } else {
-                    let flat = comm_recv_world(comm, g.rank_of(pi, jt, 0), TAG_L10 + step as u64);
-                    l10_slice = Matrix::from_vec(my_l10_rows.len(), ks, flat);
-                }
-            }
-            l10_flat = yrow.bcast_buf_f64(jt, l10_slice.into_vec());
+            let rows = my_l10_rows.len();
+            let mine = if pj == jt {
+                let tag = TAG_L10 + step as u64;
+                scatter_z(comm, guard, g, tag, (rows, ks), |k| {
+                    l10.block(0, k * ks, rows, ks)
+                })
+            } else {
+                Vec::new()
+            };
+            l10_flat = guard.bcast(&yrow, jt, mine, rows, ks);
         }
 
         // ---- 6b. Scatter U01: z-slice then broadcast along x -----------
         let mut u01_flat = Buf::from(Vec::new());
         if !last && trail_len > 0 {
-            let mut u01_slice = Matrix::zeros(ks, trail_len);
-            if pi == it {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = u01.block(pk2 * ks, 0, ks, trail_len).to_owned();
-                        if pk2 == 0 {
-                            u01_slice = sl;
-                        } else {
-                            comm_send_world(
-                                comm,
-                                g.rank_of(it, pj, pk2),
-                                TAG_U01 + step as u64,
-                                sl.data(),
-                            );
-                        }
-                    }
-                } else {
-                    let flat = comm_recv_world(comm, g.rank_of(it, pj, 0), TAG_U01 + step as u64);
-                    u01_slice = Matrix::from_vec(ks, trail_len, flat);
-                }
-            }
-            u01_flat = xcol.bcast_buf_f64(it, u01_slice.into_vec());
+            let mine = if pi == it {
+                let tag = TAG_U01 + step as u64;
+                scatter_z(comm, guard, g, tag, (ks, trail_len), |k| {
+                    u01.block(k * ks, 0, ks, trail_len)
+                })
+            } else {
+                Vec::new()
+            };
+            u01_flat = guard.bcast(&xcol, it, mine, ks, trail_len);
         }
-        let l10_slice = MatRef::from_slice(&l10_flat, l10_flat.len() / ks.max(1), ks, ks);
-        let u01_slice = MatRef::from_slice(
-            &u01_flat,
-            u01_flat.len() / trail_len.max(1),
-            trail_len,
-            trail_len,
-        );
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
         // `cols` indexes into `trail_cols`; splitting the update by column
         // range is exact (each element of the product is an independent
         // dot product), so the lookahead split below stays bitwise equal
         // to the one-shot blocking update.
-        let apply_update = |acc: &mut HashMap<(usize, usize), Matrix>,
-                            cols: std::ops::Range<usize>| {
+        let apply_update = |acc: &mut Tiles, cols: std::ops::Range<usize>| {
             if last || my_l10_rows.is_empty() || cols.is_empty() {
                 return;
             }
+            // Both panels were broadcast this step (the guards above are
+            // the same conditions); their data is the buffers' prefix.
+            let rows = my_l10_rows.len();
+            let l10_slice = MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks);
+            let u01_slice =
+                MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len);
             let w = cols.len() * v;
             let mut upd = Matrix::zeros(my_l10_rows.len(), w);
             par_gemm(
@@ -520,21 +492,19 @@ pub(crate) fn rank_program(
             let next = step + 1;
             let head = trail_cols.first() == Some(&next);
             if head {
-                apply_update(&mut acc, 0..1);
+                apply_update(&mut state.acc, 0..1);
             }
             // 7b. Form panel `next` and post its three broadcasts. The
             // sequence numbers keep concurrent trees on distinct tags.
             let form = form_panel(
                 comm,
-                g,
                 &til,
-                (pi, pj, pk),
-                v,
                 &zfib,
                 panel_comm.as_ref(),
+                guard,
                 &mask,
                 &orig,
-                &acc,
+                &state.acc,
                 next,
             );
             phase(comm, "bcast_a00");
@@ -554,14 +524,43 @@ pub(crate) fn rank_program(
             });
             // 7c. Bulk trailing update, overlapping the posted broadcasts.
             phase(comm, "update_a11");
-            apply_update(&mut acc, if head { 1 } else { 0 }..trail_cols.len());
+            apply_update(&mut state.acc, if head { 1 } else { 0 }..trail_cols.len());
         } else {
-            apply_update(&mut acc, 0..trail_cols.len());
+            apply_update(&mut state.acc, 0..trail_cols.len());
+        }
+
+        // ---- Step boundary --------------------------------------------
+        state.step = step + 1;
+        match at_step_end {
+            Some(at_step_end) if !last => at_step_end(&state, guard),
+            _ => {}
         }
     }
 
     phase_end(comm);
-    Ok((entries, perm))
+    Ok(state)
+}
+
+/// Cut a panel held by layer 0 into one `r × c` slice per layer of the
+/// calling rank's z-fibre: layer 0 sends layer `k` the slice `slice_of(k)`
+/// and keeps `slice_of(0)`; every layer returns its own slice.
+pub(crate) fn scatter_z<'a>(
+    comm: &Comm,
+    guard: &mut Guard,
+    g: Grid3,
+    tag: u64,
+    (r, c): (usize, usize),
+    slice_of: impl Fn(usize) -> MatRef<'a>,
+) -> Vec<f64> {
+    let (pi, pj, pk) = g.coords(comm.rank());
+    if pk != 0 {
+        return guard.recv(comm, g.rank_of(pi, pj, 0), tag, r, c);
+    }
+    for k in (1..g.pz).rev() {
+        let slice = slice_of(k).to_owned();
+        guard.send(comm, g.rank_of(pi, pj, k), tag, slice.data(), r, c);
+    }
+    slice_of(0).to_owned().into_vec()
 }
 
 /// The outcome of forming one panel: the owning ranks' active-row ids and
@@ -595,17 +594,17 @@ struct PendingPanel<'c> {
 #[allow(clippy::too_many_arguments)]
 fn form_panel(
     comm: &Comm,
-    g: Grid3,
     til: &Tiling,
-    (pi, pj, pk): (usize, usize, usize),
-    v: usize,
     zfib: &Comm,
     panel_comm: Option<&Comm>,
+    guard: &mut Guard,
     mask: &RowMask,
-    orig: &HashMap<(usize, usize), Matrix>,
-    acc: &HashMap<(usize, usize), Matrix>,
+    orig: &Tiles,
+    acc: &Tiles,
     step: usize,
 ) -> PanelForm {
+    let (g, v) = (til.grid, til.v);
+    let (pi, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
 
     // ---- 1. Reduce next block column ----------------------------------
@@ -622,7 +621,7 @@ fn form_panel(
             }
         }
         if !buf.is_empty() {
-            zfib.reduce_sum_f64(0, &mut buf);
+            guard.reduce(zfib, 0, &mut buf, row_ids.len(), v);
         }
         if pk == 0 {
             vals = Matrix::from_vec(row_ids.len(), v, buf);
@@ -654,37 +653,6 @@ fn form_panel(
         piv_ids,
         err,
     }
-}
-
-/// Appends this rank's up-to-date contribution for global row `r` of tile
-/// column `tj`: original value (layer 0) minus accumulated updates.
-pub(crate) fn push_contrib(
-    orig: &HashMap<(usize, usize), Matrix>,
-    acc: &HashMap<(usize, usize), Matrix>,
-    r: usize,
-    tj: usize,
-    v: usize,
-    buf: &mut Vec<f64>,
-) {
-    let ti = r / v;
-    let lr = r % v;
-    let o = orig.get(&(ti, tj));
-    let ac = acc.get(&(ti, tj));
-    for c in 0..v {
-        let oo = o.map_or(0.0, |m| m[(lr, c)]);
-        let aa = ac.map_or(0.0, |m| m[(lr, c)]);
-        buf.push(oo - aa);
-    }
-}
-
-/// Point-to-point send addressed by *world* rank over the world comm.
-fn comm_send_world(comm: &Comm, world_dst: usize, tag: u64, data: &[f64]) {
-    comm.send_f64(world_dst, tag, data);
-}
-
-/// Point-to-point receive addressed by *world* rank over the world comm.
-fn comm_recv_world(comm: &Comm, world_src: usize, tag: u64) -> Vec<f64> {
-    comm.recv_f64(world_src, tag)
 }
 
 #[cfg(test)]

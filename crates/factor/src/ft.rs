@@ -1,37 +1,63 @@
 //! Fault-tolerant COnfLUX / COnfCHOX: ABFT checksums plus checkpointed
-//! rank-crash recovery.
+//! rank-crash recovery, as two seams of the plain rank programs.
 //!
-//! This module hardens the two near-communication-optimal schedules against
-//! the fault domain `xmpi` models (rank crashes injected by
-//! `xharness::CrashPlan`, single-element in-flight corruption injected by
-//! `xharness::CorruptPlan`) with two orthogonal mechanisms:
+//! There is one implementation of each schedule —
+//! [`crate::conflux`]'s and [`crate::confchox`]'s `rank_program` — and this
+//! module does not repeat it. It hardens those programs against the fault
+//! domain `xmpi` models (rank crashes injected by `xharness::CrashPlan`,
+//! single-element in-flight corruption injected by `xharness::CorruptPlan`)
+//! through the two things every rank program takes besides its tiles:
 //!
-//! **ABFT checksums** (Huang–Abraham style, [`dense::checksum`]). Every bulk
-//! `f64` transfer — z-fibre reductions, panel broadcasts, L10/U01 scatter
-//! slices, A01 gathers, the Cholesky column-role allgather, and checkpoint
-//! blobs — travels as `[data ‖ column sums ‖ row sums]`. The sums are linear
-//! in the data, so they commute with the elementwise-sum reductions and the
-//! receiver of *any* hop (including interior broadcast-tree hops) can verify
-//! its copy, locate a single corrupted element, and repair it in place.
-//! Crucially the data prefix is bit-identical with checksums on or off, so
-//! enabling protection never changes the factors — only the wire size
-//! (roughly `(r + c)/(r·c)` extra, a few percent at production block sizes).
+//! ```text
+//!   state ──▶ for step in state.step..nt {
+//!  (empty or      reduce column ─┐
+//!   restored)     pivot / potrf  │
+//!                 broadcast A00  │   every bulk f64 transfer goes
+//!                 gather, trsm   ├─▶ through the ── Guard ── (seam 1):
+//!                 scatter panels │   off: the bare `Comm` call
+//!                 update A11 ────┘   on:  augment → transfer → verify/repair
+//!                 state.step = step + 1
+//!                 at_step_end(&state, guard)  ◀── step boundary (seam 2):
+//!             }                                   nothing, or take_checkpoint
+//! ```
 //!
-//! **Ring checkpoints + whole-world restart** ([`CkptStore`]). Every
-//! `ckpt_every` block steps each rank snapshots its dynamic state — current
-//! step, pivot permutation, collected factor entries, update accumulators —
-//! into an in-memory blob, keeps one copy in its own slot (surviving ranks'
-//! memory persists across a restart) and ships one copy to its ring buddy
-//! `(rank + 1) mod P` over the measured transport (`"ckpt"` phase). When
-//! [`xmpi::run_ft`] reports a crashed rank, the driver discards the victim's
-//! own copies (its memory died with it), computes the newest epoch still
+//! **Seam 1 — the transfer guard** (`Guard`, ABFT checksums in the
+//! Huang–Abraham style of [`dense::checksum`]). Every bulk `f64` transfer —
+//! z-fibre reductions, panel broadcasts, L10/U01 scatter slices, A01
+//! gathers, the Cholesky column-role allgather, and checkpoint blobs —
+//! is issued through the guard with the logical `r × c` shape of its block.
+//! Switched off (the plain drivers and the ScaLAPACK wrappers) each method
+//! is one branch and the bare `Comm` call. Switched on, the block travels
+//! as `[data ‖ column sums ‖ row sums]`. The sums are linear in the data,
+//! so they commute with the elementwise-sum reductions and the receiver of
+//! *any* hop (including interior broadcast-tree hops) can verify its copy,
+//! locate a single corrupted element, and repair it. Crucially the data
+//! prefix is bit-identical with checksums on or off, so enabling protection
+//! never changes the factors — only the wire size (roughly `(r + c)/(r·c)`
+//! extra, a few percent at production block sizes). The nonblocking panel
+//! broadcasts of the lookahead schedule stay outside the guard.
+//!
+//! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
+//! ring checkpoints + whole-world restart through [`CkptStore`]). A rank
+//! program starts from a `State` (next step, pivot permutation, collected
+//! factor entries, update accumulators) and hands the updated value to an
+//! optional callback after every block step but the last. The FT drivers'
+//! callback snapshots it every `ckpt_every` steps into an in-memory blob,
+//! keeps one copy in the rank's own slot (surviving ranks' memory persists
+//! across a restart) and ships one copy to its ring buddy `(rank + 1) mod P`
+//! over the measured transport (`"ckpt"` phase). When [`xmpi::run_ft`]
+//! reports a crashed rank, the restart loop discards the victim's own
+//! copies (its memory died with it), computes the newest epoch still
 //! consistent across all ranks, and relaunches the world: survivors reload
 //! their own snapshots for free, while the reborn victim pulls its blob from
 //! the buddy (`"recovery"` phase, bracketed by
-//! [`xmpi::Comm::mark_recovery_begin`]/[`xmpi::Comm::mark_recovery_end`]).
-//! Because the schedules are deterministic dataflow programs and the
-//! snapshot is an exact bit-copy of the state, the resumed run reproduces
-//! the fault-free factors *bitwise*.
+//! [`xmpi::Comm::mark_recovery_begin`]/[`xmpi::Comm::mark_recovery_end`]),
+//! and the same rank program resumes from the restored `State`. Because the
+//! schedules are deterministic dataflow programs and the snapshot is an
+//! exact bit-copy of the state, the resumed run reproduces the fault-free
+//! factors *bitwise*. A checkpoint needs a quiescent step boundary, so the
+//! FT drivers always run the blocking schedule (no broadcast is in flight
+//! between two steps).
 //!
 //! Original (layer-0) tiles are restaged from the input replica at zero
 //! measured cost — the same "input already distributed" convention the paper
@@ -44,24 +70,17 @@
 //! separately from the fault-tolerance overhead.
 
 use crate::common::{
-    assemble_packed, phase, phase_end, pick_grid_and_block, Entry, RowMask, Tiling,
+    assemble_packed, check_shape, phase, pick_grid_and_block, stage_from_global, Entry, State,
+    Tiles, Tiling,
 };
-use crate::confchox::ConfchoxConfig;
-use crate::conflux::{push_contrib, ConfluxConfig};
-use crate::tourn::tournament;
+use crate::confchox::{self, ConfchoxConfig};
+use crate::conflux::{self, ConfluxConfig};
 use dense::checksum::{self, Verdict};
-use dense::gemm::{gemm, gemmt, par_gemm, CUplo, Trans};
-use dense::potrf::potrf_unblocked;
-use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use xmpi::{Comm, Grid3, WorldStats};
+use xmpi::{Buf, Comm, Grid3, WorldStats};
 
-const TAG_A01: u64 = 2_000_000;
-const TAG_L10: u64 = 3_000_000;
-const TAG_U01: u64 = 4_000_000;
-const TAG_L10ROW: u64 = 6_000_000;
 const TAG_CKPT: u64 = 7_000_000;
 const TAG_RECOV: u64 = 8_000_000;
 
@@ -339,18 +358,13 @@ impl CkptStore {
 /// `[step, |perm|, |entries|, |tiles|, perm…, (row, col, val)…,
 /// (ti, tj, v²-tile)…]`, tiles in ascending key order. Integers are exact
 /// below 2⁵³, so the round trip is bitwise.
-fn encode_state(
-    v: usize,
-    step: usize,
-    perm: &[usize],
-    entries: &[Entry],
-    acc: &HashMap<(usize, usize), Matrix>,
-) -> Vec<f64> {
-    let mut tiles: Vec<(&(usize, usize), &Matrix)> = acc.iter().collect();
+fn encode_state(v: usize, state: &State) -> Vec<f64> {
+    let (perm, entries) = (&state.perm, &state.entries);
+    let mut tiles: Vec<(&(usize, usize), &Matrix)> = state.acc.iter().collect();
     tiles.sort_by_key(|(k, _)| **k);
     let mut blob =
         Vec::with_capacity(4 + perm.len() + 3 * entries.len() + tiles.len() * (2 + v * v));
-    blob.push(step as f64);
+    blob.push(state.step as f64);
     blob.push(perm.len() as f64);
     blob.push(entries.len() as f64);
     blob.push(tiles.len() as f64);
@@ -369,16 +383,7 @@ fn encode_state(
 }
 
 /// Inverse of [`encode_state`].
-#[allow(clippy::type_complexity)]
-fn decode_state(
-    blob: &[f64],
-    v: usize,
-) -> (
-    usize,
-    Vec<usize>,
-    Vec<Entry>,
-    HashMap<(usize, usize), Matrix>,
-) {
+fn decode_state(blob: &[f64], v: usize) -> State {
     let step = blob[0] as usize;
     let np = blob[1] as usize;
     let ne = blob[2] as usize;
@@ -391,7 +396,7 @@ fn decode_state(
         entries.push((blob[cur] as u32, blob[cur + 1] as u32, blob[cur + 2]));
         cur += 3;
     }
-    let mut acc = HashMap::with_capacity(nt);
+    let mut acc = Tiles::with_capacity(nt);
     for _ in 0..nt {
         let key = (blob[cur] as usize, blob[cur + 1] as usize);
         cur += 2;
@@ -399,183 +404,250 @@ fn decode_state(
         cur += v * v;
     }
     assert_eq!(cur, blob.len(), "checkpoint blob has trailing garbage");
-    (step, perm, entries, acc)
+    State {
+        step,
+        perm,
+        entries,
+        acc,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Checksummed transport helpers
+// Seam 1: the transfer guard
 // ---------------------------------------------------------------------------
 
-/// Bookkeep one verdict: anything non-clean counts as a detection; an
-/// unlocatable pattern violates the single-fault model and is a hard error
-/// (the protocol has no re-request path — silence would be worse).
-fn note_verdict(v: Verdict, corr: &mut u64) {
-    match v {
-        Verdict::Clean => {}
-        Verdict::Undetectable => panic!(
-            "in-flight corruption detected but not locatable: \
-             more than one element damaged in a single transfer"
-        ),
-        _ => *corr += 1,
-    }
-}
-
-/// Checksummed point-to-point send of an `r×c` block (plain when `on` is
-/// false or the block is empty).
-fn ck_send(comm: &Comm, dst: usize, tag: u64, data: &[f64], r: usize, c: usize, on: bool) {
-    if !on || r == 0 || c == 0 {
-        comm.send_f64(dst, tag, data);
-        return;
-    }
-    comm.send_f64(dst, tag, &checksum::augment(data, r, c));
-}
-
-/// Checksummed receive of an `r×c` block: verifies, repairs a located
-/// single-element corruption in place, and strips the sums.
-///
-/// Uses the infallible receive on purpose: a dead peer or poisoned world
-/// unwinds through `xmpi`'s fault sentinels so [`xmpi::run_ft`] can map the
-/// outcome to a typed error — a `try_recv` here would strand the error
-/// outside the sentinel path.
-fn ck_recv(
-    comm: &Comm,
-    src: usize,
-    tag: u64,
-    r: usize,
-    c: usize,
+/// The transfer guard: every bulk `f64` transfer of a rank program is
+/// issued through it, with the logical `r × c` shape of the block. Off, each
+/// method is the bare `Comm` call. On, the block travels augmented with its
+/// row/column sums and every receiver verifies — and, for a located
+/// single-element corruption, repairs — its copy; `corrections` counts the
+/// non-clean verdicts. Empty blocks always travel plain.
+pub(crate) struct Guard {
     on: bool,
-    corr: &mut u64,
-) -> Vec<f64> {
-    let mut got = comm.recv_f64(src, tag);
-    if !on || r == 0 || c == 0 {
-        assert_eq!(got.len(), r * c, "block shape mismatch from rank {src}");
-        return got;
-    }
-    assert_eq!(
-        got.len(),
-        checksum::augmented_len(r, c),
-        "augmented block shape mismatch from rank {src}"
-    );
-    note_verdict(checksum::correct(&mut got, r, c), corr);
-    got.truncate(r * c);
-    got
+    corrections: u64,
 }
 
-/// Checksummed broadcast of an `r×c` block: the root augments once, every
-/// receiver (including interior tree hops' targets) verifies and repairs
-/// its own copy. The data prefix is bit-identical to a plain broadcast.
-fn ck_bcast(
-    sub: &Comm,
-    root: usize,
-    buf: &mut Vec<f64>,
-    r: usize,
-    c: usize,
-    on: bool,
-    corr: &mut u64,
-) {
-    if !on || r == 0 || c == 0 {
-        sub.bcast_f64(root, buf);
-        return;
+impl Guard {
+    /// A guard with checksum protection switched `on` or off.
+    pub(crate) fn new(on: bool) -> Guard {
+        Guard { on, corrections: 0 }
     }
-    let mut aug = if sub.rank() == root {
-        checksum::augment(buf, r, c)
-    } else {
-        Vec::new()
-    };
-    sub.bcast_f64(root, &mut aug);
-    note_verdict(checksum::correct(&mut aug, r, c), corr);
-    aug.truncate(r * c);
-    *buf = aug;
-}
 
-/// Checksummed sum-reduction of an `r×c` block: contributions travel
-/// augmented (the encoding is linear, so partial sums stay protected hop by
-/// hop) and the root verifies the reduced block. Elementwise reduction
-/// order is unchanged, so the reduced data is bit-identical to the plain
-/// path. Non-root buffers are left untouched (their content is unspecified
-/// after a plain reduction too).
-fn ck_reduce(
-    sub: &Comm,
-    root: usize,
-    buf: &mut Vec<f64>,
-    r: usize,
-    c: usize,
-    on: bool,
-    corr: &mut u64,
-) {
-    if !on || r == 0 || c == 0 {
-        sub.reduce_sum_f64(root, buf);
-        return;
+    #[inline]
+    fn protects(&self, r: usize, c: usize) -> bool {
+        self.on && r > 0 && c > 0
     }
-    let mut aug = checksum::augment(buf, r, c);
-    sub.reduce_sum_f64(root, &mut aug);
-    if sub.rank() == root {
-        note_verdict(checksum::correct(&mut aug, r, c), corr);
+
+    /// Bookkeep one verdict: anything non-clean counts as a detection; an
+    /// unlocatable pattern violates the single-fault model and is a hard
+    /// error (the protocol has no re-request path — silence would be worse).
+    fn note(&mut self, v: Verdict) {
+        match v {
+            Verdict::Clean => {}
+            Verdict::Undetectable => panic!(
+                "in-flight corruption detected but not locatable: \
+                 more than one element damaged in a single transfer"
+            ),
+            _ => self.corrections += 1,
+        }
+    }
+
+    /// Verify an augmented `r×c` block received into `aug`, repair a located
+    /// corruption in place, and strip the sums.
+    fn check_owned(&mut self, mut aug: Vec<f64>, r: usize, c: usize) -> Vec<f64> {
+        self.note(checksum::correct(&mut aug, r, c));
         aug.truncate(r * c);
-        *buf = aug;
+        aug
     }
-}
 
-/// Send a variable-length checkpoint blob, checksummed as a padded
-/// `k×BLOB_W` block with the true length as its first element (so the
-/// length itself is under protection).
-fn blob_send(comm: &Comm, dst: usize, tag: u64, blob: &[f64], on: bool) {
-    if !on {
-        comm.send_f64(dst, tag, blob);
-        return;
+    /// Point-to-point send of an `r×c` block.
+    pub(crate) fn send(&self, comm: &Comm, dst: usize, tag: u64, data: &[f64], r: usize, c: usize) {
+        if !self.protects(r, c) {
+            comm.send_f64(dst, tag, data);
+            return;
+        }
+        comm.send_f64(dst, tag, &checksum::augment(data, r, c));
     }
-    let k = (blob.len() + 1).div_ceil(BLOB_W).max(1);
-    let mut padded = Vec::with_capacity(k * BLOB_W);
-    padded.push(blob.len() as f64);
-    padded.extend_from_slice(blob);
-    padded.resize(k * BLOB_W, 0.0);
-    comm.send_f64(dst, tag, &checksum::augment(&padded, k, BLOB_W));
-}
 
-/// Receive a checkpoint blob; returns `(blob, wire_elements)` so recovery
-/// can report the true transfer size.
-fn blob_recv(comm: &Comm, src: usize, tag: u64, on: bool, corr: &mut u64) -> (Vec<f64>, usize) {
-    let mut wire = comm.recv_f64(src, tag);
-    let wire_len = wire.len();
-    if !on {
-        return (wire, wire_len);
+    /// Receive of an `r×c` block.
+    ///
+    /// Uses the infallible receive on purpose: a dead peer or poisoned world
+    /// unwinds through `xmpi`'s fault sentinels so [`xmpi::run_ft`] can map
+    /// the outcome to a typed error — a `try_recv` here would strand the
+    /// error outside the sentinel path.
+    pub(crate) fn recv(
+        &mut self,
+        comm: &Comm,
+        src: usize,
+        tag: u64,
+        r: usize,
+        c: usize,
+    ) -> Vec<f64> {
+        let got = comm.recv_f64(src, tag);
+        if !self.protects(r, c) {
+            return got;
+        }
+        assert_eq!(
+            got.len(),
+            checksum::augmented_len(r, c),
+            "augmented block shape mismatch from rank {src}"
+        );
+        self.check_owned(got, r, c)
     }
-    let k = (wire_len - BLOB_W) / (BLOB_W + 1);
-    assert_eq!(
-        checksum::augmented_len(k, BLOB_W),
-        wire_len,
-        "checkpoint wire shape mismatch from rank {src}"
-    );
-    note_verdict(checksum::correct(&mut wire, k, BLOB_W), corr);
-    let data = checksum::strip(&wire, k, BLOB_W);
-    let len = data[0] as usize;
-    (data[1..1 + len].to_vec(), wire_len)
+
+    /// Broadcast of an `r×c` block from `root` (whose `data` is the block;
+    /// ignored elsewhere). Every rank gets a handle onto the tree's shared
+    /// storage whose first `r·c` elements are the block — the root augments
+    /// once, every receiver (including interior tree hops' targets) verifies
+    /// the shared buffer read-only, and only a receiver that has to repair
+    /// its copy pays for one.
+    pub(crate) fn bcast(
+        &mut self,
+        sub: &Comm,
+        root: usize,
+        data: Vec<f64>,
+        r: usize,
+        c: usize,
+    ) -> Buf<f64> {
+        if !self.protects(r, c) {
+            return sub.bcast_buf_f64(root, data);
+        }
+        let aug = if sub.rank() == root {
+            checksum::augment(&data, r, c)
+        } else {
+            Vec::new()
+        };
+        let shared = sub.bcast_buf_f64(root, aug);
+        let verdict = checksum::verify(&shared, r, c);
+        self.note(verdict);
+        if !matches!(verdict, Verdict::Data { .. }) {
+            return shared;
+        }
+        let mut mine = shared.to_vec();
+        checksum::correct(&mut mine, r, c);
+        Buf::from(mine)
+    }
+
+    /// Sum-reduction of an `r×c` block onto `root`: contributions travel
+    /// augmented (the encoding is linear, so partial sums stay protected hop
+    /// by hop) and the root verifies the reduced block. Elementwise
+    /// reduction order is unchanged, so the reduced data is bit-identical to
+    /// the unguarded path. Non-root buffers are left untouched (their
+    /// content is unspecified after a plain reduction too).
+    pub(crate) fn reduce(
+        &mut self,
+        sub: &Comm,
+        root: usize,
+        buf: &mut Vec<f64>,
+        r: usize,
+        c: usize,
+    ) {
+        if !self.protects(r, c) {
+            sub.reduce_sum_f64(root, buf);
+            return;
+        }
+        let mut aug = checksum::augment(buf, r, c);
+        sub.reduce_sum_f64(root, &mut aug);
+        if sub.rank() == root {
+            *buf = self.check_owned(aug, r, c);
+        }
+    }
+
+    /// All-gather of row blocks `c` columns wide: member `m` of `sub`
+    /// contributes `rows_of(m)` rows (`piece` is this rank's). Returns the
+    /// pieces indexed by member, each verified on its own.
+    pub(crate) fn allgather(
+        &mut self,
+        sub: &Comm,
+        piece: &[f64],
+        c: usize,
+        rows_of: impl Fn(usize) -> usize,
+    ) -> Vec<Vec<f64>> {
+        if !self.on {
+            return sub.allgather_f64(piece);
+        }
+        let mine = rows_of(sub.rank());
+        let pieces = if self.protects(mine, c) {
+            sub.allgather_f64(&checksum::augment(piece, mine, c))
+        } else {
+            sub.allgather_f64(piece)
+        };
+        pieces
+            .into_iter()
+            .enumerate()
+            .map(|(member, pc)| {
+                let r = rows_of(member);
+                if !self.protects(r, c) {
+                    assert!(pc.is_empty(), "unexpected piece from empty member {member}");
+                    return pc;
+                }
+                assert_eq!(pc.len(), checksum::augmented_len(r, c));
+                self.check_owned(pc, r, c)
+            })
+            .collect()
+    }
+
+    /// Send a variable-length checkpoint blob, checksummed as a padded
+    /// `k×BLOB_W` block with the true length as its first element (so the
+    /// length itself is under protection).
+    fn send_blob(&self, comm: &Comm, dst: usize, tag: u64, blob: &[f64]) {
+        if !self.on {
+            comm.send_f64(dst, tag, blob);
+            return;
+        }
+        let k = (blob.len() + 1).div_ceil(BLOB_W).max(1);
+        let mut padded = Vec::with_capacity(k * BLOB_W);
+        padded.push(blob.len() as f64);
+        padded.extend_from_slice(blob);
+        padded.resize(k * BLOB_W, 0.0);
+        comm.send_f64(dst, tag, &checksum::augment(&padded, k, BLOB_W));
+    }
+
+    /// Receive a checkpoint blob; returns `(blob, wire_elements)` so
+    /// recovery can report the true transfer size.
+    fn recv_blob(&mut self, comm: &Comm, src: usize, tag: u64) -> (Vec<f64>, usize) {
+        let mut wire = comm.recv_f64(src, tag);
+        let wire_len = wire.len();
+        if !self.on {
+            return (wire, wire_len);
+        }
+        let k = (wire_len - BLOB_W) / (BLOB_W + 1);
+        assert_eq!(
+            checksum::augmented_len(k, BLOB_W),
+            wire_len,
+            "checkpoint wire shape mismatch from rank {src}"
+        );
+        self.note(checksum::correct(&mut wire, k, BLOB_W));
+        let data = checksum::strip(&wire, k, BLOB_W);
+        let len = data[0] as usize;
+        (data[1..1 + len].to_vec(), wire_len)
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restore protocol
+// Seam 2: checkpoint / restore at the step boundary
 // ---------------------------------------------------------------------------
 
-/// End-of-step checkpoint: snapshot into the own slot (free — it is this
-/// rank's memory) and ship a replica one step around the ring under the
-/// `"ckpt"` phase. Sends are buffered, so the ring cannot deadlock.
-fn take_checkpoint(
-    comm: &Comm,
-    store: &CkptStore,
-    epoch: usize,
-    blob: Vec<f64>,
-    on: bool,
-    corr: &mut u64,
-) {
+/// The end-of-step callback of a rank program: sees the state the next step
+/// starts from, and the guard its own transfers must go through.
+pub(crate) type StepEnd<'a> = &'a dyn Fn(&State, &mut Guard);
+
+/// End-of-step checkpoint of `state` (epoch = the step it resumes at):
+/// snapshot into the own slot (free — it is this rank's memory) and ship a
+/// replica one step around the ring under the `"ckpt"` phase. Sends are
+/// buffered, so the ring cannot deadlock.
+fn take_checkpoint(comm: &Comm, store: &CkptStore, v: usize, state: &State, guard: &mut Guard) {
     phase(comm, "ckpt");
     let p = comm.size();
     let rank = comm.rank();
+    let epoch = state.step;
+    let blob = encode_state(v, state);
     store.put_self(rank, epoch, blob.clone());
     if p > 1 {
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
-        blob_send(comm, right, TAG_CKPT + epoch as u64, &blob, on);
-        let (lb, _) = blob_recv(comm, left, TAG_CKPT + epoch as u64, on, corr);
+        guard.send_blob(comm, right, TAG_CKPT + epoch as u64, &blob);
+        let (lb, _) = guard.recv_blob(comm, left, TAG_CKPT + epoch as u64);
         store.put_buddy(left, epoch, lb);
     }
 }
@@ -585,42 +657,34 @@ fn take_checkpoint(
 /// replays the replica over the transport (`"recovery"` phase) to the
 /// reborn victim. Buddy sends go out before any victim receive, so two
 /// adjacent victims cannot deadlock the exchange.
-#[allow(clippy::type_complexity)]
 fn restore_state(
     comm: &Comm,
     store: &CkptStore,
     victims: &[usize],
     resume: usize,
     v: usize,
-    on: bool,
-    corr: &mut u64,
-) -> (
-    usize,
-    Vec<usize>,
-    Vec<Entry>,
-    HashMap<(usize, usize), Matrix>,
-) {
+    guard: &mut Guard,
+) -> State {
     if resume == 0 {
-        return (0, Vec::new(), Vec::new(), HashMap::new());
+        return State::default();
     }
     let p = comm.size();
     let rank = comm.rank();
     for &vq in victims {
         if (vq + 1) % p == rank && vq != rank {
             phase(comm, "recovery");
-            blob_send(
+            guard.send_blob(
                 comm,
                 vq,
                 TAG_RECOV + vq as u64,
                 &store.buddy_blob(vq, resume),
-                on,
             );
         }
     }
     let blob = if victims.contains(&rank) {
         phase(comm, "recovery");
         comm.mark_recovery_begin();
-        let (blob, wire) = blob_recv(comm, (rank + 1) % p, TAG_RECOV + rank as u64, on, corr);
+        let (blob, wire) = guard.recv_blob(comm, (rank + 1) % p, TAG_RECOV + rank as u64);
         comm.mark_recovery_end((wire * 8) as u64);
         // Re-seed the reborn rank's own slot so a later crash elsewhere
         // still finds a full set of self copies.
@@ -629,33 +693,35 @@ fn restore_state(
     } else {
         store.self_blob(rank, resume)
     };
-    let (step, perm, entries, acc) = decode_state(&blob, v);
-    assert_eq!(step, resume, "checkpoint blob is for the wrong epoch");
-    (step, perm, entries, acc)
+    let state = decode_state(&blob, v);
+    assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
+    state
 }
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant COnfLUX
+// The fault-tolerant drivers
 // ---------------------------------------------------------------------------
 
-/// Factor `a` with the fault-tolerant COnfLUX schedule: the blocking
-/// COnfLUX dataflow (bitwise-identical factors to [`crate::conflux_lu`])
-/// plus checksummed transfers, ring checkpoints, and crash recovery.
+/// The restart loop both FT drivers share. Each attempt launches a world
+/// whose every rank restores its [`State`] for the newest epoch all ranks
+/// can recover, then runs `program` — the plain rank program of one
+/// algorithm, bound to its config and staged tiles — with the guard set
+/// from `cfg.checksums` and the checkpoint callback. A crashed attempt
+/// costs the victims their own snapshots and starts the next one; a
+/// completed attempt yields every rank's collected entries plus rank 0's
+/// pivot order.
 ///
-/// Arm an `xharness::Perturbator` carrying a crash or corruption plan
-/// around this call (via `xharness::run_armed`) to exercise the fault
-/// path; the one-shot plan latches span every restart attempt, so exactly
-/// one fault is injected per run.
-///
-/// # Errors
-/// Returns the underlying kernel error if the matrix is singular.
-///
-/// # Panics
-/// If `a` is not `n × n`, or if more worlds crash than there are ranks
-/// (a runaway fault injector).
-pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
-    assert_eq!(a.rows(), cfg.n, "matrix shape mismatch");
-    assert_eq!(a.cols(), cfg.n, "matrix shape mismatch");
+/// On the socket backend a child process replays the loop's earlier worlds
+/// in-process, which repopulates its own `store` deterministically before
+/// it joins the target world — checkpoint state never needs to cross
+/// processes.
+#[allow(clippy::type_complexity)]
+fn run_with_restarts(
+    cfg: &FtConfig,
+    a: &Matrix,
+    program: impl Fn(&Comm, &mut Guard, State, StepEnd<'_>) -> Result<State, dense::Error> + Sync,
+) -> Result<(Vec<Vec<Entry>>, Vec<usize>, FtReport), dense::Error> {
+    check_shape(a, cfg.n)?;
     let p = cfg.grid.size();
     let store = CkptStore::new(p);
     let mut report = FtReport::default();
@@ -665,18 +731,23 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
         if !victims.is_empty() {
             report.resumed_from.push(resume);
         }
-        // Backend-aware launch. On the socket backend a child process
-        // replays the restart loop's earlier worlds in-process, which
-        // repopulates its own `store` deterministically before it joins the
-        // target world — checkpoint state never needs to cross processes.
-        let out =
-            xmpi::launch::run_ft(p, |comm| lu_rank_ft(comm, cfg, a, &store, &victims, resume));
+        let out = xmpi::launch::run_ft(p, |comm| {
+            let mut guard = Guard::new(cfg.checksums);
+            let state = restore_state(comm, &store, &victims, resume, cfg.v, &mut guard);
+            let checkpoint = |state: &State, guard: &mut Guard| {
+                if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
+                    take_checkpoint(comm, &store, cfg.v, state, guard);
+                }
+            };
+            let done = program(comm, &mut guard, state, &checkpoint)?;
+            Ok::<_, dense::Error>((done.entries, done.perm, guard.corrections))
+        });
         report.attempt_stats.push(out.stats);
         if !out.crashed.is_empty() {
             report.restarts += 1;
             assert!(
                 report.restarts <= p,
-                "conflux_lu_ft: more restarts than ranks — unrecoverable fault pattern"
+                "fault-tolerant run: more restarts than ranks — unrecoverable fault pattern"
             );
             for &vq in &out.crashed {
                 store.kill(vq);
@@ -695,710 +766,67 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
             report.corrections += corr;
             all_entries.push(entries);
         }
-        let packed = assemble_packed(cfg.n, &perm, &all_entries);
-        return Ok(FtLuOutput {
-            perm,
-            packed,
-            report,
-        });
+        return Ok((all_entries, perm, report));
     }
 }
 
-/// One rank's resumable, checksummed, blocking COnfLUX program. The
-/// arithmetic is the blocking schedule of [`crate::conflux`] verbatim —
-/// checksums wrap the transport without touching data bits, so the factors
-/// match the plain schedule bitwise.
-#[allow(clippy::too_many_lines)]
-fn lu_rank_ft(
-    comm: &Comm,
-    cfg: &FtConfig,
-    a: &Matrix,
-    store: &CkptStore,
-    victims: &[usize],
-    resume: usize,
-) -> Result<(Vec<Entry>, Vec<usize>, u64), dense::Error> {
-    let g = cfg.grid;
-    let til = Tiling::new(cfg.n, cfg.v, g);
-    let (pi, pj, pk) = g.coords(comm.rank());
-    let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
-    let on = cfg.checksums;
-    let mut corr = 0u64;
-
-    let zfib = comm.subcomm(1, &g.z_members(pi, pj));
-    let yrow = comm.subcomm(2, &g.y_members(pi, pk));
-    let xcol = comm.subcomm(3, &g.x_members(pj, pk));
-    let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
-
-    // Layer-0 originals restage from the input replica (unmeasured, the
-    // paper's staging convention); dynamic state comes from the checkpoint.
-    let orig = crate::conflux::stage_from_global(comm, &ConfluxConfig::new(n, v, g), a);
-    let (start, mut perm, mut entries, mut acc) =
-        restore_state(comm, store, victims, resume, v, on, &mut corr);
-    let mut mask = RowMask::new(n);
-    mask.retire(&perm);
-
-    for step in start..nt {
-        let jt = step % g.py;
-        let it = step % g.px;
-        let last = step + 1 == nt;
-        let root = g.rank_of(0, jt, 0);
-
-        // ---- 1. Reduce next block column ------------------------------
-        phase(comm, "reduce_col");
-        let mut panel_rows: Vec<usize> = Vec::new();
-        let mut panel_vals = Matrix::zeros(0, v);
-        if pj == jt {
-            let mut row_ids = Vec::new();
-            let mut buf = Vec::new();
-            for ti in til.tile_rows_of(pi) {
-                for r in mask.active_in(til.rows_of_tile(ti)) {
-                    row_ids.push(r);
-                    push_contrib(&orig, &acc, r, step, v, &mut buf);
-                }
-            }
-            if !buf.is_empty() {
-                ck_reduce(&zfib, 0, &mut buf, row_ids.len(), v, on, &mut corr);
-            }
-            if pk == 0 {
-                panel_vals = Matrix::from_vec(row_ids.len(), v, buf);
-                panel_rows = row_ids;
-            }
-        }
-
-        // ---- 2. TournPivot --------------------------------------------
-        phase(comm, "pivoting");
-        let mut a00_flat: Vec<f64> = Vec::new();
-        let mut piv_ids: Vec<u64> = Vec::new();
-        let mut perr: Option<dense::Error> = None;
-        if pj == jt && pk == 0 {
-            let ids: Vec<u64> = panel_rows.iter().map(|&r| r as u64).collect();
-            match tournament(
-                panel_comm.as_ref().expect("panel rank"),
-                &panel_vals,
-                &ids,
-                v,
-            ) {
-                Ok(pb) => {
-                    a00_flat = pb.a00.into_vec();
-                    piv_ids = pb.ids;
-                }
-                Err(e) => perr = Some(e),
-            }
-        }
-
-        // ---- 3. Broadcast A00 + pivot ids -----------------------------
-        phase(comm, "bcast_a00");
-        let mut status = vec![if perr.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(root, &mut status);
-        if status[0] != 0.0 {
-            return Err(perr.unwrap_or(dense::Error::SingularAt(step * v)));
-        }
-        ck_bcast(comm, root, &mut a00_flat, v, v, on, &mut corr);
-        comm.bcast_u64(root, &mut piv_ids);
-        let a00 = Matrix::from_vec(v, v, a00_flat);
-        let pivots: Vec<usize> = piv_ids.iter().map(|&x| x as usize).collect();
-        if comm.rank() == root {
-            for (r, &pr) in pivots.iter().enumerate() {
-                for c in 0..v {
-                    entries.push((pr as u32, (step * v + c) as u32, a00[(r, c)]));
-                }
-            }
-        }
-        perm.extend_from_slice(&pivots);
-        mask.retire(&pivots);
-
-        let trail_cols: Vec<usize> = til
-            .tile_cols_of(pj)
-            .into_iter()
-            .filter(|&tj| tj > step)
-            .collect();
-        let trail_len = trail_cols.len() * v;
-
-        // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 --------------
-        phase(comm, "reduce_pivots");
-        let my_piv: Vec<usize> = pivots
-            .iter()
-            .copied()
-            .filter(|&pr| (pr / v) % g.px == pi)
-            .collect();
-        let mut u01 = Matrix::zeros(0, 0);
-        if !last && !trail_cols.is_empty() {
-            let mut a01_contrib = Vec::new();
-            if !my_piv.is_empty() {
-                for &pr in &my_piv {
-                    for &tj in &trail_cols {
-                        push_contrib(&orig, &acc, pr, tj, v, &mut a01_contrib);
-                    }
-                }
-                ck_reduce(
-                    &zfib,
-                    0,
-                    &mut a01_contrib,
-                    my_piv.len(),
-                    trail_len,
-                    on,
-                    &mut corr,
-                );
-            }
-            if pk == 0 {
-                let owner = g.rank_of(it, pj, 0);
-                if comm.rank() == owner {
-                    let mut group_bufs: HashMap<usize, (Vec<f64>, usize)> = HashMap::new();
-                    let groups: Vec<usize> = {
-                        let mut s: Vec<usize> = pivots.iter().map(|&pr| (pr / v) % g.px).collect();
-                        s.sort_unstable();
-                        s.dedup();
-                        s
-                    };
-                    for &spi in &groups {
-                        let src = g.rank_of(spi, pj, 0);
-                        let cnt = pivots.iter().filter(|&&pr| (pr / v) % g.px == spi).count();
-                        let buf = if src == owner {
-                            a01_contrib.clone()
-                        } else {
-                            ck_recv(
-                                comm,
-                                src,
-                                TAG_A01 + step as u64,
-                                cnt,
-                                trail_len,
-                                on,
-                                &mut corr,
-                            )
-                        };
-                        group_bufs.insert(spi, (buf, 0));
-                    }
-                    let mut a01m = Matrix::zeros(v, trail_len);
-                    for (pos, &pr) in pivots.iter().enumerate() {
-                        let spi = (pr / v) % g.px;
-                        let (buf, cursor) = group_bufs.get_mut(&spi).expect("group present");
-                        a01m.row_mut(pos)
-                            .copy_from_slice(&buf[*cursor..*cursor + trail_len]);
-                        *cursor += trail_len;
-                    }
-                    trsm(
-                        Side::Left,
-                        Uplo::Lower,
-                        Trans::N,
-                        Diag::Unit,
-                        1.0,
-                        a00.as_ref(),
-                        a01m.as_mut(),
-                    );
-                    for (pos, &pr) in pivots.iter().enumerate() {
-                        for (cj, &tj) in trail_cols.iter().enumerate() {
-                            for c in 0..v {
-                                entries.push((
-                                    pr as u32,
-                                    (tj * v + c) as u32,
-                                    a01m[(pos, cj * v + c)],
-                                ));
-                            }
-                        }
-                    }
-                    u01 = a01m;
-                } else if !my_piv.is_empty() {
-                    ck_send(
-                        comm,
-                        owner,
-                        TAG_A01 + step as u64,
-                        &a01_contrib,
-                        my_piv.len(),
-                        trail_len,
-                        on,
-                    );
-                }
-            }
-        }
-
-        // ---- 5. FactorizeA10: L10 = A10·U00⁻¹ on panel ranks ----------
-        phase(comm, "panel_trsm");
-        let mut l10 = Matrix::zeros(0, v);
-        if pj == jt && pk == 0 {
-            let keep: Vec<usize> = (0..panel_rows.len())
-                .filter(|&i| mask.is_active(panel_rows[i]))
-                .collect();
-            l10 = Matrix::from_fn(keep.len(), v, |i, j| panel_vals[(keep[i], j)]);
-            trsm(
-                Side::Right,
-                Uplo::Upper,
-                Trans::N,
-                Diag::NonUnit,
-                1.0,
-                a00.as_ref(),
-                l10.as_mut(),
-            );
-            for (i, &ki) in keep.iter().enumerate() {
-                let r = panel_rows[ki];
-                for c in 0..v {
-                    entries.push((r as u32, (step * v + c) as u32, l10[(i, c)]));
-                }
-            }
-        }
-
-        let my_l10_rows: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .flat_map(|ti| mask.active_in(til.rows_of_tile(ti)))
-            .collect();
-
-        // ---- 6a. Scatter L10: z-slice then broadcast along y ----------
-        phase(comm, "scatter_panels");
-        let mut l10_slice = Matrix::zeros(my_l10_rows.len(), ks);
-        if !last && !my_l10_rows.is_empty() {
-            if pj == jt {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = l10.block(0, pk2 * ks, my_l10_rows.len(), ks).to_owned();
-                        if pk2 == 0 {
-                            l10_slice = sl;
-                        } else {
-                            ck_send(
-                                comm,
-                                g.rank_of(pi, jt, pk2),
-                                TAG_L10 + step as u64,
-                                sl.data(),
-                                my_l10_rows.len(),
-                                ks,
-                                on,
-                            );
-                        }
-                    }
-                } else {
-                    let flat = ck_recv(
-                        comm,
-                        g.rank_of(pi, jt, 0),
-                        TAG_L10 + step as u64,
-                        my_l10_rows.len(),
-                        ks,
-                        on,
-                        &mut corr,
-                    );
-                    l10_slice = Matrix::from_vec(my_l10_rows.len(), ks, flat);
-                }
-            }
-            let mut flat = l10_slice.into_vec();
-            ck_bcast(&yrow, jt, &mut flat, my_l10_rows.len(), ks, on, &mut corr);
-            l10_slice = Matrix::from_vec(my_l10_rows.len(), ks, flat);
-        }
-
-        // ---- 6b. Scatter U01: z-slice then broadcast along x ----------
-        let mut u01_slice = Matrix::zeros(ks, trail_len);
-        if !last && trail_len > 0 {
-            if pi == it {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = u01.block(pk2 * ks, 0, ks, trail_len).to_owned();
-                        if pk2 == 0 {
-                            u01_slice = sl;
-                        } else {
-                            ck_send(
-                                comm,
-                                g.rank_of(it, pj, pk2),
-                                TAG_U01 + step as u64,
-                                sl.data(),
-                                ks,
-                                trail_len,
-                                on,
-                            );
-                        }
-                    }
-                } else {
-                    let flat = ck_recv(
-                        comm,
-                        g.rank_of(it, pj, 0),
-                        TAG_U01 + step as u64,
-                        ks,
-                        trail_len,
-                        on,
-                        &mut corr,
-                    );
-                    u01_slice = Matrix::from_vec(ks, trail_len, flat);
-                }
-            }
-            let mut flat = u01_slice.into_vec();
-            ck_bcast(&xcol, it, &mut flat, ks, trail_len, on, &mut corr);
-            u01_slice = Matrix::from_vec(ks, trail_len, flat);
-        }
-
-        // ---- 7. FactorizeA11: layer-local partial Schur update --------
-        phase(comm, "update_a11");
-        if !last && !my_l10_rows.is_empty() && !trail_cols.is_empty() {
-            let mut upd = Matrix::zeros(my_l10_rows.len(), trail_len);
-            par_gemm(
-                1.0,
-                l10_slice.as_ref(),
-                u01_slice.block(0, 0, ks, trail_len),
-                0.0,
-                upd.as_mut(),
-            );
-            for (ri, &r) in my_l10_rows.iter().enumerate() {
-                let ti = r / v;
-                let lr = r % v;
-                for (cj, &tj) in trail_cols.iter().enumerate() {
-                    let tile = acc.entry((ti, tj)).or_insert_with(|| Matrix::zeros(v, v));
-                    let urow = &upd.row(ri)[cj * v..(cj + 1) * v];
-                    for (x, &u) in tile.row_mut(lr).iter_mut().zip(urow) {
-                        *x += u;
-                    }
-                }
-            }
-        }
-
-        // ---- Ring checkpoint ------------------------------------------
-        if cfg.ckpt_every > 0 && !last && (step + 1) % cfg.ckpt_every == 0 {
-            let blob = encode_state(v, step + 1, &perm, &entries, &acc);
-            take_checkpoint(comm, store, step + 1, blob, on, &mut corr);
-        }
-    }
-
-    phase_end(comm);
-    Ok((entries, perm, corr))
+/// Factor `a` with fault-tolerant COnfLUX: the blocking
+/// [`crate::conflux`] rank program (bitwise-identical factors to
+/// [`crate::conflux_lu`]) with checksummed transfers, ring checkpoints, and
+/// crash recovery.
+///
+/// Arm an `xharness::Perturbator` carrying a crash or corruption plan
+/// around this call (via `xharness::run_armed`) to exercise the fault
+/// path; the one-shot plan latches span every restart attempt, so exactly
+/// one fault is injected per run.
+///
+/// # Errors
+/// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; the underlying
+/// kernel error if the matrix is singular.
+///
+/// # Panics
+/// If more worlds crash than there are ranks (a runaway fault injector).
+pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
+    let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
+    let (entries, perm, report) = run_with_restarts(cfg, a, |comm, guard, state, at_step_end| {
+        let orig = stage_from_global(comm, &til, a, false);
+        conflux::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
+    })?;
+    let packed = assemble_packed(cfg.n, &perm, &entries);
+    Ok(FtLuOutput {
+        perm,
+        packed,
+        report,
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fault-tolerant COnfCHOX
-// ---------------------------------------------------------------------------
-
-/// Factor the SPD matrix `a` with the fault-tolerant COnfCHOX schedule
-/// (blocking COnfCHOX dataflow — bitwise-identical factor to
+/// Factor the SPD matrix `a` with fault-tolerant COnfCHOX (the blocking
+/// [`crate::confchox`] rank program — bitwise-identical factor to
 /// [`crate::confchox_cholesky`] — plus checksums, checkpoints, recovery).
 ///
 /// # Errors
+/// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`;
 /// [`dense::Error::NotPositiveDefinite`] if a diagonal block fails.
 ///
 /// # Panics
-/// If `a` is not `n × n`, or on a runaway fault injector (see
-/// [`conflux_lu_ft`]).
+/// On a runaway fault injector (see [`conflux_lu_ft`]).
 pub fn confchox_cholesky_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtCholOutput, dense::Error> {
-    assert_eq!(a.rows(), cfg.n, "matrix shape mismatch");
-    assert_eq!(a.cols(), cfg.n, "matrix shape mismatch");
-    let p = cfg.grid.size();
-    let store = CkptStore::new(p);
-    let mut report = FtReport::default();
-    let mut victims: Vec<usize> = Vec::new();
-    loop {
-        let resume = store.resume_epoch(&victims);
-        if !victims.is_empty() {
-            report.resumed_from.push(resume);
-        }
-        // Backend-aware launch; see `conflux_lu_ft` for how the socket
-        // backend's replay keeps per-process checkpoint stores consistent.
-        let out = xmpi::launch::run_ft(p, |comm| {
-            chol_rank_ft(comm, cfg, a, &store, &victims, resume)
-        });
-        report.attempt_stats.push(out.stats);
-        if !out.crashed.is_empty() {
-            report.restarts += 1;
-            assert!(
-                report.restarts <= p,
-                "confchox_cholesky_ft: more restarts than ranks — unrecoverable fault pattern"
-            );
-            for &vq in &out.crashed {
-                store.kill(vq);
-            }
-            report.crashed.extend(&out.crashed);
-            victims = out.crashed;
-            continue;
-        }
-        let mut all_entries = Vec::with_capacity(p);
-        for res in out.results {
-            let (entries, corr) = res.expect("no rank crashed: every outcome is Ok")?;
-            report.corrections += corr;
-            all_entries.push(entries);
-        }
-        let perm: Vec<usize> = (0..cfg.n).collect();
-        let l = assemble_packed(cfg.n, &perm, &all_entries);
-        return Ok(FtCholOutput { l, report });
-    }
-}
-
-/// One rank's resumable, checksummed, blocking COnfCHOX program.
-#[allow(clippy::too_many_lines)]
-fn chol_rank_ft(
-    comm: &Comm,
-    cfg: &FtConfig,
-    a: &Matrix,
-    store: &CkptStore,
-    victims: &[usize],
-    resume: usize,
-) -> Result<(Vec<Entry>, u64), dense::Error> {
-    let g = cfg.grid;
-    let til = Tiling::new(cfg.n, cfg.v, g);
-    let (pi, pj, pk) = g.coords(comm.rank());
-    let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
-    let on = cfg.checksums;
-    let mut corr = 0u64;
-
-    let zfib = comm.subcomm(1, &g.z_members(pi, pj));
-    let yrow = comm.subcomm(2, &g.y_members(pi, pk));
-    let xcol = comm.subcomm(3, &g.x_members(pj, pk));
-    let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
-
-    let orig = crate::confchox::stage_from_global(comm, &ConfchoxConfig::new(n, v, g), a);
-    let (start, _perm, mut entries, mut acc) =
-        restore_state(comm, store, victims, resume, v, on, &mut corr);
-
-    for step in start..nt {
-        let jt = step % g.py;
-        let it = step % g.px;
-        let last = step + 1 == nt;
-
-        let trail_rows: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .filter(|&ti| ti > step)
-            .collect();
-        let col_role_tiles: Vec<usize> = til
-            .tile_rows_of_py(pj, g.py)
-            .into_iter()
-            .filter(|&ti| ti > step)
-            .collect();
-
-        // ---- 1. Reduce block column `step` ----------------------------
-        phase(comm, "reduce_col");
-        let mut panel_vals = Matrix::zeros(0, v);
-        let mut diag_vals = Matrix::zeros(0, v);
-        if pj == jt {
-            let own_diag = it == pi;
-            let mut buf = Vec::new();
-            if own_diag {
-                for r in til.rows_of_tile(step) {
-                    push_contrib(&orig, &acc, r, step, v, &mut buf);
-                }
-            }
-            for &ti in &trail_rows {
-                for r in til.rows_of_tile(ti) {
-                    push_contrib(&orig, &acc, r, step, v, &mut buf);
-                }
-            }
-            if !buf.is_empty() {
-                let rows_cnt = buf.len() / v;
-                ck_reduce(&zfib, 0, &mut buf, rows_cnt, v, on, &mut corr);
-            }
-            if pk == 0 {
-                let nd = if own_diag { v } else { 0 };
-                diag_vals = Matrix::from_vec(nd, v, buf[..nd * v].to_vec());
-                panel_vals = Matrix::from_vec(trail_rows.len() * v, v, buf[nd * v..].to_vec());
-            }
-        }
-
-        // ---- 2. Factor the diagonal block, broadcast status + L00 -----
-        phase(comm, "potrf_bcast");
-        let mut l00_flat: Vec<f64> = Vec::new();
-        let mut perr: Option<dense::Error> = None;
-        if pj == jt && pk == 0 && pi == it {
-            let mut d = diag_vals;
-            if let Err(e) = potrf_unblocked(d.as_mut()) {
-                perr = Some(match e {
-                    dense::Error::NotPositiveDefinite(k) => {
-                        dense::Error::NotPositiveDefinite(k + step * v)
-                    }
-                    other => other,
-                });
-            }
-            if perr.is_none() {
-                for r in 0..v {
-                    for c in 0..=r {
-                        entries.push(((step * v + r) as u32, (step * v + c) as u32, d[(r, c)]));
-                    }
-                }
-            }
-            l00_flat = d.into_vec();
-        }
-        let status_root = g.rank_of(it, jt, 0);
-        let mut status = vec![if perr.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(status_root, &mut status);
-        if status[0] != 0.0 {
-            return Err(perr.unwrap_or(dense::Error::NotPositiveDefinite(step * v)));
-        }
-        if pj == jt && pk == 0 {
-            ck_bcast(
-                panel_comm.as_ref().expect("panel rank"),
-                it,
-                &mut l00_flat,
-                v,
-                v,
-                on,
-                &mut corr,
-            );
-        }
-
-        // ---- 3. Panel solve: L10 = A10·L00⁻ᵀ --------------------------
-        phase(comm, "panel_trsm");
-        let mut l10 = Matrix::zeros(0, v);
-        if pj == jt && pk == 0 && !trail_rows.is_empty() {
-            let l00 = Matrix::from_vec(v, v, l00_flat);
-            l10 = panel_vals;
-            trsm(
-                Side::Right,
-                Uplo::Lower,
-                Trans::T,
-                Diag::NonUnit,
-                1.0,
-                l00.as_ref(),
-                l10.as_mut(),
-            );
-            for (bi, &ti) in trail_rows.iter().enumerate() {
-                for r in 0..v {
-                    for c in 0..v {
-                        entries.push((
-                            (ti * v + r) as u32,
-                            (step * v + c) as u32,
-                            l10[(bi * v + r, c)],
-                        ));
-                    }
-                }
-            }
-        }
-
-        if last {
-            continue;
-        }
-
-        // ---- 4a. Distribute L10, row role (by tile row, z-sliced) -----
-        phase(comm, "scatter_panels");
-        let mut l10_row = Matrix::zeros(trail_rows.len() * v, ks);
-        if !trail_rows.is_empty() {
-            if pj == jt {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = l10.block(0, pk2 * ks, trail_rows.len() * v, ks).to_owned();
-                        if pk2 == 0 {
-                            l10_row = sl;
-                        } else {
-                            ck_send(
-                                comm,
-                                g.rank_of(pi, jt, pk2),
-                                TAG_L10ROW + step as u64,
-                                sl.data(),
-                                trail_rows.len() * v,
-                                ks,
-                                on,
-                            );
-                        }
-                    }
-                } else {
-                    let flat = ck_recv(
-                        comm,
-                        g.rank_of(pi, jt, 0),
-                        TAG_L10ROW + step as u64,
-                        trail_rows.len() * v,
-                        ks,
-                        on,
-                        &mut corr,
-                    );
-                    l10_row = Matrix::from_vec(trail_rows.len() * v, ks, flat);
-                }
-            }
-            let mut flat = l10_row.into_vec();
-            ck_bcast(
-                &yrow,
-                jt,
-                &mut flat,
-                trail_rows.len() * v,
-                ks,
-                on,
-                &mut corr,
-            );
-            l10_row = Matrix::from_vec(trail_rows.len() * v, ks, flat);
-        }
-
-        // ---- 4b. Distribute L10, column role (x-allgather) ------------
-        let any_col_tiles = !col_role_tiles.is_empty();
-        let mut l10_col = Matrix::zeros(col_role_tiles.len() * v, ks);
-        if any_col_tiles {
-            let mut piece: Vec<f64> = Vec::new();
-            for (bi, &ti) in trail_rows.iter().enumerate() {
-                if ti % g.py != pj {
-                    continue;
-                }
-                for r in 0..v {
-                    piece.extend_from_slice(l10_row.row(bi * v + r));
-                }
-            }
-            let my_rows = piece.len() / ks.max(1);
-            let send_buf = if on && my_rows > 0 {
-                checksum::augment(&piece, my_rows, ks)
-            } else {
-                piece
-            };
-            let mut pieces = xcol.allgather_f64(&send_buf);
-            if on {
-                for (srcg, pc) in pieces.iter_mut().enumerate() {
-                    // Rows group `srcg` contributed: its trailing tiles that
-                    // also match this process column, v rows each.
-                    let rows_src = (step + 1..til.nt)
-                        .filter(|&ti| ti % g.px == srcg && ti % g.py == pj)
-                        .count()
-                        * v;
-                    if rows_src == 0 {
-                        assert!(pc.is_empty(), "unexpected piece from empty group");
-                        continue;
-                    }
-                    assert_eq!(pc.len(), checksum::augmented_len(rows_src, ks));
-                    note_verdict(checksum::correct(pc, rows_src, ks), &mut corr);
-                    pc.truncate(rows_src * ks);
-                }
-            }
-            let mut cursors = vec![0usize; g.px];
-            for (bi, &ti) in col_role_tiles.iter().enumerate() {
-                let src_group = ti % g.px;
-                let src = &pieces[src_group];
-                let cur = &mut cursors[src_group];
-                for r in 0..v {
-                    l10_col
-                        .row_mut(bi * v + r)
-                        .copy_from_slice(&src[*cur..*cur + ks]);
-                    *cur += ks;
-                }
-            }
-        }
-
-        // ---- 5. Trailing symmetric update (lower tiles only) ----------
-        phase(comm, "update_a11");
-        if !trail_rows.is_empty() && any_col_tiles {
-            for (bi, &ti) in trail_rows.iter().enumerate() {
-                let rowblk = l10_row.block(bi * v, 0, v, ks);
-                for (bj, &tj) in col_role_tiles.iter().enumerate() {
-                    if ti < tj || !til.owns(pi, pj, ti, tj) {
-                        continue;
-                    }
-                    let colblk = l10_col.block(bj * v, 0, v, ks);
-                    let tile = acc.entry((ti, tj)).or_insert_with(|| Matrix::zeros(v, v));
-                    if ti == tj {
-                        gemmt(
-                            CUplo::Lower,
-                            Trans::N,
-                            Trans::T,
-                            1.0,
-                            rowblk,
-                            colblk,
-                            1.0,
-                            tile.as_mut(),
-                        );
-                    } else {
-                        gemm(Trans::N, Trans::T, 1.0, rowblk, colblk, 1.0, tile.as_mut());
-                    }
-                }
-            }
-        }
-
-        // ---- Ring checkpoint ------------------------------------------
-        if cfg.ckpt_every > 0 && (step + 1) % cfg.ckpt_every == 0 {
-            let blob = encode_state(v, step + 1, &[], &entries, &acc);
-            take_checkpoint(comm, store, step + 1, blob, on, &mut corr);
-        }
-    }
-
-    phase_end(comm);
-    Ok((entries, corr))
+    let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
+    let (entries, _, report) = run_with_restarts(cfg, a, |comm, guard, state, at_step_end| {
+        let orig = stage_from_global(comm, &til, a, true);
+        confchox::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
+    })?;
+    let identity: Vec<usize> = (0..cfg.n).collect();
+    let l = assemble_packed(cfg.n, &identity, &entries);
+    Ok(FtCholOutput { l, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confchox::{confchox_cholesky, ConfchoxConfig};
+    use crate::confchox::confchox_cholesky;
     use crate::conflux::conflux_lu;
     use dense::gen::{random_matrix, random_spd};
     use dense::norms::lu_residual_perm;
@@ -1415,23 +843,26 @@ mod tests {
     #[test]
     fn state_codec_roundtrip_is_bitwise() {
         let v = 4;
-        let mut acc = HashMap::new();
+        let mut acc = Tiles::new();
         acc.insert((3, 1), random_matrix(v, v, 7));
         acc.insert((0, 2), random_matrix(v, v, 8));
-        let perm = vec![5usize, 2, 9, 0];
-        let entries: Vec<Entry> = vec![(5, 0, 1.25), (2, 3, -0.5e-17)];
-        let blob = encode_state(v, 6, &perm, &entries, &acc);
-        let (step, p2, e2, a2) = decode_state(&blob, v);
-        assert_eq!(step, 6);
-        assert_eq!(p2, perm);
-        assert_eq!(e2.len(), entries.len());
-        for ((r1, c1, v1), (r2, c2, v2)) in entries.iter().zip(&e2) {
+        let state = State {
+            step: 6,
+            perm: vec![5usize, 2, 9, 0],
+            entries: vec![(5, 0, 1.25), (2, 3, -0.5e-17)],
+            acc,
+        };
+        let back = decode_state(&encode_state(v, &state), v);
+        assert_eq!(back.step, 6);
+        assert_eq!(back.perm, state.perm);
+        assert_eq!(back.entries.len(), state.entries.len());
+        for ((r1, c1, v1), (r2, c2, v2)) in state.entries.iter().zip(&back.entries) {
             assert_eq!((r1, c1), (r2, c2));
             assert_eq!(v1.to_bits(), v2.to_bits());
         }
-        assert_eq!(a2.len(), acc.len());
-        for (k, m) in &acc {
-            assert_bitwise(m, &a2[k], "acc tile");
+        assert_eq!(back.acc.len(), state.acc.len());
+        for (k, m) in &state.acc {
+            assert_bitwise(m, &back.acc[k], "acc tile");
         }
     }
 

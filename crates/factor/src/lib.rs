@@ -5,6 +5,10 @@
 //!   factorization with tournament pivoting and row masking (paper §7,
 //!   Algorithm 1).
 //! * [`confchox`] — **COnfCHOX**: the Cholesky analogue (paper §7.5).
+//! * [`ft`] — fault-tolerant drivers for both. Each algorithm has one rank
+//!   program; `ft` runs that same program with an ABFT checksum guard on
+//!   its transfers and a checkpoint callback at its step boundary, inside
+//!   a crash-restart loop.
 //! * [`twod`] — ScaLAPACK-style 2D block-cyclic LU / Cholesky with partial
 //!   pivoting and explicit row swapping: the stand-in for Intel MKL and
 //!   SLATE, which the paper shows both use this schedule.

@@ -10,9 +10,10 @@
 //! coordinates* with an explicit permutation (COnfLUX's row masking never
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
-use crate::common::{phase, phase_end, Entry, Tiling};
+use crate::common::{phase, phase_end, Entry, State, Tiles, Tiling};
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
+use crate::ft::Guard;
 use dense::{Error, Matrix};
 use layout::{redist::redistribute_subset, BlockCyclic, DistMatrix};
 use xmpi::{Comm, Grid2, WorldStats};
@@ -75,7 +76,9 @@ pub fn pdgetrf(
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
         let tiles = shard_to_tiles(staged.as_ref(), cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
         // 3. Factor.
-        let (entries, perm) = conflux::rank_program(comm, cfg, tiles)?;
+        let mut guard = Guard::new(false);
+        let done = conflux::rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let (entries, perm) = (done.entries, done.perm);
         // 4. Route factor entries to the pivoted tile layout (measured).
         phase(comm, "staging_out");
         let pivoted = entries_to_shard(comm, cfg.n, tdesc, &perm, entries);
@@ -85,7 +88,7 @@ pub fn pdgetrf(
         phase_end(comm);
         Ok((back, perm))
     });
-    collect(out, cfg.grid.size())
+    collect(out)
 }
 
 /// ScaLAPACK-style Cholesky: factor an SPD matrix distributed in
@@ -121,7 +124,9 @@ pub fn pdpotrf(
         // Keep only the lower-triangular tiles (COnfCHOX's storage).
         let mut tiles = shard_to_tiles(staged.as_ref(), cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
         tiles.retain(|&(ti, tj), _| ti >= tj);
-        let entries = confchox::rank_program(comm, cfg, tiles)?;
+        let mut guard = Guard::new(false);
+        let done = confchox::rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let entries = done.entries;
         phase(comm, "staging_out");
         let pivoted = entries_to_shard(comm, cfg.n, tdesc, &identity, entries);
         let back = redistribute_subset(comm, pivoted.as_ref(), user_desc)
@@ -129,12 +134,11 @@ pub fn pdpotrf(
         phase_end(comm);
         Ok((back, identity.clone()))
     });
-    collect(out, cfg.grid.size())
+    collect(out)
 }
 
 fn collect(
     out: xmpi::WorldResult<Result<(DistMatrix, Vec<usize>), Error>>,
-    _p: usize,
 ) -> Result<ScalapackOutput, Error> {
     let mut shards = Vec::new();
     let mut perm = Vec::new();
@@ -154,14 +158,8 @@ fn collect(
 
 /// Slice a staged layer-0 shard (v×v block-cyclic) into the tile map the
 /// rank programs consume. Non-layer-0 ranks (shard `None`) get an empty map.
-fn shard_to_tiles(
-    shard: Option<&DistMatrix>,
-    n: usize,
-    v: usize,
-    px: usize,
-    py: usize,
-) -> std::collections::HashMap<(usize, usize), Matrix> {
-    let mut tiles = std::collections::HashMap::new();
+fn shard_to_tiles(shard: Option<&DistMatrix>, n: usize, v: usize, px: usize, py: usize) -> Tiles {
+    let mut tiles = Tiles::new();
     let Some(shard) = shard else { return tiles };
     let til = Tiling::new(n, v, xmpi::Grid3::new(px, py, 1));
     let (pi, pj) = shard.coords;

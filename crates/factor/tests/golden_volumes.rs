@@ -8,15 +8,22 @@
 //! intentional change:
 //!
 //! ```text
-//! GOLDEN_BLESS=1 cargo test -p factor --test golden_volumes
+//! GOLDEN_BLESS=1 cargo test -p factor --test golden_volumes -- --test-threads=1
 //! git diff results/golden_volumes.json   # review, then commit
 //! ```
+//!
+//! (Blessing rewrites the whole file per cell, so the cells must not run
+//! concurrently.)
 
 use dense::gen::{random_matrix, random_spd};
-use factor::{confchox_cholesky, conflux_lu, mmm25d, ConfchoxConfig, ConfluxConfig, Mmm25dConfig};
+use factor::{
+    confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig,
+    ConfluxConfig, FtConfig, Mmm25dConfig,
+};
 use std::path::PathBuf;
 use xharness::{check_golden, golden_mode};
 use xmpi::Grid3;
+use xtrace::invariants::check_stats_equal;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden_volumes.json")
@@ -84,4 +91,73 @@ fn conflux_flat_grid_volume_is_golden() {
         golden_mode(),
     )
     .unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The two checksum settings of a fault-free FT cell, with the golden-key
+/// suffix of each: checkpoint every step, so the `"ckpt"` ring traffic is
+/// pinned along with the (augmented or plain) algorithmic bytes.
+fn ft_cells(n: usize, v: usize, grid: Grid3) -> [(FtConfig, &'static str); 2] {
+    [
+        (FtConfig::new(n, v, grid), ""),
+        (FtConfig::new(n, v, grid).no_checksums(), "-nock"),
+    ]
+}
+
+/// Fault-free FT COnfLUX traffic, byte for byte: the wire size of every
+/// checksummed transfer and of the checkpoint ring. Fault decisions of the
+/// `XHARNESS_SEEDS` crash/corruption plans are keyed on per-channel message
+/// sequence, so pinning the traffic also pins which transfer a seed hits.
+#[test]
+fn conflux_ft_volume_is_golden() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n, n, 101);
+    for (cfg, suffix) in ft_cells(n, v, grid) {
+        let out = conflux_lu_ft(&cfg, &a).unwrap();
+        assert_eq!(out.report.restarts, 0);
+        check_golden(
+            &golden_path(),
+            &format!("conflux-ft-n64-v8-g2x2x2{suffix}"),
+            &out.report.attempt_stats[0],
+            golden_mode(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+#[test]
+fn confchox_ft_volume_is_golden() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_spd(n, 202);
+    for (cfg, suffix) in ft_cells(n, v, grid) {
+        let out = confchox_cholesky_ft(&cfg, &a).unwrap();
+        assert_eq!(out.report.restarts, 0);
+        check_golden(
+            &golden_path(),
+            &format!("confchox-ft-n64-v8-g2x2x2{suffix}"),
+            &out.report.attempt_stats[0],
+            golden_mode(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// "The guard off is the plain program": an FT run with checksums and
+/// checkpoints both disabled moves exactly the blocking schedule's bytes,
+/// rank by rank and phase by phase.
+#[test]
+fn ft_with_guard_and_checkpoints_off_moves_the_plain_bytes() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let off = FtConfig::new(n, v, grid).no_checksums().checkpoint_every(0);
+
+    let a = random_matrix(n, n, 101);
+    let plain = conflux_lu(&ConfluxConfig::new(n, v, grid).blocking(), &a).unwrap();
+    let ft = conflux_lu_ft(&off, &a).unwrap();
+    let drift = check_stats_equal(&plain.stats, &ft.report.attempt_stats[0]);
+    assert!(drift.is_empty(), "conflux: {drift:?}");
+
+    let a = random_spd(n, 202);
+    let plain = confchox_cholesky(&ConfchoxConfig::new(n, v, grid).blocking(), &a).unwrap();
+    let ft = confchox_cholesky_ft(&off, &a).unwrap();
+    let drift = check_stats_equal(&plain.stats, &ft.report.attempt_stats[0]);
+    assert!(drift.is_empty(), "confchox: {drift:?}");
 }

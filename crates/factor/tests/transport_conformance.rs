@@ -23,7 +23,10 @@
 //! * **crash recovery parity**: a planned mid-panel crash on the socket
 //!   backend (the victim's child process dies; the parent maps it to
 //!   `RankDead`) must restart, resume from the checkpoint ring, and land
-//!   on factors bitwise-equal to the in-process fault-tolerant path.
+//!   on factors bitwise-equal to the in-process fault-tolerant path;
+//! * **typed input errors**: a mis-shaped matrix is rejected with
+//!   `dense::Error::ShapeMismatch` by every driver before any world is
+//!   launched, on either backend.
 //!
 //! What is deliberately *not* compared: `FtReport::resumed_from` (a
 //! parent-side diagnostic — the parent's checkpoint store is empty over
@@ -37,8 +40,8 @@ use dense::gen::{random_matrix, random_spd};
 use dense::norms::{lu_residual_perm, po_residual};
 use dense::Matrix;
 use factor::{
-    confchox_cholesky, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig, ConfluxConfig, FtConfig,
-    Mmm25dConfig,
+    confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig,
+    ConfluxConfig, FtConfig, Mmm25dConfig,
 };
 use std::path::PathBuf;
 use xharness::{
@@ -294,4 +297,54 @@ fn conflux_ft_crash_recovery_over_sockets() {
         drift.is_empty(),
         "completed-attempt traffic drifted across backends: {drift:?}"
     );
+}
+
+/// A mis-shaped input is a typed error from every driver, raised before any
+/// world exists. Locally, armed hooks would see the first `phase` marker of
+/// any rank program; on the socket backend the launcher is pointed at a
+/// binary that does not exist, so a launch attempt would fail loudly.
+#[test]
+fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[derive(Default)]
+    struct CountPhases(AtomicUsize);
+    impl xmpi::SchedHooks for CountPhases {
+        fn phase_stall(&self, _rank: usize, _name: &str) -> Option<std::time::Duration> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            None
+        }
+    }
+
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n + 1, n, 101);
+    let want = Some(dense::Error::ShapeMismatch {
+        expected: n,
+        rows: n + 1,
+        cols: n,
+    });
+    let lu = ConfluxConfig::new(n, v, grid);
+    let chol = ConfchoxConfig::new(n, v, grid);
+    let ft = FtConfig::new(n, v, grid);
+    let all_four = || {
+        assert_eq!(conflux_lu(&lu, &a).err(), want);
+        assert_eq!(confchox_cholesky(&chol, &a).err(), want);
+        assert_eq!(conflux_lu_ft(&ft, &a).err(), want);
+        assert_eq!(confchox_cholesky_ft(&ft, &a).err(), want);
+    };
+
+    let phases = Arc::new(CountPhases::default());
+    xmpi::with_hooks(phases.clone(), all_four);
+    assert_eq!(
+        phases.0.load(Ordering::SeqCst),
+        0,
+        "a rank program ran on the local backend"
+    );
+
+    let nowhere = xmpi::Backend::Socket(xmpi::SocketCfg {
+        exe: "/nonexistent/xmpi-rank".into(),
+        args: Vec::new(),
+    });
+    xmpi::with_backend(nowhere, all_four);
+    assert_eq!(on_sockets!(|| conflux_lu(&lu, &a).err()), want);
 }

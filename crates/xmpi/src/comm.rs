@@ -23,7 +23,7 @@
 use crate::buf::Buf;
 use crate::error::XmpiError;
 use crate::hooks::{self, CrashFate, SchedHooks};
-use crate::liveness::{CrashUnwind, Liveness, PoisonUnwind};
+use crate::liveness::{unwind_with, CrashUnwind, Liveness, PoisonUnwind};
 use crate::netfault::{NetFaults, WireFault};
 use crate::stats::{CollKind, Counters};
 use crate::trace::{Event, Recorder};
@@ -307,7 +307,6 @@ pub(crate) struct Shared {
     /// this process hosts; only delivery is backend-specific.
     pub transport: Arc<dyn Transport>,
     pub counters: Vec<Counters>,
-    pub windows: crate::rma::WindowRegistry,
     /// Event recorder; `None` for untraced worlds, so the transport hot
     /// path pays one branch and no extra synchronization when tracing is
     /// off.
@@ -353,7 +352,6 @@ impl Shared {
         Arc::new(Shared {
             transport,
             counters: (0..p).map(|_| Counters::default()).collect(),
-            windows: crate::rma::WindowRegistry::default(),
             trace,
             hooks,
             liveness,
@@ -542,7 +540,7 @@ impl Comm {
     /// panic under plain [`crate::run`]).
     pub(crate) fn push_message(&self, dst: usize, tag: u64, payload: Payload, posted: bool) {
         if let Err(e) = self.push_message_inner(dst, tag, payload, posted) {
-            std::panic::panic_any(PoisonUnwind(e));
+            unwind_with(PoisonUnwind(e));
         }
     }
 
@@ -669,7 +667,7 @@ impl Comm {
             tr.push(src_world, Event::RankCrash { t: tr.now() });
         }
         self.shared.transport.announce_crash(src_world);
-        std::panic::panic_any(CrashUnwind { rank: src_world });
+        unwind_with(CrashUnwind { rank: src_world });
     }
 
     /// Receive matrix elements from local rank `src` with `tag` (blocking).
@@ -725,7 +723,7 @@ impl Comm {
                 pending,
                 self.stuck_report()
             ),
-            Err(e) => std::panic::panic_any(PoisonUnwind(e)),
+            Err(e) => unwind_with(PoisonUnwind(e)),
         }
     }
 
@@ -1122,7 +1120,7 @@ impl Comm {
                 pending,
                 self.stuck_report()
             ),
-            Err(e) => std::panic::panic_any(PoisonUnwind(Self::take_err(e, src_world, tag))),
+            Err(e) => unwind_with(PoisonUnwind(Self::take_err(e, src_world, tag))),
         }
     }
 
@@ -1140,7 +1138,7 @@ impl Comm {
         match self.take_deadline(src_world, tag, timeout) {
             Ok(p) => Ok(p),
             Err(TakeErr::Timeout { pending }) => Err(pending),
-            Err(e) => std::panic::panic_any(PoisonUnwind(Self::take_err(e, src_world, tag))),
+            Err(e) => unwind_with(PoisonUnwind(Self::take_err(e, src_world, tag))),
         }
     }
 
@@ -1175,99 +1173,6 @@ impl Comm {
                     peer: src_world,
                     ctx: self.ctx,
                     tag,
-                    bytes,
-                    kind,
-                },
-            );
-        }
-    }
-
-    /// The communicator's context id (RMA windows key their rendezvous on
-    /// it so windows on different communicators never collide).
-    pub(crate) fn ctx_id(&self) -> u64 {
-        self.ctx
-    }
-
-    /// The world's RMA window registry.
-    ///
-    /// # Panics
-    /// On a transport without shared memory (the socket backend): one-sided
-    /// windows write remote ranks' buffers and counters directly, which
-    /// cannot cross a process boundary.
-    pub(crate) fn registry(&self) -> &crate::rma::WindowRegistry {
-        assert!(
-            self.shared.transport.supports_rma(),
-            "one-sided RMA windows are not supported on the socket backend \
-             (windows need shared memory); run this world on Backend::Local"
-        );
-        &self.shared.windows
-    }
-
-    /// Account a one-sided put/accumulate: this rank sends, `dst` receives.
-    /// Attributed explicitly to [`CollKind::Rma`] — the passive target may
-    /// be inside an unrelated collective, so the in-collective marker must
-    /// not leak into one-sided traffic.
-    pub(crate) fn account_rma(&self, dst_world: usize, bytes: u64) {
-        let me = self.world_rank();
-        self.shared.counters[me].record_send_kind(bytes, CollKind::Rma);
-        self.shared.counters[dst_world].record_recv_kind(bytes, CollKind::Rma);
-        if let Some(tr) = &self.shared.trace {
-            let t = tr.now();
-            let kind = CollKind::Rma;
-            tr.push(
-                me,
-                Event::Send {
-                    t,
-                    peer: dst_world,
-                    ctx: self.ctx,
-                    tag: 0,
-                    bytes,
-                    kind,
-                },
-            );
-            // One-sided: the target never posts a receive, so the done
-            // event has no matching RecvPost (analyses treat it as
-            // zero-wait).
-            tr.push(
-                dst_world,
-                Event::RecvDone {
-                    t,
-                    peer: me,
-                    ctx: self.ctx,
-                    tag: 0,
-                    bytes,
-                    kind,
-                },
-            );
-        }
-    }
-
-    /// Account a one-sided get: `src` sends, this rank receives.
-    pub(crate) fn account_rma_from(&self, src_world: usize, bytes: u64) {
-        let me = self.world_rank();
-        self.shared.counters[src_world].record_send_kind(bytes, CollKind::Rma);
-        self.shared.counters[me].record_recv_kind(bytes, CollKind::Rma);
-        if let Some(tr) = &self.shared.trace {
-            let t = tr.now();
-            let kind = CollKind::Rma;
-            tr.push(
-                src_world,
-                Event::Send {
-                    t,
-                    peer: me,
-                    ctx: self.ctx,
-                    tag: 0,
-                    bytes,
-                    kind,
-                },
-            );
-            tr.push(
-                me,
-                Event::RecvDone {
-                    t,
-                    peer: src_world,
-                    ctx: self.ctx,
-                    tag: 0,
                     bytes,
                     kind,
                 },

@@ -27,10 +27,10 @@
 //! is what keeps the two backends' schedules, byte counts, and hook
 //! decision streams identical.
 //!
-//! Limitations: event tracing ([`crate::trace::capture`]) and one-sided
-//! RMA are not supported over the socket backend (both panic loudly), and
-//! socket worlds must be launched from the thread that owns the test body
-//! (world numbering is per-thread).
+//! Limitations: event tracing ([`crate::trace::capture`]) is not supported
+//! over the socket backend (it panics loudly), and socket worlds must be
+//! launched from the thread that owns the test body (world numbering is
+//! per-thread).
 
 use crate::comm::{Comm, Shared};
 use crate::error::XmpiError;

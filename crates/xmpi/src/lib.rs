@@ -19,10 +19,6 @@
 //! traffic (binomial trees, recursive doubling) rather than an abstract
 //! formula.
 //!
-//! One-sided (MPI-3 RMA style) access is available through [`Comm::window`]
-//! — the paper's implementation uses it for runtime-dependent communication
-//! like pivot-index distribution.
-//!
 //! # Example
 //!
 //! ```
@@ -119,7 +115,6 @@ pub mod launch;
 mod liveness;
 pub mod netfault;
 pub mod request;
-pub mod rma;
 pub(crate) mod socket;
 pub mod stats;
 pub mod trace;
@@ -136,7 +131,6 @@ pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate};
 pub use launch::{with_backend, Backend, SocketCfg};
 pub use netfault::{with_net_faults, ConnectFault, NetFaults, WireFault};
 pub use request::{wait_all, RecvRequest, Request, SendRequest, WaitPolicy, WaitTimeout};
-pub use rma::Window;
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;

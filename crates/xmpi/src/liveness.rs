@@ -71,6 +71,14 @@ impl Liveness {
     }
 }
 
+/// Unwind the current thread with a fault sentinel. `resume_unwind` unwinds
+/// exactly as `panic_any` would but does not invoke the panic hook, so an
+/// expected rank death prints no panic report or backtrace; genuine panics
+/// keep theirs.
+pub(crate) fn unwind_with(sentinel: impl std::any::Any + Send) -> ! {
+    std::panic::resume_unwind(Box::new(sentinel))
+}
+
 /// Unwind payload of the crashing rank itself.
 pub(crate) struct CrashUnwind {
     pub(crate) rank: usize,

@@ -699,10 +699,6 @@ impl Transport for SocketTransport {
         }
         self.mesh.own.wake();
     }
-
-    fn supports_rma(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -27,8 +27,7 @@ pub const MAX_PHASES: usize = 64;
 /// point-to-point traffic is [`CollKind::P2p`]; traffic inside a collective
 /// is attributed to the *outermost* collective call (an `allreduce` that
 /// internally broadcasts still counts as `Allreduce`, matching how a
-/// profiler attributes to the user's call site); one-sided traffic is
-/// [`CollKind::Rma`].
+/// profiler attributes to the user's call site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CollKind {
     /// Plain point-to-point message (outside any collective).
@@ -47,13 +46,11 @@ pub enum CollKind {
     Scatter,
     /// Ring all-gather.
     Allgather,
-    /// One-sided put/get/accumulate.
-    Rma,
 }
 
 impl CollKind {
     /// Number of kinds (size of per-kind counter slabs).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// All kinds, in slab order.
     pub const ALL: [CollKind; CollKind::COUNT] = [
@@ -65,7 +62,6 @@ impl CollKind {
         CollKind::Gather,
         CollKind::Scatter,
         CollKind::Allgather,
-        CollKind::Rma,
     ];
 
     /// Slab index of this kind.
@@ -93,7 +89,6 @@ impl CollKind {
             CollKind::Gather => "gather",
             CollKind::Scatter => "scatter",
             CollKind::Allgather => "allgather",
-            CollKind::Rma => "rma",
         }
     }
 }
@@ -156,40 +151,20 @@ impl Counters {
     /// Lock-free record of a send: totals, active phase slot, active
     /// collective kind.
     pub(crate) fn record_send(&self, bytes: u64) {
-        self.record_send_as(bytes, self.in_coll.load(Ordering::Relaxed));
-    }
-
-    /// Lock-free record of a receive.
-    pub(crate) fn record_recv(&self, bytes: u64) {
-        self.record_recv_as(bytes, self.in_coll.load(Ordering::Relaxed));
-    }
-
-    /// Record a send attributed to an explicit kind (RMA bypasses the
-    /// in-collective marker: the acting rank may be inside an unrelated
-    /// collective on another code path).
-    pub(crate) fn record_send_kind(&self, bytes: u64, kind: CollKind) {
-        self.record_send_as(bytes, kind.index());
-    }
-
-    /// Record a receive attributed to an explicit kind.
-    pub(crate) fn record_recv_kind(&self, bytes: u64, kind: CollKind) {
-        self.record_recv_as(bytes, kind.index());
-    }
-
-    fn record_send_as(&self, bytes: u64, kind_idx: usize) {
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.phase_sent[self.current.load(Ordering::Relaxed)].fetch_add(bytes, Ordering::Relaxed);
-        let cell = &self.coll[kind_idx];
+        let cell = &self.coll[self.in_coll.load(Ordering::Relaxed)];
         cell.sent.fetch_add(bytes, Ordering::Relaxed);
         cell.msgs_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record_recv_as(&self, bytes: u64, kind_idx: usize) {
+    /// Lock-free record of a receive.
+    pub(crate) fn record_recv(&self, bytes: u64) {
         self.bytes_recv.fetch_add(bytes, Ordering::Relaxed);
         self.msgs_recv.fetch_add(1, Ordering::Relaxed);
         self.phase_recv[self.current.load(Ordering::Relaxed)].fetch_add(bytes, Ordering::Relaxed);
-        let cell = &self.coll[kind_idx];
+        let cell = &self.coll[self.in_coll.load(Ordering::Relaxed)];
         cell.recv.fetch_add(bytes, Ordering::Relaxed);
         cell.msgs_recv.fetch_add(1, Ordering::Relaxed);
     }
@@ -462,17 +437,6 @@ mod tests {
         // Every byte has exactly one kind.
         let sum: u64 = s.per_coll.iter().map(|(_, c)| c.bytes_sent).sum();
         assert_eq!(sum, s.bytes_sent);
-    }
-
-    #[test]
-    fn rma_kind_bypasses_collective_marker() {
-        let c = Counters::default();
-        let prev = c.enter_coll(CollKind::Barrier);
-        c.record_send_kind(64, CollKind::Rma);
-        c.exit_coll(prev);
-        let s = c.snapshot();
-        assert_eq!(s.coll(CollKind::Rma).bytes_sent, 64);
-        assert_eq!(s.coll(CollKind::Barrier), CollCounts::default());
     }
 
     #[test]

@@ -257,9 +257,8 @@ impl Recorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Append an event to `world_rank`'s ring. Rings are per-rank mutexes:
-    /// uncontended in the common case (a rank writes its own ring); RMA
-    /// accounting is the one cross-thread writer.
+    /// Append an event to `world_rank`'s ring. Rings are per-rank mutexes,
+    /// uncontended because a rank only ever writes its own ring.
     pub(crate) fn push(&self, world_rank: usize, e: Event) {
         self.rings[world_rank].lock().push(e);
     }
@@ -292,9 +291,8 @@ impl Recorder {
 /// One rank's recorded timeline.
 #[derive(Debug, Clone, Default)]
 pub struct RankTrace {
-    /// Events in ring order (oldest surviving first). Timestamps are
-    /// non-decreasing for rank-local events; cross-thread RMA accounting may
-    /// interleave slightly out of order.
+    /// Events in ring order (oldest surviving first), timestamps
+    /// non-decreasing.
     pub events: Vec<Event>,
     /// Events evicted because the ring filled (0 = complete trace).
     pub dropped: u64,

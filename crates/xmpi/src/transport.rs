@@ -70,13 +70,6 @@ pub(crate) trait Transport: Send + Sync {
     /// parked on a mailbox this process hosts (so blocked waits observe the
     /// poisoned world) and notify remote peers, if the backend has any.
     fn announce_crash(&self, src_world: usize);
-
-    /// Whether one-sided RMA windows work on this backend. Windows mutate
-    /// remote ranks' buffers and traffic counters through shared memory, so
-    /// only transports whose ranks share an address space can support them.
-    fn supports_rma(&self) -> bool {
-        true
-    }
 }
 
 /// The default in-process transport: one mailbox per rank, delivery is a

@@ -230,20 +230,3 @@ fn hard_killed_child_is_rank_dead() {
     assert_eq!(out.results[0], Ok(1.5));
     assert_eq!(out.results[1], Ok(0.5));
 }
-
-#[test]
-fn rma_windows_refuse_socket_backend() {
-    // One-sided windows mutate remote buffers through shared memory; the
-    // socket backend cannot support them and must say so loudly instead of
-    // silently misbehaving. The panic happens inside a child process, which
-    // the parent re-raises as a child-panic error.
-    let caught = std::panic::catch_unwind(|| {
-        xmpi::with_backend(socket_backend!(), || {
-            xmpi::launch::run(2, |c| {
-                let win = c.window(1, 4);
-                win.fence();
-            })
-        })
-    });
-    assert!(caught.is_err(), "RMA over sockets must fail loudly");
-}

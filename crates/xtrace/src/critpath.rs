@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use xmpi::trace::Event;
-use xmpi::{CollKind, WorldTrace};
+use xmpi::WorldTrace;
 
 /// One single-rank stretch of the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,35 +47,22 @@ struct MatchedRecv {
 /// Extract the critical path, earliest segment first. Empty for an empty
 /// trace.
 pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
-    // FIFO send queues per channel. One-sided events are excluded: an RMA
-    // completion never blocks the target, so it cannot carry the path.
+    // FIFO send queues per channel.
     type Key = (usize, usize, u64, u64); // (src, dst, ctx, tag)
     let mut sends: HashMap<Key, Vec<(usize, u64)>> = HashMap::new(); // (event idx, t)
     for (rank, rt) in trace.ranks.iter().enumerate() {
         for (i, e) in rt.events.iter().enumerate() {
             if let Event::Send {
-                t,
-                peer,
-                ctx,
-                tag,
-                kind,
-                ..
+                t, peer, ctx, tag, ..
             }
             | Event::SendPost {
-                t,
-                peer,
-                ctx,
-                tag,
-                kind,
-                ..
+                t, peer, ctx, tag, ..
             } = *e
             {
-                if kind != CollKind::Rma {
-                    sends
-                        .entry((rank, peer, ctx, tag))
-                        .or_default()
-                        .push((i, t));
-                }
+                sends
+                    .entry((rank, peer, ctx, tag))
+                    .or_default()
+                    .push((i, t));
             }
         }
     }
@@ -91,13 +78,7 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
                 Event::RecvPost { t, peer, ctx, tag } => {
                     posts.entry((peer, ctx, tag)).or_default().push(t);
                 }
-                Event::RecvDone {
-                    peer,
-                    ctx,
-                    tag,
-                    kind,
-                    ..
-                } if kind != CollKind::Rma => {
+                Event::RecvDone { peer, ctx, tag, .. } => {
                     let post_t = posts.get_mut(&(peer, ctx, tag)).and_then(|q| {
                         if q.is_empty() {
                             None
@@ -127,9 +108,8 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
                     peer,
                     ctx,
                     tag,
-                    kind,
                     ..
-                } if kind != CollKind::Rma => {
+                } => {
                     // Nonblocking completion: consume the post to keep the
                     // channel FIFO aligned, but the rank was only blocked
                     // from the wait call — that is the "post" for
@@ -218,7 +198,7 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmpi::RankTrace;
+    use xmpi::{CollKind, RankTrace};
 
     /// Rank 0 computes until t=1000, sends; rank 1 posted at t=100, gets
     /// the message at t=1100 and works until t=2000. The critical path is

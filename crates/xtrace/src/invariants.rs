@@ -16,9 +16,7 @@
 //!   ([`Event::RecvPost`]) is eventually completed on its channel. A receive
 //!   that was posted and then abandoned — the classic unwaited-request bug a
 //!   lookahead schedule can introduce — shows up as more posts than
-//!   completions. One-sided traffic legitimately completes without a post
-//!   (the RMA target never posts a receive), so only the `posted >
-//!   completed` direction is a violation.
+//!   completions.
 //! * **Collective bracketing** ([`check_trace`]): every
 //!   [`Event::CollEnter`] has a matching [`Event::CollExit`] per rank and
 //!   kind (a rank that panicked or stalled out of a collective leaves an
@@ -328,8 +326,6 @@ pub fn check_trace(trace: &WorldTrace) -> Report {
         req_keys.sort_unstable();
         for key in req_keys {
             let (posted, completed) = requests[&key];
-            // One-sided completions have no post, so completed > posted is
-            // legitimate; only an excess of posts is a lost request.
             if posted > completed {
                 let (rank, peer, ctx, tag) = key;
                 violations.push(Violation::LostRequest {
@@ -473,20 +469,6 @@ mod tests {
             })
             .collect();
         assert_eq!(lost.len(), 1, "violations: {:?}", report.violations);
-    }
-
-    /// RMA completes without a post on the target; that direction is legal.
-    #[test]
-    fn rma_done_without_post_is_legal() {
-        let out = run_traced(2, &TraceConfig::default(), |c| {
-            let win = c.window(0, 4);
-            c.barrier();
-            if c.rank() == 0 {
-                win.put(1, 0, &[1.0, 2.0]);
-            }
-            c.barrier();
-        });
-        check_trace(&out.trace).assert_clean();
     }
 
     /// A synthesized trace with a receive that was never sent must trip

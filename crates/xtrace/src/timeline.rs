@@ -128,9 +128,8 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
     let mut cur_label = String::new();
     let mut cur_start = 0u64;
     let mut cur_cum = 0u64;
-    // Pending receive posts, keyed by (peer, ctx, tag). A rank has at most
-    // one outstanding blocking receive, but keyed matching also skips RMA
-    // completions injected by other threads.
+    // Pending receive posts, keyed by (peer, ctx, tag): nonblocking
+    // receives can be outstanding on several channels at once.
     let mut posts: Vec<(usize, u64, u64, u64)> = Vec::new();
     let mut coll_open: Option<(CollKind, u64)> = None;
 
@@ -167,24 +166,20 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
                 ctx,
                 tag,
                 bytes,
-                kind,
+                ..
             } => {
-                // One-sided completions have no post; they cost the target
-                // no wait time.
-                if kind != CollKind::Rma {
-                    if let Some(i) = posts
-                        .iter()
-                        .position(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
-                    {
-                        let (_, _, _, start) = posts.remove(i);
-                        tl.waits.push(Wait {
-                            start,
-                            end: t,
-                            peer,
-                            bytes,
-                            phase: cur_label.clone(),
-                        });
-                    }
+                if let Some(i) = posts
+                    .iter()
+                    .position(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
+                {
+                    let (_, _, _, start) = posts.remove(i);
+                    tl.waits.push(Wait {
+                        start,
+                        end: t,
+                        peer,
+                        bytes,
+                        phase: cur_label.clone(),
+                    });
                 }
             }
             Event::WaitDone {
@@ -395,26 +390,6 @@ mod tests {
         assert_eq!((w.start, w.end, w.peer, w.bytes), (900, 1100, 1, 640));
         assert_eq!(w.phase, "update");
         assert_eq!(r.wait_time(), 200);
-    }
-
-    #[test]
-    fn rma_completions_cost_no_wait() {
-        let tr = WorldTrace {
-            labels: vec![],
-            ranks: vec![RankTrace {
-                events: vec![Event::RecvDone {
-                    t: 50,
-                    peer: 1,
-                    ctx: 0,
-                    tag: 0,
-                    bytes: 64,
-                    kind: CollKind::Rma,
-                }],
-                dropped: 0,
-            }],
-        };
-        let tl = Timeline::build(&tr);
-        assert_eq!(tl.ranks[0].wait_time(), 0);
     }
 
     #[test]
