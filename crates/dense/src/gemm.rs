@@ -290,6 +290,82 @@ pub fn par_gemm(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, beta: f64, c: MatMut<'
         });
 }
 
+/// Shape and row-map checks shared by [`gemm_rows`] and [`par_gemm_rows`].
+fn check_row_map(a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: &MatMut<'_>) {
+    assert_eq!(a.cols(), b.rows(), "gemm_rows: inner dimensions must match");
+    assert_eq!(rows.len(), a.rows(), "gemm_rows: one C row per row of A");
+    assert_eq!(c.cols(), b.cols(), "gemm_rows: C column count mismatch");
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "gemm_rows: rows must be strictly ascending"
+    );
+    assert!(
+        rows.last().is_none_or(|&r| r < c.rows()),
+        "gemm_rows: row index out of range"
+    );
+}
+
+/// Row-mapped in-place update `C[rows[i], :] += α·(A·B)[i, :]`: the product
+/// of `A` (`m×k`) and `B` (`k×n`) is accumulated into the `m` rows of `C`
+/// that the strictly ascending `rows` names; every other row of `C` is left
+/// untouched. This is the shape of a Schur update under row masking: the
+/// active rows of a local matrix are an index list, not a contiguous block.
+///
+/// Each touched element receives exactly the value [`gemm`] with `β = 1`
+/// would add to it (same microkernel, same k-order); for `k` within one KC
+/// block that is one addition of the finished dot product, i.e. bitwise
+/// what "product into zeroed scratch, then add the scratch row" gives.
+///
+/// # Panics
+/// On shape mismatch, or if `rows` is not strictly ascending or names a row
+/// outside `C`.
+pub fn gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: MatMut<'_>) {
+    check_row_map(a, b, rows, &c);
+    crate::flops::tally(crate::flops::gemm_flops(a.rows(), b.cols(), a.cols()));
+    pack::gemm_packed_rows(Trans::N, Trans::N, alpha, a, b, Some(rows), c);
+}
+
+/// Parallel [`gemm_rows`], bitwise identical to it: MC-row blocks of the
+/// product go to Rayon workers, each owning the slice of `C` between its
+/// first mapped row and the next block's (`rows` ascending makes the slices
+/// disjoint). Small products run sequentially, as in [`par_gemm`]; the
+/// flops are credited to the calling thread.
+///
+/// # Panics
+/// As [`gemm_rows`].
+pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: MatMut<'_>) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    if m * n * k < (1 << 20) {
+        gemm_rows(alpha, a, b, rows, c);
+        return;
+    }
+    check_row_map(a, b, rows, &c);
+    crate::flops::tally(crate::flops::gemm_flops(m, n, k));
+    // One config for every worker, resolved on the calling thread (see
+    // `par_gemm`).
+    let cfg = crate::tuning::active();
+    let mc = cfg.mc;
+    // Cut C at the first mapped row of every block: block q's rows all lie
+    // in [rows[q·mc], rows[(q+1)·mc]).
+    let mut blocks = Vec::with_capacity(m.div_ceil(mc));
+    let (_, mut rest) = c.split_rows(rows[0]);
+    let mut base = rows[0];
+    for i0 in (0..m).step_by(mc) {
+        let i1 = (i0 + mc).min(m);
+        let end = rows.get(i1).map_or(base + rest.rows(), |&r| r);
+        let (cblk, tail) = rest.split_rows(end - base);
+        let map: Vec<usize> = rows[i0..i1].iter().map(|&r| r - base).collect();
+        blocks.push((i0, map, cblk));
+        (rest, base) = (tail, end);
+    }
+    blocks.into_par_iter().for_each(|(i0, map, cblk)| {
+        crate::tuning::with_override(cfg, || {
+            let ablk = a.block(i0, 0, map.len(), k);
+            pack::gemm_packed_rows(Trans::N, Trans::N, alpha, ablk, b, Some(&map), cblk)
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,6 +9,9 @@
 //! * [`gemm()`] — general matrix multiply `C ← α·op(A)·op(B) + β·C`,
 //! * [`gemmt()`] — the triangular-output variant used by Cholesky's trailing
 //!   update (only one triangle of `C` is written),
+//! * [`gemm_rows()`] / [`par_gemm_rows()`] — the row-mapped in-place update
+//!   `C[rows[i], :] += α·(A·B)[i, :]` that LU's Schur update under row
+//!   masking issues (the active rows of a local matrix are an index list),
 //! * [`trsm()`] — triangular solve with multiple right-hand sides,
 //! * [`getrf()`] — LU factorization with partial pivoting,
 //! * [`potrf()`] — Cholesky factorization,
@@ -56,7 +59,7 @@ pub mod trsm;
 pub mod tuning;
 pub mod ukernel;
 
-pub use gemm::{gemm, gemmt, naive_gemm, par_gemm, Trans};
+pub use gemm::{gemm, gemm_rows, gemmt, naive_gemm, par_gemm, par_gemm_rows, Trans};
 pub use gen::{random_matrix, random_spd, well_conditioned};
 pub use getrf::{apply_row_pivots, getrf, getrf_unblocked, permutation_vector};
 pub use matrix::{MatMut, MatRef, Matrix};

@@ -168,9 +168,11 @@ fn pack_b(
 }
 
 /// Multiply the packed `mc×kc` A block by the packed `kc×nc` B block and
-/// accumulate `α·(A·B)` into `c` (an `mc×nc` view), calling `cfg.variant`'s
-/// microkernel per register tile. The `jr` loop is outer so one NR-panel of
-/// packed B stays L1-resident across all row panels.
+/// accumulate `α·(A·B)` into `c`, calling `cfg.variant`'s microkernel per
+/// register tile. Product row `i` lands in row `i` of `c` (an `mc×nc` view),
+/// or in row `rows[i]` when a row map is given (`c` then is `nc` wide and
+/// tall enough for every mapped row). The `jr` loop is outer so one NR-panel
+/// of packed B stays L1-resident across all row panels.
 #[allow(clippy::too_many_arguments)] // BLAS-style block coordinates + runtime tile width
 fn macro_kernel(
     cfg: &KernelConfig,
@@ -180,6 +182,7 @@ fn macro_kernel(
     alpha: f64,
     pa: &[f64],
     pb: &[f64],
+    rows: Option<&[usize]>,
     mut c: MatMut<'_>,
 ) {
     let (mr, nr) = (cfg.variant.mr, cfg.variant.nr);
@@ -194,7 +197,8 @@ fn macro_kernel(
             let pap = &pa[p * mr * kc..(p + 1) * mr * kc];
             cfg.variant.call(kc, pap, pbq, &mut acc);
             for r in 0..msub {
-                let crow = &mut c.row_mut(i0 + r)[j0..j0 + nsub];
+                let ci = rows.map_or(i0 + r, |map| map[i0 + r]);
+                let crow = &mut c.row_mut(ci)[j0..j0 + nsub];
                 let accrow = &acc[r * nr..r * nr + nsub];
                 for (dst, &v) in crow.iter_mut().zip(accrow.iter()) {
                     *dst += alpha * v;
@@ -218,6 +222,22 @@ pub(crate) fn gemm_packed(
     alpha: f64,
     a: MatRef<'_>,
     b: MatRef<'_>,
+    c: MatMut<'_>,
+) {
+    gemm_packed_rows(ta, tb, alpha, a, b, None, c);
+}
+
+/// [`gemm_packed`] with an optional row map: with `rows = Some(map)` the
+/// product's row `i` is accumulated into `C[map[i], :]` instead of
+/// `C[i, :]` ([`crate::gemm::gemm_rows`] validates the map). Only the
+/// write-back addresses change, not one flop or its order.
+pub(crate) fn gemm_packed_rows(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    rows: Option<&[usize]>,
     mut c: MatMut<'_>,
 ) {
     let (m, k) = ta.dims(a);
@@ -246,16 +266,14 @@ pub(crate) fn gemm_packed(
                         pa_buf.resize(need_a, 0.0);
                     }
                     pack_a(ta, a, ic, mcb, pc, kcb, mr, pa_buf);
-                    macro_kernel(
-                        &cfg,
-                        mcb,
-                        ncb,
-                        kcb,
-                        alpha,
-                        pa_buf,
-                        pb_buf,
-                        c.rb_mut().block(ic, jc, mcb, ncb),
-                    );
+                    let (crows, cblk) = match rows {
+                        Some(map) => {
+                            let all = c.rows();
+                            (Some(&map[ic..ic + mcb]), c.rb_mut().block(0, jc, all, ncb))
+                        }
+                        None => (None, c.rb_mut().block(ic, jc, mcb, ncb)),
+                    };
+                    macro_kernel(&cfg, mcb, ncb, kcb, alpha, pa_buf, pb_buf, crows, cblk);
                 }
             }
         }
@@ -339,7 +357,7 @@ mod tests {
             pack_a(Trans::N, a.as_ref(), 0, m, 0, k, mr, &mut pa);
             pack_b(Trans::N, b.as_ref(), 0, k, 0, n, nr, &mut pb);
             let mut c = crate::Matrix::zeros(m, n);
-            macro_kernel(&cfg, m, n, k, 1.5, &pa, &pb, c.as_mut());
+            macro_kernel(&cfg, m, n, k, 1.5, &pa, &pb, None, c.as_mut());
             c
         };
         let want = run("scalar_4x8_u1");

@@ -7,9 +7,12 @@
 //! * ragged sizes straddling the MR/NR/KC packing boundaries, where the
 //!   zero-padded edge tiles live,
 //! * `par_gemm` bitwise equality with the sequential kernel at a fixed
-//!   worker count.
+//!   worker count,
+//! * the row-mapped in-place update `gemm_rows` / `par_gemm_rows` against
+//!   the two-pass formulation it replaces (product into a zeroed scratch,
+//!   then add the scratch rows), bitwise.
 
-use dense::gemm::{gemm, naive_gemm, par_gemm, Trans};
+use dense::gemm::{gemm, gemm_rows, naive_gemm, par_gemm, par_gemm_rows, Trans};
 use dense::gen::random_matrix;
 use dense::norms::{frobenius, max_abs_diff};
 use dense::pack::{KC, MC, MR, NR};
@@ -158,5 +161,104 @@ fn par_gemm_is_bitwise_deterministic_at_fixed_thread_count() {
         let mut c_par2 = c0.clone();
         par_gemm(alpha, a.as_ref(), b.as_ref(), beta, c_par2.as_mut());
         assert_eq!(c_par.data(), c_par2.data());
+
+        // The row-mapped update forks over the same MC-row blocks.
+        let (rows, crows) = ascending_rows(m, 103);
+        let r0 = random_matrix(crows, n, 104);
+        let mut r_seq = r0.clone();
+        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, r_seq.as_mut());
+        let mut r_par = r0.clone();
+        par_gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, r_par.as_mut());
+        assert_eq!(
+            r_seq.data(),
+            r_par.data(),
+            "par_gemm_rows diverged bitwise at alpha={alpha}"
+        );
     }
+}
+
+/// A strictly ascending row map of length `m` with pseudo-random gaps of
+/// 0..=3 skipped rows before each entry (derived from `seed`), and the
+/// number of rows a `C` needs to hold it plus a few untouched trailing rows.
+fn ascending_rows(m: usize, seed: u64) -> (Vec<usize>, usize) {
+    let gaps = random_matrix(m, 1, seed);
+    let mut next = 0;
+    let rows: Vec<usize> = (0..m)
+        .map(|i| {
+            let r = next + (gaps[(i, 0)].abs() * 4.0) as usize % 4;
+            next = r + 1;
+            r
+        })
+        .collect();
+    (rows, next + 2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `gemm_rows` adds to the mapped rows of a strided window of `C`
+    /// exactly — bit for bit — what "`par_gemm` into a zeroed scratch, then
+    /// add scratch row `i` to row `rows[i]`" adds, for any single-KC-block
+    /// inner dimension; `par_gemm_rows` equals it bitwise on both sides of
+    /// its fork threshold; and no element outside the mapped rows of the
+    /// window changes.
+    #[test]
+    fn gemm_rows_equals_scratch_then_scatter_bitwise(
+        m in prop_oneof![
+            Just(1), Just(MR - 1), Just(MR + 1), Just(MC - 1), Just(MC), Just(MC + 1),
+            Just(2 * MC + 17), 1usize..40,
+        ],
+        n in prop_oneof![Just(1), Just(NR - 1), Just(NR + 1), Just(2 * NR + 3), Just(130), 1usize..40],
+        k in prop_oneof![Just(1), Just(16), Just(33), Just(KC), 1usize..40],
+        alpha in prop_oneof![Just(1.0), -2.0f64..2.0],
+        c0 in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let a = random_matrix(m, k, seed);
+        let b = random_matrix(k, n, seed + 1);
+        let (rows, crows) = ascending_rows(m, seed + 2);
+        let before = random_matrix(crows, n + 6, seed + 3);
+
+        let mut scratch = Matrix::zeros(m, n);
+        par_gemm(alpha, a.as_ref(), b.as_ref(), 0.0, scratch.as_mut());
+        let mut expect = before.clone();
+        for (i, &r) in rows.iter().enumerate() {
+            for j in 0..n {
+                expect[(r, c0 + j)] += scratch[(i, j)];
+            }
+        }
+
+        let mut seq = before.clone();
+        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, seq.block_mut(0, c0, crows, n));
+        let mut par = before.clone();
+        par_gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, par.block_mut(0, c0, crows, n));
+        for (what, got) in [("gemm_rows", &seq), ("par_gemm_rows", &par)] {
+            for (at, (x, y)) in got.data().iter().zip(expect.data()).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(), y.to_bits(),
+                    "{} differs at ({}, {}), m={} n={} k={}", what, at / (n + 6), at % (n + 6), m, n, k
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "gemm_rows: rows must be strictly ascending")]
+fn gemm_rows_rejects_a_non_ascending_row_map() {
+    let (a, b) = (random_matrix(3, 2, 1), random_matrix(2, 4, 2));
+    let mut c = Matrix::zeros(6, 4);
+    gemm_rows(1.0, a.as_ref(), b.as_ref(), &[0, 4, 4], c.as_mut());
+}
+
+#[test]
+#[should_panic(expected = "gemm_rows: row index out of range")]
+fn par_gemm_rows_rejects_a_row_outside_c() {
+    // Big enough to take the parallel path: the check must not depend on it.
+    let (m, n, k) = (2 * MC, 128, 64);
+    let (a, b) = (random_matrix(m, k, 1), random_matrix(k, n, 2));
+    let mut c = Matrix::zeros(m, n);
+    let mut rows: Vec<usize> = (0..m).collect();
+    rows[m - 1] = m;
+    par_gemm_rows(1.0, a.as_ref(), b.as_ref(), &rows, c.as_mut());
 }

@@ -1,14 +1,34 @@
 //! Shared machinery for the distributed factorization schedules: tile
-//! bookkeeping, active-row masks (the paper's row masking), the rank
-//! programs' step-boundary `State`, and assembly of collected factor
-//! entries into a packed LU matrix.
+//! bookkeeping, the per-rank local tile store, active-row masks (the
+//! paper's row masking), the rank programs' step-boundary `State`, and
+//! assembly of collected factor entries into a packed LU matrix.
+//!
+//! # The local tile store
+//!
+//! A rank's block-cyclic share of the matrix is *one* dense row-major local
+//! matrix (`TileStore`): tile `(I, J)` of the rank at 2D coordinates
+//! `(I mod Px, J mod Py)` sits at local tile position `(I / Px, J / Py)`,
+//! found by arithmetic. Ascending global rows (columns) of a rank are
+//! ascending local rows (columns), so
+//!
+//! * the trailing tile columns of a step are one contiguous column range,
+//! * a rank's active rows under row masking are an ascending list of local
+//!   row indices ([`ActiveRows`]) — the form `dense::par_gemm_rows` updates
+//!   in place,
+//! * a rank's up-to-date contribution to a row segment is one slice
+//!   subtraction, original minus accumulator (`push_contrib`).
+//!
+//! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
+//! same row-major matrix with every local tile row cut off after its
+//! diagonal tile (*lower-only* shape): the rows of one tile row share a
+//! stride, and nothing is allocated for the strictly upper tiles.
+//!
+//! A per-tile *present* bit records which tiles hold data (staged input, or
+//! an accumulator some update has touched), which is the tile set a
+//! checkpoint serializes.
 
-use dense::Matrix;
-use std::collections::HashMap;
+use dense::{MatMut, MatRef, Matrix};
 use xmpi::{Comm, Grid3};
-
-/// A rank's `v × v` tiles, keyed by tile coordinates `(I, J)`.
-pub(crate) type Tiles = HashMap<(usize, usize), Matrix>;
 
 /// Declare a measurement phase on `comm`, embedding the rank's cumulative
 /// local flop count (from [`dense::flops::thread_flops`] — each simulated
@@ -138,9 +158,218 @@ impl RowMask {
         }
     }
 
-    /// Active rows within `range`, ascending.
-    pub fn active_in(&self, range: std::ops::Range<usize>) -> Vec<usize> {
-        range.filter(|&r| self.active[r]).collect()
+    /// The active rows among the tile rows process row `pi` owns, ascending,
+    /// in one pass: global ids and the matching local-store row indices.
+    pub fn active_rows_of(&self, til: &Tiling, pi: usize) -> ActiveRows {
+        let mut rows = ActiveRows::default();
+        for (li, ti) in (pi..til.nt).step_by(til.grid.px).enumerate() {
+            for lr in 0..til.v {
+                if self.active[ti * til.v + lr] {
+                    rows.global.push(ti * til.v + lr);
+                    rows.local.push(li * til.v + lr);
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// A process row's still-active matrix rows, ascending: what every rank of
+/// that row derives from the (replicated) [`RowMask`] once per step —
+/// indices, not data, are all that row masking ever moves.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct ActiveRows {
+    /// Global row ids.
+    pub global: Vec<usize>,
+    /// Row indices in the rank's local tile store, in lockstep with `global`.
+    pub local: Vec<usize>,
+}
+
+/// One rank's share of the tile-cyclic matrix as a single dense row-major
+/// local matrix (see the module docs): tile `(ti, tj)` occupies the `v × v`
+/// block at local tile position `(ti / px, tj / py)`. A *lower-only* store
+/// keeps, of each local tile row, just the tiles on or below the diagonal.
+/// The storage is zero-allocated, so an absent tile reads as zeros.
+pub(crate) struct TileStore {
+    data: Vec<f64>,
+    v: usize,
+    /// Extents of the 2D process grid.
+    px: usize,
+    py: usize,
+    /// This rank's coordinates in it.
+    pi: usize,
+    pj: usize,
+    /// Local tile columns of a full tile row.
+    ltc: usize,
+    /// `band[li]..band[li + 1]` is local tile row `li` in `data`: `v` rows of
+    /// one common stride, `ltc · v` unless the store is lower-only.
+    band: Vec<usize>,
+    /// One bit per local tile position, row-major over `ltc`-wide rows.
+    present: Vec<bool>,
+}
+
+impl TileStore {
+    /// An all-zero store with no tile present, for the rank at 2D
+    /// coordinates `(pi, pj)`; `lower_only` cuts every tile row off after
+    /// its diagonal tile.
+    pub(crate) fn zeros(til: &Tiling, pi: usize, pj: usize, lower_only: bool) -> TileStore {
+        let (v, px, py) = (til.v, til.grid.px, til.grid.py);
+        let ltc = (pj..til.nt).step_by(py).len();
+        let mut band = vec![0];
+        for ti in (pi..til.nt).step_by(px) {
+            // Owned tile columns `tj ≤ ti` come first in local order.
+            let width = if lower_only {
+                (pj..ti + 1).step_by(py).len()
+            } else {
+                ltc
+            };
+            band.push(band[band.len() - 1] + v * width * v);
+        }
+        TileStore {
+            data: vec![0.0; band[band.len() - 1]],
+            v,
+            px,
+            py,
+            pi,
+            pj,
+            ltc,
+            present: vec![false; (band.len() - 1) * ltc],
+            band,
+        }
+    }
+
+    /// A layer-0 store holding a copy of `tile_of(ti, tj)` for every owned
+    /// tile (with `lower_only`: every owned tile on or below the diagonal).
+    pub(crate) fn staged<'a>(
+        til: &Tiling,
+        (pi, pj): (usize, usize),
+        lower_only: bool,
+        tile_of: impl Fn(usize, usize) -> MatRef<'a>,
+    ) -> TileStore {
+        let mut store = TileStore::zeros(til, pi, pj, lower_only);
+        for ti in til.tile_rows_of(pi) {
+            for tj in til.tile_cols_of(pj) {
+                if ti >= tj || !lower_only {
+                    store.tile_mut(ti, tj).copy_from(tile_of(ti, tj));
+                }
+            }
+        }
+        store
+    }
+
+    /// Local tile position of the owned tile `(ti, tj)`.
+    fn local_tile(&self, ti: usize, tj: usize) -> (usize, usize) {
+        debug_assert!(
+            ti % self.px == self.pi && tj % self.py == self.pj,
+            "tile ({ti},{tj}) is not owned by rank ({},{})",
+            self.pi,
+            self.pj
+        );
+        (ti / self.px, tj / self.py)
+    }
+
+    /// Row stride of local tile row `li`.
+    #[inline]
+    fn stride(&self, li: usize) -> usize {
+        (self.band[li + 1] - self.band[li]) / self.v
+    }
+
+    /// Local row index of the owned global row `r`.
+    #[inline]
+    pub(crate) fn local_row(&self, r: usize) -> usize {
+        (r / self.v / self.px) * self.v + r % self.v
+    }
+
+    /// Local index of the first column of the owned tile column `tj`.
+    #[inline]
+    pub(crate) fn col0(&self, tj: usize) -> usize {
+        (tj / self.py) * self.v
+    }
+
+    /// The stored part of local row `lrow` (all of it unless lower-only).
+    #[inline]
+    pub(crate) fn row(&self, lrow: usize) -> &[f64] {
+        let (li, stride) = (lrow / self.v, self.stride(lrow / self.v));
+        let at = self.band[li] + (lrow % self.v) * stride;
+        &self.data[at..at + stride]
+    }
+
+    /// Does tile `(ti, tj)` hold data?
+    #[cfg(test)]
+    pub(crate) fn is_present(&self, ti: usize, tj: usize) -> bool {
+        let (li, lj) = self.local_tile(ti, tj);
+        self.present[li * self.ltc + lj]
+    }
+
+    /// Global coordinates of the present tiles, ascending by `(ti, tj)`
+    /// (local tile order is global tile order).
+    pub(crate) fn present_tiles(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let at = |li: usize, lj: usize| (li * self.px + self.pi, lj * self.py + self.pj);
+        let marked = self.present.iter().enumerate().filter(|&(_, &p)| p);
+        marked.map(move |(i, _)| at(i / self.ltc, i % self.ltc))
+    }
+
+    /// Read-only view of tile `(ti, tj)` (zeros if absent).
+    pub(crate) fn tile(&self, ti: usize, tj: usize) -> MatRef<'_> {
+        let (li, lj) = self.local_tile(ti, tj);
+        let band = MatRef::from_slice(
+            &self.data[self.band[li]..self.band[li + 1]],
+            self.v,
+            self.stride(li),
+            self.stride(li),
+        );
+        band.block(0, lj * self.v, self.v, self.v)
+    }
+
+    /// Writable view of tile `(ti, tj)`, marking it present.
+    pub(crate) fn tile_mut(&mut self, ti: usize, tj: usize) -> MatMut<'_> {
+        self.tile_row_mut(ti, tj..tj + 1)
+    }
+
+    /// Writable view of the owned tiles of tile row `ti` whose tile column
+    /// lies in `tjs` — one `v`-row block of adjacent local columns —
+    /// marking them present.
+    ///
+    /// # Panics
+    /// If the store is lower-only and `tjs` reaches above the diagonal.
+    pub(crate) fn tile_row_mut(&mut self, ti: usize, tjs: std::ops::Range<usize>) -> MatMut<'_> {
+        debug_assert!(ti % self.px == self.pi, "tile row {ti} is not owned");
+        // Owned tile columns below `t` come first in local order.
+        let (py, pj) = (self.py, self.pj);
+        let owned_below = |t: usize| (pj..t).step_by(py).len();
+        let (li, lj0, lj1) = (ti / self.px, owned_below(tjs.start), owned_below(tjs.end));
+        let (v, stride) = (self.v, self.stride(li));
+        self.present[li * self.ltc + lj0..li * self.ltc + lj1].fill(true);
+        let band = &mut self.data[self.band[li]..self.band[li + 1]];
+        MatMut::from_slice(band, v, stride, stride).block(0, lj0 * v, v, (lj1 - lj0) * v)
+    }
+
+    /// Writable full-height view of local columns `cols` (whole tile
+    /// columns) for an update of the local rows `lrows` (ascending): every
+    /// tile a listed row crosses in those columns is marked present.
+    ///
+    /// # Panics
+    /// If the store is lower-only (its rows have no common stride).
+    pub(crate) fn touch_rows(
+        &mut self,
+        lrows: &[usize],
+        cols: std::ops::Range<usize>,
+    ) -> MatMut<'_> {
+        let (v, ltc) = (self.v, self.ltc);
+        let (rows, ld) = ((self.band.len() - 1) * v, ltc * v);
+        assert_eq!(
+            self.data.len(),
+            rows * ld,
+            "a lower-only store has no full-height view"
+        );
+        let mut last = usize::MAX;
+        for li in lrows.iter().map(|&l| l / v) {
+            if li != last {
+                self.present[li * ltc + cols.start / v..li * ltc + cols.end / v].fill(true);
+                last = li;
+            }
+        }
+        MatMut::from_slice(&mut self.data, rows, ld, ld).block(0, cols.start, rows, cols.len())
     }
 }
 
@@ -154,7 +383,6 @@ pub type Entry = (u32, u32, f64);
 /// `State` — empty for a fresh run, decoded from a checkpoint for a resumed
 /// one — and hands the updated value to its end-of-step callback, so the
 /// step boundary is the one place a run can be snapshotted or re-entered.
-#[derive(Default)]
 pub(crate) struct State {
     /// The next block step to execute.
     pub step: usize,
@@ -162,8 +390,24 @@ pub(crate) struct State {
     pub perm: Vec<usize>,
     /// Factor entries this rank has collected so far.
     pub entries: Vec<Entry>,
-    /// Layer-local Schur-update accumulators, allocated on first touch.
-    pub acc: Tiles,
+    /// Layer-local Schur-update accumulators: a tile becomes present with
+    /// the first update that touches it.
+    pub acc: TileStore,
+}
+
+impl State {
+    /// The state a fresh run of world rank `rank` starts from: step 0,
+    /// nothing chosen, collected or accumulated (`lower_only` is the shape
+    /// of the accumulator store).
+    pub(crate) fn fresh(til: &Tiling, rank: usize, lower_only: bool) -> State {
+        let (pi, pj, _) = til.grid.coords(rank);
+        State {
+            step: 0,
+            perm: Vec::new(),
+            entries: Vec::new(),
+            acc: TileStore::zeros(til, pi, pj, lower_only),
+        }
+    }
 }
 
 /// The drivers' input check: `a` must be the `n × n` matrix the
@@ -181,44 +425,38 @@ pub(crate) fn check_shape(a: &Matrix, n: usize) -> Result<(), dense::Error> {
 }
 
 /// Layer-0 tile staging straight from a globally-known matrix (the
-/// "already distributed" convention of the paper: no measured traffic).
-/// `lower_only` keeps just the tiles on or below the diagonal — COnfCHOX's
+/// "already distributed" convention of the paper: no measured traffic);
+/// the other layers get an all-absent store. `lower_only` stages just the
+/// tiles on or below the diagonal, into a lower-only store — COnfCHOX's
 /// storage.
-pub(crate) fn stage_from_global(comm: &Comm, til: &Tiling, a: &Matrix, lower_only: bool) -> Tiles {
+pub(crate) fn stage_from_global(
+    comm: &Comm,
+    til: &Tiling,
+    a: &Matrix,
+    lower_only: bool,
+) -> TileStore {
     let (pi, pj, pk) = til.grid.coords(comm.rank());
     let v = til.v;
-    let mut orig = Tiles::new();
-    if pk == 0 {
-        for ti in til.tile_rows_of(pi) {
-            for tj in til.tile_cols_of(pj) {
-                if ti >= tj || !lower_only {
-                    orig.insert((ti, tj), a.block(ti * v, tj * v, v, v).to_owned());
-                }
-            }
-        }
+    if pk != 0 {
+        return TileStore::zeros(til, pi, pj, lower_only);
     }
-    orig
+    TileStore::staged(til, (pi, pj), lower_only, |ti, tj| {
+        a.block(ti * v, tj * v, v, v)
+    })
 }
 
-/// Appends this rank's up-to-date contribution for global row `r` of tile
-/// column `tj`: original value (layer 0) minus accumulated updates.
+/// Appends this rank's up-to-date contribution for the segment `cols` of
+/// local row `lrow`: original value (zero off layer 0) minus accumulated
+/// updates — one pass over two contiguous slices of the rank's stores.
 pub(crate) fn push_contrib(
-    orig: &Tiles,
-    acc: &Tiles,
-    r: usize,
-    tj: usize,
-    v: usize,
+    orig: &TileStore,
+    acc: &TileStore,
+    lrow: usize,
+    cols: std::ops::Range<usize>,
     buf: &mut Vec<f64>,
 ) {
-    let ti = r / v;
-    let lr = r % v;
-    let o = orig.get(&(ti, tj));
-    let ac = acc.get(&(ti, tj));
-    for c in 0..v {
-        let oo = o.map_or(0.0, |m| m[(lr, c)]);
-        let aa = ac.map_or(0.0, |m| m[(lr, c)]);
-        buf.push(oo - aa);
-    }
+    let (o, a) = (&orig.row(lrow)[cols.clone()], &acc.row(lrow)[cols]);
+    buf.extend(o.iter().zip(a).map(|(o, a)| o - a));
 }
 
 /// Assemble collected factor entries into a packed LU matrix in pivoted row
@@ -362,7 +600,98 @@ mod tests {
         assert!(!m.is_active(3));
         assert!(m.is_active(4));
         assert_eq!(m.count(), 8);
-        assert_eq!(m.active_in(2..8), vec![2, 4, 5, 6]);
+    }
+
+    #[test]
+    fn active_rows_pair_global_ids_with_local_indices() {
+        // 3 process rows, v = 2: process row 1 owns tile rows 1 and 4, i.e.
+        // global rows 2,3 and 8,9 at local rows 0,1 and 2,3.
+        let til = Tiling::new(12, 2, Grid3::new(3, 1, 1));
+        let mut m = RowMask::new(12);
+        m.retire(&[3, 7]);
+        let rows = m.active_rows_of(&til, 1);
+        assert_eq!(rows.global, vec![2, 8, 9]);
+        assert_eq!(rows.local, vec![0, 2, 3]);
+        let store = TileStore::zeros(&til, 1, 0, false);
+        for (&r, &l) in rows.global.iter().zip(&rows.local) {
+            assert_eq!(store.local_row(r), l);
+        }
+        // A process row beyond the tile count owns nothing.
+        let wide = Tiling::new(4, 2, Grid3::new(4, 1, 1));
+        assert_eq!(
+            RowMask::new(4).active_rows_of(&wide, 3),
+            ActiveRows::default()
+        );
+    }
+
+    #[test]
+    fn tile_store_maps_tiles_by_arithmetic_and_tracks_presence() {
+        // 2×3 grid, 6×6 tiles of side 2: rank (1, 2) owns tile rows 1,3,5
+        // and tile columns 2,5 — a 6×4 local matrix.
+        let til = Tiling::new(12, 2, Grid3::new(2, 3, 1));
+        let mut s = TileStore::zeros(&til, 1, 2, false);
+        assert_eq!((s.row(0).len(), s.col0(5)), (4, 2));
+        assert_eq!(s.present_tiles().count(), 0);
+        s.tile_mut(3, 5).fill(7.0);
+        s.tile_mut(1, 2).fill(1.0);
+        assert!(s.is_present(3, 5) && !s.is_present(3, 2));
+        // Ascending (ti, tj) order, whatever the insertion order.
+        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(1, 2), (3, 5)]);
+        assert_eq!(s.row(s.local_row(7)), &[0.0, 0.0, 7.0, 7.0]);
+        assert_eq!(s.tile(1, 2).get(1, 1), 1.0);
+        assert_eq!(s.tile(5, 5).get(0, 0), 0.0, "absent tiles read as zeros");
+        // A tile-row block: the owned tile columns in 1..6 are 2 and 5.
+        let row = s.tile_row_mut(5, 1..6);
+        assert_eq!((row.rows(), row.cols()), (2, 4));
+        assert!(s.is_present(5, 2) && s.is_present(5, 5) && !s.is_present(1, 5));
+        // A row-mapped update of local rows 0 and 5 in tile column 5 marks
+        // the tiles those rows cross, and nothing else.
+        let mut s = TileStore::zeros(&til, 1, 2, false);
+        let view = s.touch_rows(&[0, 5], 2..4);
+        assert_eq!((view.rows(), view.cols()), (6, 2));
+        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(1, 5), (5, 5)]);
+    }
+
+    #[test]
+    fn lower_only_store_cuts_tile_rows_off_after_the_diagonal() {
+        // Same layout as above: rank (1, 2)'s tile rows 1, 3, 5 keep the
+        // owned tile columns ≤ 1, ≤ 3, ≤ 5, i.e. none, {2}, {2, 5}.
+        let til = Tiling::new(12, 2, Grid3::new(2, 3, 1));
+        let mut s = TileStore::zeros(&til, 1, 2, true);
+        let widths: Vec<usize> = (0..6).map(|lrow| s.row(lrow).len()).collect();
+        assert_eq!(widths, vec![0, 0, 2, 2, 4, 4]);
+        s.tile_mut(5, 5).fill(3.0);
+        s.tile_row_mut(3, 0..4).fill(2.0);
+        assert_eq!(s.row(s.local_row(7)), &[2.0, 2.0]);
+        assert_eq!(s.row(s.local_row(11)), &[0.0, 0.0, 3.0, 3.0]);
+        assert_eq!(s.tile(5, 5).get(1, 0), 3.0);
+        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(3, 2), (5, 5)]);
+        // On a square grid the diagonal tile itself is kept.
+        let til = Tiling::new(8, 2, Grid3::new(2, 2, 1));
+        let mut s = TileStore::zeros(&til, 1, 1, true);
+        assert_eq!((s.row(0).len(), s.row(2).len()), (2, 4));
+        s.tile_mut(3, 3).fill(1.0);
+        assert!(s.is_present(3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "no full-height view")]
+    fn lower_only_store_has_no_full_height_view() {
+        let til = Tiling::new(8, 2, Grid3::new(1, 1, 1));
+        TileStore::zeros(&til, 0, 0, true).touch_rows(&[0], 0..2);
+    }
+
+    #[test]
+    fn push_contrib_subtracts_accumulator_from_original() {
+        let til = Tiling::new(4, 2, Grid3::new(1, 1, 1));
+        let mut orig = TileStore::zeros(&til, 0, 0, false);
+        let mut acc = TileStore::zeros(&til, 0, 0, false);
+        orig.tile_mut(1, 1).fill(5.0);
+        acc.tile_mut(1, 1).fill(1.5);
+        acc.tile_mut(1, 0).fill(0.25);
+        let mut buf = vec![9.0];
+        push_contrib(&orig, &acc, 3, 0..4, &mut buf);
+        assert_eq!(buf, vec![9.0, -0.25, -0.25, 3.5, 3.5]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::common::{
     assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
-    stage_from_global, State, Tiles, Tiling,
+    stage_from_global, State, TileStore, Tiling,
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
@@ -117,7 +117,8 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
         let tiles = stage_from_global(comm, &til, a, true);
         let mut guard = Guard::new(false);
-        let done = rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let fresh = State::fresh(&til, comm.rank(), true);
+        let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
         Ok::<_, Error>(done.entries)
     });
     let mut all_entries = Vec::with_capacity(out.results.len());
@@ -135,14 +136,15 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
 }
 
 /// The SPMD program one rank executes — the only implementation of the
-/// schedule. `orig` holds this rank's layer-0 lower-triangular tiles (empty
-/// on layers > 0). `guard`, `state` and `at_step_end` are the two seams of
+/// schedule. `orig` holds this rank's layer-0 lower-triangular tiles (all
+/// absent on layers > 0) and, like `state.acc`, is a lower-only store.
+/// `guard`, `state` and `at_step_end` are the two seams of
 /// [`crate::conflux`]'s rank program (`state.perm` stays empty: no
 /// pivoting). Returns the final state.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfchoxConfig,
-    orig: Tiles,
+    orig: TileStore,
     guard: &mut Guard,
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
@@ -325,35 +327,42 @@ pub(crate) fn rank_program(
         }
 
         // ---- 5. Trailing symmetric update (lower tiles only) -----------
-        // `want` selects tile columns; splitting the update by column is
-        // exact (tiles are disjoint), so the lookahead split stays bitwise
-        // equal to the one-shot blocking update.
-        let apply_update = |acc: &mut Tiles, want: &dyn Fn(usize) -> bool| {
-            if trail_rows.is_empty() || !any_col_tiles {
-                return;
-            }
+        // Per owned trailing tile row: one GEMM for every owned tile
+        // strictly left of the diagonal — adjacent local columns of the
+        // accumulator, written through one strided view — and `gemmt` on
+        // the diagonal tile if this rank owns it. `cols` indexes into
+        // `col_role_tiles`; splitting the update by column is exact (tiles
+        // are disjoint), so the lookahead split stays bitwise equal to the
+        // one-shot blocking update.
+        let apply_update = |acc: &mut TileStore, cols: std::ops::Range<usize>| {
             for (bi, &ti) in trail_rows.iter().enumerate() {
                 let rowblk = l10_row.block(bi * v, 0, v, ks);
-                for (bj, &tj) in col_role_tiles.iter().enumerate() {
-                    if !want(tj) || ti < tj || !til.owns(pi, pj, ti, tj) {
-                        continue;
-                    }
-                    let colblk = l10_col.block(bj * v, 0, v, ks);
-                    let tile = acc.entry((ti, tj)).or_insert_with(|| Matrix::zeros(v, v));
-                    if ti == tj {
-                        gemmt(
-                            CUplo::Lower,
-                            Trans::N,
-                            Trans::T,
-                            1.0,
-                            rowblk,
-                            colblk,
-                            1.0,
-                            tile.as_mut(),
-                        );
-                    } else {
-                        gemm(Trans::N, Trans::T, 1.0, rowblk, colblk, 1.0, tile.as_mut());
-                    }
+                // Selected tile columns left of the diagonal, then on it.
+                let diag = col_role_tiles.partition_point(|&tj| tj < ti);
+                let left = cols.start..cols.end.min(diag);
+                if !left.is_empty() {
+                    let tjs = col_role_tiles[left.start]..col_role_tiles[left.end - 1] + 1;
+                    gemm(
+                        Trans::N,
+                        Trans::T,
+                        1.0,
+                        rowblk,
+                        l10_col.block(left.start * v, 0, left.len() * v, ks),
+                        1.0,
+                        acc.tile_row_mut(ti, tjs),
+                    );
+                }
+                if cols.contains(&diag) && col_role_tiles.get(diag) == Some(&ti) {
+                    gemmt(
+                        CUplo::Lower,
+                        Trans::N,
+                        Trans::T,
+                        1.0,
+                        rowblk,
+                        l10_col.block(diag * v, 0, v, ks),
+                        1.0,
+                        acc.tile_mut(ti, ti),
+                    );
                 }
             }
         };
@@ -363,7 +372,8 @@ pub(crate) fn rank_program(
             // 5a. Update the next panel's tile column first, so its
             // z-reduction reads the same values as the blocking schedule.
             let next = step + 1;
-            apply_update(&mut state.acc, &|tj| tj == next);
+            let head = usize::from(col_role_tiles.first() == Some(&next));
+            apply_update(&mut state.acc, 0..head);
             // 5b. Reduce + factor the next diagonal block and post its
             // broadcasts; they travel while the bulk update below runs.
             let form = form_panel(
@@ -393,9 +403,9 @@ pub(crate) fn rank_program(
             });
             // 5c. Bulk update of the remaining trailing columns.
             phase(comm, "update_a11");
-            apply_update(&mut state.acc, &|tj| tj != next);
+            apply_update(&mut state.acc, head..col_role_tiles.len());
         } else {
-            apply_update(&mut state.acc, &|_| true);
+            apply_update(&mut state.acc, 0..col_role_tiles.len());
         }
 
         // ---- Step boundary (never reached by the last step) -----------
@@ -433,7 +443,7 @@ fn form_panel(
     til: &Tiling,
     zfib: &Comm,
     guard: &mut Guard,
-    orig: &Tiles,
+    orig: &TileStore,
     state: &mut State,
     step: usize,
     collect: bool,
@@ -454,15 +464,16 @@ fn form_panel(
     let mut diag_vals = Matrix::zeros(0, v); // diagonal tile (step, step)
     if pj == jt {
         let own_diag = it == pi;
+        let c0 = orig.col0(step);
         let mut buf = Vec::new();
-        if own_diag {
-            for r in til.rows_of_tile(step) {
-                push_contrib(orig, &state.acc, r, step, v, &mut buf);
-            }
-        }
-        for &ti in &trail_rows {
-            for r in til.rows_of_tile(ti) {
-                push_contrib(orig, &state.acc, r, step, v, &mut buf);
+        let panel_tiles = own_diag
+            .then_some(step)
+            .into_iter()
+            .chain(trail_rows.iter().copied());
+        for ti in panel_tiles {
+            let lrow0 = orig.local_row(ti * v);
+            for lrow in lrow0..lrow0 + v {
+                push_contrib(orig, &state.acc, lrow, c0..c0 + v, &mut buf);
             }
         }
         if !buf.is_empty() {
@@ -579,6 +590,37 @@ mod tests {
     fn auto_config_works() {
         let cfg = ConfchoxConfig::auto(48, 8);
         check(48, cfg.v, cfg.grid, 12);
+    }
+
+    #[test]
+    fn lower_only_storage_never_marks_an_upper_tile_present() {
+        // Neither staging nor any trailing update may mark a tile above the
+        // diagonal (the lower-only stores do not even hold them).
+        let (n, v, grid) = (24, 4, Grid3::new(2, 2, 2));
+        let a = random_spd(n, 21);
+        let cfg = ConfchoxConfig::new(n, v, grid);
+        let til = Tiling::new(n, v, grid);
+        let out = xmpi::run(grid.size(), |comm| {
+            let orig = stage_from_global(comm, &til, &a, true);
+            let staged: Vec<_> = orig.present_tiles().collect();
+            let fresh = State::fresh(&til, comm.rank(), true);
+            let done = rank_program(comm, &cfg, orig, &mut Guard::new(false), fresh, None)
+                .expect("SPD input factors");
+            (staged, done.acc.present_tiles().collect::<Vec<_>>())
+        });
+        let (mut staged_tiles, mut updated_tiles) = (0, 0);
+        for (staged, updated) in out.results {
+            for &(ti, tj) in staged.iter().chain(&updated) {
+                assert!(ti >= tj, "upper tile ({ti},{tj}) marked present");
+            }
+            staged_tiles += staged.len();
+            updated_tiles += updated.len();
+        }
+        // Layer 0 stages every lower tile once; step 0 alone updates every
+        // lower tile outside tile column 0, on each of the two layers.
+        let lower = til.nt * (til.nt + 1) / 2;
+        assert_eq!(staged_tiles, lower);
+        assert_eq!(updated_tiles, grid.pz * (lower - til.nt));
     }
 
     #[test]

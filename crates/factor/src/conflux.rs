@@ -4,7 +4,8 @@
 //! The matrix is cut into `v × v` tiles; tile `(I, J)` lives at 2D grid
 //! coordinates `(I mod Px, J mod Py)`, with layer 0 holding the original
 //! values and every layer holding an accumulator for its `v/Pz`-wide slice
-//! of each rank-`v` Schur update. Per block step `t`:
+//! of each rank-`v` Schur update — both as one dense local matrix per rank
+//! (the tile store of [`crate::common`]). Per block step `t`:
 //!
 //! 1. **Reduce next block column** — the active (unpivoted) rows of tile
 //!    column `t` are summed along the z-fibres onto layer 0.
@@ -19,9 +20,14 @@
 //!    `U00` on their owning panel ranks, producing `L10`.
 //! 6. **Scatter** `L10` and `U01`: each rank receives only the rows/columns
 //!    matching its tiles and only its layer's `v/Pz` inner slice.
-//! 7. **FactorizeA11** — local GEMM into the layer-local accumulator,
-//!    touching only active rows (masking ⇒ no traffic and no flops are
-//!    wasted on retired rows).
+//! 7. **FactorizeA11** — one row-mapped GEMM (`dense::par_gemm_rows`)
+//!    straight into the trailing column block of the layer-local
+//!    accumulator: the rank's active rows are an ascending list of local
+//!    row indices, product row `i` is added to accumulator row `rows[i]`,
+//!    and retired rows are never touched (masking ⇒ no traffic, no flops
+//!    and no copies are wasted on them). A row or column segment a later
+//!    step needs is read back as `original − accumulator`, one slice
+//!    subtraction per row (steps 1 and 4).
 //!
 //! Per-rank I/O is `N³/(P√M) + O(N²/P)` — 1.5× the paper's lower bound
 //! (Lemma 10); the `volume_close_to_model` integration test checks the
@@ -44,11 +50,11 @@
 
 use crate::common::{
     assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
-    stage_from_global, RowMask, State, Tiles, Tiling,
+    stage_from_global, ActiveRows, RowMask, State, TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
 use crate::tourn::tournament;
-use dense::gemm::{par_gemm, Trans};
+use dense::gemm::{par_gemm_rows, Trans};
 use dense::matrix::MatRef;
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
@@ -153,7 +159,8 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
         let tiles = stage_from_global(comm, &til, a, false);
         let mut guard = Guard::new(false);
-        let done = rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let fresh = State::fresh(&til, comm.rank(), false);
+        let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
         Ok::<_, dense::Error>((done.entries, done.perm))
     });
     let mut all_entries = Vec::with_capacity(out.results.len());
@@ -177,8 +184,8 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 
 /// The SPMD program one rank executes — the only implementation of the
 /// schedule; plain, ScaLAPACK-wrapped and fault-tolerant runs differ in
-/// what they pass here. `orig` is this rank's layer-0 tile set (empty on
-/// layers > 0), produced by [`stage_from_global`] or by a measured
+/// what they pass here. `orig` is this rank's layer-0 tile store (all
+/// absent on layers > 0), produced by [`stage_from_global`] or by a measured
 /// redistribution from a caller's layout. Every bulk `f64` transfer is
 /// issued through `guard` (see [`crate::ft`]); the nonblocking lookahead
 /// broadcasts are not. The run starts at `state.step` with `state`'s
@@ -189,7 +196,7 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
-    orig: Tiles,
+    orig: TileStore,
     guard: &mut Guard,
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
@@ -209,10 +216,14 @@ pub(crate) fn rank_program(
     let xcol = comm.subcomm(3, &g.x_members(pj, pk));
     let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
 
-    // Layer 0 holds the original tiles; every layer holds lazily-allocated
-    // update accumulators (`state.acc`).
+    // Layer 0 holds the original tiles; every layer holds update
+    // accumulators (`state.acc`) in the same local layout.
     let mut mask = RowMask::new(n);
     mask.retire(&state.perm);
+    // This process row's active rows, re-derived once per step when the
+    // step's pivots retire: the panel rows of the next reduction, the rows
+    // of the next L10, and the row map of the next Schur update.
+    let mut active = mask.active_rows_of(&til, pi);
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingPanel<'_>> = None;
@@ -227,7 +238,7 @@ pub(crate) fn rank_program(
         // Either complete the broadcasts posted at the end of the previous
         // step (lookahead) or form the panel and broadcast blocking, right
         // here. Both paths attribute their traffic to the same phases.
-        let (panel_rows, panel_vals, a00_buf, piv_ids);
+        let (panel_vals, a00_buf, piv_ids);
         match pending.take() {
             Some(pp) => {
                 phase(comm, "bcast_a00");
@@ -240,7 +251,6 @@ pub(crate) fn rank_program(
                 }
                 a00_buf = pp.a00.wait_buf_f64();
                 piv_ids = pp.piv.wait_u64();
-                panel_rows = pp.rows;
                 panel_vals = pp.vals;
             }
             None => {
@@ -250,7 +260,7 @@ pub(crate) fn rank_program(
                     &zfib,
                     panel_comm.as_ref(),
                     guard,
-                    &mask,
+                    &active,
                     &orig,
                     &state.acc,
                     step,
@@ -267,7 +277,6 @@ pub(crate) fn rank_program(
                 let mut pv = form.piv_ids;
                 comm.bcast_u64(root, &mut pv);
                 piv_ids = pv;
-                panel_rows = form.rows;
                 panel_vals = form.vals;
             }
         }
@@ -284,6 +293,10 @@ pub(crate) fn rank_program(
         }
         state.perm.extend_from_slice(&pivots);
         mask.retire(&pivots);
+        // Rows every rank expects for its `pi` group from here on (identical
+        // bookkeeping everywhere — this is what row masking buys: indices,
+        // not data). `panel_rows` are the rows the panel was formed from.
+        let panel_rows = std::mem::replace(&mut active, mask.active_rows_of(&til, pi)).global;
 
         // Trailing tile columns this process column owns.
         let trail_cols: Vec<usize> = til
@@ -292,6 +305,9 @@ pub(crate) fn rank_program(
             .filter(|&tj| tj > step)
             .collect();
         let trail_len = trail_cols.len() * v;
+        // ... which are one contiguous column range of the local stores.
+        let trail_c0 = trail_cols.first().map_or(0, |&tj| orig.col0(tj));
+        let trail = trail_c0..trail_c0 + trail_len;
 
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
@@ -305,9 +321,8 @@ pub(crate) fn rank_program(
             let mut a01_contrib = Vec::new();
             if !my_piv.is_empty() {
                 for &p in &my_piv {
-                    for &tj in &trail_cols {
-                        push_contrib(&orig, &state.acc, p, tj, v, &mut a01_contrib);
-                    }
+                    let lrow = orig.local_row(p);
+                    push_contrib(&orig, &state.acc, lrow, trail.clone(), &mut a01_contrib);
                 }
                 guard.reduce(&zfib, 0, &mut a01_contrib, my_piv.len(), trail_len);
             }
@@ -326,7 +341,8 @@ pub(crate) fn rank_program(
                     for &spi in &groups {
                         let src = g.rank_of(spi, pj, 0);
                         let buf = if src == owner {
-                            a01_contrib.clone()
+                            // Not read again on this rank: move, don't copy.
+                            std::mem::take(&mut a01_contrib)
                         } else {
                             let cnt = pivots.iter().filter(|&&p| (p / v) % g.px == spi).count();
                             guard.recv(comm, src, TAG_A01 + step as u64, cnt, trail_len)
@@ -381,10 +397,13 @@ pub(crate) fn rank_program(
         phase(comm, "panel_trsm");
         let mut l10 = Matrix::zeros(0, v);
         if pj == jt && pk == 0 {
-            let keep: Vec<usize> = (0..panel_rows.len())
-                .filter(|&i| mask.is_active(panel_rows[i]))
-                .collect();
-            l10 = Matrix::from_fn(keep.len(), v, |i, j| panel_vals[(keep[i], j)]);
+            // The panel rows that survived this step's pivots are exactly
+            // `active.global`, in order.
+            l10 = Matrix::zeros(active.global.len(), v);
+            let kept = (0..panel_rows.len()).filter(|&i| mask.is_active(panel_rows[i]));
+            for (i, ki) in kept.enumerate() {
+                l10.row_mut(i).copy_from_slice(panel_vals.row(ki));
+            }
             trsm(
                 Side::Right,
                 Uplo::Upper,
@@ -395,8 +414,7 @@ pub(crate) fn rank_program(
                 l10.as_mut(),
             );
             if cfg.collect {
-                for (i, &ki) in keep.iter().enumerate() {
-                    let r = panel_rows[ki];
+                for (i, &r) in active.global.iter().enumerate() {
                     for c in 0..v {
                         state
                             .entries
@@ -406,22 +424,14 @@ pub(crate) fn rank_program(
             }
         }
 
-        // Rows every rank expects for its `pi` group (identical bookkeeping
-        // everywhere — this is what row masking buys: indices, not data).
-        let my_l10_rows: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .flat_map(|ti| mask.active_in(til.rows_of_tile(ti)))
-            .collect();
-
         // ---- 6a. Scatter L10: z-slice then broadcast along y -----------
         // Both panel broadcasts keep the shared storage: the Schur update
         // below reads the slices through borrowed views, so non-root ranks
         // never copy the broadcast panel at all.
         phase(comm, "scatter_panels");
         let mut l10_flat = Buf::from(Vec::new());
-        if !last && !my_l10_rows.is_empty() {
-            let rows = my_l10_rows.len();
+        if !last && !active.local.is_empty() {
+            let rows = active.local.len();
             let mine = if pj == jt {
                 let tag = TAG_L10 + step as u64;
                 scatter_z(comm, guard, g, tag, (rows, ks), |k| {
@@ -448,40 +458,33 @@ pub(crate) fn rank_program(
         }
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
-        // `cols` indexes into `trail_cols`; splitting the update by column
-        // range is exact (each element of the product is an independent
-        // dot product), so the lookahead split below stays bitwise equal
-        // to the one-shot blocking update.
-        let apply_update = |acc: &mut Tiles, cols: std::ops::Range<usize>| {
-            if last || my_l10_rows.is_empty() || cols.is_empty() {
+        // One row-mapped GEMM straight into the accumulator: product row
+        // `i` lands in local row `active.local[i]` of the trailing column
+        // block, so retired rows cost neither traffic nor flops nor a
+        // scratch copy. `cols` indexes into `trail_cols`; splitting the
+        // update by column range is exact (each element of the product is
+        // an independent dot product, added to its accumulator once), so
+        // the lookahead split below stays bitwise equal to the one-shot
+        // blocking update.
+        let apply_update = |acc: &mut TileStore, cols: std::ops::Range<usize>| {
+            if last || active.local.is_empty() || cols.is_empty() {
                 return;
             }
             // Both panels were broadcast this step (the guards above are
             // the same conditions); their data is the buffers' prefix.
-            let rows = my_l10_rows.len();
+            let rows = active.local.len();
             let l10_slice = MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks);
             let u01_slice =
                 MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len);
             let w = cols.len() * v;
-            let mut upd = Matrix::zeros(my_l10_rows.len(), w);
-            par_gemm(
+            let c0 = trail_c0 + cols.start * v;
+            par_gemm_rows(
                 1.0,
                 l10_slice,
                 u01_slice.block(0, cols.start * v, ks, w),
-                0.0,
-                upd.as_mut(),
+                &active.local,
+                acc.touch_rows(&active.local, c0..c0 + w),
             );
-            for (ri, &r) in my_l10_rows.iter().enumerate() {
-                let ti = r / v;
-                let lr = r % v;
-                for (cj, &tj) in trail_cols[cols.clone()].iter().enumerate() {
-                    let tile = acc.entry((ti, tj)).or_insert_with(|| Matrix::zeros(v, v));
-                    let urow = &upd.row(ri)[cj * v..(cj + 1) * v];
-                    for (x, &u) in tile.row_mut(lr).iter_mut().zip(urow) {
-                        *x += u;
-                    }
-                }
-            }
         };
 
         phase(comm, "update_a11");
@@ -502,7 +505,7 @@ pub(crate) fn rank_program(
                 &zfib,
                 panel_comm.as_ref(),
                 guard,
-                &mask,
+                &active,
                 &orig,
                 &state.acc,
                 next,
@@ -515,7 +518,6 @@ pub(crate) fn rank_program(
             let a00_req = comm.ibcast_f64(root1, seq + 1, form.a00_flat);
             let piv_req = comm.ibcast_u64(root1, seq + 2, form.piv_ids);
             pending = Some(PendingPanel {
-                rows: form.rows,
                 vals: form.vals,
                 err: form.err,
                 status: status_req,
@@ -563,11 +565,10 @@ pub(crate) fn scatter_z<'a>(
     slice_of(0).to_owned().into_vec()
 }
 
-/// The outcome of forming one panel: the owning ranks' active-row ids and
-/// reduced panel values (empty elsewhere), and the tournament's results on
+/// The outcome of forming one panel: the owning ranks' reduced panel values,
+/// one row per active row (empty elsewhere), and the tournament's results on
 /// the panel ranks (`a00_flat`/`piv_ids` empty, `err` set, on failure).
 struct PanelForm {
-    rows: Vec<usize>,
     vals: Matrix,
     a00_flat: Vec<f64>,
     piv_ids: Vec<u64>,
@@ -577,7 +578,6 @@ struct PanelForm {
 /// Panel broadcasts in flight between two steps (lookahead mode): the
 /// formation outputs plus the three posted broadcast requests.
 struct PendingPanel<'c> {
-    rows: Vec<usize>,
     vals: Matrix,
     err: Option<dense::Error>,
     status: BcastRequest<'c>,
@@ -589,8 +589,8 @@ struct PendingPanel<'c> {
 /// of tile column `step` along z onto layer 0, then run the pivot
 /// tournament across the panel ranks. Pure with respect to the schedule —
 /// the blocking path calls it at the top of step `step`, the lookahead path
-/// at the bottom of step `step − 1`; the mask/accumulator state it reads is
-/// identical at both call sites.
+/// at the bottom of step `step − 1`; the active rows and accumulator state
+/// it reads are identical at both call sites.
 #[allow(clippy::too_many_arguments)]
 fn form_panel(
     comm: &Comm,
@@ -598,34 +598,30 @@ fn form_panel(
     zfib: &Comm,
     panel_comm: Option<&Comm>,
     guard: &mut Guard,
-    mask: &RowMask,
-    orig: &Tiles,
-    acc: &Tiles,
+    active: &ActiveRows,
+    orig: &TileStore,
+    acc: &TileStore,
     step: usize,
 ) -> PanelForm {
     let (g, v) = (til.grid, til.v);
-    let (pi, pj, pk) = g.coords(comm.rank());
+    let (_, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
 
     // ---- 1. Reduce next block column ----------------------------------
     phase(comm, "reduce_col");
-    let mut rows: Vec<usize> = Vec::new();
     let mut vals = Matrix::zeros(0, v);
     if pj == jt {
-        let mut row_ids = Vec::new();
-        let mut buf = Vec::new();
-        for ti in til.tile_rows_of(pi) {
-            for r in mask.active_in(til.rows_of_tile(ti)) {
-                row_ids.push(r);
-                push_contrib(orig, acc, r, step, v, &mut buf);
-            }
+        let rows = active.local.len();
+        let c0 = orig.col0(step);
+        let mut buf = Vec::with_capacity(rows * v);
+        for &lrow in &active.local {
+            push_contrib(orig, acc, lrow, c0..c0 + v, &mut buf);
         }
         if !buf.is_empty() {
-            guard.reduce(zfib, 0, &mut buf, row_ids.len(), v);
+            guard.reduce(zfib, 0, &mut buf, rows, v);
         }
         if pk == 0 {
-            vals = Matrix::from_vec(row_ids.len(), v, buf);
-            rows = row_ids;
+            vals = Matrix::from_vec(rows, v, buf);
         }
     }
 
@@ -635,7 +631,7 @@ fn form_panel(
     let mut piv_ids: Vec<u64> = Vec::new();
     let mut err: Option<dense::Error> = None;
     if pj == jt && pk == 0 {
-        let ids: Vec<u64> = rows.iter().map(|&r| r as u64).collect();
+        let ids: Vec<u64> = active.global.iter().map(|&r| r as u64).collect();
         match tournament(panel_comm.unwrap(), &vals, &ids, v) {
             Ok(pb) => {
                 a00_flat = pb.a00.into_vec();
@@ -647,7 +643,6 @@ fn form_panel(
         }
     }
     PanelForm {
-        rows,
         vals,
         a00_flat,
         piv_ids,

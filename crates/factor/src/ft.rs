@@ -71,12 +71,12 @@
 
 use crate::common::{
     assemble_packed, check_shape, phase, pick_grid_and_block, stage_from_global, Entry, State,
-    Tiles, Tiling,
+    Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
 use dense::checksum::{self, Verdict};
-use dense::Matrix;
+use dense::{MatRef, Matrix};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use xmpi::{Buf, Comm, Grid3, WorldStats};
@@ -356,34 +356,37 @@ impl CkptStore {
 
 /// Serialize a rank's dynamic state into a flat `f64` blob:
 /// `[step, |perm|, |entries|, |tiles|, perm…, (row, col, val)…,
-/// (ti, tj, v²-tile)…]`, tiles in ascending key order. Integers are exact
-/// below 2⁵³, so the round trip is bitwise.
+/// (ti, tj, v²-tile)…]`, the accumulator's present tiles in ascending key
+/// order. Integers are exact below 2⁵³, so the round trip is bitwise.
 fn encode_state(v: usize, state: &State) -> Vec<f64> {
     let (perm, entries) = (&state.perm, &state.entries);
-    let mut tiles: Vec<(&(usize, usize), &Matrix)> = state.acc.iter().collect();
-    tiles.sort_by_key(|(k, _)| **k);
-    let mut blob =
-        Vec::with_capacity(4 + perm.len() + 3 * entries.len() + tiles.len() * (2 + v * v));
+    let tiles = state.acc.present_tiles().count();
+    let mut blob = Vec::with_capacity(4 + perm.len() + 3 * entries.len() + tiles * (2 + v * v));
     blob.push(state.step as f64);
     blob.push(perm.len() as f64);
     blob.push(entries.len() as f64);
-    blob.push(tiles.len() as f64);
+    blob.push(tiles as f64);
     blob.extend(perm.iter().map(|&r| r as f64));
     for &(r, c, val) in entries {
         blob.push(f64::from(r));
         blob.push(f64::from(c));
         blob.push(val);
     }
-    for ((ti, tj), m) in tiles {
-        blob.push(*ti as f64);
-        blob.push(*tj as f64);
-        blob.extend_from_slice(m.data());
+    for (ti, tj) in state.acc.present_tiles() {
+        blob.push(ti as f64);
+        blob.push(tj as f64);
+        let tile = state.acc.tile(ti, tj);
+        for r in 0..v {
+            blob.extend_from_slice(tile.row(r));
+        }
     }
     blob
 }
 
-/// Inverse of [`encode_state`].
-fn decode_state(blob: &[f64], v: usize) -> State {
+/// Inverse of [`encode_state`], for world rank `rank` of `til` and an
+/// accumulator store of the given shape.
+fn decode_state(blob: &[f64], til: &Tiling, rank: usize, lower_only: bool) -> State {
+    let v = til.v;
     let step = blob[0] as usize;
     let np = blob[1] as usize;
     let ne = blob[2] as usize;
@@ -396,11 +399,12 @@ fn decode_state(blob: &[f64], v: usize) -> State {
         entries.push((blob[cur] as u32, blob[cur + 1] as u32, blob[cur + 2]));
         cur += 3;
     }
-    let mut acc = Tiles::with_capacity(nt);
+    let mut acc = State::fresh(til, rank, lower_only).acc;
     for _ in 0..nt {
-        let key = (blob[cur] as usize, blob[cur + 1] as usize);
+        let (ti, tj) = (blob[cur] as usize, blob[cur + 1] as usize);
         cur += 2;
-        acc.insert(key, Matrix::from_vec(v, v, blob[cur..cur + v * v].to_vec()));
+        let tile = MatRef::from_slice(&blob[cur..cur + v * v], v, v, v);
+        acc.tile_mut(ti, tj).copy_from(tile);
         cur += v * v;
     }
     assert_eq!(cur, blob.len(), "checkpoint blob has trailing garbage");
@@ -662,11 +666,12 @@ fn restore_state(
     store: &CkptStore,
     victims: &[usize],
     resume: usize,
-    v: usize,
+    til: &Tiling,
+    lower_only: bool,
     guard: &mut Guard,
 ) -> State {
     if resume == 0 {
-        return State::default();
+        return State::fresh(til, comm.rank(), lower_only);
     }
     let p = comm.size();
     let rank = comm.rank();
@@ -693,7 +698,7 @@ fn restore_state(
     } else {
         store.self_blob(rank, resume)
     };
-    let state = decode_state(&blob, v);
+    let state = decode_state(&blob, til, rank, lower_only);
     assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
     state
 }
@@ -703,8 +708,9 @@ fn restore_state(
 // ---------------------------------------------------------------------------
 
 /// The restart loop both FT drivers share. Each attempt launches a world
-/// whose every rank restores its [`State`] for the newest epoch all ranks
-/// can recover, then runs `program` — the plain rank program of one
+/// whose every rank restores its [`State`] (accumulators of the shape
+/// `lower_only` says) for the newest epoch all ranks can recover, then runs
+/// `program` — the plain rank program of one
 /// algorithm, bound to its config and staged tiles — with the guard set
 /// from `cfg.checksums` and the checkpoint callback. A crashed attempt
 /// costs the victims their own snapshots and starts the next one; a
@@ -719,10 +725,12 @@ fn restore_state(
 fn run_with_restarts(
     cfg: &FtConfig,
     a: &Matrix,
+    lower_only: bool,
     program: impl Fn(&Comm, &mut Guard, State, StepEnd<'_>) -> Result<State, dense::Error> + Sync,
 ) -> Result<(Vec<Vec<Entry>>, Vec<usize>, FtReport), dense::Error> {
     check_shape(a, cfg.n)?;
     let p = cfg.grid.size();
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     let store = CkptStore::new(p);
     let mut report = FtReport::default();
     let mut victims: Vec<usize> = Vec::new();
@@ -733,7 +741,7 @@ fn run_with_restarts(
         }
         let out = xmpi::launch::run_ft(p, |comm| {
             let mut guard = Guard::new(cfg.checksums);
-            let state = restore_state(comm, &store, &victims, resume, cfg.v, &mut guard);
+            let state = restore_state(comm, &store, &victims, resume, &til, lower_only, &mut guard);
             let checkpoint = |state: &State, guard: &mut Guard| {
                 if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
                     take_checkpoint(comm, &store, cfg.v, state, guard);
@@ -789,10 +797,11 @@ fn run_with_restarts(
 pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
     let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (entries, perm, report) = run_with_restarts(cfg, a, |comm, guard, state, at_step_end| {
-        let orig = stage_from_global(comm, &til, a, false);
-        conflux::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
-    })?;
+    let (entries, perm, report) =
+        run_with_restarts(cfg, a, false, |comm, guard, state, at_step_end| {
+            let orig = stage_from_global(comm, &til, a, false);
+            conflux::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
+        })?;
     let packed = assemble_packed(cfg.n, &perm, &entries);
     Ok(FtLuOutput {
         perm,
@@ -814,10 +823,11 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
 pub fn confchox_cholesky_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtCholOutput, dense::Error> {
     let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (entries, _, report) = run_with_restarts(cfg, a, |comm, guard, state, at_step_end| {
-        let orig = stage_from_global(comm, &til, a, true);
-        confchox::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
-    })?;
+    let (entries, _, report) =
+        run_with_restarts(cfg, a, true, |comm, guard, state, at_step_end| {
+            let orig = stage_from_global(comm, &til, a, true);
+            confchox::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
+        })?;
     let identity: Vec<usize> = (0..cfg.n).collect();
     let l = assemble_packed(cfg.n, &identity, &entries);
     Ok(FtCholOutput { l, report })
@@ -843,16 +853,25 @@ mod tests {
     #[test]
     fn state_codec_roundtrip_is_bitwise() {
         let v = 4;
-        let mut acc = Tiles::new();
-        acc.insert((3, 1), random_matrix(v, v, 7));
-        acc.insert((0, 2), random_matrix(v, v, 8));
+        let til = Tiling::new(16, v, Grid3::new(1, 1, 1));
+        let mut acc = State::fresh(&til, 0, false).acc;
+        acc.tile_mut(3, 1)
+            .copy_from(random_matrix(v, v, 7).as_ref());
+        acc.tile_mut(0, 2)
+            .copy_from(random_matrix(v, v, 8).as_ref());
         let state = State {
             step: 6,
             perm: vec![5usize, 2, 9, 0],
             entries: vec![(5, 0, 1.25), (2, 3, -0.5e-17)],
             acc,
         };
-        let back = decode_state(&encode_state(v, &state), v);
+        let blob = encode_state(v, &state);
+        // Header, pivots, COO triples, then only the two present tiles with
+        // their keys, in ascending key order — not the dense 4×4-tile store.
+        assert_eq!(blob.len(), 4 + 4 + 3 * 2 + 2 * (2 + v * v));
+        assert_eq!((blob[14], blob[15]), (0.0, 2.0));
+        assert_eq!((blob[32], blob[33]), (3.0, 1.0));
+        let back = decode_state(&blob, &til, 0, false);
         assert_eq!(back.step, 6);
         assert_eq!(back.perm, state.perm);
         assert_eq!(back.entries.len(), state.entries.len());
@@ -860,9 +879,11 @@ mod tests {
             assert_eq!((r1, c1), (r2, c2));
             assert_eq!(v1.to_bits(), v2.to_bits());
         }
-        assert_eq!(back.acc.len(), state.acc.len());
-        for (k, m) in &state.acc {
-            assert_bitwise(m, &back.acc[k], "acc tile");
+        let present: Vec<_> = back.acc.present_tiles().collect();
+        assert_eq!(present, vec![(0, 2), (3, 1)]);
+        for (ti, tj) in present {
+            let (m, b) = (state.acc.tile(ti, tj), back.acc.tile(ti, tj));
+            assert_bitwise(&m.to_owned(), &b.to_owned(), "acc tile");
         }
     }
 

@@ -10,7 +10,7 @@
 //! coordinates* with an explicit permutation (COnfLUX's row masking never
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
-use crate::common::{phase, phase_end, Entry, State, Tiles, Tiling};
+use crate::common::{phase, phase_end, Entry, State, TileStore, Tiling};
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
 use crate::ft::Guard;
@@ -68,16 +68,18 @@ pub fn pdgetrf(
         "the wrapper must collect entries to return the factor"
     );
     let tdesc = tile_desc(cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     let out = xmpi::run(cfg.grid.size(), |comm| -> Result<_, Error> {
         // 1. The caller's shard is pre-existing state (unmeasured).
         let mine = DistMatrix::from_global(user_desc, user_desc.grid.coords(comm.rank()), a);
         // 2. Stage onto the layer-0 tile layout (measured).
         phase(comm, "staging_in");
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
-        let tiles = shard_to_tiles(staged.as_ref(), cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
+        let tiles = shard_to_tiles(comm, &til, staged, false);
         // 3. Factor.
         let mut guard = Guard::new(false);
-        let done = conflux::rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let fresh = State::fresh(&til, comm.rank(), false);
+        let done = conflux::rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
         let (entries, perm) = (done.entries, done.perm);
         // 4. Route factor entries to the pivoted tile layout (measured).
         phase(comm, "staging_out");
@@ -116,16 +118,17 @@ pub fn pdpotrf(
         "the wrapper must collect entries to return the factor"
     );
     let tdesc = tile_desc(cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     let identity: Vec<usize> = (0..cfg.n).collect();
     let out = xmpi::run(cfg.grid.size(), |comm| -> Result<_, Error> {
         let mine = DistMatrix::from_global(user_desc, user_desc.grid.coords(comm.rank()), a);
         phase(comm, "staging_in");
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
-        // Keep only the lower-triangular tiles (COnfCHOX's storage).
-        let mut tiles = shard_to_tiles(staged.as_ref(), cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
-        tiles.retain(|&(ti, tj), _| ti >= tj);
+        // Only the lower-triangular tiles are COnfCHOX's storage.
+        let tiles = shard_to_tiles(comm, &til, staged, true);
         let mut guard = Guard::new(false);
-        let done = confchox::rank_program(comm, cfg, tiles, &mut guard, State::default(), None)?;
+        let fresh = State::fresh(&til, comm.rank(), true);
+        let done = confchox::rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
         let entries = done.entries;
         phase(comm, "staging_out");
         let pivoted = entries_to_shard(comm, cfg.n, tdesc, &identity, entries);
@@ -156,21 +159,30 @@ fn collect(
     })
 }
 
-/// Slice a staged layer-0 shard (v×v block-cyclic) into the tile map the
-/// rank programs consume. Non-layer-0 ranks (shard `None`) get an empty map.
-fn shard_to_tiles(shard: Option<&DistMatrix>, n: usize, v: usize, px: usize, py: usize) -> Tiles {
-    let mut tiles = Tiles::new();
-    let Some(shard) = shard else { return tiles };
-    let til = Tiling::new(n, v, xmpi::Grid3::new(px, py, 1));
-    let (pi, pj) = shard.coords;
-    for ti in til.tile_rows_of(pi) {
-        for tj in til.tile_cols_of(pj) {
-            let li0 = (ti / px) * v;
-            let lj0 = (tj / py) * v;
-            tiles.insert((ti, tj), shard.local.block(li0, lj0, v, v).to_owned());
-        }
-    }
-    tiles
+/// Copy a staged layer-0 shard into the tile store the rank programs
+/// consume: the `v × v` block-cyclic shard is the store's local matrix, so
+/// tile `(ti, tj)` is the block at `(ti / px, tj / py)` of `shard.local`.
+/// Non-layer-0 ranks (shard `None`) get an all-absent store. `lower_only`
+/// keeps just the tiles on or below the diagonal (COnfCHOX's storage).
+fn shard_to_tiles(
+    comm: &Comm,
+    til: &Tiling,
+    shard: Option<DistMatrix>,
+    lower_only: bool,
+) -> TileStore {
+    let (pi, pj, _) = til.grid.coords(comm.rank());
+    let Some(shard) = shard else {
+        return TileStore::zeros(til, pi, pj, lower_only);
+    };
+    assert_eq!(
+        shard.coords,
+        (pi, pj),
+        "staged shard belongs to another rank"
+    );
+    let (v, px, py) = (til.v, til.grid.px, til.grid.py);
+    TileStore::staged(til, (pi, pj), lower_only, |ti, tj| {
+        shard.local.block((ti / px) * v, (tj / py) * v, v, v)
+    })
 }
 
 /// Route factor entries — `(original row, col, value)` triples scattered
