@@ -1,7 +1,6 @@
-//! Shared machinery for the distributed factorization schedules: tile
-//! bookkeeping, the per-rank local tile store, active-row masks (the
-//! paper's row masking), the rank programs' step-boundary `State`, and
-//! assembly of collected factor entries into a packed LU matrix.
+//! The data plane every distributed schedule of this crate shares: how a
+//! rank's share of a matrix is stored, and how the factor pieces ranks
+//! collect are represented. Nothing outside this module knows either.
 //!
 //! # The local tile store
 //!
@@ -11,12 +10,16 @@
 //! found by arithmetic. Ascending global rows (columns) of a rank are
 //! ascending local rows (columns), so
 //!
-//! * the trailing tile columns of a step are one contiguous column range,
+//! * the trailing tile rows (columns) of a step are one contiguous local
+//!   range (`rows_from` / `cols_from`) — the sub-block `lu25d_swap` updates
+//!   with one in-place `gemm`,
 //! * a rank's active rows under row masking are an ascending list of local
 //!   row indices ([`ActiveRows`]) — the form `dense::par_gemm_rows` updates
 //!   in place,
 //! * a rank's up-to-date contribution to a row segment is one slice
-//!   subtraction, original minus accumulator (`push_contrib`).
+//!   subtraction, original minus accumulator (`push_contrib`),
+//! * a physical row swap is a slice exchange between two local rows
+//!   (`swap_rows`) or between a local row and a message (`row_mut`).
 //!
 //! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
 //! same row-major matrix with every local tile row cut off after its
@@ -26,9 +29,19 @@
 //! A per-tile *present* bit records which tiles hold data (staged input, or
 //! an accumulator some update has touched), which is the tile set a
 //! checkpoint serializes.
+//!
+//! # Collected factor pieces
+//!
+//! What a rank contributes to the assembled factor is a list of dense
+//! blocks ([`Collected`]) — original-row ids, column runs, row-major values
+//! — so indices cost per block row and column run, never per element. The
+//! same value is what a checkpoint snapshots, what a socket rank ships home,
+//! and what the ScaLAPACK wrapper routes into the caller's layout.
 
+use crate::ft::Guard;
 use dense::{MatMut, MatRef, Matrix};
-use xmpi::{Comm, Grid3};
+use std::ops::Range;
+use xmpi::{Comm, Grid3, Wire, XmpiError};
 
 /// Declare a measurement phase on `comm`, embedding the rank's cumulative
 /// local flop count (from [`dense::flops::thread_flops`] — each simulated
@@ -102,16 +115,53 @@ impl Tiling {
         (pj..self.nt).step_by(self.grid.py).collect()
     }
 
+    /// The tiles `> step` among those coordinate `p` of `np` owns, ascending
+    /// (tile rows of a process row, or tile columns of a process column).
+    pub(crate) fn tiles_after(&self, step: usize, p: usize, np: usize) -> Vec<usize> {
+        (p..self.nt).step_by(np).filter(|&t| t > step).collect()
+    }
+
     /// Width of the reduction-dimension slice each layer handles.
     #[inline]
     pub fn kslice(&self) -> usize {
         self.v / self.grid.pz
     }
 
-    /// Global rows covered by tile row `ti`.
+    /// Global rows covered by tile row `ti` — and, tiles being square, the
+    /// global columns covered by tile column `ti`.
     #[inline]
-    pub fn rows_of_tile(&self, ti: usize) -> std::ops::Range<usize> {
+    pub fn rows_of_tile(&self, ti: usize) -> Range<usize> {
         ti * self.v..(ti + 1) * self.v
+    }
+}
+
+/// A rank's view of the 2.5D machine: the world communicator, the tiling,
+/// and the static sub-communicators every 2.5D rank program derives from them.
+pub(crate) struct Net<'c> {
+    pub comm: &'c Comm,
+    pub til: Tiling,
+    /// The z-fibre: fixed `(pi, pj)`, local rank = `pk`.
+    pub zfib: Comm,
+    /// The y-row: fixed `(pi, pk)`, local rank = `pj`.
+    pub yrow: Comm,
+    /// The x-column: fixed `(pj, pk)`, local rank = `pi`.
+    pub xcol: Comm,
+    /// On layer 0, the panel group: the x-column under its own context.
+    pub panel: Option<Comm>,
+}
+
+impl<'c> Net<'c> {
+    pub(crate) fn new(comm: &'c Comm, til: Tiling) -> Self {
+        let g = til.grid;
+        let (pi, pj, pk) = g.coords(comm.rank());
+        Net {
+            comm,
+            til,
+            zfib: comm.subcomm(1, &g.z_members(pi, pj)),
+            yrow: comm.subcomm(2, &g.y_members(pi, pk)),
+            xcol: comm.subcomm(3, &g.x_members(pj, pk)),
+            panel: (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0))),
+        }
     }
 }
 
@@ -286,12 +336,54 @@ impl TileStore {
         (tj / self.py) * self.v
     }
 
+    /// Local rows of the owned tile rows `≥ ti`: a suffix of the store.
+    #[inline]
+    pub(crate) fn rows_from(&self, ti: usize) -> Range<usize> {
+        (self.pi..ti).step_by(self.px).len() * self.v..(self.band.len() - 1) * self.v
+    }
+
+    /// Local columns of the owned tile columns `≥ tj`: a suffix of a full
+    /// row (a lower-only row may stop short of it).
+    #[inline]
+    pub(crate) fn cols_from(&self, tj: usize) -> Range<usize> {
+        (self.pj..tj).step_by(self.py).len() * self.v..self.ltc * self.v
+    }
+
+    /// Where the stored part of local row `lrow` lies in `data`.
+    #[inline]
+    fn row_span(&self, lrow: usize) -> Range<usize> {
+        let (li, stride) = (lrow / self.v, self.stride(lrow / self.v));
+        let at = self.band[li] + (lrow % self.v) * stride;
+        at..at + stride
+    }
+
     /// The stored part of local row `lrow` (all of it unless lower-only).
     #[inline]
     pub(crate) fn row(&self, lrow: usize) -> &[f64] {
-        let (li, stride) = (lrow / self.v, self.stride(lrow / self.v));
-        let at = self.band[li] + (lrow % self.v) * stride;
-        &self.data[at..at + stride]
+        &self.data[self.row_span(lrow)]
+    }
+
+    /// Mark the tiles of local tile row `li` that local columns `cols`
+    /// cross present.
+    fn mark(&mut self, li: usize, cols: &Range<usize>) {
+        let tiles = cols.start / self.v..cols.end.div_ceil(self.v);
+        self.present[li * self.ltc..][tiles].fill(true);
+    }
+
+    /// Writable stored part of local row `lrow`, marked present.
+    pub(crate) fn row_mut(&mut self, lrow: usize) -> &mut [f64] {
+        let span = self.row_span(lrow);
+        self.mark(lrow / self.v, &(0..span.len()));
+        &mut self.data[span]
+    }
+
+    /// Exchange the segments `cols` of the distinct local rows `l1`, `l2`.
+    pub(crate) fn swap_rows(&mut self, l1: usize, l2: usize, cols: Range<usize>) {
+        let (lo, hi) = (self.row_span(l1.min(l2)), self.row_span(l1.max(l2)));
+        let (head, tail) = self.data.split_at_mut(hi.start);
+        head[lo][cols.clone()].swap_with_slice(&mut tail[cols.clone()]);
+        self.mark(l1 / self.v, &cols);
+        self.mark(l2 / self.v, &cols);
     }
 
     /// Does tile `(ti, tj)` hold data?
@@ -332,16 +424,14 @@ impl TileStore {
     ///
     /// # Panics
     /// If the store is lower-only and `tjs` reaches above the diagonal.
-    pub(crate) fn tile_row_mut(&mut self, ti: usize, tjs: std::ops::Range<usize>) -> MatMut<'_> {
+    pub(crate) fn tile_row_mut(&mut self, ti: usize, tjs: Range<usize>) -> MatMut<'_> {
         debug_assert!(ti % self.px == self.pi, "tile row {ti} is not owned");
         // Owned tile columns below `t` come first in local order.
-        let (py, pj) = (self.py, self.pj);
-        let owned_below = |t: usize| (pj..t).step_by(py).len();
-        let (li, lj0, lj1) = (ti / self.px, owned_below(tjs.start), owned_below(tjs.end));
-        let (v, stride) = (self.v, self.stride(li));
-        self.present[li * self.ltc + lj0..li * self.ltc + lj1].fill(true);
+        let cols = self.cols_from(tjs.start).start..self.cols_from(tjs.end).start;
+        let (li, v, stride) = (ti / self.px, self.v, self.stride(ti / self.px));
+        self.mark(li, &cols);
         let band = &mut self.data[self.band[li]..self.band[li + 1]];
-        MatMut::from_slice(band, v, stride, stride).block(0, lj0 * v, v, (lj1 - lj0) * v)
+        MatMut::from_slice(band, v, stride, stride).block(0, cols.start, v, cols.len())
     }
 
     /// Writable full-height view of local columns `cols` (whole tile
@@ -352,8 +442,8 @@ impl TileStore {
     /// If the store is lower-only (its rows have no common stride).
     pub(crate) fn touch_rows(
         &mut self,
-        lrows: &[usize],
-        cols: std::ops::Range<usize>,
+        lrows: impl IntoIterator<Item = usize>,
+        cols: Range<usize>,
     ) -> MatMut<'_> {
         let (v, ltc) = (self.v, self.ltc);
         let (rows, ld) = ((self.band.len() - 1) * v, ltc * v);
@@ -363,9 +453,9 @@ impl TileStore {
             "a lower-only store has no full-height view"
         );
         let mut last = usize::MAX;
-        for li in lrows.iter().map(|&l| l / v) {
+        for li in lrows.into_iter().map(|l| l / v) {
             if li != last {
-                self.present[li * ltc + cols.start / v..li * ltc + cols.end / v].fill(true);
+                self.mark(li, &cols);
                 last = li;
             }
         }
@@ -373,10 +463,152 @@ impl TileStore {
     }
 }
 
-/// A factor entry produced somewhere in the distributed computation:
-/// `(global row, global column, value)`. Rows are *original* (unpermuted)
-/// indices; the final permutation re-addresses them during assembly.
-pub type Entry = (u32, u32, f64);
+/// The factor pieces one rank has produced, as dense blocks: each block is
+/// a list of *original* (unpermuted) row ids — the final permutation
+/// re-addresses them during assembly —, the first columns of its
+/// equal-width column runs, and the row-major values of those rows over
+/// those columns. Indices cost one word per block row and per column run,
+/// never anything per element.
+#[derive(Debug, Default)]
+pub struct Collected {
+    /// Block headers back to back:
+    /// `[rows, runs, run width, row ids…, first column of each run…]`.
+    idx: Vec<u32>,
+    /// The blocks' values back to back, in header order.
+    vals: Vec<f64>,
+}
+
+impl Collected {
+    /// Append the block `vals`: its row `i` is original row `rows[i]`, and
+    /// its columns are `starts.len()` runs of equal width, run `j` beginning
+    /// at column `starts[j]`.
+    ///
+    /// # Panics
+    /// If `vals` does not have `rows.len()` rows, or its columns do not
+    /// divide evenly among the runs.
+    pub fn push(&mut self, rows: &[usize], starts: &[usize], vals: MatRef<'_>) {
+        let width = vals.cols().checked_div(starts.len()).unwrap_or(0);
+        let shape = (rows.len(), width * starts.len());
+        assert_eq!((vals.rows(), vals.cols()), shape, "block ≠ its ids");
+        self.idx
+            .extend([rows.len(), starts.len(), width].map(|x| x as u32));
+        self.idx
+            .extend(rows.iter().chain(starts).map(|&i| i as u32));
+        for i in 0..rows.len() {
+            self.vals.extend_from_slice(vals.row(i));
+        }
+    }
+
+    /// Visit every contiguous piece `(original row, first column, values)`,
+    /// in collection order.
+    fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
+        let (mut idx, mut vals) = (&self.idx[..], &self.vals[..]);
+        while let [rows, runs, width, rest @ ..] = idx {
+            let (rows, rest) = rest.split_at(*rows as usize);
+            let (starts, rest) = rest.split_at(*runs as usize);
+            for &row in rows {
+                for &start in starts {
+                    let (piece, tail) = vals.split_at(*width as usize);
+                    f(row as usize, start as usize, piece);
+                    vals = tail;
+                }
+            }
+            idx = rest;
+        }
+    }
+
+    /// Visit every element `(original row, column, value)`, in collection
+    /// order (block by block, row-major within a block).
+    pub fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
+        self.for_each_run(|row, c0, piece| {
+            for (c, &x) in piece.iter().enumerate() {
+                f(row, c0 + c, x);
+            }
+        });
+    }
+
+    /// Append this value to an `f64` blob as
+    /// `[|idx|, |vals|, idx…, vals…]`. Indices are exact in an `f64`, values
+    /// are copied, so [`Collected::from_words`] restores it bitwise.
+    pub(crate) fn to_words(&self, blob: &mut Vec<f64>) {
+        blob.extend([self.idx.len() as f64, self.vals.len() as f64]);
+        blob.extend(self.idx.iter().map(|&i| f64::from(i)));
+        blob.extend_from_slice(&self.vals);
+    }
+
+    /// Inverse of [`Collected::to_words`]: decodes from the front of
+    /// `words` and returns how many of them it consumed.
+    pub(crate) fn from_words(words: &[f64]) -> (Collected, usize) {
+        let (ni, nv) = (words[0] as usize, words[1] as usize);
+        let idx = words[2..2 + ni].iter().map(|&x| x as u32).collect();
+        let vals = words[2 + ni..2 + ni + nv].to_vec();
+        (Collected { idx, vals }, 2 + ni + nv)
+    }
+
+    /// Assemble the pieces of every rank into a packed LU matrix in pivoted
+    /// row coordinates, i.e. a matrix `F` with `P·A = L·U`, `L` unit-lower
+    /// in `F`'s strict lower triangle and `U` in its upper triangle, where
+    /// row `s` of `P·A` is original row `perm[s]`.
+    ///
+    /// # Panics
+    /// If a block's row never appears in `perm`, or two elements collide.
+    pub fn assemble(n: usize, perm: &[usize], pieces: &[Collected]) -> Matrix {
+        assert_eq!(perm.len(), n, "permutation must cover all rows");
+        let mut pos = vec![usize::MAX; n];
+        for (s, &r) in perm.iter().enumerate() {
+            assert!(pos[r] == usize::MAX, "row {r} appears twice in perm");
+            pos[r] = s;
+        }
+        let mut f = Matrix::zeros(n, n);
+        let mut seen = vec![false; n * n];
+        for piece in pieces {
+            piece.for_each_run(|r, c0, vals| {
+                let s = pos.get(r).copied().unwrap_or(usize::MAX);
+                assert!(s != usize::MAX, "entry row {r} missing from perm");
+                let taken = &mut seen[s * n + c0..s * n + c0 + vals.len()];
+                if let Some(c) = taken.iter().position(|&t| t) {
+                    panic!("duplicate factor entry at pivoted ({s},{})", c0 + c);
+                }
+                taken.fill(true);
+                f.row_mut(s)[c0..c0 + vals.len()].copy_from_slice(vals);
+            });
+        }
+        f
+    }
+}
+
+/// Socket ranks ship their pieces home as the two flat arrays: 8 bytes per
+/// element plus the block indices.
+impl Wire for Collected {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.idx.encode(out);
+        self.vals.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
+        Ok(Collected {
+            idx: Wire::decode(input)?,
+            vals: Wire::decode(input)?,
+        })
+    }
+}
+
+/// Split the per-rank outcomes `(piece, perm)` of a world into the pieces in
+/// rank order and rank 0's `perm` (every rank derives the same one); the
+/// first failed rank's error wins.
+pub(crate) fn split_results<T, E>(
+    results: impl IntoIterator<Item = Result<(T, Vec<usize>), E>>,
+) -> Result<(Vec<T>, Vec<usize>), E> {
+    let mut pieces = Vec::new();
+    let mut perm = Vec::new();
+    for (rank, res) in results.into_iter().enumerate() {
+        let (piece, rank_perm) = res?;
+        if rank == 0 {
+            perm = rank_perm;
+        }
+        pieces.push(piece);
+    }
+    Ok((pieces, perm))
+}
 
 /// Everything a COnfLUX / COnfCHOX rank carries from one block step to the
 /// next, besides its immutable input tiles. A rank program starts from a
@@ -388,8 +620,8 @@ pub(crate) struct State {
     pub step: usize,
     /// Pivot rows chosen so far, in pivot order (stays empty for Cholesky).
     pub perm: Vec<usize>,
-    /// Factor entries this rank has collected so far.
-    pub entries: Vec<Entry>,
+    /// Factor pieces this rank has collected so far.
+    pub collected: Collected,
     /// Layer-local Schur-update accumulators: a tile becomes present with
     /// the first update that touches it.
     pub acc: TileStore,
@@ -404,7 +636,7 @@ impl State {
         State {
             step: 0,
             perm: Vec::new(),
-            entries: Vec::new(),
+            collected: Collected::default(),
             acc: TileStore::zeros(til, pi, pj, lower_only),
         }
     }
@@ -448,44 +680,36 @@ pub(crate) fn stage_from_global(
 /// Appends this rank's up-to-date contribution for the segment `cols` of
 /// local row `lrow`: original value (zero off layer 0) minus accumulated
 /// updates — one pass over two contiguous slices of the rank's stores.
-pub(crate) fn push_contrib(
+fn push_contrib(
     orig: &TileStore,
     acc: &TileStore,
     lrow: usize,
-    cols: std::ops::Range<usize>,
+    cols: Range<usize>,
     buf: &mut Vec<f64>,
 ) {
     let (o, a) = (&orig.row(lrow)[cols.clone()], &acc.row(lrow)[cols]);
     buf.extend(o.iter().zip(a).map(|(o, a)| o - a));
 }
 
-/// Assemble collected factor entries into a packed LU matrix in pivoted row
-/// coordinates, i.e. a matrix `F` with `P·A = L·U`, `L` unit-lower in `F`'s
-/// strict lower triangle and `U` in its upper triangle, where row `s` of
-/// `P·A` is original row `perm[s]`.
-///
-/// # Panics
-/// If an entry's row never appears in `perm`, or two entries collide.
-pub fn assemble_packed(n: usize, perm: &[usize], entries: &[Vec<Entry>]) -> Matrix {
-    assert_eq!(perm.len(), n, "permutation must cover all rows");
-    let mut pos = vec![usize::MAX; n];
-    for (s, &r) in perm.iter().enumerate() {
-        assert!(pos[r] == usize::MAX, "row {r} appears twice in perm");
-        pos[r] = s;
+/// The up-to-date values of the local rows `lrows` over the local columns
+/// `cols`, row-major: every layer's contribution (see `push_contrib`)
+/// summed along the z-fibre onto layer 0, where the result is meaningful.
+pub(crate) fn reduce_rows(
+    net: &Net<'_>,
+    guard: &mut Guard,
+    (orig, acc): (&TileStore, &TileStore),
+    lrows: impl ExactSizeIterator<Item = usize>,
+    cols: Range<usize>,
+) -> Vec<f64> {
+    let rows = lrows.len();
+    let mut buf = Vec::with_capacity(rows * cols.len());
+    for lrow in lrows {
+        push_contrib(orig, acc, lrow, cols.clone(), &mut buf);
     }
-    let mut f = Matrix::zeros(n, n);
-    let mut seen = vec![false; n * n];
-    for rank_entries in entries {
-        for &(r, c, val) in rank_entries {
-            let s = pos[r as usize];
-            assert!(s != usize::MAX, "entry row {r} missing from perm");
-            let idx = s * n + c as usize;
-            assert!(!seen[idx], "duplicate factor entry at pivoted ({s},{c})");
-            seen[idx] = true;
-            f[(s, c as usize)] = val;
-        }
+    if !buf.is_empty() {
+        guard.reduce(&net.zfib, 0, &mut buf, rows, cols.len());
     }
-    f
+    buf
 }
 
 /// Pick a processor grid *and* block size jointly for an `n × n` problem on
@@ -647,7 +871,7 @@ mod tests {
         // A row-mapped update of local rows 0 and 5 in tile column 5 marks
         // the tiles those rows cross, and nothing else.
         let mut s = TileStore::zeros(&til, 1, 2, false);
-        let view = s.touch_rows(&[0, 5], 2..4);
+        let view = s.touch_rows([0, 5], 2..4);
         assert_eq!((view.rows(), view.cols()), (6, 2));
         assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(1, 5), (5, 5)]);
     }
@@ -678,7 +902,7 @@ mod tests {
     #[should_panic(expected = "no full-height view")]
     fn lower_only_store_has_no_full_height_view() {
         let til = Tiling::new(8, 2, Grid3::new(1, 1, 1));
-        TileStore::zeros(&til, 0, 0, true).touch_rows(&[0], 0..2);
+        TileStore::zeros(&til, 0, 0, true).touch_rows([0], 0..2);
     }
 
     #[test]
@@ -703,24 +927,101 @@ mod tests {
     }
 
     #[test]
-    fn assemble_places_entries_in_pivot_order() {
-        // 2x2: perm = [1, 0]: original row 1 is the first pivot.
-        let entries = vec![
-            vec![(1u32, 0u32, 4.0), (1, 1, 5.0)], // U row for pivot 0
-            vec![(0u32, 0u32, 0.5), (0, 1, 3.0)], // L entry + U for pivot 1
-        ];
-        let f = assemble_packed(2, &[1, 0], &entries);
-        assert_eq!(f[(0, 0)], 4.0);
-        assert_eq!(f[(0, 1)], 5.0);
-        assert_eq!(f[(1, 0)], 0.5);
-        assert_eq!(f[(1, 1)], 3.0);
+    fn store_rows_swap_by_slice_and_suffixes_are_contiguous() {
+        // Rank (1, 0) of a 2×2 grid over 4×4 tiles of side 2 owns tile rows
+        // 1, 3 and tile columns 0, 2: a 4×4 local matrix.
+        let til = Tiling::new(8, 2, Grid3::new(2, 2, 1));
+        let mut s = TileStore::zeros(&til, 1, 0, false);
+        assert_eq!(
+            (s.rows_from(0), s.rows_from(2), s.rows_from(4)),
+            (0..4, 2..4, 4..4)
+        );
+        assert_eq!((s.cols_from(1), s.cols_from(3)), (2..4, 4..4));
+        s.row_mut(0).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        s.row_mut(3).copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
+        s.swap_rows(3, 0, 2..4);
+        assert_eq!(s.row(0), &[1.0, 2.0, 7.0, 8.0]);
+        assert_eq!(s.row(3), &[5.0, 6.0, 3.0, 4.0]);
+        assert!(
+            s.is_present(1, 0) && s.is_present(3, 2),
+            "written rows are present"
+        );
+    }
+
+    /// One collected block with the given row ids, run starts and values.
+    fn block(rows: &[usize], cols: &[usize], vals: &[f64]) -> Collected {
+        let vals = Matrix::from_vec(rows.len(), vals.len() / rows.len(), vals.to_vec());
+        let mut c = Collected::default();
+        c.push(rows, cols, vals.as_ref());
+        c
+    }
+
+    /// The 2×2 case of the old COO assembly, `perm = [1, 0]` (original row 1
+    /// is the first pivot): its U row as one block, then the L and U entries
+    /// of pivot 1 as two column runs of one block.
+    fn two_by_two() -> Vec<Collected> {
+        vec![
+            block(&[1], &[0], &[4.0, 5.0]),
+            block(&[0], &[0, 1], &[0.5, 3.0]),
+        ]
     }
 
     #[test]
-    #[should_panic(expected = "duplicate")]
+    fn assemble_places_blocks_in_pivot_order() {
+        let pieces = two_by_two();
+        let f = Collected::assemble(2, &[1, 0], &pieces);
+        assert_eq!(f.data(), &[4.0, 5.0, 0.5, 3.0]);
+        // The visitor yields the COO triples the blocks stand for.
+        let mut coo = Vec::new();
+        pieces[1].for_each(|r, c, x| coo.push((r, c, x)));
+        assert_eq!(coo, vec![(0, 0, 0.5), (0, 1, 3.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate factor entry at pivoted (0,1)")]
     fn assemble_rejects_collisions() {
-        let entries = vec![vec![(0u32, 0u32, 1.0), (0, 0, 2.0)]];
-        assemble_packed(1, &[0], &entries);
+        let mut pieces = two_by_two();
+        pieces.push(block(&[1], &[1], &[2.0]));
+        Collected::assemble(2, &[1, 0], &pieces);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry row 2 missing from perm")]
+    fn assemble_rejects_rows_outside_the_permutation() {
+        Collected::assemble(2, &[1, 0], &[block(&[2], &[0], &[1.0])]);
+    }
+
+    #[test]
+    fn collected_codecs_round_trip_bitwise() {
+        let vals = [
+            1.25,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -0.5e-17,
+            7.0,
+            1e300,
+            0.1,
+            -3.0,
+        ];
+        let mut c = block(&[5, 2], &[8, 2], &vals);
+        c.push(&[9], &[0], Matrix::from_vec(1, 1, vec![f64::NAN]).as_ref());
+        let same = |back: &Collected| {
+            assert_eq!(back.idx, c.idx);
+            let bits = |x: &Collected| x.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(back), bits(&c));
+        };
+        // The checkpoint blob: one word per index and per value.
+        let mut blob = vec![42.0];
+        c.to_words(&mut blob);
+        assert_eq!(blob.len(), 1 + 2 + (3 + 2 + 2 + 3 + 1 + 1) + 9);
+        let (back, used) = Collected::from_words(&blob[1..]);
+        assert_eq!(used, blob.len() - 1);
+        same(&back);
+        // The socket result codec: 4 bytes per index, 8 per value.
+        let bytes = xmpi::wire::encode_vec(&c);
+        assert_eq!(bytes.len(), 2 * 8 + 4 * 12 + 8 * 9);
+        same(&xmpi::wire::decode_all(&bytes).unwrap());
+        assert!(xmpi::wire::decode_all::<Collected>(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

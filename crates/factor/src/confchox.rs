@@ -21,8 +21,8 @@
 //! attribution are identical either way.
 
 use crate::common::{
-    assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
-    stage_from_global, State, TileStore, Tiling,
+    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, stage_from_global, Collected,
+    Net, State, TileStore, Tiling,
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
@@ -72,9 +72,6 @@ impl ConfchoxConfig {
     /// # Panics
     /// If no valid block size exists for the chosen grid.
     pub fn auto(n: usize, p: usize) -> Self {
-        // Grid and block size are chosen jointly: the paper tunes
-        // v = a·P·M/N² = a·c (a small multiple of the replication depth),
-        // and a grid is only eligible if such a block size exists for n.
         let (grid, v) = pick_grid_and_block(n, p);
         ConfchoxConfig::new(n, v, grid)
     }
@@ -119,15 +116,12 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
         let mut guard = Guard::new(false);
         let fresh = State::fresh(&til, comm.rank(), true);
         let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        Ok::<_, Error>(done.entries)
+        Ok::<_, Error>(done.collected)
     });
-    let mut all_entries = Vec::with_capacity(out.results.len());
-    for res in out.results {
-        all_entries.push(res?);
-    }
+    let pieces = out.results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let l = cfg.collect.then(|| {
         let perm: Vec<usize> = (0..cfg.n).collect();
-        assemble_packed(cfg.n, &perm, &all_entries)
+        Collected::assemble(cfg.n, &perm, &pieces)
     });
     Ok(CholOutput {
         l,
@@ -158,10 +152,7 @@ pub(crate) fn rank_program(
     let (pi, pj, pk) = g.coords(comm.rank());
     let (v, nt, ks) = (cfg.v, til.nt, til.kslice());
 
-    let zfib = comm.subcomm(1, &g.z_members(pi, pj));
-    let yrow = comm.subcomm(2, &g.y_members(pi, pk));
-    let xcol = comm.subcomm(3, &g.x_members(pj, pk));
-    let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
+    let net = Net::new(comm, til);
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingChol<'_>> = None;
@@ -173,16 +164,8 @@ pub(crate) fn rank_program(
 
         // Trailing tile rows this process row owns (strictly below the
         // diagonal block) and trailing tile columns this process column owns.
-        let trail_rows: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .filter(|&ti| ti > step)
-            .collect();
-        let col_role_tiles: Vec<usize> = til
-            .tile_rows_of_py(pj, g.py)
-            .into_iter()
-            .filter(|&ti| ti > step)
-            .collect();
+        let trail_rows = til.tiles_after(step, pi, g.px);
+        let col_role_tiles = til.tiles_after(step, pj, g.py);
 
         // ---- 1–2. Reduce column `step`, factor + broadcast L00 ---------
         // Either complete the broadcasts posted at the end of the previous
@@ -204,16 +187,7 @@ pub(crate) fn rank_program(
                 panel_vals = pp.panel_vals;
             }
             None => {
-                let form = form_panel(
-                    comm,
-                    &til,
-                    &zfib,
-                    guard,
-                    &orig,
-                    &mut state,
-                    step,
-                    cfg.collect,
-                );
+                let form = form_panel(&net, guard, &orig, &mut state, step, cfg.collect);
                 // One status word to everyone, so an indefinite block aborts
                 // all ranks cleanly instead of deadlocking the world.
                 let status_root = g.rank_of(it, jt, 0);
@@ -224,7 +198,7 @@ pub(crate) fn rank_program(
                 }
                 l00_flat = if pj == jt && pk == 0 {
                     // Broadcast L00 within the panel group (column `jt`).
-                    guard.bcast(panel_comm.as_ref().unwrap(), it, form.l00_flat, v, v)
+                    guard.bcast(net.panel.as_ref().unwrap(), it, form.l00_flat, v, v)
                 } else {
                     Buf::from(form.l00_flat)
                 };
@@ -248,17 +222,11 @@ pub(crate) fn rank_program(
                 l10.as_mut(),
             );
             if cfg.collect {
-                for (bi, &ti) in trail_rows.iter().enumerate() {
-                    for r in 0..v {
-                        for c in 0..v {
-                            state.entries.push((
-                                (ti * v + r) as u32,
-                                (step * v + c) as u32,
-                                l10[(bi * v + r, c)],
-                            ));
-                        }
-                    }
-                }
+                let rows: Vec<usize> = trail_rows
+                    .iter()
+                    .flat_map(|&ti| til.rows_of_tile(ti))
+                    .collect();
+                state.collected.push(&rows, &[step * v], l10.as_ref());
             }
         }
 
@@ -271,17 +239,12 @@ pub(crate) fn rank_program(
         let n_row = trail_rows.len() * v;
         let mut l10_row_flat = Buf::from(Vec::new());
         if !trail_rows.is_empty() {
-            let mine = if pj == jt {
-                let tag = TAG_L10ROW + step as u64;
-                scatter_z(comm, guard, g, tag, (n_row, ks), |k| {
-                    l10.block(0, k * ks, n_row, ks)
-                })
-            } else {
-                Vec::new()
-            };
             // The broadcast keeps the tree's shared storage: the update
             // below reads it through a borrowed view.
-            l10_row_flat = guard.bcast(&yrow, jt, mine, n_row, ks);
+            let tag = TAG_L10ROW + step as u64;
+            l10_row_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (n_row, ks), |k| {
+                l10.block(0, k * ks, n_row, ks)
+            });
         }
         let l10_row = MatRef::from_slice(&l10_row_flat[..n_row * ks], n_row, ks, ks);
 
@@ -305,7 +268,7 @@ pub(crate) fn rank_program(
             }
             // Group `grp` of the x-fibre contributes its trailing tiles that
             // also match this process column, `v` rows each.
-            let pieces = guard.allgather(&xcol, &piece, ks, |grp| {
+            let pieces = guard.allgather(&net.xcol, &piece, ks, |grp| {
                 (step + 1..nt)
                     .filter(|&ti| ti % g.px == grp && ti % g.py == pj)
                     .count()
@@ -376,24 +339,13 @@ pub(crate) fn rank_program(
             apply_update(&mut state.acc, 0..head);
             // 5b. Reduce + factor the next diagonal block and post its
             // broadcasts; they travel while the bulk update below runs.
-            let form = form_panel(
-                comm,
-                &til,
-                &zfib,
-                guard,
-                &orig,
-                &mut state,
-                next,
-                cfg.collect,
-            );
+            let form = form_panel(&net, guard, &orig, &mut state, next, cfg.collect);
             let (it1, jt1) = (next % g.px, next % g.py);
             let flag = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
             let status_req = comm.ibcast_f64(g.rank_of(it1, jt1, 0), next as u64, flag);
             let l00_req = (pj == jt1 && pk == 0).then(|| {
-                panel_comm
-                    .as_ref()
-                    .unwrap()
-                    .ibcast_f64(it1, next as u64, form.l00_flat)
+                let panel = net.panel.as_ref().unwrap();
+                panel.ibcast_f64(it1, next as u64, form.l00_flat)
             });
             pending = Some(PendingChol {
                 panel_vals: form.panel_vals,
@@ -433,57 +385,36 @@ struct PendingChol<'c> {
 
 /// Steps 1–2a for block step `step`: z-reduce the diagonal and trailing
 /// rows of tile column `step` onto layer 0, then factor the diagonal block
-/// on its owner (collecting its entries). The caller broadcasts the status
+/// on its owner (collecting its lower triangle). The caller broadcasts the status
 /// word and `L00` — blocking or nonblocking. The blocking path calls this
 /// at the top of step `step`, the lookahead path at the bottom of step
 /// `step − 1`; the accumulator state read is identical at both call sites.
-#[allow(clippy::too_many_arguments)]
 fn form_panel(
-    comm: &Comm,
-    til: &Tiling,
-    zfib: &Comm,
+    net: &Net<'_>,
     guard: &mut Guard,
     orig: &TileStore,
     state: &mut State,
     step: usize,
     collect: bool,
 ) -> CholForm {
-    let (g, v) = (til.grid, til.v);
+    let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (pi, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
     let it = step % g.px;
-    let trail_rows: Vec<usize> = til
-        .tile_rows_of(pi)
-        .into_iter()
-        .filter(|&ti| ti > step)
-        .collect();
 
     // ---- 1. Reduce block column `step` (rows ≥ step·v) -----------------
     phase(comm, "reduce_col");
     let mut panel_vals = Matrix::zeros(0, v); // trailing rows, tiles > step
     let mut diag_vals = Matrix::zeros(0, v); // diagonal tile (step, step)
     if pj == jt {
-        let own_diag = it == pi;
-        let c0 = orig.col0(step);
-        let mut buf = Vec::new();
-        let panel_tiles = own_diag
-            .then_some(step)
-            .into_iter()
-            .chain(trail_rows.iter().copied());
-        for ti in panel_tiles {
-            let lrow0 = orig.local_row(ti * v);
-            for lrow in lrow0..lrow0 + v {
-                push_contrib(orig, &state.acc, lrow, c0..c0 + v, &mut buf);
-            }
-        }
-        if !buf.is_empty() {
-            let rows = buf.len() / v;
-            guard.reduce(zfib, 0, &mut buf, rows, v);
-        }
+        // The owned tile rows ≥ step — the diagonal tile first, if it is
+        // this rank's — are a suffix of the local rows.
+        let (panel, c0) = (orig.rows_from(step), orig.col0(step));
+        let mut buf = reduce_rows(net, guard, (orig, &state.acc), panel, c0..c0 + v);
         if pk == 0 {
-            let nd = if own_diag { v } else { 0 };
-            diag_vals = Matrix::from_vec(nd, v, buf[..nd * v].to_vec());
-            panel_vals = Matrix::from_vec(trail_rows.len() * v, v, buf[nd * v..].to_vec());
+            let trail = buf.split_off(if it == pi { v * v } else { 0 });
+            diag_vals = Matrix::from_vec(buf.len() / v, v, buf);
+            panel_vals = Matrix::from_vec(trail.len() / v, v, trail);
         }
     }
 
@@ -497,11 +428,11 @@ fn form_panel(
             err = Some(shift_err(e, step * v));
         }
         if err.is_none() && collect {
+            // The lower triangle only, one row at a time: the strict upper
+            // part of `d` is not factor data.
             for r in 0..v {
-                for c in 0..=r {
-                    let (row, col) = ((step * v + r) as u32, (step * v + c) as u32);
-                    state.entries.push((row, col, d[(r, c)]));
-                }
+                let row = d.block(r, 0, 1, r + 1);
+                state.collected.push(&[step * v + r], &[step * v], row);
             }
         }
         l00_flat = d.into_vec();
@@ -520,7 +451,8 @@ struct CholForm {
     err: Option<Error>,
 }
 
-fn shift_err(e: Error, offset: usize) -> Error {
+/// `e` with its row index moved from block-local to global coordinates.
+pub(crate) fn shift_err(e: Error, offset: usize) -> Error {
     match e {
         Error::NotPositiveDefinite(k) => Error::NotPositiveDefinite(k + offset),
         other => other,

@@ -49,8 +49,8 @@
 //! the `xtrace` replay turns into hidden-communication time.
 
 use crate::common::{
-    assemble_packed, check_shape, phase, phase_end, pick_grid_and_block, push_contrib,
-    stage_from_global, ActiveRows, RowMask, State, TileStore, Tiling,
+    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
+    stage_from_global, ActiveRows, Collected, Net, RowMask, State, TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
 use crate::tourn::tournament;
@@ -58,7 +58,6 @@ use dense::gemm::{par_gemm_rows, Trans};
 use dense::matrix::MatRef;
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
-use std::collections::HashMap;
 use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
 
 const TAG_A01: u64 = 2_000_000;
@@ -106,9 +105,6 @@ impl ConfluxConfig {
     /// # Panics
     /// If no valid block size exists for the chosen grid (pathological `n`).
     pub fn auto(n: usize, p: usize) -> Self {
-        // Grid and block size are chosen jointly: the paper tunes
-        // v = a·P·M/N² = a·c (a small multiple of the replication depth),
-        // and a grid is only eligible if such a block size exists for n.
         let (grid, v) = pick_grid_and_block(n, p);
         ConfluxConfig::new(n, v, grid)
     }
@@ -161,20 +157,12 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
         let mut guard = Guard::new(false);
         let fresh = State::fresh(&til, comm.rank(), false);
         let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        Ok::<_, dense::Error>((done.entries, done.perm))
+        Ok::<_, dense::Error>((done.collected, done.perm))
     });
-    let mut all_entries = Vec::with_capacity(out.results.len());
-    let mut perm = Vec::new();
-    for (rank, res) in out.results.into_iter().enumerate() {
-        let (entries, rank_perm) = res?;
-        if rank == 0 {
-            perm = rank_perm;
-        }
-        all_entries.push(entries);
-    }
+    let (pieces, perm) = split_results(out.results)?;
     let packed = cfg
         .collect
-        .then(|| assemble_packed(cfg.n, &perm, &all_entries));
+        .then(|| Collected::assemble(cfg.n, &perm, &pieces));
     Ok(LuOutput {
         perm,
         packed,
@@ -189,7 +177,7 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 /// redistribution from a caller's layout. Every bulk `f64` transfer is
 /// issued through `guard` (see [`crate::ft`]); the nonblocking lookahead
 /// broadcasts are not. The run starts at `state.step` with `state`'s
-/// pivots, entries and accumulators, and after every step but the last
+/// pivots, collected pieces and accumulators, and after every step but the last
 /// hands the updated state to `at_step_end` — which needs a quiescent
 /// boundary, so it is only ever combined with the blocking schedule.
 /// Returns the final state.
@@ -210,12 +198,7 @@ pub(crate) fn rank_program(
     let (pi, pj, pk) = g.coords(comm.rank());
     let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
 
-    // Static sub-communicators.
-    let zfib = comm.subcomm(1, &g.z_members(pi, pj));
-    let yrow = comm.subcomm(2, &g.y_members(pi, pk));
-    let xcol = comm.subcomm(3, &g.x_members(pj, pk));
-    let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
-
+    let net = Net::new(comm, til);
     // Layer 0 holds the original tiles; every layer holds update
     // accumulators (`state.acc`) in the same local layout.
     let mut mask = RowMask::new(n);
@@ -254,42 +237,14 @@ pub(crate) fn rank_program(
                 panel_vals = pp.vals;
             }
             None => {
-                let form = form_panel(
-                    comm,
-                    &til,
-                    &zfib,
-                    panel_comm.as_ref(),
-                    guard,
-                    &active,
-                    &orig,
-                    &state.acc,
-                    step,
-                );
-                phase(comm, "bcast_a00");
-                // One status word first, so a singular panel aborts every
-                // rank cleanly instead of deadlocking the world.
-                let mut status = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
-                comm.bcast_f64(root, &mut status);
-                if status[0] != 0.0 {
-                    return Err(form.err.unwrap_or(dense::Error::SingularAt(step * v)));
-                }
-                a00_buf = guard.bcast(comm, root, form.a00_flat, v, v);
-                let mut pv = form.piv_ids;
-                comm.bcast_u64(root, &mut pv);
-                piv_ids = pv;
-                panel_vals = form.vals;
+                let form = form_panel(&net, guard, &active, &orig, &state.acc, step);
+                (panel_vals, a00_buf, piv_ids) = form.bcast(comm, guard, root, step * v)?;
             }
         }
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
         let pivots: Vec<usize> = piv_ids.iter().map(|&x| x as usize).collect();
         if cfg.collect && comm.rank() == root {
-            for (r, &p) in pivots.iter().enumerate() {
-                for c in 0..v {
-                    state
-                        .entries
-                        .push((p as u32, (step * v + c) as u32, a00.get(r, c)));
-                }
-            }
+            state.collected.push(&pivots, &[step * v], a00);
         }
         state.perm.extend_from_slice(&pivots);
         mask.retire(&pivots);
@@ -299,60 +254,41 @@ pub(crate) fn rank_program(
         let panel_rows = std::mem::replace(&mut active, mask.active_rows_of(&til, pi)).global;
 
         // Trailing tile columns this process column owns.
-        let trail_cols: Vec<usize> = til
-            .tile_cols_of(pj)
-            .into_iter()
-            .filter(|&tj| tj > step)
-            .collect();
-        let trail_len = trail_cols.len() * v;
+        let trail_cols = til.tiles_after(step, pj, g.py);
         // ... which are one contiguous column range of the local stores.
-        let trail_c0 = trail_cols.first().map_or(0, |&tj| orig.col0(tj));
-        let trail = trail_c0..trail_c0 + trail_len;
+        let trail = orig.cols_from(step + 1);
+        let (trail_c0, trail_len) = (trail.start, trail.len());
 
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
-        let my_piv: Vec<usize> = pivots
-            .iter()
-            .copied()
-            .filter(|&p| (p / v) % g.px == pi)
-            .collect();
+        // The process row holding global row `p`.
+        let prow = |p: usize| (p / v) % g.px;
+        let my_piv: Vec<usize> = pivots.iter().copied().filter(|&p| prow(p) == pi).collect();
         let mut u01 = Matrix::zeros(0, 0);
         if !last && !trail_cols.is_empty() {
-            let mut a01_contrib = Vec::new();
-            if !my_piv.is_empty() {
-                for &p in &my_piv {
-                    let lrow = orig.local_row(p);
-                    push_contrib(&orig, &state.acc, lrow, trail.clone(), &mut a01_contrib);
-                }
-                guard.reduce(&zfib, 0, &mut a01_contrib, my_piv.len(), trail_len);
-            }
+            let piv_lrows = my_piv.iter().map(|&p| orig.local_row(p));
+            let stores = (&orig, &state.acc);
+            let mut a01_contrib = reduce_rows(&net, guard, stores, piv_lrows, trail.clone());
             // Gather the pivot-row segments at the step's U-owner and solve.
             if pk == 0 {
                 let owner = g.rank_of(it, pj, 0);
                 if comm.rank() == owner {
-                    // Pull each contributing group's buffer (own group local).
-                    let mut group_bufs: HashMap<usize, (Vec<f64>, usize)> = HashMap::new();
-                    let groups: Vec<usize> = {
-                        let mut s: Vec<usize> = pivots.iter().map(|&p| (p / v) % g.px).collect();
-                        s.sort_unstable();
-                        s.dedup();
-                        s
-                    };
-                    for &spi in &groups {
+                    // Pull the buffer of each process row that holds pivots
+                    // (own group local), in ascending process-row order.
+                    let mut group_bufs: Vec<(Vec<f64>, usize)> = vec![(Vec::new(), 0); g.px];
+                    for (spi, group) in group_bufs.iter_mut().enumerate() {
+                        let cnt = pivots.iter().filter(|&&p| prow(p) == spi).count();
                         let src = g.rank_of(spi, pj, 0);
-                        let buf = if src == owner {
+                        if src == owner {
                             // Not read again on this rank: move, don't copy.
-                            std::mem::take(&mut a01_contrib)
-                        } else {
-                            let cnt = pivots.iter().filter(|&&p| (p / v) % g.px == spi).count();
-                            guard.recv(comm, src, TAG_A01 + step as u64, cnt, trail_len)
-                        };
-                        group_bufs.insert(spi, (buf, 0));
+                            group.0 = std::mem::take(&mut a01_contrib);
+                        } else if cnt > 0 {
+                            group.0 = guard.recv(comm, src, TAG_A01 + step as u64, cnt, trail_len);
+                        }
                     }
                     let mut a01m = Matrix::zeros(v, trail_len);
                     for (pos, &p) in pivots.iter().enumerate() {
-                        let spi = (p / v) % g.px;
-                        let (buf, cursor) = group_bufs.get_mut(&spi).unwrap();
+                        let (buf, cursor) = &mut group_bufs[prow(p)];
                         a01m.row_mut(pos)
                             .copy_from_slice(&buf[*cursor..*cursor + trail_len]);
                         *cursor += trail_len;
@@ -367,28 +303,13 @@ pub(crate) fn rank_program(
                         a01m.as_mut(),
                     );
                     if cfg.collect {
-                        for (pos, &p) in pivots.iter().enumerate() {
-                            for (cj, &tj) in trail_cols.iter().enumerate() {
-                                for c in 0..v {
-                                    state.entries.push((
-                                        p as u32,
-                                        (tj * v + c) as u32,
-                                        a01m[(pos, cj * v + c)],
-                                    ));
-                                }
-                            }
-                        }
+                        let starts: Vec<usize> = trail_cols.iter().map(|&tj| tj * v).collect();
+                        state.collected.push(&pivots, &starts, a01m.as_ref());
                     }
                     u01 = a01m;
                 } else if !my_piv.is_empty() {
-                    guard.send(
-                        comm,
-                        owner,
-                        TAG_A01 + step as u64,
-                        &a01_contrib,
-                        my_piv.len(),
-                        trail_len,
-                    );
+                    let (tag, rows) = (TAG_A01 + step as u64, my_piv.len());
+                    guard.send(comm, owner, tag, &a01_contrib, rows, trail_len);
                 }
             }
         }
@@ -414,13 +335,9 @@ pub(crate) fn rank_program(
                 l10.as_mut(),
             );
             if cfg.collect {
-                for (i, &r) in active.global.iter().enumerate() {
-                    for c in 0..v {
-                        state
-                            .entries
-                            .push((r as u32, (step * v + c) as u32, l10[(i, c)]));
-                    }
-                }
+                state
+                    .collected
+                    .push(&active.global, &[step * v], l10.as_ref());
             }
         }
 
@@ -431,30 +348,19 @@ pub(crate) fn rank_program(
         phase(comm, "scatter_panels");
         let mut l10_flat = Buf::from(Vec::new());
         if !last && !active.local.is_empty() {
-            let rows = active.local.len();
-            let mine = if pj == jt {
-                let tag = TAG_L10 + step as u64;
-                scatter_z(comm, guard, g, tag, (rows, ks), |k| {
-                    l10.block(0, k * ks, rows, ks)
-                })
-            } else {
-                Vec::new()
-            };
-            l10_flat = guard.bcast(&yrow, jt, mine, rows, ks);
+            let (rows, tag) = (active.local.len(), TAG_L10 + step as u64);
+            l10_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (rows, ks), |k| {
+                l10.block(0, k * ks, rows, ks)
+            });
         }
 
         // ---- 6b. Scatter U01: z-slice then broadcast along x -----------
         let mut u01_flat = Buf::from(Vec::new());
         if !last && trail_len > 0 {
-            let mine = if pi == it {
-                let tag = TAG_U01 + step as u64;
-                scatter_z(comm, guard, g, tag, (ks, trail_len), |k| {
-                    u01.block(k * ks, 0, ks, trail_len)
-                })
-            } else {
-                Vec::new()
-            };
-            u01_flat = guard.bcast(&xcol, it, mine, ks, trail_len);
+            let tag = TAG_U01 + step as u64;
+            u01_flat = scatter_z(&net, guard, (&net.xcol, it), tag, (ks, trail_len), |k| {
+                u01.block(k * ks, 0, ks, trail_len)
+            });
         }
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
@@ -483,7 +389,7 @@ pub(crate) fn rank_program(
                 l10_slice,
                 u01_slice.block(0, cols.start * v, ks, w),
                 &active.local,
-                acc.touch_rows(&active.local, c0..c0 + w),
+                acc.touch_rows(active.local.iter().copied(), c0..c0 + w),
             );
         };
 
@@ -499,17 +405,7 @@ pub(crate) fn rank_program(
             }
             // 7b. Form panel `next` and post its three broadcasts. The
             // sequence numbers keep concurrent trees on distinct tags.
-            let form = form_panel(
-                comm,
-                &til,
-                &zfib,
-                panel_comm.as_ref(),
-                guard,
-                &active,
-                &orig,
-                &state.acc,
-                next,
-            );
+            let form = form_panel(&net, guard, &active, &orig, &state.acc, next);
             phase(comm, "bcast_a00");
             let root1 = g.rank_of(0, next % g.py, 0);
             let seq = 3 * next as u64;
@@ -543,36 +439,70 @@ pub(crate) fn rank_program(
     Ok(state)
 }
 
-/// Cut a panel held by layer 0 into one `r × c` slice per layer of the
-/// calling rank's z-fibre: layer 0 sends layer `k` the slice `slice_of(k)`
-/// and keeps `slice_of(0)`; every layer returns its own slice.
+/// Distribute a panel held by layer 0 of member `root` of `fibre` (the
+/// y-row or x-column through the calling rank): that member cuts it into one
+/// `r × c` slice per layer of its z-fibre — layer 0 sends layer `k` the slice
+/// `slice_of(k)` and keeps `slice_of(0)` — and on every layer member `root`
+/// broadcasts its slice along `fibre`. Every rank returns its layer's slice,
+/// on the broadcast tree's shared storage.
 pub(crate) fn scatter_z<'a>(
-    comm: &Comm,
+    net: &Net<'_>,
     guard: &mut Guard,
-    g: Grid3,
+    (fibre, root): (&Comm, usize),
     tag: u64,
     (r, c): (usize, usize),
     slice_of: impl Fn(usize) -> MatRef<'a>,
-) -> Vec<f64> {
+) -> Buf<f64> {
+    let (comm, g) = (net.comm, net.til.grid);
     let (pi, pj, pk) = g.coords(comm.rank());
-    if pk != 0 {
-        return guard.recv(comm, g.rank_of(pi, pj, 0), tag, r, c);
-    }
-    for k in (1..g.pz).rev() {
-        let slice = slice_of(k).to_owned();
-        guard.send(comm, g.rank_of(pi, pj, k), tag, slice.data(), r, c);
-    }
-    slice_of(0).to_owned().into_vec()
+    let mine = if fibre.rank() != root {
+        Vec::new()
+    } else if pk != 0 {
+        guard.recv(comm, g.rank_of(pi, pj, 0), tag, r, c)
+    } else {
+        for k in (1..g.pz).rev() {
+            let slice = slice_of(k).to_owned();
+            guard.send(comm, g.rank_of(pi, pj, k), tag, slice.data(), r, c);
+        }
+        slice_of(0).to_owned().into_vec()
+    };
+    guard.bcast(fibre, root, mine, r, c)
 }
 
 /// The outcome of forming one panel: the owning ranks' reduced panel values,
 /// one row per active row (empty elsewhere), and the tournament's results on
 /// the panel ranks (`a00_flat`/`piv_ids` empty, `err` set, on failure).
-struct PanelForm {
+pub(crate) struct PanelForm {
     vals: Matrix,
     a00_flat: Vec<f64>,
     piv_ids: Vec<u64>,
     err: Option<dense::Error>,
+}
+
+impl PanelForm {
+    /// Blocking broadcast of the formed panel from `root` to every rank:
+    /// one status word first, so a singular panel (first row `row0`) aborts
+    /// every rank cleanly instead of deadlocking the world, then `A00` and
+    /// the pivot ids. Returns `(panel values, A00, pivot ids)`.
+    pub(crate) fn bcast(
+        self,
+        comm: &Comm,
+        guard: &mut Guard,
+        root: usize,
+        row0: usize,
+    ) -> Result<(Matrix, Buf<f64>, Vec<u64>), dense::Error> {
+        phase(comm, "bcast_a00");
+        let mut status = vec![if self.err.is_some() { 1.0 } else { 0.0 }];
+        comm.bcast_f64(root, &mut status);
+        if status[0] != 0.0 {
+            return Err(self.err.unwrap_or(dense::Error::SingularAt(row0)));
+        }
+        let v = self.vals.cols();
+        let a00 = guard.bcast(comm, root, self.a00_flat, v, v);
+        let mut piv_ids = self.piv_ids;
+        comm.bcast_u64(root, &mut piv_ids);
+        Ok((self.vals, a00, piv_ids))
+    }
 }
 
 /// Panel broadcasts in flight between two steps (lookahead mode): the
@@ -591,19 +521,15 @@ struct PendingPanel<'c> {
 /// the blocking path calls it at the top of step `step`, the lookahead path
 /// at the bottom of step `step − 1`; the active rows and accumulator state
 /// it reads are identical at both call sites.
-#[allow(clippy::too_many_arguments)]
-fn form_panel(
-    comm: &Comm,
-    til: &Tiling,
-    zfib: &Comm,
-    panel_comm: Option<&Comm>,
+pub(crate) fn form_panel(
+    net: &Net<'_>,
     guard: &mut Guard,
     active: &ActiveRows,
     orig: &TileStore,
     acc: &TileStore,
     step: usize,
 ) -> PanelForm {
-    let (g, v) = (til.grid, til.v);
+    let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (_, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
 
@@ -611,17 +537,10 @@ fn form_panel(
     phase(comm, "reduce_col");
     let mut vals = Matrix::zeros(0, v);
     if pj == jt {
-        let rows = active.local.len();
-        let c0 = orig.col0(step);
-        let mut buf = Vec::with_capacity(rows * v);
-        for &lrow in &active.local {
-            push_contrib(orig, acc, lrow, c0..c0 + v, &mut buf);
-        }
-        if !buf.is_empty() {
-            guard.reduce(zfib, 0, &mut buf, rows, v);
-        }
+        let (lrows, c0) = (active.local.iter().copied(), orig.col0(step));
+        let buf = reduce_rows(net, guard, (orig, acc), lrows, c0..c0 + v);
         if pk == 0 {
-            vals = Matrix::from_vec(rows, v, buf);
+            vals = Matrix::from_vec(active.local.len(), v, buf);
         }
     }
 
@@ -632,7 +551,7 @@ fn form_panel(
     let mut err: Option<dense::Error> = None;
     if pj == jt && pk == 0 {
         let ids: Vec<u64> = active.global.iter().map(|&r| r as u64).collect();
-        match tournament(panel_comm.unwrap(), &vals, &ids, v) {
+        match tournament(net.panel.as_ref().unwrap(), &vals, &ids, v) {
             Ok(pb) => {
                 a00_flat = pb.a00.into_vec();
                 piv_ids = pb.ids;

@@ -40,7 +40,7 @@
 //! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
 //! ring checkpoints + whole-world restart through [`CkptStore`]). A rank
 //! program starts from a `State` (next step, pivot permutation, collected
-//! factor entries, update accumulators) and hands the updated value to an
+//! factor pieces, update accumulators) and hands the updated value to an
 //! optional callback after every block step but the last. The FT drivers'
 //! callback snapshots it every `ckpt_every` steps into an in-memory blob,
 //! keeps one copy in the rank's own slot (surviving ranks' memory persists
@@ -70,7 +70,7 @@
 //! separately from the fault-tolerance overhead.
 
 use crate::common::{
-    assemble_packed, check_shape, phase, pick_grid_and_block, stage_from_global, Entry, State,
+    check_shape, phase, pick_grid_and_block, split_results, stage_from_global, Collected, State,
     Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
@@ -355,26 +355,17 @@ impl CkptStore {
 // ---------------------------------------------------------------------------
 
 /// Serialize a rank's dynamic state into a flat `f64` blob:
-/// `[step, |perm|, |entries|, |tiles|, perm…, (row, col, val)…,
+/// `[step, |perm|, perm…, collected (see Collected::to_words),
 /// (ti, tj, v²-tile)…]`, the accumulator's present tiles in ascending key
-/// order. Integers are exact below 2⁵³, so the round trip is bitwise.
+/// order up to the end of the blob. The collected factor pieces cost one
+/// word per element plus their block indices. Integers are exact below
+/// 2⁵³, so the round trip is bitwise.
 fn encode_state(v: usize, state: &State) -> Vec<f64> {
-    let (perm, entries) = (&state.perm, &state.entries);
-    let tiles = state.acc.present_tiles().count();
-    let mut blob = Vec::with_capacity(4 + perm.len() + 3 * entries.len() + tiles * (2 + v * v));
-    blob.push(state.step as f64);
-    blob.push(perm.len() as f64);
-    blob.push(entries.len() as f64);
-    blob.push(tiles as f64);
-    blob.extend(perm.iter().map(|&r| r as f64));
-    for &(r, c, val) in entries {
-        blob.push(f64::from(r));
-        blob.push(f64::from(c));
-        blob.push(val);
-    }
+    let mut blob = vec![state.step as f64, state.perm.len() as f64];
+    blob.extend(state.perm.iter().map(|&r| r as f64));
+    state.collected.to_words(&mut blob);
     for (ti, tj) in state.acc.present_tiles() {
-        blob.push(ti as f64);
-        blob.push(tj as f64);
+        blob.extend([ti as f64, tj as f64]);
         let tile = state.acc.tile(ti, tj);
         for r in 0..v {
             blob.extend_from_slice(tile.row(r));
@@ -387,31 +378,24 @@ fn encode_state(v: usize, state: &State) -> Vec<f64> {
 /// accumulator store of the given shape.
 fn decode_state(blob: &[f64], til: &Tiling, rank: usize, lower_only: bool) -> State {
     let v = til.v;
-    let step = blob[0] as usize;
-    let np = blob[1] as usize;
-    let ne = blob[2] as usize;
-    let nt = blob[3] as usize;
-    let mut cur = 4;
+    let (step, np) = (blob[0] as usize, blob[1] as usize);
+    let mut cur = 2;
     let perm: Vec<usize> = blob[cur..cur + np].iter().map(|&x| x as usize).collect();
     cur += np;
-    let mut entries = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        entries.push((blob[cur] as u32, blob[cur + 1] as u32, blob[cur + 2]));
-        cur += 3;
-    }
+    let (collected, used) = Collected::from_words(&blob[cur..]);
+    cur += used;
     let mut acc = State::fresh(til, rank, lower_only).acc;
-    for _ in 0..nt {
+    while cur < blob.len() {
         let (ti, tj) = (blob[cur] as usize, blob[cur + 1] as usize);
         cur += 2;
         let tile = MatRef::from_slice(&blob[cur..cur + v * v], v, v, v);
         acc.tile_mut(ti, tj).copy_from(tile);
         cur += v * v;
     }
-    assert_eq!(cur, blob.len(), "checkpoint blob has trailing garbage");
     State {
         step,
         perm,
-        entries,
+        collected,
         acc,
     }
 }
@@ -714,7 +698,7 @@ fn restore_state(
 /// algorithm, bound to its config and staged tiles — with the guard set
 /// from `cfg.checksums` and the checkpoint callback. A crashed attempt
 /// costs the victims their own snapshots and starts the next one; a
-/// completed attempt yields every rank's collected entries plus rank 0's
+/// completed attempt yields every rank's collected pieces plus rank 0's
 /// pivot order.
 ///
 /// On the socket backend a child process replays the loop's earlier worlds
@@ -727,7 +711,7 @@ fn run_with_restarts(
     a: &Matrix,
     lower_only: bool,
     program: impl Fn(&Comm, &mut Guard, State, StepEnd<'_>) -> Result<State, dense::Error> + Sync,
-) -> Result<(Vec<Vec<Entry>>, Vec<usize>, FtReport), dense::Error> {
+) -> Result<(Vec<Collected>, Vec<usize>, FtReport), dense::Error> {
     check_shape(a, cfg.n)?;
     let p = cfg.grid.size();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
@@ -748,7 +732,7 @@ fn run_with_restarts(
                 }
             };
             let done = program(comm, &mut guard, state, &checkpoint)?;
-            Ok::<_, dense::Error>((done.entries, done.perm, guard.corrections))
+            Ok::<_, dense::Error>(((done.collected, guard.corrections), done.perm))
         });
         report.attempt_stats.push(out.stats);
         if !out.crashed.is_empty() {
@@ -764,17 +748,12 @@ fn run_with_restarts(
             victims = out.crashed;
             continue;
         }
-        let mut all_entries = Vec::with_capacity(p);
-        let mut perm = Vec::new();
-        for (rank, res) in out.results.into_iter().enumerate() {
-            let (entries, rank_perm, corr) = res.expect("no rank crashed: every outcome is Ok")?;
-            if rank == 0 {
-                perm = rank_perm;
-            }
-            report.corrections += corr;
-            all_entries.push(entries);
-        }
-        return Ok((all_entries, perm, report));
+        let outcomes = out.results.into_iter();
+        let (pieces, perm) =
+            split_results(outcomes.map(|res| res.expect("no rank crashed: every outcome is Ok")))?;
+        let (pieces, corrections): (Vec<_>, Vec<u64>) = pieces.into_iter().unzip();
+        report.corrections += corrections.iter().sum::<u64>();
+        return Ok((pieces, perm, report));
     }
 }
 
@@ -797,12 +776,12 @@ fn run_with_restarts(
 pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
     let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (entries, perm, report) =
+    let (pieces, perm, report) =
         run_with_restarts(cfg, a, false, |comm, guard, state, at_step_end| {
             let orig = stage_from_global(comm, &til, a, false);
             conflux::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
         })?;
-    let packed = assemble_packed(cfg.n, &perm, &entries);
+    let packed = Collected::assemble(cfg.n, &perm, &pieces);
     Ok(FtLuOutput {
         perm,
         packed,
@@ -823,13 +802,13 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
 pub fn confchox_cholesky_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtCholOutput, dense::Error> {
     let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (entries, _, report) =
+    let (pieces, _, report) =
         run_with_restarts(cfg, a, true, |comm, guard, state, at_step_end| {
             let orig = stage_from_global(comm, &til, a, true);
             confchox::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
         })?;
     let identity: Vec<usize> = (0..cfg.n).collect();
-    let l = assemble_packed(cfg.n, &identity, &entries);
+    let l = Collected::assemble(cfg.n, &identity, &pieces);
     Ok(FtCholOutput { l, report })
 }
 
@@ -859,26 +838,29 @@ mod tests {
             .copy_from(random_matrix(v, v, 7).as_ref());
         acc.tile_mut(0, 2)
             .copy_from(random_matrix(v, v, 8).as_ref());
+        let mut collected = Collected::default();
+        let l10 = Matrix::from_fn(2, v, |r, c| if r == c { -0.5e-17 } else { 1.25 + c as f64 });
+        collected.push(&[5, 2], &[0], l10.as_ref());
         let state = State {
             step: 6,
             perm: vec![5usize, 2, 9, 0],
-            entries: vec![(5, 0, 1.25), (2, 3, -0.5e-17)],
+            collected,
             acc,
         };
         let blob = encode_state(v, &state);
-        // Header, pivots, COO triples, then only the two present tiles with
-        // their keys, in ascending key order — not the dense 4×4-tile store.
-        assert_eq!(blob.len(), 4 + 4 + 3 * 2 + 2 * (2 + v * v));
-        assert_eq!((blob[14], blob[15]), (0.0, 2.0));
-        assert_eq!((blob[32], blob[33]), (3.0, 1.0));
+        // Header, pivots, the collected block (two counts, six indices, one
+        // word per element — the COO triples took three), then only the two
+        // present tiles with their keys, in ascending key order — not the
+        // dense 4×4-tile store.
+        assert_eq!(blob.len(), 2 + 4 + (2 + 6 + 2 * v) + 2 * (2 + v * v));
+        assert!(blob.len() < 4 + 4 + 3 * (2 * v) + 2 * (2 + v * v));
+        assert_eq!((blob[22], blob[23]), (0.0, 2.0));
+        assert_eq!((blob[40], blob[41]), (3.0, 1.0));
         let back = decode_state(&blob, &til, 0, false);
         assert_eq!(back.step, 6);
         assert_eq!(back.perm, state.perm);
-        assert_eq!(back.entries.len(), state.entries.len());
-        for ((r1, c1, v1), (r2, c2, v2)) in state.entries.iter().zip(&back.entries) {
-            assert_eq!((r1, c1), (r2, c2));
-            assert_eq!(v1.to_bits(), v2.to_bits());
-        }
+        let bits = |blob: &[f64]| blob.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&encode_state(v, &back)), bits(&blob));
         let present: Vec<_> = back.acc.present_tiles().collect();
         assert_eq!(present, vec![(0, 2), (3, 1)]);
         for (ti, tj) in present {

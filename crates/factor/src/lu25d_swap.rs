@@ -12,14 +12,28 @@
 //! Everything is indexed by *position* (the physical slot a row currently
 //! occupies); `id_at[pos]` tracks which original row lives where, and the
 //! final permutation is read off `id_at`.
+//!
+//! The data plane is COnfLUX's ([`crate::common`]): original values (layer
+//! 0) and accumulators live in two `TileStore`s whose local row `l` holds
+//! position `l`'s data, and the panel is formed by COnfLUX's `form_panel`.
+//! Without a mask, the rows below a step's diagonal tile and the columns
+//! right of it are contiguous local ranges, so the Schur update is one
+//! in-place `gemm` on a sub-block of the accumulator. A row swap is a slice
+//! exchange: the two rows' segments left and right of the panel column trade
+//! places locally, or travel as one message per rank pair —
+//! `[original ‖ accumulator]` on layer 0, the accumulator alone above it.
 
-use crate::common::{assemble_packed, phase, phase_end, Entry, Tiling};
-use crate::tourn::tournament;
+use crate::common::{
+    check_shape, phase, phase_end, reduce_rows, split_results, stage_from_global, ActiveRows,
+    Collected, Net, TileStore, Tiling,
+};
+use crate::conflux::{form_panel, scatter_z};
+use crate::ft::Guard;
 use dense::gemm::{gemm, Trans};
 use dense::trsm::{trsm, Diag, Side, Uplo};
-use dense::Matrix;
-use std::collections::HashMap;
-use xmpi::{Comm, Grid3, WorldStats};
+use dense::{MatRef, Matrix};
+use std::ops::Range;
+use xmpi::{Buf, Comm, Grid3};
 
 const TAG_SWAP: u64 = 9_000_000;
 const TAG_L10: u64 = 9_500_000;
@@ -60,37 +74,22 @@ impl SwapLuConfig {
     }
 }
 
-/// Output: identical shape to COnfLUX's.
-pub struct SwapLuOutput {
-    /// `perm[s]` = original row occupying (pivoted) position `s`.
-    pub perm: Vec<usize>,
-    /// Packed `L\U` in pivoted coordinates, if collected.
-    pub packed: Option<Matrix>,
-    /// Measured communication statistics (including all swap traffic).
-    pub stats: WorldStats,
-}
+/// Output: COnfLUX's — `perm[s]` is the original row occupying (pivoted)
+/// position `s`, and `stats` includes all swap traffic.
+pub type SwapLuOutput = crate::conflux::LuOutput;
 
 /// Factor `a` with the swapping 2.5D schedule.
 ///
 /// # Errors
-/// Kernel errors (singularity) propagate.
-///
-/// # Panics
-/// If `a` is not `n × n`.
+/// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; kernel errors
+/// (singularity) propagate.
 pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense::Error> {
-    assert_eq!(a.rows(), cfg.n);
-    assert_eq!(a.cols(), cfg.n);
+    check_shape(a, cfg.n)?;
     let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a));
-    let mut entries = Vec::new();
-    let mut perm = Vec::new();
-    for (rank, res) in out.results.into_iter().enumerate() {
-        let (e, p) = res?;
-        if rank == 0 {
-            perm = p;
-        }
-        entries.push(e);
-    }
-    let packed = cfg.collect.then(|| assemble_packed(cfg.n, &perm, &entries));
+    let (pieces, perm) = split_results(out.results)?;
+    let packed = cfg
+        .collect
+        .then(|| Collected::assemble(cfg.n, &perm, &pieces));
     Ok(SwapLuOutput {
         perm,
         packed,
@@ -98,187 +97,111 @@ pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense:
     })
 }
 
-struct RankState {
-    /// Original-value tiles (layer 0 only), indexed by position tiles.
-    orig: HashMap<(usize, usize), Matrix>,
-    /// Accumulated partial updates, all layers.
-    acc: HashMap<(usize, usize), Matrix>,
-}
-
-#[allow(clippy::type_complexity)]
 fn rank_program(
     comm: &Comm,
     cfg: &SwapLuConfig,
     a: &Matrix,
-) -> Result<(Vec<Entry>, Vec<usize>), dense::Error> {
+) -> Result<(Collected, Vec<usize>), dense::Error> {
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
     let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
 
-    let zfib = comm.subcomm(1, &g.z_members(pi, pj));
-    let yrow = comm.subcomm(2, &g.y_members(pi, pk));
-    let xcol = comm.subcomm(3, &g.x_members(pj, pk));
-    let panel_comm = (pk == 0).then(|| comm.subcomm(4, &g.x_members(pj, 0)));
+    let net = Net::new(comm, til);
 
-    let mut st = RankState {
-        orig: HashMap::new(),
-        acc: HashMap::new(),
-    };
-    if pk == 0 {
-        for ti in til.tile_rows_of(pi) {
-            for tj in til.tile_cols_of(pj) {
-                st.orig
-                    .insert((ti, tj), a.block(ti * v, tj * v, v, v).to_owned());
-            }
-        }
-    }
+    // Original values (layer 0 only) and accumulated partial updates (all
+    // layers), both indexed by position.
+    let mut orig = stage_from_global(comm, &til, a, false);
+    let mut acc = TileStore::zeros(&til, pi, pj, false);
+    let mut guard = Guard::new(false);
     let mut id_at: Vec<usize> = (0..n).collect();
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut collected = Collected::default();
+    // Positions of the owned tile rows `≥ ti`, ascending like their local rows.
+    let positions_from = |ti: usize| {
+        let tiles = til.tile_rows_of(pi).into_iter().filter(move |&t| t >= ti);
+        tiles.flat_map(|t| til.rows_of_tile(t))
+    };
 
     for step in 0..nt {
         let jt = step % g.py;
         let it = step % g.px;
         let last = step + 1 == nt;
+        // Positions of the diagonal block, and the local rows of the owned
+        // tile rows at or below it (the panel) and strictly below it.
+        let diag = til.rows_of_tile(step);
+        let panel_rows = orig.rows_from(step);
+        let below = orig.rows_from(step + 1);
 
-        // ---- 1. Reduce block column `step` (positions ≥ step·v) ---------
-        phase(comm, "reduce_col");
-        let my_panel_tiles: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .filter(|&ti| ti >= step)
-            .collect();
-        let mut panel = Matrix::zeros(0, v);
-        if pj == jt {
-            let mut buf = Vec::with_capacity(my_panel_tiles.len() * v * v);
-            for &ti in &my_panel_tiles {
-                for lr in 0..v {
-                    let o = st.orig.get(&(ti, step));
-                    let ac = st.acc.get(&(ti, step));
-                    for c in 0..v {
-                        buf.push(o.map_or(0.0, |m| m[(lr, c)]) - ac.map_or(0.0, |m| m[(lr, c)]));
-                    }
-                }
-            }
-            if !buf.is_empty() {
-                zfib.reduce_sum_f64(0, &mut buf);
-            }
-            if pk == 0 {
-                panel = Matrix::from_vec(my_panel_tiles.len() * v, v, buf);
-            }
-        }
-
-        // ---- 2. Tournament over panel ranks ------------------------------
-        phase(comm, "pivoting");
-        let mut a00_flat = Vec::new();
-        let mut piv_pos = Vec::new();
-        let mut tourn_err: Option<dense::Error> = None;
-        if pj == jt && pk == 0 {
-            let ids: Vec<u64> = my_panel_tiles
-                .iter()
-                .flat_map(|&ti| (ti * v..(ti + 1) * v).map(|p| p as u64))
-                .collect();
-            match tournament(panel_comm.as_ref().unwrap(), &panel, &ids, v) {
-                Ok(pb) => {
-                    a00_flat = pb.a00.into_vec();
-                    piv_pos = pb.ids;
-                }
-                Err(e) => tourn_err = Some(e),
-            }
-        }
-
-        // ---- 3. Broadcast A00 and pivot positions ------------------------
-        phase(comm, "bcast_a00");
+        // ---- 1–3. Form the panel and broadcast A00 + pivot positions ----
+        // COnfLUX's panel formation with every position at or below the
+        // diagonal block "active": z-reduce block column `step`, then the
+        // tournament over the panel ranks.
+        let active = ActiveRows {
+            global: positions_from(step).collect(),
+            local: panel_rows.clone().collect(),
+        };
+        let form = form_panel(&net, &mut guard, &active, &orig, &acc, step);
         let root = g.rank_of(0, jt, 0);
-        let mut status = vec![if tourn_err.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(root, &mut status);
-        if status[0] != 0.0 {
-            return Err(tourn_err.unwrap_or(dense::Error::SingularAt(step * v)));
-        }
-        comm.bcast_f64(root, &mut a00_flat);
-        comm.bcast_u64(root, &mut piv_pos);
-        let a00 = Matrix::from_vec(v, v, a00_flat);
+        let (mut panel, a00_buf, piv_pos) = form.bcast(comm, &mut guard, root, step * v)?;
+        let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
 
         // ---- 4. Row swapping: move pivots into the diagonal block --------
         // This is what masking avoids: every swap moves full rows of the
-        // original data AND of every layer's accumulator.
+        // original data AND of every layer's accumulator — everything but
+        // the panel column, whose reduced values travel with `panel`.
         phase(comm, "row_swaps");
+        let width = orig.cols_from(0).end;
+        let panel_c0 = if pj == jt { orig.col0(step) } else { width };
+        let keep = [0..panel_c0, (panel_c0 + v).min(width)..width];
         let mut targets: Vec<usize> = piv_pos.iter().map(|&p| p as usize).collect();
         for r in 0..v {
             let tgt = step * v + r;
             let cur = targets[r];
-            if cur != tgt {
-                // Later pending pivots sitting at `tgt` move to `cur`.
-                for t2 in targets.iter_mut().skip(r + 1) {
-                    if *t2 == tgt {
-                        *t2 = cur;
-                    }
-                }
-                swap_positions(comm, &til, &mut st, pi, pj, pk, step, tgt, cur, r as u64);
-                if pj == jt && pk == 0 {
-                    swap_panel_rows(
-                        comm,
-                        &til,
-                        &my_panel_tiles,
-                        &mut panel,
-                        pi,
-                        jt,
-                        step,
-                        tgt,
-                        cur,
-                        r as u64,
-                        &g,
-                    );
-                }
-                id_at.swap(tgt, cur);
+            if cur == tgt {
+                continue;
             }
+            // Later pending pivots sitting at `tgt` move to `cur`.
+            for t2 in targets.iter_mut().skip(r + 1) {
+                if *t2 == tgt {
+                    *t2 = cur;
+                }
+            }
+            if let Some(swap) = Swap::of(&til, &orig, comm.rank(), tgt, cur) {
+                let tag = TAG_SWAP + step as u64 * 64 + r as u64;
+                let mut stores = vec![&mut orig, &mut acc];
+                if pk != 0 {
+                    stores.remove(0); // original values live on layer 0 only
+                }
+                swap_store_rows(comm, &mut stores, &keep, &swap, tag);
+                if pj == jt && pk == 0 {
+                    swap_panel_rows(comm, &mut panel, panel_rows.start, &swap, tag + 32);
+                }
+            }
+            id_at.swap(tgt, cur);
         }
         if cfg.collect && comm.rank() == root {
-            for r in 0..v {
-                for c in 0..v {
-                    entries.push((
-                        id_at[step * v + r] as u32,
-                        (step * v + c) as u32,
-                        a00[(r, c)],
-                    ));
-                }
-            }
+            collected.push(&id_at[diag.clone()], &[diag.start], a00);
         }
 
         // ---- 5. Panel solve: L10 = A10·U00⁻¹ ------------------------------
         phase(comm, "panel_trsm");
-        let my_l10_tiles: Vec<usize> = til
-            .tile_rows_of(pi)
-            .into_iter()
-            .filter(|&ti| ti > step)
-            .collect();
         let mut l10 = Matrix::zeros(0, v);
-        if pj == jt && pk == 0 && !my_l10_tiles.is_empty() {
-            // Panel rows for tiles > step (tile `step`'s rows are A00 now).
-            let skip = usize::from(my_panel_tiles.first() == Some(&step)) * v;
-            l10 = Matrix::from_fn(my_l10_tiles.len() * v, v, |r, c| panel[(skip + r, c)]);
+        if pj == jt && pk == 0 && !below.is_empty() {
+            // Panel rows of the tiles > step (tile `step`'s rows are A00 now).
+            let skip = below.start - panel_rows.start;
+            l10 = panel.block(skip, 0, below.len(), v).to_owned();
             trsm(
                 Side::Right,
                 Uplo::Upper,
                 Trans::N,
                 Diag::NonUnit,
                 1.0,
-                a00.as_ref(),
+                a00,
                 l10.as_mut(),
             );
             if cfg.collect {
-                for (bi, &ti) in my_l10_tiles.iter().enumerate() {
-                    for lr in 0..v {
-                        let pos = ti * v + lr;
-                        for c in 0..v {
-                            entries.push((
-                                id_at[pos] as u32,
-                                (step * v + c) as u32,
-                                l10[(bi * v + lr, c)],
-                            ));
-                        }
-                    }
-                }
+                let rows: Vec<usize> = positions_from(step + 1).map(|p| id_at[p]).collect();
+                collected.push(&rows, &[diag.start], l10.as_ref());
             }
         }
 
@@ -288,26 +211,14 @@ fn rank_program(
 
         // ---- 6. Reduce pivot block row, solve U01 -------------------------
         phase(comm, "reduce_pivots");
-        let trail_cols: Vec<usize> = til
-            .tile_cols_of(pj)
-            .into_iter()
-            .filter(|&tj| tj > step)
-            .collect();
-        let trail_len = trail_cols.len() * v;
+        let trail = orig.cols_from(step + 1);
+        let trail_len = trail.len();
         let mut u01 = Matrix::zeros(0, 0);
-        if !trail_cols.is_empty() && pi == it {
+        if trail_len > 0 && pi == it {
             // Tile row `step` lives on process row it = step mod px.
-            let mut buf = Vec::with_capacity(v * trail_len);
-            for lr in 0..v {
-                for &tj in &trail_cols {
-                    let o = st.orig.get(&(step, tj));
-                    let ac = st.acc.get(&(step, tj));
-                    for c in 0..v {
-                        buf.push(o.map_or(0.0, |m| m[(lr, c)]) - ac.map_or(0.0, |m| m[(lr, c)]));
-                    }
-                }
-            }
-            zfib.reduce_sum_f64(0, &mut buf);
+            let lrow0 = orig.local_row(diag.start);
+            let stores = (&orig, &acc);
+            let buf = reduce_rows(&net, &mut guard, stores, lrow0..lrow0 + v, trail.clone());
             if pk == 0 {
                 let mut a01 = Matrix::from_vec(v, trail_len, buf);
                 trsm(
@@ -316,21 +227,13 @@ fn rank_program(
                     Trans::N,
                     Diag::Unit,
                     1.0,
-                    a00.as_ref(),
+                    a00,
                     a01.as_mut(),
                 );
                 if cfg.collect {
-                    for lr in 0..v {
-                        for (cj, &tj) in trail_cols.iter().enumerate() {
-                            for c in 0..v {
-                                entries.push((
-                                    id_at[step * v + lr] as u32,
-                                    (tj * v + c) as u32,
-                                    a01[(lr, cj * v + c)],
-                                ));
-                            }
-                        }
-                    }
+                    let trail_tiles = til.tiles_after(step, pj, g.py);
+                    let starts: Vec<usize> = trail_tiles.iter().map(|&tj| tj * v).collect();
+                    collected.push(&id_at[diag.clone()], &starts, a01.as_ref());
                 }
                 u01 = a01;
             }
@@ -338,297 +241,139 @@ fn rank_program(
 
         // ---- 7. Scatter L10 (z-slice + y-broadcast) -----------------------
         phase(comm, "scatter_panels");
-        let mut l10_slice = Matrix::zeros(my_l10_tiles.len() * v, ks);
-        if !my_l10_tiles.is_empty() {
-            if pj == jt {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = l10
-                            .block(0, pk2 * ks, my_l10_tiles.len() * v, ks)
-                            .to_owned();
-                        if pk2 == 0 {
-                            l10_slice = sl;
-                        } else {
-                            comm.send_f64(g.rank_of(pi, jt, pk2), TAG_L10 + step as u64, sl.data());
-                        }
-                    }
-                } else {
-                    let flat = comm.recv_f64(g.rank_of(pi, jt, 0), TAG_L10 + step as u64);
-                    l10_slice = Matrix::from_vec(my_l10_tiles.len() * v, ks, flat);
-                }
-            }
-            let mut flat = l10_slice.into_vec();
-            yrow.bcast_f64(jt, &mut flat);
-            l10_slice = Matrix::from_vec(my_l10_tiles.len() * v, ks, flat);
+        let rows = below.len();
+        let mut l10_flat = Buf::from(Vec::new());
+        if rows > 0 {
+            let tag = TAG_L10 + step as u64;
+            l10_flat = scatter_z(&net, &mut guard, (&net.yrow, jt), tag, (rows, ks), |k| {
+                l10.block(0, k * ks, rows, ks)
+            });
         }
 
         // ---- 8. Scatter U01 (z-slice + x-broadcast) -----------------------
-        let mut u01_slice = Matrix::zeros(ks, trail_len);
+        let mut u01_flat = Buf::from(Vec::new());
         if trail_len > 0 {
-            if pi == it {
-                if pk == 0 {
-                    for pk2 in (0..g.pz).rev() {
-                        let sl = u01.block(pk2 * ks, 0, ks, trail_len).to_owned();
-                        if pk2 == 0 {
-                            u01_slice = sl;
-                        } else {
-                            comm.send_f64(g.rank_of(it, pj, pk2), TAG_U01 + step as u64, sl.data());
-                        }
-                    }
-                } else {
-                    let flat = comm.recv_f64(g.rank_of(it, pj, 0), TAG_U01 + step as u64);
-                    u01_slice = Matrix::from_vec(ks, trail_len, flat);
-                }
-            }
-            let mut flat = u01_slice.into_vec();
-            xcol.bcast_f64(it, &mut flat);
-            u01_slice = Matrix::from_vec(ks, trail_len, flat);
+            let tag = TAG_U01 + step as u64;
+            u01_flat = scatter_z(
+                &net,
+                &mut guard,
+                (&net.xcol, it),
+                tag,
+                (ks, trail_len),
+                |k| u01.block(k * ks, 0, ks, trail_len),
+            );
         }
 
         // ---- 9. Layer-local partial Schur update --------------------------
+        // One GEMM straight into the trailing rows × trailing columns of
+        // the accumulator, a contiguous sub-block of the local store.
         phase(comm, "update_a11");
-        if !my_l10_tiles.is_empty() && trail_len > 0 {
-            let mut upd = Matrix::zeros(my_l10_tiles.len() * v, trail_len);
+        if rows > 0 && trail_len > 0 {
+            let trailing = acc.touch_rows(below.clone(), trail);
             gemm(
                 Trans::N,
                 Trans::N,
                 1.0,
-                l10_slice.as_ref(),
-                u01_slice.as_ref(),
-                0.0,
-                upd.as_mut(),
+                MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks),
+                MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len),
+                1.0,
+                trailing.block(below.start, 0, rows, trail_len),
             );
-            for (bi, &ti) in my_l10_tiles.iter().enumerate() {
-                for (cj, &tj) in trail_cols.iter().enumerate() {
-                    let tile = st
-                        .acc
-                        .entry((ti, tj))
-                        .or_insert_with(|| Matrix::zeros(v, v));
-                    for lr in 0..v {
-                        let urow = &upd.row(bi * v + lr)[cj * v..(cj + 1) * v];
-                        for (x, &u) in tile.row_mut(lr).iter_mut().zip(urow) {
-                            *x += u;
-                        }
-                    }
-                }
-            }
         }
     }
 
     phase_end(comm);
-    Ok((entries, id_at))
+    Ok((collected, id_at))
 }
 
-/// Physically exchange the full rows at positions `p1` and `p2` across all
-/// tile columns except the current panel column: original data on layer 0
-/// plus the accumulator on every layer. Batched: one exchange message per
-/// participating rank pair.
-#[allow(clippy::too_many_arguments)]
-fn swap_positions(
+/// The calling rank's part in exchanging the rows at two positions.
+enum Swap {
+    /// Both positions are local rows of this rank.
+    Local(usize, usize),
+    /// This rank holds one of them, at local row `lrow`, and trades it with
+    /// world rank `partner` (same process column and layer).
+    Remote { lrow: usize, partner: usize },
+}
+
+impl Swap {
+    /// What world rank `rank` does to exchange positions `p1` and `p2`
+    /// (`None`: its process row holds neither).
+    fn of(til: &Tiling, store: &TileStore, rank: usize, p1: usize, p2: usize) -> Option<Swap> {
+        let (g, v) = (til.grid, til.v);
+        let (pi, pj, pk) = g.coords(rank);
+        let (o1, o2) = ((p1 / v) % g.px, (p2 / v) % g.px);
+        let (l1, l2) = (store.local_row(p1), store.local_row(p2));
+        let remote = |lrow, o| Swap::Remote {
+            lrow,
+            partner: g.rank_of(o, pj, pk),
+        };
+        match (pi == o1, pi == o2) {
+            (true, true) => Some(Swap::Local(l1, l2)),
+            (true, false) => Some(remote(l1, o2)),
+            (false, true) => Some(remote(l2, o1)),
+            (false, false) => None,
+        }
+    }
+}
+
+/// Exchange the segments `keep` of two rows in every store of `stores`
+/// (layer 0: original data, then accumulator; other layers: accumulator).
+/// Locally the slices trade places; across ranks all segments travel as one
+/// message each way.
+fn swap_store_rows(
     comm: &Comm,
-    til: &Tiling,
-    st: &mut RankState,
-    pi: usize,
-    pj: usize,
-    pk: usize,
-    step: usize,
-    p1: usize,
-    p2: usize,
-    nonce: u64,
+    stores: &mut [&mut TileStore],
+    keep: &[Range<usize>; 2],
+    swap: &Swap,
+    tag: u64,
 ) {
-    let g = til.grid;
-    let v = til.v;
-    let (t1, r1) = (p1 / v, p1 % v);
-    let (t2, r2) = (p2 / v, p2 % v);
-    let (o1, o2) = (t1 % g.px, t2 % g.px);
-    let js: Vec<usize> = til
-        .tile_cols_of(pj)
-        .into_iter()
-        .filter(|&tj| tj != step)
-        .collect();
-    if js.is_empty() {
-        return;
-    }
-    let tag = TAG_SWAP + step as u64 * 64 + nonce;
-
-    if o1 == o2 {
-        if pi == o1 {
-            // Local swap on this rank (all layers handle their own acc;
-            // layer 0 also swaps orig).
-            for &tj in &js {
-                if pk == 0 {
-                    swap_rows_in_map(&mut st.orig, (t1, tj), r1, (t2, tj), r2, v);
-                }
-                ensure_both(&mut st.acc, (t1, tj), (t2, tj), v);
-                swap_rows_in_map(&mut st.acc, (t1, tj), r1, (t2, tj), r2, v);
-            }
-        }
-        return;
-    }
-    // Cross-rank: the owner of p1's tiles exchanges with the owner of p2's.
-    let (my_tile, my_row, partner) = if pi == o1 {
-        (t1, r1, g.rank_of(o2, pj, pk))
-    } else if pi == o2 {
-        (t2, r2, g.rank_of(o1, pj, pk))
-    } else {
-        return;
-    };
-    // Buffer layout: per tj ascending: [orig row (layer 0 only)] [acc row].
-    let mut buf = Vec::new();
-    for &tj in &js {
-        if pk == 0 {
-            let o = st.orig.get(&(my_tile, tj));
-            for c in 0..v {
-                buf.push(o.map_or(0.0, |m| m[(my_row, c)]));
-            }
-        }
-        let ac = st.acc.get(&(my_tile, tj));
-        for c in 0..v {
-            buf.push(ac.map_or(0.0, |m| m[(my_row, c)]));
-        }
-    }
-    let theirs = comm.sendrecv_f64(partner, tag, &buf);
-    let mut off = 0;
-    for &tj in &js {
-        if pk == 0 {
-            let o = st
-                .orig
-                .entry((my_tile, tj))
-                .or_insert_with(|| Matrix::zeros(v, v));
-            o.row_mut(my_row).copy_from_slice(&theirs[off..off + v]);
-            off += v;
-        }
-        let ac = st
-            .acc
-            .entry((my_tile, tj))
-            .or_insert_with(|| Matrix::zeros(v, v));
-        ac.row_mut(my_row).copy_from_slice(&theirs[off..off + v]);
-        off += v;
-    }
-}
-
-/// Swap row `r1` of tile `k1` with row `r2` of tile `k2` inside a tile map.
-/// Tiles absent from the map are treated as zero (callers materialize
-/// accumulator tiles first when both rows may be written).
-fn swap_rows_in_map(
-    map: &mut HashMap<(usize, usize), Matrix>,
-    k1: (usize, usize),
-    r1: usize,
-    k2: (usize, usize),
-    r2: usize,
-    v: usize,
-) {
-    if k1 == k2 {
-        if let Some(m) = map.get_mut(&k1) {
-            if r1 != r2 {
-                for c in 0..v {
-                    let t = m[(r1, c)];
-                    m[(r1, c)] = m[(r2, c)];
-                    m[(r2, c)] = t;
+    match *swap {
+        Swap::Local(l1, l2) => {
+            for store in stores {
+                for cols in keep {
+                    store.swap_rows(l1, l2, cols.clone());
                 }
             }
         }
-        return;
-    }
-    // Distinct tiles: temporarily remove one to satisfy the borrow checker.
-    match (map.remove(&k1), map.remove(&k2)) {
-        (Some(mut ma), Some(mut mb)) => {
-            for c in 0..v {
-                std::mem::swap(&mut ma[(r1, c)], &mut mb[(r2, c)]);
+        Swap::Remote { lrow, partner } => {
+            if keep.iter().all(|cols| cols.is_empty()) {
+                return;
             }
-            map.insert(k1, ma);
-            map.insert(k2, mb);
-        }
-        (Some(ma), None) => {
-            // k2 is implicit zeros: row r1 moves there, r1 becomes zero.
-            let mut ma = ma;
-            let mut mb = Matrix::zeros(v, v);
-            for c in 0..v {
-                mb[(r2, c)] = ma[(r1, c)];
-                ma[(r1, c)] = 0.0;
+            let mut buf = Vec::new();
+            for store in stores.iter() {
+                for cols in keep {
+                    buf.extend_from_slice(&store.row(lrow)[cols.clone()]);
+                }
             }
-            map.insert(k1, ma);
-            map.insert(k2, mb);
-        }
-        (None, Some(mb)) => {
-            let mut mb = mb;
-            let mut ma = Matrix::zeros(v, v);
-            for c in 0..v {
-                ma[(r1, c)] = mb[(r2, c)];
-                mb[(r2, c)] = 0.0;
-            }
-            map.insert(k1, ma);
-            map.insert(k2, mb);
-        }
-        (None, None) => {}
-    }
-}
-
-/// Materialize both accumulator tiles (zeros) so a swap has storage.
-fn ensure_both(
-    acc: &mut HashMap<(usize, usize), Matrix>,
-    k1: (usize, usize),
-    k2: (usize, usize),
-    v: usize,
-) {
-    acc.entry(k1).or_insert_with(|| Matrix::zeros(v, v));
-    if k2 != k1 {
-        acc.entry(k2).or_insert_with(|| Matrix::zeros(v, v));
-    }
-}
-
-/// Exchange the panel-buffer rows for positions `p1`/`p2` between the two
-/// owning panel ranks (the reduced column values travel with the row).
-#[allow(clippy::too_many_arguments)]
-fn swap_panel_rows(
-    comm: &Comm,
-    til: &Tiling,
-    my_panel_tiles: &[usize],
-    panel: &mut Matrix,
-    pi: usize,
-    jt: usize,
-    step: usize,
-    p1: usize,
-    p2: usize,
-    nonce: u64,
-    g: &Grid3,
-) {
-    let v = til.v;
-    let (t1, r1) = (p1 / v, p1 % v);
-    let (t2, r2) = (p2 / v, p2 % v);
-    let (o1, o2) = (t1 % g.px, t2 % g.px);
-    let tag = TAG_SWAP + step as u64 * 64 + nonce + 32;
-    let row_index = |tile: usize, r: usize| -> usize {
-        my_panel_tiles
-            .iter()
-            .position(|&x| x == tile)
-            .expect("panel tile owned")
-            * v
-            + r
-    };
-    if o1 == o2 {
-        if pi == o1 {
-            let (i1, i2) = (row_index(t1, r1), row_index(t2, r2));
-            if i1 != i2 {
-                for c in 0..v {
-                    let t = panel[(i1, c)];
-                    panel[(i1, c)] = panel[(i2, c)];
-                    panel[(i2, c)] = t;
+            let theirs = comm.sendrecv_f64(partner, tag, &buf);
+            let mut rest = &theirs[..];
+            for store in stores {
+                for cols in keep {
+                    let (seg, tail) = rest.split_at(cols.len());
+                    store.row_mut(lrow)[cols.clone()].copy_from_slice(seg);
+                    rest = tail;
                 }
             }
         }
-        return;
     }
-    let (my_idx, partner) = if pi == o1 {
-        (row_index(t1, r1), g.rank_of(o2, jt, 0))
-    } else if pi == o2 {
-        (row_index(t2, r2), g.rank_of(o1, jt, 0))
-    } else {
-        return;
-    };
-    let mine: Vec<f64> = panel.row(my_idx).to_vec();
-    let theirs = comm.sendrecv_f64(partner, tag, &mine);
-    panel.row_mut(my_idx).copy_from_slice(&theirs);
+}
+
+/// Exchange the panel-buffer rows of the two positions between the owning
+/// panel ranks (the reduced column values travel with the row). Panel row
+/// `i` is local row `first + i` of the stores.
+fn swap_panel_rows(comm: &Comm, panel: &mut Matrix, first: usize, swap: &Swap, tag: u64) {
+    let v = panel.cols();
+    match *swap {
+        Swap::Local(l1, l2) => {
+            let (lo, hi) = (l1.min(l2) - first, l1.max(l2) - first);
+            let (head, tail) = panel.data_mut().split_at_mut(hi * v);
+            head[lo * v..(lo + 1) * v].swap_with_slice(&mut tail[..v]);
+        }
+        Swap::Remote { lrow, partner } => {
+            let theirs = comm.sendrecv_f64(partner, tag, panel.row(lrow - first));
+            panel.row_mut(lrow - first).copy_from_slice(&theirs);
+        }
+    }
 }
 
 #[cfg(test)]

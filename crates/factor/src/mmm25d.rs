@@ -17,12 +17,18 @@
 //! local `gemm`, so the shift exchanges travel while the multiply runs.
 //! Results and per-rank communication volume are identical to the blocking
 //! schedule ([`Mmm25dConfig::blocking`]); only the timing differs.
+//!
+//! Storage: a rank holds its share of `A(·,K)` as the `(rows)×v` panel it
+//! broadcasts, its share of `B(K,·)` as the `v×(cols)` panel it broadcasts,
+//! and its share of `C` as one dense local matrix (tile `(I, J)` at local
+//! tile position `(I / Px, J / Py)`, as in [`crate::common`]), collected as
+//! one block. A SUMMA step is therefore one `gemm` of the two received
+//! panels into `C`, and the z-reduction sums `C`'s storage in place.
 
-use crate::common::{phase, phase_end, pick_grid_and_block};
+use crate::common::{phase, phase_end, pick_grid_and_block, Collected};
 use dense::gemm::{gemm, Trans};
 use dense::matrix::MatRef;
 use dense::Matrix;
-use std::collections::HashMap;
 use xmpi::{Comm, Grid3, WorldStats};
 
 /// Configuration of a 2.5D multiplication.
@@ -102,18 +108,8 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     // socket mesh when the socket backend is ambient.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
     let c = cfg.collect.then(|| {
-        let mut c = Matrix::zeros(cfg.n, cfg.n);
-        let v = cfg.v;
-        for tiles in &out.results {
-            for (&(ti, tj), tile) in tiles {
-                for r in 0..v {
-                    for cc in 0..v {
-                        c[(ti * v + r, tj * v + cc)] = tile[(r, cc)];
-                    }
-                }
-            }
-        }
-        c
+        let identity: Vec<usize> = (0..cfg.n).collect();
+        Collected::assemble(cfg.n, &identity, &out.results)
     });
     MmmOutput {
         c,
@@ -121,76 +117,59 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     }
 }
 
-type TileMap = HashMap<(usize, usize), Matrix>;
-
-fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> TileMap {
-    let g = cfg.grid;
-    let v = cfg.v;
-    let nt = cfg.n / v;
+/// One rank's program; returns its share of `C` (layer 0 of a collecting
+/// run) or nothing.
+fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Collected {
+    let (g, v, nt) = (cfg.grid, cfg.v, cfg.n / cfg.v);
     let (pi, pj, pk) = g.coords(comm.rank());
 
     let yrow = comm.subcomm(1, &g.y_members(pi, pk)); // fixed (pi, pk), local = pj
     let xcol = comm.subcomm(2, &g.x_members(pj, pk)); // fixed (pj, pk), local = pi
     let zfib = comm.subcomm(3, &g.z_members(pi, pj)); // fixed (pi, pj), local = pk
 
-    // Layer pk owns inner-dimension tile steps K ≡ pk (mod pz) — staged in
-    // place, the already-distributed convention.
+    // Layer pk owns inner-dimension tile steps K ≡ pk (mod pz).
     let my_ks: Vec<usize> = (pk..nt).step_by(g.pz).collect();
-    let mut a_tiles: TileMap = HashMap::new();
-    let mut b_tiles: TileMap = HashMap::new();
-    for &k in &my_ks {
-        for ti in (pi..nt).step_by(g.px) {
-            if k % g.py == pj {
-                a_tiles.insert((ti, k), a.block(ti * v, k * v, v, v).to_owned());
-            }
-        }
-        for tj in (pj..nt).step_by(g.py) {
-            if k % g.px == pi {
-                b_tiles.insert((k, tj), b.block(k * v, tj * v, v, v).to_owned());
-            }
-        }
-    }
-
-    // Layer-local partial products for the C tiles this 2D position owns.
     let my_tis: Vec<usize> = (pi..nt).step_by(g.px).collect();
     let my_tjs: Vec<usize> = (pj..nt).step_by(g.py).collect();
-    let mut c_tiles: TileMap = HashMap::new();
-    for &ti in &my_tis {
-        for &tj in &my_tjs {
-            c_tiles.insert((ti, tj), Matrix::zeros(v, v));
-        }
-    }
+    let (rows, cols) = (my_tis.len() * v, my_tjs.len() * v);
 
-    // Packs this rank's share of `A(·, k)` / `B(k, ·)` for the SUMMA
-    // broadcasts (empty on non-root ranks).
+    // This rank's share of `A(·, k)` / `B(k, ·)`, packed as the panel the
+    // SUMMA broadcast carries — staged in place, the already-distributed
+    // convention; empty where another rank is the step's root. Each is
+    // broadcast once, so posting moves it out.
     let pack_a = |k: usize| -> Vec<f64> {
+        let mut panel = Vec::new();
         if pj == k % g.py {
-            let mut buf = Vec::with_capacity(my_tis.len() * v * v);
-            for &ti in &my_tis {
-                buf.extend_from_slice(a_tiles[&(ti, k)].data());
+            for r in my_tis.iter().flat_map(|&ti| ti * v..(ti + 1) * v) {
+                panel.extend_from_slice(&a.row(r)[k * v..(k + 1) * v]);
             }
-            buf
-        } else {
-            Vec::new()
         }
+        panel
     };
     let pack_b = |k: usize| -> Vec<f64> {
+        let mut panel = Vec::new();
         if pi == k % g.px {
-            let mut buf = Vec::with_capacity(my_tjs.len() * v * v);
-            for &tj in &my_tjs {
-                buf.extend_from_slice(b_tiles[&(k, tj)].data());
+            for r in k * v..(k + 1) * v {
+                for &tj in &my_tjs {
+                    panel.extend_from_slice(&b.row(r)[tj * v..(tj + 1) * v]);
+                }
             }
-            buf
-        } else {
-            Vec::new()
         }
+        panel
     };
-    // Posts step `k`'s pair of broadcasts nonblocking; `seq` is the step's
+    let panels: Vec<_> = my_ks.iter().map(|&k| (pack_a(k), pack_b(k))).collect();
+    let mut panels = panels.into_iter();
+    let mut next_panels = move || panels.next().expect("one panel pair per step");
+
+    // Layer-local partial product for the C tiles this 2D position owns.
+    let mut c = Matrix::zeros(rows, cols);
+
+    // Posts step `idx`'s pair of broadcasts nonblocking; `idx` is the step's
     // index within this layer, keeping consecutive trees on distinct tags.
-    let post = |idx: usize| {
+    let post = |idx: usize, (a_panel, b_panel): (Vec<f64>, Vec<f64>)| {
         let k = my_ks[idx];
-        let areq = yrow.ibcast_f64(k % g.py, idx as u64, pack_a(k));
-        let breq = xcol.ibcast_f64(k % g.px, idx as u64, pack_b(k));
+        let areq = yrow.ibcast_f64(k % g.py, idx as u64, a_panel);
+        let breq = xcol.ibcast_f64(k % g.px, idx as u64, b_panel);
         (areq, breq)
     };
 
@@ -198,7 +177,7 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Tile
     // is on: step idx+1's broadcasts are in flight during step idx's gemm.
     let mut inflight = if cfg.lookahead && !my_ks.is_empty() {
         phase(comm, "summa_bcast");
-        Some(post(0))
+        Some(post(0, next_panels()))
     } else {
         None
     };
@@ -212,55 +191,41 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Tile
             None => {
                 // A(·, k): owner column k mod py broadcasts along rows;
                 // B(k, ·): owner row k mod px broadcasts along columns.
-                let abuf = yrow.bcast_buf_f64(k % g.py, pack_a(k));
-                let bbuf = xcol.bcast_buf_f64(k % g.px, pack_b(k));
+                let (a_panel, b_panel) = next_panels();
+                let abuf = yrow.bcast_buf_f64(k % g.py, a_panel);
+                let bbuf = xcol.bcast_buf_f64(k % g.px, b_panel);
                 (abuf, bbuf)
             }
         };
         if cfg.lookahead && idx + 1 < my_ks.len() {
-            inflight = Some(post(idx + 1));
+            inflight = Some(post(idx + 1, next_panels()));
         }
 
         phase(comm, "local_gemm");
-        let astride = MatRef::from_slice(&abuf, my_tis.len() * v, v, v);
-        let bwide = MatRef::from_slice(&bbuf, my_tjs.len() * v, v, v); // row-block packed
-        for (ii, &ti) in my_tis.iter().enumerate() {
-            let ablk = astride.block(ii * v, 0, v, v);
-            for (jj, &tj) in my_tjs.iter().enumerate() {
-                let bblk = bwide.block(jj * v, 0, v, v);
-                let tile = c_tiles.get_mut(&(ti, tj)).expect("owned tile");
-                gemm(Trans::N, Trans::N, 1.0, ablk, bblk, 1.0, tile.as_mut());
-            }
-        }
+        gemm(
+            Trans::N,
+            Trans::N,
+            1.0,
+            MatRef::from_slice(&abuf, rows, v, v),
+            MatRef::from_slice(&bbuf, v, cols, cols),
+            1.0,
+            c.as_mut(),
+        );
     }
 
     // z-reduction of the partial C onto layer 0.
     phase(comm, "c_reduce");
     if g.pz > 1 {
-        let mut buf = Vec::with_capacity(my_tis.len() * my_tjs.len() * v * v);
-        for &ti in &my_tis {
-            for &tj in &my_tjs {
-                buf.extend_from_slice(c_tiles[&(ti, tj)].data());
-            }
-        }
-        zfib.reduce_sum_f64(0, &mut buf);
-        if pk == 0 {
-            let mut off = 0;
-            for &ti in &my_tis {
-                for &tj in &my_tjs {
-                    let tile = c_tiles.get_mut(&(ti, tj)).expect("owned tile");
-                    tile.data_mut().copy_from_slice(&buf[off..off + v * v]);
-                    off += v * v;
-                }
-            }
-        }
+        zfib.reduce_sum_f64(0, c.data_mut());
     }
     phase_end(comm);
+    let mut share = Collected::default();
     if pk == 0 && cfg.collect {
-        c_tiles
-    } else {
-        TileMap::new()
+        let rows: Vec<usize> = my_tis.iter().flat_map(|&ti| ti * v..(ti + 1) * v).collect();
+        let starts: Vec<usize> = my_tjs.iter().map(|&tj| tj * v).collect();
+        share.push(&rows, &starts, c.as_ref());
     }
+    share
 }
 
 #[cfg(test)]

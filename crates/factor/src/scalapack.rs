@@ -10,7 +10,7 @@
 //! coordinates* with an explicit permutation (COnfLUX's row masking never
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
-use crate::common::{phase, phase_end, Entry, State, TileStore, Tiling};
+use crate::common::{phase, phase_end, split_results, Collected, State, TileStore, Tiling};
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
 use crate::ft::Guard;
@@ -34,12 +34,6 @@ pub struct ScalapackOutput {
     pub stats: WorldStats,
 }
 
-/// The layer-0 tile layout of a 2.5D configuration, as a block-cyclic
-/// descriptor over the first `px·py` world ranks.
-fn tile_desc(n: usize, v: usize, px: usize, py: usize) -> BlockCyclic {
-    BlockCyclic::new(n, n, v, v, Grid2::new(px, py))
-}
-
 /// ScaLAPACK-style LU: factor a matrix distributed in `user_desc` with
 /// COnfLUX and return the factor in `user_desc` again.
 ///
@@ -56,41 +50,11 @@ pub fn pdgetrf(
     a: &Matrix,
     cfg: &ConfluxConfig,
 ) -> Result<ScalapackOutput, Error> {
-    assert_eq!(user_desc.m, cfg.n, "descriptor extent mismatch");
-    assert_eq!(user_desc.n, cfg.n, "descriptor extent mismatch");
-    assert_eq!(
-        user_desc.nprocs(),
-        cfg.grid.size(),
-        "user layout must span the whole machine"
-    );
-    assert!(
-        cfg.collect,
-        "the wrapper must collect entries to return the factor"
-    );
-    let tdesc = tile_desc(cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let out = xmpi::run(cfg.grid.size(), |comm| -> Result<_, Error> {
-        // 1. The caller's shard is pre-existing state (unmeasured).
-        let mine = DistMatrix::from_global(user_desc, user_desc.grid.coords(comm.rank()), a);
-        // 2. Stage onto the layer-0 tile layout (measured).
-        phase(comm, "staging_in");
-        let staged = redistribute_subset(comm, Some(&mine), tdesc);
-        let tiles = shard_to_tiles(comm, &til, staged, false);
-        // 3. Factor.
-        let mut guard = Guard::new(false);
-        let fresh = State::fresh(&til, comm.rank(), false);
-        let done = conflux::rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        let (entries, perm) = (done.entries, done.perm);
-        // 4. Route factor entries to the pivoted tile layout (measured).
-        phase(comm, "staging_out");
-        let pivoted = entries_to_shard(comm, cfg.n, tdesc, &perm, entries);
-        // 5. Back to the caller's layout (measured).
-        let back = redistribute_subset(comm, pivoted.as_ref(), user_desc)
-            .expect("user layout covers every rank");
-        phase_end(comm);
-        Ok((back, perm))
-    });
-    collect(out)
+    let factor = |comm: &Comm, tiles: TileStore, state: State| {
+        conflux::rank_program(comm, cfg, tiles, &mut Guard::new(false), state, None)
+    };
+    wrapped(user_desc, a, til, cfg.collect, false, factor)
 }
 
 /// ScaLAPACK-style Cholesky: factor an SPD matrix distributed in
@@ -106,52 +70,62 @@ pub fn pdpotrf(
     a: &Matrix,
     cfg: &ConfchoxConfig,
 ) -> Result<ScalapackOutput, Error> {
-    assert_eq!(user_desc.m, cfg.n, "descriptor extent mismatch");
-    assert_eq!(user_desc.n, cfg.n, "descriptor extent mismatch");
+    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
+    // Only the lower-triangular tiles are COnfCHOX's storage.
+    let factor = |comm: &Comm, tiles: TileStore, state: State| {
+        confchox::rank_program(comm, cfg, tiles, &mut Guard::new(false), state, None)
+    };
+    wrapped(user_desc, a, til, cfg.collect, true, factor)
+}
+
+/// The pipeline both entry points share, around `factor` — a plain rank
+/// program bound to its configuration. `lower_only` is the shape of the
+/// program's tile stores; a lower-only (Cholesky) run has no pivoting, so
+/// its permutation is the identity.
+fn wrapped(
+    user_desc: BlockCyclic,
+    a: &Matrix,
+    til: Tiling,
+    collect: bool,
+    lower_only: bool,
+    factor: impl Fn(&Comm, TileStore, State) -> Result<State, Error> + Sync,
+) -> Result<ScalapackOutput, Error> {
+    let (n, grid) = (til.n, til.grid);
+    assert_eq!(user_desc.m, n, "descriptor extent mismatch");
+    assert_eq!(user_desc.n, n, "descriptor extent mismatch");
     assert_eq!(
         user_desc.nprocs(),
-        cfg.grid.size(),
+        grid.size(),
         "user layout must span the whole machine"
     );
-    assert!(
-        cfg.collect,
-        "the wrapper must collect entries to return the factor"
-    );
-    let tdesc = tile_desc(cfg.n, cfg.v, cfg.grid.px, cfg.grid.py);
-    let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let identity: Vec<usize> = (0..cfg.n).collect();
-    let out = xmpi::run(cfg.grid.size(), |comm| -> Result<_, Error> {
+    assert!(collect, "the wrapper must collect the factor to return it");
+    // The layer-0 tile layout, as a block-cyclic descriptor over the first
+    // `px·py` world ranks.
+    let tdesc = BlockCyclic::new(n, n, til.v, til.v, Grid2::new(grid.px, grid.py));
+    let out = xmpi::run(grid.size(), |comm| -> Result<_, Error> {
+        // 1. The caller's shard is pre-existing state (unmeasured).
         let mine = DistMatrix::from_global(user_desc, user_desc.grid.coords(comm.rank()), a);
+        // 2. Stage onto the layer-0 tile layout (measured).
         phase(comm, "staging_in");
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
-        // Only the lower-triangular tiles are COnfCHOX's storage.
-        let tiles = shard_to_tiles(comm, &til, staged, true);
-        let mut guard = Guard::new(false);
-        let fresh = State::fresh(&til, comm.rank(), true);
-        let done = confchox::rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        let entries = done.entries;
+        let tiles = shard_to_tiles(comm, &til, staged, lower_only);
+        // 3. Factor.
+        let done = factor(comm, tiles, State::fresh(&til, comm.rank(), lower_only))?;
+        let perm = if lower_only {
+            (0..n).collect()
+        } else {
+            done.perm
+        };
+        // 4. Route factor elements to the pivoted tile layout (measured).
         phase(comm, "staging_out");
-        let pivoted = entries_to_shard(comm, cfg.n, tdesc, &identity, entries);
+        let pivoted = collected_to_shard(comm, n, tdesc, &perm, &done.collected);
+        // 5. Back to the caller's layout (measured).
         let back = redistribute_subset(comm, pivoted.as_ref(), user_desc)
             .expect("user layout covers every rank");
         phase_end(comm);
-        Ok((back, identity.clone()))
+        Ok((back, perm))
     });
-    collect(out)
-}
-
-fn collect(
-    out: xmpi::WorldResult<Result<(DistMatrix, Vec<usize>), Error>>,
-) -> Result<ScalapackOutput, Error> {
-    let mut shards = Vec::new();
-    let mut perm = Vec::new();
-    for (rank, res) in out.results.into_iter().enumerate() {
-        let (shard, rank_perm) = res?;
-        if rank == 0 {
-            perm = rank_perm;
-        }
-        shards.push(shard);
-    }
+    let (shards, perm) = split_results(out.results)?;
     Ok(ScalapackOutput {
         shards,
         perm,
@@ -185,17 +159,18 @@ fn shard_to_tiles(
     })
 }
 
-/// Route factor entries — `(original row, col, value)` triples scattered
-/// across the machine — into a layer-0 shard of the *pivoted* matrix:
-/// each entry's pivoted row decides its tile owner; triples travel
-/// point-to-point (measured; this is the factor-writeback cost of a
-/// wrapper, `O(N²/P)` per rank with a 3x header overhead).
-fn entries_to_shard(
+/// Route collected factor elements — scattered across the machine under
+/// their *original* row ids — into a layer-0 shard of the *pivoted* matrix:
+/// each element's pivoted row decides its tile owner; `(pivoted row, col)`
+/// pairs and values travel point-to-point (measured; this is the
+/// factor-writeback cost of a wrapper, `O(N²/P)` per rank with a 3x header
+/// overhead).
+fn collected_to_shard(
     comm: &Comm,
     n: usize,
     tdesc: BlockCyclic,
     perm: &[usize],
-    entries: Vec<Entry>,
+    collected: &Collected,
 ) -> Option<DistMatrix> {
     let p = comm.size();
     let me = comm.rank();
@@ -207,13 +182,13 @@ fn entries_to_shard(
     // Bucket per destination: indices (pivoted row, col) and values.
     let mut idx: Vec<Vec<u64>> = vec![Vec::new(); q];
     let mut val: Vec<Vec<f64>> = vec![Vec::new(); q];
-    for (r, c, x) in entries {
-        let s = pos[r as usize];
+    collected.for_each(|r, c, x| {
+        let s = pos[r];
         debug_assert!(s != usize::MAX, "factor row missing from perm");
-        let dst = tdesc.owner(s, c as usize);
+        let dst = tdesc.owner(s, c);
         idx[dst].extend_from_slice(&[s as u64, c as u64]);
         val[dst].push(x);
-    }
+    });
     for dst in 0..q {
         if dst == me {
             continue;

@@ -13,12 +13,23 @@
 //!   broadcast along process columns, local rank-`nb` update.
 //!
 //! Per-rank volume scales as `N²/√P` — the 2D wall the 2.5D schedules break.
+//!
+//! A rank's shard is the dense local matrix of a [`DistMatrix`], and every
+//! step works on sub-blocks of it: the owned rows with global index `≥ i`
+//! are the local suffix starting at `numroc(i, nb, pi, Pr)`, likewise for
+//! columns. Pivot search and elimination run over local row slices, the
+//! panel solves are `trsm` in place, panels are packed by block copy, and a
+//! trailing update is one `gemm` (`α = −1`, `β = 1`) on the trailing
+//! sub-block — the discipline of the 2.5D stores in [`crate::common`], so a
+//! wall-clock comparison between the schedules compares schedules.
 
-use crate::common::{phase, phase_end};
+use crate::common::{check_shape, phase, phase_end, split_results};
+use crate::confchox::shift_err;
 use dense::gemm::{gemm, Trans};
 use dense::potrf::potrf_unblocked;
 use dense::trsm::{trsm, Diag, Side, Uplo};
-use dense::{Error, Matrix};
+use dense::{Error, MatRef, Matrix};
+use layout::desc::numroc;
 use layout::{BlockCyclic, DistMatrix};
 use xmpi::{Comm, Grid2, WorldStats};
 
@@ -85,24 +96,13 @@ pub struct TwodLuOutput {
 /// ScaLAPACK-style 2D LU with partial pivoting.
 ///
 /// # Errors
-/// If a pivot column is exactly zero.
-///
-/// # Panics
-/// If `a` is not `n × n`.
+/// [`Error::ShapeMismatch`] if `a` is not `n × n`; [`Error::SingularAt`] if
+/// a pivot column is exactly zero.
 pub fn twod_lu(cfg: &TwodConfig, a: &Matrix) -> Result<TwodLuOutput, Error> {
-    assert_eq!(a.rows(), cfg.n);
-    assert_eq!(a.cols(), cfg.n);
+    check_shape(a, cfg.n)?;
     let desc = BlockCyclic::new(cfg.n, cfg.n, cfg.nb, cfg.nb, cfg.grid);
     let out = xmpi::run(cfg.grid.size(), |comm| lu_rank(comm, cfg, desc, a));
-    let mut shards = Vec::new();
-    let mut ipiv = Vec::new();
-    for (rank, res) in out.results.into_iter().enumerate() {
-        let (shard, rank_ipiv) = res?;
-        if rank == 0 {
-            ipiv = rank_ipiv;
-        }
-        shards.push(shard);
-    }
+    let (shards, ipiv) = split_results(out.results)?;
     let packed = cfg.collect.then(|| layout::dist::assemble(&desc, &shards));
     Ok(TwodLuOutput {
         ipiv,
@@ -111,7 +111,11 @@ pub fn twod_lu(cfg: &TwodConfig, a: &Matrix) -> Result<TwodLuOutput, Error> {
     })
 }
 
-#[allow(clippy::type_complexity)]
+/// The block `rows × cols` of `m` at `(r0, c0)`, packed row-major.
+fn pack(m: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Vec<f64> {
+    m.block(r0, c0, rows, cols).to_owned().into_vec()
+}
+
 fn lu_rank(
     comm: &Comm,
     cfg: &TwodConfig,
@@ -120,10 +124,13 @@ fn lu_rank(
 ) -> Result<(DistMatrix, Vec<usize>), Error> {
     let g = cfg.grid;
     let (pi, pj) = g.coords(comm.rank());
-    let n = cfg.n;
-    let nb = cfg.nb;
+    let (n, nb) = (cfg.n, cfg.nb);
     let mut m = DistMatrix::from_global(desc, (pi, pj), a);
     let mut ipiv: Vec<usize> = Vec::with_capacity(n);
+    // My rows (columns) with global index ≥ `i` are the local suffix from here.
+    let lrow_from = |i: usize| numroc(i, nb, pi, g.rows);
+    let lcol_from = |j: usize| numroc(j, nb, pj, g.cols);
+    let (lrows, lcols) = (m.local.rows(), m.local.cols());
 
     // Static sub-communicators: my process row and my process column.
     let rowc = comm.subcomm(1, &g.row_members(pi)); // local rank = pj
@@ -136,20 +143,26 @@ fn lu_rank(
         let pcol = (k0 / nb) % g.cols; // process column owning the panel
         let prow = (k0 / nb) % g.rows; // process row owning the U block row
 
+        // Local offsets of the panel (on its owners: of row/column `k0`
+        // itself) and of the trailing matrix.
+        let (r0, c0) = (lrow_from(k0), lcol_from(k0));
+        let (r1, c1) = (lrow_from(end), lcol_from(end));
+        let (nrows, ncols) = (lrows - r1, lcols - c1);
+
         // ---- Panel factorization with partial pivoting ------------------
         phase(comm, "panel");
         for j in k0..end {
-            // Pivot search over the owning process column.
-            let mut piv_row = j;
+            // Column `j` and the rest of the panel right of it, locally.
+            let panel = c0 + (j - k0)..c0 + kb;
+            // Pivot search over the owning process column; `-1` stands for
+            // "the column is exactly zero".
+            let mut piv = vec![j as f64];
             if pj == pcol {
                 let (mut best, mut best_row) = (f64::NEG_INFINITY, j);
-                for r in j..n {
-                    if m.owns(r, j) {
-                        let val = m.get_global(r, j).abs();
-                        if val > best {
-                            best = val;
-                            best_row = r;
-                        }
+                for l in lrow_from(j)..lrows {
+                    let val = m.local.row(l)[panel.start].abs();
+                    if val > best {
+                        (best, best_row) = (val, desc.row_l2g(pi, l));
                     }
                 }
                 // All-gather candidates over the process column; every
@@ -162,21 +175,16 @@ fn lu_rank(
                         grow = c[1] as usize;
                     }
                 }
-                piv_row = if gbest == 0.0 { usize::MAX } else { grow };
+                piv[0] = if gbest == 0.0 { -1.0 } else { grow as f64 };
             }
             // Propagate the pivot to every process column (pivot metadata
-            // broadcast along process rows); a singular column is signalled
-            // as a negative sentinel so every rank aborts together.
-            let mut pbuf = vec![if piv_row == usize::MAX {
-                -1.0
-            } else {
-                piv_row as f64
-            }];
-            rowc.bcast_f64(pcol, &mut pbuf);
-            if pbuf[0] < 0.0 {
+            // broadcast along process rows), so a singular column makes
+            // every rank abort together.
+            rowc.bcast_f64(pcol, &mut piv);
+            if piv[0] < 0.0 {
                 return Err(Error::SingularAt(j));
             }
-            piv_row = pbuf[0] as usize;
+            let piv_row = piv[0] as usize;
             ipiv.push(piv_row);
 
             // Full-row swap j ↔ piv_row in every process column.
@@ -187,23 +195,19 @@ fn lu_rank(
             // Broadcast the pivot row's panel segment (cols j..end) plus the
             // pivot value down the owning process column, then eliminate.
             if pj == pcol {
-                let (owner_pi, _) = desc.row_g2l(j);
-                let mut seg: Vec<f64> = if owner_pi == pi {
-                    (j..end).map(|c| m.get_global(j, c)).collect()
-                } else {
-                    Vec::new()
-                };
+                let (owner_pi, lj) = desc.row_g2l(j);
+                let mut seg = Vec::new();
+                if owner_pi == pi {
+                    seg = m.local.row(lj)[panel.clone()].to_vec();
+                }
                 colc.bcast_f64(owner_pi, &mut seg);
                 let ajj = seg[0];
-                for r in j + 1..n {
-                    if !m.owns(r, j) {
-                        continue;
-                    }
-                    let l = m.get_global(r, j) / ajj;
-                    m.set_global(r, j, l);
-                    for (ci, c) in (j + 1..end).enumerate() {
-                        let cur = m.get_global(r, c);
-                        m.set_global(r, c, cur - l * seg[ci + 1]);
+                for l in lrow_from(j + 1)..lrows {
+                    let row = &mut m.local.row_mut(l)[panel.clone()];
+                    let lval = row[0] / ajj;
+                    row[0] = lval;
+                    for (x, u) in row[1..].iter_mut().zip(&seg[1..]) {
+                        *x -= lval * u;
                     }
                 }
             }
@@ -218,90 +222,52 @@ fn lu_rank(
         if pi == prow {
             let mut l00 = vec![0.0; kb * kb];
             if pj == pcol {
-                for r in 0..kb {
-                    for c in 0..kb {
-                        l00[r * kb + c] = m.get_global(k0 + r, k0 + c);
-                    }
-                }
+                l00 = pack(&m.local, r0, c0, kb, kb);
             }
             rowc.bcast_f64(pcol, &mut l00);
-            let l00m = Matrix::from_vec(kb, kb, l00);
-            // My trailing columns in the U block row.
-            let my_cols: Vec<usize> = (end..n)
-                .filter(|&c| {
-                    let (pc, _) = desc.col_g2l(c);
-                    pc == pj
-                })
-                .collect();
-            if !my_cols.is_empty() {
-                let mut u12 =
-                    Matrix::from_fn(kb, my_cols.len(), |r, ci| m.get_global(k0 + r, my_cols[ci]));
+            // My trailing columns of the U block row, in place.
+            if ncols > 0 {
                 trsm(
                     Side::Left,
                     Uplo::Lower,
                     Trans::N,
                     Diag::Unit,
                     1.0,
-                    l00m.as_ref(),
-                    u12.as_mut(),
+                    MatRef::from_slice(&l00, kb, kb, kb),
+                    m.local.block_mut(r0, c1, kb, ncols),
                 );
-                for (ci, &c) in my_cols.iter().enumerate() {
-                    for r in 0..kb {
-                        m.set_global(k0 + r, c, u12[(r, ci)]);
-                    }
-                }
             }
         }
 
         // ---- Broadcast panels, rank-kb trailing update -------------------
         phase(comm, "update");
-        let my_rows: Vec<usize> = (end..n).filter(|&r| desc.row_g2l(r).0 == pi).collect();
-        let my_cols: Vec<usize> = (end..n).filter(|&c| desc.col_g2l(c).0 == pj).collect();
-
         // L panel rows ≡ pi travel along the process row from pcol.
         let mut lbuf: Vec<f64> = Vec::new();
-        if !my_rows.is_empty() {
+        if nrows > 0 {
             if pj == pcol {
-                for &r in &my_rows {
-                    for c in k0..end {
-                        lbuf.push(m.get_global(r, c));
-                    }
-                }
+                lbuf = pack(&m.local, r1, c0, nrows, kb);
             }
             rowc.bcast_f64(pcol, &mut lbuf);
         }
         // U block-row columns ≡ pj travel down the process column from prow.
         let mut ubuf: Vec<f64> = Vec::new();
-        if !my_cols.is_empty() {
+        if ncols > 0 {
             if pi == prow {
-                for r in k0..end {
-                    for &c in &my_cols {
-                        ubuf.push(m.get_global(r, c));
-                    }
-                }
+                ubuf = pack(&m.local, r0, c1, kb, ncols);
             }
             colc.bcast_f64(prow, &mut ubuf);
         }
 
-        if !my_rows.is_empty() && !my_cols.is_empty() {
-            let l = Matrix::from_vec(my_rows.len(), kb, lbuf);
-            let u = Matrix::from_vec(kb, my_cols.len(), ubuf);
-            let mut upd = Matrix::zeros(my_rows.len(), my_cols.len());
+        if nrows > 0 && ncols > 0 {
             gemm(
                 Trans::N,
                 Trans::N,
+                -1.0,
+                MatRef::from_slice(&lbuf, nrows, kb, kb),
+                MatRef::from_slice(&ubuf, kb, ncols, ncols),
                 1.0,
-                l.as_ref(),
-                u.as_ref(),
-                0.0,
-                upd.as_mut(),
+                m.local.block_mut(r1, c1, nrows, ncols),
             );
-            for (ri, &r) in my_rows.iter().enumerate() {
-                for (ci, &c) in my_cols.iter().enumerate() {
-                    let cur = m.get_global(r, c);
-                    m.set_global(r, c, cur - upd[(ri, ci)]);
-                }
-            }
         }
 
         k0 = end;
@@ -319,27 +285,20 @@ fn swap_rows_dist(comm: &Comm, g: &Grid2, m: &mut DistMatrix, r1: usize, r2: usi
     let (pi, pj) = m.coords;
     if p1 == p2 {
         if pi == p1 {
-            for c in 0..m.local.cols() {
-                let t = m.local[(l1, c)];
-                m.local[(l1, c)] = m.local[(l2, c)];
-                m.local[(l2, c)] = t;
-            }
+            let (cols, lo, hi) = (m.local.cols(), l1.min(l2), l1.max(l2));
+            let (head, tail) = m.local.data_mut().split_at_mut(hi * cols);
+            head[lo * cols..(lo + 1) * cols].swap_with_slice(&mut tail[..cols]);
         }
         return;
     }
-    if pi == p1 {
-        let mine: Vec<f64> = m.local.row(l1).to_vec();
-        let partner = g.rank_of(p2, pj);
-        comm.send_f64(partner, TAG_SWAP, &mine);
-        let theirs = comm.recv_f64(partner, TAG_SWAP);
-        m.local.row_mut(l1).copy_from_slice(&theirs);
-    } else if pi == p2 {
-        let mine: Vec<f64> = m.local.row(l2).to_vec();
-        let partner = g.rank_of(p1, pj);
-        comm.send_f64(partner, TAG_SWAP, &mine);
-        let theirs = comm.recv_f64(partner, TAG_SWAP);
-        m.local.row_mut(l2).copy_from_slice(&theirs);
-    }
+    let (mine, partner) = match (pi == p1, pi == p2) {
+        (true, _) => (l1, g.rank_of(p2, pj)),
+        (_, true) => (l2, g.rank_of(p1, pj)),
+        _ => return,
+    };
+    comm.send_f64(partner, TAG_SWAP, m.local.row(mine));
+    let theirs = comm.recv_f64(partner, TAG_SWAP);
+    m.local.row_mut(mine).copy_from_slice(&theirs);
 }
 
 /// Output of the 2D Cholesky baseline.
@@ -353,19 +312,13 @@ pub struct TwodCholOutput {
 /// ScaLAPACK-style 2D right-looking Cholesky (lower).
 ///
 /// # Errors
+/// [`Error::ShapeMismatch`] if `a` is not `n × n`;
 /// [`Error::NotPositiveDefinite`] if a leading minor is not positive.
-///
-/// # Panics
-/// If `a` is not `n × n`.
 pub fn twod_cholesky(cfg: &TwodConfig, a: &Matrix) -> Result<TwodCholOutput, Error> {
-    assert_eq!(a.rows(), cfg.n);
-    assert_eq!(a.cols(), cfg.n);
+    check_shape(a, cfg.n)?;
     let desc = BlockCyclic::new(cfg.n, cfg.n, cfg.nb, cfg.nb, cfg.grid);
     let out = xmpi::run(cfg.grid.size(), |comm| chol_rank(comm, cfg, desc, a));
-    let mut shards = Vec::new();
-    for res in out.results {
-        shards.push(res?);
-    }
+    let shards = out.results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let l = cfg.collect.then(|| {
         let full = layout::dist::assemble(&desc, &shards);
         // Zero the strictly-upper garbage for a clean factor.
@@ -385,9 +338,9 @@ fn chol_rank(
 ) -> Result<DistMatrix, Error> {
     let g = cfg.grid;
     let (pi, pj) = g.coords(comm.rank());
-    let n = cfg.n;
-    let nb = cfg.nb;
+    let (n, nb) = (cfg.n, cfg.nb);
     let mut m = DistMatrix::from_global(desc, (pi, pj), a);
+    let (lrows, lcols) = (m.local.rows(), m.local.cols());
 
     let rowc = comm.subcomm(1, &g.row_members(pi));
     let colc = comm.subcomm(2, &g.col_members(pj));
@@ -398,31 +351,20 @@ fn chol_rank(
         let end = k0 + kb;
         let pcol = (k0 / nb) % g.cols;
         let prow = (k0 / nb) % g.rows;
+        // Local offsets of the diagonal block (on its owners) and of the
+        // trailing matrix: my rows/columns ≥ `end` are a local suffix.
+        let (r0, c0) = (numroc(k0, nb, pi, g.rows), numroc(k0, nb, pj, g.cols));
+        let (r1, c1) = (numroc(end, nb, pi, g.rows), numroc(end, nb, pj, g.cols));
+        let (nrows, ncols) = (lrows - r1, lcols - c1);
 
         // ---- Diagonal block factorization --------------------------------
         phase(comm, "panel");
         let mut l00 = vec![0.0; kb * kb];
         let mut potrf_err: Option<Error> = None;
         if pi == prow && pj == pcol {
-            for r in 0..kb {
-                for c in 0..kb {
-                    l00[r * kb + c] = m.get_global(k0 + r, k0 + c);
-                }
-            }
-            let mut d = Matrix::from_vec(kb, kb, l00.clone());
-            match potrf_unblocked(d.as_mut()) {
-                Ok(()) => {
-                    for r in 0..kb {
-                        for c in 0..kb {
-                            m.set_global(k0 + r, k0 + c, d[(r, c)]);
-                        }
-                    }
-                    l00 = d.into_vec();
-                }
-                Err(Error::NotPositiveDefinite(k)) => {
-                    potrf_err = Some(Error::NotPositiveDefinite(k + k0));
-                }
-                Err(other) => potrf_err = Some(other),
+            match potrf_unblocked(m.local.block_mut(r0, c0, kb, kb)) {
+                Ok(()) => l00 = pack(&m.local, r0, c0, kb, kb),
+                Err(e) => potrf_err = Some(shift_err(e, k0)),
             }
         }
         // Status word to all ranks so an indefinite block aborts cleanly.
@@ -440,38 +382,26 @@ fn chol_rank(
         }
 
         // ---- Panel solve: L10 = A10·L00⁻ᵀ on the owning process column ---
-        let my_rows: Vec<usize> = (end..n).filter(|&r| desc.row_g2l(r).0 == pi).collect();
-        let mut lpanel = Matrix::zeros(0, kb);
-        if pj == pcol && !my_rows.is_empty() {
-            let l00m = Matrix::from_vec(kb, kb, l00.clone());
-            let mut p =
-                Matrix::from_fn(my_rows.len(), kb, |ri, c| m.get_global(my_rows[ri], k0 + c));
+        if pj == pcol && nrows > 0 {
             trsm(
                 Side::Right,
                 Uplo::Lower,
                 Trans::T,
                 Diag::NonUnit,
                 1.0,
-                l00m.as_ref(),
-                p.as_mut(),
+                MatRef::from_slice(&l00, kb, kb, kb),
+                m.local.block_mut(r1, c0, nrows, kb),
             );
-            for (ri, &r) in my_rows.iter().enumerate() {
-                for c in 0..kb {
-                    m.set_global(r, k0 + c, p[(ri, c)]);
-                }
-            }
-            lpanel = p;
         }
 
         // ---- Distribute the panel in both roles ---------------------------
         phase(comm, "update");
         // Row role: rows ≡ pi along the process row.
-        let mut rowbuf: Vec<f64> = if pj == pcol {
-            lpanel.data().to_vec()
-        } else {
-            Vec::new()
-        };
-        if !my_rows.is_empty() {
+        let mut rowbuf: Vec<f64> = Vec::new();
+        if nrows > 0 {
+            if pj == pcol {
+                rowbuf = pack(&m.local, r1, c0, nrows, kb);
+            }
             rowc.bcast_f64(pcol, &mut rowbuf);
         }
         // Column role: rank (pi,pj) needs panel rows r that are *columns* it
@@ -479,21 +409,18 @@ fn chol_rank(
         // broadcast, the process column (·, pj) jointly holds every panel
         // row; one column all-gather of each member's `col-owner == pj`
         // subset assembles the operand without an extra routing hop.
-        let my_cols: Vec<usize> = (end..n).filter(|&c| desc.col_g2l(c).0 == pj).collect();
-        let col_needed = !my_cols.is_empty();
-        let mut colpanel = Matrix::zeros(my_cols.len(), kb);
-        if col_needed {
-            let rowm_view = Matrix::from_vec(my_rows.len(), kb, rowbuf.clone());
+        let mut colpanel = Matrix::zeros(ncols, kb);
+        if ncols > 0 {
             let mut piece: Vec<f64> = Vec::new();
-            for (ri, &r) in my_rows.iter().enumerate() {
-                if desc.col_g2l(r).0 == pj {
-                    piece.extend_from_slice(rowm_view.row(ri));
+            for (l, row) in (r1..lrows).zip(rowbuf.chunks_exact(kb)) {
+                if desc.col_g2l(desc.row_l2g(pi, l)).0 == pj {
+                    piece.extend_from_slice(row);
                 }
             }
             let pieces = colc.allgather_f64(&piece);
             let mut cursors = vec![0usize; g.rows];
-            for (ci, &c) in my_cols.iter().enumerate() {
-                let srow = desc.row_g2l(c).0;
+            for (ci, lc) in (c1..lcols).enumerate() {
+                let srow = desc.row_g2l(desc.col_l2g(pj, lc)).0;
                 let cur = &mut cursors[srow];
                 colpanel
                     .row_mut(ci)
@@ -502,27 +429,20 @@ fn chol_rank(
             }
         }
 
-        // ---- Trailing symmetric update (lower entries only) ---------------
-        if !my_rows.is_empty() && col_needed {
-            let rowm = Matrix::from_vec(my_rows.len(), kb, rowbuf);
-            let mut upd = Matrix::zeros(my_rows.len(), my_cols.len());
+        // ---- Trailing symmetric update ------------------------------------
+        // One GEMM on the whole trailing sub-block: its entries above the
+        // diagonal are never read (`potrf` and `trsm` reference the lower
+        // triangle only, and the driver zeroes them in the result).
+        if nrows > 0 && ncols > 0 {
             gemm(
                 Trans::N,
                 Trans::T,
-                1.0,
-                rowm.as_ref(),
+                -1.0,
+                MatRef::from_slice(&rowbuf, nrows, kb, kb),
                 colpanel.as_ref(),
-                0.0,
-                upd.as_mut(),
+                1.0,
+                m.local.block_mut(r1, c1, nrows, ncols),
             );
-            for (ri, &r) in my_rows.iter().enumerate() {
-                for (ci, &c) in my_cols.iter().enumerate() {
-                    if c <= r {
-                        let cur = m.get_global(r, c);
-                        m.set_global(r, c, cur - upd[(ri, ci)]);
-                    }
-                }
-            }
         }
 
         k0 = end;

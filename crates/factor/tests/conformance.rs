@@ -23,12 +23,16 @@
 //! checker.
 
 use dense::gen::{random_matrix, random_spd};
-use dense::norms::{lu_residual_perm, po_residual};
+use dense::norms::{lu_residual, lu_residual_perm, po_residual};
 use dense::Matrix;
-use factor::{confchox_cholesky, conflux_lu, mmm25d, ConfchoxConfig, ConfluxConfig, Mmm25dConfig};
+use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use factor::{
+    confchox_cholesky, conflux_lu, mmm25d, twod_cholesky, twod_lu, ConfchoxConfig, ConfluxConfig,
+    Mmm25dConfig, TwodConfig,
+};
 use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound, mmm_io_lower_bound};
 use xharness::{run_perturbed, run_perturbed_traced, seeds, PerturbConfig};
-use xmpi::{Grid3, TraceConfig, WorldStats};
+use xmpi::{Grid2, Grid3, TraceConfig, WorldStats};
 use xtrace::invariants::{check_stats_equal, check_trace, Violation};
 
 /// Backward-error ceiling for the factorizations at these sizes: the
@@ -211,6 +215,120 @@ fn mmm25d_conformance_over_seed_matrix() {
         let drift = check_stats_equal(&base.stats, &out.stats);
         assert!(drift.is_empty(), "seed {seed}: traffic drifted: {drift:?}");
     }
+}
+
+/// The swap ablation (paper §7.3) under the same seed matrix: explicit row
+/// exchanges are point-to-point traffic the masking schedule never issues,
+/// so their timing independence is checked separately.
+#[test]
+fn lu25d_swap_conformance_over_seed_matrix() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n, n, 101);
+    let cfg = SwapLuConfig::new(n, v, grid);
+    let base = lu25d_swap(&cfg, &a).unwrap();
+    let resid = lu_residual_perm(&a, base.packed.as_ref().unwrap(), &base.perm);
+    assert!(resid < RESIDUAL_TOL, "baseline residual {resid:e}");
+
+    for seed in seeds(4) {
+        let cfg_seed = PerturbConfig::aggressive(seed);
+        let out = run_perturbed(&cfg_seed, || lu25d_swap(&cfg, &a).unwrap());
+        assert_eq!(out.perm, base.perm, "seed {seed}: pivots diverged");
+        assert_bitwise_equal(
+            out.packed.as_ref().unwrap(),
+            base.packed.as_ref().unwrap(),
+            &format!("lu25d_swap factor, seed {seed}"),
+        );
+        let drift = check_stats_equal(&base.stats, &out.stats);
+        assert!(drift.is_empty(), "seed {seed}: traffic drifted: {drift:?}");
+    }
+}
+
+/// The 2D baselines (the paper's MKL / SLATE stand-ins, §9) under the seed
+/// matrix: the comparison COnfLUX is evaluated against must itself be a
+/// deterministic function of `(N, nb, grid)`.
+#[test]
+fn twod_conformance_over_seed_matrix() {
+    let (n, nb, grid) = (64usize, 8usize, Grid2::new(2, 2));
+    let cfg = TwodConfig::new(n, nb, grid);
+    let a = random_matrix(n, n, 101);
+    let spd = random_spd(n, 202);
+    let lu = twod_lu(&cfg, &a).unwrap();
+    let chol = twod_cholesky(&cfg, &spd).unwrap();
+    let resid = lu_residual(&a, lu.packed.as_ref().unwrap(), &lu.ipiv);
+    assert!(resid < RESIDUAL_TOL, "baseline LU residual {resid:e}");
+    let resid = po_residual(&spd, chol.l.as_ref().unwrap());
+    assert!(resid < RESIDUAL_TOL, "baseline Cholesky residual {resid:e}");
+
+    for seed in seeds(4) {
+        let cfg_seed = PerturbConfig::aggressive(seed);
+        let (lu_s, chol_s) = run_perturbed(&cfg_seed, || {
+            (
+                twod_lu(&cfg, &a).unwrap(),
+                twod_cholesky(&cfg, &spd).unwrap(),
+            )
+        });
+        assert_eq!(lu_s.ipiv, lu.ipiv, "seed {seed}: pivots diverged");
+        assert_bitwise_equal(
+            lu_s.packed.as_ref().unwrap(),
+            lu.packed.as_ref().unwrap(),
+            &format!("twod_lu factor, seed {seed}"),
+        );
+        assert_bitwise_equal(
+            chol_s.l.as_ref().unwrap(),
+            chol.l.as_ref().unwrap(),
+            &format!("twod_cholesky factor, seed {seed}"),
+        );
+        for (what, base, out) in [
+            ("lu", &lu.stats, &lu_s.stats),
+            ("cholesky", &chol.stats, &chol_s.stats),
+        ] {
+            let drift = check_stats_equal(base, out);
+            assert!(
+                drift.is_empty(),
+                "seed {seed}: {what} traffic drifted: {drift:?}"
+            );
+        }
+    }
+}
+
+/// FNV-1a over whole words of an index vector and a matrix's bit patterns.
+fn digest(index: &[usize], m: &Matrix) -> u64 {
+    let index = index.iter().map(|&i| i as u64);
+    let bits = m.data().iter().map(|x| x.to_bits());
+    index.chain(bits).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The schedules outside the benchmark's one-shot digests are pinned here:
+/// pivots plus factor bits of fixed runs, recorded from the commit before
+/// their stores became dense local matrices. A storage or collection change
+/// must reproduce them exactly — it may move no flop and reorder no sum.
+#[test]
+fn baseline_and_ablation_factors_are_bit_pinned() {
+    let a = random_matrix(64, 64, 101);
+    let spd = random_spd(64, 202);
+
+    let swap = lu25d_swap(&SwapLuConfig::new(64, 8, Grid3::new(2, 2, 2)), &a).unwrap();
+    let twod = TwodConfig::new(64, 8, Grid2::new(2, 2));
+    let lu = twod_lu(&twod, &a).unwrap();
+    let chol = twod_cholesky(&twod, &spd).unwrap();
+    let (ma, mb) = (random_matrix(48, 48, 303), random_matrix(48, 48, 304));
+    let mmm = mmm25d(&Mmm25dConfig::new(48, 4, Grid3::new(2, 2, 2)), &ma, &mb);
+
+    let got = [
+        ("lu25d_swap", digest(&swap.perm, &swap.packed.unwrap())),
+        ("twod_lu", digest(&lu.ipiv, &lu.packed.unwrap())),
+        ("twod_cholesky", digest(&[], &chol.l.unwrap())),
+        ("mmm25d", digest(&[], &mmm.c.unwrap())),
+    ];
+    let want = [
+        ("lu25d_swap", 0xb94b_a2a9_e9f6_42a0_u64),
+        ("twod_lu", 0xd9e3_5769_53e3_8be4),
+        ("twod_cholesky", 0xbe49_69ef_b881_a049),
+        ("mmm25d", 0xd6e7_f309_1aec_da1d),
+    ];
+    assert_eq!(got, want, "got {got:#018x?}");
 }
 
 /// Fault-injected *traced* runs must uphold the runtime contract: every

@@ -16,13 +16,14 @@
 //! concurrently.)
 
 use dense::gen::{random_matrix, random_spd};
+use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
 use factor::{
-    confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig,
-    ConfluxConfig, FtConfig, Mmm25dConfig,
+    confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, twod_cholesky,
+    twod_lu, ConfchoxConfig, ConfluxConfig, FtConfig, Mmm25dConfig, TwodConfig,
 };
 use std::path::PathBuf;
 use xharness::{check_golden, golden_mode};
-use xmpi::Grid3;
+use xmpi::{Grid2, Grid3};
 use xtrace::invariants::check_stats_equal;
 
 fn golden_path() -> PathBuf {
@@ -88,6 +89,47 @@ fn conflux_flat_grid_volume_is_golden() {
         &golden_path(),
         "conflux-n64-v8-g2x2x1",
         &out.stats,
+        golden_mode(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The swap ablation and the 2D baselines are what COnfLUX is measured
+/// *against*, so their traffic is pinned too: the row-swap messages of the
+/// 2.5D swapping schedule (original row plus every layer's accumulator row)
+/// and the classical 2D panel/row-swap/broadcast volumes.
+#[test]
+fn lu25d_swap_volume_is_golden() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n, n, 101);
+    let cfg = SwapLuConfig::new(n, v, grid).volume_only();
+    let out = lu25d_swap(&cfg, &a).unwrap();
+    check_golden(
+        &golden_path(),
+        "lu25d-swap-n64-v8-g2x2x2",
+        &out.stats,
+        golden_mode(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn twod_volumes_are_golden() {
+    let (n, nb, grid) = (64usize, 8usize, Grid2::new(2, 2));
+    let cfg = TwodConfig::new(n, nb, grid).volume_only();
+    let lu = twod_lu(&cfg, &random_matrix(n, n, 101)).unwrap();
+    check_golden(
+        &golden_path(),
+        "twod-lu-n64-nb8-g2x2",
+        &lu.stats,
+        golden_mode(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    let chol = twod_cholesky(&cfg, &random_spd(n, 202)).unwrap();
+    check_golden(
+        &golden_path(),
+        "twod-chol-n64-nb8-g2x2",
+        &chol.stats,
         golden_mode(),
     )
     .unwrap_or_else(|e| panic!("{e}"));

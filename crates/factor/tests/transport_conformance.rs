@@ -326,15 +326,20 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     let lu = ConfluxConfig::new(n, v, grid);
     let chol = ConfchoxConfig::new(n, v, grid);
     let ft = FtConfig::new(n, v, grid);
-    let all_four = || {
+    let swap = factor::lu25d_swap::SwapLuConfig::new(n, v, grid);
+    let twod = factor::TwodConfig::new(n, v, xmpi::Grid2::new(2, 2));
+    let every_driver = || {
         assert_eq!(conflux_lu(&lu, &a).err(), want);
         assert_eq!(confchox_cholesky(&chol, &a).err(), want);
         assert_eq!(conflux_lu_ft(&ft, &a).err(), want);
         assert_eq!(confchox_cholesky_ft(&ft, &a).err(), want);
+        assert_eq!(factor::lu25d_swap::lu25d_swap(&swap, &a).err(), want);
+        assert_eq!(factor::twod_lu(&twod, &a).err(), want);
+        assert_eq!(factor::twod_cholesky(&twod, &a).err(), want);
     };
 
     let phases = Arc::new(CountPhases::default());
-    xmpi::with_hooks(phases.clone(), all_four);
+    xmpi::with_hooks(phases.clone(), every_driver);
     assert_eq!(
         phases.0.load(Ordering::SeqCst),
         0,
@@ -345,6 +350,6 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
         exe: "/nonexistent/xmpi-rank".into(),
         args: Vec::new(),
     });
-    xmpi::with_backend(nowhere, all_four);
+    xmpi::with_backend(nowhere, every_driver);
     assert_eq!(on_sockets!(|| conflux_lu(&lu, &a).err()), want);
 }
