@@ -218,4 +218,7 @@ fn committed_smoke_plan_is_a_12_plus_cell_grid() {
     let kplan = AblationPlan::load(&kernels).unwrap();
     let floor = kplan.tolerances["gemm_speedup"];
     assert_eq!(floor.min, Some(2.0), "the old CI floor must survive");
+    for kpi in ["gflops_gemm", "gflops_trsm"] {
+        assert!(kplan.tolerances.contains_key(kpi), "{kpi} left ungated");
+    }
 }

@@ -346,22 +346,26 @@ pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c
     let cfg = crate::tuning::active();
     let mc = cfg.mc;
     // Cut C at the first mapped row of every block: block q's rows all lie
-    // in [rows[q·mc], rows[(q+1)·mc]).
-    let mut blocks = Vec::with_capacity(m.div_ceil(mc));
+    // in [rows[q·mc], rows[(q+1)·mc]). `rel` rebases the map on each
+    // block's own slice of C. The blocks borrow it: a helper thread that
+    // runs a block frees nothing the calling (rank) thread allocated.
+    let mut rel = rows.to_vec();
+    let mut cuts = Vec::with_capacity(m.div_ceil(mc));
     let (_, mut rest) = c.split_rows(rows[0]);
     let mut base = rows[0];
     for i0 in (0..m).step_by(mc) {
         let i1 = (i0 + mc).min(m);
         let end = rows.get(i1).map_or(base + rest.rows(), |&r| r);
         let (cblk, tail) = rest.split_rows(end - base);
-        let map: Vec<usize> = rows[i0..i1].iter().map(|&r| r - base).collect();
-        blocks.push((i0, map, cblk));
+        rel[i0..i1].iter_mut().for_each(|r| *r -= base);
+        cuts.push((i0, i1, cblk));
         (rest, base) = (tail, end);
     }
-    blocks.into_par_iter().for_each(|(i0, map, cblk)| {
+    let rel = &rel;
+    cuts.into_par_iter().for_each(|(i0, i1, cblk)| {
         crate::tuning::with_override(cfg, || {
-            let ablk = a.block(i0, 0, map.len(), k);
-            pack::gemm_packed_rows(Trans::N, Trans::N, alpha, ablk, b, Some(&map), cblk)
+            let ablk = a.block(i0, 0, i1 - i0, k);
+            pack::gemm_packed_rows(Trans::N, Trans::N, alpha, ablk, b, Some(&rel[i0..i1]), cblk)
         });
     });
 }

@@ -6,18 +6,23 @@
 //! The solve is blocked recursively: the triangular operand is split into
 //! quadrants, the two diagonal sub-solves recurse, and the coupling term is
 //! a rectangular product routed through the packed GEMM engine
-//! ([`crate::pack`]) — so almost all of the `n²·m` flops run in the
-//! register-blocked microkernel. Blocks at or below [`TRSM_BASE`] fall back
-//! to the scalar substitution loops.
+//! ([`crate::pack`]). Blocks at or below [`TRSM_BASE`] are solved by
+//! substitution, eight right-hand sides at a time with their running
+//! values held in registers.
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
 use crate::pack;
 
-/// Diagonal block size below which the recursion switches to scalar forward/
-/// backward substitution. At 32×32 the substitution loops are L1-resident
-/// and the packed engine's per-call packing would cost more than it saves.
+/// Diagonal block size at or below which the recursion switches to
+/// substitution. A 32×32 triangle is 8 KiB, L1-resident next to a strip of
+/// right-hand sides; above it the packed engine's rate more than pays for
+/// its per-call packing.
 pub const TRSM_BASE: usize = 32;
+
+/// Right-hand sides one substitution pass solves together: their running
+/// values are one `[f64; STRIP]` accumulator (two AVX2 registers) per step.
+const STRIP: usize = 8;
 
 /// Which side the triangular operand appears on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +56,11 @@ pub enum Diag {
 ///
 /// `A` must be square; only its `uplo` triangle is read (plus the diagonal
 /// unless `Diag::Unit`).
+///
+/// Every stored entry of the triangle takes part in the arithmetic, exact
+/// zeros included (as in the packed coupling products), so a non-finite
+/// right-hand side spreads by IEEE rules — `0·∞ = NaN` — to every
+/// right-hand-side row the elimination order couples it with.
 ///
 /// # Panics
 /// On shape mismatch.
@@ -185,84 +195,65 @@ fn trsm_rec(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, b: &mu
     }
 }
 
-/// Scalar substitution base case for all sixteen variants.
+/// Substitution base case for all sixteen variants (`n ≤ TRSM_BASE`).
+///
+/// Every variant is the same problem `T·Y = S` for a strip `Y` of [`STRIP`]
+/// right-hand sides: with `Side::Left`, `T = op(A)` and the strip is
+/// `STRIP` columns of `B`; with `Side::Right`, `X·op(A) = B` reads
+/// `op(A)ᵀ·Xᵀ = Bᵀ`, so `T = op(A)ᵀ` and the strip is `STRIP` rows of `B`,
+/// transposed on the way in and out. `T`'s triangle is copied once into a
+/// contiguous buffer (absorbing both transposes and the unit diagonal), so
+/// the solve loops index nothing but that buffer and the strip.
 fn trsm_base(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, mut b: MatMut<'_>) {
     let n = a.rows();
-    let at = |i: usize, j: usize| -> f64 {
-        match ta {
-            Trans::N => a.get(i, j),
-            Trans::T => a.get(j, i),
-        }
-    };
-    let dia = |i: usize| -> f64 {
-        match diag {
-            Diag::Unit => 1.0,
-            Diag::NonUnit => at(i, i),
-        }
-    };
+    let transposed = (ta == Trans::T) != (side == Side::Right);
+    let lower = (uplo == Uplo::Lower) != transposed;
+    let unit = diag == Diag::Unit;
 
-    match (side, eff_uplo(uplo, ta)) {
-        // Forward substitution: row i of X depends on rows < i.
-        (Side::Left, Uplo::Lower) => {
-            for i in 0..n {
-                for k in 0..i {
-                    let aik = at(i, k);
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    // b[i, :] -= aik * b[k, :]; requires disjoint row access.
-                    axpy_rows(&mut b, i, k, -aik);
+    let mut t = [0.0; TRSM_BASE * TRSM_BASE];
+    for i in 0..n {
+        // The stored triangle's part of row i, without the diagonal of a
+        // unit triangle (which is never read).
+        let stored = match uplo {
+            Uplo::Lower => 0..i + usize::from(!unit),
+            Uplo::Upper => i + usize::from(unit)..n,
+        };
+        let src = &a.row(i)[stored.clone()];
+        if transposed {
+            for (j, &x) in stored.zip(src) {
+                t[j * n + i] = x;
+            }
+        } else {
+            t[i * n..][stored].copy_from_slice(src);
+        }
+    }
+
+    let mut s = [[0.0; STRIP]; TRSM_BASE];
+    match side {
+        Side::Left => {
+            for c0 in (0..b.cols()).step_by(STRIP) {
+                let w = STRIP.min(b.cols() - c0);
+                for (i, si) in s[..n].iter_mut().enumerate() {
+                    si[..w].copy_from_slice(&b.row(i)[c0..c0 + w]);
                 }
-                let d = dia(i);
-                for x in b.row_mut(i) {
-                    *x /= d;
+                solve_strip(&t, n, lower, unit, &mut s);
+                for (i, si) in s[..n].iter().enumerate() {
+                    b.row_mut(i)[c0..c0 + w].copy_from_slice(&si[..w]);
                 }
             }
         }
-        // Backward substitution.
-        (Side::Left, Uplo::Upper) => {
-            for i in (0..n).rev() {
-                for k in i + 1..n {
-                    let aik = at(i, k);
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy_rows(&mut b, i, k, -aik);
-                }
-                let d = dia(i);
-                for x in b.row_mut(i) {
-                    *x /= d;
-                }
-            }
-        }
-        // X·A = B with A lower: column j of X depends on columns > j.
-        (Side::Right, Uplo::Lower) => {
-            for j in (0..n).rev() {
-                let d = dia(j);
-                for r in 0..b.rows() {
-                    let xj = b.get(r, j) / d;
-                    b.set(r, j, xj);
-                    for k in 0..j {
-                        let akj = at(j, k);
-                        if akj != 0.0 {
-                            b.add(r, k, -xj * akj);
-                        }
+        Side::Right => {
+            for r0 in (0..b.rows()).step_by(STRIP) {
+                let w = STRIP.min(b.rows() - r0);
+                for l in 0..w {
+                    for (sj, &x) in s.iter_mut().zip(b.row(r0 + l)) {
+                        sj[l] = x;
                     }
                 }
-            }
-        }
-        // X·A = B with A upper: column j depends on columns < j.
-        (Side::Right, Uplo::Upper) => {
-            for j in 0..n {
-                let d = dia(j);
-                for r in 0..b.rows() {
-                    let xj = b.get(r, j) / d;
-                    b.set(r, j, xj);
-                    for k in j + 1..n {
-                        let ajk = at(j, k);
-                        if ajk != 0.0 {
-                            b.add(r, k, -xj * ajk);
-                        }
+                solve_strip(&t, n, lower, unit, &mut s);
+                for l in 0..w {
+                    for (sj, x) in s.iter().zip(b.row_mut(r0 + l)) {
+                        *x = sj[l];
                     }
                 }
             }
@@ -270,14 +261,31 @@ fn trsm_base(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, mut b
     }
 }
 
-/// `B[dst, :] += s * B[src, :]` for distinct rows of the same view.
-fn axpy_rows(b: &mut MatMut<'_>, dst: usize, src: usize, s: f64) {
-    debug_assert_ne!(dst, src);
-    // Work around the single-view borrow by copying the source row; rows are
-    // short (≤ block size) in all call sites, so this stays cheap.
-    let srcrow: Vec<f64> = b.row(src).to_vec();
-    for (x, &y) in b.row_mut(dst).iter_mut().zip(srcrow.iter()) {
-        *x += s * y;
+/// Solve `T·Y = S` in place on the strip `s[..n]` (row `i` of `S`, then of
+/// `Y`, is `s[i]`) by forward (`lower`) or backward substitution. `t` holds
+/// the `n × n` triangle `T` row-major. Lanes past a strip's width carry
+/// whatever the caller left there; lanes never mix.
+fn solve_strip(t: &[f64], n: usize, lower: bool, unit: bool, s: &mut [[f64; STRIP]; TRSM_BASE]) {
+    for step in 0..n {
+        let (i, solved) = if lower {
+            (step, 0..step)
+        } else {
+            (n - 1 - step, n - step..n)
+        };
+        let row = &t[i * n..(i + 1) * n];
+        let mut acc = s[i];
+        for k in solved {
+            let (tik, yk) = (row[k], s[k]);
+            for (x, y) in acc.iter_mut().zip(yk) {
+                *x -= tik * y;
+            }
+        }
+        if !unit {
+            for x in &mut acc {
+                *x /= row[i];
+            }
+        }
+        s[i] = acc;
     }
 }
 
@@ -375,6 +383,98 @@ mod tests {
         // n > TRSM_BASE exercises the recursive quadrant splits and the
         // packed GEMM coupling updates in every variant.
         check_all_variants(TRSM_BASE * 2 + 5, 9, 1e-8);
+    }
+
+    /// Variant `i` of the sixteen: one bit each for side, triangle,
+    /// transpose and diagonal.
+    fn variant(i: usize) -> (Side, Uplo, Trans, Diag) {
+        (
+            [Side::Left, Side::Right][i & 1],
+            [Uplo::Lower, Uplo::Upper][(i >> 1) & 1],
+            [Trans::N, Trans::T][(i >> 2) & 1],
+            [Diag::NonUnit, Diag::Unit][(i >> 3) & 1],
+        )
+    }
+
+    /// Right-hand sides are independent: solving them one at a time must
+    /// give the bits of solving them together, whatever the strip they fall
+    /// in. `B` is the window at `(r0, c0)` of a larger matrix, so every view
+    /// is strided, and nothing outside the window may change.
+    fn together_equals_one_at_a_time(
+        (side, uplo, ta, diag): (Side, Uplo, Trans, Diag),
+        (n, nrhs): (usize, usize),
+        (r0, c0): (usize, usize),
+        seed: u64,
+    ) {
+        let a = tri(n, uplo, diag == Diag::Unit, seed);
+        let (br, bc) = match side {
+            Side::Left => (n, nrhs),
+            Side::Right => (nrhs, n),
+        };
+        let big = random_matrix(r0 + br + 1, c0 + bc + 2, seed + 1);
+        let mut together = big.clone();
+        let window = together.block_mut(r0, c0, br, bc);
+        trsm(side, uplo, ta, diag, 1.0, a.as_ref(), window);
+        let mut singly = big.clone();
+        for q in 0..nrhs {
+            let one = match side {
+                Side::Left => singly.block_mut(r0, c0 + q, n, 1),
+                Side::Right => singly.block_mut(r0 + q, c0, 1, n),
+            };
+            trsm(side, uplo, ta, diag, 1.0, a.as_ref(), one);
+        }
+        assert!(
+            together.data() == singly.data(),
+            "{side:?} {uplo:?} {ta:?} {diag:?} n={n} nrhs={nrhs} at ({r0},{c0})"
+        );
+        let inside = |i, j| (r0..r0 + br).contains(&i) && (c0..c0 + bc).contains(&j);
+        for i in 0..big.rows() {
+            for j in 0..big.cols() {
+                assert!(inside(i, j) || together[(i, j)] == big[(i, j)]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Triangles straddling `TRSM_BASE`, strips straddling `STRIP`, any
+        /// variant, any window offset.
+        #[test]
+        fn rhs_are_solved_independently(
+            i in 0usize..16,
+            dn in 0usize..4,
+            nrhs in 1usize..2 * STRIP + 2,
+            r0 in 0usize..3,
+            c0 in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            let n = [TRSM_BASE - 1, TRSM_BASE, TRSM_BASE + 1, 2 * TRSM_BASE + 5][dn];
+            together_equals_one_at_a_time(variant(i), (n, nrhs), (r0, c0), seed);
+        }
+    }
+
+    #[test]
+    fn trsm_multiplies_exact_zeros_of_the_triangle() {
+        // Row 1 of L has a zero below-diagonal entry and x0 is infinite:
+        // x1 = (b1 − 0·∞)/l11 is NaN by IEEE rules — stored zeros are not
+        // skipped, in the base case as in the packed coupling products.
+        let l = Matrix::from_fn(2, 2, |i, j| if i == j { 2.0 } else { 0.0 });
+        let mut b = Matrix::from_fn(2, 1, |i, _| if i == 0 { f64::INFINITY } else { 1.0 });
+        trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::N,
+            Diag::NonUnit,
+            1.0,
+            l.as_ref(),
+            b.as_mut(),
+        );
+        assert_eq!(b[(0, 0)], f64::INFINITY);
+        assert!(b[(1, 0)].is_nan());
     }
 
     #[test]

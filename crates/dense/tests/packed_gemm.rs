@@ -130,8 +130,9 @@ proptest! {
 /// functions of their inputs, independent of worker count.
 #[test]
 fn par_gemm_is_bitwise_deterministic_at_fixed_thread_count() {
-    // The rayon shim sizes its worker pool from RAYON_NUM_THREADS at call
-    // time; pin it so the test exercises a fixed multi-worker fan-out.
+    // The rayon shim sizes its pool from RAYON_NUM_THREADS when the pool
+    // starts (the first parallel call of the process); ask for helpers so
+    // the test exercises a multi-worker fan-out on any machine.
     std::env::set_var("RAYON_NUM_THREADS", "4");
     // Sizes chosen to clear the ~1 Mflop parallel threshold and to leave a
     // ragged final row chunk (m not a multiple of MC).

@@ -718,8 +718,29 @@ pub(crate) fn reduce_rows(
 /// size — a grid like `[3,3,3]` is skipped for `n = 512` because no multiple
 /// of 3 divides a power of two.
 ///
-/// The block-size target follows the paper's tuning `v = a·c` (a small
-/// multiple of the replication depth).
+/// # The block-size rule
+///
+/// The paper leaves `v` as the hardware-tuning knob (§7). Here it is a pure
+/// function of `(n, grid)`: the valid block size ([`choose_block`]) nearest
+/// to
+///
+/// ```text
+/// max( max(4·Pz, 16),  min( 32·Pz,  n / (8·max(Px, Py)) ) )
+/// ```
+///
+/// * `32·Pz` makes the inner dimension of every layer's Schur update,
+///   `v / Pz`, at least 32: below that a rank-`v/Pz` product moves more of
+///   `C` than it computes and the packed GEMM engine runs far under its rate.
+/// * **Load-balance guard** `n / (8·max(Px, Py))`: every process row and
+///   column keeps at least eight tile rows/columns, so the block-cyclic
+///   layout stays balanced as the trailing matrix shrinks.
+/// * **Volume/memory guard**: `v` is never raised past `32·Pz`. The `A00`
+///   broadcast, the tournament and the step buffers all cost `O(n·v)` per
+///   rank, so a larger block buys GEMM rate with traffic and peak memory
+///   that the 2.5D schedule exists to avoid.
+/// * The floor `max(4·Pz, 16)` is what small problems
+///   (`n ≤ 128·max(Px, Py)`) get: there the per-step message latency, not
+///   the GEMM shape, is what the block size trades against.
 pub fn pick_grid_and_block(n: usize, p: usize) -> (Grid3, usize) {
     let mut best: Option<(f64, Grid3, usize)> = None;
     for c in 1..=p {
@@ -730,10 +751,10 @@ pub fn pick_grid_and_block(n: usize, p: usize) -> (Grid3, usize) {
         if c > layer.rows.min(layer.cols) {
             continue;
         }
-        // v = a·c with a ≈ 4, floored at 16: small enough to keep the
-        // O(N·v) A00-broadcast term down, big enough that per-step message
-        // latency does not dominate (the paper's hardware-tuning knob).
-        let target = (4 * c).max(16).min(n);
+        // The block-size rule of the rustdoc above.
+        let floor = (4 * c).max(16);
+        let balanced = n / (8 * layer.rows.max(layer.cols));
+        let target = (32 * c).min(balanced).max(floor).min(n);
         let Some(v) = choose_block(n, c, target) else {
             continue;
         };
@@ -1032,14 +1053,53 @@ mod tests {
         assert_eq!(g.size(), 27);
         assert_eq!(512 % v, 0);
         assert_eq!(v % g.pz, 0);
-        // Friendly case keeps full replication.
-        let (g, v) = pick_grid_and_block(512, 64);
-        assert_eq!((g.px, g.py, g.pz), (4, 4, 4));
-        assert_eq!(v % 4, 0);
         // Prime p.
         let (g, v) = pick_grid_and_block(100, 7);
         assert_eq!(g.size(), 7);
         assert_eq!(100 % v, 0);
+    }
+
+    #[test]
+    fn block_rule_is_pinned() {
+        // (n, p) → (grid, v): the four benchmark shapes and two more the
+        // rule raises above the floor `max(4·pz, 16)`, ...
+        let raised = [
+            ((1024, 1), ([1, 1, 1], 32)),
+            ((1024, 8), ([2, 2, 2], 64)),
+            ((1536, 8), ([2, 2, 2], 64)),
+            ((512, 4), ([2, 2, 1], 32)),
+            ((768, 8), ([2, 2, 2], 48)),
+            ((512, 8), ([2, 2, 2], 32)),
+        ];
+        // ... and the small problems (n ≤ 128·max(px, py)) it leaves there.
+        let on_the_floor = [
+            ((96, 4), ([2, 2, 1], 16)),
+            ((128, 8), ([2, 2, 2], 16)),
+            ((48, 8), ([2, 2, 2], 16)),
+            ((512, 64), ([4, 4, 4], 16)),
+            ((512, 16), ([2, 4, 2], 16)),
+            ((512, 27), ([3, 9, 1], 16)),
+            ((100, 7), ([1, 7, 1], 20)),
+        ];
+        for (is_raised, cases) in [(true, &raised[..]), (false, &on_the_floor[..])] {
+            for &((n, p), (grid, v)) in cases {
+                let (g, got) = pick_grid_and_block(n, p);
+                assert_eq!(([g.px, g.py, g.pz], got), (grid, v), "auto({n}, {p})");
+                assert!(n % got == 0 && got % g.pz == 0, "auto({n}, {p}) is invalid");
+                if is_raised {
+                    // Exactly one of the two targets binds: the update's
+                    // inner dimension is 32, or each process row and column
+                    // is down to its eight tile rows/columns.
+                    let side = g.px.max(g.py);
+                    assert!(got > (4 * g.pz).max(16), "auto({n}, {p}): not raised");
+                    assert!(n / got >= 4 * side, "auto({n}, {p}): unbalanced");
+                    assert!(
+                        got / g.pz == 32 || n / got == 8 * side,
+                        "auto({n}, {p}): neither guard binds"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl ConfchoxConfig {
         }
     }
 
-    /// Automatic grid and block-size selection (see
-    /// [`crate::conflux::ConfluxConfig::auto`]).
+    /// Automatic grid and block-size selection: the grid and the
+    /// block-size rule of [`pick_grid_and_block`].
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid.
@@ -246,6 +246,8 @@ pub(crate) fn rank_program(
                 l10.block(0, k * ks, n_row, ks)
             });
         }
+        // The full-width panel is dead once its z-slices are on the wire.
+        drop(l10);
         let l10_row = MatRef::from_slice(&l10_row_flat[..n_row * ks], n_row, ks, ks);
 
         // ---- 4b. Distribute L10, column role (by tile column) ----------
@@ -412,9 +414,11 @@ fn form_panel(
         let (panel, c0) = (orig.rows_from(step), orig.col0(step));
         let mut buf = reduce_rows(net, guard, (orig, &state.acc), panel, c0..c0 + v);
         if pk == 0 {
-            let trail = buf.split_off(if it == pi { v * v } else { 0 });
-            diag_vals = Matrix::from_vec(buf.len() / v, v, buf);
-            panel_vals = Matrix::from_vec(trail.len() / v, v, trail);
+            // The diagonal tile moves out of the front; the trailing rows
+            // stay in the reduced buffer (no second panel-sized allocation).
+            let diag: Vec<f64> = buf.drain(..if it == pi { v * v } else { 0 }).collect();
+            diag_vals = Matrix::from_vec(diag.len() / v, v, diag);
+            panel_vals = Matrix::from_vec(buf.len() / v, v, buf);
         }
     }
 

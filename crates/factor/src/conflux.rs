@@ -98,9 +98,11 @@ impl ConfluxConfig {
         }
     }
 
-    /// Pick a grid and block size automatically for `p` ranks, in the
-    /// spirit of the paper's defaults: maximum replication the grid allows,
-    /// block size near `n / (4·max(Px, Py))` (clamped to at least `Pz`).
+    /// Pick a grid and block size automatically for `p` ranks: the most
+    /// replicated near-square grid that admits a block size, and the block
+    /// size of [`pick_grid_and_block`]'s rule (wide enough that every
+    /// layer's Schur update is a rank-≥32 product, within its load-balance
+    /// and volume guards).
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid (pathological `n`).
@@ -340,6 +342,10 @@ pub(crate) fn rank_program(
                     .push(&active.global, &[step * v], l10.as_ref());
             }
         }
+        // The step's O(n·v) panel buffers die as soon as their z-slices are
+        // on the wire: only the two broadcast slices live through the Schur
+        // update, so peak memory grows with `v` by no more than those.
+        drop(panel_vals);
 
         // ---- 6a. Scatter L10: z-slice then broadcast along y -----------
         // Both panel broadcasts keep the shared storage: the Schur update
@@ -353,6 +359,7 @@ pub(crate) fn rank_program(
                 l10.block(0, k * ks, rows, ks)
             });
         }
+        drop(l10);
 
         // ---- 6b. Scatter U01: z-slice then broadcast along x -----------
         let mut u01_flat = Buf::from(Vec::new());
@@ -362,6 +369,7 @@ pub(crate) fn rank_program(
                 u01.block(k * ks, 0, ks, trail_len)
             });
         }
+        drop(u01);
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
         // One row-mapped GEMM straight into the accumulator: product row

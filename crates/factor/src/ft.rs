@@ -125,8 +125,8 @@ impl FtConfig {
         }
     }
 
-    /// Automatic grid and block-size selection (same joint tuning as
-    /// [`ConfluxConfig::auto`]).
+    /// Automatic grid and block-size selection: the grid and the
+    /// block-size rule of [`pick_grid_and_block`].
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid.

@@ -63,7 +63,8 @@ impl Mmm25dConfig {
         }
     }
 
-    /// Automatic grid/block selection (same policy as the factorizations).
+    /// Automatic grid/block selection: the grid and the block-size rule of
+    /// [`pick_grid_and_block`], as for the factorizations.
     pub fn auto(n: usize, p: usize) -> Self {
         let (grid, v) = pick_grid_and_block(n, p);
         Mmm25dConfig::new(n, v, grid)

@@ -29,10 +29,6 @@ impl Candidates {
         }
     }
 
-    fn flatten(&self) -> Vec<f64> {
-        self.rows.data().to_vec()
-    }
-
     fn from_parts(v: usize, data: Vec<f64>, ids: Vec<u64>) -> Self {
         assert_eq!(data.len(), ids.len() * v, "candidate buffer shape mismatch");
         Candidates {
@@ -64,44 +60,43 @@ pub fn local_select(panel: &Matrix, ids: &[u64], v: usize) -> Result<Candidates,
     if take == 0 {
         return Ok(Candidates::empty(v));
     }
-    let mut a = panel.clone();
+    // Right-looking elimination on a scratch copy, one row slice at a time.
+    let mut a = panel.data().to_vec();
     let mut order: Vec<usize> = (0..m).collect();
     for k in 0..take {
         // Partial pivot; on an all-zero column keep the current row.
-        let mut p = k;
-        let mut best = a[(k, k)].abs();
-        for i in k + 1..m {
-            if a[(i, k)].abs() > best {
-                best = a[(i, k)].abs();
-                p = i;
+        let (mut p, mut best) = (k, a[k * v + k].abs());
+        for (i, row) in a.chunks_exact(v).enumerate().skip(k + 1) {
+            if row[k].abs() > best {
+                (p, best) = (i, row[k].abs());
             }
         }
+        let (head, below) = a.split_at_mut((k + 1) * v);
+        let pivot = &mut head[k * v..];
         if p != k {
             order.swap(k, p);
-            for j in 0..v {
-                let t = a[(k, j)];
-                a[(k, j)] = a[(p, j)];
-                a[(p, j)] = t;
-            }
+            pivot.swap_with_slice(&mut below[(p - k - 1) * v..(p - k) * v]);
         }
-        let akk = a[(k, k)];
+        let akk = pivot[k];
         if akk == 0.0 {
             continue;
         }
-        for i in k + 1..m {
-            let l = a[(i, k)] / akk;
+        for row in below.chunks_exact_mut(v) {
+            let l = row[k] / akk;
             if l == 0.0 {
                 continue;
             }
-            for j in k..v {
-                let akj = a[(k, j)];
-                a[(i, j)] -= l * akj;
+            for (x, &u) in row[k..].iter_mut().zip(&pivot[k..]) {
+                *x -= l * u;
             }
         }
     }
-    let sel_ids: Vec<u64> = order[..take].iter().map(|&r| ids[r]).collect();
-    let rows = Matrix::from_fn(take, v, |i, j| panel[(order[i], j)]);
-    Ok(Candidates { rows, ids: sel_ids })
+    let mut rows = Matrix::zeros(take, v);
+    for (dst, &r) in rows.data_mut().chunks_exact_mut(v).zip(&order) {
+        dst.copy_from_slice(panel.row(r));
+    }
+    let ids = order[..take].iter().map(|&r| ids[r]).collect();
+    Ok(Candidates { rows, ids })
 }
 
 /// Merge two candidate sets and re-select the best `v`. `first_mine`
@@ -118,16 +113,9 @@ fn merge(
     } else {
         (theirs, mine)
     };
-    let m = a.ids.len() + b.ids.len();
-    let stacked = Matrix::from_fn(m, v, |i, j| {
-        if i < a.ids.len() {
-            a.rows[(i, j)]
-        } else {
-            b.rows[(i - a.ids.len(), j)]
-        }
-    });
-    let ids: Vec<u64> = a.ids.iter().chain(b.ids.iter()).copied().collect();
-    local_select(&stacked, &ids, v)
+    let stacked = [a.rows.data(), b.rows.data()].concat();
+    let ids = [&a.ids[..], &b.ids[..]].concat();
+    local_select(&Matrix::from_vec(ids.len(), v, stacked), &ids, v)
 }
 
 /// Outcome of a tournament: the pivot rows and the factored pivot block.
@@ -166,7 +154,7 @@ pub fn tournament(
         while mask < p {
             let partner = r ^ mask;
             let (data, pids) =
-                comm.exchange_pair(partner, TAG + mask as u64, &cands.flatten(), &cands.ids);
+                comm.exchange_pair(partner, TAG + mask as u64, cands.rows.data(), &cands.ids);
             let theirs = Candidates::from_parts(v, data, pids);
             cands = merge(&cands, &theirs, v, r < partner)?;
             mask <<= 1;
@@ -174,7 +162,7 @@ pub fn tournament(
     } else if p > 1 {
         // Gather-select-broadcast fallback: stacking in rank order keeps the
         // result identical to a serial scan of all candidates.
-        let all_data = comm.gather_f64(0, &cands.flatten());
+        let all_data = comm.gather_f64(0, cands.rows.data());
         let all_ids = comm.gather_u64(0, &cands.ids);
         let mut winner_data;
         let mut winner_ids;
@@ -186,7 +174,7 @@ pub fn tournament(
                 let c = Candidates::from_parts(v, d, i);
                 acc = merge(&acc, &c, v, true)?;
             }
-            winner_data = acc.flatten();
+            winner_data = acc.rows.into_vec();
             winner_ids = acc.ids;
         } else {
             winner_data = Vec::new();
@@ -201,17 +189,16 @@ pub fn tournament(
     // every rank computes the identical A00.
     let take = cands.ids.len();
     assert!(take > 0, "tournament with zero candidate rows");
-    let mut a00 = cands.rows.clone();
+    let Candidates {
+        rows: mut a00,
+        mut ids,
+    } = cands;
     let mut ipiv = Vec::new();
     getrf_unblocked(a00.as_mut(), &mut ipiv)?;
-    let mut final_ids = cands.ids.clone();
     for (k, &p) in ipiv.iter().enumerate() {
-        final_ids.swap(k, p);
+        ids.swap(k, p);
     }
-    Ok(PivotBlock {
-        ids: final_ids,
-        a00,
-    })
+    Ok(PivotBlock { ids, a00 })
 }
 
 #[cfg(test)]
@@ -233,11 +220,66 @@ mod tests {
         assert_eq!(c.rows[(0, 0)], 100.0);
     }
 
+    /// The selection written one element at a time: the reference
+    /// [`local_select`]'s slice loops must reproduce, operation for
+    /// operation.
+    fn select_by_elements(panel: &Matrix, ids: &[u64], v: usize) -> (Vec<u64>, Matrix) {
+        let m = panel.rows();
+        let take = v.min(m);
+        let mut a = panel.clone();
+        let mut order: Vec<usize> = (0..m).collect();
+        for k in 0..take {
+            let mut p = k;
+            for i in k + 1..m {
+                if a[(i, k)].abs() > a[(p, k)].abs() {
+                    p = i;
+                }
+            }
+            order.swap(k, p);
+            for j in 0..v {
+                let t = a[(k, j)];
+                a[(k, j)] = a[(p, j)];
+                a[(p, j)] = t;
+            }
+            if a[(k, k)] == 0.0 {
+                continue;
+            }
+            for i in k + 1..m {
+                let l = a[(i, k)] / a[(k, k)];
+                for j in k..v {
+                    let akj = a[(k, j)];
+                    a[(i, j)] -= l * akj;
+                }
+            }
+        }
+        let sel = order[..take].iter().map(|&r| ids[r]).collect();
+        (sel, Matrix::from_fn(take, v, |i, j| panel[(order[i], j)]))
+    }
+
     #[test]
-    fn local_select_short_panel() {
-        let panel = random_matrix(2, 4, 2);
-        let c = local_select(&panel, &[7, 9], 4).unwrap();
-        assert_eq!(c.ids.len(), 2);
+    fn local_select_matches_the_element_indexed_reference_bit_for_bit() {
+        let mut zero_col = random_matrix(9, 4, 23);
+        // Column 1 stays exactly zero under elimination: step 1 finds no
+        // pivot, keeps its row and skips the column.
+        for i in 0..9 {
+            zero_col[(i, 1)] = 0.0;
+        }
+        let panels = [
+            random_matrix(40, 8, 21),
+            random_matrix(33, 16, 22),
+            zero_col,
+            random_matrix(3, 5, 24), // short: m < v
+        ];
+        for panel in &panels {
+            let (m, v) = (panel.rows(), panel.cols());
+            let ids: Vec<u64> = (0..m as u64).map(|i| 100 + 3 * i).collect();
+            let got = local_select(panel, &ids, v).unwrap();
+            let (want_ids, want_rows) = select_by_elements(panel, &ids, v);
+            assert_eq!(got.ids, want_ids, "{m}x{v} panel: ids");
+            let bits = |x: &Matrix| x.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.rows), bits(&want_rows), "{m}x{v} panel: rows");
+            assert_eq!(got.ids.len(), v.min(m));
+        }
     }
 
     #[test]

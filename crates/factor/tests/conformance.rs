@@ -124,6 +124,66 @@ fn conflux_conformance_over_seed_matrix() {
     }
 }
 
+/// The blocks `auto` raises above its floor (`n > 128·max(Px, Py)`: v = 32
+/// and 48 here, inner dimension 16 and 24 per layer) under the same
+/// contract: lookahead and blocking schedules agree bitwise, the residual
+/// holds, and neither factors nor traffic depend on message timing.
+#[test]
+fn auto_blocks_above_the_floor_conform_over_seed_matrix() {
+    let lu = ConfluxConfig::auto(512, 8);
+    assert!(lu.v > 16, "auto(512, 8) stayed on the floor: v = {}", lu.v);
+    let a = random_matrix(lu.n, lu.n, 303);
+    let base = conflux_lu(&lu, &a).unwrap();
+    let resid = lu_residual_perm(&a, base.packed.as_ref().unwrap(), &base.perm);
+    assert!(resid < RESIDUAL_TOL, "conflux residual {resid:e}");
+    let blocking = conflux_lu(&lu.clone().blocking(), &a).unwrap();
+    assert_eq!(blocking.perm, base.perm, "lookahead changed the pivots");
+    assert_bitwise_equal(
+        blocking.packed.as_ref().unwrap(),
+        base.packed.as_ref().unwrap(),
+        "conflux factor, blocking vs lookahead",
+    );
+
+    let chol = ConfchoxConfig::auto(768, 8);
+    assert!(
+        chol.v > 16,
+        "auto(768, 8) stayed on the floor: v = {}",
+        chol.v
+    );
+    let spd = random_spd(chol.n, 404);
+    let cbase = confchox_cholesky(&chol, &spd).unwrap();
+    let resid = po_residual(&spd, cbase.l.as_ref().unwrap());
+    assert!(resid < RESIDUAL_TOL, "confchox residual {resid:e}");
+    let cblocking = confchox_cholesky(&chol.clone().blocking(), &spd).unwrap();
+    assert_bitwise_equal(
+        cblocking.l.as_ref().unwrap(),
+        cbase.l.as_ref().unwrap(),
+        "confchox factor, blocking vs lookahead",
+    );
+
+    for seed in seeds(4) {
+        let cfg_seed = PerturbConfig::aggressive(seed);
+        let out = run_perturbed(&cfg_seed, || conflux_lu(&lu, &a).unwrap());
+        assert_eq!(out.perm, base.perm, "seed {seed}: pivots diverged");
+        assert_bitwise_equal(
+            out.packed.as_ref().unwrap(),
+            base.packed.as_ref().unwrap(),
+            &format!("conflux factor, seed {seed}"),
+        );
+        let drift = check_stats_equal(&base.stats, &out.stats);
+        assert!(drift.is_empty(), "seed {seed}: traffic drifted: {drift:?}");
+
+        let out = run_perturbed(&cfg_seed, || confchox_cholesky(&chol, &spd).unwrap());
+        assert_bitwise_equal(
+            out.l.as_ref().unwrap(),
+            cbase.l.as_ref().unwrap(),
+            &format!("confchox factor, seed {seed}"),
+        );
+        let drift = check_stats_equal(&cbase.stats, &out.stats);
+        assert!(drift.is_empty(), "seed {seed}: traffic drifted: {drift:?}");
+    }
+}
+
 #[test]
 fn confchox_conformance_over_seed_matrix() {
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));

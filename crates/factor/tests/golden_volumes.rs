@@ -30,34 +30,33 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden_volumes.json")
 }
 
+/// The cells of the two 2.5D factorizations: the small `v = 8` block, and
+/// `v = 32` — an inner dimension of 16 per layer, the width `auto` picks at
+/// four times this `n`.
+const CELLS: [(usize, usize); 2] = [(64, 8), (128, 32)];
+
 #[test]
 fn conflux_volume_is_golden() {
-    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
-    let a = random_matrix(n, n, 101);
-    let cfg = ConfluxConfig::new(n, v, grid).volume_only();
-    let out = conflux_lu(&cfg, &a).unwrap();
-    check_golden(
-        &golden_path(),
-        "conflux-n64-v8-g2x2x2",
-        &out.stats,
-        golden_mode(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    for (n, v) in CELLS {
+        let a = random_matrix(n, n, 101);
+        let cfg = ConfluxConfig::new(n, v, Grid3::new(2, 2, 2)).volume_only();
+        let out = conflux_lu(&cfg, &a).unwrap();
+        let key = format!("conflux-n{n}-v{v}-g2x2x2");
+        check_golden(&golden_path(), &key, &out.stats, golden_mode())
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 #[test]
 fn confchox_volume_is_golden() {
-    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
-    let a = random_spd(n, 202);
-    let cfg = ConfchoxConfig::new(n, v, grid).volume_only();
-    let out = confchox_cholesky(&cfg, &a).unwrap();
-    check_golden(
-        &golden_path(),
-        "confchox-n64-v8-g2x2x2",
-        &out.stats,
-        golden_mode(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    for (n, v) in CELLS {
+        let a = random_spd(n, 202);
+        let cfg = ConfchoxConfig::new(n, v, Grid3::new(2, 2, 2)).volume_only();
+        let out = confchox_cholesky(&cfg, &a).unwrap();
+        let key = format!("confchox-n{n}-v{v}-g2x2x2");
+        check_golden(&golden_path(), &key, &out.stats, golden_mode())
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 #[test]

@@ -84,26 +84,34 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, what: &str) {
 
 #[test]
 fn conflux_socket_matches_local_bitwise() {
-    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
-    let a = random_matrix(n, n, 101);
-    let cfg = ConfluxConfig::new(n, v, grid);
+    // A fixed small cell, and the block `auto` raises above its floor on a
+    // flat grid (v = 32: the `lu_p4_socket` benchmark shape).
+    let auto = ConfluxConfig::auto(512, 4);
+    assert_eq!((auto.grid, auto.v), (Grid3::new(2, 2, 1), 32));
+    for cfg in [ConfluxConfig::new(64, 8, Grid3::new(2, 2, 2)), auto] {
+        let (n, v) = (cfg.n, cfg.v);
+        let a = random_matrix(n, n, 101);
 
-    let local = conflux_lu(&cfg, &a).unwrap();
-    let socket = on_sockets!(|| conflux_lu(&cfg, &a).unwrap());
+        let local = conflux_lu(&cfg, &a).unwrap();
+        let socket = on_sockets!(|| conflux_lu(&cfg, &a).unwrap());
 
-    assert_eq!(socket.perm, local.perm, "pivots diverged across backends");
-    assert_bitwise_equal(
-        socket.packed.as_ref().unwrap(),
-        local.packed.as_ref().unwrap(),
-        "conflux factor, socket vs local",
-    );
-    let resid = lu_residual_perm(&a, socket.packed.as_ref().unwrap(), &socket.perm);
-    assert!(resid < RESIDUAL_TOL, "socket residual {resid:e}");
-    let drift = check_stats_equal(&local.stats, &socket.stats);
-    assert!(
-        drift.is_empty(),
-        "traffic drifted across backends: {drift:?}"
-    );
+        assert_eq!(socket.perm, local.perm, "n={n} v={v}: pivots diverged");
+        assert_bitwise_equal(
+            socket.packed.as_ref().unwrap(),
+            local.packed.as_ref().unwrap(),
+            &format!("conflux factor n={n} v={v}, socket vs local"),
+        );
+        let resid = lu_residual_perm(&a, socket.packed.as_ref().unwrap(), &socket.perm);
+        assert!(
+            resid < RESIDUAL_TOL,
+            "n={n} v={v}: socket residual {resid:e}"
+        );
+        let drift = check_stats_equal(&local.stats, &socket.stats);
+        assert!(
+            drift.is_empty(),
+            "n={n} v={v}: traffic drifted across backends: {drift:?}"
+        );
+    }
 }
 
 #[test]

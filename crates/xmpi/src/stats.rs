@@ -21,6 +21,27 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// without locking.
 pub const MAX_PHASES: usize = 64;
 
+/// The process-wide copy of the phase label `name`. Schedules name a
+/// handful of phases and every rank of every world names the same ones, so
+/// a label is stored once, the first time any rank uses it, and never freed.
+///
+/// A `String` per rank and world would be allocated on a rank thread and
+/// freed by the launching thread once the world is over. Such a chunk stays
+/// in the launcher's malloc cache and pins the dead rank thread's arena
+/// wherever it happens to lie, which made whole benchmark runs differ by
+/// whether a one-rank world's tile stores were paged in again on every call
+/// (EXPERIMENTS.md, "Run-to-run steadiness").
+fn intern(name: &str) -> &'static str {
+    static LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut labels = LABELS.lock();
+    if let Some(&known) = labels.iter().find(|&&l| l == name) {
+        return known;
+    }
+    let fresh: &'static str = Box::leak(name.into());
+    labels.push(fresh);
+    fresh
+}
+
 /// The kind of communication primitive a byte was moved by.
 ///
 /// Every send/receive is attributed to exactly one kind: plain
@@ -112,9 +133,10 @@ pub(crate) struct Counters {
     current: AtomicUsize,
     /// Slab index of the collective kind in progress (0 = none → p2p).
     in_coll: AtomicUsize,
-    /// Interned phase labels; `labels[i]` names slab slot `i`. Locked only
+    /// This rank's phase labels (process-wide copies, see [`intern`]);
+    /// `labels[i]` names slab slot `i`, up to [`MAX_PHASES`]. Locked only
     /// by [`Counters::set_phase`] and [`Counters::snapshot`] (cold paths).
-    labels: Mutex<Vec<String>>,
+    labels: Mutex<Vec<&'static str>>,
     /// Per-phase bytes sent, indexed by interned label.
     phase_sent: [AtomicU64; MAX_PHASES],
     /// Per-phase bytes received, indexed by interned label.
@@ -132,7 +154,11 @@ impl Default for Counters {
             msgs_recv: AtomicU64::new(0),
             current: AtomicUsize::new(0),
             in_coll: AtomicUsize::new(0),
-            labels: Mutex::new(vec![String::new()]),
+            labels: Mutex::new({
+                let mut labels = Vec::with_capacity(MAX_PHASES);
+                labels.push("");
+                labels
+            }),
             phase_sent: [const { AtomicU64::new(0) }; MAX_PHASES],
             phase_recv: [const { AtomicU64::new(0) }; MAX_PHASES],
             coll: [const {
@@ -176,14 +202,14 @@ impl Counters {
     /// If more than [`MAX_PHASES`] distinct labels are used.
     pub(crate) fn set_phase(&self, name: &str) {
         let mut labels = self.labels.lock();
-        let idx = match labels.iter().position(|l| l == name) {
+        let idx = match labels.iter().position(|&l| l == name) {
             Some(i) => i,
             None => {
                 assert!(
                     labels.len() < MAX_PHASES,
                     "too many distinct phase labels (max {MAX_PHASES})"
                 );
-                labels.push(name.to_string());
+                labels.push(intern(name));
                 labels.len() - 1
             }
         };
@@ -218,7 +244,7 @@ impl Counters {
             let s = self.phase_sent[i].load(Ordering::Relaxed);
             let r = self.phase_recv[i].load(Ordering::Relaxed);
             if s != 0 || r != 0 {
-                per_phase.insert(label.clone(), (s, r));
+                per_phase.insert(label.to_string(), (s, r));
             }
         }
         let mut per_coll = Vec::new();
@@ -396,6 +422,18 @@ mod tests {
         assert_eq!(s.per_phase["a"], (100, 40));
         assert_eq!(s.per_phase["b"], (1, 0));
         assert_eq!(s.total_bytes(), 141);
+    }
+
+    #[test]
+    fn a_label_is_stored_once_for_every_rank_and_world() {
+        let (a, b) = (Counters::default(), Counters::default());
+        a.set_phase(&format!("stored-{}", "once"));
+        b.set_phase("stored-once");
+        let (la, lb) = (a.labels.lock()[1], b.labels.lock()[1]);
+        assert_eq!(la, "stored-once");
+        assert!(std::ptr::eq(la, lb), "both ranks must share one copy");
+        // ... and naming phases never grows a rank's table.
+        assert_eq!(a.labels.lock().capacity(), MAX_PHASES);
     }
 
     #[test]
