@@ -58,15 +58,22 @@ impl Stamp {
     }
 }
 
-/// Current git `HEAD`, or `"unknown"` outside a checkout.
+/// Current git `HEAD`, or `"unknown"` outside a checkout. A checkout whose
+/// tracked files differ from `HEAD` is not that commit: its hash gets a
+/// `-dirty` suffix, so a number measured on uncommitted code never passes
+/// for its parent's.
 pub fn git_head() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        (out.status.success()).then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => head + "-dirty",
+        _ => head,
+    }
 }
 
 /// `{os}-{arch}-c{cpus}-{hostname}`, commas/whitespace sanitized so the

@@ -1,6 +1,6 @@
 //! The data plane every distributed schedule of this crate shares: how a
-//! rank's share of a matrix is stored, and how the factor pieces ranks
-//! collect are represented. Nothing outside this module knows either.
+//! rank's share of a matrix is stored, and how the factor a world computes
+//! reaches the host. Nothing outside this module knows either.
 //!
 //! # The local tile store
 //!
@@ -16,29 +16,37 @@
 //! * a rank's active rows under row masking are an ascending list of local
 //!   row indices ([`ActiveRows`]) — the form `dense::par_gemm_rows` updates
 //!   in place,
-//! * a rank's up-to-date contribution to a row segment is one slice
-//!   subtraction, original minus accumulator (`push_contrib`),
+//! * a rank's up-to-date contribution to a row segment is one slice of its
+//!   store (`reduce_rows`),
 //! * a physical row swap is a slice exchange between two local rows
 //!   (`swap_rows`) or between a local row and a message (`row_mut`).
+//!
+//! A rank holds its share once, updated in place: layer 0 stages its copy
+//! of `A`, the layers above start from zeros, and every layer's Schur update
+//! is `store −= L10·U01` on its slice of the inner dimension. A panel column
+//! is dead once reduced, so the panel rank writes the `L` rows it solves
+//! back into it: a finished layer-0 store holds its rank's factor rows
+//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX),
+//! up to its diagonal (COnfCHOX), or all of them (`lu25d_swap`).
 //!
 //! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
 //! same row-major matrix with every local tile row cut off after its
 //! diagonal tile (*lower-only* shape): the rows of one tile row share a
 //! stride, and nothing is allocated for the strictly upper tiles.
 //!
-//! A per-tile *present* bit records which tiles hold data (staged input, or
-//! an accumulator some update has touched), which is the tile set a
-//! checkpoint serializes.
-//!
 //! # Collected factor pieces
 //!
-//! What a rank contributes to the assembled factor is a list of dense
-//! blocks ([`Collected`]) — original-row ids, column runs, row-major values
-//! — so indices cost per block row and column run, never per element. The
-//! same value is what a checkpoint snapshots, what a socket rank ships home,
-//! and what the ScaLAPACK wrapper routes into the caller's layout.
+//! What a rank computes for rows it does not own — COnfLUX's `A00` and
+//! `U01` — and `mmm25d`'s share of `C` are lists of dense blocks
+//! ([`Collected`]): original-row ids, column runs, row-major values, so
+//! indices cost per block row and column run, never per element. Stores and
+//! blocks together are what [`Collected::assemble`] reads, a checkpoint
+//! snapshots, a socket rank ships home, and the ScaLAPACK wrapper routes
+//! into the caller's layout.
 
 use crate::ft::Guard;
+use dense::gemm::Trans;
+use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::{MatMut, MatRef, Matrix};
 use std::ops::Range;
 use xmpi::{Comm, Grid3, Wire, XmpiError};
@@ -97,12 +105,6 @@ impl Tiling {
             nt: n / v,
             grid,
         }
-    }
-
-    /// Does the rank at 2D coordinates `(pi, pj)` own tile `(ti, tj)`?
-    #[inline]
-    pub fn owns(&self, pi: usize, pj: usize, ti: usize, tj: usize) -> bool {
-        ti % self.grid.px == pi && tj % self.grid.py == pj
     }
 
     /// Tile row indices owned by process row `pi`, ascending.
@@ -239,7 +241,7 @@ pub struct ActiveRows {
 /// local matrix (see the module docs): tile `(ti, tj)` occupies the `v × v`
 /// block at local tile position `(ti / px, tj / py)`. A *lower-only* store
 /// keeps, of each local tile row, just the tiles on or below the diagonal.
-/// The storage is zero-allocated, so an absent tile reads as zeros.
+/// The storage is zero-allocated: pages nobody writes are never committed.
 pub(crate) struct TileStore {
     data: Vec<f64>,
     v: usize,
@@ -254,14 +256,11 @@ pub(crate) struct TileStore {
     /// `band[li]..band[li + 1]` is local tile row `li` in `data`: `v` rows of
     /// one common stride, `ltc · v` unless the store is lower-only.
     band: Vec<usize>,
-    /// One bit per local tile position, row-major over `ltc`-wide rows.
-    present: Vec<bool>,
 }
 
 impl TileStore {
-    /// An all-zero store with no tile present, for the rank at 2D
-    /// coordinates `(pi, pj)`; `lower_only` cuts every tile row off after
-    /// its diagonal tile.
+    /// An all-zero store for the rank at 2D coordinates `(pi, pj)`;
+    /// `lower_only` cuts every tile row off after its diagonal tile.
     pub(crate) fn zeros(til: &Tiling, pi: usize, pj: usize, lower_only: bool) -> TileStore {
         let (v, px, py) = (til.v, til.grid.px, til.grid.py);
         let ltc = (pj..til.nt).step_by(py).len();
@@ -283,7 +282,6 @@ impl TileStore {
             pi,
             pj,
             ltc,
-            present: vec![false; (band.len() - 1) * ltc],
             band,
         }
     }
@@ -305,17 +303,6 @@ impl TileStore {
             }
         }
         store
-    }
-
-    /// Local tile position of the owned tile `(ti, tj)`.
-    fn local_tile(&self, ti: usize, tj: usize) -> (usize, usize) {
-        debug_assert!(
-            ti % self.px == self.pi && tj % self.py == self.pj,
-            "tile ({ti},{tj}) is not owned by rank ({},{})",
-            self.pi,
-            self.pj
-        );
-        (ti / self.px, tj / self.py)
     }
 
     /// Row stride of local tile row `li`.
@@ -363,17 +350,9 @@ impl TileStore {
         &self.data[self.row_span(lrow)]
     }
 
-    /// Mark the tiles of local tile row `li` that local columns `cols`
-    /// cross present.
-    fn mark(&mut self, li: usize, cols: &Range<usize>) {
-        let tiles = cols.start / self.v..cols.end.div_ceil(self.v);
-        self.present[li * self.ltc..][tiles].fill(true);
-    }
-
-    /// Writable stored part of local row `lrow`, marked present.
+    /// Writable stored part of local row `lrow`.
     pub(crate) fn row_mut(&mut self, lrow: usize) -> &mut [f64] {
         let span = self.row_span(lrow);
-        self.mark(lrow / self.v, &(0..span.len()));
         &mut self.data[span]
     }
 
@@ -381,46 +360,63 @@ impl TileStore {
     pub(crate) fn swap_rows(&mut self, l1: usize, l2: usize, cols: Range<usize>) {
         let (lo, hi) = (self.row_span(l1.min(l2)), self.row_span(l1.max(l2)));
         let (head, tail) = self.data.split_at_mut(hi.start);
-        head[lo][cols.clone()].swap_with_slice(&mut tail[cols.clone()]);
-        self.mark(l1 / self.v, &cols);
-        self.mark(l2 / self.v, &cols);
+        head[lo][cols.clone()].swap_with_slice(&mut tail[cols]);
     }
 
-    /// Does tile `(ti, tj)` hold data?
-    #[cfg(test)]
-    pub(crate) fn is_present(&self, ti: usize, tj: usize) -> bool {
-        let (li, lj) = self.local_tile(ti, tj);
-        self.present[li * self.ltc + lj]
+    /// The panel solve `L10 = A10·T⁻¹`, in place on the reduced panel rows
+    /// `l10` (`T`: `tri` as an upper triangle, or transposed as a lower
+    /// one). `L10` then stays on this rank, written back into tile column
+    /// `step` — dead since its reduction — at the local rows `lrows`.
+    pub(crate) fn solve_l10(
+        &mut self,
+        (uplo, trans): (Uplo, Trans),
+        tri: MatRef<'_>,
+        l10: &mut [f64],
+        step: usize,
+        lrows: impl Iterator<Item = usize>,
+    ) {
+        let (v, c0) = (self.v, self.col0(step));
+        let solved = MatMut::from_slice(l10, l10.len() / v, v, v);
+        trsm(Side::Right, uplo, trans, Diag::NonUnit, 1.0, tri, solved);
+        for (row, lrow) in l10.chunks_exact(v).zip(lrows) {
+            self.row_mut(lrow)[c0..c0 + v].copy_from_slice(row);
+        }
     }
 
-    /// Global coordinates of the present tiles, ascending by `(ti, tj)`
-    /// (local tile order is global tile order).
-    pub(crate) fn present_tiles(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let at = |li: usize, lj: usize| (li * self.px + self.pi, lj * self.py + self.pj);
-        let marked = self.present.iter().enumerate().filter(|&(_, &p)| p);
-        marked.map(move |(i, _)| at(i / self.ltc, i % self.ltc))
+    /// How many of this rank's local columns lie left of global column `c`.
+    fn cols_before(&self, c: usize) -> usize {
+        let partial = if (c / self.v) % self.py == self.pj {
+            c % self.v
+        } else {
+            0
+        };
+        self.cols_from(c / self.v).start + partial
     }
 
-    /// Read-only view of tile `(ti, tj)` (zeros if absent).
-    pub(crate) fn tile(&self, ti: usize, tj: usize) -> MatRef<'_> {
-        let (li, lj) = self.local_tile(ti, tj);
-        let band = MatRef::from_slice(
-            &self.data[self.band[li]..self.band[li + 1]],
-            self.v,
-            self.stride(li),
-            self.stride(li),
-        );
-        band.block(0, lj * self.v, self.v, self.v)
+    /// The finished store of a layer-0 rank as its factor rows, without
+    /// copying it: of the global row `r`, the entries left of global column
+    /// `upto(r)` are factor entries, the rest of the row is dead.
+    pub(crate) fn into_lower(self, upto: impl Fn(usize) -> usize) -> Lower {
+        let rows = (0..(self.band.len() - 1) * self.v).map(|lrow| {
+            let r = (lrow / self.v * self.px + self.pi) * self.v + lrow % self.v;
+            let (span, lead) = (self.row_span(lrow), self.cols_before(upto(r)));
+            debug_assert!(lead <= span.len(), "row {r} has no column {}", upto(r));
+            (span.start, lead)
+        });
+        Lower {
+            geometry: [self.v, self.pi, self.px, self.pj, self.py],
+            rows: rows.collect(),
+            data: self.data,
+        }
     }
 
-    /// Writable view of tile `(ti, tj)`, marking it present.
+    /// Writable view of tile `(ti, tj)`.
     pub(crate) fn tile_mut(&mut self, ti: usize, tj: usize) -> MatMut<'_> {
         self.tile_row_mut(ti, tj..tj + 1)
     }
 
     /// Writable view of the owned tiles of tile row `ti` whose tile column
-    /// lies in `tjs` — one `v`-row block of adjacent local columns —
-    /// marking them present.
+    /// lies in `tjs` — one `v`-row block of adjacent local columns.
     ///
     /// # Panics
     /// If the store is lower-only and `tjs` reaches above the diagonal.
@@ -429,46 +425,97 @@ impl TileStore {
         // Owned tile columns below `t` come first in local order.
         let cols = self.cols_from(tjs.start).start..self.cols_from(tjs.end).start;
         let (li, v, stride) = (ti / self.px, self.v, self.stride(ti / self.px));
-        self.mark(li, &cols);
         let band = &mut self.data[self.band[li]..self.band[li + 1]];
         MatMut::from_slice(band, v, stride, stride).block(0, cols.start, v, cols.len())
     }
 
-    /// Writable full-height view of local columns `cols` (whole tile
-    /// columns) for an update of the local rows `lrows` (ascending): every
-    /// tile a listed row crosses in those columns is marked present.
+    /// Writable full-height view of the local columns `cols`.
     ///
     /// # Panics
     /// If the store is lower-only (its rows have no common stride).
-    pub(crate) fn touch_rows(
-        &mut self,
-        lrows: impl IntoIterator<Item = usize>,
-        cols: Range<usize>,
-    ) -> MatMut<'_> {
-        let (v, ltc) = (self.v, self.ltc);
-        let (rows, ld) = ((self.band.len() - 1) * v, ltc * v);
-        assert_eq!(
-            self.data.len(),
-            rows * ld,
-            "a lower-only store has no full-height view"
-        );
-        let mut last = usize::MAX;
-        for li in lrows.into_iter().map(|l| l / v) {
-            if li != last {
-                self.mark(li, &cols);
-                last = li;
-            }
-        }
+    pub(crate) fn cols_mut(&mut self, cols: Range<usize>) -> MatMut<'_> {
+        let (rows, ld) = ((self.band.len() - 1) * self.v, self.ltc * self.v);
+        let full = self.data.len() == rows * ld;
+        assert!(full, "a lower-only store has no full-height view");
         MatMut::from_slice(&mut self.data, rows, ld, ld).block(0, cols.start, rows, cols.len())
     }
 }
 
-/// The factor pieces one rank has produced, as dense blocks: each block is
-/// a list of *original* (unpermuted) row ids — the final permutation
-/// re-addresses them during assembly —, the first columns of its
-/// equal-width column runs, and the row-major values of those rows over
-/// those columns. Indices cost one word per block row and per column run,
-/// never anything per element.
+/// A layer-0 rank's factor rows, left in the store that computed them: per
+/// local row, the leading entries that are factor entries (`L`; under
+/// `lu25d_swap` the whole packed row). Ranks off layer 0, and runs that
+/// collect nothing, return the empty value.
+#[derive(Debug, Default)]
+pub struct Lower {
+    /// `[v, pi, px, pj, py]`: tile side, then coordinate and grid extent
+    /// along the process rows and columns — local row `l` is global row
+    /// `((l / v)·px + pi)·v + l mod v`, and likewise for columns.
+    geometry: [usize; 5],
+    /// Local row `l` holds `rows[l].1` entries starting at `data[rows[l].0]`.
+    rows: Vec<(usize, usize)>,
+    data: Vec<f64>,
+}
+
+impl Lower {
+    /// Visit every contiguous piece `(global row, first global column,
+    /// values)`: a row's entries cut at the tile boundaries.
+    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
+        let [v, pi, px, pj, py] = self.geometry;
+        for (lrow, &(at, lead)) in self.rows.iter().enumerate() {
+            let r = (lrow / v * px + pi) * v + lrow % v;
+            for (lj, piece) in self.data[at..at + lead].chunks(v).enumerate() {
+                f(r, (lj * py + pj) * v, piece);
+            }
+        }
+    }
+}
+
+/// Socket ranks ship only the factor entries home: the geometry, one count
+/// per local row, and 8 bytes per entry, row after row.
+impl Wire for Lower {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.geometry.iter().for_each(|g| g.encode(out));
+        let leads: Vec<u32> = self.rows.iter().map(|&(_, lead)| lead as u32).collect();
+        leads.encode(out);
+        for &(at, lead) in &self.rows {
+            self.data[at..at + lead].iter().for_each(|x| x.encode(out));
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
+        let mut lower = Lower::default();
+        for g in &mut lower.geometry {
+            *g = Wire::decode(input)?;
+        }
+        // Only the empty value has tile side 0; no frame may divide by it.
+        lower.geometry[0] = lower.geometry[0].max(1);
+        for lead in Vec::<u32>::decode(input)? {
+            lower.rows.push((lower.data.len(), lead as usize));
+            for _ in 0..lead {
+                lower.data.push(Wire::decode(input)?);
+            }
+        }
+        Ok(lower)
+    }
+}
+
+/// What one rank hands home: its factor rows, and the pieces it collected.
+pub type RankFactor = (Lower, Collected);
+
+/// What a rank program returns: that, and the factor's row order.
+pub(crate) type RankResult = Result<(RankFactor, Vec<usize>), dense::Error>;
+
+/// Words `part` keeps allocated for values (its indices are `O(n)` more).
+#[cfg(test)]
+pub(crate) fn words((lower, upper): &RankFactor) -> usize {
+    lower.data.capacity() + upper.vals.capacity()
+}
+
+/// The factor pieces a rank computed for rows it does not own, as dense
+/// blocks: each block is a list of *original* (unpermuted) row ids — the
+/// final permutation re-addresses them during assembly —, the first columns
+/// of its equal-width column runs, and the row-major values of those rows
+/// over those columns. Indices cost one word per block row and per column
+/// run, never anything per element.
 #[derive(Debug, Default)]
 pub struct Collected {
     /// Block headers back to back:
@@ -479,9 +526,17 @@ pub struct Collected {
 }
 
 impl Collected {
+    /// Make room, exactly, for `words` more values: a rank that knows its
+    /// final size from the tiling reserves it once and never regrows (the
+    /// indices, a word per block row and column run, may).
+    pub(crate) fn reserve_exact(&mut self, words: usize) {
+        self.vals.reserve_exact(words);
+    }
+
     /// Append the block `vals`: its row `i` is original row `rows[i]`, and
     /// its columns are `starts.len()` runs of equal width, run `j` beginning
-    /// at column `starts[j]`.
+    /// at column `starts[j]`. ([`Collected::assemble`] takes tile runs only:
+    /// `v` wide, starting at a multiple of `v`.)
     ///
     /// # Panics
     /// If `vals` does not have `rows.len()` rows, or its columns do not
@@ -501,7 +556,7 @@ impl Collected {
 
     /// Visit every contiguous piece `(original row, first column, values)`,
     /// in collection order.
-    fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
+    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
         let (mut idx, mut vals) = (&self.idx[..], &self.vals[..]);
         while let [rows, runs, width, rest @ ..] = idx {
             let (rows, rest) = rest.split_at(*rows as usize);
@@ -515,16 +570,6 @@ impl Collected {
             }
             idx = rest;
         }
-    }
-
-    /// Visit every element `(original row, column, value)`, in collection
-    /// order (block by block, row-major within a block).
-    pub fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
-        self.for_each_run(|row, c0, piece| {
-            for (c, &x) in piece.iter().enumerate() {
-                f(row, c0 + c, x);
-            }
-        });
     }
 
     /// Append this value to an `f64` blob as
@@ -545,14 +590,21 @@ impl Collected {
         (Collected { idx, vals }, 2 + ni + nv)
     }
 
-    /// Assemble the pieces of every rank into a packed LU matrix in pivoted
-    /// row coordinates, i.e. a matrix `F` with `P·A = L·U`, `L` unit-lower
-    /// in `F`'s strict lower triangle and `U` in its upper triangle, where
-    /// row `s` of `P·A` is original row `perm[s]`.
+    /// Assemble what every rank of a world handed home — the `L` rows its
+    /// store kept and the blocks it collected — into one `n × n` matrix in
+    /// pivoted row coordinates, row `s` of which is original row `perm[s]`.
+    /// For LU that is the packed `F` with `P·A = L·U`, `L` unit-lower in
+    /// `F`'s strict lower triangle and `U` in its upper triangle.
+    ///
+    /// The stores' rows are disjoint by ownership. The collected blocks are
+    /// checked against each other, one bit per (pivoted row, tile column):
+    /// every run [`Collected::push`] took must be one tile wide — `v`
+    /// columns starting at a multiple of `v`.
     ///
     /// # Panics
-    /// If a block's row never appears in `perm`, or two elements collide.
-    pub fn assemble(n: usize, perm: &[usize], pieces: &[Collected]) -> Matrix {
+    /// If an entry's row never appears in `perm`, a collected run is not a
+    /// tile's, or two of them collide.
+    pub fn assemble(n: usize, v: usize, perm: &[usize], parts: &[RankFactor]) -> Matrix {
         assert_eq!(perm.len(), n, "permutation must cover all rows");
         let mut pos = vec![usize::MAX; n];
         for (s, &r) in perm.iter().enumerate() {
@@ -560,17 +612,26 @@ impl Collected {
             pos[r] = s;
         }
         let mut f = Matrix::zeros(n, n);
-        let mut seen = vec![false; n * n];
-        for piece in pieces {
-            piece.for_each_run(|r, c0, vals| {
-                let s = pos.get(r).copied().unwrap_or(usize::MAX);
-                assert!(s != usize::MAX, "entry row {r} missing from perm");
-                let taken = &mut seen[s * n + c0..s * n + c0 + vals.len()];
-                if let Some(c) = taken.iter().position(|&t| t) {
-                    panic!("duplicate factor entry at pivoted ({s},{})", c0 + c);
-                }
-                taken.fill(true);
-                f.row_mut(s)[c0..c0 + vals.len()].copy_from_slice(vals);
+        let mut place = |r: usize, c0: usize, vals: &[f64]| {
+            let s = pos.get(r).copied().unwrap_or(usize::MAX);
+            assert!(s != usize::MAX, "entry row {r} missing from perm");
+            f.row_mut(s)[c0..c0 + vals.len()].copy_from_slice(vals);
+            s
+        };
+        for (lower, _) in parts {
+            lower.for_each_run(|r, c0, vals| {
+                place(r, c0, vals);
+            });
+        }
+        let mut seen = vec![false; n * n.div_ceil(v)];
+        for (_, upper) in parts {
+            upper.for_each_run(|r, c0, vals| {
+                let aligned = vals.len() == v && c0.is_multiple_of(v);
+                assert!(aligned, "collected runs must be aligned and {v} wide");
+                let s = place(r, c0, vals);
+                let taken = &mut seen[s * n.div_ceil(v) + c0 / v];
+                assert!(!*taken, "duplicate factor entry at pivoted ({s},{c0})");
+                *taken = true;
             });
         }
         f
@@ -598,46 +659,37 @@ impl Wire for Collected {
 pub(crate) fn split_results<T, E>(
     results: impl IntoIterator<Item = Result<(T, Vec<usize>), E>>,
 ) -> Result<(Vec<T>, Vec<usize>), E> {
-    let mut pieces = Vec::new();
-    let mut perm = Vec::new();
-    for (rank, res) in results.into_iter().enumerate() {
-        let (piece, rank_perm) = res?;
-        if rank == 0 {
-            perm = rank_perm;
-        }
-        pieces.push(piece);
-    }
-    Ok((pieces, perm))
+    let done = results.into_iter().collect::<Result<Vec<_>, E>>()?;
+    let (pieces, mut perms): (Vec<T>, Vec<_>) = done.into_iter().unzip();
+    Ok((pieces, perms.swap_remove(0)))
 }
 
 /// Everything a COnfLUX / COnfCHOX rank carries from one block step to the
-/// next, besides its immutable input tiles. A rank program starts from a
-/// `State` — empty for a fresh run, decoded from a checkpoint for a resumed
-/// one — and hands the updated value to its end-of-step callback, so the
-/// step boundary is the one place a run can be snapshotted or re-entered.
+/// next. A rank program starts from a `State` — freshly staged, or decoded
+/// from a checkpoint — and hands the updated value to its end-of-step
+/// callback, so the step boundary is the one place a run can be snapshotted
+/// or re-entered.
 pub(crate) struct State {
     /// The next block step to execute.
     pub step: usize,
     /// Pivot rows chosen so far, in pivot order (stays empty for Cholesky).
     pub perm: Vec<usize>,
-    /// Factor pieces this rank has collected so far.
+    /// Factor pieces this rank has computed for rows it does not own.
     pub collected: Collected,
-    /// Layer-local Schur-update accumulators: a tile becomes present with
-    /// the first update that touches it.
-    pub acc: TileStore,
+    /// The rank's share (see the module docs): the trailing matrix, updated
+    /// in place, right of the finished tile columns, which hold `L`.
+    pub store: TileStore,
 }
 
 impl State {
-    /// The state a fresh run of world rank `rank` starts from: step 0,
-    /// nothing chosen, collected or accumulated (`lower_only` is the shape
-    /// of the accumulator store).
-    pub(crate) fn fresh(til: &Tiling, rank: usize, lower_only: bool) -> State {
-        let (pi, pj, _) = til.grid.coords(rank);
+    /// The state a fresh run starts from: step 0 on the staged `store`,
+    /// nothing chosen or collected.
+    pub(crate) fn fresh(store: TileStore) -> State {
         State {
             step: 0,
             perm: Vec::new(),
             collected: Collected::default(),
-            acc: TileStore::zeros(til, pi, pj, lower_only),
+            store,
         }
     }
 }
@@ -656,11 +708,11 @@ pub(crate) fn check_shape(a: &Matrix, n: usize) -> Result<(), dense::Error> {
     })
 }
 
-/// Layer-0 tile staging straight from a globally-known matrix (the
-/// "already distributed" convention of the paper: no measured traffic);
-/// the other layers get an all-absent store. `lower_only` stages just the
-/// tiles on or below the diagonal, into a lower-only store — COnfCHOX's
-/// storage.
+/// The store a rank starts from, staged straight from a globally-known
+/// matrix (the "already distributed" convention of the paper: no measured
+/// traffic): layer 0 copies its tiles of `a`, the layers above get zeros.
+/// `lower_only` stages just the tiles on or below the diagonal, into a
+/// lower-only store — COnfCHOX's storage.
 pub(crate) fn stage_from_global(
     comm: &Comm,
     til: &Tiling,
@@ -677,39 +729,27 @@ pub(crate) fn stage_from_global(
     })
 }
 
-/// Appends this rank's up-to-date contribution for the segment `cols` of
-/// local row `lrow`: original value (zero off layer 0) minus accumulated
-/// updates — one pass over two contiguous slices of the rank's stores.
-fn push_contrib(
-    orig: &TileStore,
-    acc: &TileStore,
-    lrow: usize,
-    cols: Range<usize>,
-    buf: &mut Vec<f64>,
-) {
-    let (o, a) = (&orig.row(lrow)[cols.clone()], &acc.row(lrow)[cols]);
-    buf.extend(o.iter().zip(a).map(|(o, a)| o - a));
-}
-
-/// The up-to-date values of the local rows `lrows` over the local columns
-/// `cols`, row-major: every layer's contribution (see `push_contrib`)
-/// summed along the z-fibre onto layer 0, where the result is meaningful.
+/// Fills `buf` with the up-to-date values of the local rows `lrows` over the
+/// local columns `cols`, row-major: every layer's share (one slice of its
+/// store per row) summed along the z-fibre onto layer 0, where the result is
+/// meaningful. `buf` is the caller's step buffer; its old content is
+/// dropped, its allocation reused.
 pub(crate) fn reduce_rows(
     net: &Net<'_>,
     guard: &mut Guard,
-    (orig, acc): (&TileStore, &TileStore),
+    store: &TileStore,
     lrows: impl ExactSizeIterator<Item = usize>,
     cols: Range<usize>,
-) -> Vec<f64> {
+    buf: &mut Vec<f64>,
+) {
     let rows = lrows.len();
-    let mut buf = Vec::with_capacity(rows * cols.len());
+    buf.clear();
     for lrow in lrows {
-        push_contrib(orig, acc, lrow, cols.clone(), &mut buf);
+        buf.extend_from_slice(&store.row(lrow)[cols.clone()]);
     }
     if !buf.is_empty() {
-        guard.reduce(&net.zfib, 0, &mut buf, rows, cols.len());
+        guard.reduce(&net.zfib, 0, buf, rows, cols.len());
     }
-    buf
 }
 
 /// Pick a processor grid *and* block size jointly for an `n × n` problem on
@@ -807,19 +847,15 @@ mod tests {
         let g = Grid3::new(2, 3, 2);
         let t = Tiling::new(24, 4, g);
         assert_eq!(t.nt, 6);
-        let mut count = 0;
-        for pi in 0..2 {
-            for pj in 0..3 {
-                for ti in 0..6 {
-                    for tj in 0..6 {
-                        if t.owns(pi, pj, ti, tj) {
-                            count += 1;
-                        }
-                    }
-                }
+        let mut owners = [[0; 6]; 6];
+        for (pi, pj) in (0..2).flat_map(|pi| (0..3).map(move |pj| (pi, pj))) {
+            for ti in t.tile_rows_of(pi) {
+                t.tile_cols_of(pj)
+                    .iter()
+                    .for_each(|&tj| owners[ti][tj] += 1);
             }
         }
-        assert_eq!(count, 36, "each tile has exactly one 2D owner");
+        assert_eq!(owners, [[1; 6]; 6], "each tile has exactly one 2D owner");
         assert_eq!(t.tile_rows_of(1), vec![1, 3, 5]);
         assert_eq!(t.kslice(), 2);
         assert_eq!(t.rows_of_tile(2), 8..12);
@@ -870,31 +906,24 @@ mod tests {
     }
 
     #[test]
-    fn tile_store_maps_tiles_by_arithmetic_and_tracks_presence() {
+    fn tile_store_maps_tiles_by_arithmetic() {
         // 2×3 grid, 6×6 tiles of side 2: rank (1, 2) owns tile rows 1,3,5
         // and tile columns 2,5 — a 6×4 local matrix.
         let til = Tiling::new(12, 2, Grid3::new(2, 3, 1));
         let mut s = TileStore::zeros(&til, 1, 2, false);
         assert_eq!((s.row(0).len(), s.col0(5)), (4, 2));
-        assert_eq!(s.present_tiles().count(), 0);
         s.tile_mut(3, 5).fill(7.0);
         s.tile_mut(1, 2).fill(1.0);
-        assert!(s.is_present(3, 5) && !s.is_present(3, 2));
-        // Ascending (ti, tj) order, whatever the insertion order.
-        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(1, 2), (3, 5)]);
         assert_eq!(s.row(s.local_row(7)), &[0.0, 0.0, 7.0, 7.0]);
-        assert_eq!(s.tile(1, 2).get(1, 1), 1.0);
-        assert_eq!(s.tile(5, 5).get(0, 0), 0.0, "absent tiles read as zeros");
+        assert_eq!(s.row(s.local_row(3)), &[1.0, 1.0, 0.0, 0.0]);
         // A tile-row block: the owned tile columns in 1..6 are 2 and 5.
         let row = s.tile_row_mut(5, 1..6);
         assert_eq!((row.rows(), row.cols()), (2, 4));
-        assert!(s.is_present(5, 2) && s.is_present(5, 5) && !s.is_present(1, 5));
-        // A row-mapped update of local rows 0 and 5 in tile column 5 marks
-        // the tiles those rows cross, and nothing else.
-        let mut s = TileStore::zeros(&til, 1, 2, false);
-        let view = s.touch_rows([0, 5], 2..4);
+        // The full-height view of tile column 5.
+        let mut view = s.cols_mut(2..4);
         assert_eq!((view.rows(), view.cols()), (6, 2));
-        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(1, 5), (5, 5)]);
+        view.fill(2.0);
+        assert_eq!(s.row(s.local_row(7)), &[0.0, 0.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -909,34 +938,38 @@ mod tests {
         s.tile_row_mut(3, 0..4).fill(2.0);
         assert_eq!(s.row(s.local_row(7)), &[2.0, 2.0]);
         assert_eq!(s.row(s.local_row(11)), &[0.0, 0.0, 3.0, 3.0]);
-        assert_eq!(s.tile(5, 5).get(1, 0), 3.0);
-        assert_eq!(s.present_tiles().collect::<Vec<_>>(), vec![(3, 2), (5, 5)]);
         // On a square grid the diagonal tile itself is kept.
         let til = Tiling::new(8, 2, Grid3::new(2, 2, 1));
         let mut s = TileStore::zeros(&til, 1, 1, true);
         assert_eq!((s.row(0).len(), s.row(2).len()), (2, 4));
         s.tile_mut(3, 3).fill(1.0);
-        assert!(s.is_present(3, 3));
+        assert_eq!(s.row(s.local_row(7)), &[0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "no full-height view")]
     fn lower_only_store_has_no_full_height_view() {
         let til = Tiling::new(8, 2, Grid3::new(1, 1, 1));
-        TileStore::zeros(&til, 0, 0, true).touch_rows([0], 0..2);
+        TileStore::zeros(&til, 0, 0, true).cols_mut(0..2);
     }
 
     #[test]
-    fn push_contrib_subtracts_accumulator_from_original() {
+    fn reduce_rows_reads_one_slice_per_row_into_the_callers_buffer() {
         let til = Tiling::new(4, 2, Grid3::new(1, 1, 1));
-        let mut orig = TileStore::zeros(&til, 0, 0, false);
-        let mut acc = TileStore::zeros(&til, 0, 0, false);
-        orig.tile_mut(1, 1).fill(5.0);
-        acc.tile_mut(1, 1).fill(1.5);
-        acc.tile_mut(1, 0).fill(0.25);
-        let mut buf = vec![9.0];
-        push_contrib(&orig, &acc, 3, 0..4, &mut buf);
-        assert_eq!(buf, vec![9.0, -0.25, -0.25, 3.5, 3.5]);
+        let out = xmpi::run(1, |comm| {
+            let (net, guard) = (Net::new(comm, til), &mut Guard::new(false));
+            let mut store = TileStore::zeros(&til, 0, 0, false);
+            store.tile_mut(1, 1).fill(5.0);
+            store.tile_mut(1, 0).fill(-0.25);
+            // Old content goes, the allocation stays.
+            let mut buf = Vec::with_capacity(64);
+            buf.push(9.0);
+            let at = buf.as_ptr();
+            reduce_rows(&net, guard, &store, [3, 0].into_iter(), 1..4, &mut buf);
+            assert_eq!(buf.as_ptr(), at);
+            buf
+        });
+        assert_eq!(out.results[0], vec![-0.25, 5.0, 5.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -963,26 +996,23 @@ mod tests {
         s.swap_rows(3, 0, 2..4);
         assert_eq!(s.row(0), &[1.0, 2.0, 7.0, 8.0]);
         assert_eq!(s.row(3), &[5.0, 6.0, 3.0, 4.0]);
-        assert!(
-            s.is_present(1, 0) && s.is_present(3, 2),
-            "written rows are present"
-        );
     }
 
-    /// One collected block with the given row ids, run starts and values.
-    fn block(rows: &[usize], cols: &[usize], vals: &[f64]) -> Collected {
+    /// What a rank that kept no `L` rows hands home: one collected block
+    /// with the given row ids, run starts and values.
+    fn block(rows: &[usize], cols: &[usize], vals: &[f64]) -> RankFactor {
         let vals = Matrix::from_vec(rows.len(), vals.len() / rows.len(), vals.to_vec());
         let mut c = Collected::default();
         c.push(rows, cols, vals.as_ref());
-        c
+        (Lower::default(), c)
     }
 
     /// The 2×2 case of the old COO assembly, `perm = [1, 0]` (original row 1
-    /// is the first pivot): its U row as one block, then the L and U entries
-    /// of pivot 1 as two column runs of one block.
-    fn two_by_two() -> Vec<Collected> {
+    /// is the first pivot): its U row, then the L and U entries of pivot 1 —
+    /// two blocks of two one-wide column runs each.
+    fn two_by_two() -> Vec<RankFactor> {
         vec![
-            block(&[1], &[0], &[4.0, 5.0]),
+            block(&[1], &[0, 1], &[4.0, 5.0]),
             block(&[0], &[0, 1], &[0.5, 3.0]),
         ]
     }
@@ -990,12 +1020,14 @@ mod tests {
     #[test]
     fn assemble_places_blocks_in_pivot_order() {
         let pieces = two_by_two();
-        let f = Collected::assemble(2, &[1, 0], &pieces);
+        let f = Collected::assemble(2, 1, &[1, 0], &pieces);
         assert_eq!(f.data(), &[4.0, 5.0, 0.5, 3.0]);
-        // The visitor yields the COO triples the blocks stand for.
-        let mut coo = Vec::new();
-        pieces[1].for_each(|r, c, x| coo.push((r, c, x)));
-        assert_eq!(coo, vec![(0, 0, 0.5), (0, 1, 3.0)]);
+        // The visitor yields the runs the blocks stand for.
+        let mut runs = Vec::new();
+        pieces[1]
+            .1
+            .for_each_run(|r, c, x| runs.push((r, c, x.to_vec())));
+        assert_eq!(runs, vec![(0, 0, vec![0.5]), (0, 1, vec![3.0])]);
     }
 
     #[test]
@@ -1003,13 +1035,61 @@ mod tests {
     fn assemble_rejects_collisions() {
         let mut pieces = two_by_two();
         pieces.push(block(&[1], &[1], &[2.0]));
-        Collected::assemble(2, &[1, 0], &pieces);
+        Collected::assemble(2, 1, &[1, 0], &pieces);
     }
 
     #[test]
     #[should_panic(expected = "entry row 2 missing from perm")]
     fn assemble_rejects_rows_outside_the_permutation() {
-        Collected::assemble(2, &[1, 0], &[block(&[2], &[0], &[1.0])]);
+        Collected::assemble(2, 1, &[1, 0], &[block(&[2], &[0], &[1.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be aligned")]
+    fn assemble_rejects_a_run_off_the_coverage_grid() {
+        let pieces = [
+            block(&[0], &[0], &[1.0, 2.0]),
+            block(&[1], &[1], &[3.0, 4.0]),
+        ];
+        Collected::assemble(4, 2, &[0, 1, 2, 3], &pieces);
+    }
+
+    #[test]
+    fn lower_keeps_the_leading_entries_of_each_store_row() {
+        // Rank (1, 0) of a 2×2 grid over 4×4 tiles of side 2: tile rows 1, 3
+        // (global rows 2, 3, 6, 7) and tile columns 0, 2.
+        let til = Tiling::new(8, 2, Grid3::new(2, 2, 1));
+        let mut s = TileStore::zeros(&til, 1, 0, false);
+        for lrow in 0..4 {
+            let vals: Vec<f64> = (0..4).map(|c| (10 * lrow + c) as f64).collect();
+            s.row_mut(lrow).copy_from_slice(&vals);
+        }
+        let before = [0, 1, 2, 4, 5, 8].map(|c| s.cols_before(c));
+        assert_eq!(before, [0, 1, 2, 2, 3, 4]);
+        // Entries left of global column 7 − row: rows 2, 3, 6, 7 keep the
+        // columns {0, 1, 4}, {0, 1}, {0} and none.
+        let lower = s.into_lower(|r| 7 - r);
+        let entries_of = |lower: &Lower| {
+            let mut all = Vec::new();
+            lower.for_each_run(|r, c0, vals| all.extend((c0..).zip(vals).map(|(c, &x)| (r, c, x))));
+            all
+        };
+        let want = [
+            (2, 0, 0.),
+            (2, 1, 1.),
+            (2, 4, 2.),
+            (3, 0, 10.),
+            (3, 1, 11.),
+            (6, 0, 20.),
+        ];
+        assert_eq!(entries_of(&lower), want);
+        // On the wire: the geometry, one count per row, the kept entries —
+        // and a decoded part holds nothing else.
+        let bytes = xmpi::wire::encode_vec(&lower);
+        assert_eq!(bytes.len(), 5 * 8 + (8 + 4 * 4) + 6 * 8);
+        let back: Lower = xmpi::wire::decode_all(&bytes).unwrap();
+        assert_eq!((&entries_of(&back)[..], back.data.len()), (&want[..], 6));
+        assert!(xmpi::wire::decode_all::<Lower>(&bytes[..bytes.len() - 8]).is_err());
     }
 
     #[test]
@@ -1024,7 +1104,7 @@ mod tests {
             0.1,
             -3.0,
         ];
-        let mut c = block(&[5, 2], &[8, 2], &vals);
+        let (_, mut c) = block(&[5, 2], &[8, 2], &vals);
         c.push(&[9], &[0], Matrix::from_vec(1, 1, vec![f64::NAN]).as_ref());
         let same = |back: &Collected| {
             assert_eq!(back.idx, c.idx);

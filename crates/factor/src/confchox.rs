@@ -1,13 +1,19 @@
 //! **COnfCHOX** — near-communication-optimal 2.5D Cholesky factorization
 //! (paper §7.5).
 //!
-//! Same skeleton as COnfLUX — tile-cyclic 2.5D decomposition, layer-local
-//! partial Schur updates, z-fibre reductions when a panel is needed — minus
-//! pivoting (SPD input), plus symmetry: only lower-triangular tiles are
-//! stored and updated, the trailing update uses `L10` in *two roles* (as the
-//! left operand by tile row and, transposed, as the right operand by tile
-//! column), and diagonal tiles use `gemmt`. This realizes Table 1 of the
-//! paper: Cholesky moves the same volume as LU while doing half the flops.
+//! Same skeleton as COnfLUX — tile-cyclic 2.5D decomposition, one store per
+//! rank updated in place by layer-local partial Schur updates, z-fibre
+//! reductions when a panel is needed — minus pivoting (SPD input), plus
+//! symmetry: only lower-triangular tiles are stored and updated, the
+//! trailing update uses `L10` in *two roles* (as the left operand by tile
+//! row and, transposed, as the right operand by tile column), and diagonal
+//! tiles use `gemmt`. This realizes Table 1 of the paper: Cholesky moves the
+//! same volume as LU while doing half the flops.
+//!
+//! The factor never leaves the stores: the diagonal owner writes `L00`, and
+//! every panel rank its rows of `L10`, back into tile column `t` — dead
+//! since its reduction — so after the last step a layer-0 store *is* the
+//! rank's part of `L`, and nothing is collected on the side.
 //!
 //! # Lookahead
 //!
@@ -21,14 +27,14 @@
 //! attribution are identical either way.
 
 use crate::common::{
-    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, stage_from_global, Collected,
-    Net, State, TileStore, Tiling,
+    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
+    stage_from_global, Collected, Net, RankResult, State, TileStore, Tiling,
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
 use dense::gemm::{gemm, gemmt, CUplo, Trans};
 use dense::potrf::potrf_unblocked;
-use dense::trsm::{trsm, Diag, Side, Uplo};
+use dense::trsm::Uplo;
 use dense::{Error, MatRef, Matrix};
 use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
 
@@ -112,17 +118,13 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
     // Backend-aware launch: threads by default, rank processes over a
     // socket mesh when the socket backend is ambient.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
-        let tiles = stage_from_global(comm, &til, a, true);
-        let mut guard = Guard::new(false);
-        let fresh = State::fresh(&til, comm.rank(), true);
-        let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        Ok::<_, Error>(done.collected)
+        let fresh = State::fresh(stage_from_global(comm, &til, a, true));
+        rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
     });
-    let pieces = out.results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let l = cfg.collect.then(|| {
-        let perm: Vec<usize> = (0..cfg.n).collect();
-        Collected::assemble(cfg.n, &perm, &pieces)
-    });
+    let (parts, identity) = split_results(out.results)?;
+    let l = cfg
+        .collect
+        .then(|| Collected::assemble(cfg.n, cfg.v, &identity, &parts));
     Ok(CholOutput {
         l,
         stats: out.stats,
@@ -130,19 +132,20 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
 }
 
 /// The SPMD program one rank executes — the only implementation of the
-/// schedule. `orig` holds this rank's layer-0 lower-triangular tiles (all
-/// absent on layers > 0) and, like `state.acc`, is a lower-only store.
-/// `guard`, `state` and `at_step_end` are the two seams of
-/// [`crate::conflux`]'s rank program (`state.perm` stays empty: no
-/// pivoting). Returns the final state.
+/// schedule. `state.store` is this rank's share, a lower-only store:
+/// layer 0's lower-triangular tiles of `A`, zeros above it. `guard`,
+/// `state` and `at_step_end` are the two seams of [`crate::conflux`]'s rank
+/// program (`state.perm` and `state.collected` stay empty: no pivoting, and
+/// the factor stays in the stores). Returns what the rank hands home — the
+/// part of `L` its store holds (layer 0 of a collecting run), no pieces —
+/// and the factor's row order, the matrix's own.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfchoxConfig,
-    orig: TileStore,
     guard: &mut Guard,
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
-) -> Result<State, Error> {
+) -> RankResult {
     assert!(
         at_step_end.is_none() || !cfg.lookahead,
         "a step-boundary callback needs the blocking schedule"
@@ -153,6 +156,10 @@ pub(crate) fn rank_program(
     let (v, nt, ks) = (cfg.v, til.nt, til.kslice());
 
     let net = Net::new(comm, til);
+    // The reduced panel column — the one `O(n·v)` step buffer, reserved
+    // once: the diagonal tile first where this rank owns it, then the
+    // trailing rows, which the panel solve turns into `L10` in place.
+    let mut panel = Vec::with_capacity(til.tile_rows_of(pi).len() * v * v);
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingChol<'_>> = None;
@@ -170,8 +177,7 @@ pub(crate) fn rank_program(
         // ---- 1–2. Reduce column `step`, factor + broadcast L00 ---------
         // Either complete the broadcasts posted at the end of the previous
         // step (lookahead) or form the panel and broadcast blocking, here.
-        let (panel_vals, l00_flat);
-        match pending.take() {
+        let l00_flat = match pending.take() {
             Some(pp) => {
                 phase(comm, "potrf_bcast");
                 // Status first: waiting it forwards the word down the tree,
@@ -180,54 +186,41 @@ pub(crate) fn rank_program(
                 if status[0] != 0.0 {
                     return Err(pp.err.unwrap_or(Error::NotPositiveDefinite(step * v)));
                 }
-                l00_flat = match pp.l00 {
+                match pp.l00 {
                     Some(req) => req.wait_buf_f64(),
                     None => Buf::from(Vec::new()),
-                };
-                panel_vals = pp.panel_vals;
+                }
             }
             None => {
-                let form = form_panel(&net, guard, &orig, &mut state, step, cfg.collect);
+                let (l00, err) = form_panel(&net, guard, &mut state.store, step, &mut panel);
                 // One status word to everyone, so an indefinite block aborts
                 // all ranks cleanly instead of deadlocking the world.
                 let status_root = g.rank_of(it, jt, 0);
-                let mut status = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
+                let mut status = vec![if err.is_some() { 1.0 } else { 0.0 }];
                 comm.bcast_f64(status_root, &mut status);
                 if status[0] != 0.0 {
-                    return Err(form.err.unwrap_or(Error::NotPositiveDefinite(step * v)));
+                    return Err(err.unwrap_or(Error::NotPositiveDefinite(step * v)));
                 }
-                l00_flat = if pj == jt && pk == 0 {
+                if pj == jt && pk == 0 {
                     // Broadcast L00 within the panel group (column `jt`).
-                    guard.bcast(net.panel.as_ref().unwrap(), it, form.l00_flat, v, v)
+                    guard.bcast(net.panel.as_ref().unwrap(), it, l00, v, v)
                 } else {
-                    Buf::from(form.l00_flat)
-                };
-                panel_vals = form.panel_vals;
+                    Buf::from(l00)
+                }
             }
-        }
+        };
 
         // ---- 3. Panel solve: L10 = A10·L00⁻ᵀ ---------------------------
         phase(comm, "panel_trsm");
-        let mut l10 = Matrix::zeros(0, v);
+        let n_row = trail_rows.len() * v;
+        let mut l10: &[f64] = &[];
         if pj == jt && pk == 0 && !trail_rows.is_empty() {
+            // The trailing rows follow the diagonal tile in the panel buffer.
+            let solved = &mut panel[if it == pi { v * v } else { 0 }..];
             let l00 = MatRef::from_slice(&l00_flat[..v * v], v, v, v);
-            l10 = panel_vals;
-            trsm(
-                Side::Right,
-                Uplo::Lower,
-                Trans::T,
-                Diag::NonUnit,
-                1.0,
-                l00,
-                l10.as_mut(),
-            );
-            if cfg.collect {
-                let rows: Vec<usize> = trail_rows
-                    .iter()
-                    .flat_map(|&ti| til.rows_of_tile(ti))
-                    .collect();
-                state.collected.push(&rows, &[step * v], l10.as_ref());
-            }
+            let (tri, below) = ((Uplo::Lower, Trans::T), state.store.rows_from(step + 1));
+            state.store.solve_l10(tri, l00, solved, step, below);
+            l10 = solved;
         }
 
         if last {
@@ -236,18 +229,15 @@ pub(crate) fn rank_program(
 
         // ---- 4a. Distribute L10, row role (by tile row, z-sliced) ------
         phase(comm, "scatter_panels");
-        let n_row = trail_rows.len() * v;
         let mut l10_row_flat = Buf::from(Vec::new());
         if !trail_rows.is_empty() {
             // The broadcast keeps the tree's shared storage: the update
             // below reads it through a borrowed view.
             let tag = TAG_L10ROW + step as u64;
             l10_row_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (n_row, ks), |k| {
-                l10.block(0, k * ks, n_row, ks)
+                MatRef::from_slice(l10, n_row, v, v).block(0, k * ks, n_row, ks)
             });
         }
-        // The full-width panel is dead once its z-slices are on the wire.
-        drop(l10);
         let l10_row = MatRef::from_slice(&l10_row_flat[..n_row * ks], n_row, ks, ks);
 
         // ---- 4b. Distribute L10, column role (by tile column) ----------
@@ -259,47 +249,33 @@ pub(crate) fn rank_program(
         let any_col_tiles = !col_role_tiles.is_empty();
         let mut l10_col = Matrix::zeros(col_role_tiles.len() * v, ks);
         if any_col_tiles {
+            // A tile's `v` rows of `ks` values are contiguous in both operands.
+            let tile = v * ks;
             let mut piece: Vec<f64> = Vec::new();
-            for (bi, &ti) in trail_rows.iter().enumerate() {
-                if ti % g.py != pj {
-                    continue;
-                }
-                for r in 0..v {
-                    piece.extend_from_slice(l10_row.row(bi * v + r));
-                }
+            for (bi, _) in (0..).zip(&trail_rows).filter(|(_, &ti)| ti % g.py == pj) {
+                piece.extend_from_slice(&l10_row_flat[bi * tile..(bi + 1) * tile]);
             }
             // Group `grp` of the x-fibre contributes its trailing tiles that
             // also match this process column, `v` rows each.
-            let pieces = guard.allgather(&net.xcol, &piece, ks, |grp| {
-                (step + 1..nt)
-                    .filter(|&ti| ti % g.px == grp && ti % g.py == pj)
-                    .count()
-                    * v
-            });
-            // Reassemble rows in ascending tile order.
-            let mut cursors = vec![0usize; g.px];
-            for (bi, &ti) in col_role_tiles.iter().enumerate() {
-                let src_group = ti % g.px;
-                let src = &pieces[src_group];
-                let cur = &mut cursors[src_group];
-                for r in 0..v {
-                    l10_col
-                        .row_mut(bi * v + r)
-                        .copy_from_slice(&src[*cur..*cur + ks]);
-                    *cur += ks;
-                }
+            let from = |grp: usize| col_role_tiles.iter().filter(move |&&ti| ti % g.px == grp);
+            let pieces = guard.allgather(&net.xcol, &piece, ks, |grp| from(grp).count() * v);
+            // Reassemble the tiles in ascending order, each from its group.
+            let mut tiles_of: Vec<_> = pieces.iter().map(|p| p.chunks_exact(tile)).collect();
+            let dsts = l10_col.data_mut().chunks_exact_mut(tile);
+            for (dst, &ti) in dsts.zip(&col_role_tiles) {
+                dst.copy_from_slice(tiles_of[ti % g.px].next().expect("a tile per group turn"));
             }
         }
 
         // ---- 5. Trailing symmetric update (lower tiles only) -----------
         // Per owned trailing tile row: one GEMM for every owned tile
         // strictly left of the diagonal — adjacent local columns of the
-        // accumulator, written through one strided view — and `gemmt` on
+        // store, updated in place through one strided view — and `gemmt` on
         // the diagonal tile if this rank owns it. `cols` indexes into
         // `col_role_tiles`; splitting the update by column is exact (tiles
         // are disjoint), so the lookahead split stays bitwise equal to the
         // one-shot blocking update.
-        let apply_update = |acc: &mut TileStore, cols: std::ops::Range<usize>| {
+        let apply_update = |store: &mut TileStore, cols: std::ops::Range<usize>| {
             for (bi, &ti) in trail_rows.iter().enumerate() {
                 let rowblk = l10_row.block(bi * v, 0, v, ks);
                 // Selected tile columns left of the diagonal, then on it.
@@ -310,11 +286,11 @@ pub(crate) fn rank_program(
                     gemm(
                         Trans::N,
                         Trans::T,
-                        1.0,
+                        -1.0,
                         rowblk,
                         l10_col.block(left.start * v, 0, left.len() * v, ks),
                         1.0,
-                        acc.tile_row_mut(ti, tjs),
+                        store.tile_row_mut(ti, tjs),
                     );
                 }
                 if cols.contains(&diag) && col_role_tiles.get(diag) == Some(&ti) {
@@ -322,11 +298,11 @@ pub(crate) fn rank_program(
                         CUplo::Lower,
                         Trans::N,
                         Trans::T,
-                        1.0,
+                        -1.0,
                         rowblk,
                         l10_col.block(diag * v, 0, v, ks),
                         1.0,
-                        acc.tile_mut(ti, ti),
+                        store.tile_mut(ti, ti),
                     );
                 }
             }
@@ -338,28 +314,27 @@ pub(crate) fn rank_program(
             // z-reduction reads the same values as the blocking schedule.
             let next = step + 1;
             let head = usize::from(col_role_tiles.first() == Some(&next));
-            apply_update(&mut state.acc, 0..head);
+            apply_update(&mut state.store, 0..head);
             // 5b. Reduce + factor the next diagonal block and post its
             // broadcasts; they travel while the bulk update below runs.
-            let form = form_panel(&net, guard, &orig, &mut state, next, cfg.collect);
+            let (l00, err) = form_panel(&net, guard, &mut state.store, next, &mut panel);
             let (it1, jt1) = (next % g.px, next % g.py);
-            let flag = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
+            let flag = vec![if err.is_some() { 1.0 } else { 0.0 }];
             let status_req = comm.ibcast_f64(g.rank_of(it1, jt1, 0), next as u64, flag);
             let l00_req = (pj == jt1 && pk == 0).then(|| {
                 let panel = net.panel.as_ref().unwrap();
-                panel.ibcast_f64(it1, next as u64, form.l00_flat)
+                panel.ibcast_f64(it1, next as u64, l00)
             });
             pending = Some(PendingChol {
-                panel_vals: form.panel_vals,
-                err: form.err,
+                err,
                 status: status_req,
                 l00: l00_req,
             });
             // 5c. Bulk update of the remaining trailing columns.
             phase(comm, "update_a11");
-            apply_update(&mut state.acc, head..col_role_tiles.len());
+            apply_update(&mut state.store, head..col_role_tiles.len());
         } else {
-            apply_update(&mut state.acc, 0..col_role_tiles.len());
+            apply_update(&mut state.store, 0..col_role_tiles.len());
         }
 
         // ---- Step boundary (never reached by the last step) -----------
@@ -370,13 +345,14 @@ pub(crate) fn rank_program(
     }
 
     phase_end(comm);
-    Ok(state)
+    // A row's `L` entries are the store's columns up to its diagonal.
+    let lower = (cfg.collect && pk == 0).then(|| state.store.into_lower(|r| r + 1));
+    let part = (lower.unwrap_or_default(), state.collected);
+    Ok((part, (0..cfg.n).collect()))
 }
 
 /// Panel broadcasts in flight between two steps (lookahead mode).
 struct PendingChol<'c> {
-    /// Reduced trailing-row panel on the owning ranks (empty elsewhere).
-    panel_vals: Matrix,
     /// The potrf error, on the diagonal owner only.
     err: Option<Error>,
     /// World broadcast of the status word.
@@ -386,19 +362,20 @@ struct PendingChol<'c> {
 }
 
 /// Steps 1–2a for block step `step`: z-reduce the diagonal and trailing
-/// rows of tile column `step` onto layer 0, then factor the diagonal block
-/// on its owner (collecting its lower triangle). The caller broadcasts the status
-/// word and `L00` — blocking or nonblocking. The blocking path calls this
-/// at the top of step `step`, the lookahead path at the bottom of step
-/// `step − 1`; the accumulator state read is identical at both call sites.
+/// rows of tile column `step` onto layer 0 — into `panel`, the diagonal tile
+/// first where this rank owns it — then factor the diagonal block on its
+/// owner, which keeps `L00` in its store. Returns `L00` and the kernel's
+/// error; the caller broadcasts the status word and `L00` — blocking or
+/// nonblocking. The blocking path calls this at the top of step `step`, the
+/// lookahead path at the bottom of step `step − 1`; the store column read is
+/// identical at both call sites.
 fn form_panel(
     net: &Net<'_>,
     guard: &mut Guard,
-    orig: &TileStore,
-    state: &mut State,
+    store: &mut TileStore,
     step: usize,
-    collect: bool,
-) -> CholForm {
+    panel: &mut Vec<f64>,
+) -> (Vec<f64>, Option<Error>) {
     let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (pi, pj, pk) = g.coords(comm.rank());
     let jt = step % g.py;
@@ -406,53 +383,24 @@ fn form_panel(
 
     // ---- 1. Reduce block column `step` (rows ≥ step·v) -----------------
     phase(comm, "reduce_col");
-    let mut panel_vals = Matrix::zeros(0, v); // trailing rows, tiles > step
-    let mut diag_vals = Matrix::zeros(0, v); // diagonal tile (step, step)
     if pj == jt {
         // The owned tile rows ≥ step — the diagonal tile first, if it is
         // this rank's — are a suffix of the local rows.
-        let (panel, c0) = (orig.rows_from(step), orig.col0(step));
-        let mut buf = reduce_rows(net, guard, (orig, &state.acc), panel, c0..c0 + v);
-        if pk == 0 {
-            // The diagonal tile moves out of the front; the trailing rows
-            // stay in the reduced buffer (no second panel-sized allocation).
-            let diag: Vec<f64> = buf.drain(..if it == pi { v * v } else { 0 }).collect();
-            diag_vals = Matrix::from_vec(diag.len() / v, v, diag);
-            panel_vals = Matrix::from_vec(buf.len() / v, v, buf);
-        }
+        let (rows, c0) = (store.rows_from(step), store.col0(step));
+        reduce_rows(net, guard, store, rows, c0..c0 + v, panel);
     }
 
     // ---- 2a. Factor the diagonal block on its owner --------------------
     phase(comm, "potrf_bcast");
-    let mut l00_flat: Vec<f64> = Vec::new();
-    let mut err: Option<Error> = None;
-    if pj == jt && pk == 0 && pi == it {
-        let mut d = diag_vals;
-        if let Err(e) = potrf_unblocked(d.as_mut()) {
-            err = Some(shift_err(e, step * v));
-        }
-        if err.is_none() && collect {
-            // The lower triangle only, one row at a time: the strict upper
-            // part of `d` is not factor data.
-            for r in 0..v {
-                let row = d.block(r, 0, 1, r + 1);
-                state.collected.push(&[step * v + r], &[step * v], row);
-            }
-        }
-        l00_flat = d.into_vec();
+    if pj != jt || pk != 0 || pi != it {
+        return (Vec::new(), None);
     }
-    CholForm {
-        panel_vals,
-        l00_flat,
-        err,
-    }
-}
-
-/// The outcome of forming one Cholesky panel (see [`form_panel`]).
-struct CholForm {
-    panel_vals: Matrix,
-    l00_flat: Vec<f64>,
-    err: Option<Error>,
+    let mut d = Matrix::from_vec(v, v, panel[..v * v].to_vec());
+    let err = potrf_unblocked(d.as_mut()).err();
+    // The dead diagonal tile takes `d` whole: only the lower triangle is
+    // factor data, and only that is ever read back.
+    store.tile_mut(step, step).copy_from(d.as_ref());
+    (d.into_vec(), err.map(|e| shift_err(e, step * v)))
 }
 
 /// `e` with its row index moved from block-local to global coordinates.
@@ -460,14 +408,6 @@ pub(crate) fn shift_err(e: Error, offset: usize) -> Error {
     match e {
         Error::NotPositiveDefinite(k) => Error::NotPositiveDefinite(k + offset),
         other => other,
-    }
-}
-
-impl Tiling {
-    /// Tile rows assigned to process *column* `pj` under the column-cyclic
-    /// map (used for the transposed operand role in symmetric updates).
-    pub fn tile_rows_of_py(&self, pj: usize, py: usize) -> Vec<usize> {
-        (pj..self.nt).step_by(py).collect()
     }
 }
 
@@ -529,34 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn lower_only_storage_never_marks_an_upper_tile_present() {
-        // Neither staging nor any trailing update may mark a tile above the
-        // diagonal (the lower-only stores do not even hold them).
-        let (n, v, grid) = (24, 4, Grid3::new(2, 2, 2));
+    fn a_one_rank_cholesky_keeps_its_whole_factor_in_the_store() {
+        let (n, v, grid) = (24, 4, Grid3::new(1, 1, 1));
         let a = random_spd(n, 21);
         let cfg = ConfchoxConfig::new(n, v, grid);
         let til = Tiling::new(n, v, grid);
-        let out = xmpi::run(grid.size(), |comm| {
-            let orig = stage_from_global(comm, &til, &a, true);
-            let staged: Vec<_> = orig.present_tiles().collect();
-            let fresh = State::fresh(&til, comm.rank(), true);
-            let done = rank_program(comm, &cfg, orig, &mut Guard::new(false), fresh, None)
-                .expect("SPD input factors");
-            (staged, done.acc.present_tiles().collect::<Vec<_>>())
+        let out = xmpi::run(1, |comm| {
+            let fresh = State::fresh(stage_from_global(comm, &til, &a, true));
+            rank_program(comm, &cfg, &mut Guard::new(false), fresh, None).expect("SPD input")
         });
-        let (mut staged_tiles, mut updated_tiles) = (0, 0);
-        for (staged, updated) in out.results {
-            for &(ti, tj) in staged.iter().chain(&updated) {
-                assert!(ti >= tj, "upper tile ({ti},{tj}) marked present");
-            }
-            staged_tiles += staged.len();
-            updated_tiles += updated.len();
-        }
-        // Layer 0 stages every lower tile once; step 0 alone updates every
-        // lower tile outside tile column 0, on each of the two layers.
-        let lower = til.nt * (til.nt + 1) / 2;
-        assert_eq!(staged_tiles, lower);
-        assert_eq!(updated_tiles, grid.pz * (lower - til.nt));
+        // Nothing is collected on the side — no pieces at all — and the
+        // store's `L` rows are the whole lower triangle.
+        let ((lower, pieces), _) = &out.results[0];
+        pieces.for_each_run(|_, _, _| panic!("a collected piece"));
+        let mut entries = 0;
+        lower.for_each_run(|_, _, vals| entries += vals.len());
+        assert_eq!(entries, n * (n + 1) / 2);
     }
 
     #[test]

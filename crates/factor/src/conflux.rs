@@ -2,10 +2,12 @@
 //! (paper §7, Algorithm 1).
 //!
 //! The matrix is cut into `v × v` tiles; tile `(I, J)` lives at 2D grid
-//! coordinates `(I mod Px, J mod Py)`, with layer 0 holding the original
-//! values and every layer holding an accumulator for its `v/Pz`-wide slice
-//! of each rank-`v` Schur update — both as one dense local matrix per rank
-//! (the tile store of [`crate::common`]). Per block step `t`:
+//! coordinates `(I mod Px, J mod Py)`. A rank holds its share once, as one
+//! dense local matrix (the tile store of [`crate::common`]): layer 0 starts
+//! from its copy of `A`, the layers above from zeros, and every layer
+//! subtracts its `v/Pz`-wide slice of each rank-`v` Schur update in place,
+//! so a z-fibre's stores sum to the current trailing matrix. Per block
+//! step `t`:
 //!
 //! 1. **Reduce next block column** — the active (unpivoted) rows of tile
 //!    column `t` are summed along the z-fibres onto layer 0.
@@ -17,17 +19,18 @@
 //!    reduced along z, gathered per process column, and solved against
 //!    `L00` to produce `U01`.
 //! 5. **FactorizeA10** — the remaining active panel rows are solved against
-//!    `U00` on their owning panel ranks, producing `L10`.
+//!    `U00` on their owning panel ranks, producing `L10`, which the rank
+//!    writes back into tile column `t` of its store: the column is dead
+//!    once reduced, and that is where assembly reads `L` from.
 //! 6. **Scatter** `L10` and `U01`: each rank receives only the rows/columns
 //!    matching its tiles and only its layer's `v/Pz` inner slice.
 //! 7. **FactorizeA11** — one row-mapped GEMM (`dense::par_gemm_rows`)
-//!    straight into the trailing column block of the layer-local
-//!    accumulator: the rank's active rows are an ascending list of local
-//!    row indices, product row `i` is added to accumulator row `rows[i]`,
-//!    and retired rows are never touched (masking ⇒ no traffic, no flops
-//!    and no copies are wasted on them). A row or column segment a later
-//!    step needs is read back as `original − accumulator`, one slice
-//!    subtraction per row (steps 1 and 4).
+//!    straight into the trailing column block of the store: the rank's
+//!    active rows are an ascending list of local row indices, product row
+//!    `i` is subtracted from store row `rows[i]`, and retired rows are
+//!    never touched (masking ⇒ no traffic, no flops and no copies are
+//!    wasted on them). A row or column segment a later step needs is one
+//!    slice of the store per row, summed along z (steps 1 and 4).
 //!
 //! Per-rank I/O is `N³/(P√M) + O(N²/P)` — 1.5× the paper's lower bound
 //! (Lemma 10); the `volume_close_to_model` integration test checks the
@@ -50,12 +53,12 @@
 
 use crate::common::{
     check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
-    stage_from_global, ActiveRows, Collected, Net, RowMask, State, TileStore, Tiling,
+    stage_from_global, ActiveRows, Collected, Net, RankResult, RowMask, State, TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
 use crate::tourn::tournament;
 use dense::gemm::{par_gemm_rows, Trans};
-use dense::matrix::MatRef;
+use dense::matrix::{MatMut, MatRef};
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
 use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
@@ -155,16 +158,13 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
     // Backend-aware launch: threads by default, child processes over a
     // socket mesh when `xmpi::with_backend(Backend::Socket(..))` is armed.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
-        let tiles = stage_from_global(comm, &til, a, false);
-        let mut guard = Guard::new(false);
-        let fresh = State::fresh(&til, comm.rank(), false);
-        let done = rank_program(comm, cfg, tiles, &mut guard, fresh, None)?;
-        Ok::<_, dense::Error>((done.collected, done.perm))
+        let fresh = State::fresh(stage_from_global(comm, &til, a, false));
+        rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
     });
-    let (pieces, perm) = split_results(out.results)?;
+    let (parts, perm) = split_results(out.results)?;
     let packed = cfg
         .collect
-        .then(|| Collected::assemble(cfg.n, &perm, &pieces));
+        .then(|| Collected::assemble(cfg.n, cfg.v, &perm, &parts));
     Ok(LuOutput {
         perm,
         packed,
@@ -174,23 +174,24 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 
 /// The SPMD program one rank executes — the only implementation of the
 /// schedule; plain, ScaLAPACK-wrapped and fault-tolerant runs differ in
-/// what they pass here. `orig` is this rank's layer-0 tile store (all
-/// absent on layers > 0), produced by [`stage_from_global`] or by a measured
-/// redistribution from a caller's layout. Every bulk `f64` transfer is
-/// issued through `guard` (see [`crate::ft`]); the nonblocking lookahead
-/// broadcasts are not. The run starts at `state.step` with `state`'s
-/// pivots, collected pieces and accumulators, and after every step but the last
-/// hands the updated state to `at_step_end` — which needs a quiescent
-/// boundary, so it is only ever combined with the blocking schedule.
-/// Returns the final state.
+/// what they pass here. `state.store` is this rank's share — layer 0's
+/// tiles of `A` (zeros above it), produced by [`stage_from_global`] or by a
+/// measured redistribution from a caller's layout, or whatever a checkpoint
+/// restored. Every bulk `f64` transfer is issued through `guard` (see
+/// [`crate::ft`]); the nonblocking lookahead broadcasts are not. The run
+/// starts at `state.step` with `state`'s pivots and collected pieces, and
+/// after every step but the last hands the updated state to `at_step_end` —
+/// which needs a quiescent boundary, so it is only ever combined with the
+/// blocking schedule. Returns what the rank hands home: the part of `L` its
+/// store holds (layer 0 of a collecting run), the pieces it collected, and
+/// the pivot order.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
-    orig: TileStore,
     guard: &mut Guard,
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
-) -> Result<State, dense::Error> {
+) -> RankResult {
     assert!(
         at_step_end.is_none() || !cfg.lookahead,
         "a step-boundary callback needs the blocking schedule"
@@ -201,8 +202,24 @@ pub(crate) fn rank_program(
     let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
 
     let net = Net::new(comm, til);
-    // Layer 0 holds the original tiles; every layer holds update
-    // accumulators (`state.acc`) in the same local layout.
+    // The `O(n·v)` step buffers, reserved once and reused by every step: the
+    // reduced panel column (one row per active row), the `L10` solved from
+    // it, this process row's reduced pivot-row segments, and `U01` (all `v`
+    // pivot rows in pivot order).
+    let rows_v = state.store.rows_from(0).len() * v;
+    let v_cols = v * state.store.cols_from(0).len();
+    let (mut panel, mut l10) = (Vec::with_capacity(rows_v), Vec::with_capacity(rows_v));
+    let (mut a01, mut u01) = (Vec::with_capacity(v_cols), Vec::with_capacity(v_cols));
+    if cfg.collect {
+        // Exactly the tiles this rank will still collect: the `A00` of the
+        // steps it roots, the `U01` of the steps it solves.
+        let tiles = (state.step..nt).map(|t| {
+            let a00 = usize::from(comm.rank() == g.rank_of(0, t % g.py, 0));
+            let u01 = usize::from(comm.rank() == g.rank_of(t % g.px, pj, 0));
+            a00 + u01 * til.tiles_after(t, pj, g.py).len()
+        });
+        state.collected.reserve_exact(tiles.sum::<usize>() * v * v);
+    }
     let mut mask = RowMask::new(n);
     mask.retire(&state.perm);
     // This process row's active rows, re-derived once per step when the
@@ -222,8 +239,9 @@ pub(crate) fn rank_program(
         // ---- 1–3. Form this step's panel and broadcast A00 + pivots ----
         // Either complete the broadcasts posted at the end of the previous
         // step (lookahead) or form the panel and broadcast blocking, right
-        // here. Both paths attribute their traffic to the same phases.
-        let (panel_vals, a00_buf, piv_ids);
+        // here. Both paths attribute their traffic to the same phases, and
+        // both leave the reduced panel column in `panel`.
+        let (a00_buf, piv_ids);
         match pending.take() {
             Some(pp) => {
                 phase(comm, "bcast_a00");
@@ -236,11 +254,10 @@ pub(crate) fn rank_program(
                 }
                 a00_buf = pp.a00.wait_buf_f64();
                 piv_ids = pp.piv.wait_u64();
-                panel_vals = pp.vals;
             }
             None => {
-                let form = form_panel(&net, guard, &active, &orig, &state.acc, step);
-                (panel_vals, a00_buf, piv_ids) = form.bcast(comm, guard, root, step * v)?;
+                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
+                (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
             }
         }
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
@@ -257,95 +274,68 @@ pub(crate) fn rank_program(
 
         // Trailing tile columns this process column owns.
         let trail_cols = til.tiles_after(step, pj, g.py);
-        // ... which are one contiguous column range of the local stores.
-        let trail = orig.cols_from(step + 1);
+        // ... which are one contiguous column range of the local store.
+        let trail = state.store.cols_from(step + 1);
         let (trail_c0, trail_len) = (trail.start, trail.len());
 
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
         // The process row holding global row `p`.
         let prow = |p: usize| (p / v) % g.px;
-        let my_piv: Vec<usize> = pivots.iter().copied().filter(|&p| prow(p) == pi).collect();
-        let mut u01 = Matrix::zeros(0, 0);
+        let my_piv = pivots.iter().filter(|&&p| prow(p) == pi);
+        let piv_lrows: Vec<usize> = my_piv.map(|&p| state.store.local_row(p)).collect();
         if !last && !trail_cols.is_empty() {
-            let piv_lrows = my_piv.iter().map(|&p| orig.local_row(p));
-            let stores = (&orig, &state.acc);
-            let mut a01_contrib = reduce_rows(&net, guard, stores, piv_lrows, trail.clone());
+            let lrows = piv_lrows.iter().copied();
+            reduce_rows(&net, guard, &state.store, lrows, trail.clone(), &mut a01);
             // Gather the pivot-row segments at the step's U-owner and solve.
-            if pk == 0 {
-                let owner = g.rank_of(it, pj, 0);
-                if comm.rank() == owner {
-                    // Pull the buffer of each process row that holds pivots
-                    // (own group local), in ascending process-row order.
-                    let mut group_bufs: Vec<(Vec<f64>, usize)> = vec![(Vec::new(), 0); g.px];
-                    for (spi, group) in group_bufs.iter_mut().enumerate() {
-                        let cnt = pivots.iter().filter(|&&p| prow(p) == spi).count();
-                        let src = g.rank_of(spi, pj, 0);
-                        if src == owner {
-                            // Not read again on this rank: move, don't copy.
-                            group.0 = std::mem::take(&mut a01_contrib);
-                        } else if cnt > 0 {
-                            group.0 = guard.recv(comm, src, TAG_A01 + step as u64, cnt, trail_len);
-                        }
+            let owner = g.rank_of(it, pj, 0);
+            if comm.rank() == owner {
+                // Each process row that holds pivots has their segments in
+                // pivot order — this rank's own in the reduced buffer, the
+                // others' in one message each: place them.
+                u01.resize(v * trail_len, 0.0);
+                for spi in 0..g.px {
+                    let at: Vec<usize> = (0..v).filter(|&i| prow(pivots[i]) == spi).collect();
+                    let received;
+                    let group = if spi == pi {
+                        &a01
+                    } else if !at.is_empty() {
+                        let (src, tag) = (g.rank_of(spi, pj, 0), TAG_A01 + step as u64);
+                        received = guard.recv(comm, src, tag, at.len(), trail_len);
+                        &received
+                    } else {
+                        continue;
+                    };
+                    for (seg, i) in group.chunks_exact(trail_len).zip(at) {
+                        u01[i * trail_len..(i + 1) * trail_len].copy_from_slice(seg);
                     }
-                    let mut a01m = Matrix::zeros(v, trail_len);
-                    for (pos, &p) in pivots.iter().enumerate() {
-                        let (buf, cursor) = &mut group_bufs[prow(p)];
-                        a01m.row_mut(pos)
-                            .copy_from_slice(&buf[*cursor..*cursor + trail_len]);
-                        *cursor += trail_len;
-                    }
-                    trsm(
-                        Side::Left,
-                        Uplo::Lower,
-                        Trans::N,
-                        Diag::Unit,
-                        1.0,
-                        a00,
-                        a01m.as_mut(),
-                    );
-                    if cfg.collect {
-                        let starts: Vec<usize> = trail_cols.iter().map(|&tj| tj * v).collect();
-                        state.collected.push(&pivots, &starts, a01m.as_ref());
-                    }
-                    u01 = a01m;
-                } else if !my_piv.is_empty() {
-                    let (tag, rows) = (TAG_A01 + step as u64, my_piv.len());
-                    guard.send(comm, owner, tag, &a01_contrib, rows, trail_len);
                 }
+                solve_u01(a00, &mut u01);
+                if cfg.collect {
+                    let starts: Vec<usize> = trail_cols.iter().map(|&tj| tj * v).collect();
+                    let u01 = MatRef::from_slice(&u01, v, trail_len, trail_len);
+                    state.collected.push(&pivots, &starts, u01);
+                }
+            } else if pk == 0 && !piv_lrows.is_empty() {
+                let (tag, rows) = (TAG_A01 + step as u64, piv_lrows.len());
+                guard.send(comm, owner, tag, &a01, rows, trail_len);
             }
         }
 
         // ---- 5. FactorizeA10: L10 = A10·U00⁻¹ on panel ranks ------------
         phase(comm, "panel_trsm");
-        let mut l10 = Matrix::zeros(0, v);
+        let rows = active.local.len();
         if pj == jt && pk == 0 {
             // The panel rows that survived this step's pivots are exactly
             // `active.global`, in order.
-            l10 = Matrix::zeros(active.global.len(), v);
+            l10.clear();
             let kept = (0..panel_rows.len()).filter(|&i| mask.is_active(panel_rows[i]));
-            for (i, ki) in kept.enumerate() {
-                l10.row_mut(i).copy_from_slice(panel_vals.row(ki));
+            for ki in kept {
+                l10.extend_from_slice(&panel[ki * v..(ki + 1) * v]);
             }
-            trsm(
-                Side::Right,
-                Uplo::Upper,
-                Trans::N,
-                Diag::NonUnit,
-                1.0,
-                a00,
-                l10.as_mut(),
-            );
-            if cfg.collect {
-                state
-                    .collected
-                    .push(&active.global, &[step * v], l10.as_ref());
-            }
+            let (tri, lrows) = ((Uplo::Upper, Trans::N), active.local.iter().copied());
+            state.store.solve_l10(tri, a00, &mut l10, step, lrows);
         }
-        // The step's O(n·v) panel buffers die as soon as their z-slices are
-        // on the wire: only the two broadcast slices live through the Schur
-        // update, so peak memory grows with `v` by no more than those.
-        drop(panel_vals);
 
         // ---- 6a. Scatter L10: z-slice then broadcast along y -----------
         // Both panel broadcasts keep the shared storage: the Schur update
@@ -353,51 +343,48 @@ pub(crate) fn rank_program(
         // never copy the broadcast panel at all.
         phase(comm, "scatter_panels");
         let mut l10_flat = Buf::from(Vec::new());
-        if !last && !active.local.is_empty() {
-            let (rows, tag) = (active.local.len(), TAG_L10 + step as u64);
+        if !last && rows > 0 {
+            let tag = TAG_L10 + step as u64;
             l10_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (rows, ks), |k| {
-                l10.block(0, k * ks, rows, ks)
+                MatRef::from_slice(&l10, rows, v, v).block(0, k * ks, rows, ks)
             });
         }
-        drop(l10);
 
         // ---- 6b. Scatter U01: z-slice then broadcast along x -----------
         let mut u01_flat = Buf::from(Vec::new());
         if !last && trail_len > 0 {
             let tag = TAG_U01 + step as u64;
             u01_flat = scatter_z(&net, guard, (&net.xcol, it), tag, (ks, trail_len), |k| {
-                u01.block(k * ks, 0, ks, trail_len)
+                MatRef::from_slice(&u01, v, trail_len, trail_len).block(k * ks, 0, ks, trail_len)
             });
         }
-        drop(u01);
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
-        // One row-mapped GEMM straight into the accumulator: product row
-        // `i` lands in local row `active.local[i]` of the trailing column
+        // One row-mapped GEMM straight into the store: product row `i` is
+        // subtracted from local row `active.local[i]` of the trailing column
         // block, so retired rows cost neither traffic nor flops nor a
         // scratch copy. `cols` indexes into `trail_cols`; splitting the
         // update by column range is exact (each element of the product is
-        // an independent dot product, added to its accumulator once), so
+        // an independent dot product, subtracted from its entry once), so
         // the lookahead split below stays bitwise equal to the one-shot
         // blocking update.
-        let apply_update = |acc: &mut TileStore, cols: std::ops::Range<usize>| {
-            if last || active.local.is_empty() || cols.is_empty() {
+        let apply_update = |store: &mut TileStore, cols: std::ops::Range<usize>| {
+            if last || rows == 0 || cols.is_empty() {
                 return;
             }
             // Both panels were broadcast this step (the guards above are
             // the same conditions); their data is the buffers' prefix.
-            let rows = active.local.len();
             let l10_slice = MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks);
             let u01_slice =
                 MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len);
             let w = cols.len() * v;
             let c0 = trail_c0 + cols.start * v;
             par_gemm_rows(
-                1.0,
+                -1.0,
                 l10_slice,
                 u01_slice.block(0, cols.start * v, ks, w),
                 &active.local,
-                acc.touch_rows(active.local.iter().copied(), c0..c0 + w),
+                store.cols_mut(c0..c0 + w),
             );
         };
 
@@ -409,11 +396,11 @@ pub(crate) fn rank_program(
             let next = step + 1;
             let head = trail_cols.first() == Some(&next);
             if head {
-                apply_update(&mut state.acc, 0..1);
+                apply_update(&mut state.store, 0..1);
             }
             // 7b. Form panel `next` and post its three broadcasts. The
             // sequence numbers keep concurrent trees on distinct tags.
-            let form = form_panel(&net, guard, &active, &orig, &state.acc, next);
+            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel);
             phase(comm, "bcast_a00");
             let root1 = g.rank_of(0, next % g.py, 0);
             let seq = 3 * next as u64;
@@ -422,7 +409,6 @@ pub(crate) fn rank_program(
             let a00_req = comm.ibcast_f64(root1, seq + 1, form.a00_flat);
             let piv_req = comm.ibcast_u64(root1, seq + 2, form.piv_ids);
             pending = Some(PendingPanel {
-                vals: form.vals,
                 err: form.err,
                 status: status_req,
                 a00: a00_req,
@@ -430,9 +416,9 @@ pub(crate) fn rank_program(
             });
             // 7c. Bulk trailing update, overlapping the posted broadcasts.
             phase(comm, "update_a11");
-            apply_update(&mut state.acc, if head { 1 } else { 0 }..trail_cols.len());
+            apply_update(&mut state.store, if head { 1 } else { 0 }..trail_cols.len());
         } else {
-            apply_update(&mut state.acc, 0..trail_cols.len());
+            apply_update(&mut state.store, 0..trail_cols.len());
         }
 
         // ---- Step boundary --------------------------------------------
@@ -444,7 +430,24 @@ pub(crate) fn rank_program(
     }
 
     phase_end(comm);
-    Ok(state)
+    // Row `r`'s `L` entries are the store's columns left of its pivot tile;
+    // the tile itself is the `A00` its step's root collected.
+    let lower = (cfg.collect && pk == 0).then(|| {
+        let mut pivot_tile = vec![0; n];
+        for (s, &r) in state.perm.iter().enumerate() {
+            pivot_tile[r] = s / v;
+        }
+        state.store.into_lower(|r| pivot_tile[r] * v)
+    });
+    Ok(((lower.unwrap_or_default(), state.collected), state.perm))
+}
+
+/// `U01 = L00⁻¹·A01`, in place on the `v` reduced pivot-row segments `a01`;
+/// `L00` is the unit lower triangle of `a00`.
+pub(crate) fn solve_u01(a00: MatRef<'_>, a01: &mut [f64]) {
+    let (v, len) = (a00.rows(), a01.len() / a00.rows());
+    let (solved, l00) = (MatMut::from_slice(a01, v, len, len), Uplo::Lower);
+    trsm(Side::Left, l00, Trans::N, Diag::Unit, 1.0, a00, solved);
 }
 
 /// Distribute a panel held by layer 0 of member `root` of `fibre` (the
@@ -477,11 +480,11 @@ pub(crate) fn scatter_z<'a>(
     guard.bcast(fibre, root, mine, r, c)
 }
 
-/// The outcome of forming one panel: the owning ranks' reduced panel values,
-/// one row per active row (empty elsewhere), and the tournament's results on
-/// the panel ranks (`a00_flat`/`piv_ids` empty, `err` set, on failure).
+/// The outcome of forming one panel: the tournament's results on the panel
+/// ranks (`a00_flat`/`piv_ids` empty, `err` set, on failure). The reduced
+/// panel values are in the caller's panel buffer.
+#[derive(Default)]
 pub(crate) struct PanelForm {
-    vals: Matrix,
     a00_flat: Vec<f64>,
     piv_ids: Vec<u64>,
     err: Option<dense::Error>,
@@ -490,33 +493,32 @@ pub(crate) struct PanelForm {
 impl PanelForm {
     /// Blocking broadcast of the formed panel from `root` to every rank:
     /// one status word first, so a singular panel (first row `row0`) aborts
-    /// every rank cleanly instead of deadlocking the world, then `A00` and
-    /// the pivot ids. Returns `(panel values, A00, pivot ids)`.
+    /// every rank cleanly instead of deadlocking the world, then the `v × v`
+    /// block `A00` and the pivot ids. Returns `(A00, pivot ids)`.
     pub(crate) fn bcast(
         self,
         comm: &Comm,
         guard: &mut Guard,
         root: usize,
+        v: usize,
         row0: usize,
-    ) -> Result<(Matrix, Buf<f64>, Vec<u64>), dense::Error> {
+    ) -> Result<(Buf<f64>, Vec<u64>), dense::Error> {
         phase(comm, "bcast_a00");
         let mut status = vec![if self.err.is_some() { 1.0 } else { 0.0 }];
         comm.bcast_f64(root, &mut status);
         if status[0] != 0.0 {
             return Err(self.err.unwrap_or(dense::Error::SingularAt(row0)));
         }
-        let v = self.vals.cols();
         let a00 = guard.bcast(comm, root, self.a00_flat, v, v);
         let mut piv_ids = self.piv_ids;
         comm.bcast_u64(root, &mut piv_ids);
-        Ok((self.vals, a00, piv_ids))
+        Ok((a00, piv_ids))
     }
 }
 
 /// Panel broadcasts in flight between two steps (lookahead mode): the
-/// formation outputs plus the three posted broadcast requests.
+/// formation's error plus the three posted broadcast requests.
 struct PendingPanel<'c> {
-    vals: Matrix,
     err: Option<dense::Error>,
     status: BcastRequest<'c>,
     a00: BcastRequest<'c>,
@@ -524,18 +526,18 @@ struct PendingPanel<'c> {
 }
 
 /// Steps 1–2 of the algorithm for block step `step`: reduce the active rows
-/// of tile column `step` along z onto layer 0, then run the pivot
-/// tournament across the panel ranks. Pure with respect to the schedule —
-/// the blocking path calls it at the top of step `step`, the lookahead path
-/// at the bottom of step `step − 1`; the active rows and accumulator state
-/// it reads are identical at both call sites.
+/// of tile column `step` along z onto layer 0 — into `panel`, one row per
+/// active row — then run the pivot tournament across the panel ranks. Pure
+/// with respect to the schedule — the blocking path calls it at the top of
+/// step `step`, the lookahead path at the bottom of step `step − 1`; the
+/// active rows and store column it reads are identical at both call sites.
 pub(crate) fn form_panel(
     net: &Net<'_>,
     guard: &mut Guard,
     active: &ActiveRows,
-    orig: &TileStore,
-    acc: &TileStore,
+    store: &TileStore,
     step: usize,
+    panel: &mut Vec<f64>,
 ) -> PanelForm {
     let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (_, pj, pk) = g.coords(comm.rank());
@@ -543,38 +545,25 @@ pub(crate) fn form_panel(
 
     // ---- 1. Reduce next block column ----------------------------------
     phase(comm, "reduce_col");
-    let mut vals = Matrix::zeros(0, v);
     if pj == jt {
-        let (lrows, c0) = (active.local.iter().copied(), orig.col0(step));
-        let buf = reduce_rows(net, guard, (orig, acc), lrows, c0..c0 + v);
-        if pk == 0 {
-            vals = Matrix::from_vec(active.local.len(), v, buf);
-        }
+        let (lrows, c0) = (active.local.iter().copied(), store.col0(step));
+        reduce_rows(net, guard, store, lrows, c0..c0 + v, panel);
     }
 
     // ---- 2. TournPivot -------------------------------------------------
     phase(comm, "pivoting");
-    let mut a00_flat: Vec<f64> = Vec::new();
-    let mut piv_ids: Vec<u64> = Vec::new();
-    let mut err: Option<dense::Error> = None;
+    let mut form = PanelForm::default();
     if pj == jt && pk == 0 {
         let ids: Vec<u64> = active.global.iter().map(|&r| r as u64).collect();
-        match tournament(net.panel.as_ref().unwrap(), &vals, &ids, v) {
-            Ok(pb) => {
-                a00_flat = pb.a00.into_vec();
-                piv_ids = pb.ids;
-            }
+        let vals = MatRef::from_slice(panel, ids.len(), v, v);
+        match tournament(net.panel.as_ref().unwrap(), vals, &ids, v) {
+            Ok(pb) => (form.a00_flat, form.piv_ids) = (pb.a00.into_vec(), pb.ids),
             // The failing factorization is redundant and deterministic,
             // so every panel rank lands here together.
-            Err(e) => err = Some(e),
+            Err(e) => form.err = Some(e),
         }
     }
-    PanelForm {
-        vals,
-        a00_flat,
-        piv_ids,
-        err,
-    }
+    form
 }
 
 #[cfg(test)]
@@ -600,6 +589,42 @@ mod tests {
             res < 1e-10,
             "residual {res} too large for n={n} v={v} grid={grid:?}"
         );
+    }
+
+    /// What every rank of `cfg`'s world hands home for a seeded random input.
+    fn handed_home(cfg: &ConfluxConfig, seed: u64) -> Vec<RankResult> {
+        let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
+        let a = random_matrix(cfg.n, cfg.n, seed);
+        let out = xmpi::run(cfg.grid.size(), |comm| {
+            let fresh = State::fresh(stage_from_global(comm, &til, &a, false));
+            rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
+        });
+        out.results
+    }
+
+    #[test]
+    fn what_a_rank_hands_home_is_bounded() {
+        // One rank, as in `lu_p1`: what the rank thread allocates and the
+        // host frees is the store plus the collected upper triangle, nothing
+        // reserved beyond need — at most 1.5 n² + n·v words, the footprint
+        // the page-fault count of repeated calls (`page_faults`) rests on.
+        let (n, v) = (256, 32);
+        let cfg = ConfluxConfig::new(n, v, Grid3::new(1, 1, 1));
+        let (part, perm) = handed_home(&cfg, 3).remove(0).unwrap();
+        let words = crate::common::words(&part) + perm.capacity();
+        let bounds = n * n + n * (n - v) / 2..=n * n + n * n / 2 + n * v;
+        assert!(bounds.contains(&words), "{words} words handed home");
+        // `lu_p4_socket`'s shape: the wire size of each rank's result — what
+        // a socket child writes to its launcher — is no larger than when
+        // every factor entry was a collected block (d25ce6c, seed 101), and
+        // together no smaller than the factor itself.
+        let cfg = ConfluxConfig::auto(512, 4);
+        let size = |rank: &RankResult| xmpi::wire::encode_vec(rank.as_ref().unwrap()).len();
+        let bytes: Vec<usize> = handed_home(&cfg, 101).iter().map(size).collect();
+        let then = [565_824, 599_812, 502_776, 467_936];
+        let grew = bytes.iter().zip(then).any(|(&now, then)| now > then);
+        assert!(!grew, "{bytes:?}");
+        assert!(bytes.iter().sum::<usize>() >= 8 * cfg.n * cfg.n);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
 //! ring checkpoints + whole-world restart through [`CkptStore`]). A rank
 //! program starts from a `State` (next step, pivot permutation, collected
-//! factor pieces, update accumulators) and hands the updated value to an
+//! factor pieces, the rank's one tile store) and hands the updated value to an
 //! optional callback after every block step but the last. The FT drivers'
 //! callback snapshots it every `ckpt_every` steps into an in-memory blob,
 //! keeps one copy in the rank's own slot (surviving ranks' memory persists
@@ -59,10 +59,11 @@
 //! FT drivers always run the blocking schedule (no broadcast is in flight
 //! between two steps).
 //!
-//! Original (layer-0) tiles are restaged from the input replica at zero
-//! measured cost — the same "input already distributed" convention the paper
-//! uses for initial staging; only the dynamic state travels through the
-//! checkpoint ring.
+//! A rank updates its share of `A` in place and leaves `L` in the same
+//! store, so a snapshot carries the store itself and a restored rank never
+//! reads the input again: `A` is staged once, by the attempt that starts
+//! from step 0 (at zero measured cost — the paper's "input already
+//! distributed" convention).
 //!
 //! Checkpoint and recovery traffic is attributed to its own phases, so
 //! [`FtReport`] can report the *algorithmic* volume (which must still sit in
@@ -70,13 +71,13 @@
 //! separately from the fault-tolerance overhead.
 
 use crate::common::{
-    check_shape, phase, pick_grid_and_block, split_results, stage_from_global, Collected, State,
-    Tiling,
+    check_shape, phase, pick_grid_and_block, split_results, stage_from_global, Collected,
+    RankResult, State, TileStore, Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
 use dense::checksum::{self, Verdict};
-use dense::{MatRef, Matrix};
+use dense::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use xmpi::{Buf, Comm, Grid3, WorldStats};
@@ -354,49 +355,51 @@ impl CkptStore {
 // State blob codec
 // ---------------------------------------------------------------------------
 
-/// Serialize a rank's dynamic state into a flat `f64` blob:
-/// `[step, |perm|, perm…, collected (see Collected::to_words),
-/// (ti, tj, v²-tile)…]`, the accumulator's present tiles in ascending key
-/// order up to the end of the blob. The collected factor pieces cost one
-/// word per element plus their block indices. Integers are exact below
-/// 2⁵³, so the round trip is bitwise.
-fn encode_state(v: usize, state: &State) -> Vec<f64> {
+/// The first local column a checkpoint of `store` taken on `layer` before
+/// `step` carries (see [`encode_state`]).
+fn live_from(store: &TileStore, layer: usize, step: usize) -> usize {
+    store.cols_from(if layer == 0 { 0 } else { step }).start
+}
+
+/// Serialize the state of a rank on layer `layer` into a flat `f64` blob:
+/// `[step, |perm|, perm…, collected (see Collected::to_words), store rows…]`.
+/// Layer 0 snapshots its whole share — `L` left of tile column `step`, the
+/// trailing matrix from there on; a layer above holds only update sums, and
+/// those left of tile column `step` have been reduced and are dead, so its
+/// rows start there. Integers are exact below 2⁵³: the round trip is bitwise.
+fn encode_state(layer: usize, state: &State) -> Vec<f64> {
     let mut blob = vec![state.step as f64, state.perm.len() as f64];
     blob.extend(state.perm.iter().map(|&r| r as f64));
     state.collected.to_words(&mut blob);
-    for (ti, tj) in state.acc.present_tiles() {
-        blob.extend([ti as f64, tj as f64]);
-        let tile = state.acc.tile(ti, tj);
-        for r in 0..v {
-            blob.extend_from_slice(tile.row(r));
-        }
+    let live = live_from(&state.store, layer, state.step);
+    for lrow in state.store.rows_from(0) {
+        let row = state.store.row(lrow);
+        blob.extend_from_slice(&row[live.min(row.len())..]);
     }
     blob
 }
 
-/// Inverse of [`encode_state`], for world rank `rank` of `til` and an
-/// accumulator store of the given shape.
-fn decode_state(blob: &[f64], til: &Tiling, rank: usize, lower_only: bool) -> State {
-    let v = til.v;
+/// Inverse of [`encode_state`]: the blob's rows go into `store`, an all-zero
+/// store of the rank's shape.
+fn decode_state(blob: &[f64], layer: usize, mut store: TileStore) -> State {
     let (step, np) = (blob[0] as usize, blob[1] as usize);
-    let mut cur = 2;
-    let perm: Vec<usize> = blob[cur..cur + np].iter().map(|&x| x as usize).collect();
-    cur += np;
-    let (collected, used) = Collected::from_words(&blob[cur..]);
-    cur += used;
-    let mut acc = State::fresh(til, rank, lower_only).acc;
-    while cur < blob.len() {
-        let (ti, tj) = (blob[cur] as usize, blob[cur + 1] as usize);
-        cur += 2;
-        let tile = MatRef::from_slice(&blob[cur..cur + v * v], v, v, v);
-        acc.tile_mut(ti, tj).copy_from(tile);
-        cur += v * v;
+    let perm = blob[2..2 + np].iter().map(|&x| x as usize).collect();
+    let (collected, used) = Collected::from_words(&blob[2 + np..]);
+    let mut rest = &blob[2 + np + used..];
+    let live = live_from(&store, layer, step);
+    for lrow in store.rows_from(0) {
+        let row = store.row_mut(lrow);
+        let live = live.min(row.len());
+        let (vals, tail) = rest.split_at(row.len() - live);
+        row[live..].copy_from_slice(vals);
+        rest = tail;
     }
+    assert!(rest.is_empty(), "checkpoint blob is for another store");
     State {
         step,
         perm,
         collected,
-        acc,
+        store,
     }
 }
 
@@ -624,12 +627,12 @@ pub(crate) type StepEnd<'a> = &'a dyn Fn(&State, &mut Guard);
 /// snapshot into the own slot (free — it is this rank's memory) and ship a
 /// replica one step around the ring under the `"ckpt"` phase. Sends are
 /// buffered, so the ring cannot deadlock.
-fn take_checkpoint(comm: &Comm, store: &CkptStore, v: usize, state: &State, guard: &mut Guard) {
+fn take_checkpoint(comm: &Comm, store: &CkptStore, layer: usize, state: &State, guard: &mut Guard) {
     phase(comm, "ckpt");
     let p = comm.size();
     let rank = comm.rank();
     let epoch = state.step;
-    let blob = encode_state(v, state);
+    let blob = encode_state(layer, state);
     store.put_self(rank, epoch, blob.clone());
     if p > 1 {
         let right = (rank + 1) % p;
@@ -640,51 +643,38 @@ fn take_checkpoint(comm: &Comm, store: &CkptStore, v: usize, state: &State, guar
     }
 }
 
-/// Attempt prologue: reconstruct this rank's state for `resume`. Survivors
-/// reload their own snapshot at zero measured cost; each victim's buddy
-/// replays the replica over the transport (`"recovery"` phase) to the
+/// Attempt prologue: this rank's checkpoint blob for the epoch `resume > 0`.
+/// Survivors reload their own snapshot at zero measured cost; each victim's
+/// buddy replays the replica over the transport (`"recovery"` phase) to the
 /// reborn victim. Buddy sends go out before any victim receive, so two
 /// adjacent victims cannot deadlock the exchange.
-fn restore_state(
+fn restore_blob(
     comm: &Comm,
     store: &CkptStore,
     victims: &[usize],
     resume: usize,
-    til: &Tiling,
-    lower_only: bool,
     guard: &mut Guard,
-) -> State {
-    if resume == 0 {
-        return State::fresh(til, comm.rank(), lower_only);
-    }
+) -> Vec<f64> {
     let p = comm.size();
     let rank = comm.rank();
     for &vq in victims {
         if (vq + 1) % p == rank && vq != rank {
             phase(comm, "recovery");
-            guard.send_blob(
-                comm,
-                vq,
-                TAG_RECOV + vq as u64,
-                &store.buddy_blob(vq, resume),
-            );
+            let replica = store.buddy_blob(vq, resume);
+            guard.send_blob(comm, vq, TAG_RECOV + vq as u64, &replica);
         }
     }
-    let blob = if victims.contains(&rank) {
-        phase(comm, "recovery");
-        comm.mark_recovery_begin();
-        let (blob, wire) = guard.recv_blob(comm, (rank + 1) % p, TAG_RECOV + rank as u64);
-        comm.mark_recovery_end((wire * 8) as u64);
-        // Re-seed the reborn rank's own slot so a later crash elsewhere
-        // still finds a full set of self copies.
-        store.put_self(rank, resume, blob.clone());
-        blob
-    } else {
-        store.self_blob(rank, resume)
-    };
-    let state = decode_state(&blob, til, rank, lower_only);
-    assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
-    state
+    if !victims.contains(&rank) {
+        return store.self_blob(rank, resume);
+    }
+    phase(comm, "recovery");
+    comm.mark_recovery_begin();
+    let (blob, wire) = guard.recv_blob(comm, (rank + 1) % p, TAG_RECOV + rank as u64);
+    comm.mark_recovery_end((wire * 8) as u64);
+    // Re-seed the reborn rank's own slot so a later crash elsewhere still
+    // finds a full set of self copies.
+    store.put_self(rank, resume, blob.clone());
+    blob
 }
 
 // ---------------------------------------------------------------------------
@@ -692,27 +682,25 @@ fn restore_state(
 // ---------------------------------------------------------------------------
 
 /// The restart loop both FT drivers share. Each attempt launches a world
-/// whose every rank restores its [`State`] (accumulators of the shape
-/// `lower_only` says) for the newest epoch all ranks can recover, then runs
-/// `program` — the plain rank program of one
-/// algorithm, bound to its config and staged tiles — with the guard set
-/// from `cfg.checksums` and the checkpoint callback. A crashed attempt
-/// costs the victims their own snapshots and starts the next one; a
-/// completed attempt yields every rank's collected pieces plus rank 0's
-/// pivot order.
+/// whose every rank takes up its [`State`] at the newest epoch all ranks
+/// can recover — from step 0 on the store `stage` builds from the input,
+/// later from its checkpoint alone, decoded into a zero store of the shape
+/// `lower_only` says — then runs `program`, the plain rank program of one
+/// algorithm bound to its (blocking) config, with the guard set from
+/// `cfg.checksums` and the checkpoint callback. A crashed attempt costs the
+/// victims their own snapshots and starts the next one; a completed one
+/// yields the assembled factor and rank 0's row order.
 ///
 /// On the socket backend a child process replays the loop's earlier worlds
 /// in-process, which repopulates its own `store` deterministically before
 /// it joins the target world — checkpoint state never needs to cross
 /// processes.
-#[allow(clippy::type_complexity)]
 fn run_with_restarts(
     cfg: &FtConfig,
-    a: &Matrix,
     lower_only: bool,
-    program: impl Fn(&Comm, &mut Guard, State, StepEnd<'_>) -> Result<State, dense::Error> + Sync,
-) -> Result<(Vec<Collected>, Vec<usize>, FtReport), dense::Error> {
-    check_shape(a, cfg.n)?;
+    stage: impl Fn(&Comm) -> TileStore + Sync,
+    program: impl Fn(&Comm, &mut Guard, State, StepEnd<'_>) -> RankResult + Sync,
+) -> Result<(Matrix, Vec<usize>, FtReport), dense::Error> {
     let p = cfg.grid.size();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     let store = CkptStore::new(p);
@@ -725,14 +713,21 @@ fn run_with_restarts(
         }
         let out = xmpi::launch::run_ft(p, |comm| {
             let mut guard = Guard::new(cfg.checksums);
-            let state = restore_state(comm, &store, &victims, resume, &til, lower_only, &mut guard);
+            let (pi, pj, layer) = cfg.grid.coords(comm.rank());
+            let state = if resume == 0 {
+                State::fresh(stage(comm))
+            } else {
+                let blob = restore_blob(comm, &store, &victims, resume, &mut guard);
+                decode_state(&blob, layer, TileStore::zeros(&til, pi, pj, lower_only))
+            };
+            assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
             let checkpoint = |state: &State, guard: &mut Guard| {
                 if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
-                    take_checkpoint(comm, &store, cfg.v, state, guard);
+                    take_checkpoint(comm, &store, layer, state, guard);
                 }
             };
-            let done = program(comm, &mut guard, state, &checkpoint)?;
-            Ok::<_, dense::Error>(((done.collected, guard.corrections), done.perm))
+            let (parts, perm) = program(comm, &mut guard, state, &checkpoint)?;
+            Ok::<_, dense::Error>(((parts, guard.corrections), perm))
         });
         report.attempt_stats.push(out.stats);
         if !out.crashed.is_empty() {
@@ -749,11 +744,12 @@ fn run_with_restarts(
             continue;
         }
         let outcomes = out.results.into_iter();
-        let (pieces, perm) =
+        let (parts, perm) =
             split_results(outcomes.map(|res| res.expect("no rank crashed: every outcome is Ok")))?;
-        let (pieces, corrections): (Vec<_>, Vec<u64>) = pieces.into_iter().unzip();
+        let (parts, corrections): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
         report.corrections += corrections.iter().sum::<u64>();
-        return Ok((pieces, perm, report));
+        let factor = Collected::assemble(cfg.n, cfg.v, &perm, &parts);
+        return Ok((factor, perm, report));
     }
 }
 
@@ -774,14 +770,14 @@ fn run_with_restarts(
 /// # Panics
 /// If more worlds crash than there are ranks (a runaway fault injector).
 pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
-    let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (pieces, perm, report) =
-        run_with_restarts(cfg, a, false, |comm, guard, state, at_step_end| {
-            let orig = stage_from_global(comm, &til, a, false);
-            conflux::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
+    let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let stage = |comm: &Comm| stage_from_global(comm, &til, a, false);
+    let (packed, perm, report) =
+        run_with_restarts(cfg, false, stage, |comm, guard, state, end| {
+            conflux::rank_program(comm, &plain, guard, state, Some(end))
         })?;
-    let packed = Collected::assemble(cfg.n, &perm, &pieces);
     Ok(FtLuOutput {
         perm,
         packed,
@@ -800,15 +796,13 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
 /// # Panics
 /// On a runaway fault injector (see [`conflux_lu_ft`]).
 pub fn confchox_cholesky_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtCholOutput, dense::Error> {
-    let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let (pieces, _, report) =
-        run_with_restarts(cfg, a, true, |comm, guard, state, at_step_end| {
-            let orig = stage_from_global(comm, &til, a, true);
-            confchox::rank_program(comm, &plain, orig, guard, state, Some(at_step_end))
-        })?;
-    let identity: Vec<usize> = (0..cfg.n).collect();
-    let l = Collected::assemble(cfg.n, &identity, &pieces);
+    let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let stage = |comm: &Comm| stage_from_global(comm, &til, a, true);
+    let (l, _, report) = run_with_restarts(cfg, true, stage, |comm, guard, state, end| {
+        confchox::rank_program(comm, &plain, guard, state, Some(end))
+    })?;
     Ok(FtCholOutput { l, report })
 }
 
@@ -832,40 +826,39 @@ mod tests {
     #[test]
     fn state_codec_roundtrip_is_bitwise() {
         let v = 4;
-        let til = Tiling::new(16, v, Grid3::new(1, 1, 1));
-        let mut acc = State::fresh(&til, 0, false).acc;
-        acc.tile_mut(3, 1)
-            .copy_from(random_matrix(v, v, 7).as_ref());
-        acc.tile_mut(0, 2)
-            .copy_from(random_matrix(v, v, 8).as_ref());
+        let til = Tiling::new(16, v, Grid3::new(1, 1, 2));
+        let zeros = || TileStore::zeros(&til, 0, 0, false);
+        let mut store = zeros();
+        for lrow in store.rows_from(0) {
+            let vals = random_matrix(1, 16, lrow as u64);
+            store.row_mut(lrow).copy_from_slice(vals.data());
+        }
         let mut collected = Collected::default();
-        let l10 = Matrix::from_fn(2, v, |r, c| if r == c { -0.5e-17 } else { 1.25 + c as f64 });
-        collected.push(&[5, 2], &[0], l10.as_ref());
+        let u01 = Matrix::from_fn(2, v, |r, c| if r == c { -0.5e-17 } else { 1.25 + c as f64 });
+        collected.push(&[5, 2], &[0], u01.as_ref());
         let state = State {
-            step: 6,
+            step: 3,
             perm: vec![5usize, 2, 9, 0],
             collected,
-            acc,
+            store,
         };
-        let blob = encode_state(v, &state);
-        // Header, pivots, the collected block (two counts, six indices, one
-        // word per element — the COO triples took three), then only the two
-        // present tiles with their keys, in ascending key order — not the
-        // dense 4×4-tile store.
-        assert_eq!(blob.len(), 2 + 4 + (2 + 6 + 2 * v) + 2 * (2 + v * v));
-        assert!(blob.len() < 4 + 4 + 3 * (2 * v) + 2 * (2 + v * v));
-        assert_eq!((blob[22], blob[23]), (0.0, 2.0));
-        assert_eq!((blob[40], blob[41]), (3.0, 1.0));
-        let back = decode_state(&blob, &til, 0, false);
-        assert_eq!(back.step, 6);
-        assert_eq!(back.perm, state.perm);
         let bits = |blob: &[f64]| blob.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&encode_state(v, &back)), bits(&blob));
-        let present: Vec<_> = back.acc.present_tiles().collect();
-        assert_eq!(present, vec![(0, 2), (3, 1)]);
-        for (ti, tj) in present {
-            let (m, b) = (state.acc.tile(ti, tj), back.acc.tile(ti, tj));
-            assert_bitwise(&m.to_owned(), &b.to_owned(), "acc tile");
+        // Header, pivots, the collected block (two counts, six indices, one
+        // word per element), then the store: all of it on layer 0, the tile
+        // columns from step 3 on — a quarter — on the layer above.
+        for (layer, words) in [(0, 16 * 16), (1, 16 * 4)] {
+            let blob = encode_state(layer, &state);
+            assert_eq!(blob.len(), 2 + 4 + (2 + 6 + 2 * v) + words);
+            let back = decode_state(&blob, layer, zeros());
+            assert_eq!((back.step, &back.perm), (3, &state.perm));
+            assert_eq!(bits(&encode_state(layer, &back)), bits(&blob));
+            let live = 16 - words / 16;
+            for lrow in 0..16 {
+                let (got, want) = (back.store.row(lrow), state.store.row(lrow));
+                assert_eq!(bits(&got[live..]), bits(&want[live..]));
+                let dead = got[..live].iter().all(|&x| x == 0.0);
+                assert!(dead, "dead columns stay out");
+            }
         }
     }
 
@@ -939,14 +932,30 @@ mod tests {
             after_sends: 10,
         };
         let perturbator = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_crash(plan));
-        let out = run_armed(&perturbator, || conflux_lu_ft(&cfg, &a).unwrap());
+        // The crashed run is `conflux_lu_ft`'s restart loop with a counting
+        // `stage`.
+        let til = Tiling::new(n, v, grid);
+        let staged = std::sync::atomic::AtomicUsize::new(0);
+        let stage = |comm: &Comm| {
+            staged.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stage_from_global(comm, &til, &a, false)
+        };
+        let plain = ConfluxConfig::new(n, v, grid).blocking();
+        let program = |comm: &Comm, guard: &mut Guard, state: State, end: StepEnd<'_>| {
+            conflux::rank_program(comm, &plain, guard, state, Some(end))
+        };
+        let (packed, perm, report) = run_armed(&perturbator, || {
+            run_with_restarts(&cfg, false, stage, program).unwrap()
+        });
         assert!(perturbator.crash_fired(), "planned crash never fired");
-        assert_eq!(out.report.crashed, vec![3]);
-        assert_eq!(out.report.restarts, 1);
-        assert!(out.report.recovery_bytes() > 0, "recovery must move bytes");
-        assert_eq!(out.perm, base.perm);
-        assert_bitwise(&out.packed, &base.packed, "post-crash lu factor");
-        let res = lu_residual_perm(&a, &out.packed, &out.perm);
+        assert_eq!((&report.crashed[..], report.restarts), (&[3][..], 1));
+        assert!(report.recovery_bytes() > 0, "recovery must move bytes");
+        // A restored rank never reads the input: every rank staged once, in
+        // the first attempt; the second took up the checkpoints of epoch 1.
+        assert_eq!((staged.into_inner(), report.resumed_from), (8, vec![1]));
+        assert_eq!(perm, base.perm);
+        assert_bitwise(&packed, &base.packed, "post-crash lu factor");
+        let res = lu_residual_perm(&a, &packed, &perm);
         assert!(res < 1e-12, "residual {res:e}");
     }
 

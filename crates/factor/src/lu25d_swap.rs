@@ -4,7 +4,7 @@
 //! This schedule is COnfLUX with one change: after tournament pivoting, the
 //! chosen pivot rows are *physically swapped* into the diagonal block
 //! positions, exactly as ScaLAPACK-style and CANDMC-style codes do. On a
-//! replicated 2.5D decomposition every layer's partial-update accumulator
+//! replicated 2.5D decomposition every layer's share of the update sums
 //! must be swapped too, which is the paper's argument for masking: swapping
 //! inflates the I/O cost by the replication depth, from `O(N²/P)` to
 //! `O(N³/(P√M))` — the order of the whole factorization.
@@ -13,24 +13,26 @@
 //! occupies); `id_at[pos]` tracks which original row lives where, and the
 //! final permutation is read off `id_at`.
 //!
-//! The data plane is COnfLUX's ([`crate::common`]): original values (layer
-//! 0) and accumulators live in two `TileStore`s whose local row `l` holds
-//! position `l`'s data, and the panel is formed by COnfLUX's `form_panel`.
-//! Without a mask, the rows below a step's diagonal tile and the columns
-//! right of it are contiguous local ranges, so the Schur update is one
-//! in-place `gemm` on a sub-block of the accumulator. A row swap is a slice
-//! exchange: the two rows' segments left and right of the panel column trade
-//! places locally, or travel as one message per rank pair —
-//! `[original ‖ accumulator]` on layer 0, the accumulator alone above it.
+//! The data plane is COnfLUX's ([`crate::common`]): a rank's share is one
+//! `TileStore`, updated in place, whose local row `l` holds position `l`'s
+//! data, and the panel is formed by COnfLUX's `form_panel`. Without a mask,
+//! the rows below a step's diagonal tile and the columns right of it are
+//! contiguous local ranges, so the Schur update is one in-place `gemm` on a
+//! sub-block of the store. A row swap is a slice exchange: the two rows'
+//! segments left and right of the panel column trade places locally, or
+//! travel as one message per rank pair. The left segments are the rows' `L`
+//! entries, which therefore follow their row to its final position, where
+//! the row's owner also gets to write `A00` and `U01`: the whole factor ends
+//! up in the layer-0 stores, by position, and nothing is collected.
 
 use crate::common::{
     check_shape, phase, phase_end, reduce_rows, split_results, stage_from_global, ActiveRows,
-    Collected, Net, TileStore, Tiling,
+    Collected, Net, RankResult, TileStore, Tiling,
 };
-use crate::conflux::{form_panel, scatter_z};
+use crate::conflux::{form_panel, scatter_z, solve_u01};
 use crate::ft::Guard;
 use dense::gemm::{gemm, Trans};
-use dense::trsm::{trsm, Diag, Side, Uplo};
+use dense::trsm::Uplo;
 use dense::{MatRef, Matrix};
 use std::ops::Range;
 use xmpi::{Buf, Comm, Grid3};
@@ -86,10 +88,12 @@ pub type SwapLuOutput = crate::conflux::LuOutput;
 pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a));
-    let (pieces, perm) = split_results(out.results)?;
-    let packed = cfg
-        .collect
-        .then(|| Collected::assemble(cfg.n, &perm, &pieces));
+    let (parts, perm) = split_results(out.results)?;
+    let packed = cfg.collect.then(|| {
+        // Pieces are addressed by position: rows are where they belong.
+        let identity: Vec<usize> = (0..cfg.n).collect();
+        Collected::assemble(cfg.n, cfg.v, &identity, &parts)
+    });
     Ok(SwapLuOutput {
         perm,
         packed,
@@ -97,11 +101,7 @@ pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense:
     })
 }
 
-fn rank_program(
-    comm: &Comm,
-    cfg: &SwapLuConfig,
-    a: &Matrix,
-) -> Result<(Collected, Vec<usize>), dense::Error> {
+fn rank_program(comm: &Comm, cfg: &SwapLuConfig, a: &Matrix) -> RankResult {
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
@@ -109,13 +109,13 @@ fn rank_program(
 
     let net = Net::new(comm, til);
 
-    // Original values (layer 0 only) and accumulated partial updates (all
-    // layers), both indexed by position.
-    let mut orig = stage_from_global(comm, &til, a, false);
-    let mut acc = TileStore::zeros(&til, pi, pj, false);
-    let mut guard = Guard::new(false);
+    // The rank's share, indexed by position: layer 0's copy of `A` (zeros
+    // above it), updated in place.
+    let mut store = stage_from_global(comm, &til, a, false);
+    let guard = &mut Guard::new(false);
+    // The reduced panel column and pivot block row, reused by every step.
+    let (mut panel, mut a01) = (Vec::new(), Vec::new());
     let mut id_at: Vec<usize> = (0..n).collect();
-    let mut collected = Collected::default();
     // Positions of the owned tile rows `≥ ti`, ascending like their local rows.
     let positions_from = |ti: usize| {
         let tiles = til.tile_rows_of(pi).into_iter().filter(move |&t| t >= ti);
@@ -129,8 +129,8 @@ fn rank_program(
         // Positions of the diagonal block, and the local rows of the owned
         // tile rows at or below it (the panel) and strictly below it.
         let diag = til.rows_of_tile(step);
-        let panel_rows = orig.rows_from(step);
-        let below = orig.rows_from(step + 1);
+        let panel_rows = store.rows_from(step);
+        let below = store.rows_from(step + 1);
 
         // ---- 1–3. Form the panel and broadcast A00 + pivot positions ----
         // COnfLUX's panel formation with every position at or below the
@@ -140,18 +140,18 @@ fn rank_program(
             global: positions_from(step).collect(),
             local: panel_rows.clone().collect(),
         };
-        let form = form_panel(&net, &mut guard, &active, &orig, &acc, step);
+        let form = form_panel(&net, guard, &active, &store, step, &mut panel);
         let root = g.rank_of(0, jt, 0);
-        let (mut panel, a00_buf, piv_pos) = form.bcast(comm, &mut guard, root, step * v)?;
+        let (a00_buf, piv_pos) = form.bcast(comm, guard, root, v, step * v)?;
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
 
         // ---- 4. Row swapping: move pivots into the diagonal block --------
-        // This is what masking avoids: every swap moves full rows of the
-        // original data AND of every layer's accumulator — everything but
-        // the panel column, whose reduced values travel with `panel`.
+        // This is what masking avoids: every swap moves full rows of every
+        // layer's store — everything but the panel column, whose reduced
+        // values travel with `panel`.
         phase(comm, "row_swaps");
-        let width = orig.cols_from(0).end;
-        let panel_c0 = if pj == jt { orig.col0(step) } else { width };
+        let width = store.cols_from(0).end;
+        let panel_c0 = if pj == jt { store.col0(step) } else { width };
         let keep = [0..panel_c0, (panel_c0 + v).min(width)..width];
         let mut targets: Vec<usize> = piv_pos.iter().map(|&p| p as usize).collect();
         for r in 0..v {
@@ -166,43 +166,29 @@ fn rank_program(
                     *t2 = cur;
                 }
             }
-            if let Some(swap) = Swap::of(&til, &orig, comm.rank(), tgt, cur) {
+            if let Some(swap) = Swap::of(&til, &store, comm.rank(), tgt, cur) {
                 let tag = TAG_SWAP + step as u64 * 64 + r as u64;
-                let mut stores = vec![&mut orig, &mut acc];
-                if pk != 0 {
-                    stores.remove(0); // original values live on layer 0 only
-                }
-                swap_store_rows(comm, &mut stores, &keep, &swap, tag);
+                swap_store_rows(comm, &mut store, &keep, &swap, tag);
                 if pj == jt && pk == 0 {
-                    swap_panel_rows(comm, &mut panel, panel_rows.start, &swap, tag + 32);
+                    swap_panel_rows(comm, &mut panel, v, panel_rows.start, &swap, tag + 32);
                 }
             }
             id_at.swap(tgt, cur);
         }
-        if cfg.collect && comm.rank() == root {
-            collected.push(&id_at[diag.clone()], &[diag.start], a00);
+        if (pi, pj, pk) == (it, jt, 0) {
+            // The diagonal tile, dead since the panel's reduction, takes A00.
+            store.tile_mut(step, step).copy_from(a00);
         }
 
         // ---- 5. Panel solve: L10 = A10·U00⁻¹ ------------------------------
         phase(comm, "panel_trsm");
-        let mut l10 = Matrix::zeros(0, v);
-        if pj == jt && pk == 0 && !below.is_empty() {
+        let rows = below.len();
+        let mut l10: &[f64] = &[];
+        if pj == jt && pk == 0 && rows > 0 {
             // Panel rows of the tiles > step (tile `step`'s rows are A00 now).
-            let skip = below.start - panel_rows.start;
-            l10 = panel.block(skip, 0, below.len(), v).to_owned();
-            trsm(
-                Side::Right,
-                Uplo::Upper,
-                Trans::N,
-                Diag::NonUnit,
-                1.0,
-                a00,
-                l10.as_mut(),
-            );
-            if cfg.collect {
-                let rows: Vec<usize> = positions_from(step + 1).map(|p| id_at[p]).collect();
-                collected.push(&rows, &[diag.start], l10.as_ref());
-            }
+            let solved = &mut panel[(below.start - panel_rows.start) * v..];
+            store.solve_l10((Uplo::Upper, Trans::N), a00, solved, step, below.clone());
+            l10 = solved;
         }
 
         if last {
@@ -211,42 +197,29 @@ fn rank_program(
 
         // ---- 6. Reduce pivot block row, solve U01 -------------------------
         phase(comm, "reduce_pivots");
-        let trail = orig.cols_from(step + 1);
+        let trail = store.cols_from(step + 1);
         let trail_len = trail.len();
-        let mut u01 = Matrix::zeros(0, 0);
         if trail_len > 0 && pi == it {
             // Tile row `step` lives on process row it = step mod px.
-            let lrow0 = orig.local_row(diag.start);
-            let stores = (&orig, &acc);
-            let buf = reduce_rows(&net, &mut guard, stores, lrow0..lrow0 + v, trail.clone());
+            let lrow0 = store.local_row(diag.start);
+            let lrows = lrow0..lrow0 + v;
+            reduce_rows(&net, guard, &store, lrows, trail.clone(), &mut a01);
             if pk == 0 {
-                let mut a01 = Matrix::from_vec(v, trail_len, buf);
-                trsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Trans::N,
-                    Diag::Unit,
-                    1.0,
-                    a00,
-                    a01.as_mut(),
-                );
-                if cfg.collect {
-                    let trail_tiles = til.tiles_after(step, pj, g.py);
-                    let starts: Vec<usize> = trail_tiles.iter().map(|&tj| tj * v).collect();
-                    collected.push(&id_at[diag.clone()], &starts, a01.as_ref());
+                solve_u01(a00, &mut a01);
+                // No later step touches these rows: `U01` stays in them.
+                for (u, lrow) in a01.chunks_exact(trail_len).zip(lrow0..) {
+                    store.row_mut(lrow)[trail.clone()].copy_from_slice(u);
                 }
-                u01 = a01;
             }
         }
 
         // ---- 7. Scatter L10 (z-slice + y-broadcast) -----------------------
         phase(comm, "scatter_panels");
-        let rows = below.len();
         let mut l10_flat = Buf::from(Vec::new());
         if rows > 0 {
             let tag = TAG_L10 + step as u64;
-            l10_flat = scatter_z(&net, &mut guard, (&net.yrow, jt), tag, (rows, ks), |k| {
-                l10.block(0, k * ks, rows, ks)
+            l10_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (rows, ks), |k| {
+                MatRef::from_slice(l10, rows, v, v).block(0, k * ks, rows, ks)
             });
         }
 
@@ -254,26 +227,21 @@ fn rank_program(
         let mut u01_flat = Buf::from(Vec::new());
         if trail_len > 0 {
             let tag = TAG_U01 + step as u64;
-            u01_flat = scatter_z(
-                &net,
-                &mut guard,
-                (&net.xcol, it),
-                tag,
-                (ks, trail_len),
-                |k| u01.block(k * ks, 0, ks, trail_len),
-            );
+            u01_flat = scatter_z(&net, guard, (&net.xcol, it), tag, (ks, trail_len), |k| {
+                MatRef::from_slice(&a01, v, trail_len, trail_len).block(k * ks, 0, ks, trail_len)
+            });
         }
 
         // ---- 9. Layer-local partial Schur update --------------------------
-        // One GEMM straight into the trailing rows × trailing columns of
-        // the accumulator, a contiguous sub-block of the local store.
+        // One GEMM straight into the trailing rows × trailing columns, a
+        // contiguous sub-block of the local store.
         phase(comm, "update_a11");
         if rows > 0 && trail_len > 0 {
-            let trailing = acc.touch_rows(below.clone(), trail);
+            let trailing = store.cols_mut(trail);
             gemm(
                 Trans::N,
                 Trans::N,
-                1.0,
+                -1.0,
                 MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks),
                 MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len),
                 1.0,
@@ -283,7 +251,9 @@ fn rank_program(
     }
 
     phase_end(comm);
-    Ok((collected, id_at))
+    // A layer-0 store is now its rank's rows of the packed factor, whole.
+    let rows = (cfg.collect && pk == 0).then(|| store.into_lower(|_| n));
+    Ok(((rows.unwrap_or_default(), Collected::default()), id_at))
 }
 
 /// The calling rank's part in exchanging the rows at two positions.
@@ -316,62 +286,49 @@ impl Swap {
     }
 }
 
-/// Exchange the segments `keep` of two rows in every store of `stores`
-/// (layer 0: original data, then accumulator; other layers: accumulator).
-/// Locally the slices trade places; across ranks all segments travel as one
-/// message each way.
+/// Exchange the segments `keep` of two rows of `store`. Locally the slices
+/// trade places; across ranks both segments travel as one message each way.
 fn swap_store_rows(
     comm: &Comm,
-    stores: &mut [&mut TileStore],
+    store: &mut TileStore,
     keep: &[Range<usize>; 2],
     swap: &Swap,
     tag: u64,
 ) {
     match *swap {
         Swap::Local(l1, l2) => {
-            for store in stores {
-                for cols in keep {
-                    store.swap_rows(l1, l2, cols.clone());
-                }
+            for cols in keep {
+                store.swap_rows(l1, l2, cols.clone());
             }
         }
         Swap::Remote { lrow, partner } => {
             if keep.iter().all(|cols| cols.is_empty()) {
                 return;
             }
-            let mut buf = Vec::new();
-            for store in stores.iter() {
-                for cols in keep {
-                    buf.extend_from_slice(&store.row(lrow)[cols.clone()]);
-                }
-            }
+            let row = store.row(lrow);
+            let buf = [&row[keep[0].clone()], &row[keep[1].clone()]].concat();
             let theirs = comm.sendrecv_f64(partner, tag, &buf);
-            let mut rest = &theirs[..];
-            for store in stores {
-                for cols in keep {
-                    let (seg, tail) = rest.split_at(cols.len());
-                    store.row_mut(lrow)[cols.clone()].copy_from_slice(seg);
-                    rest = tail;
-                }
-            }
+            let (left, right) = theirs.split_at(keep[0].len());
+            store.row_mut(lrow)[keep[0].clone()].copy_from_slice(left);
+            store.row_mut(lrow)[keep[1].clone()].copy_from_slice(right);
         }
     }
 }
 
 /// Exchange the panel-buffer rows of the two positions between the owning
 /// panel ranks (the reduced column values travel with the row). Panel row
-/// `i` is local row `first + i` of the stores.
-fn swap_panel_rows(comm: &Comm, panel: &mut Matrix, first: usize, swap: &Swap, tag: u64) {
-    let v = panel.cols();
+/// `i` (`v` values) is local row `first + i` of the store.
+fn swap_panel_rows(comm: &Comm, panel: &mut [f64], v: usize, first: usize, swap: &Swap, tag: u64) {
     match *swap {
         Swap::Local(l1, l2) => {
             let (lo, hi) = (l1.min(l2) - first, l1.max(l2) - first);
-            let (head, tail) = panel.data_mut().split_at_mut(hi * v);
+            let (head, tail) = panel.split_at_mut(hi * v);
             head[lo * v..(lo + 1) * v].swap_with_slice(&mut tail[..v]);
         }
         Swap::Remote { lrow, partner } => {
-            let theirs = comm.sendrecv_f64(partner, tag, panel.row(lrow - first));
-            panel.row_mut(lrow - first).copy_from_slice(&theirs);
+            let row = &mut panel[(lrow - first) * v..(lrow - first + 1) * v];
+            let theirs = comm.sendrecv_f64(partner, tag, row);
+            row.copy_from_slice(&theirs);
         }
     }
 }

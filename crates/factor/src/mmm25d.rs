@@ -25,7 +25,7 @@
 //! one block. A SUMMA step is therefore one `gemm` of the two received
 //! panels into `C`, and the z-reduction sums `C`'s storage in place.
 
-use crate::common::{phase, phase_end, pick_grid_and_block, Collected};
+use crate::common::{phase, phase_end, pick_grid_and_block, Collected, Lower, RankFactor};
 use dense::gemm::{gemm, Trans};
 use dense::matrix::MatRef;
 use dense::Matrix;
@@ -110,7 +110,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     let out = xmpi::launch::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
     let c = cfg.collect.then(|| {
         let identity: Vec<usize> = (0..cfg.n).collect();
-        Collected::assemble(cfg.n, &identity, &out.results)
+        Collected::assemble(cfg.n, cfg.v, &identity, &out.results)
     });
     MmmOutput {
         c,
@@ -120,7 +120,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
 
 /// One rank's program; returns its share of `C` (layer 0 of a collecting
 /// run) or nothing.
-fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Collected {
+fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> RankFactor {
     let (g, v, nt) = (cfg.grid, cfg.v, cfg.n / cfg.v);
     let (pi, pj, pk) = g.coords(comm.rank());
 
@@ -226,7 +226,7 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Coll
         let starts: Vec<usize> = my_tjs.iter().map(|&tj| tj * v).collect();
         share.push(&rows, &starts, c.as_ref());
     }
-    share
+    (Lower::default(), share)
 }
 
 #[cfg(test)]

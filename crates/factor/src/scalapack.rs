@@ -10,7 +10,9 @@
 //! coordinates* with an explicit permutation (COnfLUX's row masking never
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
-use crate::common::{phase, phase_end, split_results, Collected, State, TileStore, Tiling};
+use crate::common::{
+    phase, phase_end, split_results, Collected, Lower, RankResult, State, TileStore, Tiling,
+};
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig};
 use crate::ft::Guard;
@@ -51,8 +53,8 @@ pub fn pdgetrf(
     cfg: &ConfluxConfig,
 ) -> Result<ScalapackOutput, Error> {
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let factor = |comm: &Comm, tiles: TileStore, state: State| {
-        conflux::rank_program(comm, cfg, tiles, &mut Guard::new(false), state, None)
+    let factor = |comm: &Comm, tiles: TileStore| {
+        conflux::rank_program(comm, cfg, &mut Guard::new(false), State::fresh(tiles), None)
     };
     wrapped(user_desc, a, til, cfg.collect, false, factor)
 }
@@ -72,23 +74,22 @@ pub fn pdpotrf(
 ) -> Result<ScalapackOutput, Error> {
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     // Only the lower-triangular tiles are COnfCHOX's storage.
-    let factor = |comm: &Comm, tiles: TileStore, state: State| {
-        confchox::rank_program(comm, cfg, tiles, &mut Guard::new(false), state, None)
+    let factor = |comm: &Comm, tiles: TileStore| {
+        confchox::rank_program(comm, cfg, &mut Guard::new(false), State::fresh(tiles), None)
     };
     wrapped(user_desc, a, til, cfg.collect, true, factor)
 }
 
 /// The pipeline both entry points share, around `factor` — a plain rank
 /// program bound to its configuration. `lower_only` is the shape of the
-/// program's tile stores; a lower-only (Cholesky) run has no pivoting, so
-/// its permutation is the identity.
+/// program's tile store.
 fn wrapped(
     user_desc: BlockCyclic,
     a: &Matrix,
     til: Tiling,
     collect: bool,
     lower_only: bool,
-    factor: impl Fn(&Comm, TileStore, State) -> Result<State, Error> + Sync,
+    factor: impl Fn(&Comm, TileStore) -> RankResult + Sync,
 ) -> Result<ScalapackOutput, Error> {
     let (n, grid) = (til.n, til.grid);
     assert_eq!(user_desc.m, n, "descriptor extent mismatch");
@@ -110,15 +111,10 @@ fn wrapped(
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
         let tiles = shard_to_tiles(comm, &til, staged, lower_only);
         // 3. Factor.
-        let done = factor(comm, tiles, State::fresh(&til, comm.rank(), lower_only))?;
-        let perm = if lower_only {
-            (0..n).collect()
-        } else {
-            done.perm
-        };
+        let ((lower, upper), perm) = factor(comm, tiles)?;
         // 4. Route factor elements to the pivoted tile layout (measured).
         phase(comm, "staging_out");
-        let pivoted = collected_to_shard(comm, n, tdesc, &perm, &done.collected);
+        let pivoted = factor_to_shard(comm, tdesc, &perm, &lower, &upper);
         // 5. Back to the caller's layout (measured).
         let back = redistribute_subset(comm, pivoted.as_ref(), user_desc)
             .expect("user layout covers every rank");
@@ -136,7 +132,7 @@ fn wrapped(
 /// Copy a staged layer-0 shard into the tile store the rank programs
 /// consume: the `v × v` block-cyclic shard is the store's local matrix, so
 /// tile `(ti, tj)` is the block at `(ti / px, tj / py)` of `shard.local`.
-/// Non-layer-0 ranks (shard `None`) get an all-absent store. `lower_only`
+/// Non-layer-0 ranks (shard `None`) get an all-zero store. `lower_only`
 /// keeps just the tiles on or below the diagonal (COnfCHOX's storage).
 fn shard_to_tiles(
     comm: &Comm,
@@ -159,36 +155,40 @@ fn shard_to_tiles(
     })
 }
 
-/// Route collected factor elements — scattered across the machine under
-/// their *original* row ids — into a layer-0 shard of the *pivoted* matrix:
-/// each element's pivoted row decides its tile owner; `(pivoted row, col)`
-/// pairs and values travel point-to-point (measured; this is the
-/// factor-writeback cost of a wrapper, `O(N²/P)` per rank with a 3x header
-/// overhead).
-fn collected_to_shard(
+/// Route a rank's factor elements — the `L` rows its store kept and the
+/// pieces it collected, scattered across the machine under their *original*
+/// row ids — into a layer-0 shard of the *pivoted* matrix: each element's
+/// pivoted row decides its tile owner; `(pivoted row, col)` pairs and values
+/// travel point-to-point (measured; this is the factor-writeback cost of a
+/// wrapper, `O(N²/P)` per rank with a 3x header overhead).
+fn factor_to_shard(
     comm: &Comm,
-    n: usize,
     tdesc: BlockCyclic,
     perm: &[usize],
-    collected: &Collected,
+    lower: &Lower,
+    upper: &Collected,
 ) -> Option<DistMatrix> {
     let p = comm.size();
     let me = comm.rank();
     let q = tdesc.nprocs();
-    let mut pos = vec![usize::MAX; n];
+    let mut pos = vec![usize::MAX; perm.len()];
     for (s, &r) in perm.iter().enumerate() {
         pos[r] = s;
     }
     // Bucket per destination: indices (pivoted row, col) and values.
     let mut idx: Vec<Vec<u64>> = vec![Vec::new(); q];
     let mut val: Vec<Vec<f64>> = vec![Vec::new(); q];
-    collected.for_each(|r, c, x| {
+    let mut route = |r: usize, c0: usize, vals: &[f64]| {
         let s = pos[r];
         debug_assert!(s != usize::MAX, "factor row missing from perm");
-        let dst = tdesc.owner(s, c);
-        idx[dst].extend_from_slice(&[s as u64, c as u64]);
-        val[dst].push(x);
-    });
+        for (c, &x) in (c0..).zip(vals) {
+            let dst = tdesc.owner(s, c);
+            idx[dst].extend_from_slice(&[s as u64, c as u64]);
+            val[dst].push(x);
+        }
+    };
+    lower.for_each_run(&mut route);
+    upper.for_each_run(&mut route);
     for dst in 0..q {
         if dst == me {
             continue;

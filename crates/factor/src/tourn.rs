@@ -8,7 +8,7 @@
 //! the same `v` winning rows, from which all of them (redundantly, without
 //! further communication) factor the pivot block `A00`.
 
-use dense::{getrf_unblocked, Matrix};
+use dense::{getrf_unblocked, MatRef, Matrix};
 use xmpi::Comm;
 
 /// A set of candidate pivot rows: original (unfactored) row values plus
@@ -52,7 +52,7 @@ impl Candidates {
 ///
 /// # Panics
 /// If `panel.rows() != ids.len()`.
-pub fn local_select(panel: &Matrix, ids: &[u64], v: usize) -> Result<Candidates, dense::Error> {
+pub fn local_select(panel: MatRef<'_>, ids: &[u64], v: usize) -> Result<Candidates, dense::Error> {
     assert_eq!(panel.rows(), ids.len());
     assert_eq!(panel.cols(), v);
     let m = panel.rows();
@@ -61,7 +61,7 @@ pub fn local_select(panel: &Matrix, ids: &[u64], v: usize) -> Result<Candidates,
         return Ok(Candidates::empty(v));
     }
     // Right-looking elimination on a scratch copy, one row slice at a time.
-    let mut a = panel.data().to_vec();
+    let mut a = panel.to_owned().into_vec();
     let mut order: Vec<usize> = (0..m).collect();
     for k in 0..take {
         // Partial pivot; on an all-zero column keep the current row.
@@ -115,7 +115,7 @@ fn merge(
     };
     let stacked = [a.rows.data(), b.rows.data()].concat();
     let ids = [&a.ids[..], &b.ids[..]].concat();
-    local_select(&Matrix::from_vec(ids.len(), v, stacked), &ids, v)
+    local_select(MatRef::from_slice(&stacked, ids.len(), v, v), &ids, v)
 }
 
 /// Outcome of a tournament: the pivot rows and the factored pivot block.
@@ -140,7 +140,7 @@ pub struct PivotBlock {
 /// Propagates singularity if the union of candidates has rank `< v`.
 pub fn tournament(
     comm: &Comm,
-    panel: &Matrix,
+    panel: MatRef<'_>,
     ids: &[u64],
     v: usize,
 ) -> Result<PivotBlock, dense::Error> {
@@ -213,7 +213,7 @@ mod tests {
         let mut panel = random_matrix(6, 3, 1);
         panel[(4, 0)] = 100.0;
         let ids: Vec<u64> = (10..16).collect();
-        let c = local_select(&panel, &ids, 3).unwrap();
+        let c = local_select(panel.as_ref(), &ids, 3).unwrap();
         assert_eq!(c.ids.len(), 3);
         assert_eq!(c.ids[0], 14, "row with the dominant entry must win round 1");
         // Values are the ORIGINAL rows, not eliminated ones.
@@ -273,7 +273,7 @@ mod tests {
         for panel in &panels {
             let (m, v) = (panel.rows(), panel.cols());
             let ids: Vec<u64> = (0..m as u64).map(|i| 100 + 3 * i).collect();
-            let got = local_select(panel, &ids, v).unwrap();
+            let got = local_select(panel.as_ref(), &ids, v).unwrap();
             let (want_ids, want_rows) = select_by_elements(panel, &ids, v);
             assert_eq!(got.ids, want_ids, "{m}x{v} panel: ids");
             let bits = |x: &Matrix| x.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn local_select_empty_panel() {
         let panel = Matrix::zeros(0, 4);
-        let c = local_select(&panel, &[], 4).unwrap();
+        let c = local_select(panel.as_ref(), &[], 4).unwrap();
         assert!(c.ids.is_empty());
     }
 
@@ -300,7 +300,7 @@ mod tests {
             // Rank r owns rows r, r+p, r+2p, ... (cyclic, like the panel).
             let my_ids: Vec<u64> = (0..rows_per_rank).map(|i| (r + i * p) as u64).collect();
             let panel = Matrix::from_fn(rows_per_rank, v, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, &panel, &my_ids, v).unwrap()
+            tournament(c, panel.as_ref(), &my_ids, v).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), v);
@@ -356,7 +356,7 @@ mod tests {
                 _ => (vec![5, 6], 2),
             };
             let panel = Matrix::from_fn(m, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, &panel, &my_ids, 3).unwrap()
+            tournament(c, panel.as_ref(), &my_ids, 3).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), 3);
@@ -379,7 +379,7 @@ mod tests {
         let out = run(4, move |c| {
             let my_ids: Vec<u64> = (0..4).map(|i| (c.rank() * 4 + i) as u64).collect();
             let panel = Matrix::from_fn(4, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, &panel, &my_ids, 3).unwrap()
+            tournament(c, panel.as_ref(), &my_ids, 3).unwrap()
         });
         let mut ids = out.results[0].ids.clone();
         ids.sort_unstable();

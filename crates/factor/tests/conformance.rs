@@ -351,6 +351,41 @@ fn twod_conformance_over_seed_matrix() {
     }
 }
 
+/// The factor a world assembles — `L` rows read out of the ranks' stores,
+/// `A00` / `U01` blocks out of what they collected — against a dense
+/// reference, on one rank, a flat grid and a replicated one: COnfLUX against
+/// the unpivoted textbook elimination of the row-permuted input, COnfCHOX
+/// against `dense::potrf`.
+#[test]
+fn assembled_factors_equal_a_dense_reference() {
+    let (n, v) = (32, 4);
+    let (a, spd) = (random_matrix(n, n, 7), random_spd(n, 8));
+    for grid in [[1, 1, 1], [2, 2, 1], [2, 2, 2]].map(|[x, y, z]| Grid3::new(x, y, z)) {
+        let lu = conflux_lu(&ConfluxConfig::new(n, v, grid), &a).unwrap();
+        let mut want = Matrix::from_fn(n, n, |i, j| a[(lu.perm[i], j)]);
+        for k in 0..n {
+            for i in k + 1..n {
+                want[(i, k)] /= want[(k, k)];
+                for j in k + 1..n {
+                    let u = want[(k, j)];
+                    want[(i, j)] -= want[(i, k)] * u;
+                }
+            }
+        }
+        let diff = dense::norms::max_abs_diff(lu.packed.as_ref().unwrap(), &want);
+        assert!(diff < 1e-10, "LU on {grid:?}: off by {diff:e}");
+
+        let chol = confchox_cholesky(&ConfchoxConfig::new(n, v, grid), &spd).unwrap();
+        let mut want = spd.clone();
+        dense::potrf::potrf(&mut want, 8).unwrap();
+        for i in 0..n {
+            want.row_mut(i)[i + 1..].fill(0.0);
+        }
+        let diff = dense::norms::max_abs_diff(chol.l.as_ref().unwrap(), &want);
+        assert!(diff < 1e-10, "Cholesky on {grid:?}: off by {diff:e}");
+    }
+}
+
 /// FNV-1a over whole words of an index vector and a matrix's bit patterns.
 fn digest(index: &[usize], m: &Matrix) -> u64 {
     let index = index.iter().map(|&i| i as u64);
@@ -361,9 +396,12 @@ fn digest(index: &[usize], m: &Matrix) -> u64 {
 }
 
 /// The schedules outside the benchmark's one-shot digests are pinned here:
-/// pivots plus factor bits of fixed runs, recorded from the commit before
-/// their stores became dense local matrices. A storage or collection change
-/// must reproduce them exactly — it may move no flop and reorder no sum.
+/// pivots plus factor bits of fixed runs. `twod_*` and `mmm25d` were recorded
+/// from the commit before their stores became dense local matrices;
+/// `lu25d_swap` from the commit that made layer 0 update its copy of `A` in
+/// place (`((a − p₁) − p₂) − …` where it used to form `a − (p₁ + p₂ + …)`).
+/// A storage or collection change must reproduce them exactly — it may move
+/// no flop and reorder no sum.
 #[test]
 fn baseline_and_ablation_factors_are_bit_pinned() {
     let a = random_matrix(64, 64, 101);
@@ -383,7 +421,7 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         ("mmm25d", digest(&[], &mmm.c.unwrap())),
     ];
     let want = [
-        ("lu25d_swap", 0xb94b_a2a9_e9f6_42a0_u64),
+        ("lu25d_swap", 0x6169_2f48_6f59_42d1_u64),
         ("twod_lu", 0xd9e3_5769_53e3_8be4),
         ("twod_cholesky", 0xbe49_69ef_b881_a049),
         ("mmm25d", 0xd6e7_f309_1aec_da1d),

@@ -7,7 +7,7 @@
 use conflux_rs::dense::gen::random_matrix;
 use conflux_rs::dense::norms::lu_residual_perm;
 use conflux_rs::factor::conflux::ConfluxConfig;
-use conflux_rs::factor::conflux_lu;
+use conflux_rs::factor::{conflux_lu, pdgetrf, pdpotrf, ConfchoxConfig, ScalapackOutput};
 use conflux_rs::layout::dist::assemble;
 use conflux_rs::layout::{redistribute, BlockCyclic, DistMatrix};
 use conflux_rs::xmpi::{run, Grid2, Grid3};
@@ -67,4 +67,43 @@ fn scalapack_desc_array_round_trip_drives_the_same_pipeline() {
     let user = desc_ints.to_block_cyclic(grid);
     let cfg = ConfluxConfig::new(n, 8, Grid3::new(2, 2, 1));
     stage_and_factor(n, user, &cfg, 4);
+}
+
+/// Per-rank `(sent, received)` bytes of the factor write-back, and messages
+/// sent over the whole run.
+fn staging_out(out: &ScalapackOutput) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let ranks = &out.stats.ranks;
+    let bytes = |r: &conflux_rs::xmpi::RankStats| r.per_phase["staging_out"];
+    let msgs = ranks.iter().map(|r| r.msgs_sent).collect();
+    (ranks.iter().map(bytes).collect(), msgs)
+}
+
+#[test]
+fn the_wrappers_write_l_back_from_the_stores_with_the_same_messages() {
+    // `L` comes out of the ranks' tile stores, the rest of an LU factor out
+    // of the collected pieces: per rank the same `staging_out` bytes, in the
+    // same number of messages, as when every factor entry was a collected
+    // block (recorded at d25ce6c).
+    let grid = Grid3::new(2, 2, 2);
+    let a = random_matrix(48, 48, 31);
+    let user = BlockCyclic::new(48, 48, 5, 3, Grid2::new(2, 4));
+    let lu = pdgetrf(user, &a, &ConfluxConfig::new(48, 8, grid)).unwrap();
+    let sent = [13848, 16032, 11312, 11616, 16, 0, 8, 0];
+    let recv = [6144, 7064, 9056, 10664, 4424, 5528, 5528, 4424];
+    let want = sent.into_iter().zip(recv).collect::<Vec<_>>();
+    assert_eq!(
+        staging_out(&lu),
+        (want, vec![77, 71, 55, 52, 50, 47, 39, 37])
+    );
+
+    let spd = conflux_rs::dense::gen::random_spd(48, 33);
+    let user = BlockCyclic::new(48, 48, 6, 10, Grid2::new(4, 2));
+    let chol = pdpotrf(user, &spd, &ConfchoxConfig::new(48, 8, grid)).unwrap();
+    let sent = [6072, 6816, 6056, 6816, 16, 0, 8, 0];
+    let recv = [3264, 2408, 3272, 2408, 4136, 3080, 4136, 3080];
+    let want = sent.into_iter().zip(recv).collect::<Vec<_>>();
+    assert_eq!(
+        staging_out(&chol),
+        (want, vec![52, 38, 41, 47, 35, 28, 31, 32])
+    );
 }
