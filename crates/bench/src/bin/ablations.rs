@@ -13,8 +13,6 @@
 //!   print matching registry rows.
 //! * `trend <plan> --kpi K [--cell SUBSTR]` — print the per-cell trajectory
 //!   of one KPI, oldest first, with the current baseline.
-//! * `legacy` — the original hand-written design-choice sweeps (block size,
-//!   replication, pivoting) that predate the plan engine.
 //!
 //! The regression gate this provides replaces the old ad-hoc
 //! "packed ≥ 2× naive" assertion binary: the same floor now lives in
@@ -34,8 +32,7 @@ const USAGE: &str = "usage: ablations <subcommand>
   run   <plan.toml> [--registry DIR] [--no-append]   execute and record
   check <plan.toml> [--registry DIR] [--append]      execute and gate vs trend
   query [--registry DIR] [--plan NAME] [--kpi K] [--commit PREFIX] [--cell SUBSTR]
-  trend <plan.toml> --kpi K [--registry DIR] [--cell SUBSTR]
-  legacy                                             hand-written design-choice sweeps";
+  trend <plan.toml> --kpi K [--registry DIR] [--cell SUBSTR]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,10 +42,6 @@ fn main() -> ExitCode {
         Some("check") => cmd_check(rest),
         Some("query") => cmd_query(rest),
         Some("trend") => cmd_trend(rest),
-        Some("legacy") => {
-            legacy();
-            ExitCode::SUCCESS
-        }
         Some("--help" | "-h") => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -350,30 +343,4 @@ fn cmd_trend(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// The pre-engine design-choice sweeps from DESIGN.md, kept verbatim.
-fn legacy() {
-    use bench::experiments::ablations;
-    use xmpi::Grid3;
-    ablations::block_size(512, Grid3::new(2, 2, 2), &[8, 16, 32, 64, 128]).emit();
-    ablations::replication(
-        512,
-        16,
-        &[
-            Grid3::new(4, 4, 1),
-            Grid3::new(2, 4, 2),
-            Grid3::new(2, 2, 4),
-        ],
-    )
-    .emit();
-    ablations::pivoting(
-        256,
-        &[
-            Grid3::new(2, 2, 1),
-            Grid3::new(2, 2, 2),
-            Grid3::new(2, 2, 4),
-        ],
-    )
-    .emit();
 }

@@ -1,5 +1,8 @@
-//! Run the full experiment suite (every table and figure of the paper's
-//! evaluation) and persist all raw data under `results/`.
+//! Run the experiment suite (every table and figure of the paper's
+//! evaluation) and persist all raw data under `results/`:
+//! `all_experiments [id …]` runs the named experiments in suite order, no
+//! ids runs everything, and an unknown id exits nonzero listing the valid
+//! ones. The suite below is the one place the sweep parameters live.
 //!
 //! Each experiment runs under a panic guard: one figure crashing no longer
 //! silently truncates the rest of the suite. The run ends with a per-figure
@@ -12,9 +15,8 @@ use std::process::ExitCode;
 
 type Experiment = (&'static str, Box<dyn FnOnce() -> ex::Report>);
 
-fn main() -> ExitCode {
-    let t0 = std::time::Instant::now();
-    let suite: Vec<Experiment> = vec![
+fn suite() -> Vec<Experiment> {
+    vec![
         ("bounds_report", Box::new(ex::bounds_report::run)),
         ("table1", Box::new(|| ex::table1::run(512, 8))),
         (
@@ -86,7 +88,37 @@ fn main() -> ExitCode {
             }),
         ),
         ("generality", Box::new(ex::generality::run)),
-    ];
+    ]
+}
+
+/// The experiments `ids` name, in suite order; all of them for no ids.
+fn select(suite: Vec<Experiment>, ids: &[String]) -> Result<Vec<Experiment>, String> {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| suite.iter().all(|(name, _)| name != id))
+    {
+        let valid: Vec<&str> = suite.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown experiment `{bad}`; valid ids: {}",
+            valid.join(" ")
+        ));
+    }
+    Ok(suite
+        .into_iter()
+        .filter(|(name, _)| ids.is_empty() || ids.iter().any(|id| id == name))
+        .collect())
+}
+
+fn main() -> ExitCode {
+    let t0 = std::time::Instant::now();
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let suite = match select(suite(), &ids) {
+        Ok(suite) => suite,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let mut outcomes: Vec<(&str, Result<(), String>)> = Vec::new();
     for (name, exp) in suite {
@@ -137,5 +169,27 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(ids: &[&str]) -> Result<Vec<&'static str>, String> {
+        let ids: Vec<String> = ids.iter().map(|s| s.to_string()).collect();
+        Ok(select(suite(), &ids)?.iter().map(|(n, _)| *n).collect())
+    }
+
+    #[test]
+    fn id_filter_selects_subset_everything_or_fails() {
+        // A subset comes back in suite order, whatever order it was named in.
+        assert_eq!(names(&["fig9", "table1"]).unwrap(), ["table1", "fig9"]);
+        let all = names(&[]).unwrap();
+        assert_eq!(all.len(), 14);
+        assert_eq!((all[0], all[13]), ("bounds_report", "generality"));
+        let err = names(&["table1", "fig12"]).unwrap_err();
+        assert!(err.contains("`fig12`"), "{err}");
+        assert!(all.iter().all(|id| err.contains(id)), "{err}");
     }
 }

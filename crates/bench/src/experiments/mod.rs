@@ -1,6 +1,6 @@
 //! One sub-module per paper table/figure; each produces a [`Report`]
-//! (human-readable text + machine-readable JSON) so the regenerator
-//! binaries and `all_experiments` share one implementation.
+//! (human-readable text + machine-readable JSON) that `all_experiments`
+//! (or the `kernels` / `comm` / `transport` binaries) emits.
 
 pub mod ablations;
 pub mod bounds_report;

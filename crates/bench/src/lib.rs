@@ -1,7 +1,6 @@
-//! Experiment harness: machinery shared by the per-table/per-figure
-//! regenerator binaries (`src/bin/*`) that re-run the paper's evaluation
-//! (§9–§10) on the simulated machine — one binary per table/figure, indexed
-//! in `DESIGN.md` §4.
+//! Experiment harness: machinery behind the binaries (`src/bin/*`) that
+//! re-run the paper's evaluation (§9–§10) on the simulated machine — one
+//! `all_experiments` id per table/figure, indexed in `DESIGN.md` §4.
 //!
 //! * [`machine`] — Piz Daint-like machine constants and the simulated
 //!   time-to-solution model (documented in `EXPERIMENTS.md`): per-rank time

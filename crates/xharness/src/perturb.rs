@@ -194,8 +194,8 @@ impl<K: std::hash::Hash + Eq + Copy> SeqTable<K> {
     }
 }
 
-/// The seeded perturbator. Install with [`crate::run_perturbed`] (ambient)
-/// or [`xmpi::run_hooked`] (explicit); one instance per world — its
+/// The seeded perturbator. Install with [`crate::run_perturbed`] (or
+/// [`xmpi::with_hooks`] directly); one instance per world — its
 /// sequence counters are part of the replay identity, so reusing an
 /// instance across worlds shifts every later decision.
 pub struct Perturbator {

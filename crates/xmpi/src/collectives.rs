@@ -4,8 +4,7 @@
 //! Algorithms follow the classic MPICH implementations: binomial trees for
 //! broadcast and reduce, recursive doubling for all-reduce and all-gather on
 //! power-of-two groups (the butterfly pattern the paper's tournament
-//! pivoting also uses), a ring for all-gather on other group sizes (and as
-//! the explicit large-buffer schedule, [`Comm::allgather_ring_f64`]), and
+//! pivoting also uses), a ring for all-gather on other group sizes, and
 //! direct fan-in/fan-out for (small-group) gather/scatter.
 //!
 //! Broadcasts are zero-copy: the payload travels the tree as a shared
@@ -24,7 +23,6 @@
 
 use crate::buf::Buf;
 use crate::comm::{Comm, Payload};
-use crate::error::XmpiError;
 use crate::request::RecvRequest;
 use crate::stats::CollKind;
 
@@ -56,32 +54,13 @@ impl Comm {
         }
     }
 
-    /// [`Comm::barrier`] as a typed-error collective: returns `Err` instead
-    /// of unwinding when a participant has crashed. The same dissemination
-    /// pattern, so a *successful* `try_barrier` moves exactly the bytes the
-    /// infallible one does.
-    pub fn try_barrier(&self) -> Result<(), XmpiError> {
-        let _scope = self.coll_scope(CollKind::Barrier);
-        let p = self.size();
-        let r = self.rank();
-        let mut k = 1;
-        while k < p {
-            self.try_send_f64((r + k) % p, TAG_BARRIER, &[])?;
-            self.try_recv_f64((r + p - k) % p, TAG_BARRIER)?;
-            k <<= 1;
-        }
-        Ok(())
-    }
-
     /// Blocking binomial-tree broadcast core: the root supplies `Some`
     /// payload, every rank returns it. The *same* shared buffer is forwarded
     /// down the tree (each hop is a refcount bump) while every hop's bytes
     /// are counted in full.
-    fn bcast_payload_blocking(&self, root: usize, mine: Option<Payload>) -> Payload {
+    fn bcast_payload(&self, root: usize, mine: Option<Payload>) -> Payload {
+        let _scope = self.coll_scope(CollKind::Bcast);
         let p = self.size();
-        if p == 1 {
-            return mine.expect("bcast: root must supply a payload");
-        }
         let vr = (self.rank() + p - root) % p;
         let mut mask = 1;
         let payload = if vr == 0 {
@@ -114,15 +93,7 @@ impl Comm {
     /// Binomial-tree broadcast of an element buffer from `root`. Non-root
     /// ranks' buffers are overwritten (and resized) with the root's data.
     pub fn bcast_f64(&self, root: usize, buf: &mut Vec<f64>) {
-        let _scope = self.coll_scope(CollKind::Bcast);
-        if self.size() == 1 {
-            return;
-        }
-        let mine = (self.rank() == root).then(|| Payload::from(std::mem::take(buf)));
-        match self.bcast_payload_blocking(root, mine) {
-            Payload::F64(b) => *buf = b.into_vec(),
-            Payload::U64(_) => panic!("bcast_f64: broadcast carried an index payload"),
-        }
+        *buf = self.bcast_buf_f64(root, std::mem::take(buf)).into_vec();
     }
 
     /// [`Comm::bcast_f64`] that keeps the result shared: the root passes the
@@ -130,12 +101,8 @@ impl Comm {
     /// the *same* storage — no per-hop copies anywhere in the tree. The
     /// zero-copy entry point for read-only panel consumers.
     pub fn bcast_buf_f64(&self, root: usize, buf: Vec<f64>) -> Buf<f64> {
-        let _scope = self.coll_scope(CollKind::Bcast);
-        let mine = (self.rank() == root).then(|| Payload::from(buf));
-        match self.bcast_payload_blocking(root, mine) {
-            Payload::F64(b) => b,
-            Payload::U64(_) => panic!("bcast_buf_f64: broadcast carried an index payload"),
-        }
+        let mine = (self.rank() == root).then(|| Buf::from(buf));
+        self.bcast_shared_f64(root, mine.as_ref())
     }
 
     /// [`Comm::bcast_buf_f64`] for a payload the root wants to keep: the
@@ -145,83 +112,20 @@ impl Comm {
     /// `None` and get a handle onto the root's storage, exactly as
     /// [`Comm::bcast_buf_f64`].
     pub fn bcast_shared_f64(&self, root: usize, buf: Option<&Buf<f64>>) -> Buf<f64> {
-        let _scope = self.coll_scope(CollKind::Bcast);
         let mine = (self.rank() == root).then(|| {
-            Payload::F64(
-                buf.expect("bcast_shared_f64: root must supply a buffer")
-                    .clone(),
-            )
+            let buf = buf.expect("bcast_shared_f64: root must supply a buffer");
+            Payload::F64(buf.clone())
         });
-        match self.bcast_payload_blocking(root, mine) {
-            Payload::F64(b) => b,
-            Payload::U64(_) => panic!("bcast_shared_f64: broadcast carried an index payload"),
-        }
-    }
-
-    /// [`Comm::bcast_f64`] as a typed-error collective over the same
-    /// binomial tree. A rank that cannot reach its parent (or a child)
-    /// reports the failure instead of unwinding; ranks *above* the break
-    /// still complete, mirroring how a real fault-tolerant broadcast
-    /// degrades. On `Err`, `buf` is left unmodified.
-    pub fn try_bcast_f64(&self, root: usize, buf: &mut Vec<f64>) -> Result<(), XmpiError> {
-        let _scope = self.coll_scope(CollKind::Bcast);
-        let p = self.size();
-        if p == 1 {
-            return Ok(());
-        }
-        let vr = (self.rank() + p - root) % p;
-        let mut mask = 1;
-        let payload = if vr == 0 {
-            while mask < p {
-                mask <<= 1;
-            }
-            Payload::from(&buf[..])
-        } else {
-            loop {
-                if vr & mask != 0 {
-                    let src = (vr - mask + root) % p;
-                    match self.try_recv_payload(src, TAG_BCAST)? {
-                        Payload::F64(b) => break Payload::F64(b),
-                        Payload::U64(b) => {
-                            return Err(XmpiError::Truncated {
-                                expected: 0,
-                                got: b.len(),
-                                src: self.world_rank_of(src),
-                                tag: TAG_BCAST,
-                            })
-                        }
-                    }
-                }
-                mask <<= 1;
-            }
-        };
-        mask >>= 1;
-        while mask > 0 {
-            if vr & mask == 0 && vr + mask < p {
-                let dst = (vr + mask + root) % p;
-                self.try_send_payload(dst, TAG_BCAST, payload.clone())?;
-            }
-            mask >>= 1;
-        }
-        if vr != 0 {
-            if let Payload::F64(b) = payload {
-                *buf = b.into_vec();
-            }
-        }
-        Ok(())
+        self.bcast_payload(root, mine).into_f64("bcast_f64")
     }
 
     /// Binomial-tree broadcast of an index buffer from `root`.
     pub fn bcast_u64(&self, root: usize, buf: &mut Vec<u64>) {
-        let _scope = self.coll_scope(CollKind::Bcast);
-        if self.size() == 1 {
-            return;
-        }
         let mine = (self.rank() == root).then(|| Payload::from(std::mem::take(buf)));
-        match self.bcast_payload_blocking(root, mine) {
-            Payload::U64(b) => *buf = b.into_vec(),
-            Payload::F64(_) => panic!("bcast_u64: broadcast carried an element payload"),
-        }
+        *buf = self
+            .bcast_payload(root, mine)
+            .into_u64("bcast_u64")
+            .into_vec();
     }
 
     /// Binomial-tree elementwise-sum reduction to `root`. On the root, `buf`
@@ -283,79 +187,41 @@ impl Comm {
         }
     }
 
-    /// All-reduce taking the elementwise maximum.
-    pub fn allreduce_max(&self, buf: &mut Vec<f64>) {
-        let _scope = self.coll_scope(CollKind::Allreduce);
-        let p = self.size();
-        if p == 1 {
-            return;
+    /// Fan-in gather core: every non-root rank sends its payload to `root`,
+    /// which returns all of them indexed by local rank. The root's own
+    /// contribution never touches the mailbox (and is not counted as
+    /// traffic).
+    fn gather_payload(&self, root: usize, mine: Payload) -> Option<Vec<Payload>> {
+        let _scope = self.coll_scope(CollKind::Gather);
+        if self.rank() != root {
+            self.send_payload(root, TAG_GATHER, mine);
+            return None;
         }
-        // Recursive doubling works for any associative op; fall back to a
-        // flat exchange through rank 0 for non-powers of two.
-        if p.is_power_of_two() {
-            let r = self.rank();
-            let mut mask = 1;
-            while mask < p {
-                let partner = r ^ mask;
-                self.send_f64(partner, TAG_ALLREDUCE + mask as u64, buf);
-                let other = self.recv_buf_f64(partner, TAG_ALLREDUCE + mask as u64);
-                for (x, y) in buf.iter_mut().zip(other.iter()) {
-                    *x = x.max(*y);
-                }
-                mask <<= 1;
-            }
-        } else {
-            if self.rank() != 0 {
-                self.send_f64(0, TAG_ALLREDUCE, buf);
+        let mut out = Vec::with_capacity(self.size());
+        for src in 0..self.size() {
+            out.push(if src == root {
+                mine.clone()
             } else {
-                for src in 1..p {
-                    let other = self.recv_buf_f64(src, TAG_ALLREDUCE);
-                    for (x, y) in buf.iter_mut().zip(other.iter()) {
-                        *x = x.max(*y);
-                    }
-                }
-            }
-            self.bcast_f64(0, buf);
+                self.recv_payload(src, TAG_GATHER)
+            });
         }
+        Some(out)
     }
 
     /// Gather variable-length element buffers to `root`. Returns `Some` of
     /// the per-rank buffers (indexed by local rank) on the root, `None`
-    /// elsewhere. The root's own contribution never touches the mailbox
-    /// (and is not counted as traffic).
+    /// elsewhere.
     pub fn gather_f64(&self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        let _scope = self.coll_scope(CollKind::Gather);
-        if self.rank() != root {
-            self.send_f64(root, TAG_GATHER, data);
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == root {
-                out.push(data.to_vec());
-            } else {
-                out.push(self.recv_f64(src, TAG_GATHER));
-            }
-        }
-        Some(out)
+        let pieces = self.gather_payload(root, data.into())?;
+        let own = |p: Payload| p.into_f64("gather_f64").into_vec();
+        Some(pieces.into_iter().map(own).collect())
     }
 
     /// Gather variable-length index buffers to `root`.
     pub fn gather_u64(&self, root: usize, data: &[u64]) -> Option<Vec<Vec<u64>>> {
-        let _scope = self.coll_scope(CollKind::Gather);
-        if self.rank() != root {
-            self.send_u64(root, TAG_GATHER, data);
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == root {
-                out.push(data.to_vec());
-            } else {
-                out.push(self.recv_u64(src, TAG_GATHER));
-            }
-        }
-        Some(out)
+        let pieces = self.gather_payload(root, data.into())?;
+        let own = |p: Payload| p.into_u64("gather_u64").into_vec();
+        Some(pieces.into_iter().map(own).collect())
     }
 
     /// Scatter per-rank buffers from `root`: the root passes `Some(pieces)`
@@ -434,7 +300,7 @@ impl Comm {
             while mask > 0 {
                 if vr + mask < p {
                     let dst = (vr + mask + root) % p;
-                    self.isend_payload(dst, tag, payload.clone()).wait();
+                    self.push_message(dst, tag, payload.clone(), true);
                 }
                 mask >>= 1;
             }
@@ -478,22 +344,6 @@ impl Comm {
         } else {
             self.allgather_ring(&mut out);
         }
-        out.into_iter()
-            .map(|b| b.expect("allgather: piece missing").into_vec())
-            .collect()
-    }
-
-    /// Ring all-gather, unconditionally: p−1 serialized rounds, each rank
-    /// relaying one piece per round to its right neighbour. The explicit
-    /// large-buffer schedule — at most one piece is in flight per rank per
-    /// round, where recursive doubling holds up to p/2 pieces in its final
-    /// round. Byte totals match [`Comm::allgather_f64`] exactly.
-    pub fn allgather_ring_f64(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        let _scope = self.coll_scope(CollKind::Allgather);
-        let p = self.size();
-        let mut out: Vec<Option<Buf<f64>>> = (0..p).map(|_| None).collect();
-        out[self.rank()] = Some(Buf::from_slice(data));
-        self.allgather_ring(&mut out);
         out.into_iter()
             .map(|b| b.expect("allgather: piece missing").into_vec())
             .collect()
@@ -586,7 +436,7 @@ impl BcastRequest<'_> {
                 while m > 0 {
                     if vr + m < p {
                         let dst = (vr + m + self.root) % p;
-                        comm.isend_payload(dst, self.tag, payload.clone()).wait();
+                        comm.push_message(dst, self.tag, payload.clone(), true);
                     }
                     m >>= 1;
                 }
@@ -612,10 +462,7 @@ impl BcastRequest<'_> {
     /// # Panics
     /// If the broadcast carried indices instead of elements.
     pub fn wait_buf_f64(self) -> Buf<f64> {
-        match self.wait() {
-            Payload::F64(b) => b,
-            Payload::U64(_) => panic!("ibcast wait_f64: broadcast carried an index payload"),
-        }
+        self.wait().into_f64("ibcast wait_f64")
     }
 
     /// [`BcastRequest::wait`], asserting an index payload.
@@ -623,10 +470,7 @@ impl BcastRequest<'_> {
     /// # Panics
     /// If the broadcast carried elements instead of indices.
     pub fn wait_u64(self) -> Vec<u64> {
-        match self.wait() {
-            Payload::U64(b) => b.into_vec(),
-            Payload::F64(_) => panic!("ibcast wait_u64: broadcast carried an element payload"),
-        }
+        self.wait().into_u64("ibcast wait_u64").into_vec()
     }
 }
 
@@ -728,24 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn try_bcast_matches_bcast() {
-        for p in [1, 2, 4, 6] {
-            let out = run(p, |c| {
-                let mut buf = if c.rank() == 0 {
-                    vec![4.0, 5.0]
-                } else {
-                    vec![]
-                };
-                c.try_bcast_f64(0, &mut buf).expect("healthy world");
-                buf
-            });
-            for r in out.results {
-                assert_eq!(r, vec![4.0, 5.0], "p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn reduce_sums_to_root() {
         for p in [1, 2, 3, 4, 6, 8] {
             for root in [0, p - 1] {
@@ -771,20 +597,6 @@ mod tests {
             });
             let expect = (p * (p + 1) / 2) as f64;
             assert!(out.results.iter().all(|&x| x == expect), "p={p}");
-        }
-    }
-
-    #[test]
-    fn allreduce_max_finds_global_max() {
-        for p in [2, 4, 6] {
-            let out = run(p, |c| {
-                let mut buf = vec![-(c.rank() as f64), c.rank() as f64];
-                c.allreduce_max(&mut buf);
-                buf
-            });
-            for r in out.results {
-                assert_eq!(r, vec![0.0, (p - 1) as f64], "p={p}");
-            }
         }
     }
 
@@ -854,18 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_ring_every_rank_sees_everything() {
-        for p in [1, 2, 4, 5, 8] {
-            let out = run(p, |c| c.allgather_ring_f64(&[c.rank() as f64]));
-            for r in out.results {
-                for (i, piece) in r.iter().enumerate() {
-                    assert_eq!(piece, &vec![i as f64], "p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn allgather_variable_lengths() {
         // Non-power-of-two (ring) and power-of-two (recursive doubling)
         // groups must both carry variable-length pieces, including empty.
@@ -888,7 +688,9 @@ mod tests {
             c.allgather_f64(&vec![1.0; 32]);
         });
         let ring = run(8, |c| {
-            c.allgather_ring_f64(&vec![1.0; 32]);
+            let mut out = vec![None; 8];
+            out[c.rank()] = Some(Buf::from(vec![1.0; 32]));
+            c.allgather_ring(&mut out);
         });
         for r in 0..8 {
             let a = &rd.stats.ranks[r];

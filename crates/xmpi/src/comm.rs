@@ -95,10 +95,40 @@ impl Payload {
             Payload::U64(b) => 8 * b.len() as u64,
         }
     }
+
+    /// The element buffer this payload carries. `who` names the operation
+    /// (and, where it has them, the channel coordinates) for the panic.
+    ///
+    /// # Panics
+    /// If the payload carries indices instead of elements.
+    pub(crate) fn into_f64(self, who: impl std::fmt::Display) -> Buf<f64> {
+        match self {
+            Payload::F64(b) => b,
+            Payload::U64(_) => wrong_payload(&who, "an index"),
+        }
+    }
+
+    /// The index buffer this payload carries (see [`Payload::into_f64`]).
+    ///
+    /// # Panics
+    /// If the payload carries elements instead of indices.
+    pub(crate) fn into_u64(self, who: impl std::fmt::Display) -> Buf<u64> {
+        match self {
+            Payload::U64(b) => b,
+            Payload::F64(_) => wrong_payload(&who, "an element"),
+        }
+    }
+}
+
+/// The one "wrong payload kind" panic behind every typed receive, broadcast
+/// and request completion.
+#[cold]
+fn wrong_payload(who: &dyn std::fmt::Display, got: &str) -> ! {
+    panic!("{who}: got {got} payload")
 }
 
 // The one place borrowed or owned user buffers become shared payload
-// storage: every send/isend/try_send wrapper funnels through these
+// storage: every send/isend wrapper funnels through these
 // conversions (via `impl Into<Payload>` bounds), so the Arc hand-off — and
 // the single defensive copy for borrowed slices — is not repeated per entry
 // point.
@@ -402,12 +432,6 @@ impl Comm {
         self.members.len()
     }
 
-    /// World rank of communicator-local rank `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// World rank of *this* rank.
     #[inline]
     pub fn world_rank(&self) -> usize {
@@ -496,43 +520,19 @@ impl Comm {
     /// Send a buffer of matrix elements to local rank `dst` with `tag`.
     /// Buffered semantics: never blocks.
     pub fn send_f64(&self, dst: usize, tag: u64, data: &[f64]) {
-        self.send_payload(dst, tag, data);
+        self.push_message(dst, tag, data.into(), false);
     }
 
     /// Send an index buffer to local rank `dst` with `tag`.
     pub fn send_u64(&self, dst: usize, tag: u64, data: &[u64]) {
-        self.send_payload(dst, tag, data);
+        self.push_message(dst, tag, data.into(), false);
     }
 
     /// Send anything payload-convertible (a [`Payload`], a [`Buf`], an owned
     /// `Vec`, or a borrowed slice). Owned and shared inputs are enqueued
-    /// without copying.
-    pub fn send_payload(&self, dst: usize, tag: u64, payload: impl Into<Payload>) {
+    /// without copying — what the collectives forward down their trees.
+    pub(crate) fn send_payload(&self, dst: usize, tag: u64, payload: impl Into<Payload>) {
         self.push_message(dst, tag, payload.into(), false);
-    }
-
-    /// [`Comm::send_f64`] that fails fast instead of unwinding when the
-    /// destination has crashed or the world is poisoned.
-    pub fn try_send_f64(&self, dst: usize, tag: u64, data: &[f64]) -> Result<(), XmpiError> {
-        self.try_send_payload(dst, tag, data)
-    }
-
-    /// [`Comm::send_u64`] that fails fast instead of unwinding when the
-    /// destination has crashed or the world is poisoned.
-    pub fn try_send_u64(&self, dst: usize, tag: u64, data: &[u64]) -> Result<(), XmpiError> {
-        self.try_send_payload(dst, tag, data)
-    }
-
-    /// [`Comm::send_payload`] returning [`XmpiError::RankDead`] when the
-    /// destination has crashed — the typed-error entry point fault-tolerant
-    /// drivers use on paths where a dead peer is survivable.
-    pub fn try_send_payload(
-        &self,
-        dst: usize,
-        tag: u64,
-        payload: impl Into<Payload>,
-    ) -> Result<(), XmpiError> {
-        self.push_message_inner(dst, tag, payload.into(), false)
     }
 
     /// Infallible transport wrapper: a send to a dead rank unwinds this
@@ -683,48 +683,53 @@ impl Comm {
     /// handle. Read it through `Deref` as `&[f64]`; converting to owned
     /// storage ([`Buf::into_vec`]) costs a copy only if the buffer is still
     /// shared (e.g. this rank forwarded it down a broadcast tree).
-    pub fn recv_buf_f64(&self, src: usize, tag: u64) -> Buf<f64> {
-        match self.recv_payload(src, tag) {
-            Payload::F64(b) => b,
-            Payload::U64(_) => panic!(
-                "recv_f64: rank {} got index payload from {src} tag {tag}",
-                self.rank
-            ),
-        }
+    pub(crate) fn recv_buf_f64(&self, src: usize, tag: u64) -> Buf<f64> {
+        self.recv_payload(src, tag).into_f64(format_args!(
+            "recv_f64: rank {} from {src} tag {tag}",
+            self.rank
+        ))
     }
 
     /// Receive an index buffer from local rank `src` with `tag` (blocking).
     pub fn recv_u64(&self, src: usize, tag: u64) -> Vec<u64> {
-        match self.recv_payload(src, tag) {
-            Payload::U64(b) => b.into_vec(),
-            Payload::F64(_) => panic!(
-                "recv_u64: rank {} got element payload from {src} tag {tag}",
+        self.recv_payload(src, tag)
+            .into_u64(format_args!(
+                "recv_u64: rank {} from {src} tag {tag}",
                 self.rank
-            ),
-        }
+            ))
+            .into_vec()
     }
 
     /// Receive any payload type from `(src, tag)` (blocking, with deadlock
-    /// timeout). A dead source or a poisoned world unwinds with a poison
-    /// sentinel ([`crate::run_ft`] catches it; plain [`crate::run`] panics).
-    pub fn recv_payload(&self, src: usize, tag: u64) -> Payload {
-        match self.try_recv_payload(src, tag) {
-            Ok(p) => p,
-            Err(XmpiError::Timeout { pending, .. }) => panic!(
-                "xmpi deadlock: rank {} (world {}) waited {:?} for msg from local {} \
-                 (world {}) tag {} ctx {:#x}; {} unmatched message(s) pending:{}",
-                self.rank,
-                self.world_rank(),
-                recv_timeout(),
-                src,
-                self.members[src],
-                tag,
-                self.ctx,
-                pending,
-                self.stuck_report()
-            ),
-            Err(e) => unwind_with(PoisonUnwind(e)),
-        }
+    /// timeout): [`Comm::try_recv_payload`] whose failure is
+    /// [`Comm::recv_failed`].
+    pub(crate) fn recv_payload(&self, src: usize, tag: u64) -> Payload {
+        self.try_recv_payload(src, tag)
+            .unwrap_or_else(|e| self.recv_failed("msg", src, tag, e))
+    }
+
+    /// How every blocking receive and request completion gives up: deadline
+    /// expiry is a deadlock panic naming the channel and what is stuck in
+    /// this rank's mailbox; a dead source or a poisoned world unwinds with a
+    /// poison sentinel ([`crate::run_ft`] catches it; plain [`crate::run`]
+    /// panics). `what` is `"msg"` or `"nonblocking msg"`.
+    fn recv_failed(&self, what: &str, src: usize, tag: u64, e: XmpiError) -> ! {
+        let XmpiError::Timeout { pending, .. } = e else {
+            unwind_with(PoisonUnwind(e));
+        };
+        panic!(
+            "xmpi deadlock: rank {} (world {}) waited {:?} for {what} from local {} \
+             (world {}) tag {} ctx {:#x}; {} unmatched message(s) pending:{}",
+            self.rank,
+            self.world_rank(),
+            recv_timeout(),
+            src,
+            self.members[src],
+            tag,
+            self.ctx,
+            pending,
+            self.stuck_report()
+        )
     }
 
     /// Per-shard breakdown of this rank's unmatched mailbox traffic, for
@@ -814,53 +819,13 @@ impl Comm {
         }
     }
 
-    /// [`Comm::try_recv_f64`] that additionally enforces the element count:
-    /// a payload of any other length (or an index payload) is
-    /// [`XmpiError::Truncated`] — the shape contract a checksum-carrying
-    /// message must satisfy before verification is even meaningful.
-    pub fn try_recv_f64_exact(
-        &self,
-        src: usize,
-        tag: u64,
-        expected: usize,
-    ) -> Result<Vec<f64>, XmpiError> {
-        let src_world = self.members[src];
-        match self.try_recv_payload(src, tag)? {
-            Payload::F64(b) if b.len() == expected => Ok(b.into_vec()),
-            Payload::F64(b) => Err(XmpiError::Truncated {
-                expected,
-                got: b.len(),
-                src: src_world,
-                tag,
-            }),
-            Payload::U64(_) => Err(XmpiError::Truncated {
-                expected,
-                got: 0,
-                src: src_world,
-                tag,
-            }),
-        }
-    }
-
-    /// [`Comm::recv_u64`] as a typed-error operation.
-    pub fn try_recv_u64(&self, src: usize, tag: u64) -> Result<Vec<u64>, XmpiError> {
-        match self.try_recv_payload(src, tag)? {
-            Payload::U64(b) => Ok(b.into_vec()),
-            Payload::F64(b) => Err(XmpiError::Truncated {
-                expected: 0,
-                got: b.len(),
-                src: self.members[src],
-                tag,
-            }),
-        }
-    }
-
-    /// [`Comm::recv_payload`] as a typed-error operation: a dead source
-    /// fails fast with [`XmpiError::RankDead`], a crash elsewhere with
-    /// [`XmpiError::WorldPoisoned`], and deadline expiry with
+    /// The one blocking-receive body: [`Event::RecvPost`], match, the
+    /// receive-match stall, receive accounting, [`Event::RecvDone`]. A dead
+    /// source fails fast with [`XmpiError::RankDead`], a crash elsewhere
+    /// with [`XmpiError::WorldPoisoned`], and deadline expiry with
     /// [`XmpiError::Timeout`] — no sentinel unwinds, so a fault-tolerant
     /// driver can branch on the outcome and keep the rank alive.
-    pub fn try_recv_payload(&self, src: usize, tag: u64) -> Result<Payload, XmpiError> {
+    fn try_recv_payload(&self, src: usize, tag: u64) -> Result<Payload, XmpiError> {
         assert!(src < self.size(), "recv: source {src} out of range");
         let src_world = self.members[src];
         let my_world = self.world_rank();
@@ -902,21 +867,6 @@ impl Comm {
         }
     }
 
-    /// Has the given communicator-local rank crashed?
-    pub fn is_rank_dead(&self, r: usize) -> bool {
-        self.shared.liveness.is_dead(self.members[r])
-    }
-
-    /// Has any rank of the world crashed?
-    pub fn world_poisoned(&self) -> bool {
-        self.shared.liveness.is_poisoned()
-    }
-
-    /// World ranks currently marked dead, ascending.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.shared.liveness.dead_ranks()
-    }
-
     /// Trace marker: this rank starts reconstructing lost state. Pairs with
     /// [`Comm::mark_recovery_end`]; analyses use the bracket to attribute
     /// traffic to recovery rather than to the algorithm. No-op untraced.
@@ -935,121 +885,21 @@ impl Comm {
 
     /// Simultaneous exchange with a partner rank: send `data`, receive the
     /// partner's buffer. Safe against head-on exchanges because sends are
-    /// buffered. An exchange with *this* rank takes the self-message fast
-    /// path: same hooks, accounting, and trace events as a mailbox
-    /// round-trip, but no queueing and no extra copy.
+    /// buffered — which also makes an exchange with *this* rank an ordinary
+    /// send to self followed by its receive.
     pub fn sendrecv_f64(&self, partner: usize, tag: u64, data: &[f64]) -> Vec<f64> {
-        if partner == self.rank {
-            return self.self_exchange_f64(tag, data);
-        }
         self.send_f64(partner, tag, data);
         self.recv_f64(partner, tag)
     }
 
-    /// Self-message fast path: a logical send-to-self immediately received.
-    ///
-    /// Every observable effect of the mailbox round-trip is preserved, in
-    /// the same order — crash fate, send accounting + [`Event::Send`],
-    /// in-flight corruption, the send-fate visibility delay (served as a
-    /// sleep, since the matching receive is immediate), [`Event::RecvPost`],
-    /// the receive-match stall, and receive accounting + [`Event::RecvDone`]
-    /// — so byte counters, traces, and seeded perturbation replays are
-    /// bit-identical to the queued path. Only the queue itself (and its
-    /// extra payload hand-off) is skipped.
-    fn self_exchange_f64(&self, tag: u64, data: &[f64]) -> Vec<f64> {
-        let w = self.world_rank();
-        if let Some(h) = &self.shared.hooks {
-            if h.crash_fate(w, w, self.ctx, tag) == CrashFate::Crash {
-                self.crash_self(w);
-            }
-        }
-        let bytes = 8 * data.len() as u64;
-        self.shared.counters[w].record_send(bytes);
-        if let Some(tr) = &self.shared.trace {
-            let kind = self.shared.counters[w].current_coll();
-            tr.push(
-                w,
-                Event::Send {
-                    t: tr.now(),
-                    peer: w,
-                    ctx: self.ctx,
-                    tag,
-                    bytes,
-                    kind,
-                },
-            );
-        }
-        let mut out = data.to_vec();
-        if let Some(h) = &self.shared.hooks {
-            if let Some((i, delta)) = h.corrupt_send(w, w, self.ctx, tag, out.len()) {
-                if let Some(x) = out.get_mut(i) {
-                    *x += delta;
-                }
-            }
-        }
-        let delay = self
-            .shared
-            .hooks
-            .as_ref()
-            .and_then(|h| h.send_fate(w, w, self.ctx, tag, bytes).delay());
-        if let Some(tr) = &self.shared.trace {
-            tr.push(
-                w,
-                Event::RecvPost {
-                    t: tr.now(),
-                    peer: w,
-                    ctx: self.ctx,
-                    tag,
-                },
-            );
-        }
-        // The queued path would leave the message invisible until the
-        // send-fate delay elapsed and the receive would block on it.
-        hooks::stall(delay);
-        if let Some(h) = &self.shared.hooks {
-            hooks::stall(h.recv_delay(w, w, self.ctx, tag));
-        }
-        self.shared.counters[w].record_recv(bytes);
-        if let Some(tr) = &self.shared.trace {
-            let kind = self.shared.counters[w].current_coll();
-            tr.push(
-                w,
-                Event::RecvDone {
-                    t: tr.now(),
-                    peer: w,
-                    ctx: self.ctx,
-                    tag,
-                    bytes,
-                    kind,
-                },
-            );
-        }
-        out
-    }
-
-    /// Nonblocking send of matrix elements (see [`Comm::isend_payload`]).
+    /// Post a nonblocking send of matrix elements. Sends are buffered, so
+    /// the payload is delivered (and its bytes accounted) at post time and
+    /// the returned request is already complete — it exists so nonblocking
+    /// code can treat sends and receives uniformly through
+    /// [`crate::request::Request`]. Emits [`Event::SendPost`] instead of
+    /// [`Event::Send`] so traces retain the schedule's pipelined structure.
     pub fn isend_f64(&self, dst: usize, tag: u64, data: &[f64]) -> crate::request::SendRequest {
-        self.isend_payload(dst, tag, data)
-    }
-
-    /// Nonblocking send of an index buffer (see [`Comm::isend_payload`]).
-    pub fn isend_u64(&self, dst: usize, tag: u64, data: &[u64]) -> crate::request::SendRequest {
-        self.isend_payload(dst, tag, data)
-    }
-
-    /// Post a nonblocking send. Sends are buffered, so the payload is
-    /// delivered (and its bytes accounted) at post time and the returned
-    /// request is already complete — it exists so nonblocking code can treat
-    /// sends and receives uniformly through [`crate::request::Request`].
-    /// Emits [`Event::SendPost`] instead of [`Event::Send`] so traces retain
-    /// the schedule's pipelined structure.
-    pub fn isend_payload(
-        &self,
-        dst: usize,
-        tag: u64,
-        payload: impl Into<Payload>,
-    ) -> crate::request::SendRequest {
-        self.push_message(dst, tag, payload.into(), true);
+        self.push_message(dst, tag, data.into(), true);
         crate::request::SendRequest::new()
     }
 
@@ -1105,23 +955,11 @@ impl Comm {
     /// [`Comm::recv_payload`] but without the event bookkeeping (the caller
     /// records the completion).
     pub(crate) fn block_take(&self, src: usize, src_world: usize, tag: u64) -> Payload {
-        match self.take_deadline(src_world, tag, recv_timeout()) {
-            Ok(p) => p,
-            Err(TakeErr::Timeout { pending }) => panic!(
-                "xmpi deadlock: rank {} (world {}) waited {:?} for nonblocking msg from \
-                 local {} (world {}) tag {} ctx {:#x}; {} unmatched message(s) pending:{}",
-                self.rank,
-                self.world_rank(),
-                recv_timeout(),
-                src,
-                src_world,
-                tag,
-                self.ctx,
-                pending,
-                self.stuck_report()
-            ),
-            Err(e) => unwind_with(PoisonUnwind(Self::take_err(e, src_world, tag))),
-        }
+        self.take_deadline(src_world, tag, recv_timeout())
+            .unwrap_or_else(|e| {
+                let e = Self::take_err(e, src_world, tag);
+                self.recv_failed("nonblocking msg", src, tag, e)
+            })
     }
 
     /// [`Comm::block_take`] under a caller-supplied timeout: `Err` carries
@@ -1414,20 +1252,46 @@ mod tests {
 
     #[test]
     fn sendrecv_self_roundtrips_and_counts() {
-        // The self-message fast path must preserve the data and the byte
-        // accounting of a logical send+recv (one message out, one in).
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                c.sendrecv_f64(0, 3, &[1.5, 2.5])
-            } else {
-                vec![]
-            }
+        // An exchange with oneself is a queued send + receive: it must
+        // preserve the data, count one message out and one in, and record
+        // exactly the three events of a mailbox round-trip.
+        let (out, traces) = crate::trace::capture(crate::trace::TraceConfig::default(), || {
+            run(2, |c| {
+                if c.rank() == 0 {
+                    c.sendrecv_f64(0, 3, &[1.5, 2.5])
+                } else {
+                    vec![]
+                }
+            })
         });
         assert_eq!(out.results[0], vec![1.5, 2.5]);
         assert_eq!(out.stats.ranks[0].bytes_sent, 16);
         assert_eq!(out.stats.ranks[0].bytes_recv, 16);
         assert_eq!(out.stats.ranks[0].msgs_sent, 1);
         assert_eq!(out.stats.ranks[0].msgs_recv, 1);
+        assert!(matches!(
+            traces[0].ranks[0].events[..],
+            [
+                Event::Send {
+                    peer: 0,
+                    tag: 3,
+                    bytes: 16,
+                    ..
+                },
+                Event::RecvPost {
+                    peer: 0,
+                    tag: 3,
+                    ..
+                },
+                Event::RecvDone {
+                    peer: 0,
+                    tag: 3,
+                    bytes: 16,
+                    ..
+                },
+            ]
+        ));
+        assert!(traces[0].ranks[1].events.is_empty());
     }
 
     #[test]

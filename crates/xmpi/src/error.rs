@@ -3,11 +3,10 @@
 //! The runtime's default answer to a hard failure — a rank dying
 //! mid-factorization, a wait expiring, a payload of the wrong shape — used
 //! to be a panic or a 120-second hang. [`XmpiError`] makes the failure a
-//! value instead: the `try_`-prefixed communicator methods
-//! ([`crate::Comm::try_send_f64`], [`crate::Comm::try_recv_f64`], …) return
-//! it, and [`crate::run_ft`] surfaces per-rank outcomes as
-//! `Result<R, XmpiError>` so a fault-tolerant driver can decide to recover
-//! rather than unwind the whole process.
+//! value instead: [`crate::Comm::try_recv_f64`] returns it in place, and
+//! [`crate::run_ft`] surfaces per-rank outcomes as `Result<R, XmpiError>`
+//! so a fault-tolerant driver can decide to recover rather than unwind the
+//! whole process.
 
 use std::fmt;
 

@@ -24,12 +24,12 @@
 //!   entering a named phase can be held back, skewing ranks against each
 //!   other at exactly the points the schedules synchronize.
 //!
-//! Hooks are installed per world via [`crate::run_hooked`] /
-//! [`crate::run_traced_hooked`], or ambiently with [`with_hooks`], which
-//! arms a thread-local slot that [`crate::run`] consults — the way to
-//! perturb an existing driver (e.g. `factor::conflux_lu`) that launches its
-//! world internally, mirroring [`crate::trace::capture`]. Un-hooked worlds
-//! carry `None` and pay one branch per hook point.
+//! Hooks are installed ambiently with [`with_hooks`], which arms a
+//! thread-local slot that [`crate::run`] and [`crate::run_ft`] consult — so
+//! a driver that launches its world internally (e.g. `factor::conflux_lu`)
+//! is perturbed the same way as a bare closure, mirroring
+//! [`crate::trace::capture`]. Un-hooked worlds carry `None` and pay one
+//! branch per hook point.
 
 use std::cell::RefCell;
 use std::sync::Arc;

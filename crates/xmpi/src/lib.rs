@@ -33,7 +33,7 @@
 //! assert!(out.results.iter().all(|&x| x == 6.0));
 //! assert!(out.stats.total_bytes_sent() > 0);
 //! ```
-
+//!
 //! # Tracing
 //!
 //! Beyond aggregate counters, a world can record a full event trace —
@@ -43,7 +43,7 @@
 //! [`trace::WorldTrace`] into timelines, idle-time attribution, critical
 //! paths, simulated α-β-γ replays, and Chrome-trace exports. Tracing is
 //! opt-in: untraced worlds carry no recorder and pay no locks for it.
-
+//!
 //! # Nonblocking operation
 //!
 //! [`Comm::isend_f64`]/[`Comm::irecv`] post operations and return
@@ -53,25 +53,17 @@
 //! communication with the trailing-matrix update while the byte accounting
 //! and event trace stay exact (posts record [`Event::SendPost`]/
 //! [`Event::RecvPost`], completions record [`Event::WaitDone`]).
-
-#![warn(missing_docs)]
-// Cross-rank code paths must surface failures as typed errors or loud,
-// contextual panics — a bare `.unwrap()` that turns a dead peer into
-// `Option::unwrap()` with no rank, tag, or channel is how a simulated
-// cluster becomes undebuggable. `.expect("...")` with a message stays
-// allowed for genuine invariants.
-#![deny(clippy::unwrap_used)]
-
+//!
 //! # Schedule perturbation & fault injection
 //!
 //! For adversarial testing, a [`hooks::SchedHooks`] implementation can be
-//! installed on a world ([`run_hooked`], [`run_traced_hooked`], or ambiently
-//! via [`hooks::with_hooks`]) to delay or drop-and-retransmit messages,
+//! installed on every world launched inside [`hooks::with_hooks`] (the
+//! counterpart of [`trace::capture`]) to delay or drop-and-retransmit messages,
 //! stall request completions, and skew ranks at phase boundaries — all
 //! without changing the bytes moved or their per-channel order. The
 //! `xharness` crate drives these hooks from a single seed so any failing
 //! schedule replays exactly.
-
+//!
 //! # Fault domain
 //!
 //! Hard failures are part of the model, not an afterthought:
@@ -83,13 +75,13 @@
 //! * [`hooks::SchedHooks::corrupt_send`] flips a single element of an
 //!   in-flight payload — the fault an ABFT checksum layer (see
 //!   `dense::checksum`) must detect and locate;
-//! * the `try_`-prefixed operations ([`Comm::try_send_f64`],
-//!   [`Comm::try_recv_f64`], [`Comm::try_barrier`], …) return
-//!   [`XmpiError`] instead of unwinding, and [`run_ft`] launches a world
-//!   whose per-rank outcomes are `Result<R, XmpiError>` — the entry point
-//!   for drivers that recover (checkpoint/restart in `factor::ft`) rather
-//!   than die.
-
+//! * [`run_ft`] launches a world whose per-rank outcomes are
+//!   `Result<R, XmpiError>` — the entry point for drivers that recover
+//!   (checkpoint/restart in `factor::ft`) rather than die: a blocking
+//!   operation cut short by a crash unwinds its rank to that join point
+//!   with the typed error it observed, and [`Comm::try_recv_f64`] returns
+//!   the [`XmpiError`] in place for a rank that wants to stay alive.
+//!
 //! # Network chaos
 //!
 //! Below the schedule hooks sits wire-level fault injection: a
@@ -104,6 +96,14 @@
 //! [`XmpiError::LaunchFailed`] instead of a hang or a panic. The `xharness`
 //! crate derives whole fault plans from a single seed (`NetChaos`) so any
 //! failing chaos run replays exactly.
+
+#![warn(missing_docs)]
+// Cross-rank code paths must surface failures as typed errors or loud,
+// contextual panics — a bare `.unwrap()` that turns a dead peer into
+// `Option::unwrap()` with no rank, tag, or channel is how a simulated
+// cluster becomes undebuggable. `.expect("...")` with a message stays
+// allowed for genuine invariants.
+#![deny(clippy::unwrap_used)]
 
 pub mod buf;
 pub mod collectives;
@@ -134,6 +134,4 @@ pub use request::{wait_all, RecvRequest, Request, SendRequest, WaitPolicy, WaitT
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;
-pub use world::{
-    run, run_ft, run_hooked, run_traced, run_traced_hooked, FtResult, TracedResult, WorldResult,
-};
+pub use world::{run, run_ft, run_traced, FtResult, TracedResult, WorldResult};

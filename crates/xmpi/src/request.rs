@@ -1,6 +1,6 @@
 //! Request handles for nonblocking point-to-point operations.
 //!
-//! [`Comm::isend_payload`](crate::Comm::isend_payload) and
+//! [`Comm::isend_f64`](crate::Comm::isend_f64) and
 //! [`Comm::irecv`](crate::Comm::irecv) return handles that decouple posting
 //! an operation from completing it, which is what lets a schedule overlap
 //! communication with computation (the lookahead variants of the
@@ -238,10 +238,8 @@ impl<'c> RecvRequest<'c> {
     /// If the matching message carries indices instead of elements.
     pub fn wait_buf_f64(self) -> Buf<f64> {
         let (src, tag) = (self.src, self.tag);
-        match self.wait() {
-            Payload::F64(b) => b,
-            Payload::U64(_) => panic!("wait_f64: got index payload from {src} tag {tag}"),
-        }
+        self.wait()
+            .into_f64(format_args!("wait_f64: from {src} tag {tag}"))
     }
 
     /// [`RecvRequest::wait`], asserting an index payload.
@@ -250,10 +248,9 @@ impl<'c> RecvRequest<'c> {
     /// If the matching message carries elements instead of indices.
     pub fn wait_u64(self) -> Vec<u64> {
         let (src, tag) = (self.src, self.tag);
-        match self.wait() {
-            Payload::U64(b) => b.into_vec(),
-            Payload::F64(_) => panic!("wait_u64: got element payload from {src} tag {tag}"),
-        }
+        self.wait()
+            .into_u64(format_args!("wait_u64: from {src} tag {tag}"))
+            .into_vec()
     }
 }
 
@@ -335,7 +332,7 @@ mod tests {
                 // Let rank 1 poll before the message exists, then send.
                 let ready = c.recv_u64(1, 1);
                 assert_eq!(ready, vec![7]);
-                c.isend_u64(1, 2, &[42]).wait();
+                c.send_u64(1, 2, &[42]);
                 0
             } else {
                 let mut req = c.irecv(0, 2);

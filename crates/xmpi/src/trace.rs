@@ -1,10 +1,10 @@
 //! Opt-in event tracing for the simulated runtime.
 //!
-//! When a world is launched with [`crate::run_traced`] (or inside
-//! [`capture`]), every rank records typed events — sends, receive
-//! post/complete pairs, collective enter/exit, phase markers with cumulative
-//! flop counts — into a per-rank ring buffer with monotonic nanosecond
-//! timestamps measured from a world-global epoch. The finished
+//! When a world is launched inside [`capture`] (or by [`crate::run_traced`],
+//! which is `capture` around one [`crate::run`]), every rank records typed
+//! events — sends, receive post/complete pairs, collective enter/exit, phase
+//! markers with cumulative flop counts — into a per-rank ring buffer with
+//! monotonic nanosecond timestamps measured from a world-global epoch. The finished
 //! [`WorldTrace`] is the input to the `xtrace` crate's timeline, wait-time,
 //! critical-path, and simulated-replay analyses, playing the role Score-P
 //! traces play for real MPI codes.

@@ -3,7 +3,7 @@
 
 use crate::comm::{Comm, Shared};
 use crate::error::XmpiError;
-use crate::hooks::{self, SchedHooks};
+use crate::hooks;
 use crate::liveness::{CrashUnwind, PoisonUnwind};
 use crate::stats::WorldStats;
 use crate::trace::{self, Recorder, TraceConfig, WorldTrace};
@@ -57,6 +57,10 @@ pub struct TracedResult<R> {
 /// installed on the world; otherwise no recorder or hooks exist and the
 /// transport pays no tracing or perturbation cost.
 ///
+/// A fault sentinel reaching this join point means crash injection was armed
+/// on a world launched without [`run_ft`] — that fails loudly with a pointer
+/// at the right entry point instead of hanging or silently dropping a rank.
+///
 /// # Panics
 /// If `p == 0`, or if any rank panics.
 pub fn run<R, F>(p: usize, f: F) -> WorldResult<R>
@@ -64,90 +68,41 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    if let Some(cfg) = trace::capture_config() {
-        let out = run_traced(p, &cfg, f);
-        trace::capture_stash(out.trace);
-        return WorldResult {
-            results: out.results,
-            stats: out.stats,
-        };
+    let out = run_ft(p, f);
+    let results = out
+        .results
+        .into_iter()
+        .enumerate()
+        .map(|(rank, r)| match r {
+            Ok(v) => v,
+            Err(e) => panic!(
+                "rank {rank} failed under fault injection: {e}; \
+                 launch the world with xmpi::run_ft to handle rank crashes"
+            ),
+        })
+        .collect();
+    WorldResult {
+        results,
+        stats: out.stats,
     }
-    let (results, stats, _) = launch(Shared::build(p, None, hooks::armed()), f);
-    WorldResult { results, stats }
 }
 
-/// [`run`] with explicit schedule-perturbation hooks installed on the world
-/// (see [`crate::hooks`]). Equivalent to arming the hooks with
-/// [`crate::hooks::with_hooks`] around a [`run`] call, for callers that own
-/// the launch site.
+/// [`run`] returning the world's event trace (see [`crate::trace`]) next to
+/// its results: [`crate::trace::capture`] around one [`run`], for callers
+/// that own the launch site.
 ///
 /// # Panics
-/// If `p == 0`, or if any rank panics.
-pub fn run_hooked<R, F>(p: usize, hooks: Arc<dyn SchedHooks>, f: F) -> WorldResult<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let (results, stats, _) = launch(Shared::build(p, None, Some(hooks)), f);
-    WorldResult { results, stats }
-}
-
-/// [`run`] with event tracing enabled: every rank records sends, receive
-/// waits, collectives, and phase markers (see [`crate::trace`]). Hooks armed
-/// via [`crate::hooks::with_hooks`] are installed on the world, so a run can
-/// be perturbed *and* traced (how the invariant checkers observe a
-/// fault-injected schedule).
-///
-/// # Panics
-/// If `p == 0`, or if any rank panics.
+/// As [`run`], and if capture is already armed on this thread.
 pub fn run_traced<R, F>(p: usize, cfg: &TraceConfig, f: F) -> TracedResult<R>
 where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    run_traced_with(p, cfg, hooks::armed(), f)
-}
-
-/// [`run_traced`] with explicit schedule-perturbation hooks installed on the
-/// world, for callers that own the launch site.
-///
-/// # Panics
-/// If `p == 0`, or if any rank panics.
-pub fn run_traced_hooked<R, F>(
-    p: usize,
-    cfg: &TraceConfig,
-    hooks: Arc<dyn SchedHooks>,
-    f: F,
-) -> TracedResult<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    run_traced_with(p, cfg, Some(hooks), f)
-}
-
-fn run_traced_with<R, F>(
-    p: usize,
-    cfg: &TraceConfig,
-    hooks: Option<Arc<dyn SchedHooks>>,
-    f: F,
-) -> TracedResult<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let shared = Shared::build(p, Some(Recorder::new(p, cfg)), hooks);
-    let (results, stats, shared) = launch(shared, f);
-    let shared = Arc::into_inner(shared)
-        .expect("traced world: shared state must be exclusively owned after join");
-    let trace = shared
-        .trace
-        .expect("traced world carries a recorder")
-        .finish();
+    let (out, mut traces) = trace::capture(cfg.clone(), || run(p, f));
     TracedResult {
-        results,
-        stats,
-        trace,
+        results: out.results,
+        stats: out.stats,
+        trace: traces.pop().expect("one world launched, one trace stashed"),
     }
 }
 
@@ -159,11 +114,13 @@ where
 /// short by the poisoned world carry the precise error their blocking
 /// operation observed. A *genuine* panic (an assertion failure, an
 /// out-of-range send) is still re-raised unchanged — only the two fault
-/// sentinels are absorbed, so bugs stay loud under fault injection.
+/// sentinels (`CrashUnwind`, `PoisonUnwind`) are absorbed, so bugs stay
+/// loud under fault injection.
 ///
 /// Composes with [`crate::trace::capture`] and [`crate::hooks::with_hooks`]
-/// exactly like [`run`], which is how a fault-tolerant driver replays a
-/// seeded crash schedule under tracing.
+/// exactly like [`run`] — this is the one launch path, and it takes both
+/// from the calling thread's ambient state — which is how a fault-tolerant
+/// driver replays a seeded crash schedule under tracing.
 ///
 /// # Panics
 /// If `p == 0`, or if any rank panics with a non-sentinel payload.
@@ -172,45 +129,9 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    if let Some(cfg) = trace::capture_config() {
-        let shared = Shared::build(p, Some(Recorder::new(p, &cfg)), hooks::armed());
-        let (results, stats, shared) = launch_ft(shared, f);
-        let crashed = shared.liveness.dead_ranks();
-        let shared = Arc::into_inner(shared)
-            .expect("traced world: shared state must be exclusively owned after join");
-        let trace = shared
-            .trace
-            .expect("traced world carries a recorder")
-            .finish();
-        trace::capture_stash(trace);
-        return FtResult {
-            results,
-            stats,
-            crashed,
-        };
-    }
-    let (results, stats, shared) = launch_ft(Shared::build(p, None, hooks::armed()), f);
-    let crashed = shared.liveness.dead_ranks();
-    FtResult {
-        results,
-        stats,
-        crashed,
-    }
-}
-
-/// Join-point core: spawn the ranks and map each join outcome. The two fault
-/// sentinels ([`CrashUnwind`], [`PoisonUnwind`]) become typed `Err` values;
-/// anything else is a real bug and is re-raised.
-fn launch_ft<R, F>(
-    shared: Arc<Shared>,
-    f: F,
-) -> (Vec<Result<R, XmpiError>>, WorldStats, Arc<Shared>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let p = shared.transport.size();
     assert!(p > 0, "world must have at least one rank");
+    let recorder = trace::capture_config().map(|cfg| Recorder::new(p, &cfg));
+    let shared = Shared::build(p, recorder, hooks::armed());
 
     let results: Vec<Result<R, XmpiError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..p)
@@ -244,36 +165,24 @@ where
     let stats = WorldStats {
         ranks: shared.counters.iter().map(|c| c.snapshot()).collect(),
     };
-    (results, stats, shared)
-}
-
-/// Infallible launch used by [`run`] and friends: a fault sentinel reaching
-/// this join point means crash injection was armed on a world launched
-/// without [`run_ft`] — fail loudly with a pointer at the right entry point
-/// instead of hanging or silently dropping a rank.
-fn launch<R, F>(shared: Arc<Shared>, f: F) -> (Vec<R>, WorldStats, Arc<Shared>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let (results, stats, shared) = launch_ft(shared, f);
-    let results = results
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| match r {
-            Ok(v) => v,
-            Err(e) => panic!(
-                "rank {rank} failed under fault injection: {e}; \
-                 launch the world with xmpi::run_ft to handle rank crashes"
-            ),
-        })
-        .collect();
-    (results, stats, shared)
+    let crashed = shared.liveness.dead_ranks();
+    if shared.trace.is_some() {
+        let shared = Arc::into_inner(shared)
+            .expect("traced world: shared state must be exclusively owned after join");
+        let recorder = shared.trace.expect("checked above");
+        trace::capture_stash(recorder.finish());
+    }
+    FtResult {
+        results,
+        stats,
+        crashed,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hooks::SchedHooks;
 
     #[test]
     fn single_rank_world() {
@@ -507,6 +416,43 @@ mod tests {
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].num_ranks(), 3);
         assert!(traces[0].num_events() > 0);
+    }
+
+    /// Both launch entry points take the recorder *and* the hooks from the
+    /// calling thread: armed together, the world is perturbed (the hook's
+    /// counter moves) and traced (one `WorldTrace`, events present).
+    #[test]
+    fn hooks_and_capture_compose_on_every_entry_point() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct CountSends(AtomicUsize);
+        impl SchedHooks for CountSends {
+            fn send_fate(&self, _: usize, _: usize, _: u64, _: u64, _: u64) -> hooks::SendFate {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                hooks::SendFate::Deliver
+            }
+        }
+        fn ping(c: &Comm) {
+            if c.rank() == 0 {
+                c.send_f64(1, 0, &[1.0]);
+            } else {
+                c.recv_f64(0, 0);
+            }
+        }
+        type Entry = fn() -> usize;
+        let entries: [(&str, Entry); 2] = [
+            ("run", || run(2, ping).results.len()),
+            ("run_ft", || run_ft(2, ping).results.len()),
+        ];
+        for (name, entry) in entries {
+            let counter = Arc::new(CountSends(AtomicUsize::new(0)));
+            let (ranks, traces) = trace::capture(TraceConfig::default(), || {
+                hooks::with_hooks(counter.clone(), entry)
+            });
+            assert_eq!(ranks, 2, "{name}");
+            assert_eq!(counter.0.load(Ordering::Relaxed), 1, "{name}: hooked");
+            assert_eq!(traces.len(), 1, "{name}: traced");
+            assert_eq!(traces[0].num_events(), 3, "{name}: send, post, done");
+        }
     }
 
     #[test]

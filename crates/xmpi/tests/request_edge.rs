@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xmpi::{run, run_hooked, wait_all, Payload, Request, SchedHooks, SendFate, WaitPolicy};
+use xmpi::{run, wait_all, with_hooks, Payload, Request, SchedHooks, SendFate, WaitPolicy};
 
 /// `test()` before the message exists is `false` and must not consume
 /// anything; after success it is sticky (the done cache), and the final
@@ -191,20 +191,22 @@ fn drop_fate_is_survived_by_retry_policy() {
         retransmit_after: Duration::from_millis(20),
         drops: AtomicUsize::new(0),
     });
-    let out = run_hooked(2, hooks.clone(), |c| {
-        if c.rank() == 0 {
-            c.send_f64(1, 6, &[5.0, 6.0]);
-            vec![]
-        } else {
-            let req = c.irecv(0, 6);
-            // Each attempt is far shorter than the retransmission delay, so
-            // only the retry loop can complete this.
-            let policy = WaitPolicy::timeout(Duration::from_millis(2)).with_retries(50);
-            match req.wait_timeout(policy).expect("retries outlast the drop") {
-                Payload::F64(v) => v.into_vec(),
-                other => panic!("expected f64, got {other:?}"),
+    let out = with_hooks(hooks.clone(), || {
+        run(2, |c| {
+            if c.rank() == 0 {
+                c.send_f64(1, 6, &[5.0, 6.0]);
+                vec![]
+            } else {
+                let req = c.irecv(0, 6);
+                // Each attempt is far shorter than the retransmission delay, so
+                // only the retry loop can complete this.
+                let policy = WaitPolicy::timeout(Duration::from_millis(2)).with_retries(50);
+                match req.wait_timeout(policy).expect("retries outlast the drop") {
+                    Payload::F64(v) => v.into_vec(),
+                    other => panic!("expected f64, got {other:?}"),
+                }
             }
-        }
+        })
     });
     assert_eq!(out.results[1], vec![5.0, 6.0]);
     assert_eq!(
