@@ -1,5 +1,5 @@
 //! The ablation driver: execute a plan's grid through the existing
-//! [`crate::runner`] + [`crate::machine::Machine`] measurement path and
+//! `runner` + [`xtrace::Machine`] measurement path and
 //! extract KPI records.
 //!
 //! Every factor cell runs the real simulated factorization — traced (for
@@ -13,7 +13,6 @@
 //! infeasible corner cannot sweep.
 
 use crate::kpi::{algo_from_name, comm_kpis, factor_kpis, kernel_kpis, transport_kpis};
-use crate::machine::Machine;
 use crate::plan::{AblationPlan, Cell, PlanWorkload};
 use crate::runner::{Algo, Workload};
 use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
@@ -26,6 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use xharness::PerturbConfig;
 use xmpi::trace::TraceConfig;
 use xmpi::{Grid2, Grid3, WorldStats, WorldTrace};
+use xtrace::Machine;
 
 /// Input-matrix seed: fixed so the workload — and therefore every
 /// deterministic KPI — is comparable across commits. (The `seed` axis
@@ -125,7 +125,7 @@ fn grid_and_block(cell: &Cell) -> Result<(Grid3, usize), String> {
     let v = if cell.block > 0 {
         cell.block
     } else {
-        factor::common::choose_block(n, c, (4 * c).max(16))
+        factor::choose_block(n, c, (4 * c).max(16))
             .ok_or_else(|| format!("no valid block size for n={n}, c={c}"))?
     };
     validate(n, v, grid)?;

@@ -307,7 +307,7 @@ fn kpi_record(args: &Args, trace: &WorldTrace, stats: &WorldStats) {
         c_used,
         stats,
         Some(trace),
-        &bench::machine::Machine::piz_daint(),
+        &Machine::piz_daint(),
     );
     let cell = bench::plan::Cell {
         algo: args.algo.clone(),

@@ -11,13 +11,13 @@
 //!   at matched grids (volume per phase).
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::runner::Workload;
 use crate::table::render;
 use factor::conflux::{conflux_lu, ConfluxConfig};
 use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
 use serde_json::json;
 use xmpi::Grid3;
+use xtrace::Machine;
 
 /// Block-size sweep at a fixed grid.
 pub fn block_size(n: usize, grid: Grid3, vs: &[usize]) -> Report {
@@ -64,8 +64,7 @@ pub fn replication(n: usize, p: usize, grids: &[Grid3]) -> Report {
     let mut data = Vec::new();
     for &grid in grids {
         assert_eq!(grid.size(), p, "sweep must hold P fixed");
-        let v = factor::common::choose_block(n, grid.pz, (4 * grid.pz).max(16))
-            .expect("valid block size");
+        let v = factor::choose_block(n, grid.pz, (4 * grid.pz).max(16)).expect("valid block size");
         let out = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &w.general)
             .expect("factorization failed");
         let bytes = out.stats.avg_rank_bytes();
@@ -114,8 +113,7 @@ pub fn pivoting(n: usize, grids: &[Grid3]) -> Report {
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &grid in grids {
-        let v = factor::common::choose_block(n, grid.pz, (4 * grid.pz).max(16))
-            .expect("valid block size");
+        let v = factor::choose_block(n, grid.pz, (4 * grid.pz).max(16)).expect("valid block size");
         let mask = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &w.general)
             .expect("mask run failed")
             .stats;

@@ -35,7 +35,7 @@ const TAG_BENCH: u64 = 9_000_000;
 /// other rank in turn — each send deep-copies the payload (slice-based
 /// sends copy at the transport boundary), and the fan-out is serialized on
 /// the root. This is the reference schedule the tree collective replaced.
-pub fn linear_bcast_f64(comm: &Comm, root: usize, buf: &mut Vec<f64>) {
+pub(crate) fn linear_bcast_f64(comm: &Comm, root: usize, buf: &mut Vec<f64>) {
     if comm.rank() == root {
         for dst in 0..comm.size() {
             if dst != root {
@@ -167,7 +167,7 @@ fn traced_phases(p: usize, elems: usize) -> (f64, f64, u64, u64) {
 /// Run the transport microbenchmark: p2p at `p = 2`, broadcast scaling over
 /// `ps × sizes`, best-of-`reps` per cell. `sizes` are message lengths in
 /// f64 elements (the headline 512×64 panel is 32768).
-pub fn comm(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
+pub(crate) fn comm(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
     let reps = reps.max(1);
 
     // --- p2p --------------------------------------------------------------

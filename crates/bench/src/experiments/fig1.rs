@@ -8,10 +8,10 @@
 //! (CANDMC/CAPITAL stand-in).
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::runner::{run_algo, Algo, Workload};
 use crate::table::render;
 use serde_json::json;
+use xtrace::Machine;
 
 /// Shared implementation for Fig. 1 (LU) and Fig. 11 (Cholesky).
 fn speedup_grid(

@@ -9,11 +9,11 @@
 //!   implementation over a `(P, N)` grid, measured + predicted.
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::runner::{run_algo, Algo, Workload};
 use crate::table::render;
 use factor::models::{candmc_model, conflux_model, twod_lu_model, MachineParams};
 use serde_json::json;
+use xtrace::Machine;
 
 /// Fig. 8a: strong-scaling volume, measured + paper-scale model lines.
 pub fn fig8a(n: usize, ps: &[usize]) -> Report {

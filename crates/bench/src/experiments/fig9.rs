@@ -3,10 +3,10 @@
 //! series (constant `N²/P` per rank), for every implementation.
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::runner::{run_algo, Algo, Workload};
 use crate::table::render;
 use serde_json::json;
+use xtrace::Machine;
 
 fn perf_series(
     id: &str,

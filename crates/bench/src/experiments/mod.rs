@@ -1,18 +1,19 @@
 //! One sub-module per paper table/figure; each produces a [`Report`]
 //! (human-readable text + machine-readable JSON) that `all_experiments`
-//! (or the `kernels` / `comm` / `transport` binaries) emits.
+//! emits; the `kernels` / `comm` / `transport` reports are produced and
+//! saved by the matching `ablate` plan cells.
 
 pub mod ablations;
 pub mod bounds_report;
-pub mod comm;
+pub(crate) mod comm;
 pub mod fig1;
 pub mod fig8;
 pub mod fig9;
 pub mod generality;
-pub mod kernels;
+pub(crate) mod kernels;
 pub mod table1;
 pub mod table2;
-pub mod transport;
+pub(crate) mod transport;
 
 use serde_json::Value;
 use std::io::Write;
@@ -40,7 +41,7 @@ impl Report {
     }
 
     /// Write `<dir>/<id>.json`.
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut f = std::fs::File::create(dir.join(format!("{}.json", self.id)))?;
         writeln!(f, "{}", serde_json::to_string_pretty(&self.json)?)?;

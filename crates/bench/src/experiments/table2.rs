@@ -5,15 +5,16 @@
 //! for MKL/SLATE/COnfLUX/COnfCHOX; the CANDMC/CAPITAL author models
 //! overapproximate by 30–40%). We rerun that loop on the simulated machine:
 //! every executable schedule is measured over an `(N, P)` grid and compared
-//! against its Table 2 model; CANDMC/CAPITAL appear as author-model rows
-//! (as in the paper) next to the measured row-swapping ablation.
+//! against its Table 2 model; CANDMC appears as an author-model row (as in
+//! the paper) next to the measured row-swapping ablation. CAPITAL's author
+//! model has no row: nothing executable stands in for it (see Fig. 11).
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::runner::{run_algo, used_memory_words, Algo, Workload};
 use crate::table::render;
 use factor::models::MachineParams;
 use serde_json::json;
+use xtrace::Machine;
 
 /// Regenerate Table 2 over a sweep of `(n, p)` points.
 pub fn run(points: &[(usize, usize)]) -> Report {

@@ -2,7 +2,7 @@
 //! machine model's communication constants.
 //!
 //! Every performance figure in this repo converts measured traffic to time
-//! through the analytic α-β-γ model ([`crate::machine::Machine`]) — until
+//! through the analytic α-β-γ model ([`xtrace::Machine`]) — until
 //! now the α and β in that model were literature constants, never numbers
 //! this runtime produced. This experiment measures them, twice:
 //!
@@ -26,12 +26,12 @@
 //! host-clock numbers on shared CI hardware must not carry tight bounds).
 
 use crate::experiments::Report;
-use crate::machine::Machine;
 use crate::provenance::Stamp;
 use crate::table::render;
 use serde_json::json;
 use std::time::Instant;
 use xmpi::{Buf, Comm};
+use xtrace::Machine;
 
 /// Tag namespace for the benchmark's exchanges, clear of collective tags
 /// and of `experiments::comm`'s range.
@@ -139,7 +139,7 @@ fn measure(label: &'static str, ps: &[usize], sizes: &[usize], reps: usize) -> B
 /// processes re-execute the current binary — callers must reach this
 /// function deterministically from `main`). `sizes` are message lengths in
 /// f64 elements; `ps` are broadcast world sizes.
-pub fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
+pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
     let reps = reps.max(1);
     let local = measure("local", ps, sizes, reps);
     let socket = xmpi::with_backend(xmpi::launch::socket_backend_reexec(), || {

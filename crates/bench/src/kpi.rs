@@ -25,12 +25,12 @@
 //! plus `gemm_speedup` (packed vs naive) — the quantity the CI perf gate
 //! holds the floor on.
 
-use crate::machine::Machine;
 use crate::runner::Algo;
 use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use xmpi::{WorldStats, WorldTrace};
+use xtrace::Machine;
 
 /// Parse an ablation-axis algorithm name.
 pub fn algo_from_name(name: &str) -> Option<Algo> {
@@ -45,7 +45,7 @@ pub fn algo_from_name(name: &str) -> Option<Algo> {
 }
 
 /// The paper's I/O lower bound for `algo` at `M = c·N²/P`, in words/rank.
-pub fn io_lower_bound(algo: Algo, n: usize, p: usize, c: usize) -> f64 {
+fn io_lower_bound(algo: Algo, n: usize, p: usize, c: usize) -> f64 {
     let m = (c.max(1) * n * n) as f64 / p as f64;
     match algo {
         Algo::Conflux | Algo::TwodLu | Algo::SwapLu => lu_io_lower_bound(n, p, m),
@@ -94,7 +94,7 @@ pub fn factor_kpis(
 
 /// Extract the kernels-workload KPI record at one size from the
 /// [`crate::experiments::kernels`] report JSON.
-pub fn kernel_kpis(report_json: &Value, n: usize) -> BTreeMap<String, f64> {
+pub(crate) fn kernel_kpis(report_json: &Value, n: usize) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     if let Some(samples) = report_json["samples"].as_array() {
         for s in samples {
@@ -132,7 +132,7 @@ pub fn kernel_kpis(report_json: &Value, n: usize) -> BTreeMap<String, f64> {
 /// wall-clock) is the quantity the CI perf gate holds the floor on; the
 /// p2p numbers characterize the transport itself and should carry loose or
 /// no tolerances (host-clock measurements).
-pub fn comm_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
+pub(crate) fn comm_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     if let Some(v) = report_json["p2p"]["latency_us"].as_f64() {
         kpis.insert("p2p_latency_us".into(), v);
@@ -165,7 +165,7 @@ pub fn comm_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f6
 /// times the simulated machine's α the measured one is). All of these are
 /// host-clock numbers: plans should gate sanity floors only and let the
 /// registry trend carry the calibration story.
-pub fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
+pub(crate) fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     let model_alpha = report_json["model"]["alpha_us"].as_f64();
     if let Some(backends) = report_json["backends"].as_array() {
@@ -225,7 +225,7 @@ pub fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<Strin
 /// baseline, and the speedup the CI floor gates on. Blocking parameters are
 /// recorded as KPIs so the trend gate catches a winner silently drifting to
 /// a different configuration shape across commits.
-pub fn tune_kpis(outcome: &crate::tune::TuneOutcome) -> BTreeMap<String, f64> {
+pub(crate) fn tune_kpis(outcome: &crate::tune::TuneOutcome) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     kpis.insert("gflops_tuned".into(), outcome.best_gflops);
     kpis.insert("gflops_scalar_base".into(), outcome.scalar_gflops);

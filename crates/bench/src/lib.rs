@@ -2,13 +2,15 @@
 //! re-run the paper's evaluation (§9–§10) on the simulated machine — one
 //! `all_experiments` id per table/figure, indexed in `DESIGN.md` §4.
 //!
-//! * [`machine`] — Piz Daint-like machine constants and the simulated
-//!   time-to-solution model (documented in `EXPERIMENTS.md`): per-rank time
-//!   `T = flops/γ + bytes/β + messages·α`, with flops taken from the
-//!   analytic operation counts and bytes/messages *measured* by the `xmpi`
-//!   runtime. Performance figures report `%peak = total_flops/(P·γ·T)`.
-//! * [`runner`] — run one algorithm at one configuration and collect a
-//!   [`runner::Measurement`]; JSON-serializable for `results/`.
+//! * [`xtrace::Machine`] — Piz Daint-like machine constants and the
+//!   simulated time-to-solution model (documented in `EXPERIMENTS.md`):
+//!   per-rank time `T = flops/γ + bytes/β + messages·α`, with flops taken
+//!   from the analytic operation counts and bytes/messages *measured* by
+//!   the `xmpi` runtime. Performance figures report
+//!   `%peak = total_flops/(P·γ·T)`; [`machine::extrapolate`] scales a
+//!   measured volume to paper size.
+//! * `runner` (crate-private) — run one algorithm at one configuration and
+//!   collect a `Measurement`; JSON-serializable for `results/`.
 //! * [`table`] — plain-text table rendering for terminal output.
 //!
 //! The **experiments engine** (see `EXPERIMENTS.md` §"Ablation
@@ -16,8 +18,8 @@
 //!
 //! * [`plan`] — declarative [`plan::AblationPlan`]s (TOML/JSON) describing
 //!   a sweep grid plus per-KPI tolerances.
-//! * [`ablate`] — execute a plan's cells through the [`runner`] +
-//!   [`machine::Machine`] path and extract KPI records.
+//! * [`ablate`] — execute a plan's cells through the `runner` +
+//!   [`xtrace::Machine`] path and extract KPI records.
 //! * [`kpi`] — the KPI definitions shared by every registry writer.
 //! * [`provenance`] — commit/machine/timestamp stamping shared by the
 //!   registry and the `BENCH_*.json` reports.
@@ -30,6 +32,8 @@
 //!   `registry/tuning.json` that `dense::tuning` dispatches from (see
 //!   `docs/TUNING.md`).
 
+#![warn(unreachable_pub)]
+
 pub mod ablate;
 pub mod experiments;
 pub mod kpi;
@@ -37,7 +41,7 @@ pub mod machine;
 pub mod plan;
 pub mod provenance;
 pub mod registry;
-pub mod runner;
+mod runner;
 pub mod table;
 pub mod trend;
 pub mod tune;

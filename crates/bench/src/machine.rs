@@ -1,58 +1,5 @@
-//! Machine constants and the simulated time-to-solution model.
-//!
-//! The paper measures wall-clock on Piz Daint's XC40 partition (2×18-core
-//! Intel Xeon E5-2695 v4 per node, Cray Aries interconnect, 2 MPI ranks per
-//! node). A single-machine simulation cannot reproduce interconnect timing,
-//! so performance figures use an α-β-γ model driven by *measured*
-//! communication (bytes and message counts from `xmpi`) plus analytic flop
-//! counts:
-//!
-//! ```text
-//! T_rank = flops_rank/(γ·ε)  +  bytes_rank/β  +  msgs_rank·α
-//! T      = max over ranks;   %peak = flops_total / (P·γ·T)
-//! ```
-//!
-//! `ε` is the local-BLAS efficiency (the paper's best runs achieve ≈55% of
-//! peak, so perfect-overlap 100% would be unrealistic). Rankings between
-//! schedules are driven by the measured traffic, which is the object of
-//! study.
-
-/// α-β-γ machine description (per rank).
-#[derive(Debug, Clone, Copy)]
-pub struct Machine {
-    /// Peak flop rate per rank (flop/s).
-    pub gamma: f64,
-    /// Achievable local-kernel efficiency fraction (0..1].
-    pub epsilon: f64,
-    /// Injection bandwidth per rank (bytes/s).
-    pub beta: f64,
-    /// Per-message latency (s).
-    pub alpha: f64,
-}
-
-impl Machine {
-    /// Piz Daint XC40-like constants: 1.21 TF/node peak over 2 ranks,
-    /// ~10 GB/s Aries injection per node over 2 ranks, 1.5 µs latency,
-    /// 70% local-kernel efficiency.
-    pub fn piz_daint() -> Self {
-        Machine {
-            gamma: 0.605e12,
-            epsilon: 0.7,
-            beta: 5.0e9,
-            alpha: 1.5e-6,
-        }
-    }
-
-    /// Simulated per-rank execution time for one rank's workload.
-    pub fn rank_time(&self, flops: f64, bytes: f64, msgs: f64) -> f64 {
-        flops / (self.gamma * self.epsilon) + bytes / self.beta + msgs * self.alpha
-    }
-
-    /// Percent of machine peak achieved: `flops_total/(P·γ·T)·100`.
-    pub fn pct_peak(&self, flops_total: f64, p: usize, t: f64) -> f64 {
-        100.0 * flops_total / (p as f64 * self.gamma * t)
-    }
-}
+//! Paper-scale extrapolation of measured volumes. The α-β-γ machine the
+//! performance figures price traffic with is [`xtrace::Machine`].
 
 /// Scale a byte count from simulation scale to paper scale using the
 /// validated volume model ratio — used when a figure needs paper-sized
@@ -68,37 +15,6 @@ pub fn extrapolate(measured: f64, model_at_sim: f64, model_at_paper: f64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rank_time_sums_terms() {
-        let m = Machine {
-            gamma: 1e9,
-            epsilon: 0.5,
-            beta: 1e9,
-            alpha: 1e-6,
-        };
-        let t = m.rank_time(5e8, 1e9, 1000.0);
-        assert!((t - (1.0 + 1.0 + 1e-3)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pct_peak_is_100_at_perfect_execution() {
-        let m = Machine {
-            gamma: 1e9,
-            epsilon: 1.0,
-            beta: f64::INFINITY,
-            alpha: 0.0,
-        };
-        let t = m.rank_time(1e9, 0.0, 0.0);
-        assert!((m.pct_peak(4e9, 4, t) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn piz_daint_constants_are_sane() {
-        let m = Machine::piz_daint();
-        assert!(m.gamma > 1e11 && m.gamma < 1e13);
-        assert!(m.epsilon > 0.0 && m.epsilon <= 1.0);
-    }
 
     #[test]
     fn extrapolation_is_proportional() {

@@ -48,7 +48,8 @@ use std::path::Path;
 /// What a plan's cells execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanWorkload {
-    /// Distributed factorizations through the `runner::Machine` path.
+    /// Distributed factorizations through the `runner` + `xtrace::Machine`
+    /// path.
     Factor,
     /// Local dense-kernel throughput (`experiments::kernels`).
     Kernels,

@@ -90,7 +90,7 @@ pub fn machine_fingerprint() -> String {
 /// 64-bit FNV-1a as a 16-hex-digit string — the stable content hash used
 /// for plan identity. Not cryptographic; collision resistance at the scale
 /// of "plans in one repository" is all that is required.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
+pub(crate) fn fnv1a_hex(bytes: &[u8]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -102,7 +102,7 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
 /// Seconds-since-epoch → `YYYY-MM-DDThh:mm:ssZ` (proleptic Gregorian,
 /// Hinnant's `civil_from_days`). Hand-rolled because the build environment
 /// has no date-time crate.
-pub fn iso_timestamp(unix_secs: u64) -> String {
+fn iso_timestamp(unix_secs: u64) -> String {
     let days = (unix_secs / 86_400) as i64;
     let secs = unix_secs % 86_400;
     let (y, m, d) = civil_from_days(days);

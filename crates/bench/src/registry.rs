@@ -21,7 +21,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// CSV column header, also the format version marker.
-pub const CSV_HEADER: &str = "timestamp,unix,commit,machine,plan,plan_hash,cell,kpi,value";
+const CSV_HEADER: &str = "timestamp,unix,commit,machine,plan,plan_hash,cell,kpi,value";
 
 /// One `(cell, kpi)` observation.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,6 @@
 //! Run one factorization algorithm at one configuration and collect a
 //! measurement record.
 
-use crate::machine::Machine;
 use dense::flops::{cholesky_total_flops, lu_total_flops};
 use dense::gen::{random_matrix, random_spd};
 use dense::Matrix;
@@ -12,7 +11,8 @@ use factor::models::{self, MachineParams};
 use factor::twod::TwodConfig;
 use factor::{confchox_cholesky, conflux_lu, twod_cholesky, twod_lu};
 use serde::Serialize;
-use xmpi::{Grid2, Grid3, WorldStats};
+use xmpi::WorldStats;
+use xtrace::Machine;
 
 /// Algorithms the harness can run or model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -51,7 +51,7 @@ impl Algo {
     }
 
     /// The Table 2 model for this algorithm (words per rank).
-    pub fn model_words(self, mp: MachineParams, nb: usize) -> f64 {
+    pub(crate) fn model_words(self, mp: MachineParams, nb: usize) -> f64 {
         match self {
             Algo::Conflux => models::conflux_model(mp),
             Algo::Confchox => models::confchox_model(mp),
@@ -64,7 +64,7 @@ impl Algo {
 
 /// One measured (or simulated-time) data point.
 #[derive(Debug, Clone, Serialize)]
-pub struct Measurement {
+pub(crate) struct Measurement {
     /// Algorithm.
     pub algo: Algo,
     /// Matrix dimension.
@@ -115,7 +115,7 @@ fn measurement(
 }
 
 /// Inputs reused across algorithms for one `(n, seed)` workload.
-pub struct Workload {
+pub(crate) struct Workload {
     /// General matrix for LU.
     pub general: Matrix,
     /// SPD matrix for Cholesky.
@@ -124,7 +124,7 @@ pub struct Workload {
 
 impl Workload {
     /// Deterministic workload for dimension `n`.
-    pub fn new(n: usize, seed: u64) -> Self {
+    pub(crate) fn new(n: usize, seed: u64) -> Self {
         Workload {
             general: random_matrix(n, n, seed),
             spd: random_spd(n, seed + 1),
@@ -136,7 +136,13 @@ impl Workload {
 ///
 /// # Panics
 /// If the factorization fails (workloads are generated non-singular).
-pub fn run_algo(algo: Algo, n: usize, p: usize, w: &Workload, mach: &Machine) -> Measurement {
+pub(crate) fn run_algo(
+    algo: Algo,
+    n: usize,
+    p: usize,
+    w: &Workload,
+    mach: &Machine,
+) -> Measurement {
     match algo {
         Algo::Conflux => {
             let cfg = ConfluxConfig::auto(n, p).volume_only();
@@ -167,35 +173,9 @@ pub fn run_algo(algo: Algo, n: usize, p: usize, w: &Workload, mach: &Machine) ->
     }
 }
 
-/// Explicit-grid variants used by experiments that sweep decompositions.
-pub fn run_conflux_grid(
-    n: usize,
-    v: usize,
-    grid: Grid3,
-    w: &Workload,
-    mach: &Machine,
-) -> Measurement {
-    let cfg = ConfluxConfig::new(n, v, grid).volume_only();
-    let out = conflux_lu(&cfg, &w.general).expect("conflux failed");
-    measurement(Algo::Conflux, n, grid.size(), v, grid.pz, &out.stats, mach)
-}
-
-/// 2D LU at an explicit grid and block size.
-pub fn run_twod_lu_grid(
-    n: usize,
-    nb: usize,
-    grid: Grid2,
-    w: &Workload,
-    mach: &Machine,
-) -> Measurement {
-    let cfg = TwodConfig::new(n, nb, grid).volume_only();
-    let out = twod_lu(&cfg, &w.general).expect("2d lu failed");
-    measurement(Algo::TwodLu, n, grid.size(), nb, 1, &out.stats, mach)
-}
-
 /// Memory-per-rank convention for model evaluation at a measured point:
 /// the replication the run actually used, `M = c·N²/P`.
-pub fn used_memory_words(n: usize, p: usize, c: usize) -> f64 {
+pub(crate) fn used_memory_words(n: usize, p: usize, c: usize) -> f64 {
     (c as f64) * (n as f64) * (n as f64) / p as f64
 }
 

@@ -15,7 +15,7 @@ use crate::table::render;
 use std::collections::BTreeMap;
 
 /// How many trailing points form the baseline median.
-pub const BASELINE_WINDOW: usize = 5;
+const BASELINE_WINDOW: usize = 5;
 
 /// One point of a KPI's trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,7 @@ pub fn series(rows: &[RegRow], plan_hash: &str, cell: &str, kpi: &str) -> Vec<Tr
 }
 
 /// Baseline for a fresh run at `current_commit`: the median of the last
-/// [`BASELINE_WINDOW`] points recorded by other commits. `None` on an
+/// `BASELINE_WINDOW` (5) points recorded by other commits. `None` on an
 /// empty trajectory (or one written entirely by the current commit) —
 /// relative checks are then skipped.
 pub fn baseline(points: &[TrendPoint], current_commit: &str) -> Option<f64> {

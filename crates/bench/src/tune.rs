@@ -7,7 +7,7 @@
 //!    timed on a packed GEMM at the probe size with the default blocking.
 //!    The register tile dominates throughput, so this stage prunes the
 //!    grid cheaply.
-//! 2. **Blocking stage** — the top [`FINALISTS`] microkernels are re-timed
+//! 2. **Blocking stage** — the top `FINALISTS` (3) microkernels are re-timed
 //!    over a (KC, MC, NC) cache-blocking grid. KC never goes below
 //!    [`dense::tuning::KC_MIN_EXACT`]: the sweep only proposes configs the
 //!    dispatcher would accept under the bitwise-reproducibility contract.
@@ -33,7 +33,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// How many stage-1 microkernels advance to the blocking stage.
-pub const FINALISTS: usize = 3;
+const FINALISTS: usize = 3;
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -89,7 +89,7 @@ pub struct TuneOutcome {
 
 impl TuneOutcome {
     /// The registry entry this sweep proposes for the current machine.
-    pub fn to_entry(&self) -> TunedEntry {
+    fn to_entry(&self) -> TunedEntry {
         let stamp = crate::provenance::Stamp::here(None);
         TunedEntry {
             machine: stamp.machine,
@@ -231,7 +231,7 @@ fn verify_bitwise(cfg: KernelConfig) -> Result<(), String> {
 
 /// The variants stage 1 times: every available variant, exact-only unless
 /// FMA is allowed.
-pub fn sweep_variants(allow_fma: bool) -> Vec<&'static Variant> {
+fn sweep_variants(allow_fma: bool) -> Vec<&'static Variant> {
     ukernel::available_variants()
         .filter(|v| allow_fma || v.exact())
         .collect()

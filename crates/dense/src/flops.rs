@@ -29,15 +29,9 @@ pub fn tally(n: u64) {
     TALLY.with(|t| t.set(t.get().wrapping_add(n)));
 }
 
-/// The calling thread's cumulative flop count since thread start (or the
-/// last [`reset_thread_flops`]).
+/// The calling thread's cumulative flop count since thread start.
 pub fn thread_flops() -> u64 {
     TALLY.with(Cell::get)
-}
-
-/// Zero the calling thread's tally.
-pub fn reset_thread_flops() {
-    TALLY.with(|t| t.set(0));
 }
 
 /// Flops for `C ← α·A·B + β·C` with `A: m×k`, `B: k×n` (one multiply and one
@@ -92,15 +86,13 @@ mod tests {
 
     #[test]
     fn tally_accumulates_per_thread() {
-        reset_thread_flops();
+        let before = thread_flops();
         tally(10);
         tally(5);
-        assert_eq!(thread_flops(), 15);
+        assert_eq!(thread_flops() - before, 15);
         // Another thread starts from zero.
         let other = std::thread::spawn(thread_flops).join().unwrap();
         assert_eq!(other, 0);
-        reset_thread_flops();
-        assert_eq!(thread_flops(), 0);
     }
 
     #[test]
@@ -108,7 +100,7 @@ mod tests {
         use crate::gemm::{gemm, Trans};
         use crate::gen::random_matrix;
         use crate::matrix::Matrix;
-        reset_thread_flops();
+        let before = thread_flops();
         let a = random_matrix(8, 4, 1);
         let b = random_matrix(4, 6, 2);
         let mut c = Matrix::zeros(8, 6);
@@ -121,8 +113,7 @@ mod tests {
             0.0,
             c.as_mut(),
         );
-        assert_eq!(thread_flops(), gemm_flops(8, 6, 4));
-        reset_thread_flops();
+        assert_eq!(thread_flops() - before, gemm_flops(8, 6, 4));
     }
 
     #[test]
@@ -137,14 +128,13 @@ mod tests {
         let a = random_matrix(n, n, 7);
         let b = random_matrix(n, n, 8);
         let mut c = Matrix::zeros(n, n);
-        reset_thread_flops();
+        let before = thread_flops();
         par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         assert_eq!(
-            thread_flops(),
+            thread_flops() - before,
             gemm_flops(n, n, n),
             "rank thread must see the full GEMM count despite Rayon fan-out"
         );
-        reset_thread_flops();
     }
 
     #[test]

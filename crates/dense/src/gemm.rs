@@ -11,7 +11,8 @@
 //! row-slicing `C` does not change any element's accumulation order.
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
-//! packed path is validated and benchmarked against (`bench --bin kernels`).
+//! packed path is validated and benchmarked against
+//! (`ablations run plans/kernels.toml`).
 
 use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::pack;

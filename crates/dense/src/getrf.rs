@@ -121,7 +121,8 @@ pub fn getrf(a: &mut Matrix, nb: usize) -> Result<Vec<usize>> {
 
 /// Convert a LAPACK-style swap sequence into an explicit permutation vector:
 /// `perm[i]` is the original row that ends up in row `i` of `P·A`.
-pub fn permutation_vector(n: usize, ipiv: &[usize]) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn permutation_vector(n: usize, ipiv: &[usize]) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
     for (k, &p) in ipiv.iter().enumerate() {
         perm.swap(k, p);
@@ -131,7 +132,7 @@ pub fn permutation_vector(n: usize, ipiv: &[usize]) -> Vec<usize> {
 
 /// Apply a LAPACK-style swap sequence to the rows of `b` (forward order),
 /// i.e. compute `P·B` for the permutation produced by [`getrf`].
-pub fn apply_row_pivots(b: &mut Matrix, ipiv: &[usize]) {
+pub(crate) fn apply_row_pivots(b: &mut Matrix, ipiv: &[usize]) {
     for (k, &p) in ipiv.iter().enumerate() {
         if k != p {
             let mut v = b.as_mut();

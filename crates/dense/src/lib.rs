@@ -41,8 +41,10 @@
 //! construction: only variants exactly reproducing the scalar rounding
 //! order are eligible (see [`tuning`] for the contract and its escape
 //! hatch). [`gemm::naive_gemm`] retains the scalar triple loop as the
-//! correctness and performance reference (`bench --bin kernels` reports
+//! correctness and performance reference (`plans/kernels.toml` reports
 //! both as a GFLOP/s trajectory in `results/BENCH_kernels.json`).
+
+#![warn(unreachable_pub)]
 
 pub mod checksum;
 pub mod flops;
@@ -54,19 +56,18 @@ pub mod norms;
 pub mod pack;
 pub mod potrf;
 pub mod refine;
-pub mod solve;
+mod solve;
 pub mod trsm;
 pub mod tuning;
 pub mod ukernel;
 
 pub use gemm::{gemm, gemm_rows, gemmt, naive_gemm, par_gemm, par_gemm_rows, Trans};
 pub use gen::{random_matrix, random_spd, well_conditioned};
-pub use getrf::{apply_row_pivots, getrf, getrf_unblocked, permutation_vector};
+pub use getrf::{getrf, getrf_unblocked};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{frobenius, lu_residual, max_abs, po_residual};
 pub use potrf::{potrf, potrf_unblocked};
 pub use refine::{lu_refine, Refinement};
-pub use solve::{cholesky_solve, lu_solve, lu_solve_perm};
 pub use trsm::{trsm, Diag, Side, Uplo};
 
 /// Errors reported by factorization kernels.

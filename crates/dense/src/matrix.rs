@@ -369,7 +369,7 @@ impl<'a> MatMut<'a> {
 
     /// Reborrow as a shorter-lived mutable view.
     #[inline]
-    pub fn rb_mut(&mut self) -> MatMut<'_> {
+    pub(crate) fn rb_mut(&mut self) -> MatMut<'_> {
         MatMut {
             data: self.data,
             rows: self.rows,
@@ -399,7 +399,7 @@ impl<'a> MatMut<'a> {
     }
 
     /// Split into two disjoint mutable views at row `r` (top gets rows `0..r`).
-    pub fn split_rows(self, r: usize) -> (MatMut<'a>, MatMut<'a>) {
+    pub(crate) fn split_rows(self, r: usize) -> (MatMut<'a>, MatMut<'a>) {
         assert!(r <= self.rows);
         // The top view must not include the bytes of the bottom view; split
         // the backing slice at the start of row `r`.
@@ -428,7 +428,7 @@ impl<'a> MatMut<'a> {
     ///
     /// # Panics
     /// If `chunk == 0`.
-    pub fn split_into_row_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
+    pub(crate) fn split_into_row_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
         assert!(chunk > 0, "chunk must be positive");
         let mut out = Vec::with_capacity(self.rows.div_ceil(chunk).max(1));
         let mut rest = self;

@@ -1,40 +1,14 @@
-//! Solve helpers on top of packed factors: forward/backward substitution
-//! for LU (with either pivot representation) and Cholesky.
+//! Solve helper on top of packed LU factors: forward/backward substitution
+//! in pivoted row coordinates (the step [`crate::refine`] iterates).
 
 use crate::gemm::Trans;
 use crate::matrix::Matrix;
 use crate::trsm::{trsm, Diag, Side, Uplo};
 
-/// Solve `A·X = B` given a packed LU factor (as produced by [`crate::getrf()`])
-/// and its LAPACK-style swap sequence. `B` is overwritten with `X`.
-pub fn lu_solve(packed: &Matrix, ipiv: &[usize], b: &mut Matrix) {
-    assert_eq!(packed.rows(), packed.cols(), "factor must be square");
-    assert_eq!(b.rows(), packed.rows(), "rhs height mismatch");
-    crate::getrf::apply_row_pivots(b, ipiv);
-    trsm(
-        Side::Left,
-        Uplo::Lower,
-        Trans::N,
-        Diag::Unit,
-        1.0,
-        packed.as_ref(),
-        b.as_mut(),
-    );
-    trsm(
-        Side::Left,
-        Uplo::Upper,
-        Trans::N,
-        Diag::NonUnit,
-        1.0,
-        packed.as_ref(),
-        b.as_mut(),
-    );
-}
-
 /// Solve `A·X = B` given a packed LU factor in *pivoted row coordinates*
 /// with an explicit permutation (`perm[s]` = original row at position `s`),
 /// the representation COnfLUX produces. `B` is consumed; `X` is returned.
-pub fn lu_solve_perm(packed: &Matrix, perm: &[usize], b: &Matrix) -> Matrix {
+pub(crate) fn lu_solve_perm(packed: &Matrix, perm: &[usize], b: &Matrix) -> Matrix {
     let n = packed.rows();
     assert_eq!(packed.cols(), n);
     assert_eq!(b.rows(), n);
@@ -61,39 +35,13 @@ pub fn lu_solve_perm(packed: &Matrix, perm: &[usize], b: &Matrix) -> Matrix {
     x
 }
 
-/// Solve `A·X = B` given a lower Cholesky factor (as produced by
-/// [`crate::potrf()`] or COnfCHOX). `B` is overwritten with `X`.
-pub fn cholesky_solve(l: &Matrix, b: &mut Matrix) {
-    assert_eq!(l.rows(), l.cols(), "factor must be square");
-    assert_eq!(b.rows(), l.rows(), "rhs height mismatch");
-    trsm(
-        Side::Left,
-        Uplo::Lower,
-        Trans::N,
-        Diag::NonUnit,
-        1.0,
-        l.as_ref(),
-        b.as_mut(),
-    );
-    trsm(
-        Side::Left,
-        Uplo::Lower,
-        Trans::T,
-        Diag::NonUnit,
-        1.0,
-        l.as_ref(),
-        b.as_mut(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemm;
-    use crate::gen::{random_matrix, random_spd};
+    use crate::gen::random_matrix;
     use crate::getrf::getrf;
     use crate::norms::max_abs_diff;
-    use crate::potrf::potrf;
 
     fn residual(a: &Matrix, x: &Matrix, b: &Matrix) -> f64 {
         let mut ax = Matrix::zeros(b.rows(), b.cols());
@@ -116,34 +64,8 @@ mod tests {
         let b = random_matrix(n, 3, 2);
         let mut f = a.clone();
         let ipiv = getrf(&mut f, 6).unwrap();
-        let mut x = b.clone();
-        lu_solve(&f, &ipiv, &mut x);
-        assert!(residual(&a, &x, &b) < 1e-9);
-    }
-
-    #[test]
-    fn lu_solve_perm_matches_swap_variant() {
-        let n = 16;
-        let a = random_matrix(n, n, 3);
-        let b = random_matrix(n, 2, 4);
-        let mut f = a.clone();
-        let ipiv = getrf(&mut f, 4).unwrap();
         let perm = crate::getrf::permutation_vector(n, &ipiv);
-        let x_perm = lu_solve_perm(&f, &perm, &b);
-        let mut x_swap = b.clone();
-        lu_solve(&f, &ipiv, &mut x_swap);
-        assert!(max_abs_diff(&x_perm, &x_swap) < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_solve_recovers_solution() {
-        let n = 20;
-        let a = random_spd(n, 5);
-        let b = random_matrix(n, 4, 6);
-        let mut l = a.clone();
-        potrf(&mut l, 8).unwrap();
-        let mut x = b.clone();
-        cholesky_solve(&l, &mut x);
-        assert!(residual(&a, &x, &b) < 1e-8);
+        let x = lu_solve_perm(&f, &perm, &b);
+        assert!(residual(&a, &x, &b) < 1e-9);
     }
 }

@@ -6,7 +6,7 @@
 //! The solve is blocked recursively: the triangular operand is split into
 //! quadrants, the two diagonal sub-solves recurse, and the coupling term is
 //! a rectangular product routed through the packed GEMM engine
-//! ([`crate::pack`]). Blocks at or below [`TRSM_BASE`] are solved by
+//! ([`crate::pack`]). Blocks at or below `TRSM_BASE` (32) are solved by
 //! substitution, eight right-hand sides at a time with their running
 //! values held in registers.
 
@@ -18,7 +18,7 @@ use crate::pack;
 /// substitution. A 32×32 triangle is 8 KiB, L1-resident next to a strip of
 /// right-hand sides; above it the packed engine's rate more than pays for
 /// its per-call packing.
-pub const TRSM_BASE: usize = 32;
+const TRSM_BASE: usize = 32;
 
 /// Right-hand sides one substitution pass solves together: their running
 /// values are one `[f64; STRIP]` accumulator (two AVX2 registers) per step.

@@ -51,11 +51,11 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 /// Environment variable that disables tuned dispatch when set to `off`/`0`.
-pub const ENV_TUNING: &str = "CONFLUX_TUNING";
+const ENV_TUNING: &str = "CONFLUX_TUNING";
 /// Environment variable overriding the registry path.
 pub const ENV_TUNING_PATH: &str = "CONFLUX_TUNING_PATH";
 /// Environment variable accepting inexact (FMA / small-KC) tuned configs.
-pub const ENV_ALLOW_INEXACT: &str = "CONFLUX_TUNING_ALLOW_INEXACT";
+const ENV_ALLOW_INEXACT: &str = "CONFLUX_TUNING_ALLOW_INEXACT";
 /// Default registry location, relative to the process working directory.
 pub const DEFAULT_REGISTRY_PATH: &str = "registry/tuning.json";
 /// Smallest KC an exact config may use: factorization panel widths are
@@ -173,7 +173,7 @@ impl TunedEntry {
 /// Parse a tuning registry file. Returns `Err` with a human-readable reason
 /// on malformed input; entries that are individually malformed are skipped
 /// (a half-good registry still tunes the machines it covers).
-pub fn parse_registry(text: &str) -> Result<Vec<TunedEntry>, String> {
+fn parse_registry(text: &str) -> Result<Vec<TunedEntry>, String> {
     let root = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
     let version = root
         .get("version")
@@ -196,7 +196,7 @@ pub fn load_registry(path: &Path) -> Result<Vec<TunedEntry>, String> {
 }
 
 /// Serialize a registry to the on-disk JSON form.
-pub fn registry_to_json(entries: &[TunedEntry]) -> String {
+fn registry_to_json(entries: &[TunedEntry]) -> String {
     let root = serde_json::json!({
         "version": 1u64,
         "entries": Value::Array(entries.iter().map(TunedEntry::to_value).collect()),

@@ -298,7 +298,7 @@ macro_rules! ukernels {
 
         /// The full microkernel grid, including variants the current CPU
         /// cannot run — filter with [`Variant::available`].
-        pub static VARIANTS: &[Variant] = &[
+        static VARIANTS: &[Variant] = &[
             $( Variant {
                 id: $id,
                 mr: $mr,

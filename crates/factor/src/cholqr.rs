@@ -43,12 +43,6 @@ impl CholQrConfig {
         assert!(p >= 1);
         CholQrConfig { m, n, p, passes: 2 }
     }
-
-    /// Single-pass variant (for studying the orthogonality loss).
-    pub fn single_pass(mut self) -> Self {
-        self.passes = 1;
-        self
-    }
 }
 
 /// Result of a distributed CholeskyQR factorization.
@@ -222,8 +216,11 @@ mod tests {
             let mix: f64 = (0..n - 1).map(|j| a[(i, j)]).sum();
             a[(i, n - 1)] = mix + 1e-6 * noise[(i, 0)];
         }
-        let one = cholesky_qr(&CholQrConfig::new(m, n, p).single_pass(), &a).unwrap();
-        let two = cholesky_qr(&CholQrConfig::new(m, n, p), &a).unwrap();
+        let qr2 = CholQrConfig::new(m, n, p);
+        let mut qr1 = qr2.clone();
+        qr1.passes = 1;
+        let one = cholesky_qr(&qr1, &a).unwrap();
+        let two = cholesky_qr(&qr2, &a).unwrap();
         let (o1, o2) = (orthogonality(&one.q), orthogonality(&two.q));
         assert!(
             o2 < 1e-12,

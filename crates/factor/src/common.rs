@@ -72,7 +72,7 @@ pub(crate) fn phase_end(comm: &Comm) {
 /// grid: tile `(I, J)` belongs to 2D coordinates `(I mod px, J mod py)` on
 /// every layer.
 #[derive(Debug, Clone, Copy)]
-pub struct Tiling {
+pub(crate) struct Tiling {
     /// Matrix dimension.
     pub n: usize,
     /// Tile side (the paper's block size `v`).
@@ -89,7 +89,7 @@ impl Tiling {
     /// # Panics
     /// If `v` does not divide `n`, or `pz` does not divide `v` (each layer
     /// must own an equal slice of the reduction dimension).
-    pub fn new(n: usize, v: usize, grid: Grid3) -> Self {
+    pub(crate) fn new(n: usize, v: usize, grid: Grid3) -> Self {
         assert!(
             v > 0 && n.is_multiple_of(v),
             "block size v={v} must divide n={n}"
@@ -108,12 +108,12 @@ impl Tiling {
     }
 
     /// Tile row indices owned by process row `pi`, ascending.
-    pub fn tile_rows_of(&self, pi: usize) -> Vec<usize> {
+    pub(crate) fn tile_rows_of(&self, pi: usize) -> Vec<usize> {
         (pi..self.nt).step_by(self.grid.px).collect()
     }
 
     /// Tile column indices owned by process column `pj`, ascending.
-    pub fn tile_cols_of(&self, pj: usize) -> Vec<usize> {
+    pub(crate) fn tile_cols_of(&self, pj: usize) -> Vec<usize> {
         (pj..self.nt).step_by(self.grid.py).collect()
     }
 
@@ -125,14 +125,14 @@ impl Tiling {
 
     /// Width of the reduction-dimension slice each layer handles.
     #[inline]
-    pub fn kslice(&self) -> usize {
+    pub(crate) fn kslice(&self) -> usize {
         self.v / self.grid.pz
     }
 
     /// Global rows covered by tile row `ti` — and, tiles being square, the
     /// global columns covered by tile column `ti`.
     #[inline]
-    pub fn rows_of_tile(&self, ti: usize) -> Range<usize> {
+    pub(crate) fn rows_of_tile(&self, ti: usize) -> Range<usize> {
         ti * self.v..(ti + 1) * self.v
     }
 }
@@ -172,13 +172,13 @@ impl<'c> Net<'c> {
 /// Every rank maintains an identical copy, updated from the broadcast pivot
 /// ids each step.
 #[derive(Debug, Clone)]
-pub struct RowMask {
+pub(crate) struct RowMask {
     active: Vec<bool>,
 }
 
 impl RowMask {
     /// All rows active.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         RowMask {
             active: vec![true; n],
         }
@@ -186,7 +186,7 @@ impl RowMask {
 
     /// Is global row `r` still active?
     #[inline]
-    pub fn is_active(&self, r: usize) -> bool {
+    pub(crate) fn is_active(&self, r: usize) -> bool {
         self.active[r]
     }
 
@@ -194,7 +194,7 @@ impl RowMask {
     ///
     /// # Panics
     /// If a row is retired twice (a schedule bug).
-    pub fn retire(&mut self, rows: &[usize]) {
+    pub(crate) fn retire(&mut self, rows: &[usize]) {
         for &r in rows {
             assert!(self.active[r], "row {r} retired twice");
             self.active[r] = false;
@@ -203,7 +203,7 @@ impl RowMask {
 
     /// The active rows among the tile rows process row `pi` owns, ascending,
     /// in one pass: global ids and the matching local-store row indices.
-    pub fn active_rows_of(&self, til: &Tiling, pi: usize) -> ActiveRows {
+    pub(crate) fn active_rows_of(&self, til: &Tiling, pi: usize) -> ActiveRows {
         let mut rows = ActiveRows::default();
         for (li, ti) in (pi..til.nt).step_by(til.grid.px).enumerate() {
             for lr in 0..til.v {
@@ -221,7 +221,7 @@ impl RowMask {
 /// that row derives from the (replicated) [`RowMask`] once per step —
 /// indices, not data, are all that row masking ever moves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ActiveRows {
+pub(crate) struct ActiveRows {
     /// Global row ids.
     pub global: Vec<usize>,
     /// Row indices in the rank's local tile store, in lockstep with `global`.
@@ -437,7 +437,7 @@ impl TileStore {
 /// `lu25d_swap` the whole packed row). Ranks off layer 0, and runs that
 /// collect nothing, return the empty value.
 #[derive(Debug, Default)]
-pub struct Lower {
+pub(crate) struct Lower {
     /// `[v, pi, px, pj, py]`: tile side, then coordinate and grid extent
     /// along the process rows and columns — local row `l` is global row
     /// `((l / v)·px + pi)·v + l mod v`, and likewise for columns.
@@ -450,7 +450,7 @@ pub struct Lower {
 impl Lower {
     /// Visit every contiguous piece `(global row, first global column,
     /// values)`: a row's entries cut at the tile boundaries.
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
         let [v, pi, px, pj, py] = self.geometry;
         for (lrow, &(at, lead)) in self.rows.iter().enumerate() {
             let r = (lrow / v * px + pi) * v + lrow % v;
@@ -490,7 +490,7 @@ impl Wire for Lower {
 }
 
 /// What one rank hands home: its factor rows, and the pieces it collected.
-pub type RankFactor = (Lower, Collected);
+pub(crate) type RankFactor = (Lower, Collected);
 
 /// What a rank program returns: that, and the factor's row order.
 pub(crate) type RankResult = Result<(RankFactor, Vec<usize>), dense::Error>;
@@ -508,7 +508,7 @@ pub(crate) fn words((lower, upper): &RankFactor) -> usize {
 /// over those columns. Indices cost one word per block row and per column
 /// run, never anything per element.
 #[derive(Debug, Default)]
-pub struct Collected {
+pub(crate) struct Collected {
     /// Block headers back to back:
     /// `[rows, runs, run width, row ids…, first column of each run…]`.
     idx: Vec<u32>,
@@ -532,7 +532,7 @@ impl Collected {
     /// # Panics
     /// If `vals` does not have `rows.len()` rows, or its columns do not
     /// divide evenly among the runs.
-    pub fn push(&mut self, rows: &[usize], starts: &[usize], vals: MatRef<'_>) {
+    pub(crate) fn push(&mut self, rows: &[usize], starts: &[usize], vals: MatRef<'_>) {
         let width = vals.cols().checked_div(starts.len()).unwrap_or(0);
         let shape = (rows.len(), width * starts.len());
         assert_eq!((vals.rows(), vals.cols()), shape, "block ≠ its ids");
@@ -547,7 +547,7 @@ impl Collected {
 
     /// Visit every contiguous piece `(original row, first column, values)`,
     /// in collection order.
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
         let (mut idx, mut vals) = (&self.idx[..], &self.vals[..]);
         while let [rows, runs, width, rest @ ..] = idx {
             let (rows, rest) = rest.split_at(*rows as usize);
@@ -595,7 +595,7 @@ impl Collected {
     /// # Panics
     /// If an entry's row never appears in `perm`, a collected run is not a
     /// tile's, or two of them collide.
-    pub fn assemble(n: usize, v: usize, perm: &[usize], parts: &[RankFactor]) -> Matrix {
+    pub(crate) fn assemble(n: usize, v: usize, perm: &[usize], parts: &[RankFactor]) -> Matrix {
         assert_eq!(perm.len(), n, "permutation must cover all rows");
         let mut pos = vec![usize::MAX; n];
         for (s, &r) in perm.iter().enumerate() {
@@ -772,7 +772,7 @@ pub(crate) fn reduce_rows(
 /// * The floor `max(4·Pz, 16)` is what small problems
 ///   (`n ≤ 128·max(Px, Py)`) get: there the per-step message latency, not
 ///   the GEMM shape, is what the block size trades against.
-pub fn pick_grid_and_block(n: usize, p: usize) -> (Grid3, usize) {
+pub(crate) fn pick_grid_and_block(n: usize, p: usize) -> (Grid3, usize) {
     let mut best: Option<(f64, Grid3, usize)> = None;
     for c in 1..=p {
         if !p.is_multiple_of(c) {

@@ -73,7 +73,7 @@ impl ConfchoxConfig {
     }
 
     /// Automatic grid and block-size selection: the grid and the
-    /// block-size rule of [`pick_grid_and_block`].
+    /// block-size rule of [`ConfluxConfig::auto`](crate::ConfluxConfig::auto).
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid.

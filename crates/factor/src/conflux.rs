@@ -3,8 +3,8 @@
 //!
 //! The matrix is cut into `v × v` tiles; tile `(I, J)` lives at 2D grid
 //! coordinates `(I mod Px, J mod Py)`. A rank holds its share once, as one
-//! dense local matrix (the tile store of [`crate::common`]): layer 0 starts
-//! from its copy of `A`, the layers above from zeros, and every layer
+//! dense local matrix (the tile store of the `common` module): layer 0
+//! starts from its copy of `A`, the layers above from zeros, and every layer
 //! subtracts its `v/Pz`-wide slice of each rank-`v` Schur update in place,
 //! so a z-fibre's stores sum to the current trailing matrix. Per block
 //! step `t`:
@@ -103,9 +103,10 @@ impl ConfluxConfig {
 
     /// Pick a grid and block size automatically for `p` ranks: the most
     /// replicated near-square grid that admits a block size, and the block
-    /// size of [`pick_grid_and_block`]'s rule (wide enough that every
-    /// layer's Schur update is a rank-≥32 product, within its load-balance
-    /// and volume guards).
+    /// size of the crate's one rule (wide enough that every layer's Schur
+    /// update is a rank-≥32 product, within its load-balance and volume
+    /// guards; written out on `common::pick_grid_and_block` and in
+    /// DESIGN.md §3.1).
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid (pathological `n`).

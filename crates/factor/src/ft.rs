@@ -38,7 +38,7 @@
 //! broadcasts of the lookahead schedule stay outside the guard.
 //!
 //! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
-//! ring checkpoints + whole-world restart through [`CkptStore`]). A rank
+//! ring checkpoints + whole-world restart through `CkptStore`). A rank
 //! program starts from a `State` (next step, pivot permutation, collected
 //! factor pieces, the rank's one tile store) and hands the updated value to an
 //! optional callback after every block step but the last. The FT drivers'
@@ -127,7 +127,7 @@ impl FtConfig {
     }
 
     /// Automatic grid and block-size selection: the grid and the
-    /// block-size rule of [`pick_grid_and_block`].
+    /// block-size rule of [`ConfluxConfig::auto`](crate::ConfluxConfig::auto).
     ///
     /// # Panics
     /// If no valid block size exists for the chosen grid.
@@ -251,7 +251,7 @@ impl FtReport {
 /// destroys the victim's self copies ([`CkptStore::kill`]) but not the
 /// buddy-held replica, which [`CkptStore::resume_epoch`] folds into the
 /// newest epoch recoverable by everyone.
-pub struct CkptStore {
+struct CkptStore {
     slots: Mutex<Slots>,
 }
 
@@ -265,7 +265,7 @@ struct Slots {
 
 impl CkptStore {
     /// Empty store for a `p`-rank world.
-    pub fn new(p: usize) -> CkptStore {
+    fn new(p: usize) -> CkptStore {
         CkptStore {
             slots: Mutex::new(Slots {
                 selfs: vec![BTreeMap::new(); p],
@@ -288,14 +288,14 @@ impl CkptStore {
     }
 
     /// Record rank `rank`'s own snapshot for `epoch`.
-    pub fn put_self(&self, rank: usize, epoch: usize, blob: Vec<f64>) {
+    fn put_self(&self, rank: usize, epoch: usize, blob: Vec<f64>) {
         let mut s = self.lock();
         s.selfs[rank].insert(epoch, blob);
         Self::gc(&mut s.selfs[rank]);
     }
 
     /// Record the buddy-held replica of `owner`'s snapshot for `epoch`.
-    pub fn put_buddy(&self, owner: usize, epoch: usize, blob: Vec<f64>) {
+    fn put_buddy(&self, owner: usize, epoch: usize, blob: Vec<f64>) {
         let mut s = self.lock();
         s.buddies[owner].insert(epoch, blob);
         Self::gc(&mut s.buddies[owner]);
@@ -306,7 +306,7 @@ impl CkptStore {
     /// # Panics
     /// If the snapshot is absent ([`CkptStore::resume_epoch`] guarantees it
     /// is not for the epoch it returns).
-    pub fn self_blob(&self, rank: usize, epoch: usize) -> Vec<f64> {
+    fn self_blob(&self, rank: usize, epoch: usize) -> Vec<f64> {
         self.lock().selfs[rank]
             .get(&epoch)
             .unwrap_or_else(|| panic!("rank {rank} has no self checkpoint at epoch {epoch}"))
@@ -317,7 +317,7 @@ impl CkptStore {
     ///
     /// # Panics
     /// If the replica is absent.
-    pub fn buddy_blob(&self, owner: usize, epoch: usize) -> Vec<f64> {
+    fn buddy_blob(&self, owner: usize, epoch: usize) -> Vec<f64> {
         self.lock().buddies[owner]
             .get(&epoch)
             .unwrap_or_else(|| panic!("no buddy checkpoint of rank {owner} at epoch {epoch}"))
@@ -326,14 +326,14 @@ impl CkptStore {
 
     /// Model the victim's memory dying with it: discard its self copies.
     /// The buddy-held replica survives — that is the point of the ring.
-    pub fn kill(&self, victim: usize) {
+    fn kill(&self, victim: usize) {
         self.lock().selfs[victim].clear();
     }
 
     /// Newest epoch recoverable by *every* rank: survivors from their self
     /// copies, `victims` from their buddy-held replicas. `0` (a fresh
     /// start) when no common epoch exists.
-    pub fn resume_epoch(&self, victims: &[usize]) -> usize {
+    fn resume_epoch(&self, victims: &[usize]) -> usize {
         let s = self.lock();
         let mut common: Option<BTreeSet<usize>> = None;
         for r in 0..s.selfs.len() {

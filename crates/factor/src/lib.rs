@@ -5,10 +5,10 @@
 //!   factorization with tournament pivoting and row masking (paper §7,
 //!   Algorithm 1).
 //! * [`confchox`] — **COnfCHOX**: the Cholesky analogue (paper §7.5).
-//! * [`ft`] — fault-tolerant drivers for both. Each algorithm has one rank
-//!   program; `ft` runs that same program with an ABFT checksum guard on
-//!   its transfers and a checkpoint callback at its step boundary, inside
-//!   a crash-restart loop.
+//! * [`conflux_lu_ft`] / [`confchox_cholesky_ft`] — fault-tolerant drivers
+//!   for both. Each algorithm has one rank program; the `ft` module runs
+//!   that same program with an ABFT checksum guard on its transfers and a
+//!   checkpoint callback at its step boundary, inside a crash-restart loop.
 //! * [`twod`] — ScaLAPACK-style 2D block-cyclic LU / Cholesky with partial
 //!   pivoting and explicit row swapping: the stand-in for Intel MKL and
 //!   SLATE, which the paper shows both use this schedule.
@@ -18,7 +18,7 @@
 //! * [`models`] — the analytic per-rank I/O cost models of Table 2 for all
 //!   six compared implementations, used to validate measurements and to
 //!   extrapolate to paper-scale machines.
-//! * [`scalapack`] — `pdgetrf`/`pdpotrf`-style wrappers: caller's
+//! * [`pdgetrf`] / [`pdpotrf`] — ScaLAPACK-style wrappers: caller's
 //!   block-cyclic layout in, factor in the same layout out, with the
 //!   COSTA-style staging measured end to end.
 //! * [`mmm25d()`] — 2.5D matrix multiplication (SUMMA within layers, a final
@@ -30,24 +30,25 @@
 //! All schedules run on the [`xmpi`] simulated machine, so their
 //! communication volume is *measured*, not asserted.
 
+#![warn(unreachable_pub)]
+
 pub mod cholqr;
-pub mod common;
+mod common;
 pub mod confchox;
 pub mod conflux;
-pub mod ft;
+mod ft;
 pub mod lu25d_swap;
 pub mod mmm25d;
 pub mod models;
-pub mod scalapack;
-pub mod tourn;
+mod scalapack;
+mod tourn;
 pub mod twod;
 
 pub use cholqr::{cholesky_qr, CholQrConfig};
+pub use common::choose_block;
 pub use confchox::{confchox_cholesky, ConfchoxConfig};
 pub use conflux::{conflux_lu, ConfluxConfig, LuOutput};
-pub use ft::{
-    confchox_cholesky_ft, conflux_lu_ft, CkptStore, FtCholOutput, FtConfig, FtLuOutput, FtReport,
-};
+pub use ft::{confchox_cholesky_ft, conflux_lu_ft, FtCholOutput, FtConfig, FtLuOutput, FtReport};
 pub use mmm25d::{mmm25d, Mmm25dConfig};
 pub use scalapack::{pdgetrf, pdpotrf, ScalapackOutput};
 pub use twod::{twod_cholesky, twod_lu, TwodConfig};

@@ -13,7 +13,7 @@
 //! occupies); `id_at[pos]` tracks which original row lives where, and the
 //! final permutation is read off `id_at`.
 //!
-//! The data plane is COnfLUX's ([`crate::common`]): a rank's share is one
+//! The data plane is COnfLUX's (the `common` module): a rank's share is one
 //! `TileStore`, updated in place, whose local row `l` holds position `l`'s
 //! data, and the panel is formed by COnfLUX's `form_panel`. Without a mask,
 //! the rows below a step's diagonal tile and the columns right of it are
@@ -29,7 +29,7 @@ use crate::common::{
     check_shape, phase, phase_end, reduce_rows, split_results, stage_from_global, ActiveRows,
     Collected, Net, RankResult, TileStore, Tiling,
 };
-use crate::conflux::{form_panel, scatter_z, solve_u01};
+use crate::conflux::{form_panel, scatter_z, solve_u01, LuOutput};
 use crate::ft::Guard;
 use dense::gemm::{gemm, Trans};
 use dense::trsm::Uplo;
@@ -76,16 +76,14 @@ impl SwapLuConfig {
     }
 }
 
-/// Output: COnfLUX's — `perm[s]` is the original row occupying (pivoted)
-/// position `s`, and `stats` includes all swap traffic.
-pub type SwapLuOutput = crate::conflux::LuOutput;
-
-/// Factor `a` with the swapping 2.5D schedule.
+/// Factor `a` with the swapping 2.5D schedule. The output is COnfLUX's:
+/// `perm[s]` is the original row occupying (pivoted) position `s`, and
+/// `stats` includes all swap traffic.
 ///
 /// # Errors
 /// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; kernel errors
 /// (singularity) propagate.
-pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense::Error> {
+pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<LuOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a));
     let (parts, perm) = split_results(out.results)?;
@@ -94,7 +92,7 @@ pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<SwapLuOutput, dense:
         let identity: Vec<usize> = (0..cfg.n).collect();
         Collected::assemble(cfg.n, cfg.v, &identity, &parts)
     });
-    Ok(SwapLuOutput {
+    Ok(LuOutput {
         perm,
         packed,
         stats: out.stats,

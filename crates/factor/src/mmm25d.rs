@@ -21,7 +21,7 @@
 //! Storage: a rank holds its share of `A(·,K)` as the `(rows)×v` panel it
 //! broadcasts, its share of `B(K,·)` as the `v×(cols)` panel it broadcasts,
 //! and its share of `C` as one dense local matrix (tile `(I, J)` at local
-//! tile position `(I / Px, J / Py)`, as in [`crate::common`]), collected as
+//! tile position `(I / Px, J / Py)`, as in the `common` module), collected as
 //! one block. A SUMMA step is therefore one `gemm` of the two received
 //! panels into `C`, and the z-reduction sums `C`'s storage in place.
 
@@ -64,7 +64,8 @@ impl Mmm25dConfig {
     }
 
     /// Automatic grid/block selection: the grid and the block-size rule of
-    /// [`pick_grid_and_block`], as for the factorizations.
+    /// [`ConfluxConfig::auto`](crate::ConfluxConfig::auto), as for the
+    /// factorizations.
     pub fn auto(n: usize, p: usize) -> Self {
         let (grid, v) = pick_grid_and_block(n, p);
         Mmm25dConfig::new(n, v, grid)

@@ -10,14 +10,13 @@
 //! Sources:
 //! * COnfLUX / COnfCHOX — paper §7.4 (Lemma 10) and Table 1/2:
 //!   `N³/(P√M) + O(N²/P)`.
-//! * lower bounds — paper §6: `2N³/(3P√M)` (LU), `N³/(3P√M)` (Cholesky).
+//! * lower bounds — paper §6: `2N³/(3P√M)` (LU), `N³/(3P√M)` (Cholesky);
+//!   the closed forms live in `pebbles::bounds`.
 //! * MKL / SLATE — 2D partial-pivoting decomposition (paper §9 finds both
 //!   behave identically): `≈ N²/√P` row+column panel traffic plus swap and
 //!   panel-broadcast terms.
 //! * CANDMC — Solomonik & Demmel's model, quoted by the paper as
 //!   `5N³/(P√M)` ("COnfLUX communicates five times less").
-//! * CAPITAL — the paper reports its Cholesky I/O may reach 16× the
-//!   Cholesky lower bound, i.e. `16·N³/(3P√M)`.
 
 /// Machine/problem parameters shared by the model functions.
 #[derive(Debug, Clone, Copy)]
@@ -57,19 +56,6 @@ fn sq(n: usize) -> f64 {
     (n as f64).powi(2)
 }
 
-/// Parallel I/O lower bound for LU (paper §6.1): `2N³/(3P√M) + N²/(2P)`.
-pub fn lu_lower_bound(mp: MachineParams) -> f64 {
-    2.0 * cube(mp.n) / (3.0 * mp.p as f64 * mp.m.sqrt()) + sq(mp.n) / (2.0 * mp.p as f64)
-}
-
-/// Parallel I/O lower bound for Cholesky (paper §6.2):
-/// `N³/(3P√M) + N²/(2P) + N/P`.
-pub fn cholesky_lower_bound(mp: MachineParams) -> f64 {
-    cube(mp.n) / (3.0 * mp.p as f64 * mp.m.sqrt())
-        + sq(mp.n) / (2.0 * mp.p as f64)
-        + mp.n as f64 / mp.p as f64
-}
-
 /// COnfLUX cost model (paper Lemma 10): `N³/(P√M) + O(N²/P)`; the
 /// second-order constant follows from summing the per-step `O(Nv/P)` terms
 /// (pivot-row reduction, `A00` broadcasts) to `≈ 5N²/(2P)`.
@@ -104,45 +90,17 @@ pub fn candmc_model(mp: MachineParams) -> f64 {
     5.0 * cube(mp.n) / (mp.p as f64 * mp.m.sqrt())
 }
 
-/// CAPITAL 2.5D Cholesky model: up to 16× the Cholesky lower-bound leading
-/// term, `16·N³/(3P√M)`.
-pub fn capital_model(mp: MachineParams) -> f64 {
-    16.0 * cube(mp.n) / (3.0 * mp.p as f64 * mp.m.sqrt())
-}
-
-/// All LU models evaluated at once: `(name, words-per-rank)` rows of
-/// Table 2's LU half.
-pub fn lu_table(mp: MachineParams, nb: usize) -> Vec<(&'static str, f64)> {
-    vec![
-        ("lower bound", lu_lower_bound(mp)),
-        ("COnfLUX", conflux_model(mp)),
-        ("CANDMC", candmc_model(mp)),
-        ("MKL (2D)", twod_lu_model(mp, nb)),
-        ("SLATE (2D)", twod_lu_model(mp, nb)),
-    ]
-}
-
-/// All Cholesky models at once: Table 2's Cholesky half.
-pub fn cholesky_table(mp: MachineParams, nb: usize) -> Vec<(&'static str, f64)> {
-    vec![
-        ("lower bound", cholesky_lower_bound(mp)),
-        ("COnfCHOX", confchox_model(mp)),
-        ("CAPITAL", capital_model(mp)),
-        ("MKL (2D)", twod_cholesky_model(mp, nb)),
-        ("SLATE (2D)", twod_cholesky_model(mp, nb)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound};
 
     #[test]
     fn conflux_is_1_5x_the_lu_lower_bound_leading_term() {
         // Small M relative to N so the N²/P terms vanish (√M/N → 0):
         // ratio → 3/2 (paper §7.4).
         let mp = MachineParams::with_memory(1 << 20, 64, 1e6);
-        let ratio = conflux_model(mp) / lu_lower_bound(mp);
+        let ratio = conflux_model(mp) / lu_io_lower_bound(mp.n, mp.p, mp.m);
         assert!((ratio - 1.5).abs() < 0.05, "ratio {ratio}");
     }
 
@@ -178,17 +136,7 @@ mod tests {
     #[test]
     fn cholesky_lower_bound_is_half_of_lu_leading() {
         let mp = MachineParams::with_memory(1 << 20, 64, 1e6);
-        let r = lu_lower_bound(mp) / cholesky_lower_bound(mp);
+        let r = lu_io_lower_bound(mp.n, mp.p, mp.m) / cholesky_io_lower_bound(mp.n, mp.p, mp.m);
         assert!((r - 2.0).abs() < 0.05, "ratio {r}");
-    }
-
-    #[test]
-    fn tables_are_complete() {
-        let mp = MachineParams::paper_default(16384, 64);
-        assert_eq!(lu_table(mp, 128).len(), 5);
-        assert_eq!(cholesky_table(mp, 128).len(), 5);
-        for (_, v) in lu_table(mp, 128) {
-            assert!(v > 0.0);
-        }
     }
 }

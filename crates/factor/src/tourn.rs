@@ -14,7 +14,7 @@ use xmpi::Comm;
 /// A set of candidate pivot rows: original (unfactored) row values plus
 /// their global row indices, ordered by selection preference.
 #[derive(Debug, Clone)]
-pub struct Candidates {
+pub(crate) struct Candidates {
     /// Candidate row values, one row per candidate, `v` columns.
     pub rows: Matrix,
     /// Global row index of each candidate.
@@ -52,7 +52,11 @@ impl Candidates {
 ///
 /// # Panics
 /// If `panel.rows() != ids.len()`.
-pub fn local_select(panel: MatRef<'_>, ids: &[u64], v: usize) -> Result<Candidates, dense::Error> {
+pub(crate) fn local_select(
+    panel: MatRef<'_>,
+    ids: &[u64],
+    v: usize,
+) -> Result<Candidates, dense::Error> {
     assert_eq!(panel.rows(), ids.len());
     assert_eq!(panel.cols(), v);
     let m = panel.rows();
@@ -120,7 +124,7 @@ fn merge(
 
 /// Outcome of a tournament: the pivot rows and the factored pivot block.
 #[derive(Debug, Clone)]
-pub struct PivotBlock {
+pub(crate) struct PivotBlock {
     /// Global row ids of the `v` pivots, in final elimination order.
     pub ids: Vec<u64>,
     /// Packed LU factor of the pivot block (`L00` strictly lower with unit
@@ -138,7 +142,7 @@ pub struct PivotBlock {
 ///
 /// # Errors
 /// Propagates singularity if the union of candidates has rank `< v`.
-pub fn tournament(
+pub(crate) fn tournament(
     comm: &Comm,
     panel: MatRef<'_>,
     ids: &[u64],

@@ -20,7 +20,7 @@
 //! columns. Pivot search and elimination run over local row slices, the
 //! panel solves are `trsm` in place, panels are packed by block copy, and a
 //! trailing update is one `gemm` (`α = −1`, `β = 1`) on the trailing
-//! sub-block — the discipline of the 2.5D stores in [`crate::common`], so a
+//! sub-block — the discipline of the 2.5D stores in the `common` module, so a
 //! wall-clock comparison between the schedules compares schedules.
 
 use crate::common::{check_shape, phase, phase_end, split_results};

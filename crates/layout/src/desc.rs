@@ -38,7 +38,7 @@ impl BlockCyclic {
     }
 
     /// Grid coordinates of the process owning global entry `(i, j)`.
-    pub fn owner_coords(&self, i: usize, j: usize) -> (usize, usize) {
+    fn owner_coords(&self, i: usize, j: usize) -> (usize, usize) {
         debug_assert!(i < self.m && j < self.n);
         (
             (i / self.rb) % self.grid.rows,
@@ -53,12 +53,12 @@ impl BlockCyclic {
     }
 
     /// Number of local rows stored on process row `pi` (ScaLAPACK `numroc`).
-    pub fn local_rows(&self, pi: usize) -> usize {
+    pub(crate) fn local_rows(&self, pi: usize) -> usize {
         numroc(self.m, self.rb, pi, self.grid.rows)
     }
 
     /// Number of local columns stored on process column `pj`.
-    pub fn local_cols(&self, pj: usize) -> usize {
+    pub(crate) fn local_cols(&self, pj: usize) -> usize {
         numroc(self.n, self.cb, pj, self.grid.cols)
     }
 

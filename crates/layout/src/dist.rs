@@ -52,7 +52,7 @@ impl DistMatrix {
     ///
     /// # Panics
     /// If this rank does not own the entry.
-    pub fn get_global(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get_global(&self, i: usize, j: usize) -> f64 {
         let (pi, li) = self.desc.row_g2l(i);
         let (pj, lj) = self.desc.col_g2l(j);
         assert_eq!(

@@ -9,6 +9,8 @@
 //! moves a distributed matrix between two arbitrary block-cyclic layouts
 //! with measured communication.
 
+#![warn(unreachable_pub)]
+
 pub mod desc;
 pub mod dist;
 pub mod redist;

@@ -57,7 +57,8 @@ pub fn schur_statement_rho(m: f64) -> (f64, f64) {
 /// Input reuse (Lemma 7): the combined bound for statements `S` and `T`
 /// sharing input array `Aᵢ` is `Q_S + Q_T − Reuse(Aᵢ)` with
 /// `Reuse(Aᵢ) = min(|Aᵢ(R_S)|, |Aᵢ(R_T)|)`.
-pub fn input_reuse_bound(q_s: f64, q_t: f64, reuse: f64) -> f64 {
+#[cfg(test)]
+fn input_reuse_bound(q_s: f64, q_t: f64, reuse: f64) -> f64 {
     (q_s + q_t - reuse).max(q_s.max(q_t))
 }
 
@@ -65,7 +66,8 @@ pub fn input_reuse_bound(q_s: f64, q_t: f64, reuse: f64) -> f64 {
 /// `b` produced by a statement of intensity `ρ_s` is at least `b/ρ_s` —
 /// i.e. cheap-to-recompute producers cannot shrink the consumer's
 /// dominator below this.
-pub fn output_reuse_dominator(b: f64, rho_s: f64) -> f64 {
+#[cfg(test)]
+fn output_reuse_dominator(b: f64, rho_s: f64) -> f64 {
     b / rho_s
 }
 

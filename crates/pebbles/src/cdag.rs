@@ -48,14 +48,15 @@ impl Cdag {
     }
 
     /// Non-input vertices (the computations).
-    pub fn compute_vertices(&self) -> Vec<NodeId> {
+    pub(crate) fn compute_vertices(&self) -> Vec<NodeId> {
         (0..self.len())
             .filter(|&v| !self.preds[v].is_empty())
             .collect()
     }
 
     /// Out-degree of a vertex.
-    pub fn out_degree(&self, v: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn out_degree(&self, v: NodeId) -> usize {
         self.succs[v].len()
     }
 

@@ -36,12 +36,12 @@ impl AccessFn {
 
     /// The access dimension: number of distinct iteration variables in the
     /// access-function vector (§2.2).
-    pub fn access_dim(&self) -> usize {
+    pub(crate) fn access_dim(&self) -> usize {
         self.index.iter().collect::<BTreeSet<_>>().len()
     }
 
     /// The distinct iteration variables, in first-appearance order.
-    pub fn distinct_vars(&self) -> Vec<&str> {
+    pub(crate) fn distinct_vars(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for v in &self.index {
             if !seen.contains(&v.as_str()) {
@@ -75,7 +75,8 @@ impl Statement {
     /// input accesses may reference the same array with access functions
     /// that could alias (we require distinct arrays or provably different
     /// index vectors).
-    pub fn check_disjoint(&self) -> bool {
+    #[cfg(test)]
+    fn check_disjoint(&self) -> bool {
         for (i, a) in self.inputs.iter().enumerate() {
             for b in self.inputs.iter().skip(i + 1) {
                 if a.array == b.array && a.index == b.index {
@@ -162,7 +163,8 @@ pub fn cholesky_program() -> Program {
 
 /// Classic matrix multiplication `C[i,j] += A[i,k]·B[k,j]` — the motivating
 /// kernel for X-partitioning (Kwasniewski et al., SC'19).
-pub fn mmm_program() -> Program {
+#[cfg(test)]
+pub(crate) fn mmm_program() -> Program {
     Program {
         statements: vec![Statement {
             name: "S".into(),

@@ -164,7 +164,8 @@ pub fn derive_program_bound(prog: &Program, counts: &[f64], m: f64, p: usize) ->
 /// Lemma 7 composition: a sound combined bound when statements share input
 /// arrays with nontrivial reuse: `Q ≥ Σ Q_i − Σ Reuse(A_j)`, never below
 /// the largest individual bound.
-pub fn combined_with_input_reuse(bounds: &[StatementBound], reuses: &[f64], p: usize) -> f64 {
+#[cfg(test)]
+fn combined_with_input_reuse(bounds: &[StatementBound], reuses: &[f64], p: usize) -> f64 {
     let total: f64 = bounds.iter().map(|s| s.q).sum();
     let reuse: f64 = reuses.iter().sum();
     let floor = bounds.iter().map(|s| s.q).fold(0.0, f64::max);
@@ -190,7 +191,8 @@ pub fn cholesky_counts(n: usize) -> Vec<f64> {
 }
 
 /// Counts for the built-in matrix-multiplication program (`N³`).
-pub fn mmm_counts(n: usize) -> Vec<f64> {
+#[cfg(test)]
+fn mmm_counts(n: usize) -> Vec<f64> {
     vec![(n as f64).powi(3)]
 }
 

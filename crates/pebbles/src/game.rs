@@ -13,7 +13,8 @@
 //!   [`crate::bounds`] in tests.
 //!
 //! The parallel game of §5 (no pebble sharing, explicit communication) is
-//! realized by [`verify_parallel`], which checks per-processor rules with
+//! realized by `verify_parallel` (test-only: no schedule generator emits
+//! parallel moves yet), which checks per-processor rules with
 //! the communication rule: a processor may place its pebble on any vertex
 //! that has *some* pebble, paying one I/O.
 
@@ -256,8 +257,9 @@ fn evict_one(
 
 /// One move of the parallel game (§5): per-processor rules, with the
 /// communication rule replacing load/store.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PMove {
+enum PMove {
     /// Processor `p` computes vertex `v` (all preds carry `p`'s pebbles).
     Compute(usize, NodeId),
     /// Processor `p` fetches vertex `v` from some other pebble holder
@@ -276,7 +278,8 @@ pub enum PMove {
 ///
 /// # Errors
 /// Describes the first rule violation.
-pub fn verify_parallel(
+#[cfg(test)]
+fn verify_parallel(
     g: &Cdag,
     moves: &[PMove],
     nproc: usize,
@@ -460,5 +463,14 @@ mod tests {
         ];
         let io = verify_parallel(&g, &moves, 2, 4).unwrap();
         assert_eq!(io, vec![1, 1]);
+        // Once P0 drops its pebble nobody holds y: the fetch is illegal.
+        let gone = vec![
+            PMove::Fetch(0, x),
+            PMove::Compute(0, y),
+            PMove::Evict(0, y),
+            PMove::Fetch(1, y),
+        ];
+        let err = verify_parallel(&g, &gone, 2, 4).unwrap_err();
+        assert!(err.contains("unavailable"), "{err}");
     }
 }

@@ -13,7 +13,7 @@ use crate::cdag::Cdag;
 /// Computational intensity of a subcomputation: vertices computed per I/O,
 /// as bounded by its dominator-set size: `ρ = |H| / (X − M)` (Lemma 1's
 /// per-subcomputation form).
-pub fn intensity(h_size: usize, x: usize, m: usize) -> f64 {
+fn intensity(h_size: usize, x: usize, m: usize) -> f64 {
     assert!(x > m, "X must exceed M");
     h_size as f64 / (x - m) as f64
 }
@@ -21,7 +21,7 @@ pub fn intensity(h_size: usize, x: usize, m: usize) -> f64 {
 /// Lemma 6: the minimum, over all compute vertices, of the number of
 /// predecessors that are graph inputs with out-degree one. If the result is
 /// `u ≥ 1`, the whole cDAG's computational intensity is at most `1/u`.
-pub fn min_single_use_inputs(g: &Cdag) -> usize {
+fn min_single_use_inputs(g: &Cdag) -> usize {
     g.compute_vertices()
         .into_iter()
         .map(|v| {
@@ -37,7 +37,7 @@ pub fn min_single_use_inputs(g: &Cdag) -> usize {
 /// The Lemma 6 intensity bound: `Some(1/u)` when every compute vertex has
 /// `u ≥ 1` single-use input predecessors, `None` when the lemma does not
 /// apply (`u = 0`).
-pub fn lemma6_intensity_bound(g: &Cdag) -> Option<f64> {
+fn lemma6_intensity_bound(g: &Cdag) -> Option<f64> {
     match min_single_use_inputs(g) {
         0 => None,
         u => Some(1.0 / u as f64),
@@ -45,7 +45,7 @@ pub fn lemma6_intensity_bound(g: &Cdag) -> Option<f64> {
 }
 
 /// Lemma 1: `Q ≥ |V_compute| / ρ`.
-pub fn io_from_intensity(n_compute: usize, rho: f64) -> f64 {
+fn io_from_intensity(n_compute: usize, rho: f64) -> f64 {
     n_compute as f64 / rho
 }
 

@@ -4,8 +4,8 @@
 //! there is "no well-established method how to automatically translate code
 //! to cDAGs". For the DAAP class this module provides exactly that: a
 //! [`LoopNest`] attaches concrete (possibly triangular) bounds to a
-//! [`Statement`]'s iteration variables, and [`build_cdag`] executes the
-//! loop nest, materializing one vertex per element version — so the
+//! [`Statement`]'s iteration variables, and [`build_cdag_interleaved`]
+//! executes the loop nest, materializing one vertex per element version — so the
 //! hand-written builders in [`crate::cdag`] become *test oracles* for the
 //! generic path rather than the only way in.
 
@@ -127,7 +127,8 @@ fn run_statement(b: &mut Builder, stmt: &Statement, nest: &LoopNest) {
 ///
 /// `nests[i]` supplies statement `i`'s bounds. For interleaved outer loops
 /// use [`build_cdag_interleaved`].
-pub fn build_cdag(prog: &Program, nests: &[LoopNest]) -> Cdag {
+#[cfg(test)]
+fn build_cdag(prog: &Program, nests: &[LoopNest]) -> Cdag {
     assert_eq!(prog.statements.len(), nests.len());
     let mut b = Builder::new();
     for (stmt, nest) in prog.statements.iter().zip(nests) {

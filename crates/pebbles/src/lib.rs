@@ -23,9 +23,8 @@
 //!   `Min(H)`).
 //! * [`xpart`] — X-partitions: dominator/minimum sets and validity checks
 //!   (§2.3.3).
-//! * [`intensity`] — computational intensity and the out-degree-one bound
-//!   of Lemma 6.
-//! * [`optimize`] — the constrained maximization of Lemma 3 / §3.2
+//! * `optimize` (crate-private, the engine behind [`mod@derive`] and
+//!   [`bounds`]) — the constrained maximization of Lemma 3 / §3.2
 //!   (`max ∏|Dᵗ| s.t. Σ∏|Dⱼᵏ| ≤ X`), solved in closed form for balanced
 //!   cases and numerically in general, plus the `X₀` search of Lemma 2.
 //! * [`mod@derive`] — the end-to-end pipeline: [`daap::Program`] in, parallel
@@ -36,15 +35,18 @@
 //!   the generic pipeline and cross-checked against the paper's closed
 //!   forms.
 
+#![warn(unreachable_pub)]
+
 pub mod bounds;
 pub mod cdag;
 pub mod daap;
 pub mod derive;
 pub mod game;
-pub mod intensity;
+#[cfg(test)]
+mod intensity;
 pub mod interpret;
 pub mod opt_game;
-pub mod optimize;
+mod optimize;
 pub mod schedule;
 pub mod xpart;
 

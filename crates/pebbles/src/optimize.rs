@@ -14,7 +14,7 @@
 /// An access structure: for each input access, the indices of the loop
 /// variables appearing in it (e.g. LU's S2 over `(k,i,j) = (0,1,2)`:
 /// `[[1,2], [1,0], [0,2]]`).
-pub type Accesses = Vec<Vec<usize>>;
+pub(crate) type Accesses = Vec<Vec<usize>>;
 
 /// Numerically maximize `∏ x_t` subject to `Σ_j ∏_{k∈S_j} x_k ≤ X`,
 /// `x ≥ 1`. Returns `(x, H)` where `H = ∏ x_t`.
@@ -26,7 +26,7 @@ pub type Accesses = Vec<Vec<usize>>;
 /// # Panics
 /// If an access references a variable index ≥ `nvars`, or `x < m` where `m`
 /// is the number of accesses (then even all-ones is infeasible).
-pub fn maximize_h(accesses: &Accesses, nvars: usize, x_budget: f64) -> (Vec<f64>, f64) {
+pub(crate) fn maximize_h(accesses: &Accesses, nvars: usize, x_budget: f64) -> (Vec<f64>, f64) {
     for s in accesses {
         for &k in s {
             assert!(k < nvars, "access variable out of range");
@@ -122,13 +122,13 @@ pub fn maximize_h(accesses: &Accesses, nvars: usize, x_budget: f64) -> (Vec<f64>
 
 /// `χ(X)` for a given access structure: the maximal `|H|` as a function of
 /// the dominator budget.
-pub fn chi(accesses: &Accesses, nvars: usize, x_budget: f64) -> f64 {
+pub(crate) fn chi(accesses: &Accesses, nvars: usize, x_budget: f64) -> f64 {
     maximize_h(accesses, nvars, x_budget).1
 }
 
 /// Find `X₀ = argmin_{X > M} χ(X)/(X − M)` by golden-section search in
 /// `log X` over `(M, x_hi]`, returning `(X₀, ρ(X₀))`.
-pub fn find_x0(chi_fn: &dyn Fn(f64) -> f64, m: f64, x_hi: f64) -> (f64, f64) {
+pub(crate) fn find_x0(chi_fn: &dyn Fn(f64) -> f64, m: f64, x_hi: f64) -> (f64, f64) {
     assert!(x_hi > m + 1.0, "search interval empty");
     let rho = |x: f64| chi_fn(x) / (x - m);
     let (mut a, mut b) = ((m + 1e-6).ln(), x_hi.ln());
@@ -156,15 +156,6 @@ pub fn find_x0(chi_fn: &dyn Fn(f64) -> f64, m: f64, x_hi: f64) -> (f64, f64) {
     }
     let x0 = (0.5 * (a + b)).exp();
     (x0, rho(x0))
-}
-
-/// End-to-end Lemma 2 for one statement: given its access structure, the
-/// number of compute vertices, and fast-memory size `M`, return the I/O
-/// lower bound `Q ≥ |V|·(X₀ − M)/χ(X₀)`.
-pub fn statement_lower_bound(accesses: &Accesses, nvars: usize, n_compute: f64, m: f64) -> f64 {
-    let chi_fn = |x: f64| chi(accesses, nvars, x);
-    let (_, rho) = find_x0(&chi_fn, m, 64.0 * m + 1024.0);
-    n_compute / rho
 }
 
 #[cfg(test)]
@@ -210,7 +201,9 @@ mod tests {
         // Q_mmm ≥ n³/(√M/2) = 2n³/√M for the n³ multiply vertices.
         let n: f64 = 512.0;
         let m = 256.0;
-        let q = statement_lower_bound(&mmm_accesses(), 3, n * n * n, m);
+        let chi_fn = |x: f64| chi(&mmm_accesses(), 3, x);
+        let (_, rho) = find_x0(&chi_fn, m, 64.0 * m + 1024.0);
+        let q = n * n * n / rho;
         let expect = 2.0 * n * n * n / m.sqrt();
         assert!(
             (q - expect).abs() / expect < 0.05,

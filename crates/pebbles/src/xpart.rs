@@ -7,7 +7,7 @@
 //! set (frontier of `H`: external vertices with edges into `H` plus input
 //! vertices inside `H`), which is always a legal dominator set, so a
 //! partition passing the check is a valid X-partition. (The lower-bound
-//! pipeline in [`crate::optimize`] bounds `|Dom_min|` analytically via
+//! pipeline in `crate::optimize` bounds `|Dom_min|` analytically via
 //! Lemma 3 instead.)
 
 use crate::cdag::{Cdag, NodeId};
@@ -117,7 +117,8 @@ pub fn check_x_partition(g: &Cdag, parts: &[Vec<NodeId>], x: usize) -> Result<()
 /// Lemma 2 of Kwasniewski et al. (quoted as §2.3.3): an I/O-optimal
 /// schedule with cost `Q` has an X-partition of size
 /// `≤ (Q + X − M)/(X − M)`. This helper evaluates that size bound.
-pub fn xpartition_size_bound(q: usize, x: usize, m: usize) -> f64 {
+#[cfg(test)]
+fn xpartition_size_bound(q: usize, x: usize, m: usize) -> f64 {
     assert!(x > m, "X must exceed M");
     (q + x - m) as f64 / (x - m) as f64
 }

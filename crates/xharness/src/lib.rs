@@ -14,12 +14,12 @@
 //!   receive/wait-completion stalls, and phase-boundary rank skews — every
 //!   decision a pure function of one `u64` seed and the decision's channel
 //!   identity, so a failing seed replays its exact fault pattern
-//!   ([`perturb`] documents the determinism model);
+//!   (the `perturb` module documents the determinism model);
 //! * [`run_perturbed`] / [`run_perturbed_traced`] wrap an unmodified driver
 //!   (anything that calls [`xmpi::run`] internally) in a seeded
 //!   perturbation, optionally recording the event trace for the
 //!   [`xtrace::invariants`] checkers;
-//! * [`golden`] pins per-rank/per-phase byte counts to committed golden
+//! * [`check_golden`] pins per-rank/per-phase byte counts to committed golden
 //!   JSON, so traffic changes are explicit diffs, never silent drift;
 //! * [`seeds`] reads the `XHARNESS_SEEDS` environment variable so CI can
 //!   widen the sweep and a developer can replay one failing seed.
@@ -29,12 +29,12 @@
 //! bitwise-identical per-rank and per-phase byte counts, clean runtime
 //! invariants, and residuals/volumes within the paper's bounds.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod golden;
-pub mod netchaos;
-pub mod perturb;
-pub mod rng;
+mod golden;
+mod netchaos;
+mod perturb;
+mod rng;
 
 pub use golden::{check_golden, golden_mode, snapshot, GoldenMode};
 pub use netchaos::{ChaosMode, ConnectPlan, HangPlan, NetChaos, NetChaosConfig, ResetPlan};
@@ -103,10 +103,10 @@ pub fn run_armed<R>(perturbator: &Arc<Perturbator>, f: impl FnOnce() -> R) -> R 
 /// Run `f` with a seeded [`NetChaos`] plan armed on this thread: every
 /// world `f` launches has wire-level fault injection installed — torn
 /// frames, one-shot connection resets and silent hangs, refused and
-/// delayed mesh dials (see [`netchaos`] for the determinism model). Like
-/// [`run_armed`], the caller keeps the `Arc` so one-shot latches span a
+/// delayed mesh dials (the `netchaos` module documents the determinism
+/// model). Like [`run_armed`], the caller keeps the `Arc` so one-shot latches span a
 /// fault-tolerant driver's whole restart sequence and the test can assert
-/// `chaos.reset_fired()` / `chaos.hang_fired()` afterwards.
+/// `chaos.reset_fired()` afterwards.
 pub fn run_chaos<R>(chaos: &Arc<NetChaos>, f: impl FnOnce() -> R) -> R {
     xmpi::with_net_faults(chaos.clone(), f)
 }

@@ -37,11 +37,11 @@ use xmpi::{ConnectFault, NetFaults, WireFault};
 /// (1–7) so arming chaos never shifts a seeded schedule-perturbation
 /// stream.
 mod domain {
-    pub const WRITE: u64 = 8;
-    pub const RESET: u64 = 9;
-    pub const HANG: u64 = 10;
-    pub const CONNECT: u64 = 11;
-    pub const MODE: u64 = 12;
+    pub(super) const WRITE: u64 = 8;
+    pub(super) const RESET: u64 = 9;
+    pub(super) const HANG: u64 = 10;
+    pub(super) const CONNECT: u64 = 11;
+    pub(super) const MODE: u64 = 12;
 }
 
 /// Rates and magnitudes for the always-on torn-write noise of a
@@ -279,13 +279,6 @@ impl NetChaos {
             .is_some_and(|(_, fired)| fired.load(Ordering::SeqCst))
     }
 
-    /// Has the armed hang plan fired yet (in this process)?
-    pub fn hang_fired(&self) -> bool {
-        self.hang
-            .as_ref()
-            .is_some_and(|(_, fired)| fired.load(Ordering::SeqCst))
-    }
-
     /// Uniform draw in `[0,1)` for a decision identity.
     fn roll(&self, parts: &[u64]) -> f64 {
         let mut key = Vec::with_capacity(parts.len() + 1);
@@ -440,7 +433,7 @@ mod tests {
         assert_eq!(c.wire_fault(1, 2, 64), WireFault::Deliver);
         assert_eq!(c.wire_fault(1, 0, 64), WireFault::Deliver);
         assert_eq!(c.wire_fault(1, 2, 64), WireFault::Hang);
-        assert!(c.hang_fired());
+        assert!(c.hang.as_ref().unwrap().1.load(Ordering::SeqCst));
         for _ in 0..20 {
             assert_eq!(c.wire_fault(1, 0, 64), WireFault::Deliver);
         }

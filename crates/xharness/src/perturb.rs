@@ -33,13 +33,13 @@ use xmpi::{CrashFate, SchedHooks, SendFate};
 /// every existing seeded decision stream (fates, delays, stalls) bitwise
 /// unchanged.
 mod domain {
-    pub const SEND_FATE: u64 = 1;
-    pub const SEND_DELAY: u64 = 2;
-    pub const RECV: u64 = 3;
-    pub const WAIT: u64 = 4;
-    pub const PHASE: u64 = 5;
-    pub const CRASH: u64 = 6;
-    pub const CORRUPT: u64 = 7;
+    pub(super) const SEND_FATE: u64 = 1;
+    pub(super) const SEND_DELAY: u64 = 2;
+    pub(super) const RECV: u64 = 3;
+    pub(super) const WAIT: u64 = 4;
+    pub(super) const PHASE: u64 = 5;
+    pub(super) const CRASH: u64 = 6;
+    pub(super) const CORRUPT: u64 = 7;
 }
 
 /// Injection rates and magnitudes for a [`Perturbator`].
@@ -106,14 +106,6 @@ impl PerturbConfig {
             max_stall_us: 100,
             phase_stall_prob: 0.25,
             max_phase_stall_us: 300,
-        }
-    }
-
-    /// A copy of this config under a different seed (sweeps share rates).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        PerturbConfig {
-            seed,
-            ..self.clone()
         }
     }
 }

@@ -11,7 +11,7 @@
 
 /// The SplitMix64 output permutation: a bijective avalanche mix on `u64`.
 #[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -21,7 +21,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// Hash a decision identity: fold each part through the permutation,
 /// mixing in the running state. Order-sensitive (swapping parts changes
 /// the hash) and collision-resistant enough for fault-injection sampling.
-pub fn hash(parts: &[u64]) -> u64 {
+pub(crate) fn hash(parts: &[u64]) -> u64 {
     let mut state = 0x243f_6a88_85a3_08d3; // pi digits, nothing up the sleeve
     for &p in parts {
         state = splitmix64(state ^ p).rotate_left(17);
@@ -31,7 +31,7 @@ pub fn hash(parts: &[u64]) -> u64 {
 
 /// Map a hash to a uniform float in `[0, 1)` (top 53 bits).
 #[inline]
-pub fn unit_f64(h: u64) -> f64 {
+pub(crate) fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

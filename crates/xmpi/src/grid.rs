@@ -149,12 +149,6 @@ impl Grid3 {
     pub fn z_members(&self, i: usize, j: usize) -> Vec<usize> {
         (0..self.pz).map(|k| self.rank_of(i, j, k)).collect()
     }
-
-    /// All ranks of layer `k`, in `(j, i)`-major order.
-    pub fn layer_members(&self, k: usize) -> Vec<usize> {
-        let base = k * self.px * self.py;
-        (base..base + self.px * self.py).collect()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +184,6 @@ mod tests {
             g.x_members(0, 1),
             vec![g.rank_of(0, 0, 1), g.rank_of(1, 0, 1)]
         );
-        assert_eq!(g.layer_members(0), (0..6).collect::<Vec<_>>());
     }
 
     #[test]

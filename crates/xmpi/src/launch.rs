@@ -161,7 +161,7 @@ pub fn is_child() -> bool {
 }
 
 /// The rank this child process plays, if [`is_child`].
-pub fn child_rank() -> Option<usize> {
+fn child_rank() -> Option<usize> {
     std::env::var("XMPI_CHILD_RANK").ok()?.parse().ok()
 }
 

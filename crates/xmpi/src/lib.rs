@@ -97,7 +97,7 @@
 //! crate derives whole fault plans from a single seed (`NetChaos`) so any
 //! failing chaos run replays exactly.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // Cross-rank code paths must surface failures as typed errors or loud,
 // contextual panics — a bare `.unwrap()` that turns a dead peer into
 // `Option::unwrap()` with no rank, tag, or channel is how a simulated
@@ -105,22 +105,22 @@
 // allowed for genuine invariants.
 #![deny(clippy::unwrap_used)]
 
-pub mod buf;
-pub mod collectives;
-pub mod comm;
-pub mod error;
-pub mod grid;
-pub mod hooks;
+mod buf;
+mod collectives;
+mod comm;
+mod error;
+mod grid;
+mod hooks;
 pub mod launch;
 mod liveness;
-pub mod netfault;
-pub mod request;
+mod netfault;
+mod request;
 pub(crate) mod socket;
-pub mod stats;
+mod stats;
 pub mod trace;
 pub(crate) mod transport;
 pub mod wire;
-pub mod world;
+mod world;
 
 pub use buf::Buf;
 pub use collectives::BcastRequest;

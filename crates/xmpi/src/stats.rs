@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Maximum distinct phase labels per rank. The factorization schedules use
 /// fewer than ten; the slab is preallocated so the record path can index it
 /// without locking.
-pub const MAX_PHASES: usize = 64;
+const MAX_PHASES: usize = 64;
 
 /// The process-wide copy of the phase label `name`. Schedules name a
 /// handful of phases and every rank of every world names the same ones, so
@@ -71,10 +71,10 @@ pub enum CollKind {
 
 impl CollKind {
     /// Number of kinds (size of per-kind counter slabs).
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// All kinds, in slab order.
-    pub const ALL: [CollKind; CollKind::COUNT] = [
+    pub(crate) const ALL: [CollKind; CollKind::COUNT] = [
         CollKind::P2p,
         CollKind::Barrier,
         CollKind::Bcast,
@@ -95,7 +95,7 @@ impl CollKind {
     ///
     /// # Panics
     /// If `i >= CollKind::COUNT`.
-    pub fn from_index(i: usize) -> CollKind {
+    pub(crate) fn from_index(i: usize) -> CollKind {
         CollKind::ALL[i]
     }
 
@@ -302,7 +302,7 @@ pub struct RankStats {
     /// Per-phase (sent, received) byte breakdown.
     pub per_phase: HashMap<String, (u64, u64)>,
     /// Per-collective-kind breakdown (only kinds with traffic), in
-    /// [`CollKind::ALL`] order. The sent totals sum to `bytes_sent`, the
+    /// [`CollKind`] declaration order. The sent totals sum to `bytes_sent`, the
     /// received totals to `bytes_recv` — every byte has exactly one kind.
     pub per_coll: Vec<(CollKind, CollCounts)>,
 }
@@ -310,7 +310,7 @@ pub struct RankStats {
 impl RankStats {
     /// Total traffic through this rank (sent + received) — the quantity the
     /// paper plots as "communication volume per node".
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.bytes_sent + self.bytes_recv
     }
 
@@ -379,7 +379,7 @@ impl WorldStats {
     }
 
     /// Aggregate per-collective-kind traffic across all ranks, in
-    /// [`CollKind::ALL`] order (only kinds with traffic).
+    /// [`CollKind`] declaration order (only kinds with traffic).
     pub fn coll_totals(&self) -> Vec<(CollKind, CollCounts)> {
         let mut slab = [CollCounts::default(); CollKind::COUNT];
         for r in &self.ranks {

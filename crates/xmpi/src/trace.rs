@@ -316,11 +316,6 @@ impl WorldTrace {
             .unwrap_or("?")
     }
 
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// Timestamp of the last event anywhere (the trace's makespan in ns).
     pub fn end_time(&self) -> u64 {
         self.ranks

@@ -27,7 +27,7 @@ use std::hash::Hash;
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"XMPI"` as a little-endian u32.
-pub const MAGIC: u32 = 0x4950_4D58;
+const MAGIC: u32 = 0x4950_4D58;
 
 /// Upper bound on a frame body (1 GiB). A length field above this is a
 /// corrupt header, not a huge message — reject before allocating.

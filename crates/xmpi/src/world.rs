@@ -331,7 +331,7 @@ mod tests {
             }
             c.barrier();
         });
-        assert_eq!(out.trace.num_ranks(), 2);
+        assert_eq!(out.trace.ranks.len(), 2);
         assert!(!out.trace.truncated());
         let r0 = &out.trace.ranks[0].events;
         let r1 = &out.trace.ranks[1].events;
@@ -414,7 +414,7 @@ mod tests {
         });
         assert_eq!(total, 3.0);
         assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].num_ranks(), 3);
+        assert_eq!(traces[0].ranks.len(), 3);
         assert!(traces[0].num_events() > 0);
     }
 

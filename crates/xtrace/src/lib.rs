@@ -6,17 +6,17 @@
 //! [`xmpi::WorldTrace`] recorded by [`xmpi::run_traced`] (or
 //! [`xmpi::trace::capture`]) and derives the artefacts a profiler would:
 //!
-//! * [`timeline`] — per-rank span timelines: phase spans with attributed
+//! * [`Timeline`] — per-rank span timelines: phase spans with attributed
 //!   flops, receive-wait (idle) intervals, collective spans;
-//! * [`critpath`] — the critical path through the send/receive
+//! * [`critical_path`] — the critical path through the send/receive
 //!   happens-before graph (which rank was the bottleneck, when);
-//! * [`kpi`] — the public KPI-extraction API over timelines (idle
+//! * [`trace_kpis`] — the public KPI-extraction API over timelines (idle
 //!   fraction, critical-path fraction) shared by the experiments engine
 //!   (`bench ablate`) and `trace_report --kpi`;
 //! * [`mod@replay`] — simulated-time replay of the trace under the α-β-γ
 //!   machine model, predicting time-to-solution on a real machine from the
 //!   recorded event structure rather than wall-clock of the simulation;
-//! * [`chrome`] — Chrome-trace JSON export (loadable in Perfetto /
+//! * [`chrome_trace`] — Chrome-trace JSON export (loadable in Perfetto /
 //!   `chrome://tracing`);
 //! * [`invariants`] — runtime-contract checkers over a finished trace
 //!   (byte conservation per channel, no lost requests, collective
@@ -36,15 +36,15 @@
 //! turns the paper's near-optimal communication *volume* into near-optimal
 //! *time*.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod chrome;
-pub mod critpath;
+mod chrome;
+mod critpath;
 pub mod invariants;
-pub mod kpi;
+mod kpi;
 pub mod profile;
 pub mod replay;
-pub mod timeline;
+mod timeline;
 
 pub use chrome::chrome_trace;
 pub use critpath::{critical_path, path_length, CpSegment};
