@@ -107,7 +107,7 @@ fn main() -> ExitCode {
 
     // Top candidates, best first.
     let mut ranked = outcome.candidates.clone();
-    ranked.sort_by(|a, b| b.gflops.total_cmp(&a.gflops));
+    ranked.sort_by(|a, b| b.rates.score().total_cmp(&a.rates.score()));
     let rows: Vec<Vec<String>> = ranked
         .iter()
         .take(10)
@@ -118,18 +118,34 @@ fn main() -> ExitCode {
                 c.config.mc.to_string(),
                 c.config.nc.to_string(),
                 c.stage.to_string(),
-                format!("{:.2}", c.gflops),
+                format!("{:.2}", c.rates.gflops),
+                format!("{:.2}", c.rates.update_gflops),
+                format!("{:.2}", c.rates.score()),
             ]
         })
         .collect();
+    let update = format!("update k={}", bench::tune::update_depth(args.opts.n));
     println!(
         "{}",
-        render(&["variant", "kc", "mc", "nc", "stage", "GF/s"], &rows)
+        render(
+            &[
+                "variant",
+                "kc",
+                "mc",
+                "nc",
+                "stage",
+                "cube GF/s",
+                &update,
+                "score"
+            ],
+            &rows
+        )
     );
     println!(
-        "winner: {} at {:.2} GF/s — {:.2}x over the forced-scalar baseline ({:.2} GF/s), {} candidates timed",
+        "winner: {} at {:.2} GF/s on the cube, {:.2} on the update — {:.2}x over the forced-scalar baseline ({:.2} GF/s), {} candidates timed",
         outcome.best.describe(),
-        outcome.best_gflops,
+        outcome.best_rates.gflops,
+        outcome.best_rates.update_gflops,
         outcome.speedup(),
         outcome.scalar_gflops,
         outcome.candidates.len(),

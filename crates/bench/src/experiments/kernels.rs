@@ -1,6 +1,9 @@
 //! Local-kernel throughput trajectory: measured GFLOP/s for the packed,
 //! register-blocked dense kernels (`gemm`, `gemmt`, `trsm`, `getrf`,
-//! `potrf`) plus the retained naive triple-loop reference.
+//! `potrf`), the factorizations' trailing update (`update_rank32`: the
+//! `n × k × n` row-mapped product COnfLUX issues every step, `k` from the
+//! block rule — 32 at the gated size) plus the retained naive triple-loop
+//! reference.
 //!
 //! The distributed schedules charge every rank `flops / machine-peak`
 //! seconds per kernel call, so the modeled makespans are only as honest as
@@ -12,8 +15,9 @@
 use crate::experiments::Report;
 use crate::provenance::Stamp;
 use crate::table::render;
+use crate::tune::best_secs;
 use dense::flops::{gemm_flops, gemmt_flops, getrf_flops, potrf_flops, trsm_flops};
-use dense::gemm::{gemm, gemmt, naive_gemm, par_gemm, CUplo, Trans};
+use dense::gemm::{gemm, gemmt, naive_gemm, par_gemm, par_gemm_rows, CUplo, Trans};
 use dense::gen::{random_matrix, random_spd};
 use dense::getrf::getrf;
 use dense::potrf::potrf;
@@ -22,19 +26,6 @@ use dense::Matrix;
 use serde_json::json;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Best-of-`reps` wall time for `f`, after one untimed warmup call (which
-/// also grows the thread-local packing buffers to their steady-state size).
-fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn gflops(flops: u64, secs: f64) -> f64 {
     flops as f64 / secs / 1e9
@@ -121,14 +112,46 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
         gflops: scalar,
     });
 
-    let t_par = best_secs(reps, || {
+    // `par_gemm`'s cube and the shape that runs — one step's Schur update of
+    // a one-rank COnfLUX at this size, through a full row map — whose ratio
+    // is the `update_vs_gemm` KPI. The two are timed in alternation, one cube
+    // then `UPDATE_REPS` updates (a sixteenth of its flops each at the gated
+    // size), so a slow stretch of the host lands on both sides of the ratio.
+    let k = crate::tune::update_depth(n);
+    let (l10, u01) = (random_matrix(n, k, 18), random_matrix(k, n, 19));
+    let rows: Vec<usize> = (0..n).collect();
+    let mut cube = || {
         par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         black_box(c.data()[0]);
-    });
+    };
+    cube();
+    let mut c2 = Matrix::zeros(n, n);
+    let mut update = || {
+        par_gemm_rows(-1.0, l10.as_ref(), u01.as_ref(), &rows, c2.as_mut());
+        black_box(c2.data()[0]);
+    };
+    update();
+    let timed = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut t_par, mut t_update) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        t_par = t_par.min(timed(&mut cube));
+        for _ in 0..crate::tune::UPDATE_REPS {
+            t_update = t_update.min(timed(&mut update));
+        }
+    }
     out.push(Sample {
         kernel: "par_gemm",
         n,
         gflops: gflops(fl, t_par),
+    });
+    out.push(Sample {
+        kernel: "update_rank32",
+        n,
+        gflops: gflops(gemm_flops(n, n, k), t_update),
     });
 
     // Symmetric rank-k update with a panel-shaped k, as the factorizations
@@ -227,6 +250,7 @@ pub(crate) fn kernels(sizes: &[usize], reps: usize) -> Report {
         "gemm",
         "gemm_scalar",
         "par_gemm",
+        "update_rank32",
         "gemmt",
         "trsm",
         "getrf",
@@ -278,6 +302,9 @@ pub(crate) fn kernels(sizes: &[usize], reps: usize) -> Report {
             "gemm_tuned_speedup_vs_scalar": tuned_speedups.iter().map(|&(n, s)| json!({
                 "n": n, "speedup": s,
             })).collect::<Vec<_>>(),
+            "update_depth": sizes.iter().map(|&n| json!({
+                "n": n, "k": crate::tune::update_depth(n),
+            })).collect::<Vec<_>>(),
             "tuning_config": dense::tuning::active().describe(),
         }),
         text,
@@ -302,6 +329,7 @@ mod tests {
             "gemm",
             "gemm_scalar",
             "par_gemm",
+            "update_rank32",
             "gemmt",
             "trsm",
             "getrf",

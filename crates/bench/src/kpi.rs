@@ -105,6 +105,14 @@ pub(crate) fn kernel_kpis(report_json: &Value, n: usize) -> BTreeMap<String, f64
             }
         }
     }
+    // The update's rate as a fraction of the parallel cube's: how much of
+    // the engine's rate the shape the factorizations issue actually gets.
+    if let (Some(&u), Some(&g)) = (
+        kpis.get("gflops_update_rank32"),
+        kpis.get("gflops_par_gemm"),
+    ) {
+        kpis.insert("update_vs_gemm".into(), u / g);
+    }
     if let Some(speedups) = report_json["gemm_speedup_vs_naive"].as_array() {
         for s in speedups {
             if s["n"].as_u64() == Some(n as u64) {
@@ -227,12 +235,13 @@ pub(crate) fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMa
 /// a different configuration shape across commits.
 pub(crate) fn tune_kpis(outcome: &crate::tune::TuneOutcome) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
-    kpis.insert("gflops_tuned".into(), outcome.best_gflops);
-    kpis.insert("gflops_scalar_base".into(), outcome.scalar_gflops);
+    kpis.insert("gflops_tuned".into(), outcome.best_rates.gflops);
     kpis.insert(
-        "tuned_speedup".into(),
-        outcome.best_gflops / outcome.scalar_gflops,
+        "gflops_update_tuned".into(),
+        outcome.best_rates.update_gflops,
     );
+    kpis.insert("gflops_scalar_base".into(), outcome.scalar_gflops);
+    kpis.insert("tuned_speedup".into(), outcome.speedup());
     kpis.insert("best_kc".into(), outcome.best.kc as f64);
     kpis.insert("best_mc".into(), outcome.best.mc as f64);
     kpis.insert("best_nc".into(), outcome.best.nc as f64);
@@ -288,6 +297,8 @@ mod tests {
                 { "kernel": "gemm", "n": 24, "gflops": 5.0 },
                 { "kernel": "gemm", "n": 40, "gflops": 6.0 },
                 { "kernel": "gemm_naive", "n": 40, "gflops": 2.0 },
+                { "kernel": "update_rank32", "n": 40, "gflops": 3.0 },
+                { "kernel": "par_gemm", "n": 24, "gflops": 8.0 },
             ],
             "gemm_speedup_vs_naive": [
                 { "n": 24, "speedup": 2.5 }, { "n": 40, "speedup": 3.0 },
@@ -302,6 +313,15 @@ mod tests {
         assert_eq!(kpis["gemm_speedup"], 3.0);
         assert_eq!(kpis["tuned_speedup"], 1.8);
         assert!(!kpis.contains_key("gflops_par_gemm"));
+        assert!(!kpis.contains_key("update_vs_gemm"), "needs both rates");
+        let kpis = kernel_kpis(
+            &serde_json::json!({ "samples": [
+                { "kernel": "update_rank32", "n": 40, "gflops": 3.0 },
+                { "kernel": "par_gemm", "n": 40, "gflops": 6.0 },
+            ]}),
+            40,
+        );
+        assert_eq!(kpis["update_vs_gemm"], 0.5);
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //!
 //! 1. **Microkernel stage** — every [`dense::ukernel`] variant runnable on
 //!    this CPU (exact variants only unless FMA is explicitly allowed) is
-//!    timed on a packed GEMM at the probe size with the default blocking.
-//!    The register tile dominates throughput, so this stage prunes the
-//!    grid cheaply.
+//!    timed at the probe size with the default blocking, on the two shapes
+//!    the engine serves: the `n³` cube, and the factorizations' trailing
+//!    update — `n × k × n` through `par_gemm_rows` with a full row map,
+//!    `k` the inner dimension the block rule gives a one-rank run of that
+//!    size (32 at the default probe). A candidate's score is the harmonic
+//!    mean of the two rates — the rate of doing equal flops of each — so a
+//!    blocking chosen for `k` = 512 cannot win while serving `k` = 32
+//!    badly. The register tile dominates throughput, so this stage prunes
+//!    the grid cheaply.
 //! 2. **Blocking stage** — the top `FINALISTS` (3) microkernels are re-timed
 //!    over a (KC, MC, NC) cache-blocking grid. KC never goes below
 //!    [`dense::tuning::KC_MIN_EXACT`]: the sweep only proposes configs the
@@ -24,7 +30,7 @@
 //! the least-noisy estimator of the achievable rate on a shared machine.
 
 use dense::flops::gemm_flops;
-use dense::gemm::{gemm, Trans};
+use dense::gemm::{gemm, par_gemm_rows, Trans};
 use dense::gen::random_matrix;
 use dense::tuning::{self, KernelConfig, TunedEntry, KC_MIN_EXACT};
 use dense::ukernel::{self, Variant};
@@ -61,13 +67,29 @@ impl Default for TuneOptions {
     }
 }
 
+/// One configuration's measured rates on the two probe shapes.
+#[derive(Debug, Clone, Copy)]
+pub struct Rates {
+    /// GF/s on the `n³` cube through `gemm`.
+    pub gflops: f64,
+    /// GF/s on the `n × k × n` trailing update through `par_gemm_rows`.
+    pub update_gflops: f64,
+}
+
+impl Rates {
+    /// What the sweep ranks by: the harmonic mean of the two rates.
+    pub fn score(&self) -> f64 {
+        2.0 / (1.0 / self.gflops + 1.0 / self.update_gflops)
+    }
+}
+
 /// One timed candidate, for the report table.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The configuration timed.
     pub config: KernelConfig,
     /// Measured throughput.
-    pub gflops: f64,
+    pub rates: Rates,
     /// Which stage produced the sample.
     pub stage: &'static str,
 }
@@ -78,8 +100,8 @@ pub struct TuneOutcome {
     /// The winning configuration (verified).
     pub best: KernelConfig,
     /// The winner's measured throughput.
-    pub best_gflops: f64,
-    /// Forced-scalar baseline throughput at the same probe size.
+    pub best_rates: Rates,
+    /// Forced-scalar baseline cube throughput at the same probe size.
     pub scalar_gflops: f64,
     /// Probe size used.
     pub probe_n: usize,
@@ -97,7 +119,7 @@ impl TuneOutcome {
             kc: self.best.kc,
             mc: self.best.mc,
             nc: self.best.nc,
-            gflops: self.best_gflops,
+            gflops: self.best_rates.gflops,
             probe_n: self.probe_n,
             exact: self.best.variant.exact(),
             commit: stamp.commit,
@@ -105,10 +127,22 @@ impl TuneOutcome {
         }
     }
 
-    /// Winner-over-scalar speedup (the `tuned_speedup` KPI).
+    /// Winner-over-scalar speedup on the cube (the `tuned_speedup` KPI).
     pub fn speedup(&self) -> f64 {
-        self.best_gflops / self.scalar_gflops
+        self.best_rates.gflops / self.scalar_gflops
     }
+}
+
+/// Repetitions of the update probe per repetition of the cube: at the
+/// default probe size one update is a sixteenth of the cube's flops (under
+/// half a millisecond), too short for a best-of-3 to be steady.
+pub(crate) const UPDATE_REPS: usize = 8;
+
+/// Inner dimension of the trailing update a one-rank COnfLUX run of size `n`
+/// issues: `v / Pz` of the block rule, so the probe follows the rule.
+pub fn update_depth(n: usize) -> usize {
+    let cfg = factor::ConfluxConfig::auto(n, 1);
+    cfg.v / cfg.grid.pz
 }
 
 /// Fixed probe operands shared by every candidate measurement.
@@ -116,22 +150,30 @@ struct Probe {
     a: Matrix,
     b: Matrix,
     c: Matrix,
-    flops: u64,
+    /// The update's `n × k` and `k × n` panels and its (full) row map.
+    l10: Matrix,
+    u01: Matrix,
+    rows: Vec<usize>,
 }
 
 impl Probe {
     fn new(n: usize) -> Probe {
+        let k = update_depth(n);
         Probe {
             a: random_matrix(n, n, 11),
             b: random_matrix(n, n, 12),
             c: Matrix::zeros(n, n),
-            flops: gemm_flops(n, n, n),
+            l10: random_matrix(n, k, 13),
+            u01: random_matrix(k, n, 14),
+            rows: (0..n).collect(),
         }
     }
 
-    /// Best-of-`reps` GFLOP/s for one config (one untimed warmup first).
-    fn measure(&mut self, cfg: KernelConfig, reps: usize) -> f64 {
-        let mut once = || {
+    /// Best-of-`reps` GFLOP/s of `cfg` on the cube (one untimed warmup
+    /// first).
+    fn measure_cube(&mut self, cfg: KernelConfig, reps: usize) -> f64 {
+        let n = self.c.rows();
+        let secs = best_secs(reps, || {
             tuning::with_override(cfg, || {
                 gemm(
                     Trans::N,
@@ -144,27 +186,58 @@ impl Probe {
                 )
             });
             black_box(self.c.data()[0]);
-        };
-        once();
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t = Instant::now();
-            once();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        self.flops as f64 / best / 1e9
+        });
+        gemm_flops(n, n, n) as f64 / secs / 1e9
     }
+
+    /// Both rates of `cfg`. The update accumulates into whatever the cube
+    /// left in `c`; its rate does not depend on the values.
+    fn measure(&mut self, cfg: KernelConfig, reps: usize) -> Rates {
+        let gflops = self.measure_cube(cfg, reps);
+        let (n, k) = (self.l10.rows(), self.l10.cols());
+        let secs = best_secs(UPDATE_REPS * reps, || {
+            tuning::with_override(cfg, || {
+                par_gemm_rows(
+                    -1.0,
+                    self.l10.as_ref(),
+                    self.u01.as_ref(),
+                    &self.rows,
+                    self.c.as_mut(),
+                )
+            });
+            black_box(self.c.data()[0]);
+        });
+        Rates {
+            gflops,
+            update_gflops: gemm_flops(n, n, k) as f64 / secs / 1e9,
+        }
+    }
+}
+
+/// Best-of-`reps` wall time of `f`, after one untimed warmup call (which
+/// also grows the thread-local packing buffers to their steady-state size).
+pub(crate) fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// The blocking grid for stage 2. KC stays at or above the exact floor so
 /// every proposed config passes `tuning::resolve`.
 fn blocking_grid(quick: bool) -> Vec<(usize, usize, usize)> {
+    // MC in multiples of 24, so no tile height of the family (4, 6, 8) pads
+    // a block's last row panel.
     let (kcs, mcs, ncs): (&[usize], &[usize], &[usize]) = if quick {
-        (&[KC_MIN_EXACT, 512], &[128, 256], &[512])
+        (&[KC_MIN_EXACT, 512], &[96, 192], &[1024])
     } else {
         (
             &[KC_MIN_EXACT, 384, 512],
-            &[64, 128, 192, 256],
+            &[96, 192, 288, 384],
             &[256, 512, 1024],
         )
     };
@@ -246,25 +319,25 @@ pub fn tune(opts: &TuneOptions) -> Result<TuneOutcome, String> {
     let mut candidates = Vec::new();
 
     // Stage 0: the forced-scalar baseline, the speedup denominator.
-    let scalar_gflops = probe.measure(tuning::scalar_baseline(), opts.reps);
+    let scalar_gflops = probe.measure_cube(tuning::scalar_baseline(), opts.reps);
 
     // Stage 1: microkernel sweep at default blocking.
     let variants = sweep_variants(opts.allow_fma);
     if variants.is_empty() {
         return Err("no runnable microkernel variants (broken grid?)".into());
     }
-    let mut stage1: Vec<(KernelConfig, f64)> = Vec::new();
+    let mut stage1: Vec<(KernelConfig, Rates)> = Vec::new();
     for v in variants {
         let cfg = KernelConfig { variant: v, ..base };
-        let gf = probe.measure(cfg, opts.reps);
+        let rates = probe.measure(cfg, opts.reps);
         candidates.push(Candidate {
             config: cfg,
-            gflops: gf,
+            rates,
             stage: "microkernel",
         });
-        stage1.push((cfg, gf));
+        stage1.push((cfg, rates));
     }
-    stage1.sort_by(|a, b| b.1.total_cmp(&a.1));
+    stage1.sort_by(|a, b| b.1.score().total_cmp(&a.1.score()));
     stage1.truncate(FINALISTS);
 
     // Stage 2: blocking sweep over the finalists. The stage-1 sample at
@@ -281,14 +354,14 @@ pub fn tune(opts: &TuneOptions) -> Result<TuneOutcome, String> {
                 nc,
                 ..finalist
             };
-            let gf = probe.measure(cfg, opts.reps);
+            let rates = probe.measure(cfg, opts.reps);
             candidates.push(Candidate {
                 config: cfg,
-                gflops: gf,
+                rates,
                 stage: "blocking",
             });
-            if gf > best.1 {
-                best = (cfg, gf);
+            if rates.score() > best.1.score() {
+                best = (cfg, rates);
             }
         }
     }
@@ -296,7 +369,7 @@ pub fn tune(opts: &TuneOptions) -> Result<TuneOutcome, String> {
     verify_bitwise(best.0)?;
     Ok(TuneOutcome {
         best: best.0,
-        best_gflops: best.1,
+        best_rates: best.1,
         scalar_gflops,
         probe_n: opts.n,
         candidates,
@@ -335,11 +408,12 @@ mod tests {
         let out = tune(&quick_opts()).expect("sweep runs");
         assert!(out.best.variant.exact(), "default sweep is exact-only");
         assert!(out.best.kc >= KC_MIN_EXACT);
-        assert!(out.best_gflops > 0.0 && out.scalar_gflops > 0.0);
-        // Winner is at least as fast as every candidate we timed.
+        assert!(out.best_rates.gflops > 0.0 && out.best_rates.update_gflops > 0.0);
+        assert!(out.scalar_gflops > 0.0);
+        // Winner scores at least as high as every candidate we timed.
         for c in &out.candidates {
             assert!(
-                out.best_gflops >= c.gflops,
+                out.best_rates.score() >= c.rates.score(),
                 "{} beat the winner",
                 c.config.describe()
             );
@@ -349,6 +423,20 @@ mod tests {
         let cfg = tuning::resolve(std::slice::from_ref(&entry), &entry.machine, false)
             .expect("resolvable");
         assert_eq!(cfg.variant.id, out.best.variant.id);
+    }
+
+    #[test]
+    fn the_update_probe_follows_the_block_rule() {
+        // 32 wherever the rule's load-balance guard does not bind first.
+        assert_eq!(update_depth(512), 32);
+        assert_eq!(update_depth(1024), 32);
+        assert_eq!(update_depth(64), 16);
+        // The score sits between the two rates, nearer the slower.
+        let r = Rates {
+            gflops: 30.0,
+            update_gflops: 10.0,
+        };
+        assert!((r.score() - 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,19 +4,23 @@
 //! The paper's trailing-matrix updates are rank-`v` GEMM calls (LU) and
 //! GEMMT calls (Cholesky, which only updates one triangle). Both route
 //! through the packed, register-blocked engine in [`crate::pack`]: operands
-//! are copied once per KC/MC/NC cache block into microkernel-ordered
-//! buffers (absorbing either transpose case), and every flop runs in an
-//! `MR×NR` register tile. [`par_gemm`] additionally fans MC-row blocks of
-//! `C` out over Rayon workers — bitwise identically to [`gemm`], because
-//! row-slicing `C` does not change any element's accumulation order.
+//! are copied into microkernel-ordered buffers (absorbing either transpose
+//! case), and every flop runs in an `MR×NR` register tile. [`par_gemm`]
+//! additionally fans MC-row blocks of `C` out over Rayon workers — bitwise
+//! identically to [`gemm`], because row-slicing `C` does not change any
+//! element's accumulation order — against one [`PackedB`] packed on the
+//! calling thread, and [`gemm_prepacked`] lets a caller that reuses one `B`
+//! across many products do the same.
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
 //! packed path is validated and benchmarked against
 //! (`ablations run plans/kernels.toml`).
 
-use crate::matrix::{MatMut, MatRef, Matrix};
-use crate::pack;
+use crate::matrix::{MatMut, MatRef};
+use crate::pack::{self, PackedB};
 use rayon::prelude::*;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Transposition selector, as in BLAS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,37 +217,42 @@ pub fn gemmt(
                 crect,
             );
         }
-        // Diagonal block: compute the full db×db product into scratch, then
-        // write back only the triangle half.
-        let mut tmp = Matrix::zeros(db, db);
-        pack::gemm_packed(
-            ta,
-            tb,
-            alpha,
-            ta.op_block(a, d0, 0, db, k),
-            tb.op_block(b, 0, d0, k, db),
-            tmp.as_mut(),
-        );
-        for i in 0..db {
-            let (lo, hi) = match uplo {
-                CUplo::Lower => (0, i + 1),
-                CUplo::Upper => (i, db),
-            };
-            for j in lo..hi {
-                let old = if beta == 0.0 {
-                    0.0
-                } else {
-                    beta * c.get(d0 + i, d0 + j)
+        // Diagonal block: compute the full db×db product into this thread's
+        // reused scratch, then write back only the triangle half.
+        GEMMT_TILE.with(|tile| {
+            let mut tile = tile.borrow_mut();
+            tile.clear();
+            tile.resize(db * db, 0.0);
+            pack::gemm_packed(
+                ta,
+                tb,
+                alpha,
+                ta.op_block(a, d0, 0, db, k),
+                tb.op_block(b, 0, d0, k, db),
+                MatMut::from_slice(&mut tile, db, db, db),
+            );
+            for (i, prod) in tile.chunks_exact(db).enumerate() {
+                let tri = match uplo {
+                    CUplo::Lower => 0..i + 1,
+                    CUplo::Upper => i..db,
                 };
-                c.set(d0 + i, d0 + j, tmp[(i, j)] + old);
+                let crow = &mut c.row_mut(d0 + i)[d0..d0 + db];
+                for (dst, &p) in crow[tri.clone()].iter_mut().zip(&prod[tri]) {
+                    *dst = p + if beta == 0.0 { 0.0 } else { beta * *dst };
+                }
             }
-        }
+        });
     }
 }
 
-/// Parallel `C ← α·A·B + β·C` (no transposes): MC-row blocks of `C` are
-/// distributed over the Rayon thread pool, each worker packing into its own
-/// thread-local buffers.
+thread_local! {
+    /// [`gemmt`]'s diagonal-block product, reused across calls.
+    static GEMMT_TILE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Parallel `C ← α·A·B + β·C` (no transposes): `B` is packed once, on the
+/// calling thread, and MC-row blocks of `C` are distributed over the Rayon
+/// thread pool, each worker packing only its rows of `A`.
 ///
 /// Bitwise identical to the sequential [`gemm`]: every element of `C`
 /// accumulates its k-products in the same order whichever worker computes
@@ -269,26 +278,22 @@ pub fn par_gemm(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, beta: f64, c: MatMut<'
     // Credit the whole product to the calling (rank) thread: the Rayon
     // workers below have their own tallies, which nobody reads.
     crate::flops::tally(crate::flops::gemm_flops(m, n, k));
-    // Resolve the tuning config on the calling thread and pin it inside
-    // every worker: a thread-local override installed by the caller (e.g.
-    // the forced-scalar benchmark baseline) is not visible on Rayon worker
-    // threads, and all chunks must run one config for the bitwise-equality
-    // contract with the sequential path.
-    let cfg = crate::tuning::active();
-    let mc = cfg.mc;
-    c.split_into_row_chunks(mc)
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(chunk, mut cblk)| {
-            let i0 = chunk * mc;
-            let ib = cblk.rows();
-            scale(&mut cblk, beta);
-            if alpha != 0.0 {
-                crate::tuning::with_override(cfg, || {
-                    pack::gemm_packed(Trans::N, Trans::N, alpha, a.block(i0, 0, ib, k), b, cblk)
-                });
-            }
-        });
+    // The config is resolved here, on the calling thread, and travels with
+    // the packed operand: a thread-local override installed by the caller
+    // (e.g. the forced-scalar benchmark baseline) is not visible on Rayon
+    // worker threads, and all chunks must run one config for the
+    // bitwise-equality contract with the sequential path.
+    let mc = crate::tuning::active().mc;
+    pack::with_packed_b(Trans::N, b, |pb| {
+        c.split_into_row_chunks(mc)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(chunk, mut cblk)| {
+                let ablk = a.block(chunk * mc, 0, cblk.rows(), k);
+                scale(&mut cblk, beta);
+                pack::gemm_prepacked(Trans::N, alpha, ablk, pb, 0..n, None, cblk);
+            });
+    });
 }
 
 /// Shape and row-map checks shared by [`gemm_rows`] and [`par_gemm_rows`].
@@ -342,10 +347,9 @@ pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c
     }
     check_row_map(a, b, rows, &c);
     crate::flops::tally(crate::flops::gemm_flops(m, n, k));
-    // One config for every worker, resolved on the calling thread (see
-    // `par_gemm`).
-    let cfg = crate::tuning::active();
-    let mc = cfg.mc;
+    // One config and one packed `B` for every worker, resolved and packed on
+    // the calling thread (see `par_gemm`).
+    let mc = crate::tuning::active().mc;
     // Cut C at the first mapped row of every block: block q's rows all lie
     // in [rows[q·mc], rows[(q+1)·mc]). `rel` rebases the map on each
     // block's own slice of C. The blocks borrow it: a helper thread that
@@ -363,18 +367,34 @@ pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c
         (rest, base) = (tail, end);
     }
     let rel = &rel;
-    cuts.into_par_iter().for_each(|(i0, i1, cblk)| {
-        crate::tuning::with_override(cfg, || {
+    pack::with_packed_b(Trans::N, b, |pb| {
+        cuts.into_par_iter().for_each(|(i0, i1, cblk)| {
             let ablk = a.block(i0, 0, i1 - i0, k);
-            pack::gemm_packed_rows(Trans::N, Trans::N, alpha, ablk, b, Some(&rel[i0..i1]), cblk)
+            pack::gemm_prepacked(Trans::N, alpha, ablk, pb, 0..n, Some(&rel[i0..i1]), cblk)
         });
     });
+}
+
+/// `C += α·A·P[:, cols]` for an operand `P = op(B)` packed beforehand
+/// ([`PackedB::pack`]): what `gemm(Trans::N, tb, α, A, B[…], 1, C)` on the
+/// corresponding block of `B` computes, bit for bit, without packing `B`
+/// again. For a caller that multiplies many `A`s by column ranges of one `B`
+/// — COnfCHOX's trailing update multiplies every owned tile row by the same
+/// `L10ᵀ`. `cols` may start and end anywhere, not only on tile boundaries.
+///
+/// # Panics
+/// On shape mismatch, or if `cols` reaches outside `P`.
+pub fn gemm_prepacked(alpha: f64, a: MatRef<'_>, b: &PackedB, cols: Range<usize>, c: MatMut<'_>) {
+    assert_eq!(c.rows(), a.rows(), "gemm_prepacked: C row count mismatch");
+    crate::flops::tally(crate::flops::gemm_flops(a.rows(), cols.len(), a.cols()));
+    pack::gemm_prepacked(Trans::N, alpha, a, b, cols, None, c);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::random_matrix;
+    use crate::matrix::Matrix;
     use crate::norms::max_abs_diff;
     use crate::pack::MC;
 

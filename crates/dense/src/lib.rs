@@ -12,6 +12,8 @@
 //! * [`gemm_rows()`] / [`par_gemm_rows()`] — the row-mapped in-place update
 //!   `C[rows[i], :] += α·(A·B)[i, :]` that LU's Schur update under row
 //!   masking issues (the active rows of a local matrix are an index list),
+//! * [`gemm_prepacked()`] — `C += α·A·P[:, cols]` against a [`PackedB`]
+//!   packed once, for Cholesky's many products with one step operand,
 //! * [`trsm()`] — triangular solve with multiple right-hand sides,
 //! * [`getrf()`] — LU factorization with partial pivoting,
 //! * [`potrf()`] — Cholesky factorization,
@@ -26,8 +28,11 @@
 //!
 //! The compute path follows the Goto/BLIS decomposition (the structure MKL
 //! itself uses, see [`pack`]): three levels of cache blocking
-//! (`KC`/`MC`/`NC`), operands packed once per block into thread-local
-//! microkernel-ordered buffers, and an `MR×NR` register-tile microkernel.
+//! (`KC`/`MC`/`NC`), operands packed into reused microkernel-ordered
+//! buffers — `op(B)` once per use ([`PackedB`], [`gemm_prepacked()`]) — and
+//! an `MR×NR` register-tile microkernel that adds `α·acc` into `C` itself;
+//! the macro-kernel's loop order follows the block it is handed, so the
+//! factorizations' rank-32 updates walk `C` along rows.
 //! The microkernel is not a single function but a *family* ([`ukernel`]) of
 //! explicit-SIMD variants (AVX2 intrinsics with a portable scalar fallback)
 //! generated over an (MR, NR, K-unroll, prefetch-distance) grid; which
@@ -61,11 +66,14 @@ pub mod trsm;
 pub mod tuning;
 pub mod ukernel;
 
-pub use gemm::{gemm, gemm_rows, gemmt, naive_gemm, par_gemm, par_gemm_rows, Trans};
+pub use gemm::{
+    gemm, gemm_prepacked, gemm_rows, gemmt, naive_gemm, par_gemm, par_gemm_rows, Trans,
+};
 pub use gen::{random_matrix, random_spd, well_conditioned};
 pub use getrf::{getrf, getrf_unblocked};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{frobenius, lu_residual, max_abs, po_residual};
+pub use pack::PackedB;
 pub use potrf::{potrf, potrf_unblocked};
 pub use refine::{lu_refine, Refinement};
 pub use trsm::{trsm, Diag, Side, Uplo};

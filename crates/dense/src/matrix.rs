@@ -367,6 +367,14 @@ impl<'a> MatMut<'a> {
         }
     }
 
+    /// Pointer to entry `(0, 0)`; entry `(i, j)` of the window is
+    /// `i·stride + j` values further, and nothing else is (the macro-kernel
+    /// hands the microkernel its rows of `C` this way).
+    #[inline]
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut f64 {
+        self.data.as_mut_ptr()
+    }
+
     /// Reborrow as a shorter-lived mutable view.
     #[inline]
     pub(crate) fn rb_mut(&mut self) -> MatMut<'_> {

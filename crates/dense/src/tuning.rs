@@ -29,8 +29,8 @@
 //!
 //! * the variant must be exact ([`crate::ukernel::Variant::exact`]) — FMA
 //!   variants round differently and are rejected;
-//! * `kc` must be at least [`KC_MIN_EXACT`]. The packed engine flushes
-//!   `α·acc` into `C` once per KC block, so changing KC regroups the
+//! * `kc` must be at least [`KC_MIN_EXACT`]. The microkernel adds `α·acc`
+//!   into `C` once per KC block, so changing KC regroups the
 //!   k-summation for `k > KC`. Every trailing update in the factorizations
 //!   has `k ≤ 256` (the panel width cap), so any `kc ≥ 256` sees those
 //!   products as a single block and the grouping — hence every factor bit —
@@ -42,7 +42,8 @@
 //!
 //! MC and NC need no guard: they tile the *output*, and each element of `C`
 //! belongs to exactly one tile, so its accumulation order never depends on
-//! them.
+//! them — nor on the macro-kernel's loop order, which is chosen from
+//! `kc·nc` ([`crate::pack`]).
 
 use crate::ukernel::{self, Variant};
 use serde_json::Value;
@@ -79,7 +80,7 @@ pub struct KernelConfig {
 
 impl KernelConfig {
     /// One-line human-readable form, e.g.
-    /// `avx2_4x8_u2_pf0 kc=256 mc=128 nc=512`.
+    /// `avx2_6x8_u2_pf0 kc=256 mc=192 nc=1024`.
     pub fn describe(&self) -> String {
         format!(
             "{} kc={} mc={} nc={}",
@@ -88,10 +89,10 @@ impl KernelConfig {
     }
 }
 
-/// The exact configuration the packed engine ran before this subsystem
-/// existed: the scalar 4×8 microkernel with the PR-3 blocking constants.
-/// This is the baseline the `tuned_speedup` KPI and the forced-scalar
-/// benchmark sample measure against.
+/// The forced-scalar baseline: the scalar 4×8 microkernel PR 3 shipped, at
+/// the default blocking. This is what the `tuned_speedup` KPI and the
+/// forced-scalar benchmark sample measure against, and what a CPU without
+/// AVX2 runs.
 pub fn scalar_baseline() -> KernelConfig {
     KernelConfig {
         variant: ukernel::find("scalar_4x8_u1").expect("baseline variant is in the grid"),
@@ -102,12 +103,14 @@ pub fn scalar_baseline() -> KernelConfig {
 }
 
 /// The config used when no valid tuning entry exists for this machine: the
-/// conservative exact AVX2 kernel when the CPU has AVX2, otherwise the
-/// scalar baseline. Blocking stays at the PR-3 constants either way, so an
-/// untuned machine is never *worse* than the pre-tuning engine.
+/// exact AVX2 6×8 kernel — the largest tile the 16 ymm registers hold
+/// (12 accumulators + 2 B vectors + 1 broadcast), and the shape every sweep
+/// on the reference machine ranks first — when the CPU has AVX2, otherwise
+/// the scalar baseline. `kc` stays at [`KC_MIN_EXACT`], so no product's
+/// k-grouping, and no bit of any result, depends on which of the two runs.
 pub fn default_config() -> KernelConfig {
     let base = scalar_baseline();
-    match ukernel::find("avx2_4x8_u2_pf0") {
+    match ukernel::find("avx2_6x8_u2_pf0") {
         Some(v) if v.available() => KernelConfig { variant: v, ..base },
         _ => base,
     }
@@ -360,8 +363,9 @@ pub fn active() -> KernelConfig {
 /// Run `f` with every packed-GEMM call on this thread dispatching `cfg`
 /// (the harness's forced-scalar baseline and the tuner's sweep both use
 /// this). Overrides nest; the previous config is restored even on panic.
-/// [`crate::par_gemm`] forwards the caller's override into its Rayon
-/// workers, so parallel kernels honor it too.
+/// [`crate::par_gemm`] packs `B` under the caller's override and its Rayon
+/// workers run the config the packed operand carries, so parallel kernels
+/// honor it too.
 pub fn with_override<R>(cfg: KernelConfig, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<KernelConfig>);
     impl Drop for Restore {
@@ -502,14 +506,24 @@ mod tests {
 
     #[test]
     fn default_config_blocking_matches_the_pretuning_constants() {
+        // Re-pinned when the default became the 6×8 tile: MC a multiple of
+        // 6, NC one full row of the benchmark's updates, KC where it was —
+        // the one constant a factor bit depends on.
         let d = default_config();
+        assert_eq!((d.kc, d.mc, d.nc), (256, 192, 1024));
         assert_eq!(
             (d.kc, d.mc, d.nc),
             (crate::pack::KC, crate::pack::MC, crate::pack::NC)
         );
+        assert_eq!(d.kc, KC_MIN_EXACT);
         assert!(d.variant.exact());
+        if crate::ukernel::Isa::Avx2.available() {
+            assert_eq!(d.variant.id, "avx2_6x8_u2_pf0");
+            assert_eq!(d.mc % d.variant.mr, 0);
+        }
         let s = scalar_baseline();
         assert_eq!(s.variant.id, "scalar_4x8_u1");
+        assert_eq!((s.kc, s.mc, s.nc), (d.kc, d.mc, d.nc));
     }
 
     #[test]

@@ -22,10 +22,21 @@
 //!   dispatcher refuses them unless explicitly opted in.
 //!
 //! Every variant shares one calling convention: multiply an `MR`-row packed
-//! A panel by an `NR`-column packed B panel over `kc` steps into a
-//! caller-provided [`Acc`] scratch tile laid out row-major with stride
-//! `NR`. Zero-padded edge packing (see [`crate::pack`]) means variants
-//! never see a partial tile.
+//! A panel by an `NR`-column packed B panel over `kc` steps in registers,
+//! then add `α·acc` into `C` *itself* through `MR` row pointers — a vector
+//! multiply and a vector add per `C` vector, the same two roundings as the
+//! scalar `c += α·acc`, so every exact variant stays exact, and a
+//! row-mapped `C` (see [`crate::gemm_rows`]) costs nothing extra because the
+//! rows were never assumed adjacent. Zero-padded edge packing (see
+//! [`crate::pack`]) means variants never see a partial tile: a tile that
+//! overhangs `C` is computed into a scratch [`Acc`] by the same function and
+//! clipped from there (`Kernel::tile`).
+//!
+//! The register budget that shapes the grid: an AVX2 body holds `MR·NR/4`
+//! accumulators, `NR/4` vectors of the current B row and one broadcast of an
+//! A element in the 16 ymm registers. `6×8` is the largest tile that fits
+//! (12 + 2 + 1 = 15) and the default ([`crate::tuning::default_config`]);
+//! `8×8` (16 + 2 + 1) spills and is kept so the tuner can show it losing.
 //!
 //! The grid is instantiated by macro into concrete `#[target_feature]`
 //! functions (stable Rust has no `std::simd`, and `#[target_feature]`
@@ -40,9 +51,10 @@ pub const MR_MAX: usize = 8;
 /// Largest microkernel tile columns in the family.
 pub const NR_MAX: usize = 8;
 
-/// Microkernel output scratch: an `MR×NR` tile stored row-major with stride
-/// equal to the variant's `NR` (the tail of the array is unused for smaller
-/// shapes).
+/// One `MR×NR` product tile stored row-major with stride equal to the
+/// variant's `NR` (the tail of the array is unused for smaller shapes): what
+/// [`reference_microkernel`] returns, and the scratch an edge tile is
+/// computed into before it is clipped.
 pub type Acc = [f64; MR_MAX * NR_MAX];
 
 /// Instruction-set level of a variant.
@@ -75,18 +87,23 @@ impl Isa {
     }
 }
 
-/// Signature shared by every microkernel instantiation.
+/// Signature shared by every microkernel instantiation: for `r < MR`,
+/// `j < NR`, `*c[r].add(col + j) += alpha · Σ_k pa[k·MR + r]·pb[k·NR + j]`.
 ///
 /// # Safety
-/// `pa` must hold at least `kc·mr` values, `pb` at least `kc·nr`, and SIMD
-/// variants must only run on a CPU where their [`Isa`] is available
-/// (enforced by [`Variant::call`]).
-type MicroFn = unsafe fn(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc);
+/// `pa` must hold at least `kc·MR` values and `pb` at least `kc·NR`; each of
+/// the first `MR` pointers of `c`, advanced by `col`, must be valid for
+/// reads and writes of `NR` values that nothing else accesses during the
+/// call; and a SIMD variant must only run on a CPU where its [`Isa`] is
+/// available. [`Variant::kernel`] checks the last once, [`Kernel::tile`]'s
+/// callers owe the rest.
+type MicroFn =
+    unsafe fn(kc: usize, pa: &[f64], pb: &[f64], alpha: f64, c: &[*mut f64; MR_MAX], col: usize);
 
 /// One point of the microkernel grid.
 #[derive(Debug, Clone, Copy)]
 pub struct Variant {
-    /// Stable identifier, e.g. `"avx2_4x8_u2_pf0"` — the key stored in
+    /// Stable identifier, e.g. `"avx2_6x8_u2_pf0"` — the key stored in
     /// `registry/tuning.json`.
     pub id: &'static str,
     /// Register-tile rows.
@@ -120,36 +137,123 @@ impl Variant {
         self.isa != Isa::Avx2Fma
     }
 
-    /// Run the microkernel: `acc[r·nr + c] = Σ_k pa[k·mr + r]·pb[k·nr + c]`.
+    /// The variant as something that can run: its ISA checked against this
+    /// CPU here, once, so the macro-kernel's per-tile calls check nothing.
     ///
     /// # Panics
-    /// If the variant's ISA is not available on this CPU, or the packed
-    /// panels are shorter than `kc` steps.
-    #[inline]
-    pub fn call(&self, kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
+    /// If the variant's ISA is not available on this CPU.
+    pub(crate) fn kernel(&self) -> Kernel {
         assert!(
             self.available(),
             "microkernel {} needs {:?}, unavailable on this CPU",
             self.id,
             self.isa
         );
+        Kernel {
+            func: self.func,
+            mr: self.mr,
+            nr: self.nr,
+        }
+    }
+
+    /// Run the microkernel on one tile of `C` given as its rows (adjacent or
+    /// not): `c[r][j] += alpha · Σ_k pa[k·mr + r]·pb[k·nr + j]`. Fewer than
+    /// `mr` rows, or rows shorter than `nr`, make it an edge tile: the
+    /// product's leading rows and columns are kept.
+    ///
+    /// # Panics
+    /// If the variant's ISA is not available on this CPU, the packed panels
+    /// are shorter than `kc` steps, or `c` is larger than the tile or ragged.
+    pub fn call(&self, kc: usize, pa: &[f64], pb: &[f64], alpha: f64, c: &mut [&mut [f64]]) {
+        let kernel = self.kernel();
         assert!(pa.len() >= kc * self.mr, "packed A panel too short");
         assert!(pb.len() >= kc * self.nr, "packed B panel too short");
-        // SAFETY: ISA availability and panel lengths checked above.
-        unsafe { (self.func)(kc, pa, pb, acc) }
+        let nsub = c.first().map_or(0, |row| row.len());
+        assert!(c.len() <= self.mr && nsub <= self.nr, "C exceeds the tile");
+        assert!(c.iter().all(|row| row.len() == nsub), "ragged C tile");
+        let mut rows = [std::ptr::null_mut(); MR_MAX];
+        for (p, row) in rows.iter_mut().zip(c.iter_mut()) {
+            *p = row.as_mut_ptr();
+        }
+        // SAFETY: panel lengths checked above; the first `c.len()` pointers
+        // are exclusive borrows of `nsub` values each, which is the clip
+        // passed.
+        unsafe { kernel.tile(kc, pa, pb, alpha, &rows, 0, c.len(), 0..nsub) }
+    }
+}
+
+/// A [`Variant`] whose ISA has been checked ([`Variant::kernel`]): what the
+/// macro-kernel calls per register tile.
+#[derive(Clone, Copy)]
+pub(crate) struct Kernel {
+    func: MicroFn,
+    /// Register-tile rows.
+    pub(crate) mr: usize,
+    /// Register-tile columns.
+    pub(crate) nr: usize,
+}
+
+impl Kernel {
+    /// One register tile: for `r < msub` and `j ∈ cols`,
+    /// `*c[r].add(col + j − cols.start) += alpha · Σ_k pa[k·mr + r]·pb[k·nr + j]`.
+    /// A full tile (`msub = mr`, `cols = 0..nr`) is written by the
+    /// microkernel itself. Any other is an edge: the microkernel runs with
+    /// `α = 1` onto a zeroed scratch tile — `0 + 1·acc` is `acc` to the bit —
+    /// and the clip adds `alpha · acc` from there, the scalar statement the
+    /// vector write-back reproduces.
+    ///
+    /// # Safety
+    /// `pa` holds at least `kc·mr` values and `pb` at least `kc·nr`; for
+    /// `r < msub`, `c[r].add(col)` is valid for reads and writes of
+    /// `cols.len()` values nothing else accesses during the call;
+    /// `msub ≤ mr` and `cols.end ≤ nr`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // one tile's operands, destination and clip
+    pub(crate) unsafe fn tile(
+        &self,
+        kc: usize,
+        pa: &[f64],
+        pb: &[f64],
+        alpha: f64,
+        c: &[*mut f64; MR_MAX],
+        col: usize,
+        msub: usize,
+        cols: std::ops::Range<usize>,
+    ) {
+        debug_assert!(pa.len() >= kc * self.mr && pb.len() >= kc * self.nr);
+        debug_assert!(msub <= self.mr && cols.end <= self.nr);
+        if msub == self.mr && cols == (0..self.nr) {
+            return (self.func)(kc, pa, pb, alpha, c, col);
+        }
+        let mut scratch: Acc = [0.0; MR_MAX * NR_MAX];
+        let mut rows = [std::ptr::null_mut(); MR_MAX];
+        for (r, p) in rows.iter_mut().enumerate().take(self.mr) {
+            *p = scratch.as_mut_ptr().add(r * self.nr);
+        }
+        (self.func)(kc, pa, pb, 1.0, &rows, 0);
+        for (r, &crow) in c.iter().enumerate().take(msub) {
+            let dst = std::slice::from_raw_parts_mut(crow.add(col), cols.len());
+            let acc = &scratch[r * self.nr + cols.start..r * self.nr + cols.end];
+            for (d, &v) in dst.iter_mut().zip(acc) {
+                *d += alpha * v;
+            }
+        }
     }
 }
 
 /// The scalar body: PR 3's microkernel generalized over the tile shape.
 /// Each `acc[r][c]` is an independent sum accumulated in ascending `k`
-/// order with separate multiply and add — the rounding-order contract every
-/// exact variant reproduces.
+/// order with separate multiply and add, then added to `C` as
+/// `c += alpha · acc` — the rounding-order contract every exact variant
+/// reproduces.
 #[inline(always)]
 unsafe fn scalar_body<const MR: usize, const NR: usize, const UNROLL: usize>(
     kc: usize,
     pa: &[f64],
     pb: &[f64],
-    acc: &mut Acc,
+    alpha: f64,
+    c: &[*mut f64; MR_MAX],
+    col: usize,
 ) {
     // Exactly-sized tile: MRxNR doubles fit the SSE register file, so the
     // accumulators live in registers across the whole k loop. A max-sized
@@ -185,14 +289,17 @@ unsafe fn scalar_body<const MR: usize, const NR: usize, const UNROLL: usize>(
     {
         fuse(ak, bk);
     }
-    for (r, row) in tile.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            acc[r * NR + c] = v;
+    for (row, &crow) in tile.iter().zip(c) {
+        // SAFETY: the caller guarantees NR writable values at `crow + col`.
+        let dst = std::slice::from_raw_parts_mut(crow.add(col), NR);
+        for (d, &v) in dst.iter_mut().zip(row) {
+            *d += alpha * v;
         }
     }
 }
 
-/// The AVX2 body shared by the exact and FMA levels. `NR/4` ymm
+/// The AVX2 body shared by the exact and FMA levels — the one body per ISA
+/// level every stamped variant of that level instantiates. `NR/4` ymm
 /// accumulators per row; lanes are independent output columns, so there is
 /// never a cross-lane reduction and the exact (`FMA = false`) level keeps
 /// the scalar rounding order per element.
@@ -208,7 +315,9 @@ unsafe fn avx2_body<
     kc: usize,
     pa: &[f64],
     pb: &[f64],
-    acc: &mut Acc,
+    alpha: f64,
+    c: &[*mut f64; MR_MAX],
+    col: usize,
 ) {
     use std::arch::x86_64::*;
     const LANES: usize = 4;
@@ -251,9 +360,17 @@ unsafe fn avx2_body<
         }
         k += steps;
     }
-    for (r, accr) in accv.iter().enumerate().take(MR) {
+    // C += α·acc, a multiply then an add per vector at every level: the
+    // write-back is not part of the k-loop's fused/unfused distinction, and
+    // the exact level must round as the scalar `c += alpha * acc` does.
+    let alphav = _mm256_set1_pd(alpha);
+    for (accr, &crow) in accv.iter().zip(c).take(MR) {
         for (j, &a) in accr.iter().enumerate().take(nv) {
-            _mm256_storeu_pd(acc.as_mut_ptr().add(r * NR + LANES * j), a);
+            let dst = crow.add(col + LANES * j);
+            _mm256_storeu_pd(
+                dst,
+                _mm256_add_pd(_mm256_loadu_pd(dst), _mm256_mul_pd(alphav, a)),
+            );
         }
     }
 }
@@ -264,30 +381,65 @@ unsafe fn avx2_body<
 /// are filtered out by [`Variant::available`].
 macro_rules! ukernel_fn {
     (Scalar, $f:ident, $mr:literal, $nr:literal, $un:literal, $pf:literal) => {
-        unsafe fn $f(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
-            scalar_body::<$mr, $nr, $un>(kc, pa, pb, acc)
+        unsafe fn $f(
+            kc: usize,
+            pa: &[f64],
+            pb: &[f64],
+            alpha: f64,
+            c: &[*mut f64; MR_MAX],
+            col: usize,
+        ) {
+            scalar_body::<$mr, $nr, $un>(kc, pa, pb, alpha, c, col)
         }
     };
     (Avx2, $f:ident, $mr:literal, $nr:literal, $un:literal, $pf:literal) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $f(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
-            avx2_body::<$mr, $nr, $un, $pf, false>(kc, pa, pb, acc)
+        unsafe fn $f(
+            kc: usize,
+            pa: &[f64],
+            pb: &[f64],
+            alpha: f64,
+            c: &[*mut f64; MR_MAX],
+            col: usize,
+        ) {
+            avx2_body::<$mr, $nr, $un, $pf, false>(kc, pa, pb, alpha, c, col)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        unsafe fn $f(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
-            scalar_body::<$mr, $nr, $un>(kc, pa, pb, acc)
+        unsafe fn $f(
+            kc: usize,
+            pa: &[f64],
+            pb: &[f64],
+            alpha: f64,
+            c: &[*mut f64; MR_MAX],
+            col: usize,
+        ) {
+            scalar_body::<$mr, $nr, $un>(kc, pa, pb, alpha, c, col)
         }
     };
     (Avx2Fma, $f:ident, $mr:literal, $nr:literal, $un:literal, $pf:literal) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2", enable = "fma")]
-        unsafe fn $f(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
-            avx2_body::<$mr, $nr, $un, $pf, true>(kc, pa, pb, acc)
+        unsafe fn $f(
+            kc: usize,
+            pa: &[f64],
+            pb: &[f64],
+            alpha: f64,
+            c: &[*mut f64; MR_MAX],
+            col: usize,
+        ) {
+            avx2_body::<$mr, $nr, $un, $pf, true>(kc, pa, pb, alpha, c, col)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        unsafe fn $f(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Acc) {
-            scalar_body::<$mr, $nr, $un>(kc, pa, pb, acc)
+        unsafe fn $f(
+            kc: usize,
+            pa: &[f64],
+            pb: &[f64],
+            alpha: f64,
+            c: &[*mut f64; MR_MAX],
+            col: usize,
+        ) {
+            scalar_body::<$mr, $nr, $un>(kc, pa, pb, alpha, c, col)
         }
     };
 }
@@ -441,17 +593,17 @@ mod tests {
         let kc = 7;
         let pa: Vec<f64> = (0..kc * 4).map(|x| x as f64 * 0.5 - 1.0).collect();
         let pb: Vec<f64> = (0..kc * 8).map(|x| x as f64 * 0.25 + 0.5).collect();
-        let mut acc = [f64::NAN; MR_MAX * NR_MAX];
-        v.call(kc, &pa, &pb, &mut acc);
+        let mut c = [0.0; 32];
+        let mut rows: Vec<&mut [f64]> = c.chunks_exact_mut(8).collect();
+        v.call(kc, &pa, &pb, 1.0, &mut rows);
         let want = reference_microkernel(4, 8, kc, &pa, &pb);
-        assert_eq!(&acc[..32], &want[..32]);
+        assert_eq!(c, want[..32]);
     }
 
     #[test]
     #[should_panic(expected = "packed A panel too short")]
     fn short_panels_are_rejected() {
         let v = find("scalar_4x4_u1").unwrap();
-        let mut acc = [0.0; MR_MAX * NR_MAX];
-        v.call(3, &[0.0; 4], &[0.0; 16], &mut acc);
+        v.call(3, &[0.0; 4], &[0.0; 16], 1.0, &mut []);
     }
 }

@@ -10,13 +10,19 @@
 //!   worker count,
 //! * the row-mapped in-place update `gemm_rows` / `par_gemm_rows` against
 //!   the two-pass formulation it replaces (product into a zeroed scratch,
-//!   then add the scratch rows), bitwise.
+//!   then add the scratch rows), bitwise,
+//! * the macro-kernel's two loop orders and every cache blocking against
+//!   each other, bitwise, on shapes either side of the crossover,
+//! * a product against a prepacked operand (`gemm_prepacked`) against the
+//!   `gemm(N, T)` on the block of `B` it stands for, bitwise, for column
+//!   ranges that start and end inside register-tile panels.
 
-use dense::gemm::{gemm, gemm_rows, naive_gemm, par_gemm, par_gemm_rows, Trans};
+use dense::gemm::{gemm, gemm_prepacked, gemm_rows, naive_gemm, par_gemm, par_gemm_rows, Trans};
 use dense::gen::random_matrix;
 use dense::norms::{frobenius, max_abs_diff};
-use dense::pack::{KC, MC, MR, NR};
-use dense::Matrix;
+use dense::pack::{KC, MC, MR, NC, NR};
+use dense::tuning::{self, KernelConfig};
+use dense::{Matrix, PackedB};
 use proptest::prelude::*;
 
 fn trans_strategy() -> impl Strategy<Value = Trans> {
@@ -135,8 +141,14 @@ fn par_gemm_is_bitwise_deterministic_at_fixed_thread_count() {
     // the test exercises a multi-worker fan-out on any machine.
     std::env::set_var("RAYON_NUM_THREADS", "4");
     // Sizes chosen to clear the ~1 Mflop parallel threshold and to leave a
-    // ragged final row chunk (m not a multiple of MC).
-    let (m, n, k) = (2 * MC + 17, 120, 90);
+    // ragged final row chunk (m not a multiple of MC); the second shape is
+    // wider than one NC block of the shared packed `B` and ends mid-panel.
+    for (m, n, k) in [(2 * MC + 17, 120, 90), (MC + 5, NC + NR + 3, 33)] {
+        par_kernels_equal_sequential(m, n, k);
+    }
+}
+
+fn par_kernels_equal_sequential(m: usize, n: usize, k: usize) {
     let a = random_matrix(m, k, 100);
     let b = random_matrix(k, n, 101);
     for (alpha, beta) in [(1.0, 0.0), (-0.75, 1.0), (2.0, 0.25)] {
@@ -242,6 +254,144 @@ proptest! {
             }
         }
     }
+}
+
+/// The macro-kernel's loop order is chosen from the block it is handed
+/// (`kc·nc` against a fixed slab size), and MC / NC only tile the output:
+/// none of them may move a bit. Each shape is run under blockings that put it
+/// on either side of the loop-order crossover and on every MR / NR / MC / NC
+/// edge; `k` stays within one KC block, as every factorization update does.
+#[test]
+fn loop_order_and_blocking_never_change_bits() {
+    let base = tuning::default_config();
+    // (kc·nc) for a full-width block of these: 32·1100 and 64·1024 are row
+    // order under the default NC, 64·1032 and 250·300 column order; NC = 8
+    // makes every block row order, NC = 4096 none of the deep ones.
+    let shapes = [
+        (2 * MC + MR + 1, 1100, 32),
+        (MC - 1, NC, 64),
+        (MC + 1, NC + NR, 64),
+        (3 * MR + 2, 300, KC - 6),
+        (1, NR + 1, 1),
+    ];
+    for (m, n, k) in shapes {
+        let a = random_matrix(m, k, 7);
+        let b = random_matrix(k, n, 8);
+        let c0 = random_matrix(m, n, 9);
+        let run = |mc: usize, nc: usize| {
+            let mut c = c0.clone();
+            tuning::with_override(KernelConfig { mc, nc, ..base }, || {
+                gemm(
+                    Trans::N,
+                    Trans::N,
+                    -1.0,
+                    a.as_ref(),
+                    b.as_ref(),
+                    1.0,
+                    c.as_mut(),
+                )
+            });
+            c
+        };
+        let want = run(base.mc, base.nc);
+        for (mc, nc) in [
+            (MR, NR),
+            (MC, 256),
+            (MC + 1, NC - NR),
+            (4 * MC, 4096),
+            (MR - 1, NR + 3),
+        ] {
+            assert_eq!(
+                run(mc, nc).data(),
+                want.data(),
+                "mc={mc} nc={nc} changed bits at m={m} n={n} k={k}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `gemm_prepacked` on columns `c0..c0 + w` of a packed `Bᵀ` adds to a
+    /// strided window of `C` exactly what `gemm(N, T)` on rows `c0..c0 + w`
+    /// of `B` adds — for tile sides like the unit tests' `v` = 4, 8, 12 that
+    /// are not multiples of NR, so ranges start and end inside panels — and
+    /// one packing serves every range.
+    #[test]
+    fn prepacked_operand_equals_gemm_nt_bitwise(
+        v in prop_oneof![Just(4usize), Just(8), Just(12), Just(5), Just(NR + 1)],
+        tiles in 1usize..7,
+        m in prop_oneof![Just(1), Just(MR - 1), Just(MR + 1), Just(12), 1usize..40],
+        k in prop_oneof![Just(1), Just(2), Just(32), 1usize..40],
+        alpha in prop_oneof![Just(-1.0), -2.0f64..2.0],
+        seed in 0u64..1000,
+    ) {
+        let a = random_matrix(m, k, seed);
+        let b = random_matrix(tiles * v, k, seed + 1);
+        let mut packed = PackedB::new();
+        packed.pack(Trans::T, b.as_ref());
+        let before = random_matrix(m + 2, tiles * v + 3, seed + 2);
+        for t0 in 0..tiles {
+            for t1 in t0 + 1..=tiles {
+                let (c0, w) = (t0 * v, (t1 - t0) * v);
+                let mut want = before.clone();
+                gemm(
+                    Trans::N, Trans::T, alpha, a.as_ref(), b.block(c0, 0, w, k), 1.0,
+                    want.block_mut(1, 2, m, w),
+                );
+                let mut got = before.clone();
+                gemm_prepacked(alpha, a.as_ref(), &packed, c0..c0 + w, got.block_mut(1, 2, m, w));
+                for (at, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "columns {}..{} of {} tiles of {}: element {}", c0, c0 + w, tiles, v, at
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A wide operand spans several NC blocks of the packed `B`, a deep one
+/// several KC blocks: the prepacked product walks both like `gemm` does.
+#[test]
+fn prepacked_operand_spanning_cache_blocks_equals_gemm() {
+    let cfg = KernelConfig {
+        kc: 16,
+        mc: 2 * MR,
+        nc: 3 * NR,
+        ..tuning::default_config()
+    };
+    let (m, n, k) = (3 * MR + 1, 7 * NR + 5, 37);
+    let (a, b) = (random_matrix(m, k, 1), random_matrix(k, n, 2));
+    let c0 = random_matrix(m, n - 9, 3);
+    let (mut want, mut got) = (c0.clone(), c0);
+    tuning::with_override(cfg, || {
+        gemm(
+            Trans::N,
+            Trans::N,
+            0.5,
+            a.as_ref(),
+            b.block(0, 5, k, n - 9),
+            1.0,
+            want.as_mut(),
+        );
+        let mut packed = PackedB::new();
+        packed.pack(Trans::N, b.as_ref());
+        gemm_prepacked(0.5, a.as_ref(), &packed, 5..n - 4, got.as_mut());
+    });
+    assert_eq!(got.data(), want.data());
+}
+
+#[test]
+#[should_panic(expected = "gemm_prepacked: columns outside op(B)")]
+fn gemm_prepacked_rejects_columns_outside_the_operand() {
+    let (a, b) = (random_matrix(3, 2, 1), random_matrix(2, 4, 2));
+    let mut packed = PackedB::new();
+    packed.pack(Trans::N, b.as_ref());
+    let mut c = Matrix::zeros(3, 3);
+    gemm_prepacked(1.0, a.as_ref(), &packed, 2..5, c.as_mut());
 }
 
 #[test]

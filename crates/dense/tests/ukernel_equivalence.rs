@@ -2,9 +2,12 @@
 //! reference:
 //!
 //! * every *exact* variant (scalar and non-FMA AVX2) available on this CPU
-//!   must be **bitwise equal** to the reference microkernel on arbitrary
-//!   packed panels, including the degenerate depths `kc ∈ {0, 1}` and
-//!   depths around the unroll boundaries;
+//!   must add into `C` **bitwise** what the reference microkernel followed
+//!   by the scalar `c += α·acc` adds — for `α ∈ {1, −1, 1.5}`, adjacent and
+//!   row-mapped rows of `C`, full tiles (written by the microkernel itself)
+//!   and edge tiles (clipped from a scratch tile), including the degenerate
+//!   depths `kc ∈ {0, 1}` and depths around the unroll boundaries — and must
+//!   touch nothing else;
 //! * FMA variants are allowed to differ — fused multiply-add rounds once
 //!   per step where the reference rounds twice, so each accumulation step
 //!   carries at most half an ULP of difference; we bound the result by a
@@ -17,7 +20,8 @@
 use dense::gemm::{gemm, Trans};
 use dense::gen::random_matrix;
 use dense::tuning::{self, KernelConfig};
-use dense::ukernel::{self, Isa, MR_MAX, NR_MAX};
+use dense::ukernel::{self, Isa, Variant};
+use dense::Matrix;
 use proptest::prelude::*;
 
 /// Packed panel values with varied magnitudes so rounding differences
@@ -47,11 +51,40 @@ fn depth() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Run `v` on the tile of `c` made of rows `rows` (ascending), columns
+/// `c0..c0 + nsub`.
+#[allow(clippy::too_many_arguments)] // one tile's operands plus where it lands
+fn call_on(
+    v: &Variant,
+    kc: usize,
+    pa: &[f64],
+    pb: &[f64],
+    alpha: f64,
+    c: &mut Matrix,
+    rows: &[usize],
+    c0: usize,
+    nsub: usize,
+) {
+    let ld = c.cols();
+    let mut tile: Vec<&mut [f64]> = c
+        .data_mut()
+        .chunks_exact_mut(ld)
+        .enumerate()
+        .filter(|(i, _)| rows.contains(i))
+        .map(|(_, row)| &mut row[c0..c0 + nsub])
+        .collect();
+    v.call(kc, pa, pb, alpha, &mut tile);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Every available exact variant reproduces the reference microkernel
-    /// bit for bit, at every depth including 0 and 1.
+    /// Every available exact variant's write-back reproduces "reference
+    /// microkernel, then scalar `c += α·acc`" bit for bit — at every depth
+    /// including 0 and 1, for the three kinds of α the engine sees (1, the
+    /// Schur update's −1, anything else), on adjacent and on row-mapped
+    /// rows of `C`, for the full tile and for tiles clipped in rows, in
+    /// columns and in both — and leaves the rest of `C` alone.
     #[test]
     fn exact_variants_are_bitwise_equal_to_reference(
         kc in depth(),
@@ -60,14 +93,31 @@ proptest! {
         for v in ukernel::available_variants().filter(|v| v.exact()) {
             let pa = panel(kc * v.mr, seed);
             let pb = panel(kc * v.nr, seed + 1);
-            let mut acc = [f64::NAN; MR_MAX * NR_MAX];
-            v.call(kc, &pa, &pb, &mut acc);
-            let want = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
-            let live = v.mr * v.nr;
-            prop_assert_eq!(
-                &acc[..live], &want[..live],
-                "variant {} diverged bitwise at kc={}", v.id, kc
-            );
+            let acc = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
+            let c0 = random_matrix(2 * v.mr + 3, v.nr + 5, seed + 2);
+            let adjacent: Vec<usize> = (1..=v.mr).collect();
+            let mapped: Vec<usize> = (0..v.mr).map(|r| 2 * r + r / 3).collect();
+            for rows in [&adjacent, &mapped] {
+                for (msub, nsub) in [(v.mr, v.nr), (v.mr - 1, v.nr), (v.mr, v.nr - 3), (1, 1)] {
+                    for alpha in [1.0, -1.0, 1.5] {
+                        let mut want = c0.clone();
+                        for (r, &i) in rows[..msub].iter().enumerate() {
+                            for j in 0..nsub {
+                                want[(i, 2 + j)] += alpha * acc[r * v.nr + j];
+                            }
+                        }
+                        let mut got = c0.clone();
+                        call_on(v, kc, &pa, &pb, alpha, &mut got, &rows[..msub], 2, nsub);
+                        for (at, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+                            prop_assert_eq!(
+                                x.to_bits(), y.to_bits(),
+                                "variant {} kc={} alpha={} tile {}x{} rows {:?}: element {}",
+                                v.id, kc, alpha, msub, nsub, &rows[..msub], at
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -83,8 +133,10 @@ proptest! {
         for v in ukernel::available_variants().filter(|v| v.isa == Isa::Avx2Fma) {
             let pa = panel(kc * v.mr, seed);
             let pb = panel(kc * v.nr, seed + 1);
-            let mut acc = [f64::NAN; MR_MAX * NR_MAX];
-            v.call(kc, &pa, &pb, &mut acc);
+            let mut c = Matrix::zeros(v.mr, v.nr);
+            let rows: Vec<usize> = (0..v.mr).collect();
+            call_on(v, kc, &pa, &pb, 1.0, &mut c, &rows, 0, v.nr);
+            let acc = c.data();
             let want = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
             for r in 0..v.mr {
                 for c in 0..v.nr {

@@ -32,10 +32,10 @@ use crate::common::{
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
-use dense::gemm::{gemm, gemmt, CUplo, Trans};
+use dense::gemm::{gemm_prepacked, gemmt, CUplo, Trans};
 use dense::potrf::potrf_unblocked;
 use dense::trsm::Uplo;
-use dense::{Error, MatRef, Matrix};
+use dense::{Error, MatRef, Matrix, PackedB};
 use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
 
 const TAG_L10ROW: u64 = 6_000_000;
@@ -160,6 +160,9 @@ pub(crate) fn rank_program(
     // once: the diagonal tile first where this rank owns it, then the
     // trailing rows, which the panel solve turns into `L10` in place.
     let mut panel = Vec::with_capacity(til.tile_rows_of(pi).len() * v * v);
+    // The step's transposed update operand `L10ᵀ`, packed once per step and
+    // shared by every owned tile row's product; its storage is reused.
+    let mut l10t = PackedB::new();
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingChol<'_>> = None;
@@ -268,13 +271,14 @@ pub(crate) fn rank_program(
         }
 
         // ---- 5. Trailing symmetric update (lower tiles only) -----------
-        // Per owned trailing tile row: one GEMM for every owned tile
-        // strictly left of the diagonal — adjacent local columns of the
-        // store, updated in place through one strided view — and `gemmt` on
-        // the diagonal tile if this rank owns it. `cols` indexes into
-        // `col_role_tiles`; splitting the update by column is exact (tiles
-        // are disjoint), so the lookahead split stays bitwise equal to the
-        // one-shot blocking update.
+        // Per owned trailing tile row: one product against the step's packed
+        // `L10ᵀ` for every owned tile strictly left of the diagonal —
+        // adjacent local columns of the store, updated in place through one
+        // strided view — and `gemmt` on the diagonal tile if this rank owns
+        // it. `cols` indexes into `col_role_tiles`; splitting the update by
+        // column is exact (tiles are disjoint), so the lookahead split stays
+        // bitwise equal to the one-shot blocking update.
+        l10t.pack(Trans::T, l10_col.as_ref());
         let apply_update = |store: &mut TileStore, cols: std::ops::Range<usize>| {
             for (bi, &ti) in trail_rows.iter().enumerate() {
                 let rowblk = l10_row.block(bi * v, 0, v, ks);
@@ -283,13 +287,11 @@ pub(crate) fn rank_program(
                 let left = cols.start..cols.end.min(diag);
                 if !left.is_empty() {
                     let tjs = col_role_tiles[left.start]..col_role_tiles[left.end - 1] + 1;
-                    gemm(
-                        Trans::N,
-                        Trans::T,
+                    gemm_prepacked(
                         -1.0,
                         rowblk,
-                        l10_col.block(left.start * v, 0, left.len() * v, ks),
-                        1.0,
+                        &l10t,
+                        left.start * v..left.end * v,
                         store.tile_row_mut(ti, tjs),
                     );
                 }

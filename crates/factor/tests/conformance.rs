@@ -399,7 +399,10 @@ fn digest(index: &[usize], m: &Matrix) -> u64 {
 /// pivots plus factor bits of fixed runs. `twod_*` and `mmm25d` were recorded
 /// from the commit before their stores became dense local matrices;
 /// `lu25d_swap` from the commit that made layer 0 update its copy of `A` in
-/// place (`((a − p₁) − p₂) − …` where it used to form `a − (p₁ + p₂ + …)`).
+/// place (`((a − p₁) − p₂) − …` where it used to form `a − (p₁ + p₂ + …)`);
+/// `conflux_lu` and `confchox` (lookahead on, then off, per grid) from
+/// 1321fe9, the commit before the packed engine was reshaped for the rank-32
+/// update.
 /// A storage or collection change must reproduce them exactly — it may move
 /// no flop and reorder no sum.
 #[test]
@@ -414,17 +417,46 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     let (ma, mb) = (random_matrix(48, 48, 303), random_matrix(48, 48, 304));
     let mmm = mmm25d(&Mmm25dConfig::new(48, 4, Grid3::new(2, 2, 2)), &ma, &mb);
 
-    let got = [
+    let mut got = vec![
         ("lu25d_swap", digest(&swap.perm, &swap.packed.unwrap())),
         ("twod_lu", digest(&lu.ipiv, &lu.packed.unwrap())),
         ("twod_cholesky", digest(&[], &chol.l.unwrap())),
         ("mmm25d", digest(&[], &mmm.c.unwrap())),
     ];
+    // COnfLUX and COnfCHOX on the replicated and the one-rank grid, with and
+    // without lookahead: one digest per grid, because lookahead may not move
+    // a bit either.
+    for (lu_name, chol_name, grid) in [
+        ("conflux_lu 2x2x2", "confchox 2x2x2", Grid3::new(2, 2, 2)),
+        ("conflux_lu 1x1x1", "confchox 1x1x1", Grid3::new(1, 1, 1)),
+    ] {
+        let (lu_cfg, chol_cfg) = (
+            ConfluxConfig::new(64, 8, grid),
+            ConfchoxConfig::new(64, 8, grid),
+        );
+        for (lu_cfg, chol_cfg) in [
+            (lu_cfg.clone(), chol_cfg.clone()),
+            (lu_cfg.blocking(), chol_cfg.blocking()),
+        ] {
+            let lu = conflux_lu(&lu_cfg, &a).unwrap();
+            got.push((lu_name, digest(&lu.perm, &lu.packed.unwrap())));
+            let chol = confchox_cholesky(&chol_cfg, &spd).unwrap();
+            got.push((chol_name, digest(&[], &chol.l.unwrap())));
+        }
+    }
     let want = [
         ("lu25d_swap", 0x6169_2f48_6f59_42d1_u64),
         ("twod_lu", 0xd9e3_5769_53e3_8be4),
         ("twod_cholesky", 0xbe49_69ef_b881_a049),
         ("mmm25d", 0xd6e7_f309_1aec_da1d),
+        ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),
+        ("confchox 2x2x2", 0xdc7c_f302_a49b_12a2),
+        ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),
+        ("confchox 2x2x2", 0xdc7c_f302_a49b_12a2),
+        ("conflux_lu 1x1x1", 0x20fa_6292_44d1_c037),
+        ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
+        ("conflux_lu 1x1x1", 0x20fa_6292_44d1_c037),
+        ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
