@@ -77,7 +77,6 @@ pub fn run_ablation(plan: &AblationPlan) -> AblationRun {
         let outcome = catch_unwind(AssertUnwindSafe(|| match plan.workload {
             PlanWorkload::Factor => run_factor_cell(&cell, &mach),
             PlanWorkload::Kernels => run_kernel_cell(&cell, plan.reps),
-            PlanWorkload::Tune => run_tune_cell(&cell, plan.reps),
             PlanWorkload::Comm => run_comm_cell(&cell, plan.reps),
             PlanWorkload::Transport => run_transport_cell(&cell, plan.reps),
         }));
@@ -297,23 +296,6 @@ fn run_kernel_cell(cell: &Cell, reps: usize) -> Result<BTreeMap<String, f64>, St
     Ok(kpis)
 }
 
-/// A tune-workload cell: run the two-stage auto-tuning sweep at the cell's
-/// probe size and record what it found as KPIs. Uses the `--quick` blocking
-/// grid (the plan's job is trend-tracking the tuner's outcome, not the
-/// exhaustive sweep) and never writes `registry/tuning.json` — persisting a
-/// config is an explicit `bench tune` action, not a side effect of a
-/// nightly sweep.
-fn run_tune_cell(cell: &Cell, reps: usize) -> Result<BTreeMap<String, f64>, String> {
-    let opts = crate::tune::TuneOptions {
-        n: cell.n,
-        reps,
-        quick: true,
-        allow_fma: false,
-    };
-    let outcome = crate::tune::tune(&opts)?;
-    Ok(crate::kpi::tune_kpis(&outcome))
-}
-
 /// A comm-workload cell: run the transport microbenchmark at the cell's
 /// `(n, p)` — `n` is the broadcast message size in f64 elements — and pull
 /// the matching KPI record. The full report (with the whole sweep grid and
@@ -425,26 +407,6 @@ p = [4]
             "{:?}",
             run.skipped
         );
-    }
-
-    #[test]
-    fn tune_cells_run_the_sweep_and_record_the_winner() {
-        let text = r#"
-name = "tune-unit"
-workload = "tune"
-[axes]
-n = [64]
-[fixed]
-reps = 1
-"#;
-        let plan = AblationPlan::from_value(&parse_toml(text).unwrap()).unwrap();
-        let run = run_ablation(&plan);
-        assert_eq!(run.outcomes.len(), 1, "skipped: {:?}", run.skipped);
-        let kpis = &run.outcomes[0].kpis;
-        assert!(kpis["gflops_tuned"] > 0.0);
-        assert!(kpis["tuned_speedup"] > 0.0);
-        assert!(kpis["best_kc"] >= 256.0, "exact KC floor");
-        assert!(kpis.contains_key("best_is_simd"));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use crate::experiments::Report;
 use crate::provenance::Stamp;
 use crate::table::render;
-use crate::tune::best_secs;
 use dense::flops::{gemm_flops, gemmt_flops, getrf_flops, potrf_flops, trsm_flops};
 use dense::gemm::{gemm, gemmt, naive_gemm, par_gemm, par_gemm_rows, CUplo, Trans};
 use dense::gen::{random_matrix, random_spd};
@@ -29,6 +28,31 @@ use std::time::Instant;
 
 fn gflops(flops: u64, secs: f64) -> f64 {
     flops as f64 / secs / 1e9
+}
+
+/// Repetitions of the update probe per repetition of the cube: at the gated
+/// size one update is a sixteenth of the cube's flops (under half a
+/// millisecond), too short for a best-of-3 to be steady.
+const UPDATE_REPS: usize = 8;
+
+/// Inner dimension of the trailing update a one-rank COnfLUX run of size `n`
+/// issues: `v / Pz` of the block rule, so the probe follows the rule.
+fn update_depth(n: usize) -> usize {
+    let cfg = factor::ConfluxConfig::auto(n, 1);
+    cfg.v / cfg.grid.pz
+}
+
+/// Best-of-`reps` wall time of `f`, after one untimed warmup call (which
+/// also grows the thread-local packing buffers to their steady-state size).
+fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// One measured kernel at one size.
@@ -88,9 +112,9 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
         gflops: packed,
     });
 
-    // The same packed engine pinned to the pre-tuning scalar baseline
-    // (scalar 4×8 microkernel, default blocking): the denominator of the
-    // `tuned_speedup` KPI that gates auto-tuning in CI.
+    // The same packed engine pinned to the scalar baseline (scalar 4×8
+    // microkernel, same blocking): the denominator of the `tuned_speedup`
+    // KPI — dispatched kernel over forced-scalar — that CI gates.
     let t_scalar = best_secs(reps, || {
         dense::tuning::with_override(dense::tuning::scalar_baseline(), || {
             gemm(
@@ -117,7 +141,7 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
     // is the `update_vs_gemm` KPI. The two are timed in alternation, one cube
     // then `UPDATE_REPS` updates (a sixteenth of its flops each at the gated
     // size), so a slow stretch of the host lands on both sides of the ratio.
-    let k = crate::tune::update_depth(n);
+    let k = update_depth(n);
     let (l10, u01) = (random_matrix(n, k, 18), random_matrix(k, n, 19));
     let rows: Vec<usize> = (0..n).collect();
     let mut cube = || {
@@ -139,7 +163,7 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
     let (mut t_par, mut t_update) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps.max(1) {
         t_par = t_par.min(timed(&mut cube));
-        for _ in 0..crate::tune::UPDATE_REPS {
+        for _ in 0..UPDATE_REPS {
             t_update = t_update.min(timed(&mut update));
         }
     }
@@ -279,7 +303,7 @@ pub(crate) fn kernels(sizes: &[usize], reps: usize) -> Report {
         text.push_str(&format!("  N={n}: {s:.2}x\n"));
     }
     text.push_str(&format!(
-        "tuned gemm speedup over forced-scalar baseline ({}):\n",
+        "dispatched gemm speedup over forced-scalar baseline ({}):\n",
         dense::tuning::active().describe()
     ));
     for &(n, s) in &tuned_speedups {
@@ -303,7 +327,7 @@ pub(crate) fn kernels(sizes: &[usize], reps: usize) -> Report {
                 "n": n, "speedup": s,
             })).collect::<Vec<_>>(),
             "update_depth": sizes.iter().map(|&n| json!({
-                "n": n, "k": crate::tune::update_depth(n),
+                "n": n, "k": update_depth(n),
             })).collect::<Vec<_>>(),
             "tuning_config": dense::tuning::active().describe(),
         }),
@@ -349,5 +373,13 @@ mod tests {
             assert_eq!(points.len(), 2, "{series}: one speedup point per size");
             assert!(points.iter().all(|v| v["speedup"].as_f64().unwrap() > 0.0));
         }
+    }
+
+    #[test]
+    fn the_update_probe_follows_the_block_rule() {
+        // 32 wherever the rule's load-balance guard does not bind first.
+        assert_eq!(update_depth(512), 32);
+        assert_eq!(update_depth(1024), 32);
+        assert_eq!(update_depth(64), 16);
     }
 }

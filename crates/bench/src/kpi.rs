@@ -228,38 +228,6 @@ pub(crate) fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMa
     kpis
 }
 
-/// Extract the tune-workload KPI record from one [`crate::tune`] sweep
-/// outcome: the winner's throughput and blocking, the forced-scalar
-/// baseline, and the speedup the CI floor gates on. Blocking parameters are
-/// recorded as KPIs so the trend gate catches a winner silently drifting to
-/// a different configuration shape across commits.
-pub(crate) fn tune_kpis(outcome: &crate::tune::TuneOutcome) -> BTreeMap<String, f64> {
-    let mut kpis = BTreeMap::new();
-    kpis.insert("gflops_tuned".into(), outcome.best_rates.gflops);
-    kpis.insert(
-        "gflops_update_tuned".into(),
-        outcome.best_rates.update_gflops,
-    );
-    kpis.insert("gflops_scalar_base".into(), outcome.scalar_gflops);
-    kpis.insert("tuned_speedup".into(), outcome.speedup());
-    kpis.insert("best_kc".into(), outcome.best.kc as f64);
-    kpis.insert("best_mc".into(), outcome.best.mc as f64);
-    kpis.insert("best_nc".into(), outcome.best.nc as f64);
-    kpis.insert("best_mr".into(), outcome.best.variant.mr as f64);
-    kpis.insert("best_nr".into(), outcome.best.variant.nr as f64);
-    kpis.insert("best_unroll".into(), outcome.best.variant.unroll as f64);
-    kpis.insert("best_prefetch".into(), outcome.best.variant.prefetch as f64);
-    kpis.insert(
-        "best_is_simd".into(),
-        if outcome.best.variant.isa == dense::ukernel::Isa::Scalar {
-            0.0
-        } else {
-            1.0
-        },
-    );
-    kpis
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

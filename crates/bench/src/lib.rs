@@ -7,8 +7,7 @@
 //!   per-rank time `T = flops/γ + bytes/β + messages·α`, with flops taken
 //!   from the analytic operation counts and bytes/messages *measured* by
 //!   the `xmpi` runtime. Performance figures report
-//!   `%peak = total_flops/(P·γ·T)`; [`machine::extrapolate`] scales a
-//!   measured volume to paper size.
+//!   `%peak = total_flops/(P·γ·T)`.
 //! * `runner` (crate-private) — run one algorithm at one configuration and
 //!   collect a `Measurement`; JSON-serializable for `results/`.
 //! * [`table`] — plain-text table rendering for terminal output.
@@ -27,21 +26,15 @@
 //!   trajectory store.
 //! * [`trend`] — cross-commit baselines and the typed
 //!   [`trend::RegressionReport`] behind `bench ablate check`.
-//! * [`tune`] — the two-stage microkernel + cache-blocking auto-tuning
-//!   sweep behind `bench tune`, feeding the per-machine
-//!   `registry/tuning.json` that `dense::tuning` dispatches from (see
-//!   `docs/TUNING.md`).
 
 #![warn(unreachable_pub)]
 
 pub mod ablate;
 pub mod experiments;
 pub mod kpi;
-pub mod machine;
 pub mod plan;
 pub mod provenance;
 pub mod registry;
 mod runner;
 pub mod table;
 pub mod trend;
-pub mod tune;

@@ -6,7 +6,7 @@
 //! ```toml
 //! name = "smoke"
 //! description = "nightly smoke grid"
-//! workload = "factor"              # factor|kernels|tune|comm|transport
+//! workload = "factor"              # factor|kernels|comm|transport
 //!
 //! [axes]                           # cartesian grid; missing axes default
 //! algo = ["conflux", "confchox"]   # conflux|confchox|twod-lu|twod-chol|lu25d
@@ -53,8 +53,6 @@ pub enum PlanWorkload {
     Factor,
     /// Local dense-kernel throughput (`experiments::kernels`).
     Kernels,
-    /// Microkernel + blocking auto-tuning sweep (`crate::tune`).
-    Tune,
     /// Transport microbenchmark (`experiments::comm`): p2p latency and
     /// tree-vs-linear broadcast wall-clock. `n` is the message size in f64
     /// elements, `p` the broadcast world size.
@@ -72,7 +70,6 @@ impl PlanWorkload {
         match self {
             PlanWorkload::Factor => "factor",
             PlanWorkload::Kernels => "kernels",
-            PlanWorkload::Tune => "tune",
             PlanWorkload::Comm => "comm",
             PlanWorkload::Transport => "transport",
         }
@@ -185,12 +182,11 @@ impl AblationPlan {
         let workload = match v["workload"].as_str().unwrap_or("factor") {
             "factor" => PlanWorkload::Factor,
             "kernels" => PlanWorkload::Kernels,
-            "tune" => PlanWorkload::Tune,
             "comm" => PlanWorkload::Comm,
             "transport" => PlanWorkload::Transport,
             other => {
                 return Err(format!(
-                    "unknown workload {other:?} (factor|kernels|tune|comm|transport)"
+                    "unknown workload {other:?} (factor|kernels|comm|transport)"
                 ))
             }
         };
@@ -198,7 +194,6 @@ impl AblationPlan {
 
         let algos = match workload {
             PlanWorkload::Kernels => vec!["kernels".to_string()],
-            PlanWorkload::Tune => vec!["tune".to_string()],
             PlanWorkload::Comm => vec!["comm".to_string()],
             PlanWorkload::Transport => vec!["transport".to_string()],
             PlanWorkload::Factor => {

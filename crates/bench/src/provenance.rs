@@ -76,15 +76,34 @@ pub fn git_head() -> String {
     }
 }
 
-/// `{os}-{arch}-c{cpus}-{hostname}`, commas/whitespace sanitized so the
-/// fingerprint is safe inside a CSV cell.
-///
-/// Delegates to [`dense::tuning::machine_fingerprint`], which owns the
-/// definition: the *same* string keys both the ablation registry rows and
-/// the kernel tuning registry (`registry/tuning.json`), so a machine's
-/// tuned config and its KPI trajectory can always be joined.
+/// `{os}-{arch}-c{cpus}-{hostname}` — the `machine` column of every
+/// registry row. Commas and whitespace are sanitized so the fingerprint is
+/// safe inside a CSV cell.
 pub fn machine_fingerprint() -> String {
-    dense::tuning::machine_fingerprint()
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
+        .ok()
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .or_else(|| std::env::var("HOSTNAME").ok())
+        .unwrap_or_else(|| "unknown-host".to_string());
+    let host: String = host
+        .chars()
+        .map(|c| {
+            if c == ',' || c.is_whitespace() {
+                '_'
+            } else {
+                c
+            }
+        })
+        .collect();
+    format!(
+        "{}-{}-c{}-{}",
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+        cpus,
+        host
+    )
 }
 
 /// 64-bit FNV-1a as a 16-hex-digit string — the stable content hash used

@@ -24,7 +24,7 @@
 //! row-major storage, so distributed codes can apply them directly to tiles
 //! of a larger local buffer without copying.
 //!
-//! # Packed, register-blocked, auto-tuned GEMM
+//! # Packed, register-blocked GEMM
 //!
 //! The compute path follows the Goto/BLIS decomposition (the structure MKL
 //! itself uses, see [`pack`]): three levels of cache blocking
@@ -33,21 +33,17 @@
 //! an `MR×NR` register-tile microkernel that adds `α·acc` into `C` itself;
 //! the macro-kernel's loop order follows the block it is handed, so the
 //! factorizations' rank-32 updates walk `C` along rows.
-//! The microkernel is not a single function but a *family* ([`ukernel`]) of
-//! explicit-SIMD variants (AVX2 intrinsics with a portable scalar fallback)
-//! generated over an (MR, NR, K-unroll, prefetch-distance) grid; which
-//! variant and which blocking run on a given machine is decided by the
-//! per-machine tuning registry (`registry/tuning.json`, written by
-//! `bench tune`, consulted once at startup by [`tuning`]). `gemmt`, the
-//! blocked `trsm`, and the `getrf`/`potrf` trailing updates all route their
-//! inner products through the same engine, and [`par_gemm`] fans MC-row
-//! blocks of `C` over Rayon workers *bitwise identically* to the sequential
-//! kernel. Tuned dispatch preserves bitwise reproducibility by
-//! construction: only variants exactly reproducing the scalar rounding
-//! order are eligible (see [`tuning`] for the contract and its escape
-//! hatch). [`gemm::naive_gemm`] retains the scalar triple loop as the
-//! correctness and performance reference (`plans/kernels.toml` reports
-//! both as a GFLOP/s trajectory in `results/BENCH_kernels.json`).
+//! There are two microkernels ([`ukernel`]): an explicit-AVX2 `6×8` tile and
+//! a portable scalar `4×8` tile that rounds identically, so results are
+//! bitwise the same on a CPU with AVX2 and one without; [`tuning`] picks by
+//! CPU feature, and that is the only dispatch rule — no file, no environment
+//! variable. `gemmt`, the blocked `trsm`, and the `getrf`/`potrf` trailing
+//! updates all route their inner products through the same engine, and
+//! [`par_gemm`] fans MC-row blocks of `C` over Rayon workers *bitwise
+//! identically* to the sequential kernel. [`gemm::naive_gemm`] retains the
+//! scalar triple loop as the correctness and performance reference
+//! (`plans/kernels.toml` reports both as a GFLOP/s trajectory in
+//! `results/BENCH_kernels.json`).
 
 #![warn(unreachable_pub)]
 

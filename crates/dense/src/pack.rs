@@ -28,8 +28,9 @@
 //! the same `k` order, so they agree to the bit.
 //!
 //! Which microkernel runs, and which (KC, MC, NC) blocking tiles the loops,
-//! is decided per call by [`crate::tuning::active`]: the per-machine tuning
-//! registry when a valid entry exists, the defaults below otherwise.
+//! is decided per call by [`crate::tuning::active`]: the kernel this CPU
+//! dispatches at the constants below, unless a test or the harness has an
+//! override in force.
 //!
 //! Packing zero-pads ragged edges up to the next `MR`/`NR` multiple, so the
 //! microkernel never branches on tile shape; a tile overhanging `C` is
@@ -52,19 +53,23 @@ use crate::ukernel::{Kernel, MR_MAX};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Default microkernel tile rows: the AVX2 `6×8` tile (and the scalar
-/// fallback's blocking unit).
+/// Microkernel tile rows the blocking is sized for: the AVX2 `6×8` tile
+/// (the scalar `4×8` kernel runs at the same blocking).
 pub const MR: usize = 6;
-/// Default microkernel tile columns.
+/// Microkernel tile columns.
 pub const NR: usize = 8;
-/// Default K-dimension cache block: one `KC×NR` panel of packed B (16 KiB)
-/// stays in L1 while a microkernel runs; `MC×KC` of packed A (384 KiB)
-/// targets L2. Also the floor tuned configs must respect
-/// ([`crate::tuning::KC_MIN_EXACT`]) to keep factorizations bitwise-stable.
+/// K-dimension cache block: one `KC×NR` panel of packed B (16 KiB) stays in
+/// L1 while a microkernel runs; `MC×KC` of packed A (384 KiB) targets L2.
+/// The one blocking constant a result bit depends on: the microkernel adds
+/// `α·acc` into `C` once per KC block, so a different KC regroups the
+/// k-summation of every product with `k > KC`. Every trailing update in the
+/// factorizations has `k ≤ 256` (the panel width cap), so any `kc ≥ 256`
+/// sees those products as a single block and the grouping — hence every
+/// factor bit — is unchanged; a smaller one moves them.
 pub const KC: usize = 256;
-/// Default M-dimension cache block (rows of packed A per inner loop).
+/// M-dimension cache block (rows of packed A per inner loop).
 pub const MC: usize = 192;
-/// Default N-dimension cache block (columns of packed B per outer loop).
+/// N-dimension cache block (columns of packed B per outer loop).
 pub const NC: usize = 1024;
 
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
@@ -363,8 +368,8 @@ fn macro_kernel(
 
 /// Packed three-level-blocked `C += α·op(A)·op(B)` (no β handling, no flop
 /// tally): the shared engine behind [`crate::gemm`], [`crate::gemmt`] and
-/// the blocked [`crate::trsm`] updates. The microkernel variant and blocking
-/// come from [`crate::tuning::active`].
+/// the blocked [`crate::trsm`] updates. The microkernel and blocking come
+/// from [`crate::tuning::active`].
 ///
 /// Deterministic by construction: each element of `C` accumulates its
 /// k-products in ascending order regardless of how callers slice `C` by
@@ -539,13 +544,13 @@ mod tests {
 
     #[test]
     fn macro_kernel_agrees_across_variants() {
-        // The same packed block through the default config and through a
-        // differently-shaped exact variant must produce bitwise-equal C.
+        // The same block packed for and run through the scalar 4×8 kernel
+        // and the kernel this CPU dispatches must produce bitwise-equal C.
         let (m, n, k) = (13, 11, 9);
         let a = random_matrix(m, k, 5);
         let b = random_matrix(k, n, 6);
-        let run = |variant_id: &str| {
-            let kernel = crate::ukernel::find(variant_id).unwrap().kernel();
+        let run = |cfg: KernelConfig| {
+            let kernel = cfg.variant.kernel();
             let (mr, nr) = (kernel.mr, kernel.nr);
             let mut pa = vec![0.0; round_up(m, mr) * k];
             let mut pb = vec![0.0; round_up(n, nr) * k];
@@ -555,10 +560,11 @@ mod tests {
             macro_kernel(kernel, false, m, k, 1.5, &pa, &pb, 0, None, c.as_mut());
             c
         };
-        let want = run("scalar_4x8_u1");
-        for id in ["scalar_6x4_u2", "scalar_8x8_u4"] {
-            assert_eq!(run(id).data(), want.data(), "variant {id}");
-        }
+        let (want, got) = (
+            run(tuning::scalar_baseline()),
+            run(tuning::default_config()),
+        );
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]

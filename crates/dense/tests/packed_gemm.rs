@@ -260,10 +260,11 @@ proptest! {
 /// (`kc·nc` against a fixed slab size), and MC / NC only tile the output:
 /// none of them may move a bit. Each shape is run under blockings that put it
 /// on either side of the loop-order crossover and on every MR / NR / MC / NC
-/// edge; `k` stays within one KC block, as every factorization update does.
+/// edge, under the scalar 4×8 kernel and the one this CPU dispatches; `k`
+/// stays within one KC block, as every factorization update does.
 #[test]
 fn loop_order_and_blocking_never_change_bits() {
-    let base = tuning::default_config();
+    let bases = [tuning::scalar_baseline(), tuning::default_config()];
     // (kc·nc) for a full-width block of these: 32·1100 and 64·1024 are row
     // order under the default NC, 64·1032 and 250·300 column order; NC = 8
     // makes every block row order, NC = 4096 none of the deep ones.
@@ -278,7 +279,7 @@ fn loop_order_and_blocking_never_change_bits() {
         let a = random_matrix(m, k, 7);
         let b = random_matrix(k, n, 8);
         let c0 = random_matrix(m, n, 9);
-        let run = |mc: usize, nc: usize| {
+        let run = |base: KernelConfig, mc: usize, nc: usize| {
             let mut c = c0.clone();
             tuning::with_override(KernelConfig { mc, nc, ..base }, || {
                 gemm(
@@ -293,19 +294,23 @@ fn loop_order_and_blocking_never_change_bits() {
             });
             c
         };
-        let want = run(base.mc, base.nc);
-        for (mc, nc) in [
-            (MR, NR),
-            (MC, 256),
-            (MC + 1, NC - NR),
-            (4 * MC, 4096),
-            (MR - 1, NR + 3),
-        ] {
-            assert_eq!(
-                run(mc, nc).data(),
-                want.data(),
-                "mc={mc} nc={nc} changed bits at m={m} n={n} k={k}"
-            );
+        let want = run(bases[0], MC, NC);
+        for base in bases {
+            for (mc, nc) in [
+                (MC, NC),
+                (MR, NR),
+                (MC, 256),
+                (MC + 1, NC - NR),
+                (4 * MC, 4096),
+                (MR - 1, NR + 3),
+            ] {
+                assert_eq!(
+                    run(base, mc, nc).data(),
+                    want.data(),
+                    "{} mc={mc} nc={nc} changed bits at m={m} n={n} k={k}",
+                    base.variant.id
+                );
+            }
         }
     }
 }

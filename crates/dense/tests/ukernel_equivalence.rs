@@ -1,26 +1,22 @@
-//! Property tests pinning the microkernel variant family to the scalar
-//! reference:
+//! Property tests pinning the two microkernels — the scalar `4×8` every CPU
+//! can run and the AVX2 `6×8` this one dispatches if it has AVX2 — to the
+//! scalar reference. Together they are the cross-machine reproducibility
+//! contract: an AVX2 host and a host without it agree to the bit.
 //!
-//! * every *exact* variant (scalar and non-FMA AVX2) available on this CPU
-//!   must add into `C` **bitwise** what the reference microkernel followed
-//!   by the scalar `c += α·acc` adds — for `α ∈ {1, −1, 1.5}`, adjacent and
-//!   row-mapped rows of `C`, full tiles (written by the microkernel itself)
-//!   and edge tiles (clipped from a scratch tile), including the degenerate
-//!   depths `kc ∈ {0, 1}` and depths around the unroll boundaries — and must
-//!   touch nothing else;
-//! * FMA variants are allowed to differ — fused multiply-add rounds once
-//!   per step where the reference rounds twice, so each accumulation step
-//!   carries at most half an ULP of difference; we bound the result by a
-//!   forward error linear in `kc` rather than pin bits (which is exactly
-//!   why FMA variants are excluded from tuned dispatch by default);
-//! * whole-GEMM bitwise equality across exact variants of *different* tile
-//!   shapes, on ragged sizes that exercise the MR/NR remainder tiles —
-//!   changing the register tiling must not change a single output bit.
+//! * each kernel must add into `C` **bitwise** what the reference
+//!   microkernel followed by the scalar `c += α·acc` adds — for
+//!   `α ∈ {1, −1, 1.5}`, adjacent and row-mapped rows of `C`, full tiles
+//!   (written by the microkernel itself) and edge tiles (clipped from a
+//!   scratch tile), including the degenerate depths `kc ∈ {0, 1}` and depths
+//!   around the AVX2 kernel's two-step k loop — and must touch nothing else;
+//! * whole-GEMM bitwise equality between the two tile shapes, on ragged
+//!   sizes that exercise the MR/NR remainder tiles of both — the register
+//!   tiling must not change a single output bit.
 
 use dense::gemm::{gemm, Trans};
 use dense::gen::random_matrix;
 use dense::tuning::{self, KernelConfig};
-use dense::ukernel::{self, Isa, Variant};
+use dense::ukernel::{self, Variant};
 use dense::Matrix;
 use proptest::prelude::*;
 
@@ -36,7 +32,7 @@ fn panel(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Depths clustered on the unroll boundaries (1, 2, 4) and the k=0 edge.
+/// Depths clustered on the k-loop's step boundaries and the k=0 edge.
 fn depth() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0),
@@ -49,6 +45,12 @@ fn depth() -> impl Strategy<Value = usize> {
         Just(8),
         1usize..48,
     ]
+}
+
+/// The kernels under test: the scalar baseline and what this CPU dispatches
+/// (the same kernel twice on a CPU without AVX2).
+fn kernels() -> [KernelConfig; 2] {
+    [tuning::scalar_baseline(), tuning::default_config()]
 }
 
 /// Run `v` on the tile of `c` made of rows `rows` (ascending), columns
@@ -79,7 +81,7 @@ fn call_on(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Every available exact variant's write-back reproduces "reference
+    /// Each kernel's write-back reproduces "reference
     /// microkernel, then scalar `c += α·acc`" bit for bit — at every depth
     /// including 0 and 1, for the three kinds of α the engine sees (1, the
     /// Schur update's −1, anything else), on adjacent and on row-mapped
@@ -90,7 +92,7 @@ proptest! {
         kc in depth(),
         seed in 0u64..1000,
     ) {
-        for v in ukernel::available_variants().filter(|v| v.exact()) {
+        for v in kernels().map(|cfg| cfg.variant) {
             let pa = panel(kc * v.mr, seed);
             let pb = panel(kc * v.nr, seed + 1);
             let acc = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
@@ -121,45 +123,9 @@ proptest! {
         }
     }
 
-    /// FMA variants stay within a forward error linear in the accumulation
-    /// depth. Each fused step replaces two roundings with one, so the
-    /// per-element deviation from the reference is bounded by roughly
-    /// `kc · ε · Σ|a·b|`; we allow a small constant factor of slack.
-    #[test]
-    fn fma_variants_are_within_documented_tolerance(
-        kc in depth(),
-        seed in 0u64..1000,
-    ) {
-        for v in ukernel::available_variants().filter(|v| v.isa == Isa::Avx2Fma) {
-            let pa = panel(kc * v.mr, seed);
-            let pb = panel(kc * v.nr, seed + 1);
-            let mut c = Matrix::zeros(v.mr, v.nr);
-            let rows: Vec<usize> = (0..v.mr).collect();
-            call_on(v, kc, &pa, &pb, 1.0, &mut c, &rows, 0, v.nr);
-            let acc = c.data();
-            let want = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
-            for r in 0..v.mr {
-                for c in 0..v.nr {
-                    let mut mag = 0.0f64;
-                    for k in 0..kc {
-                        mag += (pa[k * v.mr + r] * pb[k * v.nr + c]).abs();
-                    }
-                    let tol = 4.0 * (kc as f64 + 1.0) * f64::EPSILON * mag.max(1.0);
-                    let got = acc[r * v.nr + c];
-                    let exp = want[r * v.nr + c];
-                    prop_assert!(
-                        (got - exp).abs() <= tol,
-                        "variant {} ({},{}) kc={}: {} vs {} (tol {})",
-                        v.id, r, c, kc, got, exp, tol
-                    );
-                }
-            }
-        }
-    }
-
-    /// A full GEMM dispatched through exact variants of different tile
-    /// shapes produces bitwise-identical C, on ragged shapes that leave
-    /// MR/NR remainder tiles for every shape involved.
+    /// A full GEMM dispatched through the two tile shapes produces
+    /// bitwise-identical C, on ragged shapes that leave MR/NR remainder
+    /// tiles for both.
     #[test]
     fn gemm_is_bitwise_invariant_across_exact_variants(
         m in 1usize..40,
@@ -177,35 +143,19 @@ proptest! {
             });
             c
         };
-        let baseline = run(tuning::scalar_baseline());
-        // One representative per shape, mixing scalar and (if available)
-        // AVX2 — blocking held at the baseline so only the register tiling
-        // varies.
-        for id in [
-            "scalar_6x4_u2",
-            "scalar_8x8_u4",
-            "avx2_4x8_u2_pf0",
-            "avx2_6x8_u4_pf4",
-            "avx2_8x4_u1_pf0",
-        ] {
-            let v = ukernel::find(id).expect("grid id");
-            if !v.available() {
-                continue;
-            }
-            let cfg = KernelConfig { variant: v, ..tuning::scalar_baseline() };
-            let c = run(cfg);
-            prop_assert_eq!(
-                c.data(), baseline.data(),
-                "variant {} changed GEMM bits at m={} n={} k={}", id, m, n, k
-            );
-        }
+        let [scalar, native] = kernels().map(run);
+        prop_assert_eq!(
+            native.data(), scalar.data(),
+            "{} changed GEMM bits at m={} n={} k={}",
+            tuning::default_config().variant.id, m, n, k
+        );
     }
 }
 
 /// The depths the factorizations actually hand the engine (panel widths
-/// ≤ 256) are a single KC block for every permitted `kc ≥ 256`, so GEMM
-/// must be bitwise KC-invariant there — the keystone of the "tuning never
-/// changes factor bits" contract.
+/// ≤ 256) are a single KC block for every `kc ≥ 256`, so GEMM must be
+/// bitwise KC-invariant there, under either kernel — why `pack::KC` may grow
+/// but not shrink without moving factor bits.
 #[test]
 fn gemm_with_small_k_is_bitwise_invariant_to_permitted_kc() {
     let (m, n) = (97, 83);
@@ -214,11 +164,11 @@ fn gemm_with_small_k_is_bitwise_invariant_to_permitted_kc() {
         let b = random_matrix(k, n, 8);
         let c0 = random_matrix(m, n, 9);
         let mut want = None;
-        for kc in [256, 384, 512] {
-            let cfg = KernelConfig {
-                kc,
-                ..tuning::default_config()
-            };
+        for (base, kc) in kernels()
+            .into_iter()
+            .flat_map(|base| [256, 384, 512].map(|kc| (base, kc)))
+        {
+            let cfg = KernelConfig { kc, ..base };
             let mut c = c0.clone();
             tuning::with_override(cfg, || {
                 gemm(
@@ -233,7 +183,12 @@ fn gemm_with_small_k_is_bitwise_invariant_to_permitted_kc() {
             });
             match &want {
                 None => want = Some(c),
-                Some(w) => assert_eq!(w.data(), c.data(), "kc={kc} changed bits at k={k}"),
+                Some(w) => assert_eq!(
+                    w.data(),
+                    c.data(),
+                    "{} changed bits at k={k}",
+                    cfg.describe()
+                ),
             }
         }
     }
