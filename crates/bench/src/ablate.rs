@@ -1,20 +1,26 @@
-//! The ablation driver: execute a plan's grid through the existing
-//! `runner` + [`xtrace::Machine`] measurement path and
-//! extract KPI records.
+//! The cell runner and the ablation driver.
 //!
-//! Every factor cell runs the real simulated factorization — traced (for
-//! the schedule KPIs) and under a seeded [`xharness`] perturbation (so the
+//! [`run_cell`] is the one way this crate runs a factorization: a
+//! [`Cell`] plus an input seed, either *plain* (what the figures and
+//! tables do) or *traced* under the seeded [`xharness`] perturbation
+//! `Cell::seed` names (what plan cells and `trace_report` do — the
 //! perturbation seed matrix is an ordinary sweep axis; a perturbed run must
 //! produce identical traffic, which keeps the deterministic KPIs stable by
-//! construction). Cells whose parameters are structurally invalid on this
-//! grid (block size not dividing N, replication not dividing P, …) are
-//! *skipped with a reason*, mirroring how the hand-written sweeps handled
-//! infeasible corners — a sweep engine that errors out on the first
-//! infeasible corner cannot sweep.
+//! construction). It is the only code under `crates/bench/src` that builds
+//! a factorization config and calls a plain driver (CI step "One cell
+//! runner"); what it returns is already priced, by `kpi::factor_kpis`.
+//!
+//! [`run_ablation`] executes a plan's grid through it and extracts KPI
+//! records. Cells whose parameters are structurally invalid on this grid
+//! (block size not dividing N, replication not dividing P, …) are *skipped
+//! with a reason*, mirroring how the hand-written sweeps handled infeasible
+//! corners — a sweep engine that errors out on the first infeasible corner
+//! cannot sweep.
 
-use crate::kpi::{algo_from_name, comm_kpis, factor_kpis, kernel_kpis, transport_kpis};
+use crate::kpi::{comm_kpis, factor_kpis, kernel_kpis, transport_kpis, Algo, FactorKpis};
 use crate::plan::{AblationPlan, Cell, PlanWorkload};
-use crate::runner::{Algo, Workload};
+use dense::gen::{random_matrix, random_spd};
+use dense::Matrix;
 use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
 use factor::{
     confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, twod_cholesky, twod_lu,
@@ -25,11 +31,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use xharness::PerturbConfig;
 use xmpi::trace::TraceConfig;
 use xmpi::{Grid2, Grid3, WorldStats, WorldTrace};
-use xtrace::Machine;
 
-/// Input-matrix seed: fixed so the workload — and therefore every
-/// deterministic KPI — is comparable across commits. (The `seed` axis
-/// perturbs the *schedule*, never the input.)
+/// Input-matrix seed of every plan cell: fixed so the workload — and
+/// therefore every deterministic KPI — is comparable across commits. (The
+/// `seed` axis perturbs the *schedule*, never the input.)
 const INPUT_SEED: u64 = 77;
 
 /// One executed cell.
@@ -67,7 +72,6 @@ impl AblationRun {
 
 /// Execute every cell of `plan`.
 pub fn run_ablation(plan: &AblationPlan) -> AblationRun {
-    let mach = Machine::piz_daint();
     let mut run = AblationRun {
         plan: plan.name.clone(),
         plan_hash: plan.hash(),
@@ -75,10 +79,8 @@ pub fn run_ablation(plan: &AblationPlan) -> AblationRun {
     };
     for cell in plan.cells() {
         let outcome = catch_unwind(AssertUnwindSafe(|| match plan.workload {
-            PlanWorkload::Factor => run_factor_cell(&cell, &mach),
-            PlanWorkload::Kernels => run_kernel_cell(&cell, plan.reps),
-            PlanWorkload::Comm => run_comm_cell(&cell, plan.reps),
-            PlanWorkload::Transport => run_transport_cell(&cell, plan.reps),
+            PlanWorkload::Factor => factor_cell_kpis(&cell),
+            micro => run_micro_cell(micro, &cell, plan.reps),
         }));
         match outcome {
             Ok(Ok(kpis)) => run.outcomes.push(CellOutcome { cell, kpis }),
@@ -96,258 +98,226 @@ pub fn run_ablation(plan: &AblationPlan) -> AblationRun {
     run
 }
 
-/// Resolve the 2.5D grid and block size for a cell, honoring the `c` and
-/// `block` axes (`0` = automatic).
-fn grid_and_block(cell: &Cell) -> Result<(Grid3, usize), String> {
-    let (n, p) = (cell.n, cell.p);
-    if cell.c == 0 {
-        let auto = ConfluxConfig::auto(n, p);
-        let (grid, mut v) = (auto.grid, auto.v);
-        if cell.block > 0 {
-            v = cell.block;
+/// Resolve the process grid and block size for a cell, honoring the `c`
+/// and `block` axes (`0` = automatic). A replicated grid is
+/// `near_square(p/c) × c`; a 2D algorithm's is `near_square(p) × 1`.
+fn grid_and_block(cell: &Cell, algo: Algo) -> Result<(Grid3, usize), String> {
+    let (n, p, c) = (cell.n, cell.p, cell.c);
+    let (grid, auto_v) = if matches!(algo, Algo::TwodLu | Algo::TwodChol) {
+        if c > 1 {
+            return Err(format!("2D algo cannot replicate (c={c})"));
         }
-        validate(n, v, grid)?;
-        return Ok((grid, v));
-    }
-    let c = cell.c;
-    if !p.is_multiple_of(c) {
-        return Err(format!("replication c={c} does not divide p={p}"));
-    }
-    let layer = Grid2::near_square(p / c);
-    if c > layer.rows.min(layer.cols) {
-        return Err(format!(
-            "replication c={c} exceeds the layer grid {}x{}",
-            layer.rows, layer.cols
-        ));
-    }
-    let grid = Grid3::new(layer.rows, layer.cols, c);
-    let v = if cell.block > 0 {
-        cell.block
+        let auto = TwodConfig::auto(n, p);
+        (Grid3::new(auto.grid.rows, auto.grid.cols, 1), Some(auto.nb))
+    } else if c == 0 {
+        let auto = ConfluxConfig::auto(n, p);
+        (auto.grid, Some(auto.v))
     } else {
-        factor::choose_block(n, c, (4 * c).max(16))
-            .ok_or_else(|| format!("no valid block size for n={n}, c={c}"))?
+        if !p.is_multiple_of(c) {
+            return Err(format!("replication c={c} does not divide p={p}"));
+        }
+        let layer = Grid2::near_square(p / c);
+        (
+            Grid3::new(layer.rows, layer.cols, c),
+            factor::choose_block(n, c, (4 * c).max(16)),
+        )
     };
-    validate(n, v, grid)?;
-    Ok((grid, v))
-}
-
-fn validate(n: usize, v: usize, grid: Grid3) -> Result<(), String> {
-    if v == 0 || !n.is_multiple_of(v) {
+    let v = match cell.block {
+        0 => auto_v.ok_or_else(|| format!("no valid block size for n={n}, c={c}"))?,
+        block => block,
+    };
+    if !n.is_multiple_of(v) {
         return Err(format!("block v={v} does not divide n={n}"));
     }
     if !v.is_multiple_of(grid.pz) {
         return Err(format!("block v={v} is not a multiple of pz={}", grid.pz));
     }
-    Ok(())
+    Ok((grid, v))
 }
 
-fn run_factor_cell(cell: &Cell, mach: &Machine) -> Result<BTreeMap<String, f64>, String> {
-    let algo = algo_from_name(&cell.algo).ok_or_else(|| format!("unknown algo {}", cell.algo))?;
-    let w = Workload::new(cell.n, INPUT_SEED);
-    let pert = PerturbConfig::new(cell.seed);
-
-    let (stats, trace, extra) = if cell.checksum {
-        run_checksummed(cell, algo, &w, &pert)?
-    } else {
-        run_plain(cell, algo, &w, &pert)?
-    };
-
-    let c_used = match algo {
-        Algo::TwodLu | Algo::TwodChol => 1,
-        _ => grid_and_block(cell)?.0.pz,
-    };
-    let mut kpis = factor_kpis(algo, cell.n, cell.p, c_used, &stats, trace.as_ref(), mach);
-    kpis.insert("c_used".into(), c_used as f64);
-    kpis.extend(extra);
-    Ok(kpis)
+/// One executed factorization cell.
+pub struct CellRun {
+    /// Measured traffic of the run.
+    pub stats: WorldStats,
+    /// The event trace, for a traced run.
+    pub trace: Option<WorldTrace>,
+    /// The grid the run used (`rows × cols × 1` for the 2D algorithms).
+    pub grid: Grid3,
+    /// The block size the run used.
+    pub v: usize,
+    /// Checksummed cells only: ABFT bytes over the unprotected twin − 1.
+    pub checksum_byte_overhead: Option<f64>,
+    /// The run's traffic, priced.
+    pub(crate) kpis: FactorKpis,
 }
 
-type CellRun = (WorldStats, Option<WorldTrace>, BTreeMap<String, f64>);
-
-fn run_plain(
-    cell: &Cell,
-    algo: Algo,
-    w: &Workload,
-    pert: &PerturbConfig,
-) -> Result<CellRun, String> {
-    let (n, p) = (cell.n, cell.p);
-    let run = |f: Box<dyn FnOnce() -> (WorldStats, f64) + '_>| {
-        let ((stats, v_used), mut traces) =
-            xharness::run_perturbed_traced(pert, TraceConfig::default(), f);
-        let trace = traces.pop();
-        let mut extra = BTreeMap::new();
-        extra.insert("v_used".to_string(), v_used);
-        (stats, trace, extra)
-    };
-    Ok(match algo {
-        Algo::Conflux => {
-            let (grid, v) = grid_and_block(cell)?;
-            let mut cfg = ConfluxConfig::new(n, v, grid).volume_only();
-            if !cell.lookahead {
-                cfg = cfg.blocking();
-            }
-            run(Box::new(move || {
-                let out = conflux_lu(&cfg, &w.general).expect("conflux failed");
-                (out.stats, v as f64)
-            }))
-        }
-        Algo::Confchox => {
-            let (grid, v) = grid_and_block(cell)?;
-            let mut cfg = ConfchoxConfig::new(n, v, grid).volume_only();
-            if !cell.lookahead {
-                cfg = cfg.blocking();
-            }
-            run(Box::new(move || {
-                let out = confchox_cholesky(&cfg, &w.spd).expect("confchox failed");
-                (out.stats, v as f64)
-            }))
-        }
-        Algo::SwapLu => {
-            let (grid, v) = grid_and_block(cell)?;
-            let cfg = SwapLuConfig::new(n, v, grid).volume_only();
-            run(Box::new(move || {
-                let out = lu25d_swap(&cfg, &w.general).expect("lu25d failed");
-                (out.stats, v as f64)
-            }))
-        }
-        Algo::TwodLu | Algo::TwodChol => {
-            if cell.c > 1 {
-                return Err(format!("2D algo cannot replicate (c={})", cell.c));
-            }
-            let mut cfg = TwodConfig::auto(n, p).volume_only();
-            if cell.block > 0 {
-                cfg = TwodConfig::new(n, cell.block, cfg.grid).volume_only();
-            }
-            let nb = cfg.nb;
-            run(Box::new(move || {
-                let stats = if algo == Algo::TwodLu {
-                    twod_lu(&cfg, &w.general).expect("2d lu failed").stats
-                } else {
-                    twod_cholesky(&cfg, &w.spd).expect("2d chol failed").stats
-                };
-                (stats, nb as f64)
-            }))
-        }
-    })
-}
-
-/// The ABFT fault-tolerant path: run with checksums on, then (outside the
-/// trace) with checksums off, and report the byte tax as its own KPI. The
-/// lookahead axis does not apply — the ft schedules are blocking.
-fn run_checksummed(
-    cell: &Cell,
-    algo: Algo,
-    w: &Workload,
-    pert: &PerturbConfig,
-) -> Result<CellRun, String> {
-    if !matches!(algo, Algo::Conflux | Algo::Confchox) {
+/// Run `cell` on the input `input_seed` generates — `random_matrix` at the
+/// seed for the LU algorithms, `random_spd` at `seed + 1` for Cholesky; only
+/// the one the algorithm reads is built. `traced` records the event trace
+/// and perturbs the schedule from `cell.seed`; otherwise the run is plain.
+/// `Err` names why the cell is infeasible.
+///
+/// # Panics
+/// If the factorization fails (inputs are generated non-singular).
+pub fn run_cell(cell: &Cell, input_seed: u64, traced: bool) -> Result<CellRun, String> {
+    let algo = Algo::from_name(&cell.algo).ok_or_else(|| format!("unknown algo {}", cell.algo))?;
+    if cell.checksum && !matches!(algo, Algo::Conflux | Algo::Confchox) {
         return Err(format!(
             "checksum axis needs conflux|confchox, not {}",
             cell.algo
         ));
     }
-    let (grid, v) = grid_and_block(cell)?;
-    let cfg = FtConfig::new(cell.n, v, grid).checkpoint_every(0);
-    let plain_cfg = cfg.clone().no_checksums();
-
-    let run_ft = |cfg: &FtConfig| -> WorldStats {
-        match algo {
-            Algo::Conflux => {
-                let mut out = conflux_lu_ft(cfg, &w.general).expect("ft lu failed");
-                out.report.attempt_stats.pop().expect("one attempt")
-            }
-            _ => {
-                let mut out = confchox_cholesky_ft(cfg, &w.spd).expect("ft chol failed");
-                out.report.attempt_stats.pop().expect("one attempt")
-            }
+    let (grid, v) = grid_and_block(cell, algo)?;
+    let n = cell.n;
+    let a = if algo.is_cholesky() {
+        random_spd(n, input_seed + 1)
+    } else {
+        random_matrix(n, n, input_seed)
+    };
+    let pert = PerturbConfig::new(cell.seed);
+    let factor = |checksums: bool| {
+        if cell.checksum {
+            ft_stats(algo, n, v, grid, checksums, &a)
+        } else {
+            plain_stats(algo, cell, v, grid, &a)
         }
     };
-
-    let (ck_stats, mut traces) =
-        xharness::run_perturbed_traced(pert, TraceConfig::default(), || run_ft(&cfg));
-    let plain_stats = xharness::run_perturbed(pert, || run_ft(&plain_cfg));
-
-    let mut extra = BTreeMap::new();
-    extra.insert("v_used".to_string(), v as f64);
-    let plain = plain_stats.avg_rank_bytes();
-    if plain > 0.0 {
-        extra.insert(
-            "checksum_byte_overhead".to_string(),
-            ck_stats.avg_rank_bytes() / plain - 1.0,
-        );
-    }
-    Ok((ck_stats, traces.pop(), extra))
+    let (stats, trace) = if traced {
+        let (stats, mut traces) =
+            xharness::run_perturbed_traced(&pert, TraceConfig::default(), || factor(true));
+        (stats, traces.pop())
+    } else {
+        (factor(true), None)
+    };
+    // The ABFT byte tax: the same cell with checksums off, outside the trace.
+    let checksum_byte_overhead = if cell.checksum {
+        let twin = if traced {
+            xharness::run_perturbed(&pert, || factor(false))
+        } else {
+            factor(false)
+        };
+        let plain = twin.avg_rank_bytes();
+        (plain > 0.0).then(|| stats.avg_rank_bytes() / plain - 1.0)
+    } else {
+        None
+    };
+    Ok(CellRun {
+        kpis: factor_kpis(algo, n, cell.p, grid.pz, &stats),
+        stats,
+        trace,
+        grid,
+        v,
+        checksum_byte_overhead,
+    })
 }
 
-fn run_kernel_cell(cell: &Cell, reps: usize) -> Result<BTreeMap<String, f64>, String> {
-    let report = crate::experiments::kernels::kernels(&[cell.n], reps);
-    // Keep the provenance-stamped BENCH_kernels.json artifact flowing for
-    // consumers of results/ (the CI upload step among them). Socket-backend
-    // child ranks replaying the plan never write artifacts.
-    if !xmpi::launch::is_child() {
-        if let Err(e) = report.save(std::path::Path::new("results")) {
-            eprintln!("(could not save results/{}.json: {e})", report.id);
+fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> WorldStats {
+    let n = cell.n;
+    match algo {
+        Algo::Conflux => {
+            let mut cfg = ConfluxConfig::new(n, v, grid).volume_only();
+            if !cell.lookahead {
+                cfg = cfg.blocking();
+            }
+            conflux_lu(&cfg, a).expect("conflux failed").stats
+        }
+        Algo::Confchox => {
+            let mut cfg = ConfchoxConfig::new(n, v, grid).volume_only();
+            if !cell.lookahead {
+                cfg = cfg.blocking();
+            }
+            confchox_cholesky(&cfg, a).expect("confchox failed").stats
+        }
+        Algo::SwapLu => {
+            let cfg = SwapLuConfig::new(n, v, grid).volume_only();
+            lu25d_swap(&cfg, a).expect("lu25d failed").stats
+        }
+        Algo::TwodLu | Algo::TwodChol => {
+            let cfg = TwodConfig::new(n, v, Grid2::new(grid.px, grid.py)).volume_only();
+            if algo == Algo::TwodLu {
+                twod_lu(&cfg, a).expect("2d lu failed").stats
+            } else {
+                twod_cholesky(&cfg, a).expect("2d chol failed").stats
+            }
         }
     }
-    let kpis = kernel_kpis(&report.json, cell.n);
-    if kpis.is_empty() {
-        return Err(format!("kernel report produced no KPIs at n={}", cell.n));
-    }
-    Ok(kpis)
 }
 
-/// A comm-workload cell: run the transport microbenchmark at the cell's
-/// `(n, p)` — `n` is the broadcast message size in f64 elements — and pull
-/// the matching KPI record. The full report (with the whole sweep grid and
-/// the traced headline cell) is persisted under `results/` for the CI
-/// artifact upload, same as the kernels path.
-fn run_comm_cell(cell: &Cell, reps: usize) -> Result<BTreeMap<String, f64>, String> {
-    if cell.p < 2 {
-        return Err(format!("comm cells need p >= 2, got p={}", cell.p));
+/// The ABFT fault-tolerant path, with or without its checksums. The
+/// lookahead axis does not apply — the ft schedules are blocking.
+fn ft_stats(
+    algo: Algo,
+    n: usize,
+    v: usize,
+    grid: Grid3,
+    checksums: bool,
+    a: &Matrix,
+) -> WorldStats {
+    let mut cfg = FtConfig::new(n, v, grid).checkpoint_every(0);
+    if !checksums {
+        cfg = cfg.no_checksums();
     }
-    let report = crate::experiments::comm::comm(&[cell.p], &[cell.n], reps);
-    if !xmpi::launch::is_child() {
-        if let Err(e) = report.save(std::path::Path::new("results")) {
-            eprintln!("(could not save results/{}.json: {e})", report.id);
+    let mut report = match algo {
+        Algo::Conflux => conflux_lu_ft(&cfg, a).expect("ft lu failed").report,
+        _ => {
+            confchox_cholesky_ft(&cfg, a)
+                .expect("ft chol failed")
+                .report
         }
-    }
-    let kpis = comm_kpis(&report.json, cell.n, cell.p);
-    if !kpis.contains_key("bcast_speedup") {
-        return Err(format!(
-            "comm report produced no bcast KPIs at n={}, p={}",
-            cell.n, cell.p
-        ));
-    }
-    Ok(kpis)
+    };
+    report.attempt_stats.pop().expect("one attempt")
 }
 
-/// A transport-workload cell: measure the postal-model α-β of both the
-/// in-process and the socket backend at the cell's `(n, p)` — `n` is the
-/// probed message size in f64 elements — and record the fit (and its gap
-/// to the simulated machine model) as KPIs.
+/// The KPI record of one factor-workload plan cell: traced, on the plans'
+/// fixed input.
+pub fn factor_cell_kpis(cell: &Cell) -> Result<BTreeMap<String, f64>, String> {
+    Ok(run_cell(cell, INPUT_SEED, true)?.record())
+}
+
+/// A microbenchmark cell (`kernels`, `comm` or `transport` workload): run
+/// the experiment at the cell's `(n, p)` — for the two transport workloads
+/// `n` is the message size in f64 elements — persist its full report under
+/// `results/` for the CI artifact upload, and pull the cell's KPI record.
 ///
-/// The socket half re-executes the current binary, so this cell must be
-/// reached deterministically from `main` (the `ablations` CLI qualifies;
-/// libtest does not — unit tests cover only the local half). Artifact
-/// writes are gated on [`xmpi::launch::is_child`]: a child rank replaying
-/// an *earlier* plan cell to find its world must never rewrite the
-/// parent's results.
-fn run_transport_cell(cell: &Cell, reps: usize) -> Result<BTreeMap<String, f64>, String> {
-    if cell.p < 2 {
-        return Err(format!("transport cells need p >= 2, got p={}", cell.p));
+/// The transport workload's socket half re-executes the current binary, so
+/// its cells must be reached deterministically from `main` (the `ablations`
+/// CLI qualifies; libtest does not — unit tests cover only the local
+/// half). Artifact writes are gated on [`xmpi::launch::is_child`]: a child
+/// rank replaying an *earlier* plan cell to find its world must never
+/// rewrite the parent's results.
+fn run_micro_cell(
+    workload: PlanWorkload,
+    cell: &Cell,
+    reps: usize,
+) -> Result<BTreeMap<String, f64>, String> {
+    use crate::experiments::{comm::comm, kernels::kernels, transport::transport};
+    let (name, n, p) = (workload.name(), cell.n, cell.p);
+    if workload != PlanWorkload::Kernels && p < 2 {
+        return Err(format!("{name} cells need p >= 2, got p={p}"));
     }
-    let report = crate::experiments::transport::transport(&[cell.p], &[cell.n], reps);
-    if !xmpi::launch::is_child() {
-        if let Err(e) = report.save(std::path::Path::new("results")) {
-            eprintln!("(could not save results/{}.json: {e})", report.id);
+    // `needs`: the KPI a report that covers this cell cannot lack.
+    let (report, kpis, needs) = match workload {
+        PlanWorkload::Kernels => {
+            let report = kernels(&[n], reps);
+            let kpis = kernel_kpis(&report.json, n);
+            (report, kpis, "gflops_gemm")
         }
+        PlanWorkload::Comm => {
+            let report = comm(&[p], &[n], reps);
+            let kpis = comm_kpis(&report.json, n, p);
+            (report, kpis, "bcast_speedup")
+        }
+        _ => {
+            let report = transport(&[p], &[n], reps);
+            let kpis = transport_kpis(&report.json, n, p);
+            (report, kpis, "alpha_socket_us")
+        }
+    };
+    if !xmpi::launch::is_child() {
+        report.save();
     }
-    let kpis = transport_kpis(&report.json, cell.n, cell.p);
-    if !kpis.contains_key("alpha_socket_us") {
-        return Err(format!(
-            "transport report produced no socket fit at n={}, p={}",
-            cell.n, cell.p
-        ));
+    if !kpis.contains_key(needs) {
+        return Err(format!("{name} report has no {needs} at n={n}, p={p}"));
     }
     Ok(kpis)
 }
@@ -358,12 +328,16 @@ mod tests {
     use crate::plan::parse_toml;
 
     fn tiny_plan(extra: &str) -> AblationPlan {
+        tiny_plan_of("conflux", extra)
+    }
+
+    fn tiny_plan_of(algo: &str, extra: &str) -> AblationPlan {
         let text = format!(
             r#"
 name = "tiny"
 workload = "factor"
 [axes]
-algo = ["conflux"]
+algo = ["{algo}"]
 n = [32]
 p = [4]
 {extra}
@@ -372,12 +346,39 @@ p = [4]
         AblationPlan::from_value(&parse_toml(&text).unwrap()).unwrap()
     }
 
+    /// Both front doors — a figure's call and the one-cell plan — reach the
+    /// same runner and the same price, for every algorithm.
+    #[test]
+    fn a_figures_point_and_the_equivalent_plan_cell_agree() {
+        use Algo::*;
+        for algo in [Conflux, Confchox, TwodLu, TwodChol, SwapLu] {
+            let run = crate::experiments::measure(algo, 32, 4, INPUT_SEED);
+            let peak = run.kpis.model_pct_peak;
+            assert!(run.kpis.sim_time > 0.0, "{algo:?}");
+            assert!(peak > 0.0 && peak <= 100.0, "{algo:?}: {peak}");
+            let figure = run.record();
+
+            let ablation = run_ablation(&tiny_plan_of(algo.name(), ""));
+            assert_eq!(ablation.outcomes.len(), 1, "{:?}", ablation.skipped);
+            for kpi in [
+                "words_per_rank",
+                "msgs_per_rank",
+                "sim_time_ms",
+                "model_gflops",
+                "model_pct_peak",
+            ] {
+                let plan = ablation.outcomes[0].kpis[kpi];
+                assert_eq!(figure[kpi], plan, "{algo:?}: {kpi}");
+            }
+        }
+    }
+
     #[test]
     fn tiny_grid_executes_and_extracts_kpis() {
         let run = run_ablation(&tiny_plan(""));
         assert_eq!(run.outcomes.len(), 1, "skipped: {:?}", run.skipped);
         let kpis = &run.outcomes[0].kpis;
-        assert!(kpis["gflops"] > 0.0);
+        assert!(kpis["model_gflops"] > 0.0);
         assert!(kpis["comm_factor"] >= 1.0);
         assert!(kpis.contains_key("idle_frac"), "trace KPIs present");
         assert!(kpis["v_used"] > 0.0);
@@ -388,7 +389,12 @@ p = [4]
         let plan = tiny_plan("seed = [0, 3]");
         let run = run_ablation(&plan);
         assert_eq!(run.outcomes.len(), 2, "skipped: {:?}", run.skipped);
-        for kpi in ["gflops", "words_per_rank", "msgs_per_rank", "comm_factor"] {
+        for kpi in [
+            "model_gflops",
+            "words_per_rank",
+            "msgs_per_rank",
+            "comm_factor",
+        ] {
             assert_eq!(
                 run.outcomes[0].kpis[kpi], run.outcomes[1].kpis[kpi],
                 "{kpi} must not depend on the perturbation seed"

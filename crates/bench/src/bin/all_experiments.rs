@@ -54,38 +54,19 @@ fn suite() -> Vec<Experiment> {
             "fig11",
             Box::new(|| ex::fig1::fig11(&[256, 512, 1024, 2048], &[4, 16, 64])),
         ),
+        // The three sweeps are plan axes: `block` and `c` at a fixed
+        // `(p, c)` grid `near_square(p/c) × c`, and an algo pair over them.
         (
             "ablation_block",
-            Box::new(|| {
-                ex::ablations::block_size(512, xmpi::Grid3::new(2, 2, 2), &[8, 16, 32, 64, 128])
-            }),
+            Box::new(|| ex::ablations::block_size(512, 8, 2, &[8, 16, 32, 64, 128])),
         ),
         (
             "ablation_replication",
-            Box::new(|| {
-                ex::ablations::replication(
-                    512,
-                    16,
-                    &[
-                        xmpi::Grid3::new(4, 4, 1),
-                        xmpi::Grid3::new(2, 4, 2),
-                        xmpi::Grid3::new(2, 2, 4),
-                    ],
-                )
-            }),
+            Box::new(|| ex::ablations::replication(512, 16, &[1, 2, 4])),
         ),
         (
             "ablation_pivoting",
-            Box::new(|| {
-                ex::ablations::pivoting(
-                    256,
-                    &[
-                        xmpi::Grid3::new(2, 2, 1),
-                        xmpi::Grid3::new(2, 2, 2),
-                        xmpi::Grid3::new(2, 2, 4),
-                    ],
-                )
-            }),
+            Box::new(|| ex::ablations::pivoting(256, &[(4, 1), (8, 2), (16, 4)])),
         ),
         ("generality", Box::new(ex::generality::run)),
     ]

@@ -1,6 +1,8 @@
 //! Trace one factorization run and report its profile.
 //!
-//! Runs the chosen algorithm under the event recorder, then:
+//! Runs the chosen algorithm as the plan cell `algo × n × p` (automatic
+//! grid and block) through `bench::ablate::run_cell` — traced, under the
+//! light seed-0 schedule perturbation plan cells run under — then:
 //!
 //! * writes `chrome.json` (open in Perfetto / `chrome://tracing`) and
 //!   `profile.json` (provenance-stamped profile report) to `--out`;
@@ -14,22 +16,24 @@
 //! phase *hides* behind compute under the α-β-γ replay, plus the modeled
 //! makespan reduction the overlap buys.
 //!
-//! With `--kpi`, skips the profile tables and instead emits the exact KPI
-//! record shape the ablation registry stores (see `bench::kpi`), so a
-//! hand-run trace can be appended to the trajectory: pass `--registry DIR`
-//! to record it under the plan name `manual`.
+//! With `--kpi`, skips the profile tables and instead emits the KPI record
+//! `ablations run` emits for that cell — same runner, same fixed plan
+//! input — so a hand-run trace can be appended to the trajectory: pass
+//! `--registry DIR` to record it under the plan name `manual`. `--seed`
+//! picks the *input matrix* of the profile modes; a plan cell's input is
+//! fixed, so `--kpi` refuses it.
 //!
 //! Usage:
-//!   trace_report [--algo conflux|confchox|twod-lu|lu25d] [--n N] [--p P]
+//!   trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] [--n N] [--p P]
 //!                [--seed S] [--out DIR] [--pretty] [--overlap]
 //!                [--kpi [--registry DIR]]
 
 use std::collections::BTreeMap;
 
+use bench::ablate::{factor_cell_kpis, run_cell};
+use bench::plan::Cell;
 use bench::table::{human_bytes, render};
-use factor::{lu25d_swap::SwapLuConfig, ConfchoxConfig, ConfluxConfig, TwodConfig};
 use serde_json::json;
-use xmpi::trace::{capture, TraceConfig};
 use xmpi::{WorldStats, WorldTrace};
 use xtrace::profile::{coll_bytes_from_trace, phase_bytes_from_trace};
 use xtrace::{
@@ -48,7 +52,7 @@ struct Args {
     registry: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         algo: "conflux".to_string(),
         n: 256,
@@ -60,7 +64,7 @@ fn parse_args() -> Args {
         kpi: false,
         registry: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut seed_given = false;
     while let Some(flag) = it.next() {
         let mut val = |name: &str| {
             it.next()
@@ -70,7 +74,10 @@ fn parse_args() -> Args {
             "--algo" => args.algo = val("--algo"),
             "--n" => args.n = val("--n").parse().expect("--n: integer"),
             "--p" => args.p = val("--p").parse().expect("--p: integer"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed: integer"),
+            "--seed" => {
+                args.seed = val("--seed").parse().expect("--seed: integer");
+                seed_given = true;
+            }
             "--out" => args.out = Some(val("--out")),
             "--pretty" => args.pretty = true,
             "--overlap" => args.overlap = true,
@@ -78,7 +85,7 @@ fn parse_args() -> Args {
             "--registry" => args.registry = Some(val("--registry")),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: trace_report [--algo conflux|confchox|twod-lu|lu25d] \
+                    "usage: trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] \
                      [--n N] [--p P] [--seed S] [--out DIR] [--pretty] [--overlap] \
                      [--kpi [--registry DIR]]"
                 );
@@ -87,60 +94,36 @@ fn parse_args() -> Args {
             other => panic!("unknown flag {other}"),
         }
     }
+    // `--seed` picks the input matrix; a plan cell's is fixed, and the
+    // cell id has no field that could tell the two apart.
+    assert!(
+        !(args.kpi && seed_given),
+        "--kpi records the plan cell, whose input matrix is fixed: drop --seed"
+    );
     args
 }
 
-fn run_traced(args: &Args, blocking: bool) -> (WorldTrace, WorldStats) {
-    let (stats, mut traces) = match args.algo.as_str() {
-        "conflux" => {
-            let a = dense::gen::random_matrix(args.n, args.n, args.seed);
-            let mut cfg = ConfluxConfig::auto(args.n, args.p).volume_only();
-            if blocking {
-                cfg = cfg.blocking();
-            }
-            capture(TraceConfig::default(), || {
-                conflux_stats(factor::conflux_lu(&cfg, &a))
-            })
-        }
-        "confchox" => {
-            let a = dense::gen::random_spd(args.n, args.seed);
-            let mut cfg = ConfchoxConfig::auto(args.n, args.p).volume_only();
-            if blocking {
-                cfg = cfg.blocking();
-            }
-            capture(TraceConfig::default(), || {
-                factor::confchox_cholesky(&cfg, &a)
-                    .expect("confchox failed")
-                    .stats
-            })
-        }
-        "twod-lu" => {
-            let a = dense::gen::random_matrix(args.n, args.n, args.seed);
-            let cfg = TwodConfig::auto(args.n, args.p).volume_only();
-            capture(TraceConfig::default(), || {
-                factor::twod_lu(&cfg, &a).expect("2D LU failed").stats
-            })
-        }
-        "lu25d" => {
-            let a = dense::gen::random_matrix(args.n, args.n, args.seed);
-            // Same grid/block selection COnfLUX would use, so the two are
-            // directly comparable.
-            let like = ConfluxConfig::auto(args.n, args.p);
-            let cfg = SwapLuConfig::new(like.n, like.v, like.grid).volume_only();
-            capture(TraceConfig::default(), || {
-                factor::lu25d_swap::lu25d_swap(&cfg, &a)
-                    .expect("2.5D LU failed")
-                    .stats
-            })
-        }
-        other => panic!("unknown --algo {other} (conflux|confchox|twod-lu|lu25d)"),
-    };
-    assert_eq!(traces.len(), 1, "expected exactly one traced world run");
-    (traces.pop().unwrap(), stats)
+/// `v` as `--pretty` asks for it.
+fn dump(args: &Args, v: &serde_json::Value) -> String {
+    if args.pretty {
+        serde_json::to_string_pretty(v).unwrap()
+    } else {
+        serde_json::to_string(v).unwrap()
+    }
 }
 
-fn conflux_stats(out: Result<factor::LuOutput, dense::Error>) -> WorldStats {
-    out.expect("conflux failed").stats
+/// The plan cell the arguments name.
+fn cell_of(args: &Args) -> Cell {
+    Cell::auto(&args.algo, args.n, args.p)
+}
+
+fn run_traced(args: &Args, blocking: bool) -> (WorldTrace, WorldStats) {
+    let cell = Cell {
+        lookahead: !blocking,
+        ..cell_of(args)
+    };
+    let run = run_cell(&cell, args.seed, true).unwrap_or_else(|e| panic!("{e}"));
+    (run.trace.expect("a traced run has a trace"), run.stats)
 }
 
 /// Lookahead-vs-blocking comparison: same input, same measured traffic,
@@ -279,54 +262,26 @@ fn overlap_report(args: &Args) {
             "makespan_reduction_pct": reduction,
             "per_phase": per_phase,
         });
-        let text = if args.pretty {
-            serde_json::to_string_pretty(&doc).unwrap()
-        } else {
-            serde_json::to_string(&doc).unwrap()
-        };
-        std::fs::write(format!("{dir}/overlap.json"), text).expect("write overlap.json");
+        std::fs::write(format!("{dir}/overlap.json"), dump(args, &doc))
+            .expect("write overlap.json");
         println!("\nwrote {dir}/overlap.json");
     }
 }
 
-/// `--kpi` mode: extract the ablation-registry KPI record from one traced
-/// run and print (or append) it — the same shape `bench ablate run` stores,
-/// so hand-run traces land on the same trajectory.
-fn kpi_record(args: &Args, trace: &WorldTrace, stats: &WorldStats) {
-    let algo = bench::kpi::algo_from_name(&args.algo)
-        .unwrap_or_else(|| panic!("--kpi does not support algo {}", args.algo));
-    let c_used = match args.algo.as_str() {
-        "twod-lu" | "twod-chol" => 1,
-        "confchox" => ConfchoxConfig::auto(args.n, args.p).grid.pz,
-        _ => ConfluxConfig::auto(args.n, args.p).grid.pz,
-    };
-    let kpis = bench::kpi::factor_kpis(
-        algo,
-        args.n,
-        args.p,
-        c_used,
-        stats,
-        Some(trace),
-        &Machine::piz_daint(),
-    );
-    let cell = bench::plan::Cell {
-        algo: args.algo.clone(),
-        n: args.n,
-        p: args.p,
-        c: 0,
-        block: 0,
-        lookahead: true,
-        checksum: false,
-        seed: args.seed,
-    };
+/// `--kpi` mode: the registry record of the plan cell the arguments name —
+/// what `ablations run` stores for it, so hand-run traces land on the same
+/// trajectory.
+fn kpi_record(args: &Args) -> (Cell, BTreeMap<String, f64>) {
+    let cell = cell_of(args);
+    let kpis = factor_cell_kpis(&cell).unwrap_or_else(|e| panic!("{e}"));
+    (cell, kpis)
+}
+
+fn emit_kpi_record(args: &Args) {
+    let (cell, kpis) = kpi_record(args);
     let stamp = bench::provenance::Stamp::here(None);
     let (rows, record) = bench::registry::rows_for(&stamp, "manual", "manual", &cell.id(), &kpis);
-    let text = if args.pretty {
-        serde_json::to_string_pretty(&record).unwrap()
-    } else {
-        serde_json::to_string(&record).unwrap()
-    };
-    println!("{text}");
+    println!("{}", dump(args, &record));
     if let Some(dir) = &args.registry {
         let reg = bench::registry::Registry::new(dir);
         let outcome = reg.append(&rows, &[record]).expect("registry append");
@@ -340,16 +295,16 @@ fn kpi_record(args: &Args, trace: &WorldTrace, stats: &WorldStats) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
     if args.overlap {
         overlap_report(&args);
         return;
     }
-    let (trace, stats) = run_traced(&args, false);
     if args.kpi {
-        kpi_record(&args, &trace, &stats);
+        emit_kpi_record(&args);
         return;
     }
+    let (trace, stats) = run_traced(&args, false);
 
     let prov = Provenance::here(
         json!({ "algo": args.algo, "n": args.n, "p": args.p }),
@@ -360,15 +315,10 @@ fn main() {
 
     if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir).expect("create --out dir");
-        let dump = |v: &serde_json::Value| {
-            if args.pretty {
-                serde_json::to_string_pretty(v).unwrap()
-            } else {
-                serde_json::to_string(v).unwrap()
-            }
-        };
-        std::fs::write(format!("{dir}/profile.json"), dump(&report)).expect("write profile.json");
-        std::fs::write(format!("{dir}/chrome.json"), dump(&chrome)).expect("write chrome.json");
+        std::fs::write(format!("{dir}/profile.json"), dump(&args, &report))
+            .expect("write profile.json");
+        std::fs::write(format!("{dir}/chrome.json"), dump(&args, &chrome))
+            .expect("write chrome.json");
         println!("wrote {dir}/profile.json and {dir}/chrome.json\n");
     }
 
@@ -462,4 +412,39 @@ fn main() {
     let comp: f64 = rp.comp.iter().sum::<f64>() / rp.comp.len().max(1) as f64;
     let wait: f64 = rp.wait.iter().sum::<f64>() / rp.wait.len().max(1) as f64;
     println!("  mean per-rank: compute {comp:.6}s, blocked {wait:.6}s");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::ablate::run_ablation;
+    use bench::plan::{parse_toml, AblationPlan};
+
+    fn args(flags: &[&str]) -> Args {
+        parse_args(flags.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn kpi_mode_emits_the_plan_cells_record() {
+        let flags = ["--algo", "confchox", "--n", "32", "--p", "4", "--kpi"];
+        let (cell, kpis) = kpi_record(&args(&flags));
+        let plan = "name = \"t\"\nworkload = \"factor\"\n[axes]\nalgo = [\"confchox\"]\nn = [32]\np = [4]\n";
+        let run = run_ablation(&AblationPlan::from_value(&parse_toml(plan).unwrap()).unwrap());
+        assert_eq!(run.outcomes.len(), 1, "skipped: {:?}", run.skipped);
+        let plan_cell = &run.outcomes[0];
+        assert_eq!(cell, plan_cell.cell);
+        assert!(kpis.keys().eq(plan_cell.kpis.keys()));
+        for (name, v) in &kpis {
+            // The three host-clock KPIs differ run to run.
+            if !matches!(name.as_str(), "idle_frac" | "critpath_frac" | "makespan_ms") {
+                assert_eq!(*v, plan_cell.kpis[name], "{name}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "drop --seed")]
+    fn kpi_mode_refuses_an_input_seed() {
+        args(&["--kpi", "--seed", "7"]);
+    }
 }

@@ -10,83 +10,82 @@
 //! * **pivoting strategy** — tournament + masking vs tournament + swapping
 //!   at matched grids (volume per phase).
 
+use crate::ablate::{run_cell, CellRun};
 use crate::experiments::Report;
-use crate::runner::Workload;
+use crate::kpi::Algo;
+use crate::plan::Cell;
 use crate::table::render;
-use factor::conflux::{conflux_lu, ConfluxConfig};
-use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
 use serde_json::json;
-use xmpi::Grid3;
-use xtrace::Machine;
 
-/// Block-size sweep at a fixed grid.
-pub fn block_size(n: usize, grid: Grid3, vs: &[usize]) -> Report {
-    let mach = Machine::piz_daint();
-    let w = Workload::new(n, 77);
+/// `algo` at `(n, p)` on the `c`-axis grid `near_square(p/c) × c`, run
+/// plain; `block` 0 = automatic. `Err` for a block the grid cannot use.
+fn run_on(
+    algo: Algo,
+    n: usize,
+    (p, c): (usize, usize),
+    block: usize,
+    seed: u64,
+) -> Result<CellRun, String> {
+    let cell = Cell {
+        c,
+        block,
+        ..Cell::auto(algo.name(), n, p)
+    };
+    run_cell(&cell, seed, false)
+}
+
+/// Block-size sweep at a fixed `(p, c)` grid.
+pub fn block_size(n: usize, p: usize, c: usize, vs: &[usize]) -> Report {
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &v in vs {
-        if !n.is_multiple_of(v) || !v.is_multiple_of(grid.pz) {
+        let Ok(run) = run_on(Algo::Conflux, n, (p, c), v, 77) else {
             continue;
-        }
-        let out = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &w.general)
-            .expect("factorization failed");
-        let bytes = out.stats.avg_rank_bytes();
-        let msgs = out.stats.total_msgs() as f64 / grid.size() as f64;
-        let flops = dense::flops::lu_total_flops(n) as f64 / grid.size() as f64;
-        let t = mach.rank_time(flops, out.stats.max_rank_bytes() as f64 / 2.0, msgs);
+        };
+        let bytes = run.stats.avg_rank_bytes();
+        let (msgs, sim_ms) = (run.kpis.msgs_per_rank, run.kpis.sim_time * 1e3);
         rows.push(vec![
             format!("{v}"),
             format!("{bytes:.0}"),
             format!("{msgs:.0}"),
-            format!("{:.2}", t * 1e3),
+            format!("{sim_ms:.2}"),
         ]);
         data.push(
-            json!({ "v": v, "bytes_per_rank": bytes, "msgs_per_rank": msgs, "sim_ms": t * 1e3 }),
+            json!({ "v": v, "bytes_per_rank": bytes, "msgs_per_rank": msgs, "sim_ms": sim_ms }),
         );
     }
     Report {
-        id: "ablation_block_size".into(),
-        title: format!(
-            "COnfLUX block-size sweep, N={n}, grid=[{},{},{}]",
-            grid.px, grid.py, grid.pz
-        ),
+        id: "ablation_block".into(),
+        title: format!("COnfLUX block-size sweep, N={n}, P={p}, c={c}"),
         json: json!({ "sweep": data }),
         text: render(&["v", "bytes/rank", "msgs/rank", "sim ms"], &rows),
     }
 }
 
 /// Replication-depth sweep at fixed `P` (same rank count, different `Pz`).
-pub fn replication(n: usize, p: usize, grids: &[Grid3]) -> Report {
-    let mach = Machine::piz_daint();
-    let w = Workload::new(n, 78);
+pub fn replication(n: usize, p: usize, cs: &[usize]) -> Report {
     let mut rows = Vec::new();
     let mut data = Vec::new();
-    for &grid in grids {
-        assert_eq!(grid.size(), p, "sweep must hold P fixed");
-        let v = factor::choose_block(n, grid.pz, (4 * grid.pz).max(16)).expect("valid block size");
-        let out = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &w.general)
-            .expect("factorization failed");
-        let bytes = out.stats.avg_rank_bytes();
-        let phases = out.stats.phase_totals();
+    for &c in cs {
+        let run = run_on(Algo::Conflux, n, (p, c), 0, 78).expect("valid block size");
+        let (grid, v, sim_ms) = (run.grid, run.v, run.kpis.sim_time * 1e3);
+        let bytes = run.stats.avg_rank_bytes();
+        let phases = run.stats.phase_totals();
         let scatter = phases.get("scatter_panels").map_or(0, |&(s, _)| s);
         let reduces = phases.get("reduce_col").map_or(0, |&(s, _)| s)
             + phases.get("reduce_pivots").map_or(0, |&(s, _)| s);
-        let msgs = out.stats.total_msgs() as f64 / p as f64;
-        let flops = dense::flops::lu_total_flops(n) as f64 / p as f64;
-        let t = mach.rank_time(flops, out.stats.max_rank_bytes() as f64 / 2.0, msgs);
         rows.push(vec![
             format!("[{},{},{}]", grid.px, grid.py, grid.pz),
             format!("{v}"),
             format!("{bytes:.0}"),
             format!("{scatter}"),
             format!("{reduces}"),
-            format!("{:.2}", t * 1e3),
+            format!("{sim_ms:.2}"),
         ]);
         data.push(json!({
             "grid": [grid.px, grid.py, grid.pz], "v": v,
             "bytes_per_rank": bytes, "scatter_bytes_total": scatter,
-            "reduce_bytes_total": reduces, "sim_ms": t * 1e3,
+            "reduce_bytes_total": reduces, "sim_ms": sim_ms,
         }));
     }
     Report {
@@ -107,19 +106,15 @@ pub fn replication(n: usize, p: usize, grids: &[Grid3]) -> Report {
     }
 }
 
-/// Masking vs swapping per-phase volume at matched grids.
-pub fn pivoting(n: usize, grids: &[Grid3]) -> Report {
-    let w = Workload::new(n, 79);
+/// Masking vs swapping per-phase volume at matched `(p, c)` grids.
+pub fn pivoting(n: usize, grids: &[(usize, usize)]) -> Report {
     let mut rows = Vec::new();
     let mut data = Vec::new();
-    for &grid in grids {
-        let v = factor::choose_block(n, grid.pz, (4 * grid.pz).max(16)).expect("valid block size");
-        let mask = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &w.general)
-            .expect("mask run failed")
-            .stats;
-        let swap = lu25d_swap(&SwapLuConfig::new(n, v, grid).volume_only(), &w.general)
-            .expect("swap run failed")
-            .stats;
+    for &pc in grids {
+        let run_of = |algo| run_on(algo, n, pc, 0, 79).expect("valid block size");
+        let (mask, swap) = (run_of(Algo::Conflux), run_of(Algo::SwapLu));
+        let grid = mask.grid;
+        let (mask, swap) = (mask.stats, swap.stats);
         let swap_phase = swap.phase_totals().get("row_swaps").map_or(0, |&(s, _)| s);
         rows.push(vec![
             format!("[{},{},{}]", grid.px, grid.py, grid.pz),
@@ -161,7 +156,7 @@ mod tests {
 
     #[test]
     fn block_size_sweep_shows_volume_up_messages_down() {
-        let r = block_size(256, Grid3::new(2, 2, 2), &[8, 32]);
+        let r = block_size(256, 8, 2, &[8, 32]);
         let s = r.json["sweep"].as_array().unwrap();
         assert_eq!(s.len(), 2);
         let (b8, m8) = (
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn swap_phase_grows_with_replication() {
-        let r = pivoting(96, &[Grid3::new(2, 2, 1), Grid3::new(2, 2, 4)]);
+        let r = pivoting(96, &[(4, 1), (16, 4)]);
         let s = r.json["sweep"].as_array().unwrap();
         let sp1 = s[0]["swap_phase_bytes"].as_u64().unwrap();
         let sp4 = s[1]["swap_phase_bytes"].as_u64().unwrap();

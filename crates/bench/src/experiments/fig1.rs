@@ -3,15 +3,14 @@
 //! `(P, N)` grid.
 //!
 //! Time-to-solution is the simulated α-β-γ time over *measured* traffic
-//! (see `machine.rs`); the second-best library is the better of the 2D
-//! schedule (MKL/SLATE stand-in) and the swapping 2.5D schedule
-//! (CANDMC/CAPITAL stand-in).
+//! (`kpi::factor_kpis` over `xtrace::Machine`); the second-best library is
+//! the better of the 2D schedule (MKL/SLATE stand-in) and the swapping 2.5D
+//! schedule (CANDMC/CAPITAL stand-in).
 
-use crate::experiments::Report;
-use crate::runner::{run_algo, Algo, Workload};
+use crate::experiments::{measure, Report};
+use crate::kpi::Algo;
 use crate::table::render;
 use serde_json::json;
-use xtrace::Machine;
 
 /// Shared implementation for Fig. 1 (LU) and Fig. 11 (Cholesky).
 fn speedup_grid(
@@ -22,7 +21,6 @@ fn speedup_grid(
     ns: &[usize],
     ps: &[usize],
 ) -> Report {
-    let mach = Machine::piz_daint();
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &p in ps {
@@ -30,12 +28,12 @@ fn speedup_grid(
             if n * n / p < 256 {
                 continue;
             }
-            let w = Workload::new(n, (n * 31 + p) as u64);
-            let us = run_algo(ours, n, p, &w, &mach);
+            let seed = (n * 31 + p) as u64;
+            let us = measure(ours, n, p, seed).kpis;
             let mut best_t = f64::INFINITY;
             let mut best = "";
             for &(algo, label) in baselines {
-                let m = run_algo(algo, n, p, &w, &mach);
+                let m = measure(algo, n, p, seed).kpis;
                 if m.sim_time < best_t {
                     best_t = m.sim_time;
                     best = label;
@@ -46,11 +44,11 @@ fn speedup_grid(
                 format!("{p}"),
                 format!("{n}"),
                 format!("{speedup:.2}x ({best})"),
-                format!("{:.1}%", us.pct_peak),
+                format!("{:.1}%", us.model_pct_peak),
             ]);
             data.push(json!({
                 "p": p, "n": n, "speedup": speedup, "best_baseline": best,
-                "pct_peak": us.pct_peak, "sim_time": us.sim_time,
+                "pct_peak": us.model_pct_peak, "sim_time": us.sim_time,
             }));
         }
     }

@@ -8,35 +8,38 @@
 //! * **8c** — communication reduction of COnfLUX vs the second-best
 //!   implementation over a `(P, N)` grid, measured + predicted.
 
-use crate::experiments::Report;
-use crate::runner::{run_algo, Algo, Workload};
+use crate::experiments::{measure, Report};
+use crate::kpi::Algo;
 use crate::table::render;
 use factor::models::{candmc_model, conflux_model, twod_lu_model, MachineParams};
 use serde_json::json;
-use xtrace::Machine;
+
+/// Measured mean bytes (sent + received) per rank of one data point.
+fn bytes_per_rank(algo: Algo, n: usize, p: usize, input_seed: u64) -> f64 {
+    measure(algo, n, p, input_seed).stats.avg_rank_bytes()
+}
 
 /// Fig. 8a: strong-scaling volume, measured + paper-scale model lines.
 pub fn fig8a(n: usize, ps: &[usize]) -> Report {
-    let mach = Machine::piz_daint();
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &p in ps {
-        let w = Workload::new(n, 800 + p as u64);
-        let cf = run_algo(Algo::Conflux, n, p, &w, &mach);
-        let td = run_algo(Algo::TwodLu, n, p, &w, &mach);
-        let sw = run_algo(Algo::SwapLu, n, p, &w, &mach);
+        let seed = 800 + p as u64;
+        let cf = bytes_per_rank(Algo::Conflux, n, p, seed);
+        let td = bytes_per_rank(Algo::TwodLu, n, p, seed);
+        let sw = bytes_per_rank(Algo::SwapLu, n, p, seed);
         rows.push(vec![
             format!("{p}"),
-            format!("{:.0}", cf.bytes_per_rank),
-            format!("{:.0}", td.bytes_per_rank),
-            format!("{:.0}", sw.bytes_per_rank),
-            format!("{:.2}x", td.bytes_per_rank / cf.bytes_per_rank),
+            format!("{cf:.0}"),
+            format!("{td:.0}"),
+            format!("{sw:.0}"),
+            format!("{:.2}x", td / cf),
         ]);
         data.push(json!({
             "p": p, "n": n,
-            "conflux_bytes_per_rank": cf.bytes_per_rank,
-            "twod_bytes_per_rank": td.bytes_per_rank,
-            "swap_bytes_per_rank": sw.bytes_per_rank,
+            "conflux_bytes_per_rank": cf,
+            "twod_bytes_per_rank": td,
+            "swap_bytes_per_rank": sw,
         }));
     }
     // Paper-scale model lines (N = 16384, maximum replication, like Fig 8a).
@@ -78,25 +81,24 @@ pub fn fig8a(n: usize, ps: &[usize]) -> Report {
 
 /// Fig. 8b: weak scaling `N = n0·∛P` (rounded to valid block multiples).
 pub fn fig8b(n0: usize, ps: &[usize]) -> Report {
-    let mach = Machine::piz_daint();
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &p in ps {
         let n_raw = (n0 as f64 * (p as f64).cbrt()) as usize;
         let n = (n_raw / 64).max(1) * 64; // keep divisibility easy
-        let w = Workload::new(n, 900 + p as u64);
-        let cf = run_algo(Algo::Conflux, n, p, &w, &mach);
-        let td = run_algo(Algo::TwodLu, n, p, &w, &mach);
+        let seed = 900 + p as u64;
+        let cf = bytes_per_rank(Algo::Conflux, n, p, seed);
+        let td = bytes_per_rank(Algo::TwodLu, n, p, seed);
         rows.push(vec![
             format!("{p}"),
             format!("{n}"),
-            format!("{:.0}", cf.bytes_per_rank),
-            format!("{:.0}", td.bytes_per_rank),
+            format!("{cf:.0}"),
+            format!("{td:.0}"),
         ]);
         data.push(json!({
             "p": p, "n": n,
-            "conflux_bytes_per_rank": cf.bytes_per_rank,
-            "twod_bytes_per_rank": td.bytes_per_rank,
+            "conflux_bytes_per_rank": cf,
+            "twod_bytes_per_rank": td,
         }));
     }
     let text = render(&["P", "N=n0·∛P", "COnfLUX B/rank", "2D B/rank"], &rows);
@@ -111,7 +113,6 @@ pub fn fig8b(n0: usize, ps: &[usize]) -> Report {
 /// Fig. 8c: communication reduction of COnfLUX vs the second-best
 /// implementation — measured grid plus model predictions to paper scale.
 pub fn fig8c(ns: &[usize], ps: &[usize]) -> Report {
-    let mach = Machine::piz_daint();
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &n in ns {
@@ -119,17 +120,13 @@ pub fn fig8c(ns: &[usize], ps: &[usize]) -> Report {
             if n * n / p < 64 {
                 continue;
             }
-            let w = Workload::new(n, 700 + (n + p) as u64);
-            let cf = run_algo(Algo::Conflux, n, p, &w, &mach);
-            let td = run_algo(Algo::TwodLu, n, p, &w, &mach);
-            let sw = run_algo(Algo::SwapLu, n, p, &w, &mach);
-            let second_best = td.bytes_per_rank.min(sw.bytes_per_rank);
-            let red = second_best / cf.bytes_per_rank;
-            let who = if td.bytes_per_rank <= sw.bytes_per_rank {
-                "M/S"
-            } else {
-                "C"
-            };
+            let seed = 700 + (n + p) as u64;
+            let cf = bytes_per_rank(Algo::Conflux, n, p, seed);
+            let td = bytes_per_rank(Algo::TwodLu, n, p, seed);
+            let sw = bytes_per_rank(Algo::SwapLu, n, p, seed);
+            let second_best = td.min(sw);
+            let red = second_best / cf;
+            let who = if td <= sw { "M/S" } else { "C" };
             rows.push(vec![
                 format!("{n}"),
                 format!("{p}"),

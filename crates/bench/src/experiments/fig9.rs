@@ -2,11 +2,10 @@
 //! (10) — strong scaling at two fixed matrix sizes plus a weak-scaling
 //! series (constant `N²/P` per rank), for every implementation.
 
-use crate::experiments::Report;
-use crate::runner::{run_algo, Algo, Workload};
+use crate::experiments::{measure, Report};
+use crate::kpi::Algo;
 use crate::table::render;
 use serde_json::json;
-use xtrace::Machine;
 
 fn perf_series(
     id: &str,
@@ -16,7 +15,6 @@ fn perf_series(
     ps: &[usize],
     weak_elems_per_rank: usize,
 ) -> Report {
-    let mach = Machine::piz_daint();
     let mut sections = String::new();
     let mut data = Vec::new();
 
@@ -27,13 +25,13 @@ fn perf_series(
             if n * n / p < 64 {
                 continue;
             }
-            let w = Workload::new(n, (n + 13 * p) as u64);
+            let seed = (n + 13 * p) as u64;
             let mut row = vec![format!("{p}")];
             for &(algo, label) in algos {
-                let m = run_algo(algo, n, p, &w, &mach);
-                row.push(format!("{:.1}%", m.pct_peak));
+                let pct_peak = measure(algo, n, p, seed).kpis.model_pct_peak;
+                row.push(format!("{pct_peak:.1}%"));
                 data.push(json!({
-                    "mode": "strong", "n": n, "p": p, "algo": label, "pct_peak": m.pct_peak,
+                    "mode": "strong", "n": n, "p": p, "algo": label, "pct_peak": pct_peak,
                 }));
             }
             rows.push(row);
@@ -51,13 +49,13 @@ fn perf_series(
     for &p in ps {
         let n_raw = ((weak_elems_per_rank * p) as f64).sqrt() as usize;
         let n = (n_raw / 64).max(1) * 64;
-        let w = Workload::new(n, (n + 17 * p) as u64);
+        let seed = (n + 17 * p) as u64;
         let mut row = vec![format!("{p}"), format!("{n}")];
         for &(algo, label) in algos {
-            let m = run_algo(algo, n, p, &w, &mach);
-            row.push(format!("{:.1}%", m.pct_peak));
+            let pct_peak = measure(algo, n, p, seed).kpis.model_pct_peak;
+            row.push(format!("{pct_peak:.1}%"));
             data.push(json!({
-                "mode": "weak", "n": n, "p": p, "algo": label, "pct_peak": m.pct_peak,
+                "mode": "weak", "n": n, "p": p, "algo": label, "pct_peak": pct_peak,
             }));
         }
         rows.push(row);

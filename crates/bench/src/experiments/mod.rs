@@ -15,11 +15,20 @@ pub mod table1;
 pub mod table2;
 pub(crate) mod transport;
 
+use crate::ablate::{run_cell, CellRun};
+use crate::kpi::Algo;
+use crate::plan::Cell;
 use serde_json::Value;
 use std::io::Write;
-use std::path::Path;
 
-/// A regenerated experiment: terminal text plus raw data.
+/// A figure's data point: `algo` at `(n, p)` with automatic grid and block,
+/// run plain on the figure's own input and priced.
+pub(crate) fn measure(algo: Algo, n: usize, p: usize, input_seed: u64) -> CellRun {
+    run_cell(&Cell::auto(algo.name(), n, p), input_seed, false)
+        .expect("an automatic cell is feasible")
+}
+
+/// A regenerated experiment, rendered: terminal text plus raw data.
 pub struct Report {
     /// Experiment id (e.g. `"fig8a"`).
     pub id: String,
@@ -35,16 +44,18 @@ impl Report {
     /// Print to stdout and persist the JSON under `results/`.
     pub fn emit(&self) {
         println!("== {} — {} ==\n{}", self.id, self.title, self.text);
-        if let Err(e) = self.save(Path::new("results")) {
-            eprintln!("(could not save results/{}.json: {e})", self.id);
-        }
+        self.save();
     }
 
-    /// Write `<dir>/<id>.json`.
-    pub(crate) fn save(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join(format!("{}.json", self.id)))?;
-        writeln!(f, "{}", serde_json::to_string_pretty(&self.json)?)?;
-        Ok(())
+    /// Write `results/<id>.json`; a failure is reported, not fatal.
+    pub(crate) fn save(&self) {
+        let write = || -> std::io::Result<()> {
+            std::fs::create_dir_all("results")?;
+            let mut f = std::fs::File::create(format!("results/{}.json", self.id))?;
+            writeln!(f, "{}", serde_json::to_string_pretty(&self.json)?)
+        };
+        if let Err(e) = write() {
+            eprintln!("(could not save results/{}.json: {e})", self.id);
+        }
     }
 }

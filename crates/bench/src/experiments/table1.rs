@@ -6,15 +6,11 @@
 //! at the same configuration — demonstrating the table's headline: Cholesky
 //! does half the arithmetic but moves the same class of volume.
 
-use crate::experiments::Report;
+use crate::experiments::{measure, Report};
+use crate::kpi::Algo;
 use crate::table::render;
-use dense::flops::{cholesky_total_flops, lu_total_flops};
-use dense::gen::{random_matrix, random_spd};
-use factor::confchox::ConfchoxConfig;
-use factor::conflux::ConfluxConfig;
-use factor::{confchox_cholesky, conflux_lu};
 use serde_json::json;
-use xmpi::Grid3;
+use std::collections::BTreeMap;
 
 /// Map the runtime's phase labels onto the paper's routine rows.
 fn routine(phase: &str) -> &'static str {
@@ -29,21 +25,25 @@ fn routine(phase: &str) -> &'static str {
 
 /// Regenerate Table 1.
 pub fn run(n: usize, p: usize) -> Report {
-    let grid = Grid3::for_processors(p, p);
-    let v = ConfluxConfig::auto(n, p).v;
-    let a = random_matrix(n, n, 21);
-    let spd = random_spd(n, 22);
+    // Both algorithms pick the same grid and block at the same `(n, p)`.
+    let lu = measure(Algo::Conflux, n, p, 21);
+    let ch = measure(Algo::Confchox, n, p, 21);
+    let (grid, v) = (lu.grid, lu.v);
 
-    let lu = conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).expect("lu");
-    let ch =
-        confchox_cholesky(&ConfchoxConfig::new(n, v, grid).volume_only(), &spd).expect("cholesky");
+    // Bytes sent per phase, by phase name (`phase_totals` is a `HashMap`:
+    // its own order differs from run to run).
+    let sent_by_phase = |stats: &xmpi::WorldStats| -> Vec<(String, u64)> {
+        let by_name: BTreeMap<String, (u64, u64)> = stats.phase_totals().into_iter().collect();
+        by_name.into_iter().map(|(k, (s, _))| (k, s)).collect()
+    };
+    let (lu_phases, ch_phases) = (sent_by_phase(&lu.stats), sent_by_phase(&ch.stats));
 
-    let mut rows_map: std::collections::BTreeMap<&'static str, (u64, u64)> = Default::default();
-    for (phase, (sent, _)) in lu.stats.phase_totals() {
-        rows_map.entry(routine(&phase)).or_default().0 += sent;
+    let mut rows_map: BTreeMap<&'static str, (u64, u64)> = Default::default();
+    for (phase, sent) in &lu_phases {
+        rows_map.entry(routine(phase)).or_default().0 += sent;
     }
-    for (phase, (sent, _)) in ch.stats.phase_totals() {
-        rows_map.entry(routine(&phase)).or_default().1 += sent;
+    for (phase, sent) in &ch_phases {
+        rows_map.entry(routine(phase)).or_default().1 += sent;
     }
 
     // The symbolic per-step costs from the paper's Table 1.
@@ -77,7 +77,7 @@ pub fn run(n: usize, p: usize) -> Report {
             format!("{bch}"),
         ]);
     }
-    let flops_ratio = lu_total_flops(n) as f64 / cholesky_total_flops(n) as f64;
+    let flops_ratio = Algo::Conflux.total_flops(n) / Algo::Confchox.total_flops(n);
     let vol_ratio = lu.stats.total_bytes_sent() as f64 / ch.stats.total_bytes_sent() as f64;
     let text = format!(
         "{}\nN={n}, P={p}, grid=[{},{},{}], v={v}\n\
@@ -104,8 +104,8 @@ pub fn run(n: usize, p: usize) -> Report {
         json: json!({
             "n": n, "p": p, "v": v,
             "grid": [grid.px, grid.py, grid.pz],
-            "lu_phase_bytes": lu.stats.phase_totals().iter().map(|(k,(s,_))| (k.clone(), s)).collect::<Vec<_>>(),
-            "chol_phase_bytes": ch.stats.phase_totals().iter().map(|(k,(s,_))| (k.clone(), s)).collect::<Vec<_>>(),
+            "lu_phase_bytes": lu_phases,
+            "chol_phase_bytes": ch_phases,
             "flops_ratio": flops_ratio,
             "volume_ratio": vol_ratio,
         }),

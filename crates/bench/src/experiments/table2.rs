@@ -9,46 +9,59 @@
 //! the paper) next to the measured row-swapping ablation. CAPITAL's author
 //! model has no row: nothing executable stands in for it (see Fig. 11).
 
-use crate::experiments::Report;
-use crate::runner::{run_algo, used_memory_words, Algo, Workload};
+use crate::experiments::{measure, Report};
+use crate::kpi::Algo;
 use crate::table::render;
-use factor::models::MachineParams;
+use factor::models::{self, MachineParams};
 use serde_json::json;
-use xtrace::Machine;
+
+/// An I/O cost model of `factor::models`: words per rank at block `nb`.
+type Model = fn(MachineParams, usize) -> f64;
+
+/// The table's rows: implementation, display name (with the library the
+/// paper compares it to), and its Table 2 model.
+const ROWS: [(Algo, &str, Model); 5] = [
+    (Algo::Conflux, "COnfLUX", |mp, _| models::conflux_model(mp)),
+    (Algo::Confchox, "COnfCHOX", |mp, _| {
+        models::confchox_model(mp)
+    }),
+    (Algo::TwodLu, "2D LU (MKL/SLATE)", models::twod_lu_model),
+    (
+        Algo::TwodChol,
+        "2D Chol (MKL/SLATE)",
+        models::twod_cholesky_model,
+    ),
+    (Algo::SwapLu, "2.5D LU swap (CANDMC-like)", |mp, _| {
+        models::candmc_model(mp)
+    }),
+];
 
 /// Regenerate Table 2 over a sweep of `(n, p)` points.
 pub fn run(points: &[(usize, usize)]) -> Report {
-    let mach = Machine::piz_daint();
-    let algos = [
-        Algo::Conflux,
-        Algo::Confchox,
-        Algo::TwodLu,
-        Algo::TwodChol,
-        Algo::SwapLu,
-    ];
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for &(n, p) in points {
-        let w = Workload::new(n, 1000 + n as u64);
-        for algo in algos {
-            let m = run_algo(algo, n, p, &w, &mach);
-            // Model evaluated at the memory the run actually used.
-            let mem = used_memory_words(n, p, m.c);
-            let model_words = algo.model_words(MachineParams::with_memory(n, p, mem), m.block);
+        for (algo, label, model) in ROWS {
+            let run = measure(algo, n, p, 1000 + n as u64);
+            let (c, block) = (run.grid.pz, run.v);
+            // Model evaluated at the memory the run actually used: the
+            // replication it ran at, `M = c·N²/P`.
+            let mem = (c * n * n) as f64 / p as f64;
+            let model_words = model(MachineParams::with_memory(n, p, mem), block);
             // Measured "words transferred per rank": (sent+received)/2 / 8.
-            let measured_words = m.bytes_per_rank / 16.0;
+            let measured_words = run.kpis.words_per_rank;
             let err = 100.0 * (measured_words - model_words) / model_words;
             rows.push(vec![
-                algo.label().to_string(),
+                label.to_string(),
                 format!("{n}"),
                 format!("{p}"),
-                format!("{}", m.c),
+                format!("{c}"),
                 format!("{measured_words:.0}"),
                 format!("{model_words:.0}"),
                 format!("{err:+.0}%"),
             ]);
             data.push(json!({
-                "algo": algo.label(), "n": n, "p": p, "c": m.c, "block": m.block,
+                "algo": label, "n": n, "p": p, "c": c, "block": block,
                 "measured_words_per_rank": measured_words,
                 "model_words_per_rank": model_words,
                 "error_pct": err,

@@ -1,19 +1,26 @@
 //! KPI definitions — the one place every registry writer agrees on what a
-//! number means.
+//! number means, and the one place a measured run is priced.
 //!
 //! A KPI record is a flat `name → f64` map. The factor-workload KPIs:
 //!
 //! | KPI | definition | deterministic? |
 //! |---|---|---|
 //! | `sim_time_ms` | α-β-γ rank time on the busiest rank (ms) | yes |
-//! | `gflops` | `total_flops / sim_time / 1e9` | yes |
-//! | `pct_peak` | `% of P·γ` at the simulated time | yes |
+//! | `model_gflops` | `total_flops / sim_time / 1e9` | yes |
+//! | `model_pct_peak` | `% of P·γ` at the simulated time | yes |
 //! | `words_per_rank` | `avg (sent+recv)/2` per rank, in 8-byte words | yes |
 //! | `comm_factor` | `words_per_rank / Q_lower(N, P, M=c·N²/P)` | yes |
 //! | `msgs_per_rank` | mean messages sent per rank | yes |
 //! | `idle_frac` | receive-wait share of `P·makespan` (host clock) | no |
 //! | `critpath_frac` | critical-path share of the makespan (host clock) | no |
 //! | `checksum_byte_overhead` | ABFT bytes over the unprotected run − 1 | yes |
+//!
+//! The three time-derived KPIs are *modelled*: bytes and messages are
+//! measured by the runtime, flops are the analytic counts, and time is
+//! [`xtrace::Machine`]'s `T = flops/γ + bytes/β + messages·α` over them —
+//! their names say so. [`factor_kpis`] is the only caller of
+//! `Machine::rank_time` / `pct_peak` in this crate (CI step "One cell
+//! runner"): every figure, table, sweep and plan cell reads its result.
 //!
 //! "Deterministic" KPIs are pure functions of the measured traffic and the
 //! analytic machine model, so they are bit-stable across runs of the same
@@ -23,52 +30,100 @@
 //!
 //! The kernels-workload KPIs are `gflops_<kernel>` for each measured kernel
 //! plus `gemm_speedup` (packed vs naive) — the quantity the CI perf gate
-//! holds the floor on.
+//! holds the floor on. Those rates are measured wall-clock, not modelled.
 
-use crate::runner::Algo;
+use crate::ablate::CellRun;
+use dense::flops::{cholesky_total_flops, lu_total_flops};
 use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use xmpi::{WorldStats, WorldTrace};
+use xmpi::WorldStats;
 use xtrace::Machine;
 
-/// Parse an ablation-axis algorithm name.
-pub fn algo_from_name(name: &str) -> Option<Algo> {
-    Some(match name {
-        "conflux" => Algo::Conflux,
-        "confchox" => Algo::Confchox,
-        "twod-lu" => Algo::TwodLu,
-        "twod-chol" => Algo::TwodChol,
-        "lu25d" => Algo::SwapLu,
-        _ => return None,
-    })
+/// Algorithms the harness can run or model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Algo {
+    /// COnfLUX (2.5D LU, tournament pivoting + row masking).
+    Conflux,
+    /// COnfCHOX (2.5D Cholesky).
+    Confchox,
+    /// 2D partial-pivoting LU — MKL / SLATE stand-in.
+    TwodLu,
+    /// 2D Cholesky — MKL / SLATE stand-in.
+    TwodChol,
+    /// 2.5D LU with explicit row swapping — CANDMC-style ablation.
+    SwapLu,
+}
+
+impl Algo {
+    /// The ablation-axis name (`Cell::algo`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Algo::Conflux => "conflux",
+            Algo::Confchox => "confchox",
+            Algo::TwodLu => "twod-lu",
+            Algo::TwodChol => "twod-chol",
+            Algo::SwapLu => "lu25d",
+        }
+    }
+
+    /// Parse an ablation-axis name.
+    pub(crate) fn from_name(name: &str) -> Option<Algo> {
+        use Algo::*;
+        [Conflux, Confchox, TwodLu, TwodChol, SwapLu]
+            .into_iter()
+            .find(|a| a.name() == name)
+    }
+
+    /// Whether the algorithm factors an SPD input (the rest are LU).
+    pub(crate) fn is_cholesky(self) -> bool {
+        matches!(self, Algo::Confchox | Algo::TwodChol)
+    }
+
+    /// Total flops of the factorization this algorithm performs.
+    pub(crate) fn total_flops(self, n: usize) -> f64 {
+        if self.is_cholesky() {
+            cholesky_total_flops(n) as f64
+        } else {
+            lu_total_flops(n) as f64
+        }
+    }
 }
 
 /// The paper's I/O lower bound for `algo` at `M = c·N²/P`, in words/rank.
 fn io_lower_bound(algo: Algo, n: usize, p: usize, c: usize) -> f64 {
-    let m = (c.max(1) * n * n) as f64 / p as f64;
-    match algo {
-        Algo::Conflux | Algo::TwodLu | Algo::SwapLu => lu_io_lower_bound(n, p, m),
-        Algo::Confchox | Algo::TwodChol => cholesky_io_lower_bound(n, p, m),
+    let m = (c * n * n) as f64 / p as f64;
+    if algo.is_cholesky() {
+        cholesky_io_lower_bound(n, p, m)
+    } else {
+        lu_io_lower_bound(n, p, m)
     }
 }
 
-/// Extract the factor-workload KPI record from one measured run.
-///
-/// `c` is the replication depth the run actually used (`grid.pz`); the
-/// trace is optional — without it the host-clock KPIs are omitted, not
-/// zero-filled, so a registry consumer can tell "not measured" from
-/// "perfectly overlapped".
-pub fn factor_kpis(
+/// One measured run priced under the α-β-γ model: the deterministic
+/// factor-workload KPIs. Figures and tables read the fields;
+/// [`CellRun::record`] is the registry's flat view of the same numbers.
+pub(crate) struct FactorKpis {
+    /// α-β-γ time of the busiest rank, in seconds.
+    pub sim_time: f64,
+    pub model_gflops: f64,
+    pub model_pct_peak: f64,
+    pub words_per_rank: f64,
+    pub comm_factor: f64,
+    pub msgs_per_rank: f64,
+}
+
+/// Price one run of `algo` at `(n, p)` on replication `c`: flops from the
+/// analytic counts, bytes and messages as measured, time from
+/// [`Machine::piz_daint`] over them, the lower bound at `M = c·N²/P`.
+pub(crate) fn factor_kpis(
     algo: Algo,
     n: usize,
     p: usize,
     c: usize,
     stats: &WorldStats,
-    trace: Option<&WorldTrace>,
-    mach: &Machine,
-) -> BTreeMap<String, f64> {
-    let mut kpis = BTreeMap::new();
+) -> FactorKpis {
+    let mach = Machine::piz_daint();
     let flops_total = algo.total_flops(n);
     let msgs = stats.total_msgs() as f64 / p as f64;
     let t = mach.rank_time(
@@ -77,19 +132,43 @@ pub fn factor_kpis(
         msgs,
     );
     let words = stats.avg_rank_bytes() / 16.0;
-    kpis.insert("sim_time_ms".into(), t * 1e3);
-    kpis.insert("gflops".into(), flops_total / t / 1e9);
-    kpis.insert("pct_peak".into(), mach.pct_peak(flops_total, p, t));
-    kpis.insert("words_per_rank".into(), words);
-    kpis.insert("comm_factor".into(), words / io_lower_bound(algo, n, p, c));
-    kpis.insert("msgs_per_rank".into(), msgs);
-    if let Some(tr) = trace {
-        let tk = xtrace::trace_kpis(tr);
-        kpis.insert("idle_frac".into(), tk.idle_frac);
-        kpis.insert("critpath_frac".into(), tk.critpath_frac);
-        kpis.insert("makespan_ms".into(), tk.makespan_ns as f64 / 1e6);
+    FactorKpis {
+        sim_time: t,
+        model_gflops: flops_total / t / 1e9,
+        model_pct_peak: mach.pct_peak(flops_total, p, t),
+        words_per_rank: words,
+        comm_factor: words / io_lower_bound(algo, n, p, c),
+        msgs_per_rank: msgs,
     }
-    kpis
+}
+
+impl CellRun {
+    /// The registry record of this run. Without a trace the host-clock KPIs
+    /// are omitted, not zero-filled, so a registry consumer can tell "not
+    /// measured" from "perfectly overlapped".
+    pub(crate) fn record(&self) -> BTreeMap<String, f64> {
+        let k = &self.kpis;
+        let mut kpis = BTreeMap::from([
+            ("sim_time_ms".to_string(), k.sim_time * 1e3),
+            ("model_gflops".to_string(), k.model_gflops),
+            ("model_pct_peak".to_string(), k.model_pct_peak),
+            ("words_per_rank".to_string(), k.words_per_rank),
+            ("comm_factor".to_string(), k.comm_factor),
+            ("msgs_per_rank".to_string(), k.msgs_per_rank),
+            ("c_used".to_string(), self.grid.pz as f64),
+            ("v_used".to_string(), self.v as f64),
+        ]);
+        if let Some(tr) = &self.trace {
+            let tk = xtrace::trace_kpis(tr);
+            kpis.insert("idle_frac".into(), tk.idle_frac);
+            kpis.insert("critpath_frac".into(), tk.critpath_frac);
+            kpis.insert("makespan_ms".into(), tk.makespan_ns as f64 / 1e6);
+        }
+        if let Some(tax) = self.checksum_byte_overhead {
+            kpis.insert("checksum_byte_overhead".into(), tax);
+        }
+        kpis
+    }
 }
 
 /// Extract the kernels-workload KPI record at one size from the
@@ -231,28 +310,32 @@ pub(crate) fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Workload;
+    use crate::ablate::run_cell;
+    use crate::plan::Cell;
 
     #[test]
     fn factor_kpis_are_complete_and_positive() {
-        let mach = Machine::piz_daint();
-        let w = Workload::new(32, 7);
-        let cfg = factor::ConfluxConfig::auto(32, 4).volume_only();
-        let out = factor::conflux_lu(&cfg, &w.general).unwrap();
-        let kpis = factor_kpis(Algo::Conflux, 32, 4, cfg.grid.pz, &out.stats, None, &mach);
+        let kpis = run_cell(&Cell::auto("conflux", 32, 4), 7, false)
+            .unwrap()
+            .record();
         for k in [
             "sim_time_ms",
-            "gflops",
-            "pct_peak",
+            "model_gflops",
+            "model_pct_peak",
             "words_per_rank",
             "comm_factor",
             "msgs_per_rank",
         ] {
             assert!(kpis[k] > 0.0, "{k} = {}", kpis[k]);
         }
+        assert!(kpis["model_pct_peak"] <= 100.0);
         assert!(
             !kpis.contains_key("idle_frac"),
             "trace KPIs must be absent without a trace"
+        );
+        assert!(
+            !kpis.contains_key("gflops") && !kpis.contains_key("pct_peak"),
+            "modelled numbers carry the model_ prefix only"
         );
         // Measured volume cannot beat the lower bound.
         assert!(kpis["comm_factor"] >= 1.0, "{}", kpis["comm_factor"]);

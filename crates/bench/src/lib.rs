@@ -8,8 +8,9 @@
 //!   from the analytic operation counts and bytes/messages *measured* by
 //!   the `xmpi` runtime. Performance figures report
 //!   `%peak = total_flops/(P·γ·T)`.
-//! * `runner` (crate-private) — run one algorithm at one configuration and
-//!   collect a `Measurement`; JSON-serializable for `results/`.
+//! * [`ablate::run_cell`] — the one way a factorization is run: a
+//!   [`plan::Cell`] plus an input seed, plain or traced; every figure,
+//!   table, sweep, plan cell and `trace_report` goes through it.
 //! * [`table`] — plain-text table rendering for terminal output.
 //!
 //! The **experiments engine** (see `EXPERIMENTS.md` §"Ablation
@@ -17,9 +18,10 @@
 //!
 //! * [`plan`] — declarative [`plan::AblationPlan`]s (TOML/JSON) describing
 //!   a sweep grid plus per-KPI tolerances.
-//! * [`ablate`] — execute a plan's cells through the `runner` +
-//!   [`xtrace::Machine`] path and extract KPI records.
-//! * [`kpi`] — the KPI definitions shared by every registry writer.
+//! * [`ablate`] — the cell runner, and [`ablate::run_ablation`], which
+//!   executes a plan's cells through it and extracts KPI records.
+//! * `kpi` (crate-private) — the KPI definitions shared by every registry writer, and the
+//!   one place a measured run is priced under the machine model.
 //! * [`provenance`] — commit/machine/timestamp stamping shared by the
 //!   registry and the `BENCH_*.json` reports.
 //! * [`registry`] — the append-only `registry/ablations.csv` + JSONL
@@ -31,10 +33,9 @@
 
 pub mod ablate;
 pub mod experiments;
-pub mod kpi;
+mod kpi;
 pub mod plan;
 pub mod provenance;
 pub mod registry;
-mod runner;
 pub mod table;
 pub mod trend;

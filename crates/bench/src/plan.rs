@@ -18,7 +18,7 @@
 //! checksum = [false]               # true = ABFT fault-tolerant path
 //! seed = [0]                       # perturbation seeds; or seed = "env"
 //!
-//! [tolerances.gflops]              # per-KPI gates for `check`
+//! [tolerances.model_gflops]        # per-KPI gates for `check`
 //! min = 0.5                        # absolute floor
 //! rel_drop = 0.20                  # breach if < baseline·(1 − 0.20)
 //! [tolerances.comm_factor]
@@ -48,8 +48,8 @@ use std::path::Path;
 /// What a plan's cells execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanWorkload {
-    /// Distributed factorizations through the `runner` + `xtrace::Machine`
-    /// path.
+    /// Distributed factorizations through `ablate::run_cell`, priced under
+    /// `xtrace::Machine`.
     Factor,
     /// Local dense-kernel throughput (`experiments::kernels`).
     Kernels,
@@ -66,7 +66,7 @@ pub enum PlanWorkload {
 }
 
 impl PlanWorkload {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PlanWorkload::Factor => "factor",
             PlanWorkload::Kernels => "kernels",
@@ -114,6 +114,21 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// `algo` at `(n, p)` with every other axis at its plan default:
+    /// automatic grid and block, lookahead on, no checksums, seed 0.
+    pub fn auto(algo: &str, n: usize, p: usize) -> Cell {
+        Cell {
+            algo: algo.to_string(),
+            n,
+            p,
+            c: 0,
+            block: 0,
+            lookahead: true,
+            checksum: false,
+            seed: 0,
+        }
+    }
+
     /// Canonical cell identity — the registry's dedup/trend key. Contains
     /// no commas, so it is safe inside a CSV column.
     pub fn id(&self) -> String {
@@ -200,10 +215,7 @@ impl AblationPlan {
                 let a = string_axis(axes, "algo")?
                     .ok_or("factor plans need an [axes] algo list".to_string())?;
                 for name in &a {
-                    if !matches!(
-                        name.as_str(),
-                        "conflux" | "confchox" | "twod-lu" | "twod-chol" | "lu25d"
-                    ) {
+                    if crate::kpi::Algo::from_name(name).is_none() {
                         return Err(format!("unknown algo {name:?} in axes"));
                     }
                 }
@@ -580,7 +592,7 @@ n = [64, 96]
 p = [4]
 seed = [0, 1]
 
-[tolerances.gflops]
+[tolerances.model_gflops]
 min = 0.1
 rel_drop = 0.20
 [tolerances.comm_factor]
@@ -592,7 +604,7 @@ rel_rise = 0.25
         let v = parse_toml(PLAN).unwrap();
         assert_eq!(v["name"], "unit");
         assert_eq!(v["axes"]["n"][1], 96);
-        assert_eq!(v["tolerances"]["gflops"]["rel_drop"], 0.2);
+        assert_eq!(v["tolerances"]["model_gflops"]["rel_drop"], 0.2);
     }
 
     #[test]

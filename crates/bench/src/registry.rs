@@ -286,7 +286,7 @@ mod tests {
             plan: "smoke".into(),
             plan_hash: "deadbeef".into(),
             cell: "algo=conflux;n=64;p=4;c=0;block=0;la=1;ck=0;seed=0".into(),
-            kpi: "gflops".into(),
+            kpi: "model_gflops".into(),
             value: 123.456,
         };
         let back = RegRow::from_csv(&r.to_csv()).unwrap();
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn query_filters_compose() {
-        let r = RegRow::from_csv("t,1,abcdef,m,smoke,h,cell=x,gflops,1.0").unwrap();
+        let r = RegRow::from_csv("t,1,abcdef,m,smoke,h,cell=x,model_gflops,1.0").unwrap();
         let q = Query {
             plan: Some("smoke".into()),
             commit: Some("abc".into()),

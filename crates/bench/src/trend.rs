@@ -329,12 +329,12 @@ mod tests {
             value: v,
         };
         let rows = vec![
-            mk(3, "a", "gflops", 3.0),
-            mk(1, "a", "gflops", 1.0),
-            mk(2, "b", "gflops", 9.0),
+            mk(3, "a", "model_gflops", 3.0),
+            mk(1, "a", "model_gflops", 1.0),
+            mk(2, "b", "model_gflops", 9.0),
             mk(2, "a", "comm_factor", 9.0),
         ];
-        let s = series(&rows, "h", "a", "gflops");
+        let s = series(&rows, "h", "a", "model_gflops");
         assert_eq!(
             s.iter().map(|p| p.value).collect::<Vec<_>>(),
             vec![1.0, 3.0]

@@ -41,7 +41,7 @@ fn kpis(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
 fn append_then_query_round_trips() {
     let reg = Registry::new(scratch("roundtrip"));
     let stamp = stamp_at("abc123", 100);
-    let m = kpis(&[("gflops", 1.5), ("comm_factor", 3.0)]);
+    let m = kpis(&[("model_gflops", 1.5), ("comm_factor", 3.0)]);
     let (rows, record) = rows_for(&stamp, "unit", "hash1", "cell=a", &m);
     let out = reg.append(&rows, &[record]).unwrap();
     assert_eq!(out.appended, 2);
@@ -50,7 +50,7 @@ fn append_then_query_round_trips() {
     let loaded = reg.load().unwrap();
     assert_eq!(loaded.len(), 2);
     let q = Query {
-        kpi: Some("gflops".into()),
+        kpi: Some("model_gflops".into()),
         commit: Some("abc".into()),
         ..Query::default()
     };
@@ -70,7 +70,7 @@ fn append_then_query_round_trips() {
 fn reappending_the_same_run_is_deduped() {
     let reg = Registry::new(scratch("dedup"));
     let stamp = stamp_at("abc123", 100);
-    let m = kpis(&[("gflops", 1.5)]);
+    let m = kpis(&[("model_gflops", 1.5)]);
     let (rows, record) = rows_for(&stamp, "unit", "hash1", "cell=a", &m);
     assert_eq!(
         reg.append(&rows, std::slice::from_ref(&record))
@@ -97,7 +97,7 @@ fn trend_on_empty_and_single_row_registries() {
     // Empty: loads fine, no trajectory, no baseline.
     let rows = reg.load().unwrap();
     assert!(rows.is_empty());
-    let pts = series(&rows, "hash1", "cell=a", "gflops");
+    let pts = series(&rows, "hash1", "cell=a", "model_gflops");
     assert!(pts.is_empty());
     assert_eq!(baseline(&pts, "me"), None);
 
@@ -107,11 +107,11 @@ fn trend_on_empty_and_single_row_registries() {
         "unit",
         "hash1",
         "cell=a",
-        &kpis(&[("gflops", 2.0)]),
+        &kpis(&[("model_gflops", 2.0)]),
     );
     reg.append(&r, &[rec]).unwrap();
     let rows = reg.load().unwrap();
-    let pts = series(&rows, "hash1", "cell=a", "gflops");
+    let pts = series(&rows, "hash1", "cell=a", "model_gflops");
     assert_eq!(pts.len(), 1);
     assert_eq!(baseline(&pts, "me"), Some(2.0));
     // ... unless the single row is our own commit.
@@ -121,7 +121,7 @@ fn trend_on_empty_and_single_row_registries() {
 #[test]
 fn relative_checks_are_skipped_not_failed_without_history() {
     let plan = tiny_plan();
-    let outcomes = vec![("cell=a".to_string(), kpis(&[("gflops", 1.0)]))];
+    let outcomes = vec![("cell=a".to_string(), kpis(&[("model_gflops", 1.0)]))];
     let report = check_outcomes(&plan, &outcomes, &[], "head", "test-machine");
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.no_baseline, 1);
@@ -135,7 +135,7 @@ workload = "factor"
 algo = ["conflux"]
 n = [32]
 p = [4]
-[tolerances.gflops]
+[tolerances.model_gflops]
 rel_drop = 0.10
 "#;
     AblationPlan::from_value(&parse_toml(text).unwrap()).unwrap()
@@ -153,11 +153,11 @@ fn injected_gflops_regression_trips_check() {
     let run = run_ablation(&plan);
     assert_eq!(run.outcomes.len(), 1, "skipped: {:?}", run.skipped);
     let cell_id = run.outcomes[0].cell.id();
-    let measured = run.outcomes[0].kpis["gflops"];
+    let measured = run.outcomes[0].kpis["model_gflops"];
 
     // Commit a doctored baseline 25% above the measured value, from an
     // earlier commit — the measured run is now a 20% regression.
-    let doctored = kpis(&[("gflops", measured * 1.25)]);
+    let doctored = kpis(&[("model_gflops", measured * 1.25)]);
     let (rows, rec) = rows_for(
         &stamp_at("baseline0", 100),
         &plan.name,
@@ -171,7 +171,7 @@ fn injected_gflops_regression_trips_check() {
     let report = check_outcomes(&plan, &run.id_outcomes(), &history, "head1", "test-machine");
     assert_eq!(report.breaches.len(), 1, "{}", report.render());
     let b = &report.breaches[0];
-    assert_eq!(b.kpi, "gflops");
+    assert_eq!(b.kpi, "model_gflops");
     assert_eq!(b.cell, cell_id);
     assert!(
         matches!(b.kind, BreachKind::DropVsTrend { rel_drop, .. } if rel_drop == 0.10),
@@ -181,7 +181,7 @@ fn injected_gflops_regression_trips_check() {
     // The rendered report names the breached tolerance per KPI.
     let text = report.render();
     assert!(text.contains("rel_drop"), "{text}");
-    assert!(text.contains("gflops"), "{text}");
+    assert!(text.contains("model_gflops"), "{text}");
 
     // Control of the control: against an honest baseline the same run is
     // clean.
@@ -211,7 +211,7 @@ fn committed_smoke_plan_is_a_12_plus_cell_grid() {
         "smoke plan shrank to {} cells",
         plan.cells().len()
     );
-    assert!(plan.tolerances.contains_key("gflops"));
+    assert!(plan.tolerances.contains_key("model_gflops"));
     assert!(plan.tolerances.contains_key("comm_factor"));
 
     let kernels = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../plans/kernels.toml");
