@@ -1,9 +1,11 @@
 //! LU factorization with partial pivoting (`getrf`).
 //!
 //! This is the sequential reference factorization: the distributed schedules
-//! in the `factor` crate are validated against it, and the tournament
-//! pivoting routine of COnfLUX uses the unblocked variant as its local
-//! candidate-selection step (pick the `v` best rows of a tall panel).
+//! in the `factor` crate are validated against it, and COnfLUX's tournament
+//! pivoting factors its winning pivot block with the unblocked variant
+//! (candidate selection is the tournament's own elimination,
+//! `factor::tourn::local_select`, which this variant's operation order is
+//! the oracle for).
 
 use crate::gemm::{gemm, Trans};
 use crate::matrix::{MatMut, Matrix};

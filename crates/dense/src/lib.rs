@@ -33,11 +33,11 @@
 //! an `MR×NR` register-tile microkernel that adds `α·acc` into `C` itself;
 //! the macro-kernel's loop order follows the block it is handed, so the
 //! factorizations' rank-32 updates walk `C` along rows.
-//! There are two microkernels ([`ukernel`]): an explicit-AVX2 `6×8` tile and
-//! a portable scalar `4×8` tile that rounds identically, so results are
-//! bitwise the same on a CPU with AVX2 and one without; [`tuning`] picks by
-//! CPU feature, and that is the only dispatch rule — no file, no environment
-//! variable. `gemmt`, the blocked `trsm`, and the `getrf`/`potrf` trailing
+//! There are three microkernels ([`ukernel`]): explicit-SIMD `6×16`
+//! (AVX-512) and `6×8` (AVX2) tiles and a portable scalar `4×8` tile, all
+//! rounding identically, so results are bitwise the same whichever a CPU
+//! runs; [`tuning`] picks the widest the CPU reports, and that is the only
+//! dispatch rule — no file, no environment variable. `gemmt`, the blocked `trsm`, and the `getrf`/`potrf` trailing
 //! updates all route their inner products through the same engine, and
 //! [`par_gemm`] fans MC-row blocks of `C` over Rayon workers *bitwise
 //! identically* to the sequential kernel. [`gemm::naive_gemm`] retains the

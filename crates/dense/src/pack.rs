@@ -53,13 +53,15 @@ use crate::ukernel::{Kernel, MR_MAX};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Microkernel tile rows the blocking is sized for: the AVX2 `6×8` tile
+/// Microkernel tile rows the blocking is sized for: the `6`-row SIMD tiles
 /// (the scalar `4×8` kernel runs at the same blocking).
 pub const MR: usize = 6;
-/// Microkernel tile columns.
-pub const NR: usize = 8;
-/// K-dimension cache block: one `KC×NR` panel of packed B (16 KiB) stays in
-/// L1 while a microkernel runs; `MC×KC` of packed A (384 KiB) targets L2.
+/// Microkernel tile columns of the widest tile, AVX-512's `6×16` (the AVX2
+/// `6×8` and scalar `4×8` tiles divide it).
+pub const NR: usize = 16;
+/// K-dimension cache block: one `KC×NR` panel of packed B (32 KiB at the
+/// AVX-512 tile, 16 KiB at the AVX2 one) stays in L1 while a microkernel
+/// runs; `MC×KC` of packed A (384 KiB) targets L2.
 /// The one blocking constant a result bit depends on: the microkernel adds
 /// `α·acc` into `C` once per KC block, so a different KC regroups the
 /// k-summation of every product with `k > KC`. Every trailing update in the

@@ -5,10 +5,10 @@
 //! [`crate::gemm()`]) asks [`active`], which returns the innermost
 //! [`with_override`] on this thread — how tests put small matrices across
 //! KC/MC/NC edges and how `plans/kernels.toml` measures the forced-scalar
-//! baseline — or else [`default_config`]: the AVX2 `6×8` kernel where the
-//! CPU reports AVX2, the scalar `4×8` kernel elsewhere, at the blocking
-//! constants of [`crate::pack`]. Nothing is read from a file or the
-//! environment. The two kernels agree to the bit ([`crate::ukernel`]), so a
+//! baseline — or else [`default_config`]: the kernel of the widest ISA level
+//! the CPU reports (AVX-512 `6×16`, AVX2 `6×8`, else scalar `4×8`), at the
+//! blocking constants of [`crate::pack`]. Nothing is read from a file or the
+//! environment. The three kernels agree to the bit ([`crate::ukernel`]), so a
 //! result does not depend on which machine computed it. How the constants
 //! were chosen, and how to re-derive them on new hardware: EXPERIMENTS.md,
 //! "Kernel dispatch".
@@ -43,7 +43,7 @@ pub struct KernelConfig {
 
 impl KernelConfig {
     /// One-line human-readable form, e.g.
-    /// `avx2_6x8_u2_pf0 kc=256 mc=192 nc=1024`.
+    /// `avx512_6x16_u2 kc=256 mc=192 nc=1024`.
     pub fn describe(&self) -> String {
         format!(
             "{} kc={} mc={} nc={}",
@@ -65,11 +65,11 @@ pub fn scalar_baseline() -> KernelConfig {
     }
 }
 
-/// The config every product runs outside a [`with_override`]: the kernel
-/// this CPU dispatches (AVX2 `6×8` where the CPU reports AVX2, else scalar
-/// `4×8`; [`crate::ukernel`]) at the blocking of [`scalar_baseline`], so no
-/// product's k-grouping, and no bit of any result, depends on which of the
-/// two kernels runs.
+/// The config every product runs outside a [`with_override`]: the kernel of
+/// the widest level this CPU reports (AVX-512 `6×16`, AVX2 `6×8`, else
+/// scalar `4×8`; [`crate::ukernel`]) at the blocking of [`scalar_baseline`],
+/// so no product's k-grouping, and no bit of any result, depends on which of
+/// the three kernels runs.
 pub fn default_config() -> KernelConfig {
     KernelConfig {
         variant: ukernel::native(),
@@ -119,10 +119,15 @@ mod tests {
             (d.kc, d.mc, d.nc),
             (crate::pack::KC, crate::pack::MC, crate::pack::NC)
         );
-        if crate::ukernel::Isa::Avx2.available() {
-            assert_eq!(d.variant.id, "avx2_6x8_u2_pf0");
-            assert_eq!(d.mc % d.variant.mr, 0);
-        }
+        // The kernel is the widest level this CPU reports, and the
+        // blocking tiles it evenly.
+        use crate::ukernel::Isa;
+        let widest = [Isa::Avx512, Isa::Avx2, Isa::Scalar]
+            .into_iter()
+            .find_map(Isa::variant);
+        assert_eq!(Some(d.variant.id), widest.map(|v| v.id));
+        assert_eq!(d.mc % d.variant.mr, 0);
+        assert_eq!(d.nc % d.variant.nr, 0);
         let s = scalar_baseline();
         assert_eq!(s.variant.id, "scalar_4x8_u1");
         assert_eq!((s.kc, s.mc, s.nc), (d.kc, d.mc, d.nc));

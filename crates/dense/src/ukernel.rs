@@ -1,44 +1,49 @@
-//! The two microkernels behind [`crate::pack`].
+//! The three microkernels behind [`crate::pack`], one per ISA level.
 //!
 //! * `scalar_4x8_u1` ([`Isa::Scalar`]) — the portable formulation: a `4×8`
 //!   register tile in plain Rust that LLVM vectorizes as far as the build's
 //!   baseline allows (2-lane SSE2 on `x86-64`). The only kernel on a CPU
 //!   without AVX2, and the rounding order every test compares against.
-//! * `avx2_6x8_u2_pf0` ([`Isa::Avx2`]) — explicit 256-bit `std::arch`
-//!   intrinsics with separate multiply and add on a `6×8` tile, the largest
-//!   the 16 ymm registers hold (`MR·NR/4` = 12 accumulators + `NR/4` = 2
-//!   vectors of the current B row + 1 broadcast of an A element).
+//! * `avx2_6x8_u2_pf0` ([`Isa::Avx2`]) and `avx512_6x16_u2`
+//!   ([`Isa::Avx512`]) — one body of explicit `std::arch` intrinsics,
+//!   generic over the vector width (4-lane ymm, 8-lane zmm), with separate
+//!   multiply and add on a `6 × 2·lanes` tile: 12 accumulators + 2 vectors of
+//!   the current B row + 1 broadcast of an A element, the largest tile the 16
+//!   ymm registers hold and the same shape in zmm (a `12×16` tile, which the
+//!   32 zmm registers would hold, measured level with it: EXPERIMENTS.md,
+//!   "Kernel dispatch").
 //!   **Bitwise-identical** to the scalar kernel: each `acc[r][c]`
 //!   accumulates `a·b` products for ascending `k` with one IEEE rounding per
-//!   multiply and one per add, exactly like the scalar loop, just four lanes
-//!   at a time (lanes are independent `c` columns, never a reduction). A
-//!   fused multiply-add would round once where the scalar rounds twice,
-//!   which is why there is no FMA kernel: an AVX2 host and a host without it
-//!   must produce the same factor bits.
+//!   multiply and one per add, exactly like the scalar loop, just four or
+//!   eight lanes at a time (lanes are independent `c` columns, never a
+//!   reduction). A fused multiply-add would round once where the scalar
+//!   rounds twice, which is why there is no FMA kernel (CI greps `dense` for
+//!   one): hosts with and without AVX2 or AVX-512 must produce the same
+//!   factor bits.
 //!
-//! [`crate::tuning::default_config`] picks between them from what the CPU
-//! reports, and that is the whole of dispatch. The ids are the names the two
+//! [`crate::tuning::default_config`] runs the widest level the CPU reports,
+//! and that is the whole of dispatch. The two older ids are the names those
 //! kernels had in the 57-point grid a per-machine tuner once chose from
-//! (EXPERIMENTS.md, "Kernel dispatch"); `benchmark/` records them in its
+//! (EXPERIMENTS.md, "Kernel dispatch"); `benchmark/` records the id in its
 //! provenance block, so they stay.
 //!
-//! Both share one calling convention: multiply an `MR`-row packed A panel by
-//! an `NR`-column packed B panel over `kc` steps in registers, then add
-//! `α·acc` into `C` *itself* through `MR` row pointers — a vector multiply
-//! and a vector add per `C` vector, the same two roundings as the scalar
-//! `c += α·acc`, and a row-mapped `C` (see [`crate::gemm_rows`]) costs
+//! All three share one calling convention: multiply an `MR`-row packed A
+//! panel by an `NR`-column packed B panel over `kc` steps in registers, then
+//! add `α·acc` into `C` *itself* through `MR` row pointers — a vector
+//! multiply and a vector add per `C` vector, the same two roundings as the
+//! scalar `c += α·acc`, and a row-mapped `C` (see [`crate::gemm_rows`]) costs
 //! nothing extra because the rows were never assumed adjacent. Zero-padded
 //! edge packing (see [`crate::pack`]) means a kernel never sees a partial
 //! tile: a tile that overhangs `C` is computed into a scratch [`Acc`] by the
 //! same function and clipped from there (`Kernel::tile`).
 
-/// Rows of the larger of the two register tiles.
+/// Rows of the tallest register tile.
 pub const MR_MAX: usize = 6;
-/// Columns of the larger of the two register tiles.
-pub const NR_MAX: usize = 8;
+/// Columns of the widest register tile (AVX-512's `6×16`).
+pub const NR_MAX: usize = 16;
 
 /// One `MR×NR` product tile stored row-major with stride equal to the
-/// variant's `NR` (the tail of the array is unused for the smaller shape):
+/// variant's `NR` (the tail of the array is unused for the smaller shapes):
 /// what [`reference_microkernel`] returns, and the scratch an edge tile is
 /// computed into before it is clipped.
 pub type Acc = [f64; MR_MAX * NR_MAX];
@@ -50,6 +55,8 @@ pub enum Isa {
     Scalar,
     /// Explicit AVX2 intrinsics, separate multiply + add.
     Avx2,
+    /// Explicit AVX-512F intrinsics, separate multiply + add.
+    Avx512,
 }
 
 impl Isa {
@@ -59,20 +66,40 @@ impl Isa {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx2 => false,
+            Isa::Avx2 | Isa::Avx512 => false,
+        }
+    }
+
+    /// This level's microkernel, if the current CPU can run it — how a test
+    /// or a measurement puts a level other than the native one under
+    /// [`crate::tuning::with_override`].
+    pub fn variant(self) -> Option<&'static Variant> {
+        if !self.available() {
+            return None;
+        }
+        match self {
+            Isa::Scalar => Some(&SCALAR_4X8),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => Some(&AVX2_6X8),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => Some(&AVX512_6X16),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => None,
         }
     }
 }
 
-/// Signature shared by both microkernels: for `r < MR`, `j < NR`,
+/// Signature shared by the three microkernels: for `r < MR`, `j < NR`,
 /// `*c[r].add(col + j) += alpha · Σ_k pa[k·MR + r]·pb[k·NR + j]`.
 ///
 /// # Safety
 /// `pa` must hold at least `kc·MR` values and `pb` at least `kc·NR`; each of
 /// the first `MR` pointers of `c`, advanced by `col`, must be valid for
 /// reads and writes of `NR` values that nothing else accesses during the
-/// call; and the AVX2 kernel must only run on a CPU where its [`Isa`] is
+/// call; and a SIMD kernel must only run on a CPU where its [`Isa`] is
 /// available. [`Variant::kernel`] checks the last once, [`Kernel::tile`]'s
 /// callers owe the rest.
 type MicroFn =
@@ -82,11 +109,13 @@ type MicroFn =
 /// function.
 #[derive(Debug, Clone, Copy)]
 pub struct Variant {
-    /// Stable identifier, `"scalar_4x8_u1"` or `"avx2_6x8_u2_pf0"`.
+    /// Stable identifier: `"scalar_4x8_u1"`, `"avx2_6x8_u2_pf0"` or
+    /// `"avx512_6x16_u2"`.
     pub id: &'static str,
     /// Register-tile rows.
     pub mr: usize,
-    /// Register-tile columns (a multiple of the 4 SIMD lanes).
+    /// Register-tile columns (a multiple of 4: a SIMD level's is two of its
+    /// vectors).
     pub nr: usize,
     /// ISA level.
     pub isa: Isa,
@@ -205,8 +234,8 @@ impl Kernel {
 
 /// The scalar `4×8` kernel. Each `acc[r][c]` is an independent sum
 /// accumulated in ascending `k` order with separate multiply and add, then
-/// added to `C` as `c += alpha · acc` — the rounding-order contract the AVX2
-/// kernel reproduces.
+/// added to `C` as `c += alpha · acc` — the rounding-order contract the SIMD
+/// kernels reproduce.
 unsafe fn scalar_4x8(
     kc: usize,
     pa: &[f64],
@@ -266,10 +295,7 @@ unsafe fn scalar_4x8(
     }
 }
 
-/// The AVX2 `6×8` kernel: two ymm accumulators per row; lanes are
-/// independent output columns, so there is never a cross-lane reduction and
-/// each element keeps the scalar rounding order. The k loop advances two
-/// steps at a time (the `u2` of the id): same order, fewer loop branches.
+/// The AVX2 `6×8` kernel: [`simd_6x2v`] on 4-lane ymm vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn avx2_6x8(
@@ -280,17 +306,13 @@ unsafe fn avx2_6x8(
     c: &[*mut f64; MR_MAX],
     col: usize,
 ) {
-    avx2_body(kc, pa, pb, alpha, c, col)
+    simd_6x2v::<std::arch::x86_64::__m256d>(kc, pa, pb, alpha, c, col)
 }
 
-/// [`avx2_6x8`]'s body, inlined into it. The split is deliberate: with the
-/// intrinsics opaque until this function lands in its `#[target_feature]`
-/// caller, LLVM keeps the k loop a two-trip loop with all 12 accumulators in
-/// registers; written straight into the `#[target_feature]` function it
-/// unrolls both trips and spills one accumulator to the stack every step.
+/// The AVX-512 `6×16` kernel: [`simd_6x2v`] on 8-lane zmm vectors.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn avx2_body(
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512_6x16(
     kc: usize,
     pa: &[f64],
     pb: &[f64],
@@ -298,26 +320,131 @@ unsafe fn avx2_body(
     c: &[*mut f64; MR_MAX],
     col: usize,
 ) {
-    use std::arch::x86_64::*;
+    simd_6x2v::<std::arch::x86_64::__m512d>(kc, pa, pb, alpha, c, col)
+}
+
+/// One SIMD vector of `f64` lanes and the six operations [`simd_6x2v`] is
+/// made of. Add and multiply are separate instructions on purpose: see the
+/// module docs.
+///
+/// # Safety
+/// Every method needs a CPU with the vector's ISA level, and the caller's
+/// code compiled for it (the methods are inlined into a
+/// `#[target_feature]` kernel); `load` and `store` need `N` readable or
+/// writable values at `p`.
+#[cfg(target_arch = "x86_64")]
+trait Lanes: Copy {
+    /// Lanes per vector.
+    const N: usize;
+    unsafe fn zero() -> Self;
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn load(p: *const f64) -> Self;
+    unsafe fn store(self, p: *mut f64);
+    unsafe fn add(self, b: Self) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m256d {
+    const N: usize = 4;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm256_setzero_pd()
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        std::arch::x86_64::_mm256_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        std::arch::x86_64::_mm256_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        std::arch::x86_64::_mm256_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::arch::x86_64::_mm256_add_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        std::arch::x86_64::_mm256_mul_pd(self, b)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m512d {
+    const N: usize = 8;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm512_setzero_pd()
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        std::arch::x86_64::_mm512_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        std::arch::x86_64::_mm512_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        std::arch::x86_64::_mm512_storeu_pd(p, self)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::arch::x86_64::_mm512_add_pd(self, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        std::arch::x86_64::_mm512_mul_pd(self, b)
+    }
+}
+
+/// The body of both SIMD kernels: a `6 × 2·V::N` tile held as two vector
+/// accumulators per row (12 in all, plus the 2 vectors of the current B row
+/// and 1 broadcast of an A element — 15 registers). Lanes are independent
+/// output columns, so there is never a cross-lane reduction and each
+/// element keeps the scalar rounding order. The k loop advances two steps
+/// at a time (the `u2` of the ids): same order, fewer loop branches.
+///
+/// Inlined into each `#[target_feature]` entry point, and the split is
+/// deliberate: with the intrinsics opaque until this body lands in its
+/// caller, LLVM keeps the k loop a two-trip loop with all 12 accumulators
+/// in registers; written straight into the `#[target_feature]` function it
+/// unrolls both trips and spills one accumulator to the stack every step.
+///
+/// # Safety
+/// That of [`MicroFn`], and the CPU runs `V`'s ISA level.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn simd_6x2v<V: Lanes>(
+    kc: usize,
+    pa: &[f64],
+    pb: &[f64],
+    alpha: f64,
+    c: &[*mut f64; MR_MAX],
+    col: usize,
+) {
     const MR: usize = 6;
-    const NR: usize = 8;
-    const LANES: usize = 4;
+    const NV: usize = 2;
     const UNROLL: usize = 2;
-    const NV: usize = NR / LANES;
-    let mut accv = [[_mm256_setzero_pd(); NV]; MR];
+    let nr = NV * V::N;
+    let mut accv = [[V::zero(); NV]; MR];
     let mut k = 0usize;
     while k < kc {
         let steps = if kc - k >= UNROLL { UNROLL } else { 1 };
         for u in 0..steps {
             let kk = k + u;
-            let mut bv = [_mm256_setzero_pd(); NV];
+            let mut bv = [V::zero(); NV];
             for (j, b) in bv.iter_mut().enumerate() {
-                *b = _mm256_loadu_pd(pb.as_ptr().add(kk * NR + LANES * j));
+                *b = V::load(pb.as_ptr().add(kk * nr + V::N * j));
             }
             for (r, accr) in accv.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*pa.get_unchecked(kk * MR + r));
+                let av = V::splat(*pa.get_unchecked(kk * MR + r));
                 for (a, &b) in accr.iter_mut().zip(bv.iter()) {
-                    *a = _mm256_add_pd(*a, _mm256_mul_pd(av, b));
+                    *a = a.add(av.mul(b));
                 }
             }
         }
@@ -325,14 +452,11 @@ unsafe fn avx2_body(
     }
     // C += α·acc, a multiply then an add per vector: it must round as the
     // scalar `c += alpha * acc` does.
-    let alphav = _mm256_set1_pd(alpha);
+    let alphav = V::splat(alpha);
     for (accr, &crow) in accv.iter().zip(c) {
         for (j, &a) in accr.iter().enumerate() {
-            let dst = crow.add(col + LANES * j);
-            _mm256_storeu_pd(
-                dst,
-                _mm256_add_pd(_mm256_loadu_pd(dst), _mm256_mul_pd(alphav, a)),
-            );
+            let dst = crow.add(col + V::N * j);
+            V::load(dst).add(alphav.mul(a)).store(dst);
         }
     }
 }
@@ -356,18 +480,25 @@ static AVX2_6X8: Variant = Variant {
     func: avx2_6x8,
 };
 
-/// The kernel this CPU runs: the AVX2 tile where the CPU reports AVX2, the
-/// scalar tile everywhere else.
+#[cfg(target_arch = "x86_64")]
+static AVX512_6X16: Variant = Variant {
+    id: "avx512_6x16_u2",
+    mr: 6,
+    nr: 16,
+    isa: Isa::Avx512,
+    func: avx512_6x16,
+};
+
+/// The kernel this CPU runs: the widest level it reports.
 pub(crate) fn native() -> &'static Variant {
-    #[cfg(target_arch = "x86_64")]
-    if AVX2_6X8.available() {
-        return &AVX2_6X8;
-    }
-    &SCALAR_4X8
+    [Isa::Avx512, Isa::Avx2]
+        .into_iter()
+        .find_map(Isa::variant)
+        .unwrap_or(&SCALAR_4X8)
 }
 
 /// Textbook reference for one microkernel call (plain nested loops, scalar
-/// rounding order) — the oracle both kernels are property-tested against.
+/// rounding order) — the oracle every kernel is property-tested against.
 pub fn reference_microkernel(mr: usize, nr: usize, kc: usize, pa: &[f64], pb: &[f64]) -> Acc {
     let mut acc = [0.0f64; MR_MAX * NR_MAX];
     for k in 0..kc {
@@ -385,18 +516,24 @@ pub fn reference_microkernel(mr: usize, nr: usize, kc: usize, pa: &[f64], pb: &[
 mod tests {
     use super::*;
 
+    /// Every level, narrowest first.
+    const LEVELS: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
+
     #[test]
     fn ids_are_unique_and_consistent_with_parameters() {
-        for v in [&SCALAR_4X8, native()] {
+        let runnable: Vec<&Variant> = LEVELS.into_iter().filter_map(Isa::variant).collect();
+        for v in &runnable {
             assert!(v.id.contains(&format!("{}x{}", v.mr, v.nr)), "{}", v.id);
             assert!(v.mr <= MR_MAX && v.nr <= NR_MAX);
             assert!(v.nr % 4 == 0, "{}: SIMD lanes need 4 | NR", v.id);
         }
-        assert_eq!(
-            native().id == SCALAR_4X8.id,
-            !Isa::Avx2.available(),
-            "the scalar kernel is dispatched exactly where AVX2 is missing"
-        );
+        let mut ids: Vec<_> = runnable.iter().map(|v| v.id).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), runnable.len(), "{ids:?}");
+        for isa in LEVELS {
+            assert_eq!(isa.variant().is_some(), isa.available(), "{isa:?}");
+            assert!(isa.variant().is_none_or(|v| v.isa == isa), "{isa:?}");
+        }
     }
 
     #[test]
@@ -421,12 +558,16 @@ mod tests {
             (SCALAR_4X8.id, SCALAR_4X8.mr, SCALAR_4X8.nr),
             ("scalar_4x8_u1", 4, 8)
         );
-        if Isa::Avx2.available() {
-            assert_eq!(
-                (native().id, native().mr, native().nr),
-                ("avx2_6x8_u2_pf0", 6, 8)
-            );
-        }
+        // What runs is the widest level this CPU reports.
+        let widest = LEVELS.into_iter().rev().find(|isa| isa.available());
+        assert_eq!(Some(native().isa), widest);
+        let shape = |v: &Variant| (v.id, v.mr, v.nr);
+        let want = match native().isa {
+            Isa::Scalar => ("scalar_4x8_u1", 4, 8),
+            Isa::Avx2 => ("avx2_6x8_u2_pf0", 6, 8),
+            Isa::Avx512 => ("avx512_6x16_u2", 6, 16),
+        };
+        assert_eq!(shape(native()), want);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Factorization invariance under everything dispatch can choose: `getrf`
-//! and `potrf` must produce **bitwise-identical** factors under either
-//! microkernel (the scalar 4×8 every CPU runs, the AVX2 6×8 this one
-//! dispatches if it can) and under any KC ≥ 256, MC and NC, because the
-//! blocked factorizations cap their panel widths at 64–256 and the packed
-//! engine is KC-invariant below one block. An AVX2 host and a host without it
+//! and `potrf` must produce **bitwise-identical** factors under every
+//! microkernel (the scalar 4×8 every CPU runs, the AVX2 6×8 and the AVX-512
+//! 6×16, each where the CPU has it — a level it lacks is skipped with a
+//! printed note) and under any KC ≥ 256, MC and NC, because the blocked
+//! factorizations cap their panel widths at 64–256 and the packed engine is
+//! KC-invariant below one block. Hosts with and without AVX2 or AVX-512
 //! therefore agree on every factor bit.
 
 use dense::gen::{random_matrix, random_spd};
 use dense::tuning::{self, KernelConfig};
+use dense::ukernel::Isa;
 use dense::{getrf, potrf};
 
 /// Runs `getrf`/`potrf` under configurations that differ in microkernel
@@ -30,7 +32,15 @@ fn factorizations_are_bitwise_invariant_across_permitted_configs() {
 
     // KC stays ≥ 256, where every factorization update is one block
     // (`pack::KC`); MC/NC are unconstrained.
-    for base in [baseline, tuning::default_config()] {
+    for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+        let Some(variant) = isa.variant() else {
+            eprintln!("note: this CPU lacks {isa:?}; its microkernel is not tested");
+            continue;
+        };
+        let base = KernelConfig {
+            variant,
+            ..baseline
+        };
         for (kc, mc, nc) in [
             (base.kc, base.mc, base.nc),
             (384, 128, 512),

@@ -1,22 +1,23 @@
-//! Property tests pinning the two microkernels — the scalar `4×8` every CPU
-//! can run and the AVX2 `6×8` this one dispatches if it has AVX2 — to the
-//! scalar reference. Together they are the cross-machine reproducibility
-//! contract: an AVX2 host and a host without it agree to the bit.
+//! Property tests pinning the three microkernels — the scalar `4×8` every
+//! CPU can run, the AVX2 `6×8` and the AVX-512 `6×16` — to the scalar
+//! reference. Together they are the cross-machine reproducibility contract:
+//! hosts with and without AVX2 or AVX-512 agree to the bit. A level this CPU
+//! lacks is skipped with a printed note.
 //!
 //! * each kernel must add into `C` **bitwise** what the reference
 //!   microkernel followed by the scalar `c += α·acc` adds — for
 //!   `α ∈ {1, −1, 1.5}`, adjacent and row-mapped rows of `C`, full tiles
 //!   (written by the microkernel itself) and edge tiles (clipped from a
 //!   scratch tile), including the degenerate depths `kc ∈ {0, 1}` and depths
-//!   around the AVX2 kernel's two-step k loop — and must touch nothing else;
-//! * whole-GEMM bitwise equality between the two tile shapes, on ragged
-//!   sizes that exercise the MR/NR remainder tiles of both — the register
-//!   tiling must not change a single output bit.
+//!   around the SIMD kernels' two-step k loop — and must touch nothing else;
+//! * whole-GEMM bitwise equality between every SIMD tile and the scalar one,
+//!   on ragged sizes that exercise the MR/NR remainder tiles of each — the
+//!   register tiling must not change a single output bit.
 
 use dense::gemm::{gemm, Trans};
 use dense::gen::random_matrix;
 use dense::tuning::{self, KernelConfig};
-use dense::ukernel::{self, Variant};
+use dense::ukernel::{self, Isa, Variant};
 use dense::Matrix;
 use proptest::prelude::*;
 
@@ -47,10 +48,21 @@ fn depth() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// The kernels under test: the scalar baseline and what this CPU dispatches
-/// (the same kernel twice on a CPU without AVX2).
-fn kernels() -> [KernelConfig; 2] {
-    [tuning::scalar_baseline(), tuning::default_config()]
+/// The kernels under test: every ISA level this CPU runs, scalar first, at
+/// the default blocking. A level it lacks is skipped with a note.
+fn kernels() -> Vec<KernelConfig> {
+    let levels = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
+    let runnable = levels.filter_map(|isa| {
+        let variant = isa.variant();
+        if variant.is_none() {
+            eprintln!("note: this CPU lacks {isa:?}; its microkernel is not tested");
+        }
+        variant
+    });
+    let base = tuning::scalar_baseline();
+    runnable
+        .map(|variant| KernelConfig { variant, ..base })
+        .collect()
 }
 
 /// Run `v` on the tile of `c` made of rows `rows` (ascending), columns
@@ -92,7 +104,7 @@ proptest! {
         kc in depth(),
         seed in 0u64..1000,
     ) {
-        for v in kernels().map(|cfg| cfg.variant) {
+        for v in kernels().into_iter().map(|cfg| cfg.variant) {
             let pa = panel(kc * v.mr, seed);
             let pb = panel(kc * v.nr, seed + 1);
             let acc = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
@@ -123,9 +135,9 @@ proptest! {
         }
     }
 
-    /// A full GEMM dispatched through the two tile shapes produces
-    /// bitwise-identical C, on ragged shapes that leave MR/NR remainder
-    /// tiles for both.
+    /// A full GEMM dispatched through each SIMD tile produces the scalar
+    /// tile's C bit for bit, on ragged shapes that leave MR/NR remainder
+    /// tiles for every one.
     #[test]
     fn gemm_is_bitwise_invariant_across_exact_variants(
         m in 1usize..40,
@@ -143,18 +155,21 @@ proptest! {
             });
             c
         };
-        let [scalar, native] = kernels().map(run);
-        prop_assert_eq!(
-            native.data(), scalar.data(),
-            "{} changed GEMM bits at m={} n={} k={}",
-            tuning::default_config().variant.id, m, n, k
-        );
+        let [scalar, simd @ ..] = &kernels()[..] else { unreachable!() };
+        let want = run(*scalar);
+        for cfg in simd {
+            prop_assert_eq!(
+                run(*cfg).data(), want.data(),
+                "{} changed GEMM bits at m={} n={} k={}",
+                cfg.variant.id, m, n, k
+            );
+        }
     }
 }
 
 /// The depths the factorizations actually hand the engine (panel widths
 /// ≤ 256) are a single KC block for every `kc ≥ 256`, so GEMM must be
-/// bitwise KC-invariant there, under either kernel — why `pack::KC` may grow
+/// bitwise KC-invariant there, under every kernel — why `pack::KC` may grow
 /// but not shrink without moving factor bits.
 #[test]
 fn gemm_with_small_k_is_bitwise_invariant_to_permitted_kc() {

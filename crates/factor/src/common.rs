@@ -366,9 +366,16 @@ impl TileStore {
         step: usize,
         lrows: impl Iterator<Item = usize>,
     ) {
-        let (v, c0) = (self.v, self.col0(step));
+        let v = self.v;
         let solved = MatMut::from_slice(l10, l10.len() / v, v, v);
         trsm(Side::Right, uplo, trans, Diag::NonUnit, 1.0, tri, solved);
+        self.put_l10(l10, step, lrows);
+    }
+
+    /// Write already solved `L10` rows back into tile column `step` at the
+    /// local rows `lrows` (the second half of [`TileStore::solve_l10`]).
+    pub(crate) fn put_l10(&mut self, l10: &[f64], step: usize, lrows: impl Iterator<Item = usize>) {
+        let (v, c0) = (self.v, self.col0(step));
         for (row, lrow) in l10.chunks_exact(v).zip(lrows) {
             self.row_mut(lrow)[c0..c0 + v].copy_from_slice(row);
         }

@@ -21,7 +21,9 @@
 //! 5. **FactorizeA10** — the remaining active panel rows are solved against
 //!    `U00` on their owning panel ranks, producing `L10`, which the rank
 //!    writes back into tile column `t` of its store: the column is dead
-//!    once reduced, and that is where assembly reads `L` from.
+//!    once reduced, and that is where assembly reads `L` from. With one
+//!    panel rank (`Px = 1`) the tournament's elimination already solved
+//!    them (`tourn`), and this step only writes them back.
 //! 6. **Scatter** `L10` and `U01`: each rank receives only the rows/columns
 //!    matching its tiles and only its layer's `v/Pz` inner slice.
 //! 7. **FactorizeA11** — one row-mapped GEMM (`dense::par_gemm_rows`)
@@ -257,7 +259,7 @@ pub(crate) fn rank_program(
                 piv_ids = pp.piv.wait_u64();
             }
             None => {
-                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
+                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel, true);
                 (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
             }
         }
@@ -334,8 +336,14 @@ pub(crate) fn rank_program(
             for ki in kept {
                 l10.extend_from_slice(&panel[ki * v..(ki + 1) * v]);
             }
-            let (tri, lrows) = ((Uplo::Upper, Trans::N), active.local.iter().copied());
-            state.store.solve_l10(tri, a00, &mut l10, step, lrows);
+            let lrows = active.local.iter().copied();
+            if g.px == 1 {
+                // A one-player tournament left them solved in the panel.
+                state.store.put_l10(&l10, step, lrows);
+            } else {
+                let tri = (Uplo::Upper, Trans::N);
+                state.store.solve_l10(tri, a00, &mut l10, step, lrows);
+            }
         }
 
         // ---- 6a. Scatter L10: z-slice then broadcast along y -----------
@@ -401,7 +409,7 @@ pub(crate) fn rank_program(
             }
             // 7b. Form panel `next` and post its three broadcasts. The
             // sequence numbers keep concurrent trees on distinct tags.
-            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel);
+            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel, true);
             phase(comm, "bcast_a00");
             let root1 = g.rank_of(0, next % g.py, 0);
             let seq = 3 * next as u64;
@@ -532,6 +540,8 @@ struct PendingPanel<'c> {
 /// with respect to the schedule — the blocking path calls it at the top of
 /// step `step`, the lookahead path at the bottom of step `step − 1`; the
 /// active rows and store column it reads are identical at both call sites.
+/// With `l10_into_panel` and one panel rank (`Px = 1`), the tournament
+/// leaves the non-pivot rows' `L10` in `panel` ([`tournament`]).
 pub(crate) fn form_panel(
     net: &Net<'_>,
     guard: &mut Guard,
@@ -539,6 +549,7 @@ pub(crate) fn form_panel(
     store: &TileStore,
     step: usize,
     panel: &mut Vec<f64>,
+    l10_into_panel: bool,
 ) -> PanelForm {
     let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (_, pj, pk) = g.coords(comm.rank());
@@ -556,8 +567,7 @@ pub(crate) fn form_panel(
     let mut form = PanelForm::default();
     if pj == jt && pk == 0 {
         let ids: Vec<u64> = active.global.iter().map(|&r| r as u64).collect();
-        let vals = MatRef::from_slice(panel, ids.len(), v, v);
-        match tournament(net.panel.as_ref().unwrap(), vals, &ids, v) {
+        match tournament(net.panel.as_ref().unwrap(), panel, &ids, v, l10_into_panel) {
             Ok(pb) => (form.a00_flat, form.piv_ids) = (pb.a00.into_vec(), pb.ids),
             // The failing factorization is redundant and deterministic,
             // so every panel rank lands here together.
@@ -679,16 +689,23 @@ mod tests {
     fn singular_matrix_aborts_cleanly_on_all_ranks() {
         // Two identical columns inside the first block: the tournament's
         // pivot block is singular at step 0 and every rank must get the
-        // error (no deadlock).
+        // error (no deadlock) — on a multi-player panel group, on one rank,
+        // and on a one-player group fed by a z-reduction, each naming the
+        // elimination step 9ea4a67 named.
         let n = 16;
         let mut a = random_matrix(n, n, 99);
         for i in 0..n {
             a[(i, 1)] = a[(i, 0)];
         }
-        let cfg = ConfluxConfig::new(n, 4, Grid3::new(2, 2, 2));
-        match conflux_lu(&cfg, &a) {
-            Err(dense::Error::SingularAt(_)) => {}
-            other => panic!("expected SingularAt, got {:?}", other.map(|_| ())),
+        for grid in [[2, 2, 2], [1, 1, 1], [1, 2, 2]] {
+            let cfg = ConfluxConfig::new(n, 4, Grid3::new(grid[0], grid[1], grid[2]));
+            match conflux_lu(&cfg, &a) {
+                Err(dense::Error::SingularAt(1)) => {}
+                other => panic!(
+                    "{grid:?}: expected SingularAt(1), got {:?}",
+                    other.map(|_| ())
+                ),
+            }
         }
     }
 

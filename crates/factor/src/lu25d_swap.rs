@@ -138,7 +138,7 @@ fn rank_program(comm: &Comm, cfg: &SwapLuConfig, a: &Matrix) -> RankResult {
             global: positions_from(step).collect(),
             local: panel_rows.clone().collect(),
         };
-        let form = form_panel(&net, guard, &active, &store, step, &mut panel);
+        let form = form_panel(&net, guard, &active, &store, step, &mut panel, false);
         let root = g.rank_of(0, jt, 0);
         let (a00_buf, piv_pos) = form.bcast(comm, guard, root, v, step * v)?;
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);

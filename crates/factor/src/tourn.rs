@@ -7,6 +7,12 @@
 //! rows, merge, and re-select. After the last round every panel rank holds
 //! the same `v` winning rows, from which all of them (redundantly, without
 //! further communication) factor the pivot block `A00`.
+//!
+//! A tournament with one player (`Px = 1`) has no rounds, and its local
+//! selection already *is* the partial-pivoting LU of the whole panel — the
+//! same operations, in the same order, as factoring the winners and solving
+//! the other rows against `U00` afterwards — so it is kept instead of
+//! recomputed ([`tournament`]).
 
 use dense::{getrf_unblocked, MatRef, Matrix};
 use xmpi::Comm;
@@ -38,36 +44,25 @@ impl Candidates {
     }
 }
 
-/// Select up to `v` pivot rows from a panel by partial-pivoting LU on a
-/// scratch copy. Returns the *original* values of the selected rows, in
-/// selection order.
+/// Right-looking partial-pivoting elimination, in place, of the row-major
+/// `m × v` panel `a`, one row slice at a time: step `k < min(m, v)` swaps
+/// up the row with the largest `|a[·][k]|` at or below position `k` (the
+/// first on a tie), stores each lower row's multiplier `l = a[i][k] / a[k][k]`
+/// in its column `k` and subtracts `l·a[k][j]` from its columns `j > k` —
+/// not at all where `l` is exactly zero, as [`getrf_unblocked`] does. So the
+/// first `min(m, v)` rows end as `getrf_unblocked` of those rows (in their
+/// final order, which it would not permute) and every other row as its `L10`
+/// row: `x_k ← ((a_k − l_0·u_0k) − l_1·u_1k) − …`, then `l_k = x_k / u_kk`.
 ///
-/// Selection is deliberately infallible: when an elimination column is
-/// exactly zero (rank-deficient candidates) the current row is kept in
-/// place and elimination skips the column — candidate *selection* stays
-/// symmetric across tournament partners, and actual singularity is
-/// detected later by the (redundant, deterministic) factorization of the
-/// winning block, so every panel rank fails consistently instead of
-/// deadlocking.
-///
-/// # Panics
-/// If `panel.rows() != ids.len()`.
-pub(crate) fn local_select(
-    panel: MatRef<'_>,
-    ids: &[u64],
-    v: usize,
-) -> Result<Candidates, dense::Error> {
-    assert_eq!(panel.rows(), ids.len());
-    assert_eq!(panel.cols(), v);
-    let m = panel.rows();
-    let take = v.min(m);
-    if take == 0 {
-        return Ok(Candidates::empty(v));
-    }
-    // Right-looking elimination on a scratch copy, one row slice at a time.
-    let mut a = panel.to_owned().into_vec();
+/// Elimination is deliberately infallible: when a column is exactly zero
+/// (rank-deficient rows) the current row is kept in place and the step
+/// eliminates nothing. Returns the panel row at each position and the first
+/// such step.
+fn eliminate(a: &mut [f64], v: usize) -> (Vec<usize>, Option<usize>) {
+    let m = a.len() / v;
     let mut order: Vec<usize> = (0..m).collect();
-    for k in 0..take {
+    let mut zero_at = None;
+    for k in 0..v.min(m) {
         // Partial pivot; on an all-zero column keep the current row.
         let (mut p, mut best) = (k, a[k * v + k].abs());
         for (i, row) in a.chunks_exact(v).enumerate().skip(k + 1) {
@@ -83,18 +78,47 @@ pub(crate) fn local_select(
         }
         let akk = pivot[k];
         if akk == 0.0 {
+            zero_at.get_or_insert(k);
             continue;
         }
         for row in below.chunks_exact_mut(v) {
             let l = row[k] / akk;
+            row[k] = l;
             if l == 0.0 {
                 continue;
             }
-            for (x, &u) in row[k..].iter_mut().zip(&pivot[k..]) {
+            for (x, &u) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
                 *x -= l * u;
             }
         }
     }
+    (order, zero_at)
+}
+
+/// Select up to `v` pivot rows from a panel by partial-pivoting LU on a
+/// scratch copy. Returns the *original* values of the selected rows, in
+/// selection order.
+///
+/// Selection is deliberately infallible ([`eliminate`]) — candidate
+/// *selection* stays symmetric across tournament partners, and actual
+/// singularity is detected later by the (redundant, deterministic)
+/// factorization of the winning block, so every panel rank fails
+/// consistently instead of deadlocking.
+///
+/// # Panics
+/// If `panel.rows() != ids.len()`.
+pub(crate) fn local_select(
+    panel: MatRef<'_>,
+    ids: &[u64],
+    v: usize,
+) -> Result<Candidates, dense::Error> {
+    assert_eq!(panel.rows(), ids.len());
+    assert_eq!(panel.cols(), v);
+    let take = v.min(panel.rows());
+    if take == 0 {
+        return Ok(Candidates::empty(v));
+    }
+    let (order, _) = eliminate(&mut panel.to_owned().into_vec(), v);
     let mut rows = Matrix::zeros(take, v);
     for (dst, &r) in rows.data_mut().chunks_exact_mut(v).zip(&order) {
         dst.copy_from_slice(panel.row(r));
@@ -134,26 +158,37 @@ pub(crate) struct PivotBlock {
 
 /// Run the tournament over a panel communicator.
 ///
-/// Every rank of `comm` contributes its local panel slice (`m_local × v`,
-/// possibly empty) with the global ids of its rows; every rank returns the
-/// identical [`PivotBlock`]. Power-of-two communicators use the butterfly;
-/// other sizes fall back to gather-select-broadcast (same asymptotic cost,
-/// one extra latency hop).
+/// Every rank of `comm` contributes its local panel slice (`m_local × v`
+/// row-major, possibly empty) with the global ids of its rows; every rank
+/// returns the identical [`PivotBlock`]. Power-of-two communicators use the
+/// butterfly; other sizes fall back to gather-select-broadcast (same
+/// asymptotic cost, one extra latency hop).
+///
+/// With one rank, the local selection's elimination is the result: `A00` is
+/// its top `v` rows, and with `l10_into_panel` each other row's `L10` —
+/// `A10·U00⁻¹`, bit for bit what `dense::trsm` solves for `v ≤ 32` (its
+/// substitution base case) — overwrites that row of `panel`, in panel
+/// order. The rows that won are left as they were. Otherwise `panel` is
+/// only read.
 ///
 /// # Errors
 /// Propagates singularity if the union of candidates has rank `< v`.
 pub(crate) fn tournament(
     comm: &Comm,
-    panel: MatRef<'_>,
+    panel: &mut [f64],
     ids: &[u64],
     v: usize,
+    l10_into_panel: bool,
 ) -> Result<PivotBlock, dense::Error> {
     const TAG: u64 = 900_000;
     let p = comm.size();
     let r = comm.rank();
-    let mut cands = local_select(panel, ids, v)?;
+    if p == 1 {
+        return one_player(panel, ids, v, l10_into_panel);
+    }
+    let mut cands = local_select(MatRef::from_slice(panel, ids.len(), v, v), ids, v)?;
 
-    if p.is_power_of_two() && p > 1 {
+    if p.is_power_of_two() {
         let mut mask = 1;
         while mask < p {
             let partner = r ^ mask;
@@ -163,7 +198,7 @@ pub(crate) fn tournament(
             cands = merge(&cands, &theirs, v, r < partner)?;
             mask <<= 1;
         }
-    } else if p > 1 {
+    } else {
         // Gather-select-broadcast fallback: stacking in rank order keeps the
         // result identical to a serial scan of all candidates.
         let all_data = comm.gather_f64(0, cands.rows.data());
@@ -205,11 +240,41 @@ pub(crate) fn tournament(
     Ok(PivotBlock { ids, a00 })
 }
 
+/// [`tournament`] with one player: eliminate a scratch copy of the panel
+/// once and keep everything. `getrf_unblocked` of the winners would stop
+/// at the first step whose column is exactly zero, which is where
+/// [`eliminate`] first found one.
+fn one_player(
+    panel: &mut [f64],
+    ids: &[u64],
+    v: usize,
+    l10_into_panel: bool,
+) -> Result<PivotBlock, dense::Error> {
+    assert_eq!(panel.len(), ids.len() * v, "panel shape mismatch");
+    let take = v.min(ids.len());
+    assert!(take > 0, "tournament with zero candidate rows");
+    let mut lu = panel.to_vec();
+    let (order, zero_at) = eliminate(&mut lu, v);
+    if let Some(k) = zero_at {
+        return Err(dense::Error::SingularAt(k));
+    }
+    if l10_into_panel {
+        for (row, &r) in lu.chunks_exact(v).zip(&order).skip(take) {
+            panel[r * v..(r + 1) * v].copy_from_slice(row);
+        }
+    }
+    Ok(PivotBlock {
+        ids: order[..take].iter().map(|&r| ids[r]).collect(),
+        a00: Matrix::from_vec(take, v, lu[..take * v].to_vec()),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dense::gen::random_matrix;
     use dense::norms::lu_residual;
+    use dense::{trsm, Diag, Side, Trans, Uplo};
     use xmpi::run;
 
     #[test]
@@ -293,6 +358,11 @@ mod tests {
         assert!(c.ids.is_empty());
     }
 
+    /// Bit patterns, so `-0.0` and `+0.0` differ.
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Tournament on p ranks must pick pivots that keep the factorization
     /// stable, and all ranks must agree exactly.
     fn run_tournament(p: usize, rows_per_rank: usize, v: usize) {
@@ -303,8 +373,8 @@ mod tests {
             let r = c.rank();
             // Rank r owns rows r, r+p, r+2p, ... (cyclic, like the panel).
             let my_ids: Vec<u64> = (0..rows_per_rank).map(|i| (r + i * p) as u64).collect();
-            let panel = Matrix::from_fn(rows_per_rank, v, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.as_ref(), &my_ids, v).unwrap()
+            let mut panel = Matrix::from_fn(rows_per_rank, v, |i, j| g[(my_ids[i] as usize, j)]);
+            tournament(c, panel.data_mut(), &my_ids, v, false).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), v);
@@ -312,23 +382,23 @@ mod tests {
             assert_eq!(res.ids, first.ids, "ranks disagree on pivots");
             assert_eq!(res.a00.data(), first.a00.data(), "ranks disagree on A00");
         }
-        // A00 really is the LU of the selected rows: residual check without
-        // further pivoting possible since rows are already in pivot order.
+        // A00 is the LU of the winners' original rows in `ids` order, which
+        // partial pivoting leaves in place: `getrf_unblocked` of them swaps
+        // nothing and reproduces A00 bit for bit.
         let sel = Matrix::from_fn(v, v, |i, j| global[(first.ids[i] as usize, j)]);
-        let ident: Vec<usize> = (0..v).collect();
-        // a00 = LU of `sel` up to internal row swaps that are already
-        // reflected in ids order; so P = I for the reordered rows.
-        let mut ipiv_identity = Vec::new();
-        let mut sel_copy = sel.clone();
-        getrf_unblocked(sel_copy.as_mut(), &mut ipiv_identity).unwrap();
-        let _ = ident;
-        // The reordered rows factor without row exchanges iff each step's
-        // pivot is on the diagonal. Verify a00 is a valid factor of `sel` up
-        // to that reordering via the residual with the identity permutation
-        // applied after reordering rows by the recorded swaps.
-        // Simplest strong check: ‖P'·sel − L·U‖ via dense::lu_residual on the
-        // recomputed factorization must be tiny AND a00 matches it.
-        assert!(lu_residual(&sel, &sel_copy, &ipiv_identity) < 1e-10);
+        let (mut lu, mut ipiv) = (sel.clone(), Vec::new());
+        getrf_unblocked(lu.as_mut(), &mut ipiv).unwrap();
+        assert_eq!(
+            ipiv,
+            (0..v).collect::<Vec<_>>(),
+            "the winners were re-pivoted"
+        );
+        assert_eq!(
+            bits(lu.data()),
+            bits(first.a00.data()),
+            "A00 is not their LU"
+        );
+        assert!(lu_residual(&sel, &lu, &ipiv) < 1e-10);
     }
 
     #[test]
@@ -348,6 +418,66 @@ mod tests {
         run_tournament(1, 8, 4);
     }
 
+    /// One player's `A00` and `L10` against the two-pass path they replace:
+    /// `getrf_unblocked` of the winners, then `trsm` of every other row
+    /// against `U00` — the same operations in the same order, so the same
+    /// bits (`v ≤ 32`: `trsm`'s substitution base case). Where a
+    /// multiplier is exactly zero the elimination skips its row update and
+    /// `trsm` does not, so that panel is compared with `==`, which does
+    /// not see the sign of a zero.
+    #[test]
+    fn one_player_keeps_the_elimination_it_selected_with() {
+        let mut zeros = random_matrix(64, 8, 34);
+        for i in (3..64).step_by(5) {
+            zeros[(i, 0)] = 0.0;
+            zeros[(i, 2)] = 0.0;
+        }
+        let panels = [
+            (random_matrix(40, 8, 31), true),
+            (random_matrix(33, 16, 32), true),
+            (random_matrix(1024, 32, 33), true),
+            (zeros, false),
+        ];
+        for (panel, exact) in panels {
+            let (m, v) = (panel.rows(), panel.cols());
+            let ids: Vec<u64> = (0..m as u64).map(|i| 7 + 2 * i).collect();
+            let (got, kept) = run(1, |c| {
+                let mut kept = panel.clone();
+                (tournament(c, kept.data_mut(), &ids, v, true).unwrap(), kept)
+            })
+            .results
+            .remove(0);
+            let won = |i: usize| got.ids.contains(&ids[i]);
+            let row_of = |id: u64| ((id - 7) / 2) as usize;
+            let sel = Matrix::from_fn(v, v, |i, j| panel[(row_of(got.ids[i]), j)]);
+            let (mut lu, mut ipiv) = (sel, Vec::new());
+            getrf_unblocked(lu.as_mut(), &mut ipiv).unwrap();
+            assert_eq!(ipiv, (0..v).collect::<Vec<_>>(), "{m}x{v}: re-pivoted");
+            let rest: Vec<usize> = (0..m).filter(|&i| !won(i)).collect();
+            let mut l10 = Matrix::from_fn(rest.len(), v, |i, j| panel[(rest[i], j)]);
+            trsm(
+                Side::Right,
+                Uplo::Upper,
+                Trans::N,
+                Diag::NonUnit,
+                1.0,
+                lu.as_ref(),
+                l10.as_mut(),
+            );
+            let kept_l10 = Matrix::from_fn(rest.len(), v, |i, j| kept[(rest[i], j)]);
+            if exact {
+                assert_eq!(bits(got.a00.data()), bits(lu.data()), "{m}x{v}: A00");
+                assert_eq!(bits(kept_l10.data()), bits(l10.data()), "{m}x{v}: L10");
+            } else {
+                assert_eq!(got.a00.data(), lu.data(), "{m}x{v}: A00");
+                assert_eq!(kept_l10.data(), l10.data(), "{m}x{v}: L10");
+            }
+            for i in (0..m).filter(|&i| won(i)) {
+                assert_eq!(bits(kept.row(i)), bits(panel.row(i)), "{m}x{v}: winner {i}");
+            }
+        }
+    }
+
     #[test]
     fn tournament_with_uneven_and_empty_ranks() {
         // 3 ranks: rank 0 has 5 rows, rank 1 has 0, rank 2 has 2. v = 3.
@@ -359,8 +489,8 @@ mod tests {
                 1 => (vec![], 0),
                 _ => (vec![5, 6], 2),
             };
-            let panel = Matrix::from_fn(m, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.as_ref(), &my_ids, 3).unwrap()
+            let mut panel = Matrix::from_fn(m, 3, |i, j| g[(my_ids[i] as usize, j)]);
+            tournament(c, panel.data_mut(), &my_ids, 3, false).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), 3);
@@ -382,8 +512,8 @@ mod tests {
         let g = &global;
         let out = run(4, move |c| {
             let my_ids: Vec<u64> = (0..4).map(|i| (c.rank() * 4 + i) as u64).collect();
-            let panel = Matrix::from_fn(4, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.as_ref(), &my_ids, 3).unwrap()
+            let mut panel = Matrix::from_fn(4, 3, |i, j| g[(my_ids[i] as usize, j)]);
+            tournament(c, panel.data_mut(), &my_ids, 3, false).unwrap()
         });
         let mut ids = out.results[0].ids.clone();
         ids.sort_unstable();

@@ -402,7 +402,9 @@ fn digest(index: &[usize], m: &Matrix) -> u64 {
 /// place (`((a − p₁) − p₂) − …` where it used to form `a − (p₁ + p₂ + …)`);
 /// `conflux_lu` and `confchox` (lookahead on, then off, per grid) from
 /// 1321fe9, the commit before the packed engine was reshaped for the rank-32
-/// update.
+/// update — except the `1x2x2` grid (a one-rank panel group fed by a
+/// z-reduction), recorded at 9ea4a67, before one-player tournaments kept
+/// their elimination.
 /// A storage or collection change must reproduce them exactly — it may move
 /// no flop and reorder no sum.
 #[test]
@@ -429,6 +431,7 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     for (lu_name, chol_name, grid) in [
         ("conflux_lu 2x2x2", "confchox 2x2x2", Grid3::new(2, 2, 2)),
         ("conflux_lu 1x1x1", "confchox 1x1x1", Grid3::new(1, 1, 1)),
+        ("conflux_lu 1x2x2", "confchox 1x2x2", Grid3::new(1, 2, 2)),
     ] {
         let (lu_cfg, chol_cfg) = (
             ConfluxConfig::new(64, 8, grid),
@@ -457,6 +460,10 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
         ("conflux_lu 1x1x1", 0x20fa_6292_44d1_c037),
         ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
+        ("conflux_lu 1x2x2", 0xce16_60f4_b957_a277),
+        ("confchox 1x2x2", 0xdc7c_f302_a49b_12a2),
+        ("conflux_lu 1x2x2", 0xce16_60f4_b957_a277),
+        ("confchox 1x2x2", 0xdc7c_f302_a49b_12a2),
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
