@@ -21,7 +21,7 @@ use crate::kpi::{comm_kpis, factor_kpis, kernel_kpis, transport_kpis, Algo, Fact
 use crate::plan::{AblationPlan, Cell, PlanWorkload};
 use dense::gen::{random_matrix, random_spd};
 use dense::Matrix;
-use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use factor::lu25d_swap::lu25d_swap;
 use factor::{
     confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, twod_cholesky, twod_lu,
     ConfchoxConfig, ConfluxConfig, FtConfig, TwodConfig,
@@ -214,12 +214,17 @@ pub fn run_cell(cell: &Cell, input_seed: u64, traced: bool) -> Result<CellRun, S
 fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> WorldStats {
     let n = cell.n;
     match algo {
-        Algo::Conflux => {
+        Algo::Conflux | Algo::SwapLu => {
             let mut cfg = ConfluxConfig::new(n, v, grid).volume_only();
             if !cell.lookahead {
                 cfg = cfg.blocking();
             }
-            conflux_lu(&cfg, a).expect("conflux failed").stats
+            let out = if algo == Algo::SwapLu {
+                lu25d_swap(&cfg, a)
+            } else {
+                conflux_lu(&cfg, a)
+            };
+            out.expect("lu failed").stats
         }
         Algo::Confchox => {
             let mut cfg = ConfchoxConfig::new(n, v, grid).volume_only();
@@ -227,10 +232,6 @@ fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> Wo
                 cfg = cfg.blocking();
             }
             confchox_cholesky(&cfg, a).expect("confchox failed").stats
-        }
-        Algo::SwapLu => {
-            let cfg = SwapLuConfig::new(n, v, grid).volume_only();
-            lu25d_swap(&cfg, a).expect("lu25d failed").stats
         }
         Algo::TwodLu | Algo::TwodChol => {
             let cfg = TwodConfig::new(n, v, Grid2::new(grid.px, grid.py)).volume_only();

@@ -11,8 +11,7 @@
 //! ascending local rows (columns), so
 //!
 //! * the trailing tile rows (columns) of a step are one contiguous local
-//!   range (`rows_from` / `cols_from`) — the sub-block `lu25d_swap` updates
-//!   with one in-place `gemm`,
+//!   range (`rows_from` / `cols_from`),
 //! * a rank's active rows under row masking are an ascending list of local
 //!   row indices ([`ActiveRows`]) — the form `dense::par_gemm_rows` updates
 //!   in place,
@@ -26,8 +25,8 @@
 //! is `store −= L10·U01` on its slice of the inner dimension. A panel column
 //! is dead once reduced, so the panel rank writes the `L` rows it solves
 //! back into it: a finished layer-0 store holds its rank's factor rows
-//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX),
-//! up to its diagonal (COnfCHOX), or all of them (`lu25d_swap`).
+//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX)
+//! or up to its diagonal (COnfCHOX).
 //!
 //! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
 //! same row-major matrix with every local tile row cut off after its
@@ -127,13 +126,6 @@ impl Tiling {
     #[inline]
     pub(crate) fn kslice(&self) -> usize {
         self.v / self.grid.pz
-    }
-
-    /// Global rows covered by tile row `ti` — and, tiles being square, the
-    /// global columns covered by tile column `ti`.
-    #[inline]
-    pub(crate) fn rows_of_tile(&self, ti: usize) -> Range<usize> {
-        ti * self.v..(ti + 1) * self.v
     }
 }
 
@@ -440,9 +432,8 @@ impl TileStore {
 }
 
 /// A layer-0 rank's factor rows, left in the store that computed them: per
-/// local row, the leading entries that are factor entries (`L`; under
-/// `lu25d_swap` the whole packed row). Ranks off layer 0, and runs that
-/// collect nothing, return the empty value.
+/// local row, the leading entries that are factor entries (`L`). Ranks off
+/// layer 0, and runs that collect nothing, return the empty value.
 #[derive(Debug, Default)]
 pub(crate) struct Lower {
     /// `[v, pi, px, pj, py]`: tile side, then coordinate and grid extent
@@ -856,7 +847,6 @@ mod tests {
         assert_eq!(owners, [[1; 6]; 6], "each tile has exactly one 2D owner");
         assert_eq!(t.tile_rows_of(1), vec![1, 3, 5]);
         assert_eq!(t.kslice(), 2);
-        assert_eq!(t.rows_of_tile(2), 8..12);
     }
 
     #[test]

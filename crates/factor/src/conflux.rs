@@ -38,6 +38,15 @@
 //! (Lemma 10); the `volume_close_to_model` integration test checks the
 //! measured bytes against this model.
 //!
+//! # Pivot policy
+//!
+//! The step loop's `PivotPolicy` decides what retiring a step's pivot rows
+//! does — the paper's §7.3 ablation. [`conflux_lu`] and the fault-tolerant
+//! and ScaLAPACK drivers mask. [`crate::lu25d_swap`] swaps: a `row_swaps`
+//! phase after the `A00` broadcast moves the pivot rows into the diagonal
+//! positions `t·v..(t+1)·v` on every layer; from then on the step's pivots
+//! *are* those positions, and the rest of the step runs unchanged.
+//!
 //! # Lookahead
 //!
 //! With [`ConfluxConfig::lookahead`] (the default), each step overlaps the
@@ -58,6 +67,7 @@ use crate::common::{
     stage_from_global, ActiveRows, Collected, Net, RankResult, RowMask, State, TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
+use crate::lu25d_swap::row_swaps;
 use crate::tourn::tournament;
 use dense::gemm::{par_gemm_rows, Trans};
 use dense::matrix::{MatMut, MatRef};
@@ -156,18 +166,37 @@ pub struct LuOutput {
 /// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; the underlying
 /// kernel error if the matrix is singular.
 pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Error> {
+    factor_lu(cfg, a, PivotPolicy::Mask)
+}
+
+/// What retiring a step's pivot rows does (see the module docs): `Mask`
+/// leaves them where they are, `Swap` moves them into the diagonal positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PivotPolicy {
+    Mask,
+    Swap,
+}
+
+/// The host side of a plain LU run under `policy`.
+pub(crate) fn factor_lu(
+    cfg: &ConfluxConfig,
+    a: &Matrix,
+    policy: PivotPolicy,
+) -> Result<LuOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     // Backend-aware launch: threads by default, child processes over a
     // socket mesh when `xmpi::with_backend(Backend::Socket(..))` is armed.
     let out = xmpi::launch::run(cfg.grid.size(), |comm| {
         let fresh = State::fresh(stage_from_global(comm, &til, a, false));
-        rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
+        rank_program(comm, cfg, policy, &mut Guard::new(false), fresh, None)
     });
     let (parts, perm) = split_results(out.results)?;
-    let packed = cfg
-        .collect
-        .then(|| Collected::assemble(cfg.n, cfg.v, &perm, &parts));
+    let packed = cfg.collect.then(|| match policy {
+        PivotPolicy::Mask => Collected::assemble(cfg.n, cfg.v, &perm, &parts),
+        // Swapped pieces are addressed by position: rows are where they belong.
+        PivotPolicy::Swap => Collected::assemble(cfg.n, cfg.v, &Vec::from_iter(0..cfg.n), &parts),
+    });
     Ok(LuOutput {
         perm,
         packed,
@@ -176,8 +205,8 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 }
 
 /// The SPMD program one rank executes — the only implementation of the
-/// schedule; plain, ScaLAPACK-wrapped and fault-tolerant runs differ in
-/// what they pass here. `state.store` is this rank's share — layer 0's
+/// schedule; plain, ScaLAPACK-wrapped, fault-tolerant and row-swapping runs
+/// differ in what they pass here. `state.store` is this rank's share — layer 0's
 /// tiles of `A` (zeros above it), produced by [`stage_from_global`] or by a
 /// measured redistribution from a caller's layout, or whatever a checkpoint
 /// restored. Every bulk `f64` transfer is issued through `guard` (see
@@ -187,10 +216,11 @@ pub fn conflux_lu(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Er
 /// which needs a quiescent boundary, so it is only ever combined with the
 /// blocking schedule. Returns what the rank hands home: the part of `L` its
 /// store holds (layer 0 of a collecting run), the pieces it collected, and
-/// the pivot order.
+/// the pivot order — under swapping, the original row at each position.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
+    policy: PivotPolicy,
     guard: &mut Guard,
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
@@ -229,6 +259,8 @@ pub(crate) fn rank_program(
     // step's pivots retire: the panel rows of the next reduction, the rows
     // of the next L10, and the row map of the next Schur update.
     let mut active = mask.active_rows_of(&til, pi);
+    // Under swapping, the original row at each position.
+    let mut id_at = (policy == PivotPolicy::Swap).then(|| (0..n).collect::<Vec<_>>());
 
     // Panel broadcasts posted one step ahead (lookahead mode).
     let mut pending: Option<PendingPanel<'_>> = None;
@@ -259,12 +291,15 @@ pub(crate) fn rank_program(
                 piv_ids = pp.piv.wait_u64();
             }
             None => {
-                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel, true);
+                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
                 (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
             }
         }
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
-        let pivots: Vec<usize> = piv_ids.iter().map(|&x| x as usize).collect();
+        let pivots: Vec<usize> = match id_at.as_mut() {
+            None => piv_ids.iter().map(|&x| x as usize).collect(),
+            Some(id_at) => row_swaps(&net, &mut state.store, &mut panel, &piv_ids, step, id_at),
+        };
         if cfg.collect && comm.rank() == root {
             state.collected.push(&pivots, &[step * v], a00);
         }
@@ -409,7 +444,7 @@ pub(crate) fn rank_program(
             }
             // 7b. Form panel `next` and post its three broadcasts. The
             // sequence numbers keep concurrent trees on distinct tags.
-            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel, true);
+            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel);
             phase(comm, "bcast_a00");
             let root1 = g.rank_of(0, next % g.py, 0);
             let seq = 3 * next as u64;
@@ -448,12 +483,13 @@ pub(crate) fn rank_program(
         }
         state.store.into_lower(|r| pivot_tile[r] * v)
     });
-    Ok(((lower.unwrap_or_default(), state.collected), state.perm))
+    let order = id_at.unwrap_or(state.perm);
+    Ok(((lower.unwrap_or_default(), state.collected), order))
 }
 
 /// `U01 = L00⁻¹·A01`, in place on the `v` reduced pivot-row segments `a01`;
 /// `L00` is the unit lower triangle of `a00`.
-pub(crate) fn solve_u01(a00: MatRef<'_>, a01: &mut [f64]) {
+fn solve_u01(a00: MatRef<'_>, a01: &mut [f64]) {
     let (v, len) = (a00.rows(), a01.len() / a00.rows());
     let (solved, l00) = (MatMut::from_slice(a01, v, len, len), Uplo::Lower);
     trsm(Side::Left, l00, Trans::N, Diag::Unit, 1.0, a00, solved);
@@ -493,7 +529,7 @@ pub(crate) fn scatter_z<'a>(
 /// ranks (`a00_flat`/`piv_ids` empty, `err` set, on failure). The reduced
 /// panel values are in the caller's panel buffer.
 #[derive(Default)]
-pub(crate) struct PanelForm {
+struct PanelForm {
     a00_flat: Vec<f64>,
     piv_ids: Vec<u64>,
     err: Option<dense::Error>,
@@ -504,7 +540,7 @@ impl PanelForm {
     /// one status word first, so a singular panel (first row `row0`) aborts
     /// every rank cleanly instead of deadlocking the world, then the `v × v`
     /// block `A00` and the pivot ids. Returns `(A00, pivot ids)`.
-    pub(crate) fn bcast(
+    fn bcast(
         self,
         comm: &Comm,
         guard: &mut Guard,
@@ -540,16 +576,15 @@ struct PendingPanel<'c> {
 /// with respect to the schedule — the blocking path calls it at the top of
 /// step `step`, the lookahead path at the bottom of step `step − 1`; the
 /// active rows and store column it reads are identical at both call sites.
-/// With `l10_into_panel` and one panel rank (`Px = 1`), the tournament
-/// leaves the non-pivot rows' `L10` in `panel` ([`tournament`]).
-pub(crate) fn form_panel(
+/// With one panel rank (`Px = 1`), the tournament leaves the non-pivot rows'
+/// `L10` in `panel` ([`tournament`]).
+fn form_panel(
     net: &Net<'_>,
     guard: &mut Guard,
     active: &ActiveRows,
     store: &TileStore,
     step: usize,
     panel: &mut Vec<f64>,
-    l10_into_panel: bool,
 ) -> PanelForm {
     let (comm, g, v) = (net.comm, net.til.grid, net.til.v);
     let (_, pj, pk) = g.coords(comm.rank());
@@ -567,7 +602,7 @@ pub(crate) fn form_panel(
     let mut form = PanelForm::default();
     if pj == jt && pk == 0 {
         let ids: Vec<u64> = active.global.iter().map(|&r| r as u64).collect();
-        match tournament(net.panel.as_ref().unwrap(), panel, &ids, v, l10_into_panel) {
+        match tournament(net.panel.as_ref().unwrap(), panel, &ids, v) {
             Ok(pb) => (form.a00_flat, form.piv_ids) = (pb.a00.into_vec(), pb.ids),
             // The failing factorization is redundant and deterministic,
             // so every panel rank lands here together.
@@ -608,7 +643,8 @@ mod tests {
         let a = random_matrix(cfg.n, cfg.n, seed);
         let out = xmpi::run(cfg.grid.size(), |comm| {
             let fresh = State::fresh(stage_from_global(comm, &til, &a, false));
-            rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
+            let guard = &mut Guard::new(false);
+            rank_program(comm, cfg, PivotPolicy::Mask, guard, fresh, None)
         });
         out.results
     }
@@ -691,7 +727,7 @@ mod tests {
         // pivot block is singular at step 0 and every rank must get the
         // error (no deadlock) — on a multi-player panel group, on one rank,
         // and on a one-player group fed by a z-reduction, each naming the
-        // elimination step 9ea4a67 named.
+        // elimination step 9ea4a67 named — masking or swapping alike.
         let n = 16;
         let mut a = random_matrix(n, n, 99);
         for i in 0..n {
@@ -699,12 +735,15 @@ mod tests {
         }
         for grid in [[2, 2, 2], [1, 1, 1], [1, 2, 2]] {
             let cfg = ConfluxConfig::new(n, 4, Grid3::new(grid[0], grid[1], grid[2]));
-            match conflux_lu(&cfg, &a) {
-                Err(dense::Error::SingularAt(1)) => {}
-                other => panic!(
-                    "{grid:?}: expected SingularAt(1), got {:?}",
-                    other.map(|_| ())
-                ),
+            let swap = crate::lu25d_swap::lu25d_swap(&cfg, &a);
+            for (name, out) in [("conflux_lu", conflux_lu(&cfg, &a)), ("lu25d_swap", swap)] {
+                match out {
+                    Err(dense::Error::SingularAt(1)) => {}
+                    other => panic!(
+                        "{name} on {grid:?}: expected SingularAt(1), got {:?}",
+                        other.map(|_| ())
+                    ),
+                }
             }
         }
     }

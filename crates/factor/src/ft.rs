@@ -75,7 +75,7 @@ use crate::common::{
     RankResult, State, TileStore, Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
-use crate::conflux::{self, ConfluxConfig};
+use crate::conflux::{self, ConfluxConfig, PivotPolicy};
 use dense::checksum::{self, Verdict};
 use dense::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
@@ -776,7 +776,7 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
     let stage = |comm: &Comm| stage_from_global(comm, &til, a, false);
     let (packed, perm, report) =
         run_with_restarts(cfg, false, stage, |comm, guard, state, end| {
-            conflux::rank_program(comm, &plain, guard, state, Some(end))
+            conflux::rank_program(comm, &plain, PivotPolicy::Mask, guard, state, Some(end))
         })?;
     Ok(FtLuOutput {
         perm,
@@ -942,7 +942,7 @@ mod tests {
         };
         let plain = ConfluxConfig::new(n, v, grid).blocking();
         let program = |comm: &Comm, guard: &mut Guard, state: State, end: StepEnd<'_>| {
-            conflux::rank_program(comm, &plain, guard, state, Some(end))
+            conflux::rank_program(comm, &plain, PivotPolicy::Mask, guard, state, Some(end))
         };
         let (packed, perm, report) = run_armed(&perturbator, || {
             run_with_restarts(&cfg, false, stage, program).unwrap()

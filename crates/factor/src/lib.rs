@@ -12,9 +12,9 @@
 //! * [`twod`] — ScaLAPACK-style 2D block-cyclic LU / Cholesky with partial
 //!   pivoting and explicit row swapping: the stand-in for Intel MKL and
 //!   SLATE, which the paper shows both use this schedule.
-//! * [`lu25d_swap`] — a 2.5D LU *without* row masking (explicit pivot-row
-//!   swapping across replicated layers): an executable ablation showing why
-//!   COnfLUX's masking halves the leading-term volume (paper §7.3).
+//! * [`lu25d_swap`] — COnfLUX's step loop under its other pivot policy,
+//!   swapping pivot rows across the replicated layers instead of masking
+//!   them: an executable ablation showing why COnfLUX masks (paper §7.3).
 //! * [`models`] — the analytic per-rank I/O cost models of Table 2 for all
 //!   six compared implementations, used to validate measurements and to
 //!   extrapolate to paper-scale machines.

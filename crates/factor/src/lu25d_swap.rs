@@ -9,249 +9,78 @@
 //! inflates the I/O cost by the replication depth, from `O(N²/P)` to
 //! `O(N³/(P√M))` — the order of the whole factorization.
 //!
-//! Everything is indexed by *position* (the physical slot a row currently
-//! occupies); `id_at[pos]` tracks which original row lives where, and the
-//! final permutation is read off `id_at`.
-//!
-//! The data plane is COnfLUX's (the `common` module): a rank's share is one
-//! `TileStore`, updated in place, whose local row `l` holds position `l`'s
-//! data, and the panel is formed by COnfLUX's `form_panel`. Without a mask,
-//! the rows below a step's diagonal tile and the columns right of it are
-//! contiguous local ranges, so the Schur update is one in-place `gemm` on a
-//! sub-block of the store. A row swap is a slice exchange: the two rows'
-//! segments left and right of the panel column trade places locally, or
-//! travel as one message per rank pair. The left segments are the rows' `L`
-//! entries, which therefore follow their row to its final position, where
-//! the row's owner also gets to write `A00` and `U01`: the whole factor ends
-//! up in the layer-0 stores, by position, and nothing is collected.
+//! The code says so: [`lu25d_swap`] runs COnfLUX's step loop under its
+//! swapping pivot policy, and this module holds only that policy's
+//! `row_swaps` phase. A row swap is a slice exchange on every layer's store
+//! — the two rows' segments left and right of the panel column trade places
+//! locally or travel as one message per rank pair — and the panel ranks
+//! swap the reduced panel rows too. `id_at[pos]`, the original row at
+//! position `pos` (the physical slot a row occupies), is the permutation.
 
-use crate::common::{
-    check_shape, phase, phase_end, reduce_rows, split_results, stage_from_global, ActiveRows,
-    Collected, Net, RankResult, TileStore, Tiling,
-};
-use crate::conflux::{form_panel, scatter_z, solve_u01, LuOutput};
-use crate::ft::Guard;
-use dense::gemm::{gemm, Trans};
-use dense::trsm::Uplo;
-use dense::{MatRef, Matrix};
+use crate::common::{phase, Net, TileStore, Tiling};
+use crate::conflux::{factor_lu, ConfluxConfig, LuOutput, PivotPolicy};
+use dense::Matrix;
 use std::ops::Range;
-use xmpi::{Buf, Comm, Grid3};
+use xmpi::Comm;
 
 const TAG_SWAP: u64 = 9_000_000;
-const TAG_L10: u64 = 9_500_000;
-const TAG_U01: u64 = 9_800_000;
 
-/// Configuration (same shape as [`crate::ConfluxConfig`]).
-#[derive(Debug, Clone)]
-pub struct SwapLuConfig {
-    /// Matrix dimension (must be divisible by `v`).
-    pub n: usize,
-    /// Block size `v` (must be a multiple of `grid.pz`).
-    pub v: usize,
-    /// Processor grid.
-    pub grid: Grid3,
-    /// Collect factor entries for host-side assembly.
-    pub collect: bool,
-}
-
-impl SwapLuConfig {
-    /// Validated constructor.
-    ///
-    /// # Panics
-    /// If `v` does not divide `n` or `pz` does not divide `v`.
-    pub fn new(n: usize, v: usize, grid: Grid3) -> Self {
-        let _ = Tiling::new(n, v, grid);
-        SwapLuConfig {
-            n,
-            v,
-            grid,
-            collect: true,
-        }
-    }
-
-    /// Disable collection for volume-only runs.
-    pub fn volume_only(mut self) -> Self {
-        self.collect = false;
-        self
-    }
-}
-
-/// Factor `a` with the swapping 2.5D schedule. The output is COnfLUX's:
-/// `perm[s]` is the original row occupying (pivoted) position `s`, and
-/// `stats` includes all swap traffic.
+/// Factor `a` with COnfLUX's step loop, the pivot rows swapped into place
+/// instead of masked. The output is COnfLUX's: `perm[s]` is the original row
+/// at (pivoted) position `s`, and `stats` includes all swap traffic.
 ///
 /// # Errors
 /// [`dense::Error::ShapeMismatch`] if `a` is not `n × n`; kernel errors
 /// (singularity) propagate.
-pub fn lu25d_swap(cfg: &SwapLuConfig, a: &Matrix) -> Result<LuOutput, dense::Error> {
-    check_shape(a, cfg.n)?;
-    let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a));
-    let (parts, perm) = split_results(out.results)?;
-    let packed = cfg.collect.then(|| {
-        // Pieces are addressed by position: rows are where they belong.
-        let identity: Vec<usize> = (0..cfg.n).collect();
-        Collected::assemble(cfg.n, cfg.v, &identity, &parts)
-    });
-    Ok(LuOutput {
-        perm,
-        packed,
-        stats: out.stats,
-    })
+pub fn lu25d_swap(cfg: &ConfluxConfig, a: &Matrix) -> Result<LuOutput, dense::Error> {
+    factor_lu(cfg, a, PivotPolicy::Swap)
 }
 
-fn rank_program(comm: &Comm, cfg: &SwapLuConfig, a: &Matrix) -> RankResult {
-    let g = cfg.grid;
-    let til = Tiling::new(cfg.n, cfg.v, g);
-    let (pi, pj, pk) = g.coords(comm.rank());
-    let (n, v, nt, ks) = (cfg.n, cfg.v, til.nt, til.kslice());
-
-    let net = Net::new(comm, til);
-
-    // The rank's share, indexed by position: layer 0's copy of `A` (zeros
-    // above it), updated in place.
-    let mut store = stage_from_global(comm, &til, a, false);
-    let guard = &mut Guard::new(false);
-    // The reduced panel column and pivot block row, reused by every step.
-    let (mut panel, mut a01) = (Vec::new(), Vec::new());
-    let mut id_at: Vec<usize> = (0..n).collect();
-    // Positions of the owned tile rows `≥ ti`, ascending like their local rows.
-    let positions_from = |ti: usize| {
-        let tiles = til.tile_rows_of(pi).into_iter().filter(move |&t| t >= ti);
-        tiles.flat_map(|t| til.rows_of_tile(t))
-    };
-
-    for step in 0..nt {
-        let jt = step % g.py;
-        let it = step % g.px;
-        let last = step + 1 == nt;
-        // Positions of the diagonal block, and the local rows of the owned
-        // tile rows at or below it (the panel) and strictly below it.
-        let diag = til.rows_of_tile(step);
-        let panel_rows = store.rows_from(step);
-        let below = store.rows_from(step + 1);
-
-        // ---- 1–3. Form the panel and broadcast A00 + pivot positions ----
-        // COnfLUX's panel formation with every position at or below the
-        // diagonal block "active": z-reduce block column `step`, then the
-        // tournament over the panel ranks.
-        let active = ActiveRows {
-            global: positions_from(step).collect(),
-            local: panel_rows.clone().collect(),
-        };
-        let form = form_panel(&net, guard, &active, &store, step, &mut panel, false);
-        let root = g.rank_of(0, jt, 0);
-        let (a00_buf, piv_pos) = form.bcast(comm, guard, root, v, step * v)?;
-        let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
-
-        // ---- 4. Row swapping: move pivots into the diagonal block --------
-        // This is what masking avoids: every swap moves full rows of every
-        // layer's store — everything but the panel column, whose reduced
-        // values travel with `panel`.
-        phase(comm, "row_swaps");
-        let width = store.cols_from(0).end;
-        let panel_c0 = if pj == jt { store.col0(step) } else { width };
-        let keep = [0..panel_c0, (panel_c0 + v).min(width)..width];
-        let mut targets: Vec<usize> = piv_pos.iter().map(|&p| p as usize).collect();
-        for r in 0..v {
-            let tgt = step * v + r;
-            let cur = targets[r];
-            if cur == tgt {
-                continue;
-            }
-            // Later pending pivots sitting at `tgt` move to `cur`.
-            for t2 in targets.iter_mut().skip(r + 1) {
-                if *t2 == tgt {
-                    *t2 = cur;
-                }
-            }
-            if let Some(swap) = Swap::of(&til, &store, comm.rank(), tgt, cur) {
-                let tag = TAG_SWAP + step as u64 * 64 + r as u64;
-                swap_store_rows(comm, &mut store, &keep, &swap, tag);
-                if pj == jt && pk == 0 {
-                    swap_panel_rows(comm, &mut panel, v, panel_rows.start, &swap, tag + 32);
-                }
-            }
-            id_at.swap(tgt, cur);
-        }
-        if (pi, pj, pk) == (it, jt, 0) {
-            // The diagonal tile, dead since the panel's reduction, takes A00.
-            store.tile_mut(step, step).copy_from(a00);
-        }
-
-        // ---- 5. Panel solve: L10 = A10·U00⁻¹ ------------------------------
-        phase(comm, "panel_trsm");
-        let rows = below.len();
-        let mut l10: &[f64] = &[];
-        if pj == jt && pk == 0 && rows > 0 {
-            // Panel rows of the tiles > step (tile `step`'s rows are A00 now).
-            let solved = &mut panel[(below.start - panel_rows.start) * v..];
-            store.solve_l10((Uplo::Upper, Trans::N), a00, solved, step, below.clone());
-            l10 = solved;
-        }
-
-        if last {
+/// Step `step`'s `row_swaps` phase, what masking avoids: move the pivots at
+/// positions `piv_pos` (in pivot order) into the diagonal positions
+/// `step·v..(step+1)·v`, which it returns, on every layer's store — all but
+/// the panel column, whose reduced values move in `panel` on the panel ranks
+/// (panel row `i` is local row `rows_from(step).start + i`). `id_at`
+/// follows the rows.
+pub(crate) fn row_swaps(
+    net: &Net<'_>,
+    store: &mut TileStore,
+    panel: &mut [f64],
+    piv_pos: &[u64],
+    step: usize,
+    id_at: &mut [usize],
+) -> Vec<usize> {
+    let (comm, til, v) = (net.comm, &net.til, net.til.v);
+    let (_, pj, pk) = til.grid.coords(comm.rank());
+    let jt = step % til.grid.py;
+    phase(comm, "row_swaps");
+    let width = store.cols_from(0).end;
+    let panel_c0 = if pj == jt { store.col0(step) } else { width };
+    let keep = [0..panel_c0, (panel_c0 + v).min(width)..width];
+    let first = store.rows_from(step).start;
+    let mut targets: Vec<usize> = piv_pos.iter().map(|&p| p as usize).collect();
+    for r in 0..v {
+        let tgt = step * v + r;
+        let cur = targets[r];
+        if cur == tgt {
             continue;
         }
-
-        // ---- 6. Reduce pivot block row, solve U01 -------------------------
-        phase(comm, "reduce_pivots");
-        let trail = store.cols_from(step + 1);
-        let trail_len = trail.len();
-        if trail_len > 0 && pi == it {
-            // Tile row `step` lives on process row it = step mod px.
-            let lrow0 = store.local_row(diag.start);
-            let lrows = lrow0..lrow0 + v;
-            reduce_rows(&net, guard, &store, lrows, trail.clone(), &mut a01);
-            if pk == 0 {
-                solve_u01(a00, &mut a01);
-                // No later step touches these rows: `U01` stays in them.
-                for (u, lrow) in a01.chunks_exact(trail_len).zip(lrow0..) {
-                    store.row_mut(lrow)[trail.clone()].copy_from_slice(u);
-                }
+        // Later pending pivots sitting at `tgt` move to `cur`.
+        for t2 in targets.iter_mut().skip(r + 1) {
+            if *t2 == tgt {
+                *t2 = cur;
             }
         }
-
-        // ---- 7. Scatter L10 (z-slice + y-broadcast) -----------------------
-        phase(comm, "scatter_panels");
-        let mut l10_flat = Buf::from(Vec::new());
-        if rows > 0 {
-            let tag = TAG_L10 + step as u64;
-            l10_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (rows, ks), |k| {
-                MatRef::from_slice(l10, rows, v, v).block(0, k * ks, rows, ks)
-            });
+        if let Some(swap) = Swap::of(til, store, comm.rank(), tgt, cur) {
+            let tag = TAG_SWAP + step as u64 * 64 + r as u64;
+            swap_store_rows(comm, store, &keep, &swap, tag);
+            if pj == jt && pk == 0 {
+                swap_panel_rows(comm, panel, v, first, &swap, tag + 32);
+            }
         }
-
-        // ---- 8. Scatter U01 (z-slice + x-broadcast) -----------------------
-        let mut u01_flat = Buf::from(Vec::new());
-        if trail_len > 0 {
-            let tag = TAG_U01 + step as u64;
-            u01_flat = scatter_z(&net, guard, (&net.xcol, it), tag, (ks, trail_len), |k| {
-                MatRef::from_slice(&a01, v, trail_len, trail_len).block(k * ks, 0, ks, trail_len)
-            });
-        }
-
-        // ---- 9. Layer-local partial Schur update --------------------------
-        // One GEMM straight into the trailing rows × trailing columns, a
-        // contiguous sub-block of the local store.
-        phase(comm, "update_a11");
-        if rows > 0 && trail_len > 0 {
-            let trailing = store.cols_mut(trail);
-            gemm(
-                Trans::N,
-                Trans::N,
-                -1.0,
-                MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks),
-                MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len),
-                1.0,
-                trailing.block(below.start, 0, rows, trail_len),
-            );
-        }
+        id_at.swap(tgt, cur);
     }
-
-    phase_end(comm);
-    // A layer-0 store is now its rank's rows of the packed factor, whole.
-    let rows = (cfg.collect && pk == 0).then(|| store.into_lower(|_| n));
-    Ok(((rows.unwrap_or_default(), Collected::default()), id_at))
+    (step * v..(step + 1) * v).collect()
 }
 
 /// The calling rank's part in exchanging the rows at two positions.
@@ -336,11 +165,11 @@ mod tests {
     use super::*;
     use dense::gen::{needs_pivoting, random_matrix};
     use dense::norms::lu_residual_perm;
+    use xmpi::Grid3;
 
     fn check(n: usize, v: usize, grid: Grid3, seed: u64) {
         let a = random_matrix(n, n, seed);
-        let cfg = SwapLuConfig::new(n, v, grid);
-        let out = lu25d_swap(&cfg, &a).unwrap();
+        let out = lu25d_swap(&ConfluxConfig::new(n, v, grid), &a).unwrap();
         let mut sorted = out.perm.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..n).collect::<Vec<_>>());
@@ -365,7 +194,7 @@ mod tests {
     fn pivot_stress() {
         let n = 24;
         let a = needs_pivoting(n, 9);
-        let cfg = SwapLuConfig::new(n, 4, Grid3::new(2, 2, 2));
+        let cfg = ConfluxConfig::new(n, 4, Grid3::new(2, 2, 2));
         let out = lu25d_swap(&cfg, &a).unwrap();
         let res = lu_residual_perm(&a, out.packed.as_ref().unwrap(), &out.perm);
         assert!(res < 1e-8, "residual {res}");
@@ -375,7 +204,7 @@ mod tests {
     fn swapping_costs_more_than_masking_with_replication() {
         // The paper's §7.3 argument, measured: with c > 1 the swap variant
         // must move strictly more data than masking COnfLUX.
-        use crate::conflux::{conflux_lu, ConfluxConfig};
+        use crate::conflux::conflux_lu;
         let n = 64;
         let a = random_matrix(n, n, 11);
         let grid = Grid3::new(2, 2, 2);
@@ -383,7 +212,7 @@ mod tests {
             .unwrap()
             .stats
             .total_bytes_sent();
-        let swap = lu25d_swap(&SwapLuConfig::new(n, 8, grid).volume_only(), &a)
+        let swap = lu25d_swap(&ConfluxConfig::new(n, 8, grid).volume_only(), &a)
             .unwrap()
             .stats
             .total_bytes_sent();

@@ -14,7 +14,7 @@ use crate::common::{
     phase, phase_end, split_results, Collected, Lower, RankResult, State, TileStore, Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
-use crate::conflux::{self, ConfluxConfig};
+use crate::conflux::{self, ConfluxConfig, PivotPolicy};
 use crate::ft::Guard;
 use dense::{Error, Matrix};
 use layout::{redist::redistribute_subset, BlockCyclic, DistMatrix};
@@ -54,7 +54,8 @@ pub fn pdgetrf(
 ) -> Result<ScalapackOutput, Error> {
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
     let factor = |comm: &Comm, tiles: TileStore| {
-        conflux::rank_program(comm, cfg, &mut Guard::new(false), State::fresh(tiles), None)
+        let (guard, fresh) = (&mut Guard::new(false), State::fresh(tiles));
+        conflux::rank_program(comm, cfg, PivotPolicy::Mask, guard, fresh, None)
     };
     wrapped(user_desc, a, til, cfg.collect, false, factor)
 }

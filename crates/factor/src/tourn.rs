@@ -165,11 +165,10 @@ pub(crate) struct PivotBlock {
 /// asymptotic cost, one extra latency hop).
 ///
 /// With one rank, the local selection's elimination is the result: `A00` is
-/// its top `v` rows, and with `l10_into_panel` each other row's `L10` —
-/// `A10·U00⁻¹`, bit for bit what `dense::trsm` solves for `v ≤ 32` (its
-/// substitution base case) — overwrites that row of `panel`, in panel
-/// order. The rows that won are left as they were. Otherwise `panel` is
-/// only read.
+/// its top `v` rows, and each other row's `L10` — `A10·U00⁻¹`, bit for bit
+/// what `dense::trsm` solves for `v ≤ 32` (its substitution base case) —
+/// overwrites that row of `panel`, in panel order. The rows that won are
+/// left as they were. With more ranks `panel` is only read.
 ///
 /// # Errors
 /// Propagates singularity if the union of candidates has rank `< v`.
@@ -178,13 +177,12 @@ pub(crate) fn tournament(
     panel: &mut [f64],
     ids: &[u64],
     v: usize,
-    l10_into_panel: bool,
 ) -> Result<PivotBlock, dense::Error> {
     const TAG: u64 = 900_000;
     let p = comm.size();
     let r = comm.rank();
     if p == 1 {
-        return one_player(panel, ids, v, l10_into_panel);
+        return one_player(panel, ids, v);
     }
     let mut cands = local_select(MatRef::from_slice(panel, ids.len(), v, v), ids, v)?;
 
@@ -244,12 +242,7 @@ pub(crate) fn tournament(
 /// once and keep everything. `getrf_unblocked` of the winners would stop
 /// at the first step whose column is exactly zero, which is where
 /// [`eliminate`] first found one.
-fn one_player(
-    panel: &mut [f64],
-    ids: &[u64],
-    v: usize,
-    l10_into_panel: bool,
-) -> Result<PivotBlock, dense::Error> {
+fn one_player(panel: &mut [f64], ids: &[u64], v: usize) -> Result<PivotBlock, dense::Error> {
     assert_eq!(panel.len(), ids.len() * v, "panel shape mismatch");
     let take = v.min(ids.len());
     assert!(take > 0, "tournament with zero candidate rows");
@@ -258,10 +251,8 @@ fn one_player(
     if let Some(k) = zero_at {
         return Err(dense::Error::SingularAt(k));
     }
-    if l10_into_panel {
-        for (row, &r) in lu.chunks_exact(v).zip(&order).skip(take) {
-            panel[r * v..(r + 1) * v].copy_from_slice(row);
-        }
+    for (row, &r) in lu.chunks_exact(v).zip(&order).skip(take) {
+        panel[r * v..(r + 1) * v].copy_from_slice(row);
     }
     Ok(PivotBlock {
         ids: order[..take].iter().map(|&r| ids[r]).collect(),
@@ -374,7 +365,7 @@ mod tests {
             // Rank r owns rows r, r+p, r+2p, ... (cyclic, like the panel).
             let my_ids: Vec<u64> = (0..rows_per_rank).map(|i| (r + i * p) as u64).collect();
             let mut panel = Matrix::from_fn(rows_per_rank, v, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, v, false).unwrap()
+            tournament(c, panel.data_mut(), &my_ids, v).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), v);
@@ -443,7 +434,7 @@ mod tests {
             let ids: Vec<u64> = (0..m as u64).map(|i| 7 + 2 * i).collect();
             let (got, kept) = run(1, |c| {
                 let mut kept = panel.clone();
-                (tournament(c, kept.data_mut(), &ids, v, true).unwrap(), kept)
+                (tournament(c, kept.data_mut(), &ids, v).unwrap(), kept)
             })
             .results
             .remove(0);
@@ -490,7 +481,7 @@ mod tests {
                 _ => (vec![5, 6], 2),
             };
             let mut panel = Matrix::from_fn(m, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, 3, false).unwrap()
+            tournament(c, panel.data_mut(), &my_ids, 3).unwrap()
         });
         let first = &out.results[0];
         assert_eq!(first.ids.len(), 3);
@@ -513,7 +504,7 @@ mod tests {
         let out = run(4, move |c| {
             let my_ids: Vec<u64> = (0..4).map(|i| (c.rank() * 4 + i) as u64).collect();
             let mut panel = Matrix::from_fn(4, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, 3, false).unwrap()
+            tournament(c, panel.data_mut(), &my_ids, 3).unwrap()
         });
         let mut ids = out.results[0].ids.clone();
         ids.sort_unstable();

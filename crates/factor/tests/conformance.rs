@@ -25,7 +25,7 @@
 use dense::gen::{random_matrix, random_spd};
 use dense::norms::{lu_residual, lu_residual_perm, po_residual};
 use dense::Matrix;
-use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use factor::lu25d_swap::lu25d_swap;
 use factor::{
     confchox_cholesky, conflux_lu, mmm25d, twod_cholesky, twod_lu, ConfchoxConfig, ConfluxConfig,
     Mmm25dConfig, TwodConfig,
@@ -284,7 +284,7 @@ fn mmm25d_conformance_over_seed_matrix() {
 fn lu25d_swap_conformance_over_seed_matrix() {
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
     let a = random_matrix(n, n, 101);
-    let cfg = SwapLuConfig::new(n, v, grid);
+    let cfg = ConfluxConfig::new(n, v, grid);
     let base = lu25d_swap(&cfg, &a).unwrap();
     let resid = lu_residual_perm(&a, base.packed.as_ref().unwrap(), &base.perm);
     assert!(resid < RESIDUAL_TOL, "baseline residual {resid:e}");
@@ -398,13 +398,18 @@ fn digest(index: &[usize], m: &Matrix) -> u64 {
 /// The schedules outside the benchmark's one-shot digests are pinned here:
 /// pivots plus factor bits of fixed runs. `twod_*` and `mmm25d` were recorded
 /// from the commit before their stores became dense local matrices;
-/// `lu25d_swap` from the commit that made layer 0 update its copy of `A` in
-/// place (`((a − p₁) − p₂) − …` where it used to form `a − (p₁ + p₂ + …)`);
-/// `conflux_lu` and `confchox` (lookahead on, then off, per grid) from
-/// 1321fe9, the commit before the packed engine was reshaped for the rank-32
-/// update — except the `1x2x2` grid (a one-rank panel group fed by a
-/// z-reduction), recorded at 9ea4a67, before one-player tournaments kept
-/// their elimination.
+/// `lu25d_swap 2x2x2` from the commit that made layer 0 update its copy of
+/// `A` in place (`((a − p₁) − p₂) − …` where it used to form
+/// `a − (p₁ + p₂ + …)`), and its other grids at cc38afc, the last commit
+/// with a step loop of its own; `conflux_lu` and `confchox` (lookahead on,
+/// then off, per grid) from 1321fe9, the commit before the packed engine was
+/// reshaped for the rank-32 update — except the `1x2x2` grid (a one-rank
+/// panel group fed by a z-reduction), recorded at 9ea4a67, before one-player
+/// tournaments kept their elimination.
+///
+/// With one process row (`1x1x1`, `1x2x2`) every pivot row already lives on
+/// the panel's process row, so masking and swapping give the same factor:
+/// there the swap digests equal `conflux_lu`'s own pins.
 /// A storage or collection change must reproduce them exactly — it may move
 /// no flop and reorder no sum.
 #[test]
@@ -412,7 +417,6 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     let a = random_matrix(64, 64, 101);
     let spd = random_spd(64, 202);
 
-    let swap = lu25d_swap(&SwapLuConfig::new(64, 8, Grid3::new(2, 2, 2)), &a).unwrap();
     let twod = TwodConfig::new(64, 8, Grid2::new(2, 2));
     let lu = twod_lu(&twod, &a).unwrap();
     let chol = twod_cholesky(&twod, &spd).unwrap();
@@ -420,11 +424,23 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     let mmm = mmm25d(&Mmm25dConfig::new(48, 4, Grid3::new(2, 2, 2)), &ma, &mb);
 
     let mut got = vec![
-        ("lu25d_swap", digest(&swap.perm, &swap.packed.unwrap())),
         ("twod_lu", digest(&lu.ipiv, &lu.packed.unwrap())),
         ("twod_cholesky", digest(&[], &chol.l.unwrap())),
         ("mmm25d", digest(&[], &mmm.c.unwrap())),
     ];
+    // The swap ablation on every grid shape, lookahead on, then off.
+    for (name, grid) in [
+        ("lu25d_swap 2x2x2", Grid3::new(2, 2, 2)),
+        ("lu25d_swap 1x1x1", Grid3::new(1, 1, 1)),
+        ("lu25d_swap 1x2x2", Grid3::new(1, 2, 2)),
+        ("lu25d_swap 2x2x1", Grid3::new(2, 2, 1)),
+    ] {
+        let cfg = ConfluxConfig::new(64, 8, grid);
+        for cfg in [cfg.clone(), cfg.blocking()] {
+            let swap = lu25d_swap(&cfg, &a).unwrap();
+            got.push((name, digest(&swap.perm, &swap.packed.unwrap())));
+        }
+    }
     // COnfLUX and COnfCHOX on the replicated and the one-rank grid, with and
     // without lookahead: one digest per grid, because lookahead may not move
     // a bit either.
@@ -448,10 +464,17 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         }
     }
     let want = [
-        ("lu25d_swap", 0x6169_2f48_6f59_42d1_u64),
-        ("twod_lu", 0xd9e3_5769_53e3_8be4),
+        ("twod_lu", 0xd9e3_5769_53e3_8be4_u64),
         ("twod_cholesky", 0xbe49_69ef_b881_a049),
         ("mmm25d", 0xd6e7_f309_1aec_da1d),
+        ("lu25d_swap 2x2x2", 0x6169_2f48_6f59_42d1),
+        ("lu25d_swap 2x2x2", 0x6169_2f48_6f59_42d1),
+        ("lu25d_swap 1x1x1", 0x20fa_6292_44d1_c037),
+        ("lu25d_swap 1x1x1", 0x20fa_6292_44d1_c037),
+        ("lu25d_swap 1x2x2", 0xce16_60f4_b957_a277),
+        ("lu25d_swap 1x2x2", 0xce16_60f4_b957_a277),
+        ("lu25d_swap 2x2x1", 0x6c35_33b6_f466_6d05),
+        ("lu25d_swap 2x2x1", 0x6c35_33b6_f466_6d05),
         ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),
         ("confchox 2x2x2", 0xdc7c_f302_a49b_12a2),
         ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),

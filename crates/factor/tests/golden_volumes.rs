@@ -16,7 +16,7 @@
 //! concurrently.)
 
 use dense::gen::{random_matrix, random_spd};
-use factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use factor::lu25d_swap::lu25d_swap;
 use factor::{
     confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, twod_cholesky,
     twod_lu, ConfchoxConfig, ConfluxConfig, FtConfig, Mmm25dConfig, TwodConfig,
@@ -101,7 +101,7 @@ fn conflux_flat_grid_volume_is_golden() {
 fn lu25d_swap_volume_is_golden() {
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
     let a = random_matrix(n, n, 101);
-    let cfg = SwapLuConfig::new(n, v, grid).volume_only();
+    let cfg = ConfluxConfig::new(n, v, grid).volume_only();
     let out = lu25d_swap(&cfg, &a).unwrap();
     check_golden(
         &golden_path(),

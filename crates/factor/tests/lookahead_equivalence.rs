@@ -6,6 +6,7 @@
 
 use dense::gen::{random_matrix, random_spd};
 use dense::Matrix;
+use factor::lu25d_swap::lu25d_swap;
 use factor::{confchox_cholesky, conflux_lu, mmm25d, ConfchoxConfig, ConfluxConfig, Mmm25dConfig};
 use xmpi::{Grid3, WorldStats};
 
@@ -57,6 +58,44 @@ fn conflux_lookahead_is_bitwise_identical_and_volume_preserving() {
             ahead.stats.phase_totals(),
             block.stats.phase_totals(),
             "n={n} grid={grid:?}: per-phase attribution differs"
+        );
+    }
+}
+
+/// The swap ablation runs COnfLUX's step loop, so it inherits the lookahead
+/// contract: the `row_swaps` phase follows the posted broadcasts' wait and
+/// moves the same rows either way.
+#[test]
+fn swap_lookahead_is_bitwise_identical_and_volume_preserving() {
+    for (n, v, grid, seed) in [
+        (64, 8, Grid3::new(2, 2, 2), 25u64),
+        (72, 12, Grid3::new(3, 2, 2), 26),
+    ] {
+        let a = random_matrix(n, n, seed);
+        let ahead = lu25d_swap(&ConfluxConfig::new(n, v, grid), &a).unwrap();
+        let block = lu25d_swap(&ConfluxConfig::new(n, v, grid).blocking(), &a).unwrap();
+        assert_eq!(ahead.perm, block.perm, "n={n} grid={grid:?}: pivots differ");
+        assert_bitwise_equal(
+            ahead.packed.as_ref().unwrap(),
+            block.packed.as_ref().unwrap(),
+            "swap packed factor",
+        );
+        assert_eq!(
+            per_rank(&ahead.stats),
+            per_rank(&block.stats),
+            "n={n} grid={grid:?}: per-rank traffic differs"
+        );
+        let phases = |stats: &WorldStats| -> Vec<_> {
+            stats.ranks.iter().map(|r| r.per_phase.clone()).collect()
+        };
+        assert_eq!(
+            phases(&ahead.stats),
+            phases(&block.stats),
+            "n={n} grid={grid:?}: per-rank, per-phase attribution differs"
+        );
+        assert!(
+            ahead.stats.phase_totals().contains_key("row_swaps"),
+            "n={n} grid={grid:?}: no row was swapped"
         );
     }
 }

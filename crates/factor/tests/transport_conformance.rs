@@ -39,6 +39,7 @@ use std::sync::Arc;
 use dense::gen::{random_matrix, random_spd};
 use dense::norms::{lu_residual_perm, po_residual};
 use dense::Matrix;
+use factor::lu25d_swap::lu25d_swap;
 use factor::{
     confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig,
     ConfluxConfig, FtConfig, Mmm25dConfig,
@@ -82,34 +83,46 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
+/// COnfLUX on a fixed small cell and on the block `auto` raises above its
+/// floor on a flat grid (v = 32: the `lu_p4_socket` benchmark shape), and
+/// the swap ablation — the same step loop under its other pivot policy — on
+/// the small cell.
 #[test]
 fn conflux_socket_matches_local_bitwise() {
-    // A fixed small cell, and the block `auto` raises above its floor on a
-    // flat grid (v = 32: the `lu_p4_socket` benchmark shape).
     let auto = ConfluxConfig::auto(512, 4);
     assert_eq!((auto.grid, auto.v), (Grid3::new(2, 2, 1), 32));
-    for cfg in [ConfluxConfig::new(64, 8, Grid3::new(2, 2, 2)), auto] {
+    let small = ConfluxConfig::new(64, 8, Grid3::new(2, 2, 2));
+    type Lu = fn(&ConfluxConfig, &Matrix) -> Result<factor::LuOutput, dense::Error>;
+    let cells: [(&str, Lu, ConfluxConfig); 3] = [
+        ("conflux", conflux_lu, small.clone()),
+        ("conflux", conflux_lu, auto),
+        ("lu25d_swap", lu25d_swap, small),
+    ];
+    for (name, lu, cfg) in cells {
         let (n, v) = (cfg.n, cfg.v);
         let a = random_matrix(n, n, 101);
 
-        let local = conflux_lu(&cfg, &a).unwrap();
-        let socket = on_sockets!(|| conflux_lu(&cfg, &a).unwrap());
+        let local = lu(&cfg, &a).unwrap();
+        let socket = on_sockets!(|| lu(&cfg, &a).unwrap());
 
-        assert_eq!(socket.perm, local.perm, "n={n} v={v}: pivots diverged");
+        assert_eq!(
+            socket.perm, local.perm,
+            "{name} n={n} v={v}: pivots diverged"
+        );
         assert_bitwise_equal(
             socket.packed.as_ref().unwrap(),
             local.packed.as_ref().unwrap(),
-            &format!("conflux factor n={n} v={v}, socket vs local"),
+            &format!("{name} factor n={n} v={v}, socket vs local"),
         );
         let resid = lu_residual_perm(&a, socket.packed.as_ref().unwrap(), &socket.perm);
         assert!(
             resid < RESIDUAL_TOL,
-            "n={n} v={v}: socket residual {resid:e}"
+            "{name} n={n} v={v}: socket residual {resid:e}"
         );
         let drift = check_stats_equal(&local.stats, &socket.stats);
         assert!(
             drift.is_empty(),
-            "n={n} v={v}: traffic drifted across backends: {drift:?}"
+            "{name} n={n} v={v}: traffic drifted across backends: {drift:?}"
         );
     }
 }
@@ -195,6 +208,12 @@ fn socket_volumes_match_committed_goldens() {
     let out =
         on_sockets!(|| conflux_lu(&ConfluxConfig::new(n, v, flat).volume_only(), &a).unwrap());
     check_golden(&path, "conflux-n64-v8-g2x2x1", &out.stats, golden_mode())
+        .unwrap_or_else(|e| panic!("socket backend: {e}"));
+
+    let grid = Grid3::new(2, 2, 2);
+    let out =
+        on_sockets!(|| lu25d_swap(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap());
+    check_golden(&path, "lu25d-swap-n64-v8-g2x2x2", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 }
 
@@ -334,14 +353,13 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     let lu = ConfluxConfig::new(n, v, grid);
     let chol = ConfchoxConfig::new(n, v, grid);
     let ft = FtConfig::new(n, v, grid);
-    let swap = factor::lu25d_swap::SwapLuConfig::new(n, v, grid);
     let twod = factor::TwodConfig::new(n, v, xmpi::Grid2::new(2, 2));
     let every_driver = || {
         assert_eq!(conflux_lu(&lu, &a).err(), want);
         assert_eq!(confchox_cholesky(&chol, &a).err(), want);
         assert_eq!(conflux_lu_ft(&ft, &a).err(), want);
         assert_eq!(confchox_cholesky_ft(&ft, &a).err(), want);
-        assert_eq!(factor::lu25d_swap::lu25d_swap(&swap, &a).err(), want);
+        assert_eq!(lu25d_swap(&lu, &a).err(), want);
         assert_eq!(factor::twod_lu(&twod, &a).err(), want);
         assert_eq!(factor::twod_cholesky(&twod, &a).err(), want);
     };
@@ -358,6 +376,13 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
         exe: "/nonexistent/xmpi-rank".into(),
         args: Vec::new(),
     });
-    xmpi::with_backend(nowhere, every_driver);
+    xmpi::with_backend(nowhere.clone(), every_driver);
     assert_eq!(on_sockets!(|| conflux_lu(&lu, &a).err()), want);
+
+    // A well-shaped input does reach the armed backend: pointed at nothing,
+    // the swap driver's world cannot start (cc38afc ran it on threads).
+    let fine = random_matrix(n, n, 101);
+    let launch = || xmpi::with_backend(nowhere, || lu25d_swap(&lu, &fine));
+    let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(launch));
+    assert!(started.is_err(), "lu25d_swap ignored the socket backend");
 }

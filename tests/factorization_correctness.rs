@@ -7,7 +7,7 @@ use conflux_rs::dense::norms::{lu_residual, lu_residual_perm, po_residual};
 use conflux_rs::dense::{getrf, potrf};
 use conflux_rs::factor::confchox::ConfchoxConfig;
 use conflux_rs::factor::conflux::ConfluxConfig;
-use conflux_rs::factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use conflux_rs::factor::lu25d_swap::lu25d_swap;
 use conflux_rs::factor::twod::TwodConfig;
 use conflux_rs::factor::{confchox_cholesky, conflux_lu, twod_cholesky, twod_lu};
 use conflux_rs::xmpi::{Grid2, Grid3};
@@ -58,7 +58,7 @@ fn all_lu_schedules_agree_on_the_solution_space() {
         let a = random_matrix(n, n, seed);
         let c = conflux_lu(&ConfluxConfig::new(n, 8, Grid3::new(2, 2, 2)), &a).unwrap();
         assert!(lu_residual_perm(&a, c.packed.as_ref().unwrap(), &c.perm) < 1e-10);
-        let s = lu25d_swap(&SwapLuConfig::new(n, 8, Grid3::new(2, 2, 2)), &a).unwrap();
+        let s = lu25d_swap(&ConfluxConfig::new(n, 8, Grid3::new(2, 2, 2)), &a).unwrap();
         assert!(lu_residual_perm(&a, s.packed.as_ref().unwrap(), &s.perm) < 1e-10);
         let t = twod_lu(&TwodConfig::new(n, 8, Grid2::new(2, 2)), &a).unwrap();
         assert!(lu_residual(&a, t.packed.as_ref().unwrap(), &t.ipiv) < 1e-10);
@@ -76,7 +76,7 @@ fn conflux_and_swap_variant_agree_on_the_first_pivot_set() {
     let a = random_matrix(n, n, 6);
     let grid = Grid3::new(2, 2, 1);
     let c = conflux_lu(&ConfluxConfig::new(n, 8, grid), &a).unwrap();
-    let s = lu25d_swap(&SwapLuConfig::new(n, 8, grid), &a).unwrap();
+    let s = lu25d_swap(&ConfluxConfig::new(n, 8, grid), &a).unwrap();
     let mut cp: Vec<usize> = c.perm[..8].to_vec();
     let mut sp: Vec<usize> = s.perm[..8].to_vec();
     cp.sort_unstable();

@@ -6,7 +6,7 @@
 use conflux_rs::dense::gen::{random_matrix, random_spd};
 use conflux_rs::factor::confchox::ConfchoxConfig;
 use conflux_rs::factor::conflux::ConfluxConfig;
-use conflux_rs::factor::lu25d_swap::{lu25d_swap, SwapLuConfig};
+use conflux_rs::factor::lu25d_swap::lu25d_swap;
 use conflux_rs::factor::models::{conflux_model, MachineParams};
 use conflux_rs::factor::twod::TwodConfig;
 use conflux_rs::factor::{confchox_cholesky, conflux_lu, twod_lu};
@@ -39,7 +39,7 @@ fn measured_lu_volume_respects_the_lower_bound() {
         (
             "swap",
             lu25d_swap(
-                &SwapLuConfig::new(n, 8, Grid3::new(2, 2, 2)).volume_only(),
+                &ConfluxConfig::new(n, 8, Grid3::new(2, 2, 2)).volume_only(),
                 &a,
             )
             .unwrap()
@@ -121,7 +121,7 @@ fn masking_beats_swapping_and_swap_traffic_scales_with_replication() {
         let mask = conflux_lu(&ConfluxConfig::new(n, 8, grid).volume_only(), &a)
             .unwrap()
             .stats;
-        let swap = lu25d_swap(&SwapLuConfig::new(n, 8, grid).volume_only(), &a)
+        let swap = lu25d_swap(&ConfluxConfig::new(n, 8, grid).volume_only(), &a)
             .unwrap()
             .stats;
         (mask, swap)
