@@ -179,7 +179,7 @@ pub fn run_cell(cell: &Cell, input_seed: u64, traced: bool) -> Result<CellRun, S
         if cell.checksum {
             ft_stats(algo, n, v, grid, checksums, &a)
         } else {
-            plain_stats(algo, cell, v, grid, &a)
+            plain_stats(algo, n, v, grid, &a)
         }
     };
     let (stats, trace) = if traced {
@@ -211,14 +211,10 @@ pub fn run_cell(cell: &Cell, input_seed: u64, traced: bool) -> Result<CellRun, S
     })
 }
 
-fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> WorldStats {
-    let n = cell.n;
+fn plain_stats(algo: Algo, n: usize, v: usize, grid: Grid3, a: &Matrix) -> WorldStats {
     match algo {
         Algo::Conflux | Algo::SwapLu => {
-            let mut cfg = ConfluxConfig::new(n, v, grid).volume_only();
-            if !cell.lookahead {
-                cfg = cfg.blocking();
-            }
+            let cfg = ConfluxConfig::new(n, v, grid).volume_only();
             let out = if algo == Algo::SwapLu {
                 lu25d_swap(&cfg, a)
             } else {
@@ -227,10 +223,7 @@ fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> Wo
             out.expect("lu failed").stats
         }
         Algo::Confchox => {
-            let mut cfg = ConfchoxConfig::new(n, v, grid).volume_only();
-            if !cell.lookahead {
-                cfg = cfg.blocking();
-            }
+            let cfg = ConfchoxConfig::new(n, v, grid).volume_only();
             confchox_cholesky(&cfg, a).expect("confchox failed").stats
         }
         Algo::TwodLu | Algo::TwodChol => {
@@ -244,8 +237,7 @@ fn plain_stats(algo: Algo, cell: &Cell, v: usize, grid: Grid3, a: &Matrix) -> Wo
     }
 }
 
-/// The ABFT fault-tolerant path, with or without its checksums. The
-/// lookahead axis does not apply — the ft schedules are blocking.
+/// The ABFT fault-tolerant path, with or without its checksums.
 fn ft_stats(
     algo: Algo,
     n: usize,

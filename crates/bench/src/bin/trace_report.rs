@@ -10,12 +10,6 @@
 //!   decomposition Table 1 of the paper reports per routine — plus idle-time
 //!   attribution and the α-β-γ replay's predicted time-to-solution.
 //!
-//! With `--overlap`, runs the chosen algorithm twice — lookahead schedule
-//! vs blocking schedule — on the same input, checks that both move exactly
-//! the same bytes and messages, and reports how much communication each
-//! phase *hides* behind compute under the α-β-γ replay, plus the modeled
-//! makespan reduction the overlap buys.
-//!
 //! With `--kpi`, skips the profile tables and instead emits the KPI record
 //! `ablations run` emits for that cell — same runner, same fixed plan
 //! input — so a hand-run trace can be appended to the trajectory: pass
@@ -25,8 +19,7 @@
 //!
 //! Usage:
 //!   trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] [--n N] [--p P]
-//!                [--seed S] [--out DIR] [--pretty] [--overlap]
-//!                [--kpi [--registry DIR]]
+//!                [--seed S] [--out DIR] [--pretty] [--kpi [--registry DIR]]
 
 use std::collections::BTreeMap;
 
@@ -34,7 +27,6 @@ use bench::ablate::{factor_cell_kpis, run_cell};
 use bench::plan::Cell;
 use bench::table::{human_bytes, render};
 use serde_json::json;
-use xmpi::{WorldStats, WorldTrace};
 use xtrace::profile::{coll_bytes_from_trace, phase_bytes_from_trace};
 use xtrace::{
     chrome_trace, critical_path, path_length, profile_report, replay, Machine, Provenance, Timeline,
@@ -47,7 +39,6 @@ struct Args {
     seed: u64,
     out: Option<String>,
     pretty: bool,
-    overlap: bool,
     kpi: bool,
     registry: Option<String>,
 }
@@ -60,7 +51,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         seed: 0,
         out: None,
         pretty: false,
-        overlap: false,
         kpi: false,
         registry: None,
     };
@@ -80,13 +70,12 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
             }
             "--out" => args.out = Some(val("--out")),
             "--pretty" => args.pretty = true,
-            "--overlap" => args.overlap = true,
             "--kpi" => args.kpi = true,
             "--registry" => args.registry = Some(val("--registry")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] \
-                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty] [--overlap] \
+                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty] \
                      [--kpi [--registry DIR]]"
                 );
                 std::process::exit(0);
@@ -117,157 +106,6 @@ fn cell_of(args: &Args) -> Cell {
     Cell::auto(&args.algo, args.n, args.p)
 }
 
-fn run_traced(args: &Args, blocking: bool) -> (WorldTrace, WorldStats) {
-    let cell = Cell {
-        lookahead: !blocking,
-        ..cell_of(args)
-    };
-    let run = run_cell(&cell, args.seed, true).unwrap_or_else(|e| panic!("{e}"));
-    (run.trace.expect("a traced run has a trace"), run.stats)
-}
-
-/// Lookahead-vs-blocking comparison: same input, same measured traffic,
-/// different schedule — report what the overlap buys under the α-β-γ model.
-fn overlap_report(args: &Args) {
-    assert!(
-        matches!(args.algo.as_str(), "conflux" | "confchox"),
-        "--overlap needs a lookahead-capable algorithm (conflux|confchox)"
-    );
-
-    let (ahead_trace, ahead_stats) = run_traced(args, false);
-    let (block_trace, block_stats) = run_traced(args, true);
-
-    // Lookahead is a pure schedule change; if volumes diverge, the
-    // comparison below would be meaningless.
-    assert_eq!(
-        ahead_stats.total_bytes_sent(),
-        block_stats.total_bytes_sent(),
-        "schedules moved different byte totals"
-    );
-    assert_eq!(
-        ahead_stats.total_msgs(),
-        block_stats.total_msgs(),
-        "schedules moved different message counts"
-    );
-
-    let m = Machine::piz_daint();
-    let ahead = replay(&ahead_trace, &m);
-    let block = replay(&block_trace, &m);
-
-    println!(
-        "{} n={} p={} seed={}  overlap report ({} bytes, {} msgs in both schedules)\n",
-        args.algo,
-        args.n,
-        args.p,
-        args.seed,
-        ahead_stats.total_bytes_sent(),
-        ahead_stats.total_msgs(),
-    );
-
-    // Per-phase exposed vs hidden communication time, both schedules.
-    let phases: std::collections::BTreeSet<&String> = ahead
-        .phase_overlap
-        .keys()
-        .chain(block.phase_overlap.keys())
-        .collect();
-    let rows: Vec<Vec<String>> = phases
-        .iter()
-        .map(|label| {
-            let a = ahead.phase_overlap.get(*label).copied().unwrap_or_default();
-            let b = block.phase_overlap.get(*label).copied().unwrap_or_default();
-            vec![
-                (*label).clone(),
-                format!("{:.6}", b.exposed),
-                format!("{:.6}", b.hidden),
-                format!("{:.6}", a.exposed),
-                format!("{:.6}", a.hidden),
-                format!("{:.1}%", 100.0 * a.hidden_fraction()),
-            ]
-        })
-        .collect();
-    println!("per-phase communication time (α-β-γ replay, seconds)");
-    println!(
-        "{}",
-        render(
-            &[
-                "phase",
-                "blk exposed",
-                "blk hidden",
-                "la exposed",
-                "la hidden",
-                "la hidden %",
-            ],
-            &rows,
-        )
-    );
-
-    let reduction = 100.0 * (1.0 - ahead.makespan / block.makespan);
-    println!(
-        "blocking:  makespan {:.6}s  (exposed {:.6}s, hidden {:.6}s)",
-        block.makespan,
-        block.total_wait(),
-        block.total_hidden(),
-    );
-    println!(
-        "lookahead: makespan {:.6}s  (exposed {:.6}s, hidden {:.6}s)",
-        ahead.makespan,
-        ahead.total_wait(),
-        ahead.total_hidden(),
-    );
-    println!(
-        "overlap buys {reduction:.1}% of modeled makespan at identical volume{}",
-        if ahead.complete && block.complete {
-            ""
-        } else {
-            "  [truncated trace: bounds only]"
-        },
-    );
-
-    if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create --out dir");
-        let per_phase = serde_json::Value::Object(
-            phases
-                .iter()
-                .map(|label| {
-                    let a = ahead.phase_overlap.get(*label).copied().unwrap_or_default();
-                    let b = block.phase_overlap.get(*label).copied().unwrap_or_default();
-                    (
-                        (*label).clone(),
-                        json!({
-                            "blocking": { "exposed_s": b.exposed, "hidden_s": b.hidden },
-                            "lookahead": { "exposed_s": a.exposed, "hidden_s": a.hidden },
-                        }),
-                    )
-                })
-                .collect(),
-        );
-        let prov = Provenance::here(
-            json!({ "algo": args.algo, "n": args.n, "p": args.p, "mode": "overlap" }),
-            Some(args.seed),
-        );
-        let doc = json!({
-            "provenance": { "commit": prov.commit, "params": prov.params, "seed": args.seed },
-            "total_bytes_sent": ahead_stats.total_bytes_sent(),
-            "total_msgs": ahead_stats.total_msgs(),
-            "blocking": {
-                "makespan_s": block.makespan,
-                "exposed_s": block.total_wait(),
-                "hidden_s": block.total_hidden(),
-            },
-            "lookahead": {
-                "makespan_s": ahead.makespan,
-                "exposed_s": ahead.total_wait(),
-                "hidden_s": ahead.total_hidden(),
-            },
-            "makespan_reduction_pct": reduction,
-            "per_phase": per_phase,
-        });
-        std::fs::write(format!("{dir}/overlap.json"), dump(args, &doc))
-            .expect("write overlap.json");
-        println!("\nwrote {dir}/overlap.json");
-    }
-}
-
 /// `--kpi` mode: the registry record of the plan cell the arguments name —
 /// what `ablations run` stores for it, so hand-run traces land on the same
 /// trajectory.
@@ -296,15 +134,12 @@ fn emit_kpi_record(args: &Args) {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1));
-    if args.overlap {
-        overlap_report(&args);
-        return;
-    }
     if args.kpi {
         emit_kpi_record(&args);
         return;
     }
-    let (trace, stats) = run_traced(&args, false);
+    let run = run_cell(&cell_of(&args), args.seed, true).unwrap_or_else(|e| panic!("{e}"));
+    let (trace, stats) = (run.trace.expect("a traced run has a trace"), run.stats);
 
     let prov = Provenance::here(
         json!({ "algo": args.algo, "n": args.n, "p": args.p }),

@@ -14,7 +14,6 @@
 //! p = [4, 8]                       # rank count
 //! c = [0]                          # replication depth (M = c·N²/P); 0 = auto
 //! block = [0]                      # block size v; 0 = auto
-//! lookahead = [true]               # false = blocking schedule
 //! checksum = [false]               # true = ABFT fault-tolerant path
 //! seed = [0]                       # perturbation seeds; or seed = "env"
 //!
@@ -105,8 +104,6 @@ pub struct Cell {
     pub c: usize,
     /// Block size; 0 = automatic.
     pub block: usize,
-    /// Lookahead (overlapped) schedule.
-    pub lookahead: bool,
     /// ABFT-checksummed fault-tolerant path.
     pub checksum: bool,
     /// Schedule-perturbation seed.
@@ -115,7 +112,7 @@ pub struct Cell {
 
 impl Cell {
     /// `algo` at `(n, p)` with every other axis at its plan default:
-    /// automatic grid and block, lookahead on, no checksums, seed 0.
+    /// automatic grid and block, no checksums, seed 0.
     pub fn auto(algo: &str, n: usize, p: usize) -> Cell {
         Cell {
             algo: algo.to_string(),
@@ -123,7 +120,6 @@ impl Cell {
             p,
             c: 0,
             block: 0,
-            lookahead: true,
             checksum: false,
             seed: 0,
         }
@@ -133,15 +129,8 @@ impl Cell {
     /// no commas, so it is safe inside a CSV column.
     pub fn id(&self) -> String {
         format!(
-            "algo={};n={};p={};c={};block={};la={};ck={};seed={}",
-            self.algo,
-            self.n,
-            self.p,
-            self.c,
-            self.block,
-            self.lookahead as u8,
-            self.checksum as u8,
-            self.seed
+            "algo={};n={};p={};c={};block={};ck={};seed={}",
+            self.algo, self.n, self.p, self.c, self.block, self.checksum as u8, self.seed
         )
     }
 }
@@ -165,8 +154,6 @@ pub struct AblationPlan {
     pub cs: Vec<usize>,
     /// `block` axis.
     pub blocks: Vec<usize>,
-    /// `lookahead` axis.
-    pub lookaheads: Vec<bool>,
     /// `checksum` axis.
     pub checksums: Vec<bool>,
     /// `seed` axis.
@@ -226,7 +213,6 @@ impl AblationPlan {
         let ps = usize_axis(axes, "p")?.unwrap_or_else(|| vec![1]);
         let cs = usize_axis(axes, "c")?.unwrap_or_else(|| vec![0]);
         let blocks = usize_axis(axes, "block")?.unwrap_or_else(|| vec![0]);
-        let lookaheads = bool_axis(axes, "lookahead")?.unwrap_or_else(|| vec![true]);
         let checksums = bool_axis(axes, "checksum")?.unwrap_or_else(|| vec![false]);
         let seeds = seed_axis_values(axes)?;
         let reps = v
@@ -262,7 +248,6 @@ impl AblationPlan {
             ps,
             cs,
             blocks,
-            lookaheads,
             checksums,
             seeds,
             reps,
@@ -276,7 +261,7 @@ impl AblationPlan {
         let mut s = String::new();
         let _ = write!(
             s,
-            "name={};workload={};algo={:?};n={:?};p={:?};c={:?};block={:?};la={:?};ck={:?};seed={:?};reps={}",
+            "name={};workload={};algo={:?};n={:?};p={:?};c={:?};block={:?};ck={:?};seed={:?};reps={}",
             self.name,
             self.workload.name(),
             self.algos,
@@ -284,7 +269,6 @@ impl AblationPlan {
             self.ps,
             self.cs,
             self.blocks,
-            self.lookaheads,
             self.checksums,
             self.seeds,
             self.reps
@@ -300,20 +284,17 @@ impl AblationPlan {
                 for &p in &self.ps {
                     for &c in &self.cs {
                         for &block in &self.blocks {
-                            for &lookahead in &self.lookaheads {
-                                for &checksum in &self.checksums {
-                                    for &seed in &self.seeds {
-                                        out.push(Cell {
-                                            algo: algo.clone(),
-                                            n,
-                                            p,
-                                            c,
-                                            block,
-                                            lookahead,
-                                            checksum,
-                                            seed,
-                                        });
-                                    }
+                            for &checksum in &self.checksums {
+                                for &seed in &self.seeds {
+                                    out.push(Cell {
+                                        algo: algo.clone(),
+                                        n,
+                                        p,
+                                        c,
+                                        block,
+                                        checksum,
+                                        seed,
+                                    });
                                 }
                             }
                         }
@@ -614,9 +595,9 @@ rel_rise = 0.25
         assert_eq!(cells.len(), 2 * 2 * 2);
         assert!(cells
             .iter()
-            .any(|c| c.id() == "algo=confchox;n=96;p=4;c=0;block=0;la=1;ck=0;seed=1"));
+            .any(|c| c.id() == "algo=confchox;n=96;p=4;c=0;block=0;ck=0;seed=1"));
         // defaults filled in
-        assert!(cells.iter().all(|c| c.lookahead && !c.checksum));
+        assert!(cells.iter().all(|c| !c.checksum));
     }
 
     #[test]

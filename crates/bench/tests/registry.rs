@@ -200,6 +200,29 @@ fn injected_gflops_regression_trips_check() {
     assert!(other.is_clean(), "{}", other.render());
 }
 
+/// The committed registry is keyed the way the committed plans key a run
+/// today: no cell id carries an axis the plans no longer have (`la=`, the
+/// schedule axis), and every plan with a recorded history finds it under
+/// its current hash, so `ablations trend` and `check` see their trajectory.
+#[test]
+fn committed_registry_rows_match_the_committed_plans() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in ["ablations.csv", "ablations.jsonl"] {
+        let text = std::fs::read_to_string(root.join("registry").join(file)).unwrap();
+        let stale = text.lines().filter(|l| l.contains("la=")).count();
+        assert_eq!(stale, 0, "{file}: {stale} row(s) carry `la=`");
+    }
+    let rows = Registry::new(root.join("registry")).load().unwrap();
+    for name in ["smoke", "comm", "kernels"] {
+        let plan = AblationPlan::load(&root.join(format!("plans/{name}.toml"))).unwrap();
+        let hash = plan.hash();
+        assert!(
+            rows.iter().any(|r| r.plan == name && r.plan_hash == hash),
+            "no {name} row under its current hash {hash}"
+        );
+    }
+}
+
 /// The committed smoke plan keeps its acceptance-criteria shape: it parses,
 /// expands to at least 12 cells, and gates at least one deterministic KPI.
 #[test]

@@ -132,7 +132,7 @@ proptest! {
 }
 
 /// `par_gemm` must be *bitwise* equal to `gemm` — the distributed schedules
-/// (and `lookahead_equivalence`) rely on local kernels being deterministic
+/// (and the factors' bit pins) rely on local kernels being deterministic
 /// functions of their inputs, independent of worker count.
 #[test]
 fn par_gemm_is_bitwise_deterministic_at_fixed_thread_count() {

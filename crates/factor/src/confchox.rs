@@ -13,18 +13,8 @@
 //! The factor never leaves the stores: the diagonal owner writes `L00`, and
 //! every panel rank its rows of `L10`, back into tile column `t` — dead
 //! since its reduction — so after the last step a layer-0 store *is* the
-//! rank's part of `L`, and nothing is collected on the side.
-//!
-//! # Lookahead
-//!
-//! As in [`crate::conflux`], the default schedule overlaps each step's
-//! panel broadcasts with the previous trailing update: at the end of step
-//! `t` the rank updates tile column `t+1` first, reduces and factors the
-//! `t+1` diagonal block, posts the status word (world) and `L00` (panel
-//! group) as nonblocking broadcasts, and then runs the bulk symmetric
-//! update while they travel. [`ConfchoxConfig::blocking`] restores the
-//! blocking schedule; factors, per-rank volume, and per-phase byte
-//! attribution are identical either way.
+//! rank's part of `L`, and nothing is collected on the side. As in
+//! [`crate::conflux`], every broadcast blocks where it is issued.
 
 use crate::common::{
     check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
@@ -36,7 +26,7 @@ use dense::gemm::{gemm_prepacked, gemmt, CUplo, Trans};
 use dense::potrf::potrf_unblocked;
 use dense::trsm::Uplo;
 use dense::{Error, MatRef, Matrix, PackedB};
-use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
+use xmpi::{Buf, Comm, Grid3, WorldStats};
 
 const TAG_L10ROW: u64 = 6_000_000;
 
@@ -51,9 +41,6 @@ pub struct ConfchoxConfig {
     pub grid: Grid3,
     /// Collect factor entries so the host can assemble `L`.
     pub collect: bool,
-    /// Overlap each step's panel broadcasts with the previous step's
-    /// trailing update (one-step lookahead, see the module docs).
-    pub lookahead: bool,
 }
 
 impl ConfchoxConfig {
@@ -68,7 +55,6 @@ impl ConfchoxConfig {
             v,
             grid,
             collect: true,
-            lookahead: true,
         }
     }
 
@@ -85,12 +71,6 @@ impl ConfchoxConfig {
     /// Disable factor collection (volume-only runs).
     pub fn volume_only(mut self) -> Self {
         self.collect = false;
-        self
-    }
-
-    /// Disable lookahead: every broadcast blocks where it is issued.
-    pub fn blocking(mut self) -> Self {
-        self.lookahead = false;
         self
     }
 }
@@ -146,10 +126,6 @@ pub(crate) fn rank_program(
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
 ) -> RankResult {
-    assert!(
-        at_step_end.is_none() || !cfg.lookahead,
-        "a step-boundary callback needs the blocking schedule"
-    );
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
@@ -164,9 +140,6 @@ pub(crate) fn rank_program(
     // shared by every owned tile row's product; its storage is reused.
     let mut l10t = PackedB::new();
 
-    // Panel broadcasts posted one step ahead (lookahead mode).
-    let mut pending: Option<PendingChol<'_>> = None;
-
     for step in state.step..nt {
         let jt = step % g.py;
         let it = step % g.px;
@@ -178,39 +151,19 @@ pub(crate) fn rank_program(
         let col_role_tiles = til.tiles_after(step, pj, g.py);
 
         // ---- 1–2. Reduce column `step`, factor + broadcast L00 ---------
-        // Either complete the broadcasts posted at the end of the previous
-        // step (lookahead) or form the panel and broadcast blocking, here.
-        let l00_flat = match pending.take() {
-            Some(pp) => {
-                phase(comm, "potrf_bcast");
-                // Status first: waiting it forwards the word down the tree,
-                // so an indefinite block still aborts every rank cleanly.
-                let status = pp.status.wait_f64();
-                if status[0] != 0.0 {
-                    return Err(pp.err.unwrap_or(Error::NotPositiveDefinite(step * v)));
-                }
-                match pp.l00 {
-                    Some(req) => req.wait_buf_f64(),
-                    None => Buf::from(Vec::new()),
-                }
-            }
-            None => {
-                let (l00, err) = form_panel(&net, guard, &mut state.store, step, &mut panel);
-                // One status word to everyone, so an indefinite block aborts
-                // all ranks cleanly instead of deadlocking the world.
-                let status_root = g.rank_of(it, jt, 0);
-                let mut status = vec![if err.is_some() { 1.0 } else { 0.0 }];
-                comm.bcast_f64(status_root, &mut status);
-                if status[0] != 0.0 {
-                    return Err(err.unwrap_or(Error::NotPositiveDefinite(step * v)));
-                }
-                if pj == jt && pk == 0 {
-                    // Broadcast L00 within the panel group (column `jt`).
-                    guard.bcast(net.panel.as_ref().unwrap(), it, l00, v, v)
-                } else {
-                    Buf::from(l00)
-                }
-            }
+        let (l00, err) = form_panel(&net, guard, &mut state.store, step, &mut panel);
+        // One status word to everyone, so an indefinite block aborts all
+        // ranks cleanly instead of deadlocking the world.
+        let mut status = vec![if err.is_some() { 1.0 } else { 0.0 }];
+        comm.bcast_f64(g.rank_of(it, jt, 0), &mut status);
+        if status[0] != 0.0 {
+            return Err(err.unwrap_or(Error::NotPositiveDefinite(step * v)));
+        }
+        let l00_flat = if pj == jt && pk == 0 {
+            // Broadcast L00 within the panel group (column `jt`).
+            guard.bcast(net.panel.as_ref().unwrap(), it, l00, v, v)
+        } else {
+            Buf::from(l00)
         };
 
         // ---- 3. Panel solve: L10 = A10·L00⁻ᵀ ---------------------------
@@ -275,68 +228,30 @@ pub(crate) fn rank_program(
         // `L10ᵀ` for every owned tile strictly left of the diagonal —
         // adjacent local columns of the store, updated in place through one
         // strided view — and `gemmt` on the diagonal tile if this rank owns
-        // it. `cols` indexes into `col_role_tiles`; splitting the update by
-        // column is exact (tiles are disjoint), so the lookahead split stays
-        // bitwise equal to the one-shot blocking update.
+        // it.
         l10t.pack(Trans::T, l10_col.as_ref());
-        let apply_update = |store: &mut TileStore, cols: std::ops::Range<usize>| {
-            for (bi, &ti) in trail_rows.iter().enumerate() {
-                let rowblk = l10_row.block(bi * v, 0, v, ks);
-                // Selected tile columns left of the diagonal, then on it.
-                let diag = col_role_tiles.partition_point(|&tj| tj < ti);
-                let left = cols.start..cols.end.min(diag);
-                if !left.is_empty() {
-                    let tjs = col_role_tiles[left.start]..col_role_tiles[left.end - 1] + 1;
-                    gemm_prepacked(
-                        -1.0,
-                        rowblk,
-                        &l10t,
-                        left.start * v..left.end * v,
-                        store.tile_row_mut(ti, tjs),
-                    );
-                }
-                if cols.contains(&diag) && col_role_tiles.get(diag) == Some(&ti) {
-                    gemmt(
-                        CUplo::Lower,
-                        Trans::N,
-                        Trans::T,
-                        -1.0,
-                        rowblk,
-                        l10_col.block(diag * v, 0, v, ks),
-                        1.0,
-                        store.tile_mut(ti, ti),
-                    );
-                }
-            }
-        };
-
         phase(comm, "update_a11");
-        if cfg.lookahead {
-            // 5a. Update the next panel's tile column first, so its
-            // z-reduction reads the same values as the blocking schedule.
-            let next = step + 1;
-            let head = usize::from(col_role_tiles.first() == Some(&next));
-            apply_update(&mut state.store, 0..head);
-            // 5b. Reduce + factor the next diagonal block and post its
-            // broadcasts; they travel while the bulk update below runs.
-            let (l00, err) = form_panel(&net, guard, &mut state.store, next, &mut panel);
-            let (it1, jt1) = (next % g.px, next % g.py);
-            let flag = vec![if err.is_some() { 1.0 } else { 0.0 }];
-            let status_req = comm.ibcast_f64(g.rank_of(it1, jt1, 0), next as u64, flag);
-            let l00_req = (pj == jt1 && pk == 0).then(|| {
-                let panel = net.panel.as_ref().unwrap();
-                panel.ibcast_f64(it1, next as u64, l00)
-            });
-            pending = Some(PendingChol {
-                err,
-                status: status_req,
-                l00: l00_req,
-            });
-            // 5c. Bulk update of the remaining trailing columns.
-            phase(comm, "update_a11");
-            apply_update(&mut state.store, head..col_role_tiles.len());
-        } else {
-            apply_update(&mut state.store, 0..col_role_tiles.len());
+        for (bi, &ti) in trail_rows.iter().enumerate() {
+            let rowblk = l10_row.block(bi * v, 0, v, ks);
+            // Owned tile columns left of the diagonal, then on it.
+            let diag = col_role_tiles.partition_point(|&tj| tj < ti);
+            if diag > 0 {
+                let tjs = col_role_tiles[0]..col_role_tiles[diag - 1] + 1;
+                let row = state.store.tile_row_mut(ti, tjs);
+                gemm_prepacked(-1.0, rowblk, &l10t, 0..diag * v, row);
+            }
+            if col_role_tiles.get(diag) == Some(&ti) {
+                gemmt(
+                    CUplo::Lower,
+                    Trans::N,
+                    Trans::T,
+                    -1.0,
+                    rowblk,
+                    l10_col.block(diag * v, 0, v, ks),
+                    1.0,
+                    state.store.tile_mut(ti, ti),
+                );
+            }
         }
 
         // ---- Step boundary (never reached by the last step) -----------
@@ -353,24 +268,11 @@ pub(crate) fn rank_program(
     Ok((part, (0..cfg.n).collect()))
 }
 
-/// Panel broadcasts in flight between two steps (lookahead mode).
-struct PendingChol<'c> {
-    /// The potrf error, on the diagonal owner only.
-    err: Option<Error>,
-    /// World broadcast of the status word.
-    status: BcastRequest<'c>,
-    /// Panel-group broadcast of the factored `L00` (panel ranks only).
-    l00: Option<BcastRequest<'c>>,
-}
-
 /// Steps 1–2a for block step `step`: z-reduce the diagonal and trailing
 /// rows of tile column `step` onto layer 0 — into `panel`, the diagonal tile
 /// first where this rank owns it — then factor the diagonal block on its
 /// owner, which keeps `L00` in its store. Returns `L00` and the kernel's
-/// error; the caller broadcasts the status word and `L00` — blocking or
-/// nonblocking. The blocking path calls this at the top of step `step`, the
-/// lookahead path at the bottom of step `step − 1`; the store column read is
-/// identical at both call sites.
+/// error; the caller broadcasts the status word and `L00`.
 fn form_panel(
     net: &Net<'_>,
     guard: &mut Guard,
@@ -455,12 +357,22 @@ mod tests {
 
     #[test]
     fn indefinite_matrix_reports_error() {
+        // Indefinite in step 2's diagonal block, whose owner is rank 0 and
+        // reports the row; then in step 1's, on a replicated grid, where the
+        // status broadcast stops every rank and rank 0 — not the block's
+        // owner — reports the block's first row.
         let mut a = random_spd(16, 11);
         a[(9, 9)] = -50.0;
-        let cfg = ConfchoxConfig::new(16, 4, Grid3::new(2, 2, 1));
-        match confchox_cholesky(&cfg, &a) {
-            Err(Error::NotPositiveDefinite(_)) => {}
-            other => panic!("expected NotPositiveDefinite, got {other:?}"),
+        let mut late = random_spd(32, 34);
+        late[(10, 10)] = -100.0;
+        for (a, cfg, at) in [
+            (a, ConfchoxConfig::new(16, 4, Grid3::new(2, 2, 1)), 9),
+            (late, ConfchoxConfig::new(32, 8, Grid3::new(2, 2, 2)), 8),
+        ] {
+            match confchox_cholesky(&cfg, &a) {
+                Err(Error::NotPositiveDefinite(k)) if k == at => {}
+                other => panic!("expected NotPositiveDefinite({at}), got {other:?}"),
+            }
         }
     }
 

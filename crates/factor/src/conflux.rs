@@ -47,20 +47,10 @@
 //! positions `t·v..(t+1)·v` on every layer; from then on the step's pivots
 //! *are* those positions, and the rest of the step runs unchanged.
 //!
-//! # Lookahead
-//!
-//! With [`ConfluxConfig::lookahead`] (the default), each step overlaps the
-//! *next* panel's formation with its own trailing update: at the end of
-//! step `t` the rank first applies the Schur update to tile column `t+1`
-//! only, forms panel `t+1` (z-reduction + tournament), posts the three
-//! panel broadcasts as nonblocking [`xmpi::Comm::ibcast_f64`] operations,
-//! and only then runs the bulk update of the remaining trailing columns —
-//! so the broadcasts travel while the GEMM runs. Step `t+1` begins by
-//! waiting on the posted requests instead of calling the blocking
-//! broadcast. The factors, the per-rank communication volume, and the
-//! per-phase byte attribution are all bitwise identical to the blocking
-//! schedule (`lookahead = false`); only the event *timing* changes, which
-//! the `xtrace` replay turns into hidden-communication time.
+//! Every broadcast blocks where it is issued, and step `t + 1` starts only
+//! after step `t`'s update is done. Posting the next panel's broadcasts
+//! before the update bought no measurable time (EXPERIMENTS.md, "One
+//! schedule"): a posted broadcast makes no progress in the background.
 
 use crate::common::{
     check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
@@ -73,7 +63,7 @@ use dense::gemm::{par_gemm_rows, Trans};
 use dense::matrix::{MatMut, MatRef};
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
-use xmpi::{BcastRequest, Buf, Comm, Grid3, WorldStats};
+use xmpi::{Buf, Comm, Grid3, WorldStats};
 
 const TAG_A01: u64 = 2_000_000;
 const TAG_L10: u64 = 3_000_000;
@@ -91,10 +81,6 @@ pub struct ConfluxConfig {
     /// Collect the factor entries so the host can assemble `L`/`U`
     /// (disable for volume-only experiments at large `n`).
     pub collect: bool,
-    /// Overlap each step's panel broadcasts with the previous step's
-    /// trailing update (one-step lookahead, see the module docs). On by
-    /// default; [`ConfluxConfig::blocking`] turns it off for A/B runs.
-    pub lookahead: bool,
 }
 
 impl ConfluxConfig {
@@ -109,7 +95,6 @@ impl ConfluxConfig {
             v,
             grid,
             collect: true,
-            lookahead: true,
         }
     }
 
@@ -130,14 +115,6 @@ impl ConfluxConfig {
     /// Disable factor collection (volume-only runs).
     pub fn volume_only(mut self) -> Self {
         self.collect = false;
-        self
-    }
-
-    /// Disable lookahead: every broadcast blocks where it is issued. The
-    /// result is bitwise identical; only the overlap (and thus the modeled
-    /// makespan) differs.
-    pub fn blocking(mut self) -> Self {
-        self.lookahead = false;
         self
     }
 }
@@ -210,13 +187,11 @@ pub(crate) fn factor_lu(
 /// tiles of `A` (zeros above it), produced by [`stage_from_global`] or by a
 /// measured redistribution from a caller's layout, or whatever a checkpoint
 /// restored. Every bulk `f64` transfer is issued through `guard` (see
-/// [`crate::ft`]); the nonblocking lookahead broadcasts are not. The run
-/// starts at `state.step` with `state`'s pivots and collected pieces, and
-/// after every step but the last hands the updated state to `at_step_end` —
-/// which needs a quiescent boundary, so it is only ever combined with the
-/// blocking schedule. Returns what the rank hands home: the part of `L` its
-/// store holds (layer 0 of a collecting run), the pieces it collected, and
-/// the pivot order — under swapping, the original row at each position.
+/// [`crate::ft`]). The run starts at `state.step` with `state`'s pivots and
+/// collected pieces, and after every step but the last hands the updated
+/// state to `at_step_end`. Returns what the rank hands home: the part of `L`
+/// its store holds (layer 0 of a collecting run), the pieces it collected,
+/// and the pivot order — under swapping, the original row at each position.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
@@ -225,10 +200,6 @@ pub(crate) fn rank_program(
     mut state: State,
     at_step_end: Option<StepEnd<'_>>,
 ) -> RankResult {
-    assert!(
-        at_step_end.is_none() || !cfg.lookahead,
-        "a step-boundary callback needs the blocking schedule"
-    );
     let g = cfg.grid;
     let til = Tiling::new(cfg.n, cfg.v, g);
     let (pi, pj, pk) = g.coords(comm.rank());
@@ -262,9 +233,6 @@ pub(crate) fn rank_program(
     // Under swapping, the original row at each position.
     let mut id_at = (policy == PivotPolicy::Swap).then(|| (0..n).collect::<Vec<_>>());
 
-    // Panel broadcasts posted one step ahead (lookahead mode).
-    let mut pending: Option<PendingPanel<'_>> = None;
-
     for step in state.step..nt {
         let jt = step % g.py;
         let it = step % g.px;
@@ -272,29 +240,9 @@ pub(crate) fn rank_program(
         let root = g.rank_of(0, jt, 0);
 
         // ---- 1–3. Form this step's panel and broadcast A00 + pivots ----
-        // Either complete the broadcasts posted at the end of the previous
-        // step (lookahead) or form the panel and broadcast blocking, right
-        // here. Both paths attribute their traffic to the same phases, and
-        // both leave the reduced panel column in `panel`.
-        let (a00_buf, piv_ids);
-        match pending.take() {
-            Some(pp) => {
-                phase(comm, "bcast_a00");
-                // Status first: waiting it forwards the word down the
-                // broadcast tree, so a singular panel still aborts every
-                // rank cleanly (the unused data requests are just dropped).
-                let status = pp.status.wait_f64();
-                if status[0] != 0.0 {
-                    return Err(pp.err.unwrap_or(dense::Error::SingularAt(step * v)));
-                }
-                a00_buf = pp.a00.wait_buf_f64();
-                piv_ids = pp.piv.wait_u64();
-            }
-            None => {
-                let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
-                (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
-            }
-        }
+        // The reduced panel column stays in `panel`.
+        let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
+        let (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
         let pivots: Vec<usize> = match id_at.as_mut() {
             None => piv_ids.iter().map(|&x| x as usize).collect(),
@@ -314,7 +262,7 @@ pub(crate) fn rank_program(
         let trail_cols = til.tiles_after(step, pj, g.py);
         // ... which are one contiguous column range of the local store.
         let trail = state.store.cols_from(step + 1);
-        let (trail_c0, trail_len) = (trail.start, trail.len());
+        let trail_len = trail.len();
 
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
@@ -407,62 +355,16 @@ pub(crate) fn rank_program(
         // One row-mapped GEMM straight into the store: product row `i` is
         // subtracted from local row `active.local[i]` of the trailing column
         // block, so retired rows cost neither traffic nor flops nor a
-        // scratch copy. `cols` indexes into `trail_cols`; splitting the
-        // update by column range is exact (each element of the product is
-        // an independent dot product, subtracted from its entry once), so
-        // the lookahead split below stays bitwise equal to the one-shot
-        // blocking update.
-        let apply_update = |store: &mut TileStore, cols: std::ops::Range<usize>| {
-            if last || rows == 0 || cols.is_empty() {
-                return;
-            }
+        // scratch copy.
+        phase(comm, "update_a11");
+        if !last && rows > 0 && trail_len > 0 {
             // Both panels were broadcast this step (the guards above are
             // the same conditions); their data is the buffers' prefix.
             let l10_slice = MatRef::from_slice(&l10_flat[..rows * ks], rows, ks, ks);
             let u01_slice =
                 MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len);
-            let w = cols.len() * v;
-            let c0 = trail_c0 + cols.start * v;
-            par_gemm_rows(
-                -1.0,
-                l10_slice,
-                u01_slice.block(0, cols.start * v, ks, w),
-                &active.local,
-                store.cols_mut(c0..c0 + w),
-            );
-        };
-
-        phase(comm, "update_a11");
-        if cfg.lookahead && !last {
-            // 7a. Update the next panel's tile column first, so its
-            // z-reduction reads the same values it would under the
-            // blocking schedule.
-            let next = step + 1;
-            let head = trail_cols.first() == Some(&next);
-            if head {
-                apply_update(&mut state.store, 0..1);
-            }
-            // 7b. Form panel `next` and post its three broadcasts. The
-            // sequence numbers keep concurrent trees on distinct tags.
-            let form = form_panel(&net, guard, &active, &state.store, next, &mut panel);
-            phase(comm, "bcast_a00");
-            let root1 = g.rank_of(0, next % g.py, 0);
-            let seq = 3 * next as u64;
-            let flag = vec![if form.err.is_some() { 1.0 } else { 0.0 }];
-            let status_req = comm.ibcast_f64(root1, seq, flag);
-            let a00_req = comm.ibcast_f64(root1, seq + 1, form.a00_flat);
-            let piv_req = comm.ibcast_u64(root1, seq + 2, form.piv_ids);
-            pending = Some(PendingPanel {
-                err: form.err,
-                status: status_req,
-                a00: a00_req,
-                piv: piv_req,
-            });
-            // 7c. Bulk trailing update, overlapping the posted broadcasts.
-            phase(comm, "update_a11");
-            apply_update(&mut state.store, if head { 1 } else { 0 }..trail_cols.len());
-        } else {
-            apply_update(&mut state.store, 0..trail_cols.len());
+            let trailing = state.store.cols_mut(trail);
+            par_gemm_rows(-1.0, l10_slice, u01_slice, &active.local, trailing);
         }
 
         // ---- Step boundary --------------------------------------------
@@ -561,21 +463,9 @@ impl PanelForm {
     }
 }
 
-/// Panel broadcasts in flight between two steps (lookahead mode): the
-/// formation's error plus the three posted broadcast requests.
-struct PendingPanel<'c> {
-    err: Option<dense::Error>,
-    status: BcastRequest<'c>,
-    a00: BcastRequest<'c>,
-    piv: BcastRequest<'c>,
-}
-
 /// Steps 1–2 of the algorithm for block step `step`: reduce the active rows
 /// of tile column `step` along z onto layer 0 — into `panel`, one row per
-/// active row — then run the pivot tournament across the panel ranks. Pure
-/// with respect to the schedule — the blocking path calls it at the top of
-/// step `step`, the lookahead path at the bottom of step `step − 1`; the
-/// active rows and store column it reads are identical at both call sites.
+/// active row — then run the pivot tournament across the panel ranks.
 /// With one panel rank (`Px = 1`), the tournament leaves the non-pivot rows'
 /// `L10` in `panel` ([`tournament`]).
 fn form_panel(
@@ -728,19 +618,36 @@ mod tests {
         // error (no deadlock) — on a multi-player panel group, on one rank,
         // and on a one-player group fed by a z-reduction, each naming the
         // elimination step 9ea4a67 named — masking or swapping alike.
-        let n = 16;
-        let mut a = random_matrix(n, n, 99);
-        for i in 0..n {
-            a[(i, 1)] = a[(i, 0)];
+        let mut early = random_matrix(16, 16, 99);
+        for i in 0..16 {
+            early[(i, 1)] = early[(i, 0)];
         }
-        for grid in [[2, 2, 2], [1, 1, 1], [1, 2, 2]] {
-            let cfg = ConfluxConfig::new(n, 4, Grid3::new(grid[0], grid[1], grid[2]));
-            let swap = crate::lu25d_swap::lu25d_swap(&cfg, &a);
-            for (name, out) in [("conflux_lu", conflux_lu(&cfg, &a)), ("lu25d_swap", swap)] {
+        // Late: a block-diagonal matrix whose *second* diagonal block is
+        // exactly zero (no coupling, so no rounding can perturb it). Step 0
+        // succeeds; step 1's status broadcast must still stop every rank.
+        let v = 8;
+        let mut late = Matrix::zeros(32, 32);
+        for blk in [0usize, 2, 3] {
+            let d = random_matrix(v, v, 24 + blk as u64);
+            for r in 0..v {
+                for c in 0..v {
+                    late[(blk * v + r, blk * v + c)] = d[(r, c)] + if r == c { 4.0 } else { 0.0 };
+                }
+            }
+        }
+        let mut cases: Vec<(ConfluxConfig, &Matrix, usize)> = [[2, 2, 2], [1, 1, 1], [1, 2, 2]]
+            .iter()
+            .map(|&[x, y, z]| (ConfluxConfig::new(16, 4, Grid3::new(x, y, z)), &early, 1))
+            .collect();
+        cases.push((ConfluxConfig::new(32, v, Grid3::new(2, 2, 2)), &late, 8));
+        for (cfg, a, row) in cases {
+            let swap = crate::lu25d_swap::lu25d_swap(&cfg, a);
+            for (name, out) in [("conflux_lu", conflux_lu(&cfg, a)), ("lu25d_swap", swap)] {
                 match out {
-                    Err(dense::Error::SingularAt(1)) => {}
+                    Err(dense::Error::SingularAt(at)) if at == row => {}
                     other => panic!(
-                        "{name} on {grid:?}: expected SingularAt(1), got {:?}",
+                        "{name} on {:?}: expected SingularAt({row}), got {:?}",
+                        cfg.grid,
                         other.map(|_| ())
                     ),
                 }

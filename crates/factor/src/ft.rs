@@ -34,8 +34,7 @@
 //! locate a single corrupted element, and repair it. Crucially the data
 //! prefix is bit-identical with checksums on or off, so enabling protection
 //! never changes the factors — only the wire size (roughly `(r + c)/(r·c)`
-//! extra, a few percent at production block sizes). The nonblocking panel
-//! broadcasts of the lookahead schedule stay outside the guard.
+//! extra, a few percent at production block sizes).
 //!
 //! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
 //! ring checkpoints + whole-world restart through `CkptStore`). A rank
@@ -55,9 +54,8 @@
 //! and the same rank program resumes from the restored `State`. Because the
 //! schedules are deterministic dataflow programs and the snapshot is an
 //! exact bit-copy of the state, the resumed run reproduces the fault-free
-//! factors *bitwise*. A checkpoint needs a quiescent step boundary, so the
-//! FT drivers always run the blocking schedule (no broadcast is in flight
-//! between two steps).
+//! factors *bitwise*. A checkpoint needs a quiescent step boundary, and
+//! every step is one: no transfer is in flight between two steps.
 //!
 //! A rank updates its share of `A` in place and leaves `L` in the same
 //! store, so a snapshot carries the store itself and a restored rank never
@@ -686,7 +684,7 @@ fn restore_blob(
 /// can recover — from step 0 on the store `stage` builds from the input,
 /// later from its checkpoint alone, decoded into a zero store of the shape
 /// `lower_only` says — then runs `program`, the plain rank program of one
-/// algorithm bound to its (blocking) config, with the guard set from
+/// algorithm bound to its config, with the guard set from
 /// `cfg.checksums` and the checkpoint callback. A crashed attempt costs the
 /// victims their own snapshots and starts the next one; a completed one
 /// yields the assembled factor and rank 0's row order.
@@ -753,10 +751,9 @@ fn run_with_restarts(
     }
 }
 
-/// Factor `a` with fault-tolerant COnfLUX: the blocking
-/// [`crate::conflux`] rank program (bitwise-identical factors to
-/// [`crate::conflux_lu`]) with checksummed transfers, ring checkpoints, and
-/// crash recovery.
+/// Factor `a` with fault-tolerant COnfLUX: the [`crate::conflux`] rank
+/// program (bitwise-identical factors to [`crate::conflux_lu`]) with
+/// checksummed transfers, ring checkpoints, and crash recovery.
 ///
 /// Arm an `xharness::Perturbator` carrying a crash or corruption plan
 /// around this call (via `xharness::run_armed`) to exercise the fault
@@ -772,7 +769,7 @@ fn run_with_restarts(
 pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let plain = ConfluxConfig::new(cfg.n, cfg.v, cfg.grid);
     let stage = |comm: &Comm| stage_from_global(comm, &til, a, false);
     let (packed, perm, report) =
         run_with_restarts(cfg, false, stage, |comm, guard, state, end| {
@@ -785,7 +782,7 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
     })
 }
 
-/// Factor the SPD matrix `a` with fault-tolerant COnfCHOX (the blocking
+/// Factor the SPD matrix `a` with fault-tolerant COnfCHOX (the
 /// [`crate::confchox`] rank program — bitwise-identical factor to
 /// [`crate::confchox_cholesky`] — plus checksums, checkpoints, recovery).
 ///
@@ -798,7 +795,7 @@ pub fn conflux_lu_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtLuOutput, dense::Er
 pub fn confchox_cholesky_ft(cfg: &FtConfig, a: &Matrix) -> Result<FtCholOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid).blocking();
+    let plain = ConfchoxConfig::new(cfg.n, cfg.v, cfg.grid);
     let stage = |comm: &Comm| stage_from_global(comm, &til, a, true);
     let (l, _, report) = run_with_restarts(cfg, true, stage, |comm, guard, state, end| {
         confchox::rank_program(comm, &plain, guard, state, Some(end))
@@ -940,7 +937,7 @@ mod tests {
             staged.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             stage_from_global(comm, &til, &a, false)
         };
-        let plain = ConfluxConfig::new(n, v, grid).blocking();
+        let plain = ConfluxConfig::new(n, v, grid);
         let program = |comm: &Comm, guard: &mut Guard, state: State, end: StepEnd<'_>| {
             conflux::rank_program(comm, &plain, PivotPolicy::Mask, guard, state, Some(end))
         };

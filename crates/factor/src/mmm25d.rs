@@ -11,13 +11,6 @@
 //! the layer contributions onto layer 0. With `Pz = 1` this *is* 2D SUMMA —
 //! the baseline the 2.5D analysis compares against.
 //!
-//! With [`Mmm25dConfig::lookahead`] (the default) the broadcasts are
-//! double-buffered: step `K+1`'s `A`/`B` broadcasts are posted as
-//! nonblocking [`xmpi::Comm::ibcast_f64`] operations before step `K`'s
-//! local `gemm`, so the shift exchanges travel while the multiply runs.
-//! Results and per-rank communication volume are identical to the blocking
-//! schedule ([`Mmm25dConfig::blocking`]); only the timing differs.
-//!
 //! Storage: a rank holds its share of `A(·,K)` as the `(rows)×v` panel it
 //! broadcasts, its share of `B(K,·)` as the `v×(cols)` panel it broadcasts,
 //! and its share of `C` as one dense local matrix (tile `(I, J)` at local
@@ -42,9 +35,6 @@ pub struct Mmm25dConfig {
     pub grid: Grid3,
     /// Collect the product for host-side validation.
     pub collect: bool,
-    /// Double-buffer the SUMMA broadcasts (post step `K+1`'s exchanges
-    /// before step `K`'s local multiply). See the module docs.
-    pub lookahead: bool,
 }
 
 impl Mmm25dConfig {
@@ -59,7 +49,6 @@ impl Mmm25dConfig {
             v,
             grid,
             collect: true,
-            lookahead: true,
         }
     }
 
@@ -74,13 +63,6 @@ impl Mmm25dConfig {
     /// Disable product collection.
     pub fn volume_only(mut self) -> Self {
         self.collect = false;
-        self
-    }
-
-    /// Disable the double-buffered broadcasts: every exchange blocks where
-    /// it is issued. Results and volume are unchanged.
-    pub fn blocking(mut self) -> Self {
-        self.lookahead = false;
         self
     }
 }
@@ -137,8 +119,7 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Rank
 
     // This rank's share of `A(·, k)` / `B(k, ·)`, packed as the panel the
     // SUMMA broadcast carries — staged in place, the already-distributed
-    // convention; empty where another rank is the step's root. Each is
-    // broadcast once, so posting moves it out.
+    // convention; empty where another rank is the step's root.
     let pack_a = |k: usize| -> Vec<f64> {
         let mut panel = Vec::new();
         if pj == k % g.py {
@@ -159,49 +140,20 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Rank
         }
         panel
     };
-    let panels: Vec<_> = my_ks.iter().map(|&k| (pack_a(k), pack_b(k))).collect();
-    let mut panels = panels.into_iter();
-    let mut next_panels = move || panels.next().expect("one panel pair per step");
 
     // Layer-local partial product for the C tiles this 2D position owns.
     let mut c = Matrix::zeros(rows, cols);
 
-    // Posts step `idx`'s pair of broadcasts nonblocking; `idx` is the step's
-    // index within this layer, keeping consecutive trees on distinct tags.
-    let post = |idx: usize, (a_panel, b_panel): (Vec<f64>, Vec<f64>)| {
-        let k = my_ks[idx];
-        let areq = yrow.ibcast_f64(k % g.py, idx as u64, a_panel);
-        let breq = xcol.ibcast_f64(k % g.px, idx as u64, b_panel);
-        (areq, breq)
-    };
-
-    // SUMMA over this layer's inner steps, double-buffered when lookahead
-    // is on: step idx+1's broadcasts are in flight during step idx's gemm.
-    let mut inflight = if cfg.lookahead && !my_ks.is_empty() {
+    // SUMMA over this layer's inner steps.
+    for &k in &my_ks {
         phase(comm, "summa_bcast");
-        Some(post(0, next_panels()))
-    } else {
-        None
-    };
-    for (idx, &k) in my_ks.iter().enumerate() {
-        phase(comm, "summa_bcast");
-        // Completions keep the broadcast's shared storage: the gemm below
-        // reads the panels through borrowed views, so a rank that is not
-        // the subtree's last consumer never copies them.
-        let (abuf, bbuf) = match inflight.take() {
-            Some((areq, breq)) => (areq.wait_buf_f64(), breq.wait_buf_f64()),
-            None => {
-                // A(·, k): owner column k mod py broadcasts along rows;
-                // B(k, ·): owner row k mod px broadcasts along columns.
-                let (a_panel, b_panel) = next_panels();
-                let abuf = yrow.bcast_buf_f64(k % g.py, a_panel);
-                let bbuf = xcol.bcast_buf_f64(k % g.px, b_panel);
-                (abuf, bbuf)
-            }
-        };
-        if cfg.lookahead && idx + 1 < my_ks.len() {
-            inflight = Some(post(idx + 1, next_panels()));
-        }
+        // A(·, k): owner column k mod py broadcasts along rows;
+        // B(k, ·): owner row k mod px broadcasts along columns. Both keep
+        // the broadcast's shared storage: the gemm below reads the panels
+        // through borrowed views, so a rank that is not the subtree's last
+        // consumer never copies them.
+        let abuf = yrow.bcast_buf_f64(k % g.py, pack_a(k));
+        let bbuf = xcol.bcast_buf_f64(k % g.px, pack_b(k));
 
         phase(comm, "local_gemm");
         gemm(

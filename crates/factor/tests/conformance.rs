@@ -126,8 +126,8 @@ fn conflux_conformance_over_seed_matrix() {
 
 /// The blocks `auto` raises above its floor (`n > 128·max(Px, Py)`: v = 32
 /// and 48 here, inner dimension 16 and 24 per layer) under the same
-/// contract: lookahead and blocking schedules agree bitwise, the residual
-/// holds, and neither factors nor traffic depend on message timing.
+/// contract: the residual holds, and neither factors nor traffic depend on
+/// message timing.
 #[test]
 fn auto_blocks_above_the_floor_conform_over_seed_matrix() {
     let lu = ConfluxConfig::auto(512, 8);
@@ -136,13 +136,6 @@ fn auto_blocks_above_the_floor_conform_over_seed_matrix() {
     let base = conflux_lu(&lu, &a).unwrap();
     let resid = lu_residual_perm(&a, base.packed.as_ref().unwrap(), &base.perm);
     assert!(resid < RESIDUAL_TOL, "conflux residual {resid:e}");
-    let blocking = conflux_lu(&lu.clone().blocking(), &a).unwrap();
-    assert_eq!(blocking.perm, base.perm, "lookahead changed the pivots");
-    assert_bitwise_equal(
-        blocking.packed.as_ref().unwrap(),
-        base.packed.as_ref().unwrap(),
-        "conflux factor, blocking vs lookahead",
-    );
 
     let chol = ConfchoxConfig::auto(768, 8);
     assert!(
@@ -154,12 +147,6 @@ fn auto_blocks_above_the_floor_conform_over_seed_matrix() {
     let cbase = confchox_cholesky(&chol, &spd).unwrap();
     let resid = po_residual(&spd, cbase.l.as_ref().unwrap());
     assert!(resid < RESIDUAL_TOL, "confchox residual {resid:e}");
-    let cblocking = confchox_cholesky(&chol.clone().blocking(), &spd).unwrap();
-    assert_bitwise_equal(
-        cblocking.l.as_ref().unwrap(),
-        cbase.l.as_ref().unwrap(),
-        "confchox factor, blocking vs lookahead",
-    );
 
     for seed in seeds(4) {
         let cfg_seed = PerturbConfig::aggressive(seed);
@@ -401,11 +388,11 @@ fn digest(index: &[usize], m: &Matrix) -> u64 {
 /// `lu25d_swap 2x2x2` from the commit that made layer 0 update its copy of
 /// `A` in place (`((a − p₁) − p₂) − …` where it used to form
 /// `a − (p₁ + p₂ + …)`), and its other grids at cc38afc, the last commit
-/// with a step loop of its own; `conflux_lu` and `confchox` (lookahead on,
-/// then off, per grid) from 1321fe9, the commit before the packed engine was
-/// reshaped for the rank-32 update — except the `1x2x2` grid (a one-rank
-/// panel group fed by a z-reduction), recorded at 9ea4a67, before one-player
-/// tournaments kept their elimination.
+/// with a step loop of its own; `conflux_lu` and `confchox` from 1321fe9,
+/// the commit before the packed engine was reshaped for the rank-32 update —
+/// except the `1x2x2` grid (a one-rank panel group fed by a z-reduction),
+/// recorded at 9ea4a67, before one-player tournaments kept their
+/// elimination.
 ///
 /// With one process row (`1x1x1`, `1x2x2`) every pivot row already lives on
 /// the panel's process row, so masking and swapping give the same factor:
@@ -428,63 +415,39 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         ("twod_cholesky", digest(&[], &chol.l.unwrap())),
         ("mmm25d", digest(&[], &mmm.c.unwrap())),
     ];
-    // The swap ablation on every grid shape, lookahead on, then off.
+    // The swap ablation on every grid shape.
     for (name, grid) in [
         ("lu25d_swap 2x2x2", Grid3::new(2, 2, 2)),
         ("lu25d_swap 1x1x1", Grid3::new(1, 1, 1)),
         ("lu25d_swap 1x2x2", Grid3::new(1, 2, 2)),
         ("lu25d_swap 2x2x1", Grid3::new(2, 2, 1)),
     ] {
-        let cfg = ConfluxConfig::new(64, 8, grid);
-        for cfg in [cfg.clone(), cfg.blocking()] {
-            let swap = lu25d_swap(&cfg, &a).unwrap();
-            got.push((name, digest(&swap.perm, &swap.packed.unwrap())));
-        }
+        let swap = lu25d_swap(&ConfluxConfig::new(64, 8, grid), &a).unwrap();
+        got.push((name, digest(&swap.perm, &swap.packed.unwrap())));
     }
-    // COnfLUX and COnfCHOX on the replicated and the one-rank grid, with and
-    // without lookahead: one digest per grid, because lookahead may not move
-    // a bit either.
+    // COnfLUX and COnfCHOX on the replicated and the one-rank grid.
     for (lu_name, chol_name, grid) in [
         ("conflux_lu 2x2x2", "confchox 2x2x2", Grid3::new(2, 2, 2)),
         ("conflux_lu 1x1x1", "confchox 1x1x1", Grid3::new(1, 1, 1)),
         ("conflux_lu 1x2x2", "confchox 1x2x2", Grid3::new(1, 2, 2)),
     ] {
-        let (lu_cfg, chol_cfg) = (
-            ConfluxConfig::new(64, 8, grid),
-            ConfchoxConfig::new(64, 8, grid),
-        );
-        for (lu_cfg, chol_cfg) in [
-            (lu_cfg.clone(), chol_cfg.clone()),
-            (lu_cfg.blocking(), chol_cfg.blocking()),
-        ] {
-            let lu = conflux_lu(&lu_cfg, &a).unwrap();
-            got.push((lu_name, digest(&lu.perm, &lu.packed.unwrap())));
-            let chol = confchox_cholesky(&chol_cfg, &spd).unwrap();
-            got.push((chol_name, digest(&[], &chol.l.unwrap())));
-        }
+        let lu = conflux_lu(&ConfluxConfig::new(64, 8, grid), &a).unwrap();
+        got.push((lu_name, digest(&lu.perm, &lu.packed.unwrap())));
+        let chol = confchox_cholesky(&ConfchoxConfig::new(64, 8, grid), &spd).unwrap();
+        got.push((chol_name, digest(&[], &chol.l.unwrap())));
     }
     let want = [
         ("twod_lu", 0xd9e3_5769_53e3_8be4_u64),
         ("twod_cholesky", 0xbe49_69ef_b881_a049),
         ("mmm25d", 0xd6e7_f309_1aec_da1d),
         ("lu25d_swap 2x2x2", 0x6169_2f48_6f59_42d1),
-        ("lu25d_swap 2x2x2", 0x6169_2f48_6f59_42d1),
-        ("lu25d_swap 1x1x1", 0x20fa_6292_44d1_c037),
         ("lu25d_swap 1x1x1", 0x20fa_6292_44d1_c037),
         ("lu25d_swap 1x2x2", 0xce16_60f4_b957_a277),
-        ("lu25d_swap 1x2x2", 0xce16_60f4_b957_a277),
         ("lu25d_swap 2x2x1", 0x6c35_33b6_f466_6d05),
-        ("lu25d_swap 2x2x1", 0x6c35_33b6_f466_6d05),
-        ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),
-        ("confchox 2x2x2", 0xdc7c_f302_a49b_12a2),
         ("conflux_lu 2x2x2", 0xf0b4_3c56_3452_4941),
         ("confchox 2x2x2", 0xdc7c_f302_a49b_12a2),
         ("conflux_lu 1x1x1", 0x20fa_6292_44d1_c037),
         ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
-        ("conflux_lu 1x1x1", 0x20fa_6292_44d1_c037),
-        ("confchox 1x1x1", 0xbe49_69ef_b881_a049),
-        ("conflux_lu 1x2x2", 0xce16_60f4_b957_a277),
-        ("confchox 1x2x2", 0xdc7c_f302_a49b_12a2),
         ("conflux_lu 1x2x2", 0xce16_60f4_b957_a277),
         ("confchox 1x2x2", 0xdc7c_f302_a49b_12a2),
     ];
@@ -520,15 +483,15 @@ fn perturbed_traces_uphold_runtime_invariants() {
 }
 
 /// Negative control: a schedule with a deliberately injected
-/// unwaited-request bug — a lookahead-style panel prefetch that is posted
-/// and then silently abandoned on a config flag — must be *caught* by the
+/// unwaited-request bug — a pipelined panel prefetch that is posted and
+/// then silently abandoned on a config flag — must be *caught* by the
 /// invariant checker. If this test ever fails, the checker has gone blind.
 #[test]
 fn invariant_checker_catches_injected_unwaited_request() {
-    // A miniature lookahead pipeline: each step prefetches the next panel
+    // A miniature prefetch pipeline: each step prefetches the next panel
     // with irecv while updating with the current one. The injected bug:
     // the *last* prefetch is posted but never completed (the classic
-    // off-by-one a real lookahead refactor can introduce).
+    // off-by-one of a pipelined schedule).
     fn pipeline(buggy: bool) -> Vec<xmpi::WorldTrace> {
         let (_, traces) = xmpi::trace::capture(TraceConfig::default(), || {
             xmpi::run(2, |c| {

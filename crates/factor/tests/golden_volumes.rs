@@ -183,21 +183,21 @@ fn confchox_ft_volume_is_golden() {
 }
 
 /// "The guard off is the plain program": an FT run with checksums and
-/// checkpoints both disabled moves exactly the blocking schedule's bytes,
-/// rank by rank and phase by phase.
+/// checkpoints both disabled moves exactly the plain driver's bytes, rank
+/// by rank and phase by phase.
 #[test]
 fn ft_with_guard_and_checkpoints_off_moves_the_plain_bytes() {
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
     let off = FtConfig::new(n, v, grid).no_checksums().checkpoint_every(0);
 
     let a = random_matrix(n, n, 101);
-    let plain = conflux_lu(&ConfluxConfig::new(n, v, grid).blocking(), &a).unwrap();
+    let plain = conflux_lu(&ConfluxConfig::new(n, v, grid), &a).unwrap();
     let ft = conflux_lu_ft(&off, &a).unwrap();
     let drift = check_stats_equal(&plain.stats, &ft.report.attempt_stats[0]);
     assert!(drift.is_empty(), "conflux: {drift:?}");
 
     let a = random_spd(n, 202);
-    let plain = confchox_cholesky(&ConfchoxConfig::new(n, v, grid).blocking(), &a).unwrap();
+    let plain = confchox_cholesky(&ConfchoxConfig::new(n, v, grid), &a).unwrap();
     let ft = confchox_cholesky_ft(&off, &a).unwrap();
     let drift = check_stats_equal(&plain.stats, &ft.report.attempt_stats[0]);
     assert!(drift.is_empty(), "confchox: {drift:?}");

@@ -5,8 +5,8 @@
 //! `2N³/(3P√M)` for COnfLUX, `N³/(3P√M)` for COnfCHOX — are *exact byte
 //! counts*, measured here by `xmpi`. But a schedule can match the count
 //! under the one thread interleaving a test run happens to see and still
-//! harbor ordering bugs (tournament pivoting and lookahead overlap are the
-//! sensitive spots; see Tang's reexamination of COnfLUX, arXiv:2404.06713).
+//! harbor ordering bugs (tournament pivoting and the z-fibre reductions are
+//! the sensitive spots; see Tang's reexamination of COnfLUX, arXiv:2404.06713).
 //! This crate makes the interleaving adversarial *and reproducible*:
 //!
 //! * [`Perturbator`] implements [`xmpi::SchedHooks`], injecting in-flight

@@ -14,16 +14,9 @@
 //! exposes the shared handle directly; the `Vec`-based variants convert at
 //! the edge (free for tree leaves, one copy for interior nodes whose
 //! forwards are still in flight).
-//!
-//! [`Comm::ibcast_f64`]/[`Comm::ibcast_u64`] are *nonblocking* broadcasts
-//! over the same binomial tree (so a pipelined schedule moves exactly the
-//! same bytes as a blocking one): the root fans out to its children at post
-//! time; every other rank posts a receive from its parent at post time and
-//! forwards down the tree when it completes the returned [`BcastRequest`].
 
 use crate::buf::Buf;
 use crate::comm::{Comm, Payload};
-use crate::request::RecvRequest;
 use crate::stats::CollKind;
 
 /// Tag namespace for collectives, above any user point-to-point tag.
@@ -35,10 +28,6 @@ const TAG_ALLREDUCE: u64 = COLL + 3;
 const TAG_GATHER: u64 = COLL + 4;
 const TAG_SCATTER: u64 = COLL + 5;
 const TAG_ALLGATHER: u64 = COLL + 6;
-/// Base tag for nonblocking broadcasts, in a namespace of its own so a
-/// caller-supplied sequence number can never collide with the stepped tags
-/// of the blocking collectives.
-const TAG_IBCAST: u64 = COLL << 1;
 
 impl Comm {
     /// Dissemination barrier: all ranks block until every rank has entered.
@@ -255,79 +244,6 @@ impl Comm {
         }
     }
 
-    /// Post a nonblocking binomial-tree broadcast of an element buffer from
-    /// `root`; on the root, `buf` is the data to broadcast (ignored
-    /// elsewhere). `seq` must be the same on all ranks and unique among the
-    /// communicator's in-flight nonblocking broadcasts (the schedules use
-    /// step-derived sequence numbers).
-    ///
-    /// Completing the returned request yields the root's buffer on every
-    /// rank. Every rank must complete its request: interior tree nodes
-    /// forward to their children inside
-    /// [`BcastRequest::wait`](BcastRequest::wait), so an abandoned request
-    /// starves that rank's subtree.
-    pub fn ibcast_f64(&self, root: usize, seq: u64, buf: Vec<f64>) -> BcastRequest<'_> {
-        self.ibcast_payload(root, seq, Payload::from(buf))
-    }
-
-    /// Nonblocking broadcast of an index buffer (see [`Comm::ibcast_f64`]).
-    pub fn ibcast_u64(&self, root: usize, seq: u64, buf: Vec<u64>) -> BcastRequest<'_> {
-        self.ibcast_payload(root, seq, Payload::from(buf))
-    }
-
-    fn ibcast_payload(&self, root: usize, seq: u64, payload: Payload) -> BcastRequest<'_> {
-        let _scope = self.coll_scope(CollKind::Bcast);
-        let tag = TAG_IBCAST + seq;
-        let p = self.size();
-        if p == 1 {
-            return BcastRequest {
-                comm: self,
-                root,
-                tag,
-                state: IbcastState::Done(payload),
-            };
-        }
-        let vr = (self.rank() + p - root) % p;
-        if vr == 0 {
-            // Root: children are exactly those of the blocking bcast, fanned
-            // out at post time (sends are buffered, so this cannot block).
-            // Each fan-out shares the same payload storage.
-            let mut mask = 1;
-            while mask < p {
-                mask <<= 1;
-            }
-            mask >>= 1;
-            while mask > 0 {
-                if vr + mask < p {
-                    let dst = (vr + mask + root) % p;
-                    self.push_message(dst, tag, payload.clone(), true);
-                }
-                mask >>= 1;
-            }
-            BcastRequest {
-                comm: self,
-                root,
-                tag,
-                state: IbcastState::Done(payload),
-            }
-        } else {
-            // Non-root: post the receive from the binomial parent; the
-            // forward to this rank's subtree happens at completion.
-            let mut mask = 1;
-            while vr & mask == 0 {
-                mask <<= 1;
-            }
-            let parent = (vr - mask + root) % p;
-            let req = self.irecv(parent, tag);
-            BcastRequest {
-                comm: self,
-                root,
-                tag,
-                state: IbcastState::Pending { req, mask },
-            }
-        }
-    }
-
     /// All-gather of equal-or-variable-length buffers: returns every rank's
     /// contribution, indexed by local rank. Power-of-two groups use
     /// recursive doubling (log₂ p rounds; each held piece travels as its own
@@ -391,86 +307,6 @@ impl Comm {
             self.send_payload(right, TAG_ALLGATHER + s as u64, piece);
             out[recv_origin] = Some(self.recv_buf_f64(left, TAG_ALLGATHER + s as u64));
         }
-    }
-}
-
-enum IbcastState<'c> {
-    /// Payload in hand; any fan-out already happened (root, or `p == 1`).
-    Done(Payload),
-    /// Awaiting the binomial parent; on completion, forward to the children
-    /// under `mask` (this rank's subtree in the broadcast tree).
-    Pending { req: RecvRequest<'c>, mask: usize },
-}
-
-/// In-flight nonblocking broadcast (see [`Comm::ibcast_f64`]). Borrows the
-/// communicator it was posted on; **every participating rank must complete
-/// its request** or the subtree below it never receives the data.
-pub struct BcastRequest<'c> {
-    comm: &'c Comm,
-    root: usize,
-    tag: u64,
-    state: IbcastState<'c>,
-}
-
-impl BcastRequest<'_> {
-    /// Complete the broadcast: receive from the parent if necessary, forward
-    /// to this rank's subtree (sharing the same payload storage), and return
-    /// the root's payload.
-    pub fn wait(self) -> Payload {
-        match self.state {
-            IbcastState::Done(payload) => {
-                // Completion-point hook even though the payload is already
-                // in hand, so a perturbed root is held back the same way a
-                // perturbed interior node is (the receive path gets its
-                // stall inside `RecvRequest::wait`).
-                self.comm.wait_point();
-                payload
-            }
-            IbcastState::Pending { req, mask } => {
-                let comm = self.comm;
-                let _scope = comm.coll_scope(CollKind::Bcast);
-                let payload = req.wait();
-                let p = comm.size();
-                let vr = (comm.rank() + p - self.root) % p;
-                let mut m = mask >> 1;
-                while m > 0 {
-                    if vr + m < p {
-                        let dst = (vr + m + self.root) % p;
-                        comm.push_message(dst, self.tag, payload.clone(), true);
-                    }
-                    m >>= 1;
-                }
-                payload
-            }
-        }
-    }
-
-    /// [`BcastRequest::wait`], asserting an element payload and converting
-    /// to owned storage (free on tree leaves; one copy on interior nodes
-    /// whose forwards are still shared).
-    ///
-    /// # Panics
-    /// If the broadcast carried indices instead of elements.
-    pub fn wait_f64(self) -> Vec<f64> {
-        self.wait_buf_f64().into_vec()
-    }
-
-    /// [`BcastRequest::wait`], asserting an element payload and returning
-    /// the shared buffer handle — the zero-copy completion for read-only
-    /// consumers.
-    ///
-    /// # Panics
-    /// If the broadcast carried indices instead of elements.
-    pub fn wait_buf_f64(self) -> Buf<f64> {
-        self.wait().into_f64("ibcast wait_f64")
-    }
-
-    /// [`BcastRequest::wait`], asserting an index payload.
-    ///
-    /// # Panics
-    /// If the broadcast carried elements instead of indices.
-    pub fn wait_u64(self) -> Vec<u64> {
-        self.wait().into_u64("ibcast wait_u64").into_vec()
     }
 }
 
@@ -739,68 +575,6 @@ mod tests {
             let b = &vec_run.stats.ranks[r];
             assert_eq!((a.bytes_sent, a.bytes_recv), (b.bytes_sent, b.bytes_recv));
             assert_eq!((a.msgs_sent, a.msgs_recv), (b.msgs_sent, b.msgs_recv));
-        }
-    }
-
-    #[test]
-    fn ibcast_from_every_root_all_sizes() {
-        for p in [1, 2, 4, 5, 7, 8] {
-            for root in 0..p {
-                let out = run(p, move |c| {
-                    let buf = if c.rank() == root {
-                        vec![2.5, root as f64]
-                    } else {
-                        vec![]
-                    };
-                    let req = c.ibcast_f64(root, 11, buf);
-                    req.wait_f64()
-                });
-                for r in out.results {
-                    assert_eq!(r, vec![2.5, root as f64], "p={p} root={root}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ibcast_volume_equals_blocking_bcast() {
-        // The nonblocking broadcast walks the same binomial tree, so every
-        // rank's sent/received bytes must match the blocking collective
-        // exactly — the invariant the lookahead schedules rely on.
-        let blocking = run(8, |c| {
-            let mut buf = if c.rank() == 3 { vec![1.0; 64] } else { vec![] };
-            c.bcast_f64(3, &mut buf);
-        });
-        let nonblocking = run(8, |c| {
-            let buf = if c.rank() == 3 { vec![1.0; 64] } else { vec![] };
-            c.ibcast_f64(3, 0, buf).wait_f64();
-        });
-        for r in 0..8 {
-            let b = &blocking.stats.ranks[r];
-            let nb = &nonblocking.stats.ranks[r];
-            assert_eq!((b.bytes_sent, b.bytes_recv), (nb.bytes_sent, nb.bytes_recv));
-            assert_eq!((b.msgs_sent, b.msgs_recv), (nb.msgs_sent, nb.msgs_recv));
-        }
-    }
-
-    #[test]
-    fn concurrent_ibcasts_are_isolated_by_seq() {
-        let out = run(4, |c| {
-            let (b0, b1) = if c.rank() == 0 {
-                (vec![10], vec![20])
-            } else {
-                (vec![], vec![])
-            };
-            // Post both before completing either; distinct seqs keep the
-            // streams apart, and completion order is the caller's choice.
-            let r0 = c.ibcast_u64(0, 0, b0);
-            let r1 = c.ibcast_u64(0, 1, b1);
-            let v1 = r1.wait_u64();
-            let v0 = r0.wait_u64();
-            (v0[0], v1[0])
-        });
-        for r in out.results {
-            assert_eq!(r, (10, 20));
         }
     }
 

@@ -17,9 +17,8 @@
 //! * at every **receive match** ([`SchedHooks::recv_delay`]) — an artificial
 //!   stall inserted after a blocking receive matches its message;
 //! * at every **request-completion point** ([`SchedHooks::wait_delay`]) —
-//!   `RecvRequest::wait`/`test` and `BcastRequest::wait` stall before
-//!   completing, perturbing the order in which pipelined schedules drain
-//!   their posted operations;
+//!   `RecvRequest::wait`/`test` stall before completing, perturbing the
+//!   order in which a program drains its posted receives;
 //! * at every **phase boundary** ([`SchedHooks::phase_stall`]) — a rank
 //!   entering a named phase can be held back, skewing ranks against each
 //!   other at exactly the points the schedules synchronize.

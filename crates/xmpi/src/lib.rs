@@ -48,11 +48,9 @@
 //!
 //! [`Comm::isend_f64`]/[`Comm::irecv`] post operations and return
 //! [`request::Request`] handles completed with `wait`/`test`/
-//! [`request::wait_all`]; [`Comm::ibcast_f64`] is a nonblocking binomial
-//! broadcast. These are what let the factorization schedules overlap panel
-//! communication with the trailing-matrix update while the byte accounting
-//! and event trace stay exact (posts record [`Event::SendPost`]/
-//! [`Event::RecvPost`], completions record [`Event::WaitDone`]).
+//! [`request::wait_all`], with exact byte accounting and event trace (posts
+//! record [`Event::SendPost`]/[`Event::RecvPost`], completions record
+//! [`Event::WaitDone`]). Collectives are all blocking.
 //!
 //! # Schedule perturbation & fault injection
 //!
@@ -123,7 +121,6 @@ pub mod wire;
 mod world;
 
 pub use buf::Buf;
-pub use collectives::BcastRequest;
 pub use comm::{Comm, Payload};
 pub use error::XmpiError;
 pub use grid::{Grid2, Grid3};

@@ -2,10 +2,8 @@
 //!
 //! [`Comm::isend_f64`](crate::Comm::isend_f64) and
 //! [`Comm::irecv`](crate::Comm::irecv) return handles that decouple posting
-//! an operation from completing it, which is what lets a schedule overlap
-//! communication with computation (the lookahead variants of the
-//! factorizations post the next panel's traffic before the current
-//! trailing-matrix update). Semantics mirror MPI requests:
+//! an operation from completing it, so a program can overlap communication
+//! with computation. Semantics mirror MPI requests:
 //!
 //! * a send is buffered, so [`SendRequest`] is complete at creation;
 //! * a receive matches its message at [`RecvRequest::wait`]/
@@ -20,7 +18,6 @@
 //! forgotten and a matching message, if any, stays queued for a later
 //! receive on the same `(src, tag)` channel.
 
-use crate::buf::Buf;
 use crate::comm::{recv_timeout, Comm, Payload};
 use std::fmt;
 use std::time::Duration;
@@ -227,19 +224,10 @@ impl<'c> RecvRequest<'c> {
     /// # Panics
     /// If the matching message carries indices instead of elements.
     pub fn wait_f64(self) -> Vec<f64> {
-        self.wait_buf_f64().into_vec()
-    }
-
-    /// [`RecvRequest::wait`], asserting an element payload and returning the
-    /// shared buffer handle without copying — the zero-copy completion for
-    /// read-only consumers.
-    ///
-    /// # Panics
-    /// If the matching message carries indices instead of elements.
-    pub fn wait_buf_f64(self) -> Buf<f64> {
         let (src, tag) = (self.src, self.tag);
         self.wait()
             .into_f64(format_args!("wait_f64: from {src} tag {tag}"))
+            .into_vec()
     }
 
     /// [`RecvRequest::wait`], asserting an index payload.

@@ -1,6 +1,6 @@
 //! Edge-case tests for the nonblocking request machinery: completion
-//! caching, empty batches, interleaved collective requests, and the
-//! retry/timeout policy under injected message drops.
+//! caching, empty batches, and the retry/timeout policy under injected
+//! message drops.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,26 +75,6 @@ fn wait_all_mixes_sends_and_receives() {
     });
     assert_eq!(out.results[0], vec![9.0]);
     assert_eq!(out.results[1], vec![1.0, 2.0]);
-}
-
-/// Two nonblocking broadcasts with *different roots* in flight at once,
-/// completed in reverse post order on every rank — the sequence-number
-/// tagging must keep the trees from stealing each other's messages.
-#[test]
-fn interleaved_ibcast_roots_complete_in_reverse() {
-    let out = run(4, |c| {
-        let from0 = c.ibcast_f64(0, 0, vec![10.0, f64::from(c.rank() as u32)]);
-        let from1 = c.ibcast_f64(1, 1, vec![20.0, f64::from(c.rank() as u32)]);
-        // Reverse completion order: the root-1 broadcast first.
-        let b = from1.wait_f64();
-        let a = from0.wait_f64();
-        (a, b)
-    });
-    for r in 0..4 {
-        let (a, b) = &out.results[r];
-        assert_eq!(a, &vec![10.0, 0.0], "rank {r}: root-0 payload");
-        assert_eq!(b, &vec![20.0, 1.0], "rank {r}: root-1 payload");
-    }
 }
 
 /// `wait_timeout`: `Ok` when the message arrives within the policy, `Err`

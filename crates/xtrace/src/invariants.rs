@@ -15,7 +15,7 @@
 //! * **No lost requests** ([`check_trace`]): every posted receive
 //!   ([`Event::RecvPost`]) is eventually completed on its channel. A receive
 //!   that was posted and then abandoned — the classic unwaited-request bug a
-//!   lookahead schedule can introduce — shows up as more posts than
+//!   pipelined schedule can introduce — shows up as more posts than
 //!   completions.
 //! * **Collective bracketing** ([`check_trace`]): every
 //!   [`Event::CollEnter`] has a matching [`Event::CollExit`] per rank and

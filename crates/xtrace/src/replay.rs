@@ -92,19 +92,6 @@ pub struct PhaseOverlap {
     pub hidden: f64,
 }
 
-impl PhaseOverlap {
-    /// Fraction of this phase's modelled transfer time that was hidden
-    /// (0 when the phase moved no data).
-    pub fn hidden_fraction(&self) -> f64 {
-        let total = self.exposed + self.hidden;
-        if total > 0.0 {
-            self.hidden / total
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Result of a replay.
 #[derive(Debug, Clone)]
 pub struct Replay {
@@ -126,18 +113,6 @@ pub struct Replay {
     pub phase_overlap: BTreeMap<String, PhaseOverlap>,
     /// False if the replay stalled (possible only on truncated traces).
     pub complete: bool,
-}
-
-impl Replay {
-    /// Total modelled transfer time hidden across all ranks, seconds.
-    pub fn total_hidden(&self) -> f64 {
-        self.hidden.iter().sum()
-    }
-
-    /// Total modelled stall (blocked-receive) time across all ranks, seconds.
-    pub fn total_wait(&self) -> f64 {
-        self.wait.iter().sum()
-    }
 }
 
 /// Replay `trace` on machine `m`.
@@ -519,7 +494,6 @@ mod tests {
         let po = ov.phase_overlap["update"];
         assert_eq!(po.exposed, 0.0);
         assert!((po.hidden - m.xfer_time(s)).abs() < 1e-12);
-        assert_eq!(po.hidden_fraction(), 1.0);
         // Blocking order: the full transfer is an exposed stall, and the
         // makespan is longer by exactly that stall.
         assert!((bl.wait[1] - m.xfer_time(s)).abs() < 1e-12);

@@ -112,7 +112,7 @@ impl Timeline {
     }
 
     /// Aggregate idle time across ranks.
-    pub fn total_wait(&self) -> u64 {
+    pub(crate) fn total_wait(&self) -> u64 {
         self.ranks.iter().map(RankTimeline::wait_time).sum()
     }
 }
