@@ -463,11 +463,13 @@ impl Lower {
 /// per local row, and 8 bytes per entry, row after row.
 impl Wire for Lower {
     fn encode(&self, out: &mut Vec<u8>) {
+        let entries: usize = self.rows.iter().map(|&(_, lead)| lead).sum();
+        out.reserve(8 * (self.geometry.len() + 1 + entries) + 4 * self.rows.len());
         self.geometry.iter().for_each(|g| g.encode(out));
         let leads: Vec<u32> = self.rows.iter().map(|&(_, lead)| lead as u32).collect();
         leads.encode(out);
         for &(at, lead) in &self.rows {
-            self.data[at..at + lead].iter().for_each(|x| x.encode(out));
+            f64::encode_slice(&self.data[at..at + lead], out);
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
@@ -477,12 +479,15 @@ impl Wire for Lower {
         }
         // Only the empty value has tile side 0; no frame may divide by it.
         lower.geometry[0] = lower.geometry[0].max(1);
+        // The rows' entries lie back to back: one bulk decode, then the
+        // row starts are the running sum of the counts.
+        let mut entries = 0;
         for lead in Vec::<u32>::decode(input)? {
-            lower.rows.push((lower.data.len(), lead as usize));
-            for _ in 0..lead {
-                lower.data.push(Wire::decode(input)?);
-            }
+            lower.rows.push((entries, lead as usize));
+            // A corrupt count saturates, and `decode_n` then rejects it.
+            entries = entries.saturating_add(lead as usize);
         }
+        lower.data = f64::decode_n(input, entries)?;
         Ok(lower)
     }
 }
@@ -1076,6 +1081,20 @@ mod tests {
         // and a decoded part holds nothing else.
         let bytes = xmpi::wire::encode_vec(&lower);
         assert_eq!(bytes.len(), 5 * 8 + (8 + 4 * 4) + 6 * 8);
+        // The bulk copy writes what encoding one element at a time writes.
+        let mut one_by_one = Vec::new();
+        lower
+            .geometry
+            .iter()
+            .for_each(|g| g.encode(&mut one_by_one));
+        let leads: Vec<u32> = lower.rows.iter().map(|&(_, n)| n as u32).collect();
+        leads.encode(&mut one_by_one);
+        for &(at, n) in &lower.rows {
+            lower.data[at..at + n]
+                .iter()
+                .for_each(|x| x.encode(&mut one_by_one));
+        }
+        assert_eq!(bytes, one_by_one);
         let back: Lower = xmpi::wire::decode_all(&bytes).unwrap();
         assert_eq!((&entries_of(&back)[..], back.data.len()), (&want[..], 6));
         assert!(xmpi::wire::decode_all::<Lower>(&bytes[..bytes.len() - 8]).is_err());
@@ -1110,6 +1129,11 @@ mod tests {
         // The socket result codec: 4 bytes per index, 8 per value.
         let bytes = xmpi::wire::encode_vec(&c);
         assert_eq!(bytes.len(), 2 * 8 + 4 * 12 + 8 * 9);
+        let mut one_by_one = Vec::new();
+        c.idx.encode(&mut one_by_one);
+        c.vals.len().encode(&mut one_by_one);
+        c.vals.iter().for_each(|x| x.encode(&mut one_by_one));
+        assert_eq!(bytes, one_by_one, "the bulk copy is the per-element bytes");
         same(&xmpi::wire::decode_all(&bytes).unwrap());
         assert!(xmpi::wire::decode_all::<Collected>(&bytes[..bytes.len() - 1]).is_err());
     }

@@ -11,6 +11,30 @@
 //! statistics back over a control socket. A child that dies without
 //! reporting is mapped to [`XmpiError::RankDead`].
 //!
+//! ## Launch and teardown
+//!
+//! Every wait on the way is a blocking call on an event, never a sleep:
+//!
+//! 1. The parent binds the control socket and spawns the children. Each
+//!    child binds its mesh listener, dials every lower rank (retrying a
+//!    dial that raced the sibling's `bind` after 100 µs, doubling) and
+//!    blocks in `accept` for every higher one; a watchdog thread parked
+//!    until the handshake deadline dials the listener itself if a sibling
+//!    never comes.
+//! 2. Meanwhile one acceptor thread of the parent blocks on the control
+//!    socket and reads each report inline as its child connects (every
+//!    report into the same body buffer), handing the decoded outcome to
+//!    the parent over a channel.
+//! 3. A child whose rank program returns tears its mesh down (the
+//!    heartbeat monitor, parked between beats, is unparked), encodes its
+//!    report, and only then connects and ships it and exits.
+//! 4. The parent returns once all `p` reports are in. Only a channel idle
+//!    for a while makes it look at the children: all exited means whoever
+//!    is missing died without reporting; past the world deadline, wedged
+//!    children are killed. One connection from the parent then wakes the
+//!    acceptor, which reads what is still queued and exits, and the
+//!    children are reaped with a blocking `wait`.
+//!
 //! ## Child re-execution
 //!
 //! The launcher uses the `rusty-fork` re-execution idiom: a child is the
@@ -48,7 +72,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -80,6 +105,11 @@ thread_local! {
 
 /// Process-global launch counter, only for unique scratch-directory names.
 static LAUNCH_DIRS: AtomicU64 = AtomicU64::new(0);
+
+/// How long the parent's collect loop waits for a report before it looks at
+/// its children (all exited? past the world deadline?). A world whose
+/// reports keep arriving never pays that look.
+const COLLECT_IDLE: Duration = Duration::from_millis(10);
 
 /// Child-spawn attempt budget (`XMPI_SPAWN_RETRIES`, default 4). Read once
 /// per process.
@@ -418,16 +448,16 @@ fn ship_result<R: Wire>(
     stats: &RankStats,
     dead: &[usize],
 ) {
+    // Encode first: once connected, the parent's acceptor reads this
+    // report and nothing else until it is complete.
+    let mut frame = Frame::control(FrameKind::Result, my_rank);
+    shipped.encode(&mut frame.body);
+    stats.encode(&mut frame.body);
+    dead.to_vec().encode(&mut frame.body);
     let Ok(mut ctl) = UnixStream::connect(dir.join("ctl.sock")) else {
         // Parent already gone; nothing useful to do but exit.
         return;
     };
-    let mut body = Vec::new();
-    shipped.encode(&mut body);
-    stats.encode(&mut body);
-    dead.to_vec().encode(&mut body);
-    let mut frame = Frame::control(FrameKind::Result, my_rank);
-    frame.body = body;
     let _ = wire::write_frame(&mut ctl, &Frame::control(FrameKind::Hello, my_rank))
         .and_then(|()| wire::write_frame(&mut ctl, &frame))
         .and_then(|()| ctl.flush());
@@ -476,9 +506,9 @@ fn spawn_child(
 }
 
 /// Parent side: spawn one child per rank (supervised, bounded backoff),
-/// wait for them under the world deadline, collect shipped outcomes from
-/// the control socket, and assemble the world result.
-fn parent_world<R: Wire>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R> {
+/// collect the outcomes they ship on the control socket as they arrive,
+/// reap them, and assemble the world result.
+fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R> {
     clean_stale_launch_dirs();
     let dir = std::env::temp_dir().join(format!(
         "xmpi-{}-{}",
@@ -486,9 +516,8 @@ fn parent_world<R: Wire>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R
         LAUNCH_DIRS.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("create socket mesh directory");
-    let ctl = UnixListener::bind(dir.join("ctl.sock")).expect("bind control socket");
-    ctl.set_nonblocking(true)
-        .expect("nonblocking control socket");
+    let ctl_path = dir.join("ctl.sock");
+    let ctl = UnixListener::bind(&ctl_path).expect("bind control socket");
 
     let mut children: Vec<Child> = Vec::with_capacity(p);
     for rank in 0..p {
@@ -499,10 +528,7 @@ fn parent_world<R: Wire>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R
                 // mesh directory, and give every rank the typed launch
                 // failure — never a panic, never a half-spawned world left
                 // running.
-                for child in &mut children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
+                kill_all(&mut children);
                 let _ = std::fs::remove_dir_all(&dir);
                 let e = XmpiError::LaunchFailed { rank, attempts };
                 return FtResult {
@@ -516,41 +542,72 @@ fn parent_world<R: Wire>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R
         }
     }
 
-    // Reap children and drain control connections. A child ships its
-    // result (and connects) strictly before exiting, so once every child
-    // is reaped, one final drain pass observes every report that will
-    // ever arrive; whoever is missing afterwards died without reporting.
-    // The world deadline bounds the loop: a child that neither exits nor
-    // reports (wedged beyond what the in-world failure detector can
-    // resolve) is killed and mapped to a dead rank.
+    // Collect by event. One acceptor thread blocks on the control socket
+    // and reads each report as soon as its child connects; the decoded
+    // outcome reaches this thread over a channel, and the world is
+    // complete once all `p` are in. Only a channel idle for
+    // `COLLECT_IDLE` makes this thread look at the children:
+    // - once every child has exited, every report that will ever arrive
+    //   is queued (a child connects before it exits), and whoever is
+    //   missing after the acceptor's last drain died without reporting;
+    // - past the world deadline, children that neither exit nor report
+    //   (wedged beyond what the in-world failure detector resolves) are
+    //   killed and mapped to dead ranks.
+    // Either way every child connection is queued before `done` is set,
+    // and one connection from this thread wakes the acceptor for exit.
     let mut outcomes: Vec<Option<Outcome<R>>> = (0..p).map(|_| None).collect();
     let deadline = world_deadline().map(|d| Instant::now() + d);
-    let mut alive = p;
-    while alive > 0 {
-        drain_ctl(&ctl, p, &mut outcomes);
-        alive = 0;
-        for child in &mut children {
-            match child.try_wait() {
-                Ok(Some(_status)) => {}
-                _ => alive += 1,
-            }
-        }
-        if alive > 0 {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                eprintln!(
-                    "xmpi launch: world {world_id} exceeded XMPI_WORLD_DEADLINE_MS with \
-                     {alive} child process(es) wedged; killing them"
-                );
-                for child in &mut children {
-                    let _ = child.kill();
-                    let _ = child.wait();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel();
+        let (ctl, done) = (&ctl, &done);
+        s.spawn(move || accept_reports(ctl, p, done, &tx));
+        let mut missing = p;
+        while missing > 0 {
+            match rx.recv_timeout(COLLECT_IDLE) {
+                Ok((rank, outcome)) => {
+                    if outcomes[rank].replace(outcome).is_none() {
+                        missing -= 1;
+                    }
                 }
-                break;
+                Err(RecvTimeoutError::Timeout) => {
+                    let alive = children
+                        .iter_mut()
+                        .map(|c| !matches!(c.try_wait(), Ok(Some(_))))
+                        .filter(|&running| running)
+                        .count();
+                    if alive == 0 {
+                        break;
+                    }
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        eprintln!(
+                            "xmpi launch: world {world_id} exceeded XMPI_WORLD_DEADLINE_MS with \
+                             {alive} child process(es) wedged; killing them"
+                        );
+                        kill_all(&mut children);
+                        break;
+                    }
+                }
+                // The acceptor stopped early: nothing can collect the
+                // remaining reports, so their children must not run on.
+                Err(RecvTimeoutError::Disconnected) => {
+                    kill_all(&mut children);
+                    break;
+                }
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
+        done.store(true, Ordering::SeqCst);
+        let _ = UnixStream::connect(&ctl_path);
+        // Ends when the acceptor has drained the queue and dropped `tx`.
+        for (rank, outcome) in rx.iter() {
+            outcomes[rank] = Some(outcome);
+        }
+    });
+    // Every child has reported or exited, or was killed: `wait` does not
+    // block for long.
+    for child in &mut children {
+        let _ = child.wait();
     }
-    drain_ctl(&ctl, p, &mut outcomes);
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut results = Vec::with_capacity(p);
@@ -648,41 +705,63 @@ fn pid_is_dead(pid: u32) -> bool {
     }
 }
 
-/// Accept and read every pending control connection, filling `outcomes`.
-fn drain_ctl<R: Wire>(ctl: &UnixListener, p: usize, outcomes: &mut [Option<Outcome<R>>]) {
-    loop {
-        match ctl.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                let Ok(Some(hello)) = wire::read_frame(&mut stream) else {
-                    continue;
-                };
-                if hello.kind != FrameKind::Hello {
-                    continue;
+/// Kill and reap every child.
+fn kill_all(children: &mut [Child]) {
+    for child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// The control socket's acceptor: read each connection's report inline, in
+/// arrival order, and send its outcome to the collect loop. Once `done` is
+/// set, read what is still queued without blocking, then return.
+fn accept_reports<R: Wire>(
+    ctl: &UnixListener,
+    p: usize,
+    done: &AtomicBool,
+    tx: &mpsc::Sender<(usize, Outcome<R>)>,
+) {
+    // One body buffer serves every report.
+    let mut body = Vec::new();
+    while let Ok((stream, _)) = ctl.accept() {
+        body = read_report(stream, p, body, tx);
+        if done.load(Ordering::SeqCst) {
+            if ctl.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = ctl.accept() {
+                    body = read_report(stream, p, body, tx);
                 }
-                let rank = hello.src as usize;
-                let Ok(Some(result)) = wire::read_frame(&mut stream) else {
-                    continue;
-                };
-                if result.kind != FrameKind::Result || rank >= p {
-                    continue;
-                }
-                let mut input = &result.body[..];
-                let Ok(shipped) = Shipped::<R>::decode(&mut input) else {
-                    continue;
-                };
-                let Ok(rs) = RankStats::decode(&mut input) else {
-                    continue;
-                };
-                let Ok(dead) = Vec::<usize>::decode(&mut input) else {
-                    continue;
-                };
-                outcomes[rank] = Some((shipped, rs, dead));
             }
-            Err(_) => return,
+            return;
         }
     }
+}
+
+/// Read one control connection — `Hello`, then the `Result` frame into
+/// `body`'s allocation — and send its decoded outcome on `tx`. Anything
+/// malformed is dropped: its rank counts as not having reported. Returns
+/// the buffer for the next report.
+fn read_report<R: Wire>(
+    mut stream: UnixStream,
+    p: usize,
+    body: Vec<u8>,
+    tx: &mpsc::Sender<(usize, Outcome<R>)>,
+) -> Vec<u8> {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let rank = match wire::read_frame(&mut stream) {
+        Ok(Some(hello)) if hello.kind == FrameKind::Hello => hello.src as usize,
+        _ => return body,
+    };
+    let Ok(Some(result)) = wire::read_frame_into(&mut stream, body) else {
+        return Vec::new();
+    };
+    if result.kind == FrameKind::Result && rank < p {
+        if let Ok(outcome) = Outcome::<R>::decode(&mut &result.body[..]) {
+            let _ = tx.send((rank, outcome));
+        }
+    }
+    result.body
 }
 
 #[cfg(test)]

@@ -78,9 +78,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll interval while waiting for a mesh connection to be accepted.
-const HANDSHAKE_POLL: Duration = Duration::from_millis(2);
-
 /// Heartbeat period (`XMPI_HEARTBEAT_MS`, default 100 ms; `0` disables the
 /// monitor thread entirely — and with it suspicion). Read once per process.
 fn heartbeat_ms() -> u64 {
@@ -96,7 +93,7 @@ fn suspect_ms() -> u64 {
 }
 
 /// Mesh dial attempt budget (`XMPI_CONNECT_RETRIES`, default 120 — about
-/// 28 s under [`backoff_delay`]). Read once per process.
+/// 27 s under [`backoff_delay`]). Read once per process.
 fn connect_retries() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
     *CACHE.get_or_init(|| env_u64("XMPI_CONNECT_RETRIES", 120).max(1))
@@ -120,13 +117,12 @@ pub(crate) fn env_u64(var: &str, default: u64) -> u64 {
 }
 
 /// Capped exponential backoff before dial attempt `attempt + 1`:
-/// `min(1 ms << attempt, 250 ms)`. Pure so the schedule is unit-testable.
+/// `min(100 µs << attempt, 250 ms)`. A dial that merely races a sibling's
+/// `bind` retries within a tenth of a millisecond. Pure so the schedule is
+/// unit-testable.
 pub(crate) fn backoff_delay(attempt: u64) -> Duration {
-    let ms = 1u64
-        .checked_shl(u32::try_from(attempt).unwrap_or(u32::MAX))
-        .unwrap_or(u64::MAX)
-        .min(250);
-    Duration::from_millis(ms)
+    // From attempt 12 on, the shift is past the cap (and never overflows).
+    Duration::from_micros((100u64 << attempt.min(12)).min(250_000))
 }
 
 /// Socket path for a rank's mesh listener.
@@ -240,26 +236,82 @@ fn connect_retry(
     })
 }
 
-/// Accept one mesh connection, honouring the handshake deadline.
-fn accept_deadline(listener: &UnixListener, deadline: Instant) -> std::io::Result<UnixStream> {
-    loop {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false)?;
-                return Ok(s);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "xmpi socket mesh: timed out waiting for higher ranks to dial in",
-                    ));
-                }
-                std::thread::sleep(HANDSHAKE_POLL);
-            }
-            Err(e) => return Err(e),
-        }
+/// Accept one stream from every rank above `my_rank`, each opening with a
+/// `Hello` frame that says who dialed, into `streams`. Blocks in `accept`;
+/// the handshake deadline is kept by a watchdog thread that parks until
+/// then and, if the accepts are still pending, dials `listener` itself.
+/// Its connection carries no `Hello`, so the handshake fails as timed out.
+fn accept_peers(
+    listener: &UnixListener,
+    dir: &Path,
+    my_rank: usize,
+    deadline: Instant,
+    streams: &mut [Option<UnixStream>],
+) -> Result<(), XmpiError> {
+    let p = streams.len();
+    if my_rank + 1 >= p {
+        return Ok(());
     }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let watchdog = std::thread::Builder::new()
+            .name(format!("xmpi-accept{my_rank}"))
+            .spawn_scoped(s, || {
+                while !done.load(Ordering::SeqCst) {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        let _ = UnixStream::connect(rank_sock(dir, my_rank));
+                        return;
+                    }
+                    std::thread::park_timeout(left);
+                }
+            })
+            .map_err(|e| handshake_failed(my_rank, "spawn accept watchdog", &e))?;
+        let accepted = (my_rank + 1..p).try_for_each(|_| {
+            let (mut s, _) = listener
+                .accept()
+                .map_err(|e| handshake_failed(my_rank, "accept peer", &e))?;
+            let hello = wire::read_frame(&mut s).ok().flatten();
+            let peer = match hello {
+                Some(f) if f.kind == FrameKind::Hello => f.src as usize,
+                _ if Instant::now() >= deadline => {
+                    return Err(handshake_failed(
+                        my_rank,
+                        "accept peer",
+                        &std::io::Error::new(
+                            std::io::ErrorKind::TimedOut,
+                            "timed out waiting for higher ranks to dial in",
+                        ),
+                    ))
+                }
+                _ => {
+                    return Err(handshake_failed(
+                        my_rank,
+                        "read Hello",
+                        &std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            "peer opened without a Hello frame",
+                        ),
+                    ))
+                }
+            };
+            if peer >= p || streams[peer].is_some() {
+                return Err(handshake_failed(
+                    my_rank,
+                    "validate Hello",
+                    &std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bogus or duplicate Hello from rank {peer}"),
+                    ),
+                ));
+            }
+            streams[peer] = Some(s);
+            Ok(())
+        });
+        done.store(true, Ordering::SeqCst);
+        watchdog.thread().unpark();
+        accepted
+    })
 }
 
 /// Log a handshake I/O failure and map it to the typed launch error the
@@ -289,9 +341,6 @@ impl SocketTransport {
         let net = crate::netfault::armed();
         let listener = UnixListener::bind(rank_sock(dir, my_rank))
             .map_err(|e| handshake_failed(my_rank, "bind listener", &e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| handshake_failed(my_rank, "set listener nonblocking", &e))?;
         let deadline = Instant::now() + handshake_timeout();
 
         // One stream per peer, indexed by world rank.
@@ -305,36 +354,7 @@ impl SocketTransport {
             *slot = Some(s);
         }
         // Accept every higher rank; the Hello frame says who dialed.
-        for _ in my_rank + 1..p {
-            let mut s = accept_deadline(&listener, deadline)
-                .map_err(|e| handshake_failed(my_rank, "accept peer", &e))?;
-            let peer = wire::read_frame(&mut s)
-                .ok()
-                .flatten()
-                .filter(|f| f.kind == FrameKind::Hello)
-                .map(|f| f.src as usize)
-                .ok_or_else(|| {
-                    handshake_failed(
-                        my_rank,
-                        "read Hello",
-                        &std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "peer opened without a Hello frame",
-                        ),
-                    )
-                })?;
-            if peer >= p || streams[peer].is_some() {
-                return Err(handshake_failed(
-                    my_rank,
-                    "validate Hello",
-                    &std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bogus or duplicate Hello from rank {peer}"),
-                    ),
-                ));
-            }
-            streams[peer] = Some(s);
-        }
+        accept_peers(&listener, dir, my_rank, deadline, &mut streams)?;
 
         // Channels first, so the Mesh (which readers gossip through) is
         // complete before any service thread starts.
@@ -433,6 +453,8 @@ impl SocketTransport {
             let _ = h.join();
         }
         if let Some(h) = self.monitor.lock().take() {
+            // The monitor parks between heartbeats; wake it to see `quit`.
+            h.thread().unpark();
             let _ = h.join();
         }
         if !crashed {
@@ -591,21 +613,22 @@ fn reader_loop(mesh: &Mesh, mut stream: UnixStream, peer: usize) {
 /// The failure detector: each `XMPI_HEARTBEAT_MS`, ping every peer and
 /// declare dead any live, unfinished peer silent for longer than
 /// `XMPI_SUSPECT_MS`. Pings bypass the chaos consult and the byte
-/// counters — they are transport-internal, not traffic.
+/// counters — they are transport-internal, not traffic. Between beats the
+/// thread parks; [`SocketTransport::shutdown`] unparks it.
 fn monitor_loop(mesh: &Mesh) {
     let period = Duration::from_millis(heartbeat_ms());
     let suspect = suspect_ms();
     loop {
         let deadline = Instant::now() + period;
         loop {
-            if mesh.quit.load(Ordering::Relaxed) {
+            if mesh.quit.load(Ordering::SeqCst) {
                 return;
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            std::thread::sleep(left.min(Duration::from_millis(2)));
+            std::thread::park_timeout(left);
         }
         if !mesh.hung.load(Ordering::SeqCst) {
             for peer in mesh.peers.iter().flatten() {
@@ -707,29 +730,30 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_capped_exponential() {
-        assert_eq!(backoff_delay(0), Duration::from_millis(1));
-        assert_eq!(backoff_delay(1), Duration::from_millis(2));
-        assert_eq!(backoff_delay(5), Duration::from_millis(32));
-        assert_eq!(backoff_delay(7), Duration::from_millis(128));
-        // The cap: from attempt 8 on, every wait is 250 ms.
-        assert_eq!(backoff_delay(8), Duration::from_millis(250));
+        assert_eq!(backoff_delay(0), Duration::from_micros(100));
+        assert_eq!(backoff_delay(1), Duration::from_micros(200));
+        assert_eq!(backoff_delay(5), Duration::from_micros(3_200));
+        assert_eq!(backoff_delay(11), Duration::from_micros(204_800));
+        // The cap: from attempt 12 on, every wait is 250 ms.
+        assert_eq!(backoff_delay(12), Duration::from_millis(250));
         assert_eq!(backoff_delay(40), Duration::from_millis(250));
         // Shift widths past u64 must not wrap back to short waits.
-        assert_eq!(backoff_delay(64), Duration::from_millis(250));
-        assert_eq!(backoff_delay(u64::MAX), Duration::from_millis(250));
+        for attempt in [58, 61, 62, 63, 64, u64::MAX] {
+            assert_eq!(backoff_delay(attempt), Duration::from_millis(250));
+        }
     }
 
     #[test]
     fn dial_budget_totals_seconds_not_hours() {
-        // The default budget's worst-case wall time: bounded and sane
-        // (roughly the old 30 s handshake window, never unbounded).
+        // The default budget's worst-case wall time: "about 27 s", roughly
+        // the 30 s handshake window, never unbounded.
         let total: Duration = (0..connect_retries()).map(backoff_delay).sum();
         assert!(
-            total >= Duration::from_secs(5),
+            total >= Duration::from_secs(20),
             "budget too impatient: {total:?}"
         );
         assert!(
-            total <= Duration::from_secs(60),
+            total <= Duration::from_secs(40),
             "budget unbounded-ish: {total:?}"
         );
     }

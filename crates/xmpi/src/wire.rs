@@ -167,6 +167,15 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, usize> {
 /// # Errors
 /// [`XmpiError::Truncated`] on any malformed or short frame.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, XmpiError> {
+    read_frame_into(r, Vec::new())
+}
+
+/// [`read_frame`] into `body`'s allocation when it is large enough: a
+/// reader of many frames hands each decoded body back for the next.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    mut body: Vec<u8>,
+) -> Result<Option<Frame>, XmpiError> {
     let mut header = [0u8; HEADER_LEN];
     match read_full(r, &mut header) {
         Ok(false) => return Ok(None),
@@ -206,7 +215,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, XmpiError> {
     if matches!(kind, FrameKind::MsgF64 | FrameKind::MsgU64) && len % 8 != 0 {
         return Err(truncated(8, (len % 8) as usize, src as usize, tag));
     }
-    let mut body = vec![0u8; len as usize];
+    if body.capacity() < len as usize {
+        body = vec![0u8; len as usize];
+    } else {
+        body.clear();
+        body.resize(len as usize, 0);
+    }
     match read_full(r, &mut body) {
         Ok(_) if len == 0 => {}
         Ok(true) => {}
@@ -321,6 +335,61 @@ pub trait Wire: Sized {
     /// # Errors
     /// [`XmpiError::Truncated`] if `input` is exhausted or malformed.
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError>;
+
+    /// Append the encodings of `items` back to back — the bytes encoding
+    /// each in turn appends. Fixed-width types override it with one bulk
+    /// copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for x in items {
+            x.encode(out);
+        }
+    }
+
+    /// Decode `n` values encoded back to back, the inverse of
+    /// [`Wire::encode_slice`].
+    ///
+    /// # Errors
+    /// [`XmpiError::Truncated`] if `input` is exhausted or malformed.
+    fn decode_n(input: &mut &[u8], n: usize) -> Result<Vec<Self>, XmpiError> {
+        // Guard the pre-allocation: a corrupt count must not OOM before the
+        // element decodes fail.
+        let mut v = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            v.push(Self::decode(input)?);
+        }
+        Ok(v)
+    }
+}
+
+/// [`Wire::encode_slice`] of an 8-byte type: little-endian words written in
+/// place, which compiles to a straight copy.
+fn encode_words<T: Copy>(items: &[T], out: &mut Vec<u8>, le: impl Fn(T) -> [u8; 8]) {
+    let at = out.len();
+    out.resize(at + 8 * items.len(), 0);
+    for (dst, &x) in out[at..].chunks_exact_mut(8).zip(items) {
+        dst.copy_from_slice(&le(x));
+    }
+}
+
+/// [`Wire::decode_n`] of an 8-byte type. The byte count is checked — its
+/// overflow included — before anything is allocated.
+fn decode_words<T>(
+    input: &mut &[u8],
+    n: usize,
+    from_le: impl Fn([u8; 8]) -> T,
+) -> Result<Vec<T>, XmpiError> {
+    let len = n
+        .checked_mul(8)
+        .ok_or_else(|| truncated(usize::MAX, input.len(), 0, 0))?;
+    let bytes = take(input, len)?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(c);
+            from_le(b)
+        })
+        .collect())
 }
 
 /// Encode a value into a fresh byte vector.
@@ -365,6 +434,12 @@ impl Wire for u64 {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
         Ok(u64::from_le_bytes(take8(input)?))
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, u64::to_le_bytes);
+    }
+    fn decode_n(input: &mut &[u8], n: usize) -> Result<Vec<Self>, XmpiError> {
+        decode_words(input, n, u64::from_le_bytes)
     }
 }
 
@@ -416,6 +491,12 @@ impl Wire for f64 {
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
         Ok(f64::from_bits(u64::decode(input)?))
     }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, f64::to_le_bytes);
+    }
+    fn decode_n(input: &mut &[u8], n: usize) -> Result<Vec<Self>, XmpiError> {
+        decode_words(input, n, f64::from_le_bytes)
+    }
 }
 
 impl Wire for () {
@@ -441,19 +522,11 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for x in self {
-            x.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
         let n = usize::decode(input)?;
-        // Guard the pre-allocation: a corrupt length must not OOM before
-        // the element decodes fail.
-        let mut v = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            v.push(T::decode(input)?);
-        }
-        Ok(v)
+        T::decode_n(input, n)
     }
 }
 

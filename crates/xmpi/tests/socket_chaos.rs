@@ -33,14 +33,14 @@ macro_rules! socket_backend {
 }
 
 /// Pin fast failure-detection deadlines, once per process (parent *and*
-/// each re-executed child): a 10-dial connect budget (~0.8 s of backoff),
+/// each re-executed child): a 14-dial connect budget (~0.9 s of backoff),
 /// a 3 s handshake accept window, 50 ms heartbeats with suspicion at
 /// 2.5 s. Every test calls this first, so the knobs are set before any
 /// socket code caches them.
 fn chaos_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        std::env::set_var("XMPI_CONNECT_RETRIES", "10");
+        std::env::set_var("XMPI_CONNECT_RETRIES", "14");
         std::env::set_var("XMPI_HANDSHAKE_TIMEOUT_MS", "3000");
         std::env::set_var("XMPI_HEARTBEAT_MS", "50");
         std::env::set_var("XMPI_SUSPECT_MS", "2500");

@@ -2,13 +2,17 @@
 //! bit-exactly through arbitrarily chunked reads and writes (a UNIX socket
 //! never promises to move a frame in one syscall), and every malformed
 //! header must come back as a typed [`XmpiError::Truncated`] — never a
-//! panic, never a silent mis-parse.
+//! panic, never a silent mis-parse. The result codec's bulk path for `f64`
+//! and `u64` vectors must write exactly the bytes a per-element encoder
+//! writes, and reject a short or impossible length before allocating.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{self, Read, Write};
 use xmpi::wire::{
-    frame_payload, payload_frame, read_frame, write_frame, Frame, FrameKind, HEADER_LEN,
-    MAX_BODY_LEN,
+    decode_all, encode_vec, frame_payload, payload_frame, read_frame, write_frame, Frame,
+    FrameKind, HEADER_LEN, MAX_BODY_LEN,
 };
 use xmpi::{Payload, XmpiError};
 
@@ -75,6 +79,48 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The encoding of a `Vec` of 8-byte words, one element at a time: the
+/// length as a little-endian `u64`, then each element's little-endian bits.
+fn per_element<T>(items: &[T], bits: impl Fn(&T) -> u64) -> Vec<u8> {
+    let mut out = (items.len() as u64).to_le_bytes().to_vec();
+    for x in items {
+        out.extend_from_slice(&bits(x).to_le_bytes());
+    }
+    out
+}
+
+/// Counts this thread's bytes allocated, so a test can show a decode
+/// allocated nothing for an impossible length.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// counter is a const-initialised thread-local that itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+        // SAFETY: the caller's contract is passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is passed on as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Bytes this thread allocates while running `f`.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -117,6 +163,31 @@ proptest! {
             panic!("wrong payload kind");
         };
         prop_assert_eq!(buf.to_vec(), expect);
+    }
+
+    #[test]
+    fn bulk_vec_codec_matches_the_per_element_encoding(
+        len in 0usize..600,
+        seed in 0u64..10_000,
+    ) {
+        // Every fourth value is a quiet or signalling NaN with a payload, or
+        // a signed zero; the rest are whatever bit pattern the stream gives.
+        let special = |i: u64| match mix(seed ^ i) % 8 {
+            0 => f64::from_bits(0x7ff0_0000_0000_0001 | (mix(i) & 0x000f_ffff_ffff_fff0)),
+            1 => -0.0,
+            _ => f64::from_bits(mix(seed ^ i ^ 0x55)),
+        };
+        let floats: Vec<f64> = (0..len as u64).map(special).collect();
+        let bytes = encode_vec(&floats);
+        prop_assert_eq!(&bytes, &per_element(&floats, |x: &f64| x.to_bits()));
+        let back: Vec<f64> = decode_all(&bytes).expect("decodes");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&back), bits(&floats));
+
+        let words: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i)).collect();
+        let bytes = encode_vec(&words);
+        prop_assert_eq!(&bytes, &per_element(&words, |&x: &u64| x));
+        prop_assert_eq!(decode_all::<Vec<u64>>(&bytes).expect("decodes"), words);
     }
 
     #[test]
@@ -214,6 +285,43 @@ fn ragged_message_length_is_rejected() {
         read_frame(&mut r),
         Err(XmpiError::Truncated { .. })
     ));
+}
+
+#[test]
+fn truncated_bulk_vectors_are_typed_errors() {
+    let bytes = encode_vec(&vec![1.5f64, -0.0, f64::NAN]);
+    for cut in [0, 7, 8, 9, 16, bytes.len() - 1] {
+        assert!(
+            matches!(
+                decode_all::<Vec<f64>>(&bytes[..cut]),
+                Err(XmpiError::Truncated { .. })
+            ),
+            "f64 cut at {cut}"
+        );
+        assert!(
+            matches!(
+                decode_all::<Vec<u64>>(&bytes[..cut]),
+                Err(XmpiError::Truncated { .. })
+            ),
+            "u64 cut at {cut}"
+        );
+    }
+}
+
+#[test]
+fn overflowing_bulk_lengths_fail_before_allocating() {
+    // Counts whose byte size overflows `usize` (2^61 · 8 = 2^64) and one
+    // that fits but is absurd (2^60 · 8 = 2^63): each must be `Truncated`
+    // off the length check alone, allocating nothing.
+    for count in [u64::MAX, 1 << 61, (1 << 61) + 1, 1 << 60] {
+        let mut bytes = count.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 24]);
+        let (f, spent_f) = allocated_by(|| decode_all::<Vec<f64>>(&bytes));
+        let (u, spent_u) = allocated_by(|| decode_all::<Vec<u64>>(&bytes));
+        assert!(matches!(f, Err(XmpiError::Truncated { .. })), "{count}");
+        assert!(matches!(u, Err(XmpiError::Truncated { .. })), "{count}");
+        assert_eq!((spent_f, spent_u), (0, 0), "count {count} allocated");
+    }
 }
 
 #[test]
