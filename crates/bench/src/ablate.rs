@@ -272,12 +272,9 @@ pub fn factor_cell_kpis(cell: &Cell) -> Result<BTreeMap<String, f64>, String> {
 /// `n` is the message size in f64 elements — persist its full report under
 /// `results/` for the CI artifact upload, and pull the cell's KPI record.
 ///
-/// The transport workload's socket half re-executes the current binary, so
-/// its cells must be reached deterministically from `main` (the `ablations`
-/// CLI qualifies; libtest does not — unit tests cover only the local
-/// half). Artifact writes are gated on [`xmpi::launch::is_child`]: a child
-/// rank replaying an *earlier* plan cell to find its world must never
-/// rewrite the parent's results.
+/// The transport workload's socket half forks its rank processes from the
+/// measuring call; they ship their timings home and never return into this
+/// function, so only this process writes the report.
 fn run_micro_cell(
     workload: PlanWorkload,
     cell: &Cell,
@@ -306,9 +303,7 @@ fn run_micro_cell(
             (report, kpis, "alpha_socket_us")
         }
     };
-    if !xmpi::launch::is_child() {
-        report.save();
-    }
+    report.save();
     if !kpis.contains_key(needs) {
         return Err(format!("{name} report has no {needs} at n={n}, p={p}"));
     }

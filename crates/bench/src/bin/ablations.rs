@@ -161,14 +161,6 @@ fn append_run(
     plan: &AblationPlan,
     run: &bench::ablate::AblationRun,
 ) -> Result<(), String> {
-    // Transport-workload cells spawn socket-backend child ranks that
-    // re-execute this binary and replay the plan to find their world. A
-    // child normally exits inside that world, but if its cell was skipped
-    // in replay it would fall through to here — and P processes appending
-    // the same rows would corrupt the registry. Only the parent records.
-    if xmpi::launch::is_child() {
-        return Ok(());
-    }
     let stamp = Stamp::here(Some(run.plan_hash.clone()));
     let mut rows = Vec::new();
     let mut records = Vec::new();

@@ -106,9 +106,7 @@ struct BackendFit {
 }
 
 /// Run the full measurement set on whatever backend is ambient when
-/// `measure` is called. All world shapes are fixed up front: a socket
-/// child replays this exact launch sequence to find its world, so nothing
-/// here may branch on a measured value.
+/// `measure` is called.
 fn measure(label: &'static str, ps: &[usize], sizes: &[usize], reps: usize) -> BackendFit {
     let alpha_s = pingpong_secs(1, (reps * 40).max(100));
     let big_elems = (1usize << 17).max(sizes.iter().copied().max().unwrap_or(0));
@@ -135,16 +133,13 @@ fn measure(label: &'static str, ps: &[usize], sizes: &[usize], reps: usize) -> B
 }
 
 /// Run the transport α-β calibration: every measurement on the in-process
-/// backend, then the identical sequence on the socket backend (child
-/// processes re-execute the current binary — callers must reach this
-/// function deterministically from `main`). `sizes` are message lengths in
-/// f64 elements; `ps` are broadcast world sizes.
+/// backend, then the identical sequence on the socket backend (rank
+/// processes forked per world). `sizes` are message lengths in f64
+/// elements; `ps` are broadcast world sizes.
 pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
     let reps = reps.max(1);
     let local = measure("local", ps, sizes, reps);
-    let socket = xmpi::with_backend(xmpi::launch::socket_backend_reexec(), || {
-        measure("socket", ps, sizes, reps)
-    });
+    let socket = xmpi::with_backend(xmpi::Backend::Socket, || measure("socket", ps, sizes, reps));
     let model = Machine::piz_daint();
     let model_alpha_us = model.alpha * 1e6;
     let model_gbps = model.beta / 1e9;
@@ -216,10 +211,8 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
 mod tests {
     use super::*;
 
-    /// The in-process half of the report (the socket half re-executes the
-    /// current binary, which inside libtest would re-run the whole test
-    /// process — the socket path is covered by `tests/transport_plan.rs`
-    /// driving the real `ablations` binary).
+    /// The in-process half of the report (the socket path is covered by
+    /// `tests/transport_plan.rs` driving the real `ablations` binary).
     #[test]
     fn local_measurement_produces_a_sane_fit() {
         let fit = measure("local", &[2], &[64], 1);

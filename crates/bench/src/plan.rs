@@ -59,8 +59,8 @@ pub enum PlanWorkload {
     /// Transport α-β calibration (`experiments::transport`): the measured
     /// postal-model constants of the in-process *and* socket backends next
     /// to the simulated machine's. `n` is the probed message size in f64
-    /// elements, `p` the broadcast world size. Socket cells spawn child
-    /// rank processes that re-execute the current binary.
+    /// elements, `p` the broadcast world size. Socket cells fork one rank
+    /// process per rank.
     Transport,
 }
 

@@ -2,14 +2,11 @@
 //! binary over a tiny transport plan and assert the measured socket-backend
 //! α-β fit lands in the registry.
 //!
-//! This is the one place the socket half of `experiments::transport` can
-//! run under test: the socket backend re-executes the *current binary*, so
-//! inside libtest it would re-run the whole test process — but re-executing
-//! the `ablations` CLI is exactly its production shape. The child rank
-//! processes replay the plan deterministically (argument parse → plan load
-//! → cell order → measurement sequence) to find their world, then exit
-//! inside it; only the parent prints the KPI table, writes
-//! `results/BENCH_transport.json`, and appends registry rows.
+//! This runs the socket half of `experiments::transport` in its production
+//! shape, the `ablations` CLI: the rank processes forked for each socket
+//! world ship their timings and leave inside it, and only the CLI's own
+//! process prints the KPI table, writes `results/BENCH_transport.json`,
+//! and appends registry rows.
 
 use std::process::Command;
 

@@ -55,7 +55,7 @@ use xmpi::{Comm, Grid3, Wire, XmpiError};
 /// rank is one OS thread) so event traces can attribute computation to the
 /// span between consecutive markers. Falls back to plain phase accounting
 /// for untraced worlds.
-pub(crate) fn phase(comm: &Comm, name: &str) {
+pub(crate) fn phase(comm: &Comm, name: &'static str) {
     comm.set_phase_with_flops(name, dense::flops::thread_flops());
 }
 

@@ -42,14 +42,18 @@
 //! factor pieces, the rank's one tile store) and hands the updated value to an
 //! optional callback after every block step but the last. The FT drivers'
 //! callback snapshots it every `ckpt_every` steps into an in-memory blob,
-//! keeps one copy in the rank's own slot (surviving ranks' memory persists
-//! across a restart) and ships one copy to its ring buddy `(rank + 1) mod P`
-//! over the measured transport (`"ckpt"` phase). When [`xmpi::run_ft`]
-//! reports a crashed rank, the restart loop discards the victim's own
-//! copies (its memory died with it), computes the newest epoch still
-//! consistent across all ranks, and relaunches the world: survivors reload
-//! their own snapshots for free, while the reborn victim pulls its blob from
-//! the buddy (`"recovery"` phase, bracketed by
+//! keeps one copy in the rank's own memory and ships one copy to its ring
+//! buddy `(rank + 1) mod P` over the measured transport (`"ckpt"` phase),
+//! which keeps it in *its* memory. A rank's memory is a value it returns
+//! from the world next to its outcome — a survivor cut short by the
+//! poisoned world included — and the restart loop files it into the host's
+//! store, so it persists across a restart whether the rank was a thread or
+//! a forked process. When [`xmpi::run_ft`] reports a crashed rank, the
+//! restart loop drops the victim's memory and discards its own copies from
+//! earlier attempts (its memory died with it), computes the newest epoch
+//! still consistent across all ranks, and relaunches the world: survivors
+//! reload their own snapshots for free, while the reborn victim pulls its
+//! blob from the buddy (`"recovery"` phase, bracketed by
 //! [`xmpi::Comm::mark_recovery_begin`]/[`xmpi::Comm::mark_recovery_end`]),
 //! and the same rank program resumes from the restored `State`. Because the
 //! schedules are deterministic dataflow programs and the snapshot is an
@@ -76,9 +80,9 @@ use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig, PivotPolicy};
 use dense::checksum::{self, Verdict};
 use dense::Matrix;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use xmpi::{Buf, Comm, Grid3, WorldStats};
+use xmpi::{Buf, Comm, Grid3, Wire, WorldStats, XmpiError};
 
 const TAG_CKPT: u64 = 7_000_000;
 const TAG_RECOV: u64 = 8_000_000;
@@ -240,63 +244,79 @@ impl FtReport {
 // Checkpoint store
 // ---------------------------------------------------------------------------
 
-/// Host-side in-memory checkpoint ring: the union of every rank's local
-/// snapshot memory, surviving world teardown the way real node memory
-/// survives one peer's crash.
-///
-/// Each rank owns two slots: its *self* copies (snapshots of its own state)
-/// and the *buddy* copies it holds for its left ring neighbor. A crash
-/// destroys the victim's self copies ([`CkptStore::kill`]) but not the
-/// buddy-held replica, which [`CkptStore::resume_epoch`] folds into the
-/// newest epoch recoverable by everyone.
-struct CkptStore {
-    slots: Mutex<Slots>,
+/// Checkpoint blobs by epoch, at most [`CKPT_KEEP`] of them (the newest).
+type Slot = BTreeMap<usize, Vec<f64>>;
+
+/// Keep `blob` as `slot`'s copy for `epoch`, dropping the oldest beyond
+/// [`CKPT_KEEP`].
+fn keep(slot: &mut Slot, epoch: usize, blob: Vec<f64>) {
+    slot.insert(epoch, blob);
+    while slot.len() > CKPT_KEEP {
+        slot.pop_first();
+    }
 }
 
-struct Slots {
-    /// `selfs[r]`: epoch → blob snapshots rank `r` took of itself.
-    selfs: Vec<BTreeMap<usize, Vec<f64>>>,
-    /// `buddies[r]`: epoch → blob copies of rank `r`'s state held by its
-    /// ring buddy `(r + 1) mod P`.
-    buddies: Vec<BTreeMap<usize, Vec<f64>>>,
+/// One rank's checkpoint memory: the snapshots it took of itself, and the
+/// replicas it holds for its left ring neighbour. A rank builds the
+/// memory of one attempt and returns it from the world by value.
+#[derive(Default)]
+struct Memory {
+    selfs: Slot,
+    held: Slot,
+}
+
+impl Wire for Memory {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for slot in [&self.selfs, &self.held] {
+            slot.len().encode(out);
+            for (epoch, blob) in slot {
+                epoch.encode(out);
+                blob.encode(out);
+            }
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
+        let mut slot = || -> Result<Slot, XmpiError> {
+            (0..usize::decode(input)?)
+                .map(|_| Ok((usize::decode(input)?, Vec::decode(input)?)))
+                .collect()
+        };
+        Ok(Memory {
+            selfs: slot()?,
+            held: slot()?,
+        })
+    }
+}
+
+/// Host-side checkpoint ring: every rank's memory, filed between attempts,
+/// surviving world teardown the way real node memory survives one peer's
+/// crash. A world only reads it.
+///
+/// A crash destroys the victim's self copies ([`CkptStore::kill`]) but not
+/// the replica its buddy holds, which [`CkptStore::resume_epoch`] folds
+/// into the newest epoch recoverable by everyone.
+struct CkptStore {
+    /// `ranks[r]`: rank `r`'s memory.
+    ranks: Vec<Memory>,
 }
 
 impl CkptStore {
     /// Empty store for a `p`-rank world.
     fn new(p: usize) -> CkptStore {
         CkptStore {
-            slots: Mutex::new(Slots {
-                selfs: vec![BTreeMap::new(); p],
-                buddies: vec![BTreeMap::new(); p],
-            }),
+            ranks: (0..p).map(|_| Memory::default()).collect(),
         }
     }
 
-    /// A crashed rank may die while holding the lock; its state is still
-    /// consistent (single inserts), so recover the guard instead of
-    /// propagating the poison.
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn gc(map: &mut BTreeMap<usize, Vec<f64>>) {
-        while map.len() > CKPT_KEEP {
-            map.pop_first();
+    /// File what rank `rank` kept during an attempt into its memory.
+    fn file(&mut self, rank: usize, memory: Memory) {
+        let into = &mut self.ranks[rank];
+        for (epoch, blob) in memory.selfs {
+            keep(&mut into.selfs, epoch, blob);
         }
-    }
-
-    /// Record rank `rank`'s own snapshot for `epoch`.
-    fn put_self(&self, rank: usize, epoch: usize, blob: Vec<f64>) {
-        let mut s = self.lock();
-        s.selfs[rank].insert(epoch, blob);
-        Self::gc(&mut s.selfs[rank]);
-    }
-
-    /// Record the buddy-held replica of `owner`'s snapshot for `epoch`.
-    fn put_buddy(&self, owner: usize, epoch: usize, blob: Vec<f64>) {
-        let mut s = self.lock();
-        s.buddies[owner].insert(epoch, blob);
-        Self::gc(&mut s.buddies[owner]);
+        for (epoch, blob) in memory.held {
+            keep(&mut into.held, epoch, blob);
+        }
     }
 
     /// Rank `rank`'s own snapshot at `epoch`.
@@ -305,40 +325,45 @@ impl CkptStore {
     /// If the snapshot is absent ([`CkptStore::resume_epoch`] guarantees it
     /// is not for the epoch it returns).
     fn self_blob(&self, rank: usize, epoch: usize) -> Vec<f64> {
-        self.lock().selfs[rank]
+        self.ranks[rank]
+            .selfs
             .get(&epoch)
             .unwrap_or_else(|| panic!("rank {rank} has no self checkpoint at epoch {epoch}"))
             .clone()
     }
 
-    /// The buddy-held replica of `owner`'s snapshot at `epoch`.
+    /// The replica of `owner`'s snapshot at `epoch` that its buddy holds.
     ///
     /// # Panics
     /// If the replica is absent.
     fn buddy_blob(&self, owner: usize, epoch: usize) -> Vec<f64> {
-        self.lock().buddies[owner]
+        self.buddy(owner)
             .get(&epoch)
             .unwrap_or_else(|| panic!("no buddy checkpoint of rank {owner} at epoch {epoch}"))
             .clone()
     }
 
+    /// The replicas of `owner`'s snapshots, held by `(owner + 1) mod P`.
+    fn buddy(&self, owner: usize) -> &Slot {
+        &self.ranks[(owner + 1) % self.ranks.len()].held
+    }
+
     /// Model the victim's memory dying with it: discard its self copies.
     /// The buddy-held replica survives — that is the point of the ring.
-    fn kill(&self, victim: usize) {
-        self.lock().selfs[victim].clear();
+    fn kill(&mut self, victim: usize) {
+        self.ranks[victim].selfs.clear();
     }
 
     /// Newest epoch recoverable by *every* rank: survivors from their self
     /// copies, `victims` from their buddy-held replicas. `0` (a fresh
     /// start) when no common epoch exists.
     fn resume_epoch(&self, victims: &[usize]) -> usize {
-        let s = self.lock();
         let mut common: Option<BTreeSet<usize>> = None;
-        for r in 0..s.selfs.len() {
+        for r in 0..self.ranks.len() {
             let avail: BTreeSet<usize> = if victims.contains(&r) {
-                s.buddies[r].keys().copied().collect()
+                self.buddy(r).keys().copied().collect()
             } else {
-                s.selfs[r].keys().copied().collect()
+                self.ranks[r].selfs.keys().copied().collect()
             };
             common = Some(match common {
                 None => avail,
@@ -622,22 +647,28 @@ impl Guard {
 pub(crate) type StepEnd<'a> = &'a dyn Fn(&State, &mut Guard);
 
 /// End-of-step checkpoint of `state` (epoch = the step it resumes at):
-/// snapshot into the own slot (free — it is this rank's memory) and ship a
-/// replica one step around the ring under the `"ckpt"` phase. Sends are
-/// buffered, so the ring cannot deadlock.
-fn take_checkpoint(comm: &Comm, store: &CkptStore, layer: usize, state: &State, guard: &mut Guard) {
+/// snapshot into this rank's `memory` (free) and ship a replica one step
+/// around the ring under the `"ckpt"` phase, keeping the left neighbour's
+/// replica in exchange. Sends are buffered, so the ring cannot deadlock.
+fn take_checkpoint(
+    comm: &Comm,
+    memory: &mut Memory,
+    layer: usize,
+    state: &State,
+    guard: &mut Guard,
+) {
     phase(comm, "ckpt");
     let p = comm.size();
     let rank = comm.rank();
     let epoch = state.step;
     let blob = encode_state(layer, state);
-    store.put_self(rank, epoch, blob.clone());
+    keep(&mut memory.selfs, epoch, blob.clone());
     if p > 1 {
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
         guard.send_blob(comm, right, TAG_CKPT + epoch as u64, &blob);
         let (lb, _) = guard.recv_blob(comm, left, TAG_CKPT + epoch as u64);
-        store.put_buddy(left, epoch, lb);
+        keep(&mut memory.held, epoch, lb);
     }
 }
 
@@ -649,6 +680,7 @@ fn take_checkpoint(comm: &Comm, store: &CkptStore, layer: usize, state: &State, 
 fn restore_blob(
     comm: &Comm,
     store: &CkptStore,
+    memory: &mut Memory,
     victims: &[usize],
     resume: usize,
     guard: &mut Guard,
@@ -669,9 +701,9 @@ fn restore_blob(
     comm.mark_recovery_begin();
     let (blob, wire) = guard.recv_blob(comm, (rank + 1) % p, TAG_RECOV + rank as u64);
     comm.mark_recovery_end((wire * 8) as u64);
-    // Re-seed the reborn rank's own slot so a later crash elsewhere still
-    // finds a full set of self copies.
-    store.put_self(rank, resume, blob.clone());
+    // Re-seed the reborn rank's own memory so a later crash elsewhere
+    // still finds a full set of self copies.
+    keep(&mut memory.selfs, resume, blob.clone());
     blob
 }
 
@@ -685,14 +717,11 @@ fn restore_blob(
 /// later from its checkpoint alone, decoded into a zero store of the shape
 /// `lower_only` says — then runs `program`, the plain rank program of one
 /// algorithm bound to its config, with the guard set from
-/// `cfg.checksums` and the checkpoint callback. A crashed attempt costs the
-/// victims their own snapshots and starts the next one; a completed one
+/// `cfg.checksums` and the checkpoint callback. Every rank that did not
+/// crash returns its checkpoint [`Memory`] with its outcome, and the loop
+/// files it into the store before anything else. A crashed attempt costs
+/// the victims their own snapshots and starts the next one; a completed one
 /// yields the assembled factor and rank 0's row order.
-///
-/// On the socket backend a child process replays the loop's earlier worlds
-/// in-process, which repopulates its own `store` deterministically before
-/// it joins the target world — checkpoint state never needs to cross
-/// processes.
 fn run_with_restarts(
     cfg: &FtConfig,
     lower_only: bool,
@@ -701,7 +730,7 @@ fn run_with_restarts(
 ) -> Result<(Matrix, Vec<usize>, FtReport), dense::Error> {
     let p = cfg.grid.size();
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    let store = CkptStore::new(p);
+    let mut store = CkptStore::new(p);
     let mut report = FtReport::default();
     let mut victims: Vec<usize> = Vec::new();
     loop {
@@ -710,24 +739,39 @@ fn run_with_restarts(
             report.resumed_from.push(resume);
         }
         let out = xmpi::launch::run_ft(p, |comm| {
-            let mut guard = Guard::new(cfg.checksums);
-            let (pi, pj, layer) = cfg.grid.coords(comm.rank());
-            let state = if resume == 0 {
-                State::fresh(stage(comm))
-            } else {
-                let blob = restore_blob(comm, &store, &victims, resume, &mut guard);
-                decode_state(&blob, layer, TileStore::zeros(&til, pi, pj, lower_only))
-            };
-            assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
-            let checkpoint = |state: &State, guard: &mut Guard| {
-                if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
-                    take_checkpoint(comm, &store, layer, state, guard);
-                }
-            };
-            let (parts, perm) = program(comm, &mut guard, state, &checkpoint)?;
-            Ok::<_, dense::Error>(((parts, guard.corrections), perm))
+            let memory = RefCell::new(Memory::default());
+            let outcome = xmpi::catch_poison(|| {
+                let mut guard = Guard::new(cfg.checksums);
+                let (pi, pj, layer) = cfg.grid.coords(comm.rank());
+                let state = if resume == 0 {
+                    State::fresh(stage(comm))
+                } else {
+                    let mut memory = memory.borrow_mut();
+                    let blob =
+                        restore_blob(comm, &store, &mut memory, &victims, resume, &mut guard);
+                    decode_state(&blob, layer, TileStore::zeros(&til, pi, pj, lower_only))
+                };
+                assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
+                let checkpoint = |state: &State, guard: &mut Guard| {
+                    if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
+                        take_checkpoint(comm, &mut memory.borrow_mut(), layer, state, guard);
+                    }
+                };
+                let (parts, perm) = program(comm, &mut guard, state, &checkpoint)?;
+                Ok::<_, dense::Error>(((parts, guard.corrections), perm))
+            });
+            (outcome, memory.into_inner())
         });
         report.attempt_stats.push(out.stats);
+        let mut outcomes = Vec::with_capacity(p);
+        for (rank, res) in out.results.into_iter().enumerate() {
+            // A crashed rank's memory died with it, even when its process
+            // lived on to return it (a rank whose stream was reset).
+            if let (Ok((outcome, memory)), false) = (res, out.crashed.contains(&rank)) {
+                store.file(rank, memory);
+                outcomes.push(outcome);
+            }
+        }
         if !out.crashed.is_empty() {
             report.restarts += 1;
             assert!(
@@ -741,9 +785,12 @@ fn run_with_restarts(
             victims = out.crashed;
             continue;
         }
-        let outcomes = out.results.into_iter();
-        let (parts, perm) =
-            split_results(outcomes.map(|res| res.expect("no rank crashed: every outcome is Ok")))?;
+        assert_eq!(outcomes.len(), p, "no rank crashed: every rank returned");
+        let (parts, perm) = split_results(
+            outcomes
+                .into_iter()
+                .map(|res| res.expect("no rank crashed: no world was poisoned")),
+        )?;
         let (parts, corrections): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
         report.corrections += corrections.iter().sum::<u64>();
         let factor = Collected::assemble(cfg.n, cfg.v, &perm, &parts);
@@ -859,13 +906,29 @@ mod tests {
         }
     }
 
+    /// A memory holding `selfs` and `held` epochs, each blob `[tag, epoch]`.
+    fn memory(tag: f64, selfs: &[usize], held: &[usize]) -> Memory {
+        let mut m = Memory::default();
+        for &e in selfs {
+            keep(&mut m.selfs, e, vec![tag, e as f64]);
+        }
+        for &e in held {
+            keep(&mut m.held, e, vec![tag, e as f64]);
+        }
+        m
+    }
+
     #[test]
     fn store_tracks_epochs_and_survives_a_kill() {
-        let store = CkptStore::new(3);
-        for epoch in 1..=4 {
+        let mut store = CkptStore::new(3);
+        // Two attempts' worth of memory per rank, filed in turn; rank r
+        // holds its left neighbour's replicas.
+        for epochs in [[1, 2], [3, 4]] {
             for r in 0..3 {
-                store.put_self(r, epoch, vec![r as f64, epoch as f64]);
-                store.put_buddy(r, epoch, vec![r as f64, epoch as f64]);
+                let left = (r + 2) % 3;
+                let mut m = memory(r as f64, &epochs, &[]);
+                m.held = memory(left as f64, &epochs, &[]).selfs;
+                store.file(r, m);
             }
         }
         // Depth-2 ring: epochs 1 and 2 were collected.
@@ -874,16 +937,25 @@ mod tests {
         // Victim 1 falls back to its buddy-held replicas, still at 4.
         assert_eq!(store.resume_epoch(&[1]), 4);
         assert_eq!(store.buddy_blob(1, 4), vec![1.0, 4.0]);
+        assert_eq!(store.self_blob(2, 3), vec![2.0, 3.0]);
         // A skewed buddy (only up to epoch 3) drags the resume point back.
-        let store = CkptStore::new(2);
-        store.put_self(0, 2, vec![0.0]);
-        store.put_self(0, 3, vec![0.0]);
-        store.put_buddy(1, 2, vec![1.0]);
-        store.put_buddy(1, 3, vec![1.0]);
-        store.put_self(0, 4, vec![0.0]);
+        let mut store = CkptStore::new(2);
+        store.file(0, memory(0.0, &[2, 3], &[2, 3]));
+        store.file(0, memory(0.0, &[4], &[]));
         assert_eq!(store.resume_epoch(&[1]), 3);
         // Nothing in common: fresh start.
         assert_eq!(CkptStore::new(2).resume_epoch(&[0]), 0);
+    }
+
+    #[test]
+    fn memory_crosses_the_wire_bitwise() {
+        let m = memory(-0.0, &[3, 5, 7], &[6]);
+        let bytes = xmpi::wire::encode_vec(&m);
+        let back: Memory = xmpi::wire::decode_all(&bytes).unwrap();
+        assert_eq!(xmpi::wire::encode_vec(&back), bytes);
+        assert_eq!(back.selfs.keys().copied().collect::<Vec<_>>(), vec![5, 7]);
+        assert_eq!(back.held[&6][0].to_bits(), (-0.0f64).to_bits());
+        assert!(xmpi::wire::decode_all::<Memory>(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

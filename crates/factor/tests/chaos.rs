@@ -36,20 +36,15 @@ use xtrace::invariants::check_stats_equal;
 
 const RESIDUAL_TOL: f64 = 1e-12;
 
-/// Run `f` with the socket backend ambient (children re-execute this test
-/// binary filtered to the enclosing `#[test]` and replay its body).
-macro_rules! on_sockets {
-    ($f:expr) => {
-        xmpi::with_backend(
-            xmpi::launch::socket_backend_for_test(xmpi::test_path!()),
-            $f,
-        )
-    };
+/// Run `f` with the socket backend ambient: every world it opens forks one
+/// rank process per rank.
+fn on_sockets<T>(f: impl FnOnce() -> T) -> T {
+    xmpi::with_backend(xmpi::Backend::Socket, f)
 }
 
-/// Pin fast failure detection, once per process (parent and each
-/// re-executed child): 50 ms heartbeats, suspicion at 3 s — so a hung
-/// rank is declared dead in seconds instead of riding `CONFLUX_RECV_TIMEOUT_MS`.
+/// Pin fast failure detection, once per process (forked ranks inherit
+/// it): 50 ms heartbeats, suspicion at 3 s — so a hung rank is declared
+/// dead in seconds instead of riding `CONFLUX_RECV_TIMEOUT_MS`.
 fn chaos_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -125,7 +120,7 @@ fn conflux_chaos_seed_matrix_conformance() {
         with_failure_artifact(seed, &fault, || {
             let local_chaos = Arc::new(NetChaos::from_seed(seed, p));
             let local = xharness::run_chaos(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
-            let socket = on_sockets!(|| {
+            let socket = on_sockets(|| {
                 let chaos = Arc::new(NetChaos::from_seed(seed, p));
                 xharness::run_chaos(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
             });
@@ -225,7 +220,7 @@ fn conflux_reset_recovery_over_sockets() {
     let local_chaos = Arc::new(scripted(41));
     let local = xharness::run_chaos(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
     assert!(local_chaos.reset_fired(), "in-process reset never fired");
-    let socket = on_sockets!(|| {
+    let socket = on_sockets(|| {
         let chaos = Arc::new(scripted(41));
         xharness::run_chaos(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
     });
@@ -263,7 +258,7 @@ fn conflux_hung_rank_recovery_over_sockets() {
     };
 
     let started = Instant::now();
-    let socket = on_sockets!(|| {
+    let socket = on_sockets(|| {
         let chaos = Arc::new(
             NetChaos::new(NetChaosConfig {
                 seed: 43,
@@ -314,7 +309,7 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
         }))
     };
 
-    let socket = on_sockets!(|| {
+    let socket = on_sockets(|| {
         let chaos = noisy();
         xharness::run_chaos(&chaos, || conflux_lu(&cfg, &a).unwrap())
     });
@@ -330,7 +325,7 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
         "torn writes changed the ledger: {drift:?}"
     );
 
-    let out = on_sockets!(|| {
+    let out = on_sockets(|| {
         let chaos = noisy();
         xharness::run_chaos(&chaos, || {
             conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap()

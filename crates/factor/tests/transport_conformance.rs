@@ -18,21 +18,23 @@
 //!   `results/golden_volumes.json` entries byte-for-byte — the same keys
 //!   the in-process `golden_volumes` suite pins;
 //! * **perturbation invariance on sockets** (`XHARNESS_SEEDS` matrix):
-//!   injected delays and completion stalls replayed inside every child
-//!   rank must leave factors and traffic untouched, exactly as in-process;
+//!   injected delays and completion stalls drawn inside every forked rank
+//!   process must leave factors and traffic untouched, exactly as
+//!   in-process;
 //! * **crash recovery parity**: a planned mid-panel crash on the socket
 //!   backend (the victim's child process dies; the parent maps it to
-//!   `RankDead`) must restart, resume from the checkpoint ring, and land
-//!   on factors bitwise-equal to the in-process fault-tolerant path;
+//!   `RankDead`) must restart, resume from the same checkpoint epoch of
+//!   the ring, and land on factors bitwise-equal to the in-process
+//!   fault-tolerant path;
 //! * **typed input errors**: a mis-shaped matrix is rejected with
 //!   `dense::Error::ShapeMismatch` by every driver before any world is
-//!   launched, on either backend.
+//!   launched, on either backend;
+//! * **fork safety**: a socket world forked while another thread of the
+//!   launcher names phases and runs parallel GEMMs completes.
 //!
-//! What is deliberately *not* compared: `FtReport::resumed_from` (a
-//! parent-side diagnostic — the parent's checkpoint store is empty over
-//! sockets because checkpoints live in the rank processes) and the
-//! crashed attempt's byte counts (how many in-flight messages survivors
-//! drain before observing the poisoned world is a race on both backends).
+//! What is deliberately *not* compared: the crashed attempt's byte counts
+//! (how many in-flight messages survivors drain before observing the
+//! poisoned world is a race on both backends).
 
 use std::sync::Arc;
 
@@ -46,23 +48,18 @@ use factor::{
 };
 use std::path::PathBuf;
 use xharness::{
-    check_golden, golden_mode, run_perturbed, seeds, CrashPlan, PerturbConfig, Perturbator,
+    check_golden, golden_mode, run_perturbed, seeds, ConnectPlan, CrashPlan, NetChaos,
+    NetChaosConfig, PerturbConfig, Perturbator,
 };
 use xmpi::Grid3;
 use xtrace::invariants::check_stats_equal;
 
 const RESIDUAL_TOL: f64 = 1e-12;
 
-/// Run `f` with the socket backend ambient: worlds opened inside spawn one
-/// child process per rank, re-executing this test binary filtered to the
-/// enclosing `#[test]` (children replay the test body up to their world).
-macro_rules! on_sockets {
-    ($f:expr) => {
-        xmpi::with_backend(
-            xmpi::launch::socket_backend_for_test(xmpi::test_path!()),
-            $f,
-        )
-    };
+/// Run `f` with the socket backend ambient: every world it opens forks one
+/// rank process per rank.
+fn on_sockets<T>(f: impl FnOnce() -> T) -> T {
+    xmpi::with_backend(xmpi::Backend::Socket, f)
 }
 
 fn golden_path() -> PathBuf {
@@ -103,7 +100,7 @@ fn conflux_socket_matches_local_bitwise() {
         let a = random_matrix(n, n, 101);
 
         let local = lu(&cfg, &a).unwrap();
-        let socket = on_sockets!(|| lu(&cfg, &a).unwrap());
+        let socket = on_sockets(|| lu(&cfg, &a).unwrap());
 
         assert_eq!(
             socket.perm, local.perm,
@@ -134,7 +131,7 @@ fn confchox_socket_matches_local_bitwise() {
     let cfg = ConfchoxConfig::new(n, v, grid);
 
     let local = confchox_cholesky(&cfg, &a).unwrap();
-    let socket = on_sockets!(|| confchox_cholesky(&cfg, &a).unwrap());
+    let socket = on_sockets(|| confchox_cholesky(&cfg, &a).unwrap());
 
     assert_bitwise_equal(
         socket.l.as_ref().unwrap(),
@@ -158,7 +155,7 @@ fn mmm25d_socket_matches_local_bitwise() {
     let cfg = Mmm25dConfig::new(n, v, grid);
 
     let local = mmm25d(&cfg, &a, &b);
-    let socket = on_sockets!(|| mmm25d(&cfg, &a, &b));
+    let socket = on_sockets(|| mmm25d(&cfg, &a, &b));
 
     assert_bitwise_equal(
         socket.c.as_ref().unwrap(),
@@ -184,43 +181,38 @@ fn socket_volumes_match_committed_goldens() {
 
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
     let a = random_matrix(n, n, 101);
-    let out =
-        on_sockets!(|| conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap());
+    let out = on_sockets(|| conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap());
     check_golden(&path, "conflux-n64-v8-g2x2x2", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 
     let spd = random_spd(n, 202);
-    let out =
-        on_sockets!(
-            || confchox_cholesky(&ConfchoxConfig::new(n, v, grid).volume_only(), &spd).unwrap()
-        );
+    let out = on_sockets(|| {
+        confchox_cholesky(&ConfchoxConfig::new(n, v, grid).volume_only(), &spd).unwrap()
+    });
     check_golden(&path, "confchox-n64-v8-g2x2x2", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 
     let (n, v) = (48usize, 4usize);
     let ma = random_matrix(n, n, 303);
     let mb = random_matrix(n, n, 304);
-    let out = on_sockets!(|| mmm25d(&Mmm25dConfig::new(n, v, grid).volume_only(), &ma, &mb));
+    let out = on_sockets(|| mmm25d(&Mmm25dConfig::new(n, v, grid).volume_only(), &ma, &mb));
     check_golden(&path, "mmm25d-n48-v4-g2x2x2", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 
     let (n, v, flat) = (64usize, 8usize, Grid3::new(2, 2, 1));
-    let out =
-        on_sockets!(|| conflux_lu(&ConfluxConfig::new(n, v, flat).volume_only(), &a).unwrap());
+    let out = on_sockets(|| conflux_lu(&ConfluxConfig::new(n, v, flat).volume_only(), &a).unwrap());
     check_golden(&path, "conflux-n64-v8-g2x2x1", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 
     let grid = Grid3::new(2, 2, 2);
-    let out =
-        on_sockets!(|| lu25d_swap(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap());
+    let out = on_sockets(|| lu25d_swap(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap());
     check_golden(&path, "lu25d-swap-n64-v8-g2x2x2", &out.stats, golden_mode())
         .unwrap_or_else(|e| panic!("socket backend: {e}"));
 }
 
-/// `XHARNESS_SEEDS` perturbation matrix on the socket backend: each child
-/// rank re-arms the seed's perturbation plan while replaying the test
-/// body, so delays and completion stalls fire inside real processes —
-/// and must still change nothing. Default 2 seeds here (each socket world
+/// `XHARNESS_SEEDS` perturbation matrix on the socket backend: each forked
+/// rank carries the seed's perturbation plan, so delays and completion
+/// stalls fire inside real processes — and must still change nothing. Default 2 seeds here (each socket world
 /// is 8 processes); CI's conformance job sweeps more via `XHARNESS_SEEDS`.
 #[test]
 fn conflux_perturbed_seed_matrix_over_sockets() {
@@ -231,7 +223,7 @@ fn conflux_perturbed_seed_matrix_over_sockets() {
 
     for seed in seeds(2) {
         let cfg_seed = PerturbConfig::aggressive(seed);
-        let out = on_sockets!(|| run_perturbed(&cfg_seed, || conflux_lu(&cfg, &a).unwrap()));
+        let out = on_sockets(|| run_perturbed(&cfg_seed, || conflux_lu(&cfg, &a).unwrap()));
         assert_eq!(out.perm, base.perm, "seed {seed}: pivots diverged");
         assert_bitwise_equal(
             out.packed.as_ref().unwrap(),
@@ -249,14 +241,9 @@ fn conflux_perturbed_seed_matrix_over_sockets() {
 /// `RankDead`), the parent's restart loop re-runs the world, the ranks
 /// resume from the checkpoint ring — and the recovered factors are
 /// bitwise-identical to the in-process fault-tolerant path under the
-/// *same* plan.
-///
-/// `crash_fired()` is only asserted on the in-process run: over sockets
-/// the perturbator instance that fires lives in the victim's child
-/// process, not in the parent. `resumed_from` is likewise not compared —
-/// the parent's checkpoint store is empty by design (rank processes own
-/// their checkpoints), so that diagnostic reads 0 over sockets while the
-/// ranks themselves resume from the ring.
+/// *same* plan. The ranks' checkpoint memory comes home with their
+/// outcomes and the crash latch is shared with the forked victim, so the
+/// resume epochs and the fired latch agree across backends too.
 #[test]
 fn conflux_ft_crash_recovery_over_sockets() {
     let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
@@ -280,9 +267,11 @@ fn conflux_ft_crash_recovery_over_sockets() {
     assert!(local.report.restarts >= 1, "in-process: no restart");
 
     // The same plan over child processes.
-    let socket = on_sockets!(|| {
+    let socket = on_sockets(|| {
         let pert = Arc::new(Perturbator::new(PerturbConfig::new(7)).with_crash(plan));
-        xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap())
+        let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+        assert!(pert.crash_fired(), "socket: planned crash never fired");
+        out
     });
 
     assert_eq!(
@@ -292,6 +281,20 @@ fn conflux_ft_crash_recovery_over_sockets() {
     assert_eq!(
         socket.report.restarts, local.report.restarts,
         "restart count diverged across backends"
+    );
+    assert_eq!(
+        socket.report.resumed_from, local.report.resumed_from,
+        "resume epochs diverged across backends"
+    );
+    assert!(
+        local.report.resumed_from.iter().all(|&epoch| epoch > 0),
+        "recovery restarted from scratch: {:?}",
+        local.report.resumed_from
+    );
+    assert_eq!(
+        socket.report.recovery_bytes(),
+        local.report.recovery_bytes(),
+        "recovery traffic diverged across backends"
     );
     assert_eq!(socket.perm, base.perm, "socket recovery: pivots diverged");
     assert_bitwise_equal(
@@ -328,8 +331,8 @@ fn conflux_ft_crash_recovery_over_sockets() {
 
 /// A mis-shaped input is a typed error from every driver, raised before any
 /// world exists. Locally, armed hooks would see the first `phase` marker of
-/// any rank program; on the socket backend the launcher is pointed at a
-/// binary that does not exist, so a launch attempt would fail loudly.
+/// any rank program; on the socket backend every mesh dial is refused, so
+/// a world that did launch would come back `LaunchFailed` and fail loudly.
 #[test]
 fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -372,17 +375,65 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
         "a rank program ran on the local backend"
     );
 
-    let nowhere = xmpi::Backend::Socket(xmpi::SocketCfg {
-        exe: "/nonexistent/xmpi-rank".into(),
-        args: Vec::new(),
-    });
-    xmpi::with_backend(nowhere.clone(), every_driver);
-    assert_eq!(on_sockets!(|| conflux_lu(&lu, &a).err()), want);
+    let refuse_all = Arc::new(
+        NetChaos::new(NetChaosConfig::new(0)).with_connect(ConnectPlan {
+            dst: 0,
+            refuse_first: u64::MAX,
+            delay_us: 0,
+        }),
+    );
+    xharness::run_chaos(&refuse_all, || on_sockets(every_driver));
 
-    // A well-shaped input does reach the armed backend: pointed at nothing,
-    // the swap driver's world cannot start (cc38afc ran it on threads).
+    // A well-shaped input does reach the armed backend (cc38afc ran the
+    // swap driver on threads): its phases are named in forked rank
+    // processes, whose copies of the hooks count them, not this one's.
     let fine = random_matrix(n, n, 101);
-    let launch = || xmpi::with_backend(nowhere, || lu25d_swap(&lu, &fine));
-    let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(launch));
-    assert!(started.is_err(), "lu25d_swap ignored the socket backend");
+    let out = xmpi::with_hooks(phases.clone(), || {
+        on_sockets(|| lu25d_swap(&lu, &fine).unwrap())
+    });
+    assert!(out.stats.total_bytes_sent() > 0);
+    assert_eq!(
+        phases.0.load(Ordering::SeqCst),
+        0,
+        "lu25d_swap ran its ranks in the launching process"
+    );
+}
+
+/// Fork safety: a socket world forked while another thread of this process
+/// keeps naming phases and running parallel GEMMs — so that thread may hold
+/// any lock either takes at the instant of a fork — completes every time,
+/// its ranks naming phases and running parallel GEMMs themselves.
+#[test]
+fn socket_worlds_fork_safely_beside_busy_local_worlds() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let gemm = |c: &xmpi::Comm| {
+        c.set_phase("fork-safety");
+        let (a, b) = (random_matrix(128, 128, 5), random_matrix(128, 128, 6));
+        let mut out = Matrix::zeros(128, 128);
+        dense::par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, out.as_mut());
+        let mut sum = vec![out.data().iter().sum::<f64>()];
+        c.allreduce_sum(&mut sum);
+        sum[0]
+    };
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                xmpi::run(2, gemm);
+            }
+        });
+        let local = xmpi::run(2, gemm).results;
+        for round in 0..12 {
+            let out = on_sockets(|| xmpi::launch::run_ft(2, gemm));
+            assert!(out.crashed.is_empty(), "round {round}: {:?}", out.crashed);
+            for (rank, r) in out.results.iter().enumerate() {
+                assert_eq!(
+                    r.as_ref().ok(),
+                    Some(&local[rank]),
+                    "round {round}, rank {rank}"
+                );
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
 }

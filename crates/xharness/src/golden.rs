@@ -27,15 +27,7 @@ pub enum GoldenMode {
 
 /// Read the blessing switch: `GOLDEN_BLESS=1` in the environment selects
 /// [`GoldenMode::Bless`].
-///
-/// A socket-backend child rank never blesses, whatever the environment
-/// says: children inherit the parent's variables while replaying the test
-/// body, and p concurrent processes rewriting the same golden file would
-/// race (and a child's replayed worlds are not the measured run anyway).
 pub fn golden_mode() -> GoldenMode {
-    if xmpi::launch::is_child() {
-        return GoldenMode::Check;
-    }
     match std::env::var("GOLDEN_BLESS") {
         Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => GoldenMode::Bless,
         _ => GoldenMode::Check,

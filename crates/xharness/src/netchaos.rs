@@ -16,7 +16,9 @@
 //! The fatal plans ([`ResetPlan`], [`HangPlan`]) are **one-shot per
 //! instance**, like [`crate::CrashPlan`]: a fault-tolerant driver reuses
 //! the instance across the broken world and its checkpoint-restart, and
-//! the restarted world must run fault-free to completion. Torn-write
+//! the restarted world must run fault-free to completion. Their latches
+//! are [`SharedFlag`]s, so a plan that fires in a forked rank process
+//! reads as fired in the launcher and in every later world. Torn-write
 //! noise keeps flowing across restarts — it is observably benign by
 //! contract (the receiver reassembles split frames), so it must never
 //! change results, counts, or rosters.
@@ -28,9 +30,9 @@
 
 use crate::rng::{hash, unit_f64};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+use xmpi::launch::SharedFlag;
 use xmpi::{ConnectFault, NetFaults, WireFault};
 
 /// Decision-domain tags, disjoint from the [`crate::Perturbator`] domains
@@ -198,8 +200,8 @@ pub struct NetChaos {
     frame_seq: SeqTable<(usize, usize)>,
     /// Per-src counter of *all* outbound frames, for the hang plan.
     hang_seq: SeqTable<usize>,
-    reset: Option<(ResetPlan, AtomicBool)>,
-    hang: Option<(HangPlan, AtomicBool)>,
+    reset: Option<(ResetPlan, SharedFlag)>,
+    hang: Option<(HangPlan, SharedFlag)>,
     connect: Option<ConnectPlan>,
 }
 
@@ -219,14 +221,14 @@ impl NetChaos {
 
     /// Arm a one-shot [`ResetPlan`].
     pub fn with_reset(mut self, plan: ResetPlan) -> Self {
-        self.reset = Some((plan, AtomicBool::new(false)));
+        self.reset = Some((plan, SharedFlag::new()));
         self.mode = ChaosMode::Reset;
         self
     }
 
     /// Arm a one-shot [`HangPlan`].
     pub fn with_hang(mut self, plan: HangPlan) -> Self {
-        self.hang = Some((plan, AtomicBool::new(false)));
+        self.hang = Some((plan, SharedFlag::new()));
         self.mode = ChaosMode::Hang;
         self
     }
@@ -272,11 +274,10 @@ impl NetChaos {
         self.connect
     }
 
-    /// Has the armed reset plan fired yet (in this process)?
+    /// Has the armed reset plan fired yet (in this process or a rank
+    /// process forked from it)?
     pub fn reset_fired(&self) -> bool {
-        self.reset
-            .as_ref()
-            .is_some_and(|(_, fired)| fired.load(Ordering::SeqCst))
+        self.reset.as_ref().is_some_and(|(_, fired)| fired.is_set())
     }
 
     /// Uniform draw in `[0,1)` for a decision identity.
@@ -295,11 +296,7 @@ impl NetFaults for NetChaos {
         // firing frame is exact. Counters keep advancing after a latch
         // fires, so a restarted world's frame indices stay well-defined.
         if let Some((plan, fired)) = &self.reset {
-            if src == plan.src
-                && dst == plan.dst
-                && seq == plan.on_frame
-                && !fired.swap(true, Ordering::SeqCst)
-            {
+            if src == plan.src && dst == plan.dst && seq == plan.on_frame && fired.fire() {
                 let prefix =
                     (hash(&[self.cfg.seed, domain::RESET, 3, seq]) as usize) % frame_len.max(1);
                 return WireFault::Reset { prefix };
@@ -308,7 +305,7 @@ impl NetFaults for NetChaos {
         if let Some((plan, fired)) = &self.hang {
             if src == plan.victim {
                 let vseq = self.hang_seq.next(src);
-                if vseq == plan.after_frames && !fired.swap(true, Ordering::SeqCst) {
+                if vseq == plan.after_frames && fired.fire() {
                     return WireFault::Hang;
                 }
             }
@@ -433,7 +430,7 @@ mod tests {
         assert_eq!(c.wire_fault(1, 2, 64), WireFault::Deliver);
         assert_eq!(c.wire_fault(1, 0, 64), WireFault::Deliver);
         assert_eq!(c.wire_fault(1, 2, 64), WireFault::Hang);
-        assert!(c.hang.as_ref().unwrap().1.load(Ordering::SeqCst));
+        assert!(c.hang.as_ref().unwrap().1.is_set());
         for _ in 0..20 {
             assert_eq!(c.wire_fault(1, 0, 64), WireFault::Deliver);
         }

@@ -22,9 +22,9 @@
 
 use crate::rng::{hash, unit_f64};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+use xmpi::launch::SharedFlag;
 use xmpi::{CrashFate, SchedHooks, SendFate};
 
 /// Decision-domain tags, hashed into every decision so the same sequence
@@ -116,7 +116,9 @@ impl PerturbConfig {
 ///
 /// The plan fires **once per perturbator instance**: a fault-tolerant driver
 /// reuses the instance across the crashed world and its restart, and the
-/// restarted world must run fault-free to completion.
+/// restarted world must run fault-free to completion. The latch is a
+/// [`SharedFlag`], so this holds when the victim is a forked rank process
+/// too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// World rank to kill.
@@ -197,11 +199,11 @@ pub struct Perturbator {
     wait_seq: SeqTable<usize>,
     phase_seq: SeqTable<usize>,
     /// Armed crash plan plus its fired latch (one shot per instance).
-    crash: Option<(CrashPlan, AtomicBool)>,
+    crash: Option<(CrashPlan, SharedFlag)>,
     /// Victim's program-ordered send-attempt counter for the crash plan.
     crash_seq: SeqTable<usize>,
     /// Armed corruption plan plus its fired latch.
-    corrupt: Option<(CorruptPlan, AtomicBool)>,
+    corrupt: Option<(CorruptPlan, SharedFlag)>,
     /// Victim's counter of qualifying element sends for the corruption plan.
     corrupt_seq: SeqTable<usize>,
 }
@@ -227,29 +229,27 @@ impl Perturbator {
     /// untouched — a crash run differs from its fault-free twin *only* by
     /// the kill.
     pub fn with_crash(mut self, plan: CrashPlan) -> Self {
-        self.crash = Some((plan, AtomicBool::new(false)));
+        self.crash = Some((plan, SharedFlag::new()));
         self
     }
 
     /// Arm a one-shot [`CorruptPlan`] (same isolation as
     /// [`Perturbator::with_crash`]).
     pub fn with_corrupt(mut self, plan: CorruptPlan) -> Self {
-        self.corrupt = Some((plan, AtomicBool::new(false)));
+        self.corrupt = Some((plan, SharedFlag::new()));
         self
     }
 
     /// Has the armed crash plan fired yet?
     pub fn crash_fired(&self) -> bool {
-        self.crash
-            .as_ref()
-            .is_some_and(|(_, fired)| fired.load(Ordering::SeqCst))
+        self.crash.as_ref().is_some_and(|(_, fired)| fired.is_set())
     }
 
     /// Has the armed corruption plan fired yet?
     pub fn corrupt_fired(&self) -> bool {
         self.corrupt
             .as_ref()
-            .is_some_and(|(_, fired)| fired.load(Ordering::SeqCst))
+            .is_some_and(|(_, fired)| fired.is_set())
     }
 
     /// The config this perturbator draws from.
@@ -328,7 +328,7 @@ impl SchedHooks for Perturbator {
         // The counter keeps advancing after the kill so a restarted world's
         // send indices stay well-defined; the latch makes the plan one-shot.
         let seq = self.crash_seq.next(src);
-        if seq == plan.after_sends && !fired.swap(true, Ordering::SeqCst) {
+        if seq == plan.after_sends && fired.fire() {
             return CrashFate::Crash;
         }
         CrashFate::Survive
@@ -347,7 +347,7 @@ impl SchedHooks for Perturbator {
             return None;
         }
         let seq = self.corrupt_seq.next(src);
-        if seq != plan.on_send || fired.swap(true, Ordering::SeqCst) {
+        if seq != plan.on_send || !fired.fire() {
             return None;
         }
         let idx = hash(&[

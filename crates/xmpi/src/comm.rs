@@ -385,10 +385,10 @@ impl Shared {
             trace,
             hooks,
             liveness,
-            // Worlds are always built on the launching thread (including the
-            // socket backend's child processes, which rebuild the world on
-            // the replayed test-body thread), so the ambient thread-local
-            // plan is visible here.
+            // Worlds are always built on the launching thread (a socket
+            // world's rank process builds its share on its forked copy of
+            // that thread), so the ambient thread-local plan is visible
+            // here.
             net: crate::netfault::armed(),
         })
     }
@@ -440,7 +440,7 @@ impl Comm {
 
     /// Declare the active measurement phase for this rank; all subsequent
     /// traffic is attributed to it (Table 1's per-routine breakdown).
-    pub fn set_phase(&self, name: &str) {
+    pub fn set_phase(&self, name: &'static str) {
         self.set_phase_with_flops(name, 0);
     }
 
@@ -448,7 +448,7 @@ impl Comm {
     /// at the marker, so a trace can attribute computation (as first
     /// differences) to the span between consecutive markers. Untraced
     /// worlds ignore the count.
-    pub fn set_phase_with_flops(&self, name: &str, cum_flops: u64) {
+    pub fn set_phase_with_flops(&self, name: &'static str, cum_flops: u64) {
         let w = self.world_rank();
         if let Some(h) = &self.shared.hooks {
             hooks::stall(h.phase_stall(w, name));

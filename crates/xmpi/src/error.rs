@@ -49,16 +49,15 @@ pub enum XmpiError {
     /// [`XmpiError::RankDead`] so survivors can tell "my peer died" from
     /// "somebody died and the world is tearing down".
     WorldPoisoned,
-    /// A multi-process world could not be brought up: a child process would
-    /// not spawn, or the socket-mesh handshake to a peer exhausted its
-    /// bounded retry budget (see `XMPI_SPAWN_RETRIES` /
-    /// `XMPI_CONNECT_RETRIES`). The supervisor degrades to this typed error
-    /// instead of hanging or panicking, so a fault-tolerant driver can give
-    /// up cleanly.
+    /// A multi-process world could not be brought up: a rank process could
+    /// not be forked, or the socket-mesh handshake to a peer exhausted its
+    /// bounded retry budget (see `XMPI_CONNECT_RETRIES`). The launcher
+    /// degrades to this typed error instead of hanging or panicking, so a
+    /// fault-tolerant driver can give up cleanly.
     LaunchFailed {
         /// World rank that failed to come up (or to be reached).
         rank: usize,
-        /// Spawn/dial attempts made before giving up.
+        /// Fork/dial attempts made before giving up.
         attempts: u64,
     },
 }

@@ -4,18 +4,17 @@
 //! [`crate::run_ft`] that additionally honour an ambient [`Backend`]: under
 //! the default [`Backend::Local`] they delegate to the in-process thread
 //! launcher unchanged; under [`Backend::Socket`] the calling process
-//! becomes the *parent* of a multi-process world — it spawns one child
-//! process per rank (re-executing the current binary), the children wire a
-//! rank×rank UNIX-socket mesh (the `socket` module), run the same SPMD
-//! closure, and ship their [`Wire`]-encoded results and per-rank traffic
-//! statistics back over a control socket. A child that dies without
-//! reporting is mapped to [`XmpiError::RankDead`].
+//! becomes the *parent* of a multi-process world — it forks one child
+//! process per rank, the children wire a rank×rank UNIX-socket mesh (the
+//! `socket` module), run the SPMD closure, and ship their [`Wire`]-encoded
+//! results and per-rank traffic statistics back over a control socket. A
+//! child that dies without reporting is mapped to [`XmpiError::RankDead`].
 //!
 //! ## Launch and teardown
 //!
 //! Every wait on the way is a blocking call on an event, never a sleep:
 //!
-//! 1. The parent binds the control socket and spawns the children. Each
+//! 1. The parent binds the control socket and forks the children. Each
 //!    child binds its mesh listener, dials every lower rank (retrying a
 //!    dial that raced the sibling's `bind` after 100 µs, doubling) and
 //!    blocks in `accept` for every higher one; a watchdog thread parked
@@ -33,28 +32,39 @@
 //!    is missing died without reporting; past the world deadline, wedged
 //!    children are killed. One connection from the parent then wakes the
 //!    acceptor, which reads what is still queued and exits, and the
-//!    children are reaped with a blocking `wait`.
+//!    children are reaped with a blocking `waitpid`.
 //!
-//! ## Child re-execution
+//! ## Forked ranks
 //!
-//! The launcher uses the `rusty-fork` re-execution idiom: a child is the
-//! same binary, pointed back at the same code path (for a test binary, via
-//! libtest's `--exact <path>` filter — see [`crate::test_path!`]). The
-//! child replays the test deterministically: socket-backed worlds are
-//! numbered per thread in launch order, worlds *before* the child's target
-//! (`XMPI_WORLD_ID`) are executed locally in-process (bit-identical by the
-//! runtime's determinism), and at the target world the child joins the
-//! mesh as rank `XMPI_CHILD_RANK`, ships its result, and exits. Everything
-//! ambient — seeds, perturbation hooks armed by the test body, environment
-//! knobs like `CONFLUX_RECV_TIMEOUT_MS` — is therefore reconstructed
-//! inside the child by the same code that set it up in the parent, which
-//! is what keeps the two backends' schedules, byte counts, and hook
-//! decision streams identical.
+//! A rank process is a `fork` of the thread that called [`run`]/[`run_ft`]
+//! (the `rusty-fork` idiom without its re-execution). It already holds the
+//! closure, everything the closure captured and every ambient setting of
+//! that thread — armed hooks and chaos plans included — so it joins the
+//! mesh at once, runs the closure, ships its outcome and leaves with
+//! `_exit`: it never returns into the caller's code, runs no exit handlers
+//! and flushes no inherited stdio buffer. Its stdin and stdout are
+//! `/dev/null`. What a rank writes to its memory reaches the parent, and
+//! any later world, only through its shipped result — or through a
+//! [`SharedFlag`], a one-shot latch that lives in a shared page.
 //!
-//! Limitations: event tracing ([`crate::trace::capture`]) is not supported
-//! over the socket backend (it panics loudly), and socket worlds must be
-//! launched from the thread that owns the test body (world numbering is
-//! per-thread).
+//! **Fork safety.** The child has one thread, a copy of the forking one; a
+//! lock any other thread of the parent held at that instant stays held in
+//! the child forever. So nothing a rank process runs may take a
+//! process-global lock that another thread can hold:
+//!
+//! * phase labels are the callers' `&'static str`s, so naming a phase takes
+//!   no process-wide table;
+//! * the rayon shim keys its pool by process id, so a child starts its own
+//!   instead of queueing on its parent's;
+//! * the launcher, socket and receive knobs are read from the environment
+//!   by the parent before its first fork and reach the child cached;
+//! * every child is forked before the parent starts the world's acceptor
+//!   thread.
+//!
+//! (libc's own fork handlers keep `malloc` usable in the child.)
+//!
+//! Limitation: event tracing ([`crate::trace::capture`]) is not supported
+//! over the socket backend (it panics loudly).
 
 use crate::comm::{Comm, Shared};
 use crate::error::XmpiError;
@@ -66,41 +76,32 @@ use crate::trace;
 use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind, Wire};
 use crate::world::{FtResult, WorldResult};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::ffi::{c_int, c_void};
 use std::io::Write as _;
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How a [`Backend::Socket`] child process is started.
-#[derive(Debug, Clone)]
-pub struct SocketCfg {
-    /// Binary to execute (normally [`std::env::current_exe`]).
-    pub exe: PathBuf,
-    /// Arguments steering the child back to the same launch site.
-    pub args: Vec<String>,
-}
-
 /// Which transport [`run`]/[`run_ft`] use.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Ranks are threads of this process (the default).
     #[default]
     Local,
-    /// Ranks are child processes joined by a UNIX-socket mesh.
-    Socket(SocketCfg),
+    /// Ranks are processes forked from the launching thread, joined by a
+    /// UNIX-socket mesh.
+    Socket,
 }
 
 thread_local! {
-    static BACKEND: RefCell<Backend> = const { RefCell::new(Backend::Local) };
-    /// Per-thread socket-world launch counter — the world id a child uses
-    /// to find its target launch while replaying the test body.
-    static WORLD_SEQ: Cell<u64> = const { Cell::new(0) };
+    static BACKEND: Cell<Backend> = const { Cell::new(Backend::Local) };
 }
 
 /// Process-global launch counter, only for unique scratch-directory names.
@@ -110,23 +111,6 @@ static LAUNCH_DIRS: AtomicU64 = AtomicU64::new(0);
 /// its children (all exited? past the world deadline?). A world whose
 /// reports keep arriving never pays that look.
 const COLLECT_IDLE: Duration = Duration::from_millis(10);
-
-/// Child-spawn attempt budget (`XMPI_SPAWN_RETRIES`, default 4). Read once
-/// per process.
-fn spawn_retries() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| crate::socket::env_u64("XMPI_SPAWN_RETRIES", 4).max(1))
-}
-
-/// Capped exponential backoff before spawn attempt `attempt + 1`:
-/// `min(10 ms << attempt, 500 ms)`. Pure so the schedule is unit-testable.
-fn spawn_backoff(attempt: u64) -> Duration {
-    let ms = 10u64
-        .checked_shl(u32::try_from(attempt).unwrap_or(u32::MAX))
-        .unwrap_or(u64::MAX)
-        .min(500);
-    Duration::from_millis(ms)
-}
 
 /// Whole-world wall-clock budget in the parent's reap loop
 /// (`XMPI_WORLD_DEADLINE_MS`, default 300000 ms; `0` disables). A world
@@ -150,74 +134,18 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     struct Restore(Backend);
     impl Drop for Restore {
         fn drop(&mut self) {
-            BACKEND.with(|b| *b.borrow_mut() = std::mem::take(&mut self.0));
+            BACKEND.with(|b| b.set(self.0));
         }
     }
-    let prev = BACKEND.with(|b| std::mem::replace(&mut *b.borrow_mut(), backend));
-    let _restore = Restore(prev);
+    let _restore = Restore(BACKEND.with(|b| b.replace(backend)));
     f()
 }
 
-/// The [`Backend::Socket`] configuration for a `#[test]` body: children
-/// re-execute the current test binary filtered to exactly this test.
-/// Obtain `test_path` with [`crate::test_path!`].
-pub fn socket_backend_for_test(test_path: &str) -> Backend {
-    let exe = std::env::current_exe().expect("current_exe for socket backend");
-    Backend::Socket(SocketCfg {
-        exe,
-        args: vec![
-            "--exact".into(),
-            test_path.into(),
-            "--nocapture".into(),
-            "--test-threads=1".into(),
-        ],
-    })
-}
-
-/// The [`Backend::Socket`] configuration for a plain binary (not a test):
-/// children re-execute the current binary with the same arguments. The
-/// binary's `main` must reach the same launch call deterministically.
+/// [`Backend::Socket`]. The name is from the time rank processes
+/// re-executed the binary; the benchmark package calls this function by
+/// it, so it stays.
 pub fn socket_backend_reexec() -> Backend {
-    let exe = std::env::current_exe().expect("current_exe for socket backend");
-    Backend::Socket(SocketCfg {
-        exe,
-        args: std::env::args().skip(1).collect(),
-    })
-}
-
-/// Is this process a socket-backend child rank?
-pub fn is_child() -> bool {
-    std::env::var_os("XMPI_CHILD_RANK").is_some()
-}
-
-/// The rank this child process plays, if [`is_child`].
-fn child_rank() -> Option<usize> {
-    std::env::var("XMPI_CHILD_RANK").ok()?.parse().ok()
-}
-
-/// Resolve the source path of the enclosing `#[test]` function for
-/// [`socket_backend_for_test`] — the name libtest's `--exact` filter
-/// matches (module path without the crate segment). Trailing `{{closure}}`
-/// segments are stripped, so the macro also resolves correctly from inside
-/// helper closures (retry wrappers, failure-artifact guards) nested in the
-/// test body.
-#[macro_export]
-macro_rules! test_path {
-    () => {{
-        fn f() {}
-        fn type_name_of<T>(_: &T) -> &'static str {
-            ::std::any::type_name::<T>()
-        }
-        let name = type_name_of(&f);
-        let mut name = name.strip_suffix("::f").unwrap_or(name);
-        while let Some(outer) = name.strip_suffix("::{{closure}}") {
-            name = outer;
-        }
-        match name.find("::") {
-            Some(i) => &name[i + 2..],
-            None => name,
-        }
-    }};
+    Backend::Socket
 }
 
 /// What a child ships back on the control socket (alongside its
@@ -229,8 +157,8 @@ enum Shipped<R> {
     Err(XmpiError),
     /// The rank suffered an injected crash ([`crate::hooks::CrashFate`]).
     Crashed { rank: usize },
-    /// The rank hit a genuine panic (details on the child's stderr).
-    Panicked,
+    /// The rank hit a genuine panic; its message.
+    Panicked(String),
 }
 
 impl<R: Wire> Wire for Shipped<R> {
@@ -248,7 +176,10 @@ impl<R: Wire> Wire for Shipped<R> {
                 out.push(2);
                 rank.encode(out);
             }
-            Shipped::Panicked => out.push(3),
+            Shipped::Panicked(msg) => {
+                out.push(3);
+                msg.encode(out);
+            }
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
@@ -258,7 +189,7 @@ impl<R: Wire> Wire for Shipped<R> {
             2 => Ok(Shipped::Crashed {
                 rank: usize::decode(input)?,
             }),
-            3 => Ok(Shipped::Panicked),
+            3 => Ok(Shipped::Panicked(String::decode(input)?)),
             b => Err(XmpiError::Truncated {
                 expected: 3,
                 got: b as usize,
@@ -281,10 +212,10 @@ where
     R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    match current_backend() {
+    match BACKEND.with(Cell::get) {
         Backend::Local => crate::world::run(p, f),
-        Backend::Socket(cfg) => {
-            let out = socket_world(&cfg, p, f);
+        Backend::Socket => {
+            let out = socket_world(p, f);
             let results = out
                 .results
                 .into_iter()
@@ -310,8 +241,8 @@ where
 ///
 /// One behavioural difference from the in-process backend: a *genuine*
 /// panic on a rank (not a fault sentinel) cannot cross the process
-/// boundary, so it surfaces as a parent panic naming the rank instead of
-/// re-raising the original payload (the child's stderr has the details).
+/// boundary as a payload, so it surfaces as a parent panic that names the
+/// rank and carries the rank's panic message.
 ///
 /// # Panics
 /// If `p == 0`, a rank panics with a non-sentinel payload, or tracing is
@@ -321,77 +252,213 @@ where
     R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    match current_backend() {
+    match BACKEND.with(Cell::get) {
         Backend::Local => crate::world::run_ft(p, f),
-        Backend::Socket(cfg) => socket_world(&cfg, p, f),
+        Backend::Socket => socket_world(p, f),
     }
 }
 
-fn current_backend() -> Backend {
-    BACKEND.with(|b| b.borrow().clone())
+/// The few libc calls the launcher makes; std links libc already. The
+/// constants are Linux's.
+mod sys {
+    use std::ffi::{c_int, c_void};
+
+    pub(super) const SIGKILL: c_int = 9;
+    pub(super) const WNOHANG: c_int = 1;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const PROT_WRITE: c_int = 2;
+    pub(super) const MAP_SHARED: c_int = 1;
+    pub(super) const MAP_ANONYMOUS: c_int = 0x20;
+
+    extern "C" {
+        pub(super) fn fork() -> c_int;
+        pub(super) fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
+        pub(super) fn kill(pid: c_int, sig: c_int) -> c_int;
+        pub(super) fn _exit(status: c_int) -> !;
+        pub(super) fn dup2(old: c_int, new: c_int) -> c_int;
+        pub(super) fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
 }
 
-/// Run one socket-backed world: dispatch on whether this process is the
-/// parent (spawn children, collect) or a child (replay to the target
-/// world, participate, ship, exit).
-fn socket_world<R, F>(cfg: &SocketCfg, p: usize, f: F) -> FtResult<R>
-where
-    R: Wire + Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    assert!(p > 0, "world must have at least one rank");
-    assert!(
-        trace::capture_config().is_none(),
-        "event tracing is not supported on the socket backend \
-         (trace capture is armed); run this world on Backend::Local"
-    );
-    let world_id = WORLD_SEQ.with(|s| {
-        let id = s.get();
-        s.set(id + 1);
-        id
-    });
-    if let Some(my_rank) = child_rank() {
-        let target: u64 = std::env::var("XMPI_WORLD_ID")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .expect("child process carries XMPI_WORLD_ID");
-        if world_id != target {
-            // An earlier (or later) world of the same test body: replay it
-            // in-process so the surrounding code sees identical results and
-            // deterministically reaches the target launch.
-            return crate::world::run_ft(p, f);
+/// A forked rank process. Once reaped, its pid may name another process,
+/// so it is never waited on or signalled again.
+struct RankProc {
+    pid: c_int,
+    reaped: bool,
+}
+
+impl RankProc {
+    /// Reap the child if it has exited; whether it has.
+    fn try_reap(&mut self) -> bool {
+        if !self.reaped {
+            let mut status = 0;
+            // SAFETY: `pid` is an unreaped child of this process and
+            // `status` a valid out-pointer. `-1` (no such child) counts as
+            // reaped, so the pid is not touched again.
+            self.reaped = unsafe { sys::waitpid(self.pid, &mut status, sys::WNOHANG) } != 0;
         }
-        let world_size: usize = std::env::var("XMPI_WORLD_SIZE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .expect("child process carries XMPI_WORLD_SIZE");
-        assert_eq!(
-            world_size, p,
-            "child reached world {world_id} with size {p}, parent launched size {world_size}: \
-             the replayed test body diverged"
-        );
-        child_world(p, my_rank, &f);
+        self.reaped
     }
-    parent_world(cfg, p, world_id)
+
+    /// Block until the child has exited, and reap it.
+    fn wait(&mut self) {
+        while !self.reaped {
+            let mut status = 0;
+            // SAFETY: as in `try_reap`.
+            let r = unsafe { sys::waitpid(self.pid, &mut status, 0) };
+            self.reaped = r != -1
+                || std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted;
+        }
+    }
+
+    /// Kill the child and reap it.
+    fn kill(&mut self) {
+        if !self.reaped {
+            // SAFETY: an unreaped child's pid cannot have been reused, so
+            // the signal reaches our child and nothing else.
+            unsafe { sys::kill(self.pid, sys::SIGKILL) };
+        }
+        self.wait();
+    }
 }
 
-/// Child side: join the mesh as `my_rank`, run the rank program, ship the
-/// outcome and stats on the control socket, and exit the process.
-fn child_world<R, F>(p: usize, my_rank: usize, f: &F) -> !
+/// Fork a rank process that runs `body` and leaves with `_exit` — status
+/// 0, or 101 if `body` panicked. The child never unwinds into the caller.
+fn fork_rank(body: impl FnOnce()) -> std::io::Result<RankProc> {
+    // SAFETY: the child runs only `body`, on its copy of this thread, and
+    // leaves through `_exit`; the module docs ("Fork safety") list what
+    // keeps `body` off locks that other threads of the parent held.
+    match unsafe { sys::fork() } {
+        -1 => Err(std::io::Error::last_os_error()),
+        0 => {
+            let ok = catch_unwind(AssertUnwindSafe(|| {
+                quiet_stdio();
+                body();
+            }))
+            .is_ok();
+            // SAFETY: ends this child without running destructors or exit
+            // handlers, so nothing of the caller's runs twice.
+            unsafe { sys::_exit(if ok { 0 } else { 101 }) }
+        }
+        pid => Ok(RankProc { pid, reaped: false }),
+    }
+}
+
+/// Point the child's stdin and stdout at `/dev/null`, so that whatever a
+/// rank prints cannot mix with a caller that reports on stdout.
+fn quiet_stdio() {
+    if let Ok(null) = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open("/dev/null")
+    {
+        for fd in [0, 1] {
+            // SAFETY: duplicates an open descriptor onto a standard one.
+            unsafe { sys::dup2(null.as_raw_fd(), fd) };
+        }
+    }
+}
+
+/// A one-shot flag that the rank processes of socket worlds share with the
+/// process that made it: it lives in its own `MAP_SHARED` page, so once a
+/// forked rank sets it, it reads as set in the parent and in every world
+/// forked later. `xharness` latches its one-shot fault plans on it, so a
+/// planned fault fires once per plan on either backend.
+pub struct SharedFlag(NonNull<AtomicBool>);
+
+// SAFETY: the one field points at an atomic in a mapping that lives until
+// drop, and every access to it is an atomic operation.
+unsafe impl Send for SharedFlag {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for SharedFlag {}
+
+impl SharedFlag {
+    /// An unset flag on a fresh shared page.
+    ///
+    /// # Panics
+    /// If the page cannot be mapped.
+    pub fn new() -> SharedFlag {
+        // SAFETY: a fresh anonymous mapping; no existing memory is touched.
+        let page = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                std::mem::size_of::<AtomicBool>(),
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_SHARED | sys::MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert_ne!(
+            page as usize,
+            usize::MAX,
+            "map a shared flag: {}",
+            std::io::Error::last_os_error()
+        );
+        // An anonymous page is zeroed, and a zero byte is an unset flag.
+        SharedFlag(NonNull::new(page.cast()).expect("mmap returns a non-null page"))
+    }
+
+    /// Set the flag; whether this call was the one that set it.
+    pub fn fire(&self) -> bool {
+        !self.flag().swap(true, Ordering::SeqCst)
+    }
+
+    /// Whether the flag is set.
+    pub fn is_set(&self) -> bool {
+        self.flag().load(Ordering::SeqCst)
+    }
+
+    fn flag(&self) -> &AtomicBool {
+        // SAFETY: the pointer is into the mapping made by `new`, which is
+        // unmapped only by `drop`.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl Default for SharedFlag {
+    fn default() -> Self {
+        SharedFlag::new()
+    }
+}
+
+impl Drop for SharedFlag {
+    fn drop(&mut self) {
+        // SAFETY: unmaps the mapping `new` made, once; no reference into
+        // it outlives `self`.
+        unsafe {
+            sys::munmap(
+                self.0.as_ptr().cast::<c_void>(),
+                std::mem::size_of::<AtomicBool>(),
+            )
+        };
+    }
+}
+
+/// Child side: join the mesh as `my_rank`, run the rank program, and ship
+/// the outcome and stats on the control socket.
+fn child_world<R, F>(dir: &Path, p: usize, my_rank: usize, f: &F)
 where
     R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let dir = PathBuf::from(std::env::var_os("XMPI_DIR").expect("child process carries XMPI_DIR"));
     let liveness = Arc::new(Liveness::new(p));
-    let transport = match SocketTransport::connect(&dir, my_rank, p, liveness.clone()) {
+    let transport = match SocketTransport::connect(dir, my_rank, p, liveness.clone()) {
         Ok(t) => t,
         Err(e) => {
             // Graceful launch degradation: the mesh never came up within
             // the bounded dial/accept budget. Report the typed failure to
             // the parent instead of panicking the child.
-            ship_result::<R>(&dir, my_rank, &Shipped::Err(e), &RankStats::default(), &[]);
-            std::process::exit(0);
+            ship_result::<R>(dir, my_rank, &Shipped::Err(e), &RankStats::default(), &[]);
+            return;
         }
     };
     let shared = Shared::build_with(
@@ -412,16 +479,15 @@ where
             } else if let Some(pu) = payload.downcast_ref::<PoisonUnwind>() {
                 (Shipped::Err(pu.0), false)
             } else {
-                // Print the genuine panic before tearing down, then tell
-                // the peers (Crash) so they fail fast instead of timing
-                // out, and the parent (Panicked) so it re-raises loudly.
+                // A genuine panic: tell the peers (Crash) so they fail fast
+                // instead of timing out, and the parent (its message) so it
+                // re-raises loudly.
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(ToString::to_string)
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic payload>".into());
-                eprintln!("xmpi child rank {my_rank}: rank program panicked: {msg}");
-                (Shipped::Panicked, true)
+                (Shipped::Panicked(msg), true)
             }
         }
     };
@@ -433,16 +499,13 @@ where
     // child's view — mirroring the in-process backend, where the roster is
     // read straight off the shared liveness registry.
     let dead = shared.liveness.dead_ranks();
-    ship_result(&dir, my_rank, &shipped, &stats, &dead);
-    // Never return into the replayed test body: this process's only job
-    // was to play rank `my_rank` of the target world.
-    std::process::exit(0);
+    ship_result(dir, my_rank, &shipped, &stats, &dead);
 }
 
 /// Connect the control socket and ship `(outcome, stats, dead roster)` to
 /// the parent.
 fn ship_result<R: Wire>(
-    dir: &std::path::Path,
+    dir: &Path,
     my_rank: usize,
     shipped: &Shipped<R>,
     stats: &RankStats,
@@ -467,48 +530,24 @@ fn ship_result<R: Wire>(
 /// stats, and the child's view of the dead-rank roster.
 type Outcome<R> = (Shipped<R>, RankStats, Vec<usize>);
 
-/// Spawn one child rank under the bounded backoff supervisor
-/// (`XMPI_SPAWN_RETRIES` attempts, [`spawn_backoff`] between them).
-/// Returns the attempts made on exhaustion.
-fn spawn_child(
-    cfg: &SocketCfg,
-    rank: usize,
-    p: usize,
-    world_id: u64,
-    dir: &Path,
-) -> Result<Child, u64> {
-    let budget = spawn_retries();
-    for attempt in 0..budget {
-        match Command::new(&cfg.exe)
-            .args(&cfg.args)
-            .env("XMPI_CHILD_RANK", rank.to_string())
-            .env("XMPI_WORLD_SIZE", p.to_string())
-            .env("XMPI_WORLD_ID", world_id.to_string())
-            .env("XMPI_DIR", dir)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-        {
-            Ok(child) => return Ok(child),
-            Err(e) => {
-                eprintln!(
-                    "xmpi launch: spawn child rank {rank} ({:?}) attempt {}/{budget}: {e}",
-                    cfg.exe,
-                    attempt + 1
-                );
-                if attempt + 1 < budget {
-                    std::thread::sleep(spawn_backoff(attempt));
-                }
-            }
-        }
-    }
-    Err(budget)
-}
-
-/// Parent side: spawn one child per rank (supervised, bounded backoff),
+/// Parent side of one socket-backed world: fork one child per rank,
 /// collect the outcomes they ship on the control socket as they arrive,
 /// reap them, and assemble the world result.
-fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtResult<R> {
+fn socket_world<R, F>(p: usize, f: F) -> FtResult<R>
+where
+    R: Wire + Send,
+    F: Fn(&Comm) -> R + Sync,
+{
+    assert!(p > 0, "world must have at least one rank");
+    assert!(
+        trace::capture_config().is_none(),
+        "event tracing is not supported on the socket backend \
+         (trace capture is armed); run this world on Backend::Local"
+    );
+    // Every knob a child reads is cached before the first fork.
+    let deadline = world_deadline().map(|d| Instant::now() + d);
+    crate::socket::read_knobs();
+    crate::comm::recv_timeout();
     clean_stale_launch_dirs();
     let dir = std::env::temp_dir().join(format!(
         "xmpi-{}-{}",
@@ -519,18 +558,19 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
     let ctl_path = dir.join("ctl.sock");
     let ctl = UnixListener::bind(&ctl_path).expect("bind control socket");
 
-    let mut children: Vec<Child> = Vec::with_capacity(p);
+    let mut children: Vec<RankProc> = Vec::with_capacity(p);
     for rank in 0..p {
-        match spawn_child(cfg, rank, p, world_id, &dir) {
+        match fork_rank(|| child_world(&dir, p, rank, &f)) {
             Ok(child) => children.push(child),
-            Err(attempts) => {
+            Err(e) => {
                 // Graceful degradation: kill whatever came up, clean the
                 // mesh directory, and give every rank the typed launch
-                // failure — never a panic, never a half-spawned world left
+                // failure — never a panic, never a half-forked world left
                 // running.
+                eprintln!("xmpi launch: fork rank {rank}: {e}");
                 kill_all(&mut children);
                 let _ = std::fs::remove_dir_all(&dir);
-                let e = XmpiError::LaunchFailed { rank, attempts };
+                let e = XmpiError::LaunchFailed { rank, attempts: 1 };
                 return FtResult {
                     results: (0..p).map(|_| Err(e)).collect(),
                     stats: WorldStats {
@@ -556,7 +596,6 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
     // Either way every child connection is queued before `done` is set,
     // and one connection from this thread wakes the acceptor for exit.
     let mut outcomes: Vec<Option<Outcome<R>>> = (0..p).map(|_| None).collect();
-    let deadline = world_deadline().map(|d| Instant::now() + d);
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel();
@@ -573,7 +612,7 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
                 Err(RecvTimeoutError::Timeout) => {
                     let alive = children
                         .iter_mut()
-                        .map(|c| !matches!(c.try_wait(), Ok(Some(_))))
+                        .map(|c| !c.try_reap())
                         .filter(|&running| running)
                         .count();
                     if alive == 0 {
@@ -581,8 +620,8 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
                     }
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         eprintln!(
-                            "xmpi launch: world {world_id} exceeded XMPI_WORLD_DEADLINE_MS with \
-                             {alive} child process(es) wedged; killing them"
+                            "xmpi launch: a {p}-rank world exceeded XMPI_WORLD_DEADLINE_MS \
+                             with {alive} child process(es) wedged; killing them"
                         );
                         kill_all(&mut children);
                         break;
@@ -606,7 +645,7 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
     // Every child has reported or exited, or was killed: `wait` does not
     // block for long.
     for child in &mut children {
-        let _ = child.wait();
+        child.wait();
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -631,8 +670,8 @@ fn parent_world<R: Wire + Send>(cfg: &SocketCfg, p: usize, world_id: u64) -> FtR
                 results.push(Err(XmpiError::RankDead { rank: dead_rank }));
                 stats.push(rs);
             }
-            Some((Shipped::Panicked, _, _)) => {
-                panic!("rank {rank} panicked in its child process (see its stderr above)");
+            Some((Shipped::Panicked(msg), _, _)) => {
+                panic!("rank {rank} panicked in its child process: {msg}");
             }
             None => {
                 // Died without reporting: a hard kill, a startup failure,
@@ -706,10 +745,9 @@ fn pid_is_dead(pid: u32) -> bool {
 }
 
 /// Kill and reap every child.
-fn kill_all(children: &mut [Child]) {
+fn kill_all(children: &mut [RankProc]) {
     for child in children {
-        let _ = child.kill();
-        let _ = child.wait();
+        child.kill();
     }
 }
 
@@ -767,24 +805,6 @@ fn read_report<R: Wire>(
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_path_strips_crate_and_fn() {
-        // This test lives at xmpi::launch::tests::test_path_strips_crate_and_fn.
-        let p = crate::test_path!();
-        assert_eq!(p, "launch::tests::test_path_strips_crate_and_fn");
-    }
-
-    #[test]
-    fn spawn_backoff_is_capped_exponential() {
-        use super::spawn_backoff;
-        use std::time::Duration;
-        assert_eq!(spawn_backoff(0), Duration::from_millis(10));
-        assert_eq!(spawn_backoff(1), Duration::from_millis(20));
-        assert_eq!(spawn_backoff(5), Duration::from_millis(320));
-        assert_eq!(spawn_backoff(6), Duration::from_millis(500));
-        assert_eq!(spawn_backoff(u64::MAX), Duration::from_millis(500));
-    }
-
-    #[test]
     fn stale_dir_names_parse_conservatively() {
         use super::stale_dir_pid;
         assert_eq!(stale_dir_pid("xmpi-1234-0"), Some(1234));
@@ -826,16 +846,19 @@ mod tests {
     #[test]
     fn backend_ambient_restores() {
         use super::*;
-        assert!(matches!(current_backend(), Backend::Local));
-        with_backend(
-            Backend::Socket(SocketCfg {
-                exe: PathBuf::from("/bin/true"),
-                args: vec![],
-            }),
-            || {
-                assert!(matches!(current_backend(), Backend::Socket(_)));
-            },
-        );
-        assert!(matches!(current_backend(), Backend::Local));
+        let current = || BACKEND.with(Cell::get);
+        assert_eq!(current(), Backend::Local);
+        with_backend(Backend::Socket, || assert_eq!(current(), Backend::Socket));
+        assert_eq!(current(), Backend::Local);
+    }
+
+    #[test]
+    fn a_shared_flag_set_in_a_forked_child_reads_set_in_the_parent() {
+        use super::*;
+        let flag = SharedFlag::new();
+        let mut child = fork_rank(|| assert!(flag.fire())).expect("fork");
+        child.wait();
+        assert!(flag.is_set(), "the child's write must reach the parent");
+        assert!(!flag.fire(), "one shot: already fired");
     }
 }

@@ -89,9 +89,9 @@
 //! refused or delayed mesh dials. On the socket backend the faults are
 //! executed literally on the wire; a heartbeat failure detector
 //! (`XMPI_HEARTBEAT_MS` / `XMPI_SUSPECT_MS`) classifies hung peers as
-//! [`XmpiError::RankDead`], and the launch supervisor bounds every spawn and
-//! dial with capped exponential backoff, degrading to a typed
-//! [`XmpiError::LaunchFailed`] instead of a hang or a panic. The `xharness`
+//! [`XmpiError::RankDead`], and every mesh dial is bounded by capped
+//! exponential backoff, degrading to a typed [`XmpiError::LaunchFailed`]
+//! instead of a hang or a panic. The `xharness`
 //! crate derives whole fault plans from a single seed (`NetChaos`) so any
 //! failing chaos run replays exactly.
 
@@ -125,7 +125,8 @@ pub use comm::{Comm, Payload};
 pub use error::XmpiError;
 pub use grid::{Grid2, Grid3};
 pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate};
-pub use launch::{with_backend, Backend, SocketCfg};
+pub use launch::{with_backend, Backend};
+pub use liveness::catch_poison;
 pub use netfault::{with_net_faults, ConnectFault, NetFaults, WireFault};
 pub use request::{wait_all, RecvRequest, Request, SendRequest, WaitPolicy, WaitTimeout};
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};

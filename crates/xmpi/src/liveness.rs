@@ -79,6 +79,20 @@ pub(crate) fn unwind_with(sentinel: impl std::any::Any + Send) -> ! {
     std::panic::resume_unwind(Box::new(sentinel))
 }
 
+/// Run `f` — part of a rank program — with a poisoned world's unwind
+/// caught as the typed error it carries, so the rank can still return what
+/// it holds (`factor::ft` returns its checkpoint memory this way). A crash
+/// sentinel and genuine panics keep unwinding to the launcher.
+pub fn catch_poison<T>(f: impl FnOnce() -> T) -> Result<T, XmpiError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(v) => Ok(v),
+        Err(payload) => match payload.downcast::<PoisonUnwind>() {
+            Ok(poison) => Err(poison.0),
+            Err(other) => std::panic::resume_unwind(other),
+        },
+    }
+}
+
 /// Unwind payload of the crashing rank itself.
 pub(crate) struct CrashUnwind {
     pub(crate) rank: usize,

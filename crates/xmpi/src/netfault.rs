@@ -38,8 +38,9 @@
 //!
 //! Arming mirrors [`crate::hooks::with_hooks`]: [`with_net_faults`] arms a
 //! thread-local slot that every world launched inside the closure picks up,
-//! including worlds launched deep inside factorization drivers and the
-//! replayed test body of a socket-backend child process.
+//! including worlds launched deep inside factorization drivers; a
+//! socket-backend rank process, forked from the launching thread, holds a
+//! copy of the slot.
 
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -1,10 +1,11 @@
 //! Multi-process socket transport: ranks are OS processes joined by a
 //! rank×rank UNIX-domain socket mesh.
 //!
-//! Topology: every rank binds a listener at `$XMPI_DIR/rank_<r>.sock`;
-//! rank `s` *connects* to every lower rank `r < s` (opening the connection
-//! with a `Hello` frame naming itself) and *accepts* one connection from
-//! every higher rank. Each pair shares one duplex stream.
+//! Topology: every rank binds a listener at `rank_<r>.sock` in the world's
+//! scratch directory; rank `s` *connects* to every lower rank `r < s`
+//! (opening the connection with a `Hello` frame naming itself) and
+//! *accepts* one connection from every higher rank. Each pair shares one
+//! duplex stream.
 //!
 //! Per peer, two service threads preserve the shared layer's contracts:
 //!
@@ -105,6 +106,16 @@ fn handshake_timeout() -> Duration {
     static CACHE: OnceLock<Duration> = OnceLock::new();
     *CACHE
         .get_or_init(|| Duration::from_millis(env_u64("XMPI_HANDSHAKE_TIMEOUT_MS", 30_000).max(1)))
+}
+
+/// Read every knob of this module now. The launcher calls this before it
+/// forks, so a rank process finds them cached and never reads the
+/// environment, whose lock another thread of the launcher may hold.
+pub(crate) fn read_knobs() {
+    heartbeat_ms();
+    suspect_ms();
+    connect_retries();
+    handshake_timeout();
 }
 
 /// Parse an environment knob as `u64` (trimmed); unset or junk means

@@ -10,7 +10,8 @@
 //! The record path is lock-free: the active phase is an index into a
 //! preallocated slab of atomic slots, so `record_send`/`record_recv` are a
 //! handful of relaxed `fetch_add`s. Only `Counters::set_phase` (cold, a
-//! few calls per factorization step) takes a lock, to intern the label.
+//! few calls per factorization step) takes a lock — the rank's own — to
+//! find the label's slot.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -20,27 +21,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// fewer than ten; the slab is preallocated so the record path can index it
 /// without locking.
 const MAX_PHASES: usize = 64;
-
-/// The process-wide copy of the phase label `name`. Schedules name a
-/// handful of phases and every rank of every world names the same ones, so
-/// a label is stored once, the first time any rank uses it, and never freed.
-///
-/// A `String` per rank and world would be allocated on a rank thread and
-/// freed by the launching thread once the world is over. Such a chunk stays
-/// in the launcher's malloc cache and pins the dead rank thread's arena
-/// wherever it happens to lie, which made whole benchmark runs differ by
-/// whether a one-rank world's tile stores were paged in again on every call
-/// (EXPERIMENTS.md, "Run-to-run steadiness").
-fn intern(name: &str) -> &'static str {
-    static LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut labels = LABELS.lock();
-    if let Some(&known) = labels.iter().find(|&&l| l == name) {
-        return known;
-    }
-    let fresh: &'static str = Box::leak(name.into());
-    labels.push(fresh);
-    fresh
-}
 
 /// The kind of communication primitive a byte was moved by.
 ///
@@ -133,13 +113,22 @@ pub(crate) struct Counters {
     current: AtomicUsize,
     /// Slab index of the collective kind in progress (0 = none → p2p).
     in_coll: AtomicUsize,
-    /// This rank's phase labels (process-wide copies, see [`intern`]);
+    /// This rank's phase labels, the callers' own `&'static str`s:
     /// `labels[i]` names slab slot `i`, up to [`MAX_PHASES`]. Locked only
     /// by [`Counters::set_phase`] and [`Counters::snapshot`] (cold paths).
+    ///
+    /// A label is never copied. A `String` per rank and world would be
+    /// allocated on a rank thread and freed by the launching thread once
+    /// the world is over; such a chunk stays in the launcher's malloc cache
+    /// and pins the dead rank thread's arena wherever it happens to lie,
+    /// which made whole benchmark runs differ by whether a one-rank world's
+    /// tile stores were paged in again on every call (EXPERIMENTS.md,
+    /// "Run-to-run steadiness"). A process-wide table of copies would be a
+    /// lock a forked rank process could inherit held.
     labels: Mutex<Vec<&'static str>>,
-    /// Per-phase bytes sent, indexed by interned label.
+    /// Per-phase bytes sent, indexed by label slot.
     phase_sent: [AtomicU64; MAX_PHASES],
-    /// Per-phase bytes received, indexed by interned label.
+    /// Per-phase bytes received, indexed by label slot.
     phase_recv: [AtomicU64; MAX_PHASES],
     /// Per-collective-kind traffic.
     coll: [CollCell; CollKind::COUNT],
@@ -195,12 +184,13 @@ impl Counters {
         cell.msgs_recv.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Switch the active phase, interning `name` into the label slab. Cold
-    /// path: called a few times per factorization step, never per message.
+    /// Switch the active phase, adding `name` to the label slab the first
+    /// time. Cold path: called a few times per factorization step, never
+    /// per message.
     ///
     /// # Panics
     /// If more than [`MAX_PHASES`] distinct labels are used.
-    pub(crate) fn set_phase(&self, name: &str) {
+    pub(crate) fn set_phase(&self, name: &'static str) {
         let mut labels = self.labels.lock();
         let idx = match labels.iter().position(|&l| l == name) {
             Some(i) => i,
@@ -209,7 +199,7 @@ impl Counters {
                     labels.len() < MAX_PHASES,
                     "too many distinct phase labels (max {MAX_PHASES})"
                 );
-                labels.push(intern(name));
+                labels.push(name);
                 labels.len() - 1
             }
         };
@@ -426,12 +416,13 @@ mod tests {
 
     #[test]
     fn a_label_is_stored_once_for_every_rank_and_world() {
+        static LABEL: &str = "stored-once";
         let (a, b) = (Counters::default(), Counters::default());
-        a.set_phase(&format!("stored-{}", "once"));
-        b.set_phase("stored-once");
+        a.set_phase(LABEL);
+        b.set_phase(LABEL);
         let (la, lb) = (a.labels.lock()[1], b.labels.lock()[1]);
         assert_eq!(la, "stored-once");
-        assert!(std::ptr::eq(la, lb), "both ranks must share one copy");
+        assert!(std::ptr::eq(la, lb), "both ranks keep the caller's copy");
         // ... and naming phases never grows a rank's table.
         assert_eq!(a.labels.lock().capacity(), MAX_PHASES);
     }

@@ -92,7 +92,7 @@ proptest! {
         // their totals must add up to the global ledgers.
         let out = run(p, move |c| {
             for ph in 0..phases {
-                c.set_phase(&format!("ph{ph}"));
+                c.set_phase(["ph0", "ph1", "ph2", "ph3"][ph]);
                 let dst = (c.rank() + 1) % c.size();
                 let src = (c.rank() + c.size() - 1) % c.size();
                 c.send_f64(dst, ph as u64, &vec![1.0; len + ph]);
@@ -153,7 +153,7 @@ proptest! {
         // per phase and globally.
         let out = run(p, move |c| {
             for ph in 0..phases {
-                c.set_phase(&format!("nb{ph}"));
+                c.set_phase(["nb0", "nb1", "nb2"][ph]);
                 let dst = (c.rank() + 1) % c.size();
                 let src = (c.rank() + c.size() - 1) % c.size();
                 let recv = c.irecv(src, ph as u64);

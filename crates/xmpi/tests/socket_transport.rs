@@ -1,22 +1,16 @@
 //! End-to-end tests of the multi-process socket backend: every test here
-//! launches real child processes (re-executing this test binary filtered to
-//! itself) joined by a UNIX-socket mesh, and checks that results, byte
-//! accounting, subcommunicators, nonblocking requests, and the fault domain
-//! behave exactly as on the in-process backend.
+//! launches real child processes (forked from the test's thread) joined by
+//! a UNIX-socket mesh, and checks that results, byte accounting,
+//! subcommunicators, nonblocking requests, and the fault domain behave
+//! exactly as on the in-process backend.
 
 use xmpi::wire::encode_vec;
+use xmpi::Backend::Socket;
 use xmpi::{Comm, XmpiError};
-
-/// The socket backend re-executing the current test.
-macro_rules! socket_backend {
-    () => {
-        xmpi::launch::socket_backend_for_test(xmpi::test_path!())
-    };
-}
 
 #[test]
 fn pingpong_over_sockets() {
-    let out = xmpi::with_backend(socket_backend!(), || {
+    let out = xmpi::with_backend(Socket, || {
         xmpi::launch::run(2, |c| {
             if c.rank() == 0 {
                 c.send_f64(1, 7, &[1.5, -0.0, 3.25]);
@@ -63,7 +57,7 @@ fn collectives_match_local_backend_exactly() {
         (acc, all)
     };
     let local = xmpi::launch::run(4, program);
-    let socket = xmpi::with_backend(socket_backend!(), || xmpi::launch::run(4, program));
+    let socket = xmpi::with_backend(Socket, || xmpi::launch::run(4, program));
 
     for (l, s) in local.results.iter().zip(&socket.results) {
         assert_eq!(
@@ -90,7 +84,7 @@ fn collectives_match_local_backend_exactly() {
 #[test]
 fn subcommunicators_over_sockets() {
     let grid = xmpi::Grid2::new(2, 2);
-    let out = xmpi::with_backend(socket_backend!(), || {
+    let out = xmpi::with_backend(Socket, || {
         xmpi::launch::run(4, move |c| {
             let (i, j) = grid.coords(c.rank());
             // Row broadcast from column 0, then column sum.
@@ -113,7 +107,7 @@ fn subcommunicators_over_sockets() {
 
 #[test]
 fn nonblocking_requests_over_sockets() {
-    let out = xmpi::with_backend(socket_backend!(), || {
+    let out = xmpi::with_backend(Socket, || {
         xmpi::launch::run(3, |c| {
             let dst = (c.rank() + 1) % c.size();
             let src = (c.rank() + c.size() - 1) % c.size();
@@ -129,9 +123,9 @@ fn nonblocking_requests_over_sockets() {
 
 #[test]
 fn two_socket_worlds_in_one_test() {
-    // A child targeting the second world must replay the first one locally
-    // (deterministically) to reach its launch site with the right inputs.
-    let first = xmpi::with_backend(socket_backend!(), || {
+    // The second world's ranks are forked after the first world returned,
+    // so they hold its result.
+    let first = xmpi::with_backend(Socket, || {
         xmpi::launch::run(2, |c| {
             let mut v = vec![(c.rank() + 3) as f64];
             c.allreduce_sum(&mut v);
@@ -140,7 +134,7 @@ fn two_socket_worlds_in_one_test() {
     });
     assert_eq!(first.results, vec![7.0, 7.0]);
     let offset = first.results[0];
-    let second = xmpi::with_backend(socket_backend!(), || {
+    let second = xmpi::with_backend(Socket, || {
         xmpi::launch::run(2, move |c| {
             let mut v = vec![offset + c.rank() as f64];
             c.allreduce_sum(&mut v);
@@ -165,9 +159,9 @@ impl xmpi::SchedHooks for CrashSecondSend {
 
 #[test]
 fn injected_crash_surfaces_rank_dead() {
-    // The hooks arm inside the closure, so the child process re-arms the
-    // identical decision stream when it replays the test body.
-    let out = xmpi::with_backend(socket_backend!(), || {
+    // Every forked rank holds a copy of the armed hooks; the victim's copy
+    // counts the victim's sends.
+    let out = xmpi::with_backend(Socket, || {
         xmpi::with_hooks(
             std::sync::Arc::new(CrashSecondSend(std::sync::atomic::AtomicU32::new(0))),
             || {
@@ -202,14 +196,15 @@ fn hard_killed_child_is_rank_dead() {
     // shipped result — the real "node failure" the in-process backend can
     // only approximate. The parent must map it to RankDead; the peers see
     // EOF-without-Fin and keep working with each other.
-    let out = xmpi::with_backend(socket_backend!(), || {
+    let launcher = std::process::id();
+    let out = xmpi::with_backend(Socket, || {
         xmpi::launch::run_ft(3, |c| {
             if c.rank() == 2 {
                 // Wait for both survivors to finish their exchange before
                 // dying, so their results are deterministic (a blocked
                 // receive in a poisoned world fails fast by design). Only
                 // ever reached inside a child process.
-                assert!(xmpi::launch::is_child());
+                assert_ne!(std::process::id(), launcher, "rank 2 is the launcher");
                 let _ = c.recv_f64(0, 6);
                 let _ = c.recv_f64(1, 6);
                 std::process::abort();
@@ -229,4 +224,30 @@ fn hard_killed_child_is_rank_dead() {
     ));
     assert_eq!(out.results[0], Ok(1.5));
     assert_eq!(out.results[1], Ok(0.5));
+}
+
+#[test]
+fn a_rank_panic_reaches_the_launcher_with_its_message() {
+    // Under libtest's output capture a forked rank's stderr goes into its
+    // own copy of the capture buffer, so the message must travel in the
+    // report.
+    let caught = std::panic::catch_unwind(|| {
+        xmpi::with_backend(Socket, || {
+            xmpi::launch::run_ft(2, |c| {
+                if c.rank() == 1 {
+                    panic!("rank one gives up at step {}", 7431);
+                }
+                c.rank() as u64
+            })
+        })
+        .crashed
+    });
+    let payload = caught.expect_err("a genuine rank panic must reach the launcher");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("the launcher's panic message is formatted");
+    assert!(
+        msg.contains("rank 1 panicked") && msg.contains("rank one gives up at step 7431"),
+        "{msg}"
+    );
 }

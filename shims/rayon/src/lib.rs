@@ -9,13 +9,16 @@
 //! available cores): the calling thread works through its own items and the
 //! pool's helper threads join in through a shared atomic cursor, so a
 //! parallel call costs no thread spawn and every caller of a process shares
-//! the same helpers instead of bringing its own.
+//! the same helpers instead of bringing its own. A forked child process
+//! has none of its parent's helper threads — and may hold a copy of the
+//! queue lock one of them had taken — so the pool is keyed by process id,
+//! and a child's first parallel call starts a pool of its own.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::thread::Thread;
 
 pub mod prelude {
@@ -238,6 +241,8 @@ impl Drop for Posted<'_> {
 
 /// The process-wide helper threads and the invitations waiting for them.
 struct Pool {
+    /// The process whose threads these are.
+    pid: u32,
     helpers: usize,
     queue: Mutex<VecDeque<Invitation>>,
     posted: Condvar,
@@ -267,21 +272,38 @@ impl Pool {
     }
 }
 
-/// The global pool: `num_threads() - 1` parked helper threads (the caller of
-/// a parallel call is the remaining worker), started on first use.
+/// This process's pool: `num_threads() - 1` parked helper threads (the
+/// caller of a parallel call is the remaining worker), started on first
+/// use — and again, with the same number of helpers, by the first parallel
+/// call of a forked child. Pools are leaked, never freed.
 fn pool() -> &'static Pool {
-    static POOL: OnceLock<&'static Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let pool: &'static Pool = Box::leak(Box::new(Pool {
-            helpers: num_threads() - 1,
-            queue: Mutex::new(VecDeque::new()),
-            posted: Condvar::new(),
-        }));
-        for _ in 0..pool.helpers {
-            std::thread::spawn(move || pool.help());
+    static POOL: AtomicPtr<Pool> = AtomicPtr::new(std::ptr::null_mut());
+    let pid = std::process::id();
+    let current = POOL.load(Ordering::Acquire);
+    // SAFETY: a non-null `POOL` points at a leaked pool, never freed.
+    let inherited = unsafe { current.as_ref() };
+    if let Some(pool) = inherited.filter(|pool| pool.pid == pid) {
+        return pool;
+    }
+    let pool: &'static Pool = Box::leak(Box::new(Pool {
+        pid,
+        helpers: inherited.map_or_else(|| num_threads() - 1, |parent| parent.helpers),
+        queue: Mutex::new(VecDeque::new()),
+        posted: Condvar::new(),
+    }));
+    let fresh = std::ptr::from_ref(pool).cast_mut();
+    match POOL.compare_exchange(current, fresh, Ordering::AcqRel, Ordering::Acquire) {
+        Ok(_) => {
+            for _ in 0..pool.helpers {
+                std::thread::spawn(move || pool.help());
+            }
+            pool
         }
-        pool
-    })
+        // Another thread of this process started the pool first; ours
+        // never got helpers and stays unused.
+        // SAFETY: as above.
+        Err(winner) => unsafe { &*winner },
+    }
 }
 
 /// Distribute owned `items` over the calling thread and the pool's helpers
