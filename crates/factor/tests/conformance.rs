@@ -19,8 +19,7 @@
 //!
 //! A perturbed *traced* run must additionally satisfy the
 //! `xtrace::invariants` runtime contract, and — the negative control — a
-//! deliberately injected unwaited-request bug must be *caught* by that
-//! checker.
+//! deliberately injected unreceived send must be *caught* by that checker.
 
 use dense::gen::{random_matrix, random_spd};
 use dense::norms::{lu_residual, lu_residual_perm, po_residual};
@@ -32,7 +31,7 @@ use factor::{
 };
 use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound, mmm_io_lower_bound};
 use xharness::{run_perturbed, run_perturbed_traced, seeds, PerturbConfig};
-use xmpi::{Grid2, Grid3, TraceConfig, WorldStats};
+use xmpi::{Event, Grid2, Grid3, TraceConfig, WorldStats};
 use xtrace::invariants::{check_stats_equal, check_trace, Violation};
 
 /// Backward-error ceiling for the factorizations at these sizes: the
@@ -454,23 +453,29 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     assert_eq!(got, want, "got {got:#018x?}");
 }
 
+/// The three kernels' worlds, traced under the aggressive perturbation
+/// preset for `seed`: one trace per kernel world.
+fn perturbed_kernel_traces(seed: u64) -> Vec<xmpi::WorldTrace> {
+    let grid = Grid3::new(2, 2, 2);
+    let a = random_matrix(48, 48, 404);
+    let spd = random_spd(48, 405);
+    let cfg_seed = PerturbConfig::aggressive(seed);
+    let (_, traces) = run_perturbed_traced(&cfg_seed, TraceConfig::default(), || {
+        conflux_lu(&ConfluxConfig::new(48, 8, grid), &a).unwrap();
+        confchox_cholesky(&ConfchoxConfig::new(48, 8, grid), &spd).unwrap();
+        mmm25d(&Mmm25dConfig::new(48, 4, grid), &a, &a);
+    });
+    assert_eq!(traces.len(), 3, "one trace per kernel world");
+    traces
+}
+
 /// Fault-injected *traced* runs must uphold the runtime contract: every
 /// byte conserved per channel, every posted receive completed, every
 /// collective bracketed — for all three kernels.
 #[test]
 fn perturbed_traces_uphold_runtime_invariants() {
-    let grid = Grid3::new(2, 2, 2);
-    let a = random_matrix(48, 48, 404);
-    let spd = random_spd(48, 405);
     for seed in seeds(2) {
-        let cfg_seed = PerturbConfig::aggressive(seed);
-        let (_, traces) = run_perturbed_traced(&cfg_seed, TraceConfig::default(), || {
-            conflux_lu(&ConfluxConfig::new(48, 8, grid), &a).unwrap();
-            confchox_cholesky(&ConfchoxConfig::new(48, 8, grid), &spd).unwrap();
-            mmm25d(&Mmm25dConfig::new(48, 4, grid), &a, &a);
-        });
-        assert_eq!(traces.len(), 3, "one trace per kernel world");
-        for (i, trace) in traces.iter().enumerate() {
+        for (i, trace) in perturbed_kernel_traces(seed).iter().enumerate() {
             let report = check_trace(trace);
             assert!(
                 report.is_clean(),
@@ -482,43 +487,55 @@ fn perturbed_traces_uphold_runtime_invariants() {
     }
 }
 
-/// Negative control: a schedule with a deliberately injected
-/// unwaited-request bug — a pipelined panel prefetch that is posted and
-/// then silently abandoned on a config flag — must be *caught* by the
-/// invariant checker. If this test ever fails, the checker has gone blind.
+/// Receives block, so on every rank each `RecvDone` immediately follows the
+/// `RecvPost` of the same `(peer, ctx, tag)` — the premise `xtrace`'s
+/// timeline and critical path pair receives by.
 #[test]
-fn invariant_checker_catches_injected_unwaited_request() {
-    // A miniature prefetch pipeline: each step prefetches the next panel
-    // with irecv while updating with the current one. The injected bug:
-    // the *last* prefetch is posted but never completed (the classic
-    // off-by-one of a pipelined schedule).
+fn perturbed_traces_pair_each_receive_with_its_post() {
+    for seed in seeds(2) {
+        for (i, trace) in perturbed_kernel_traces(seed).iter().enumerate() {
+            assert!(!trace.truncated(), "seed {seed}, world {i}: truncated");
+            let mut done = 0;
+            for (rank, rt) in trace.ranks.iter().enumerate() {
+                for (k, e) in rt.events.iter().enumerate() {
+                    let Event::RecvDone { peer, ctx, tag, .. } = *e else {
+                        continue;
+                    };
+                    let prev = k.checked_sub(1).map(|j| rt.events[j]);
+                    assert!(
+                        matches!(prev, Some(Event::RecvPost { peer: p, ctx: c, tag: g, .. })
+                            if (p, c, g) == (peer, ctx, tag)),
+                        "seed {seed}, world {i}, rank {rank}: event {k} {e:?} follows {prev:?}"
+                    );
+                    done += 1;
+                }
+            }
+            assert!(done > 0, "seed {seed}, world {i}: no receives");
+        }
+    }
+}
+
+/// Negative control: a blocking pipeline with a deliberately injected bug —
+/// the sender ships a panel one step too far, and nobody receives it — must
+/// be *caught* by the invariant checker as a byte leak on exactly that
+/// channel. If this test ever fails, the checker has gone blind.
+#[test]
+fn invariant_checker_catches_injected_unreceived_panel() {
     fn pipeline(buggy: bool) -> Vec<xmpi::WorldTrace> {
         let (_, traces) = xmpi::trace::capture(TraceConfig::default(), || {
             xmpi::run(2, |c| {
                 let steps = 4u64;
                 if c.rank() == 0 {
-                    for s in 0..steps {
+                    // Injected bug: one panel past the last step.
+                    let sent = if buggy { steps + 1 } else { steps };
+                    for s in 0..sent {
                         c.send_f64(1, s, &[s as f64; 8]);
                     }
                 } else {
-                    let mut pending = Some(c.irecv(0, 0));
                     for s in 0..steps {
-                        let panel = pending.take().unwrap().wait_f64();
+                        let panel = c.recv_f64(0, s);
                         assert_eq!(panel[0], s as f64);
-                        let next = s + 1;
-                        if next < steps {
-                            pending = Some(c.irecv(0, next));
-                        } else {
-                            // Injected bug: prefetch one step too far and
-                            // abandon it. The message for it never exists,
-                            // and the posted request is dropped on exit.
-                            if buggy {
-                                pending = Some(c.irecv(0, next));
-                            }
-                        }
                     }
-                    drop(pending);
-                    // Drain nothing: rank 0 sent exactly `steps` panels.
                 }
             });
         });
@@ -532,27 +549,19 @@ fn invariant_checker_catches_injected_unwaited_request() {
     // …and the buggy one is flagged with the exact channel.
     let buggy = pipeline(true);
     let report = check_trace(&buggy[0]);
-    let lost: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| {
-            matches!(
-                v,
-                Violation::LostRequest {
-                    rank: 1,
-                    peer: 0,
-                    tag: 4,
-                    posted: 1,
-                    completed: 0,
-                    ..
-                }
-            )
-        })
-        .collect();
-    assert_eq!(
-        lost.len(),
-        1,
-        "unwaited request not caught; violations: {:?}",
+    assert!(
+        matches!(
+            report.violations[..],
+            [Violation::ByteLeak {
+                src: 0,
+                dst: 1,
+                tag: 4,
+                sent: 64,
+                received: 0,
+                ..
+            }]
+        ),
+        "unreceived panel not caught; violations: {:?}",
         report.violations
     );
 }

@@ -11,7 +11,7 @@
 //!
 //! * [`Perturbator`] implements [`xmpi::SchedHooks`], injecting in-flight
 //!   message delays, dropped-then-retransmitted first transmissions,
-//!   receive/wait-completion stalls, and phase-boundary rank skews — every
+//!   receive stalls, and phase-boundary rank skews — every
 //!   decision a pure function of one `u64` seed and the decision's channel
 //!   identity, so a failing seed replays its exact fault pattern
 //!   (the `perturb` module documents the determinism model);
@@ -181,15 +181,14 @@ mod tests {
     use xtrace::invariants::{check_stats_equal, check_trace};
 
     /// The driver every integration test perturbs: a little SPMD program
-    /// exercising p2p, nonblocking requests, collectives, and phases.
+    /// exercising p2p, collectives, and phases.
     fn driver(p: usize) -> (Vec<f64>, xmpi::WorldStats) {
         let out = xmpi::run(p, |c| {
             c.set_phase("exchange");
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
-            let req = c.irecv(left, 1);
             c.send_f64(right, 1, &[c.rank() as f64 + 0.5]);
-            let got = req.wait_f64();
+            let got = c.recv_f64(left, 1);
             c.set_phase("reduce");
             let mut v = vec![got[0]];
             c.allreduce_sum(&mut v);
@@ -232,7 +231,7 @@ mod tests {
     }
 
     /// Dropped-then-retransmitted messages must still arrive in channel
-    /// order under a retry-tolerant wait policy.
+    /// order at blocking receives.
     #[test]
     fn drops_preserve_channel_fifo() {
         let mut cfg = PerturbConfig::aggressive(42);

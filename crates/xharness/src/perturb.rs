@@ -9,15 +9,13 @@
 //! is the same logical message in every run — its fate (deliver / delay /
 //! drop-and-retransmit) therefore replays exactly under a fixed seed,
 //! regardless of how the OS schedules the other threads. The same holds for
-//! blocking-receive stalls (keyed by the receiver's per-channel receive
-//! sequence).
+//! receive stalls (keyed by the receiver's per-channel receive sequence)
+//! and phase stalls (keyed by the rank's count of phase markers).
 //!
-//! Wait-point and phase stalls are keyed by per-rank counters that include
-//! `test()` polls, whose count can depend on timing; they are *timing noise
-//! only* — no observable result (factor bits, per-rank byte counts, event
-//! causality) can depend on them, because message payloads and their
-//! per-channel order are already fixed. The conformance suite's bitwise
-//! checks rest on the deterministic part; the noise part just widens the
+//! Every stall is *timing noise only*: no observable result (factor bits,
+//! per-rank byte counts, event causality) can depend on it, because message
+//! payloads and their per-channel order are already fixed. The conformance
+//! suite's bitwise checks rest on the fates; the stalls just widen the
 //! explored interleaving space.
 
 use crate::rng::{hash, unit_f64};
@@ -36,7 +34,6 @@ mod domain {
     pub(super) const SEND_FATE: u64 = 1;
     pub(super) const SEND_DELAY: u64 = 2;
     pub(super) const RECV: u64 = 3;
-    pub(super) const WAIT: u64 = 4;
     pub(super) const PHASE: u64 = 5;
     pub(super) const CRASH: u64 = 6;
     pub(super) const CORRUPT: u64 = 7;
@@ -63,9 +60,7 @@ pub struct PerturbConfig {
     pub retransmit_us: u64,
     /// Probability of a stall after a blocking receive matches.
     pub recv_delay_prob: f64,
-    /// Probability of a stall at a request-completion point.
-    pub wait_delay_prob: f64,
-    /// Maximum receive/wait stall (µs).
+    /// Maximum receive stall (µs).
     pub max_stall_us: u64,
     /// Probability a rank is held back as it enters a phase.
     pub phase_stall_prob: f64,
@@ -84,7 +79,6 @@ impl PerturbConfig {
             drop_prob: 0.01,
             retransmit_us: 100,
             recv_delay_prob: 0.02,
-            wait_delay_prob: 0.02,
             max_stall_us: 20,
             phase_stall_prob: 0.05,
             max_phase_stall_us: 50,
@@ -92,7 +86,7 @@ impl PerturbConfig {
     }
 
     /// The `aggressive` preset: every fifth message delayed, one in twenty
-    /// dropped, frequent completion stalls and phase skews. Used by the
+    /// dropped, frequent receive stalls and phase skews. Used by the
     /// stress bin and the CI soak job.
     pub fn aggressive(seed: u64) -> Self {
         PerturbConfig {
@@ -102,7 +96,6 @@ impl PerturbConfig {
             drop_prob: 0.05,
             retransmit_us: 400,
             recv_delay_prob: 0.10,
-            wait_delay_prob: 0.10,
             max_stall_us: 100,
             phase_stall_prob: 0.25,
             max_phase_stall_us: 300,
@@ -196,7 +189,6 @@ pub struct Perturbator {
     cfg: PerturbConfig,
     send_seq: SeqTable<(usize, usize, u64, u64)>,
     recv_seq: SeqTable<(usize, usize, u64, u64)>,
-    wait_seq: SeqTable<usize>,
     phase_seq: SeqTable<usize>,
     /// Armed crash plan plus its fired latch (one shot per instance).
     crash: Option<(CrashPlan, SharedFlag)>,
@@ -215,7 +207,6 @@ impl Perturbator {
             cfg,
             send_seq: SeqTable::default(),
             recv_seq: SeqTable::default(),
-            wait_seq: SeqTable::default(),
             phase_seq: SeqTable::default(),
             crash: None,
             crash_seq: SeqTable::default(),
@@ -298,13 +289,6 @@ impl SchedHooks for Perturbator {
         let seq = self.recv_seq.next((rank, src, ctx, tag));
         let id = [domain::RECV, rank as u64, src as u64, ctx, tag, seq];
         (self.roll(&id) < self.cfg.recv_delay_prob)
-            .then(|| self.draw_us(&id, self.cfg.max_stall_us))
-    }
-
-    fn wait_delay(&self, rank: usize) -> Option<Duration> {
-        let seq = self.wait_seq.next(rank);
-        let id = [domain::WAIT, rank as u64, seq];
-        (self.roll(&id) < self.cfg.wait_delay_prob)
             .then(|| self.draw_us(&id, self.cfg.max_stall_us))
     }
 
@@ -504,13 +488,11 @@ mod tests {
         cfg.delay_prob = 0.0;
         cfg.drop_prob = 0.0;
         cfg.recv_delay_prob = 0.0;
-        cfg.wait_delay_prob = 0.0;
         cfg.phase_stall_prob = 0.0;
         let p = Perturbator::new(cfg);
         for i in 0..100 {
             assert_eq!(p.send_fate(0, 1, 1, i, 8), SendFate::Deliver);
             assert!(p.recv_delay(1, 0, 1, i).is_none());
-            assert!(p.wait_delay(0).is_none());
             assert!(p.phase_stall(0, "x").is_none());
         }
     }

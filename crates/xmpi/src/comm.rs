@@ -120,15 +120,15 @@ impl Payload {
     }
 }
 
-/// The one "wrong payload kind" panic behind every typed receive, broadcast
-/// and request completion.
+/// The one "wrong payload kind" panic behind every typed receive and
+/// broadcast.
 #[cold]
 fn wrong_payload(who: &dyn std::fmt::Display, got: &str) -> ! {
     panic!("{who}: got {got} payload")
 }
 
 // The one place borrowed or owned user buffers become shared payload
-// storage: every send/isend wrapper funnels through these
+// storage: every send wrapper funnels through these
 // conversions (via `impl Into<Payload>` bounds), so the Arc hand-off — and
 // the single defensive copy for borrowed slices — is not repeated per entry
 // point.
@@ -172,24 +172,6 @@ pub(crate) struct Message {
     /// message holds back its channel successors instead of being overtaken
     /// (per-channel FIFO is preserved under any perturbation).
     visible_at: Option<Instant>,
-}
-
-/// Why a blocking take gave up (the caller decides whether that is a panic,
-/// a sentinel unwind, or a typed error).
-pub(crate) enum TakeErr {
-    /// The deadline elapsed; `pending` unmatched messages sat in the
-    /// mailbox.
-    Timeout {
-        /// Unmatched messages in the mailbox at expiry.
-        pending: usize,
-    },
-    /// The awaited source rank crashed.
-    Dead {
-        /// World rank of the dead source.
-        rank: usize,
-    },
-    /// Some other rank crashed; the world is tearing down.
-    Poisoned,
 }
 
 /// Outcome of scanning a channel for its next matchable message.
@@ -520,34 +502,32 @@ impl Comm {
     /// Send a buffer of matrix elements to local rank `dst` with `tag`.
     /// Buffered semantics: never blocks.
     pub fn send_f64(&self, dst: usize, tag: u64, data: &[f64]) {
-        self.push_message(dst, tag, data.into(), false);
+        self.push_message(dst, tag, data.into());
     }
 
     /// Send an index buffer to local rank `dst` with `tag`.
     pub fn send_u64(&self, dst: usize, tag: u64, data: &[u64]) {
-        self.push_message(dst, tag, data.into(), false);
+        self.push_message(dst, tag, data.into());
     }
 
     /// Send anything payload-convertible (a [`Payload`], a [`Buf`], an owned
     /// `Vec`, or a borrowed slice). Owned and shared inputs are enqueued
     /// without copying — what the collectives forward down their trees.
     pub(crate) fn send_payload(&self, dst: usize, tag: u64, payload: impl Into<Payload>) {
-        self.push_message(dst, tag, payload.into(), false);
+        self.push_message(dst, tag, payload.into());
     }
 
     /// Infallible transport wrapper: a send to a dead rank unwinds this
     /// thread with a poison sentinel (caught by [`crate::run_ft`]; a loud
     /// panic under plain [`crate::run`]).
-    pub(crate) fn push_message(&self, dst: usize, tag: u64, payload: Payload, posted: bool) {
-        if let Err(e) = self.push_message_inner(dst, tag, payload, posted) {
+    pub(crate) fn push_message(&self, dst: usize, tag: u64, payload: Payload) {
+        if let Err(e) = self.push_message_inner(dst, tag, payload) {
             unwind_with(PoisonUnwind(e));
         }
     }
 
-    /// Transport core shared by blocking and nonblocking sends. `posted`
-    /// selects the event flavour ([`Event::SendPost`] vs [`Event::Send`]);
-    /// byte accounting and delivery are identical because sends are buffered
-    /// either way.
+    /// Transport core behind every send: fault hooks, byte accounting, the
+    /// [`Event::Send`] trace event and delivery.
     ///
     /// Fault-injection order matters here: the crash hook fires *before any
     /// accounting* (a crashed send never happened), the dead-destination
@@ -559,7 +539,6 @@ impl Comm {
         dst: usize,
         tag: u64,
         mut payload: Payload,
-        posted: bool,
     ) -> Result<(), XmpiError> {
         assert!(dst < self.size(), "send: destination {dst} out of range");
         let dst_world = self.members[dst];
@@ -576,27 +555,17 @@ impl Comm {
         self.shared.counters[src_world].record_send(bytes);
         if let Some(tr) = &self.shared.trace {
             let kind = self.shared.counters[src_world].current_coll();
-            let t = tr.now();
-            let e = if posted {
-                Event::SendPost {
-                    t,
-                    peer: dst_world,
-                    ctx: self.ctx,
-                    tag,
-                    bytes,
-                    kind,
-                }
-            } else {
+            tr.push(
+                src_world,
                 Event::Send {
-                    t,
+                    t: tr.now(),
                     peer: dst_world,
                     ctx: self.ctx,
                     tag,
                     bytes,
                     kind,
-                }
-            };
-            tr.push(src_world, e);
+                },
+            );
         }
         // In-flight corruption: element payloads only, applied after the
         // byte accounting (the wire size is unchanged; only a value is
@@ -705,20 +674,19 @@ impl Comm {
     /// [`Comm::recv_failed`].
     pub(crate) fn recv_payload(&self, src: usize, tag: u64) -> Payload {
         self.try_recv_payload(src, tag)
-            .unwrap_or_else(|e| self.recv_failed("msg", src, tag, e))
+            .unwrap_or_else(|e| self.recv_failed(src, tag, e))
     }
 
-    /// How every blocking receive and request completion gives up: deadline
-    /// expiry is a deadlock panic naming the channel and what is stuck in
-    /// this rank's mailbox; a dead source or a poisoned world unwinds with a
-    /// poison sentinel ([`crate::run_ft`] catches it; plain [`crate::run`]
-    /// panics). `what` is `"msg"` or `"nonblocking msg"`.
-    fn recv_failed(&self, what: &str, src: usize, tag: u64, e: XmpiError) -> ! {
+    /// How every blocking receive gives up: deadline expiry is a deadlock
+    /// panic naming the channel and what is stuck in this rank's mailbox; a
+    /// dead source or a poisoned world unwinds with a poison sentinel
+    /// ([`crate::run_ft`] catches it; plain [`crate::run`] panics).
+    fn recv_failed(&self, src: usize, tag: u64, e: XmpiError) -> ! {
         let XmpiError::Timeout { pending, .. } = e else {
             unwind_with(PoisonUnwind(e));
         };
         panic!(
-            "xmpi deadlock: rank {} (world {}) waited {:?} for {what} from local {} \
+            "xmpi deadlock: rank {} (world {}) waited {:?} for msg from local {} \
              (world {}) tag {} ctx {:#x}; {} unmatched message(s) pending:{}",
             self.rank,
             self.world_rank(),
@@ -741,40 +709,23 @@ impl Comm {
             .stuck_report()
     }
 
-    /// Map a non-timeout [`TakeErr`] to its typed error.
-    fn take_err(e: TakeErr, src_world: usize, tag: u64) -> XmpiError {
-        match e {
-            TakeErr::Dead { rank } => XmpiError::RankDead { rank },
-            TakeErr::Poisoned => XmpiError::WorldPoisoned,
-            TakeErr::Timeout { pending } => XmpiError::Timeout {
-                src: src_world,
-                tag,
-                attempts: 1,
-                pending,
-            },
-        }
-    }
-
     /// Core matching loop: block until the channel's next `(src, ctx, tag)`
-    /// message (arrival order) is matchable, the world is poisoned, or
-    /// `timeout` elapses. Only the channel's own shard is locked while
+    /// message (arrival order) is matchable, the world is poisoned
+    /// ([`XmpiError::RankDead`] if the source itself died, else
+    /// [`XmpiError::WorldPoisoned`]), or the receive timeout
+    /// ([`recv_timeout`]) elapses ([`XmpiError::Timeout`]). Only the channel's own shard is locked while
     /// waiting.
     ///
     /// Already-delivered messages stay consumable in a poisoned world — the
     /// scan runs *before* the liveness check, so a survivor draining its
     /// mailbox during teardown or recovery sees everything that actually
     /// arrived; only a wait that would *block* observes the poison.
-    fn take_deadline(
-        &self,
-        src_world: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, TakeErr> {
+    fn take_deadline(&self, src_world: usize, tag: u64) -> Result<Payload, XmpiError> {
         let my_world = self.world_rank();
         let mbox = self.shared.transport.mailbox(my_world);
         let key = (src_world, self.ctx, tag);
         let shard = mbox.shard_for(&key);
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now() + recv_timeout();
         let mut channels = shard.channels.lock();
         loop {
             let wake_at = match scan_channel(&mut channels, &key) {
@@ -784,9 +735,9 @@ impl Comm {
             };
             if self.shared.liveness.is_poisoned() {
                 return Err(if self.shared.liveness.is_dead(src_world) {
-                    TakeErr::Dead { rank: src_world }
+                    XmpiError::RankDead { rank: src_world }
                 } else {
-                    TakeErr::Poisoned
+                    XmpiError::WorldPoisoned
                 });
             }
             let now = Instant::now();
@@ -794,7 +745,10 @@ impl Comm {
                 // Release our shard before sweeping all shards for the
                 // pending count (the sweep locks each in turn).
                 drop(channels);
-                return Err(TakeErr::Timeout {
+                return Err(XmpiError::Timeout {
+                    src: src_world,
+                    tag,
+                    attempts: 1,
                     pending: mbox.pending(),
                 });
             }
@@ -840,31 +794,27 @@ impl Comm {
                 },
             );
         }
-        match self.take_deadline(src_world, tag, recv_timeout()) {
-            Ok(payload) => {
-                if let Some(h) = &self.shared.hooks {
-                    hooks::stall(h.recv_delay(my_world, src_world, self.ctx, tag));
-                }
-                let bytes = payload.bytes();
-                self.shared.counters[my_world].record_recv(bytes);
-                if let Some(tr) = &self.shared.trace {
-                    let kind = self.shared.counters[my_world].current_coll();
-                    tr.push(
-                        my_world,
-                        Event::RecvDone {
-                            t: tr.now(),
-                            peer: src_world,
-                            ctx: self.ctx,
-                            tag,
-                            bytes,
-                            kind,
-                        },
-                    );
-                }
-                Ok(payload)
-            }
-            Err(e) => Err(Self::take_err(e, src_world, tag)),
+        let payload = self.take_deadline(src_world, tag)?;
+        if let Some(h) = &self.shared.hooks {
+            hooks::stall(h.recv_delay(my_world, src_world, self.ctx, tag));
         }
+        let bytes = payload.bytes();
+        self.shared.counters[my_world].record_recv(bytes);
+        if let Some(tr) = &self.shared.trace {
+            let kind = self.shared.counters[my_world].current_coll();
+            tr.push(
+                my_world,
+                Event::RecvDone {
+                    t: tr.now(),
+                    peer: src_world,
+                    ctx: self.ctx,
+                    tag,
+                    bytes,
+                    kind,
+                },
+            );
+        }
+        Ok(payload)
     }
 
     /// Trace marker: this rank starts reconstructing lost state. Pairs with
@@ -890,132 +840,6 @@ impl Comm {
     pub fn sendrecv_f64(&self, partner: usize, tag: u64, data: &[f64]) -> Vec<f64> {
         self.send_f64(partner, tag, data);
         self.recv_f64(partner, tag)
-    }
-
-    /// Post a nonblocking send of matrix elements. Sends are buffered, so
-    /// the payload is delivered (and its bytes accounted) at post time and
-    /// the returned request is already complete — it exists so nonblocking
-    /// code can treat sends and receives uniformly through
-    /// [`crate::request::Request`]. Emits [`Event::SendPost`] instead of
-    /// [`Event::Send`] so traces retain the schedule's pipelined structure.
-    pub fn isend_f64(&self, dst: usize, tag: u64, data: &[f64]) -> crate::request::SendRequest {
-        self.push_message(dst, tag, data.into(), true);
-        crate::request::SendRequest::new()
-    }
-
-    /// Post a nonblocking receive for `(src, tag)` on this communicator.
-    ///
-    /// Matching (and the receive-side byte accounting) happens at
-    /// [`crate::request::RecvRequest::wait`]/`test` time, mirroring MPI
-    /// `Irecv` semantics; the returned handle borrows this communicator.
-    /// Emits [`Event::RecvPost`] now and [`Event::WaitDone`] at completion,
-    /// so analyses can separate overlapped transfer time from true idle
-    /// time. Dropping the handle without waiting cancels the receive and
-    /// leaves any matching message in the mailbox.
-    pub fn irecv(&self, src: usize, tag: u64) -> crate::request::RecvRequest<'_> {
-        assert!(src < self.size(), "irecv: source {src} out of range");
-        let src_world = self.members[src];
-        let my_world = self.world_rank();
-        if let Some(tr) = &self.shared.trace {
-            tr.push(
-                my_world,
-                Event::RecvPost {
-                    t: tr.now(),
-                    peer: src_world,
-                    ctx: self.ctx,
-                    tag,
-                },
-            );
-        }
-        crate::request::RecvRequest::new(self, src, src_world, tag)
-    }
-
-    /// Current trace timestamp, if this world is traced.
-    pub(crate) fn trace_now(&self) -> Option<u64> {
-        self.shared.trace.as_ref().map(Recorder::now)
-    }
-
-    /// Nonblocking mailbox probe: remove and return the first message
-    /// matching `(src_world, ctx, tag)`, if one has already arrived *and*
-    /// become matchable (an in-flight message is not yet takeable, so a
-    /// `test()` poll observes injected delays the same way a receive does).
-    pub(crate) fn try_take(&self, src_world: usize, tag: u64) -> Option<Payload> {
-        let my_world = self.world_rank();
-        let key = (src_world, self.ctx, tag);
-        let shard = self.shared.transport.mailbox(my_world).shard_for(&key);
-        let mut channels = shard.channels.lock();
-        match scan_channel(&mut channels, &key) {
-            Scan::Ready(p) => Some(p),
-            Scan::InFlight(_) | Scan::Absent => None,
-        }
-    }
-
-    /// Blocking mailbox take with the deadlock timeout, used by
-    /// [`crate::request::RecvRequest::wait`]. Identical matching to
-    /// [`Comm::recv_payload`] but without the event bookkeeping (the caller
-    /// records the completion).
-    pub(crate) fn block_take(&self, src: usize, src_world: usize, tag: u64) -> Payload {
-        self.take_deadline(src_world, tag, recv_timeout())
-            .unwrap_or_else(|e| {
-                let e = Self::take_err(e, src_world, tag);
-                self.recv_failed("nonblocking msg", src, tag, e)
-            })
-    }
-
-    /// [`Comm::block_take`] under a caller-supplied timeout: `Err` carries
-    /// the number of unmatched mailbox messages at expiry. Backs the
-    /// configurable [`crate::request::WaitPolicy`]. A crash (dead source or
-    /// poisoned world) unwinds with the poison sentinel rather than
-    /// masquerading as a timeout.
-    pub(crate) fn block_take_timeout(
-        &self,
-        src_world: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Payload, usize> {
-        match self.take_deadline(src_world, tag, timeout) {
-            Ok(p) => Ok(p),
-            Err(TakeErr::Timeout { pending }) => Err(pending),
-            Err(e) => unwind_with(PoisonUnwind(Self::take_err(e, src_world, tag))),
-        }
-    }
-
-    /// Stall at a request-completion point if wait-delay hooks are armed
-    /// (called by `request`/`collectives` before completing a posted
-    /// operation).
-    pub(crate) fn wait_point(&self) {
-        if let Some(h) = &self.shared.hooks {
-            hooks::stall(h.wait_delay(self.world_rank()));
-        }
-    }
-
-    /// Receive-side accounting for a completed nonblocking receive: bump the
-    /// counters and emit [`Event::WaitDone`]. `t_call` is when the rank
-    /// entered the wait/test call (trace time; ignored when untraced).
-    pub(crate) fn finish_nonblocking_recv(
-        &self,
-        src_world: usize,
-        tag: u64,
-        bytes: u64,
-        t_call: u64,
-    ) {
-        let my_world = self.world_rank();
-        self.shared.counters[my_world].record_recv(bytes);
-        if let Some(tr) = &self.shared.trace {
-            let kind = self.shared.counters[my_world].current_coll();
-            tr.push(
-                my_world,
-                Event::WaitDone {
-                    t: tr.now(),
-                    t_call,
-                    peer: src_world,
-                    ctx: self.ctx,
-                    tag,
-                    bytes,
-                    kind,
-                },
-            );
-        }
     }
 
     /// Exchange a (elements, indices) pair with a partner — the message shape

@@ -16,9 +16,6 @@
 //!   changes;
 //! * at every **receive match** ([`SchedHooks::recv_delay`]) — an artificial
 //!   stall inserted after a blocking receive matches its message;
-//! * at every **request-completion point** ([`SchedHooks::wait_delay`]) —
-//!   `RecvRequest::wait`/`test` stall before completing, perturbing the
-//!   order in which a program drains its posted receives;
 //! * at every **phase boundary** ([`SchedHooks::phase_stall`]) — a rank
 //!   entering a named phase can be held back, skewing ranks against each
 //!   other at exactly the points the schedules synchronize.
@@ -34,7 +31,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What happens to a posted message's *visibility* at the destination.
+/// What happens to a sent message's *visibility* at the destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendFate {
     /// Deliver normally: matchable as soon as it is enqueued.
@@ -98,13 +95,6 @@ pub trait SchedHooks: Send + Sync {
     /// matches a message from `src` on `(ctx, tag)`.
     fn recv_delay(&self, rank: usize, src: usize, ctx: u64, tag: u64) -> Option<Duration> {
         let _ = (rank, src, ctx, tag);
-        None
-    }
-
-    /// Stall inserted on world rank `rank` when it enters a request
-    /// completion point (`wait`/`test` of a posted operation).
-    fn wait_delay(&self, rank: usize) -> Option<Duration> {
-        let _ = rank;
         None
     }
 
@@ -196,6 +186,7 @@ pub(crate) fn armed() -> Option<Arc<dyn SchedHooks>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Nop;
     impl SchedHooks for Nop {}
@@ -205,7 +196,6 @@ mod tests {
         let h = Nop;
         assert_eq!(h.send_fate(0, 1, 0, 0, 8), SendFate::Deliver);
         assert!(h.recv_delay(0, 1, 0, 0).is_none());
-        assert!(h.wait_delay(0).is_none());
         assert!(h.phase_stall(0, "x").is_none());
         assert_eq!(h.crash_fate(0, 1, 0, 0), CrashFate::Survive);
         assert!(h.corrupt_send(0, 1, 0, 0, 64).is_none());
@@ -236,6 +226,64 @@ mod tests {
         });
         assert_eq!(out, 42);
         assert!(armed().is_none());
+    }
+
+    /// Loses the first transmission of every message on `victim_tag`; the
+    /// retransmission makes it matchable after `retransmit_after`.
+    struct DropFirstOnTag {
+        victim_tag: u64,
+        retransmit_after: Duration,
+        drops: AtomicUsize,
+    }
+
+    impl SchedHooks for DropFirstOnTag {
+        fn send_fate(
+            &self,
+            _src: usize,
+            _dst: usize,
+            _ctx: u64,
+            tag: u64,
+            _bytes: u64,
+        ) -> SendFate {
+            if tag == self.victim_tag {
+                self.drops.fetch_add(1, Ordering::Relaxed);
+                SendFate::Drop {
+                    retransmit_after: self.retransmit_after,
+                }
+            } else {
+                SendFate::Deliver
+            }
+        }
+    }
+
+    /// A blocking receive of a `Drop`-fated message waits out the simulated
+    /// retransmission and completes with the payload intact, counted once.
+    #[test]
+    fn drop_fate_is_survived_by_a_blocking_receive() {
+        let hooks = Arc::new(DropFirstOnTag {
+            victim_tag: 6,
+            retransmit_after: Duration::from_millis(20),
+            drops: AtomicUsize::new(0),
+        });
+        let out = with_hooks(hooks.clone(), || {
+            crate::run(2, |c| {
+                if c.rank() == 0 {
+                    c.send_f64(1, 6, &[5.0, 6.0]);
+                    vec![]
+                } else {
+                    c.recv_f64(0, 6)
+                }
+            })
+        });
+        assert_eq!(out.results[1], vec![5.0, 6.0]);
+        assert_eq!(
+            hooks.drops.load(Ordering::Relaxed),
+            1,
+            "one transmission dropped"
+        );
+        // Byte accounting is once per logical message, not per transmission.
+        assert_eq!(out.stats.ranks[0].bytes_sent, 16);
+        assert_eq!(out.stats.ranks[1].bytes_recv, 16);
     }
 
     #[test]

@@ -44,20 +44,18 @@
 //! paths, simulated α-β-γ replays, and Chrome-trace exports. Tracing is
 //! opt-in: untraced worlds carry no recorder and pay no locks for it.
 //!
-//! # Nonblocking operation
+//! # Blocking operation
 //!
-//! [`Comm::isend_f64`]/[`Comm::irecv`] post operations and return
-//! [`request::Request`] handles completed with `wait`/`test`/
-//! [`request::wait_all`], with exact byte accounting and event trace (posts
-//! record [`Event::SendPost`]/[`Event::RecvPost`], completions record
-//! [`Event::WaitDone`]). Collectives are all blocking.
+//! Sends are buffered and never block; receives block until their message
+//! matches. Every point-to-point call and every collective completes before
+//! it returns.
 //!
 //! # Schedule perturbation & fault injection
 //!
 //! For adversarial testing, a [`hooks::SchedHooks`] implementation can be
 //! installed on every world launched inside [`hooks::with_hooks`] (the
-//! counterpart of [`trace::capture`]) to delay or drop-and-retransmit messages,
-//! stall request completions, and skew ranks at phase boundaries — all
+//! counterpart of [`trace::capture`]) to delay or drop-and-retransmit
+//! messages, stall receives, and skew ranks at phase boundaries — all
 //! without changing the bytes moved or their per-channel order. The
 //! `xharness` crate drives these hooks from a single seed so any failing
 //! schedule replays exactly.
@@ -112,7 +110,6 @@ mod hooks;
 pub mod launch;
 mod liveness;
 mod netfault;
-mod request;
 pub(crate) mod socket;
 mod stats;
 pub mod trace;
@@ -128,7 +125,6 @@ pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate};
 pub use launch::{with_backend, Backend};
 pub use liveness::catch_poison;
 pub use netfault::{with_net_faults, ConnectFault, NetFaults, WireFault};
-pub use request::{wait_all, RecvRequest, Request, SendRequest, WaitPolicy, WaitTimeout};
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;

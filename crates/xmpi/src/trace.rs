@@ -48,7 +48,7 @@ pub enum Event {
         /// Collective kind in progress ([`CollKind::P2p`] outside any).
         kind: CollKind,
     },
-    /// The rank posted a (blocking) receive and started waiting.
+    /// The rank posted a receive and started waiting for it.
     RecvPost {
         /// Nanoseconds since the world epoch.
         t: u64,
@@ -63,45 +63,6 @@ pub enum Event {
     RecvDone {
         /// Nanoseconds since the world epoch.
         t: u64,
-        /// Source world rank.
-        peer: usize,
-        /// Communicator context id.
-        ctx: u64,
-        /// Message tag.
-        tag: u64,
-        /// Payload size.
-        bytes: u64,
-        /// Collective kind in progress.
-        kind: CollKind,
-    },
-    /// A nonblocking send was posted. Semantically identical to
-    /// [`Event::Send`] (sends are buffered, so the payload leaves the rank
-    /// at post time and bytes are accounted here), but kept distinct so
-    /// analyses can tell a pipelined schedule from a blocking one.
-    SendPost {
-        /// Nanoseconds since the world epoch.
-        t: u64,
-        /// Destination world rank.
-        peer: usize,
-        /// Communicator context id.
-        ctx: u64,
-        /// Message tag.
-        tag: u64,
-        /// Payload size.
-        bytes: u64,
-        /// Collective kind in progress ([`CollKind::P2p`] outside any).
-        kind: CollKind,
-    },
-    /// A `wait`/`test` on a nonblocking receive completed. The matching
-    /// [`Event::RecvPost`] marks when the receive was posted; `t_call` marks
-    /// when the rank actually started waiting — so `t - t_call` is the true
-    /// idle time, and the post → `t_call` gap is work the schedule overlapped
-    /// with the in-flight message.
-    WaitDone {
-        /// Completion time (nanoseconds since the world epoch).
-        t: u64,
-        /// When the wait/test call was entered.
-        t_call: u64,
         /// Source world rank.
         peer: usize,
         /// Communicator context id.
@@ -163,10 +124,8 @@ impl Event {
         match *self {
             Event::Phase { t, .. }
             | Event::Send { t, .. }
-            | Event::SendPost { t, .. }
             | Event::RecvPost { t, .. }
             | Event::RecvDone { t, .. }
-            | Event::WaitDone { t, .. }
             | Event::CollEnter { t, .. }
             | Event::CollExit { t, .. }
             | Event::RankCrash { t }

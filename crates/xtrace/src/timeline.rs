@@ -7,9 +7,7 @@
 //!   flops performed in it (first differences of the markers' cumulative
 //!   counts);
 //! * **waits** — receive-wait intervals, the rank's idle time: post →
-//!   completion for blocking receives, wait-call → completion for
-//!   nonblocking ones (the post → wait-call gap is overlapped work, not
-//!   idleness);
+//!   completion of each (blocking) receive;
 //! * **collectives** — outermost collective calls (enter → exit).
 
 use xmpi::trace::Event;
@@ -31,8 +29,7 @@ pub struct Span {
 /// A receive-wait (idle) interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wait {
-    /// Wait start (ns): the receive post for blocking receives, the wait
-    /// call for nonblocking ones.
+    /// Wait start = receive post time (ns).
     pub start: u64,
     /// Wait end = message delivery time (ns).
     pub end: u64,
@@ -128,9 +125,10 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
     let mut cur_label = String::new();
     let mut cur_start = 0u64;
     let mut cur_cum = 0u64;
-    // Pending receive posts, keyed by (peer, ctx, tag): nonblocking
-    // receives can be outstanding on several channels at once.
-    let mut posts: Vec<(usize, u64, u64, u64)> = Vec::new();
+    // The rank's open receive post `(peer, ctx, tag, t)`. Receives block,
+    // so a `RecvDone` completes the post right before it; a post that was
+    // evicted or left dangling reads as no post.
+    let mut post: Option<(usize, u64, u64, u64)> = None;
     let mut coll_open: Option<(CollKind, u64)> = None;
 
     let close_span = |tl: &mut RankTimeline, label: &str, start, end, flops| {
@@ -157,9 +155,7 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
                 cur_start = t;
                 cur_cum = cum_flops;
             }
-            Event::RecvPost { t, peer, ctx, tag } => {
-                posts.push((peer, ctx, tag, t));
-            }
+            Event::RecvPost { t, peer, ctx, tag } => post = Some((peer, ctx, tag, t)),
             Event::RecvDone {
                 t,
                 peer,
@@ -168,39 +164,12 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
                 bytes,
                 ..
             } => {
-                if let Some(i) = posts
-                    .iter()
-                    .position(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
+                if let Some((_, _, _, start)) = post
+                    .take()
+                    .filter(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
                 {
-                    let (_, _, _, start) = posts.remove(i);
                     tl.waits.push(Wait {
                         start,
-                        end: t,
-                        peer,
-                        bytes,
-                        phase: cur_label.clone(),
-                    });
-                }
-            }
-            Event::WaitDone {
-                t,
-                t_call,
-                peer,
-                ctx,
-                tag,
-                bytes,
-                ..
-            } => {
-                // Nonblocking completion: consume the matching post, but
-                // idle only spans the wait call — the post → call gap was
-                // overlapped with other work.
-                if let Some(i) = posts
-                    .iter()
-                    .position(|&(p, c, g, _)| (p, c, g) == (peer, ctx, tag))
-                {
-                    posts.remove(i);
-                    tl.waits.push(Wait {
-                        start: t_call,
                         end: t,
                         peer,
                         bytes,
@@ -219,7 +188,7 @@ fn build_rank(trace: &WorldTrace, rank: usize, events: &[Event], makespan: u64) 
                     });
                 }
             }
-            Event::Send { .. } | Event::SendPost { .. } => {}
+            Event::Send { .. } => {}
             // Crash/recovery markers have no span of their own; the recovery
             // bracket's traffic shows up as ordinary waits, attributed to
             // whatever phase the recovering rank declared.
@@ -348,48 +317,6 @@ mod tests {
         assert_eq!(r1.wait_time(), 1000);
         assert_eq!(tl.total_wait(), 1000);
         assert_eq!(r1.total_flops(), 500);
-    }
-
-    /// A nonblocking receive posted at t=100 whose wait is only entered at
-    /// t=900 idles for 200 ns, not 1000: the post → wait-call gap was
-    /// overlapped work.
-    #[test]
-    fn nonblocking_wait_idle_excludes_overlapped_work() {
-        let tr = WorldTrace {
-            labels: vec!["update".into()],
-            ranks: vec![RankTrace {
-                events: vec![
-                    Event::Phase {
-                        t: 0,
-                        label: 0,
-                        cum_flops: 0,
-                    },
-                    Event::RecvPost {
-                        t: 100,
-                        peer: 1,
-                        ctx: 0,
-                        tag: 3,
-                    },
-                    Event::WaitDone {
-                        t: 1100,
-                        t_call: 900,
-                        peer: 1,
-                        ctx: 0,
-                        tag: 3,
-                        bytes: 640,
-                        kind: CollKind::P2p,
-                    },
-                ],
-                dropped: 0,
-            }],
-        };
-        let tl = Timeline::build(&tr);
-        let r = &tl.ranks[0];
-        assert_eq!(r.waits.len(), 1);
-        let w = &r.waits[0];
-        assert_eq!((w.start, w.end, w.peer, w.bytes), (900, 1100, 1, 640));
-        assert_eq!(w.phase, "update");
-        assert_eq!(r.wait_time(), 200);
     }
 
     #[test]

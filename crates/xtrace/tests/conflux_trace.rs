@@ -53,9 +53,7 @@ fn per_phase_totals_match_rank_stats_exactly() {
         for e in &rt.events {
             match *e {
                 xmpi::Event::Phase { label, .. } => cur = trace.label(label).to_string(),
-                xmpi::Event::Send { bytes, .. } | xmpi::Event::SendPost { bytes, .. } => {
-                    *sent.entry(cur.clone()).or_default() += bytes
-                }
+                xmpi::Event::Send { bytes, .. } => *sent.entry(cur.clone()).or_default() += bytes,
                 _ => {}
             }
         }
