@@ -1,13 +1,12 @@
 //! Chaos conformance for the fault-tolerant factorizations: the full
 //! COnfLUX checkpoint/restart stack runs under seeded *wire-level* fault
-//! plans — torn frames, mid-frame connection resets, silently hung ranks,
-//! refused mesh dials — on both backends, and must satisfy, for every
+//! plans — torn frames, mid-frame connection resets, silently hung ranks —
+//! on both backends, and must satisfy, for every
 //! seed in the `XHARNESS_SEEDS` matrix:
 //!
-//! * **benign faults are invisible**: torn writes and within-budget
-//!   connect refusals leave factors, pivots, and the per-rank/per-phase
-//!   byte ledger bitwise identical to the fault-free run (and the golden
-//!   volume entries intact);
+//! * **benign faults are invisible**: torn writes leave factors, pivots,
+//!   and the per-rank/per-phase byte ledger bitwise identical to the
+//!   fault-free run (and the golden volume entries intact);
 //! * **fatal faults recover**: a reset or hang kills exactly the planned
 //!   victim (mid-frame EOF classification or the heartbeat failure
 //!   detector — never the 120 s receive timeout), the supervisor
@@ -94,7 +93,7 @@ fn with_failure_artifact<R>(seed: u64, fault: &str, f: impl FnOnce() -> R) -> R 
 }
 
 /// The seed matrix, end to end: each seed derives a whole fault plan
-/// (torn-only, +reset, +hang, or +connect — see `NetChaos::from_seed`),
+/// (torn-only, +reset or +hang — see `NetChaos::from_seed`),
 /// armed around the full fault-tolerant COnfLUX run on both backends.
 /// Rosters and restart counts must agree across backends, the factors
 /// must come out bitwise-equal to the fault-free run, and seeds whose
@@ -111,11 +110,10 @@ fn conflux_chaos_seed_matrix_conformance() {
     for seed in seeds(3) {
         let probe = NetChaos::from_seed(seed, p);
         let fault = format!(
-            "mode {:?}, reset {:?}, hang {:?}, connect {:?}",
+            "mode {:?}, reset {:?}, hang {:?}",
             probe.mode(),
             probe.reset_plan(),
-            probe.hang_plan(),
-            probe.connect_plan()
+            probe.hang_plan()
         );
         with_failure_artifact(seed, &fault, || {
             let local_chaos = Arc::new(NetChaos::from_seed(seed, p));
@@ -170,8 +168,7 @@ fn conflux_chaos_seed_matrix_conformance() {
 
             // The completed attempt's traffic is deterministic on both
             // backends; for all-benign seeds it must equal the fault-free
-            // ledger exactly (torn frames and refused dials move no
-            // counted bytes).
+            // ledger exactly (torn frames move no counted bytes).
             let (ll, ss) = (
                 local.report.attempt_stats.last().expect("local attempts"),
                 socket.report.attempt_stats.last().expect("socket attempts"),

@@ -48,8 +48,7 @@ use factor::{
 };
 use std::path::PathBuf;
 use xharness::{
-    check_golden, golden_mode, run_perturbed, seeds, ConnectPlan, CrashPlan, NetChaos,
-    NetChaosConfig, PerturbConfig, Perturbator,
+    check_golden, golden_mode, run_perturbed, seeds, CrashPlan, PerturbConfig, Perturbator,
 };
 use xmpi::Grid3;
 use xtrace::invariants::check_stats_equal;
@@ -330,18 +329,23 @@ fn conflux_ft_crash_recovery_over_sockets() {
 }
 
 /// A mis-shaped input is a typed error from every driver, raised before any
-/// world exists. Locally, armed hooks would see the first `phase` marker of
-/// any rank program; on the socket backend every mesh dial is refused, so
-/// a world that did launch would come back `LaunchFailed` and fail loudly.
+/// world exists. Armed hooks would see the first `phase` marker of any rank
+/// program: locally on a counter of this process, and in a forked rank
+/// process on a shared flag, which reads as fired here.
 #[test]
 fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use xmpi::launch::SharedFlag;
 
     #[derive(Default)]
-    struct CountPhases(AtomicUsize);
+    struct CountPhases {
+        here: AtomicUsize,
+        anywhere: SharedFlag,
+    }
     impl xmpi::SchedHooks for CountPhases {
         fn phase_stall(&self, _rank: usize, _name: &str) -> Option<std::time::Duration> {
-            self.0.fetch_add(1, Ordering::SeqCst);
+            self.here.fetch_add(1, Ordering::SeqCst);
+            self.anywhere.fire();
             None
         }
     }
@@ -370,19 +374,15 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     let phases = Arc::new(CountPhases::default());
     xmpi::with_hooks(phases.clone(), every_driver);
     assert_eq!(
-        phases.0.load(Ordering::SeqCst),
+        phases.here.load(Ordering::SeqCst),
         0,
         "a rank program ran on the local backend"
     );
-
-    let refuse_all = Arc::new(
-        NetChaos::new(NetChaosConfig::new(0)).with_connect(ConnectPlan {
-            dst: 0,
-            refuse_first: u64::MAX,
-            delay_us: 0,
-        }),
+    xmpi::with_hooks(phases.clone(), || on_sockets(every_driver));
+    assert!(
+        !phases.anywhere.is_set(),
+        "a rank program ran on the socket backend"
     );
-    xharness::run_chaos(&refuse_all, || on_sockets(every_driver));
 
     // A well-shaped input does reach the armed backend (cc38afc ran the
     // swap driver on threads): its phases are named in forked rank
@@ -393,9 +393,13 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     });
     assert!(out.stats.total_bytes_sent() > 0);
     assert_eq!(
-        phases.0.load(Ordering::SeqCst),
+        phases.here.load(Ordering::SeqCst),
         0,
         "lu25d_swap ran its ranks in the launching process"
+    );
+    assert!(
+        phases.anywhere.is_set(),
+        "the shared flag must show a phase named in a rank process"
     );
 }
 

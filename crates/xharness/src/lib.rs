@@ -37,7 +37,7 @@ mod perturb;
 mod rng;
 
 pub use golden::{check_golden, golden_mode, snapshot, GoldenMode};
-pub use netchaos::{ChaosMode, ConnectPlan, HangPlan, NetChaos, NetChaosConfig, ResetPlan};
+pub use netchaos::{ChaosMode, HangPlan, NetChaos, NetChaosConfig, ResetPlan};
 pub use perturb::{CorruptPlan, CrashPlan, PerturbConfig, Perturbator};
 
 use std::sync::Arc;
@@ -102,9 +102,9 @@ pub fn run_armed<R>(perturbator: &Arc<Perturbator>, f: impl FnOnce() -> R) -> R 
 
 /// Run `f` with a seeded [`NetChaos`] plan armed on this thread: every
 /// world `f` launches has wire-level fault injection installed — torn
-/// frames, one-shot connection resets and silent hangs, refused and
-/// delayed mesh dials (the `netchaos` module documents the determinism
-/// model). Like [`run_armed`], the caller keeps the `Arc` so one-shot latches span a
+/// frames, one-shot connection resets and silent hangs (the `netchaos`
+/// module documents the determinism model). Like [`run_armed`], the
+/// caller keeps the `Arc` so one-shot latches span a
 /// fault-tolerant driver's whole restart sequence and the test can assert
 /// `chaos.reset_fired()` afterwards.
 pub fn run_chaos<R>(chaos: &Arc<NetChaos>, f: impl FnOnce() -> R) -> R {

@@ -1,5 +1,5 @@
 //! The seeded network-chaos plan: an [`xmpi::NetFaults`] implementation
-//! whose every wire- and dial-level decision is a pure function of
+//! whose every wire-level decision is a pure function of
 //! `(seed, decision identity)` — the transport-breaking counterpart of the
 //! schedule-level [`crate::Perturbator`].
 //!
@@ -22,18 +22,13 @@
 //! noise keeps flowing across restarts — it is observably benign by
 //! contract (the receiver reassembles split frames), so it must never
 //! change results, counts, or rosters.
-//!
-//! Connection faults ([`ConnectPlan`]) are pure functions of the dial
-//! attempt index, so they need no latch: the first `refuse_first`
-//! attempts at the planned listener are refused (each burning one bounded
-//! retry without sleeping), the next is delayed, and the rest proceed.
 
 use crate::rng::{hash, unit_f64};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 use xmpi::launch::SharedFlag;
-use xmpi::{ConnectFault, NetFaults, WireFault};
+use xmpi::{NetFaults, WireFault};
 
 /// Decision-domain tags, disjoint from the [`crate::Perturbator`] domains
 /// (1–7) so arming chaos never shifts a seeded schedule-perturbation
@@ -42,7 +37,6 @@ mod domain {
     pub(super) const WRITE: u64 = 8;
     pub(super) const RESET: u64 = 9;
     pub(super) const HANG: u64 = 10;
-    pub(super) const CONNECT: u64 = 11;
     pub(super) const MODE: u64 = 12;
 }
 
@@ -130,35 +124,6 @@ impl HangPlan {
     }
 }
 
-/// A deterministic bounded connect fault against one mesh listener: the
-/// first `refuse_first` dial attempts at rank `dst` are refused (each
-/// burning one bounded retry, without sleeping), the next attempt is
-/// held back `delay_us`, and every later attempt proceeds — so the mesh
-/// converges, just late. Unbounded refusal (for typed-failure tests) is
-/// expressed by setting `refuse_first` at or above the dial budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnectPlan {
-    /// Rank whose listener misbehaves.
-    pub dst: usize,
-    /// Dial attempts refused before any can succeed.
-    pub refuse_first: u64,
-    /// Delay (µs) imposed on the first non-refused attempt.
-    pub delay_us: u64,
-}
-
-impl ConnectPlan {
-    /// Seed-derived plan: a listener that every higher rank must dial
-    /// (`dst < p-1`), 1–3 refusals, a sub-millisecond delay.
-    pub fn from_seed(seed: u64, p: usize) -> ConnectPlan {
-        assert!(p > 1, "connect plan needs a dialed listener");
-        ConnectPlan {
-            dst: (hash(&[seed, domain::CONNECT, 0]) as usize) % (p - 1),
-            refuse_first: 1 + hash(&[seed, domain::CONNECT, 1]) % 3,
-            delay_us: hash(&[seed, domain::CONNECT, 2]) % 500,
-        }
-    }
-}
-
 /// Which fault family a seed-derived plan exercises (see
 /// [`NetChaos::from_seed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,8 +134,6 @@ pub enum ChaosMode {
     Reset,
     /// Noise plus one silent rank hang.
     Hang,
-    /// Noise plus a bounded refuse/delay pattern on one mesh listener.
-    Connect,
 }
 
 /// Per-key monotone sequence counters (the deterministic part of a frame
@@ -202,7 +165,6 @@ pub struct NetChaos {
     hang_seq: SeqTable<usize>,
     reset: Option<(ResetPlan, SharedFlag)>,
     hang: Option<(HangPlan, SharedFlag)>,
-    connect: Option<ConnectPlan>,
 }
 
 impl NetChaos {
@@ -215,7 +177,6 @@ impl NetChaos {
             hang_seq: SeqTable::default(),
             reset: None,
             hang: None,
-            connect: None,
         }
     }
 
@@ -233,24 +194,18 @@ impl NetChaos {
         self
     }
 
-    /// Arm a [`ConnectPlan`] (stateless, no latch).
-    pub fn with_connect(mut self, plan: ConnectPlan) -> Self {
-        self.connect = Some(plan);
-        self.mode = ChaosMode::Connect;
-        self
-    }
-
-    /// The seed-matrix constructor: the seed picks one of the four
+    /// The seed-matrix constructor: the seed picks one of the three
     /// [`ChaosMode`]s and derives that mode's plan, so a sweep over
     /// `XHARNESS_SEEDS` covers every fault family and a failing seed
-    /// replays its exact fault pattern.
+    /// replays its exact fault pattern. Two of the four draws are
+    /// torn-only, so that every reset and hang seed keeps the plan it had
+    /// when the fourth drew a connection fault.
     pub fn from_seed(seed: u64, p: usize) -> NetChaos {
         let chaos = NetChaos::new(NetChaosConfig::new(seed));
         match hash(&[seed, domain::MODE]) % 4 {
-            0 => chaos,
             1 => chaos.with_reset(ResetPlan::from_seed(seed, p)),
             2 => chaos.with_hang(HangPlan::from_seed(seed, p)),
-            _ => chaos.with_connect(ConnectPlan::from_seed(seed, p)),
+            _ => chaos,
         }
     }
 
@@ -267,11 +222,6 @@ impl NetChaos {
     /// The armed hang plan, if any.
     pub fn hang_plan(&self) -> Option<HangPlan> {
         self.hang.as_ref().map(|(p, _)| *p)
-    }
-
-    /// The armed connect plan, if any.
-    pub fn connect_plan(&self) -> Option<ConnectPlan> {
-        self.connect
     }
 
     /// Has the armed reset plan fired yet (in this process or a rank
@@ -319,22 +269,6 @@ impl NetFaults for NetChaos {
             };
         }
         WireFault::Deliver
-    }
-
-    fn connect_fault(&self, _src: usize, dst: usize, attempt: u64) -> ConnectFault {
-        let Some(plan) = &self.connect else {
-            return ConnectFault::Allow;
-        };
-        if dst != plan.dst {
-            return ConnectFault::Allow;
-        }
-        if attempt < plan.refuse_first {
-            return ConnectFault::Refuse;
-        }
-        if attempt == plan.refuse_first && plan.delay_us > 0 {
-            return ConnectFault::Delay(Duration::from_micros(plan.delay_us));
-        }
-        ConnectFault::Allow
     }
 }
 
@@ -437,28 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn connect_plan_refuses_then_delays_then_allows() {
-        let c = NetChaos::new(NetChaosConfig {
-            seed: 9,
-            torn_prob: 0.0,
-            max_stall_us: 1,
-        })
-        .with_connect(ConnectPlan {
-            dst: 0,
-            refuse_first: 2,
-            delay_us: 300,
-        });
-        assert_eq!(c.connect_fault(3, 1, 0), ConnectFault::Allow);
-        assert_eq!(c.connect_fault(3, 0, 0), ConnectFault::Refuse);
-        assert_eq!(c.connect_fault(3, 0, 1), ConnectFault::Refuse);
-        assert_eq!(
-            c.connect_fault(3, 0, 2),
-            ConnectFault::Delay(Duration::from_micros(300))
-        );
-        assert_eq!(c.connect_fault(3, 0, 3), ConnectFault::Allow);
-    }
-
-    #[test]
     fn seed_derived_plans_replay_avoid_root_and_stay_in_range() {
         for seed in 0..200 {
             let p = 2 + (seed as usize) % 7;
@@ -467,7 +379,6 @@ mod tests {
             assert_eq!(a.mode(), b.mode());
             assert_eq!(a.reset_plan(), b.reset_plan());
             assert_eq!(a.hang_plan(), b.hang_plan());
-            assert_eq!(a.connect_plan(), b.connect_plan());
             if let Some(r) = a.reset_plan() {
                 assert!(r.src >= 1 && r.src < p);
                 assert!(r.dst < p && r.dst != r.src);
@@ -477,25 +388,53 @@ mod tests {
                 assert!(h.victim >= 1 && h.victim < p);
                 assert!(h.after_frames < 6);
             }
-            if let Some(cp) = a.connect_plan() {
-                assert!(cp.dst < p - 1, "planned listener must actually be dialed");
-                assert!((1..=3).contains(&cp.refuse_first));
-                assert!(cp.delay_us < 500);
-            }
         }
     }
 
     #[test]
     fn seed_matrix_covers_every_mode() {
-        let mut seen = [false; 4];
+        let mut seen = [false; 3];
         for seed in 0..64 {
             match NetChaos::from_seed(seed, 4).mode() {
                 ChaosMode::Torn => seen[0] = true,
                 ChaosMode::Reset => seen[1] = true,
                 ChaosMode::Hang => seen[2] = true,
-                ChaosMode::Connect => seen[3] = true,
             }
         }
-        assert_eq!(seen, [true; 4], "64 seeds must cover all four modes");
+        assert_eq!(seen, [true; 3], "64 seeds must cover all three modes");
+    }
+
+    /// The seeds the chaos sweeps single out keep the plans they had when
+    /// a fourth mode armed connect faults: retiring it moved no other seed.
+    #[test]
+    fn seed_plans_survive_the_retired_connect_mode() {
+        let hang = |victim, after_frames| {
+            Some(HangPlan {
+                victim,
+                after_frames,
+            })
+        };
+        for (seed, mode, reset, hang) in [
+            (8, ChaosMode::Hang, None, hang(1, 1)),
+            (9, ChaosMode::Hang, None, hang(4, 1)),
+            (11, ChaosMode::Hang, None, hang(3, 4)),
+            (
+                13,
+                ChaosMode::Reset,
+                Some(ResetPlan {
+                    src: 2,
+                    dst: 1,
+                    on_frame: 4,
+                }),
+                None,
+            ),
+        ] {
+            let c = NetChaos::from_seed(seed, 8);
+            assert_eq!(
+                (c.mode(), c.reset_plan(), c.hang_plan()),
+                (mode, reset, hang),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -49,16 +49,14 @@ pub enum XmpiError {
     /// [`XmpiError::RankDead`] so survivors can tell "my peer died" from
     /// "somebody died and the world is tearing down".
     WorldPoisoned,
-    /// A multi-process world could not be brought up: a rank process could
-    /// not be forked, or the socket-mesh handshake to a peer exhausted its
-    /// bounded retry budget (see `XMPI_CONNECT_RETRIES`). The launcher
-    /// degrades to this typed error instead of hanging or panicking, so a
-    /// fault-tolerant driver can give up cleanly.
+    /// A multi-process world could not be brought up: the launcher could
+    /// not make a rank's sockets or fork its process, or a rank could not
+    /// start its mesh. The launcher degrades to this typed error instead of
+    /// hanging or panicking, so a fault-tolerant driver can give up
+    /// cleanly.
     LaunchFailed {
-        /// World rank that failed to come up (or to be reached).
+        /// World rank that failed to come up.
         rank: usize,
-        /// Fork/dial attempts made before giving up.
-        attempts: u64,
     },
 }
 
@@ -87,10 +85,7 @@ impl fmt::Display for XmpiError {
                  expected {expected} element(s), got {got}"
             ),
             XmpiError::WorldPoisoned => write!(f, "world poisoned by a rank crash"),
-            XmpiError::LaunchFailed { rank, attempts } => write!(
-                f,
-                "world rank {rank} failed to launch after {attempts} attempt(s)"
-            ),
+            XmpiError::LaunchFailed { rank } => write!(f, "world rank {rank} failed to launch"),
         }
     }
 }
@@ -123,12 +118,8 @@ mod tests {
         };
         assert!(tr.to_string().contains("expected 10"));
         assert!(XmpiError::WorldPoisoned.to_string().contains("poisoned"));
-        let lf = XmpiError::LaunchFailed {
-            rank: 2,
-            attempts: 5,
-        };
+        let lf = XmpiError::LaunchFailed { rank: 2 };
         assert!(lf.to_string().contains("rank 2"));
-        assert!(lf.to_string().contains("5 attempt"));
     }
 
     #[test]

@@ -4,48 +4,58 @@
 //! [`crate::run_ft`] that additionally honour an ambient [`Backend`]: under
 //! the default [`Backend::Local`] they delegate to the in-process thread
 //! launcher unchanged; under [`Backend::Socket`] the calling process
-//! becomes the *parent* of a multi-process world — it forks one child
-//! process per rank, the children wire a rank×rank UNIX-socket mesh (the
-//! `socket` module), run the SPMD closure, and ship their [`Wire`]-encoded
-//! results and per-rank traffic statistics back over a control socket. A
-//! child that dies without reporting is mapped to [`XmpiError::RankDead`].
+//! becomes the *parent* of a multi-process world — it makes every socket
+//! of the world, forks one child process per rank, and each child runs the
+//! SPMD closure over its ends of a rank×rank UNIX-socket mesh (the `socket`
+//! module) and ships its [`Wire`]-encoded result and per-rank traffic
+//! statistics back over its control socket. A child that dies without
+//! reporting is mapped to [`XmpiError::RankDead`].
 //!
 //! ## Launch and teardown
 //!
 //! Every wait on the way is a blocking call on an event, never a sleep:
 //!
-//! 1. The parent binds the control socket and forks the children. Each
-//!    child binds its mesh listener, dials every lower rank (retrying a
-//!    dial that raced the sibling's `bind` after 100 µs, doubling) and
-//!    blocks in `accept` for every higher one; a watchdog thread parked
-//!    until the handshake deadline dials the listener itself if a sibling
-//!    never comes.
-//! 2. Meanwhile one acceptor thread of the parent blocks on the control
-//!    socket and reads each report inline as its child connects (every
-//!    report into the same body buffer), handing the decoded outcome to
-//!    the parent over a channel.
-//! 3. A child whose rank program returns tears its mesh down (the
-//!    heartbeat monitor, parked between beats, is unparked), encodes its
-//!    report, and only then connects and ships it and exits.
-//! 4. The parent returns once all `p` reports are in. Only a channel idle
-//!    for a while makes it look at the children: all exited means whoever
-//!    is missing died without reporting; past the world deadline, wedged
-//!    children are killed. One connection from the parent then wakes the
-//!    acceptor, which reads what is still queued and exits, and the
-//!    children are reaped with a blocking `waitpid`.
+//! 1. Under the launch lock, the parent makes one `socketpair` per pair of
+//!    ranks (the mesh) and one per rank (its control pair), and forks the
+//!    children. Child `r` keeps its `p − 1` mesh ends and the child end of
+//!    its control pair and closes every other end at once; the parent
+//!    closes every child end after the last fork, and only then releases
+//!    the lock. No rank dials, accepts or shakes hands: its mesh is up
+//!    when it starts.
+//! 2. A child whose rank program returns tears its mesh down (the
+//!    heartbeat monitor, parked between beats, is unparked), writes its
+//!    report on its control end and exits.
+//! 3. The parent `poll`s its `p` control ends, for at most what is left of
+//!    the world deadline, and reads each end as it becomes readable, up to
+//!    the end of its report (every report into the same body buffer).
+//!    End-of-file before a report means the rank died without reporting.
+//!    Past the deadline, the children still running are killed, and what
+//!    they left is read the same way. The children are then reaped with a
+//!    blocking `waitpid`.
+//!
+//! Peers detect a hard-killed rank by end-of-file without `Fin` (the
+//! `socket` module's layer 2), and the kernel reports that end-of-file only
+//! once every copy of the dead rank's ends is closed. A copy left in a
+//! sibling, or in a rank of a world that another thread forked meanwhile,
+//! would hold a survivor's clean shutdown until that process exits. Hence
+//! both rules of step 1: children close the ends they do not own, and no
+//! other world forks while this world's child ends are open in the parent.
+//! The parent reads reports in the order its ends become readable, not in
+//! rank order: a crashed rank blocked writing its report keeps its mesh
+//! ends open, and a survivor's clean shutdown waits on them.
 //!
 //! ## Forked ranks
 //!
 //! A rank process is a `fork` of the thread that called [`run`]/[`run_ft`]
 //! (the `rusty-fork` idiom without its re-execution). It already holds the
 //! closure, everything the closure captured and every ambient setting of
-//! that thread — armed hooks and chaos plans included — so it joins the
-//! mesh at once, runs the closure, ships its outcome and leaves with
-//! `_exit`: it never returns into the caller's code, runs no exit handlers
-//! and flushes no inherited stdio buffer. Its stdin and stdout are
-//! `/dev/null`. What a rank writes to its memory reaches the parent, and
-//! any later world, only through its shipped result — or through a
-//! [`SharedFlag`], a one-shot latch that lives in a shared page.
+//! that thread — armed hooks and chaos plans included — so it runs the
+//! closure at once, ships its outcome and leaves with `_exit`: it never
+//! returns into the caller's code, runs no exit handlers and flushes no
+//! inherited stdio buffer. Its stdin and stdout are `/dev/null`. What a
+//! rank writes to its memory reaches the parent, and any later world, only
+//! through its shipped result — or through a [`SharedFlag`], a one-shot
+//! latch that lives in a shared page.
 //!
 //! **Fork safety.** The child has one thread, a copy of the forking one; a
 //! lock any other thread of the parent held at that instant stays held in
@@ -58,8 +68,9 @@
 //!   instead of queueing on its parent's;
 //! * the launcher, socket and receive knobs are read from the environment
 //!   by the parent before its first fork and reach the child cached;
-//! * every child is forked before the parent starts the world's acceptor
-//!   thread.
+//! * the launch lock is held by the forking thread itself, so every child
+//!   holds a locked copy of it and never takes it: a rank program cannot
+//!   launch a socket world of its own.
 //!
 //! (libc's own fork handlers keep `malloc` usable in the child.)
 //!
@@ -77,16 +88,14 @@ use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind, Wire};
 use crate::world::{FtResult, WorldResult};
 use std::cell::Cell;
-use std::ffi::{c_int, c_void};
+use std::ffi::{c_int, c_ulong, c_void};
 use std::io::Write as _;
 use std::os::fd::AsRawFd;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which transport [`run`]/[`run_ft`] use.
@@ -104,15 +113,12 @@ thread_local! {
     static BACKEND: Cell<Backend> = const { Cell::new(Backend::Local) };
 }
 
-/// Process-global launch counter, only for unique scratch-directory names.
-static LAUNCH_DIRS: AtomicU64 = AtomicU64::new(0);
+/// Held from a socket world's first `socketpair` until its parent has
+/// closed every child end after the last fork, so that no other world's
+/// fork copies one (module docs, "Launch and teardown").
+static LAUNCH_LOCK: Mutex<()> = Mutex::new(());
 
-/// How long the parent's collect loop waits for a report before it looks at
-/// its children (all exited? past the world deadline?). A world whose
-/// reports keep arriving never pays that look.
-const COLLECT_IDLE: Duration = Duration::from_millis(10);
-
-/// Whole-world wall-clock budget in the parent's reap loop
+/// Whole-world wall-clock budget of the parent's collect loop
 /// (`XMPI_WORLD_DEADLINE_MS`, default 300000 ms; `0` disables). A world
 /// that outlives it has wedged children killed and mapped to
 /// [`XmpiError::RankDead`] — the launcher never hangs forever on a child
@@ -259,16 +265,23 @@ where
 }
 
 /// The few libc calls the launcher makes; std links libc already. The
-/// constants are Linux's.
+/// constants and the `pollfd` layout are Linux's.
 mod sys {
-    use std::ffi::{c_int, c_void};
+    use std::ffi::{c_int, c_short, c_ulong, c_void};
 
     pub(super) const SIGKILL: c_int = 9;
-    pub(super) const WNOHANG: c_int = 1;
+    pub(super) const POLLIN: c_short = 1;
     pub(super) const PROT_READ: c_int = 1;
     pub(super) const PROT_WRITE: c_int = 2;
     pub(super) const MAP_SHARED: c_int = 1;
     pub(super) const MAP_ANONYMOUS: c_int = 0x20;
+
+    #[repr(C)]
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
+    }
 
     extern "C" {
         pub(super) fn fork() -> c_int;
@@ -276,6 +289,7 @@ mod sys {
         pub(super) fn kill(pid: c_int, sig: c_int) -> c_int;
         pub(super) fn _exit(status: c_int) -> !;
         pub(super) fn dup2(old: c_int, new: c_int) -> c_int;
+        pub(super) fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
@@ -296,23 +310,14 @@ struct RankProc {
 }
 
 impl RankProc {
-    /// Reap the child if it has exited; whether it has.
-    fn try_reap(&mut self) -> bool {
-        if !self.reaped {
-            let mut status = 0;
-            // SAFETY: `pid` is an unreaped child of this process and
-            // `status` a valid out-pointer. `-1` (no such child) counts as
-            // reaped, so the pid is not touched again.
-            self.reaped = unsafe { sys::waitpid(self.pid, &mut status, sys::WNOHANG) } != 0;
-        }
-        self.reaped
-    }
-
     /// Block until the child has exited, and reap it.
     fn wait(&mut self) {
         while !self.reaped {
             let mut status = 0;
-            // SAFETY: as in `try_reap`.
+            // SAFETY: `pid` is an unreaped child of this process and
+            // `status` a valid out-pointer. `-1` other than an interrupted
+            // wait (no such child) counts as reaped, so the pid is not
+            // touched again.
             let r = unsafe { sys::waitpid(self.pid, &mut status, 0) };
             self.reaped = r != -1
                 || std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted;
@@ -443,21 +448,61 @@ impl Drop for SharedFlag {
     }
 }
 
-/// Child side: join the mesh as `my_rank`, run the rank program, and ship
-/// the outcome and stats on the control socket.
-fn child_world<R, F>(dir: &Path, p: usize, my_rank: usize, f: &F)
+/// The sockets one rank process owns: its stream to every peer, indexed
+/// by world rank (`None` at its own), and the child end of its control
+/// pair.
+struct RankEnds {
+    mesh: Vec<Option<UnixStream>>,
+    ctl: UnixStream,
+}
+
+/// Every socket of a `p`-rank world: one `socketpair` per rank (its
+/// control pair, whose parent ends come back second) and one per pair of
+/// ranks. On failure, the rank whose pair could not be made; the ends made
+/// so far are closed.
+fn make_sockets(p: usize) -> Result<(Vec<RankEnds>, Vec<UnixStream>), (usize, std::io::Error)> {
+    let mut ends = Vec::with_capacity(p);
+    let mut parent = Vec::with_capacity(p);
+    for r in 0..p {
+        let (mine, theirs) = UnixStream::pair().map_err(|e| (r, e))?;
+        parent.push(mine);
+        ends.push(RankEnds {
+            mesh: (0..p).map(|_| None).collect(),
+            ctl: theirs,
+        });
+    }
+    for r in 0..p {
+        for s in r + 1..p {
+            let (a, b) = UnixStream::pair().map_err(|e| (r, e))?;
+            ends[r].mesh[s] = Some(a);
+            ends[s].mesh[r] = Some(b);
+        }
+    }
+    Ok((ends, parent))
+}
+
+/// Child side: run the rank program over the mesh `own` holds, and ship
+/// the outcome and stats on its control end.
+fn child_world<R, F>(own: RankEnds, my_rank: usize, f: &F)
 where
     R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
 {
-    let liveness = Arc::new(Liveness::new(p));
-    let transport = match SocketTransport::connect(dir, my_rank, p, liveness.clone()) {
+    let RankEnds { mesh, mut ctl } = own;
+    let liveness = Arc::new(Liveness::new(mesh.len()));
+    let transport = match SocketTransport::new(mesh, my_rank, liveness.clone()) {
         Ok(t) => t,
         Err(e) => {
-            // Graceful launch degradation: the mesh never came up within
-            // the bounded dial/accept budget. Report the typed failure to
-            // the parent instead of panicking the child.
-            ship_result::<R>(dir, my_rank, &Shipped::Err(e), &RankStats::default(), &[]);
+            // Graceful launch degradation: the mesh's service threads did
+            // not start. Report the typed failure to the parent instead of
+            // panicking the child.
+            ship_result::<R>(
+                &mut ctl,
+                my_rank,
+                &Shipped::Err(e),
+                &RankStats::default(),
+                &[],
+            );
             return;
         }
     };
@@ -499,40 +544,45 @@ where
     // child's view — mirroring the in-process backend, where the roster is
     // read straight off the shared liveness registry.
     let dead = shared.liveness.dead_ranks();
-    ship_result(dir, my_rank, &shipped, &stats, &dead);
+    ship_result(&mut ctl, my_rank, &shipped, &stats, &dead);
 }
 
-/// Connect the control socket and ship `(outcome, stats, dead roster)` to
-/// the parent.
+/// Ship `(outcome, stats, dead roster)` to the parent as one `Result`
+/// frame on the control end.
 fn ship_result<R: Wire>(
-    dir: &Path,
+    ctl: &mut UnixStream,
     my_rank: usize,
     shipped: &Shipped<R>,
     stats: &RankStats,
     dead: &[usize],
 ) {
-    // Encode first: once connected, the parent's acceptor reads this
-    // report and nothing else until it is complete.
     let mut frame = Frame::control(FrameKind::Result, my_rank);
     shipped.encode(&mut frame.body);
     stats.encode(&mut frame.body);
     dead.to_vec().encode(&mut frame.body);
-    let Ok(mut ctl) = UnixStream::connect(dir.join("ctl.sock")) else {
-        // Parent already gone; nothing useful to do but exit.
-        return;
-    };
-    let _ = wire::write_frame(&mut ctl, &Frame::control(FrameKind::Hello, my_rank))
-        .and_then(|()| wire::write_frame(&mut ctl, &frame))
-        .and_then(|()| ctl.flush());
+    // With the parent gone there is nothing useful left to do but exit.
+    let _ = wire::write_frame(ctl, &frame).and_then(|()| ctl.flush());
 }
 
 /// What the parent holds per child once it reports: outcome, traffic
 /// stats, and the child's view of the dead-rank roster.
 type Outcome<R> = (Shipped<R>, RankStats, Vec<usize>);
 
-/// Parent side of one socket-backed world: fork one child per rank,
-/// collect the outcomes they ship on the control socket as they arrive,
-/// reap them, and assemble the world result.
+/// Every rank's outcome of a world that could not be launched.
+fn launch_failed<R>(p: usize, rank: usize) -> FtResult<R> {
+    let e = XmpiError::LaunchFailed { rank };
+    FtResult {
+        results: (0..p).map(|_| Err(e)).collect(),
+        stats: WorldStats {
+            ranks: (0..p).map(|_| RankStats::default()).collect(),
+        },
+        crashed: Vec::new(),
+    }
+}
+
+/// Parent side of one socket-backed world: make its sockets, fork one
+/// child per rank, read the outcomes they ship on their control ends as
+/// they arrive, reap them, and assemble the world result.
 fn socket_world<R, F>(p: usize, f: F) -> FtResult<R>
 where
     R: Wire + Send,
@@ -548,106 +598,105 @@ where
     let deadline = world_deadline().map(|d| Instant::now() + d);
     crate::socket::read_knobs();
     crate::comm::recv_timeout();
-    clean_stale_launch_dirs();
-    let dir = std::env::temp_dir().join(format!(
-        "xmpi-{}-{}",
-        std::process::id(),
-        LAUNCH_DIRS.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create socket mesh directory");
-    let ctl_path = dir.join("ctl.sock");
-    let ctl = UnixListener::bind(&ctl_path).expect("bind control socket");
 
+    // Graceful degradation on either failure below: give every rank the
+    // typed launch failure — never a panic, never a half-forked world left
+    // running. Returning closes every end made so far.
+    // The lock guards no data, so a panic that poisoned it left nothing
+    // half-updated.
+    let launch = LAUNCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (mut ends, mut ctl) = match make_sockets(p) {
+        Ok(sockets) => sockets,
+        Err((rank, e)) => {
+            eprintln!("xmpi launch: socketpair for rank {rank}: {e}");
+            return launch_failed(p, rank);
+        }
+    };
     let mut children: Vec<RankProc> = Vec::with_capacity(p);
     for rank in 0..p {
-        match fork_rank(|| child_world(&dir, p, rank, &f)) {
+        // The closure runs in the child only, on its copy of `ends` and
+        // `ctl`: it keeps its own ends and closes the rest.
+        let forked = fork_rank(|| {
+            let own = std::mem::take(&mut ends).swap_remove(rank);
+            drop(std::mem::take(&mut ctl));
+            child_world(own, rank, &f);
+        });
+        match forked {
             Ok(child) => children.push(child),
             Err(e) => {
-                // Graceful degradation: kill whatever came up, clean the
-                // mesh directory, and give every rank the typed launch
-                // failure — never a panic, never a half-forked world left
-                // running.
                 eprintln!("xmpi launch: fork rank {rank}: {e}");
                 kill_all(&mut children);
-                let _ = std::fs::remove_dir_all(&dir);
-                let e = XmpiError::LaunchFailed { rank, attempts: 1 };
-                return FtResult {
-                    results: (0..p).map(|_| Err(e)).collect(),
-                    stats: WorldStats {
-                        ranks: (0..p).map(|_| RankStats::default()).collect(),
-                    },
-                    crashed: Vec::new(),
-                };
+                return launch_failed(p, rank);
             }
         }
     }
+    drop(ends);
+    drop(launch);
 
-    // Collect by event. One acceptor thread blocks on the control socket
-    // and reads each report as soon as its child connects; the decoded
-    // outcome reaches this thread over a channel, and the world is
-    // complete once all `p` are in. Only a channel idle for
-    // `COLLECT_IDLE` makes this thread look at the children:
-    // - once every child has exited, every report that will ever arrive
-    //   is queued (a child connects before it exits), and whoever is
-    //   missing after the acceptor's last drain died without reporting;
-    // - past the world deadline, children that neither exit nor report
-    //   (wedged beyond what the in-world failure detector resolves) are
-    //   killed and mapped to dead ranks.
-    // Either way every child connection is queued before `done` is set,
-    // and one connection from this thread wakes the acceptor for exit.
+    // Collect by event: each control end is read once, as soon as it is
+    // readable, to the end of its report or to end-of-file. A poll that
+    // outlasts the world deadline kills the children still running
+    // (wedged beyond what the in-world failure detector resolves); every
+    // end left then reads as a report or as end-of-file.
     let mut outcomes: Vec<Option<Outcome<R>>> = (0..p).map(|_| None).collect();
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel();
-        let (ctl, done) = (&ctl, &done);
-        s.spawn(move || accept_reports(ctl, p, done, &tx));
-        let mut missing = p;
-        while missing > 0 {
-            match rx.recv_timeout(COLLECT_IDLE) {
-                Ok((rank, outcome)) => {
-                    if outcomes[rank].replace(outcome).is_none() {
-                        missing -= 1;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let alive = children
-                        .iter_mut()
-                        .map(|c| !c.try_reap())
-                        .filter(|&running| running)
-                        .count();
-                    if alive == 0 {
-                        break;
-                    }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        eprintln!(
-                            "xmpi launch: a {p}-rank world exceeded XMPI_WORLD_DEADLINE_MS \
-                             with {alive} child process(es) wedged; killing them"
-                        );
-                        kill_all(&mut children);
-                        break;
-                    }
-                }
-                // The acceptor stopped early: nothing can collect the
-                // remaining reports, so their children must not run on.
-                Err(RecvTimeoutError::Disconnected) => {
-                    kill_all(&mut children);
-                    break;
-                }
+    let mut fds: Vec<sys::PollFd> = ctl
+        .iter()
+        .map(|end| sys::PollFd {
+            fd: end.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        })
+        .collect();
+    let mut open = p;
+    let mut killed = false;
+    // One body buffer serves every report.
+    let mut body = Vec::new();
+    while open > 0 {
+        let timeout = match deadline {
+            Some(d) if !killed => {
+                let left = d.saturating_duration_since(Instant::now());
+                c_int::try_from(left.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
             }
+            _ => -1,
+        };
+        // SAFETY: `fds` is a live array of `fds.len()` pollfd records.
+        let ready = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout) };
+        if ready <= 0 {
+            let err = std::io::Error::last_os_error();
+            if ready < 0 && err.kind() == std::io::ErrorKind::Interrupted {
+                continue;
+            }
+            if killed {
+                break;
+            }
+            if ready == 0 {
+                eprintln!(
+                    "xmpi launch: a {p}-rank world exceeded XMPI_WORLD_DEADLINE_MS \
+                     with {open} rank(s) unreported; killing their processes"
+                );
+            } else {
+                eprintln!("xmpi launch: poll the control sockets: {err}");
+            }
+            kill_all(&mut children);
+            killed = true;
+            continue;
         }
-        done.store(true, Ordering::SeqCst);
-        let _ = UnixStream::connect(&ctl_path);
-        // Ends when the acceptor has drained the queue and dropped `tx`.
-        for (rank, outcome) in rx.iter() {
-            outcomes[rank] = Some(outcome);
+        for (rank, pfd) in fds.iter_mut().enumerate() {
+            if pfd.fd < 0 || pfd.revents == 0 {
+                continue;
+            }
+            // `poll` skips a negative descriptor from now on.
+            pfd.fd = -1;
+            open -= 1;
+            body = read_report(&ctl[rank], body, &mut outcomes[rank]);
         }
-    });
-    // Every child has reported or exited, or was killed: `wait` does not
-    // block for long.
+    }
+    drop(ctl);
+    // Every child has reported or closed its control end, or was killed:
+    // `wait` does not block for long.
     for child in &mut children {
         child.wait();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     let mut results = Vec::with_capacity(p);
     let mut stats = Vec::with_capacity(p);
@@ -692,58 +741,6 @@ where
     }
 }
 
-/// Best-effort sweep of mesh scratch directories leaked by *dead* launcher
-/// processes: a hard-killed test run leaves `$TMPDIR/xmpi-<pid>-<n>` trees
-/// full of stale UNIX-socket files behind. Runs once per process, before
-/// the first socket world creates its own directory. Only directories
-/// whose embedded pid is provably not alive are removed, so concurrent
-/// launcher processes never lose a live mesh.
-fn clean_stale_launch_dirs() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| sweep_stale_launch_dirs(&std::env::temp_dir()));
-}
-
-/// The sweep behind [`clean_stale_launch_dirs`], parameterized for tests.
-fn sweep_stale_launch_dirs(tmp: &Path) {
-    let Ok(entries) = std::fs::read_dir(tmp) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(pid) = stale_dir_pid(name) else {
-            continue;
-        };
-        if pid_is_dead(pid) {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-}
-
-/// Parse the launcher pid out of an `xmpi-<pid>-<n>` scratch-directory
-/// name; `None` for anything else (never touch foreign files).
-fn stale_dir_pid(name: &str) -> Option<u32> {
-    let rest = name.strip_prefix("xmpi-")?;
-    let (pid, seq) = rest.split_once('-')?;
-    if pid.is_empty() || seq.is_empty() || !seq.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    pid.parse().ok()
-}
-
-/// Whether `pid` is provably dead. Checked via procfs on Linux; on
-/// platforms without it, claim alive so nothing is ever deleted.
-fn pid_is_dead(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return false;
-    }
-    if cfg!(target_os = "linux") {
-        !Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        false
-    }
-}
-
 /// Kill and reap every child.
 fn kill_all(children: &mut [RankProc]) {
     for child in children {
@@ -751,98 +748,29 @@ fn kill_all(children: &mut [RankProc]) {
     }
 }
 
-/// The control socket's acceptor: read each connection's report inline, in
-/// arrival order, and send its outcome to the collect loop. Once `done` is
-/// set, read what is still queued without blocking, then return.
-fn accept_reports<R: Wire>(
-    ctl: &UnixListener,
-    p: usize,
-    done: &AtomicBool,
-    tx: &mpsc::Sender<(usize, Outcome<R>)>,
-) {
-    // One body buffer serves every report.
-    let mut body = Vec::new();
-    while let Ok((stream, _)) = ctl.accept() {
-        body = read_report(stream, p, body, tx);
-        if done.load(Ordering::SeqCst) {
-            if ctl.set_nonblocking(true).is_ok() {
-                while let Ok((stream, _)) = ctl.accept() {
-                    body = read_report(stream, p, body, tx);
-                }
-            }
-            return;
-        }
-    }
-}
-
-/// Read one control connection — `Hello`, then the `Result` frame into
-/// `body`'s allocation — and send its decoded outcome on `tx`. Anything
-/// malformed is dropped: its rank counts as not having reported. Returns
-/// the buffer for the next report.
+/// Read one control end up to the end of its `Result` frame, into
+/// `body`'s allocation, and decode the rank's outcome into `slot`.
+/// End-of-file first, or anything malformed, leaves `slot` empty: the rank
+/// did not report. A report is written in one piece by a child with
+/// nothing else left to do; one that stalls for 10 s counts as not sent.
+/// Returns the buffer for the next report.
 fn read_report<R: Wire>(
-    mut stream: UnixStream,
-    p: usize,
+    mut ctl: &UnixStream,
     body: Vec<u8>,
-    tx: &mpsc::Sender<(usize, Outcome<R>)>,
+    slot: &mut Option<Outcome<R>>,
 ) -> Vec<u8> {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let rank = match wire::read_frame(&mut stream) {
-        Ok(Some(hello)) if hello.kind == FrameKind::Hello => hello.src as usize,
-        _ => return body,
-    };
-    let Ok(Some(result)) = wire::read_frame_into(&mut stream, body) else {
+    let _ = ctl.set_read_timeout(Some(Duration::from_secs(10)));
+    let Ok(Some(frame)) = wire::read_frame_into(&mut ctl, body) else {
         return Vec::new();
     };
-    if result.kind == FrameKind::Result && rank < p {
-        if let Ok(outcome) = Outcome::<R>::decode(&mut &result.body[..]) {
-            let _ = tx.send((rank, outcome));
-        }
+    if frame.kind == FrameKind::Result {
+        *slot = Outcome::<R>::decode(&mut &frame.body[..]).ok();
     }
-    result.body
+    frame.body
 }
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn stale_dir_names_parse_conservatively() {
-        use super::stale_dir_pid;
-        assert_eq!(stale_dir_pid("xmpi-1234-0"), Some(1234));
-        assert_eq!(stale_dir_pid("xmpi-1-17"), Some(1));
-        // Never claim a foreign or malformed name.
-        assert_eq!(stale_dir_pid("xmpi-1234"), None);
-        assert_eq!(stale_dir_pid("xmpi--0"), None);
-        assert_eq!(stale_dir_pid("xmpi-abc-0"), None);
-        assert_eq!(stale_dir_pid("xmpi-1234-"), None);
-        assert_eq!(stale_dir_pid("xmpi-1234-x"), None);
-        assert_eq!(stale_dir_pid("ympi-1234-0"), None);
-        assert_eq!(stale_dir_pid("xmpi-99999999999-0"), None, "pid overflow");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn stale_sweep_removes_dead_pid_dirs_only() {
-        use super::sweep_stale_launch_dirs;
-        let tmp = std::env::temp_dir().join(format!("xmpi-sweep-test-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).expect("create sweep sandbox");
-        // u32::MAX is far beyond any real Linux pid, so /proc/<pid> cannot
-        // exist: a provably-dead launcher's leftovers.
-        let dead = tmp.join(format!("xmpi-{}-3", u32::MAX));
-        // Our own pid is alive: must survive the sweep.
-        let live = tmp.join(format!("xmpi-{}-0", std::process::id()));
-        // A foreign name: must never be touched.
-        let foreign = tmp.join("xmpi-not-a-mesh");
-        for d in [&dead, &live, &foreign] {
-            std::fs::create_dir_all(d).expect("create test dir");
-            std::fs::write(d.join("rank_0.sock"), b"").expect("plant stale socket file");
-        }
-        sweep_stale_launch_dirs(&tmp);
-        assert!(!dead.exists(), "dead launcher's directory must be swept");
-        assert!(live.exists(), "live launcher's directory must survive");
-        assert!(foreign.exists(), "foreign names must never be touched");
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
     #[test]
     fn backend_ambient_restores() {
         use super::*;

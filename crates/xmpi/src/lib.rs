@@ -83,14 +83,14 @@
 //! Below the schedule hooks sits wire-level fault injection: a
 //! [`netfault::NetFaults`] plan armed via [`with_net_faults`] breaks the
 //! transport itself — torn (partially written) frames, mid-frame connection
-//! resets, ranks that hang silently without closing their streams, and
-//! refused or delayed mesh dials. On the socket backend the faults are
-//! executed literally on the wire; a heartbeat failure detector
-//! (`XMPI_HEARTBEAT_MS` / `XMPI_SUSPECT_MS`) classifies hung peers as
-//! [`XmpiError::RankDead`], and every mesh dial is bounded by capped
-//! exponential backoff, degrading to a typed [`XmpiError::LaunchFailed`]
-//! instead of a hang or a panic. The `xharness`
-//! crate derives whole fault plans from a single seed (`NetChaos`) so any
+//! resets, and ranks that hang silently without closing their streams. On
+//! the socket backend the faults are executed literally on the wire, and a
+//! heartbeat failure detector (`XMPI_HEARTBEAT_MS` / `XMPI_SUSPECT_MS`)
+//! classifies hung peers as [`XmpiError::RankDead`]. The launcher makes
+//! the whole mesh before it forks a rank, so no connection can be refused;
+//! a world that cannot be made returns a typed [`XmpiError::LaunchFailed`]
+//! from every rank instead of a hang or a panic. The `xharness` crate
+//! derives whole fault plans from a single seed (`NetChaos`) so any
 //! failing chaos run replays exactly.
 
 #![warn(missing_docs, unreachable_pub)]
@@ -124,7 +124,7 @@ pub use grid::{Grid2, Grid3};
 pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate};
 pub use launch::{with_backend, Backend};
 pub use liveness::catch_poison;
-pub use netfault::{with_net_faults, ConnectFault, NetFaults, WireFault};
+pub use netfault::{with_net_faults, NetFaults, WireFault};
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;

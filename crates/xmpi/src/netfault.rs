@@ -4,9 +4,8 @@
 //! visibility, stalls, rank skews — without ever touching the bytes on the
 //! wire. This module is the hard-failure counterpart at the *transport*
 //! level: a [`NetFaults`] implementation armed on a world decides, per
-//! outbound frame and per connection attempt, whether the wire itself
-//! misbehaves — partial writes, mid-frame connection resets, hung (silent
-//! but alive) ranks, and refused or delayed dials.
+//! outbound frame, whether the wire itself misbehaves — partial writes,
+//! mid-frame connection resets, and hung (silent but alive) ranks.
 //!
 //! The decisions are consulted in the shared send path
 //! (`comm::push_message_inner`), once per non-self-send message, so the
@@ -30,11 +29,9 @@
 //!   fault-tolerant driver identical across backends, which is what the
 //!   chaos conformance suite pins.
 //!
-//! Connection faults ([`NetFaults::connect_fault`]) are consulted by the
-//! socket mesh dialer per attempt; a refused attempt burns one retry of the
-//! bounded backoff schedule without sleeping, so a persistently refusing
-//! plan degrades into a *fast* typed [`crate::XmpiError::LaunchFailed`]
-//! instead of a long hang.
+//! There is no connection fault: the launcher makes the whole mesh before
+//! it forks a rank (`crate::launch`), so no dial exists to refuse. A world
+//! that cannot be made fails as a typed [`crate::XmpiError::LaunchFailed`].
 //!
 //! Arming mirrors [`crate::hooks::with_hooks`]: [`with_net_faults`] arms a
 //! thread-local slot that every world launched inside the closure picks up,
@@ -79,21 +76,7 @@ pub enum WireFault {
     Hang,
 }
 
-/// What happens to one dial attempt of the mesh handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectFault {
-    /// Attempt the connection normally.
-    Allow,
-    /// Hold the dialer back before attempting (a slow-to-route connect).
-    Delay(Duration),
-    /// The attempt is refused outright (connection refused without a
-    /// listener ever being consulted). Burns one bounded retry.
-    Refuse,
-}
-
-/// Transport-level fault injection callbacks. All methods default to
-/// fault-free so an implementation only overrides the surfaces it wants to
-/// break.
+/// Transport-level fault injection callback. It defaults to fault-free.
 ///
 /// Implementations must be deterministic functions of their own state and
 /// the arguments — the `xharness` chaos plan derives every decision from a
@@ -110,13 +93,6 @@ pub trait NetFaults: Send + Sync {
     fn wire_fault(&self, src: usize, dst: usize, frame_len: usize) -> WireFault {
         let _ = (src, dst, frame_len);
         WireFault::Deliver
-    }
-
-    /// Fate of dial `attempt` (0-based) from rank `src` to rank `dst`'s
-    /// mesh listener.
-    fn connect_fault(&self, src: usize, dst: usize, attempt: u64) -> ConnectFault {
-        let _ = (src, dst, attempt);
-        ConnectFault::Allow
     }
 }
 
@@ -173,7 +149,6 @@ mod tests {
     fn defaults_are_fault_free() {
         let n = Nop;
         assert_eq!(n.wire_fault(0, 1, 128), WireFault::Deliver);
-        assert_eq!(n.connect_fault(1, 0, 3), ConnectFault::Allow);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Multi-process socket transport: ranks are OS processes joined by a
 //! rank×rank UNIX-domain socket mesh.
 //!
-//! Topology: every rank binds a listener at `rank_<r>.sock` in the world's
-//! scratch directory; rank `s` *connects* to every lower rank `r < s`
-//! (opening the connection with a `Hello` frame naming itself) and
-//! *accepts* one connection from every higher rank. Each pair shares one
-//! duplex stream.
+//! Topology: each pair of ranks shares one duplex stream, one end of a
+//! `socketpair` the launcher made before it forked either rank
+//! (`crate::launch`). A rank process starts holding its `p − 1` ends, so
+//! there is nothing to dial, accept or name: the mesh is up from the rank's
+//! first instruction, and only the two ranks of a pair hold its ends.
 //!
 //! Per peer, two service threads preserve the shared layer's contracts:
 //!
@@ -57,22 +57,18 @@
 //! read loop reassembles it — observably benign), a reset writes a prefix
 //! and shuts the stream's write half down (the peer observes layer 2), and
 //! a hang latches the whole mesh silent — data, `Fin`s, heartbeats — until
-//! the peers' failure detectors fire (layer 3). Dial attempts consult
-//! [`crate::netfault::NetFaults::connect_fault`] and are bounded by
-//! `XMPI_CONNECT_RETRIES` capped-exponential-backoff attempts
-//! ([`backoff_delay`]), degrading to a typed
-//! [`XmpiError::LaunchFailed`] — never an unbounded dial loop.
+//! the peers' failure detectors fire (layer 3). Nothing can refuse a
+//! connection: the mesh has none to make.
 
 use crate::comm::{ChannelKey, Mailbox, Payload};
 use crate::error::XmpiError;
 use crate::liveness::Liveness;
-use crate::netfault::{ConnectFault, NetFaults, WireFault};
+use crate::netfault::WireFault;
 use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind};
 use parking_lot::Mutex;
 use std::io::Write as _;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -93,29 +89,12 @@ fn suspect_ms() -> u64 {
     *CACHE.get_or_init(|| env_u64("XMPI_SUSPECT_MS", 30_000))
 }
 
-/// Mesh dial attempt budget (`XMPI_CONNECT_RETRIES`, default 120 — about
-/// 27 s under [`backoff_delay`]). Read once per process.
-fn connect_retries() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| env_u64("XMPI_CONNECT_RETRIES", 120).max(1))
-}
-
-/// Accept-side handshake deadline (`XMPI_HANDSHAKE_TIMEOUT_MS`, default
-/// 30000 ms). Read once per process.
-fn handshake_timeout() -> Duration {
-    static CACHE: OnceLock<Duration> = OnceLock::new();
-    *CACHE
-        .get_or_init(|| Duration::from_millis(env_u64("XMPI_HANDSHAKE_TIMEOUT_MS", 30_000).max(1)))
-}
-
 /// Read every knob of this module now. The launcher calls this before it
 /// forks, so a rank process finds them cached and never reads the
 /// environment, whose lock another thread of the launcher may hold.
 pub(crate) fn read_knobs() {
     heartbeat_ms();
     suspect_ms();
-    connect_retries();
-    handshake_timeout();
 }
 
 /// Parse an environment knob as `u64` (trimmed); unset or junk means
@@ -125,20 +104,6 @@ pub(crate) fn env_u64(var: &str, default: u64) -> u64 {
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(default)
-}
-
-/// Capped exponential backoff before dial attempt `attempt + 1`:
-/// `min(100 µs << attempt, 250 ms)`. A dial that merely races a sibling's
-/// `bind` retries within a tenth of a millisecond. Pure so the schedule is
-/// unit-testable.
-pub(crate) fn backoff_delay(attempt: u64) -> Duration {
-    // From attempt 12 on, the shift is past the cap (and never overflows).
-    Duration::from_micros((100u64 << attempt.min(12)).min(250_000))
-}
-
-/// Socket path for a rank's mesh listener.
-pub(crate) fn rank_sock(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("rank_{rank}.sock"))
 }
 
 /// What a peer's writer thread is told to do next.
@@ -212,179 +177,39 @@ pub(crate) struct SocketTransport {
     monitor: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Dial `peer`'s listener with a bounded capped-exponential-backoff budget,
-/// consulting the ambient chaos plan per attempt.
-///
-/// An injected [`ConnectFault::Refuse`] burns an attempt *without*
-/// sleeping, so a persistently refusing plan degrades into a fast typed
-/// [`XmpiError::LaunchFailed`]; a real dial error sleeps
-/// [`backoff_delay`] before the next attempt (the peer's process may still
-/// be starting up).
-fn connect_retry(
-    dir: &Path,
-    my_rank: usize,
-    peer: usize,
-    net: Option<&Arc<dyn NetFaults>>,
-) -> Result<UnixStream, XmpiError> {
-    let path = rank_sock(dir, peer);
-    let budget = connect_retries();
-    for attempt in 0..budget {
-        match net.map_or(ConnectFault::Allow, |n| {
-            n.connect_fault(my_rank, peer, attempt)
-        }) {
-            ConnectFault::Refuse => continue,
-            ConnectFault::Delay(d) => std::thread::sleep(d),
-            ConnectFault::Allow => {}
-        }
-        match UnixStream::connect(&path) {
-            Ok(s) => return Ok(s),
-            Err(_) => std::thread::sleep(backoff_delay(attempt)),
-        }
-    }
-    Err(XmpiError::LaunchFailed {
-        rank: peer,
-        attempts: budget,
-    })
-}
-
-/// Accept one stream from every rank above `my_rank`, each opening with a
-/// `Hello` frame that says who dialed, into `streams`. Blocks in `accept`;
-/// the handshake deadline is kept by a watchdog thread that parks until
-/// then and, if the accepts are still pending, dials `listener` itself.
-/// Its connection carries no `Hello`, so the handshake fails as timed out.
-fn accept_peers(
-    listener: &UnixListener,
-    dir: &Path,
-    my_rank: usize,
-    deadline: Instant,
-    streams: &mut [Option<UnixStream>],
-) -> Result<(), XmpiError> {
-    let p = streams.len();
-    if my_rank + 1 >= p {
-        return Ok(());
-    }
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let watchdog = std::thread::Builder::new()
-            .name(format!("xmpi-accept{my_rank}"))
-            .spawn_scoped(s, || {
-                while !done.load(Ordering::SeqCst) {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        let _ = UnixStream::connect(rank_sock(dir, my_rank));
-                        return;
-                    }
-                    std::thread::park_timeout(left);
-                }
-            })
-            .map_err(|e| handshake_failed(my_rank, "spawn accept watchdog", &e))?;
-        let accepted = (my_rank + 1..p).try_for_each(|_| {
-            let (mut s, _) = listener
-                .accept()
-                .map_err(|e| handshake_failed(my_rank, "accept peer", &e))?;
-            let hello = wire::read_frame(&mut s).ok().flatten();
-            let peer = match hello {
-                Some(f) if f.kind == FrameKind::Hello => f.src as usize,
-                _ if Instant::now() >= deadline => {
-                    return Err(handshake_failed(
-                        my_rank,
-                        "accept peer",
-                        &std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "timed out waiting for higher ranks to dial in",
-                        ),
-                    ))
-                }
-                _ => {
-                    return Err(handshake_failed(
-                        my_rank,
-                        "read Hello",
-                        &std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "peer opened without a Hello frame",
-                        ),
-                    ))
-                }
-            };
-            if peer >= p || streams[peer].is_some() {
-                return Err(handshake_failed(
-                    my_rank,
-                    "validate Hello",
-                    &std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bogus or duplicate Hello from rank {peer}"),
-                    ),
-                ));
-            }
-            streams[peer] = Some(s);
-            Ok(())
-        });
-        done.store(true, Ordering::SeqCst);
-        watchdog.thread().unpark();
-        accepted
-    })
-}
-
-/// Log a handshake I/O failure and map it to the typed launch error the
-/// supervisor expects.
-fn handshake_failed(my_rank: usize, what: &str, e: &std::io::Error) -> XmpiError {
+/// Log a failure to start the mesh and map it to the typed launch error
+/// the supervisor expects.
+fn setup_failed(my_rank: usize, what: &str, e: &std::io::Error) -> XmpiError {
     eprintln!("xmpi socket mesh rank {my_rank}: {what}: {e}");
-    XmpiError::LaunchFailed {
-        rank: my_rank,
-        attempts: 1,
-    }
+    XmpiError::LaunchFailed { rank: my_rank }
 }
 
 impl SocketTransport {
-    /// Build the mesh for `my_rank` of a `p`-rank world rooted at `dir`.
-    /// Blocks until every pairwise stream is up (a natural start barrier).
+    /// The mesh of `my_rank` over `streams`, its stream to every peer
+    /// indexed by world rank (`None` at `my_rank`): starts a writer and a
+    /// reader per peer, and the heartbeat monitor.
     ///
     /// # Errors
-    /// [`XmpiError::LaunchFailed`] if a sibling rank never comes up within
-    /// the bounded dial budget, the accept deadline expires, or a
-    /// handshake frame is malformed. Never hangs and never panics.
-    pub(crate) fn connect(
-        dir: &Path,
+    /// [`XmpiError::LaunchFailed`] if a stream cannot be cloned or a
+    /// service thread cannot be spawned. Never panics.
+    pub(crate) fn new(
+        streams: Vec<Option<UnixStream>>,
         my_rank: usize,
-        p: usize,
         liveness: Arc<Liveness>,
     ) -> Result<Arc<SocketTransport>, XmpiError> {
-        let net = crate::netfault::armed();
-        let listener = UnixListener::bind(rank_sock(dir, my_rank))
-            .map_err(|e| handshake_failed(my_rank, "bind listener", &e))?;
-        let deadline = Instant::now() + handshake_timeout();
-
-        // One stream per peer, indexed by world rank.
-        let mut streams: Vec<Option<UnixStream>> = (0..p).map(|_| None).collect();
-        // Dial every lower rank, announcing ourselves.
-        for (r, slot) in streams.iter_mut().enumerate().take(my_rank) {
-            let mut s = connect_retry(dir, my_rank, r, net.as_ref())?;
-            wire::write_frame(&mut s, &Frame::control(FrameKind::Hello, my_rank))
-                .and_then(|()| s.flush())
-                .map_err(|e| handshake_failed(my_rank, "send Hello", &e))?;
-            *slot = Some(s);
-        }
-        // Accept every higher rank; the Hello frame says who dialed.
-        accept_peers(&listener, dir, my_rank, deadline, &mut streams)?;
-
+        let p = streams.len();
         // Channels first, so the Mesh (which readers gossip through) is
         // complete before any service thread starts.
-        let mut peers: Vec<Option<PeerTx>> = Vec::with_capacity(p);
-        let mut rxs: Vec<Option<(UnixStream, mpsc::Receiver<WriterMsg>)>> = Vec::with_capacity(p);
-        for slot in streams {
-            match slot {
-                Some(stream) => {
+        let (peers, rxs): (Vec<Option<PeerTx>>, Vec<_>) = streams
+            .into_iter()
+            .map(|slot| {
+                slot.map(|stream| {
                     let (tx, rx) = mpsc::channel::<WriterMsg>();
-                    peers.push(Some(PeerTx { tx }));
-                    rxs.push(Some((stream, rx)));
-                }
-                None => {
-                    peers.push(None);
-                    rxs.push(None);
-                }
-            }
-        }
-        let epoch = Instant::now();
+                    (PeerTx { tx }, (stream, rx))
+                })
+                .unzip()
+            })
+            .unzip();
         let mesh = Arc::new(Mesh {
             my_rank,
             p,
@@ -395,18 +220,17 @@ impl SocketTransport {
             finished: (0..p).map(|_| AtomicBool::new(false)).collect(),
             hung: AtomicBool::new(false),
             quit: AtomicBool::new(false),
-            epoch,
+            epoch: Instant::now(),
         });
 
-        let spawn_failed =
-            |e: &std::io::Error| handshake_failed(my_rank, "spawn service thread", e);
+        let spawn_failed = |e: &std::io::Error| setup_failed(my_rank, "spawn service thread", e);
         let mut writers = Vec::new();
         let mut readers = Vec::new();
         for (peer, slot) in rxs.into_iter().enumerate() {
             let Some((stream, rx)) = slot else { continue };
             let write_half = stream
                 .try_clone()
-                .map_err(|e| handshake_failed(my_rank, "clone stream", &e))?;
+                .map_err(|e| setup_failed(my_rank, "clone stream", &e))?;
             let mesh_w = mesh.clone();
             writers.push(
                 std::thread::Builder::new()
@@ -604,7 +428,7 @@ fn reader_loop(mesh: &Mesh, mut stream: UnixStream, peer: usize) {
                     FrameKind::Crash => {
                         mesh.declare_dead(f.src as usize);
                     }
-                    FrameKind::Hello | FrameKind::Result => {
+                    FrameKind::Result => {
                         mesh.declare_dead(peer);
                         return;
                     }
@@ -732,40 +556,5 @@ impl Transport for SocketTransport {
             ));
         }
         self.mesh.own.wake();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_schedule_is_capped_exponential() {
-        assert_eq!(backoff_delay(0), Duration::from_micros(100));
-        assert_eq!(backoff_delay(1), Duration::from_micros(200));
-        assert_eq!(backoff_delay(5), Duration::from_micros(3_200));
-        assert_eq!(backoff_delay(11), Duration::from_micros(204_800));
-        // The cap: from attempt 12 on, every wait is 250 ms.
-        assert_eq!(backoff_delay(12), Duration::from_millis(250));
-        assert_eq!(backoff_delay(40), Duration::from_millis(250));
-        // Shift widths past u64 must not wrap back to short waits.
-        for attempt in [58, 61, 62, 63, 64, u64::MAX] {
-            assert_eq!(backoff_delay(attempt), Duration::from_millis(250));
-        }
-    }
-
-    #[test]
-    fn dial_budget_totals_seconds_not_hours() {
-        // The default budget's worst-case wall time: "about 27 s", roughly
-        // the 30 s handshake window, never unbounded.
-        let total: Duration = (0..connect_retries()).map(backoff_delay).sum();
-        assert!(
-            total >= Duration::from_secs(20),
-            "budget too impatient: {total:?}"
-        );
-        assert!(
-            total <= Duration::from_secs(40),
-            "budget unbounded-ish: {total:?}"
-        );
     }
 }

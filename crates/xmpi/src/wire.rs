@@ -6,8 +6,8 @@
 //!   fixed 41-byte little-endian header (magic, kind, source rank, context,
 //!   tag, injected delay, body length) followed by `len` body bytes.
 //!   Message frames carry a [`Payload`]'s raw elements; control frames
-//!   (`Fin`, `Crash`, `Hello`, `Result`) carry the mesh and launcher
-//!   protocol. Anything malformed — wrong magic, unknown kind, impossible
+//!   (`Fin`, `Crash`, `Ping`, `Result`) carry the mesh and launcher
+//!   protocol. Kind 5 is retired and decodes as malformed. Anything malformed — wrong magic, unknown kind, impossible
 //!   length, short read — decodes to the typed [`XmpiError::Truncated`]
 //!   instead of a panic, so a corrupted stream degrades into the same error
 //!   path as a truncated message.
@@ -48,8 +48,6 @@ pub enum FrameKind {
     Fin = 3,
     /// The sender suffered an injected crash; treat it as dead.
     Crash = 4,
-    /// Mesh/control handshake: `src` identifies the connecting rank.
-    Hello = 5,
     /// A child's shipped outcome on the control socket ([`Wire`]-encoded
     /// body).
     Result = 6,
@@ -69,7 +67,6 @@ impl FrameKind {
             2 => Some(FrameKind::MsgU64),
             3 => Some(FrameKind::Fin),
             4 => Some(FrameKind::Crash),
-            5 => Some(FrameKind::Hello),
             6 => Some(FrameKind::Result),
             7 => Some(FrameKind::Ping),
             _ => None,
@@ -644,10 +641,9 @@ impl Wire for XmpiError {
                 tag.encode(out);
             }
             XmpiError::WorldPoisoned => out.push(3),
-            XmpiError::LaunchFailed { rank, attempts } => {
+            XmpiError::LaunchFailed { rank } => {
                 out.push(4);
                 rank.encode(out);
-                attempts.encode(out);
             }
         }
     }
@@ -671,7 +667,6 @@ impl Wire for XmpiError {
             3 => Ok(XmpiError::WorldPoisoned),
             4 => Ok(XmpiError::LaunchFailed {
                 rank: usize::decode(input)?,
-                attempts: u64::decode(input)?,
             }),
             b => Err(truncated(4, b as usize, 0, 0)),
         }

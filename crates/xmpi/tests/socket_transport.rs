@@ -4,9 +4,13 @@
 //! subcommunicators, a send-first ring, and the fault domain behave
 //! exactly as on the in-process backend.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
+use xmpi::launch::SharedFlag;
 use xmpi::wire::encode_vec;
 use xmpi::Backend::Socket;
-use xmpi::{Comm, XmpiError};
+use xmpi::{Comm, FtResult, XmpiError};
 
 #[test]
 fn pingpong_over_sockets() {
@@ -188,14 +192,12 @@ fn injected_crash_surfaces_rank_dead() {
     assert_eq!(out.results[2], Ok(2));
 }
 
-#[test]
-fn hard_killed_child_is_rank_dead() {
-    // Process-level fault: rank 2's child dies with no unwind, no Fin, no
-    // shipped result — the real "node failure" the in-process backend can
-    // only approximate. The parent must map it to RankDead; the peers see
-    // EOF-without-Fin and keep working with each other.
+/// Process-level fault: rank 2's child dies with no unwind, no Fin, no
+/// shipped result — the real "node failure" the in-process backend can
+/// only approximate.
+fn hard_kill_rank_2() -> FtResult<f64> {
     let launcher = std::process::id();
-    let out = xmpi::with_backend(Socket, || {
+    xmpi::with_backend(Socket, || {
         xmpi::launch::run_ft(3, |c| {
             if c.rank() == 2 {
                 // Wait for both survivors to finish their exchange before
@@ -214,7 +216,12 @@ fn hard_killed_child_is_rank_dead() {
             c.send_f64(2, 6, &[1.0]);
             got
         })
-    });
+    })
+}
+
+/// The parent must map the hard-killed rank to RankDead; the peers see
+/// EOF-without-Fin and keep working with each other.
+fn assert_rank_2_died_alone(out: &FtResult<f64>) {
     assert_eq!(out.crashed, vec![2]);
     assert!(matches!(
         out.results[2],
@@ -222,6 +229,66 @@ fn hard_killed_child_is_rank_dead() {
     ));
     assert_eq!(out.results[0], Ok(1.5));
     assert_eq!(out.results[1], Ok(0.5));
+}
+
+#[test]
+fn hard_killed_child_is_rank_dead() {
+    assert_rank_2_died_alone(&hard_kill_rank_2());
+}
+
+/// The survivors of a hard kill see its end-of-file only once no process
+/// holds a copy of the dead rank's ends. While a train of worlds launches
+/// on other threads, each with a rank that lives until this test is done
+/// (or 10 s), a copy forked into one of those ranks would stall the
+/// survivors' clean shutdown until that rank exits.
+#[test]
+fn concurrent_launches_copy_no_other_worlds_ends() {
+    const TRAIN: usize = 48;
+    let (done, launched) = (SharedFlag::new(), AtomicUsize::new(0));
+    // Every launcher thread is running before the first hard-killed world
+    // forks and exits after the last: a thread that starts or exits holds
+    // a lock of the standard library that a rank forked at that instant
+    // would find held when it starts its own threads.
+    let ready = Barrier::new(TRAIN + 1);
+    let (elapsed, outs) = std::thread::scope(|s| {
+        for i in 0..TRAIN {
+            let (done, launched, ready) = (&done, &launched, &ready);
+            s.spawn(move || {
+                ready.wait();
+                std::thread::sleep(Duration::from_millis(i as u64));
+                launched.fetch_add(1, Ordering::SeqCst);
+                if done.is_set() {
+                    return;
+                }
+                xmpi::with_backend(Socket, || {
+                    xmpi::launch::run(1, |_| {
+                        let born = Instant::now();
+                        while !done.is_set() && born.elapsed() < Duration::from_secs(10) {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        0u64
+                    })
+                });
+            });
+        }
+        ready.wait();
+        let started = Instant::now();
+        let mut outs = Vec::new();
+        while outs.len() < 4 || launched.load(Ordering::SeqCst) < TRAIN {
+            outs.push(hard_kill_rank_2());
+        }
+        let elapsed = started.elapsed();
+        done.fire();
+        (elapsed, outs)
+    });
+    for out in &outs {
+        assert_rank_2_died_alone(out);
+    }
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "{} hard-killed worlds took {elapsed:?}: a concurrent rank held a copy of their ends",
+        outs.len()
+    );
 }
 
 #[test]

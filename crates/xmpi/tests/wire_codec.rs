@@ -222,7 +222,7 @@ proptest! {
         let mut r: &[u8] = &corrupt;
         prop_assert!(matches!(read_frame(&mut r), Err(XmpiError::Truncated { .. })));
 
-        // Any kind byte outside the protocol (1..=7 are valid kinds).
+        // Any kind byte outside the protocol (1..=7 are kinds, 5 retired).
         let bad_kind = if bad_kind_pick < 8 { 0 } else { bad_kind_pick };
         let mut corrupt = bytes.clone();
         corrupt[4] = bad_kind;
@@ -265,6 +265,19 @@ fn oversized_length_is_rejected_before_allocating() {
     // Patch the length field to an absurd value; the reader must reject the
     // header instead of trying to allocate the body.
     bytes[33..41].copy_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
+    let mut r: &[u8] = &bytes;
+    assert!(matches!(
+        read_frame(&mut r),
+        Err(XmpiError::Truncated { .. })
+    ));
+}
+
+#[test]
+fn retired_kind_5_is_malformed() {
+    // Kind 5 is not a kind any more: the mesh sends no handshake.
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &Frame::control(FrameKind::Fin, 0)).expect("vec write");
+    bytes[4] = 5;
     let mut r: &[u8] = &bytes;
     assert!(matches!(
         read_frame(&mut r),
