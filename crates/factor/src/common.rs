@@ -702,6 +702,39 @@ pub(crate) fn check_shape(a: &Matrix, n: usize) -> Result<(), dense::Error> {
     })
 }
 
+/// `e` with its row index moved from block-local to global coordinates.
+pub(crate) fn shift_err(e: dense::Error, offset: usize) -> dense::Error {
+    match e {
+        dense::Error::SingularAt(k) => dense::Error::SingularAt(k + offset),
+        dense::Error::NotPositiveDefinite(k) => dense::Error::NotPositiveDefinite(k + offset),
+        other => other,
+    }
+}
+
+/// Broadcast a block step's outcome from `root`, which holds `err` (a
+/// kernel error already in global rows), as one status word: `0` for
+/// success, else `1 +` the failing row. Every rank then returns the same
+/// error, `fail(row)`, instead of deadlocking the world or guessing the
+/// row.
+pub(crate) fn bcast_status(
+    comm: &Comm,
+    root: usize,
+    err: Option<dense::Error>,
+    fail: fn(usize) -> dense::Error,
+) -> Result<(), dense::Error> {
+    let mut status = vec![match err {
+        None => 0.0,
+        Some(dense::Error::SingularAt(k) | dense::Error::NotPositiveDefinite(k)) => 1.0 + k as f64,
+        Some(e) => unreachable!("a block kernel failed without a row: {e:?}"),
+    }];
+    comm.bcast_f64(root, &mut status);
+    if status[0] == 0.0 {
+        Ok(())
+    } else {
+        Err(fail(status[0] as usize - 1))
+    }
+}
+
 /// The store a rank starts from, staged straight from a globally-known
 /// matrix (the "already distributed" convention of the paper: no measured
 /// traffic): layer 0 copies its tiles of `a`, the layers above get zeros.

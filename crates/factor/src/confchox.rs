@@ -17,8 +17,8 @@
 //! [`crate::conflux`], every broadcast blocks where it is issued.
 
 use crate::common::{
-    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
-    stage_from_global, Collected, Net, RankResult, State, TileStore, Tiling,
+    bcast_status, check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, shift_err,
+    split_results, stage_from_global, Collected, Net, RankResult, State, TileStore, Tiling,
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
@@ -152,13 +152,7 @@ pub(crate) fn rank_program(
 
         // ---- 1–2. Reduce column `step`, factor + broadcast L00 ---------
         let (l00, err) = form_panel(&net, guard, &mut state.store, step, &mut panel);
-        // One status word to everyone, so an indefinite block aborts all
-        // ranks cleanly instead of deadlocking the world.
-        let mut status = vec![if err.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(g.rank_of(it, jt, 0), &mut status);
-        if status[0] != 0.0 {
-            return Err(err.unwrap_or(Error::NotPositiveDefinite(step * v)));
-        }
+        bcast_status(comm, g.rank_of(it, jt, 0), err, Error::NotPositiveDefinite)?;
         let l00_flat = if pj == jt && pk == 0 {
             // Broadcast L00 within the panel group (column `jt`).
             guard.bcast(net.panel.as_ref().unwrap(), it, l00, v, v)
@@ -307,14 +301,6 @@ fn form_panel(
     (d.into_vec(), err.map(|e| shift_err(e, step * v)))
 }
 
-/// `e` with its row index moved from block-local to global coordinates.
-pub(crate) fn shift_err(e: Error, offset: usize) -> Error {
-    match e {
-        Error::NotPositiveDefinite(k) => Error::NotPositiveDefinite(k + offset),
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,19 +345,38 @@ mod tests {
     fn indefinite_matrix_reports_error() {
         // Indefinite in step 2's diagonal block, whose owner is rank 0 and
         // reports the row; then in step 1's, on a replicated grid, where the
-        // status broadcast stops every rank and rank 0 — not the block's
-        // owner — reports the block's first row.
+        // status broadcast stops every rank and carries the row to rank 0,
+        // which does not own the block.
         let mut a = random_spd(16, 11);
         a[(9, 9)] = -50.0;
         let mut late = random_spd(32, 34);
         late[(10, 10)] = -100.0;
         for (a, cfg, at) in [
             (a, ConfchoxConfig::new(16, 4, Grid3::new(2, 2, 1)), 9),
-            (late, ConfchoxConfig::new(32, 8, Grid3::new(2, 2, 2)), 8),
+            (late, ConfchoxConfig::new(32, 8, Grid3::new(2, 2, 2)), 10),
         ] {
             match confchox_cholesky(&cfg, &a) {
                 Err(Error::NotPositiveDefinite(k)) if k == at => {}
                 other => panic!("expected NotPositiveDefinite({at}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn indefinite_block_aborts_cleanly_on_all_ranks() {
+        // Step 1's diagonal block is indefinite at global row 9: every
+        // grid must name that row, whether or not rank 0 owns the block.
+        let mut a = random_spd(32, 35);
+        a[(9, 9)] = -100.0;
+        for [x, y, z] in [[1, 1, 1], [2, 2, 2], [2, 2, 1]] {
+            let cfg = ConfchoxConfig::new(32, 8, Grid3::new(x, y, z));
+            match confchox_cholesky(&cfg, &a) {
+                Err(Error::NotPositiveDefinite(9)) => {}
+                other => panic!(
+                    "{:?}: expected NotPositiveDefinite(9), got {:?}",
+                    cfg.grid,
+                    other.map(|_| ())
+                ),
             }
         }
     }

@@ -53,8 +53,9 @@
 //! schedule"): a posted broadcast makes no progress in the background.
 
 use crate::common::{
-    check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, split_results,
-    stage_from_global, ActiveRows, Collected, Net, RankResult, RowMask, State, TileStore, Tiling,
+    bcast_status, check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, shift_err,
+    split_results, stage_from_global, ActiveRows, Collected, Net, RankResult, RowMask, State,
+    TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
 use crate::lu25d_swap::row_swaps;
@@ -242,7 +243,7 @@ pub(crate) fn rank_program(
         // ---- 1–3. Form this step's panel and broadcast A00 + pivots ----
         // The reduced panel column stays in `panel`.
         let form = form_panel(&net, guard, &active, &state.store, step, &mut panel);
-        let (a00_buf, piv_ids) = form.bcast(comm, guard, root, v, step * v)?;
+        let (a00_buf, piv_ids) = form.bcast(comm, guard, root, v)?;
         let a00 = MatRef::from_slice(&a00_buf[..v * v], v, v, v);
         let pivots: Vec<usize> = match id_at.as_mut() {
             None => piv_ids.iter().map(|&x| x as usize).collect(),
@@ -439,23 +440,18 @@ struct PanelForm {
 
 impl PanelForm {
     /// Blocking broadcast of the formed panel from `root` to every rank:
-    /// one status word first, so a singular panel (first row `row0`) aborts
-    /// every rank cleanly instead of deadlocking the world, then the `v × v`
-    /// block `A00` and the pivot ids. Returns `(A00, pivot ids)`.
+    /// the status word first, so a singular panel aborts every rank with
+    /// the same failing row instead of deadlocking the world, then the
+    /// `v × v` block `A00` and the pivot ids. Returns `(A00, pivot ids)`.
     fn bcast(
         self,
         comm: &Comm,
         guard: &mut Guard,
         root: usize,
         v: usize,
-        row0: usize,
     ) -> Result<(Buf<f64>, Vec<u64>), dense::Error> {
         phase(comm, "bcast_a00");
-        let mut status = vec![if self.err.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(root, &mut status);
-        if status[0] != 0.0 {
-            return Err(self.err.unwrap_or(dense::Error::SingularAt(row0)));
-        }
+        bcast_status(comm, root, self.err, dense::Error::SingularAt)?;
         let a00 = guard.bcast(comm, root, self.a00_flat, v, v);
         let mut piv_ids = self.piv_ids;
         comm.bcast_u64(root, &mut piv_ids);
@@ -496,7 +492,7 @@ fn form_panel(
             Ok(pb) => (form.a00_flat, form.piv_ids) = (pb.a00.into_vec(), pb.ids),
             // The failing factorization is redundant and deterministic,
             // so every panel rank lands here together.
-            Err(e) => form.err = Some(e),
+            Err(e) => form.err = Some(shift_err(e, step * v)),
         }
     }
     form
@@ -639,7 +635,11 @@ mod tests {
             .iter()
             .map(|&[x, y, z]| (ConfluxConfig::new(16, 4, Grid3::new(x, y, z)), &early, 1))
             .collect();
-        cases.push((ConfluxConfig::new(32, v, Grid3::new(2, 2, 2)), &late, 8));
+        // The zero block's first row is the failing row on every grid,
+        // whether or not rank 0 sits in the step's panel group.
+        for [x, y, z] in [[2, 2, 2], [1, 1, 1], [1, 2, 2], [2, 2, 1]] {
+            cases.push((ConfluxConfig::new(32, v, Grid3::new(x, y, z)), &late, 8));
+        }
         for (cfg, a, row) in cases {
             let swap = crate::lu25d_swap::lu25d_swap(&cfg, a);
             for (name, out) in [("conflux_lu", conflux_lu(&cfg, a)), ("lu25d_swap", swap)] {

@@ -23,8 +23,7 @@
 //! sub-block — the discipline of the 2.5D stores in the `common` module, so a
 //! wall-clock comparison between the schedules compares schedules.
 
-use crate::common::{check_shape, phase, phase_end, split_results};
-use crate::confchox::shift_err;
+use crate::common::{bcast_status, check_shape, phase, phase_end, shift_err, split_results};
 use dense::gemm::{gemm, Trans};
 use dense::potrf::potrf_unblocked;
 use dense::trsm::{trsm, Diag, Side, Uplo};
@@ -367,12 +366,12 @@ fn chol_rank(
                 Err(e) => potrf_err = Some(shift_err(e, k0)),
             }
         }
-        // Status word to all ranks so an indefinite block aborts cleanly.
-        let mut status = vec![if potrf_err.is_some() { 1.0 } else { 0.0 }];
-        comm.bcast_f64(g.rank_of(prow, pcol), &mut status);
-        if status[0] != 0.0 {
-            return Err(potrf_err.unwrap_or(Error::NotPositiveDefinite(k0)));
-        }
+        bcast_status(
+            comm,
+            g.rank_of(prow, pcol),
+            potrf_err,
+            Error::NotPositiveDefinite,
+        )?;
         if pj == pcol {
             colc.bcast_f64(prow, &mut l00);
         }

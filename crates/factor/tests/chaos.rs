@@ -29,7 +29,9 @@ use dense::gen::random_matrix;
 use dense::norms::lu_residual_perm;
 use dense::Matrix;
 use factor::{conflux_lu, conflux_lu_ft, ConfluxConfig, FtConfig};
-use xharness::{check_golden, golden_mode, seeds, HangPlan, NetChaos, NetChaosConfig, ResetPlan};
+use xharness::{
+    check_golden, golden_mode, run_armed, seeds, HangPlan, PerturbConfig, Perturbator, ResetPlan,
+};
 use xmpi::Grid3;
 use xtrace::invariants::check_stats_equal;
 
@@ -93,7 +95,7 @@ fn with_failure_artifact<R>(seed: u64, fault: &str, f: impl FnOnce() -> R) -> R 
 }
 
 /// The seed matrix, end to end: each seed derives a whole fault plan
-/// (torn-only, +reset or +hang — see `NetChaos::from_seed`),
+/// (torn-only, +reset or +hang — see `Perturbator::chaos_from_seed`),
 /// armed around the full fault-tolerant COnfLUX run on both backends.
 /// Rosters and restart counts must agree across backends, the factors
 /// must come out bitwise-equal to the fault-free run, and seeds whose
@@ -108,19 +110,18 @@ fn conflux_chaos_seed_matrix_conformance() {
     let base = conflux_lu_ft(&cfg, &a).unwrap();
 
     for seed in seeds(3) {
-        let probe = NetChaos::from_seed(seed, p);
+        let probe = Perturbator::chaos_from_seed(seed, p);
         let fault = format!(
-            "mode {:?}, reset {:?}, hang {:?}",
-            probe.mode(),
+            "reset {:?}, hang {:?}",
             probe.reset_plan(),
             probe.hang_plan()
         );
         with_failure_artifact(seed, &fault, || {
-            let local_chaos = Arc::new(NetChaos::from_seed(seed, p));
-            let local = xharness::run_chaos(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
+            let local_chaos = Arc::new(Perturbator::chaos_from_seed(seed, p));
+            let local = run_armed(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
             let socket = on_sockets(|| {
-                let chaos = Arc::new(NetChaos::from_seed(seed, p));
-                xharness::run_chaos(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+                let chaos = Arc::new(Perturbator::chaos_from_seed(seed, p));
+                run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
             });
 
             // Backend parity: the in-process mirror kills the same ranks at
@@ -206,20 +207,19 @@ fn conflux_reset_recovery_over_sockets() {
         on_frame: 0,
     };
     let scripted = |seed: u64| {
-        NetChaos::new(NetChaosConfig {
-            seed,
+        Perturbator::new(PerturbConfig {
             torn_prob: 0.0,
-            max_stall_us: 1,
+            ..PerturbConfig::chaos(seed)
         })
         .with_reset(plan)
     };
 
     let local_chaos = Arc::new(scripted(41));
-    let local = xharness::run_chaos(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
+    let local = run_armed(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
     assert!(local_chaos.reset_fired(), "in-process reset never fired");
     let socket = on_sockets(|| {
         let chaos = Arc::new(scripted(41));
-        xharness::run_chaos(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+        run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
     });
 
     for (out, backend) in [(&local, "local"), (&socket, "socket")] {
@@ -257,14 +257,13 @@ fn conflux_hung_rank_recovery_over_sockets() {
     let started = Instant::now();
     let socket = on_sockets(|| {
         let chaos = Arc::new(
-            NetChaos::new(NetChaosConfig {
-                seed: 43,
+            Perturbator::new(PerturbConfig {
                 torn_prob: 0.0,
-                max_stall_us: 1,
+                ..PerturbConfig::chaos(43)
             })
             .with_hang(plan),
         );
-        xharness::run_chaos(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+        run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
     });
     let elapsed = started.elapsed();
 
@@ -299,16 +298,16 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
     let cfg = ConfluxConfig::new(n, v, grid);
     let base = conflux_lu(&cfg, &a).unwrap();
     let noisy = || {
-        Arc::new(NetChaos::new(NetChaosConfig {
-            seed: 47,
+        Arc::new(Perturbator::new(PerturbConfig {
             torn_prob: 1.0,
-            max_stall_us: 200,
+            max_torn_stall_us: 200,
+            ..PerturbConfig::chaos(47)
         }))
     };
 
     let socket = on_sockets(|| {
         let chaos = noisy();
-        xharness::run_chaos(&chaos, || conflux_lu(&cfg, &a).unwrap())
+        run_armed(&chaos, || conflux_lu(&cfg, &a).unwrap())
     });
     assert_eq!(socket.perm, base.perm, "pivots diverged under torn writes");
     assert_bitwise_equal(
@@ -324,7 +323,7 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
 
     let out = on_sockets(|| {
         let chaos = noisy();
-        xharness::run_chaos(&chaos, || {
+        run_armed(&chaos, || {
             conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap()
         })
     });

@@ -35,14 +35,15 @@ fn conflux_lookahead_aborts_cleanly_on_late_singularity() {
 
 #[test]
 fn confchox_lookahead_aborts_cleanly_on_late_indefiniteness() {
-    // Indefinite in the second diagonal block: step 1's potrf fails and
-    // reports the block's first row.
+    // Indefinite in the second diagonal block at global row 10: step 1's
+    // potrf fails there, and the status broadcast carries that row to
+    // rank 0, which does not own the block.
     let n = 32;
     let v = 8;
     let mut a = random_spd(n, 34);
     a[(v + 2, v + 2)] = -100.0;
     match confchox_cholesky(&ConfchoxConfig::new(n, v, Grid3::new(2, 2, 2)), &a) {
-        Err(dense::Error::NotPositiveDefinite(8)) => {}
-        other => panic!("expected NotPositiveDefinite(8), got {other:?}"),
+        Err(dense::Error::NotPositiveDefinite(10)) => {}
+        other => panic!("expected NotPositiveDefinite(10), got {other:?}"),
     }
 }

@@ -11,10 +11,14 @@
 //!
 //! * [`Perturbator`] implements [`xmpi::SchedHooks`], injecting in-flight
 //!   message delays, dropped-then-retransmitted first transmissions,
-//!   receive stalls, and phase-boundary rank skews — every
-//!   decision a pure function of one `u64` seed and the decision's channel
-//!   identity, so a failing seed replays its exact fault pattern
-//!   (the `perturb` module documents the determinism model);
+//!   receive stalls, and phase-boundary rank skews, plus the hard faults:
+//!   one-shot rank crashes and payload corruptions ([`CrashPlan`],
+//!   [`CorruptPlan`]) and, on the wire, torn frames, mid-frame connection
+//!   resets and silently hung ranks ([`PerturbConfig::chaos`],
+//!   [`ResetPlan`], [`HangPlan`]) — every decision a pure function of one
+//!   `u64` seed and the decision's channel identity, so a failing seed
+//!   replays its exact fault pattern (the `perturb` module documents the
+//!   determinism model);
 //! * [`run_perturbed`] / [`run_perturbed_traced`] wrap an unmodified driver
 //!   (anything that calls [`xmpi::run`] internally) in a seeded
 //!   perturbation, optionally recording the event trace for the
@@ -32,13 +36,11 @@
 #![warn(missing_docs, unreachable_pub)]
 
 mod golden;
-mod netchaos;
 mod perturb;
 mod rng;
 
 pub use golden::{check_golden, golden_mode, snapshot, GoldenMode};
-pub use netchaos::{ChaosMode, HangPlan, NetChaos, NetChaosConfig, ResetPlan};
-pub use perturb::{CorruptPlan, CrashPlan, PerturbConfig, Perturbator};
+pub use perturb::{CorruptPlan, CrashPlan, HangPlan, PerturbConfig, Perturbator, ResetPlan};
 
 use std::sync::Arc;
 use xmpi::trace::{capture, TraceConfig, WorldTrace};
@@ -52,10 +54,11 @@ pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
 }
 
 /// [`run_perturbed`] with a caller-built perturbator — the entry point for
-/// fault-injection runs, where the instance matters: its one-shot crash and
-/// corruption latches span every world `f` launches, so a fault-tolerant
-/// driver that crashes one world and restarts another gets exactly one
-/// injected fault across the whole attempt sequence.
+/// fault-injection runs, where the instance matters: its one-shot crash,
+/// corruption, reset and hang latches span every world `f` launches, so a
+/// fault-tolerant driver that crashes one world and restarts another gets
+/// exactly one injected fault across the whole attempt sequence, and the
+/// test can assert `perturbator.reset_fired()` afterwards.
 ///
 /// # Replaying a failing crash seed locally
 ///
@@ -98,17 +101,6 @@ pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
 /// ```
 pub fn run_armed<R>(perturbator: &Arc<Perturbator>, f: impl FnOnce() -> R) -> R {
     xmpi::with_hooks(perturbator.clone(), f)
-}
-
-/// Run `f` with a seeded [`NetChaos`] plan armed on this thread: every
-/// world `f` launches has wire-level fault injection installed — torn
-/// frames, one-shot connection resets and silent hangs (the `netchaos`
-/// module documents the determinism model). Like [`run_armed`], the
-/// caller keeps the `Arc` so one-shot latches span a
-/// fault-tolerant driver's whole restart sequence and the test can assert
-/// `chaos.reset_fired()` afterwards.
-pub fn run_chaos<R>(chaos: &Arc<NetChaos>, f: impl FnOnce() -> R) -> R {
-    xmpi::with_net_faults(chaos.clone(), f)
 }
 
 /// [`run_perturbed`] with event tracing: returns `f`'s result plus one

@@ -22,9 +22,8 @@
 
 use crate::buf::Buf;
 use crate::error::XmpiError;
-use crate::hooks::{self, CrashFate, SchedHooks};
+use crate::hooks::{self, CrashFate, SchedHooks, WireFault};
 use crate::liveness::{unwind_with, CrashUnwind, Liveness, PoisonUnwind};
-use crate::netfault::{NetFaults, WireFault};
 use crate::stats::{CollKind, Counters};
 use crate::trace::{Event, Recorder};
 use crate::transport::{LocalTransport, Transport};
@@ -330,11 +329,6 @@ pub(crate) struct Shared {
     /// healthy world). Shared with the transport's reader threads on
     /// multi-process backends, which is why it sits behind an `Arc`.
     pub liveness: Arc<Liveness>,
-    /// Wire-level chaos plan; `None` for fault-free worlds (one branch per
-    /// send, no other cost). Consulted once per non-self-send in
-    /// [`Comm::push_message_inner`] — see [`crate::netfault`] for the
-    /// backend-specific fault semantics.
-    pub net: Option<Arc<dyn NetFaults>>,
 }
 
 impl Shared {
@@ -367,11 +361,6 @@ impl Shared {
             trace,
             hooks,
             liveness,
-            // Worlds are always built on the launching thread (a socket
-            // world's rank process builds its share on its forked copy of
-            // that thread), so the ambient thread-local plan is visible
-            // here.
-            net: crate::netfault::armed(),
         })
     }
 }
@@ -603,9 +592,9 @@ impl Comm {
         // peers detect the broken wire — and a torn write is a timing-only
         // no-op without a wire to tear.
         if dst_world != src_world {
-            if let Some(net) = &self.shared.net {
+            if let Some(h) = &self.shared.hooks {
                 let frame_len = crate::wire::HEADER_LEN + bytes as usize;
-                let fault = net.wire_fault(src_world, dst_world, frame_len);
+                let fault = h.wire_fault(src_world, dst_world, frame_len);
                 if fault != WireFault::Deliver {
                     if self.shared.transport.is_interprocess() {
                         self.shared

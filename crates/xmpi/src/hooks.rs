@@ -18,14 +18,42 @@
 //!   stall inserted after a blocking receive matches its message;
 //! * at every **phase boundary** ([`SchedHooks::phase_stall`]) — a rank
 //!   entering a named phase can be held back, skewing ranks against each
-//!   other at exactly the points the schedules synchronize.
+//!   other at exactly the points the schedules synchronize;
+//! * at every **non-self send**, after all accounting
+//!   ([`SchedHooks::wire_fault`]) — the wire itself may misbehave: torn
+//!   (partially written) frames, mid-frame connection resets, and ranks
+//!   that hang silently without closing their streams.
+//!
+//! # Wire faults
+//!
+//! A [`WireFault`] is decided once per non-self-send message in program
+//! order on the sender's thread, on every backend, so the decision stream
+//! replays exactly under a fixed seed on both. Its effect is
+//! backend-specific:
+//!
+//! * on the **socket** backend the destination peer's writer thread
+//!   executes it literally: a [`WireFault::Torn`] write splits the frame
+//!   around a stall (the peer's read loop reassembles it — torn writes are
+//!   benign and must change nothing observable), a [`WireFault::Reset`]
+//!   writes a prefix and shuts the stream down (the peer observes a
+//!   mid-frame EOF), and a [`WireFault::Hang`] silences the rank entirely —
+//!   data *and* heartbeats — until the failure detector declares it dead;
+//! * on the **local** backend there is no wire, so the two fatal faults are
+//!   mirrored as the sender's death at the same program-ordered send — the
+//!   outcome the socket world converges to once the peers detect the
+//!   fault — and torn writes are no-ops. This keeps the crashed-rank roster
+//!   of a fault-tolerant driver identical across backends.
+//!
+//! There is no connection fault: the launcher makes the whole mesh before
+//! it forks a rank (`crate::launch`), so no dial exists to refuse.
 //!
 //! Hooks are installed ambiently with [`with_hooks`], which arms a
 //! thread-local slot that [`crate::run`] and [`crate::run_ft`] consult — so
 //! a driver that launches its world internally (e.g. `factor::conflux_lu`)
 //! is perturbed the same way as a bare closure, mirroring
-//! [`crate::trace::capture`]. Un-hooked worlds carry `None` and pay one
-//! branch per hook point.
+//! [`crate::trace::capture`]; a socket-backend rank process, forked from
+//! the launching thread, holds a copy of the slot. Un-hooked worlds carry
+//! `None` and pay one branch per hook point.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -74,6 +102,38 @@ pub enum CrashFate {
     /// crash sentinel that [`crate::run_ft`] turns into
     /// [`crate::XmpiError::RankDead`].
     Crash,
+}
+
+/// What happens to one outbound frame on the wire (see the module docs,
+/// "Wire faults").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireFault {
+    /// Write the frame normally.
+    Deliver,
+    /// Partial write: put `prefix` bytes on the wire, stall, then write the
+    /// rest. The receiver's read loop reassembles the frame, so a torn
+    /// write perturbs timing only — payload bytes, matching order, and byte
+    /// counts are unchanged.
+    Torn {
+        /// Bytes written before the stall (`1..frame_len`).
+        prefix: usize,
+        /// How long the writer stalls mid-frame.
+        stall: Duration,
+    },
+    /// Connection reset mid-frame: write `prefix` bytes, then shut the
+    /// stream down. The peer observes an EOF inside a header or body and
+    /// classifies this rank as dead ([`crate::XmpiError::Truncated`] →
+    /// `RankDead`), never panicking and never double-counting the torn
+    /// frame's bytes.
+    Reset {
+        /// Bytes written before the stream is shut down (`0..frame_len`).
+        prefix: usize,
+    },
+    /// The sending rank stalls silently: from this frame on it transmits
+    /// nothing — no data, no heartbeats — while its process stays alive.
+    /// Only the heartbeat failure detector can classify this (a hung rank
+    /// never closes its streams).
+    Hang,
 }
 
 /// Transport-level perturbation callbacks. All methods default to no-ops so
@@ -131,6 +191,17 @@ pub trait SchedHooks: Send + Sync {
     ) -> Option<(usize, f64)> {
         let _ = (src, dst, ctx, tag, len);
         None
+    }
+
+    /// Fate of the next frame from world rank `src` to world rank `dst`;
+    /// `frame_len` is its full on-wire size (header + body bytes).
+    /// Consulted once per non-self-send message, after every other hook —
+    /// heartbeat and control frames are transport-internal and never
+    /// consulted, so the decision stream is identical across backends up
+    /// to the first fatal fault.
+    fn wire_fault(&self, src: usize, dst: usize, frame_len: usize) -> WireFault {
+        let _ = (src, dst, frame_len);
+        WireFault::Deliver
     }
 }
 
@@ -199,6 +270,7 @@ mod tests {
         assert!(h.phase_stall(0, "x").is_none());
         assert_eq!(h.crash_fate(0, 1, 0, 0), CrashFate::Survive);
         assert!(h.corrupt_send(0, 1, 0, 0, 64).is_none());
+        assert_eq!(h.wire_fault(0, 1, 128), WireFault::Deliver);
     }
 
     #[test]
@@ -293,5 +365,13 @@ mod tests {
         });
         assert!(r.is_err());
         assert!(armed().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "already armed")]
+    fn nested_arming_is_rejected() {
+        with_hooks(Arc::new(Nop), || {
+            with_hooks(Arc::new(Nop), || {});
+        });
     }
 }

@@ -49,7 +49,7 @@
 //! A rank process is a `fork` of the thread that called [`run`]/[`run_ft`]
 //! (the `rusty-fork` idiom without its re-execution). It already holds the
 //! closure, everything the closure captured and every ambient setting of
-//! that thread — armed hooks and chaos plans included — so it runs the
+//! that thread — armed fault hooks included — so it runs the
 //! closure at once, ships its outcome and leaves with `_exit`: it never
 //! returns into the caller's code, runs no exit handlers and flushes no
 //! inherited stdio buffer. Its stdin and stdout are `/dev/null`. What a

@@ -80,18 +80,19 @@
 //!
 //! # Network chaos
 //!
-//! Below the schedule hooks sits wire-level fault injection: a
-//! [`netfault::NetFaults`] plan armed via [`with_net_faults`] breaks the
-//! transport itself — torn (partially written) frames, mid-frame connection
-//! resets, and ranks that hang silently without closing their streams. On
-//! the socket backend the faults are executed literally on the wire, and a
-//! heartbeat failure detector (`XMPI_HEARTBEAT_MS` / `XMPI_SUSPECT_MS`)
-//! classifies hung peers as [`XmpiError::RankDead`]. The launcher makes
-//! the whole mesh before it forks a rank, so no connection can be refused;
-//! a world that cannot be made returns a typed [`XmpiError::LaunchFailed`]
-//! from every rank instead of a hang or a panic. The `xharness` crate
-//! derives whole fault plans from a single seed (`NetChaos`) so any
-//! failing chaos run replays exactly.
+//! The same hooks break the transport itself:
+//! [`hooks::SchedHooks::wire_fault`] decides per outbound frame whether it
+//! is torn (partially written), cut by a mid-frame connection reset, or
+//! the first frame of a rank that hangs silently without closing its
+//! streams. On the socket backend the faults are executed literally on the
+//! wire, and a heartbeat failure detector (`XMPI_HEARTBEAT_MS` /
+//! `XMPI_SUSPECT_MS`) classifies hung peers as [`XmpiError::RankDead`]; in
+//! process the fatal faults are mirrored as the sender's death. The
+//! launcher makes the whole mesh before it forks a rank, so no connection
+//! can be refused; a world that cannot be made returns a typed
+//! [`XmpiError::LaunchFailed`] from every rank instead of a hang or a
+//! panic. The `xharness` perturbator derives whole fault plans from a
+//! single seed so any failing chaos run replays exactly.
 
 #![warn(missing_docs, unreachable_pub)]
 // Cross-rank code paths must surface failures as typed errors or loud,
@@ -109,7 +110,6 @@ mod grid;
 mod hooks;
 pub mod launch;
 mod liveness;
-mod netfault;
 pub(crate) mod socket;
 mod stats;
 pub mod trace;
@@ -121,10 +121,9 @@ pub use buf::Buf;
 pub use comm::{Comm, Payload};
 pub use error::XmpiError;
 pub use grid::{Grid2, Grid3};
-pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate};
+pub use hooks::{with_hooks, CrashFate, SchedHooks, SendFate, WireFault};
 pub use launch::{with_backend, Backend};
 pub use liveness::catch_poison;
-pub use netfault::{with_net_faults, NetFaults, WireFault};
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;

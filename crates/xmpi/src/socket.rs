@@ -51,8 +51,8 @@
 //!
 //! ## Injected wire faults
 //!
-//! The writer threads execute [`WireFault`]s decided by an armed
-//! [`crate::netfault::NetFaults`] plan (carried per-frame from the shared
+//! The writer threads execute [`WireFault`]s decided by the armed
+//! [`crate::SchedHooks::wire_fault`] (carried per-frame from the shared
 //! send path): a torn write splits the frame around a stall (the peer's
 //! read loop reassembles it — observably benign), a reset writes a prefix
 //! and shuts the stream's write half down (the peer observes layer 2), and
@@ -62,8 +62,8 @@
 
 use crate::comm::{ChannelKey, Mailbox, Payload};
 use crate::error::XmpiError;
+use crate::hooks::WireFault;
 use crate::liveness::Liveness;
-use crate::netfault::WireFault;
 use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind};
 use parking_lot::Mutex;

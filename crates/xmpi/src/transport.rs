@@ -19,7 +19,7 @@
 //! identical on every backend.
 
 use crate::comm::{ChannelKey, Mailbox, Payload};
-use crate::netfault::WireFault;
+use crate::hooks::WireFault;
 use std::time::{Duration, Instant};
 
 /// A message transport connecting the ranks of one world.

@@ -1,6 +1,6 @@
 //! Wire-level chaos on the real socket mesh: every test here arms an
-//! [`xharness::NetChaos`] plan around worlds of real child processes, and
-//! checks the three robustness contracts of the transport:
+//! [`xharness::Perturbator`] wire-fault plan around worlds of real child
+//! processes, and checks the three robustness contracts of the transport:
 //!
 //! * **torn frames are invisible** — a frame written in two pieces around
 //!   a stall is reassembled by the reader; results, message counts, and
@@ -20,7 +20,7 @@
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
-use xharness::{HangPlan, NetChaos, NetChaosConfig, ResetPlan};
+use xharness::{HangPlan, PerturbConfig, Perturbator, ResetPlan};
 use xmpi::Backend::Socket;
 
 /// Pin fast failure-detection deadlines, once per process: 50 ms
@@ -49,13 +49,13 @@ fn torn_frames_are_reassembled_exactly() {
         acc[0]
     };
     let clean = xmpi::with_backend(Socket, || xmpi::launch::run(2, program));
-    let chaos = Arc::new(NetChaos::new(NetChaosConfig {
-        seed: 5,
+    let chaos = Arc::new(Perturbator::new(PerturbConfig {
         torn_prob: 1.0,
-        max_stall_us: 300,
+        max_torn_stall_us: 300,
+        ..PerturbConfig::chaos(5)
     }));
     let torn = xmpi::with_backend(Socket, || {
-        xharness::run_chaos(&chaos, || xmpi::launch::run(2, program))
+        xharness::run_armed(&chaos, || xmpi::launch::run(2, program))
     });
     assert_eq!(torn.results, clean.results);
     for (rank, (a, b)) in clean.stats.ranks.iter().zip(&torn.stats.ranks).enumerate() {
@@ -75,10 +75,9 @@ fn torn_frames_are_reassembled_exactly() {
 fn mid_frame_reset_is_typed_and_lossless() {
     chaos_env();
     let chaos = Arc::new(
-        NetChaos::new(NetChaosConfig {
-            seed: 11,
+        Perturbator::new(PerturbConfig {
             torn_prob: 0.0,
-            max_stall_us: 1,
+            ..PerturbConfig::chaos(11)
         })
         .with_reset(ResetPlan {
             src: 1,
@@ -87,7 +86,7 @@ fn mid_frame_reset_is_typed_and_lossless() {
         }),
     );
     let out = xmpi::with_backend(Socket, || {
-        xharness::run_chaos(&chaos, || {
+        xharness::run_armed(&chaos, || {
             xmpi::launch::run_ft(2, |c| {
                 if c.rank() == 1 {
                     for i in 0..10u64 {
@@ -130,10 +129,9 @@ fn mid_frame_reset_is_typed_and_lossless() {
 fn hung_rank_is_detected_by_heartbeat() {
     chaos_env();
     let chaos = Arc::new(
-        NetChaos::new(NetChaosConfig {
-            seed: 17,
+        Perturbator::new(PerturbConfig {
             torn_prob: 0.0,
-            max_stall_us: 1,
+            ..PerturbConfig::chaos(17)
         })
         .with_hang(HangPlan {
             victim: 1,
@@ -142,7 +140,7 @@ fn hung_rank_is_detected_by_heartbeat() {
     );
     let started = Instant::now();
     let out = xmpi::with_backend(Socket, || {
-        xharness::run_chaos(&chaos, || {
+        xharness::run_armed(&chaos, || {
             xmpi::launch::run_ft(2, |c| {
                 if c.rank() == 1 {
                     for i in 0..5u64 {
