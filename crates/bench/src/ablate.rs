@@ -183,8 +183,9 @@ pub fn run_cell(cell: &Cell, input_seed: u64, traced: bool) -> Result<CellRun, S
         }
     };
     let (stats, trace) = if traced {
-        let (stats, mut traces) =
-            xharness::run_perturbed_traced(&pert, TraceConfig::default(), || factor(true));
+        let (stats, mut traces) = xmpi::trace::capture(TraceConfig::default(), || {
+            xharness::run_perturbed(&pert, || factor(true))
+        });
         (stats, traces.pop())
     } else {
         (factor(true), None)

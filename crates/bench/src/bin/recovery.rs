@@ -149,7 +149,7 @@ fn main() -> ExitCode {
     let base = conflux_lu_ft(&ft_cfg, &a).expect("fault-free checkpointing run");
     let pert = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_crash(plan));
     let t0 = Instant::now();
-    let crashed = xharness::run_armed(&pert, || {
+    let crashed = xmpi::with_hooks(pert.clone(), || {
         conflux_lu_ft(&ft_cfg, &a).expect("crashed run must complete")
     });
     let t_crash = t0.elapsed().as_secs_f64();

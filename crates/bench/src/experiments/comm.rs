@@ -138,21 +138,23 @@ fn pingpong_secs(elems: usize, reps: usize) -> f64 {
 /// phases on the same world, so per-phase bytes (identical) and the xtrace
 /// makespan/idle attribution land in one artifact.
 fn traced_phases(p: usize, elems: usize) -> (f64, f64, u64, u64) {
-    let out = xmpi::run_traced(p, &TraceConfig::default(), |c| {
-        c.set_phase_with_flops("linear_bcast", 0);
-        let mut buf = if c.rank() == 0 {
-            vec![1.0; elems]
-        } else {
-            Vec::new()
-        };
-        linear_bcast_f64(c, 0, &mut buf);
-        c.set_phase_with_flops("tree_bcast", 0);
-        let data = if c.rank() == 0 { buf } else { Vec::new() };
-        let b = c.bcast_buf_f64(0, data);
-        c.set_phase_with_flops("_end", 0);
-        std::hint::black_box(b.len());
+    let (out, traces) = xmpi::trace::capture(TraceConfig::default(), || {
+        xmpi::run(p, |c| {
+            c.set_phase_with_flops("linear_bcast", 0);
+            let mut buf = if c.rank() == 0 {
+                vec![1.0; elems]
+            } else {
+                Vec::new()
+            };
+            linear_bcast_f64(c, 0, &mut buf);
+            c.set_phase_with_flops("tree_bcast", 0);
+            let data = if c.rank() == 0 { buf } else { Vec::new() };
+            let b = c.bcast_buf_f64(0, data);
+            c.set_phase_with_flops("_end", 0);
+            std::hint::black_box(b.len());
+        })
     });
-    let tk = xtrace::trace_kpis(&out.trace);
+    let tk = xtrace::trace_kpis(&traces[0]);
     let phases = out.stats.phase_totals();
     let linear_bytes = phases.get("linear_bcast").map_or(0, |&(s, _)| s);
     let tree_bytes = phases.get("tree_bcast").map_or(0, |&(s, _)| s);

@@ -14,7 +14,7 @@
 //!   measured α adds two syscalls and a scheduler hop; β adds
 //!   serialize + kernel copy + deserialize.
 //!
-//! Both backends run the *same* closures through [`xmpi::launch::run`] —
+//! Both backends run the *same* closures through [`xmpi::run`] —
 //! the socket measurements are what the conformance suite's bitwise
 //! equality makes meaningful (same bytes, same schedule, different clock).
 //! The fit is the classic two-point postal model: α from a 1-element
@@ -43,14 +43,13 @@ const OPS_PER_BLOCK: usize = 4;
 
 /// Wall-clock seconds per operation on the *ambient* backend: this is
 /// [`crate::experiments::comm::comm`]'s protocol (best barrier-fenced
-/// block per rank, slowest rank wins) but launched through
-/// [`xmpi::launch::run`], so an armed [`xmpi::Backend::Socket`] runs the
-/// same closure across child processes.
+/// block per rank, slowest rank wins), so an armed
+/// [`xmpi::Backend::Socket`] runs the same closure across child processes.
 fn time_op<F>(p: usize, elems: usize, reps: usize, op: F) -> f64
 where
     F: Fn(&Comm, &Buf<f64>) + Sync,
 {
-    let out = xmpi::launch::run(p, |c| {
+    let out = xmpi::run(p, |c| {
         let src = Buf::from(vec![1.0; elems]);
         op(c, &src); // warmup, excluded from timing
         let mut best = f64::INFINITY;

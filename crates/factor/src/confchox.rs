@@ -95,9 +95,7 @@ pub struct CholOutput {
 pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput, Error> {
     check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    // Backend-aware launch: threads by default, rank processes over a
-    // socket mesh when the socket backend is ambient.
-    let out = xmpi::launch::run(cfg.grid.size(), |comm| {
+    let out = xmpi::run(cfg.grid.size(), |comm| {
         let fresh = State::fresh(stage_from_global(comm, &til, a, true));
         rank_program(comm, cfg, &mut Guard::new(false), fresh, None)
     });

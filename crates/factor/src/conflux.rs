@@ -163,9 +163,7 @@ pub(crate) fn factor_lu(
 ) -> Result<LuOutput, dense::Error> {
     check_shape(a, cfg.n)?;
     let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
-    // Backend-aware launch: threads by default, child processes over a
-    // socket mesh when `xmpi::with_backend(Backend::Socket)` is armed.
-    let out = xmpi::launch::run(cfg.grid.size(), |comm| {
+    let out = xmpi::run(cfg.grid.size(), |comm| {
         let fresh = State::fresh(stage_from_global(comm, &til, a, false));
         rank_program(comm, cfg, policy, &mut Guard::new(false), fresh, None)
     });

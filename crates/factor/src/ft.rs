@@ -738,7 +738,7 @@ fn run_with_restarts(
         if !victims.is_empty() {
             report.resumed_from.push(resume);
         }
-        let out = xmpi::launch::run_ft(p, |comm| {
+        let out = xmpi::run_ft(p, |comm| {
             let memory = RefCell::new(Memory::default());
             let outcome = xmpi::catch_poison(|| {
                 let mut guard = Guard::new(cfg.checksums);
@@ -803,7 +803,7 @@ fn run_with_restarts(
 /// checksummed transfers, ring checkpoints, and crash recovery.
 ///
 /// Arm an `xharness::Perturbator` carrying a crash or corruption plan
-/// around this call (via `xharness::run_armed`) to exercise the fault
+/// around this call (via `xmpi::with_hooks`) to exercise the fault
 /// path; the one-shot plan latches span every restart attempt, so exactly
 /// one fault is injected per run.
 ///
@@ -858,7 +858,7 @@ mod tests {
     use dense::gen::{random_matrix, random_spd};
     use dense::norms::lu_residual_perm;
     use std::sync::Arc;
-    use xharness::{run_armed, CorruptPlan, CrashPlan, PerturbConfig, Perturbator};
+    use xharness::{CorruptPlan, CrashPlan, PerturbConfig, Perturbator};
 
     fn assert_bitwise(a: &Matrix, b: &Matrix, what: &str) {
         assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
@@ -1013,7 +1013,7 @@ mod tests {
         let program = |comm: &Comm, guard: &mut Guard, state: State, end: StepEnd<'_>| {
             conflux::rank_program(comm, &plain, PivotPolicy::Mask, guard, state, Some(end))
         };
-        let (packed, perm, report) = run_armed(&perturbator, || {
+        let (packed, perm, report) = xmpi::with_hooks(perturbator.clone(), || {
             run_with_restarts(&cfg, false, stage, program).unwrap()
         });
         assert!(perturbator.crash_fired(), "planned crash never fired");
@@ -1042,7 +1042,7 @@ mod tests {
             delta: 1.5,
         };
         let perturbator = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_corrupt(plan));
-        let out = run_armed(&perturbator, || conflux_lu_ft(&cfg, &a).unwrap());
+        let out = xmpi::with_hooks(perturbator.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
         assert!(
             perturbator.corrupt_fired(),
             "planned corruption never fired"
@@ -1064,7 +1064,7 @@ mod tests {
             delta: 1.5,
         };
         let perturbator = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_corrupt(plan));
-        let out = run_armed(&perturbator, || conflux_lu_ft(&cfg, &a).unwrap());
+        let out = xmpi::with_hooks(perturbator.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
         assert!(perturbator.corrupt_fired());
         assert_eq!(out.report.corrections, 0, "nothing can detect it");
         let res = lu_residual_perm(&a, &out.packed, &out.perm);

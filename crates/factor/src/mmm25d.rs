@@ -88,9 +88,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     assert_eq!(a.cols(), cfg.n);
     assert_eq!(b.rows(), cfg.n);
     assert_eq!(b.cols(), cfg.n);
-    // Backend-aware launch: threads by default, rank processes over a
-    // socket mesh when the socket backend is ambient.
-    let out = xmpi::launch::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
+    let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
     let c = cfg.collect.then(|| {
         let identity: Vec<usize> = (0..cfg.n).collect();
         Collected::assemble(cfg.n, cfg.v, &identity, &out.results)

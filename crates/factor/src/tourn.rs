@@ -365,18 +365,19 @@ mod tests {
             // Rank r owns rows r, r+p, r+2p, ... (cyclic, like the panel).
             let my_ids: Vec<u64> = (0..rows_per_rank).map(|i| (r + i * p) as u64).collect();
             let mut panel = Matrix::from_fn(rows_per_rank, v, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, v).unwrap()
+            let won = tournament(c, panel.data_mut(), &my_ids, v).unwrap();
+            (won.ids, won.a00)
         });
-        let first = &out.results[0];
-        assert_eq!(first.ids.len(), v);
-        for res in &out.results {
-            assert_eq!(res.ids, first.ids, "ranks disagree on pivots");
-            assert_eq!(res.a00.data(), first.a00.data(), "ranks disagree on A00");
+        let (ids, a00) = &out.results[0];
+        assert_eq!(ids.len(), v);
+        for (res_ids, res_a00) in &out.results {
+            assert_eq!(res_ids, ids, "ranks disagree on pivots");
+            assert_eq!(res_a00.data(), a00.data(), "ranks disagree on A00");
         }
         // A00 is the LU of the winners' original rows in `ids` order, which
         // partial pivoting leaves in place: `getrf_unblocked` of them swaps
         // nothing and reproduces A00 bit for bit.
-        let sel = Matrix::from_fn(v, v, |i, j| global[(first.ids[i] as usize, j)]);
+        let sel = Matrix::from_fn(v, v, |i, j| global[(ids[i] as usize, j)]);
         let (mut lu, mut ipiv) = (sel.clone(), Vec::new());
         getrf_unblocked(lu.as_mut(), &mut ipiv).unwrap();
         assert_eq!(
@@ -384,11 +385,7 @@ mod tests {
             (0..v).collect::<Vec<_>>(),
             "the winners were re-pivoted"
         );
-        assert_eq!(
-            bits(lu.data()),
-            bits(first.a00.data()),
-            "A00 is not their LU"
-        );
+        assert_eq!(bits(lu.data()), bits(a00.data()), "A00 is not their LU");
         assert!(lu_residual(&sel, &lu, &ipiv) < 1e-10);
     }
 
@@ -432,15 +429,16 @@ mod tests {
         for (panel, exact) in panels {
             let (m, v) = (panel.rows(), panel.cols());
             let ids: Vec<u64> = (0..m as u64).map(|i| 7 + 2 * i).collect();
-            let (got, kept) = run(1, |c| {
+            let (got_ids, got_a00, kept) = run(1, |c| {
                 let mut kept = panel.clone();
-                (tournament(c, kept.data_mut(), &ids, v).unwrap(), kept)
+                let won = tournament(c, kept.data_mut(), &ids, v).unwrap();
+                (won.ids, won.a00, kept)
             })
             .results
             .remove(0);
-            let won = |i: usize| got.ids.contains(&ids[i]);
+            let won = |i: usize| got_ids.contains(&ids[i]);
             let row_of = |id: u64| ((id - 7) / 2) as usize;
-            let sel = Matrix::from_fn(v, v, |i, j| panel[(row_of(got.ids[i]), j)]);
+            let sel = Matrix::from_fn(v, v, |i, j| panel[(row_of(got_ids[i]), j)]);
             let (mut lu, mut ipiv) = (sel, Vec::new());
             getrf_unblocked(lu.as_mut(), &mut ipiv).unwrap();
             assert_eq!(ipiv, (0..v).collect::<Vec<_>>(), "{m}x{v}: re-pivoted");
@@ -457,10 +455,10 @@ mod tests {
             );
             let kept_l10 = Matrix::from_fn(rest.len(), v, |i, j| kept[(rest[i], j)]);
             if exact {
-                assert_eq!(bits(got.a00.data()), bits(lu.data()), "{m}x{v}: A00");
+                assert_eq!(bits(got_a00.data()), bits(lu.data()), "{m}x{v}: A00");
                 assert_eq!(bits(kept_l10.data()), bits(l10.data()), "{m}x{v}: L10");
             } else {
-                assert_eq!(got.a00.data(), lu.data(), "{m}x{v}: A00");
+                assert_eq!(got_a00.data(), lu.data(), "{m}x{v}: A00");
                 assert_eq!(kept_l10.data(), l10.data(), "{m}x{v}: L10");
             }
             for i in (0..m).filter(|&i| won(i)) {
@@ -481,12 +479,12 @@ mod tests {
                 _ => (vec![5, 6], 2),
             };
             let mut panel = Matrix::from_fn(m, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, 3).unwrap()
+            tournament(c, panel.data_mut(), &my_ids, 3).unwrap().ids
         });
         let first = &out.results[0];
-        assert_eq!(first.ids.len(), 3);
+        assert_eq!(first.len(), 3);
         for r in &out.results {
-            assert_eq!(r.ids, first.ids);
+            assert_eq!(r, first);
         }
     }
 
@@ -504,9 +502,9 @@ mod tests {
         let out = run(4, move |c| {
             let my_ids: Vec<u64> = (0..4).map(|i| (c.rank() * 4 + i) as u64).collect();
             let mut panel = Matrix::from_fn(4, 3, |i, j| g[(my_ids[i] as usize, j)]);
-            tournament(c, panel.data_mut(), &my_ids, 3).unwrap()
+            tournament(c, panel.data_mut(), &my_ids, 3).unwrap().ids
         });
-        let mut ids = out.results[0].ids.clone();
+        let mut ids = out.results[0].clone();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 9, 13]);
     }

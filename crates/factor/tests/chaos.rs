@@ -29,9 +29,7 @@ use dense::gen::random_matrix;
 use dense::norms::lu_residual_perm;
 use dense::Matrix;
 use factor::{conflux_lu, conflux_lu_ft, ConfluxConfig, FtConfig};
-use xharness::{
-    check_golden, golden_mode, run_armed, seeds, HangPlan, PerturbConfig, Perturbator, ResetPlan,
-};
+use xharness::{check_golden, golden_mode, seeds, HangPlan, PerturbConfig, Perturbator, ResetPlan};
 use xmpi::Grid3;
 use xtrace::invariants::check_stats_equal;
 
@@ -118,10 +116,10 @@ fn conflux_chaos_seed_matrix_conformance() {
         );
         with_failure_artifact(seed, &fault, || {
             let local_chaos = Arc::new(Perturbator::chaos_from_seed(seed, p));
-            let local = run_armed(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
+            let local = xmpi::with_hooks(local_chaos.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
             let socket = on_sockets(|| {
                 let chaos = Arc::new(Perturbator::chaos_from_seed(seed, p));
-                run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+                xmpi::with_hooks(chaos.clone(), || conflux_lu_ft(&cfg, &a).unwrap())
             });
 
             // Backend parity: the in-process mirror kills the same ranks at
@@ -215,11 +213,11 @@ fn conflux_reset_recovery_over_sockets() {
     };
 
     let local_chaos = Arc::new(scripted(41));
-    let local = run_armed(&local_chaos, || conflux_lu_ft(&cfg, &a).unwrap());
+    let local = xmpi::with_hooks(local_chaos.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
     assert!(local_chaos.reset_fired(), "in-process reset never fired");
     let socket = on_sockets(|| {
         let chaos = Arc::new(scripted(41));
-        run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+        xmpi::with_hooks(chaos.clone(), || conflux_lu_ft(&cfg, &a).unwrap())
     });
 
     for (out, backend) in [(&local, "local"), (&socket, "socket")] {
@@ -263,7 +261,7 @@ fn conflux_hung_rank_recovery_over_sockets() {
             })
             .with_hang(plan),
         );
-        run_armed(&chaos, || conflux_lu_ft(&cfg, &a).unwrap())
+        xmpi::with_hooks(chaos.clone(), || conflux_lu_ft(&cfg, &a).unwrap())
     });
     let elapsed = started.elapsed();
 
@@ -307,7 +305,7 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
 
     let socket = on_sockets(|| {
         let chaos = noisy();
-        run_armed(&chaos, || conflux_lu(&cfg, &a).unwrap())
+        xmpi::with_hooks(chaos.clone(), || conflux_lu(&cfg, &a).unwrap())
     });
     assert_eq!(socket.perm, base.perm, "pivots diverged under torn writes");
     assert_bitwise_equal(
@@ -323,7 +321,7 @@ fn conflux_torn_chaos_preserves_factors_and_goldens() {
 
     let out = on_sockets(|| {
         let chaos = noisy();
-        run_armed(&chaos, || {
+        xmpi::with_hooks(chaos.clone(), || {
             conflux_lu(&ConfluxConfig::new(n, v, grid).volume_only(), &a).unwrap()
         })
     });

@@ -30,7 +30,7 @@ use factor::{
     Mmm25dConfig, TwodConfig,
 };
 use pebbles::bounds::{cholesky_io_lower_bound, lu_io_lower_bound, mmm_io_lower_bound};
-use xharness::{run_perturbed, run_perturbed_traced, seeds, PerturbConfig};
+use xharness::{run_perturbed, seeds, PerturbConfig};
 use xmpi::{Event, Grid2, Grid3, TraceConfig, WorldStats};
 use xtrace::invariants::{check_stats_equal, check_trace, Violation};
 
@@ -460,10 +460,12 @@ fn perturbed_kernel_traces(seed: u64) -> Vec<xmpi::WorldTrace> {
     let a = random_matrix(48, 48, 404);
     let spd = random_spd(48, 405);
     let cfg_seed = PerturbConfig::aggressive(seed);
-    let (_, traces) = run_perturbed_traced(&cfg_seed, TraceConfig::default(), || {
-        conflux_lu(&ConfluxConfig::new(48, 8, grid), &a).unwrap();
-        confchox_cholesky(&ConfchoxConfig::new(48, 8, grid), &spd).unwrap();
-        mmm25d(&Mmm25dConfig::new(48, 4, grid), &a, &a);
+    let (_, traces) = xmpi::trace::capture(TraceConfig::default(), || {
+        run_perturbed(&cfg_seed, || {
+            conflux_lu(&ConfluxConfig::new(48, 8, grid), &a).unwrap();
+            confchox_cholesky(&ConfchoxConfig::new(48, 8, grid), &spd).unwrap();
+            mmm25d(&Mmm25dConfig::new(48, 4, grid), &a, &a);
+        })
     });
     assert_eq!(traces.len(), 3, "one trace per kernel world");
     traces

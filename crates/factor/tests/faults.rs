@@ -21,7 +21,7 @@
 //!   detection tests above have gone vacuous).
 //!
 //! A failing seed leaves a replay recipe in `results/faults_failure.json`
-//! (see `xharness::run_armed` for the replay idiom).
+//! (see `xharness::run_perturbed` for the replay idiom).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -150,7 +150,7 @@ fn conflux_crash_conformance_over_seed_matrix() {
         let fault = format!("kill rank {} after send {}", plan.victim, plan.after_sends);
         let out = with_failure_artifact("conflux_lu_ft", seed, &fault, || {
             let pert = Arc::new(Perturbator::new(PerturbConfig::new(seed)).with_crash(plan));
-            let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+            let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
             assert!(pert.crash_fired(), "seed {seed}: planned crash never fired");
             out
         });
@@ -222,7 +222,7 @@ fn confchox_crash_conformance_over_seed_matrix() {
         let fault = format!("kill rank {} after send {}", plan.victim, plan.after_sends);
         let out = with_failure_artifact("confchox_cholesky_ft", seed, &fault, || {
             let pert = Arc::new(Perturbator::new(PerturbConfig::new(seed)).with_crash(plan));
-            let out = xharness::run_armed(&pert, || confchox_cholesky_ft(&cfg, &a).unwrap());
+            let out = xmpi::with_hooks(pert.clone(), || confchox_cholesky_ft(&cfg, &a).unwrap());
             assert!(pert.crash_fired(), "seed {seed}: planned crash never fired");
             out
         });
@@ -272,7 +272,7 @@ fn conflux_corruption_conformance_over_seed_matrix() {
         );
         with_failure_artifact("conflux_lu_ft[abft]", seed, &fault, || {
             let pert = Arc::new(Perturbator::new(PerturbConfig::new(seed)).with_corrupt(plan));
-            let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+            let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
             assert!(
                 pert.corrupt_fired(),
                 "seed {seed}: planned corruption never fired"
@@ -311,7 +311,7 @@ fn corruption_without_checksums_damages_the_factors() {
         );
         with_failure_artifact("conflux_lu_ft[no-abft]", seed, &fault, || {
             let pert = Arc::new(Perturbator::new(PerturbConfig::new(seed)).with_corrupt(plan));
-            let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+            let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
             assert!(pert.corrupt_fired(), "seed {seed}: corruption never fired");
             assert_eq!(
                 out.report.corrections, 0,

@@ -1,8 +1,10 @@
 //! Cross-backend transport conformance: every claim the in-process suite
 //! pins must survive the move to real processes.
 //!
-//! The same COnfLUX / COnfCHOX / 2.5D-MMM cells run twice — once on the
-//! default in-process backend (ranks = threads, zero-copy mailboxes) and
+//! The same COnfLUX / COnfCHOX / 2.5D-MMM cells, and the baselines beside
+//! them (the 2D LU and Cholesky schedules, CholeskyQR and the
+//! ScaLAPACK-compatible wrappers), run twice — once on the default
+//! in-process backend (ranks = threads, zero-copy mailboxes) and
 //! once on the socket backend (ranks = child processes, a UNIX-domain
 //! socket mesh, the length-prefixed wire codec) — and must produce:
 //!
@@ -28,7 +30,8 @@
 //!   fault-tolerant path;
 //! * **typed input errors**: a mis-shaped matrix is rejected with
 //!   `dense::Error::ShapeMismatch` by every driver before any world is
-//!   launched, on either backend;
+//!   launched, on either backend — and a well-shaped one runs every
+//!   driver's ranks in forked processes when the socket backend is armed;
 //! * **fork safety**: a socket world forked while another thread of the
 //!   launcher names phases and runs parallel GEMMs completes.
 //!
@@ -43,14 +46,16 @@ use dense::norms::{lu_residual_perm, po_residual};
 use dense::Matrix;
 use factor::lu25d_swap::lu25d_swap;
 use factor::{
-    confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d, ConfchoxConfig,
-    ConfluxConfig, FtConfig, Mmm25dConfig,
+    cholesky_qr, confchox_cholesky, confchox_cholesky_ft, conflux_lu, conflux_lu_ft, mmm25d,
+    pdgetrf, pdpotrf, twod_cholesky, twod_lu, CholQrConfig, ConfchoxConfig, ConfluxConfig,
+    FtConfig, Mmm25dConfig, TwodConfig,
 };
+use layout::BlockCyclic;
 use std::path::PathBuf;
 use xharness::{
     check_golden, golden_mode, run_perturbed, seeds, CrashPlan, PerturbConfig, Perturbator,
 };
-use xmpi::Grid3;
+use xmpi::{Grid2, Grid3, WorldStats};
 use xtrace::invariants::check_stats_equal;
 
 const RESIDUAL_TOL: f64 = 1e-12;
@@ -76,6 +81,28 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, what: &str) {
                 "{what}: element ({r}, {c}) differs"
             );
         }
+    }
+}
+
+/// `f` on the local backend, then on the socket backend.
+fn both<T>(f: impl Fn() -> T) -> (T, T) {
+    (f(), on_sockets(&f))
+}
+
+/// Per rank: the same bytes in every phase, and the same message counts.
+fn assert_same_traffic(local: &WorldStats, socket: &WorldStats, what: &str) {
+    let drift = check_stats_equal(local, socket);
+    assert!(
+        drift.is_empty(),
+        "{what}: traffic drifted across backends: {drift:?}"
+    );
+    for (rank, (l, s)) in local.ranks.iter().zip(&socket.ranks).enumerate() {
+        assert_eq!(
+            (l.msgs_sent, l.msgs_recv),
+            (s.msgs_sent, s.msgs_recv),
+            "{what}: rank {rank} message counts"
+        );
+        assert_eq!(l.per_coll, s.per_coll, "{what}: rank {rank} per-collective");
     }
 }
 
@@ -168,6 +195,62 @@ fn mmm25d_socket_matches_local_bitwise() {
     );
 }
 
+/// The stand-ins for the paper's baselines — the 2D LU and Cholesky
+/// schedules (MKL, SLATE), CholeskyQR — and the ScaLAPACK-compatible
+/// wrappers give the same factors to the bit, and move the same bytes in
+/// the same messages, on both backends.
+#[test]
+fn baselines_and_wrappers_socket_match_local_bitwise() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n, n, 101);
+    let spd = random_spd(n, 202);
+    let twod = TwodConfig::new(n, v, Grid2::new(2, 2));
+    let user = BlockCyclic::new(n, n, 5, 3, Grid2::new(2, 4));
+
+    let (local, socket) = both(|| twod_lu(&twod, &a).unwrap());
+    assert_eq!(socket.ipiv, local.ipiv, "twod_lu: pivots diverged");
+    assert_bitwise_equal(
+        socket.packed.as_ref().unwrap(),
+        local.packed.as_ref().unwrap(),
+        "twod_lu factor, socket vs local",
+    );
+    assert_same_traffic(&local.stats, &socket.stats, "twod_lu");
+
+    let (local, socket) = both(|| twod_cholesky(&twod, &spd).unwrap());
+    assert_bitwise_equal(
+        socket.l.as_ref().unwrap(),
+        local.l.as_ref().unwrap(),
+        "twod_cholesky factor, socket vs local",
+    );
+    assert_same_traffic(&local.stats, &socket.stats, "twod_cholesky");
+
+    let tall = random_matrix(256, 16, 505);
+    let (local, socket) = both(|| cholesky_qr(&CholQrConfig::new(256, 16, 4), &tall).unwrap());
+    assert_bitwise_equal(&socket.q, &local.q, "cholesky_qr Q, socket vs local");
+    assert_bitwise_equal(&socket.r, &local.r, "cholesky_qr R, socket vs local");
+    assert_same_traffic(&local.stats, &socket.stats, "cholesky_qr");
+
+    let lu = ConfluxConfig::new(n, v, grid);
+    let chol = ConfchoxConfig::new(n, v, grid);
+    let wrappers = [
+        ("pdgetrf", both(|| pdgetrf(user, &a, &lu).unwrap())),
+        ("pdpotrf", both(|| pdpotrf(user, &spd, &chol).unwrap())),
+    ];
+    for (name, (local, socket)) in wrappers {
+        assert_eq!(socket.perm, local.perm, "{name}: pivots diverged");
+        assert_eq!(socket.shards.len(), local.shards.len(), "{name}: shards");
+        for (rank, (s, l)) in socket.shards.iter().zip(&local.shards).enumerate() {
+            assert_eq!(
+                (s.desc, s.coords),
+                (l.desc, l.coords),
+                "{name}: rank {rank}"
+            );
+            assert_bitwise_equal(&s.local, &l.local, &format!("{name} shard {rank}"));
+        }
+        assert_same_traffic(&local.stats, &socket.stats, name);
+    }
+}
+
 /// The socket-measured volumes of the `.volume_only()` cells must match
 /// the *committed* goldens — the very entries the in-process
 /// `golden_volumes` suite pins. One golden file, two transports: if a
@@ -258,7 +341,7 @@ fn conflux_ft_crash_recovery_over_sockets() {
     let base = conflux_lu_ft(&cfg, &a).unwrap();
     let local = {
         let pert = Arc::new(Perturbator::new(PerturbConfig::new(7)).with_crash(plan));
-        let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+        let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
         assert!(pert.crash_fired(), "in-process: planned crash never fired");
         out
     };
@@ -268,7 +351,7 @@ fn conflux_ft_crash_recovery_over_sockets() {
     // The same plan over child processes.
     let socket = on_sockets(|| {
         let pert = Arc::new(Perturbator::new(PerturbConfig::new(7)).with_crash(plan));
-        let out = xharness::run_armed(&pert, || conflux_lu_ft(&cfg, &a).unwrap());
+        let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
         assert!(pert.crash_fired(), "socket: planned crash never fired");
         out
     });
@@ -360,15 +443,15 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     let lu = ConfluxConfig::new(n, v, grid);
     let chol = ConfchoxConfig::new(n, v, grid);
     let ft = FtConfig::new(n, v, grid);
-    let twod = factor::TwodConfig::new(n, v, xmpi::Grid2::new(2, 2));
+    let twod = TwodConfig::new(n, v, Grid2::new(2, 2));
     let every_driver = || {
         assert_eq!(conflux_lu(&lu, &a).err(), want);
         assert_eq!(confchox_cholesky(&chol, &a).err(), want);
         assert_eq!(conflux_lu_ft(&ft, &a).err(), want);
         assert_eq!(confchox_cholesky_ft(&ft, &a).err(), want);
         assert_eq!(lu25d_swap(&lu, &a).err(), want);
-        assert_eq!(factor::twod_lu(&twod, &a).err(), want);
-        assert_eq!(factor::twod_cholesky(&twod, &a).err(), want);
+        assert_eq!(twod_lu(&twod, &a).err(), want);
+        assert_eq!(twod_cholesky(&twod, &a).err(), want);
     };
 
     let phases = Arc::new(CountPhases::default());
@@ -385,22 +468,37 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     );
 
     // A well-shaped input does reach the armed backend (cc38afc ran the
-    // swap driver on threads): its phases are named in forked rank
-    // processes, whose copies of the hooks count them, not this one's.
+    // swap driver on threads, and the 2D, CholeskyQR and ScaLAPACK drivers
+    // once did too): its phases are named in forked rank processes, whose
+    // copies of the hooks count them, not this one's.
     let fine = random_matrix(n, n, 101);
-    let out = xmpi::with_hooks(phases.clone(), || {
-        on_sockets(|| lu25d_swap(&lu, &fine).unwrap())
-    });
-    assert!(out.stats.total_bytes_sent() > 0);
-    assert_eq!(
-        phases.here.load(Ordering::SeqCst),
-        0,
-        "lu25d_swap ran its ranks in the launching process"
-    );
-    assert!(
-        phases.anywhere.is_set(),
-        "the shared flag must show a phase named in a rank process"
-    );
+    let spd = random_spd(n, 202);
+    let user = BlockCyclic::new(n, n, 5, 3, Grid2::new(2, 4));
+    let qr = CholQrConfig::new(n, n, 4);
+    let drivers: [(&str, &dyn Fn() -> WorldStats); 6] = [
+        ("lu25d_swap", &|| lu25d_swap(&lu, &fine).unwrap().stats),
+        ("twod_lu", &|| twod_lu(&twod, &fine).unwrap().stats),
+        ("twod_cholesky", &|| {
+            twod_cholesky(&twod, &spd).unwrap().stats
+        }),
+        ("cholesky_qr", &|| cholesky_qr(&qr, &fine).unwrap().stats),
+        ("pdgetrf", &|| pdgetrf(user, &fine, &lu).unwrap().stats),
+        ("pdpotrf", &|| pdpotrf(user, &spd, &chol).unwrap().stats),
+    ];
+    for (name, driver) in drivers {
+        let phases = Arc::new(CountPhases::default());
+        let stats = xmpi::with_hooks(phases.clone(), || on_sockets(driver));
+        assert!(stats.total_bytes_sent() > 0, "{name}: no traffic");
+        assert_eq!(
+            phases.here.load(Ordering::SeqCst),
+            0,
+            "{name} ran its ranks in the launching process"
+        );
+        assert!(
+            phases.anywhere.is_set(),
+            "{name}: the shared flag must show a phase named in a rank process"
+        );
+    }
 }
 
 /// Fork safety: a socket world forked while another thread of this process
@@ -428,7 +526,7 @@ fn socket_worlds_fork_safely_beside_busy_local_worlds() {
         });
         let local = xmpi::run(2, gemm).results;
         for round in 0..12 {
-            let out = on_sockets(|| xmpi::launch::run_ft(2, gemm));
+            let out = on_sockets(|| xmpi::run_ft(2, gemm));
             assert!(out.crashed.is_empty(), "round {round}: {:?}", out.crashed);
             for (rank, r) in out.results.iter().enumerate() {
                 assert_eq!(

@@ -2,6 +2,7 @@
 
 use crate::desc::BlockCyclic;
 use dense::Matrix;
+use xmpi::{Grid2, Wire, XmpiError};
 
 /// A distributed matrix as seen by one rank: the layout descriptor plus this
 /// rank's local storage (rows/columns packed in block-cyclic local order,
@@ -86,6 +87,35 @@ impl DistMatrix {
     }
 }
 
+/// A rank process ships its shard home as the descriptor, its grid
+/// coordinates and the local matrix, every `f64` as raw bits.
+impl Wire for DistMatrix {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let BlockCyclic { m, n, rb, cb, grid } = self.desc;
+        let (pi, pj) = self.coords;
+        usize::encode_slice(&[m, n, rb, cb, grid.rows, grid.cols, pi, pj], out);
+        self.local.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
+        let w = usize::decode_n(input, 8)?;
+        let grid = Grid2 {
+            rows: w[4],
+            cols: w[5],
+        };
+        Ok(DistMatrix {
+            desc: BlockCyclic {
+                m: w[0],
+                n: w[1],
+                rb: w[2],
+                cb: w[3],
+                grid,
+            },
+            coords: (w[6], w[7]),
+            local: Matrix::decode(input)?,
+        })
+    }
+}
+
 /// Reassemble a global matrix from every rank's shard (shards indexed by
 /// rank, as collected from [`xmpi::run`] results).
 ///
@@ -114,6 +144,32 @@ mod tests {
             .collect();
         let back = assemble(&desc, &shards);
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn shards_roundtrip_the_wire_bitwise_and_truncations_are_errors() {
+        let desc = BlockCyclic::new(19, 13, 3, 2, Grid2::new(2, 3));
+        let mut a = random_matrix(19, 13, 2);
+        (a[(4, 3)], a[(5, 1)]) = (-0.0, f64::NAN);
+        let bits = |d: &DistMatrix| {
+            d.local
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for rank in 0..6 {
+            let shard = DistMatrix::from_global(desc, desc.grid.coords(rank), &a);
+            let bytes = xmpi::wire::encode_vec(&shard);
+            let back: DistMatrix = xmpi::wire::decode_all(&bytes).expect("decode");
+            assert_eq!((back.desc, back.coords), (shard.desc, shard.coords));
+            assert_eq!(back.local.rows(), shard.local.rows());
+            assert_eq!(bits(&back), bits(&shard), "rank {rank}");
+            for cut in 0..bytes.len() {
+                let decoded = DistMatrix::decode(&mut &bytes[..cut]);
+                assert!(decoded.is_err(), "rank {rank}: {cut} bytes decoded");
+            }
+        }
     }
 
     #[test]

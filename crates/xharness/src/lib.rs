@@ -19,10 +19,11 @@
 //!   `u64` seed and the decision's channel identity, so a failing seed
 //!   replays its exact fault pattern (the `perturb` module documents the
 //!   determinism model);
-//! * [`run_perturbed`] / [`run_perturbed_traced`] wrap an unmodified driver
-//!   (anything that calls [`xmpi::run`] internally) in a seeded
-//!   perturbation, optionally recording the event trace for the
-//!   [`xtrace::invariants`] checkers;
+//! * [`run_perturbed`] wraps an unmodified driver (anything that calls
+//!   [`xmpi::run`] internally) in a seeded perturbation; a caller-built
+//!   [`Perturbator`] is armed with [`xmpi::with_hooks`] directly, and
+//!   [`xmpi::trace::capture`] around either records the event trace for
+//!   the [`xtrace::invariants`] checkers;
 //! * [`check_golden`] pins per-rank/per-phase byte counts to committed golden
 //!   JSON, so traffic changes are explicit diffs, never silent drift;
 //! * [`seeds`] reads the `XHARNESS_SEEDS` environment variable so CI can
@@ -43,31 +44,26 @@ pub use golden::{check_golden, golden_mode, snapshot, GoldenMode};
 pub use perturb::{CorruptPlan, CrashPlan, HangPlan, PerturbConfig, Perturbator, ResetPlan};
 
 use std::sync::Arc;
-use xmpi::trace::{capture, TraceConfig, WorldTrace};
 
 /// Run `f` with a seeded [`Perturbator`] armed on this thread: every world
 /// `f` launches (directly or deep inside a factorization driver) has the
 /// perturbation hooks installed. Results must be bitwise-independent of the
 /// seed — that is the property the conformance suite exists to check.
-pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
-    xmpi::with_hooks(Arc::new(Perturbator::new(cfg.clone())), f)
-}
-
-/// [`run_perturbed`] with a caller-built perturbator — the entry point for
-/// fault-injection runs, where the instance matters: its one-shot crash,
-/// corruption, reset and hang latches span every world `f` launches, so a
-/// fault-tolerant driver that crashes one world and restarts another gets
-/// exactly one injected fault across the whole attempt sequence, and the
-/// test can assert `perturbator.reset_fired()` afterwards.
 ///
 /// # Replaying a failing crash seed locally
 ///
+/// A fault-injection run arms a caller-built [`Perturbator`] with
+/// [`xmpi::with_hooks`], because the instance matters: its one-shot crash,
+/// corruption, reset and hang latches span every world the closure
+/// launches, so a fault-tolerant driver that crashes one world and restarts
+/// another gets exactly one injected fault across the whole attempt
+/// sequence, and the test can assert `perturbator.crash_fired()` afterwards.
 /// The `faults` CI job prints the failing seed; replay it by pinning the
 /// seed and re-arming the same crash preset:
 ///
 /// ```
 /// use std::sync::Arc;
-/// use xharness::{CrashPlan, PerturbConfig, Perturbator, run_armed};
+/// use xharness::{CrashPlan, PerturbConfig, Perturbator};
 ///
 /// let seed = 17; // the failing seed from CI / results/faults_failure.json
 /// let p = 4; // world size of the failing test
@@ -77,7 +73,7 @@ pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
 /// let plan = CrashPlan::from_seed(seed, p, 8);
 /// let perturbator =
 ///     Arc::new(Perturbator::new(PerturbConfig::new(seed)).with_crash(plan));
-/// let out = run_armed(&perturbator, || {
+/// let out = xmpi::with_hooks(perturbator.clone(), || {
 ///     xmpi::run_ft(p, |c| {
 ///         // ... the failing driver; `factor::conflux_lu_ft` in the real
 ///         // test. Here: everyone streams ten messages to the root.
@@ -99,20 +95,8 @@ pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
 /// assert_eq!(out.crashed, vec![plan.victim]);
 /// assert!(perturbator.crash_fired());
 /// ```
-pub fn run_armed<R>(perturbator: &Arc<Perturbator>, f: impl FnOnce() -> R) -> R {
-    xmpi::with_hooks(perturbator.clone(), f)
-}
-
-/// [`run_perturbed`] with event tracing: returns `f`'s result plus one
-/// [`WorldTrace`] per world launched, ready for
-/// [`xtrace::invariants::check_trace`]. This is the composition the
-/// negative tests rely on — inject faults *and* watch the runtime contract.
-pub fn run_perturbed_traced<R>(
-    cfg: &PerturbConfig,
-    tc: TraceConfig,
-    f: impl FnOnce() -> R,
-) -> (R, Vec<WorldTrace>) {
-    capture(tc, || run_perturbed(cfg, f))
+pub fn run_perturbed<R>(cfg: &PerturbConfig, f: impl FnOnce() -> R) -> R {
+    xmpi::with_hooks(Arc::new(Perturbator::new(cfg.clone())), f)
 }
 
 /// The perturbation-seed matrix, from the `XHARNESS_SEEDS` environment
@@ -214,8 +198,9 @@ mod tests {
     fn perturbed_traces_satisfy_invariants() {
         for seed in [0, 13] {
             let cfg = PerturbConfig::aggressive(seed);
-            let (_, traces) =
-                run_perturbed_traced(&cfg, xmpi::TraceConfig::default(), || driver(4));
+            let (_, traces) = xmpi::trace::capture(xmpi::TraceConfig::default(), || {
+                run_perturbed(&cfg, || driver(4))
+            });
             assert_eq!(traces.len(), 1);
             let report = check_trace(&traces[0]);
             report.assert_clean();

@@ -286,8 +286,8 @@ impl<K: std::hash::Hash + Eq + Copy> SeqTable<K> {
     }
 }
 
-/// The seeded perturbator. Install with [`crate::run_perturbed`] or
-/// [`crate::run_armed`] (or [`xmpi::with_hooks`] directly); one instance
+/// The seeded perturbator. Install with [`crate::run_perturbed`], or build
+/// one and arm it with [`xmpi::with_hooks`]; one instance
 /// per world — its sequence counters are part of the replay identity, so
 /// reusing an instance across worlds shifts every later decision. The
 /// exception is a fault-tolerant driver's restart sequence, which must

@@ -737,7 +737,6 @@ impl Comm {
                 return Err(XmpiError::Timeout {
                     src: src_world,
                     tag,
-                    attempts: 1,
                     pending: mbox.pending(),
                 });
             }

@@ -26,8 +26,6 @@ pub enum XmpiError {
         src: usize,
         /// Message tag.
         tag: u64,
-        /// Wait attempts made before giving up.
-        attempts: u64,
         /// Unmatched messages sitting in the mailbox at expiry.
         pending: usize,
     },
@@ -64,14 +62,9 @@ impl fmt::Display for XmpiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             XmpiError::RankDead { rank } => write!(f, "world rank {rank} is dead"),
-            XmpiError::Timeout {
-                src,
-                tag,
-                attempts,
-                pending,
-            } => write!(
+            XmpiError::Timeout { src, tag, pending } => write!(
                 f,
-                "receive from world rank {src} tag {tag} timed out after {attempts} attempt(s); \
+                "receive from world rank {src} tag {tag} timed out; \
                  {pending} unmatched message(s) pending"
             ),
             XmpiError::Truncated {
@@ -105,11 +98,10 @@ mod tests {
         let t = XmpiError::Timeout {
             src: 1,
             tag: 7,
-            attempts: 2,
             pending: 5,
         };
         assert!(t.to_string().contains("tag 7"));
-        assert!(t.to_string().contains("2 attempt"));
+        assert!(t.to_string().contains("5 unmatched"));
         let tr = XmpiError::Truncated {
             expected: 10,
             got: 8,

@@ -1,15 +1,15 @@
 //! Backend selection and the multi-process rank launcher.
 //!
-//! [`run`] and [`run_ft`] are drop-in counterparts of [`crate::run`] /
-//! [`crate::run_ft`] that additionally honour an ambient [`Backend`]: under
-//! the default [`Backend::Local`] they delegate to the in-process thread
-//! launcher unchanged; under [`Backend::Socket`] the calling process
-//! becomes the *parent* of a multi-process world — it makes every socket
-//! of the world, forks one child process per rank, and each child runs the
-//! SPMD closure over its ends of a rank×rank UNIX-socket mesh (the `socket`
-//! module) and ships its [`Wire`]-encoded result and per-rank traffic
-//! statistics back over its control socket. A child that dies without
-//! reporting is mapped to [`XmpiError::RankDead`].
+//! A world is launched one way, by [`crate::run`] / [`crate::run_ft`],
+//! which read the ambient [`Backend`] that [`with_backend`] sets. Under
+//! the default [`Backend::Local`] the ranks are threads of this process;
+//! under [`Backend::Socket`] the calling process becomes the *parent* of a
+//! multi-process world (this module's `socket_world`) — it makes every
+//! socket of the world, forks one child process per rank, and each child
+//! runs the SPMD closure over its ends of a rank×rank UNIX-socket mesh
+//! (the `socket` module) and ships its [`Wire`]-encoded result and per-rank
+//! traffic statistics back over its control socket. A child that dies
+//! without reporting is mapped to [`XmpiError::RankDead`].
 //!
 //! ## Launch and teardown
 //!
@@ -46,10 +46,11 @@
 //!
 //! ## Forked ranks
 //!
-//! A rank process is a `fork` of the thread that called [`run`]/[`run_ft`]
-//! (the `rusty-fork` idiom without its re-execution). It already holds the
-//! closure, everything the closure captured and every ambient setting of
-//! that thread — armed fault hooks included — so it runs the
+//! A rank process is a `fork` of the thread that called [`crate::run`] /
+//! [`crate::run_ft`] (the `rusty-fork` idiom without its re-execution). It
+//! already holds the closure, everything the closure captured and every
+//! ambient setting of that thread — armed fault hooks included — except
+//! the backend, which it resets to [`Backend::Local`]; so it runs the
 //! closure at once, ships its outcome and leaves with `_exit`: it never
 //! returns into the caller's code, runs no exit handlers and flushes no
 //! inherited stdio buffer. Its stdin and stdout are `/dev/null`. What a
@@ -69,8 +70,10 @@
 //! * the launcher, socket and receive knobs are read from the environment
 //!   by the parent before its first fork and reach the child cached;
 //! * the launch lock is held by the forking thread itself, so every child
-//!   holds a locked copy of it and never takes it: a rank program cannot
-//!   launch a socket world of its own.
+//!   holds a locked copy of it and must never take it: a rank process
+//!   makes [`Backend::Local`] ambient before its rank program runs, so a
+//!   world that program launches (a driver called inside a rank) runs on
+//!   threads of the rank process and never reaches the lock.
 //!
 //! (libc's own fork handlers keep `malloc` usable in the child.)
 //!
@@ -86,7 +89,7 @@ use crate::stats::{RankStats, WorldStats};
 use crate::trace;
 use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind, Wire};
-use crate::world::{FtResult, WorldResult};
+use crate::world::FtResult;
 use std::cell::Cell;
 use std::ffi::{c_int, c_ulong, c_void};
 use std::io::Write as _;
@@ -98,7 +101,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Which transport [`run`]/[`run_ft`] use.
+/// Which transport [`crate::run`] / [`crate::run_ft`] use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Ranks are threads of this process (the default).
@@ -134,8 +137,8 @@ fn world_deadline() -> Option<Duration> {
 }
 
 /// Run `f` with `backend` ambient on this thread (restored afterwards).
-/// [`run`]/[`run_ft`] calls inside `f` — including those buried in library
-/// code like the factorization drivers — use it.
+/// Every world `f` launches — including those buried in library code like
+/// the factorization drivers — runs on it.
 pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     struct Restore(Backend);
     impl Drop for Restore {
@@ -146,6 +149,16 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     let _restore = Restore(BACKEND.with(|b| b.replace(backend)));
     f()
 }
+
+/// The ambient backend of this thread.
+pub(crate) fn backend() -> Backend {
+    BACKEND.with(Cell::get)
+}
+
+/// [`crate::run`] under its old path. The benchmark package calls it by
+/// this name and `tests/benchmark_api.rs` pins it, so it stays, for the
+/// same reason as [`socket_backend_reexec`].
+pub use crate::world::run;
 
 /// [`Backend::Socket`]. The name is from the time rank processes
 /// re-executed the binary; the benchmark package calls this function by
@@ -203,64 +216,6 @@ impl<R: Wire> Wire for Shipped<R> {
                 tag: 0,
             }),
         }
-    }
-}
-
-/// [`crate::run`] honouring the ambient [`Backend`]. The extra [`Wire`]
-/// bound lets a socket-backed world ship rank results between processes;
-/// on the local backend behaviour is identical to [`crate::run`].
-///
-/// # Panics
-/// As [`crate::run`]; additionally if a child process dies or panics, or
-/// if event tracing is armed on the socket backend (unsupported).
-pub fn run<R, F>(p: usize, f: F) -> WorldResult<R>
-where
-    R: Wire + Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    match BACKEND.with(Cell::get) {
-        Backend::Local => crate::world::run(p, f),
-        Backend::Socket => {
-            let out = socket_world(p, f);
-            let results = out
-                .results
-                .into_iter()
-                .enumerate()
-                .map(|(rank, r)| match r {
-                    Ok(v) => v,
-                    Err(e) => panic!(
-                        "rank {rank} failed under fault injection: {e}; \
-                         launch the world with xmpi::run_ft to handle rank crashes"
-                    ),
-                })
-                .collect();
-            WorldResult {
-                results,
-                stats: out.stats,
-            }
-        }
-    }
-}
-
-/// [`crate::run_ft`] honouring the ambient [`Backend`]: injected crashes
-/// and hard child deaths become per-rank [`XmpiError::RankDead`] outcomes.
-///
-/// One behavioural difference from the in-process backend: a *genuine*
-/// panic on a rank (not a fault sentinel) cannot cross the process
-/// boundary as a payload, so it surfaces as a parent panic that names the
-/// rank and carries the rank's panic message.
-///
-/// # Panics
-/// If `p == 0`, a rank panics with a non-sentinel payload, or tracing is
-/// armed on the socket backend.
-pub fn run_ft<R, F>(p: usize, f: F) -> FtResult<R>
-where
-    R: Wire + Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    match BACKEND.with(Cell::get) {
-        Backend::Local => crate::world::run_ft(p, f),
-        Backend::Socket => socket_world(p, f),
     }
 }
 
@@ -344,6 +299,10 @@ fn fork_rank(body: impl FnOnce()) -> std::io::Result<RankProc> {
     match unsafe { sys::fork() } {
         -1 => Err(std::io::Error::last_os_error()),
         0 => {
+            // A world the rank program launches runs on its threads: this
+            // process holds a locked copy of the launch lock (module docs,
+            // "Fork safety").
+            BACKEND.with(|b| b.set(Backend::Local));
             let ok = catch_unwind(AssertUnwindSafe(|| {
                 quiet_stdio();
                 body();
@@ -583,7 +542,7 @@ fn launch_failed<R>(p: usize, rank: usize) -> FtResult<R> {
 /// Parent side of one socket-backed world: make its sockets, fork one
 /// child per rank, read the outcomes they ship on their control ends as
 /// they arrive, reap them, and assemble the world result.
-fn socket_world<R, F>(p: usize, f: F) -> FtResult<R>
+pub(crate) fn socket_world<R, F>(p: usize, f: F) -> FtResult<R>
 where
     R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
@@ -774,10 +733,9 @@ mod tests {
     #[test]
     fn backend_ambient_restores() {
         use super::*;
-        let current = || BACKEND.with(Cell::get);
-        assert_eq!(current(), Backend::Local);
-        with_backend(Backend::Socket, || assert_eq!(current(), Backend::Socket));
-        assert_eq!(current(), Backend::Local);
+        assert_eq!(backend(), Backend::Local);
+        with_backend(Backend::Socket, || assert_eq!(backend(), Backend::Socket));
+        assert_eq!(backend(), Backend::Local);
     }
 
     #[test]

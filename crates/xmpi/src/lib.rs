@@ -10,8 +10,9 @@
 //!
 //! The paper's implementations run MPI over the Cray Aries interconnect and
 //! measure aggregate communication volume with the Score-P profiler. This
-//! crate substitutes both: every *rank* is an OS thread, point-to-point
-//! messages travel through in-process mailboxes, and **every byte that
+//! crate substitutes both: every *rank* is an OS thread (or, on the socket
+//! backend, a forked process), point-to-point messages travel through
+//! in-process mailboxes (or a UNIX-socket mesh), and **every byte that
 //! crosses a rank boundary is counted** at the same places an MPI library
 //! would count them. Collectives (broadcast, reduce, all-reduce, gather,
 //! scatter, butterfly exchange) are implemented *on top of* point-to-point
@@ -22,23 +23,29 @@
 //! # Example
 //!
 //! ```
-//! use xmpi::run;
+//! use xmpi::{run, with_backend, Backend, Comm};
 //!
 //! // Four ranks each contribute their rank id; all-reduce sums them.
-//! let out = run(4, |comm| {
+//! let program = |comm: &Comm| {
 //!     let mut v = vec![comm.rank() as f64];
 //!     comm.allreduce_sum(&mut v);
 //!     v[0]
-//! });
+//! };
+//! let out = run(4, program); // ranks are threads by default
 //! assert!(out.results.iter().all(|&x| x == 6.0));
 //! assert!(out.stats.total_bytes_sent() > 0);
+//!
+//! // Backend is ambient: the same program on four forked rank processes.
+//! let socket = with_backend(Backend::Socket, || run(4, program));
+//! assert_eq!(socket.results, out.results);
+//! assert_eq!(socket.stats.total_bytes_sent(), out.stats.total_bytes_sent());
 //! ```
 //!
 //! # Tracing
 //!
 //! Beyond aggregate counters, a world can record a full event trace —
 //! sends, receive waits, collective spans, phase markers with flop counts —
-//! via [`run_traced`] or by wrapping an existing driver in
+//! by launching it, or an existing driver that launches it, inside
 //! [`trace::capture`]. The `xtrace` crate turns the resulting
 //! [`trace::WorldTrace`] into timelines, idle-time attribution, critical
 //! paths, simulated α-β-γ replays, and Chrome-trace exports. Tracing is
@@ -72,7 +79,8 @@
 //!   in-flight payload — the fault an ABFT checksum layer (see
 //!   `dense::checksum`) must detect and locate;
 //! * [`run_ft`] launches a world whose per-rank outcomes are
-//!   `Result<R, XmpiError>` — the entry point for drivers that recover
+//!   `Result<R, XmpiError>` on either backend ([`run`] is `run_ft` that
+//!   panics on a failed rank) — the entry point for drivers that recover
 //!   (checkpoint/restart in `factor::ft`) rather than die: a blocking
 //!   operation cut short by a crash unwinds its rank to that join point
 //!   with the typed error it observed, and [`Comm::try_recv_f64`] returns
@@ -127,4 +135,4 @@ pub use liveness::catch_poison;
 pub use stats::{CollCounts, CollKind, RankStats, WorldStats};
 pub use trace::{Event, RankTrace, TraceConfig, WorldTrace};
 pub use wire::Wire;
-pub use world::{run, run_ft, run_traced, FtResult, TracedResult, WorldResult};
+pub use world::{run, run_ft, FtResult, WorldResult};

@@ -1,8 +1,8 @@
 //! Opt-in event tracing for the simulated runtime.
 //!
-//! When a world is launched inside [`capture`] (or by [`crate::run_traced`],
-//! which is `capture` around one [`crate::run`]), every rank records typed
-//! events — sends, receive post/complete pairs, collective enter/exit, phase
+//! When a world is launched inside [`capture`] — `capture(cfg, || run(p, f))`
+//! for a world of your own, or around any driver that launches one — every
+//! rank records typed events — sends, receive post/complete pairs, collective enter/exit, phase
 //! markers with cumulative flop counts — into a per-rank ring buffer with
 //! monotonic nanosecond timestamps measured from a world-global epoch. The finished
 //! [`WorldTrace`] is the input to the `xtrace` crate's timeline, wait-time,

@@ -616,16 +616,10 @@ impl Wire for XmpiError {
                 out.push(0);
                 rank.encode(out);
             }
-            XmpiError::Timeout {
-                src,
-                tag,
-                attempts,
-                pending,
-            } => {
+            XmpiError::Timeout { src, tag, pending } => {
                 out.push(1);
                 src.encode(out);
                 tag.encode(out);
-                attempts.encode(out);
                 pending.encode(out);
             }
             XmpiError::Truncated {
@@ -655,7 +649,6 @@ impl Wire for XmpiError {
             1 => Ok(XmpiError::Timeout {
                 src: usize::decode(input)?,
                 tag: u64::decode(input)?,
-                attempts: u64::decode(input)?,
                 pending: usize::decode(input)?,
             }),
             2 => Ok(XmpiError::Truncated {

@@ -1,12 +1,16 @@
-//! World launcher: spawns one OS thread per rank and collects results and
-//! traffic statistics.
+//! World launcher: the one way to start a world. [`run_ft`] runs the
+//! ranks on the ambient [`Backend`] — threads of this process, or forked
+//! rank processes (`launch`) — and collects results and traffic
+//! statistics; [`run`] is [`run_ft`] that panics on a failed rank.
 
 use crate::comm::{Comm, Shared};
 use crate::error::XmpiError;
 use crate::hooks;
+use crate::launch::{self, Backend};
 use crate::liveness::{CrashUnwind, PoisonUnwind};
 use crate::stats::WorldStats;
-use crate::trace::{self, Recorder, TraceConfig, WorldTrace};
+use crate::trace::{self, Recorder};
+use crate::wire::Wire;
 use std::sync::Arc;
 
 /// Results of a finished world: each rank's return value plus the traffic
@@ -34,38 +38,18 @@ pub struct FtResult<R> {
     pub crashed: Vec<usize>,
 }
 
-/// Results of a finished *traced* world: [`WorldResult`] plus the event
-/// trace.
-pub struct TracedResult<R> {
-    /// Per-rank return values, indexed by rank.
-    pub results: Vec<R>,
-    /// Per-rank communication statistics.
-    pub stats: WorldStats,
-    /// The recorded event trace.
-    pub trace: WorldTrace,
-}
-
-/// Run an SPMD function on `p` ranks (one thread each) and wait for all of
-/// them.
+/// Run an SPMD function on `p` ranks and wait for all of them: [`run_ft`]
+/// with every rank's value unwrapped.
 ///
-/// The closure receives this rank's world [`Comm`]. If any rank panics the
-/// panic is propagated to the caller after the world is torn down.
-///
-/// If [`crate::trace::capture`] is armed on the calling thread the world is
-/// recorded and its trace stashed with the capture, and if
-/// [`crate::hooks::with_hooks`] is armed the schedule-perturbation hooks are
-/// installed on the world; otherwise no recorder or hooks exist and the
-/// transport pays no tracing or perturbation cost.
-///
-/// A fault sentinel reaching this join point means crash injection was armed
-/// on a world launched without [`run_ft`] — that fails loudly with a pointer
-/// at the right entry point instead of hanging or silently dropping a rank.
+/// The closure receives this rank's world [`Comm`]. A rank that panics, or
+/// fails under fault injection, panics the caller once the world is torn
+/// down — the latter with a pointer at [`run_ft`].
 ///
 /// # Panics
-/// If `p == 0`, or if any rank panics.
+/// If any rank panics or fails, or as [`run_ft`].
 pub fn run<R, F>(p: usize, f: F) -> WorldResult<R>
 where
-    R: Send,
+    R: Wire + Send,
     F: Fn(&Comm) -> R + Sync,
 {
     let out = run_ft(p, f);
@@ -87,44 +71,42 @@ where
     }
 }
 
-/// [`run`] returning the world's event trace (see [`crate::trace`]) next to
-/// its results: [`crate::trace::capture`] around one [`run`], for callers
-/// that own the launch site.
-///
-/// # Panics
-/// As [`run`], and if capture is already armed on this thread.
-pub fn run_traced<R, F>(p: usize, cfg: &TraceConfig, f: F) -> TracedResult<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Sync,
-{
-    let (out, mut traces) = trace::capture(cfg.clone(), || run(p, f));
-    TracedResult {
-        results: out.results,
-        stats: out.stats,
-        trace: traces.pop().expect("one world launched, one trace stashed"),
-    }
-}
-
 /// [`run`] for worlds that may suffer injected rank crashes: per-rank
-/// outcomes instead of a propagated panic.
+/// outcomes instead of a propagated panic. The one launch path.
+///
+/// Three ambient settings of the calling thread shape the world, however
+/// deep in library code the call sits: [`crate::with_backend`] (threads of
+/// this process, or forked rank processes, whose results the [`Wire`]
+/// bound ships home), [`crate::trace::capture`] and
+/// [`crate::hooks::with_hooks`]. Unarmed, the transport pays no tracing or
+/// perturbation cost.
 ///
 /// The crashing rank unwinds with an internal sentinel that the join point
 /// maps to `Err(XmpiError::RankDead)` naming the rank itself; survivors cut
 /// short by the poisoned world carry the precise error their blocking
 /// operation observed. A *genuine* panic (an assertion failure, an
-/// out-of-range send) is still re-raised unchanged — only the two fault
-/// sentinels (`CrashUnwind`, `PoisonUnwind`) are absorbed, so bugs stay
-/// loud under fault injection.
-///
-/// Composes with [`crate::trace::capture`] and [`crate::hooks::with_hooks`]
-/// exactly like [`run`] — this is the one launch path, and it takes both
-/// from the calling thread's ambient state — which is how a fault-tolerant
-/// driver replays a seeded crash schedule under tracing.
+/// out-of-range send) is still re-raised — only the two fault sentinels
+/// (`CrashUnwind`, `PoisonUnwind`) are absorbed, so bugs stay loud under
+/// fault injection. A rank process that dies without reporting is
+/// `RankDead` too; its genuine panic re-raises as a panic naming the rank
+/// and carrying its message.
 ///
 /// # Panics
-/// If `p == 0`, or if any rank panics with a non-sentinel payload.
+/// If `p == 0`, if any rank panics with a non-sentinel payload, or if
+/// tracing is armed on the socket backend (unsupported).
 pub fn run_ft<R, F>(p: usize, f: F) -> FtResult<R>
+where
+    R: Wire + Send,
+    F: Fn(&Comm) -> R + Sync,
+{
+    match launch::backend() {
+        Backend::Local => thread_world(p, f),
+        Backend::Socket => launch::socket_world(p, f),
+    }
+}
+
+/// One rank per thread of this process.
+fn thread_world<R, F>(p: usize, f: F) -> FtResult<R>
 where
     R: Send,
     F: Fn(&Comm) -> R + Sync,
@@ -183,12 +165,13 @@ where
 mod tests {
     use super::*;
     use crate::hooks::SchedHooks;
+    use crate::trace::TraceConfig;
 
     #[test]
     fn single_rank_world() {
         let out = run(1, |c| {
             assert_eq!(c.size(), 1);
-            42
+            42u64
         });
         assert_eq!(out.results, vec![42]);
         assert_eq!(out.stats.total_bytes_sent(), 0);
@@ -322,19 +305,24 @@ mod tests {
     fn traced_world_records_messaging_events() {
         use crate::trace::Event;
         use crate::CollKind;
-        let out = run_traced(2, &TraceConfig::default(), |c| {
-            c.set_phase("talk");
-            if c.rank() == 0 {
-                c.send_f64(1, 3, &[1.0, 2.0]);
-            } else {
-                c.recv_f64(0, 3);
-            }
-            c.barrier();
+        let (out, traces) = trace::capture(TraceConfig::default(), || {
+            run(2, |c| {
+                c.set_phase("talk");
+                if c.rank() == 0 {
+                    c.send_f64(1, 3, &[1.0, 2.0]);
+                } else {
+                    c.recv_f64(0, 3);
+                }
+                c.barrier();
+            })
         });
-        assert_eq!(out.trace.ranks.len(), 2);
-        assert!(!out.trace.truncated());
-        let r0 = &out.trace.ranks[0].events;
-        let r1 = &out.trace.ranks[1].events;
+        let [trace] = &traces[..] else {
+            panic!("one world launched, {} traces", traces.len())
+        };
+        assert_eq!(trace.ranks.len(), 2);
+        assert!(!trace.truncated());
+        let r0 = &trace.ranks[0].events;
+        let r1 = &trace.ranks[1].events;
         // Rank 0: phase marker, then the user send (p2p kind), then barrier.
         assert!(matches!(r0[0], Event::Phase { .. }));
         assert!(r0.iter().any(|e| matches!(

@@ -55,7 +55,7 @@ fn a_world_whose_sockets_cannot_be_made_fails_typed() {
     // SAFETY: a valid `rlimit`, lowering only the soft limit.
     assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &limit) }, 0);
     let out = xmpi::with_backend(xmpi::Backend::Socket, || {
-        std::panic::catch_unwind(|| xmpi::launch::run_ft(p, |c| c.rank() as u64))
+        std::panic::catch_unwind(|| xmpi::run_ft(p, |c| c.rank() as u64))
     });
     // SAFETY: restores the limit read above.
     assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &old) }, 0);

@@ -48,14 +48,14 @@ fn torn_frames_are_reassembled_exactly() {
         c.allreduce_sum(&mut acc);
         acc[0]
     };
-    let clean = xmpi::with_backend(Socket, || xmpi::launch::run(2, program));
+    let clean = xmpi::with_backend(Socket, || xmpi::run(2, program));
     let chaos = Arc::new(Perturbator::new(PerturbConfig {
         torn_prob: 1.0,
         max_torn_stall_us: 300,
         ..PerturbConfig::chaos(5)
     }));
     let torn = xmpi::with_backend(Socket, || {
-        xharness::run_armed(&chaos, || xmpi::launch::run(2, program))
+        xmpi::with_hooks(chaos.clone(), || xmpi::run(2, program))
     });
     assert_eq!(torn.results, clean.results);
     for (rank, (a, b)) in clean.stats.ranks.iter().zip(&torn.stats.ranks).enumerate() {
@@ -86,8 +86,8 @@ fn mid_frame_reset_is_typed_and_lossless() {
         }),
     );
     let out = xmpi::with_backend(Socket, || {
-        xharness::run_armed(&chaos, || {
-            xmpi::launch::run_ft(2, |c| {
+        xmpi::with_hooks(chaos.clone(), || {
+            xmpi::run_ft(2, |c| {
                 if c.rank() == 1 {
                     for i in 0..10u64 {
                         c.send_f64(0, i, &[i as f64]);
@@ -140,8 +140,8 @@ fn hung_rank_is_detected_by_heartbeat() {
     );
     let started = Instant::now();
     let out = xmpi::with_backend(Socket, || {
-        xharness::run_armed(&chaos, || {
-            xmpi::launch::run_ft(2, |c| {
+        xmpi::with_hooks(chaos.clone(), || {
+            xmpi::run_ft(2, |c| {
                 if c.rank() == 1 {
                     for i in 0..5u64 {
                         c.send_f64(0, i, &[i as f64]);

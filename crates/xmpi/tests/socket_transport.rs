@@ -15,7 +15,7 @@ use xmpi::{Comm, FtResult, XmpiError};
 #[test]
 fn pingpong_over_sockets() {
     let out = xmpi::with_backend(Socket, || {
-        xmpi::launch::run(2, |c| {
+        xmpi::run(2, |c| {
             if c.rank() == 0 {
                 c.send_f64(1, 7, &[1.5, -0.0, 3.25]);
                 c.send_u64(1, 8, &[10, 20, 30]);
@@ -60,8 +60,8 @@ fn collectives_match_local_backend_exactly() {
         c.barrier();
         (acc, all)
     };
-    let local = xmpi::launch::run(4, program);
-    let socket = xmpi::with_backend(Socket, || xmpi::launch::run(4, program));
+    let local = xmpi::run(4, program);
+    let socket = xmpi::with_backend(Socket, || xmpi::run(4, program));
 
     for (l, s) in local.results.iter().zip(&socket.results) {
         assert_eq!(
@@ -89,7 +89,7 @@ fn collectives_match_local_backend_exactly() {
 fn subcommunicators_over_sockets() {
     let grid = xmpi::Grid2::new(2, 2);
     let out = xmpi::with_backend(Socket, || {
-        xmpi::launch::run(4, move |c| {
+        xmpi::run(4, move |c| {
             let (i, j) = grid.coords(c.rank());
             // Row broadcast from column 0, then column sum.
             let row = c.subcomm(1, &grid.row_members(i));
@@ -113,7 +113,7 @@ fn subcommunicators_over_sockets() {
 fn requests_over_sockets() {
     // A ring: every rank sends first, then receives (sends are buffered).
     let out = xmpi::with_backend(Socket, || {
-        xmpi::launch::run(3, |c| {
+        xmpi::run(3, |c| {
             let dst = (c.rank() + 1) % c.size();
             let src = (c.rank() + c.size() - 1) % c.size();
             c.send_f64(dst, 4, &[c.rank() as f64; 16]);
@@ -128,7 +128,7 @@ fn two_socket_worlds_in_one_test() {
     // The second world's ranks are forked after the first world returned,
     // so they hold its result.
     let first = xmpi::with_backend(Socket, || {
-        xmpi::launch::run(2, |c| {
+        xmpi::run(2, |c| {
             let mut v = vec![(c.rank() + 3) as f64];
             c.allreduce_sum(&mut v);
             v[0]
@@ -137,7 +137,7 @@ fn two_socket_worlds_in_one_test() {
     assert_eq!(first.results, vec![7.0, 7.0]);
     let offset = first.results[0];
     let second = xmpi::with_backend(Socket, || {
-        xmpi::launch::run(2, move |c| {
+        xmpi::run(2, move |c| {
             let mut v = vec![offset + c.rank() as f64];
             c.allreduce_sum(&mut v);
             v[0]
@@ -167,7 +167,7 @@ fn injected_crash_surfaces_rank_dead() {
         xmpi::with_hooks(
             std::sync::Arc::new(CrashSecondSend(std::sync::atomic::AtomicU32::new(0))),
             || {
-                xmpi::launch::run_ft(3, |c| {
+                xmpi::run_ft(3, |c| {
                     // Everyone sends two rounds to rank 0; rank 1 dies at
                     // its second send.
                     for round in 0..2u64 {
@@ -198,7 +198,7 @@ fn injected_crash_surfaces_rank_dead() {
 fn hard_kill_rank_2() -> FtResult<f64> {
     let launcher = std::process::id();
     xmpi::with_backend(Socket, || {
-        xmpi::launch::run_ft(3, |c| {
+        xmpi::run_ft(3, |c| {
             if c.rank() == 2 {
                 // Wait for both survivors to finish their exchange before
                 // dying, so their results are deterministic (a blocked
@@ -261,7 +261,7 @@ fn concurrent_launches_copy_no_other_worlds_ends() {
                     return;
                 }
                 xmpi::with_backend(Socket, || {
-                    xmpi::launch::run(1, |_| {
+                    xmpi::run(1, |_| {
                         let born = Instant::now();
                         while !done.is_set() && born.elapsed() < Duration::from_secs(10) {
                             std::thread::sleep(Duration::from_millis(5));
@@ -298,7 +298,7 @@ fn a_rank_panic_reaches_the_launcher_with_its_message() {
     // report.
     let caught = std::panic::catch_unwind(|| {
         xmpi::with_backend(Socket, || {
-            xmpi::launch::run_ft(2, |c| {
+            xmpi::run_ft(2, |c| {
                 if c.rank() == 1 {
                     panic!("rank one gives up at step {}", 7431);
                 }

@@ -9,7 +9,7 @@ fn a_socket_world_needs_no_usable_tmpdir() {
     std::env::set_var("TMPDIR", "/dev/null/xmpi");
     assert!(std::fs::create_dir_all(std::env::temp_dir()).is_err());
     let out = xmpi::with_backend(xmpi::Backend::Socket, || {
-        xmpi::launch::run(2, |c| {
+        xmpi::run(2, |c| {
             let mut v = vec![(c.rank() + 1) as f64];
             c.allreduce_sum(&mut v);
             v[0]

@@ -11,7 +11,7 @@ fn wedged_child_is_killed_at_the_world_deadline() {
     std::env::set_var("XMPI_WORLD_DEADLINE_MS", "1500");
     let started = Instant::now();
     let out = xmpi::with_backend(xmpi::Backend::Socket, || {
-        xmpi::launch::run_ft(2, |c| {
+        xmpi::run_ft(2, |c| {
             if c.rank() == 1 {
                 // Wedged: alive, heartbeats flowing, never returning.
                 loop {

@@ -392,27 +392,29 @@ pub fn check_stats_equal(baseline: &WorldStats, other: &WorldStats) -> Vec<Viola
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmpi::trace::{RankTrace, TraceConfig};
-    use xmpi::{run_traced, CollKind};
+    use xmpi::trace::{capture, RankTrace, TraceConfig};
+    use xmpi::{run, CollKind};
 
     /// A two-rank ping-pong plus collective traffic: everything posted is
     /// completed, so the trace must be clean.
     #[test]
     fn clean_world_passes() {
-        let out = run_traced(2, &TraceConfig::default(), |c| {
-            c.set_phase("talk");
-            if c.rank() == 0 {
-                c.send_f64(1, 7, &[1.0, 2.0, 3.0]);
-                c.recv_f64(1, 8);
-            } else {
-                c.recv_f64(0, 7);
-                c.send_f64(0, 8, &[4.0]);
-            }
-            let mut v = vec![c.rank() as f64];
-            c.allreduce_sum(&mut v);
-            c.barrier();
+        let (_, traces) = capture(TraceConfig::default(), || {
+            run(2, |c| {
+                c.set_phase("talk");
+                if c.rank() == 0 {
+                    c.send_f64(1, 7, &[1.0, 2.0, 3.0]);
+                    c.recv_f64(1, 8);
+                } else {
+                    c.recv_f64(0, 7);
+                    c.send_f64(0, 8, &[4.0]);
+                }
+                let mut v = vec![c.rank() as f64];
+                c.allreduce_sum(&mut v);
+                c.barrier();
+            })
         });
-        let report = check_trace(&out.trace);
+        let report = check_trace(&traces[0]);
         report.assert_clean();
         assert!(report.channels_checked > 0);
         assert!(report.posts_checked > 0);
@@ -516,19 +518,21 @@ mod tests {
     /// Ring eviction makes the checks unsound: the report must abstain.
     #[test]
     fn truncated_trace_abstains() {
-        let out = run_traced(2, &TraceConfig { capacity: 2 }, |c| {
-            if c.rank() == 0 {
-                for i in 0..8 {
-                    c.send_f64(1, i, &[0.0]);
+        let (_, traces) = capture(TraceConfig { capacity: 2 }, || {
+            run(2, |c| {
+                if c.rank() == 0 {
+                    for i in 0..8 {
+                        c.send_f64(1, i, &[0.0]);
+                    }
+                } else {
+                    for i in 0..8 {
+                        c.recv_f64(0, i);
+                    }
                 }
-            } else {
-                for i in 0..8 {
-                    c.recv_f64(0, i);
-                }
-            }
+            })
         });
-        assert!(out.trace.truncated());
-        let report = check_trace(&out.trace);
+        assert!(traces[0].truncated());
+        let report = check_trace(&traces[0]);
         assert!(report.truncated);
         assert!(report.violations.is_empty());
         assert!(!report.is_clean());

@@ -70,16 +70,18 @@ mod tests {
 
     #[test]
     fn kpis_from_a_real_run_are_sane() {
-        let out = xmpi::run_traced(2, &xmpi::TraceConfig::default(), |c| {
-            c.set_phase("exchange");
-            if c.world_rank() == 0 {
-                c.send_f64(1, 9, &[1.0; 64]);
-            } else {
-                let _ = c.recv_f64(0, 9);
-            }
-            c.barrier();
+        let (_, traces) = xmpi::trace::capture(xmpi::TraceConfig::default(), || {
+            xmpi::run(2, |c| {
+                c.set_phase("exchange");
+                if c.world_rank() == 0 {
+                    c.send_f64(1, 9, &[1.0; 64]);
+                } else {
+                    let _ = c.recv_f64(0, 9);
+                }
+                c.barrier();
+            })
         });
-        let k = trace_kpis(&out.trace);
+        let k = trace_kpis(&traces[0]);
         assert_eq!(k.ranks, 2);
         assert!(k.makespan_ns > 0);
         assert!((0.0..=1.0).contains(&k.idle_frac), "{}", k.idle_frac);

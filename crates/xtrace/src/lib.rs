@@ -3,8 +3,8 @@
 //! The paper's experiments instrument their MPI implementation with Score-P
 //! and inspect the resulting profiles and traces. This crate is the
 //! equivalent layer for the `xmpi` runtime: it consumes the
-//! [`xmpi::WorldTrace`] recorded by [`xmpi::run_traced`] (or
-//! [`xmpi::trace::capture`]) and derives the artefacts a profiler would:
+//! [`xmpi::WorldTrace`] recorded by [`xmpi::trace::capture`] and derives
+//! the artefacts a profiler would:
 //!
 //! * [`Timeline`] — per-rank span timelines: phase spans with attributed
 //!   flops, receive-wait (idle) intervals, collective spans;

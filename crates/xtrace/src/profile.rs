@@ -209,18 +209,20 @@ mod tests {
     fn traced_run() -> (WorldTrace, WorldStats) {
         // A real 2-rank run so trace and stats come from the runtime's two
         // independent accounting paths.
-        let out = xmpi::run_traced(2, &xmpi::TraceConfig::default(), |comm| {
-            comm.set_phase("swap");
-            if comm.world_rank() == 0 {
-                comm.send_f64(1, 4, &[1.0; 32]);
-                let _ = comm.recv_f64(1, 5);
-            } else {
-                let _ = comm.recv_f64(0, 4);
-                comm.send_f64(0, 5, &[2.0; 16]);
-            }
-            comm.barrier();
+        let (out, mut traces) = xmpi::trace::capture(xmpi::TraceConfig::default(), || {
+            xmpi::run(2, |comm| {
+                comm.set_phase("swap");
+                if comm.world_rank() == 0 {
+                    comm.send_f64(1, 4, &[1.0; 32]);
+                    let _ = comm.recv_f64(1, 5);
+                } else {
+                    let _ = comm.recv_f64(0, 4);
+                    comm.send_f64(0, 5, &[2.0; 16]);
+                }
+                comm.barrier();
+            })
         });
-        (out.trace, out.stats)
+        (traces.remove(0), out.stats)
     }
 
     #[test]
