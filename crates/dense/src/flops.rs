@@ -138,6 +138,30 @@ mod tests {
     }
 
     #[test]
+    fn gemmt_credits_its_count_once_to_the_calling_thread() {
+        use crate::gemm::{gemmt, CUplo, Trans};
+        use crate::gen::random_matrix;
+        use crate::matrix::Matrix;
+        // 300² · 64 clears the fan-out threshold and 300 rows make two MC
+        // blocks, so the blocks run on Rayon workers as well as here.
+        let (n, k) = (300, 64);
+        let a = random_matrix(n, k, 9);
+        let mut c = Matrix::zeros(n, n);
+        let before = thread_flops();
+        gemmt(
+            CUplo::Lower,
+            Trans::N,
+            Trans::T,
+            -1.0,
+            a.as_ref(),
+            a.as_ref(),
+            1.0,
+            c.as_mut(),
+        );
+        assert_eq!(thread_flops() - before, gemmt_flops(n, k));
+    }
+
+    #[test]
     fn gemm_count_is_symmetric_in_m_n() {
         assert_eq!(gemm_flops(3, 5, 7), gemm_flops(5, 3, 7));
         assert_eq!(gemm_flops(10, 10, 10), 2000);

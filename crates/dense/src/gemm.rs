@@ -10,7 +10,9 @@
 //! identically to [`gemm`], because row-slicing `C` does not change any
 //! element's accumulation order — against one [`PackedB`] packed on the
 //! calling thread, and [`gemm_prepacked`] lets a caller that reuses one `B`
-//! across many products do the same.
+//! across many products do the same. [`gemmt`] fans out from the same size
+//! on, one MC-row diagonal block per task: its blocks need different column
+//! ranges of `op(B)`, so each packs its own, into scratch the call frees.
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
 //! packed path is validated and benchmarked against
@@ -18,8 +20,10 @@
 
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{self, PackedB};
+use crate::tuning::KernelConfig;
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::ops::Range;
 
 /// Transposition selector, as in BLAS.
@@ -167,11 +171,17 @@ pub enum CUplo {
 /// exactly the observation behind Table 1 of the paper (same communication,
 /// half the computation).
 ///
-/// Implementation: the output is cut into diagonal blocks. Everything
-/// strictly inside the triangle is a rectangular product that goes straight
-/// through the packed engine; only the small blocks straddling the diagonal
-/// are computed into a scratch tile and clipped to the triangle on
-/// write-back.
+/// Implementation: the output is cut into MC-row diagonal blocks, each
+/// independent of the others. Everything of a block strictly inside the
+/// triangle is a rectangular product that goes straight through the packed
+/// engine; only the tile straddling the diagonal is computed into a scratch
+/// tile and clipped to the triangle on write-back. From the size at which
+/// [`par_gemm`] forks (`n²·k` ≥ 2²⁰), the blocks go to the Rayon pool,
+/// largest first, under the configuration resolved on the calling thread and
+/// with scratch that is freed when the call returns; smaller products run
+/// them on the calling thread. Either way every element accumulates in the
+/// same order, so the result is bitwise the same, and the flops are credited
+/// to the calling thread.
 ///
 /// # Panics
 /// If `C` is not square or shapes do not conform.
@@ -184,7 +194,7 @@ pub fn gemmt(
     a: MatRef<'_>,
     b: MatRef<'_>,
     beta: f64,
-    mut c: MatMut<'_>,
+    c: MatMut<'_>,
 ) {
     let (m, ka) = ta.dims(a);
     let (kb, n) = tb.dims(b);
@@ -193,61 +203,125 @@ pub fn gemmt(
     assert_eq!(c.rows(), m);
     assert_eq!(c.cols(), n);
     crate::flops::tally(crate::flops::gemmt_flops(n, ka));
+    if n == 0 {
+        return;
+    }
 
-    let k = ka;
-    // Diagonal block size: one MC row-block (of the active tuning config),
-    // so the rectangular parts hand the packed engine full-height slabs.
-    let db_step = crate::tuning::active().mc;
-    for d0 in (0..n).step_by(db_step) {
-        let db = db_step.min(n - d0);
+    // One config for every block, resolved here (see `par_gemm`). Diagonal
+    // block size: one MC row-block, so the rectangular parts hand the packed
+    // engine full-height slabs.
+    let cfg = crate::tuning::active();
+    let t = Gemmt {
+        uplo,
+        ta,
+        tb,
+        alpha,
+        a,
+        b,
+        beta,
+        cfg,
+    };
+    let mut blocks: Vec<_> = c
+        .split_into_row_chunks(cfg.mc)
+        .into_iter()
+        .enumerate()
+        .map(|(i, blk)| (i * cfg.mc, blk))
+        .collect();
+    if !fans_out(n, n, ka) {
+        GEMMT_SCRATCH.with(|s| {
+            let s = &mut s.borrow_mut();
+            blocks.into_iter().for_each(|(d0, blk)| t.block(d0, blk, s));
+        });
+        return;
+    }
+    // Largest first (rows times triangle columns), so the last block a
+    // thread picks up is a short one.
+    blocks.sort_by_key(|(d0, blk)| {
+        let width = match uplo {
+            CUplo::Lower => d0 + blk.rows(),
+            CUplo::Upper => n - d0,
+        };
+        Reverse(blk.rows() * width)
+    });
+    blocks
+        .into_par_iter()
+        .for_each(|(d0, blk)| t.block(d0, blk, &mut DiagScratch::default()));
+}
+
+/// One [`gemmt`] call's operands, shared by its diagonal blocks.
+struct Gemmt<'a> {
+    uplo: CUplo,
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'a>,
+    b: MatRef<'a>,
+    beta: f64,
+    cfg: KernelConfig,
+}
+
+/// A diagonal block's scratch: the packed-B block buffer and the diagonal
+/// tile's product.
+#[derive(Default)]
+struct DiagScratch {
+    slab: PackedB,
+    tile: Vec<f64>,
+}
+
+impl Gemmt<'_> {
+    /// Block row `d0..d0 + c.rows()` of `C` (`c` holds all its columns).
+    fn block(&self, d0: usize, mut c: MatMut<'_>, s: &mut DiagScratch) {
+        let (db, n, beta) = (c.rows(), c.cols(), self.beta);
+        // Block row `d0` of `op(A)` times `w` columns of `op(B)` from `j0`,
+        // added into `c`.
+        let product = |slab: &mut PackedB, j0: usize, w: usize, c: MatMut<'_>| {
+            let (ta, tb, k) = (self.ta, self.tb, self.ta.dims(self.a).1);
+            let (a, b) = (
+                ta.op_block(self.a, d0, 0, db, k),
+                tb.op_block(self.b, 0, j0, k, w),
+            );
+            pack::gemm_packed_in(slab, self.cfg, ta, tb, self.alpha, a, b, None, c);
+        };
         // Rectangular part of this block-row strictly inside the triangle.
-        let (rect_j0, rect_w) = match uplo {
+        let (rect_j0, rect_w) = match self.uplo {
             CUplo::Lower => (0, d0),
             CUplo::Upper => (d0 + db, n - d0 - db),
         };
         if rect_w > 0 {
-            let mut crect = c.rb_mut().block(d0, rect_j0, db, rect_w);
+            let mut crect = c.rb_mut().block(0, rect_j0, db, rect_w);
             scale(&mut crect, beta);
-            pack::gemm_packed(
-                ta,
-                tb,
-                alpha,
-                ta.op_block(a, d0, 0, db, k),
-                tb.op_block(b, 0, rect_j0, k, rect_w),
-                crect,
-            );
+            product(&mut s.slab, rect_j0, rect_w, crect);
         }
-        // Diagonal block: compute the full db×db product into this thread's
-        // reused scratch, then write back only the triangle half.
-        GEMMT_TILE.with(|tile| {
-            let mut tile = tile.borrow_mut();
-            tile.clear();
-            tile.resize(db * db, 0.0);
-            pack::gemm_packed(
-                ta,
-                tb,
-                alpha,
-                ta.op_block(a, d0, 0, db, k),
-                tb.op_block(b, 0, d0, k, db),
-                MatMut::from_slice(&mut tile, db, db, db),
-            );
-            for (i, prod) in tile.chunks_exact(db).enumerate() {
-                let tri = match uplo {
-                    CUplo::Lower => 0..i + 1,
-                    CUplo::Upper => i..db,
-                };
-                let crow = &mut c.row_mut(d0 + i)[d0..d0 + db];
-                for (dst, &p) in crow[tri.clone()].iter_mut().zip(&prod[tri]) {
-                    *dst = p + if beta == 0.0 { 0.0 } else { beta * *dst };
-                }
+        // Diagonal block: compute the full db×db product into the scratch
+        // tile, then write back only the triangle half.
+        s.tile.clear();
+        s.tile.resize(db * db, 0.0);
+        let tile = MatMut::from_slice(&mut s.tile, db, db, db);
+        product(&mut s.slab, d0, db, tile);
+        for (i, prod) in s.tile.chunks_exact(db).enumerate() {
+            let tri = match self.uplo {
+                CUplo::Lower => 0..i + 1,
+                CUplo::Upper => i..db,
+            };
+            let crow = &mut c.row_mut(i)[d0..d0 + db];
+            for (dst, &p) in crow[tri.clone()].iter_mut().zip(&prod[tri]) {
+                *dst = p + if beta == 0.0 { 0.0 } else { beta * *dst };
             }
-        });
+        }
     }
 }
 
 thread_local! {
-    /// [`gemmt`]'s diagonal-block product, reused across calls.
-    static GEMMT_TILE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// [`gemmt`]'s scratch when it runs its blocks on the calling thread,
+    /// reused across calls.
+    static GEMMT_SCRATCH: RefCell<DiagScratch> = RefCell::default();
+}
+
+/// The one fan-out rule of the parallel kernels: a product of at least
+/// `m·n·k` = 2²⁰ (~1 Mflop) goes to the Rayon pool; below it the fork/join
+/// costs more than the second core saves.
+fn fans_out(m: usize, n: usize, k: usize) -> bool {
+    m * n * k >= 1 << 20
 }
 
 /// Parallel `C ← α·A·B + β·C` (no transposes): `B` is packed once, on the
@@ -268,8 +342,7 @@ pub fn par_gemm(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, beta: f64, c: MatMut<'
     assert_eq!(a.cols(), b.rows());
     assert_eq!(b.cols(), n);
 
-    // ~1 Mflop threshold: below this the sequential kernel wins.
-    if m * n * a.cols() < (1 << 20) {
+    if !fans_out(m, n, a.cols()) {
         gemm(Trans::N, Trans::N, alpha, a, b, beta, c);
         return;
     }
@@ -341,7 +414,7 @@ pub fn gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: Ma
 /// As [`gemm_rows`].
 pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: MatMut<'_>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m * n * k < (1 << 20) {
+    if !fans_out(m, n, k) {
         gemm_rows(alpha, a, b, rows, c);
         return;
     }

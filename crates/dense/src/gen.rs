@@ -3,7 +3,7 @@
 //! All generators are seeded so every experiment in the repository is
 //! reproducible bit-for-bit.
 
-use crate::gemm::{gemm, Trans};
+use crate::gemm::{gemmt, CUplo, Trans};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,10 +18,19 @@ pub fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 ///
 /// The diagonal shift keeps the condition number modest so Cholesky residuals
 /// stay near machine precision across the sizes the test-suite uses.
+///
+/// Only the lower triangle of `B·Bᵀ` is computed ([`gemmt`], which fans out
+/// over the Rayon pool at these sizes); the upper triangle is its mirror
+/// image. That is bitwise the full product: entry `(j, i)` of it sums
+/// `b_jk·b_ik` over `k` in the same order as entry `(i, j)` sums `b_ik·b_jk`.
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
+    /// Side of the square blocks the mirror copies, so both the rows it
+    /// reads down a column and the rows it writes stay in cache.
+    const MIRROR: usize = 32;
     let b = random_matrix(n, n, seed);
     let mut a = Matrix::zeros(n, n);
-    gemm(
+    gemmt(
+        CUplo::Lower,
         Trans::N,
         Trans::T,
         1.0,
@@ -30,6 +39,16 @@ pub fn random_spd(n: usize, seed: u64) -> Matrix {
         0.0,
         a.as_mut(),
     );
+    let d = a.data_mut();
+    for i0 in (0..n).step_by(MIRROR) {
+        for j0 in (i0..n).step_by(MIRROR) {
+            for i in i0..(i0 + MIRROR).min(n) {
+                for j in (i + 1).max(j0)..(j0 + MIRROR).min(n) {
+                    d[i * n + j] = d[j * n + i];
+                }
+            }
+        }
+    }
     for i in 0..n {
         a[(i, i)] += n as f64;
     }
@@ -88,10 +107,47 @@ mod tests {
         let a = random_spd(12, 9);
         for i in 0..12 {
             for j in 0..12 {
-                assert!((a[(i, j)] - a[(j, i)]).abs() < 1e-12);
+                assert_eq!(a[(i, j)].to_bits(), a[(j, i)].to_bits());
             }
             assert!(a[(i, i)] >= 12.0);
         }
+    }
+
+    /// FNV-1a over the bit patterns of a matrix's entries, row-major.
+    fn digest(m: &Matrix) -> u64 {
+        let words = m.data().iter().map(|x| x.to_bits());
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn spd_bits_are_pinned() {
+        // Recorded when `random_spd` still formed both triangles with one
+        // sequential `gemm`. 384² · 384 clears the fan-out threshold, so the
+        // last case runs `gemmt`'s blocks on the Rayon pool.
+        for (n, seed, want) in [
+            (12, 2, 0x627b_1e7b_3646_c954),
+            (193, 43, 0x9b09_6a33_aa05_f585),
+            (384, 7, 0xc4fa_cfad_e02a_c728),
+        ] {
+            assert_eq!(
+                digest(&random_spd(n, seed)),
+                want,
+                "random_spd({n}, {seed})"
+            );
+        }
+    }
+
+    /// The seed-1 inputs of the benchmark's four workloads (`lu_p1` and
+    /// `lu_p8` share one). Release-mode only: `cargo test --release -p dense
+    /// --lib -- --ignored`.
+    #[test]
+    #[ignore = "seconds in a debug build; CI runs it in release mode"]
+    fn workload_inputs_are_pinned() {
+        assert_eq!(digest(&random_spd(1536, 2)), 0x9569_3f3d_99d6_916f);
+        assert_eq!(digest(&random_matrix(1024, 1024, 1)), 0xec8d_d3aa_36e5_fdad);
+        assert_eq!(digest(&random_matrix(512, 512, 1)), 0x69f8_2d01_0b60_92d9);
     }
 
     #[test]

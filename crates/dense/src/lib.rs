@@ -40,7 +40,8 @@
 //! dispatch rule — no file, no environment variable. `gemmt`, the blocked `trsm`, and the `getrf`/`potrf` trailing
 //! updates all route their inner products through the same engine, and
 //! [`par_gemm`] fans MC-row blocks of `C` over Rayon workers *bitwise
-//! identically* to the sequential kernel. [`gemm::naive_gemm`] retains the
+//! identically* to the sequential kernel; so does `gemmt`, with its
+//! diagonal blocks, from the same size on. [`gemm::naive_gemm`] retains the
 //! scalar triple loop as the correctness and performance reference
 //! (`plans/kernels.toml` reports both as a GFLOP/s trajectory in
 //! `results/BENCH_kernels.json`).

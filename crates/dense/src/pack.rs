@@ -44,7 +44,9 @@
 //! many `A`s by column ranges of one `B` (COnfCHOX's step operand `L10ᵀ`)
 //! holds its own and passes it to [`crate::gemm_prepacked`]. Pack buffers are
 //! thread-local or caller-owned and reused across calls, so steady-state
-//! GEMMs allocate nothing.
+//! GEMMs allocate nothing — except a fanned-out [`crate::gemmt`], whose
+//! blocks pack into scratch of their own that the call frees, so no pool
+//! thread keeps a buffer grown on a caller's behalf.
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
@@ -401,6 +403,28 @@ pub(crate) fn gemm_packed_rows(
     a: MatRef<'_>,
     b: MatRef<'_>,
     rows: Option<&[usize]>,
+    c: MatMut<'_>,
+) {
+    PACK_B.with(|pb| {
+        let cfg = tuning::active();
+        gemm_packed_in(&mut pb.borrow_mut(), cfg, ta, tb, alpha, a, b, rows, c);
+    });
+}
+
+/// [`gemm_packed_rows`] under `cfg`, with `pb` as the `KC×NC` block buffer:
+/// for a product that runs on a pool thread on behalf of another thread,
+/// whose configuration it must follow and whose scratch must not outlive the
+/// call ([`crate::gemmt`]'s diagonal blocks).
+#[allow(clippy::too_many_arguments)] // gemm_packed_rows plus its scratch and config
+pub(crate) fn gemm_packed_in(
+    pb: &mut PackedB,
+    cfg: KernelConfig,
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    rows: Option<&[usize]>,
     mut c: MatMut<'_>,
 ) {
     let (m, k) = ta.dims(a);
@@ -408,21 +432,17 @@ pub(crate) fn gemm_packed_rows(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    let cfg = tuning::active();
     let crows = c.rows();
-    PACK_B.with(|pb| {
-        let mut pb = pb.borrow_mut();
-        for jc in (0..n).step_by(cfg.nc) {
-            let ncb = cfg.nc.min(n - jc);
-            for pc in (0..k).step_by(cfg.kc) {
-                let kcb = cfg.kc.min(k - pc);
-                pb.fill(cfg, tb, b, pc..pc + kcb, jc..jc + ncb);
-                let ablk = ta.op_block(a, 0, pc, m, kcb);
-                let cblk = c.rb_mut().block(0, jc, crows, ncb);
-                gemm_prepacked(ta, alpha, ablk, &pb, 0..ncb, rows, cblk);
-            }
+    for jc in (0..n).step_by(cfg.nc) {
+        let ncb = cfg.nc.min(n - jc);
+        for pc in (0..k).step_by(cfg.kc) {
+            let kcb = cfg.kc.min(k - pc);
+            pb.fill(cfg, tb, b, pc..pc + kcb, jc..jc + ncb);
+            let ablk = ta.op_block(a, 0, pc, m, kcb);
+            let cblk = c.rb_mut().block(0, jc, crows, ncb);
+            gemm_prepacked(ta, alpha, ablk, pb, 0..ncb, rows, cblk);
         }
-    });
+    }
 }
 
 /// `C += α·op(A)·P[:, cols]` for an already packed `P = op(B)`, with the row

@@ -91,8 +91,9 @@ pub fn active() -> KernelConfig {
 /// (the harness's forced-scalar baseline and the blocking-edge tests use
 /// this). Overrides nest; the previous config is restored even on panic.
 /// [`crate::par_gemm`] packs `B` under the caller's override and its Rayon
-/// workers run the config the packed operand carries, so parallel kernels
-/// honor it too.
+/// workers run the config the packed operand carries, and
+/// [`crate::gemmt`] hands its workers the config it resolved, so parallel
+/// kernels honor it too.
 pub fn with_override<R>(cfg: KernelConfig, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<KernelConfig>);
     impl Drop for Restore {
