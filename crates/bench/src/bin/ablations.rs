@@ -223,7 +223,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     if run.outcomes.is_empty() {
         return fail("no cell executed successfully");
     }
-    let commit = bench::provenance::git_head();
+    let commit = xtrace::git_head();
     let machine = bench::provenance::machine_fingerprint();
     let report = check_outcomes(&plan, &run.id_outcomes(), &history, &commit, &machine);
     println!("{}", report.render());
@@ -295,7 +295,7 @@ fn cmd_trend(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     let plan_hash = plan.hash();
-    let commit = bench::provenance::git_head();
+    let commit = xtrace::git_head();
     let cells: BTreeSet<String> = rows
         .iter()
         .filter(|r| r.plan_hash == plan_hash && r.kpi == kpi)

@@ -16,7 +16,7 @@ use crate::experiments::Report;
 use crate::provenance::Stamp;
 use crate::table::render;
 use dense::flops::{gemm_flops, gemmt_flops, getrf_flops, potrf_flops, trsm_flops};
-use dense::gemm::{gemm, gemmt, naive_gemm, par_gemm, par_gemm_rows, CUplo, Trans};
+use dense::gemm::{gemm, gemm_rows, gemmt, naive_gemm, CUplo, Trans};
 use dense::gen::{random_matrix, random_spd};
 use dense::getrf::getrf;
 use dense::potrf::potrf;
@@ -136,7 +136,7 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
         gflops: scalar,
     });
 
-    // `par_gemm`'s cube and the shape that runs — one step's Schur update of
+    // The untransposed cube (the `par_gemm` sample) and the shape that runs — one step's Schur update of
     // a one-rank COnfLUX at this size, through a full row map — whose ratio
     // is the `update_vs_gemm` KPI. The two are timed in alternation, one cube
     // then `UPDATE_REPS` updates (a sixteenth of its flops each at the gated
@@ -145,13 +145,21 @@ fn measure_size(n: usize, reps: usize, out: &mut Vec<Sample>) -> (f64, f64, f64)
     let (l10, u01) = (random_matrix(n, k, 18), random_matrix(k, n, 19));
     let rows: Vec<usize> = (0..n).collect();
     let mut cube = || {
-        par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+        gemm(
+            Trans::N,
+            Trans::N,
+            1.0,
+            a.as_ref(),
+            b.as_ref(),
+            0.0,
+            c.as_mut(),
+        );
         black_box(c.data()[0]);
     };
     cube();
     let mut c2 = Matrix::zeros(n, n);
     let mut update = || {
-        par_gemm_rows(-1.0, l10.as_ref(), u01.as_ref(), &rows, c2.as_mut());
+        gemm_rows(-1.0, l10.as_ref(), u01.as_ref(), &rows, c2.as_mut());
         black_box(c2.data()[0]);
     };
     update();

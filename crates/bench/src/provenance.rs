@@ -9,7 +9,6 @@
 //! (for plan-driven runs) the plan hash.
 
 use serde_json::{json, Value};
-use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The shared provenance header.
@@ -35,7 +34,7 @@ impl Stamp {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         Stamp {
-            commit: git_head(),
+            commit: xtrace::git_head(),
             machine: machine_fingerprint(),
             timestamp: iso_timestamp(unix_secs),
             unix_secs,
@@ -55,24 +54,6 @@ impl Stamp {
                 None => Value::Null,
             },
         })
-    }
-}
-
-/// Current git `HEAD`, or `"unknown"` outside a checkout. A checkout whose
-/// tracked files differ from `HEAD` is not that commit: its hash gets a
-/// `-dirty` suffix, so a number measured on uncommitted code never passes
-/// for its parent's.
-pub fn git_head() -> String {
-    let git = |args: &[&str]| {
-        let out = Command::new("git").args(args).output().ok()?;
-        (out.status.success()).then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let Some(head) = git(&["rev-parse", "HEAD"]) else {
-        return "unknown".to_string();
-    };
-    match git(&["status", "--porcelain", "--untracked-files=no"]) {
-        Some(changes) if !changes.is_empty() => head + "-dirty",
-        _ => head,
     }
 }
 

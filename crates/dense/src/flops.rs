@@ -13,8 +13,8 @@
 //! `Comm::set_phase_with_flops` embeds in event traces so the `xtrace`
 //! analyses can attribute computation to phases. Counting happens at kernel
 //! *entry* on the calling thread (not inside parallel workers) so flops done
-//! by `par_gemm`'s Rayon helpers are still credited to the rank that issued
-//! the call.
+//! by a fanned-out product's Rayon helpers are still credited to the rank
+//! that issued the call.
 
 use std::cell::Cell;
 
@@ -121,8 +121,7 @@ mod tests {
         use crate::gemm::par_gemm;
         use crate::gen::random_matrix;
         use crate::matrix::Matrix;
-        // Large enough to clear par_gemm's ~1 Mflop sequential-fallback
-        // threshold, so the product really fans out to Rayon workers — the
+        // Large enough to clear the ~1 Mflop fan-out threshold, so the product really fans out to Rayon workers — the
         // calling (rank) thread must still be credited the whole count.
         let n = 160;
         let a = random_matrix(n, n, 7);

@@ -5,14 +5,17 @@
 //! GEMMT calls (Cholesky, which only updates one triangle). Both route
 //! through the packed, register-blocked engine in [`crate::pack`]: operands
 //! are copied into microkernel-ordered buffers (absorbing either transpose
-//! case), and every flop runs in an `MR×NR` register tile. [`par_gemm`]
-//! additionally fans MC-row blocks of `C` out over Rayon workers — bitwise
-//! identically to [`gemm`], because row-slicing `C` does not change any
-//! element's accumulation order — against one [`PackedB`] packed on the
-//! calling thread, and [`gemm_prepacked`] lets a caller that reuses one `B`
-//! across many products do the same. [`gemmt`] fans out from the same size
-//! on, one MC-row diagonal block per task: its blocks need different column
-//! ranges of `op(B)`, so each packs its own, into scratch the call frees.
+//! case), and every flop runs in an `MR×NR` register tile.
+//!
+//! One size rule decides every product's fan-out: from `m·n·k` = 2²⁰ on,
+//! [`gemm`] and [`gemm_rows`] pack `op(B)` once on the calling thread and
+//! send MC-row blocks of `C` to the Rayon pool — bitwise identically to
+//! running inline, because row-slicing `C` does not change any element's
+//! accumulation order — and [`gemm_prepacked`] lets a caller that reuses one
+//! `B` across many products skip the packing. [`gemmt`] fans out from the
+//! same size on, one MC-row diagonal block per task: its blocks need
+//! different column ranges of `op(B)`, so each packs its own, into scratch
+//! the call frees.
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
 //! packed path is validated and benchmarked against
@@ -98,8 +101,7 @@ pub fn gemm(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    crate::flops::tally(crate::flops::gemm_flops(m, n, k));
-    pack::gemm_packed(ta, tb, alpha, a, b, c);
+    product(ta, tb, alpha, a, b, None, c);
 }
 
 /// The retained triple-loop reference kernel: `C ← α·op(A)·op(B) + β·C`
@@ -176,7 +178,7 @@ pub enum CUplo {
 /// triangle is a rectangular product that goes straight through the packed
 /// engine; only the tile straddling the diagonal is computed into a scratch
 /// tile and clipped to the triangle on write-back. From the size at which
-/// [`par_gemm`] forks (`n²·k` ≥ 2²⁰), the blocks go to the Rayon pool,
+/// [`gemm`] fans out (`n²·k` ≥ 2²⁰), the blocks go to the Rayon pool,
 /// largest first, under the configuration resolved on the calling thread and
 /// with scratch that is freed when the call returns; smaller products run
 /// them on the calling thread. Either way every element accumulates in the
@@ -207,7 +209,7 @@ pub fn gemmt(
         return;
     }
 
-    // One config for every block, resolved here (see `par_gemm`). Diagonal
+    // One config for every block, resolved here (see `product`). Diagonal
     // block size: one MC row-block, so the rectangular parts hand the packed
     // engine full-height slabs.
     let cfg = crate::tuning::active();
@@ -221,31 +223,28 @@ pub fn gemmt(
         beta,
         cfg,
     };
-    let mut blocks: Vec<_> = c
-        .split_into_row_chunks(cfg.mc)
-        .into_iter()
-        .enumerate()
-        .map(|(i, blk)| (i * cfg.mc, blk))
-        .collect();
+    let (mut blocks, _) = row_blocks(c, n, cfg.mc, None);
     if !fans_out(n, n, ka) {
         GEMMT_SCRATCH.with(|s| {
             let s = &mut s.borrow_mut();
-            blocks.into_iter().for_each(|(d0, blk)| t.block(d0, blk, s));
+            blocks
+                .into_iter()
+                .for_each(|(d, blk)| t.block(d.start, blk, s));
         });
         return;
     }
     // Largest first (rows times triangle columns), so the last block a
     // thread picks up is a short one.
-    blocks.sort_by_key(|(d0, blk)| {
+    blocks.sort_by_key(|(d, _)| {
         let width = match uplo {
-            CUplo::Lower => d0 + blk.rows(),
-            CUplo::Upper => n - d0,
+            CUplo::Lower => d.end,
+            CUplo::Upper => n - d.start,
         };
-        Reverse(blk.rows() * width)
+        Reverse(d.len() * width)
     });
     blocks
         .into_par_iter()
-        .for_each(|(d0, blk)| t.block(d0, blk, &mut DiagScratch::default()));
+        .for_each(|(d, blk)| t.block(d.start, blk, &mut DiagScratch::default()));
 }
 
 /// One [`gemmt`] call's operands, shared by its diagonal blocks.
@@ -324,64 +323,10 @@ fn fans_out(m: usize, n: usize, k: usize) -> bool {
     m * n * k >= 1 << 20
 }
 
-/// Parallel `C ← α·A·B + β·C` (no transposes): `B` is packed once, on the
-/// calling thread, and MC-row blocks of `C` are distributed over the Rayon
-/// thread pool, each worker packing only its rows of `A`.
-///
-/// Bitwise identical to the sequential [`gemm`]: every element of `C`
-/// accumulates its k-products in the same order whichever worker computes
-/// it. Falls back to the sequential kernel for small products where the
-/// fork/join overhead would dominate.
-///
-/// The full product's flops are credited to the *calling* (rank) thread's
-/// tally, not the Rayon workers' — see the contract in [`crate::flops`].
+/// [`gemm`] without transposes, under the name the frozen benchmark calls.
+/// [`gemm`] decides its own fan-out.
 pub fn par_gemm(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, beta: f64, c: MatMut<'_>) {
-    let m = c.rows();
-    let n = c.cols();
-    assert_eq!(a.rows(), m);
-    assert_eq!(a.cols(), b.rows());
-    assert_eq!(b.cols(), n);
-
-    if !fans_out(m, n, a.cols()) {
-        gemm(Trans::N, Trans::N, alpha, a, b, beta, c);
-        return;
-    }
-
-    let k = a.cols();
-    // Credit the whole product to the calling (rank) thread: the Rayon
-    // workers below have their own tallies, which nobody reads.
-    crate::flops::tally(crate::flops::gemm_flops(m, n, k));
-    // The config is resolved here, on the calling thread, and travels with
-    // the packed operand: a thread-local override installed by the caller
-    // (e.g. the forced-scalar benchmark baseline) is not visible on Rayon
-    // worker threads, and all chunks must run one config for the
-    // bitwise-equality contract with the sequential path.
-    let mc = crate::tuning::active().mc;
-    pack::with_packed_b(Trans::N, b, |pb| {
-        c.split_into_row_chunks(mc)
-            .into_par_iter()
-            .enumerate()
-            .for_each(|(chunk, mut cblk)| {
-                let ablk = a.block(chunk * mc, 0, cblk.rows(), k);
-                scale(&mut cblk, beta);
-                pack::gemm_prepacked(Trans::N, alpha, ablk, pb, 0..n, None, cblk);
-            });
-    });
-}
-
-/// Shape and row-map checks shared by [`gemm_rows`] and [`par_gemm_rows`].
-fn check_row_map(a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: &MatMut<'_>) {
-    assert_eq!(a.cols(), b.rows(), "gemm_rows: inner dimensions must match");
-    assert_eq!(rows.len(), a.rows(), "gemm_rows: one C row per row of A");
-    assert_eq!(c.cols(), b.cols(), "gemm_rows: C column count mismatch");
-    assert!(
-        rows.windows(2).all(|w| w[0] < w[1]),
-        "gemm_rows: rows must be strictly ascending"
-    );
-    assert!(
-        rows.last().is_none_or(|&r| r < c.rows()),
-        "gemm_rows: row index out of range"
-    );
+    gemm(Trans::N, Trans::N, alpha, a, b, beta, c);
 }
 
 /// Row-mapped in-place update `C[rows[i], :] += α·(A·B)[i, :]`: the product
@@ -394,58 +339,97 @@ fn check_row_map(a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: &MatMut<'_>) {
 /// would add to it (same microkernel, same k-order); for `k` within one KC
 /// block that is one addition of the finished dot product, i.e. bitwise
 /// what "product into zeroed scratch, then add the scratch row" gives.
+/// It fans out from the same size as [`gemm`].
 ///
 /// # Panics
 /// On shape mismatch, or if `rows` is not strictly ascending or names a row
 /// outside `C`.
 pub fn gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: MatMut<'_>) {
-    check_row_map(a, b, rows, &c);
-    crate::flops::tally(crate::flops::gemm_flops(a.rows(), b.cols(), a.cols()));
-    pack::gemm_packed_rows(Trans::N, Trans::N, alpha, a, b, Some(rows), c);
+    assert_eq!(a.cols(), b.rows(), "gemm_rows: inner dimensions must match");
+    assert_eq!(rows.len(), a.rows(), "gemm_rows: one C row per row of A");
+    assert_eq!(c.cols(), b.cols(), "gemm_rows: C column count mismatch");
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "gemm_rows: rows must be strictly ascending"
+    );
+    assert!(
+        rows.last().is_none_or(|&r| r < c.rows()),
+        "gemm_rows: row index out of range"
+    );
+    product(Trans::N, Trans::N, alpha, a, b, Some(rows), c);
 }
 
-/// Parallel [`gemm_rows`], bitwise identical to it: MC-row blocks of the
-/// product go to Rayon workers, each owning the slice of `C` between its
-/// first mapped row and the next block's (`rows` ascending makes the slices
-/// disjoint). Small products run sequentially, as in [`par_gemm`]; the
-/// flops are credited to the calling thread.
+/// The product driver of [`gemm`] and [`gemm_rows`]: `C += α·op(A)·op(B)`,
+/// product row `i` into row `rows[i]` of `C` under a row map, with the flops
+/// credited to the calling thread (the contract in [`crate::flops`]).
 ///
-/// # Panics
-/// As [`gemm_rows`].
-pub fn par_gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: MatMut<'_>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+/// Below [`fans_out`] it runs inline, packing `op(B)` one cache block at a
+/// time. From there `op(B)` is packed once, on the calling thread, and
+/// MC-row blocks of the product go to the Rayon pool. The configuration is
+/// resolved on the calling thread and travels with the packed operand: a
+/// thread-local override the caller installed (e.g. the forced-scalar
+/// benchmark baseline) is not visible on pool threads, and every block must
+/// run one configuration. Row-slicing `C` does not change any element's
+/// accumulation order, so both paths give the same bits.
+fn product(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    rows: Option<&[usize]>,
+    c: MatMut<'_>,
+) {
+    let (m, k) = ta.dims(a);
+    let n = tb.dims(b).1;
+    crate::flops::tally(crate::flops::gemm_flops(m, n, k));
     if !fans_out(m, n, k) {
-        gemm_rows(alpha, a, b, rows, c);
+        pack::gemm_packed_rows(ta, tb, alpha, a, b, rows, c);
         return;
     }
-    check_row_map(a, b, rows, &c);
-    crate::flops::tally(crate::flops::gemm_flops(m, n, k));
-    // One config and one packed `B` for every worker, resolved and packed on
-    // the calling thread (see `par_gemm`).
-    let mc = crate::tuning::active().mc;
-    // Cut C at the first mapped row of every block: block q's rows all lie
-    // in [rows[q·mc], rows[(q+1)·mc]). `rel` rebases the map on each
-    // block's own slice of C. The blocks borrow it: a helper thread that
-    // runs a block frees nothing the calling (rank) thread allocated.
-    let mut rel = rows.to_vec();
-    let mut cuts = Vec::with_capacity(m.div_ceil(mc));
-    let (_, mut rest) = c.split_rows(rows[0]);
-    let mut base = rows[0];
-    for i0 in (0..m).step_by(mc) {
-        let i1 = (i0 + mc).min(m);
-        let end = rows.get(i1).map_or(base + rest.rows(), |&r| r);
-        let (cblk, tail) = rest.split_rows(end - base);
-        rel[i0..i1].iter_mut().for_each(|r| *r -= base);
-        cuts.push((i0, i1, cblk));
-        (rest, base) = (tail, end);
-    }
-    let rel = &rel;
-    pack::with_packed_b(Trans::N, b, |pb| {
-        cuts.into_par_iter().for_each(|(i0, i1, cblk)| {
-            let ablk = a.block(i0, 0, i1 - i0, k);
-            pack::gemm_prepacked(Trans::N, alpha, ablk, pb, 0..n, Some(&rel[i0..i1]), cblk)
+    // The blocks borrow the rebased map: a helper thread that runs a block
+    // frees nothing the calling (rank) thread allocated.
+    let (blocks, rel) = row_blocks(c, m, crate::tuning::active().mc, rows);
+    let rel = rel.as_deref();
+    pack::with_packed_b(tb, b, |pb| {
+        blocks.into_par_iter().for_each(|(i, cblk)| {
+            let ablk = ta.op_block(a, i.start, 0, i.len(), k);
+            let map = rel.map(|map| &map[i]);
+            pack::gemm_prepacked(ta, alpha, ablk, pb, 0..n, map, cblk);
         });
     });
+}
+
+/// Blocks of a product's rows, each with the slice of `C` it writes.
+type RowBlocks<'c> = Vec<(Range<usize>, MatMut<'c>)>;
+
+/// The `mc`-row blocks of an `m`-row product into `c`, each with the slice
+/// of `c` it writes. Without a row map block `q` writes rows `q·mc..`;
+/// under one, its slice runs from its first mapped row to the next block's
+/// (disjoint, because the map ascends), and the map is returned rebased on
+/// each block's own slice.
+fn row_blocks<'c>(
+    c: MatMut<'c>,
+    m: usize,
+    mc: usize,
+    rows: Option<&[usize]>,
+) -> (RowBlocks<'c>, Option<Vec<usize>>) {
+    let at = |i: usize| rows.map_or(i, |map| map[i]);
+    let mut rel = rows.map(<[usize]>::to_vec);
+    let mut blocks = Vec::with_capacity(m.div_ceil(mc));
+    let (_, mut rest) = c.split_rows(at(0));
+    let mut base = at(0);
+    for i0 in (0..m).step_by(mc) {
+        let i1 = (i0 + mc).min(m);
+        let end = if i1 < m { at(i1) } else { base + rest.rows() };
+        let (cblk, tail) = rest.split_rows(end - base);
+        if let Some(rel) = &mut rel {
+            rel[i0..i1].iter_mut().for_each(|r| *r -= base);
+        }
+        blocks.push((i0..i1, cblk));
+        (rest, base) = (tail, end);
+    }
+    (blocks, rel)
 }
 
 /// `C += α·A·P[:, cols]` for an operand `P = op(B)` packed beforehand
@@ -773,5 +757,50 @@ mod tests {
             c.as_mut(),
         );
         assert_eq!(c[(0, 0)], 2.0, "k=0 with beta=1 leaves C unchanged");
+    }
+
+    #[test]
+    fn row_blocks_cover_all_rows() {
+        let mut m = Matrix::from_fn(10, 3, |i, _| i as f64);
+        let (blocks, rel) = row_blocks(m.as_mut(), 10, 4, None);
+        assert!(rel.is_none());
+        let cuts: Vec<_> = blocks
+            .iter()
+            .map(|(r, c)| (r.clone(), c.get(0, 0)))
+            .collect();
+        assert_eq!(cuts, [(0..4, 0.0), (4..8, 4.0), (8..10, 8.0)]);
+        // Under a map, a block's slice runs to the next block's first row.
+        let rows = [1, 2, 5, 6, 9];
+        let (blocks, rel) = row_blocks(m.as_mut(), 5, 2, Some(&rows));
+        let cuts: Vec<_> = blocks
+            .iter()
+            .map(|(r, c)| (r.clone(), c.rows(), c.get(0, 0)))
+            .collect();
+        assert_eq!(cuts, [(0..2, 4, 1.0), (2..4, 4, 5.0), (4..5, 1, 9.0)]);
+        assert_eq!(rel.unwrap(), [0, 1, 0, 1, 0]);
+    }
+
+    /// Recorded when `gemm` always ran inline; 300·200·64 fans out now.
+    #[test]
+    fn fanned_out_bits_are_pinned() {
+        use crate::gen::tests::digest;
+        let (m, n, k) = (300, 200, 64);
+        assert!(fans_out(m, n, k));
+        // `op(X)` is `rows × cols`.
+        let op = |t, rows, cols, seed| match t {
+            Trans::N => random_matrix(rows, cols, seed),
+            Trans::T => random_matrix(cols, rows, seed),
+        };
+        for (ta, tb, want) in [
+            (Trans::N, Trans::N, 0x3279_5df4_3953_fc1f),
+            (Trans::T, Trans::N, 0x832d_ddb0_29d9_5625),
+            (Trans::N, Trans::T, 0x753a_84d9_6c56_f078),
+            (Trans::T, Trans::T, 0x9508_e539_cfa3_7a28),
+        ] {
+            let (a, b) = (op(ta, m, k, 11), op(tb, k, n, 12));
+            let mut c = random_matrix(m, n, 13);
+            gemm(ta, tb, -1.5, a.as_ref(), b.as_ref(), 0.5, c.as_mut());
+            assert_eq!(digest(&c), want, "{ta:?}{tb:?}");
+        }
     }
 }

@@ -84,7 +84,7 @@ pub fn needs_pivoting(n: usize, seed: u64) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::norms::max_abs_diff;
 
@@ -114,7 +114,7 @@ mod tests {
     }
 
     /// FNV-1a over the bit patterns of a matrix's entries, row-major.
-    fn digest(m: &Matrix) -> u64 {
+    pub(crate) fn digest(m: &Matrix) -> u64 {
         let words = m.data().iter().map(|x| x.to_bits());
         words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
             (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)

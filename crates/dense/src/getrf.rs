@@ -1,11 +1,11 @@
 //! LU factorization with partial pivoting (`getrf`).
 //!
 //! This is the sequential reference factorization: the distributed schedules
-//! in the `factor` crate are validated against it, and COnfLUX's tournament
-//! pivoting factors its winning pivot block with the unblocked variant
-//! (candidate selection is the tournament's own elimination,
-//! `factor::tourn::local_select`, which this variant's operation order is
-//! the oracle for).
+//! in the `factor` crate are validated against it. Its unblocked variant is
+//! the one partial-pivoting elimination of the workspace: the blocked
+//! [`getrf`] factors its panels with it, and COnfLUX's tournament
+//! (`factor::tourn`) selects its candidate pivot rows and factors its
+//! winning pivot block with it.
 
 use crate::gemm::{gemm, Trans};
 use crate::matrix::{MatMut, Matrix};
@@ -13,49 +13,60 @@ use crate::trsm::{trsm, Diag, Side, Uplo};
 use crate::{Error, Result};
 
 /// Unblocked right-looking LU with partial pivoting on an `m × n` view
-/// (`m ≥ n` panels supported). On return the strictly-lower part holds `L`
-/// (unit diagonal implicit) and the upper part holds `U`; `ipiv[k]` is the
-/// row swapped with row `k` at step `k` (LAPACK convention, 0-based).
+/// (`m ≥ n` panels supported), one row slice at a time. On return the
+/// strictly-lower part holds `L` (unit diagonal implicit) and the upper part
+/// holds `U`; `ipiv[k]` is the row swapped with row `k` at step `k` (LAPACK
+/// convention, 0-based).
+///
+/// Step `k < min(m, n)` swaps up the row with the largest `|a[·][k]|` at or
+/// below row `k` (the first on a tie), stores each lower row's multiplier
+/// `l = a[i][k] / a[k][k]` in its column `k` and subtracts `l·a[k][j]` from
+/// its columns `j > k` — not at all where `l` is exactly zero. So every row
+/// below the first `min(m, n)` ends as its `L` row:
+/// `x_k ← ((a_k − l_0·u_0k) − l_1·u_1k) − …`, then `l_k = x_k / u_kk`.
+///
+/// # Errors
+/// [`Error::SingularAt`] names the first step whose column was exactly zero
+/// at and below the diagonal. Like LAPACK, the factorization carries on past
+/// such a step — it swaps and eliminates nothing — so `a` and `ipiv` are
+/// complete either way.
 pub fn getrf_unblocked(mut a: MatMut<'_>, ipiv: &mut Vec<usize>) -> Result<()> {
-    let m = a.rows();
-    let n = a.cols();
-    let steps = m.min(n);
+    let (m, n) = (a.rows(), a.cols());
     crate::flops::tally(crate::flops::getrf_flops(m, n));
     ipiv.clear();
-    ipiv.reserve(steps);
-    for k in 0..steps {
-        // Pivot: the largest |entry| in column k at or below the diagonal.
-        let mut p = k;
-        let mut best = a.get(k, k).abs();
+    let mut zero_at = None;
+    for k in 0..m.min(n) {
+        // Partial pivot: the first largest |a[·][k]| at or below row `k`.
+        let (mut p, mut best) = (k, a.row(k)[k].abs());
         for i in k + 1..m {
-            let v = a.get(i, k).abs();
-            if v > best {
-                best = v;
-                p = i;
+            if a.row(i)[k].abs() > best {
+                (p, best) = (i, a.row(i)[k].abs());
             }
-        }
-        if best == 0.0 {
-            return Err(Error::SingularAt(k));
         }
         ipiv.push(p);
+        let (mut head, mut below) = a.rb_mut().split_rows(k + 1);
+        let pivot = head.row_mut(k);
         if p != k {
-            swap_rows(&mut a, k, p);
+            pivot.swap_with_slice(below.row_mut(p - k - 1));
         }
-        let akk = a.get(k, k);
-        for i in k + 1..m {
-            let lik = a.get(i, k) / akk;
-            a.set(i, k, lik);
-            if lik == 0.0 {
+        let akk = pivot[k];
+        if akk == 0.0 {
+            zero_at.get_or_insert(k);
+            continue;
+        }
+        for i in 0..below.rows() {
+            let row = below.row_mut(i);
+            let l = row[k] / akk;
+            row[k] = l;
+            if l == 0.0 {
                 continue;
             }
-            // Trailing row update: a[i, k+1..] -= lik * a[k, k+1..].
-            for j in k + 1..n {
-                let akj = a.get(k, j);
-                a.add(i, j, -lik * akj);
+            for (x, &u) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                *x -= l * u;
             }
         }
     }
-    Ok(())
+    zero_at.map_or(Ok(()), |k| Err(Error::SingularAt(k)))
 }
 
 /// Blocked right-looking LU with partial pivoting on a square matrix.
@@ -64,6 +75,10 @@ pub fn getrf_unblocked(mut a: MatMut<'_>, ipiv: &mut Vec<usize>) -> Result<()> {
 /// that the packed-GEMM trailing update `A11 −= L10·U01` dominates the
 /// scalar panel work). Returns the pivot sequence in LAPACK convention
 /// (see [`getrf_unblocked`]).
+///
+/// # Errors
+/// [`Error::SingularAt`] the first exactly-zero elimination step, counted
+/// over the whole matrix.
 pub fn getrf(a: &mut Matrix, nb: usize) -> Result<Vec<usize>> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "getrf: matrix must be square");
@@ -75,7 +90,10 @@ pub fn getrf(a: &mut Matrix, nb: usize) -> Result<Vec<usize>> {
     while k0 < n {
         let kb = nb.min(n - k0);
         // Factor the panel a[k0.., k0..k0+kb] unblocked.
-        getrf_unblocked(a.block_mut(k0, k0, n - k0, kb), &mut panel_piv)?;
+        getrf_unblocked(a.block_mut(k0, k0, n - k0, kb), &mut panel_piv).map_err(|e| match e {
+            Error::SingularAt(k) => Error::SingularAt(k0 + k),
+            other => other,
+        })?;
         // Apply the panel's row swaps to the rest of the matrix (both the
         // already-factored left part and the trailing right part).
         for (i, &p) in panel_piv.iter().enumerate() {
@@ -123,35 +141,12 @@ pub fn getrf(a: &mut Matrix, nb: usize) -> Result<Vec<usize>> {
 
 /// Convert a LAPACK-style swap sequence into an explicit permutation vector:
 /// `perm[i]` is the original row that ends up in row `i` of `P·A`.
-#[cfg(test)]
 pub(crate) fn permutation_vector(n: usize, ipiv: &[usize]) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
     for (k, &p) in ipiv.iter().enumerate() {
         perm.swap(k, p);
     }
     perm
-}
-
-/// Apply a LAPACK-style swap sequence to the rows of `b` (forward order),
-/// i.e. compute `P·B` for the permutation produced by [`getrf`].
-pub(crate) fn apply_row_pivots(b: &mut Matrix, ipiv: &[usize]) {
-    for (k, &p) in ipiv.iter().enumerate() {
-        if k != p {
-            let mut v = b.as_mut();
-            swap_rows(&mut v, k, p);
-        }
-    }
-}
-
-fn swap_rows(a: &mut MatMut<'_>, r1: usize, r2: usize) {
-    if r1 == r2 {
-        return;
-    }
-    for j in 0..a.cols() {
-        let t = a.get(r1, j);
-        a.set(r1, j, a.get(r2, j));
-        a.set(r2, j, t);
-    }
 }
 
 fn swap_row_range(a: &mut Matrix, r1: usize, r2: usize, c0: usize, c1: usize) {
@@ -166,6 +161,7 @@ fn swap_row_range(a: &mut Matrix, r1: usize, r2: usize, c0: usize, c1: usize) {
 mod tests {
     use super::*;
     use crate::gen::random_matrix;
+    use crate::gen::tests::digest;
     use crate::norms::lu_residual;
 
     #[test]
@@ -214,30 +210,17 @@ mod tests {
         assert_eq!(ipiv.len(), 6);
         // Reconstruct P·A0 restricted to the 6 columns: L(30×6 unit lower
         // trapezoid)·U(6×6 upper).
-        let mut pa = a0.clone();
-        apply_row_pivots(&mut pa, &ipiv);
+        let perm = permutation_vector(30, &ipiv);
+        let pa = Matrix::from_fn(30, 6, |i, j| a0[(perm[i], j)]);
         for i in 0..30 {
             for j in 0..6 {
+                // L[i][k] (unit diagonal, k < min(i + 1, 6)) · U[k][j] (k ≤ j).
                 let mut acc = 0.0;
-                for k in 0..=j.min(i) {
-                    let lik = if k == i { 1.0 } else { a[(i, k)] };
-                    if k <= j {
-                        acc += lik
-                            * if k == j && k == i {
-                                a[(i, j)]
-                            } else {
-                                a[(k, j)]
-                            };
-                    }
-                }
-                // Careful reconstruction: L[i][k] (k<min(i,6)), U[k][j] (k<=j).
-                let mut acc2 = 0.0;
                 for k in 0..6.min(i + 1).min(j + 1) {
                     let l = if k == i { 1.0 } else { a[(i, k)] };
-                    acc2 += l * a[(k, j)];
+                    acc += l * a[(k, j)];
                 }
-                let _ = acc;
-                assert!((acc2 - pa[(i, j)]).abs() < 1e-10, "({i},{j})");
+                assert!((acc - pa[(i, j)]).abs() < 1e-10, "({i},{j})");
             }
         }
     }
@@ -278,11 +261,52 @@ mod tests {
         let ipiv = getrf(&mut a, 4).unwrap();
         let perm = permutation_vector(10, &ipiv);
         let mut pa_swaps = a0.clone();
-        apply_row_pivots(&mut pa_swaps, &ipiv);
+        for (k, &p) in ipiv.iter().enumerate() {
+            swap_row_range(&mut pa_swaps, k, p, 0, 10);
+        }
         for i in 0..10 {
             for j in 0..10 {
                 assert_eq!(pa_swaps[(i, j)], a0[(perm[i], j)]);
             }
         }
+    }
+
+    #[test]
+    fn a_singular_step_is_counted_over_the_whole_matrix() {
+        // Column 70 lies in the second 64-wide panel, at its step 6.
+        let mut a0 = random_matrix(100, 100, 5);
+        (0..100).for_each(|i| a0[(i, 70)] = 0.0);
+        for nb in [64, 100, 7] {
+            let mut a = a0.clone();
+            assert_eq!(getrf(&mut a, nb), Err(Error::SingularAt(70)), "nb={nb}");
+        }
+        // Unblocked, like LAPACK, the zero step swaps and eliminates nothing
+        // and every later step runs.
+        let (mut a, mut ipiv) = (a0.clone(), Vec::new());
+        let err = getrf_unblocked(a.as_mut(), &mut ipiv);
+        assert_eq!(
+            (err, ipiv.len(), ipiv[70]),
+            (Err(Error::SingularAt(70)), 100, 70)
+        );
+        assert!(a[(99, 99)] != a0[(99, 99)], "the last step ran");
+    }
+
+    /// Recorded when `getrf_unblocked` was a scalar `get`/`set` loop beside
+    /// the tournament's own row-slice elimination.
+    #[test]
+    fn factor_bits_are_pinned() {
+        for (m, n, seed, want) in [
+            (12, 12, 1, 0x0da4_8205_c281_7fda),
+            (200, 32, 2, 0xd09c_55eb_7c12_5917),
+            (300, 64, 3, 0xd45f_b378_5729_11d2),
+            (97, 40, 4, 0xa4da_fe48_c60e_dc4a),
+        ] {
+            let mut a = random_matrix(m, n, seed);
+            getrf_unblocked(a.as_mut(), &mut Vec::new()).unwrap();
+            assert_eq!(digest(&a), want, "getrf_unblocked({m}x{n}, seed {seed})");
+        }
+        let mut a = random_matrix(512, 512, 9);
+        getrf(&mut a, 0).unwrap();
+        assert_eq!(digest(&a), 0x7c63_1e75_7088_ccbd, "getrf(512)");
     }
 }

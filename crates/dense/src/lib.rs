@@ -9,7 +9,7 @@
 //! * [`gemm()`] — general matrix multiply `C ← α·op(A)·op(B) + β·C`,
 //! * [`gemmt()`] — the triangular-output variant used by Cholesky's trailing
 //!   update (only one triangle of `C` is written),
-//! * [`gemm_rows()`] / [`par_gemm_rows()`] — the row-mapped in-place update
+//! * [`gemm_rows()`] — the row-mapped in-place update
 //!   `C[rows[i], :] += α·(A·B)[i, :]` that LU's Schur update under row
 //!   masking issues (the active rows of a local matrix are an index list),
 //! * [`gemm_prepacked()`] — `C += α·A·P[:, cols]` against a [`PackedB`]
@@ -37,11 +37,13 @@
 //! (AVX-512) and `6×8` (AVX2) tiles and a portable scalar `4×8` tile, all
 //! rounding identically, so results are bitwise the same whichever a CPU
 //! runs; [`tuning`] picks the widest the CPU reports, and that is the only
-//! dispatch rule — no file, no environment variable. `gemmt`, the blocked `trsm`, and the `getrf`/`potrf` trailing
-//! updates all route their inner products through the same engine, and
-//! [`par_gemm`] fans MC-row blocks of `C` over Rayon workers *bitwise
-//! identically* to the sequential kernel; so does `gemmt`, with its
-//! diagonal blocks, from the same size on. [`gemm::naive_gemm`] retains the
+//! dispatch rule — no file, no environment variable. `gemmt`, the blocked
+//! `trsm`, and the `getrf`/`potrf` trailing updates all route their inner
+//! products through the same engine. One size rule decides fan-out: from
+//! `m·n·k` = 2²⁰ on, [`gemm()`] and [`gemm_rows()`] fan MC-row blocks of `C`
+//! over Rayon workers *bitwise identically* to running them inline, and so
+//! does `gemmt`, with its diagonal blocks. ([`par_gemm`] is only the old
+//! name of the untransposed [`gemm()`].) [`gemm::naive_gemm`] retains the
 //! scalar triple loop as the correctness and performance reference
 //! (`plans/kernels.toml` reports both as a GFLOP/s trajectory in
 //! `results/BENCH_kernels.json`).
@@ -63,9 +65,7 @@ pub mod trsm;
 pub mod tuning;
 pub mod ukernel;
 
-pub use gemm::{
-    gemm, gemm_prepacked, gemm_rows, gemmt, naive_gemm, par_gemm, par_gemm_rows, Trans,
-};
+pub use gemm::{gemm, gemm_prepacked, gemm_rows, gemmt, naive_gemm, par_gemm, Trans};
 pub use gen::{random_matrix, random_spd, well_conditioned};
 pub use getrf::{getrf, getrf_unblocked};
 pub use matrix::{MatMut, MatRef, Matrix};

@@ -335,13 +335,6 @@ impl<'a> MatMut<'a> {
         self.data[i * self.stride + j] = v;
     }
 
-    /// In-place scale-and-add on a single entry (`self[i,j] += v`).
-    #[inline]
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.stride + j] += v;
-    }
-
     /// Contiguous slice of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -429,26 +422,6 @@ impl<'a> MatMut<'a> {
         )
     }
 
-    /// Split into independently-owned views of at most `chunk` rows each,
-    /// in order: chunk `i` starts at row `i·chunk`. The pieces borrow
-    /// disjoint storage, so they can be handed to parallel workers
-    /// (`par_gemm` fans MC-row blocks of `C` out over Rayon this way).
-    ///
-    /// # Panics
-    /// If `chunk == 0`.
-    pub(crate) fn split_into_row_chunks(self, chunk: usize) -> Vec<MatMut<'a>> {
-        assert!(chunk > 0, "chunk must be positive");
-        let mut out = Vec::with_capacity(self.rows.div_ceil(chunk).max(1));
-        let mut rest = self;
-        while rest.rows() > chunk {
-            let (head, tail) = rest.split_rows(chunk);
-            out.push(head);
-            rest = tail;
-        }
-        out.push(rest);
-        out
-    }
-
     /// Copy from a same-shaped source view.
     pub fn copy_from(&mut self, src: MatRef<'_>) {
         assert_eq!(self.rows, src.rows());
@@ -515,7 +488,7 @@ mod tests {
         {
             let mut b = m.block_mut(2, 2, 2, 2);
             b.set(0, 0, 7.0);
-            b.add(1, 1, 3.0);
+            b.row_mut(1)[1] = 3.0;
         }
         assert_eq!(m[(2, 2)], 7.0);
         assert_eq!(m[(3, 3)], 3.0);
@@ -554,24 +527,6 @@ mod tests {
     fn block_out_of_range_panics() {
         let m = Matrix::zeros(3, 3);
         let _ = m.block(2, 2, 2, 2);
-    }
-
-    #[test]
-    fn split_into_row_chunks_covers_all_rows() {
-        let mut m = Matrix::from_fn(10, 3, |i, _| i as f64);
-        let chunks = m.as_mut().split_into_row_chunks(4);
-        assert_eq!(
-            chunks.iter().map(MatMut::rows).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        assert_eq!(chunks[2].get(0, 0), 8.0);
-        // Writes through each chunk land in the right rows.
-        for (ci, mut c) in m.as_mut().split_into_row_chunks(4).into_iter().enumerate() {
-            c.set(0, 0, -(ci as f64));
-        }
-        assert_eq!(m[(0, 0)], 0.0);
-        assert_eq!(m[(4, 0)], -1.0);
-        assert_eq!(m[(8, 0)], -2.0);
     }
 
     #[test]

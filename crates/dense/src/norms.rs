@@ -1,7 +1,7 @@
 //! Norms and factorization residuals used for validation.
 
 use crate::gemm::{gemm, Trans};
-use crate::getrf::apply_row_pivots;
+use crate::getrf::permutation_vector;
 use crate::matrix::Matrix;
 
 /// Frobenius norm `‖A‖_F`.
@@ -41,24 +41,9 @@ pub fn unpack_lu(lu: &Matrix) -> (Matrix, Matrix) {
 }
 
 /// Relative LU residual `‖P·A − L·U‖_F / ‖A‖_F` for a packed factor and a
-/// LAPACK-style pivot sequence.
+/// LAPACK-style pivot sequence: [`lu_residual_perm`] of its permutation.
 pub fn lu_residual(a: &Matrix, lu: &Matrix, ipiv: &[usize]) -> f64 {
-    let n = a.rows();
-    let (l, u) = unpack_lu(lu);
-    let mut pa = a.clone();
-    apply_row_pivots(&mut pa, ipiv);
-    let mut prod = Matrix::zeros(n, n);
-    gemm(
-        Trans::N,
-        Trans::N,
-        1.0,
-        l.as_ref(),
-        u.as_ref(),
-        0.0,
-        prod.as_mut(),
-    );
-    let diff = Matrix::from_fn(n, n, |i, j| pa[(i, j)] - prod[(i, j)]);
-    frobenius(&diff) / frobenius(a).max(f64::MIN_POSITIVE)
+    lu_residual_perm(a, lu, &permutation_vector(a.rows(), ipiv))
 }
 
 /// Relative LU residual for a factorization returned as an explicit

@@ -39,14 +39,14 @@
 //! is no per-element transpose dispatch anywhere on the flop path.
 //!
 //! An operand is packed once per use. [`PackedB`] is `op(B)` in packed form:
-//! [`crate::par_gemm`] and [`crate::par_gemm_rows`] fill this thread's on the
-//! calling thread and lend it to every worker, and a caller that multiplies
-//! many `A`s by column ranges of one `B` (COnfCHOX's step operand `L10ᵀ`)
-//! holds its own and passes it to [`crate::gemm_prepacked`]. Pack buffers are
-//! thread-local or caller-owned and reused across calls, so steady-state
-//! GEMMs allocate nothing — except a fanned-out [`crate::gemmt`], whose
-//! blocks pack into scratch of their own that the call frees, so no pool
-//! thread keeps a buffer grown on a caller's behalf.
+//! a fanned-out [`crate::gemm()`] or [`crate::gemm_rows`] fills this
+//! thread's on the calling thread and lends it to every worker, and a caller
+//! that multiplies many `A`s by column ranges of one `B` (COnfCHOX's step
+//! operand `L10ᵀ`) holds its own and passes it to [`crate::gemm_prepacked`].
+//! Pack buffers are thread-local or caller-owned and reused across calls, so
+//! steady-state GEMMs allocate nothing — except a fanned-out
+//! [`crate::gemmt`], whose blocks pack into scratch of their own that the
+//! call frees, so no pool thread keeps a buffer grown on a caller's behalf.
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
@@ -81,7 +81,7 @@ const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
 
 /// Largest packed-B slab, in values (`kc·nc`), the macro-kernel walks
 /// row-panel-outer: `kc` ≤ 64 against a full `NC` slab. Measured on the
-/// reference VM through `par_gemm_rows` on a 1024² `C`, both orders
+/// reference VM through the row-mapped product on a 1024² `C`, both orders
 /// alternated in one process (EXPERIMENTS.md, "The loop-order crossover"):
 /// the row order is +45…+55 % at `kc` = 32 and more at 16, between −10 and
 /// +30 % at 64, level at 128 and −20…−30 % at 256, where re-streaming a
@@ -207,8 +207,8 @@ fn pack_b(
 
 /// `op(B)` (`k×n`) in the packed engine's layout, packed once and multiplied
 /// many times ([`crate::gemm_prepacked`]): the operand of every product that
-/// would otherwise re-pack the same `B` — per MC-row chunk in
-/// [`crate::par_gemm`] / [`crate::par_gemm_rows`], per owned tile row in
+/// would otherwise re-pack the same `B` — per MC-row block of a fanned-out
+/// [`crate::gemm()`] or [`crate::gemm_rows`], per owned tile row in
 /// COnfCHOX's trailing update. Its storage is reused by the next
 /// [`PackedB::pack`]; it carries the kernel configuration it was packed
 /// under, and products against it run that configuration.
@@ -373,26 +373,15 @@ fn macro_kernel(
 /// Packed three-level-blocked `C += α·op(A)·op(B)` (no β handling, no flop
 /// tally): the shared engine behind [`crate::gemm`], [`crate::gemmt`] and
 /// the blocked [`crate::trsm`] updates. The microkernel and blocking come
-/// from [`crate::tuning::active`].
+/// from [`crate::tuning::active`]. With `rows = Some(map)` the product's row
+/// `i` is accumulated into `C[map[i], :]` instead of `C[i, :]`
+/// ([`crate::gemm::gemm_rows`] validates the map). Only the write-back
+/// addresses change, not one flop or its order.
 ///
 /// Deterministic by construction: each element of `C` accumulates its
 /// k-products in ascending order regardless of how callers slice `C` by
-/// rows, which is what makes `par_gemm` bitwise equal to `gemm`.
-pub(crate) fn gemm_packed(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c: MatMut<'_>,
-) {
-    gemm_packed_rows(ta, tb, alpha, a, b, None, c);
-}
-
-/// [`gemm_packed`] with an optional row map: with `rows = Some(map)` the
-/// product's row `i` is accumulated into `C[map[i], :]` instead of
-/// `C[i, :]` ([`crate::gemm::gemm_rows`] validates the map). Only the
-/// write-back addresses change, not one flop or its order.
+/// rows, which is what makes a fanned-out [`crate::gemm`] bitwise equal to
+/// an inline one.
 ///
 /// `op(B)` goes through this thread's [`PackedB`] one `KC×NC` block at a
 /// time, so the scratch stays cache-block sized whatever `B` is.
@@ -662,12 +651,13 @@ mod tests {
             got.block_mut(1, 1, m, 11),
         );
         let mut want = crate::Matrix::from_fn(m + 2, 13, |_, _| 7.0);
-        gemm_packed(
+        gemm_packed_rows(
             Trans::N,
             Trans::T,
             -1.0,
             a.as_ref(),
             b.block(3, 0, 11, k),
+            None,
             want.block_mut(1, 1, m, 11),
         );
         assert_eq!(got.data(), want.data());

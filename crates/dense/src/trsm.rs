@@ -126,12 +126,13 @@ fn trsm_rec(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, b: &mu
         (Side::Left, Uplo::Lower) => {
             let (mut b1, mut b2) = b.rb_mut().split_rows(h);
             trsm_rec(side, uplo, ta, diag, a11, &mut b1);
-            pack::gemm_packed(
+            pack::gemm_packed_rows(
                 ta,
                 Trans::N,
                 -1.0,
                 ta.op_block(a, h, 0, n - h, h),
                 b1.rb(),
+                None,
                 b2.rb_mut(),
             );
             trsm_rec(side, uplo, ta, diag, a22, &mut b2);
@@ -140,12 +141,13 @@ fn trsm_rec(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, b: &mu
         (Side::Left, Uplo::Upper) => {
             let (mut b1, mut b2) = b.rb_mut().split_rows(h);
             trsm_rec(side, uplo, ta, diag, a22, &mut b2);
-            pack::gemm_packed(
+            pack::gemm_packed_rows(
                 ta,
                 Trans::N,
                 -1.0,
                 ta.op_block(a, 0, h, h, n - h),
                 b2.rb(),
+                None,
                 b1.rb_mut(),
             );
             trsm_rec(side, uplo, ta, diag, a11, &mut b1);
@@ -162,12 +164,13 @@ fn trsm_rec(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, b: &mu
             }
             let x2 = b.rb().block(0, h, bm, n - h).to_owned();
             let mut b1 = b.rb_mut().block(0, 0, bm, h);
-            pack::gemm_packed(
+            pack::gemm_packed_rows(
                 Trans::N,
                 ta,
                 -1.0,
                 x2.as_ref(),
                 ta.op_block(a, h, 0, n - h, h),
+                None,
                 b1.rb_mut(),
             );
             trsm_rec(side, uplo, ta, diag, a11, &mut b1);
@@ -182,12 +185,13 @@ fn trsm_rec(side: Side, uplo: Uplo, ta: Trans, diag: Diag, a: MatRef<'_>, b: &mu
             }
             let x1 = b.rb().block(0, 0, bm, h).to_owned();
             let mut b2 = b.rb_mut().block(0, h, bm, n - h);
-            pack::gemm_packed(
+            pack::gemm_packed_rows(
                 Trans::N,
                 ta,
                 -1.0,
                 x1.as_ref(),
                 ta.op_block(a, 0, h, h, n - h),
+                None,
                 b2.rb_mut(),
             );
             trsm_rec(side, uplo, ta, diag, a22, &mut b2);

@@ -1,7 +1,7 @@
 //! Kernel dispatch: which [`crate::ukernel::Variant`] and which
 //! (KC, MC, NC) cache blocking the packed GEMM engine runs.
 //!
-//! Every call into the engine (`pack::gemm_packed`, behind
+//! Every call into the engine (`pack::gemm_packed_rows`, behind
 //! [`crate::gemm()`]) asks [`active`], which returns the innermost
 //! [`with_override`] on this thread — how tests put small matrices across
 //! KC/MC/NC edges and how `plans/kernels.toml` measures the forced-scalar
@@ -90,8 +90,8 @@ pub fn active() -> KernelConfig {
 /// Run `f` with every packed-GEMM call on this thread dispatching `cfg`
 /// (the harness's forced-scalar baseline and the blocking-edge tests use
 /// this). Overrides nest; the previous config is restored even on panic.
-/// [`crate::par_gemm`] packs `B` under the caller's override and its Rayon
-/// workers run the config the packed operand carries, and
+/// A fanned-out [`crate::gemm()`] packs `B` under the caller's override and
+/// its Rayon workers run the config the packed operand carries, and
 /// [`crate::gemmt`] hands its workers the config it resolved, so parallel
 /// kernels honor it too.
 pub fn with_override<R>(cfg: KernelConfig, f: impl FnOnce() -> R) -> R {

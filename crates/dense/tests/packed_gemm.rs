@@ -6,18 +6,18 @@
 //!   kernels in place on tiles of local buffers),
 //! * ragged sizes straddling the MR/NR/KC packing boundaries, where the
 //!   zero-padded edge tiles live,
-//! * `par_gemm` bitwise equality with the sequential kernel at a fixed
-//!   worker count,
-//! * the row-mapped in-place update `gemm_rows` / `par_gemm_rows` against
-//!   the two-pass formulation it replaces (product into a zeroed scratch,
-//!   then add the scratch rows), bitwise,
+//! * fanned-out `gemm` and `gemm_rows` bitwise equal to the same products
+//!   in row slices small enough to run inline, at a fixed worker count,
+//! * the row-mapped in-place update `gemm_rows` against the two-pass
+//!   formulation it replaces (product into a zeroed scratch, then add the
+//!   scratch rows), bitwise,
 //! * the macro-kernel's two loop orders and every cache blocking against
 //!   each other, bitwise, on shapes either side of the crossover,
 //! * a product against a prepacked operand (`gemm_prepacked`) against the
 //!   `gemm(N, T)` on the block of `B` it stands for, bitwise, for column
 //!   ranges that start and end inside register-tile panels.
 
-use dense::gemm::{gemm, gemm_prepacked, gemm_rows, naive_gemm, par_gemm, par_gemm_rows, Trans};
+use dense::gemm::{gemm, gemm_prepacked, gemm_rows, naive_gemm, par_gemm, Trans};
 use dense::gen::random_matrix;
 use dense::norms::{frobenius, max_abs_diff};
 use dense::pack::{KC, MC, MR, NC, NR};
@@ -131,7 +131,8 @@ proptest! {
     }
 }
 
-/// `par_gemm` must be *bitwise* equal to `gemm` — the distributed schedules
+/// A fanned-out product must be *bitwise* equal to the same product run
+/// inline in row slices — the distributed schedules
 /// (and the factors' bit pins) rely on local kernels being deterministic
 /// functions of their inputs, independent of worker count.
 #[test]
@@ -148,27 +149,38 @@ fn par_gemm_is_bitwise_deterministic_at_fixed_thread_count() {
     }
 }
 
+/// Row slices of an `m`-row product with inner dimension `k` and `n`
+/// columns small enough to run inline: below `m·n·k` = 2²⁰, where `gemm`
+/// fans out.
+fn inline_slices(m: usize, n: usize, k: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let s = (((1 << 20) - 1) / (n * k)).max(1);
+    assert!(s * n * k < 1 << 20 && m * n * k >= 1 << 20);
+    (0..m).step_by(s).map(move |r0| r0..(r0 + s).min(m))
+}
+
 fn par_kernels_equal_sequential(m: usize, n: usize, k: usize) {
     let a = random_matrix(m, k, 100);
     let b = random_matrix(k, n, 101);
     for (alpha, beta) in [(1.0, 0.0), (-0.75, 1.0), (2.0, 0.25)] {
         let c0 = random_matrix(m, n, 102);
         let mut c_seq = c0.clone();
-        gemm(
-            Trans::N,
-            Trans::N,
-            alpha,
-            a.as_ref(),
-            b.as_ref(),
-            beta,
-            c_seq.as_mut(),
-        );
+        for r in inline_slices(m, n, k) {
+            gemm(
+                Trans::N,
+                Trans::N,
+                alpha,
+                a.block(r.start, 0, r.len(), k),
+                b.as_ref(),
+                beta,
+                c_seq.block_mut(r.start, 0, r.len(), n),
+            );
+        }
         let mut c_par = c0.clone();
         par_gemm(alpha, a.as_ref(), b.as_ref(), beta, c_par.as_mut());
         assert_eq!(
             c_seq.data(),
             c_par.data(),
-            "par_gemm diverged bitwise at alpha={alpha} beta={beta}"
+            "the fanned-out gemm diverged bitwise at alpha={alpha} beta={beta}"
         );
         // And again, to catch any run-to-run nondeterminism in the fan-out.
         let mut c_par2 = c0.clone();
@@ -179,13 +191,16 @@ fn par_kernels_equal_sequential(m: usize, n: usize, k: usize) {
         let (rows, crows) = ascending_rows(m, 103);
         let r0 = random_matrix(crows, n, 104);
         let mut r_seq = r0.clone();
-        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, r_seq.as_mut());
+        for r in inline_slices(m, n, k) {
+            let a = a.block(r.start, 0, r.len(), k);
+            gemm_rows(alpha, a, b.as_ref(), &rows[r], r_seq.as_mut());
+        }
         let mut r_par = r0.clone();
-        par_gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, r_par.as_mut());
+        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, r_par.as_mut());
         assert_eq!(
             r_seq.data(),
             r_par.data(),
-            "par_gemm_rows diverged bitwise at alpha={alpha}"
+            "the fanned-out gemm_rows diverged bitwise at alpha={alpha}"
         );
     }
 }
@@ -210,11 +225,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// `gemm_rows` adds to the mapped rows of a strided window of `C`
-    /// exactly — bit for bit — what "`par_gemm` into a zeroed scratch, then
+    /// exactly — bit for bit — what "`gemm` into a zeroed scratch, then
     /// add scratch row `i` to row `rows[i]`" adds, for any single-KC-block
-    /// inner dimension; `par_gemm_rows` equals it bitwise on both sides of
-    /// its fork threshold; and no element outside the mapped rows of the
-    /// window changes.
+    /// inner dimension, on both sides of the fan-out size; and no element
+    /// outside the mapped rows of the window changes.
     #[test]
     fn gemm_rows_equals_scratch_then_scatter_bitwise(
         m in prop_oneof![
@@ -233,7 +247,7 @@ proptest! {
         let before = random_matrix(crows, n + 6, seed + 3);
 
         let mut scratch = Matrix::zeros(m, n);
-        par_gemm(alpha, a.as_ref(), b.as_ref(), 0.0, scratch.as_mut());
+        gemm(Trans::N, Trans::N, alpha, a.as_ref(), b.as_ref(), 0.0, scratch.as_mut());
         let mut expect = before.clone();
         for (i, &r) in rows.iter().enumerate() {
             for j in 0..n {
@@ -241,17 +255,13 @@ proptest! {
             }
         }
 
-        let mut seq = before.clone();
-        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, seq.block_mut(0, c0, crows, n));
-        let mut par = before.clone();
-        par_gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, par.block_mut(0, c0, crows, n));
-        for (what, got) in [("gemm_rows", &seq), ("par_gemm_rows", &par)] {
-            for (at, (x, y)) in got.data().iter().zip(expect.data()).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(), y.to_bits(),
-                    "{} differs at ({}, {}), m={} n={} k={}", what, at / (n + 6), at % (n + 6), m, n, k
-                );
-            }
+        let mut got = before.clone();
+        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, got.block_mut(0, c0, crows, n));
+        for (at, (x, y)) in got.data().iter().zip(expect.data()).enumerate() {
+            prop_assert_eq!(
+                x.to_bits(), y.to_bits(),
+                "differs at ({}, {}), m={} n={} k={}", at / (n + 6), at % (n + 6), m, n, k
+            );
         }
     }
 }
@@ -409,12 +419,12 @@ fn gemm_rows_rejects_a_non_ascending_row_map() {
 
 #[test]
 #[should_panic(expected = "gemm_rows: row index out of range")]
-fn par_gemm_rows_rejects_a_row_outside_c() {
-    // Big enough to take the parallel path: the check must not depend on it.
+fn fanned_out_gemm_rows_rejects_a_row_outside_c() {
+    // Big enough to fan out: the check must not depend on it.
     let (m, n, k) = (2 * MC, 128, 64);
     let (a, b) = (random_matrix(m, k, 1), random_matrix(k, n, 2));
     let mut c = Matrix::zeros(m, n);
     let mut rows: Vec<usize> = (0..m).collect();
     rows[m - 1] = m;
-    par_gemm_rows(1.0, a.as_ref(), b.as_ref(), &rows, c.as_mut());
+    gemm_rows(1.0, a.as_ref(), b.as_ref(), &rows, c.as_mut());
 }

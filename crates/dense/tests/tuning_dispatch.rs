@@ -5,8 +5,9 @@
 //! printed note) and under any KC ≥ 256, MC and NC, because the blocked
 //! factorizations cap their panel widths at 64–256 and the packed engine is
 //! KC-invariant below one block. Hosts with and without AVX2 or AVX-512
-//! therefore agree on every factor bit. `gemmt` is held to the same rule
-//! when it runs its blocks on the Rayon pool, and to the bits of `gemm`.
+//! therefore agree on every factor bit. A fanned-out `gemm` and `gemmt` are
+//! held to the same rule when they run their blocks on the Rayon pool, and
+//! `gemmt` to the bits of `gemm`.
 
 use dense::gemm::{gemm, gemmt, CUplo, Trans};
 use dense::gen::{random_matrix, random_spd};
@@ -40,11 +41,29 @@ fn symmetric_update(uplo: CUplo, c: &Matrix) -> Matrix {
     c
 }
 
+/// `C ← −1.5·Aᵀ·Bᵀ + 0.5·C` at 300×200×64: both operands transposed, and
+/// above the size from which `gemm` runs its row blocks on the Rayon pool.
+fn transposed_product() -> Matrix {
+    let (a, b) = (random_matrix(64, 300, 47), random_matrix(200, 64, 48));
+    let mut c = random_matrix(300, 200, 49);
+    gemm(
+        Trans::T,
+        Trans::T,
+        -1.5,
+        a.as_ref(),
+        b.as_ref(),
+        0.5,
+        c.as_mut(),
+    );
+    c
+}
+
 /// Runs `getrf`/`potrf` under configurations that differ in microkernel
 /// shape, ISA, KC (≥ 256), MC, and NC, and requires the factors (and pivots)
-/// to be bitwise identical to the scalar baseline's. The n = 400 `potrf` and
-/// the `gemmt` fan out to Rayon workers, which see no thread-local override:
-/// their bits hold only if the config travels from the calling thread.
+/// to be bitwise identical to the scalar baseline's. The n = 400 `potrf`,
+/// the `gemmt` and the transposed `gemm` fan out to Rayon workers, which see
+/// no thread-local override: their bits hold only if the config travels
+/// from the calling thread.
 #[test]
 fn factorizations_are_bitwise_invariant_across_permitted_configs() {
     with_helpers();
@@ -59,7 +78,8 @@ fn factorizations_are_bitwise_invariant_across_permitted_configs() {
         let [mut ch, mut big_ch] = [chol_input.clone(), big_chol_input.clone()];
         potrf(&mut ch, 0).expect("SPD input");
         potrf(&mut big_ch, 0).expect("SPD input");
-        (piv, [lu, ch, big_ch, symmetric_update(CUplo::Lower, &c0)])
+        let update = symmetric_update(CUplo::Lower, &c0);
+        (piv, [lu, ch, big_ch, update, transposed_product()])
     };
 
     let baseline = tuning::scalar_baseline();
@@ -91,6 +111,7 @@ fn factorizations_are_bitwise_invariant_across_permitted_configs() {
                 ("Cholesky n=193", &got[1], &want[1]),
                 ("Cholesky n=400", &got[2], &want[2]),
                 ("gemmt", &got[3], &want[3]),
+                ("gemm TT", &got[4], &want[4]),
             ] {
                 assert_eq!(got.data(), want.data(), "{label}: {what} bits changed");
             }
@@ -163,4 +184,48 @@ fn fanned_out_gemmt_runs_the_callers_config() {
     }
     let default = product(tuning::default_config(), true);
     assert_ne!(want, default, "KC = 32 moved no bit");
+}
+
+/// The same rule for a fanned-out `gemm`, against the same product in row
+/// slices small enough to run inline on the calling thread: KC = 32
+/// regroups the k = 64 sums, so a block that ran the default config on a
+/// pool worker would differ. MC = 48 cuts seven row blocks per call.
+#[test]
+fn fanned_out_gemm_runs_the_callers_config() {
+    with_helpers();
+    let (a, b) = (random_matrix(64, 300, 47), random_matrix(64, 200, 48));
+    let short_kc = KernelConfig {
+        kc: 32,
+        mc: 48,
+        ..tuning::default_config()
+    };
+    let product = |cfg: KernelConfig, slice: usize| {
+        let mut c = Matrix::zeros(300, 200);
+        tuning::with_override(cfg, || {
+            for r0 in (0..300).step_by(slice) {
+                let rows = slice.min(300 - r0);
+                let c = c.block_mut(r0, 0, rows, 200);
+                gemm(
+                    Trans::T,
+                    Trans::N,
+                    1.0,
+                    a.block(0, r0, 64, rows),
+                    b.as_ref(),
+                    0.0,
+                    c,
+                );
+            }
+        });
+        c.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    // 50·200·64 runs inline; 300·200·64 fans out.
+    let want = product(short_kc, 50);
+    for _ in 0..5 {
+        assert_eq!(product(short_kc, 300), want, "gemm ran another config");
+    }
+    assert_ne!(
+        want,
+        product(tuning::default_config(), 300),
+        "KC = 32 moved no bit"
+    );
 }

@@ -13,7 +13,7 @@
 //! * the trailing tile rows (columns) of a step are one contiguous local
 //!   range (`rows_from` / `cols_from`),
 //! * a rank's active rows under row masking are an ascending list of local
-//!   row indices ([`ActiveRows`]) — the form `dense::par_gemm_rows` updates
+//!   row indices ([`ActiveRows`]) — the form `dense::gemm_rows` updates
 //!   in place,
 //! * a rank's up-to-date contribution to a row segment is one slice of its
 //!   store (`reduce_rows`),

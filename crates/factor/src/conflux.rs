@@ -26,7 +26,7 @@
 //!    them (`tourn`), and this step only writes them back.
 //! 6. **Scatter** `L10` and `U01`: each rank receives only the rows/columns
 //!    matching its tiles and only its layer's `v/Pz` inner slice.
-//! 7. **FactorizeA11** — one row-mapped GEMM (`dense::par_gemm_rows`)
+//! 7. **FactorizeA11** — one row-mapped GEMM (`dense::gemm_rows`)
 //!    straight into the trailing column block of the store: the rank's
 //!    active rows are an ascending list of local row indices, product row
 //!    `i` is subtracted from store row `rows[i]`, and retired rows are
@@ -60,7 +60,7 @@ use crate::common::{
 use crate::ft::{Guard, StepEnd};
 use crate::lu25d_swap::row_swaps;
 use crate::tourn::tournament;
-use dense::gemm::{par_gemm_rows, Trans};
+use dense::gemm::{gemm_rows, Trans};
 use dense::matrix::{MatMut, MatRef};
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::Matrix;
@@ -363,7 +363,7 @@ pub(crate) fn rank_program(
             let u01_slice =
                 MatRef::from_slice(&u01_flat[..ks * trail_len], ks, trail_len, trail_len);
             let trailing = state.store.cols_mut(trail);
-            par_gemm_rows(-1.0, l10_slice, u01_slice, &active.local, trailing);
+            gemm_rows(-1.0, l10_slice, u01_slice, &active.local, trailing);
         }
 
         // ---- Step boundary --------------------------------------------

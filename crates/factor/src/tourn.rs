@@ -6,7 +6,9 @@
 //! rounds over a butterfly pattern: partners exchange their `v` candidate
 //! rows, merge, and re-select. After the last round every panel rank holds
 //! the same `v` winning rows, from which all of them (redundantly, without
-//! further communication) factor the pivot block `A00`.
+//! further communication) factor the pivot block `A00`. Selection and that
+//! factorization are one elimination, `dense::getrf_unblocked`; the
+//! tournament owns no elimination of its own.
 //!
 //! A tournament with one player (`Px = 1`) has no rounds, and its local
 //! selection already *is* the partial-pivoting LU of the whole panel — the
@@ -44,62 +46,22 @@ impl Candidates {
     }
 }
 
-/// Right-looking partial-pivoting elimination, in place, of the row-major
-/// `m × v` panel `a`, one row slice at a time: step `k < min(m, v)` swaps
-/// up the row with the largest `|a[·][k]|` at or below position `k` (the
-/// first on a tie), stores each lower row's multiplier `l = a[i][k] / a[k][k]`
-/// in its column `k` and subtracts `l·a[k][j]` from its columns `j > k` —
-/// not at all where `l` is exactly zero, as [`getrf_unblocked`] does. So the
-/// first `min(m, v)` rows end as `getrf_unblocked` of those rows (in their
-/// final order, which it would not permute) and every other row as its `L10`
-/// row: `x_k ← ((a_k − l_0·u_0k) − l_1·u_1k) − …`, then `l_k = x_k / u_kk`.
-///
-/// Elimination is deliberately infallible: when a column is exactly zero
-/// (rank-deficient rows) the current row is kept in place and the step
-/// eliminates nothing. Returns the panel row at each position and the first
-/// such step.
-fn eliminate(a: &mut [f64], v: usize) -> (Vec<usize>, Option<usize>) {
-    let m = a.len() / v;
+/// The panel row at each position after `getrf_unblocked` pivoted with
+/// `ipiv`.
+fn row_order(m: usize, ipiv: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..m).collect();
-    let mut zero_at = None;
-    for k in 0..v.min(m) {
-        // Partial pivot; on an all-zero column keep the current row.
-        let (mut p, mut best) = (k, a[k * v + k].abs());
-        for (i, row) in a.chunks_exact(v).enumerate().skip(k + 1) {
-            if row[k].abs() > best {
-                (p, best) = (i, row[k].abs());
-            }
-        }
-        let (head, below) = a.split_at_mut((k + 1) * v);
-        let pivot = &mut head[k * v..];
-        if p != k {
-            order.swap(k, p);
-            pivot.swap_with_slice(&mut below[(p - k - 1) * v..(p - k) * v]);
-        }
-        let akk = pivot[k];
-        if akk == 0.0 {
-            zero_at.get_or_insert(k);
-            continue;
-        }
-        for row in below.chunks_exact_mut(v) {
-            let l = row[k] / akk;
-            row[k] = l;
-            if l == 0.0 {
-                continue;
-            }
-            for (x, &u) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
-                *x -= l * u;
-            }
-        }
+    for (k, &p) in ipiv.iter().enumerate() {
+        order.swap(k, p);
     }
-    (order, zero_at)
+    order
 }
 
-/// Select up to `v` pivot rows from a panel by partial-pivoting LU on a
-/// scratch copy. Returns the *original* values of the selected rows, in
-/// selection order.
+/// Select up to `v` pivot rows from a panel by partial-pivoting LU
+/// (`getrf_unblocked`) on a scratch copy. Returns the *original* values of
+/// the selected rows, in selection order.
 ///
-/// Selection is deliberately infallible ([`eliminate`]) — candidate
+/// Selection ignores singularity: the elimination carries on past an
+/// exactly-zero column, keeping the current row there. So candidate
 /// *selection* stays symmetric across tournament partners, and actual
 /// singularity is detected later by the (redundant, deterministic)
 /// factorization of the winning block, so every panel rank fails
@@ -107,35 +69,27 @@ fn eliminate(a: &mut [f64], v: usize) -> (Vec<usize>, Option<usize>) {
 ///
 /// # Panics
 /// If `panel.rows() != ids.len()`.
-pub(crate) fn local_select(
-    panel: MatRef<'_>,
-    ids: &[u64],
-    v: usize,
-) -> Result<Candidates, dense::Error> {
+pub(crate) fn local_select(panel: MatRef<'_>, ids: &[u64], v: usize) -> Candidates {
     assert_eq!(panel.rows(), ids.len());
     assert_eq!(panel.cols(), v);
-    let take = v.min(panel.rows());
-    if take == 0 {
-        return Ok(Candidates::empty(v));
-    }
-    let (order, _) = eliminate(&mut panel.to_owned().into_vec(), v);
+    let (m, take) = (panel.rows(), v.min(panel.rows()));
+    let mut lu = panel.to_owned();
+    let mut ipiv = Vec::new();
+    // Selection reads only the row order, which a singular step leaves whole.
+    let _ = getrf_unblocked(lu.as_mut(), &mut ipiv);
+    let order = row_order(m, &ipiv);
     let mut rows = Matrix::zeros(take, v);
     for (dst, &r) in rows.data_mut().chunks_exact_mut(v).zip(&order) {
         dst.copy_from_slice(panel.row(r));
     }
     let ids = order[..take].iter().map(|&r| ids[r]).collect();
-    Ok(Candidates { rows, ids })
+    Candidates { rows, ids }
 }
 
 /// Merge two candidate sets and re-select the best `v`. `first_mine`
 /// controls stacking order, which must be agreed between partners so ties
 /// resolve identically on both sides.
-fn merge(
-    mine: &Candidates,
-    theirs: &Candidates,
-    v: usize,
-    first_mine: bool,
-) -> Result<Candidates, dense::Error> {
+fn merge(mine: &Candidates, theirs: &Candidates, v: usize, first_mine: bool) -> Candidates {
     let (a, b) = if first_mine {
         (mine, theirs)
     } else {
@@ -182,9 +136,9 @@ pub(crate) fn tournament(
     let p = comm.size();
     let r = comm.rank();
     if p == 1 {
-        return one_player(panel, ids, v);
+        return factor_panel(panel, ids, v);
     }
-    let mut cands = local_select(MatRef::from_slice(panel, ids.len(), v, v), ids, v)?;
+    let mut cands = local_select(MatRef::from_slice(panel, ids.len(), v, v), ids, v);
 
     if p.is_power_of_two() {
         let mut mask = 1;
@@ -193,7 +147,7 @@ pub(crate) fn tournament(
             let (data, pids) =
                 comm.exchange_pair(partner, TAG + mask as u64, cands.rows.data(), &cands.ids);
             let theirs = Candidates::from_parts(v, data, pids);
-            cands = merge(&cands, &theirs, v, r < partner)?;
+            cands = merge(&cands, &theirs, v, r < partner);
             mask <<= 1;
         }
     } else {
@@ -201,22 +155,16 @@ pub(crate) fn tournament(
         // result identical to a serial scan of all candidates.
         let all_data = comm.gather_f64(0, cands.rows.data());
         let all_ids = comm.gather_u64(0, &cands.ids);
-        let mut winner_data;
-        let mut winner_ids;
-        if r == 0 {
-            let all_data = all_data.unwrap();
-            let all_ids = all_ids.unwrap();
-            let mut acc = Candidates::empty(v);
-            for (d, i) in all_data.into_iter().zip(all_ids) {
-                let c = Candidates::from_parts(v, d, i);
-                acc = merge(&acc, &c, v, true)?;
+        let (mut winner_data, mut winner_ids) = match (all_data, all_ids) {
+            (Some(data), Some(ids)) => {
+                let all = data.into_iter().zip(ids);
+                let acc = all.fold(Candidates::empty(v), |acc, (d, i)| {
+                    merge(&acc, &Candidates::from_parts(v, d, i), v, true)
+                });
+                (acc.rows.into_vec(), acc.ids)
             }
-            winner_data = acc.rows.into_vec();
-            winner_ids = acc.ids;
-        } else {
-            winner_data = Vec::new();
-            winner_ids = Vec::new();
-        }
+            _ => (Vec::new(), Vec::new()),
+        };
         comm.bcast_f64(0, &mut winner_data);
         comm.bcast_u64(0, &mut winner_ids);
         cands = Candidates::from_parts(v, winner_data, winner_ids);
@@ -224,39 +172,30 @@ pub(crate) fn tournament(
 
     // Redundant local factorization of the winning block — no communication,
     // every rank computes the identical A00.
-    let take = cands.ids.len();
-    assert!(take > 0, "tournament with zero candidate rows");
-    let Candidates {
-        rows: mut a00,
-        mut ids,
-    } = cands;
-    let mut ipiv = Vec::new();
-    getrf_unblocked(a00.as_mut(), &mut ipiv)?;
-    for (k, &p) in ipiv.iter().enumerate() {
-        ids.swap(k, p);
-    }
-    Ok(PivotBlock { ids, a00 })
+    factor_panel(cands.rows.data_mut(), &cands.ids, v)
 }
 
-/// [`tournament`] with one player: eliminate a scratch copy of the panel
-/// once and keep everything. `getrf_unblocked` of the winners would stop
-/// at the first step whose column is exactly zero, which is where
-/// [`eliminate`] first found one.
-fn one_player(panel: &mut [f64], ids: &[u64], v: usize) -> Result<PivotBlock, dense::Error> {
+/// Factor a scratch copy of the row-major panel with `getrf_unblocked` and
+/// keep everything: the pivot block is its top `v` rows after pivoting,
+/// already factored, and every other row of `panel` is overwritten by its
+/// `L10` row. A tournament's winners are such a panel with no other rows;
+/// with one player, the whole panel is. The error is the one
+/// `getrf_unblocked` of the winners would report: the first step whose
+/// column was exactly zero.
+fn factor_panel(panel: &mut [f64], ids: &[u64], v: usize) -> Result<PivotBlock, dense::Error> {
     assert_eq!(panel.len(), ids.len() * v, "panel shape mismatch");
-    let take = v.min(ids.len());
+    let (m, take) = (ids.len(), v.min(ids.len()));
     assert!(take > 0, "tournament with zero candidate rows");
-    let mut lu = panel.to_vec();
-    let (order, zero_at) = eliminate(&mut lu, v);
-    if let Some(k) = zero_at {
-        return Err(dense::Error::SingularAt(k));
-    }
-    for (row, &r) in lu.chunks_exact(v).zip(&order).skip(take) {
+    let mut lu = Matrix::from_vec(m, v, panel.to_vec());
+    let mut ipiv = Vec::new();
+    getrf_unblocked(lu.as_mut(), &mut ipiv)?;
+    let order = row_order(m, &ipiv);
+    for (row, &r) in lu.data().chunks_exact(v).zip(&order).skip(take) {
         panel[r * v..(r + 1) * v].copy_from_slice(row);
     }
     Ok(PivotBlock {
         ids: order[..take].iter().map(|&r| ids[r]).collect(),
-        a00: Matrix::from_vec(take, v, lu[..take * v].to_vec()),
+        a00: Matrix::from_vec(take, v, lu.data()[..take * v].to_vec()),
     })
 }
 
@@ -273,7 +212,7 @@ mod tests {
         let mut panel = random_matrix(6, 3, 1);
         panel[(4, 0)] = 100.0;
         let ids: Vec<u64> = (10..16).collect();
-        let c = local_select(panel.as_ref(), &ids, 3).unwrap();
+        let c = local_select(panel.as_ref(), &ids, 3);
         assert_eq!(c.ids.len(), 3);
         assert_eq!(c.ids[0], 14, "row with the dominant entry must win round 1");
         // Values are the ORIGINAL rows, not eliminated ones.
@@ -333,7 +272,7 @@ mod tests {
         for panel in &panels {
             let (m, v) = (panel.rows(), panel.cols());
             let ids: Vec<u64> = (0..m as u64).map(|i| 100 + 3 * i).collect();
-            let got = local_select(panel.as_ref(), &ids, v).unwrap();
+            let got = local_select(panel.as_ref(), &ids, v);
             let (want_ids, want_rows) = select_by_elements(panel, &ids, v);
             assert_eq!(got.ids, want_ids, "{m}x{v} panel: ids");
             let bits = |x: &Matrix| x.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -345,7 +284,7 @@ mod tests {
     #[test]
     fn local_select_empty_panel() {
         let panel = Matrix::zeros(0, 4);
-        let c = local_select(panel.as_ref(), &[], 4).unwrap();
+        let c = local_select(panel.as_ref(), &[], 4);
         assert!(c.ids.is_empty());
     }
 

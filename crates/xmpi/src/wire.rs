@@ -235,22 +235,18 @@ pub(crate) fn read_frame_into(
     }))
 }
 
-/// Encode a payload as a message frame for channel `(src, ctx, tag)`.
+/// Encode a payload as a message frame for channel `(src, ctx, tag)`: its
+/// elements as the little-endian words [`Wire::encode_slice`] writes.
 pub fn payload_frame(src: usize, ctx: u64, tag: u64, delay_ns: u64, payload: &Payload) -> Frame {
-    let (kind, body) = match payload {
+    let mut body = Vec::new();
+    let kind = match payload {
         Payload::F64(b) => {
-            let mut body = Vec::with_capacity(8 * b.len());
-            for x in b.iter() {
-                body.extend_from_slice(&x.to_le_bytes());
-            }
-            (FrameKind::MsgF64, body)
+            f64::encode_slice(b, &mut body);
+            FrameKind::MsgF64
         }
         Payload::U64(b) => {
-            let mut body = Vec::with_capacity(8 * b.len());
-            for x in b.iter() {
-                body.extend_from_slice(&x.to_le_bytes());
-            }
-            (FrameKind::MsgU64, body)
+            u64::encode_slice(b, &mut body);
+            FrameKind::MsgU64
         }
     };
     Frame {
@@ -263,7 +259,8 @@ pub fn payload_frame(src: usize, ctx: u64, tag: u64, delay_ns: u64, payload: &Pa
     }
 }
 
-/// Decode a message frame's body back into a [`Payload`].
+/// Decode a message frame's body back into a [`Payload`], with
+/// [`Wire::decode_n`].
 ///
 /// The reconstructed payload owns a **unique** [`Buf`] (refcount 1), so the
 /// receiver's [`Buf::into_vec`] reclaims the allocation without a copy —
@@ -274,35 +271,14 @@ pub fn payload_frame(src: usize, ctx: u64, tag: u64, delay_ns: u64, payload: &Pa
 /// [`XmpiError::Truncated`] if the frame is not a message frame or its body
 /// is not a whole number of 8-byte elements.
 pub fn frame_payload(frame: &Frame) -> Result<Payload, XmpiError> {
-    let src = frame.src as usize;
-    if !frame.body.len().is_multiple_of(8) {
-        return Err(truncated(8, frame.body.len() % 8, src, frame.tag));
+    let (src, len) = (frame.src as usize, frame.body.len());
+    if !len.is_multiple_of(8) {
+        return Err(truncated(8, len % 8, src, frame.tag));
     }
+    let body = &mut &frame.body[..];
     match frame.kind {
-        FrameKind::MsgF64 => {
-            let v: Vec<f64> = frame
-                .body
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(c);
-                    f64::from_le_bytes(b)
-                })
-                .collect();
-            Ok(Payload::F64(Buf::from(v)))
-        }
-        FrameKind::MsgU64 => {
-            let v: Vec<u64> = frame
-                .body
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(c);
-                    u64::from_le_bytes(b)
-                })
-                .collect();
-            Ok(Payload::U64(Buf::from(v)))
-        }
+        FrameKind::MsgF64 => Ok(Payload::F64(Buf::from(f64::decode_n(body, len / 8)?))),
+        FrameKind::MsgU64 => Ok(Payload::U64(Buf::from(u64::decode_n(body, len / 8)?))),
         _ => Err(truncated(
             FrameKind::MsgF64 as usize,
             frame.kind as usize,

@@ -50,6 +50,6 @@ pub use chrome::chrome_trace;
 pub use critpath::{critical_path, path_length, CpSegment};
 pub use invariants::{check_stats_equal, check_trace, Report, Violation};
 pub use kpi::{trace_kpis, TraceKpis};
-pub use profile::{profile_report, Provenance};
+pub use profile::{git_head, profile_report, Provenance};
 pub use replay::{replay, Machine, PhaseOverlap, Replay};
 pub use timeline::{CollSpan, RankTimeline, Span, Timeline, Wait};

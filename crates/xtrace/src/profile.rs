@@ -31,18 +31,10 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// Provenance stamped with the current `HEAD` commit (or `"unknown"`
-    /// outside a git checkout).
+    /// Provenance stamped with [`git_head`].
     pub fn here(params: Value, seed: Option<u64>) -> Provenance {
-        let commit = Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .unwrap_or_else(|| "unknown".to_string());
         Provenance {
-            commit,
+            commit: git_head(),
             params,
             seed,
         }
@@ -54,6 +46,24 @@ impl Provenance {
             "params": self.params.clone(),
             "seed": match self.seed { Some(s) => json!(s), None => Value::Null },
         })
+    }
+}
+
+/// Current git `HEAD`, or `"unknown"` outside a checkout. A checkout whose
+/// tracked files differ from `HEAD` is not that commit: its hash gets a
+/// `-dirty` suffix, so a number measured on uncommitted code never passes
+/// for its parent's.
+pub fn git_head() -> String {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        (out.status.success()).then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => head + "-dirty",
+        _ => head,
     }
 }
 
@@ -262,7 +272,10 @@ mod tests {
 
     #[test]
     fn provenance_here_finds_a_commit() {
+        // The one stamp, `-dirty` suffix included: a profile of uncommitted
+        // code must not pass for its parent's.
         let p = Provenance::here(json!({}), None);
         assert!(!p.commit.is_empty());
+        assert_eq!(p.commit, git_head());
     }
 }
