@@ -15,15 +15,18 @@
 //! `B` across many products skip the packing. [`gemmt`] fans out from the
 //! same size on, one MC-row diagonal block per task: its blocks need
 //! different column ranges of `op(B)`, so each packs its own, into scratch
-//! the call frees.
+//! the call frees. Blocks are cut at the constant [`crate::pack::MC`]; all a
+//! pool worker takes from its caller is the microkernel
+//! ([`crate::tuning::with_override`]), carried by the packed operand or the
+//! `gemmt` call.
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
 //! packed path is validated and benchmarked against
 //! (`ablations run plans/kernels.toml`).
 
 use crate::matrix::{MatMut, MatRef};
-use crate::pack::{self, PackedB};
-use crate::tuning::KernelConfig;
+use crate::pack::{self, PackedB, MC};
+use crate::ukernel::Variant;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -179,7 +182,7 @@ pub enum CUplo {
 /// engine; only the tile straddling the diagonal is computed into a scratch
 /// tile and clipped to the triangle on write-back. From the size at which
 /// [`gemm`] fans out (`n²·k` ≥ 2²⁰), the blocks go to the Rayon pool,
-/// largest first, under the configuration resolved on the calling thread and
+/// largest first, running the microkernel resolved on the calling thread and
 /// with scratch that is freed when the call returns; smaller products run
 /// them on the calling thread. Either way every element accumulates in the
 /// same order, so the result is bitwise the same, and the flops are credited
@@ -209,10 +212,9 @@ pub fn gemmt(
         return;
     }
 
-    // One config for every block, resolved here (see `product`). Diagonal
+    // One kernel for every block, resolved here (see `product`). Diagonal
     // block size: one MC row-block, so the rectangular parts hand the packed
     // engine full-height slabs.
-    let cfg = crate::tuning::active();
     let t = Gemmt {
         uplo,
         ta,
@@ -221,9 +223,9 @@ pub fn gemmt(
         a,
         b,
         beta,
-        cfg,
+        variant: crate::tuning::active().variant,
     };
-    let (mut blocks, _) = row_blocks(c, n, cfg.mc, None);
+    let (mut blocks, _) = row_blocks(c, n, None);
     if !fans_out(n, n, ka) {
         GEMMT_SCRATCH.with(|s| {
             let s = &mut s.borrow_mut();
@@ -256,7 +258,7 @@ struct Gemmt<'a> {
     a: MatRef<'a>,
     b: MatRef<'a>,
     beta: f64,
-    cfg: KernelConfig,
+    variant: &'static Variant,
 }
 
 /// A diagonal block's scratch: the packed-B block buffer and the diagonal
@@ -279,7 +281,7 @@ impl Gemmt<'_> {
                 ta.op_block(self.a, d0, 0, db, k),
                 tb.op_block(self.b, 0, j0, k, w),
             );
-            pack::gemm_packed_in(slab, self.cfg, ta, tb, self.alpha, a, b, None, c);
+            pack::gemm_packed_in(slab, self.variant, ta, tb, self.alpha, a, b, None, c);
         };
         // Rectangular part of this block-row strictly inside the triangle.
         let (rect_j0, rect_w) = match self.uplo {
@@ -365,11 +367,11 @@ pub fn gemm_rows(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, rows: &[usize], c: Ma
 ///
 /// Below [`fans_out`] it runs inline, packing `op(B)` one cache block at a
 /// time. From there `op(B)` is packed once, on the calling thread, and
-/// MC-row blocks of the product go to the Rayon pool. The configuration is
+/// MC-row blocks of the product go to the Rayon pool. The microkernel is
 /// resolved on the calling thread and travels with the packed operand: a
 /// thread-local override the caller installed (e.g. the forced-scalar
 /// benchmark baseline) is not visible on pool threads, and every block must
-/// run one configuration. Row-slicing `C` does not change any element's
+/// run one kernel. Row-slicing `C` does not change any element's
 /// accumulation order, so both paths give the same bits.
 fn product(
     ta: Trans,
@@ -389,7 +391,7 @@ fn product(
     }
     // The blocks borrow the rebased map: a helper thread that runs a block
     // frees nothing the calling (rank) thread allocated.
-    let (blocks, rel) = row_blocks(c, m, crate::tuning::active().mc, rows);
+    let (blocks, rel) = row_blocks(c, m, rows);
     let rel = rel.as_deref();
     pack::with_packed_b(tb, b, |pb| {
         blocks.into_par_iter().for_each(|(i, cblk)| {
@@ -403,24 +405,23 @@ fn product(
 /// Blocks of a product's rows, each with the slice of `C` it writes.
 type RowBlocks<'c> = Vec<(Range<usize>, MatMut<'c>)>;
 
-/// The `mc`-row blocks of an `m`-row product into `c`, each with the slice
-/// of `c` it writes. Without a row map block `q` writes rows `q·mc..`;
+/// The MC-row blocks of an `m`-row product into `c`, each with the slice
+/// of `c` it writes. Without a row map block `q` writes rows `q·MC..`;
 /// under one, its slice runs from its first mapped row to the next block's
 /// (disjoint, because the map ascends), and the map is returned rebased on
 /// each block's own slice.
 fn row_blocks<'c>(
     c: MatMut<'c>,
     m: usize,
-    mc: usize,
     rows: Option<&[usize]>,
 ) -> (RowBlocks<'c>, Option<Vec<usize>>) {
     let at = |i: usize| rows.map_or(i, |map| map[i]);
     let mut rel = rows.map(<[usize]>::to_vec);
-    let mut blocks = Vec::with_capacity(m.div_ceil(mc));
+    let mut blocks = Vec::with_capacity(m.div_ceil(MC));
     let (_, mut rest) = c.split_rows(at(0));
     let mut base = at(0);
-    for i0 in (0..m).step_by(mc) {
-        let i1 = (i0 + mc).min(m);
+    for i0 in (0..m).step_by(MC) {
+        let i1 = (i0 + MC).min(m);
         let end = if i1 < m { at(i1) } else { base + rest.rows() };
         let (cblk, tail) = rest.split_rows(end - base);
         if let Some(rel) = &mut rel {
@@ -453,7 +454,6 @@ mod tests {
     use crate::gen::random_matrix;
     use crate::matrix::Matrix;
     use crate::norms::max_abs_diff;
-    use crate::pack::MC;
 
     /// Straightforward triple-loop reference (owned-matrix wrapper around
     /// [`naive_gemm`]).
@@ -761,23 +761,27 @@ mod tests {
 
     #[test]
     fn row_blocks_cover_all_rows() {
-        let mut m = Matrix::from_fn(10, 3, |i, _| i as f64);
-        let (blocks, rel) = row_blocks(m.as_mut(), 10, 4, None);
+        let mut m = Matrix::from_fn(2 * MC + 3, 3, |i, _| i as f64);
+        let (blocks, rel) = row_blocks(m.as_mut(), 2 * MC + 3, None);
         assert!(rel.is_none());
         let cuts: Vec<_> = blocks
             .iter()
-            .map(|(r, c)| (r.clone(), c.get(0, 0)))
+            .map(|(r, c)| (r.clone(), c.get(0, 0) as usize))
             .collect();
-        assert_eq!(cuts, [(0..4, 0.0), (4..8, 4.0), (8..10, 8.0)]);
+        assert_eq!(
+            cuts,
+            [(0..MC, 0), (MC..2 * MC, MC), (2 * MC..2 * MC + 3, 2 * MC)]
+        );
         // Under a map, a block's slice runs to the next block's first row.
-        let rows = [1, 2, 5, 6, 9];
-        let (blocks, rel) = row_blocks(m.as_mut(), 5, 2, Some(&rows));
+        let rows: Vec<usize> = (0..=MC).map(|i| 2 * i + 1).collect();
+        let (blocks, rel) = row_blocks(m.as_mut(), MC + 1, Some(&rows));
         let cuts: Vec<_> = blocks
             .iter()
-            .map(|(r, c)| (r.clone(), c.rows(), c.get(0, 0)))
+            .map(|(r, c)| (r.clone(), c.rows(), c.get(0, 0) as usize))
             .collect();
-        assert_eq!(cuts, [(0..2, 4, 1.0), (2..4, 4, 5.0), (4..5, 1, 9.0)]);
-        assert_eq!(rel.unwrap(), [0, 1, 0, 1, 0]);
+        assert_eq!(cuts, [(0..MC, 2 * MC, 1), (MC..MC + 1, 2, 2 * MC + 1)]);
+        let want: Vec<usize> = (0..MC).map(|i| 2 * i).chain([0]).collect();
+        assert_eq!(rel.unwrap(), want);
     }
 
     /// Recorded when `gemm` always ran inline; 300·200·64 fans out now.

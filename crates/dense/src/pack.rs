@@ -27,10 +27,10 @@
 //! both orders compute every element of `C` from the same packed panels in
 //! the same `k` order, so they agree to the bit.
 //!
-//! Which microkernel runs, and which (KC, MC, NC) blocking tiles the loops,
-//! is decided per call by [`crate::tuning::active`]: the kernel this CPU
-//! dispatches at the constants below, unless a test or the harness has an
-//! override in force.
+//! The constants below are the whole blocking. Which microkernel runs is
+//! decided per call by [`crate::tuning::active`] — the one this CPU
+//! dispatches, unless a test or the harness overrides it — and travels with
+//! the packed operand to whichever thread multiplies it.
 //!
 //! Packing zero-pads ragged edges up to the next `MR`/`NR` multiple, so the
 //! microkernel never branches on tile shape; a tile overhanging `C` is
@@ -50,8 +50,8 @@
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
-use crate::tuning::{self, KernelConfig};
-use crate::ukernel::{Kernel, MR_MAX};
+use crate::tuning;
+use crate::ukernel::{Kernel, Variant, MR_MAX};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -210,8 +210,8 @@ fn pack_b(
 /// would otherwise re-pack the same `B` — per MC-row block of a fanned-out
 /// [`crate::gemm()`] or [`crate::gemm_rows`], per owned tile row in
 /// COnfCHOX's trailing update. Its storage is reused by the next
-/// [`PackedB::pack`]; it carries the kernel configuration it was packed
-/// under, and products against it run that configuration.
+/// [`PackedB::pack`]; it carries the microkernel it was packed for, and
+/// products against it run that kernel.
 ///
 /// Layout: KC-row blocks in ascending `k`; within a block, `NR`-column
 /// panels over all of `n` (the last zero-padded), each `kc×NR` row-major.
@@ -220,7 +220,7 @@ pub struct PackedB {
     data: Vec<f64>,
     k: usize,
     n: usize,
-    cfg: KernelConfig,
+    variant: &'static Variant,
 }
 
 impl Default for PackedB {
@@ -236,33 +236,33 @@ impl PackedB {
             data: Vec::new(),
             k: 0,
             n: 0,
-            cfg: tuning::active(),
+            variant: tuning::active().variant,
         }
     }
 
-    /// Replace the contents by `op(B)`, packed under the configuration
-    /// active on this thread. Grows the storage if needed, never shrinks it.
+    /// Replace the contents by `op(B)`, packed for the microkernel active
+    /// on this thread. Grows the storage if needed, never shrinks it.
     pub fn pack(&mut self, tb: Trans, b: MatRef<'_>) {
         let (k, n) = tb.dims(b);
-        self.fill(tuning::active(), tb, b, 0..k, 0..n);
+        self.fill(tuning::active().variant, tb, b, 0..k, 0..n);
     }
 
-    /// Replace the contents by the block `op(B)[ks, js]`.
+    /// Replace the contents by the block `op(B)[ks, js]`, packed for `variant`.
     fn fill(
         &mut self,
-        cfg: KernelConfig,
+        variant: &'static Variant,
         tb: Trans,
         b: MatRef<'_>,
         ks: Range<usize>,
         js: Range<usize>,
     ) {
-        (self.k, self.n, self.cfg) = (ks.len(), js.len(), cfg);
+        (self.k, self.n, self.variant) = (ks.len(), js.len(), variant);
         let width = self.width();
         if self.data.len() < self.k * width {
             self.data.resize(self.k * width, 0.0);
         }
-        for k0 in (0..self.k).step_by(cfg.kc) {
-            let kcb = cfg.kc.min(self.k - k0);
+        for k0 in (0..self.k).step_by(KC) {
+            let kcb = KC.min(self.k - k0);
             let slab = &mut self.data[k0 * width..(k0 + kcb) * width];
             pack_b(
                 tb,
@@ -271,7 +271,7 @@ impl PackedB {
                 kcb,
                 js.start,
                 self.n,
-                cfg.variant.nr,
+                variant.nr,
                 slab,
             );
         }
@@ -279,7 +279,7 @@ impl PackedB {
 
     /// `n` rounded up to whole panels: the values per packed `k`.
     fn width(&self) -> usize {
-        round_up(self.n, self.cfg.variant.nr)
+        round_up(self.n, self.variant.nr)
     }
 }
 
@@ -372,8 +372,8 @@ fn macro_kernel(
 
 /// Packed three-level-blocked `C += α·op(A)·op(B)` (no β handling, no flop
 /// tally): the shared engine behind [`crate::gemm`], [`crate::gemmt`] and
-/// the blocked [`crate::trsm`] updates. The microkernel and blocking come
-/// from [`crate::tuning::active`]. With `rows = Some(map)` the product's row
+/// the blocked [`crate::trsm`] updates. The microkernel comes from
+/// [`crate::tuning::active`]. With `rows = Some(map)` the product's row
 /// `i` is accumulated into `C[map[i], :]` instead of `C[i, :]`
 /// ([`crate::gemm::gemm_rows`] validates the map). Only the write-back
 /// addresses change, not one flop or its order.
@@ -395,19 +395,19 @@ pub(crate) fn gemm_packed_rows(
     c: MatMut<'_>,
 ) {
     PACK_B.with(|pb| {
-        let cfg = tuning::active();
-        gemm_packed_in(&mut pb.borrow_mut(), cfg, ta, tb, alpha, a, b, rows, c);
+        let variant = tuning::active().variant;
+        gemm_packed_in(&mut pb.borrow_mut(), variant, ta, tb, alpha, a, b, rows, c);
     });
 }
 
-/// [`gemm_packed_rows`] under `cfg`, with `pb` as the `KC×NC` block buffer:
-/// for a product that runs on a pool thread on behalf of another thread,
-/// whose configuration it must follow and whose scratch must not outlive the
+/// [`gemm_packed_rows`] running `variant`, with `pb` as the `KC×NC` block
+/// buffer: for a product that runs on a pool thread on behalf of another
+/// thread, whose kernel it must run and whose scratch must not outlive the
 /// call ([`crate::gemmt`]'s diagonal blocks).
-#[allow(clippy::too_many_arguments)] // gemm_packed_rows plus its scratch and config
+#[allow(clippy::too_many_arguments)] // gemm_packed_rows plus its scratch and kernel
 pub(crate) fn gemm_packed_in(
     pb: &mut PackedB,
-    cfg: KernelConfig,
+    variant: &'static Variant,
     ta: Trans,
     tb: Trans,
     alpha: f64,
@@ -422,11 +422,11 @@ pub(crate) fn gemm_packed_in(
         return;
     }
     let crows = c.rows();
-    for jc in (0..n).step_by(cfg.nc) {
-        let ncb = cfg.nc.min(n - jc);
-        for pc in (0..k).step_by(cfg.kc) {
-            let kcb = cfg.kc.min(k - pc);
-            pb.fill(cfg, tb, b, pc..pc + kcb, jc..jc + ncb);
+    for jc in (0..n).step_by(NC) {
+        let ncb = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kcb = KC.min(k - pc);
+            pb.fill(variant, tb, b, pc..pc + kcb, jc..jc + ncb);
             let ablk = ta.op_block(a, 0, pc, m, kcb);
             let cblk = c.rb_mut().block(0, jc, crows, ncb);
             gemm_prepacked(ta, alpha, ablk, pb, 0..ncb, rows, cblk);
@@ -437,8 +437,8 @@ pub(crate) fn gemm_packed_in(
 /// `C += α·op(A)·P[:, cols]` for an already packed `P = op(B)`, with the row
 /// map of [`gemm_packed_rows`]; `c` is `cols.len()` wide. `cols` need not
 /// start or end on a panel boundary: the first and last panels are clipped
-/// like any edge tile. Runs the configuration `P` was packed under, whose
-/// ISA is checked here, once.
+/// like any edge tile. Runs the microkernel `P` was packed for, whose ISA is
+/// checked here, once.
 pub(crate) fn gemm_prepacked(
     ta: Trans,
     alpha: f64,
@@ -459,24 +459,23 @@ pub(crate) fn gemm_prepacked(
     if m == 0 || cols.is_empty() || k == 0 || alpha == 0.0 {
         return;
     }
-    let cfg = pb.cfg;
-    let kernel = cfg.variant.kernel();
+    let kernel = pb.variant.kernel();
     let (mr, nr) = (kernel.mr, kernel.nr);
     let (width, crows) = (pb.width(), c.rows());
     // Columns per NC block: whole panels, so only a block's ends clip.
-    let span = (cfg.nc / nr).max(1) * nr;
+    let span = NC / nr * nr;
     PACK_A.with(|pa| {
         let mut pa = pa.borrow_mut();
         let mut j = cols.start;
         while j < cols.end {
             let (q, off) = (j / nr, j % nr);
             let ncb = (span - off).min(cols.end - j);
-            for k0 in (0..k).step_by(cfg.kc) {
-                let kcb = cfg.kc.min(k - k0);
+            for k0 in (0..k).step_by(KC) {
+                let kcb = KC.min(k - k0);
                 let slab = &pb.data[k0 * width..(k0 + kcb) * width];
                 let panels = &slab[q * nr * kcb..];
-                for ic in (0..m).step_by(cfg.mc) {
-                    let mcb = cfg.mc.min(m - ic);
+                for ic in (0..m).step_by(MC) {
+                    let mcb = MC.min(m - ic);
                     let need = round_up(mcb, mr) * kcb;
                     if pa.len() < need {
                         pa.resize(need, 0.0);
@@ -560,8 +559,8 @@ mod tests {
         let (m, n, k) = (13, 11, 9);
         let a = random_matrix(m, k, 5);
         let b = random_matrix(k, n, 6);
-        let run = |cfg: KernelConfig| {
-            let kernel = cfg.variant.kernel();
+        let run = |variant: &Variant| {
+            let kernel = variant.kernel();
             let (mr, nr) = (kernel.mr, kernel.nr);
             let mut pa = vec![0.0; round_up(m, mr) * k];
             let mut pb = vec![0.0; round_up(n, nr) * k];
@@ -573,7 +572,7 @@ mod tests {
         };
         let (want, got) = (
             run(tuning::scalar_baseline()),
-            run(tuning::default_config()),
+            run(tuning::active().variant),
         );
         assert_eq!(got.data(), want.data());
     }
@@ -585,7 +584,7 @@ mod tests {
         let (m, n, k, off) = (2 * MR + 1, 3 * NR + 2, 11, 3);
         let a = random_matrix(m, k, 15);
         let b = random_matrix(k, off + n, 16);
-        let kernel = crate::tuning::default_config().variant.kernel();
+        let kernel = tuning::active().variant.kernel();
         let (mr, nr) = (kernel.mr, kernel.nr);
         let mut pa = vec![0.0; round_up(m, mr) * k];
         let mut pb = vec![0.0; round_up(off + n, nr) * k];
@@ -629,6 +628,25 @@ mod tests {
         assert!(!row_order(KC, NC));
         assert!(row_order(KC, ROW_ORDER_MAX_SLAB / KC));
         assert!(!row_order(KC, ROW_ORDER_MAX_SLAB / KC + 1));
+    }
+
+    #[test]
+    fn a_packed_operand_runs_the_kernel_it_was_packed_for() {
+        // Packed under the forced-scalar override (8-column panels), then
+        // multiplied after it ended, as a pool worker multiplies its
+        // caller's operand: still the scalar kernel the panels are laid for.
+        let (m, k, n) = (MR + 1, 9, 3 * NR + 5);
+        let (a, b) = (random_matrix(m, k, 10), random_matrix(k, n, 11));
+        let mut pb = PackedB::new();
+        tuning::with_override(tuning::scalar_baseline(), || pb.pack(Trans::N, b.as_ref()));
+        assert_eq!(pb.variant.id, "scalar_4x8_u1");
+        assert_eq!(pb.width(), round_up(n, 8));
+        let mut got = crate::Matrix::zeros(m, n);
+        gemm_prepacked(Trans::N, 1.0, a.as_ref(), &pb, 0..n, None, got.as_mut());
+        let mut want = crate::Matrix::zeros(m, n);
+        let (a, b, c) = (a.as_ref(), b.as_ref(), want.as_mut());
+        gemm_packed_rows(Trans::N, Trans::N, 1.0, a, b, None, c);
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]

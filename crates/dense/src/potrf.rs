@@ -9,28 +9,27 @@ use crate::matrix::{MatMut, Matrix};
 use crate::trsm::{trsm, Diag, Side, Uplo};
 use crate::{Error, Result};
 
-/// Unblocked lower Cholesky on a square view.
+/// Unblocked lower Cholesky on a square view, in row slices: every sum of
+/// `l_kj²` or `l_ij·l_kj` runs over ascending `j < k`.
+///
+/// # Errors
+/// [`Error::NotPositiveDefinite`] at the first pivot that is not positive.
 pub fn potrf_unblocked(mut a: MatMut<'_>) -> Result<()> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "potrf: matrix must be square");
     crate::flops::tally(crate::flops::potrf_flops(n));
     for k in 0..n {
-        let mut d = a.get(k, k);
-        for j in 0..k {
-            let lkj = a.get(k, j);
-            d -= lkj * lkj;
-        }
+        let (mut head, mut below) = a.rb_mut().split_rows(k + 1);
+        let (lk, akk) = head.row_mut(k).split_at_mut(k);
+        let d = lk.iter().fold(akk[0], |d, &l| d - l * l);
         if d <= 0.0 {
             return Err(Error::NotPositiveDefinite(k));
         }
-        let lkk = d.sqrt();
-        a.set(k, k, lkk);
-        for i in k + 1..n {
-            let mut s = a.get(i, k);
-            for j in 0..k {
-                s -= a.get(i, j) * a.get(k, j);
-            }
-            a.set(i, k, s / lkk);
+        akk[0] = d.sqrt();
+        for i in 0..below.rows() {
+            let (li, aik) = below.row_mut(i).split_at_mut(k);
+            let s = li.iter().zip(&*lk).fold(aik[0], |s, (&x, &y)| s - x * y);
+            aik[0] = s / akk[0];
         }
     }
     Ok(())
@@ -139,5 +138,23 @@ mod tests {
         let sentinel = a[(2, 7)];
         potrf(&mut a, 4).unwrap();
         assert_eq!(a[(2, 7)], sentinel);
+    }
+
+    /// Recorded when `potrf_unblocked` was still a scalar `get`/`set` loop.
+    #[test]
+    fn factor_bits_are_pinned() {
+        use crate::gen::tests::digest;
+        for (n, seed, want) in [
+            (12, 1, 0x5a78_4218_1802_ac0b),
+            (64, 2, 0x3a7a_2fc2_fa07_4aec),
+            (97, 3, 0x7fcf_8c69_52ad_2afb),
+        ] {
+            let mut a = random_spd(n, seed);
+            potrf_unblocked(a.as_mut()).unwrap();
+            assert_eq!(digest(&a), want, "potrf_unblocked({n}, seed {seed})");
+        }
+        let mut a = random_spd(193, 43);
+        potrf(&mut a, 0).unwrap();
+        assert_eq!(digest(&a), 0xce30_2062_24ae_d193, "potrf(193)");
     }
 }

@@ -1,23 +1,19 @@
-//! Kernel dispatch: which [`crate::ukernel::Variant`] and which
-//! (KC, MC, NC) cache blocking the packed GEMM engine runs.
+//! Kernel dispatch: which [`crate::ukernel::Variant`] the packed GEMM
+//! engine runs.
 //!
 //! Every call into the engine (`pack::gemm_packed_rows`, behind
-//! [`crate::gemm()`]) asks [`active`], which returns the innermost
-//! [`with_override`] on this thread — how tests put small matrices across
-//! KC/MC/NC edges and how `plans/kernels.toml` measures the forced-scalar
-//! baseline — or else [`default_config`]: the kernel of the widest ISA level
-//! the CPU reports (AVX-512 `6×16`, AVX2 `6×8`, else scalar `4×8`), at the
-//! blocking constants of [`crate::pack`]. Nothing is read from a file or the
+//! [`crate::gemm()`]) asks [`active`], which names the innermost
+//! [`with_override`] on this thread — how `plans/kernels.toml` measures the
+//! forced-scalar baseline and how tests put each microkernel under a product
+//! — or else the kernel of the widest ISA level the CPU reports (AVX-512
+//! `6×16`, AVX2 `6×8`, else scalar `4×8`). Nothing is read from a file or the
 //! environment. The three kernels agree to the bit ([`crate::ukernel`]), so a
-//! result does not depend on which machine computed it. How the constants
-//! were chosen, and how to re-derive them on new hardware: EXPERIMENTS.md,
-//! "Kernel dispatch".
+//! result does not depend on which machine computed it.
 //!
-//! Under an override, MC and NC can take any value without moving a bit:
-//! they tile the *output*, and each element of `C` belongs to exactly one
-//! tile, so its accumulation order never depends on them — nor on the
-//! macro-kernel's loop order, which is chosen from `kc·nc`
-//! ([`crate::pack`]). KC is different; see [`crate::pack::KC`].
+//! The cache blocking is not dispatched: it is the constants
+//! [`crate::pack::KC`], [`crate::pack::MC`] and [`crate::pack::NC`], which
+//! [`active`] only reports. How they were chosen, and how to re-derive them
+//! on new hardware: EXPERIMENTS.md, "Kernel dispatch".
 
 use crate::ukernel::{self, Variant};
 use std::cell::Cell;
@@ -27,17 +23,17 @@ use std::cell::Cell;
 /// ROADMAP item 1's `[benchmark]` PR deletes it from both ends.
 pub const ENV_TUNING_PATH: &str = "CONFLUX_TUNING_PATH";
 
-/// Everything the packed engine needs to run one GEMM: which microkernel,
-/// and the three cache-blocking parameters.
+/// What the packed engine runs on this thread: the microkernel, and the
+/// three cache-blocking constants of [`crate::pack`] it runs at.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
     /// The microkernel variant (defines MR×NR and the inner loop).
     pub variant: &'static Variant,
-    /// K-dimension cache block (packed-B panel depth).
+    /// K-dimension cache block ([`crate::pack::KC`]).
     pub kc: usize,
-    /// M-dimension cache block (rows of packed A per inner loop).
+    /// M-dimension cache block ([`crate::pack::MC`]).
     pub mc: usize,
-    /// N-dimension cache block (columns of packed B per outer loop).
+    /// N-dimension cache block ([`crate::pack::NC`]).
     pub nc: usize,
 }
 
@@ -52,56 +48,41 @@ impl KernelConfig {
     }
 }
 
-/// The forced-scalar baseline: the scalar 4×8 microkernel PR 3 shipped, at
-/// the default blocking. This is what the `tuned_speedup` KPI and the
-/// forced-scalar benchmark sample measure against, and what a CPU without
-/// AVX2 runs.
-pub fn scalar_baseline() -> KernelConfig {
+/// The forced-scalar baseline: the scalar 4×8 microkernel. This is what the
+/// `tuned_speedup` KPI and the forced-scalar benchmark sample measure
+/// against, and what a CPU without AVX2 runs.
+pub fn scalar_baseline() -> &'static Variant {
+    &ukernel::SCALAR_4X8
+}
+
+thread_local! {
+    static OVERRIDE: Cell<Option<&'static Variant>> = const { Cell::new(None) };
+}
+
+/// What the packed engine runs on this thread right now: the innermost
+/// [`with_override`]'s microkernel if one is active, else the widest this
+/// CPU reports, at the blocking of [`crate::pack`].
+pub fn active() -> KernelConfig {
     KernelConfig {
-        variant: &ukernel::SCALAR_4X8,
+        variant: OVERRIDE.with(Cell::get).unwrap_or_else(ukernel::native),
         kc: crate::pack::KC,
         mc: crate::pack::MC,
         nc: crate::pack::NC,
     }
 }
 
-/// The config every product runs outside a [`with_override`]: the kernel of
-/// the widest level this CPU reports (AVX-512 `6×16`, AVX2 `6×8`, else
-/// scalar `4×8`; [`crate::ukernel`]) at the blocking of [`scalar_baseline`],
-/// so no product's k-grouping, and no bit of any result, depends on which of
-/// the three kernels runs.
-pub fn default_config() -> KernelConfig {
-    KernelConfig {
-        variant: ukernel::native(),
-        ..scalar_baseline()
-    }
-}
-
-thread_local! {
-    static OVERRIDE: Cell<Option<KernelConfig>> = const { Cell::new(None) };
-}
-
-/// The config the packed engine should use on this thread right now: the
-/// innermost [`with_override`] if one is active, else [`default_config`].
-pub fn active() -> KernelConfig {
-    OVERRIDE.with(|o| o.get()).unwrap_or_else(default_config)
-}
-
-/// Run `f` with every packed-GEMM call on this thread dispatching `cfg`
-/// (the harness's forced-scalar baseline and the blocking-edge tests use
-/// this). Overrides nest; the previous config is restored even on panic.
-/// A fanned-out [`crate::gemm()`] packs `B` under the caller's override and
-/// its Rayon workers run the config the packed operand carries, and
-/// [`crate::gemmt`] hands its workers the config it resolved, so parallel
-/// kernels honor it too.
-pub fn with_override<R>(cfg: KernelConfig, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<KernelConfig>);
+/// Run `f` with every packed-GEMM call on this thread dispatching `variant`
+/// (the forced-scalar baseline, the cross-kernel tests). Overrides nest; the
+/// previous one is restored even on panic. A fanned-out product's pool
+/// workers run the kernel its caller resolved ([`crate::gemm()`]).
+pub fn with_override<R>(variant: &'static Variant, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<&'static Variant>);
     impl Drop for Restore {
         fn drop(&mut self) {
             OVERRIDE.with(|o| o.set(self.0));
         }
     }
-    let _guard = Restore(OVERRIDE.with(|o| o.replace(Some(cfg))));
+    let _guard = Restore(OVERRIDE.with(|o| o.replace(Some(variant))));
     f()
 }
 
@@ -110,39 +91,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_blocking_matches_the_pretuning_constants() {
-        // Re-pinned when the default became the 6×8 tile: MC a multiple of
-        // 6, NC one full row of the benchmark's updates, KC where it was —
-        // the one constant a factor bit depends on.
-        let d = default_config();
-        assert_eq!((d.kc, d.mc, d.nc), (256, 192, 1024));
-        assert_eq!(
-            (d.kc, d.mc, d.nc),
-            (crate::pack::KC, crate::pack::MC, crate::pack::NC)
-        );
-        // The kernel is the widest level this CPU reports, and the
-        // blocking tiles it evenly.
-        use crate::ukernel::Isa;
-        let widest = [Isa::Avx512, Isa::Avx2, Isa::Scalar]
-            .into_iter()
-            .find_map(Isa::variant);
-        assert_eq!(Some(d.variant.id), widest.map(|v| v.id));
-        assert_eq!(d.mc % d.variant.mr, 0);
-        assert_eq!(d.nc % d.variant.nr, 0);
-        let s = scalar_baseline();
-        assert_eq!(s.variant.id, "scalar_4x8_u1");
-        assert_eq!((s.kc, s.mc, s.nc), (d.kc, d.mc, d.nc));
-    }
-
-    #[test]
     fn with_override_nests_and_restores() {
         let base = active().variant.id;
-        let forced = scalar_baseline();
-        with_override(forced, || {
+        let avx2 = crate::ukernel::Isa::Avx2.variant();
+        with_override(scalar_baseline(), || {
             assert_eq!(active().variant.id, "scalar_4x8_u1");
-            let inner = KernelConfig { kc: 999, ..forced };
-            with_override(inner, || assert_eq!(active().kc, 999));
-            assert_eq!(active().kc, forced.kc);
+            if let Some(avx2) = avx2 {
+                with_override(avx2, || assert_eq!(active().variant.id, avx2.id));
+            }
+            assert_eq!(active().variant.id, "scalar_4x8_u1");
         });
         assert_eq!(active().variant.id, base);
     }

@@ -21,11 +21,11 @@
 //!   one): hosts with and without AVX2 or AVX-512 must produce the same
 //!   factor bits.
 //!
-//! [`crate::tuning::default_config`] runs the widest level the CPU reports,
-//! and that is the whole of dispatch. The two older ids are the names those
-//! kernels had in the 57-point grid a per-machine tuner once chose from
-//! (EXPERIMENTS.md, "Kernel dispatch"); `benchmark/` records the id in its
-//! provenance block, so they stay.
+//! Outside a [`crate::tuning::with_override`] the engine runs the widest
+//! level the CPU reports, and that is the whole of dispatch. The two older
+//! ids are the names those kernels had in the 57-point grid a per-machine
+//! tuner once chose from (EXPERIMENTS.md, "Kernel dispatch"); `benchmark/`
+//! records the id in its provenance block, so they stay.
 //!
 //! All three share one calling convention: multiply an `MR`-row packed A
 //! panel by an `NR`-column packed B panel over `kc` steps in registers, then

@@ -11,8 +11,9 @@
 //! * the row-mapped in-place update `gemm_rows` against the two-pass
 //!   formulation it replaces (product into a zeroed scratch, then add the
 //!   scratch rows), bitwise,
-//! * the macro-kernel's two loop orders and every cache blocking against
-//!   each other, bitwise, on shapes either side of the crossover,
+//! * whole products against the same products in small pieces, bitwise,
+//!   under every microkernel, on shapes whose blocks sit either side of the
+//!   loop-order crossover and straddle the MR/NR/MC/NC/KC edges,
 //! * a product against a prepacked operand (`gemm_prepacked`) against the
 //!   `gemm(N, T)` on the block of `B` it stands for, bitwise, for column
 //!   ranges that start and end inside register-tile panels.
@@ -21,7 +22,8 @@ use dense::gemm::{gemm, gemm_prepacked, gemm_rows, naive_gemm, par_gemm, Trans};
 use dense::gen::random_matrix;
 use dense::norms::{frobenius, max_abs_diff};
 use dense::pack::{KC, MC, MR, NC, NR};
-use dense::tuning::{self, KernelConfig};
+use dense::tuning;
+use dense::ukernel::{Isa, Variant};
 use dense::{Matrix, PackedB};
 use proptest::prelude::*;
 
@@ -266,59 +268,59 @@ proptest! {
     }
 }
 
+/// Every microkernel this CPU runs, scalar first.
+fn kernels() -> Vec<&'static Variant> {
+    let levels = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
+    levels.into_iter().filter_map(Isa::variant).collect()
+}
+
 /// The macro-kernel's loop order is chosen from the block it is handed
 /// (`kc·nc` against a fixed slab size), and MC / NC only tile the output:
-/// none of them may move a bit. Each shape is run under blockings that put it
-/// on either side of the loop-order crossover and on every MR / NR / MC / NC
-/// edge, under the scalar 4×8 kernel and the one this CPU dispatches; `k`
-/// stays within one KC block, as every factorization update does.
+/// neither may move a bit. Each shape is run whole — its blocks on either
+/// side of the loop-order crossover and across the MR / NR / MC / NC / KC
+/// edges — and in `(MR − 1)×(NR + 3)` pieces, whose small blocks all take
+/// the row order and cut the register tiles elsewhere, under every kernel
+/// this CPU has; all must write the scalar kernel's pieces' bits.
 #[test]
 fn loop_order_and_blocking_never_change_bits() {
-    let bases = [tuning::scalar_baseline(), tuning::default_config()];
-    // (kc·nc) for a full-width block of these: 32·1100 and 64·1024 are row
-    // order under the default NC, 64·1032 and 250·300 column order; NC = 8
-    // makes every block row order, NC = 4096 none of the deep ones.
+    // The whole products' blocks (kc·nc): 32·1024 and 64·1024 take the row
+    // order, 250·300 the column order, and the last but one takes both —
+    // 256·1024 by columns, its 3-deep and 16-wide remainders by rows.
     let shapes = [
-        (2 * MC + MR + 1, 1100, 32),
+        (2 * MC + MR + 1, NC + 76, 32),
         (MC - 1, NC, 64),
         (MC + 1, NC + NR, 64),
         (3 * MR + 2, 300, KC - 6),
+        (MC + 1, NC + NR, KC + 3),
         (1, NR + 1, 1),
     ];
     for (m, n, k) in shapes {
         let a = random_matrix(m, k, 7);
         let b = random_matrix(k, n, 8);
         let c0 = random_matrix(m, n, 9);
-        let run = |base: KernelConfig, mc: usize, nc: usize| {
+        let run = |variant: &'static Variant, pieces: bool| {
             let mut c = c0.clone();
-            tuning::with_override(KernelConfig { mc, nc, ..base }, || {
-                gemm(
-                    Trans::N,
-                    Trans::N,
-                    -1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    1.0,
-                    c.as_mut(),
-                )
+            let (pm, pn) = if pieces { (MR - 1, NR + 3) } else { (m, n) };
+            tuning::with_override(variant, || {
+                for i in (0..m).step_by(pm) {
+                    for j in (0..n).step_by(pn) {
+                        let (h, w) = (pm.min(m - i), pn.min(n - j));
+                        let (a, b) = (a.block(i, 0, h, k), b.block(0, j, k, w));
+                        let c = c.block_mut(i, j, h, w);
+                        gemm(Trans::N, Trans::N, -1.0, a, b, 1.0, c);
+                    }
+                }
             });
             c
         };
-        let want = run(bases[0], MC, NC);
-        for base in bases {
-            for (mc, nc) in [
-                (MC, NC),
-                (MR, NR),
-                (MC, 256),
-                (MC + 1, NC - NR),
-                (4 * MC, 4096),
-                (MR - 1, NR + 3),
-            ] {
+        let want = run(tuning::scalar_baseline(), true);
+        for variant in kernels() {
+            for pieces in [false, true] {
                 assert_eq!(
-                    run(base, mc, nc).data(),
+                    run(variant, pieces).data(),
                     want.data(),
-                    "{} mc={mc} nc={nc} changed bits at m={m} n={n} k={k}",
-                    base.variant.id
+                    "{} (pieces: {pieces}) changed bits at m={m} n={n} k={k}",
+                    variant.id
                 );
             }
         }
@@ -369,34 +371,31 @@ proptest! {
 }
 
 /// A wide operand spans several NC blocks of the packed `B`, a deep one
-/// several KC blocks: the prepacked product walks both like `gemm` does.
+/// several KC blocks: the prepacked product walks both like `gemm` does,
+/// under every kernel this CPU has.
 #[test]
 fn prepacked_operand_spanning_cache_blocks_equals_gemm() {
-    let cfg = KernelConfig {
-        kc: 16,
-        mc: 2 * MR,
-        nc: 3 * NR,
-        ..tuning::default_config()
-    };
-    let (m, n, k) = (3 * MR + 1, 7 * NR + 5, 37);
+    let (m, n, k) = (2 * MR + 1, NC + 2 * NR + 5, KC + 37);
     let (a, b) = (random_matrix(m, k, 1), random_matrix(k, n, 2));
     let c0 = random_matrix(m, n - 9, 3);
-    let (mut want, mut got) = (c0.clone(), c0);
-    tuning::with_override(cfg, || {
-        gemm(
-            Trans::N,
-            Trans::N,
-            0.5,
-            a.as_ref(),
-            b.block(0, 5, k, n - 9),
-            1.0,
-            want.as_mut(),
-        );
-        let mut packed = PackedB::new();
-        packed.pack(Trans::N, b.as_ref());
-        gemm_prepacked(0.5, a.as_ref(), &packed, 5..n - 4, got.as_mut());
-    });
-    assert_eq!(got.data(), want.data());
+    for variant in kernels() {
+        let (mut want, mut got) = (c0.clone(), c0.clone());
+        tuning::with_override(variant, || {
+            gemm(
+                Trans::N,
+                Trans::N,
+                0.5,
+                a.as_ref(),
+                b.block(0, 5, k, n - 9),
+                1.0,
+                want.as_mut(),
+            );
+            let mut packed = PackedB::new();
+            packed.pack(Trans::N, b.as_ref());
+            gemm_prepacked(0.5, a.as_ref(), &packed, 5..n - 4, got.as_mut());
+        });
+        assert_eq!(got.data(), want.data(), "{}", variant.id);
+    }
 }
 
 #[test]

@@ -2,16 +2,14 @@
 //! and `potrf` must produce **bitwise-identical** factors under every
 //! microkernel (the scalar 4×8 every CPU runs, the AVX2 6×8 and the AVX-512
 //! 6×16, each where the CPU has it — a level it lacks is skipped with a
-//! printed note) and under any KC ≥ 256, MC and NC, because the blocked
-//! factorizations cap their panel widths at 64–256 and the packed engine is
-//! KC-invariant below one block. Hosts with and without AVX2 or AVX-512
-//! therefore agree on every factor bit. A fanned-out `gemm` and `gemmt` are
-//! held to the same rule when they run their blocks on the Rayon pool, and
-//! `gemmt` to the bits of `gemm`.
+//! printed note). Hosts with and without AVX2 or AVX-512 therefore agree on
+//! every factor bit. A fanned-out `gemm` and `gemmt` are held to the same
+//! rule when they run their blocks on the Rayon pool, and `gemmt` to the
+//! bits of `gemm`.
 
 use dense::gemm::{gemm, gemmt, CUplo, Trans};
 use dense::gen::{random_matrix, random_spd};
-use dense::tuning::{self, KernelConfig};
+use dense::tuning;
 use dense::ukernel::Isa;
 use dense::{getrf, potrf, Matrix};
 
@@ -58,12 +56,11 @@ fn transposed_product() -> Matrix {
     c
 }
 
-/// Runs `getrf`/`potrf` under configurations that differ in microkernel
-/// shape, ISA, KC (≥ 256), MC, and NC, and requires the factors (and pivots)
-/// to be bitwise identical to the scalar baseline's. The n = 400 `potrf`,
-/// the `gemmt` and the transposed `gemm` fan out to Rayon workers, which see
-/// no thread-local override: their bits hold only if the config travels
-/// from the calling thread.
+/// Runs `getrf`/`potrf` under every microkernel this CPU has, and requires
+/// the factors (and pivots) to be bitwise identical to the scalar
+/// baseline's. The n = 400 `potrf`, the `gemmt` and the transposed `gemm`
+/// fan out to Rayon workers, which see no thread-local override and run the
+/// kernel that travels from the calling thread.
 #[test]
 fn factorizations_are_bitwise_invariant_across_permitted_configs() {
     with_helpers();
@@ -82,39 +79,24 @@ fn factorizations_are_bitwise_invariant_across_permitted_configs() {
         (piv, [lu, ch, big_ch, update, transposed_product()])
     };
 
-    let baseline = tuning::scalar_baseline();
-    let (want_piv, want) = tuning::with_override(baseline, run);
+    let (want_piv, want) = tuning::with_override(tuning::scalar_baseline(), run);
 
-    // KC stays ≥ 256, where every factorization update is one block
-    // (`pack::KC`); MC/NC are unconstrained.
-    for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+    for isa in [Isa::Avx2, Isa::Avx512] {
         let Some(variant) = isa.variant() else {
             eprintln!("note: this CPU lacks {isa:?}; its microkernel is not tested");
             continue;
         };
-        let base = KernelConfig {
-            variant,
-            ..baseline
-        };
-        for (kc, mc, nc) in [
-            (base.kc, base.mc, base.nc),
-            (384, 128, 512),
-            (512, 64, 256),
-            (256, 256, 1024),
+        let label = variant.id;
+        let (piv, got) = tuning::with_override(variant, run);
+        assert_eq!(piv, want_piv, "{label}: pivot sequence changed");
+        for (what, got, want) in [
+            ("LU factor", &got[0], &want[0]),
+            ("Cholesky n=193", &got[1], &want[1]),
+            ("Cholesky n=400", &got[2], &want[2]),
+            ("gemmt", &got[3], &want[3]),
+            ("gemm TT", &got[4], &want[4]),
         ] {
-            let cfg = KernelConfig { kc, mc, nc, ..base };
-            let label = cfg.describe();
-            let (piv, got) = tuning::with_override(cfg, run);
-            assert_eq!(piv, want_piv, "{label}: pivot sequence changed");
-            for (what, got, want) in [
-                ("LU factor", &got[0], &want[0]),
-                ("Cholesky n=193", &got[1], &want[1]),
-                ("Cholesky n=400", &got[2], &want[2]),
-                ("gemmt", &got[3], &want[3]),
-                ("gemm TT", &got[4], &want[4]),
-            ] {
-                assert_eq!(got.data(), want.data(), "{label}: {what} bits changed");
-            }
+            assert_eq!(got.data(), want.data(), "{label}: {what} bits changed");
         }
     }
 }
@@ -146,86 +128,4 @@ fn gemmt_is_the_matching_triangle_of_gemm() {
             }
         }
     }
-}
-
-/// Rayon workers see no thread-local override, so a fanned-out `gemmt` runs
-/// its caller's config only if the config travels with the blocks. KC = 32
-/// regroups the k = 64 sums (`pack::KC`), so any block that ran the default
-/// config instead would differ from a `gemm` under the same override; MC = 48
-/// cuts nine blocks, and five calls give the pool's workers every chance to
-/// take some of them.
-#[test]
-fn fanned_out_gemmt_runs_the_callers_config() {
-    with_helpers();
-    let l = random_matrix(400, 64, 45);
-    let product = |cfg: KernelConfig, triangle: bool| {
-        let mut c = Matrix::zeros(400, 400);
-        tuning::with_override(cfg, || {
-            let (a, b, c) = (l.as_ref(), l.as_ref(), c.as_mut());
-            if triangle {
-                gemmt(CUplo::Lower, Trans::N, Trans::T, 1.0, a, b, 0.0, c);
-            } else {
-                gemm(Trans::N, Trans::T, 1.0, a, b, 0.0, c);
-            }
-        });
-        (0..400)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
-            .map(|(i, j)| c[(i, j)].to_bits())
-            .collect::<Vec<_>>()
-    };
-    let short_kc = KernelConfig {
-        kc: 32,
-        mc: 48,
-        ..tuning::default_config()
-    };
-    let want = product(short_kc, false);
-    for _ in 0..5 {
-        assert_eq!(product(short_kc, true), want, "gemmt ran another config");
-    }
-    let default = product(tuning::default_config(), true);
-    assert_ne!(want, default, "KC = 32 moved no bit");
-}
-
-/// The same rule for a fanned-out `gemm`, against the same product in row
-/// slices small enough to run inline on the calling thread: KC = 32
-/// regroups the k = 64 sums, so a block that ran the default config on a
-/// pool worker would differ. MC = 48 cuts seven row blocks per call.
-#[test]
-fn fanned_out_gemm_runs_the_callers_config() {
-    with_helpers();
-    let (a, b) = (random_matrix(64, 300, 47), random_matrix(64, 200, 48));
-    let short_kc = KernelConfig {
-        kc: 32,
-        mc: 48,
-        ..tuning::default_config()
-    };
-    let product = |cfg: KernelConfig, slice: usize| {
-        let mut c = Matrix::zeros(300, 200);
-        tuning::with_override(cfg, || {
-            for r0 in (0..300).step_by(slice) {
-                let rows = slice.min(300 - r0);
-                let c = c.block_mut(r0, 0, rows, 200);
-                gemm(
-                    Trans::T,
-                    Trans::N,
-                    1.0,
-                    a.block(0, r0, 64, rows),
-                    b.as_ref(),
-                    0.0,
-                    c,
-                );
-            }
-        });
-        c.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-    };
-    // 50·200·64 runs inline; 300·200·64 fans out.
-    let want = product(short_kc, 50);
-    for _ in 0..5 {
-        assert_eq!(product(short_kc, 300), want, "gemm ran another config");
-    }
-    assert_ne!(
-        want,
-        product(tuning::default_config(), 300),
-        "KC = 32 moved no bit"
-    );
 }

@@ -16,7 +16,7 @@
 
 use dense::gemm::{gemm, Trans};
 use dense::gen::random_matrix;
-use dense::tuning::{self, KernelConfig};
+use dense::tuning;
 use dense::ukernel::{self, Isa, Variant};
 use dense::Matrix;
 use proptest::prelude::*;
@@ -48,9 +48,9 @@ fn depth() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// The kernels under test: every ISA level this CPU runs, scalar first, at
-/// the default blocking. A level it lacks is skipped with a note.
-fn kernels() -> Vec<KernelConfig> {
+/// The kernels under test: every ISA level this CPU runs, scalar first. A
+/// level it lacks is skipped with a note.
+fn kernels() -> Vec<&'static Variant> {
     let levels = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
     let runnable = levels.filter_map(|isa| {
         let variant = isa.variant();
@@ -59,10 +59,7 @@ fn kernels() -> Vec<KernelConfig> {
         }
         variant
     });
-    let base = tuning::scalar_baseline();
-    runnable
-        .map(|variant| KernelConfig { variant, ..base })
-        .collect()
+    runnable.collect()
 }
 
 /// Run `v` on the tile of `c` made of rows `rows` (ascending), columns
@@ -104,7 +101,7 @@ proptest! {
         kc in depth(),
         seed in 0u64..1000,
     ) {
-        for v in kernels().into_iter().map(|cfg| cfg.variant) {
+        for v in kernels() {
             let pa = panel(kc * v.mr, seed);
             let pb = panel(kc * v.nr, seed + 1);
             let acc = ukernel::reference_microkernel(v.mr, v.nr, kc, &pa, &pb);
@@ -148,63 +145,21 @@ proptest! {
         let a = random_matrix(m, k, seed);
         let b = random_matrix(k, n, seed + 1);
         let c0 = random_matrix(m, n, seed + 2);
-        let run = |cfg: KernelConfig| {
+        let run = |variant: &'static Variant| {
             let mut c = c0.clone();
-            tuning::with_override(cfg, || {
+            tuning::with_override(variant, || {
                 gemm(Trans::N, Trans::N, 1.5, a.as_ref(), b.as_ref(), -0.5, c.as_mut())
             });
             c
         };
         let [scalar, simd @ ..] = &kernels()[..] else { unreachable!() };
-        let want = run(*scalar);
-        for cfg in simd {
+        let want = run(scalar);
+        for variant in simd {
             prop_assert_eq!(
-                run(*cfg).data(), want.data(),
+                run(variant).data(), want.data(),
                 "{} changed GEMM bits at m={} n={} k={}",
-                cfg.variant.id, m, n, k
+                variant.id, m, n, k
             );
-        }
-    }
-}
-
-/// The depths the factorizations actually hand the engine (panel widths
-/// ≤ 256) are a single KC block for every `kc ≥ 256`, so GEMM must be
-/// bitwise KC-invariant there, under every kernel — why `pack::KC` may grow
-/// but not shrink without moving factor bits.
-#[test]
-fn gemm_with_small_k_is_bitwise_invariant_to_permitted_kc() {
-    let (m, n) = (97, 83);
-    for k in [1, 63, 160, 256] {
-        let a = random_matrix(m, k, 7);
-        let b = random_matrix(k, n, 8);
-        let c0 = random_matrix(m, n, 9);
-        let mut want = None;
-        for (base, kc) in kernels()
-            .into_iter()
-            .flat_map(|base| [256, 384, 512].map(|kc| (base, kc)))
-        {
-            let cfg = KernelConfig { kc, ..base };
-            let mut c = c0.clone();
-            tuning::with_override(cfg, || {
-                gemm(
-                    Trans::N,
-                    Trans::N,
-                    1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    1.0,
-                    c.as_mut(),
-                )
-            });
-            match &want {
-                None => want = Some(c),
-                Some(w) => assert_eq!(
-                    w.data(),
-                    c.data(),
-                    "{} changed bits at k={k}",
-                    cfg.describe()
-                ),
-            }
         }
     }
 }

@@ -11,7 +11,8 @@
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
 use crate::common::{
-    phase, phase_end, split_results, Collected, Lower, RankResult, State, TileStore, Tiling,
+    check_shape, phase, phase_end, split_results, Collected, Lower, RankResult, State, TileStore,
+    Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig, PivotPolicy};
@@ -43,10 +44,11 @@ pub struct ScalapackOutput {
 /// machine is the machine).
 ///
 /// # Errors
-/// Propagates singularity.
+/// [`Error::ShapeMismatch`] if `a` is not `cfg.n × cfg.n`, before any world
+/// is launched; otherwise propagates singularity.
 ///
 /// # Panics
-/// On extent or rank-count mismatch.
+/// On a descriptor whose extent or rank count does not match `cfg`.
 pub fn pdgetrf(
     user_desc: BlockCyclic,
     a: &Matrix,
@@ -64,10 +66,11 @@ pub fn pdgetrf(
 /// `user_desc` with COnfCHOX and return `L` in `user_desc`.
 ///
 /// # Errors
-/// Propagates [`Error::NotPositiveDefinite`].
+/// [`Error::ShapeMismatch`] if `a` is not `cfg.n × cfg.n`, before any world
+/// is launched; otherwise propagates [`Error::NotPositiveDefinite`].
 ///
 /// # Panics
-/// On extent or rank-count mismatch.
+/// On a descriptor whose extent or rank count does not match `cfg`.
 pub fn pdpotrf(
     user_desc: BlockCyclic,
     a: &Matrix,
@@ -93,6 +96,7 @@ fn wrapped(
     factor: impl Fn(&Comm, TileStore) -> RankResult + Sync,
 ) -> Result<ScalapackOutput, Error> {
     let (n, grid) = (til.n, til.grid);
+    check_shape(a, n)?;
     assert_eq!(user_desc.m, n, "descriptor extent mismatch");
     assert_eq!(user_desc.n, n, "descriptor extent mismatch");
     assert_eq!(

@@ -444,6 +444,7 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     let chol = ConfchoxConfig::new(n, v, grid);
     let ft = FtConfig::new(n, v, grid);
     let twod = TwodConfig::new(n, v, Grid2::new(2, 2));
+    let user = BlockCyclic::new(n, n, 5, 3, Grid2::new(2, 4));
     let every_driver = || {
         assert_eq!(conflux_lu(&lu, &a).err(), want);
         assert_eq!(confchox_cholesky(&chol, &a).err(), want);
@@ -452,6 +453,8 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
         assert_eq!(lu25d_swap(&lu, &a).err(), want);
         assert_eq!(twod_lu(&twod, &a).err(), want);
         assert_eq!(twod_cholesky(&twod, &a).err(), want);
+        assert_eq!(pdgetrf(user, &a, &lu).err(), want);
+        assert_eq!(pdpotrf(user, &a, &chol).err(), want);
     };
 
     let phases = Arc::new(CountPhases::default());
@@ -473,7 +476,6 @@ fn shape_mismatch_is_a_typed_error_and_launches_no_world() {
     // copies of the hooks count them, not this one's.
     let fine = random_matrix(n, n, 101);
     let spd = random_spd(n, 202);
-    let user = BlockCyclic::new(n, n, 5, 3, Grid2::new(2, 4));
     let qr = CholQrConfig::new(n, n, 4);
     let drivers: [(&str, &dyn Fn() -> WorldStats); 6] = [
         ("lu25d_swap", &|| lu25d_swap(&lu, &fine).unwrap().stats),

@@ -3,12 +3,14 @@
 //! call; this pins that the name is inert: a well-formed registry file at
 //! that path, keyed to this machine and naming another kernel and blocking,
 //! with the old opt-in for inexact entries set as well, changes no field of
-//! `active()`.
+//! `active()`: the widest kernel the CPU reports, at the blocking constants
+//! of `dense::pack`.
 //!
 //! A file (and so a process) of its own: when a registry was still read, it
 //! was read once, by the first `active()` of the process.
 
-use dense::tuning::{active, default_config, ENV_TUNING_PATH};
+use dense::tuning::{active, ENV_TUNING_PATH};
+use dense::ukernel::Isa;
 
 /// `{os}-{arch}-c{cpus}-{hostname}`: the key the deleted reader matched
 /// entries against (`bench::provenance::machine_fingerprint` still stamps
@@ -51,11 +53,15 @@ fn a_registry_file_and_the_old_variables_change_nothing() {
     std::env::set_var(ENV_TUNING_PATH, &path);
     std::env::set_var("CONFLUX_TUNING_ALLOW_INEXACT", "1");
 
-    let (got, want) = (active(), default_config());
+    let got = active();
     std::fs::remove_file(&path).ok();
-    assert_eq!(
-        (got.variant.id, got.kc, got.mc, got.nc),
-        (want.variant.id, want.kc, want.mc, want.nc)
-    );
+    let widest = [Isa::Avx512, Isa::Avx2, Isa::Scalar]
+        .into_iter()
+        .find_map(Isa::variant);
+    assert_eq!(Some(got.variant.id), widest.map(|v| v.id));
+    // The blocking is `dense::pack`'s constants, and they tile the kernel.
     assert_eq!((got.kc, got.mc, got.nc), (256, 192, 1024));
+    assert_eq!((got.mc % got.variant.mr, got.nc % got.variant.nr), (0, 0));
+    let id = got.variant.id;
+    assert_eq!(got.describe(), format!("{id} kc=256 mc=192 nc=1024"));
 }
