@@ -124,14 +124,15 @@ fn twod_volumes_are_golden() {
         golden_mode(),
     )
     .unwrap_or_else(|e| panic!("{e}"));
-    let chol = twod_cholesky(&cfg, &random_spd(n, 202)).unwrap();
-    check_golden(
-        &golden_path(),
-        "twod-chol-n64-nb8-g2x2",
-        &chol.stats,
-        golden_mode(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    // The Cholesky cells include a non-square grid, whose process rows and
+    // columns own different tile sets.
+    for (n, grid) in [(64usize, grid), (96, Grid2::new(3, 2))] {
+        let cfg = TwodConfig::new(n, nb, grid).volume_only();
+        let chol = twod_cholesky(&cfg, &random_spd(n, 202)).unwrap();
+        let key = format!("twod-chol-n{n}-nb{nb}-g{}x{}", grid.rows, grid.cols);
+        check_golden(&golden_path(), &key, &chol.stats, golden_mode())
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 /// The two checksum settings of a fault-free FT cell, with the golden-key
