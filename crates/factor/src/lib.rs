@@ -9,9 +9,10 @@
 //!   for both. Each algorithm has one rank program; the `ft` module runs
 //!   that same program with an ABFT checksum guard on its transfers and a
 //!   checkpoint callback at its step boundary, inside a crash-restart loop.
-//! * [`twod`] — ScaLAPACK-style 2D block-cyclic LU / Cholesky with partial
-//!   pivoting and explicit row swapping: the stand-in for Intel MKL and
-//!   SLATE, which the paper shows both use this schedule.
+//! * [`twod`] — ScaLAPACK-style 2D block-cyclic LU with partial pivoting
+//!   and explicit row swapping, and 2D Cholesky as COnfCHOX on a one-layer
+//!   grid: the stand-ins for Intel MKL and SLATE, which the paper shows both
+//!   use this schedule.
 //! * [`lu25d_swap`] — COnfLUX's step loop under its other pivot policy,
 //!   swapping pivot rows across the replicated layers instead of masking
 //!   them: an executable ablation showing why COnfLUX masks (paper §7.3).

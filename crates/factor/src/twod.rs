@@ -3,8 +3,8 @@
 //!
 //! The paper's measurements show Intel MKL and SLATE both use this schedule
 //! ("the standard partial pivoting algorithm using the 2D decomposition",
-//! §9); these routines are their executable stand-ins. The communication
-//! structure is the classical one:
+//! §9); these routines are their executable stand-ins. The LU's
+//! communication structure is the classical one:
 //!
 //! * per column: pivot search over the owning process column (all-gather of
 //!   local candidates), pivot broadcast, full-row swap between the two
@@ -14,7 +14,16 @@
 //!
 //! Per-rank volume scales as `N²/√P` — the 2D wall the 2.5D schedules break.
 //!
-//! A rank's shard is the dense local matrix of a [`DistMatrix`], and every
+//! The 2D Cholesky is COnfCHOX at `Pz = 1`: [`twod_cholesky`] runs
+//! [`confchox_cholesky`] on the flat grid `Pr × Pc × 1` with `v = nb`. With
+//! one layer there is no z-reduction and no replication, and what remains is
+//! the textbook schedule — diagonal block factored on its owner and
+//! broadcast down its process column, panel solve, the panel broadcast along
+//! process rows and all-gathered down process columns for its transposed
+//! role, a lower-only trailing update. The paper models MKL/SLATE Cholesky
+//! the same way (Table 2), so the whole gap between the two is replication.
+//!
+//! A rank's LU shard is the dense local matrix of a [`DistMatrix`], and every
 //! step works on sub-blocks of it: the owned rows with global index `≥ i`
 //! are the local suffix starting at `numroc(i, nb, pi, Pr)`, likewise for
 //! columns. Pivot search and elimination run over local row slices, the
@@ -23,14 +32,14 @@
 //! sub-block — the discipline of the 2.5D stores in the `common` module, so a
 //! wall-clock comparison between the schedules compares schedules.
 
-use crate::common::{bcast_status, check_shape, phase, phase_end, shift_err, split_results};
+use crate::common::{check_shape, phase, phase_end, split_results};
+use crate::confchox::{confchox_cholesky, CholOutput, ConfchoxConfig};
 use dense::gemm::{gemm, Trans};
-use dense::potrf::potrf_unblocked;
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::{Error, MatRef, Matrix};
 use layout::desc::numroc;
 use layout::{BlockCyclic, DistMatrix};
-use xmpi::{Comm, Grid2, WorldStats};
+use xmpi::{Comm, Grid2, Grid3, WorldStats};
 
 const TAG_SWAP: u64 = 8_000_000;
 
@@ -300,161 +309,27 @@ fn swap_rows_dist(comm: &Comm, g: &Grid2, m: &mut DistMatrix, r1: usize, r2: usi
     m.local.row_mut(mine).copy_from_slice(&theirs);
 }
 
-/// Output of the 2D Cholesky baseline.
-pub struct TwodCholOutput {
-    /// Factored matrix with `L` in the lower triangle, if collected.
-    pub l: Option<Matrix>,
-    /// Measured communication statistics.
-    pub stats: WorldStats,
-}
-
-/// ScaLAPACK-style 2D right-looking Cholesky (lower).
+/// Right-looking 2D Cholesky (lower): COnfCHOX on the flat grid
+/// `grid.rows × grid.cols × 1` with `v = nb`. Rank `(i, j)` of the 2D grid
+/// is rank `(i, j, 0)` of the flat one, so per-rank statistics line up.
 ///
 /// # Errors
 /// [`Error::ShapeMismatch`] if `a` is not `n × n`;
 /// [`Error::NotPositiveDefinite`] if a leading minor is not positive.
-pub fn twod_cholesky(cfg: &TwodConfig, a: &Matrix) -> Result<TwodCholOutput, Error> {
-    check_shape(a, cfg.n)?;
-    let desc = BlockCyclic::new(cfg.n, cfg.n, cfg.nb, cfg.nb, cfg.grid);
-    let out = xmpi::run(cfg.grid.size(), |comm| chol_rank(comm, cfg, desc, a));
-    let shards = out.results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let l = cfg.collect.then(|| {
-        let full = layout::dist::assemble(&desc, &shards);
-        // Zero the strictly-upper garbage for a clean factor.
-        Matrix::from_fn(cfg.n, cfg.n, |i, j| if j <= i { full[(i, j)] } else { 0.0 })
-    });
-    Ok(TwodCholOutput {
-        l,
-        stats: out.stats,
-    })
-}
-
-fn chol_rank(
-    comm: &Comm,
-    cfg: &TwodConfig,
-    desc: BlockCyclic,
-    a: &Matrix,
-) -> Result<DistMatrix, Error> {
-    let g = cfg.grid;
-    let (pi, pj) = g.coords(comm.rank());
-    let (n, nb) = (cfg.n, cfg.nb);
-    let mut m = DistMatrix::from_global(desc, (pi, pj), a);
-    let (lrows, lcols) = (m.local.rows(), m.local.cols());
-
-    let rowc = comm.subcomm(1, &g.row_members(pi));
-    let colc = comm.subcomm(2, &g.col_members(pj));
-
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = nb.min(n - k0);
-        let end = k0 + kb;
-        let pcol = (k0 / nb) % g.cols;
-        let prow = (k0 / nb) % g.rows;
-        // Local offsets of the diagonal block (on its owners) and of the
-        // trailing matrix: my rows/columns ≥ `end` are a local suffix.
-        let (r0, c0) = (numroc(k0, nb, pi, g.rows), numroc(k0, nb, pj, g.cols));
-        let (r1, c1) = (numroc(end, nb, pi, g.rows), numroc(end, nb, pj, g.cols));
-        let (nrows, ncols) = (lrows - r1, lcols - c1);
-
-        // ---- Diagonal block factorization --------------------------------
-        phase(comm, "panel");
-        let mut l00 = vec![0.0; kb * kb];
-        let mut potrf_err: Option<Error> = None;
-        if pi == prow && pj == pcol {
-            match potrf_unblocked(m.local.block_mut(r0, c0, kb, kb)) {
-                Ok(()) => l00 = pack(&m.local, r0, c0, kb, kb),
-                Err(e) => potrf_err = Some(shift_err(e, k0)),
-            }
-        }
-        bcast_status(
-            comm,
-            g.rank_of(prow, pcol),
-            potrf_err,
-            Error::NotPositiveDefinite,
-        )?;
-        if pj == pcol {
-            colc.bcast_f64(prow, &mut l00);
-        }
-
-        if end >= n {
-            break;
-        }
-
-        // ---- Panel solve: L10 = A10·L00⁻ᵀ on the owning process column ---
-        if pj == pcol && nrows > 0 {
-            trsm(
-                Side::Right,
-                Uplo::Lower,
-                Trans::T,
-                Diag::NonUnit,
-                1.0,
-                MatRef::from_slice(&l00, kb, kb, kb),
-                m.local.block_mut(r1, c0, nrows, kb),
-            );
-        }
-
-        // ---- Distribute the panel in both roles ---------------------------
-        phase(comm, "update");
-        // Row role: rows ≡ pi along the process row.
-        let mut rowbuf: Vec<f64> = Vec::new();
-        if nrows > 0 {
-            if pj == pcol {
-                rowbuf = pack(&m.local, r1, c0, nrows, kb);
-            }
-            rowc.bcast_f64(pcol, &mut rowbuf);
-        }
-        // Column role: rank (pi,pj) needs panel rows r that are *columns* it
-        // owns (r ≡ pj in the column distribution). After the row-role
-        // broadcast, the process column (·, pj) jointly holds every panel
-        // row; one column all-gather of each member's `col-owner == pj`
-        // subset assembles the operand without an extra routing hop.
-        let mut colpanel = Matrix::zeros(ncols, kb);
-        if ncols > 0 {
-            let mut piece: Vec<f64> = Vec::new();
-            for (l, row) in (r1..lrows).zip(rowbuf.chunks_exact(kb)) {
-                if desc.col_g2l(desc.row_l2g(pi, l)).0 == pj {
-                    piece.extend_from_slice(row);
-                }
-            }
-            let pieces = colc.allgather_f64(&piece);
-            let mut cursors = vec![0usize; g.rows];
-            for (ci, lc) in (c1..lcols).enumerate() {
-                let srow = desc.row_g2l(desc.col_l2g(pj, lc)).0;
-                let cur = &mut cursors[srow];
-                colpanel
-                    .row_mut(ci)
-                    .copy_from_slice(&pieces[srow][*cur..*cur + kb]);
-                *cur += kb;
-            }
-        }
-
-        // ---- Trailing symmetric update ------------------------------------
-        // One GEMM on the whole trailing sub-block: its entries above the
-        // diagonal are never read (`potrf` and `trsm` reference the lower
-        // triangle only, and the driver zeroes them in the result).
-        if nrows > 0 && ncols > 0 {
-            gemm(
-                Trans::N,
-                Trans::T,
-                -1.0,
-                MatRef::from_slice(&rowbuf, nrows, kb, kb),
-                colpanel.as_ref(),
-                1.0,
-                m.local.block_mut(r1, c1, nrows, ncols),
-            );
-        }
-
-        k0 = end;
-    }
-    phase_end(comm);
-    Ok(m)
+pub fn twod_cholesky(cfg: &TwodConfig, a: &Matrix) -> Result<CholOutput, Error> {
+    let grid = Grid3::new(cfg.grid.rows, cfg.grid.cols, 1);
+    let flat = ConfchoxConfig {
+        collect: cfg.collect,
+        ..ConfchoxConfig::new(cfg.n, cfg.nb, grid)
+    };
+    confchox_cholesky(&flat, a)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dense::gen::{needs_pivoting, random_matrix, random_spd};
-    use dense::norms::{lu_residual, po_residual};
+    use dense::norms::lu_residual;
 
     fn check_lu(n: usize, nb: usize, grid: Grid2, seed: u64) {
         let a = random_matrix(n, n, seed);
@@ -462,14 +337,6 @@ mod tests {
         let out = twod_lu(&cfg, &a).unwrap();
         assert_eq!(out.ipiv.len(), n);
         let res = lu_residual(&a, out.packed.as_ref().unwrap(), &out.ipiv);
-        assert!(res < 1e-10, "residual {res} n={n} nb={nb} grid={grid:?}");
-    }
-
-    fn check_chol(n: usize, nb: usize, grid: Grid2, seed: u64) {
-        let a = random_spd(n, seed);
-        let cfg = TwodConfig::new(n, nb, grid);
-        let out = twod_cholesky(&cfg, &a).unwrap();
-        let res = po_residual(&a, out.l.as_ref().unwrap());
         assert!(res < 1e-10, "residual {res} n={n} nb={nb} grid={grid:?}");
     }
 
@@ -511,26 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn chol_single_rank() {
-        check_chol(16, 4, Grid2::new(1, 1), 1);
-    }
-
-    #[test]
-    fn chol_various_grids() {
-        check_chol(24, 4, Grid2::new(2, 2), 2);
-        check_chol(24, 4, Grid2::new(1, 4), 3);
-        check_chol(24, 6, Grid2::new(3, 2), 4);
-        check_chol(32, 8, Grid2::new(2, 2), 5);
-    }
-
-    #[test]
     fn chol_indefinite_reports_error() {
         let mut a = random_spd(16, 6);
         a[(10, 10)] = -1.0;
         let cfg = TwodConfig::new(16, 4, Grid2::new(2, 2));
         assert!(matches!(
             twod_cholesky(&cfg, &a),
-            Err(Error::NotPositiveDefinite(_))
+            Err(Error::NotPositiveDefinite(10))
         ));
     }
 
