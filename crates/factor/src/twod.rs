@@ -21,7 +21,8 @@
 //! broadcast down its process column, panel solve, the panel broadcast along
 //! process rows and all-gathered down process columns for its transposed
 //! role, a lower-only trailing update. The paper models MKL/SLATE Cholesky
-//! the same way (Table 2), so the whole gap between the two is replication.
+//! the same way (Table 2), so at equal `v` replication is the only
+//! difference between COnfCHOX and this baseline.
 //!
 //! A rank's LU shard is the dense local matrix of a [`DistMatrix`], and every
 //! step works on sub-blocks of it: the owned rows with global index `≥ i`
