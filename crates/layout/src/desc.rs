@@ -70,7 +70,7 @@ impl BlockCyclic {
     }
 
     /// Map a global column to `(owner process column, local column)`.
-    pub fn col_g2l(&self, j: usize) -> (usize, usize) {
+    pub(crate) fn col_g2l(&self, j: usize) -> (usize, usize) {
         let b = j / self.cb;
         let off = j % self.cb;
         (b % self.grid.cols, (b / self.grid.cols) * self.cb + off)
@@ -84,7 +84,7 @@ impl BlockCyclic {
     }
 
     /// Map `(process column, local column)` back to the global column.
-    pub fn col_l2g(&self, pj: usize, lj: usize) -> usize {
+    pub(crate) fn col_l2g(&self, pj: usize, lj: usize) -> usize {
         let lb = lj / self.cb;
         let off = lj % self.cb;
         (lb * self.grid.cols + pj) * self.cb + off
