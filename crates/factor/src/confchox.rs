@@ -323,9 +323,6 @@ mod tests {
         check(24, 4, Grid3::new(2, 2, 1), 2);
         check(24, 4, Grid3::new(2, 3, 1), 3);
         check(32, 8, Grid3::new(4, 2, 1), 4);
-        check(24, 4, Grid3::new(1, 4, 1), 3);
-        check(24, 6, Grid3::new(3, 2, 1), 4);
-        check(32, 8, Grid3::new(2, 2, 1), 5);
     }
 
     #[test]

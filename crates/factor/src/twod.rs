@@ -330,7 +330,7 @@ pub fn twod_cholesky(cfg: &TwodConfig, a: &Matrix) -> Result<CholOutput, Error> 
 mod tests {
     use super::*;
     use dense::gen::{needs_pivoting, random_matrix, random_spd};
-    use dense::norms::lu_residual;
+    use dense::norms::{lu_residual, po_residual};
 
     fn check_lu(n: usize, nb: usize, grid: Grid2, seed: u64) {
         let a = random_matrix(n, n, seed);
@@ -338,6 +338,14 @@ mod tests {
         let out = twod_lu(&cfg, &a).unwrap();
         assert_eq!(out.ipiv.len(), n);
         let res = lu_residual(&a, out.packed.as_ref().unwrap(), &out.ipiv);
+        assert!(res < 1e-10, "residual {res} n={n} nb={nb} grid={grid:?}");
+    }
+
+    fn check_chol(n: usize, nb: usize, grid: Grid2, seed: u64) {
+        let a = random_spd(n, seed);
+        let cfg = TwodConfig::new(n, nb, grid);
+        let out = twod_cholesky(&cfg, &a).unwrap();
+        let res = po_residual(&a, out.l.as_ref().unwrap());
         assert!(res < 1e-10, "residual {res} n={n} nb={nb} grid={grid:?}");
     }
 
@@ -376,6 +384,14 @@ mod tests {
             out.ipiv, ipiv_seq,
             "distributed pivots must match LAPACK reference"
         );
+    }
+
+    #[test]
+    fn chol_various_grids() {
+        check_chol(24, 4, Grid2::new(2, 2), 2);
+        check_chol(24, 4, Grid2::new(1, 4), 3);
+        check_chol(24, 6, Grid2::new(3, 2), 4);
+        check_chol(32, 8, Grid2::new(2, 2), 5);
     }
 
     #[test]
