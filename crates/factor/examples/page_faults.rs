@@ -3,25 +3,33 @@
 //! N = 1536, eight calls each (the shapes of the benchmark's `lu_p1`, and of
 //! `chol_p8` on one rank).
 //!
-//! A rank's transient is its store plus what it collects — at most 1.5 n²
-//! words — which the allocator keeps mapped between calls, so from the
-//! second call on a call should fault almost nothing. A call that re-faults
-//! its working set (~6,400 pages at N = 1024 with a third n² buffer per
-//! rank) pays for it in system time, a fifth of the wall on the reference VM.
+//! A one-rank call holds its matrix about once: the rank's store (n² words
+//! for LU, the lower tiles for Cholesky) plus `O(n·v)` step buffers, and the
+//! store comes back as the factor itself. The first `conflux_lu` call faults
+//! in the store's 2,048 pages, the step buffers and the thread pool (~2,700
+//! pages on the reference VM; a collected `U` and an assembled copy beside
+//! the store took ~5,800). The second call faults the store in once more:
+//! glibc's dynamic mmap threshold, raised when the first call's store was
+//! unmapped, now serves it from the heap, which grows to hold it. From the
+//! third call on the allocator keeps it mapped and a call should fault
+//! almost nothing; a call that re-faults its working set pays for it in
+//! system time, a fifth of the wall on the reference VM.
 //!
 //! ```text
 //! cargo run --release -p factor --example page_faults
 //! ```
 //!
-//! Exits non-zero if any of the last four calls of either kernel takes more
-//! than 500 faults. Linux only (`/proc/self/stat`, field 10); elsewhere it
-//! reports nothing and succeeds.
+//! Exits non-zero if the first `conflux_lu` call takes more than 2,800
+//! faults, or if any of the last four calls of either kernel takes more than
+//! 500. The second call's count is printed but not gated. Linux only
+//! (`/proc/self/stat`, field 10); elsewhere it reports nothing and succeeds.
 
 use dense::gen::{random_matrix, random_spd};
 use factor::{confchox_cholesky, conflux_lu, ConfchoxConfig, ConfluxConfig};
 use std::time::Instant;
 
 const CALLS: usize = 8;
+const MAX_FIRST_LU_FAULTS: u64 = 2_800;
 const MAX_STEADY_FAULTS: u64 = 500;
 
 /// Minor faults of this process so far (`minflt`), if the OS says.
@@ -33,36 +41,53 @@ fn minor_faults() -> Option<u64> {
 }
 
 /// Run `call` [`CALLS`] times; print faults and wall of each call and return
-/// whether the last four stayed under the limit.
-fn series(name: &str, mut call: impl FnMut()) -> bool {
-    let mut steady = true;
+/// the fault counts (`None` where the OS keeps none).
+fn series(name: &str, mut call: impl FnMut()) -> Vec<Option<u64>> {
+    let mut counts = Vec::with_capacity(CALLS);
     for i in 0..CALLS {
         let (before, t) = (minor_faults(), Instant::now());
         call();
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let Some(faults) = minor_faults().zip(before).map(|(now, then)| now - then) else {
-            println!("{name} call {i}: {wall_ms:7.2} ms (no fault counter on this OS)");
-            continue;
-        };
-        println!("{name} call {i}: {faults:6} faults {wall_ms:7.2} ms");
-        steady &= i + 4 < CALLS || faults <= MAX_STEADY_FAULTS;
+        let faults = minor_faults().zip(before).map(|(now, then)| now - then);
+        match faults {
+            Some(faults) => println!("{name} call {i}: {faults:6} faults {wall_ms:7.2} ms"),
+            None => println!("{name} call {i}: {wall_ms:7.2} ms (no fault counter on this OS)"),
+        }
+        counts.push(faults);
     }
-    steady
+    counts
+}
+
+/// Did each of the last four calls stay under [`MAX_STEADY_FAULTS`]?
+fn steady(counts: &[Option<u64>]) -> bool {
+    let last = &counts[CALLS - 4..];
+    last.iter()
+        .all(|f| f.is_none_or(|f| f <= MAX_STEADY_FAULTS))
 }
 
 fn main() {
     let a = random_matrix(1024, 1024, 42);
     let lu = ConfluxConfig::auto(1024, 1);
-    let lu_ok = series("conflux_lu        n=1024 p=1", || {
+    let lu_faults = series("conflux_lu        n=1024 p=1", || {
         conflux_lu(&lu, &a).expect("random input is nonsingular");
     });
     let spd = random_spd(1536, 43);
     let chol = ConfchoxConfig::auto(1536, 1);
-    let chol_ok = series("confchox_cholesky n=1536 p=1", || {
+    let chol_faults = series("confchox_cholesky n=1536 p=1", || {
         confchox_cholesky(&chol, &spd).expect("input is SPD");
     });
-    if !(lu_ok && chol_ok) {
+    let mut ok = true;
+    if let Some(first) = lu_faults[0].filter(|&f| f > MAX_FIRST_LU_FAULTS) {
+        eprintln!(
+            "the first conflux_lu call took {first} minor faults, more than {MAX_FIRST_LU_FAULTS}"
+        );
+        ok = false;
+    }
+    if !(steady(&lu_faults) && steady(&chol_faults)) {
         eprintln!("a steady-state call took more than {MAX_STEADY_FAULTS} minor faults");
+        ok = false;
+    }
+    if !ok {
         std::process::exit(1);
     }
 }

@@ -25,8 +25,8 @@
 //! is `store −= L10·U01` on its slice of the inner dimension. A panel column
 //! is dead once reduced, so the panel rank writes the `L` rows it solves
 //! back into it: a finished layer-0 store holds its rank's factor rows
-//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX)
-//! or up to its diagonal (COnfCHOX).
+//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX;
+//! the whole row with one process row) or up to its diagonal (COnfCHOX).
 //!
 //! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
 //! same row-major matrix with every local tile row cut off after its
@@ -35,13 +35,17 @@
 //!
 //! # Collected factor pieces
 //!
-//! What a rank computes for rows it does not own — COnfLUX's `A00` and
-//! `U01` — and `mmm25d`'s share of `C` are lists of dense blocks
-//! ([`Collected`]): original-row ids, column runs, row-major values, so
-//! indices cost per block row and column run, never per element. Stores and
-//! blocks together are what [`Collected::assemble`] reads, a checkpoint
-//! snapshots, a socket rank ships home, and the ScaLAPACK wrapper routes
-//! into the caller's layout.
+//! What a rank computes for rows it may not own — COnfLUX's `A00` and
+//! `U01` on a grid of more than one process row — and `mmm25d`'s share of
+//! `C` are lists of dense blocks ([`Collected`]): original-row ids, column
+//! runs, row-major values, so indices cost per block row and column run,
+//! never per element. With one process row COnfLUX's ranks own every row of
+//! their columns, write `A00` and `U01` into their stores, and collect
+//! nothing. Stores and blocks together are what [`Collected::assemble`]
+//! reads, a checkpoint snapshots, a socket rank ships home, and the
+//! ScaLAPACK wrapper routes into the caller's layout; a one-rank world's
+//! store, which then holds the whole factor, becomes the assembled matrix
+//! with its rows pivoted in place.
 
 use crate::ft::Guard;
 use dense::gemm::Trans;
@@ -361,15 +365,20 @@ impl TileStore {
         let v = self.v;
         let solved = MatMut::from_slice(l10, l10.len() / v, v, v);
         trsm(Side::Right, uplo, trans, Diag::NonUnit, 1.0, tri, solved);
-        self.put_l10(l10, step, lrows);
+        let c0 = self.col0(step);
+        self.put_rows(l10, c0..c0 + v, lrows);
     }
 
-    /// Write already solved `L10` rows back into tile column `step` at the
-    /// local rows `lrows` (the second half of [`TileStore::solve_l10`]).
-    pub(crate) fn put_l10(&mut self, l10: &[f64], step: usize, lrows: impl Iterator<Item = usize>) {
-        let (v, c0) = (self.v, self.col0(step));
-        for (row, lrow) in l10.chunks_exact(v).zip(lrows) {
-            self.row_mut(lrow)[c0..c0 + v].copy_from_slice(row);
+    /// Write the row-major block `vals`, `cols.len()` wide, over the local
+    /// columns `cols` of the local rows `lrows`, one block row per row.
+    pub(crate) fn put_rows(
+        &mut self,
+        vals: &[f64],
+        cols: Range<usize>,
+        lrows: impl Iterator<Item = usize>,
+    ) {
+        for (row, lrow) in vals.chunks_exact(cols.len()).zip(lrows) {
+            self.row_mut(lrow)[cols.clone()].copy_from_slice(row);
         }
     }
 
@@ -432,8 +441,9 @@ impl TileStore {
 }
 
 /// A layer-0 rank's factor rows, left in the store that computed them: per
-/// local row, the leading entries that are factor entries (`L`). Ranks off
-/// layer 0, and runs that collect nothing, return the empty value.
+/// local row, the leading entries that are factor entries (`L`; every entry
+/// of a COnfLUX row with one process row). Ranks off layer 0, and runs that
+/// collect nothing, return the empty value.
 #[derive(Debug, Default)]
 pub(crate) struct Lower {
     /// `[v, pi, px, pj, py]`: tile side, then coordinate and grid extent
@@ -456,6 +466,22 @@ impl Lower {
                 f(r, (lj * py + pj) * v, piece);
             }
         }
+    }
+
+    /// Does this part hold every entry of an `n × n` factor, row `r` of it
+    /// at `data[r·n..(r + 1)·n]`? The layer-0 store of a `1 × 1 × Pz` world
+    /// that reports every row in full does.
+    fn covers(&self, n: usize) -> bool {
+        let [_, pi, px, pj, py] = self.geometry;
+        let full = |(l, &(at, lead)): (usize, &(usize, usize))| (at, lead) == (l * n, n);
+        (pi, px, pj, py) == (0, 1, 0, 1)
+            && (self.rows.len(), self.data.len()) == (n, n * n)
+            && self.rows.iter().enumerate().all(full)
+    }
+
+    /// Does this part hold no entry at all?
+    fn is_empty(&self) -> bool {
+        self.rows.iter().all(|&(_, lead)| lead == 0)
     }
 }
 
@@ -590,20 +616,39 @@ impl Collected {
     /// For LU that is the packed `F` with `P·A = L·U`, `L` unit-lower in
     /// `F`'s strict lower triangle and `U` in its upper triangle.
     ///
-    /// The stores' rows are disjoint by ownership. The collected blocks are
+    /// When one part's store holds the whole factor and the others hold
+    /// nothing (a `1 × 1 × Pz` world), that store *is* the output: its rows
+    /// are put into pivoted order in place, and no second `n × n` buffer is
+    /// allocated. Otherwise every entry is placed into a fresh matrix: the
+    /// stores' rows are disjoint by ownership, and the collected blocks are
     /// checked against each other, one bit per (pivoted row, tile column):
     /// every run [`Collected::push`] took must be one tile wide — `v`
     /// columns starting at a multiple of `v`.
     ///
     /// # Panics
-    /// If an entry's row never appears in `perm`, a collected run is not a
-    /// tile's, or two of them collide.
-    pub(crate) fn assemble(n: usize, v: usize, perm: &[usize], parts: &[RankFactor]) -> Matrix {
+    /// If `perm` is not a permutation of `0..n`, an entry's row never
+    /// appears in it, a collected run is not a tile's, or two of them
+    /// collide.
+    pub(crate) fn assemble(
+        n: usize,
+        v: usize,
+        perm: &[usize],
+        mut parts: Vec<RankFactor>,
+    ) -> Matrix {
         assert_eq!(perm.len(), n, "permutation must cover all rows");
         let mut pos = vec![usize::MAX; n];
         for (s, &r) in perm.iter().enumerate() {
             assert!(pos[r] == usize::MAX, "row {r} appears twice in perm");
             pos[r] = s;
+        }
+        let empty = |(lower, upper): &RankFactor| lower.is_empty() && upper.idx.is_empty();
+        if let Some(at) = parts.iter().position(|(lower, _)| lower.covers(n)) {
+            let rest_empty = parts.iter().enumerate().all(|(i, p)| i == at || empty(p));
+            if rest_empty && parts[at].1.idx.is_empty() {
+                let mut data = std::mem::take(&mut parts[at].0.data);
+                permute_rows(&mut data, n, perm);
+                return Matrix::from_vec(n, n, data);
+            }
         }
         let mut f = Matrix::zeros(n, n);
         let mut place = |r: usize, c0: usize, vals: &[f64]| {
@@ -612,13 +657,13 @@ impl Collected {
             f.row_mut(s)[c0..c0 + vals.len()].copy_from_slice(vals);
             s
         };
-        for (lower, _) in parts {
+        for (lower, _) in &parts {
             lower.for_each_run(|r, c0, vals| {
                 place(r, c0, vals);
             });
         }
         let mut seen = vec![false; n * n.div_ceil(v)];
-        for (_, upper) in parts {
+        for (_, upper) in &parts {
             upper.for_each_run(|r, c0, vals| {
                 let aligned = vals.len() == v && c0.is_multiple_of(v);
                 assert!(aligned, "collected runs must be aligned and {v} wide");
@@ -629,6 +674,29 @@ impl Collected {
             });
         }
         f
+    }
+}
+
+/// Reorder the `width`-wide rows of the row-major `data` in place so that
+/// row `s` becomes the old row `perm[s]` (`perm` a permutation of the row
+/// indices): each cycle of `perm` is followed once with one spare row, and
+/// fixed points are not touched.
+fn permute_rows(data: &mut [f64], width: usize, perm: &[usize]) {
+    let mut spare = vec![0.0; width];
+    let mut done = vec![false; perm.len()];
+    for s in 0..perm.len() {
+        if done[s] || perm[s] == s {
+            continue;
+        }
+        spare.copy_from_slice(&data[s * width..(s + 1) * width]);
+        let mut j = s;
+        while perm[j] != s {
+            done[j] = true;
+            data.copy_within(perm[j] * width..(perm[j] + 1) * width, j * width);
+            j = perm[j];
+        }
+        done[j] = true;
+        data[j * width..(j + 1) * width].copy_from_slice(&spare);
     }
 }
 
@@ -1046,12 +1114,11 @@ mod tests {
 
     #[test]
     fn assemble_places_blocks_in_pivot_order() {
-        let pieces = two_by_two();
-        let f = Collected::assemble(2, 1, &[1, 0], &pieces);
+        let f = Collected::assemble(2, 1, &[1, 0], two_by_two());
         assert_eq!(f.data(), &[4.0, 5.0, 0.5, 3.0]);
         // The visitor yields the runs the blocks stand for.
         let mut runs = Vec::new();
-        pieces[1]
+        two_by_two()[1]
             .1
             .for_each_run(|r, c, x| runs.push((r, c, x.to_vec())));
         assert_eq!(runs, vec![(0, 0, vec![0.5]), (0, 1, vec![3.0])]);
@@ -1062,23 +1129,109 @@ mod tests {
     fn assemble_rejects_collisions() {
         let mut pieces = two_by_two();
         pieces.push(block(&[1], &[1], &[2.0]));
-        Collected::assemble(2, 1, &[1, 0], &pieces);
+        Collected::assemble(2, 1, &[1, 0], pieces);
     }
 
     #[test]
     #[should_panic(expected = "entry row 2 missing from perm")]
     fn assemble_rejects_rows_outside_the_permutation() {
-        Collected::assemble(2, 1, &[1, 0], &[block(&[2], &[0], &[1.0])]);
+        Collected::assemble(2, 1, &[1, 0], vec![block(&[2], &[0], &[1.0])]);
     }
 
     #[test]
     #[should_panic(expected = "must be aligned")]
     fn assemble_rejects_a_run_off_the_coverage_grid() {
-        let pieces = [
+        let pieces = vec![
             block(&[0], &[0], &[1.0, 2.0]),
             block(&[1], &[1], &[3.0, 4.0]),
         ];
-        Collected::assemble(4, 2, &[0, 1, 2, 3], &pieces);
+        Collected::assemble(4, 2, &[0, 1, 2, 3], pieces);
+    }
+
+    /// `permute_rows` on an `n × width` matrix of distinct values, bitwise
+    /// against a gather into a fresh buffer.
+    fn permutes_as_a_gather(perm: &[usize], width: usize) {
+        let n = perm.len();
+        let data: Vec<f64> = (0..n * width).map(|i| (i as f64).sqrt() - 3.5).collect();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let gathered: Vec<f64> = perm
+            .iter()
+            .flat_map(|&r| &data[r * width..(r + 1) * width])
+            .copied()
+            .collect();
+        let mut moved = data.clone();
+        permute_rows(&mut moved, width, perm);
+        assert_eq!(bits(&moved), bits(&gathered), "perm {perm:?}");
+    }
+
+    #[test]
+    fn rows_permute_in_place_as_a_gather_copy() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for n in [1, 7, 256] {
+            let identity: Vec<usize> = (0..n).collect();
+            let one_cycle: Vec<usize> = (0..n).map(|s| (s + 1) % n).collect();
+            // Disjoint cycles of lengths 1, 2, 3, … and fixed points after.
+            let mut cycles = identity.clone();
+            let (mut at, mut len) = (0, 1);
+            while at + len <= n {
+                for i in 0..len {
+                    cycles[at + i] = at + (i + 1) % len;
+                }
+                (at, len) = (at + len, len + 1);
+            }
+            let mut perms = vec![identity.clone(), one_cycle, cycles];
+            for seed in 0..3 {
+                let (mut rng, mut random) = (StdRng::seed_from_u64(seed), identity.clone());
+                for i in (1..n).rev() {
+                    random.swap(i, rng.gen_range(0..i + 1));
+                }
+                perms.push(random);
+            }
+            for perm in perms {
+                permutes_as_a_gather(&perm, n);
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_holding_the_whole_factor_becomes_the_output() {
+        let (n, v) = (8, 2);
+        let til = Tiling::new(n, v, Grid3::new(1, 1, 1));
+        let perm = [3, 0, 7, 1, 2, 6, 5, 4];
+        let store = || {
+            let mut s = TileStore::zeros(&til, 0, 0, false);
+            for lrow in 0..n {
+                let vals: Vec<f64> = (0..n).map(|c| (10 * lrow + c) as f64).collect();
+                s.row_mut(lrow).copy_from_slice(&vals);
+            }
+            s
+        };
+        // One rank, or a replicated one whose upper layer hands home
+        // nothing: the layer-0 store's buffer is the output, rows pivoted.
+        let want = Matrix::from_fn(n, n, |s, c| (10 * perm[s] + c) as f64);
+        for layers in [1, 2] {
+            let whole = store().into_lower(|_| n);
+            let at = whole.data.as_ptr();
+            let mut parts = vec![(whole, Collected::default())];
+            parts.extend((1..layers).map(|_| RankFactor::default()));
+            let f = Collected::assemble(n, v, &perm, parts);
+            assert_eq!((f.data(), f.data().as_ptr()), (want.data(), at));
+        }
+        // Rows that stop short of the full width are placed into a fresh
+        // matrix: original row `r` keeps the columns up to `r`.
+        let part = store().into_lower(|r| r + 1);
+        let at = part.data.as_ptr();
+        let f = Collected::assemble(n, v, &perm, vec![(part, Collected::default())]);
+        let want = Matrix::from_fn(n, n, |s, c| {
+            let r = perm[s];
+            if c <= r {
+                (10 * r + c) as f64
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(f.data(), want.data());
+        assert_ne!(f.data().as_ptr(), at);
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
     let (parts, identity) = split_results(out.results)?;
     let l = cfg
         .collect
-        .then(|| Collected::assemble(cfg.n, cfg.v, &identity, &parts));
+        .then(|| Collected::assemble(cfg.n, cfg.v, &identity, parts));
     Ok(CholOutput {
         l,
         stats: out.stats,

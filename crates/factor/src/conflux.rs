@@ -34,6 +34,14 @@
 //!    wasted on them). A row or column segment a later step needs is one
 //!    slice of the store per row, summed along z (steps 1 and 4).
 //!
+//! `A00` and `U01` belong to the pivot rows, which may live on other process
+//! rows than the ranks that computed them, so the step root and the U-owner
+//! collect them as blocks — except with one process row (`Px = 1`): there
+//! every layer-0 rank owns every row of its tile columns, and both are
+//! written into the retired pivot rows of its store, whose columns no later
+//! step reads. A finished layer-0 store then holds its rank's whole rows of
+//! the factor, and a one-rank world's store is the assembled factor itself.
+//!
 //! Per-rank I/O is `N³/(P√M) + O(N²/P)` — 1.5× the paper's lower bound
 //! (Lemma 10); the `volume_close_to_model` integration test checks the
 //! measured bytes against this model.
@@ -169,9 +177,9 @@ pub(crate) fn factor_lu(
     });
     let (parts, perm) = split_results(out.results)?;
     let packed = cfg.collect.then(|| match policy {
-        PivotPolicy::Mask => Collected::assemble(cfg.n, cfg.v, &perm, &parts),
+        PivotPolicy::Mask => Collected::assemble(cfg.n, cfg.v, &perm, parts),
         // Swapped pieces are addressed by position: rows are where they belong.
-        PivotPolicy::Swap => Collected::assemble(cfg.n, cfg.v, &Vec::from_iter(0..cfg.n), &parts),
+        PivotPolicy::Swap => Collected::assemble(cfg.n, cfg.v, &Vec::from_iter(0..cfg.n), parts),
     });
     Ok(LuOutput {
         perm,
@@ -188,9 +196,10 @@ pub(crate) fn factor_lu(
 /// restored. Every bulk `f64` transfer is issued through `guard` (see
 /// [`crate::ft`]). The run starts at `state.step` with `state`'s pivots and
 /// collected pieces, and after every step but the last hands the updated
-/// state to `at_step_end`. Returns what the rank hands home: the part of `L`
-/// its store holds (layer 0 of a collecting run), the pieces it collected,
-/// and the pivot order — under swapping, the original row at each position.
+/// state to `at_step_end`. Returns what the rank hands home: the factor
+/// rows its store holds (layer 0 of a collecting run: `L`, and with one
+/// process row `A00` and `U01` too), the pieces it collected, and the pivot
+/// order — under swapping, the original row at each position.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
@@ -213,7 +222,12 @@ pub(crate) fn rank_program(
     let v_cols = v * state.store.cols_from(0).len();
     let (mut panel, mut l10) = (Vec::with_capacity(rows_v), Vec::with_capacity(rows_v));
     let (mut a01, mut u01) = (Vec::with_capacity(v_cols), Vec::with_capacity(v_cols));
-    if cfg.collect {
+    // With one process row, every layer-0 rank owns every row of its tile
+    // columns: the step root writes `A00`, and the U-owner `U01`, into the
+    // retired pivot rows of its own store, whose columns no later step
+    // reads, and nothing is collected.
+    let in_store = cfg.collect && g.px == 1;
+    if cfg.collect && !in_store {
         // Exactly the tiles this rank will still collect: the `A00` of the
         // steps it roots, the `U01` of the steps it solves.
         let tiles = (state.step..nt).map(|t| {
@@ -247,8 +261,18 @@ pub(crate) fn rank_program(
             None => piv_ids.iter().map(|&x| x as usize).collect(),
             Some(id_at) => row_swaps(&net, &mut state.store, &mut panel, &piv_ids, step, id_at),
         };
+        // The process row holding global row `p`, and the local rows of the
+        // pivots this process row holds, in pivot order.
+        let prow = |p: usize| (p / v) % g.px;
+        let my_piv = pivots.iter().filter(|&&p| prow(p) == pi);
+        let piv_lrows: Vec<usize> = my_piv.map(|&p| state.store.local_row(p)).collect();
         if cfg.collect && comm.rank() == root {
-            state.collected.push(&pivots, &[step * v], a00);
+            if in_store {
+                let (c0, lrows) = (state.store.col0(step), piv_lrows.iter().copied());
+                state.store.put_rows(&a00_buf[..v * v], c0..c0 + v, lrows);
+            } else {
+                state.collected.push(&pivots, &[step * v], a00);
+            }
         }
         state.perm.extend_from_slice(&pivots);
         mask.retire(&pivots);
@@ -265,10 +289,6 @@ pub(crate) fn rank_program(
 
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
-        // The process row holding global row `p`.
-        let prow = |p: usize| (p / v) % g.px;
-        let my_piv = pivots.iter().filter(|&&p| prow(p) == pi);
-        let piv_lrows: Vec<usize> = my_piv.map(|&p| state.store.local_row(p)).collect();
         if !last && !trail_cols.is_empty() {
             let lrows = piv_lrows.iter().copied();
             reduce_rows(&net, guard, &state.store, lrows, trail.clone(), &mut a01);
@@ -296,7 +316,10 @@ pub(crate) fn rank_program(
                     }
                 }
                 solve_u01(a00, &mut u01);
-                if cfg.collect {
+                if in_store {
+                    let lrows = piv_lrows.iter().copied();
+                    state.store.put_rows(&u01, trail.clone(), lrows);
+                } else if cfg.collect {
                     let starts: Vec<usize> = trail_cols.iter().map(|&tj| tj * v).collect();
                     let u01 = MatRef::from_slice(&u01, v, trail_len, trail_len);
                     state.collected.push(&pivots, &starts, u01);
@@ -321,7 +344,8 @@ pub(crate) fn rank_program(
             let lrows = active.local.iter().copied();
             if g.px == 1 {
                 // A one-player tournament left them solved in the panel.
-                state.store.put_l10(&l10, step, lrows);
+                let c0 = state.store.col0(step);
+                state.store.put_rows(&l10, c0..c0 + v, lrows);
             } else {
                 let tri = (Uplo::Upper, Trans::N);
                 state.store.solve_l10(tri, a00, &mut l10, step, lrows);
@@ -376,8 +400,12 @@ pub(crate) fn rank_program(
 
     phase_end(comm);
     // Row `r`'s `L` entries are the store's columns left of its pivot tile;
-    // the tile itself is the `A00` its step's root collected.
+    // the tile itself is the `A00` its step's root collected — unless the
+    // whole row, `A00` and `U01` included, is in the store.
     let lower = (cfg.collect && pk == 0).then(|| {
+        if in_store {
+            return state.store.into_lower(|_| n);
+        }
         let mut pivot_tile = vec![0; n];
         for (s, &r) in state.perm.iter().enumerate() {
             pivot_tile[r] = s / v;
@@ -536,25 +564,26 @@ mod tests {
     #[test]
     fn what_a_rank_hands_home_is_bounded() {
         // One rank, as in `lu_p1`: what the rank thread allocates and the
-        // host frees is the store plus the collected upper triangle, nothing
-        // reserved beyond need — at most 1.5 n² + n·v words, the footprint
-        // the page-fault count of repeated calls (`page_faults`) rests on.
+        // host frees is the store, which holds the whole factor, and the
+        // pivot order — nothing collected, nothing reserved beyond need. The
+        // host takes the store as the assembled factor, so a call holds
+        // the matrix about once (`page_faults` counts the pages).
         let (n, v) = (256, 32);
         let cfg = ConfluxConfig::new(n, v, Grid3::new(1, 1, 1));
         let (part, perm) = handed_home(&cfg, 3).remove(0).unwrap();
         let words = crate::common::words(&part) + perm.capacity();
-        let bounds = n * n + n * (n - v) / 2..=n * n + n * n / 2 + n * v;
-        assert!(bounds.contains(&words), "{words} words handed home");
-        // `lu_p4_socket`'s shape: the wire size of each rank's result — what
-        // a socket child writes to its launcher — is no larger than when
-        // every factor entry was a collected block (d25ce6c, seed 101), and
-        // together no smaller than the factor itself.
+        assert!(
+            (n * n..=n * n + n).contains(&words),
+            "{words} words handed home"
+        );
+        // `lu_p4_socket`'s shape (two process rows, so `A00` and `U01` are
+        // collected as blocks): the wire size of each rank's result — what a
+        // socket child writes to its launcher — as at ba4ea73 (seed 101),
+        // and together no smaller than the factor itself.
         let cfg = ConfluxConfig::auto(512, 4);
         let size = |rank: &RankResult| xmpi::wire::encode_vec(rank.as_ref().unwrap()).len();
         let bytes: Vec<usize> = handed_home(&cfg, 101).iter().map(size).collect();
-        let then = [565_824, 599_812, 502_776, 467_936];
-        let grew = bytes.iter().zip(then).any(|(&now, then)| now > then);
-        assert!(!grew, "{bytes:?}");
+        assert_eq!(bytes, [562_700, 597_176, 499_596, 465_292]);
         assert!(bytes.iter().sum::<usize>() >= 8 * cfg.n * cfg.n);
     }
 

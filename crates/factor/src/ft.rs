@@ -793,7 +793,7 @@ fn run_with_restarts(
         )?;
         let (parts, corrections): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
         report.corrections += corrections.iter().sum::<u64>();
-        let factor = Collected::assemble(cfg.n, cfg.v, &perm, &parts);
+        let factor = Collected::assemble(cfg.n, cfg.v, &perm, parts);
         return Ok((factor, perm, report));
     }
 }
@@ -1026,6 +1026,35 @@ mod tests {
         assert_bitwise(&packed, &base.packed, "post-crash lu factor");
         let res = lu_residual_perm(&a, &packed, &perm);
         assert!(res < 1e-12, "residual {res:e}");
+    }
+
+    #[test]
+    fn one_process_row_recovers_the_fault_free_factors_bitwise() {
+        // With one process row, the pivot rows' `A00` and `U01` are written
+        // into the stores, not collected: the checkpoints a restarted world
+        // resumes from carry them in the store rows alone. Rank 1 is the
+        // layer-0 rank of process column 1 — the root of every odd step and
+        // a U-owner of every step.
+        let (n, v, grid) = (24usize, 4usize, Grid3::new(1, 2, 2));
+        let a = random_matrix(n, n, 35);
+        let base = conflux_lu(&ConfluxConfig::new(n, v, grid), &a).unwrap();
+        let plan = CrashPlan {
+            victim: 1,
+            after_sends: 10,
+        };
+        let perturbator = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_crash(plan));
+        let cfg = FtConfig::new(n, v, grid);
+        let out = xmpi::with_hooks(perturbator.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
+        assert!(perturbator.crash_fired(), "planned crash never fired");
+        let report = &out.report;
+        assert_eq!((&report.crashed[..], report.restarts), (&[1][..], 1));
+        assert!(report.resumed_from[0] > 0, "resumed from a checkpoint");
+        assert_eq!(out.perm, base.perm);
+        assert_bitwise(
+            &out.packed,
+            base.packed.as_ref().unwrap(),
+            "recovered lu factor",
+        );
     }
 
     #[test]

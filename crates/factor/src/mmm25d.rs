@@ -91,7 +91,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
     let c = cfg.collect.then(|| {
         let identity: Vec<usize> = (0..cfg.n).collect();
-        Collected::assemble(cfg.n, cfg.v, &identity, &out.results)
+        Collected::assemble(cfg.n, cfg.v, &identity, out.results)
     });
     MmmOutput {
         c,

@@ -453,6 +453,39 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
     assert_eq!(got, want, "got {got:#018x?}");
 }
 
+/// With one process row (`Px = 1`) the pivot rows' `A00` and `U01` stay in
+/// the store of the rank that computed them and a one-rank world's store is
+/// the assembled factor, where every other grid collects them as blocks.
+/// Pivots plus factor bits on such grids — one rank, a flat row, a
+/// replicated rank, a replicated row — recorded at ba4ea73, when these
+/// grids still collected: where the factor lives may move no bit. Masking
+/// and swapping agree on every one of them.
+#[test]
+fn one_process_row_factors_are_bit_pinned() {
+    let a = random_matrix(96, 96, 105);
+    let mut got = Vec::new();
+    for [x, y, z] in [[1, 1, 1], [1, 2, 1], [1, 1, 2], [1, 3, 2]] {
+        let cfg = ConfluxConfig::new(96, 8, Grid3::new(x, y, z));
+        let lu = conflux_lu(&cfg, &a).unwrap();
+        let swap = lu25d_swap(&cfg, &a).unwrap();
+        let (lu, swap) = (
+            digest(&lu.perm, &lu.packed.unwrap()),
+            digest(&swap.perm, &swap.packed.unwrap()),
+        );
+        got.push((format!("{x}x{y}x{z}"), lu, swap));
+    }
+    // One layer sums each update in one order, two layers in another.
+    let (flat, replicated) = (0x30aa_4802_61a1_1c99_u64, 0xa290_93e2_fa73_4882_u64);
+    let want = [
+        ("1x1x1", flat),
+        ("1x2x1", flat),
+        ("1x1x2", replicated),
+        ("1x3x2", replicated),
+    ]
+    .map(|(grid, d)| (grid.to_string(), d, d));
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
 /// The three kernels' worlds, traced under the aggressive perturbation
 /// preset for `seed`: one trace per kernel world.
 fn perturbed_kernel_traces(seed: u64) -> Vec<xmpi::WorldTrace> {
