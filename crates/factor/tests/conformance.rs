@@ -414,6 +414,19 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         ("twod_cholesky", digest(&[], &chol.l.unwrap())),
         ("mmm25d", digest(&[], &mmm.c.unwrap())),
     ];
+    // The 2D LU on a single rank, a process row, a process column and
+    // both non-square grids. Every element sees the same operations in the
+    // same order on any grid, so all of them reproduce the 2x2 pin.
+    for (name, grid) in [
+        ("twod_lu 1x1", Grid2::new(1, 1)),
+        ("twod_lu 1x4", Grid2::new(1, 4)),
+        ("twod_lu 4x1", Grid2::new(4, 1)),
+        ("twod_lu 2x3", Grid2::new(2, 3)),
+        ("twod_lu 3x2", Grid2::new(3, 2)),
+    ] {
+        let lu = twod_lu(&TwodConfig::new(64, 8, grid), &a).unwrap();
+        got.push((name, digest(&lu.ipiv, &lu.packed.unwrap())));
+    }
     // The swap ablation on every grid shape.
     for (name, grid) in [
         ("lu25d_swap 2x2x2", Grid3::new(2, 2, 2)),
@@ -439,6 +452,11 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
         ("twod_lu", 0xd9e3_5769_53e3_8be4_u64),
         ("twod_cholesky", 0xbe49_69ef_b881_a049),
         ("mmm25d", 0xd6e7_f309_1aec_da1d),
+        ("twod_lu 1x1", 0xd9e3_5769_53e3_8be4),
+        ("twod_lu 1x4", 0xd9e3_5769_53e3_8be4),
+        ("twod_lu 4x1", 0xd9e3_5769_53e3_8be4),
+        ("twod_lu 2x3", 0xd9e3_5769_53e3_8be4),
+        ("twod_lu 3x2", 0xd9e3_5769_53e3_8be4),
         ("lu25d_swap 2x2x2", 0x6169_2f48_6f59_42d1),
         ("lu25d_swap 1x1x1", 0x20fa_6292_44d1_c037),
         ("lu25d_swap 1x2x2", 0xce16_60f4_b957_a277),

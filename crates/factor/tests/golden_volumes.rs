@@ -114,22 +114,18 @@ fn lu25d_swap_volume_is_golden() {
 
 #[test]
 fn twod_volumes_are_golden() {
-    let (n, nb, grid) = (64usize, 8usize, Grid2::new(2, 2));
-    let cfg = TwodConfig::new(n, nb, grid).volume_only();
-    let lu = twod_lu(&cfg, &random_matrix(n, n, 101)).unwrap();
-    check_golden(
-        &golden_path(),
-        "twod-lu-n64-nb8-g2x2",
-        &lu.stats,
-        golden_mode(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    // The Cholesky cells include a non-square grid, whose process rows and
-    // columns own different tile sets.
-    for (n, grid) in [(64usize, grid), (96, Grid2::new(3, 2))] {
+    // Both baselines have a cell on a non-square grid, whose process rows
+    // and columns own different tile sets.
+    let nb = 8;
+    for (n, grid) in [(64usize, Grid2::new(2, 2)), (96, Grid2::new(3, 2))] {
         let cfg = TwodConfig::new(n, nb, grid).volume_only();
+        let (rows, cols) = (grid.rows, grid.cols);
+        let lu = twod_lu(&cfg, &random_matrix(n, n, 101)).unwrap();
+        let key = format!("twod-lu-n{n}-nb{nb}-g{rows}x{cols}");
+        check_golden(&golden_path(), &key, &lu.stats, golden_mode())
+            .unwrap_or_else(|e| panic!("{e}"));
         let chol = twod_cholesky(&cfg, &random_spd(n, 202)).unwrap();
-        let key = format!("twod-chol-n{n}-nb{nb}-g{}x{}", grid.rows, grid.cols);
+        let key = format!("twod-chol-n{n}-nb{nb}-g{rows}x{cols}");
         check_golden(&golden_path(), &key, &chol.stats, golden_mode())
             .unwrap_or_else(|e| panic!("{e}"));
     }
