@@ -112,7 +112,7 @@ impl Matrix {
     }
 
     /// Mutable view of the `nr × nc` window starting at `(r0, c0)`.
-    pub fn block_mut(&mut self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatMut<'_> {
+    pub(crate) fn block_mut(&mut self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatMut<'_> {
         self.as_mut().block(r0, c0, nr, nc)
     }
 

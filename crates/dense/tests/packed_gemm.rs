@@ -113,7 +113,7 @@ proptest! {
 
         let a = big_a.block(r0, c0, am, an);
         let b = big_b.block(c0, r0, bm, bn);
-        gemm(ta, tb, 1.25, a, b, -0.5, big_c.block_mut(r0, c0, m, n));
+        gemm(ta, tb, 1.25, a, b, -0.5, big_c.as_mut().block(r0, c0, m, n));
 
         let mut reference = c_before.block(r0, c0, m, n).to_owned();
         naive_gemm(ta, tb, 1.25, a, b, -0.5, reference.as_mut());
@@ -174,7 +174,7 @@ fn par_kernels_equal_sequential(m: usize, n: usize, k: usize) {
                 a.block(r.start, 0, r.len(), k),
                 b.as_ref(),
                 beta,
-                c_seq.block_mut(r.start, 0, r.len(), n),
+                c_seq.as_mut().block(r.start, 0, r.len(), n),
             );
         }
         let mut c_par = c0.clone();
@@ -258,7 +258,7 @@ proptest! {
         }
 
         let mut got = before.clone();
-        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, got.block_mut(0, c0, crows, n));
+        gemm_rows(alpha, a.as_ref(), b.as_ref(), &rows, got.as_mut().block(0, c0, crows, n));
         for (at, (x, y)) in got.data().iter().zip(expect.data()).enumerate() {
             prop_assert_eq!(
                 x.to_bits(), y.to_bits(),
@@ -306,7 +306,7 @@ fn loop_order_and_blocking_never_change_bits() {
                     for j in (0..n).step_by(pn) {
                         let (h, w) = (pm.min(m - i), pn.min(n - j));
                         let (a, b) = (a.block(i, 0, h, k), b.block(0, j, k, w));
-                        let c = c.block_mut(i, j, h, w);
+                        let c = c.as_mut().block(i, j, h, w);
                         gemm(Trans::N, Trans::N, -1.0, a, b, 1.0, c);
                     }
                 }
@@ -355,10 +355,10 @@ proptest! {
                 let mut want = before.clone();
                 gemm(
                     Trans::N, Trans::T, alpha, a.as_ref(), b.block(c0, 0, w, k), 1.0,
-                    want.block_mut(1, 2, m, w),
+                    want.as_mut().block(1, 2, m, w),
                 );
                 let mut got = before.clone();
-                gemm_prepacked(alpha, a.as_ref(), &packed, c0..c0 + w, got.block_mut(1, 2, m, w));
+                gemm_prepacked(alpha, a.as_ref(), &packed, c0..c0 + w, got.as_mut().block(1, 2, m, w));
                 for (at, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
                     prop_assert_eq!(
                         x.to_bits(), y.to_bits(),

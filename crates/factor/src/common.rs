@@ -126,6 +126,15 @@ impl Tiling {
         (p..self.nt).step_by(np).filter(|&t| t > step).collect()
     }
 
+    /// How many of the indices `0..i` (matrix rows, or columns) coordinate
+    /// `p` of `np` owns: the owned indices `≥ i` are the local suffix from
+    /// here.
+    pub(crate) fn owned_before(&self, i: usize, p: usize, np: usize) -> usize {
+        let (t, v) = (i / self.v, self.v);
+        let partial = if t % np == p { i % v } else { 0 };
+        (p..t).step_by(np).len() * v + partial
+    }
+
     /// Width of the reduction-dimension slice each layer handles.
     #[inline]
     pub(crate) fn kslice(&self) -> usize {
@@ -304,6 +313,12 @@ impl TileStore {
         (r / self.v / self.px) * self.v + r % self.v
     }
 
+    /// Global row of the local row `lrow`.
+    #[inline]
+    pub(crate) fn global_row(&self, lrow: usize) -> usize {
+        (lrow / self.v * self.px + self.pi) * self.v + lrow % self.v
+    }
+
     /// Local index of the first column of the owned tile column `tj`.
     #[inline]
     pub(crate) fn col0(&self, tj: usize) -> usize {
@@ -397,7 +412,7 @@ impl TileStore {
     /// `upto(r)` are factor entries, the rest of the row is dead.
     pub(crate) fn into_lower(self, upto: impl Fn(usize) -> usize) -> Lower {
         let rows = (0..(self.band.len() - 1) * self.v).map(|lrow| {
-            let r = (lrow / self.v * self.px + self.pi) * self.v + lrow % self.v;
+            let r = self.global_row(lrow);
             let (span, lead) = (self.row_span(lrow), self.cols_before(upto(r)));
             debug_assert!(lead <= span.len(), "row {r} has no column {}", upto(r));
             (span.start, lead)
@@ -437,6 +452,74 @@ impl TileStore {
         let full = self.data.len() == rows * ld;
         assert!(full, "a lower-only store has no full-height view");
         MatMut::from_slice(&mut self.data, rows, ld, ld).block(0, cols.start, rows, cols.len())
+    }
+}
+
+/// The calling rank's part in exchanging two rows of the matrix, both
+/// addressed by global row: a physical row swap, as the swapping schedules
+/// (the 2D LU, the swap ablation) perform one.
+pub(crate) enum Swap {
+    /// Both rows are local rows of this rank.
+    Local(usize, usize),
+    /// This rank holds one of them, at local row `lrow`, and trades it with
+    /// world rank `partner` (same process column and layer).
+    Remote { lrow: usize, partner: usize },
+}
+
+impl Swap {
+    /// What world rank `rank` does to exchange rows `p1` and `p2`
+    /// (`None`: its process row holds neither).
+    pub(crate) fn of(
+        til: &Tiling,
+        store: &TileStore,
+        rank: usize,
+        p1: usize,
+        p2: usize,
+    ) -> Option<Swap> {
+        let (g, v) = (til.grid, til.v);
+        let (pi, pj, pk) = g.coords(rank);
+        let (o1, o2) = ((p1 / v) % g.px, (p2 / v) % g.px);
+        let (l1, l2) = (store.local_row(p1), store.local_row(p2));
+        let remote = |lrow, o| Swap::Remote {
+            lrow,
+            partner: g.rank_of(o, pj, pk),
+        };
+        match (pi == o1, pi == o2) {
+            (true, true) => Some(Swap::Local(l1, l2)),
+            (true, false) => Some(remote(l1, o2)),
+            (false, true) => Some(remote(l2, o1)),
+            (false, false) => None,
+        }
+    }
+}
+
+/// Exchange the segments `keep` of two rows of `store`. Locally the slices
+/// trade places; across ranks both segments travel as one message each way,
+/// and nothing travels when both are empty.
+pub(crate) fn swap_store_rows(
+    comm: &Comm,
+    store: &mut TileStore,
+    keep: &[Range<usize>; 2],
+    swap: &Swap,
+    tag: u64,
+) {
+    match *swap {
+        Swap::Local(l1, l2) => {
+            for cols in keep {
+                store.swap_rows(l1, l2, cols.clone());
+            }
+        }
+        Swap::Remote { lrow, partner } => {
+            if keep.iter().all(|cols| cols.is_empty()) {
+                return;
+            }
+            let row = store.row(lrow);
+            let buf = [&row[keep[0].clone()], &row[keep[1].clone()]].concat();
+            let theirs = comm.sendrecv_f64(partner, tag, &buf);
+            let (left, right) = theirs.split_at(keep[0].len());
+            store.row_mut(lrow)[keep[0].clone()].copy_from_slice(left);
+            store.row_mut(lrow)[keep[1].clone()].copy_from_slice(right);
+        }
     }
 }
 
@@ -953,6 +1036,27 @@ mod tests {
         assert_eq!(owners, [[1; 6]; 6], "each tile has exactly one 2D owner");
         assert_eq!(t.tile_rows_of(1), vec![1, 3, 5]);
         assert_eq!(t.kslice(), 2);
+    }
+
+    #[test]
+    fn owned_before_counts_the_owned_prefix() {
+        for (n, v) in [(12, 1), (12, 3), (24, 4), (20, 5)] {
+            let nt = n / v;
+            // Coordinates past the tile count (`p ≥ nt`) own nothing.
+            for np in 1..=nt + 2 {
+                let til = Tiling::new(n, v, Grid3::new(np, 1, 1));
+                for p in 0..np {
+                    // Every `i`, tile boundaries and `i = n` included.
+                    for i in 0..=n {
+                        let brute = (0..i).filter(|&x| (x / v) % np == p).count();
+                        assert_eq!(til.owned_before(i, p, np), brute, "{i} {p} {np} {v}");
+                    }
+                }
+            }
+        }
+        // On a boundary the tile that starts there is not counted.
+        let til = Tiling::new(16, 4, Grid3::new(2, 1, 1));
+        assert_eq!([8, 9, 12].map(|i| til.owned_before(i, 0, 2)), [4, 5, 8]);
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //!   comparison target.
 //!
 //! All schedules run on the [`xmpi`] simulated machine, so their
-//! communication volume is *measured*, not asserted.
+//! communication volume is *measured*, not asserted. They share one data
+//! plane: a rank's share of the matrix is a tile store, and what it hands
+//! home is its factor rows plus collected blocks. The ScaLAPACK wrappers
+//! are the one place a block-cyclic layout of the `layout` crate meets it.
 
 #![warn(unreachable_pub)]
 

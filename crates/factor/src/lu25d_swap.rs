@@ -17,10 +17,9 @@
 //! swap the reduced panel rows too. `id_at[pos]`, the original row at
 //! position `pos` (the physical slot a row occupies), is the permutation.
 
-use crate::common::{phase, Net, TileStore, Tiling};
+use crate::common::{phase, swap_store_rows, Net, Swap, TileStore};
 use crate::conflux::{factor_lu, ConfluxConfig, LuOutput, PivotPolicy};
 use dense::Matrix;
-use std::ops::Range;
 use xmpi::Comm;
 
 const TAG_SWAP: u64 = 9_000_000;
@@ -81,65 +80,6 @@ pub(crate) fn row_swaps(
         id_at.swap(tgt, cur);
     }
     (step * v..(step + 1) * v).collect()
-}
-
-/// The calling rank's part in exchanging the rows at two positions.
-enum Swap {
-    /// Both positions are local rows of this rank.
-    Local(usize, usize),
-    /// This rank holds one of them, at local row `lrow`, and trades it with
-    /// world rank `partner` (same process column and layer).
-    Remote { lrow: usize, partner: usize },
-}
-
-impl Swap {
-    /// What world rank `rank` does to exchange positions `p1` and `p2`
-    /// (`None`: its process row holds neither).
-    fn of(til: &Tiling, store: &TileStore, rank: usize, p1: usize, p2: usize) -> Option<Swap> {
-        let (g, v) = (til.grid, til.v);
-        let (pi, pj, pk) = g.coords(rank);
-        let (o1, o2) = ((p1 / v) % g.px, (p2 / v) % g.px);
-        let (l1, l2) = (store.local_row(p1), store.local_row(p2));
-        let remote = |lrow, o| Swap::Remote {
-            lrow,
-            partner: g.rank_of(o, pj, pk),
-        };
-        match (pi == o1, pi == o2) {
-            (true, true) => Some(Swap::Local(l1, l2)),
-            (true, false) => Some(remote(l1, o2)),
-            (false, true) => Some(remote(l2, o1)),
-            (false, false) => None,
-        }
-    }
-}
-
-/// Exchange the segments `keep` of two rows of `store`. Locally the slices
-/// trade places; across ranks both segments travel as one message each way.
-fn swap_store_rows(
-    comm: &Comm,
-    store: &mut TileStore,
-    keep: &[Range<usize>; 2],
-    swap: &Swap,
-    tag: u64,
-) {
-    match *swap {
-        Swap::Local(l1, l2) => {
-            for cols in keep {
-                store.swap_rows(l1, l2, cols.clone());
-            }
-        }
-        Swap::Remote { lrow, partner } => {
-            if keep.iter().all(|cols| cols.is_empty()) {
-                return;
-            }
-            let row = store.row(lrow);
-            let buf = [&row[keep[0].clone()], &row[keep[1].clone()]].concat();
-            let theirs = comm.sendrecv_f64(partner, tag, &buf);
-            let (left, right) = theirs.split_at(keep[0].len());
-            store.row_mut(lrow)[keep[0].clone()].copy_from_slice(left);
-            store.row_mut(lrow)[keep[1].clone()].copy_from_slice(right);
-        }
-    }
 }
 
 /// Exchange the panel-buffer rows of the two positions between the owning

@@ -5,6 +5,13 @@
 //! factored, and the factor travels back into the caller's layout — every
 //! staging byte measured.
 //!
+//! The write-back leaves the factor where the rank programs left it — the
+//! `L` rows in the tile stores, the rest in the collected blocks — and
+//! feeds both, as `(row, first column, values)` runs under their pivoted
+//! rows, to the layout crate's one run router, which also carries both
+//! redistributions: a run never crosses a tile column, so it travels whole
+//! with one `(row, col, len)` index triple.
+//!
 //! Naming follows ScaLAPACK: [`pdgetrf`] (LU) and [`pdpotrf`] (Cholesky).
 //! Unlike ScaLAPACK's `pdgetrf`, the factor comes back in *pivoted row
 //! coordinates* with an explicit permutation (COnfLUX's row masking never
@@ -18,10 +25,9 @@ use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig, PivotPolicy};
 use crate::ft::Guard;
 use dense::{Error, Matrix};
-use layout::{redist::redistribute_subset, BlockCyclic, DistMatrix};
+use layout::redist::{redistribute_subset, route_runs};
+use layout::{BlockCyclic, DistMatrix};
 use xmpi::{Comm, Grid2, WorldStats};
-
-const TAG_WRITEBACK: u64 = 9_900_000;
 
 /// Result of a wrapped factorization: per-rank output shards in the
 /// caller's layout, plus the permutation and measured traffic.
@@ -160,12 +166,13 @@ fn shard_to_tiles(
     })
 }
 
-/// Route a rank's factor elements — the `L` rows its store kept and the
-/// pieces it collected, scattered across the machine under their *original*
-/// row ids — into a layer-0 shard of the *pivoted* matrix: each element's
-/// pivoted row decides its tile owner; `(pivoted row, col)` pairs and values
-/// travel point-to-point (measured; this is the factor-writeback cost of a
-/// wrapper, `O(N²/P)` per rank with a 3x header overhead).
+/// Route a rank's factor runs — the `L` rows its store kept and the pieces
+/// it collected, scattered across the machine under their *original* row
+/// ids — into a layer-0 shard of the *pivoted* matrix through the layout
+/// crate's run router: each run's pivoted row decides its tile owner, and
+/// a run, which never crosses a tile column, travels whole with one
+/// `(row, col, len)` triple (measured: the factor-writeback cost of a
+/// wrapper, `O(N²/P)` per rank).
 fn factor_to_shard(
     comm: &Comm,
     tdesc: BlockCyclic,
@@ -173,55 +180,15 @@ fn factor_to_shard(
     lower: &Lower,
     upper: &Collected,
 ) -> Option<DistMatrix> {
-    let p = comm.size();
-    let me = comm.rank();
-    let q = tdesc.nprocs();
     let mut pos = vec![usize::MAX; perm.len()];
     for (s, &r) in perm.iter().enumerate() {
         pos[r] = s;
     }
-    // Bucket per destination: indices (pivoted row, col) and values.
-    let mut idx: Vec<Vec<u64>> = vec![Vec::new(); q];
-    let mut val: Vec<Vec<f64>> = vec![Vec::new(); q];
-    let mut route = |r: usize, c0: usize, vals: &[f64]| {
-        let s = pos[r];
-        debug_assert!(s != usize::MAX, "factor row missing from perm");
-        for (c, &x) in (c0..).zip(vals) {
-            let dst = tdesc.owner(s, c);
-            idx[dst].extend_from_slice(&[s as u64, c as u64]);
-            val[dst].push(x);
-        }
-    };
-    lower.for_each_run(&mut route);
-    upper.for_each_run(&mut route);
-    for dst in 0..q {
-        if dst == me {
-            continue;
-        }
-        comm.send_u64(dst, TAG_WRITEBACK, &idx[dst]);
-        comm.send_f64(dst, TAG_WRITEBACK, &val[dst]);
-    }
-    if me >= q {
-        return None;
-    }
-    let mut shard = DistMatrix::zeros(tdesc, tdesc.grid.coords(me));
-    let mut write = |idx: &[u64], val: &[f64]| {
-        for (pair, &x) in idx.chunks_exact(2).zip(val) {
-            shard.set_global(pair[0] as usize, pair[1] as usize, x);
-        }
-    };
-    let my_idx = std::mem::take(&mut idx[me]);
-    let my_val = std::mem::take(&mut val[me]);
-    write(&my_idx, &my_val);
-    for src in 0..p {
-        if src == me {
-            continue;
-        }
-        let i = comm.recv_u64(src, TAG_WRITEBACK);
-        let v = comm.recv_f64(src, TAG_WRITEBACK);
-        write(&i, &v);
-    }
-    Some(shard)
+    route_runs(comm, comm.size(), tdesc, |emit| {
+        let mut pivoted = |r: usize, c0: usize, vals: &[f64]| emit(pos[r], c0, vals);
+        lower.for_each_run(&mut pivoted);
+        upper.for_each_run(pivoted);
+    })
 }
 
 #[cfg(test)]

@@ -24,23 +24,27 @@
 //! the same way (Table 2), so at equal `v` replication is the only
 //! difference between COnfCHOX and this baseline.
 //!
-//! A rank's LU shard is the dense local matrix of a [`DistMatrix`], and every
-//! step works on sub-blocks of it: the owned rows with global index `≥ i`
-//! are the local suffix starting at `numroc(i, nb, pi, Pr)`, likewise for
-//! columns. Pivot search and elimination run over local row slices, the
-//! panel solves are `trsm` in place, panels are packed by block copy, and a
-//! trailing update is one `gemm` (`α = −1`, `β = 1`) on the trailing
-//! sub-block — the discipline of the 2.5D stores in the `common` module, so a
-//! wall-clock comparison between the schedules compares schedules.
+//! The LU runs on the 2.5D schedules' data plane (the `common` module) on the
+//! same flat grid `Pr × Pc × 1` with `v = nb`: a staged tile store, the
+//! grid's row and column communicators, and local suffixes from
+//! `Tiling::owned_before` for the rows and columns `≥ i`. Pivot search and
+//! elimination run over store rows, a row swap is the swap ablation's
+//! exchange of store rows, the panel solve and the rank-`nb` update are one
+//! `trsm` and one `gemm` in place on column views of the store, and each
+//! rank hands its store home as its factor rows (on one rank, the store is
+//! the output). So a wall-clock comparison between schedules compares
+//! schedules, not storage.
 
-use crate::common::{check_shape, phase, phase_end, split_results};
+use crate::common::{
+    check_shape, phase, phase_end, split_results, stage_from_global, swap_store_rows, Collected,
+    Net, RankResult, Swap, TileStore, Tiling,
+};
 use crate::confchox::{confchox_cholesky, CholOutput, ConfchoxConfig};
 use dense::gemm::{gemm, Trans};
 use dense::trsm::{trsm, Diag, Side, Uplo};
 use dense::{Error, MatRef, Matrix};
-use layout::desc::numroc;
-use layout::{BlockCyclic, DistMatrix};
-use xmpi::{Comm, Grid2, Grid3, WorldStats};
+use std::ops::Range;
+use xmpi::{Grid2, Grid3, WorldStats};
 
 const TAG_SWAP: u64 = 8_000_000;
 
@@ -109,10 +113,16 @@ pub struct TwodLuOutput {
 /// a pivot column is exactly zero.
 pub fn twod_lu(cfg: &TwodConfig, a: &Matrix) -> Result<TwodLuOutput, Error> {
     check_shape(a, cfg.n)?;
-    let desc = BlockCyclic::new(cfg.n, cfg.n, cfg.nb, cfg.nb, cfg.grid);
-    let out = xmpi::run(cfg.grid.size(), |comm| lu_rank(comm, cfg, desc, a));
-    let (shards, ipiv) = split_results(out.results)?;
-    let packed = cfg.collect.then(|| layout::dist::assemble(&desc, &shards));
+    let til = Tiling::new(cfg.n, cfg.nb, Grid3::new(cfg.grid.rows, cfg.grid.cols, 1));
+    let out = xmpi::run(til.grid.size(), |comm| {
+        lu_rank(&Net::new(comm, til), a, cfg.collect)
+    });
+    let (parts, ipiv) = split_results(out.results)?;
+    // The rows were swapped into place: the stores are in pivoted order.
+    let rows = Vec::from_iter(0..cfg.n);
+    let packed = cfg
+        .collect
+        .then(|| Collected::assemble(cfg.n, cfg.nb, &rows, parts));
     Ok(TwodLuOutput {
         ipiv,
         packed,
@@ -120,37 +130,31 @@ pub fn twod_lu(cfg: &TwodConfig, a: &Matrix) -> Result<TwodLuOutput, Error> {
     })
 }
 
-/// The block `rows × cols` of `m` at `(r0, c0)`, packed row-major.
-fn pack(m: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Vec<f64> {
-    m.block(r0, c0, rows, cols).to_owned().into_vec()
+/// The block of `store` over the local rows `rows` and columns `cols`,
+/// packed row-major.
+fn pack(store: &mut TileStore, rows: Range<usize>, cols: Range<usize>) -> Vec<f64> {
+    let width = cols.len();
+    let block = store.cols_mut(cols).block(rows.start, 0, rows.len(), width);
+    block.to_owned().into_vec()
 }
 
-fn lu_rank(
-    comm: &Comm,
-    cfg: &TwodConfig,
-    desc: BlockCyclic,
-    a: &Matrix,
-) -> Result<(DistMatrix, Vec<usize>), Error> {
-    let g = cfg.grid;
-    let (pi, pj) = g.coords(comm.rank());
-    let (n, nb) = (cfg.n, cfg.nb);
-    let mut m = DistMatrix::from_global(desc, (pi, pj), a);
+fn lu_rank(net: &Net<'_>, a: &Matrix, collect: bool) -> RankResult {
+    let (comm, til) = (net.comm, net.til);
+    let (g, n, nb) = (til.grid, til.n, til.v);
+    let (pi, pj, _) = g.coords(comm.rank());
+    let mut store = stage_from_global(comm, &til, a, false);
     let mut ipiv: Vec<usize> = Vec::with_capacity(n);
     // My rows (columns) with global index ≥ `i` are the local suffix from here.
-    let lrow_from = |i: usize| numroc(i, nb, pi, g.rows);
-    let lcol_from = |j: usize| numroc(j, nb, pj, g.cols);
-    let (lrows, lcols) = (m.local.rows(), m.local.cols());
+    let lrow_from = |i: usize| til.owned_before(i, pi, g.px);
+    let lcol_from = |j: usize| til.owned_before(j, pj, g.py);
+    let (lrows, lcols) = (lrow_from(n), lcol_from(n));
+    // A row swap exchanges whole local rows.
+    let keep = [0..lcols, lcols..lcols];
 
-    // Static sub-communicators: my process row and my process column.
-    let rowc = comm.subcomm(1, &g.row_members(pi)); // local rank = pj
-    let colc = comm.subcomm(2, &g.col_members(pj)); // local rank = pi
-
-    let mut k0 = 0;
-    while k0 < n {
-        let kb = nb.min(n - k0);
-        let end = k0 + kb;
-        let pcol = (k0 / nb) % g.cols; // process column owning the panel
-        let prow = (k0 / nb) % g.rows; // process row owning the U block row
+    for step in 0..til.nt {
+        let (k0, end) = (step * nb, (step + 1) * nb);
+        let pcol = step % g.py; // process column owning the panel
+        let prow = step % g.px; // process row owning the U block row
 
         // Local offsets of the panel (on its owners: of row/column `k0`
         // itself) and of the trailing matrix.
@@ -162,34 +166,33 @@ fn lu_rank(
         phase(comm, "panel");
         for j in k0..end {
             // Column `j` and the rest of the panel right of it, locally.
-            let panel = c0 + (j - k0)..c0 + kb;
+            let panel = c0 + (j - k0)..c0 + nb;
             // Pivot search over the owning process column; `-1` stands for
             // "the column is exactly zero".
             let mut piv = vec![j as f64];
             if pj == pcol {
                 let (mut best, mut best_row) = (f64::NEG_INFINITY, j);
                 for l in lrow_from(j)..lrows {
-                    let val = m.local.row(l)[panel.start].abs();
+                    let val = store.row(l)[panel.start].abs();
                     if val > best {
-                        (best, best_row) = (val, desc.row_l2g(pi, l));
+                        (best, best_row) = (val, store.global_row(l));
                     }
                 }
                 // All-gather candidates over the process column; every
                 // member picks the same winner (ties: smallest row).
-                let cands = colc.allgather_f64(&[best, best_row as f64]);
-                let (mut gbest, mut grow) = (f64::NEG_INFINITY, usize::MAX);
+                let cands = net.xcol.allgather_f64(&[best, best_row as f64]);
+                let (mut gbest, mut grow) = (f64::NEG_INFINITY, f64::MAX);
                 for c in &cands {
-                    if c[0] > gbest || (c[0] == gbest && (c[1] as usize) < grow) {
-                        gbest = c[0];
-                        grow = c[1] as usize;
+                    if c[0] > gbest || (c[0] == gbest && c[1] < grow) {
+                        (gbest, grow) = (c[0], c[1]);
                     }
                 }
-                piv[0] = if gbest == 0.0 { -1.0 } else { grow as f64 };
+                piv[0] = if gbest == 0.0 { -1.0 } else { grow };
             }
             // Propagate the pivot to every process column (pivot metadata
             // broadcast along process rows), so a singular column makes
             // every rank abort together.
-            rowc.bcast_f64(pcol, &mut piv);
+            net.yrow.bcast_f64(pcol, &mut piv);
             if piv[0] < 0.0 {
                 return Err(Error::SingularAt(j));
             }
@@ -198,21 +201,23 @@ fn lu_rank(
 
             // Full-row swap j ↔ piv_row in every process column.
             if piv_row != j {
-                swap_rows_dist(comm, &g, &mut m, j, piv_row);
+                if let Some(swap) = Swap::of(&til, &store, comm.rank(), j, piv_row) {
+                    swap_store_rows(comm, &mut store, &keep, &swap, TAG_SWAP);
+                }
             }
 
             // Broadcast the pivot row's panel segment (cols j..end) plus the
             // pivot value down the owning process column, then eliminate.
             if pj == pcol {
-                let (owner_pi, lj) = desc.row_g2l(j);
+                let owner = step % g.px;
                 let mut seg = Vec::new();
-                if owner_pi == pi {
-                    seg = m.local.row(lj)[panel.clone()].to_vec();
+                if owner == pi {
+                    seg = store.row(store.local_row(j))[panel.clone()].to_vec();
                 }
-                colc.bcast_f64(owner_pi, &mut seg);
+                net.xcol.bcast_f64(owner, &mut seg);
                 let ajj = seg[0];
                 for l in lrow_from(j + 1)..lrows {
-                    let row = &mut m.local.row_mut(l)[panel.clone()];
+                    let row = &mut store.row_mut(l)[panel.clone()];
                     let lval = row[0] / ajj;
                     row[0] = lval;
                     for (x, u) in row[1..].iter_mut().zip(&seg[1..]) {
@@ -229,11 +234,11 @@ fn lu_rank(
         // ---- Broadcast L00 along the U-owning process row, solve U12 ----
         phase(comm, "u_panel");
         if pi == prow {
-            let mut l00 = vec![0.0; kb * kb];
+            let mut l00 = vec![0.0; nb * nb];
             if pj == pcol {
-                l00 = pack(&m.local, r0, c0, kb, kb);
+                l00 = pack(&mut store, r0..r1, c0..c1);
             }
-            rowc.bcast_f64(pcol, &mut l00);
+            net.yrow.bcast_f64(pcol, &mut l00);
             // My trailing columns of the U block row, in place.
             if ncols > 0 {
                 trsm(
@@ -242,29 +247,29 @@ fn lu_rank(
                     Trans::N,
                     Diag::Unit,
                     1.0,
-                    MatRef::from_slice(&l00, kb, kb, kb),
-                    m.local.block_mut(r0, c1, kb, ncols),
+                    MatRef::from_slice(&l00, nb, nb, nb),
+                    store.cols_mut(c1..lcols).block(r0, 0, nb, ncols),
                 );
             }
         }
 
-        // ---- Broadcast panels, rank-kb trailing update -------------------
+        // ---- Broadcast panels, rank-nb trailing update -------------------
         phase(comm, "update");
         // L panel rows ≡ pi travel along the process row from pcol.
         let mut lbuf: Vec<f64> = Vec::new();
         if nrows > 0 {
             if pj == pcol {
-                lbuf = pack(&m.local, r1, c0, nrows, kb);
+                lbuf = pack(&mut store, r1..lrows, c0..c1);
             }
-            rowc.bcast_f64(pcol, &mut lbuf);
+            net.yrow.bcast_f64(pcol, &mut lbuf);
         }
         // U block-row columns ≡ pj travel down the process column from prow.
         let mut ubuf: Vec<f64> = Vec::new();
         if ncols > 0 {
             if pi == prow {
-                ubuf = pack(&m.local, r0, c1, kb, ncols);
+                ubuf = pack(&mut store, r0..r1, c1..lcols);
             }
-            colc.bcast_f64(prow, &mut ubuf);
+            net.xcol.bcast_f64(prow, &mut ubuf);
         }
 
         if nrows > 0 && ncols > 0 {
@@ -272,42 +277,18 @@ fn lu_rank(
                 Trans::N,
                 Trans::N,
                 -1.0,
-                MatRef::from_slice(&lbuf, nrows, kb, kb),
-                MatRef::from_slice(&ubuf, kb, ncols, ncols),
+                MatRef::from_slice(&lbuf, nrows, nb, nb),
+                MatRef::from_slice(&ubuf, nb, ncols, ncols),
                 1.0,
-                m.local.block_mut(r1, c1, nrows, ncols),
+                store.cols_mut(c1..lcols).block(r1, 0, nrows, ncols),
             );
         }
-
-        k0 = end;
     }
 
     phase_end(comm);
-    Ok((m, ipiv))
-}
-
-/// Exchange full rows `r1 ↔ r2` of a distributed matrix: in every process
-/// column, the two owning ranks swap their local row pieces.
-fn swap_rows_dist(comm: &Comm, g: &Grid2, m: &mut DistMatrix, r1: usize, r2: usize) {
-    let (p1, l1) = m.desc.row_g2l(r1);
-    let (p2, l2) = m.desc.row_g2l(r2);
-    let (pi, pj) = m.coords;
-    if p1 == p2 {
-        if pi == p1 {
-            let (cols, lo, hi) = (m.local.cols(), l1.min(l2), l1.max(l2));
-            let (head, tail) = m.local.data_mut().split_at_mut(hi * cols);
-            head[lo * cols..(lo + 1) * cols].swap_with_slice(&mut tail[..cols]);
-        }
-        return;
-    }
-    let (mine, partner) = match (pi == p1, pi == p2) {
-        (true, _) => (l1, g.rank_of(p2, pj)),
-        (_, true) => (l2, g.rank_of(p1, pj)),
-        _ => return,
-    };
-    comm.send_f64(partner, TAG_SWAP, m.local.row(mine));
-    let theirs = comm.recv_f64(partner, TAG_SWAP);
-    m.local.row_mut(mine).copy_from_slice(&theirs);
+    // Every rank's store holds its rows of the packed factor in full.
+    let lower = collect.then(|| store.into_lower(|_| n));
+    Ok(((lower.unwrap_or_default(), Collected::default()), ipiv))
 }
 
 /// Right-looking 2D Cholesky (lower): COnfCHOX on the flat grid

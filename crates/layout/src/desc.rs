@@ -63,7 +63,7 @@ impl BlockCyclic {
     }
 
     /// Map a global row to `(owner process row, local row)`.
-    pub fn row_g2l(&self, i: usize) -> (usize, usize) {
+    pub(crate) fn row_g2l(&self, i: usize) -> (usize, usize) {
         let b = i / self.rb;
         let off = i % self.rb;
         (b % self.grid.rows, (b / self.grid.rows) * self.rb + off)
@@ -77,7 +77,7 @@ impl BlockCyclic {
     }
 
     /// Map `(process row, local row)` back to the global row.
-    pub fn row_l2g(&self, pi: usize, li: usize) -> usize {
+    pub(crate) fn row_l2g(&self, pi: usize, li: usize) -> usize {
         let lb = li / self.rb;
         let off = li % self.rb;
         (lb * self.grid.rows + pi) * self.rb + off
@@ -153,7 +153,7 @@ impl ScalapackDesc {
 /// ScaLAPACK's `numroc`: the number of rows/columns of a dimension of extent
 /// `n`, distributed in blocks of `nb` over `np` processes, that land on
 /// process coordinate `p`.
-pub fn numroc(n: usize, nb: usize, p: usize, np: usize) -> usize {
+pub(crate) fn numroc(n: usize, nb: usize, p: usize, np: usize) -> usize {
     let nblocks = n / nb;
     let mut cnt = (nblocks / np) * nb;
     let extra = nblocks % np;

@@ -63,28 +63,6 @@ impl DistMatrix {
         );
         self.local[(li, lj)]
     }
-
-    /// Write the global entry `(i, j)`.
-    ///
-    /// # Panics
-    /// If this rank does not own the entry.
-    pub fn set_global(&mut self, i: usize, j: usize, v: f64) {
-        let (pi, li) = self.desc.row_g2l(i);
-        let (pj, lj) = self.desc.col_g2l(j);
-        assert_eq!(
-            (pi, pj),
-            self.coords,
-            "entry ({i},{j}) not owned by this rank"
-        );
-        self.local[(li, lj)] = v;
-    }
-
-    /// Does this rank own global entry `(i, j)`?
-    pub fn owns(&self, i: usize, j: usize) -> bool {
-        let (pi, _) = self.desc.row_g2l(i);
-        let (pj, _) = self.desc.col_g2l(j);
-        (pi, pj) == self.coords
-    }
 }
 
 /// A rank process ships its shard home as the descriptor, its grid
@@ -176,11 +154,11 @@ mod tests {
     fn get_set_global() {
         let desc = BlockCyclic::new(8, 8, 2, 2, Grid2::new(2, 2));
         let mut d = DistMatrix::zeros(desc, (1, 0));
-        // Global (2,0): row block 1 -> process row 1; col block 0 -> col 0.
-        assert!(d.owns(2, 0));
-        d.set_global(2, 0, 5.0);
+        // Global (2,0): row block 1 -> process row 1; col block 0 -> col 0,
+        // local (0, 0).
+        assert_eq!(desc.owner(2, 0), desc.grid.rank_of(1, 0));
+        d.local[(0, 0)] = 5.0;
         assert_eq!(d.get_global(2, 0), 5.0);
-        assert!(!d.owns(0, 0));
     }
 
     #[test]

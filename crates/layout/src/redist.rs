@@ -2,13 +2,15 @@
 //!
 //! Transforms a distributed matrix from one block-cyclic layout to another
 //! (different block sizes and/or different grids, over the same
-//! communicator). Every rank walks its local rows, splits each row into the
-//! maximal runs that stay within one destination column block, and ships the
-//! runs to their new owners in one message per destination; receivers write
-//! runs into their new shard. Wire format per destination: an index buffer
-//! of `(global row, global col start, len)` triples plus one element buffer,
-//! so the measured overhead over the raw payload is explicit and small for
-//! block runs.
+//! communicator). Every rank hands the run router ([`route_runs`]) its
+//! local rows cut into source column blocks; the router splits each run
+//! into the maximal pieces that stay within one destination column block
+//! and ships them to their new owners in one message pair per
+//! destination, and receivers write them into their new shard. Wire format
+//! per destination: an index buffer of `(global row, global col start,
+//! len)` triples plus one element buffer, so the measured overhead over the
+//! raw payload is explicit and small for block runs. The ScaLAPACK wrappers
+//! route a factor's runs home the same way.
 //!
 //! Layouts may span a *subset* of the communicator (grids of size `q ≤ P`
 //! occupy ranks `0..q`): that is how a ScaLAPACK caller's full-machine
@@ -55,103 +57,101 @@ pub fn redistribute_subset(
     src: Option<&DistMatrix>,
     dst_desc: BlockCyclic,
 ) -> Option<DistMatrix> {
-    let p = comm.size();
-    let me = comm.rank();
-    assert!(
-        dst_desc.nprocs() <= p,
-        "target layout larger than communicator"
-    );
-
     // Consistency between this rank's src argument and the source grid.
     if let Some(s) = src {
         assert_eq!(s.desc.m, dst_desc.m, "redistribute: row extents differ");
         assert_eq!(s.desc.n, dst_desc.n, "redistribute: column extents differ");
-        assert!(me < s.desc.nprocs(), "rank outside source grid passed Some");
+        assert!(
+            comm.rank() < s.desc.nprocs(),
+            "rank outside source grid passed Some"
+        );
     }
-    // Every rank learns the source grid's extent (collective: rank 0 is
-    // always inside the source grid and broadcasts it).
-    let q_src = src_grid_size(comm, src);
+    // Every rank must know the source grid's extent to post its receives:
+    // rank 0 is always inside the source grid and broadcasts it.
+    let mut q_src = vec![src.map_or(0.0, |s| s.desc.nprocs() as f64)];
+    comm.bcast_f64(0, &mut q_src);
+    route_runs(comm, q_src[0] as usize, dst_desc, |emit| {
+        let Some(src) = src else { return };
+        let (sd, (spi, spj)) = (&src.desc, src.coords);
+        for li in 0..src.local.rows() {
+            // A source column block is contiguous in the local row.
+            let gi = sd.row_l2g(spi, li);
+            for (lb, piece) in src.local.row(li).chunks(sd.cb).enumerate() {
+                emit(gi, sd.col_l2g(spj, lb * sd.cb), piece);
+            }
+        }
+    })
+}
 
-    // Pack runs per destination rank.
+/// The one run router: deliver the runs `(global row, first global column,
+/// values)` that `runs` hands its emitter to their owners under `dst_desc`,
+/// and return the target shard (`Some` on ranks inside the target grid,
+/// `None` elsewhere). Each run is cut at the target's column-block
+/// boundaries, so a run within one target block travels whole. Every rank
+/// in `0..q_src` sends every other target rank one index message of
+/// `(row, col, len)` triples and one element message (possibly empty: the
+/// protocol is static); a rank outside `0..q_src` must emit nothing.
+///
+/// Collective over the whole communicator.
+///
+/// # Panics
+/// If the target layout spans more ranks than the communicator, or a run
+/// leaves the matrix.
+pub fn route_runs(
+    comm: &Comm,
+    q_src: usize,
+    dst_desc: BlockCyclic,
+    runs: impl FnOnce(&mut dyn FnMut(usize, usize, &[f64])),
+) -> Option<DistMatrix> {
+    let me = comm.rank();
     let q_dst = dst_desc.nprocs();
+    assert!(
+        q_dst <= comm.size(),
+        "target layout larger than communicator"
+    );
+    // Pack runs per destination rank.
     let mut meta: Vec<Vec<u64>> = vec![Vec::new(); q_dst];
     let mut data: Vec<Vec<f64>> = vec![Vec::new(); q_dst];
-    if let Some(src) = src {
-        let sd = &src.desc;
-        let (spi, spj) = src.coords;
-        let lr = src.local.rows();
-        let lc = src.local.cols();
-        for li in 0..lr {
-            let gi = sd.row_l2g(spi, li);
-            let (dpi, _) = dst_desc.row_g2l(gi);
-            let mut lj = 0;
-            while lj < lc {
-                let gj = sd.col_l2g(spj, lj);
-                // The run may extend while both source-local columns and the
-                // destination column block stay contiguous.
-                let src_block_left = sd.cb - (gj % sd.cb);
-                let dst_block_left = dst_desc.cb - (gj % dst_desc.cb);
-                let run = src_block_left.min(dst_block_left).min(lc - lj);
-                let (dpj, _) = dst_desc.col_g2l(gj);
-                let dst = dst_desc.grid.rank_of(dpi, dpj);
-                meta[dst].extend_from_slice(&[gi as u64, gj as u64, run as u64]);
-                data[dst].extend_from_slice(&src.local.row(li)[lj..lj + run]);
-                lj += run;
-            }
+    runs(&mut |gi, gj, vals| {
+        let mut at = 0;
+        while at < vals.len() {
+            let gj = gj + at;
+            let len = (dst_desc.cb - gj % dst_desc.cb).min(vals.len() - at);
+            let dst = dst_desc.owner(gi, gj);
+            meta[dst].extend_from_slice(&[gi as u64, gj as u64, len as u64]);
+            data[dst].extend_from_slice(&vals[at..at + len]);
+            at += len;
         }
-    }
-
-    let mut out = (me < q_dst).then(|| DistMatrix::zeros(dst_desc, dst_desc.grid.coords(me)));
-    let write_runs = |out: &mut DistMatrix, meta: &[u64], data: &[f64]| {
-        let (dpi, dpj) = out.coords;
-        let mut off = 0;
-        for t in meta.chunks_exact(3) {
-            let (gi, gj, len) = (t[0] as usize, t[1] as usize, t[2] as usize);
-            let (opi, li) = out.desc.row_g2l(gi);
-            let (opj, lj0) = out.desc.col_g2l(gj);
-            debug_assert_eq!((opi, opj), (dpi, dpj), "run routed to wrong rank");
-            out.local.row_mut(li)[lj0..lj0 + len].copy_from_slice(&data[off..off + len]);
-            off += len;
-        }
-        debug_assert_eq!(off, data.len());
-    };
-
-    // Every source rank sends to every destination rank (possibly empty
-    // messages keep the protocol static and deadlock-free).
-    if src.is_some() {
-        for dst in 0..q_dst {
-            if dst == me {
-                continue;
-            }
+    });
+    if me < q_src {
+        for dst in (0..q_dst).filter(|&dst| dst != me) {
             comm.send_u64(dst, TAG_REDIST, &meta[dst]);
             comm.send_f64(dst, TAG_REDIST, &data[dst]);
         }
     }
-    if let Some(out) = out.as_mut() {
-        if src.is_some() && me < q_dst {
-            write_runs(out, &meta[me], &data[me]);
-        }
-        for srcr in 0..q_src {
-            if srcr == me {
-                continue;
-            }
-            let m = comm.recv_u64(srcr, TAG_REDIST);
-            let d = comm.recv_f64(srcr, TAG_REDIST);
-            write_runs(out, &m, &d);
-        }
+    let mut out = (me < q_dst).then(|| DistMatrix::zeros(dst_desc, dst_desc.grid.coords(me)))?;
+    write_runs(&mut out, &meta[me], &data[me]);
+    for src in (0..q_src).filter(|&src| src != me) {
+        let m = comm.recv_u64(src, TAG_REDIST);
+        let d = comm.recv_f64(src, TAG_REDIST);
+        write_runs(&mut out, &m, &d);
     }
-    out
+    Some(out)
 }
 
-/// Every rank must know the source grid's extent to post receives; it is
-/// agreed out of band by the collective contract (all ranks call with
-/// layouts of the same grids), so the ranks holding a shard simply use its
-/// descriptor and the others learn it from rank 0's broadcast.
-fn src_grid_size(comm: &Comm, src: Option<&DistMatrix>) -> usize {
-    // The source grid always includes rank 0; it broadcasts the size.
-    let mut buf = vec![src.map_or(0.0, |s| s.desc.nprocs() as f64)];
-    comm.bcast_f64(0, &mut buf);
-    buf[0] as usize
+/// Write the runs `meta` (`(row, col, len)` triples) with the values `data`
+/// into `out`, which owns them.
+fn write_runs(out: &mut DistMatrix, meta: &[u64], data: &[f64]) {
+    let mut off = 0;
+    for t in meta.chunks_exact(3) {
+        let (gi, gj, len) = (t[0] as usize, t[1] as usize, t[2] as usize);
+        let (opi, li) = out.desc.row_g2l(gi);
+        let (opj, lj0) = out.desc.col_g2l(gj);
+        debug_assert_eq!((opi, opj), out.coords, "run routed to wrong rank");
+        out.local.row_mut(li)[lj0..lj0 + len].copy_from_slice(&data[off..off + len]);
+        off += len;
+    }
+    debug_assert_eq!(off, data.len());
 }
 
 #[cfg(test)]
@@ -226,6 +226,38 @@ mod tests {
         });
         let back = assemble(&full, &out.results);
         assert_eq!(back, aref);
+    }
+
+    #[test]
+    fn routed_runs_are_cut_at_target_column_blocks_only() {
+        // An 8 × 8 target in 4 × 4 blocks over 2 × 2 ranks. Rank 0 routes a
+        // run of row 1 over columns 2..6, which crosses from rank 0's column
+        // block into rank 1's, and a run of row 5 over the block at columns
+        // 4..8, rank 3's; the other ranks route nothing.
+        let dst = BlockCyclic::new(8, 8, 4, 4, Grid2::new(2, 2));
+        let out = run(4, |comm| {
+            let routed = route_runs(comm, 4, dst, |emit| {
+                if comm.rank() == 0 {
+                    emit(1, 2, &[1.0, 2.0, 3.0, 4.0]);
+                    emit(5, 4, &[5.0, 6.0, 7.0, 8.0]);
+                }
+            });
+            routed.expect("the target spans every rank")
+        });
+        let got = assemble(&dst, &out.results);
+        assert_eq!(
+            (&got.row(1)[2..6], &got.row(5)[4..8]),
+            (&[1., 2., 3., 4.][..], &[5., 6., 7., 8.][..])
+        );
+        assert_eq!(got.data().iter().filter(|&&x| x != 0.0).count(), 8);
+        // Rank 1 receives the cut-off half as one run, rank 3 the aligned
+        // run whole: one 24-byte `(row, col, len)` triple per run, plus the
+        // values. Every rank sends every other one an index and an element
+        // message, empty or not.
+        let ranks = &out.stats.ranks;
+        let recv: Vec<u64> = ranks.iter().map(|r| r.bytes_recv).collect();
+        assert_eq!(recv, [0, 24 + 2 * 8, 0, 24 + 4 * 8]);
+        assert!(ranks.iter().all(|r| r.msgs_sent == 6));
     }
 
     #[test]

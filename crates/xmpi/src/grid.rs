@@ -48,16 +48,6 @@ impl Grid2 {
         debug_assert!(i < self.rows && j < self.cols);
         i * self.cols + j
     }
-
-    /// Ranks of process row `i`, in column order.
-    pub fn row_members(&self, i: usize) -> Vec<usize> {
-        (0..self.cols).map(|j| self.rank_of(i, j)).collect()
-    }
-
-    /// Ranks of process column `j`, in row order.
-    pub fn col_members(&self, j: usize) -> Vec<usize> {
-        (0..self.rows).map(|i| self.rank_of(i, j)).collect()
-    }
 }
 
 /// A 3D process grid `[Px, Py, Pz]` with layout

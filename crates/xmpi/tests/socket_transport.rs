@@ -92,14 +92,14 @@ fn subcommunicators_over_sockets() {
         xmpi::run(4, move |c| {
             let (i, j) = grid.coords(c.rank());
             // Row broadcast from column 0, then column sum.
-            let row = c.subcomm(1, &grid.row_members(i));
+            let row = c.subcomm(1, &[grid.rank_of(i, 0), grid.rank_of(i, 1)]);
             let mut buf = if j == 0 {
                 vec![(10 * i) as f64]
             } else {
                 vec![]
             };
             row.bcast_f64(0, &mut buf);
-            let col = c.subcomm(2, &grid.col_members(j));
+            let col = c.subcomm(2, &[grid.rank_of(0, j), grid.rank_of(1, j)]);
             let mut acc = vec![buf[0] + j as f64];
             col.allreduce_sum(&mut acc);
             acc[0]

@@ -81,21 +81,25 @@ fn staging_out(out: &ScalapackOutput) -> (Vec<(u64, u64)>, Vec<u64>) {
 #[test]
 fn the_wrappers_write_l_back_from_the_stores_with_the_same_messages() {
     // `L` comes out of the ranks' tile stores, the rest of an LU factor out
-    // of the collected pieces: per rank the same `staging_out` bytes, in the
-    // same number of messages, as when every factor entry was a collected
-    // block (recorded at d25ce6c).
+    // of the collected pieces, and both travel as runs through the layout
+    // crate's router: per rank the same number of messages as when every
+    // factor entry was a collected block (recorded at d25ce6c), and 24 index
+    // bytes per run where every element used to carry 16.
     let grid = Grid3::new(2, 2, 2);
     let a = random_matrix(48, 48, 31);
     let user = BlockCyclic::new(48, 48, 5, 3, Grid2::new(2, 4));
     let lu = pdgetrf(user, &a, &ConfluxConfig::new(48, 8, grid)).unwrap();
-    let sent = [13848, 16032, 11312, 11616, 16, 0, 8, 0];
-    let recv = [6144, 7064, 9056, 10664, 4424, 5528, 5528, 4424];
+    let sent = [11352, 12184, 9960, 10264, 16, 0, 8, 0];
+    let recv = [4792, 5712, 6560, 6816, 4424, 5528, 5528, 4424];
     let want = sent.into_iter().zip(recv).collect::<Vec<_>>();
     assert_eq!(
         staging_out(&lu),
         (want, vec![77, 71, 55, 52, 50, 47, 39, 37])
     );
 
+    // A Cholesky factor is all in the stores, and without pivoting a store
+    // holds exactly its rank's tiles of the target layout: the router sends
+    // only empty messages, and the bytes are still those of d25ce6c.
     let spd = conflux_rs::dense::gen::random_spd(48, 33);
     let user = BlockCyclic::new(48, 48, 6, 10, Grid2::new(4, 2));
     let chol = pdpotrf(user, &spd, &ConfchoxConfig::new(48, 8, grid)).unwrap();
