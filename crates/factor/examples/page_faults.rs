@@ -19,10 +19,13 @@
 //! cargo run --release -p factor --example page_faults
 //! ```
 //!
-//! Exits non-zero if the first `conflux_lu` call takes more than 2,800
-//! faults, or if any of the last four calls of either kernel takes more than
-//! 500. The second call's count is printed but not gated. Linux only
-//! (`/proc/self/stat`, field 10); elsewhere it reports nothing and succeeds.
+//! Each series runs in a fresh process (the example re-runs itself with the
+//! argument `lu` or `chol`; either runs one series alone), so neither
+//! starts on a heap the other's calls left behind. Exits non-zero if the
+//! first `conflux_lu` call takes more than 2,800 faults, or if any of the
+//! last four calls of either kernel takes more than 500. The second call's
+//! count is printed but not gated. Linux only (`/proc/self/stat`, field
+//! 10); elsewhere it reports nothing and succeeds.
 
 use dense::gen::{random_matrix, random_spd};
 use factor::{confchox_cholesky, conflux_lu, ConfchoxConfig, ConfluxConfig};
@@ -65,28 +68,52 @@ fn steady(counts: &[Option<u64>]) -> bool {
         .all(|f| f.is_none_or(|f| f <= MAX_STEADY_FAULTS))
 }
 
-fn main() {
-    let a = random_matrix(1024, 1024, 42);
-    let lu = ConfluxConfig::auto(1024, 1);
-    let lu_faults = series("conflux_lu        n=1024 p=1", || {
-        conflux_lu(&lu, &a).expect("random input is nonsingular");
-    });
-    let spd = random_spd(1536, 43);
-    let chol = ConfchoxConfig::auto(1536, 1);
-    let chol_faults = series("confchox_cholesky n=1536 p=1", || {
-        confchox_cholesky(&chol, &spd).expect("input is SPD");
-    });
+/// Run one series in this process and gate it; `false` if a gate failed.
+fn run_series(which: &str) -> bool {
     let mut ok = true;
-    if let Some(first) = lu_faults[0].filter(|&f| f > MAX_FIRST_LU_FAULTS) {
-        eprintln!(
-            "the first conflux_lu call took {first} minor faults, more than {MAX_FIRST_LU_FAULTS}"
-        );
+    let faults = match which {
+        "lu" => {
+            let a = random_matrix(1024, 1024, 42);
+            let lu = ConfluxConfig::auto(1024, 1);
+            let faults = series("conflux_lu        n=1024 p=1", || {
+                conflux_lu(&lu, &a).expect("random input is nonsingular");
+            });
+            if let Some(first) = faults[0].filter(|&f| f > MAX_FIRST_LU_FAULTS) {
+                eprintln!("the first conflux_lu call took {first} minor faults, more than {MAX_FIRST_LU_FAULTS}");
+                ok = false;
+            }
+            faults
+        }
+        "chol" => {
+            let spd = random_spd(1536, 43);
+            let chol = ConfchoxConfig::auto(1536, 1);
+            series("confchox_cholesky n=1536 p=1", || {
+                confchox_cholesky(&chol, &spd).expect("input is SPD");
+            })
+        }
+        other => panic!("unknown series {other:?}: want \"lu\" or \"chol\""),
+    };
+    if !steady(&faults) {
+        eprintln!("a steady-state {which} call took more than {MAX_STEADY_FAULTS} minor faults");
         ok = false;
     }
-    if !(steady(&lu_faults) && steady(&chol_faults)) {
-        eprintln!("a steady-state call took more than {MAX_STEADY_FAULTS} minor faults");
-        ok = false;
-    }
+    ok
+}
+
+fn main() {
+    let ok = match std::env::args().nth(1) {
+        Some(which) => run_series(&which),
+        // Each series in a process of its own: the second would otherwise
+        // start on the heap the first one's calls freed.
+        None => {
+            let exe = std::env::current_exe().expect("the example knows its own path");
+            let run = |which| {
+                let status = std::process::Command::new(&exe).arg(which).status();
+                status.expect("the example re-runs itself").success()
+            };
+            [run("lu"), run("chol")] == [true, true]
+        }
+    };
     if !ok {
         std::process::exit(1);
     }

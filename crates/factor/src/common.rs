@@ -130,9 +130,7 @@ impl Tiling {
     /// `p` of `np` owns: the owned indices `≥ i` are the local suffix from
     /// here.
     pub(crate) fn owned_before(&self, i: usize, p: usize, np: usize) -> usize {
-        let (t, v) = (i / self.v, self.v);
-        let partial = if t % np == p { i % v } else { 0 };
-        (p..t).step_by(np).len() * v + partial
+        owned_before(self.v, i, p, np)
     }
 
     /// Width of the reduction-dimension slice each layer handles.
@@ -140,6 +138,13 @@ impl Tiling {
     pub(crate) fn kslice(&self) -> usize {
         self.v / self.grid.pz
     }
+}
+
+/// How many of the indices `0..i` lie in the tiles of side `v` that
+/// coordinate `p` of `np` owns (tile `t` belongs to coordinate `t mod np`).
+fn owned_before(v: usize, i: usize, p: usize, np: usize) -> usize {
+    let partial = if (i / v) % np == p { i % v } else { 0 };
+    (p..i / v).step_by(np).len() * v + partial
 }
 
 /// A rank's view of the 2.5D machine: the world communicator, the tiling,
@@ -399,12 +404,7 @@ impl TileStore {
 
     /// How many of this rank's local columns lie left of global column `c`.
     fn cols_before(&self, c: usize) -> usize {
-        let partial = if (c / self.v) % self.py == self.pj {
-            c % self.v
-        } else {
-            0
-        };
-        self.cols_from(c / self.v).start + partial
+        owned_before(self.v, c, self.pj, self.py)
     }
 
     /// The finished store of a layer-0 rank as its factor rows, without
