@@ -5,12 +5,10 @@
 //! factored, and the factor travels back into the caller's layout — every
 //! staging byte measured.
 //!
-//! The write-back leaves the factor where the rank programs left it — the
+//! The write-back reads the factor where the rank programs left it — the
 //! `L` rows in the tile stores, the rest in the collected blocks — and
-//! feeds both, as `(row, first column, values)` runs under their pivoted
-//! rows, to the layout crate's one run router, which also carries both
-//! redistributions: a run never crosses a tile column, so it travels whole
-//! with one `(row, col, len)` index triple.
+//! hands it, run by run, to the layout crate's one run router, which also
+//! carries both redistributions.
 //!
 //! Naming follows ScaLAPACK: [`pdgetrf`] (LU) and [`pdpotrf`] (Cholesky).
 //! Unlike ScaLAPACK's `pdgetrf`, the factor comes back in *pivoted row
