@@ -10,7 +10,7 @@
 
 use crate::experiments::{measure, Report};
 use crate::kpi::Algo;
-use crate::table::render;
+use crate::table::{ratio, render};
 use factor::models::{candmc_model, conflux_model, twod_lu_model, MachineParams};
 use serde_json::json;
 
@@ -33,7 +33,7 @@ pub fn fig8a(n: usize, ps: &[usize]) -> Report {
             format!("{cf:.0}"),
             format!("{td:.0}"),
             format!("{sw:.0}"),
-            format!("{:.2}x", td / cf),
+            ratio(td, cf),
         ]);
         data.push(json!({
             "p": p, "n": n,

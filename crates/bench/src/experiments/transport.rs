@@ -27,7 +27,7 @@
 
 use crate::experiments::Report;
 use crate::provenance::Stamp;
-use crate::table::render;
+use crate::table::{ratio, render};
 use serde_json::json;
 use std::time::Instant;
 use xmpi::{Buf, Comm};
@@ -151,8 +151,8 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
                 b.label.to_string(),
                 format!("{:.2}", b.alpha_us),
                 format!("{:.2}", b.gbps),
-                format!("{:.2}x", b.alpha_us / model_alpha_us),
-                format!("{:.2}x", b.gbps / model_gbps),
+                ratio(b.alpha_us, model_alpha_us),
+                ratio(b.gbps, model_gbps),
             ]
         })
         .collect();
@@ -173,7 +173,7 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
                 format!("{:.0}", elems as f64 * 8.0 / 1024.0),
                 format!("{l_us:.1}"),
                 format!("{s_us:.1}"),
-                format!("{:.2}x", s_us / l_us),
+                ratio(s_us, l_us),
             ]
         })
         .collect();

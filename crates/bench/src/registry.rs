@@ -48,7 +48,7 @@ pub struct RegRow {
 
 impl RegRow {
     /// The dedup key: one observation per (experiment, commit, cell, KPI).
-    pub fn key(&self) -> (String, String, String, String) {
+    pub(crate) fn key(&self) -> (String, String, String, String) {
         (
             self.plan_hash.clone(),
             self.commit.clone(),

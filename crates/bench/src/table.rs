@@ -49,7 +49,7 @@ pub fn human_bytes(b: f64) -> String {
 }
 
 /// Format a ratio as `1.23x`.
-pub fn ratio(a: f64, b: f64) -> String {
+pub(crate) fn ratio(a: f64, b: f64) -> String {
     if b == 0.0 {
         return "inf".into();
     }

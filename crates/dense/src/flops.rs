@@ -7,7 +7,7 @@
 //! their local computation without instrumenting inner loops.
 //!
 //! Every kernel in this crate also *credits* its analytic count to a
-//! thread-local tally at entry ([`tally`]). Because `xmpi` runs each
+//! thread-local tally at entry (`tally`). Because `xmpi` runs each
 //! simulated rank on its own OS thread, [`thread_flops`] read on a rank
 //! thread is that rank's cumulative local computation — the number
 //! `Comm::set_phase_with_flops` embeds in event traces so the `xtrace`
@@ -25,7 +25,7 @@ thread_local! {
 /// Credit `n` flops to the calling thread's tally (kernels call this at
 /// entry; call sites normally never need to).
 #[inline]
-pub fn tally(n: u64) {
+pub(crate) fn tally(n: u64) {
     TALLY.with(|t| t.set(t.get().wrapping_add(n)));
 }
 

@@ -116,8 +116,9 @@ impl Matrix {
         self.as_mut().block(r0, c0, nr, nc)
     }
 
-    /// Transposed copy of the matrix.
-    pub fn transposed(&self) -> Matrix {
+    /// Transposed copy of the matrix (the crate's tests' oracle).
+    #[cfg(test)]
+    pub(crate) fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
@@ -351,7 +352,7 @@ impl<'a> MatMut<'a> {
 
     /// Reborrow as an immutable view.
     #[inline]
-    pub fn rb(&self) -> MatRef<'_> {
+    pub(crate) fn rb(&self) -> MatRef<'_> {
         MatRef {
             data: self.data,
             rows: self.rows,

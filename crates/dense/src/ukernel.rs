@@ -61,7 +61,7 @@ pub enum Isa {
 
 impl Isa {
     /// Can this ISA level run on the current CPU?
-    pub fn available(self) -> bool {
+    pub(crate) fn available(self) -> bool {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]
@@ -124,7 +124,7 @@ pub struct Variant {
 
 impl Variant {
     /// Is this variant runnable on the current CPU?
-    pub fn available(&self) -> bool {
+    pub(crate) fn available(&self) -> bool {
         self.isa.available()
     }
 

@@ -40,7 +40,8 @@ proptest! {
         // Compute BᵀAᵀ via trans flags on the untransposed operands.
         let mut btat = Matrix::zeros(n, m);
         gemm(Trans::T, Trans::T, 1.0, b.as_ref(), a.as_ref(), 0.0, btat.as_mut());
-        prop_assert!(max_abs_diff(&ab.transposed(), &btat) < 1e-12);
+        let abt = Matrix::from_fn(n, m, |i, j| ab[(j, i)]);
+        prop_assert!(max_abs_diff(&abt, &btat) < 1e-12);
     }
 
     /// trsm really inverts: op(A)·(trsm result) reproduces the RHS.

@@ -6,7 +6,7 @@
 //! A one-rank call holds its matrix about once: the rank's store (n² words
 //! for LU, the lower tiles for Cholesky) plus `O(n·v)` step buffers, and the
 //! store comes back as the factor itself. The first `conflux_lu` call faults
-//! in the store's 2,048 pages, the step buffers and the thread pool (~2,700
+//! in the store's 2,048 pages, the step buffers and the thread pool (~2,600
 //! pages on the reference VM; a collected `U` and an assembled copy beside
 //! the store took ~5,800). The second call faults the store in once more:
 //! glibc's dynamic mmap threshold, raised when the first call's store was

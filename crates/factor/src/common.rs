@@ -24,28 +24,30 @@
 //! of `A`, the layers above start from zeros, and every layer's Schur update
 //! is `store −= L10·U01` on its slice of the inner dimension. A panel column
 //! is dead once reduced, so the panel rank writes the `L` rows it solves
-//! back into it: a finished layer-0 store holds its rank's factor rows
-//! ([`Lower`]) — of row `r`, the columns left of its pivot tile (COnfLUX;
-//! the whole row with one process row) or up to its diagonal (COnfCHOX).
+//! back into it.
 //!
 //! COnfCHOX stores only tiles on or below the diagonal. Its stores are the
 //! same row-major matrix with every local tile row cut off after its
 //! diagonal tile (*lower-only* shape): the rows of one tile row share a
 //! stride, and nothing is allocated for the strictly upper tiles.
 //!
-//! # Collected factor pieces
+//! # Where each factor entry lives
 //!
-//! What a rank computes for rows it may not own — COnfLUX's `A00` and
-//! `U01` on a grid of more than one process row — and `mmm25d`'s share of
-//! `C` are lists of dense blocks ([`Collected`]): original-row ids, column
-//! runs, row-major values, so indices cost per block row and column run,
-//! never per element. With one process row COnfLUX's ranks own every row of
-//! their columns, write `A00` and `U01` into their stores, and collect
-//! nothing. Stores and blocks together are what [`Collected::assemble`]
-//! reads, a checkpoint snapshots, a socket rank ships home, and the
-//! ScaLAPACK wrapper routes into the caller's layout; a one-rank world's
-//! store, which then holds the whole factor, becomes the assembled matrix
-//! with its rows pivoted in place.
+//! Every factor entry is written into a store row that its rank already
+//! holds, and nothing is collected on the side. COnfLUX's pivot rows are
+//! dead once retired, so their `A00` rows go into tile column `t` on the
+//! layer-0 panel ranks, and their `U01` segments into the trailing columns
+//! on the layer that holds them — the U-owner's for its own process row,
+//! the layer whose scattered `U01` slice carries the pivot for any other
+//! (`conflux`). COnfCHOX's stores hold `L` where it was solved. [`owed`]
+//! says, for every store row, which global columns a rank still owes;
+//! those columns are what a checkpoint snapshots, what a rank hands home
+//! ([`Lower`], compacted in the store's own storage) and ships over a
+//! socket, and what the ScaLAPACK wrapper routes into the caller's layout.
+//! [`assemble`] places the parts, dropping each once placed. An LU world of
+//! one process row and column leaves the whole factor in its layer-0 store,
+//! which becomes the assembled matrix in place, rows pivoted. `mmm25d`
+//! hands its `C` home the same way, as full rows.
 
 use crate::ft::Guard;
 use dense::gemm::Trans;
@@ -386,19 +388,21 @@ impl TileStore {
         let solved = MatMut::from_slice(l10, l10.len() / v, v, v);
         trsm(Side::Right, uplo, trans, Diag::NonUnit, 1.0, tri, solved);
         let c0 = self.col0(step);
-        self.put_rows(l10, c0..c0 + v, lrows);
+        self.put_rows(l10, c0..c0 + v, lrows.enumerate());
     }
 
-    /// Write the row-major block `vals`, `cols.len()` wide, over the local
-    /// columns `cols` of the local rows `lrows`, one block row per row.
+    /// Write rows of the row-major block `vals`, `cols.len()` wide, over the
+    /// local columns `cols`: for each `(i, lrow)` of `rows`, block row `i`
+    /// into local row `lrow`.
     pub(crate) fn put_rows(
         &mut self,
         vals: &[f64],
         cols: Range<usize>,
-        lrows: impl Iterator<Item = usize>,
+        rows: impl IntoIterator<Item = (usize, usize)>,
     ) {
-        for (row, lrow) in vals.chunks_exact(cols.len()).zip(lrows) {
-            self.row_mut(lrow)[cols.clone()].copy_from_slice(row);
+        let w = cols.len();
+        for (i, lrow) in rows {
+            self.row_mut(lrow)[cols.clone()].copy_from_slice(&vals[i * w..(i + 1) * w]);
         }
     }
 
@@ -407,19 +411,35 @@ impl TileStore {
         owned_before(self.v, c, self.pj, self.py)
     }
 
-    /// The finished store of a layer-0 rank as its factor rows, without
-    /// copying it: of the global row `r`, the entries left of global column
-    /// `upto(r)` are factor entries, the rest of the row is dead.
-    pub(crate) fn into_lower(self, upto: impl Fn(usize) -> usize) -> Lower {
-        let rows = (0..(self.band.len() - 1) * self.v).map(|lrow| {
-            let r = self.global_row(lrow);
-            let (span, lead) = (self.row_span(lrow), self.cols_before(upto(r)));
-            debug_assert!(lead <= span.len(), "row {r} has no column {}", upto(r));
-            (span.start, lead)
-        });
+    /// The local columns of local row `lrow` that lie in the global columns
+    /// `cols`, cut to the row's stored part.
+    pub(crate) fn local_cols(&self, lrow: usize, cols: Range<usize>) -> Range<usize> {
+        let len = self.stride(lrow / self.v);
+        let end = self.cols_before(cols.end).min(len);
+        self.cols_before(cols.start).min(end)..end
+    }
+
+    /// The finished store as the factor entries it holds, without a second
+    /// buffer: of the global row `r`, the entries in the global columns
+    /// `owes(r)` ([`owed`]) are copied down to the front of the store's own
+    /// storage, row after row, and the rest is released.
+    pub(crate) fn into_lower(mut self, owes: impl Fn(usize) -> Range<usize>) -> Lower {
+        let mut rows = Vec::with_capacity((self.band.len() - 1) * self.v);
+        let mut end = 0;
+        for lrow in 0..(self.band.len() - 1) * self.v {
+            let cols = self.local_cols(lrow, owes(self.global_row(lrow)));
+            let at = self.row_span(lrow).start + cols.start;
+            if at != end {
+                self.data.copy_within(at..at + cols.len(), end);
+            }
+            end += cols.len();
+            rows.push((cols.start, cols.len()));
+        }
+        self.data.truncate(end);
+        self.data.shrink_to_fit();
         Lower {
             geometry: [self.v, self.pi, self.px, self.pj, self.py],
-            rows: rows.collect(),
+            rows,
             data: self.data,
         }
     }
@@ -523,63 +543,75 @@ pub(crate) fn swap_store_rows(
     }
 }
 
-/// A layer-0 rank's factor rows, left in the store that computed them: per
-/// local row, the leading entries that are factor entries (`L`; every entry
-/// of a COnfLUX row with one process row). Ranks off layer 0, and runs that
-/// collect nothing, return the empty value.
+/// The factor entries a rank hands home, left in the store that holds them:
+/// per local row, one run of adjacent local columns — the global columns
+/// [`owed`] names for it — packed row after row at the front of the store's
+/// own storage. A run that collects nothing hands home the empty value.
 #[derive(Debug, Default)]
 pub(crate) struct Lower {
     /// `[v, pi, px, pj, py]`: tile side, then coordinate and grid extent
     /// along the process rows and columns — local row `l` is global row
     /// `((l / v)·px + pi)·v + l mod v`, and likewise for columns.
     geometry: [usize; 5],
-    /// Local row `l` holds `rows[l].1` entries starting at `data[rows[l].0]`.
+    /// Local row `l`'s run: its first local column and its length. The runs
+    /// lie back to back in `data`, in row order.
     rows: Vec<(usize, usize)>,
     data: Vec<f64>,
 }
 
 impl Lower {
+    /// Every entry of the row-major `local`, a rank's share of a matrix in
+    /// the store layout (tile `(I, J)` at local tile `(I / px, J / py)`);
+    /// `geometry` is `[v, pi, px, pj, py]`.
+    pub(crate) fn whole_rows(geometry: [usize; 5], local: Matrix) -> Lower {
+        let rows = vec![(0, local.cols()); local.rows()];
+        Lower {
+            geometry,
+            rows,
+            data: local.into_vec(),
+        }
+    }
+
     /// Visit every contiguous piece `(global row, first global column,
-    /// values)`: a row's entries cut at the tile boundaries.
+    /// values)`: a row's run cut at the tile boundaries.
     pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
         let [v, pi, px, pj, py] = self.geometry;
-        for (lrow, &(at, lead)) in self.rows.iter().enumerate() {
+        let mut vals = &self.data[..];
+        for (lrow, &(mut lc, len)) in self.rows.iter().enumerate() {
             let r = (lrow / v * px + pi) * v + lrow % v;
-            for (lj, piece) in self.data[at..at + lead].chunks(v).enumerate() {
-                f(r, (lj * py + pj) * v, piece);
+            let (mut run, rest) = vals.split_at(len);
+            while !run.is_empty() {
+                let (piece, tail) = run.split_at((v - lc % v).min(run.len()));
+                f(r, (lc / v * py + pj) * v + lc % v, piece);
+                (lc, run) = (lc + piece.len(), tail);
             }
+            vals = rest;
         }
     }
 
     /// Does this part hold every entry of an `n × n` factor, row `r` of it
-    /// at `data[r·n..(r + 1)·n]`? The layer-0 store of a `1 × 1 × Pz` world
-    /// that reports every row in full does.
+    /// at `data[r·n..(r + 1)·n]`? The layer-0 store of a `1 × 1 × Pz` LU
+    /// world, whose rows are all whole, does.
     fn covers(&self, n: usize) -> bool {
-        let [_, pi, px, pj, py] = self.geometry;
-        let full = |(l, &(at, lead)): (usize, &(usize, usize))| (at, lead) == (l * n, n);
-        (pi, px, pj, py) == (0, 1, 0, 1)
-            && (self.rows.len(), self.data.len()) == (n, n * n)
-            && self.rows.iter().enumerate().all(full)
-    }
-
-    /// Does this part hold no entry at all?
-    fn is_empty(&self) -> bool {
-        self.rows.iter().all(|&(_, lead)| lead == 0)
+        self.geometry[1..] == [0, 1, 0, 1]
+            && self.rows.len() == n
+            && self.rows.iter().all(|&run| run == (0, n))
     }
 }
 
-/// Socket ranks ship only the factor entries home: the geometry, one count
-/// per local row, and 8 bytes per entry, row after row.
+/// Socket ranks ship only the factor entries home: the geometry, each
+/// row's first local column and length (one `u32` each, row after row), and
+/// 8 bytes per entry.
 impl Wire for Lower {
     fn encode(&self, out: &mut Vec<u8>) {
-        let entries: usize = self.rows.iter().map(|&(_, lead)| lead).sum();
-        out.reserve(8 * (self.geometry.len() + 1 + entries) + 4 * self.rows.len());
+        out.reserve(8 * (self.geometry.len() + 1 + self.data.len() + self.rows.len()));
         self.geometry.iter().for_each(|g| g.encode(out));
-        let leads: Vec<u32> = self.rows.iter().map(|&(_, lead)| lead as u32).collect();
-        leads.encode(out);
-        for &(at, lead) in &self.rows {
-            f64::encode_slice(&self.data[at..at + lead], out);
-        }
+        let runs = self
+            .rows
+            .iter()
+            .flat_map(|&(c0, len)| [c0 as u32, len as u32]);
+        runs.collect::<Vec<u32>>().encode(out);
+        f64::encode_slice(&self.data, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
         let mut lower = Lower::default();
@@ -588,176 +620,119 @@ impl Wire for Lower {
         }
         // Only the empty value has tile side 0; no frame may divide by it.
         lower.geometry[0] = lower.geometry[0].max(1);
-        // The rows' entries lie back to back: one bulk decode, then the
-        // row starts are the running sum of the counts.
-        let mut entries = 0;
-        for lead in Vec::<u32>::decode(input)? {
-            lower.rows.push((entries, lead as usize));
-            // A corrupt count saturates, and `decode_n` then rejects it.
-            entries = entries.saturating_add(lead as usize);
-        }
+        let runs = Vec::<u32>::decode(input)?;
+        lower.rows = runs
+            .chunks_exact(2)
+            .map(|run| (run[0] as usize, run[1] as usize))
+            .collect();
+        // The runs lie back to back: one bulk decode. A corrupt length
+        // saturates, and `decode_n` then rejects it.
+        let entries = lower
+            .rows
+            .iter()
+            .fold(0, |sum: usize, &(_, len)| sum.saturating_add(len));
         lower.data = f64::decode_n(input, entries)?;
         Ok(lower)
     }
 }
 
-/// What one rank hands home: its factor rows, and the pieces it collected.
-pub(crate) type RankFactor = (Lower, Collected);
+/// What a rank program returns: the factor entries the rank hands home,
+/// and the factor's row order.
+pub(crate) type RankResult = Result<(Lower, Vec<usize>), dense::Error>;
 
-/// What a rank program returns: that, and the factor's row order.
-pub(crate) type RankResult = Result<(RankFactor, Vec<usize>), dense::Error>;
+/// Which global columns of global row `r` a rank on `layer` still owes —
+/// to the next step, in a checkpoint, or home — before block step `step`,
+/// with the rows `perm` retired in pivot order (empty for Cholesky):
+///
+/// * an active row owes `[0, n)` on layer 0 (`L` left of column `step·v`,
+///   the trailing matrix right of it) and `[step·v, n)` on a layer above
+///   (its update sums; left of that they are reduced and dead);
+/// * a row retired at step `t` as pivot `i` owes its `L` and `A00` entries,
+///   `[0, (t+1)·v)`, on layer 0, and its `U01` entries, `[(t+1)·v, n)`, on
+///   the layer that wrote them: layer 0 if the row lies in process row
+///   `t mod Px` (the U-owner's), else the layer whose `v/Pz` slice of the
+///   scattered `U01` holds pivot `i`.
+pub(crate) fn owed(
+    til: &Tiling,
+    layer: usize,
+    step: usize,
+    perm: &[usize],
+) -> impl Fn(usize) -> Range<usize> {
+    let (n, v, px, ks) = (til.n, til.v, til.grid.px, til.kslice());
+    let mut pivot_at = vec![usize::MAX; n];
+    for (s, &r) in perm.iter().enumerate() {
+        pivot_at[r] = s;
+    }
+    move |r| match pivot_at[r] {
+        usize::MAX => (if layer == 0 { 0 } else { step * v })..n,
+        s => {
+            let (t, end) = (s / v, (s / v + 1) * v);
+            let u_layer = if (r / v) % px == t % px {
+                0
+            } else {
+                s % v / ks
+            };
+            let lo = if layer == 0 { 0 } else { end };
+            lo..if layer == u_layer { n } else { lo.max(end) }
+        }
+    }
+}
 
-/// Words `part` keeps allocated for values (its indices are `O(n)` more).
+/// Words `lower` keeps allocated for values (its run table is `O(n)` more).
 #[cfg(test)]
-pub(crate) fn words((lower, upper): &RankFactor) -> usize {
-    lower.data.capacity() + upper.vals.capacity()
+pub(crate) fn words(lower: &Lower) -> usize {
+    lower.data.capacity()
 }
 
-/// The factor pieces a rank computed for rows it does not own, as dense
-/// blocks: each block is a list of *original* (unpermuted) row ids — the
-/// final permutation re-addresses them during assembly —, the first columns
-/// of its equal-width column runs, and the row-major values of those rows
-/// over those columns. Indices cost one word per block row and per column
-/// run, never anything per element.
-#[derive(Debug, Default)]
-pub(crate) struct Collected {
-    /// Block headers back to back:
-    /// `[rows, runs, run width, row ids…, first column of each run…]`.
-    idx: Vec<u32>,
-    /// The blocks' values back to back, in header order.
-    vals: Vec<f64>,
-}
-
-impl Collected {
-    /// Make room, exactly, for `words` more values: a rank that knows its
-    /// final size from the tiling reserves it once and never regrows (the
-    /// indices, a word per block row and column run, may).
-    pub(crate) fn reserve_exact(&mut self, words: usize) {
-        self.vals.reserve_exact(words);
+/// Assemble what every rank of a world handed home into one `n × n` matrix
+/// in pivoted row coordinates, row `s` of which is original row `perm[s]`.
+/// For LU that is the packed `F` with `P·A = L·U`, `L` unit-lower in `F`'s
+/// strict lower triangle and `U` in its upper triangle; for Cholesky, `L`
+/// with zeros above it.
+///
+/// When a single part holds entries and it holds them all as whole rows
+/// (the layer-0 store of a `1 × 1 × Pz` LU world), that store *is* the
+/// output: its rows are put into pivoted order in place, and no second
+/// `n × n` buffer is allocated. Otherwise every run is placed
+/// into a fresh matrix and each part is dropped once placed; one bit per
+/// (pivoted row, tile column) across all parts — a run never crosses a
+/// tile boundary ([`Lower::for_each_run`]) — checks that no tile row is
+/// placed twice.
+///
+/// # Panics
+/// If `perm` is not a permutation of `0..n`, an entry's row never appears
+/// in it, a run reaches past column `n`, or two runs fall in the same tile
+/// row.
+pub(crate) fn assemble(n: usize, v: usize, perm: &[usize], parts: Vec<Lower>) -> Matrix {
+    assert_eq!(perm.len(), n, "permutation must cover all rows");
+    let mut pos = vec![usize::MAX; n];
+    for (s, &r) in perm.iter().enumerate() {
+        assert!(pos[r] == usize::MAX, "row {r} appears twice in perm");
+        pos[r] = s;
     }
-
-    /// Append the block `vals`: its row `i` is original row `rows[i]`, and
-    /// its columns are `starts.len()` runs of equal width, run `j` beginning
-    /// at column `starts[j]`. ([`Collected::assemble`] takes tile runs only:
-    /// `v` wide, starting at a multiple of `v`.)
-    ///
-    /// # Panics
-    /// If `vals` does not have `rows.len()` rows, or its columns do not
-    /// divide evenly among the runs.
-    pub(crate) fn push(&mut self, rows: &[usize], starts: &[usize], vals: MatRef<'_>) {
-        let width = vals.cols().checked_div(starts.len()).unwrap_or(0);
-        let shape = (rows.len(), width * starts.len());
-        assert_eq!((vals.rows(), vals.cols()), shape, "block ≠ its ids");
-        self.idx
-            .extend([rows.len(), starts.len(), width].map(|x| x as u32));
-        self.idx
-            .extend(rows.iter().chain(starts).map(|&i| i as u32));
-        for i in 0..rows.len() {
-            self.vals.extend_from_slice(vals.row(i));
+    let mut held: Vec<Lower> = parts.into_iter().filter(|p| !p.data.is_empty()).collect();
+    if let [part] = &mut held[..] {
+        if part.covers(n) {
+            let mut data = std::mem::take(&mut part.data);
+            permute_rows(&mut data, n, perm);
+            return Matrix::from_vec(n, n, data);
         }
     }
-
-    /// Visit every contiguous piece `(original row, first column, values)`,
-    /// in collection order.
-    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, &[f64])) {
-        let (mut idx, mut vals) = (&self.idx[..], &self.vals[..]);
-        while let [rows, runs, width, rest @ ..] = idx {
-            let (rows, rest) = rest.split_at(*rows as usize);
-            let (starts, rest) = rest.split_at(*runs as usize);
-            for &row in rows {
-                for &start in starts {
-                    let (piece, tail) = vals.split_at(*width as usize);
-                    f(row as usize, start as usize, piece);
-                    vals = tail;
-                }
-            }
-            idx = rest;
-        }
-    }
-
-    /// Append this value to an `f64` blob as
-    /// `[|idx|, |vals|, idx…, vals…]`. Indices are exact in an `f64`, values
-    /// are copied, so [`Collected::from_words`] restores it bitwise.
-    pub(crate) fn to_words(&self, blob: &mut Vec<f64>) {
-        blob.extend([self.idx.len() as f64, self.vals.len() as f64]);
-        blob.extend(self.idx.iter().map(|&i| f64::from(i)));
-        blob.extend_from_slice(&self.vals);
-    }
-
-    /// Inverse of [`Collected::to_words`]: decodes from the front of
-    /// `words` and returns how many of them it consumed.
-    pub(crate) fn from_words(words: &[f64]) -> (Collected, usize) {
-        let (ni, nv) = (words[0] as usize, words[1] as usize);
-        let idx = words[2..2 + ni].iter().map(|&x| x as u32).collect();
-        let vals = words[2 + ni..2 + ni + nv].to_vec();
-        (Collected { idx, vals }, 2 + ni + nv)
-    }
-
-    /// Assemble what every rank of a world handed home — the `L` rows its
-    /// store kept and the blocks it collected — into one `n × n` matrix in
-    /// pivoted row coordinates, row `s` of which is original row `perm[s]`.
-    /// For LU that is the packed `F` with `P·A = L·U`, `L` unit-lower in
-    /// `F`'s strict lower triangle and `U` in its upper triangle.
-    ///
-    /// When one part's store holds the whole factor and the others hold
-    /// nothing (a `1 × 1 × Pz` world), that store *is* the output: its rows
-    /// are put into pivoted order in place, and no second `n × n` buffer is
-    /// allocated. Otherwise every entry is placed into a fresh matrix: the
-    /// stores' rows are disjoint by ownership, and the collected blocks are
-    /// checked against each other, one bit per (pivoted row, tile column):
-    /// every run [`Collected::push`] took must be one tile wide — `v`
-    /// columns starting at a multiple of `v`.
-    ///
-    /// # Panics
-    /// If `perm` is not a permutation of `0..n`, an entry's row never
-    /// appears in it, a collected run is not a tile's, or two of them
-    /// collide.
-    pub(crate) fn assemble(
-        n: usize,
-        v: usize,
-        perm: &[usize],
-        mut parts: Vec<RankFactor>,
-    ) -> Matrix {
-        assert_eq!(perm.len(), n, "permutation must cover all rows");
-        let mut pos = vec![usize::MAX; n];
-        for (s, &r) in perm.iter().enumerate() {
-            assert!(pos[r] == usize::MAX, "row {r} appears twice in perm");
-            pos[r] = s;
-        }
-        let empty = |(lower, upper): &RankFactor| lower.is_empty() && upper.idx.is_empty();
-        if let Some(at) = parts.iter().position(|(lower, _)| lower.covers(n)) {
-            let rest_empty = parts.iter().enumerate().all(|(i, p)| i == at || empty(p));
-            if rest_empty && parts[at].1.idx.is_empty() {
-                let mut data = std::mem::take(&mut parts[at].0.data);
-                permute_rows(&mut data, n, perm);
-                return Matrix::from_vec(n, n, data);
-            }
-        }
-        let mut f = Matrix::zeros(n, n);
-        let mut place = |r: usize, c0: usize, vals: &[f64]| {
+    let mut f = Matrix::zeros(n, n);
+    let tiles = n.div_ceil(v);
+    let mut seen = vec![false; n * tiles];
+    for part in held {
+        part.for_each_run(|r, c0, vals| {
+            assert!(c0 + vals.len() <= n, "factor run past column {n}");
             let s = pos.get(r).copied().unwrap_or(usize::MAX);
             assert!(s != usize::MAX, "entry row {r} missing from perm");
+            let taken = &mut seen[s * tiles + c0 / v];
+            assert!(!*taken, "duplicate factor entry at pivoted ({s},{c0})");
+            *taken = true;
             f.row_mut(s)[c0..c0 + vals.len()].copy_from_slice(vals);
-            s
-        };
-        for (lower, _) in &parts {
-            lower.for_each_run(|r, c0, vals| {
-                place(r, c0, vals);
-            });
-        }
-        let mut seen = vec![false; n * n.div_ceil(v)];
-        for (_, upper) in &parts {
-            upper.for_each_run(|r, c0, vals| {
-                let aligned = vals.len() == v && c0.is_multiple_of(v);
-                assert!(aligned, "collected runs must be aligned and {v} wide");
-                let s = place(r, c0, vals);
-                let taken = &mut seen[s * n.div_ceil(v) + c0 / v];
-                assert!(!*taken, "duplicate factor entry at pivoted ({s},{c0})");
-                *taken = true;
-            });
-        }
-        f
+        });
     }
+    f
 }
 
 /// Reorder the `width`-wide rows of the row-major `data` in place so that
@@ -783,21 +758,6 @@ fn permute_rows(data: &mut [f64], width: usize, perm: &[usize]) {
     }
 }
 
-/// Socket ranks ship their pieces home as the two flat arrays: 8 bytes per
-/// element plus the block indices.
-impl Wire for Collected {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.idx.encode(out);
-        self.vals.encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, XmpiError> {
-        Ok(Collected {
-            idx: Wire::decode(input)?,
-            vals: Wire::decode(input)?,
-        })
-    }
-}
-
 /// Split the per-rank outcomes `(piece, perm)` of a world into the pieces in
 /// rank order and rank 0's `perm` (every rank derives the same one); the
 /// first failed rank's error wins.
@@ -819,8 +779,6 @@ pub(crate) struct State {
     pub step: usize,
     /// Pivot rows chosen so far, in pivot order (stays empty for Cholesky).
     pub perm: Vec<usize>,
-    /// Factor pieces this rank has computed for rows it does not own.
-    pub collected: Collected,
     /// The rank's share (see the module docs): the trailing matrix, updated
     /// in place, right of the finished tile columns, which hold `L`.
     pub store: TileStore,
@@ -828,12 +786,11 @@ pub(crate) struct State {
 
 impl State {
     /// The state a fresh run starts from: step 0 on the staged `store`,
-    /// nothing chosen or collected.
+    /// nothing chosen.
     pub(crate) fn fresh(store: TileStore) -> State {
         State {
             step: 0,
             perm: Vec::new(),
-            collected: Collected::default(),
             store,
         }
     }
@@ -931,10 +888,11 @@ pub(crate) fn reduce_rows(
 }
 
 /// Pick a processor grid *and* block size jointly for an `n × n` problem on
-/// `p` ranks: among replication-preferring grids (see
-/// [`Grid3::for_processors`]), choose the best one that admits a valid block
-/// size — a grid like `[3,3,3]` is skipped for `n = 512` because no multiple
-/// of 3 divides a power of two.
+/// `p` ranks: among the paper's replication-preferring decompositions
+/// `[√(P/c), √(P/c), c]` (a near-square layer, `c` no larger than its
+/// sides, scored by `aspect / √c`), choose the best one that admits a valid
+/// block size — a grid like `[3,3,3]` is skipped for `n = 512` because no
+/// multiple of 3 divides a power of two.
 ///
 /// # The block-size rule
 ///
@@ -1197,59 +1155,72 @@ mod tests {
         assert_eq!(s.row(3), &[5.0, 6.0, 3.0, 4.0]);
     }
 
-    /// What a rank that kept no `L` rows hands home: one collected block
-    /// with the given row ids, run starts and values.
-    fn block(rows: &[usize], cols: &[usize], vals: &[f64]) -> RankFactor {
-        let vals = Matrix::from_vec(rows.len(), vals.len() / rows.len(), vals.to_vec());
-        let mut c = Collected::default();
-        c.push(rows, cols, vals.as_ref());
-        (Lower::default(), c)
-    }
-
-    /// The 2×2 case of the old COO assembly, `perm = [1, 0]` (original row 1
-    /// is the first pivot): its U row, then the L and U entries of pivot 1 —
-    /// two blocks of two one-wide column runs each.
-    fn two_by_two() -> Vec<RankFactor> {
-        vec![
-            block(&[1], &[0, 1], &[4.0, 5.0]),
-            block(&[0], &[0, 1], &[0.5, 3.0]),
-        ]
+    /// The store of rank `(pi, pj)` on `til`'s grid with entry `(r, c)` of
+    /// every stored row set to `10·r + c` (global coordinates).
+    fn numbered(til: &Tiling, (pi, pj): (usize, usize), lower_only: bool) -> TileStore {
+        let mut s = TileStore::zeros(til, pi, pj, lower_only);
+        for lrow in s.rows_from(0) {
+            let r = s.global_row(lrow) as f64;
+            let cols = til
+                .tile_cols_of(pj)
+                .into_iter()
+                .flat_map(|tj| tj * til.v..(tj + 1) * til.v);
+            for (x, c) in s.row_mut(lrow).iter_mut().zip(cols) {
+                *x = 10.0 * r + c as f64;
+            }
+        }
+        s
     }
 
     #[test]
     fn assemble_places_blocks_in_pivot_order() {
-        let f = Collected::assemble(2, 1, &[1, 0], two_by_two());
-        assert_eq!(f.data(), &[4.0, 5.0, 0.5, 3.0]);
-        // The visitor yields the runs the blocks stand for.
+        // Every rank of a 2×2 grid hands home its full rows; row `s` of the
+        // output is original row `perm[s]`, each tile from its owner.
+        let (n, v) = (8, 2);
+        let til = Tiling::new(n, v, Grid3::new(2, 2, 1));
+        let perm = [3, 0, 7, 1, 2, 6, 5, 4];
+        let parts = (0..2)
+            .flat_map(|pi| (0..2).map(move |pj| (pi, pj)))
+            .map(|at| numbered(&til, at, false).into_lower(|_| 0..n))
+            .collect();
+        let f = assemble(n, v, &perm, parts);
+        let want = Matrix::from_fn(n, n, |s, c| (10 * perm[s] + c) as f64);
+        assert_eq!(f.data(), want.data());
+        // The visitor yields a part's runs tile by tile.
         let mut runs = Vec::new();
-        two_by_two()[1]
-            .1
-            .for_each_run(|r, c, x| runs.push((r, c, x.to_vec())));
-        assert_eq!(runs, vec![(0, 0, vec![0.5]), (0, 1, vec![3.0])]);
+        let part = numbered(&til, (1, 0), false).into_lower(|r| if r == 2 { 0..6 } else { n..n });
+        part.for_each_run(|r, c, x| runs.push((r, c, x.to_vec())));
+        let want = [(2, 0, vec![20.0, 21.0]), (2, 4, vec![24.0, 25.0])];
+        assert_eq!(runs, want);
     }
 
     #[test]
-    #[should_panic(expected = "duplicate factor entry at pivoted (0,1)")]
+    #[should_panic(expected = "duplicate factor entry at pivoted (1,0)")]
     fn assemble_rejects_collisions() {
-        let mut pieces = two_by_two();
-        pieces.push(block(&[1], &[1], &[2.0]));
-        Collected::assemble(2, 1, &[1, 0], pieces);
+        // Two parts both hand home original row 0's first tile.
+        let til = Tiling::new(4, 2, Grid3::new(2, 1, 1));
+        let part =
+            || numbered(&til, (0, 0), false).into_lower(|r| if r == 0 { 0..2 } else { 4..4 });
+        assemble(4, 2, &[1, 0, 2, 3], vec![part(), part()]);
     }
 
     #[test]
-    #[should_panic(expected = "entry row 2 missing from perm")]
+    #[should_panic(expected = "entry row 6 missing from perm")]
     fn assemble_rejects_rows_outside_the_permutation() {
-        Collected::assemble(2, 1, &[1, 0], vec![block(&[2], &[0], &[1.0])]);
+        // Process row 1 of a 2×1 grid over 8 rows holds rows 2, 3, 6 and 7.
+        let til = Tiling::new(8, 2, Grid3::new(2, 1, 1));
+        let part = numbered(&til, (1, 0), false).into_lower(|_| 0..2);
+        assemble(4, 2, &[0, 1, 2, 3], vec![part]);
     }
 
     #[test]
-    #[should_panic(expected = "must be aligned")]
+    #[should_panic(expected = "factor run past column 4")]
     fn assemble_rejects_a_run_off_the_coverage_grid() {
-        let pieces = vec![
-            block(&[0], &[0], &[1.0, 2.0]),
-            block(&[1], &[1], &[3.0, 4.0]),
-        ];
-        Collected::assemble(4, 2, &[0, 1, 2, 3], pieces);
+        // Rows 0 and 1 of an 8-wide store, assembled as a 4 × 4 factor.
+        let til = Tiling::new(8, 2, Grid3::new(2, 1, 1));
+        let owes = |r: usize| if r < 2 { 0..8 } else { 8..8 };
+        let part = numbered(&til, (0, 0), false).into_lower(owes);
+        assemble(4, 2, &[0, 1, 2, 3], vec![part]);
     }
 
     /// `permute_rows` on an `n × width` matrix of distinct values, bitwise
@@ -1302,40 +1273,28 @@ mod tests {
         let (n, v) = (8, 2);
         let til = Tiling::new(n, v, Grid3::new(1, 1, 1));
         let perm = [3, 0, 7, 1, 2, 6, 5, 4];
-        let store = || {
-            let mut s = TileStore::zeros(&til, 0, 0, false);
-            for lrow in 0..n {
-                let vals: Vec<f64> = (0..n).map(|c| (10 * lrow + c) as f64).collect();
-                s.row_mut(lrow).copy_from_slice(&vals);
-            }
-            s
-        };
         // One rank, or a replicated one whose upper layer hands home
         // nothing: the layer-0 store's buffer is the output, rows pivoted.
         let want = Matrix::from_fn(n, n, |s, c| (10 * perm[s] + c) as f64);
         for layers in [1, 2] {
-            let whole = store().into_lower(|_| n);
+            let whole = numbered(&til, (0, 0), false).into_lower(|_| 0..n);
             let at = whole.data.as_ptr();
-            let mut parts = vec![(whole, Collected::default())];
-            parts.extend((1..layers).map(|_| RankFactor::default()));
-            let f = Collected::assemble(n, v, &perm, parts);
+            let mut parts = vec![whole];
+            parts.extend((1..layers).map(|_| Lower::default()));
+            let f = assemble(n, v, &perm, parts);
             assert_eq!((f.data(), f.data().as_ptr()), (want.data(), at));
         }
-        // Rows that stop short of the full width are placed into a fresh
-        // matrix: original row `r` keeps the columns up to `r`.
-        let part = store().into_lower(|r| r + 1);
-        let at = part.data.as_ptr();
-        let f = Collected::assemble(n, v, &perm, vec![(part, Collected::default())]);
+        // Rows that stop short of the full width (a one-rank Cholesky's)
+        // are placed into a fresh matrix.
+        let part = numbered(&til, (0, 0), true).into_lower(|r| 0..r + 1);
         let want = Matrix::from_fn(n, n, |s, c| {
-            let r = perm[s];
-            if c <= r {
-                (10 * r + c) as f64
+            if c <= perm[s] {
+                (10 * perm[s] + c) as f64
             } else {
                 0.0
             }
         });
-        assert_eq!(f.data(), want.data());
-        assert_ne!(f.data().as_ptr(), at);
+        assert_eq!(assemble(n, v, &perm, vec![part]).data(), want.data());
     }
 
     #[test]
@@ -1351,13 +1310,9 @@ mod tests {
         let before = [0, 1, 2, 4, 5, 8].map(|c| s.cols_before(c));
         assert_eq!(before, [0, 1, 2, 2, 3, 4]);
         // Entries left of global column 7 − row: rows 2, 3, 6, 7 keep the
-        // columns {0, 1, 4}, {0, 1}, {0} and none.
-        let lower = s.into_lower(|r| 7 - r);
-        let entries_of = |lower: &Lower| {
-            let mut all = Vec::new();
-            lower.for_each_run(|r, c0, vals| all.extend((c0..).zip(vals).map(|(c, &x)| (r, c, x))));
-            all
-        };
+        // columns {0, 1, 4}, {0, 1}, {0} and none — packed to the front of
+        // the store's own storage.
+        let lower = s.into_lower(|r| 0..7 - r);
         let want = [
             (2, 0, 0.),
             (2, 1, 1.),
@@ -1367,65 +1322,71 @@ mod tests {
             (6, 0, 20.),
         ];
         assert_eq!(entries_of(&lower), want);
-        // On the wire: the geometry, one count per row, the kept entries —
-        // and a decoded part holds nothing else.
-        let bytes = xmpi::wire::encode_vec(&lower);
-        assert_eq!(bytes.len(), 5 * 8 + (8 + 4 * 4) + 6 * 8);
-        // The bulk copy writes what encoding one element at a time writes.
-        let mut one_by_one = Vec::new();
-        lower
-            .geometry
-            .iter()
-            .for_each(|g| g.encode(&mut one_by_one));
-        let leads: Vec<u32> = lower.rows.iter().map(|&(_, n)| n as u32).collect();
-        leads.encode(&mut one_by_one);
-        for &(at, n) in &lower.rows {
-            lower.data[at..at + n]
-                .iter()
-                .for_each(|x| x.encode(&mut one_by_one));
-        }
-        assert_eq!(bytes, one_by_one);
-        let back: Lower = xmpi::wire::decode_all(&bytes).unwrap();
-        assert_eq!((&entries_of(&back)[..], back.data.len()), (&want[..], 6));
-        assert!(xmpi::wire::decode_all::<Lower>(&bytes[..bytes.len() - 8]).is_err());
+        assert_eq!((lower.data.len(), lower.data.capacity()), (6, 6));
+    }
+
+    /// Every entry `(global row, global column, value)` of `lower`.
+    fn entries_of(lower: &Lower) -> Vec<(usize, usize, f64)> {
+        let mut all = Vec::new();
+        lower.for_each_run(|r, c0, vals| all.extend((c0..).zip(vals).map(|(c, &x)| (r, c, x))));
+        all
     }
 
     #[test]
-    fn collected_codecs_round_trip_bitwise() {
-        let vals = [
+    fn lower_codec_round_trips_bitwise() {
+        // Rank (1, 0) of a 2×2 grid over 4×4 tiles of side 2 (global rows
+        // 2, 3, 6, 7; tile columns 0, 2): runs that start right of column 0,
+        // as a layer above the first hands home `U` rows, over values a
+        // decimal round trip would not keep.
+        let til = Tiling::new(8, 2, Grid3::new(2, 2, 1));
+        let mut s = TileStore::zeros(&til, 1, 0, false);
+        let odd = [
             1.25,
             -0.0,
             f64::MIN_POSITIVE,
             -0.5e-17,
-            7.0,
+            f64::NAN,
             1e300,
             0.1,
             -3.0,
         ];
-        let (_, mut c) = block(&[5, 2], &[8, 2], &vals);
-        c.push(&[9], &[0], Matrix::from_vec(1, 1, vec![f64::NAN]).as_ref());
-        let same = |back: &Collected| {
-            assert_eq!(back.idx, c.idx);
-            let bits = |x: &Collected| x.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(back), bits(&c));
+        for lrow in 0..4 {
+            let vals: Vec<f64> = (0..4).map(|j| odd[(2 * lrow + j) % 8]).collect();
+            s.row_mut(lrow).copy_from_slice(&vals);
+        }
+        let owes = |r: usize| match r {
+            2 => 4..8,
+            3 => 1..8,
+            6 => 8..8,
+            _ => 0..5,
         };
-        // The checkpoint blob: one word per index and per value.
-        let mut blob = vec![42.0];
-        c.to_words(&mut blob);
-        assert_eq!(blob.len(), 1 + 2 + (3 + 2 + 2 + 3 + 1 + 1) + 9);
-        let (back, used) = Collected::from_words(&blob[1..]);
-        assert_eq!(used, blob.len() - 1);
-        same(&back);
-        // The socket result codec: 4 bytes per index, 8 per value.
-        let bytes = xmpi::wire::encode_vec(&c);
-        assert_eq!(bytes.len(), 2 * 8 + 4 * 12 + 8 * 9);
+        let lower = s.into_lower(owes);
+        assert_eq!(lower.rows, vec![(2, 2), (1, 3), (4, 0), (0, 3)]);
+        // On the wire: the geometry, a first column and a length per row,
+        // the entries — and a decoded part holds nothing else.
+        let bytes = xmpi::wire::encode_vec(&lower);
+        assert_eq!(bytes.len(), 5 * 8 + (8 + 4 * 8) + 8 * 8);
+        // The bulk copy writes what encoding one element at a time writes.
         let mut one_by_one = Vec::new();
-        c.idx.encode(&mut one_by_one);
-        c.vals.len().encode(&mut one_by_one);
-        c.vals.iter().for_each(|x| x.encode(&mut one_by_one));
-        assert_eq!(bytes, one_by_one, "the bulk copy is the per-element bytes");
-        same(&xmpi::wire::decode_all(&bytes).unwrap());
-        assert!(xmpi::wire::decode_all::<Collected>(&bytes[..bytes.len() - 1]).is_err());
+        let geometry = lower.geometry.iter();
+        geometry.for_each(|g| g.encode(&mut one_by_one));
+        vec![2u32, 2, 1, 3, 4, 0, 0, 3].encode(&mut one_by_one);
+        lower.data.iter().for_each(|x| x.encode(&mut one_by_one));
+        assert_eq!(bytes, one_by_one);
+        let back: Lower = xmpi::wire::decode_all(&bytes).unwrap();
+        let bits = |l: &Lower| {
+            entries_of(l)
+                .iter()
+                .map(|&(r, c, x)| (r, c, x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!((bits(&back), &back.rows), (bits(&lower), &lower.rows));
+        let (tiny, nan) = (f64::MIN_POSITIVE.to_bits(), f64::NAN.to_bits());
+        assert_eq!(
+            (bits(&back)[0], bits(&back)[3]),
+            ((2, 4, tiny), (3, 4, nan))
+        );
+        assert!(xmpi::wire::decode_all::<Lower>(&bytes[..bytes.len() - 8]).is_err());
     }
 
     #[test]

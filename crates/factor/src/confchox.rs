@@ -17,8 +17,8 @@
 //! [`crate::conflux`], every broadcast blocks where it is issued.
 
 use crate::common::{
-    bcast_status, check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, shift_err,
-    split_results, stage_from_global, Collected, Net, RankResult, State, TileStore, Tiling,
+    assemble, bcast_status, check_shape, phase, phase_end, pick_grid_and_block, reduce_rows,
+    shift_err, split_results, stage_from_global, Net, RankResult, State, TileStore, Tiling,
 };
 use crate::conflux::scatter_z;
 use crate::ft::{Guard, StepEnd};
@@ -102,7 +102,7 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
     let (parts, identity) = split_results(out.results)?;
     let l = cfg
         .collect
-        .then(|| Collected::assemble(cfg.n, cfg.v, &identity, parts));
+        .then(|| assemble(cfg.n, cfg.v, &identity, parts));
     Ok(CholOutput {
         l,
         stats: out.stats,
@@ -113,10 +113,9 @@ pub fn confchox_cholesky(cfg: &ConfchoxConfig, a: &Matrix) -> Result<CholOutput,
 /// schedule. `state.store` is this rank's share, a lower-only store:
 /// layer 0's lower-triangular tiles of `A`, zeros above it. `guard`,
 /// `state` and `at_step_end` are the two seams of [`crate::conflux`]'s rank
-/// program (`state.perm` and `state.collected` stay empty: no pivoting, and
-/// the factor stays in the stores). Returns what the rank hands home — the
-/// part of `L` its store holds (layer 0 of a collecting run), no pieces —
-/// and the factor's row order, the matrix's own.
+/// program (`state.perm` stays empty: no pivoting). Returns what the rank
+/// hands home — the part of `L` its store holds (layer 0 of a collecting
+/// run) — and the factor's row order, the matrix's own.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfchoxConfig,
@@ -254,10 +253,14 @@ pub(crate) fn rank_program(
     }
 
     phase_end(comm);
-    // A row's `L` entries are the store's columns up to its diagonal.
-    let lower = (cfg.collect && pk == 0).then(|| state.store.into_lower(|r| r + 1));
-    let part = (lower.unwrap_or_default(), state.collected);
-    Ok((part, (0..cfg.n).collect()))
+    // A layer-0 store row is `L` up to its diagonal; a layer above holds no
+    // factor entry.
+    let lower = cfg.collect.then(|| {
+        state
+            .store
+            .into_lower(|r| if pk == 0 { 0..r + 1 } else { 0..0 })
+    });
+    Ok((lower.unwrap_or_default(), (0..cfg.n).collect()))
 }
 
 /// Steps 1–2a for block step `step`: z-reduce the diagonal and trailing
@@ -395,13 +398,16 @@ mod tests {
             let fresh = State::fresh(stage_from_global(comm, &til, &a, true));
             rank_program(comm, &cfg, &mut Guard::new(false), fresh, None).expect("SPD input")
         });
-        // Nothing is collected on the side — no pieces at all — and the
-        // store's `L` rows are the whole lower triangle.
-        let ((lower, pieces), _) = &out.results[0];
-        pieces.for_each_run(|_, _, _| panic!("a collected piece"));
+        // Nothing is collected on the side: the store's `L` rows are the
+        // whole lower triangle, packed in the store's own buffer.
+        let (lower, _) = &out.results[0];
         let mut entries = 0;
-        lower.for_each_run(|_, _, vals| entries += vals.len());
+        lower.for_each_run(|r, c0, vals| {
+            assert!(c0 + vals.len() <= r + 1, "an entry above the diagonal");
+            entries += vals.len();
+        });
         assert_eq!(entries, n * (n + 1) / 2);
+        assert_eq!(crate::common::words(lower), entries);
     }
 
     #[test]

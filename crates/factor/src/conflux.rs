@@ -35,12 +35,16 @@
 //!    slice of the store per row, summed along z (steps 1 and 4).
 //!
 //! `A00` and `U01` belong to the pivot rows, which may live on other process
-//! rows than the ranks that computed them, so the step root and the U-owner
-//! collect them as blocks — except with one process row (`Px = 1`): there
-//! every layer-0 rank owns every row of its tile columns, and both are
-//! written into the retired pivot rows of its store, whose columns no later
-//! step reads. A finished layer-0 store then holds its rank's whole rows of
-//! the factor, and a one-rank world's store is the assembled factor itself.
+//! rows than the ranks that computed them. A retired pivot row is dead, so
+//! its factor entries are written into it where some rank already holds
+//! it, with no message of their own: every layer-0 panel rank writes the
+//! `A00` rows of its process row's pivots into tile column `t`; the U-owner
+//! `(t mod Px, pj, 0)` writes its own process row's `U01` from the solved
+//! block; and on any other process row the rank on layer `k` writes the
+//! pivots it holds among `U01` rows `[k·v/Pz, (k+1)·v/Pz)` from the slice
+//! step 6 just delivered. (Swapped pivots all sit on the U-owner's process
+//! row.) `common::owed` says which columns of which store rows each rank
+//! then hands home; a one-rank world's store is the assembled factor itself.
 //!
 //! Per-rank I/O is `N³/(P√M) + O(N²/P)` — 1.5× the paper's lower bound
 //! (Lemma 10); the `volume_close_to_model` integration test checks the
@@ -61,8 +65,8 @@
 //! schedule"): a posted broadcast makes no progress in the background.
 
 use crate::common::{
-    bcast_status, check_shape, phase, phase_end, pick_grid_and_block, reduce_rows, shift_err,
-    split_results, stage_from_global, ActiveRows, Collected, Net, RankResult, RowMask, State,
+    assemble, bcast_status, check_shape, owed, phase, phase_end, pick_grid_and_block, reduce_rows,
+    shift_err, split_results, stage_from_global, ActiveRows, Net, RankResult, RowMask, State,
     TileStore, Tiling,
 };
 use crate::ft::{Guard, StepEnd};
@@ -177,9 +181,9 @@ pub(crate) fn factor_lu(
     });
     let (parts, perm) = split_results(out.results)?;
     let packed = cfg.collect.then(|| match policy {
-        PivotPolicy::Mask => Collected::assemble(cfg.n, cfg.v, &perm, parts),
-        // Swapped pieces are addressed by position: rows are where they belong.
-        PivotPolicy::Swap => Collected::assemble(cfg.n, cfg.v, &Vec::from_iter(0..cfg.n), parts),
+        PivotPolicy::Mask => assemble(cfg.n, cfg.v, &perm, parts),
+        // Swapped rows are addressed by position: they are where they belong.
+        PivotPolicy::Swap => assemble(cfg.n, cfg.v, &Vec::from_iter(0..cfg.n), parts),
     });
     Ok(LuOutput {
         perm,
@@ -194,12 +198,11 @@ pub(crate) fn factor_lu(
 /// tiles of `A` (zeros above it), produced by [`stage_from_global`] or by a
 /// measured redistribution from a caller's layout, or whatever a checkpoint
 /// restored. Every bulk `f64` transfer is issued through `guard` (see
-/// [`crate::ft`]). The run starts at `state.step` with `state`'s pivots and
-/// collected pieces, and after every step but the last hands the updated
-/// state to `at_step_end`. Returns what the rank hands home: the factor
-/// rows its store holds (layer 0 of a collecting run: `L`, and with one
-/// process row `A00` and `U01` too), the pieces it collected, and the pivot
-/// order — under swapping, the original row at each position.
+/// [`crate::ft`]). The run starts at `state.step` with `state`'s pivots, and
+/// after every step but the last hands the updated state to `at_step_end`.
+/// Returns what the rank hands home: the factor entries its store rows hold
+/// (a collecting run's; see the module docs), and the pivot order — under
+/// swapping, the original row at each position.
 pub(crate) fn rank_program(
     comm: &Comm,
     cfg: &ConfluxConfig,
@@ -215,28 +218,12 @@ pub(crate) fn rank_program(
 
     let net = Net::new(comm, til);
     // The `O(n·v)` step buffers, reserved once and reused by every step: the
-    // reduced panel column (one row per active row), the `L10` solved from
-    // it, this process row's reduced pivot-row segments, and `U01` (all `v`
-    // pivot rows in pivot order).
-    let rows_v = state.store.rows_from(0).len() * v;
+    // reduced panel column (one row per active row, compacted into `L10` in
+    // place), this process row's reduced pivot-row segments, and `U01` (all
+    // `v` pivot rows in pivot order).
     let v_cols = v * state.store.cols_from(0).len();
-    let (mut panel, mut l10) = (Vec::with_capacity(rows_v), Vec::with_capacity(rows_v));
+    let mut panel = Vec::with_capacity(state.store.rows_from(0).len() * v);
     let (mut a01, mut u01) = (Vec::with_capacity(v_cols), Vec::with_capacity(v_cols));
-    // With one process row, every layer-0 rank owns every row of its tile
-    // columns: the step root writes `A00`, and the U-owner `U01`, into the
-    // retired pivot rows of its own store, whose columns no later step
-    // reads, and nothing is collected.
-    let in_store = cfg.collect && g.px == 1;
-    if cfg.collect && !in_store {
-        // Exactly the tiles this rank will still collect: the `A00` of the
-        // steps it roots, the `U01` of the steps it solves.
-        let tiles = (state.step..nt).map(|t| {
-            let a00 = usize::from(comm.rank() == g.rank_of(0, t % g.py, 0));
-            let u01 = usize::from(comm.rank() == g.rank_of(t % g.px, pj, 0));
-            a00 + u01 * til.tiles_after(t, pj, g.py).len()
-        });
-        state.collected.reserve_exact(tiles.sum::<usize>() * v * v);
-    }
     let mut mask = RowMask::new(n);
     mask.retire(&state.perm);
     // This process row's active rows, re-derived once per step when the
@@ -261,18 +248,18 @@ pub(crate) fn rank_program(
             None => piv_ids.iter().map(|&x| x as usize).collect(),
             Some(id_at) => row_swaps(&net, &mut state.store, &mut panel, &piv_ids, step, id_at),
         };
-        // The process row holding global row `p`, and the local rows of the
-        // pivots this process row holds, in pivot order.
+        // The pivots this process row holds, in pivot order: each one's
+        // index among the step's pivots and its local row.
         let prow = |p: usize| (p / v) % g.px;
-        let my_piv = pivots.iter().filter(|&&p| prow(p) == pi);
-        let piv_lrows: Vec<usize> = my_piv.map(|&p| state.store.local_row(p)).collect();
-        if cfg.collect && comm.rank() == root {
-            if in_store {
-                let (c0, lrows) = (state.store.col0(step), piv_lrows.iter().copied());
-                state.store.put_rows(&a00_buf[..v * v], c0..c0 + v, lrows);
-            } else {
-                state.collected.push(&pivots, &[step * v], a00);
-            }
+        let mine: Vec<(usize, usize)> = (0..v)
+            .filter(|&i| prow(pivots[i]) == pi)
+            .map(|i| (i, state.store.local_row(pivots[i])))
+            .collect();
+        // The pivot rows are dead from here on: every layer-0 panel rank
+        // writes the `A00` rows of its own into tile column `step`.
+        if pj == jt && pk == 0 {
+            let (c0, rows) = (state.store.col0(step), mine.iter().copied());
+            state.store.put_rows(&a00_buf[..v * v], c0..c0 + v, rows);
         }
         state.perm.extend_from_slice(&pivots);
         mask.retire(&pivots);
@@ -290,7 +277,7 @@ pub(crate) fn rank_program(
         // ---- 4. Reduce pivot rows, solve U01 = L00⁻¹·A01 ---------------
         phase(comm, "reduce_pivots");
         if !last && !trail_cols.is_empty() {
-            let lrows = piv_lrows.iter().copied();
+            let lrows = mine.iter().map(|&(_, lrow)| lrow);
             reduce_rows(&net, guard, &state.store, lrows, trail.clone(), &mut a01);
             // Gather the pivot-row segments at the step's U-owner and solve.
             let owner = g.rank_of(it, pj, 0);
@@ -316,16 +303,11 @@ pub(crate) fn rank_program(
                     }
                 }
                 solve_u01(a00, &mut u01);
-                if in_store {
-                    let lrows = piv_lrows.iter().copied();
-                    state.store.put_rows(&u01, trail.clone(), lrows);
-                } else if cfg.collect {
-                    let starts: Vec<usize> = trail_cols.iter().map(|&tj| tj * v).collect();
-                    let u01 = MatRef::from_slice(&u01, v, trail_len, trail_len);
-                    state.collected.push(&pivots, &starts, u01);
-                }
-            } else if pk == 0 && !piv_lrows.is_empty() {
-                let (tag, rows) = (TAG_A01 + step as u64, piv_lrows.len());
+                // Its own process row's pivots keep their `U01` here.
+                let rows = mine.iter().copied();
+                state.store.put_rows(&u01, trail.clone(), rows);
+            } else if pk == 0 && !mine.is_empty() {
+                let (tag, rows) = (TAG_A01 + step as u64, mine.len());
                 guard.send(comm, owner, tag, &a01, rows, trail_len);
             }
         }
@@ -335,20 +317,24 @@ pub(crate) fn rank_program(
         let rows = active.local.len();
         if pj == jt && pk == 0 {
             // The panel rows that survived this step's pivots are exactly
-            // `active.global`, in order.
-            l10.clear();
-            let kept = (0..panel_rows.len()).filter(|&i| mask.is_active(panel_rows[i]));
-            for ki in kept {
-                l10.extend_from_slice(&panel[ki * v..(ki + 1) * v]);
+            // `active.global`, in order: copied down in place, they are
+            // `L10`'s rows.
+            let mut kept = 0;
+            for (ki, &r) in panel_rows.iter().enumerate() {
+                if mask.is_active(r) {
+                    panel.copy_within(ki * v..(ki + 1) * v, kept * v);
+                    kept += 1;
+                }
             }
+            panel.truncate(kept * v);
             let lrows = active.local.iter().copied();
             if g.px == 1 {
                 // A one-player tournament left them solved in the panel.
                 let c0 = state.store.col0(step);
-                state.store.put_rows(&l10, c0..c0 + v, lrows);
+                state.store.put_rows(&panel, c0..c0 + v, lrows.enumerate());
             } else {
                 let tri = (Uplo::Upper, Trans::N);
-                state.store.solve_l10(tri, a00, &mut l10, step, lrows);
+                state.store.solve_l10(tri, a00, &mut panel, step, lrows);
             }
         }
 
@@ -361,7 +347,7 @@ pub(crate) fn rank_program(
         if !last && rows > 0 {
             let tag = TAG_L10 + step as u64;
             l10_flat = scatter_z(&net, guard, (&net.yrow, jt), tag, (rows, ks), |k| {
-                MatRef::from_slice(&l10, rows, v, v).block(0, k * ks, rows, ks)
+                MatRef::from_slice(&panel, rows, v, v).block(0, k * ks, rows, ks)
             });
         }
 
@@ -372,6 +358,13 @@ pub(crate) fn rank_program(
             u01_flat = scatter_z(&net, guard, (&net.xcol, it), tag, (ks, trail_len), |k| {
                 MatRef::from_slice(&u01, v, trail_len, trail_len).block(k * ks, 0, ks, trail_len)
             });
+            // Off the U-owner's process row, a pivot's `U01` stays on the
+            // layer whose slice holds it.
+            if pi != it {
+                let slice = mine.iter().filter(|&&(i, _)| i / ks == pk);
+                let rows = slice.map(|&(i, lrow)| (i - pk * ks, lrow));
+                state.store.put_rows(&u01_flat, trail.clone(), rows);
+            }
         }
 
         // ---- 7. FactorizeA11: layer-local partial Schur update ---------
@@ -399,21 +392,13 @@ pub(crate) fn rank_program(
     }
 
     phase_end(comm);
-    // Row `r`'s `L` entries are the store's columns left of its pivot tile;
-    // the tile itself is the `A00` its step's root collected — unless the
-    // whole row, `A00` and `U01` included, is in the store.
-    let lower = (cfg.collect && pk == 0).then(|| {
-        if in_store {
-            return state.store.into_lower(|_| n);
-        }
-        let mut pivot_tile = vec![0; n];
-        for (s, &r) in state.perm.iter().enumerate() {
-            pivot_tile[r] = s / v;
-        }
-        state.store.into_lower(|r| pivot_tile[r] * v)
-    });
+    // Every factor entry is in the store row of some rank: this rank hands
+    // home the columns of its rows that it owes.
+    let lower = cfg
+        .collect
+        .then(|| state.store.into_lower(owed(&til, pk, nt, &state.perm)));
     let order = id_at.unwrap_or(state.perm);
-    Ok(((lower.unwrap_or_default(), state.collected), order))
+    Ok((lower.unwrap_or_default(), order))
 }
 
 /// `U01 = L00⁻¹·A01`, in place on the `v` reduced pivot-row segments `a01`;
@@ -550,13 +535,12 @@ mod tests {
     }
 
     /// What every rank of `cfg`'s world hands home for a seeded random input.
-    fn handed_home(cfg: &ConfluxConfig, seed: u64) -> Vec<RankResult> {
+    fn handed_home(cfg: &ConfluxConfig, policy: PivotPolicy, seed: u64) -> Vec<RankResult> {
         let til = Tiling::new(cfg.n, cfg.v, cfg.grid);
         let a = random_matrix(cfg.n, cfg.n, seed);
         let out = xmpi::run(cfg.grid.size(), |comm| {
             let fresh = State::fresh(stage_from_global(comm, &til, &a, false));
-            let guard = &mut Guard::new(false);
-            rank_program(comm, cfg, PivotPolicy::Mask, guard, fresh, None)
+            rank_program(comm, cfg, policy, &mut Guard::new(false), fresh, None)
         });
         out.results
     }
@@ -565,26 +549,68 @@ mod tests {
     fn what_a_rank_hands_home_is_bounded() {
         // One rank, as in `lu_p1`: what the rank thread allocates and the
         // host frees is the store, which holds the whole factor, and the
-        // pivot order — nothing collected, nothing reserved beyond need. The
+        // pivot order — nothing beside it, nothing reserved beyond need. The
         // host takes the store as the assembled factor, so a call holds
         // the matrix about once (`page_faults` counts the pages).
         let (n, v) = (256, 32);
         let cfg = ConfluxConfig::new(n, v, Grid3::new(1, 1, 1));
-        let (part, perm) = handed_home(&cfg, 3).remove(0).unwrap();
+        let (part, perm) = handed_home(&cfg, PivotPolicy::Mask, 3).remove(0).unwrap();
         let words = crate::common::words(&part) + perm.capacity();
         assert!(
             (n * n..=n * n + n).contains(&words),
             "{words} words handed home"
         );
-        // `lu_p4_socket`'s shape (two process rows, so `A00` and `U01` are
-        // collected as blocks): the wire size of each rank's result — what a
-        // socket child writes to its launcher — as at ba4ea73 (seed 101),
-        // and together no smaller than the factor itself.
+        // `lu_p4_socket`'s shape (two process rows, one layer): the wire
+        // size of each rank's result — what a socket child writes to its
+        // launcher — at seed 101. Every pivot row's `A00` and `U01` stay on
+        // layer 0 of its own process row, so each rank ships its whole store
+        // once: its 256 × 256 entries, a first column and a length (4 bytes
+        // each) per store row, the geometry, and the pivot order.
         let cfg = ConfluxConfig::auto(512, 4);
         let size = |rank: &RankResult| xmpi::wire::encode_vec(rank.as_ref().unwrap()).len();
-        let bytes: Vec<usize> = handed_home(&cfg, 101).iter().map(size).collect();
-        assert_eq!(bytes, [562_700, 597_176, 499_596, 465_292]);
-        assert!(bytes.iter().sum::<usize>() >= 8 * cfg.n * cfg.n);
+        let homes = handed_home(&cfg, PivotPolicy::Mask, 101);
+        let bytes: Vec<usize> = homes.iter().map(size).collect();
+        let store = 8 * 256 * 256 + (8 + 8 * 256) + 5 * 8;
+        assert_eq!(bytes, [store + 8 * (512 + 1); 4]);
+        assert_eq!(bytes[0], 530_488);
+    }
+
+    #[test]
+    fn every_factor_tile_is_handed_home_exactly_once() {
+        // Each (pivoted row, tile column) of the packed factor comes home
+        // from exactly one rank — the `A00` rows from a panel rank, `U01`
+        // from the layer that wrote it — on one rank, one process row, flat
+        // and replicated grids, masking or swapping.
+        let (n, v, nt) = (72, 6, 12);
+        for [x, y, z] in [
+            [1, 1, 1],
+            [1, 1, 2],
+            [2, 2, 1],
+            [2, 2, 2],
+            [3, 2, 2],
+            [2, 3, 3],
+        ] {
+            let cfg = ConfluxConfig::new(n, v, Grid3::new(x, y, z));
+            for policy in [PivotPolicy::Mask, PivotPolicy::Swap] {
+                let (parts, perm) = split_results(handed_home(&cfg, policy, 17)).unwrap();
+                // Masked runs are addressed by original row, swapped ones
+                // by position.
+                let mut pos: Vec<usize> = (0..n).collect();
+                if policy == PivotPolicy::Mask {
+                    perm.iter().enumerate().for_each(|(s, &r)| pos[r] = s);
+                }
+                let mut times = vec![0; n * nt];
+                for part in &parts {
+                    part.for_each_run(|r, c0, vals| {
+                        assert!(vals.len() == v && c0 % v == 0, "a run off the tiles");
+                        times[pos[r] * nt + c0 / v] += 1;
+                    });
+                }
+                let wrong = times.iter().position(|&k| k != 1);
+                let at = wrong.map(|i| (i / nt, i % nt, times[i]));
+                assert_eq!(at, None, "{:?} {policy:?}: (row, tile, times)", cfg.grid);
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!
 //! **Seam 2 — the step boundary** (`State` in, end-of-step callback out;
 //! ring checkpoints + whole-world restart through `CkptStore`). A rank
-//! program starts from a `State` (next step, pivot permutation, collected
-//! factor pieces, the rank's one tile store) and hands the updated value to an
+//! program starts from a `State` (next step, pivot permutation, the rank's
+//! one tile store) and hands the updated value to an
 //! optional callback after every block step but the last. The FT drivers'
 //! callback snapshots it every `ckpt_every` steps into an in-memory blob,
 //! keeps one copy in the rank's own memory and ships one copy to its ring
@@ -61,11 +61,13 @@
 //! factors *bitwise*. A checkpoint needs a quiescent step boundary, and
 //! every step is one: no transfer is in flight between two steps.
 //!
-//! A rank updates its share of `A` in place and leaves `L` in the same
-//! store, so a snapshot carries the store itself and a restored rank never
-//! reads the input again: `A` is staged once, by the attempt that starts
-//! from step 0 (at zero measured cost — the paper's "input already
-//! distributed" convention).
+//! A rank updates its share of `A` in place and leaves every factor entry
+//! it holds in the same store, so a snapshot carries the store rows — the
+//! columns of each that `common::owed` says the rank still owes, the same
+//! columns it would hand home — and a restored rank never reads the input
+//! again: `A` is staged once, by the attempt that starts from step 0 (at
+//! zero measured cost — the paper's "input already distributed"
+//! convention).
 //!
 //! Checkpoint and recovery traffic is attributed to its own phases, so
 //! [`FtReport`] can report the *algorithmic* volume (which must still sit in
@@ -73,7 +75,7 @@
 //! separately from the fault-tolerance overhead.
 
 use crate::common::{
-    check_shape, phase, pick_grid_and_block, split_results, stage_from_global, Collected,
+    assemble, check_shape, owed, phase, pick_grid_and_block, split_results, stage_from_global,
     RankResult, State, TileStore, Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
@@ -378,52 +380,40 @@ impl CkptStore {
 // State blob codec
 // ---------------------------------------------------------------------------
 
-/// The first local column a checkpoint of `store` taken on `layer` before
-/// `step` carries (see [`encode_state`]).
-fn live_from(store: &TileStore, layer: usize, step: usize) -> usize {
-    store.cols_from(if layer == 0 { 0 } else { step }).start
-}
-
 /// Serialize the state of a rank on layer `layer` into a flat `f64` blob:
-/// `[step, |perm|, perm…, collected (see Collected::to_words), store rows…]`.
-/// Layer 0 snapshots its whole share — `L` left of tile column `step`, the
-/// trailing matrix from there on; a layer above holds only update sums, and
-/// those left of tile column `step` have been reduced and are dead, so its
-/// rows start there. Integers are exact below 2⁵³: the round trip is bitwise.
-fn encode_state(layer: usize, state: &State) -> Vec<f64> {
+/// `[step, |perm|, perm…, store rows…]`. Of each store row the blob carries
+/// the columns the rank still owes ([`owed`]): on layer 0 the whole row of
+/// an active row — `L` left of tile column `step`, the trailing matrix from
+/// there on — and a retired row's `L` and `A00`; on a layer above, an
+/// active row's update sums from column `step·v` on; and a retired row's
+/// `U01` wherever it was written. Integers are exact below 2⁵³: the round
+/// trip is bitwise.
+fn encode_state(til: &Tiling, layer: usize, state: &State) -> Vec<f64> {
     let mut blob = vec![state.step as f64, state.perm.len() as f64];
     blob.extend(state.perm.iter().map(|&r| r as f64));
-    state.collected.to_words(&mut blob);
-    let live = live_from(&state.store, layer, state.step);
-    for lrow in state.store.rows_from(0) {
-        let row = state.store.row(lrow);
-        blob.extend_from_slice(&row[live.min(row.len())..]);
+    let (store, owes) = (&state.store, owed(til, layer, state.step, &state.perm));
+    for lrow in store.rows_from(0) {
+        let cols = store.local_cols(lrow, owes(store.global_row(lrow)));
+        blob.extend_from_slice(&store.row(lrow)[cols]);
     }
     blob
 }
 
 /// Inverse of [`encode_state`]: the blob's rows go into `store`, an all-zero
 /// store of the rank's shape.
-fn decode_state(blob: &[f64], layer: usize, mut store: TileStore) -> State {
+fn decode_state(blob: &[f64], til: &Tiling, layer: usize, mut store: TileStore) -> State {
     let (step, np) = (blob[0] as usize, blob[1] as usize);
-    let perm = blob[2..2 + np].iter().map(|&x| x as usize).collect();
-    let (collected, used) = Collected::from_words(&blob[2 + np..]);
-    let mut rest = &blob[2 + np + used..];
-    let live = live_from(&store, layer, step);
+    let perm: Vec<usize> = blob[2..2 + np].iter().map(|&x| x as usize).collect();
+    let mut rest = &blob[2 + np..];
+    let owes = owed(til, layer, step, &perm);
     for lrow in store.rows_from(0) {
-        let row = store.row_mut(lrow);
-        let live = live.min(row.len());
-        let (vals, tail) = rest.split_at(row.len() - live);
-        row[live..].copy_from_slice(vals);
+        let cols = store.local_cols(lrow, owes(store.global_row(lrow)));
+        let (vals, tail) = rest.split_at(cols.len());
+        store.row_mut(lrow)[cols].copy_from_slice(vals);
         rest = tail;
     }
     assert!(rest.is_empty(), "checkpoint blob is for another store");
-    State {
-        step,
-        perm,
-        collected,
-        store,
-    }
+    State { step, perm, store }
 }
 
 // ---------------------------------------------------------------------------
@@ -653,7 +643,7 @@ pub(crate) type StepEnd<'a> = &'a dyn Fn(&State, &mut Guard);
 fn take_checkpoint(
     comm: &Comm,
     memory: &mut Memory,
-    layer: usize,
+    (til, layer): (&Tiling, usize),
     state: &State,
     guard: &mut Guard,
 ) {
@@ -661,7 +651,7 @@ fn take_checkpoint(
     let p = comm.size();
     let rank = comm.rank();
     let epoch = state.step;
-    let blob = encode_state(layer, state);
+    let blob = encode_state(til, layer, state);
     keep(&mut memory.selfs, epoch, blob.clone());
     if p > 1 {
         let right = (rank + 1) % p;
@@ -749,12 +739,14 @@ fn run_with_restarts(
                     let mut memory = memory.borrow_mut();
                     let blob =
                         restore_blob(comm, &store, &mut memory, &victims, resume, &mut guard);
-                    decode_state(&blob, layer, TileStore::zeros(&til, pi, pj, lower_only))
+                    let zeros = TileStore::zeros(&til, pi, pj, lower_only);
+                    decode_state(&blob, &til, layer, zeros)
                 };
                 assert_eq!(state.step, resume, "checkpoint blob is for the wrong epoch");
                 let checkpoint = |state: &State, guard: &mut Guard| {
                     if cfg.ckpt_every > 0 && state.step.is_multiple_of(cfg.ckpt_every) {
-                        take_checkpoint(comm, &mut memory.borrow_mut(), layer, state, guard);
+                        let at = (&til, layer);
+                        take_checkpoint(comm, &mut memory.borrow_mut(), at, state, guard);
                     }
                 };
                 let (parts, perm) = program(comm, &mut guard, state, &checkpoint)?;
@@ -793,7 +785,7 @@ fn run_with_restarts(
         )?;
         let (parts, corrections): (Vec<_>, Vec<u64>) = parts.into_iter().unzip();
         report.corrections += corrections.iter().sum::<u64>();
-        let factor = Collected::assemble(cfg.n, cfg.v, &perm, parts);
+        let factor = assemble(cfg.n, cfg.v, &perm, parts);
         return Ok((factor, perm, report));
     }
 }
@@ -869,39 +861,49 @@ mod tests {
 
     #[test]
     fn state_codec_roundtrip_is_bitwise() {
+        // Rank (0, 0) of a 2×1×2 grid over 16 rows, v = 4: global rows 0–3
+        // and 8–11, every column. Before step 2, rows 2, 9, 0 retired at
+        // step 0 and 8 at step 1 keep their `U01` on layer 0 (the U-owner's
+        // process row, or pivot 1 of step 1: the first layer's slice);
+        // rows 1 and 3, pivots 2 and 3 of step 1 off its U-owner's process
+        // row, keep theirs on layer 1; rows 10 and 11 are active.
         let v = 4;
-        let til = Tiling::new(16, v, Grid3::new(1, 1, 2));
+        let til = Tiling::new(16, v, Grid3::new(2, 1, 2));
         let zeros = || TileStore::zeros(&til, 0, 0, false);
         let mut store = zeros();
         for lrow in store.rows_from(0) {
             let vals = random_matrix(1, 16, lrow as u64);
             store.row_mut(lrow).copy_from_slice(vals.data());
         }
-        let mut collected = Collected::default();
-        let u01 = Matrix::from_fn(2, v, |r, c| if r == c { -0.5e-17 } else { 1.25 + c as f64 });
-        collected.push(&[5, 2], &[0], u01.as_ref());
+        let perm = vec![5usize, 2, 9, 0, 13, 8, 1, 3];
         let state = State {
-            step: 3,
-            perm: vec![5usize, 2, 9, 0],
-            collected,
+            step: 2,
+            perm,
             store,
         };
         let bits = |blob: &[f64]| blob.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // Header, pivots, the collected block (two counts, six indices, one
-        // word per element), then the store: all of it on layer 0, the tile
-        // columns from step 3 on — a quarter — on the layer above.
-        for (layer, words) in [(0, 16 * 16), (1, 16 * 4)] {
-            let blob = encode_state(layer, &state);
-            assert_eq!(blob.len(), 2 + 4 + (2 + 6 + 2 * v) + words);
-            let back = decode_state(&blob, layer, zeros());
-            assert_eq!((back.step, &back.perm), (3, &state.perm));
-            assert_eq!(bits(&encode_state(layer, &back)), bits(&blob));
-            let live = 16 - words / 16;
-            for lrow in 0..16 {
+        // Header, pivots, then the store rows: on layer 0 four whole rows,
+        // rows 1 and 3 up to column 8 and the two active rows; on layer 1
+        // rows 1 and 3 from column 8 on and the active rows' update sums
+        // from column 2·v on.
+        for (layer, words) in [(0, 6 * 16 + 2 * 8), (1, 4 * 8)] {
+            let blob = encode_state(&til, layer, &state);
+            assert_eq!(blob.len(), 2 + 8 + words);
+            let back = decode_state(&blob, &til, layer, zeros());
+            assert_eq!((back.step, &back.perm), (2, &state.perm));
+            assert_eq!(bits(&encode_state(&til, layer, &back)), bits(&blob));
+            let owes = owed(&til, layer, 2, &state.perm);
+            for lrow in 0..8 {
+                let cols = back
+                    .store
+                    .local_cols(lrow, owes(back.store.global_row(lrow)));
                 let (got, want) = (back.store.row(lrow), state.store.row(lrow));
-                assert_eq!(bits(&got[live..]), bits(&want[live..]));
-                let dead = got[..live].iter().all(|&x| x == 0.0);
-                assert!(dead, "dead columns stay out");
+                assert_eq!(bits(&got[cols.clone()]), bits(&want[cols.clone()]));
+                let rest = got[..cols.start].iter().chain(&got[cols.end..]);
+                assert!(
+                    rest.copied().all(|x| x == 0.0),
+                    "columns it owes nothing stay out"
+                );
             }
         }
     }
@@ -1030,8 +1032,8 @@ mod tests {
 
     #[test]
     fn one_process_row_recovers_the_fault_free_factors_bitwise() {
-        // With one process row, the pivot rows' `A00` and `U01` are written
-        // into the stores, not collected: the checkpoints a restarted world
+        // With one process row, the pivot rows' `A00` and `U01` are all
+        // written into the layer-0 stores: the checkpoints a restarted world
         // resumes from carry them in the store rows alone. Rank 1 is the
         // layer-0 rank of process column 1 — the root of every odd step and
         // a U-owner of every step.

@@ -14,11 +14,12 @@
 //! Storage: a rank holds its share of `A(·,K)` as the `(rows)×v` panel it
 //! broadcasts, its share of `B(K,·)` as the `v×(cols)` panel it broadcasts,
 //! and its share of `C` as one dense local matrix (tile `(I, J)` at local
-//! tile position `(I / Px, J / Py)`, as in the `common` module), collected as
-//! one block. A SUMMA step is therefore one `gemm` of the two received
-//! panels into `C`, and the z-reduction sums `C`'s storage in place.
+//! tile position `(I / Px, J / Py)`, as in the `common` module's store),
+//! handed home as its full rows. A SUMMA step is therefore one `gemm` of the
+//! two received panels into `C`, and the z-reduction sums `C`'s storage in
+//! place.
 
-use crate::common::{phase, phase_end, pick_grid_and_block, Collected, Lower, RankFactor};
+use crate::common::{assemble, phase, phase_end, pick_grid_and_block, Lower};
 use dense::gemm::{gemm, Trans};
 use dense::matrix::MatRef;
 use dense::Matrix;
@@ -91,7 +92,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
     let out = xmpi::run(cfg.grid.size(), |comm| rank_program(comm, cfg, a, b));
     let c = cfg.collect.then(|| {
         let identity: Vec<usize> = (0..cfg.n).collect();
-        Collected::assemble(cfg.n, cfg.v, &identity, out.results)
+        assemble(cfg.n, cfg.v, &identity, out.results)
     });
     MmmOutput {
         c,
@@ -101,7 +102,7 @@ pub fn mmm25d(cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> MmmOutput {
 
 /// One rank's program; returns its share of `C` (layer 0 of a collecting
 /// run) or nothing.
-fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> RankFactor {
+fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Lower {
     let (g, v, nt) = (cfg.grid, cfg.v, cfg.n / cfg.v);
     let (pi, pj, pk) = g.coords(comm.rank());
 
@@ -171,13 +172,10 @@ fn rank_program(comm: &Comm, cfg: &Mmm25dConfig, a: &Matrix, b: &Matrix) -> Rank
         zfib.reduce_sum_f64(0, c.data_mut());
     }
     phase_end(comm);
-    let mut share = Collected::default();
-    if pk == 0 && cfg.collect {
-        let rows: Vec<usize> = my_tis.iter().flat_map(|&ti| ti * v..(ti + 1) * v).collect();
-        let starts: Vec<usize> = my_tjs.iter().map(|&tj| tj * v).collect();
-        share.push(&rows, &starts, c.as_ref());
+    if pk != 0 || !cfg.collect {
+        return Lower::default();
     }
-    (Lower::default(), share)
+    Lower::whole_rows([v, pi, g.px, pj, g.py], c)
 }
 
 #[cfg(test)]

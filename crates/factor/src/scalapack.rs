@@ -5,9 +5,9 @@
 //! factored, and the factor travels back into the caller's layout — every
 //! staging byte measured.
 //!
-//! The write-back reads the factor where the rank programs left it — the
-//! `L` rows in the tile stores, the rest in the collected blocks — and
-//! hands it, run by run, to the layout crate's one run router, which also
+//! The write-back reads the factor where the rank programs left it — in
+//! the store rows of every layer (`common::owed` says which) — and hands
+//! it, run by run, to the layout crate's one run router, which also
 //! carries both redistributions.
 //!
 //! Naming follows ScaLAPACK: [`pdgetrf`] (LU) and [`pdpotrf`] (Cholesky).
@@ -16,8 +16,7 @@
 //! swaps rows, so the natural output is `P·A = L·U` plus `perm`).
 
 use crate::common::{
-    check_shape, phase, phase_end, split_results, Collected, Lower, RankResult, State, TileStore,
-    Tiling,
+    check_shape, phase, phase_end, split_results, Lower, RankResult, State, TileStore, Tiling,
 };
 use crate::confchox::{self, ConfchoxConfig};
 use crate::conflux::{self, ConfluxConfig, PivotPolicy};
@@ -120,10 +119,10 @@ fn wrapped(
         let staged = redistribute_subset(comm, Some(&mine), tdesc);
         let tiles = shard_to_tiles(comm, &til, staged, lower_only);
         // 3. Factor.
-        let ((lower, upper), perm) = factor(comm, tiles)?;
+        let (lower, perm) = factor(comm, tiles)?;
         // 4. Route factor elements to the pivoted tile layout (measured).
         phase(comm, "staging_out");
-        let pivoted = factor_to_shard(comm, tdesc, &perm, &lower, &upper);
+        let pivoted = factor_to_shard(comm, tdesc, &perm, &lower);
         // 5. Back to the caller's layout (measured).
         let back = redistribute_subset(comm, pivoted.as_ref(), user_desc)
             .expect("user layout covers every rank");
@@ -164,28 +163,25 @@ fn shard_to_tiles(
     })
 }
 
-/// Route a rank's factor runs — the `L` rows its store kept and the pieces
-/// it collected, scattered across the machine under their *original* row
-/// ids — into a layer-0 shard of the *pivoted* matrix through the layout
-/// crate's run router: each run's pivoted row decides its tile owner, and
-/// a run, which never crosses a tile column, travels whole with one
-/// `(row, col, len)` triple (measured: the factor-writeback cost of a
-/// wrapper, `O(N²/P)` per rank).
+/// Route a rank's factor runs — the entries its store rows hold, scattered
+/// across the machine's layers under their *original* row ids — into a
+/// layer-0 shard of the *pivoted* matrix through the layout crate's run
+/// router: each run's pivoted row decides its tile owner, and a run, which
+/// never crosses a tile column, travels whole with one `(row, col, len)`
+/// triple (measured: the factor-writeback cost of a wrapper, `O(N²/P)` per
+/// rank).
 fn factor_to_shard(
     comm: &Comm,
     tdesc: BlockCyclic,
     perm: &[usize],
     lower: &Lower,
-    upper: &Collected,
 ) -> Option<DistMatrix> {
     let mut pos = vec![usize::MAX; perm.len()];
     for (s, &r) in perm.iter().enumerate() {
         pos[r] = s;
     }
     route_runs(comm, comm.size(), tdesc, |emit| {
-        let mut pivoted = |r: usize, c0: usize, vals: &[f64]| emit(pos[r], c0, vals);
-        lower.for_each_run(&mut pivoted);
-        upper.for_each_run(pivoted);
+        lower.for_each_run(|r, c0, vals| emit(pos[r], c0, vals));
     })
 }
 

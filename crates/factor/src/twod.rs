@@ -36,7 +36,7 @@
 //! schedules, not storage.
 
 use crate::common::{
-    check_shape, phase, phase_end, split_results, stage_from_global, swap_store_rows, Collected,
+    assemble, check_shape, phase, phase_end, split_results, stage_from_global, swap_store_rows,
     Net, RankResult, Swap, TileStore, Tiling,
 };
 use crate::confchox::{confchox_cholesky, CholOutput, ConfchoxConfig};
@@ -120,9 +120,7 @@ pub fn twod_lu(cfg: &TwodConfig, a: &Matrix) -> Result<TwodLuOutput, Error> {
     let (parts, ipiv) = split_results(out.results)?;
     // The rows were swapped into place: the stores are in pivoted order.
     let rows = Vec::from_iter(0..cfg.n);
-    let packed = cfg
-        .collect
-        .then(|| Collected::assemble(cfg.n, cfg.nb, &rows, parts));
+    let packed = cfg.collect.then(|| assemble(cfg.n, cfg.nb, &rows, parts));
     Ok(TwodLuOutput {
         ipiv,
         packed,
@@ -287,8 +285,8 @@ fn lu_rank(net: &Net<'_>, a: &Matrix, collect: bool) -> RankResult {
 
     phase_end(comm);
     // Every rank's store holds its rows of the packed factor in full.
-    let lower = collect.then(|| store.into_lower(|_| n));
-    Ok(((lower.unwrap_or_default(), Collected::default()), ipiv))
+    let lower = collect.then(|| store.into_lower(|_| 0..n));
+    Ok((lower.unwrap_or_default(), ipiv))
 }
 
 /// Right-looking 2D Cholesky (lower): COnfCHOX on the flat grid

@@ -337,8 +337,8 @@ fn twod_conformance_over_seed_matrix() {
     }
 }
 
-/// The factor a world assembles — `L` rows read out of the ranks' stores,
-/// `A00` / `U01` blocks out of what they collected — against a dense
+/// The factor a world assembles — every entry read out of the store row of
+/// the rank that wrote it — against a dense
 /// reference, on one rank, a flat grid and a replicated one: COnfLUX against
 /// the unpivoted textbook elimination of the row-permuted input, COnfCHOX
 /// against `dense::potrf`.
@@ -473,7 +473,8 @@ fn baseline_and_ablation_factors_are_bit_pinned() {
 
 /// With one process row (`Px = 1`) the pivot rows' `A00` and `U01` stay in
 /// the store of the rank that computed them and a one-rank world's store is
-/// the assembled factor, where every other grid collects them as blocks.
+/// the assembled factor (every grid now keeps them in store rows; these
+/// were the first).
 /// Pivots plus factor bits on such grids — one rank, a flat row, a
 /// replicated rank, a replicated row — recorded at ba4ea73, when these
 /// grids still collected: where the factor lives may move no bit. Masking

@@ -411,6 +411,38 @@ fn conflux_ft_crash_recovery_over_sockets() {
     );
 }
 
+/// A crash on a layer above the first, after step 2's checkpoint: the
+/// victim's store rows hold the `U01` of the pivots its layer's slice
+/// carried (off the U-owner's process row), and its checkpoint carries them
+/// in those rows. Restored from the buddy's replica, the world lands on the
+/// fault-free factors bitwise, on either backend.
+#[test]
+fn a_layer_one_crash_after_step_two_recovers_bitwise_on_both_backends() {
+    let (n, v, grid) = (64usize, 8usize, Grid3::new(2, 2, 2));
+    let a = random_matrix(n, n, 103);
+    let cfg = FtConfig::new(n, v, grid);
+    let base = conflux_lu_ft(&cfg, &a).unwrap();
+    // World rank 5 is (0, 1, 1); its 18th send falls in step 3, so the
+    // world resumes from the checkpoint taken after step 2.
+    let plan = CrashPlan {
+        victim: 5,
+        after_sends: 18,
+    };
+    assert_eq!(grid.coords(plan.victim), (0, 1, 1));
+    let (local, socket) = both(|| {
+        let pert = Arc::new(Perturbator::new(PerturbConfig::new(0)).with_crash(plan));
+        let out = xmpi::with_hooks(pert.clone(), || conflux_lu_ft(&cfg, &a).unwrap());
+        assert!(pert.crash_fired(), "planned crash never fired");
+        out
+    });
+    for (what, out) in [("local", &local), ("socket", &socket)] {
+        assert_eq!(out.report.crashed, vec![plan.victim], "{what}");
+        assert_eq!(out.report.resumed_from, vec![3], "{what}: resume epoch");
+        assert_eq!(out.perm, base.perm, "{what}: pivots");
+        assert_bitwise_equal(&out.packed, &base.packed, what);
+    }
+}
+
 /// A mis-shaped input is a typed error from every driver, raised before any
 /// world exists. Armed hooks would see the first `phase` marker of any rank
 /// program: locally on a counter of this process, and in a forked rank

@@ -47,7 +47,7 @@ impl BlockCyclic {
     }
 
     /// Rank of the process owning global entry `(i, j)`.
-    pub fn owner(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn owner(&self, i: usize, j: usize) -> usize {
         let (pi, pj) = self.owner_coords(i, j);
         self.grid.rank_of(pi, pj)
     }

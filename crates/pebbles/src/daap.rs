@@ -67,7 +67,7 @@ pub struct Statement {
 
 impl Statement {
     /// Loop-nest depth `l`.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.loop_vars.len()
     }
 

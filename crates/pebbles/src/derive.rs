@@ -39,7 +39,7 @@ pub enum RhoBound {
 
 impl RhoBound {
     /// The numeric intensity bound.
-    pub fn rho(&self) -> f64 {
+    pub(crate) fn rho(&self) -> f64 {
         match *self {
             RhoBound::SingleUse { u } => 1.0 / u as f64,
             RhoBound::Kkt { rho, .. } => rho,

@@ -406,11 +406,6 @@ impl Perturbator {
         self.hang.as_ref().map(|(plan, _)| *plan)
     }
 
-    /// The config this perturbator draws from.
-    pub fn config(&self) -> &PerturbConfig {
-        &self.cfg
-    }
-
     /// Uniform draw in `[0,1)` for a decision identity.
     fn roll(&self, parts: &[u64]) -> f64 {
         let mut key = Vec::with_capacity(parts.len() + 1);

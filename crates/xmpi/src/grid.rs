@@ -74,38 +74,6 @@ impl Grid3 {
         Grid3 { px, py, pz }
     }
 
-    /// The paper's default decomposition: `[√(P/c), √(P/c), c]` with the
-    /// replication factor `c` chosen as the largest cube-balanced value that
-    /// divides the processor count, capped by the memory-imposed maximum
-    /// `c ≤ P·M/N²` when `max_c` is given.
-    pub fn for_processors(p: usize, max_c: usize) -> Self {
-        assert!(p > 0);
-        let mut best = Grid3::new(1, 1, 1);
-        let mut best_cost = f64::MAX;
-        for c in 1..=p.min(max_c.max(1)) {
-            if !p.is_multiple_of(c) {
-                continue;
-            }
-            let q = p / c;
-            let g = Grid2::near_square(q);
-            // Classic 2.5D constraint: the replication depth may not exceed
-            // the layer sides (c ≤ P^(1/3) in the balanced case).
-            if c > g.rows.min(g.cols) {
-                continue;
-            }
-            // Per-rank volume of a 2.5D schedule scales as
-            // aspect_penalty / √c: replication divides volume by √c while a
-            // skewed layer inflates the larger-side broadcasts.
-            let aspect = (g.rows + g.cols) as f64 / (2.0 * ((g.rows * g.cols) as f64).sqrt());
-            let cost = aspect / (c as f64).sqrt();
-            if cost < best_cost {
-                best_cost = cost;
-                best = Grid3::new(g.rows, g.cols, c);
-            }
-        }
-        best
-    }
-
     /// Total ranks in the grid.
     pub fn size(&self) -> usize {
         self.px * self.py * self.pz
@@ -174,36 +142,5 @@ mod tests {
             g.x_members(0, 1),
             vec![g.rank_of(0, 0, 1), g.rank_of(1, 0, 1)]
         );
-    }
-
-    #[test]
-    fn grid3_for_processors_prefers_replication() {
-        let g = Grid3::for_processors(8, 8);
-        assert_eq!(g.size(), 8);
-        assert_eq!(
-            (g.px, g.py, g.pz),
-            (2, 2, 2),
-            "8 ranks should form a 2x2x2 cube"
-        );
-        let g = Grid3::for_processors(16, 16);
-        assert_eq!(g.size(), 16);
-        assert!(
-            g.pz >= 2,
-            "ample memory should enable replication, got {g:?}"
-        );
-    }
-
-    #[test]
-    fn grid3_memory_cap_limits_replication() {
-        let g = Grid3::for_processors(8, 1);
-        assert_eq!(g.pz, 1);
-        assert_eq!(g.size(), 8);
-    }
-
-    #[test]
-    fn grid3_degenerate_sizes() {
-        assert_eq!(Grid3::for_processors(1, 4).size(), 1);
-        let g = Grid3::for_processors(7, 7);
-        assert_eq!(g.size(), 7);
     }
 }

@@ -81,7 +81,7 @@ pub enum SendFate {
 
 impl SendFate {
     /// The visibility delay this fate imposes (`None` for immediate).
-    pub fn delay(self) -> Option<Duration> {
+    pub(crate) fn delay(self) -> Option<Duration> {
         match self {
             SendFate::Deliver => None,
             SendFate::Delay(d) => Some(d),

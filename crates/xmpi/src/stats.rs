@@ -304,8 +304,10 @@ impl RankStats {
         self.bytes_sent + self.bytes_recv
     }
 
-    /// Traffic of a specific collective kind (zeros if unused).
-    pub fn coll(&self, kind: CollKind) -> CollCounts {
+    /// Traffic of a specific collective kind (zeros if unused): the
+    /// crate's tests' lookup into `per_coll`.
+    #[cfg(test)]
+    pub(crate) fn coll(&self, kind: CollKind) -> CollCounts {
         self.per_coll
             .iter()
             .find(|(k, _)| *k == kind)

@@ -80,17 +80,19 @@ fn staging_out(out: &ScalapackOutput) -> (Vec<(u64, u64)>, Vec<u64>) {
 
 #[test]
 fn the_wrappers_write_l_back_from_the_stores_with_the_same_messages() {
-    // `L` comes out of the ranks' tile stores, the rest of an LU factor out
-    // of the collected pieces, and both travel as runs through the layout
-    // crate's router: per rank the same number of messages as when every
-    // factor entry was a collected block (recorded at d25ce6c), and 24 index
-    // bytes per run where every element used to carry 16.
+    // Every factor entry comes out of some rank's tile store and travels as
+    // runs through the layout crate's router: per rank the same number of
+    // messages as when every factor entry was a collected block (recorded
+    // at d25ce6c), and 24 index bytes per run where every element used to
+    // carry 16. The `U01` of a pivot off its U-owner's process row is
+    // routed by the layer that wrote it: ranks 4–7, which own no target
+    // tile, so all of it travels.
     let grid = Grid3::new(2, 2, 2);
     let a = random_matrix(48, 48, 31);
     let user = BlockCyclic::new(48, 48, 5, 3, Grid2::new(2, 4));
     let lu = pdgetrf(user, &a, &ConfluxConfig::new(48, 8, grid)).unwrap();
-    let sent = [11352, 12184, 9960, 10264, 16, 0, 8, 0];
-    let recv = [4792, 5712, 6560, 6816, 4424, 5528, 5528, 4424];
+    let sent = [11704, 11392, 11192, 11056, 456, 440, 536, 968];
+    let recv = [6552, 7472, 7352, 6464, 4424, 5528, 5528, 4424];
     let want = sent.into_iter().zip(recv).collect::<Vec<_>>();
     assert_eq!(
         staging_out(&lu),
