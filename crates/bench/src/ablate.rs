@@ -7,8 +7,9 @@
 //! perturbation seed matrix is an ordinary sweep axis; a perturbed run must
 //! produce identical traffic, which keeps the deterministic KPIs stable by
 //! construction). It is the only code under `crates/bench/src` that builds
-//! a factorization config and calls a plain driver (CI step "One cell
-//! runner"); what it returns is already priced, by `kpi::factor_kpis`.
+//! a factorization config and calls a plain driver (the "One cell runner"
+//! rule of `tests/design_rules.rs`); what it returns is already priced, by
+//! `kpi::factor_kpis`.
 //!
 //! [`run_ablation`] executes a plan's grid through it and extracts KPI
 //! records. Cells whose parameters are structurally invalid on this grid

@@ -19,8 +19,9 @@
 //! measured by the runtime, flops are the analytic counts, and time is
 //! [`xtrace::Machine`]'s `T = flops/γ + bytes/β + messages·α` over them —
 //! their names say so. [`factor_kpis`] is the only caller of
-//! `Machine::rank_time` / `pct_peak` in this crate (CI step "One cell
-//! runner"): every figure, table, sweep and plan cell reads its result.
+//! `Machine::rank_time` / `pct_peak` in this crate (the "One cell runner"
+//! rule of `tests/design_rules.rs`): every figure, table, sweep and plan
+//! cell reads its result.
 //!
 //! "Deterministic" KPIs are pure functions of the measured traffic and the
 //! analytic machine model, so they are bit-stable across runs of the same

@@ -2,7 +2,7 @@
 //!
 //! The build container has no network access, so the real crate cannot be
 //! fetched. This shim reproduces the subset of the API the workspace uses
-//! (`Mutex`, `RwLock`, `Condvar` with `parking_lot` semantics: guard-returning
+//! (`Mutex` and `Condvar` with `parking_lot` semantics: guard-returning
 //! `lock()`, no poisoning) on top of `std::sync`. Poisoned std locks are
 //! recovered transparently — `parking_lot` has no poisoning, and the runtime
 //! propagates rank panics itself.
@@ -61,60 +61,6 @@ impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-/// Reader-writer lock (`parking_lot::RwLock` API subset).
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Create a lock guarding `t`.
-    pub const fn new(t: T) -> Self {
-        RwLock(sync::RwLock::new(t))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }
@@ -206,13 +152,6 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
     }
 
     #[test]

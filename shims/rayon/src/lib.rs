@@ -2,9 +2,8 @@
 //!
 //! The build container has no network access, so the real crate cannot be
 //! fetched. This shim reproduces the data-parallelism subset the workspace
-//! uses (`par_chunks_mut(..).enumerate().for_each(..)` on slices and
-//! `into_par_iter().enumerate().for_each(..)` on vectors) with genuine
-//! parallel execution. As in the real crate there is one global pool,
+//! uses (`into_par_iter().for_each(..)` on vectors) with genuine parallel
+//! execution. As in the real crate there is one global pool,
 //! started on first use and sized once (`RAYON_NUM_THREADS`, else the
 //! available cores): the calling thread works through its own items and the
 //! pool's helper threads join in through a shared atomic cursor, so a
@@ -24,60 +23,6 @@ use std::thread::Thread;
 pub mod prelude {
     //! Traits imported by `use rayon::prelude::*`.
     pub use crate::IntoParallelIterator;
-    pub use crate::ParallelSliceMut;
-}
-
-/// Parallel mutable-chunk iteration over slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Split into chunks of `size` elements (last may be shorter), processed
-    /// in parallel.
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunksMut {
-            chunks: self.chunks_mut(size).collect(),
-        }
-    }
-}
-
-/// Pending parallel iteration over mutable chunks.
-pub struct ParChunksMut<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-/// [`ParChunksMut`] with chunk indices attached.
-pub struct EnumeratedParChunksMut<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Attach the chunk index, mirroring `IndexedParallelIterator::enumerate`.
-    pub fn enumerate(self) -> EnumeratedParChunksMut<'a, T> {
-        EnumeratedParChunksMut {
-            chunks: self.chunks,
-        }
-    }
-
-    /// Run `f` on every chunk in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a mut [T]) + Sync,
-    {
-        run_indexed(self.chunks, |_, c| f(c));
-    }
-}
-
-impl<'a, T: Send> EnumeratedParChunksMut<'a, T> {
-    /// Run `f` on every `(index, chunk)` pair in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a mut [T])) + Sync,
-    {
-        run_indexed(self.chunks, |i, c| f((i, c)));
-    }
 }
 
 /// Owned parallel iteration, mirroring `rayon::iter::IntoParallelIterator`
@@ -102,33 +47,13 @@ pub struct ParVec<T> {
     items: Vec<T>,
 }
 
-/// [`ParVec`] with item indices attached.
-pub struct EnumeratedParVec<T> {
-    items: Vec<T>,
-}
-
 impl<T: Send> ParVec<T> {
-    /// Attach the item index, mirroring `IndexedParallelIterator::enumerate`.
-    pub fn enumerate(self) -> EnumeratedParVec<T> {
-        EnumeratedParVec { items: self.items }
-    }
-
     /// Run `f` on every item in parallel.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(T) + Sync,
     {
         run_items(self.items, |_, c| f(c));
-    }
-}
-
-impl<T: Send> EnumeratedParVec<T> {
-    /// Run `f` on every `(index, item)` pair in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, T)) + Sync,
-    {
-        run_items(self.items, |i, c| f((i, c)));
     }
 }
 
@@ -145,15 +70,6 @@ fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Distribute mutable slice chunks over the pool.
-fn run_indexed<'a, T, F>(items: Vec<&'a mut [T]>, f: F)
-where
-    T: Send,
-    F: Fn(usize, &'a mut [T]) + Sync,
-{
-    run_items(items, f);
 }
 
 /// One parallel call: `len` items handed out by an atomic cursor to the
@@ -358,6 +274,10 @@ mod tests {
         std::env::set_var("RAYON_NUM_THREADS", "4");
     }
 
+    fn chunks<T>(v: &mut [T], size: usize) -> Vec<&mut [T]> {
+        v.chunks_mut(size).collect()
+    }
+
     #[test]
     fn a_panicking_item_reaches_the_caller_after_the_others_ran() {
         with_helpers();
@@ -378,7 +298,7 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 63);
         // The pool survives: the next call runs every item.
         let mut v = vec![0u8; 256];
-        v.par_chunks_mut(8).for_each(|c| c.fill(1));
+        chunks(&mut v, 8).into_par_iter().for_each(|c| c.fill(1));
         assert!(v.iter().all(|&x| x == 1));
     }
 
@@ -390,7 +310,8 @@ mod tests {
                 s.spawn(move || {
                     for round in 0..200 {
                         let mut v = vec![0usize; 96];
-                        v.par_chunks_mut(8).enumerate().for_each(|(i, c)| {
+                        let blocks: Vec<_> = v.chunks_mut(8).enumerate().collect();
+                        blocks.into_par_iter().for_each(|(i, c)| {
                             c.fill(t * 1000 + round + i);
                         });
                         for (j, &x) in v.iter().enumerate() {
@@ -411,7 +332,7 @@ mod tests {
             .into_par_iter()
             .for_each(|_| {
                 let mut inner = vec![1usize; 40];
-                inner.par_chunks_mut(4).for_each(|c| {
+                chunks(&mut inner, 4).into_par_iter().for_each(|c| {
                     total.fetch_add(c.iter().sum::<usize>(), Ordering::Relaxed);
                 });
             });
@@ -419,40 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_visits_every_element_once() {
+    fn every_item_runs_once() {
         with_helpers();
         let mut v = vec![0u64; 1003];
-        v.par_chunks_mut(64).enumerate().for_each(|(_i, c)| {
+        chunks(&mut v, 64).into_par_iter().for_each(|c| {
             for x in c.iter_mut() {
                 *x += 1;
             }
         });
         assert!(v.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn chunk_indices_are_correct() {
-        with_helpers();
-        let mut v = vec![0usize; 100];
-        v.par_chunks_mut(10).enumerate().for_each(|(i, c)| {
-            for x in c.iter_mut() {
-                *x = i;
-            }
-        });
-        for (j, &x) in v.iter().enumerate() {
-            assert_eq!(x, j / 10);
-        }
-    }
-
-    #[test]
-    fn without_enumerate() {
-        with_helpers();
-        let mut v = [1i64; 17];
-        v.par_chunks_mut(4).for_each(|c| {
-            for x in c.iter_mut() {
-                *x *= -1;
-            }
-        });
-        assert!(v.iter().all(|&x| x == -1));
     }
 }

@@ -1,13 +1,10 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build container has no network access, so the real crate cannot be
-//! fetched. This shim keeps the workspace's `#[derive(Serialize)]` +
-//! `serde_json` surface working by collapsing serde's serializer abstraction
-//! into one concrete data model: [`Serialize`] converts any value into a
-//! JSON-shaped [`Value`] tree, which `serde_json` then prints or parses.
-//! The derive macro lives in the sibling `serde_derive` shim.
-
-pub use serde_derive::Serialize;
+//! fetched. This shim keeps the workspace's `serde_json` surface working by
+//! collapsing serde's serializer abstraction into one concrete data model:
+//! [`Serialize`] converts any value into a JSON-shaped [`Value`] tree, which
+//! `serde_json` then prints or parses.
 
 pub mod value;
 
