@@ -34,8 +34,8 @@ use xmpi::trace::TraceConfig;
 use xmpi::{Grid2, Grid3, WorldStats, WorldTrace};
 
 /// Input-matrix seed of every plan cell: fixed so the workload — and
-/// therefore every deterministic KPI — is comparable across commits. (The
-/// `seed` axis perturbs the *schedule*, never the input.)
+/// therefore every deterministic KPI — is the same run to run. (The `seed`
+/// axis perturbs the *schedule*, never the input.)
 const INPUT_SEED: u64 = 77;
 
 /// One executed cell.
@@ -50,34 +50,15 @@ pub struct CellOutcome {
 /// Result of executing a plan.
 #[derive(Debug, Clone, Default)]
 pub struct AblationRun {
-    /// Plan name.
-    pub plan: String,
-    /// Plan hash.
-    pub plan_hash: String,
     /// Executed cells, in grid order.
     pub outcomes: Vec<CellOutcome>,
     /// Infeasible/failed cells with reasons.
     pub skipped: Vec<(String, String)>,
 }
 
-impl AblationRun {
-    /// Outcomes as `(cell id, kpis)` pairs, the shape the trend checker
-    /// consumes.
-    pub fn id_outcomes(&self) -> Vec<(String, BTreeMap<String, f64>)> {
-        self.outcomes
-            .iter()
-            .map(|o| (o.cell.id(), o.kpis.clone()))
-            .collect()
-    }
-}
-
 /// Execute every cell of `plan`.
 pub fn run_ablation(plan: &AblationPlan) -> AblationRun {
-    let mut run = AblationRun {
-        plan: plan.name.clone(),
-        plan_hash: plan.hash(),
-        ..AblationRun::default()
-    };
+    let mut run = AblationRun::default();
     for cell in plan.cells() {
         let outcome = catch_unwind(AssertUnwindSafe(|| match plan.workload {
             PlanWorkload::Factor => factor_cell_kpis(&cell),

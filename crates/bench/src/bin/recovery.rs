@@ -170,7 +170,7 @@ fn main() -> ExitCode {
     );
 
     let report = json!({
-        "provenance": bench::provenance::Stamp::here(None).to_json(),
+        "provenance": bench::provenance::Stamp::here().to_json(),
         "n": n,
         "p": p,
         "grid": [grid.px, grid.py, grid.pz],

@@ -10,16 +10,14 @@
 //!   decomposition Table 1 of the paper reports per routine — plus idle-time
 //!   attribution and the α-β-γ replay's predicted time-to-solution.
 //!
-//! With `--kpi`, skips the profile tables and instead emits the KPI record
-//! `ablations run` emits for that cell — same runner, same fixed plan
-//! input — so a hand-run trace can be appended to the trajectory: pass
-//! `--registry DIR` to record it under the plan name `manual`. `--seed`
-//! picks the *input matrix* of the profile modes; a plan cell's input is
-//! fixed, so `--kpi` refuses it.
+//! With `--kpi`, skips the profile tables and instead prints, stamped, the
+//! KPI record `ablations check` computes for that cell — same runner, same
+//! fixed plan input. `--seed` picks the *input matrix* of the profile
+//! modes; a plan cell's input is fixed, so `--kpi` refuses it.
 //!
 //! Usage:
 //!   trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] [--n N] [--p P]
-//!                [--seed S] [--out DIR] [--pretty] [--kpi [--registry DIR]]
+//!                [--seed S] [--out DIR] [--pretty] [--kpi]
 
 use std::collections::BTreeMap;
 
@@ -40,7 +38,6 @@ struct Args {
     out: Option<String>,
     pretty: bool,
     kpi: bool,
-    registry: Option<String>,
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
@@ -52,7 +49,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         out: None,
         pretty: false,
         kpi: false,
-        registry: None,
     };
     let mut seed_given = false;
     while let Some(flag) = it.next() {
@@ -71,12 +67,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
             "--out" => args.out = Some(val("--out")),
             "--pretty" => args.pretty = true,
             "--kpi" => args.kpi = true,
-            "--registry" => args.registry = Some(val("--registry")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] \
-                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty] \
-                     [--kpi [--registry DIR]]"
+                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty] [--kpi]"
                 );
                 std::process::exit(0);
             }
@@ -106,9 +100,8 @@ fn cell_of(args: &Args) -> Cell {
     Cell::auto(&args.algo, args.n, args.p)
 }
 
-/// `--kpi` mode: the registry record of the plan cell the arguments name —
-/// what `ablations run` stores for it, so hand-run traces land on the same
-/// trajectory.
+/// `--kpi` mode: the KPI record of the plan cell the arguments name — what
+/// `ablations check` holds that cell to.
 fn kpi_record(args: &Args) -> (Cell, BTreeMap<String, f64>) {
     let cell = cell_of(args);
     let kpis = factor_cell_kpis(&cell).unwrap_or_else(|e| panic!("{e}"));
@@ -117,19 +110,12 @@ fn kpi_record(args: &Args) -> (Cell, BTreeMap<String, f64>) {
 
 fn emit_kpi_record(args: &Args) {
     let (cell, kpis) = kpi_record(args);
-    let stamp = bench::provenance::Stamp::here(None);
-    let (rows, record) = bench::registry::rows_for(&stamp, "manual", "manual", &cell.id(), &kpis);
+    let record = json!({
+        "provenance": bench::provenance::Stamp::here().to_json(),
+        "cell": cell.id(),
+        "kpis": kpis,
+    });
     println!("{}", dump(args, &record));
-    if let Some(dir) = &args.registry {
-        let reg = bench::registry::Registry::new(dir);
-        let outcome = reg.append(&rows, &[record]).expect("registry append");
-        eprintln!(
-            "registry {}: appended {} row(s), {} duplicate(s) skipped",
-            reg.csv_path().display(),
-            outcome.appended,
-            outcome.deduped
-        );
-    }
 }
 
 fn main() {

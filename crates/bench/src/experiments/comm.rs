@@ -224,7 +224,7 @@ pub(crate) fn comm(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
         id: "BENCH_comm".into(),
         title: "transport microbenchmark: zero-copy tree vs seed linear fan-out".into(),
         json: json!({
-            "provenance": Stamp::here(None).to_json(),
+            "provenance": Stamp::here().to_json(),
             "reps": reps,
             "p2p": { "latency_us": p2p_latency_us, "gbps": p2p_gbps },
             "bcast": samples.iter().map(|s| json!({

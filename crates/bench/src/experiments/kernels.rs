@@ -1,4 +1,4 @@
-//! Local-kernel throughput trajectory: measured GFLOP/s for the packed,
+//! Local-kernel throughput: measured GFLOP/s for the packed,
 //! register-blocked dense kernels (`gemm`, `gemmt`, `trsm`, `getrf`,
 //! `potrf`), the factorizations' trailing update (`update_rank32`: the
 //! `n × k × n` row-mapped product COnfLUX issues every step, `k` from the
@@ -322,7 +322,7 @@ pub(crate) fn kernels(sizes: &[usize], reps: usize) -> Report {
         id: "BENCH_kernels".into(),
         title: "local kernel throughput (packed register-blocked path)".into(),
         json: json!({
-            "provenance": Stamp::here(None).to_json(),
+            "provenance": Stamp::here().to_json(),
             "reps": reps,
             "sizes": sizes,
             "samples": samples.iter().map(|s| json!({

@@ -21,9 +21,9 @@
 //! ping-pong, β from a large-message ping-pong with the α share removed.
 //!
 //! The report records the model constants next to the measured ones, so
-//! the registry tracks the measured-vs-simulated calibration gap as an
-//! ordinary KPI trend (`plans/transport.toml` gates only sanity floors —
-//! host-clock numbers on shared CI hardware must not carry tight bounds).
+//! the measured-vs-simulated calibration gap is one ratio per backend
+//! (`plans/transport.toml` gates only sanity floors — host-clock numbers
+//! on shared CI hardware must not carry tight bounds).
 
 use crate::experiments::Report;
 use crate::provenance::Stamp;
@@ -197,7 +197,7 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
         title: "measured transport α-β: in-process vs socket backend, vs the simulated model"
             .into(),
         json: json!({
-            "provenance": Stamp::here(None).to_json(),
+            "provenance": Stamp::here().to_json(),
             "reps": reps,
             "model": { "alpha_us": model_alpha_us, "gbps": model_gbps },
             "backends": [backend_json(&local), backend_json(&socket)],

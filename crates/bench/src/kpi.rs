@@ -1,5 +1,6 @@
-//! KPI definitions — the one place every registry writer agrees on what a
-//! number means, and the one place a measured run is priced.
+//! KPI definitions — the one place every plan cell and `trace_report --kpi`
+//! agree on what a number means, and the one place a measured run is
+//! priced.
 //!
 //! A KPI record is a flat `name → f64` map. The factor-workload KPIs:
 //!
@@ -25,9 +26,10 @@
 //!
 //! "Deterministic" KPIs are pure functions of the measured traffic and the
 //! analytic machine model, so they are bit-stable across runs of the same
-//! commit — those are the ones plans gate with tolerances. The host-clock
-//! KPIs (`idle_frac`, `critpath_frac`) are recorded for trajectory plots
-//! but should not carry tight tolerances.
+//! commit — and pinned exactly where it matters: per-rank bytes by
+//! `results/golden_volumes.json`, the priced figures by the committed
+//! `results/` files CI regenerates. The host-clock KPIs (`idle_frac`,
+//! `critpath_frac`) are printed for inspection and carry no bound.
 //!
 //! The kernels-workload KPIs are `gflops_<kernel>` for each measured kernel
 //! plus `gemm_speedup` (packed vs naive) — the quantity the CI perf gate
@@ -103,7 +105,8 @@ fn io_lower_bound(algo: Algo, n: usize, p: usize, c: usize) -> f64 {
 
 /// One measured run priced under the α-β-γ model: the deterministic
 /// factor-workload KPIs. Figures and tables read the fields;
-/// [`CellRun::record`] is the registry's flat view of the same numbers.
+/// [`CellRun::record`] is the flat view of the same numbers a plan cell
+/// reports.
 pub(crate) struct FactorKpis {
     /// α-β-γ time of the busiest rank, in seconds.
     pub sim_time: f64,
@@ -144,9 +147,9 @@ pub(crate) fn factor_kpis(
 }
 
 impl CellRun {
-    /// The registry record of this run. Without a trace the host-clock KPIs
-    /// are omitted, not zero-filled, so a registry consumer can tell "not
-    /// measured" from "perfectly overlapped".
+    /// The KPI record of this run. Without a trace the host-clock KPIs are
+    /// omitted, not zero-filled, so a reader can tell "not measured" from
+    /// "perfectly overlapped".
     pub(crate) fn record(&self) -> BTreeMap<String, f64> {
         let k = &self.kpis;
         let mut kpis = BTreeMap::from([
@@ -218,8 +221,8 @@ pub(crate) fn kernel_kpis(report_json: &Value, n: usize) -> BTreeMap<String, f64
 /// [`crate::experiments::comm`] report JSON. `n` is the broadcast message
 /// size in f64 elements. `bcast_speedup` (tree vs seed linear fan-out,
 /// wall-clock) is the quantity the CI perf gate holds the floor on; the
-/// p2p numbers characterize the transport itself and should carry loose or
-/// no tolerances (host-clock measurements).
+/// p2p numbers characterize the transport itself and carry no bound
+/// (host-clock measurements).
 pub(crate) fn comm_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     if let Some(v) = report_json["p2p"]["latency_us"].as_f64() {
@@ -251,8 +254,7 @@ pub(crate) fn comm_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<Str
 /// α (µs) and β (GB/s) of each backend, the socket/local ratios, and the
 /// measured-vs-simulated calibration gap (`alpha_model_x_*` — how many
 /// times the simulated machine's α the measured one is). All of these are
-/// host-clock numbers: plans should gate sanity floors only and let the
-/// registry trend carry the calibration story.
+/// host-clock numbers: plans should gate sanity floors only.
 pub(crate) fn transport_kpis(report_json: &Value, n: usize, p: usize) -> BTreeMap<String, f64> {
     let mut kpis = BTreeMap::new();
     let model_alpha = report_json["model"]["alpha_us"].as_f64();

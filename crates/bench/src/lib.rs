@@ -17,25 +17,27 @@
 //! methodology") layers a declarative sweep/gate pipeline on top:
 //!
 //! * [`plan`] — declarative [`plan::AblationPlan`]s (TOML/JSON) describing
-//!   a sweep grid plus per-KPI tolerances.
+//!   a sweep grid plus per-KPI absolute bounds.
 //! * [`ablate`] — the cell runner, and [`ablate::run_ablation`], which
 //!   executes a plan's cells through it and extracts KPI records.
-//! * `kpi` (crate-private) — the KPI definitions shared by every registry writer, and the
-//!   one place a measured run is priced under the machine model.
-//! * [`provenance`] — commit/machine/timestamp stamping shared by the
-//!   registry and the `BENCH_*.json` reports.
-//! * [`registry`] — the append-only `registry/ablations.csv` + JSONL
-//!   trajectory store.
-//! * [`trend`] — cross-commit baselines and the typed
-//!   [`trend::RegressionReport`] behind `bench ablate check`.
+//! * `kpi` (crate-private) — the KPI definitions every plan cell and
+//!   `trace_report --kpi` share, and the one place a measured run is priced.
+//! * [`gate`] — the typed [`gate::GateReport`] behind `ablations check`:
+//!   every bounded KPI held to its `min`/`max`.
+//! * [`provenance`] — the commit/machine/timestamp stamp of the
+//!   `BENCH_*.json` reports.
+//!
+//! The exact pins of the paper's quantities are elsewhere: per-rank bytes
+//! in `results/golden_volumes.json`, every figure in the committed
+//! `results/` files CI regenerates. A plan bounds only what has no exact
+//! counterpart: host-clock speedups and transport rates.
 
 #![warn(unreachable_pub)]
 
 pub mod ablate;
 pub mod experiments;
+pub mod gate;
 mod kpi;
 pub mod plan;
 pub mod provenance;
-pub mod registry;
 pub mod table;
-pub mod trend;

@@ -1,11 +1,11 @@
 //! Declarative ablation plans.
 //!
-//! A plan is a TOML (or JSON) file describing a sweep grid plus the KPI
-//! tolerances a `bench ablate check` run is held to:
+//! A plan is a TOML (or JSON) file describing a sweep grid plus the
+//! absolute KPI bounds an `ablations check` run is held to:
 //!
 //! ```toml
-//! name = "smoke"
-//! description = "nightly smoke grid"
+//! name = "unit"
+//! description = "a small factor grid"
 //! workload = "factor"              # factor|kernels|comm|transport
 //!
 //! [axes]                           # cartesian grid; missing axes default
@@ -17,31 +17,27 @@
 //! checksum = [false]               # true = ABFT fault-tolerant path
 //! seed = [0]                       # perturbation seeds; or seed = "env"
 //!
-//! [tolerances.model_gflops]        # per-KPI gates for `check`
+//! [tolerances.model_gflops]        # per-KPI bounds for `check`
 //! min = 0.5                        # absolute floor
-//! rel_drop = 0.20                  # breach if < baseline·(1 − 0.20)
 //! [tolerances.comm_factor]
 //! max = 40.0                       # absolute ceiling
-//! rel_rise = 0.25                  # breach if > baseline·(1 + 0.25)
 //! ```
+//!
+//! A tolerance takes `min` and `max` only; any other key is an error that
+//! names it, so a plan written for a gate this crate no longer has fails
+//! loudly instead of quietly losing the bound.
 //!
 //! The `seed` axis accepts [`xharness::seed_axis`] specs (`"env"` defers to
 //! `XHARNESS_SEEDS`), so the seed-matrix convention of the perturbation
 //! suite is an ordinary ablation axis here.
 //!
-//! The **plan hash** covers name, workload, axes, and fixed parameters —
-//! the experiment's identity — and deliberately excludes tolerances:
-//! tightening a gate must not orphan the recorded trajectory.
-//!
 //! The TOML support is a deliberate subset parsed in-tree (the build
-//! environment has no registry access): comments, `[table]` /
+//! environment has no crates.io access): comments, `[table]` /
 //! `[table.sub]` headers, and single-line `key = value` pairs with string,
 //! boolean, integer, float, and one-line array values.
 
-use crate::provenance::fnv1a_hex;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// What a plan's cells execute.
@@ -75,20 +71,13 @@ impl PlanWorkload {
     }
 }
 
-/// Per-KPI gate. Absolute bounds apply to every run; relative bounds apply
-/// against the registry trend and are skipped when no history exists.
+/// Per-KPI bounds, applied to every executed cell that produces the KPI.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Tolerance {
     /// Absolute floor on the KPI value.
     pub min: Option<f64>,
     /// Absolute ceiling on the KPI value.
     pub max: Option<f64>,
-    /// Max allowed fractional drop below the trend baseline
-    /// (for higher-is-better KPIs like GFLOP/s).
-    pub rel_drop: Option<f64>,
-    /// Max allowed fractional rise above the trend baseline
-    /// (for lower-is-better KPIs like comm volume).
-    pub rel_rise: Option<f64>,
 }
 
 /// One point of the expanded grid.
@@ -125,8 +114,8 @@ impl Cell {
         }
     }
 
-    /// Canonical cell identity — the registry's dedup/trend key. Contains
-    /// no commas, so it is safe inside a CSV column.
+    /// Canonical cell identity: the row label of the KPI table and of a
+    /// breach report.
     pub fn id(&self) -> String {
         format!(
             "algo={};n={};p={};c={};block={};ck={};seed={}",
@@ -138,7 +127,7 @@ impl Cell {
 /// A parsed, validated ablation plan.
 #[derive(Debug, Clone)]
 pub struct AblationPlan {
-    /// Unique plan name (the registry's `plan` column).
+    /// Plan name.
     pub name: String,
     /// Human description.
     pub description: String,
@@ -160,7 +149,7 @@ pub struct AblationPlan {
     pub seeds: Vec<u64>,
     /// Timing repetitions for the kernels workload.
     pub reps: usize,
-    /// Per-KPI gates.
+    /// Per-KPI bounds.
     pub tolerances: BTreeMap<String, Tolerance>,
 }
 
@@ -224,18 +213,7 @@ impl AblationPlan {
         let mut tolerances = BTreeMap::new();
         if let Some(tols) = v.get("tolerances").and_then(Value::as_object) {
             for (kpi, spec) in tols {
-                let t = Tolerance {
-                    min: spec.get("min").and_then(Value::as_f64),
-                    max: spec.get("max").and_then(Value::as_f64),
-                    rel_drop: spec.get("rel_drop").and_then(Value::as_f64),
-                    rel_rise: spec.get("rel_rise").and_then(Value::as_f64),
-                };
-                if t == Tolerance::default() {
-                    return Err(format!(
-                        "tolerance {kpi:?} declares no bound (min/max/rel_drop/rel_rise)"
-                    ));
-                }
-                tolerances.insert(kpi.clone(), t);
+                tolerances.insert(kpi.clone(), tolerance(kpi, spec)?);
             }
         }
 
@@ -253,27 +231,6 @@ impl AblationPlan {
             reps,
             tolerances,
         })
-    }
-
-    /// Stable plan hash over the experiment identity (name, workload, axes,
-    /// fixed parameters) — tolerances excluded by design.
-    pub fn hash(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "name={};workload={};algo={:?};n={:?};p={:?};c={:?};block={:?};ck={:?};seed={:?};reps={}",
-            self.name,
-            self.workload.name(),
-            self.algos,
-            self.ns,
-            self.ps,
-            self.cs,
-            self.blocks,
-            self.checksums,
-            self.seeds,
-            self.reps
-        );
-        fnv1a_hex(s.as_bytes())
     }
 
     /// Cartesian expansion of the grid, in canonical axis order.
@@ -304,6 +261,35 @@ impl AblationPlan {
         }
         out
     }
+}
+
+/// One `[tolerances.<kpi>]` table: `min` and/or `max`, numbers, nothing
+/// else.
+fn tolerance(kpi: &str, spec: &Value) -> Result<Tolerance, String> {
+    let Some(keys) = spec.as_object() else {
+        return Err(format!("tolerance {kpi:?}: expected a table, got {spec}"));
+    };
+    let mut t = Tolerance::default();
+    for (key, value) in keys {
+        let bound = match key.as_str() {
+            "min" => &mut t.min,
+            "max" => &mut t.max,
+            other => {
+                return Err(format!(
+                    "tolerance {kpi:?}: unknown key {other:?} (a bound is min or max)"
+                ))
+            }
+        };
+        *bound = Some(
+            value
+                .as_f64()
+                .ok_or_else(|| format!("tolerance {kpi:?}: {key} must be a number"))?,
+        );
+    }
+    if t == Tolerance::default() {
+        return Err(format!("tolerance {kpi:?} declares no bound (min/max)"));
+    }
+    Ok(t)
 }
 
 fn str_field(v: &Value, key: &str) -> Result<String, String> {
@@ -575,9 +561,8 @@ seed = [0, 1]
 
 [tolerances.model_gflops]
 min = 0.1
-rel_drop = 0.20
 [tolerances.comm_factor]
-rel_rise = 0.25
+max = 40.0
 "#;
 
     #[test]
@@ -585,7 +570,7 @@ rel_rise = 0.25
         let v = parse_toml(PLAN).unwrap();
         assert_eq!(v["name"], "unit");
         assert_eq!(v["axes"]["n"][1], 96);
-        assert_eq!(v["tolerances"]["model_gflops"]["rel_drop"], 0.2);
+        assert_eq!(v["tolerances"]["comm_factor"]["max"], 40.0);
     }
 
     #[test]
@@ -598,21 +583,6 @@ rel_rise = 0.25
             .any(|c| c.id() == "algo=confchox;n=96;p=4;c=0;block=0;ck=0;seed=1"));
         // defaults filled in
         assert!(cells.iter().all(|c| !c.checksum));
-    }
-
-    #[test]
-    fn hash_tracks_axes_not_tolerances() {
-        let a = AblationPlan::from_value(&parse_toml(PLAN).unwrap()).unwrap();
-        let mut loose = a.clone();
-        loose.tolerances.clear();
-        assert_eq!(
-            a.hash(),
-            loose.hash(),
-            "tolerances must not change identity"
-        );
-        let mut widened = a.clone();
-        widened.ns.push(128);
-        assert_ne!(a.hash(), widened.hash(), "axes must change identity");
     }
 
     #[test]
@@ -635,5 +605,17 @@ rel_rise = 0.25
         let text = PLAN.replace("\"confchox\"", "\"blas\"");
         let err = AblationPlan::from_value(&parse_toml(&text).unwrap()).unwrap_err();
         assert!(err.contains("blas"), "{err}");
+    }
+
+    #[test]
+    fn a_tolerance_key_other_than_min_or_max_is_rejected_by_name() {
+        // A band relative to a recorded trajectory, as plans once had.
+        let stale = "rel_drop";
+        let text = PLAN.replace("min = 0.1", &format!("min = 2.0\n{stale} = 0.4"));
+        let err = AblationPlan::from_value(&parse_toml(&text).unwrap()).unwrap_err();
+        assert!(err.contains("model_gflops") && err.contains(stale), "{err}");
+        let plan = AblationPlan::from_value(&parse_toml(PLAN).unwrap()).unwrap();
+        let floor = plan.tolerances["model_gflops"];
+        assert_eq!((floor.min, floor.max), (Some(0.1), None));
     }
 }

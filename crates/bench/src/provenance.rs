@@ -1,12 +1,11 @@
-//! Unified provenance stamping for every measurement artifact the harness
-//! writes (`registry/ablations.*`, `BENCH_kernels.json`,
-//! `BENCH_recovery.json`, `trace_report --kpi` records).
+//! Unified provenance stamping for every host-clock measurement the
+//! harness writes (`BENCH_{kernels,comm,transport,recovery}.json`,
+//! `trace_report --kpi` records).
 //!
-//! A performance number with no record of *which code, which machine, when,
-//! under which plan* produced it is unverifiable drift the moment the next
-//! commit lands. Every writer therefore emits the same four-field header
-//! built here: git commit, machine fingerprint, ISO-8601 UTC timestamp, and
-//! (for plan-driven runs) the plan hash.
+//! A performance number with no record of *which code, which machine,
+//! when* produced it is unverifiable the moment the next commit lands.
+//! Every writer therefore emits the same header built here: git commit,
+//! machine fingerprint and ISO-8601 UTC timestamp.
 
 use serde_json::{json, Value};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -22,13 +21,11 @@ pub struct Stamp {
     pub timestamp: String,
     /// Seconds since the UNIX epoch (the sortable form of `timestamp`).
     pub unix_secs: u64,
-    /// Hash of the plan that drove the run, when one did.
-    pub plan_hash: Option<String>,
 }
 
 impl Stamp {
     /// Stamp for a run happening right now on this machine.
-    pub fn here(plan_hash: Option<String>) -> Stamp {
+    pub fn here() -> Stamp {
         let unix_secs = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -38,7 +35,6 @@ impl Stamp {
             machine: machine_fingerprint(),
             timestamp: iso_timestamp(unix_secs),
             unix_secs,
-            plan_hash,
         }
     }
 
@@ -49,18 +45,13 @@ impl Stamp {
             "machine": self.machine,
             "timestamp": self.timestamp,
             "unix_secs": self.unix_secs,
-            "plan_hash": match &self.plan_hash {
-                Some(h) => json!(h),
-                None => Value::Null,
-            },
         })
     }
 }
 
-/// `{os}-{arch}-c{cpus}-{hostname}` — the `machine` column of every
-/// registry row. Commas and whitespace are sanitized so the fingerprint is
-/// safe inside a CSV cell.
-pub fn machine_fingerprint() -> String {
+/// `{os}-{arch}-c{cpus}-{hostname}`, the `machine` field of every stamp.
+/// Commas and whitespace are replaced, so the fingerprint is one token.
+fn machine_fingerprint() -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
         .ok()
@@ -85,18 +76,6 @@ pub fn machine_fingerprint() -> String {
         cpus,
         host
     )
-}
-
-/// 64-bit FNV-1a as a 16-hex-digit string — the stable content hash used
-/// for plan identity. Not cryptographic; collision resistance at the scale
-/// of "plans in one repository" is all that is required.
-pub(crate) fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
 }
 
 /// Seconds-since-epoch → `YYYY-MM-DDThh:mm:ssZ` (proleptic Gregorian,
@@ -140,13 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a_hex(b""), "cbf29ce484222325");
-        assert_eq!(fnv1a_hex(b"a"), fnv1a_hex(b"a"));
-        assert_ne!(fnv1a_hex(b"a"), fnv1a_hex(b"b"));
-    }
-
-    #[test]
     fn fingerprint_is_csv_safe() {
         let f = machine_fingerprint();
         assert!(!f.contains(','), "{f}");
@@ -156,9 +128,13 @@ mod tests {
 
     #[test]
     fn stamp_serializes_with_all_fields() {
-        let s = Stamp::here(Some("abc123".into()));
+        let s = Stamp::here();
         let v = s.to_json();
-        assert_eq!(v["plan_hash"].as_str(), Some("abc123"));
+        assert_eq!(v["unix_secs"].as_u64(), Some(s.unix_secs));
+        assert!(v["machine"]
+            .as_str()
+            .unwrap()
+            .starts_with(std::env::consts::OS));
         assert!(v["timestamp"].as_str().unwrap().ends_with('Z'));
         assert!(!v["commit"].as_str().unwrap().is_empty());
     }

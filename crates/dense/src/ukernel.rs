@@ -257,8 +257,8 @@ unsafe fn scalar_4x8(
     // slices measurably halve throughput). The outer chunk is UNROLL
     // k-steps wide with a remainder loop behind it; k order is sequential
     // either way. At UNROLL = 1 neither does anything for the result, but
-    // this is the loop every `gemm_scalar` / `tuned_speedup` registry row
-    // was measured on: flattened to one `zip`, LLVM unrolls k by two, the
+    // this is the loop every recorded `gemm_scalar` / `tuned_speedup` was
+    // measured on: flattened to one `zip`, LLVM unrolls k by two, the
     // scalar rate rises by half on the reference VM and `tuned_speedup`
     // falls from 3.0 to 1.8 (same bits) — a gain for the PR that claims and
     // measures it, not a by-product of this shape.
@@ -552,8 +552,8 @@ mod tests {
 
     #[test]
     fn the_pr3_microkernel_is_in_the_family() {
-        // `benchmark/` records these ids, and the registry's `kernels` rows
-        // were measured against this baseline shape.
+        // `benchmark/` records these ids, and every recorded `tuned_speedup`
+        // was measured against this baseline shape.
         assert_eq!(
             (SCALAR_4X8.id, SCALAR_4X8.mr, SCALAR_4X8.nr),
             ("scalar_4x8_u1", 4, 8)

@@ -122,10 +122,10 @@ pub fn seeds(default_count: u64) -> Vec<u64> {
 
 /// Expand a *plan-declared* seed-axis spec into concrete seeds — the bridge
 /// between the `XHARNESS_SEEDS` seed-matrix convention and the declarative
-/// `AblationPlan` axes of the experiments engine (`bench ablate`):
+/// `AblationPlan` axes of the experiments engine (`ablations check`):
 ///
 /// * `"env"` — defer to the `XHARNESS_SEEDS` environment variable exactly
-///   as [`seeds`] does (so one nightly-CI variable widens every plan);
+///   as [`seeds`] does (so one CI variable widens every plan);
 /// * `"N"` — seeds `0..N`;
 /// * `"a,b,…"` / `"list:a,b,…"` — exactly those seeds.
 ///

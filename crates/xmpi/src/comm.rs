@@ -740,10 +740,10 @@ impl Comm {
                     pending: mbox.pending(),
                 });
             }
-            // Result deliberately ignored: an in-flight visibility deadline
-            // wakes by timeout, a fresh arrival (or a crash notification)
-            // wakes by notify, and either way the loop re-scans.
-            let _ = shard.arrived.wait_for(&mut channels, wake_at - now);
+            // An in-flight visibility deadline wakes by timeout, a fresh
+            // arrival (or a crash notification) wakes by notify, and either
+            // way the loop re-scans.
+            shard.arrived.wait_for(&mut channels, wake_at - now);
         }
     }
 

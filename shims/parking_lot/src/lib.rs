@@ -34,11 +34,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -66,16 +61,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Outcome of a timed condition-variable wait.
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// Condition variable usable with [`MutexGuard`] (`parking_lot::Condvar`
 /// API subset).
 #[derive(Default)]
@@ -87,36 +72,17 @@ impl Condvar {
         Condvar(sync::Condvar::new())
     }
 
-    /// Block on the guard until notified. (`T: Sized` because std's
-    /// `Condvar::wait` requires it.)
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    /// Block on the guard until notified or `timeout` elapses (or
+    /// spuriously); the caller re-checks its condition either way. (`T:
+    /// Sized` because std's `Condvar::wait_timeout` requires it.)
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
         // Temporarily move the std guard out to satisfy the std signature.
         replace_guard(guard, |g| {
-            self.0.wait(g).unwrap_or_else(PoisonError::into_inner)
-        });
-    }
-
-    /// Block on the guard until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let mut timed_out = false;
-        replace_guard(guard, |g| {
-            let (g, res) = self
-                .0
+            self.0
                 .wait_timeout(g, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            timed_out = res.timed_out();
-            g
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
         });
-        WaitTimeoutResult(timed_out)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Wake all waiters.
@@ -162,7 +128,7 @@ mod tests {
             let (m, cv) = &*p2;
             let mut done = m.lock();
             while !*done {
-                cv.wait(&mut done);
+                cv.wait_for(&mut done, Duration::from_secs(60));
             }
         });
         std::thread::sleep(Duration::from_millis(10));
@@ -173,10 +139,16 @@ mod tests {
 
     #[test]
     fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
+        let m = Mutex::new(0);
         let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
+        let mut waits = m.lock();
+        let start = std::time::Instant::now();
+        // Nobody notifies: only the timeout (or a spurious wakeup) ends a
+        // wait, and each returns with the lock held again.
+        while start.elapsed() < Duration::from_millis(5) {
+            cv.wait_for(&mut waits, Duration::from_millis(5));
+            *waits += 1;
+        }
+        assert!(*waits >= 1);
     }
 }

@@ -351,6 +351,30 @@ const RULES: &[Rule] = &[
         }],
         ..RULE
     },
+    // A plan bounds a KPI absolutely, or not at all. The bands relative to
+    // a recorded trajectory never had a baseline to compare against, and
+    // every quantity they banded is pinned exactly elsewhere (the golden
+    // volumes, the committed results/) or by an absolute floor
+    // (EXPERIMENTS.md, "Ablation methodology").
+    Rule {
+        name: "One gate per quantity: no trajectory",
+        paths: &["crates/bench"],
+        forbid: &[
+            "rel_drop",
+            "rel_rise",
+            "ablations.csv",
+            "ablations.jsonl",
+            "plan_hash",
+            "\\bbaseline(",
+            "registry",
+        ],
+        allow: &[Allow {
+            file: "crates/bench/src/plan.rs",
+            at: At::Line("let stale = \"rel_drop\";"),
+            reason: "the unit test that a plan naming a trajectory band is rejected by name",
+        }],
+        ..RULE
+    },
 ];
 
 /// The crates whose `pub fn`s the census counts callers for.
@@ -416,7 +440,6 @@ const CENSUS_ALLOW: &[Allow] = &[
     exempt("crates/xmpi/src/wire.rs", "read_frame", "wire codec; wire_codec checks it frame by frame"),
     exempt("crates/xmpi/src/wire.rs", "write_frame", "wire codec; wire_codec checks it frame by frame"),
     exempt("crates/xmpi/src/collectives.rs", "scatter_f64", "MPI collective of the runtime; xmpi proptests round-trip it through gather"),
-    exempt("crates/bench/src/registry.rs", "jsonl_path", "registry file location that bench registry tests read back"),
 ];
 
 /// A census exception: `pub fn name` of `file`.
@@ -783,6 +806,7 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("One launch path: no child protocol", "crates/xmpi/src/launch.rs", "if std::env::var(\"XMPI_CHILD_RANK\").is_ok() {"),
     ("One launch path: two launchers", "tests/runtime_semantics.rs", "let out = xmpi::run_traced(4, cfg, body);"),
     ("One launch path: launch::run is the benchmark's name only", "examples/quickstart.rs", "use xmpi::launch::{run_ft, run};"),
+    ("One gate per quantity: no trajectory", "crates/bench/src/plan.rs", "    pub rel_drop: Option<f64>,"),
 ];
 
 #[test]

@@ -13,8 +13,8 @@ use dense::tuning::{active, ENV_TUNING_PATH};
 use dense::ukernel::Isa;
 
 /// `{os}-{arch}-c{cpus}-{hostname}`: the key the deleted reader matched
-/// entries against (`bench::provenance::machine_fingerprint` still stamps
-/// registry rows with it).
+/// entries against (`bench::provenance` still stamps the `BENCH_*.json`
+/// reports with it).
 fn machine_fingerprint() -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
