@@ -54,7 +54,7 @@ fn suite() -> Vec<Experiment> {
             "fig11",
             Box::new(|| ex::fig1::fig11(&[256, 512, 1024, 2048], &[4, 16, 64])),
         ),
-        // The three sweeps are plan axes: `block` and `c` at a fixed
+        // The three sweeps are `Cell` fields: `block` and `c` at a fixed
         // `(p, c)` grid `near_square(p/c) × c`, and an algo pair over them.
         (
             "ablation_block",

@@ -1,8 +1,8 @@
 //! Trace one factorization run and report its profile.
 //!
-//! Runs the chosen algorithm as the plan cell `algo × n × p` (automatic
-//! grid and block) through `bench::ablate::run_cell` — traced, under the
-//! light seed-0 schedule perturbation plan cells run under — then:
+//! Runs the chosen algorithm as the cell `algo × n × p` (automatic grid and
+//! block) through `bench::ablate::run_cell` — traced, under its fixed seed-0
+//! schedule perturbation, on the input matrix `--seed` picks — then:
 //!
 //! * writes `chrome.json` (open in Perfetto / `chrome://tracing`) and
 //!   `profile.json` (provenance-stamped profile report) to `--out`;
@@ -10,19 +10,13 @@
 //!   decomposition Table 1 of the paper reports per routine — plus idle-time
 //!   attribution and the α-β-γ replay's predicted time-to-solution.
 //!
-//! With `--kpi`, skips the profile tables and instead prints, stamped, the
-//! KPI record `ablations check` computes for that cell — same runner, same
-//! fixed plan input. `--seed` picks the *input matrix* of the profile
-//! modes; a plan cell's input is fixed, so `--kpi` refuses it.
-//!
 //! Usage:
 //!   trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] [--n N] [--p P]
-//!                [--seed S] [--out DIR] [--pretty] [--kpi]
+//!                [--seed S] [--out DIR] [--pretty]
 
 use std::collections::BTreeMap;
 
-use bench::ablate::{factor_cell_kpis, run_cell};
-use bench::plan::Cell;
+use bench::ablate::{run_cell, Algo, Cell};
 use bench::table::{human_bytes, render};
 use serde_json::json;
 use xtrace::profile::{coll_bytes_from_trace, phase_bytes_from_trace};
@@ -31,58 +25,50 @@ use xtrace::{
 };
 
 struct Args {
-    algo: String,
+    algo: Algo,
     n: usize,
     p: usize,
     seed: u64,
     out: Option<String>,
     pretty: bool,
-    kpi: bool,
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
-        algo: "conflux".to_string(),
+        algo: Algo::Conflux,
         n: 256,
         p: 8,
         seed: 0,
         out: None,
         pretty: false,
-        kpi: false,
     };
-    let mut seed_given = false;
     while let Some(flag) = it.next() {
         let mut val = |name: &str| {
             it.next()
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--algo" => args.algo = val("--algo"),
+            "--algo" => {
+                let name = val("--algo");
+                args.algo = Algo::from_name(&name).unwrap_or_else(|| {
+                    panic!("unknown --algo {name:?} (conflux|confchox|twod-lu|twod-chol|lu25d)")
+                });
+            }
             "--n" => args.n = val("--n").parse().expect("--n: integer"),
             "--p" => args.p = val("--p").parse().expect("--p: integer"),
-            "--seed" => {
-                args.seed = val("--seed").parse().expect("--seed: integer");
-                seed_given = true;
-            }
+            "--seed" => args.seed = val("--seed").parse().expect("--seed: integer"),
             "--out" => args.out = Some(val("--out")),
             "--pretty" => args.pretty = true,
-            "--kpi" => args.kpi = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: trace_report [--algo conflux|confchox|twod-lu|twod-chol|lu25d] \
-                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty] [--kpi]"
+                     [--n N] [--p P] [--seed S] [--out DIR] [--pretty]"
                 );
                 std::process::exit(0);
             }
             other => panic!("unknown flag {other}"),
         }
     }
-    // `--seed` picks the input matrix; a plan cell's is fixed, and the
-    // cell id has no field that could tell the two apart.
-    assert!(
-        !(args.kpi && seed_given),
-        "--kpi records the plan cell, whose input matrix is fixed: drop --seed"
-    );
     args
 }
 
@@ -95,40 +81,14 @@ fn dump(args: &Args, v: &serde_json::Value) -> String {
     }
 }
 
-/// The plan cell the arguments name.
-fn cell_of(args: &Args) -> Cell {
-    Cell::auto(&args.algo, args.n, args.p)
-}
-
-/// `--kpi` mode: the KPI record of the plan cell the arguments name — what
-/// `ablations check` holds that cell to.
-fn kpi_record(args: &Args) -> (Cell, BTreeMap<String, f64>) {
-    let cell = cell_of(args);
-    let kpis = factor_cell_kpis(&cell).unwrap_or_else(|e| panic!("{e}"));
-    (cell, kpis)
-}
-
-fn emit_kpi_record(args: &Args) {
-    let (cell, kpis) = kpi_record(args);
-    let record = json!({
-        "provenance": bench::provenance::Stamp::here().to_json(),
-        "cell": cell.id(),
-        "kpis": kpis,
-    });
-    println!("{}", dump(args, &record));
-}
-
 fn main() {
     let args = parse_args(std::env::args().skip(1));
-    if args.kpi {
-        emit_kpi_record(&args);
-        return;
-    }
-    let run = run_cell(&cell_of(&args), args.seed, true).unwrap_or_else(|e| panic!("{e}"));
+    let cell = Cell::auto(args.algo, args.n, args.p);
+    let run = run_cell(&cell, args.seed, true).unwrap_or_else(|e| panic!("{e}"));
     let (trace, stats) = (run.trace.expect("a traced run has a trace"), run.stats);
 
     let prov = Provenance::here(
-        json!({ "algo": args.algo, "n": args.n, "p": args.p }),
+        json!({ "algo": args.algo.name(), "n": args.n, "p": args.p }),
         Some(args.seed),
     );
     let report = profile_report(&trace, &stats, &prov);
@@ -145,7 +105,7 @@ fn main() {
 
     println!(
         "{} n={} p={} seed={}  ({} events, {} bytes moved)\n",
-        args.algo,
+        args.algo.name(),
         args.n,
         args.p,
         args.seed,
@@ -238,34 +198,21 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::ablate::run_ablation;
-    use bench::plan::{parse_toml, AblationPlan};
 
     fn args(flags: &[&str]) -> Args {
         parse_args(flags.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn kpi_mode_emits_the_plan_cells_record() {
-        let flags = ["--algo", "confchox", "--n", "32", "--p", "4", "--kpi"];
-        let (cell, kpis) = kpi_record(&args(&flags));
-        let plan = "name = \"t\"\nworkload = \"factor\"\n[axes]\nalgo = [\"confchox\"]\nn = [32]\np = [4]\n";
-        let run = run_ablation(&AblationPlan::from_value(&parse_toml(plan).unwrap()).unwrap());
-        assert_eq!(run.outcomes.len(), 1, "skipped: {:?}", run.skipped);
-        let plan_cell = &run.outcomes[0];
-        assert_eq!(cell, plan_cell.cell);
-        assert!(kpis.keys().eq(plan_cell.kpis.keys()));
-        for (name, v) in &kpis {
-            // The three host-clock KPIs differ run to run.
-            if !matches!(name.as_str(), "idle_frac" | "critpath_frac" | "makespan_ms") {
-                assert_eq!(*v, plan_cell.kpis[name], "{name}");
-            }
-        }
+    fn the_algorithm_is_parsed_once_into_its_enum() {
+        let a = args(&["--algo", "twod-chol", "--n", "64", "--seed", "7"]);
+        assert_eq!((a.algo, a.n, a.p, a.seed), (Algo::TwodChol, 64, 8, 7));
+        assert_eq!(args(&[]).algo, Algo::Conflux);
     }
 
     #[test]
-    #[should_panic(expected = "drop --seed")]
-    fn kpi_mode_refuses_an_input_seed() {
-        args(&["--kpi", "--seed", "7"]);
+    #[should_panic(expected = "unknown --algo \"blas\"")]
+    fn an_unknown_algorithm_is_refused_by_name() {
+        args(&["--algo", "blas"]);
     }
 }

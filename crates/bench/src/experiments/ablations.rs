@@ -10,10 +10,8 @@
 //! * **pivoting strategy** — tournament + masking vs tournament + swapping
 //!   at matched grids (volume per phase).
 
-use crate::ablate::{run_cell, CellRun};
+use crate::ablate::{run_cell, Algo, Cell, CellRun};
 use crate::experiments::Report;
-use crate::kpi::Algo;
-use crate::plan::Cell;
 use crate::table::render;
 use serde_json::json;
 
@@ -29,7 +27,7 @@ fn run_on(
     let cell = Cell {
         c,
         block,
-        ..Cell::auto(algo.name(), n, p)
+        ..Cell::auto(algo, n, p)
     };
     run_cell(&cell, seed, false)
 }

@@ -7,8 +7,8 @@
 //! the better of the 2D schedule (MKL/SLATE stand-in) and the swapping 2.5D
 //! schedule (CANDMC/CAPITAL stand-in).
 
+use crate::ablate::Algo;
 use crate::experiments::{measure, Report};
-use crate::kpi::Algo;
 use crate::table::render;
 use serde_json::json;
 

@@ -8,8 +8,8 @@
 //! * **8c** — communication reduction of COnfLUX vs the second-best
 //!   implementation over a `(P, N)` grid, measured + predicted.
 
+use crate::ablate::Algo;
 use crate::experiments::{measure, Report};
-use crate::kpi::Algo;
 use crate::table::{ratio, render};
 use factor::models::{candmc_model, conflux_model, twod_lu_model, MachineParams};
 use serde_json::json;

@@ -2,8 +2,8 @@
 //! (10) — strong scaling at two fixed matrix sizes plus a weak-scaling
 //! series (constant `N²/P` per rank), for every implementation.
 
+use crate::ablate::Algo;
 use crate::experiments::{measure, Report};
-use crate::kpi::Algo;
 use crate::table::render;
 use serde_json::json;
 

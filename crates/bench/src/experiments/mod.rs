@@ -1,31 +1,31 @@
 //! One sub-module per paper table/figure; each produces a [`Report`]
 //! (human-readable text + machine-readable JSON) that `all_experiments`
-//! emits; the `kernels` / `comm` / `transport` reports are produced and
-//! saved by the matching `ablate` plan cells.
+//! emits. The host-clock experiments `kernels`, `comm`, `transport` and
+//! `recovery` each measure one fixed shape for the `floors` bin, which
+//! emits their `BENCH_*` report and holds their gated numbers to the
+//! floors declared beside them.
 
 pub mod ablations;
 pub mod bounds_report;
-pub(crate) mod comm;
+pub mod comm;
 pub mod fig1;
 pub mod fig8;
 pub mod fig9;
 pub mod generality;
-pub(crate) mod kernels;
+pub mod kernels;
+pub mod recovery;
 pub mod table1;
 pub mod table2;
-pub(crate) mod transport;
+pub mod transport;
 
-use crate::ablate::{run_cell, CellRun};
-use crate::kpi::Algo;
-use crate::plan::Cell;
+use crate::ablate::{run_cell, Algo, Cell, CellRun};
 use serde_json::Value;
 use std::io::Write;
 
 /// A figure's data point: `algo` at `(n, p)` with automatic grid and block,
 /// run plain on the figure's own input and priced.
 pub(crate) fn measure(algo: Algo, n: usize, p: usize, input_seed: u64) -> CellRun {
-    run_cell(&Cell::auto(algo.name(), n, p), input_seed, false)
-        .expect("an automatic cell is feasible")
+    run_cell(&Cell::auto(algo, n, p), input_seed, false).expect("an automatic cell is feasible")
 }
 
 /// A regenerated experiment, rendered: terminal text plus raw data.

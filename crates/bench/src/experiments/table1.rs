@@ -6,8 +6,8 @@
 //! at the same configuration — demonstrating the table's headline: Cholesky
 //! does half the arithmetic but moves the same class of volume.
 
+use crate::ablate::Algo;
 use crate::experiments::{measure, Report};
-use crate::kpi::Algo;
 use crate::table::render;
 use serde_json::json;
 use std::collections::BTreeMap;

@@ -9,8 +9,8 @@
 //! the paper) next to the measured row-swapping ablation. CAPITAL's author
 //! model has no row: nothing executable stands in for it (see Fig. 11).
 
+use crate::ablate::Algo;
 use crate::experiments::{measure, Report};
-use crate::kpi::Algo;
 use crate::table::render;
 use factor::models::{self, MachineParams};
 use serde_json::json;

@@ -21,17 +21,46 @@
 //! ping-pong, β from a large-message ping-pong with the α share removed.
 //!
 //! The report records the model constants next to the measured ones, so
-//! the measured-vs-simulated calibration gap is one ratio per backend
-//! (`plans/transport.toml` gates only sanity floors — host-clock numbers
-//! on shared CI hardware must not carry tight bounds).
+//! the measured-vs-simulated calibration gap is one ratio per backend.
+//! Every number here is host wall-clock on whatever machine CI lands on,
+//! so the floors below are sanity floors only (a transport that stops
+//! moving bytes, a socket path 10000× slower than the mailbox), never
+//! tight bounds; CI's `transport-conformance` job runs `floors transport`.
 
 use crate::experiments::Report;
+use crate::floor::{Bound, Floor};
 use crate::provenance::Stamp;
 use crate::table::{ratio, render};
 use serde_json::json;
 use std::time::Instant;
 use xmpi::{Buf, Comm};
 use xtrace::Machine;
+
+/// Probed message size in f64 elements (64 KiB).
+pub const ELEMS: usize = 8192;
+/// Broadcast world size (= socket child processes).
+pub const P: usize = 4;
+/// Timed blocks per measurement.
+pub const REPS: usize = 2;
+
+/// The mailbox moving < 50 MB/s means the hot path broke.
+pub const GBPS_LOCAL: Floor = Floor {
+    name: "gbps_local",
+    bound: Bound::Min(0.05),
+};
+
+/// Sockets are slower; this floor only catches collapse.
+pub const GBPS_SOCKET: Floor = Floor {
+    name: "gbps_socket",
+    bound: Bound::Min(0.005),
+};
+
+/// Socket α over local α: syscalls against an `Arc` move, huge but
+/// bounded.
+pub const SOCKET_OVER_LOCAL_ALPHA: Floor = Floor {
+    name: "socket_over_local_alpha",
+    bound: Bound::Max(10000.0),
+};
 
 /// Tag namespace for the benchmark's exchanges, clear of collective tags
 /// and of `experiments::comm`'s range.
@@ -98,30 +127,21 @@ struct BackendFit {
     alpha_us: f64,
     /// Large-message bandwidth (GB/s) after removing the α share.
     gbps: f64,
-    /// One-way µs per probed message size.
-    oneway_us: Vec<(usize, f64)>,
-    /// Tree-broadcast µs per `(p, elems)` cell.
-    bcast_us: Vec<(usize, usize, f64)>,
+    /// One-way µs per message of the probed size.
+    oneway_us: f64,
+    /// Tree-broadcast µs of the probed size.
+    bcast_us: f64,
 }
 
 /// Run the full measurement set on whatever backend is ambient when
-/// `measure` is called.
-fn measure(label: &'static str, ps: &[usize], sizes: &[usize], reps: usize) -> BackendFit {
+/// `measure` is called: messages of `elems` f64s, broadcasts at `p`.
+fn measure(label: &'static str, p: usize, elems: usize, reps: usize) -> BackendFit {
     let alpha_s = pingpong_secs(1, (reps * 40).max(100));
-    let big_elems = (1usize << 17).max(sizes.iter().copied().max().unwrap_or(0));
+    let big_elems = (1usize << 17).max(elems);
     let big_s = pingpong_secs(big_elems, reps.max(3));
     let beta_s_per_byte = (big_s - alpha_s).max(f64::EPSILON) / (big_elems * 8) as f64;
-
-    let oneway_us = sizes
-        .iter()
-        .map(|&elems| (elems, pingpong_secs(elems, reps) * 1e6))
-        .collect();
-    let mut bcast_us = Vec::new();
-    for &p in ps {
-        for &elems in sizes {
-            bcast_us.push((p, elems, bcast_secs(p, elems, reps) * 1e6));
-        }
-    }
+    let oneway_us = pingpong_secs(elems, reps) * 1e6;
+    let bcast_us = bcast_secs(p, elems, reps) * 1e6;
     BackendFit {
         label,
         alpha_us: alpha_s * 1e6,
@@ -131,14 +151,39 @@ fn measure(label: &'static str, ps: &[usize], sizes: &[usize], reps: usize) -> B
     }
 }
 
-/// Run the transport α-β calibration: every measurement on the in-process
-/// backend, then the identical sequence on the socket backend (rank
-/// processes forked per world). `sizes` are message lengths in f64
-/// elements; `ps` are broadcast world sizes.
-pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
-    let reps = reps.max(1);
-    let local = measure("local", ps, sizes, reps);
-    let socket = xmpi::with_backend(xmpi::Backend::Socket, || measure("socket", ps, sizes, reps));
+/// Both backends' fits and the gated numbers.
+pub struct TransportRun {
+    /// Both fits next to the model's constants, written to
+    /// `results/BENCH_transport.json`.
+    pub report: Report,
+    /// Local-backend bandwidth, GB/s.
+    pub gbps_local: f64,
+    /// Socket-backend bandwidth, GB/s.
+    pub gbps_socket: f64,
+    /// Socket α over local α.
+    pub socket_over_local_alpha: f64,
+}
+
+impl TransportRun {
+    /// Each gated number with its floor.
+    pub fn gated(&self) -> Vec<(Floor, f64)> {
+        vec![
+            (GBPS_LOCAL, self.gbps_local),
+            (GBPS_SOCKET, self.gbps_socket),
+            (SOCKET_OVER_LOCAL_ALPHA, self.socket_over_local_alpha),
+        ]
+    }
+}
+
+/// Run the transport α-β calibration at the gated shape: every measurement
+/// on the in-process backend, then the identical sequence on the socket
+/// backend. The socket half forks one rank process per rank from the
+/// measuring call; they ship their timings home and leave inside
+/// [`xmpi::run`], so only this process returns and writes the report.
+pub fn run() -> TransportRun {
+    let reps = REPS;
+    let local = measure("local", P, ELEMS, reps);
+    let socket = xmpi::with_backend(xmpi::Backend::Socket, || measure("socket", P, ELEMS, reps));
     let model = Machine::piz_daint();
     let model_alpha_us = model.alpha * 1e6;
     let model_gbps = model.beta / 1e9;
@@ -161,38 +206,27 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
          β {model_gbps:.1} GB/s):\n{}",
         render(&headers, &rows)
     );
-    text.push_str("\none-way µs per message size:\n");
+    text.push_str("\none-way µs per message:\n");
     let headers = vec!["elems", "KiB", "local µs", "socket µs", "socket/local"];
-    let rows: Vec<Vec<String>> = local
-        .oneway_us
-        .iter()
-        .zip(&socket.oneway_us)
-        .map(|(&(elems, l_us), &(_, s_us))| {
-            vec![
-                elems.to_string(),
-                format!("{:.0}", elems as f64 * 8.0 / 1024.0),
-                format!("{l_us:.1}"),
-                format!("{s_us:.1}"),
-                ratio(s_us, l_us),
-            ]
-        })
-        .collect();
-    text.push_str(&render(&headers, &rows));
+    let row = vec![
+        ELEMS.to_string(),
+        format!("{:.0}", ELEMS as f64 * 8.0 / 1024.0),
+        format!("{:.1}", local.oneway_us),
+        format!("{:.1}", socket.oneway_us),
+        ratio(socket.oneway_us, local.oneway_us),
+    ];
+    text.push_str(&render(&headers, &[row]));
 
     let backend_json = |b: &BackendFit| {
         json!({
             "backend": b.label,
             "alpha_us": b.alpha_us,
             "gbps": b.gbps,
-            "oneway": b.oneway_us.iter().map(|&(elems, us)| json!({
-                "elems": elems, "us": us,
-            })).collect::<Vec<_>>(),
-            "bcast": b.bcast_us.iter().map(|&(p, elems, us)| json!({
-                "p": p, "elems": elems, "us": us,
-            })).collect::<Vec<_>>(),
+            "oneway": [{ "elems": ELEMS, "us": b.oneway_us }],
+            "bcast": [{ "p": P, "elems": ELEMS, "us": b.bcast_us }],
         })
     };
-    Report {
+    let report = Report {
         id: "BENCH_transport".into(),
         title: "measured transport α-β: in-process vs socket backend, vs the simulated model"
             .into(),
@@ -203,6 +237,12 @@ pub(crate) fn transport(ps: &[usize], sizes: &[usize], reps: usize) -> Report {
             "backends": [backend_json(&local), backend_json(&socket)],
         }),
         text,
+    };
+    TransportRun {
+        report,
+        gbps_local: local.gbps,
+        gbps_socket: socket.gbps,
+        socket_over_local_alpha: socket.alpha_us / local.alpha_us,
     }
 }
 
@@ -211,14 +251,13 @@ mod tests {
     use super::*;
 
     /// The in-process half of the report (the socket path is covered by
-    /// `tests/transport_plan.rs` driving the real `ablations` binary).
+    /// `tests/transport_plan.rs` driving the real `floors` binary).
     #[test]
     fn local_measurement_produces_a_sane_fit() {
-        let fit = measure("local", &[2], &[64], 1);
+        let fit = measure("local", 2, 64, 1);
         assert!(fit.alpha_us > 0.0);
         assert!(fit.gbps > 0.0);
-        assert_eq!(fit.oneway_us.len(), 1);
-        assert_eq!(fit.bcast_us.len(), 1);
-        assert!(fit.bcast_us[0].2 > 0.0);
+        assert!(fit.oneway_us > 0.0);
+        assert!(fit.bcast_us > 0.0);
     }
 }

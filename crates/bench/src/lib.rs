@@ -8,36 +8,28 @@
 //!   from the analytic operation counts and bytes/messages *measured* by
 //!   the `xmpi` runtime. Performance figures report
 //!   `%peak = total_flops/(P·γ·T)`.
-//! * [`ablate::run_cell`] — the one way a factorization is run: a
-//!   [`plan::Cell`] plus an input seed, plain or traced; every figure,
-//!   table, sweep, plan cell and `trace_report` goes through it.
-//! * [`table`] — plain-text table rendering for terminal output.
-//!
-//! The **experiments engine** (see `EXPERIMENTS.md` §"Ablation
-//! methodology") layers a declarative sweep/gate pipeline on top:
-//!
-//! * [`plan`] — declarative [`plan::AblationPlan`]s (TOML/JSON) describing
-//!   a sweep grid plus per-KPI absolute bounds.
-//! * [`ablate`] — the cell runner, and [`ablate::run_ablation`], which
-//!   executes a plan's cells through it and extracts KPI records.
-//! * `kpi` (crate-private) — the KPI definitions every plan cell and
-//!   `trace_report --kpi` share, and the one place a measured run is priced.
-//! * [`gate`] — the typed [`gate::GateReport`] behind `ablations check`:
-//!   every bounded KPI held to its `min`/`max`.
+//! * [`ablate::run_cell`] — the one way a factorization is run: an
+//!   [`ablate::Cell`] plus an input seed, plain or traced; every figure,
+//!   table, sweep and `trace_report` goes through it, and `kpi`
+//!   (crate-private) is the one place its traffic is priced.
+//! * [`floor`] — the one check of a host-clock number against its bound.
+//!   The `floors` bin runs one of `experiments::{kernels, comm, transport,
+//!   recovery}` at its fixed shape and holds each number it gates to the
+//!   [`floor::Floor`] constant declared beside the code that measures it.
 //! * [`provenance`] — the commit/machine/timestamp stamp of the
 //!   `BENCH_*.json` reports.
+//! * [`table`] — plain-text table rendering for terminal output.
 //!
 //! The exact pins of the paper's quantities are elsewhere: per-rank bytes
 //! in `results/golden_volumes.json`, every figure in the committed
-//! `results/` files CI regenerates. A plan bounds only what has no exact
-//! counterpart: host-clock speedups and transport rates.
+//! `results/` files CI regenerates. A floor bounds only what has no exact
+//! counterpart: host-clock speedups, rates and overheads.
 
 #![warn(unreachable_pub)]
 
 pub mod ablate;
 pub mod experiments;
-pub mod gate;
+pub mod floor;
 mod kpi;
-pub mod plan;
 pub mod provenance;
 pub mod table;

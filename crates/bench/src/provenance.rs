@@ -1,6 +1,5 @@
 //! Unified provenance stamping for every host-clock measurement the
-//! harness writes (`BENCH_{kernels,comm,transport,recovery}.json`,
-//! `trace_report --kpi` records).
+//! harness writes (`BENCH_{kernels,comm,transport,recovery}.json`).
 //!
 //! A performance number with no record of *which code, which machine,
 //! when* produced it is unverifiable the moment the next commit lands.

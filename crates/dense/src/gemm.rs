@@ -22,7 +22,7 @@
 //!
 //! [`naive_gemm`] retains the textbook triple loop as the reference the
 //! packed path is validated and benchmarked against
-//! (`ablations check plans/kernels.toml`).
+//! (`floors kernels`).
 
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{self, PackedB, MC};

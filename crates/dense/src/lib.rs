@@ -45,8 +45,7 @@
 //! does `gemmt`, with its diagonal blocks. ([`par_gemm`] is only the old
 //! name of the untransposed [`gemm()`].) [`gemm::naive_gemm`] retains the
 //! scalar triple loop as the correctness and performance reference
-//! (`plans/kernels.toml` reports both as a GFLOP/s trajectory in
-//! `results/BENCH_kernels.json`).
+//! (`floors kernels` reports both in `results/BENCH_kernels.json`).
 
 #![warn(unreachable_pub)]
 

@@ -3,7 +3,7 @@
 //!
 //! Every call into the engine (`pack::gemm_packed_rows`, behind
 //! [`crate::gemm()`]) asks [`active`], which names the innermost
-//! [`with_override`] on this thread — how `plans/kernels.toml` measures the
+//! [`with_override`] on this thread — how `floors kernels` measures the
 //! forced-scalar baseline and how tests put each microkernel under a product
 //! — or else the kernel of the widest ISA level the CPU reports (AVX-512
 //! `6×16`, AVX2 `6×8`, else scalar `4×8`). Nothing is read from a file or the

@@ -532,7 +532,7 @@ fn perturbed_traces_uphold_runtime_invariants() {
         for (i, trace) in perturbed_kernel_traces(seed).iter().enumerate() {
             let report = check_trace(trace);
             assert!(
-                report.is_clean(),
+                report.violations.is_empty() && !report.truncated,
                 "seed {seed}, world {i}: {:?} (truncated: {})",
                 report.violations,
                 report.truncated

@@ -120,25 +120,6 @@ pub fn seeds(default_count: u64) -> Vec<u64> {
     }
 }
 
-/// Expand a *plan-declared* seed-axis spec into concrete seeds — the bridge
-/// between the `XHARNESS_SEEDS` seed-matrix convention and the declarative
-/// `AblationPlan` axes of the experiments engine (`ablations check`):
-///
-/// * `"env"` — defer to the `XHARNESS_SEEDS` environment variable exactly
-///   as [`seeds`] does (so one CI variable widens every plan);
-/// * `"N"` — seeds `0..N`;
-/// * `"a,b,…"` / `"list:a,b,…"` — exactly those seeds.
-///
-/// Returns `None` when the spec parses as none of the above; callers should
-/// surface that as a plan error, not fall back silently.
-pub fn seed_axis(spec: &str, default_count: u64) -> Option<Vec<u64>> {
-    if spec.trim() == "env" {
-        Some(seeds(default_count))
-    } else {
-        parse_seeds(spec)
-    }
-}
-
 fn parse_seeds(s: &str) -> Option<Vec<u64>> {
     let s = s.trim();
     if let Some(list) = s.strip_prefix("list:") {
@@ -236,17 +217,5 @@ mod tests {
         assert_eq!(parse_seeds("list:9"), Some(vec![9]));
         assert_eq!(parse_seeds(" 1 , 2 "), Some(vec![1, 2]));
         assert_eq!(parse_seeds("banana"), None);
-    }
-
-    #[test]
-    fn seed_axis_specs_expand() {
-        assert_eq!(seed_axis("3", 8), Some(vec![0, 1, 2]));
-        assert_eq!(seed_axis("list:5,7", 8), Some(vec![5, 7]));
-        assert_eq!(seed_axis("kiwi", 8), None);
-        // "env" defers to XHARNESS_SEEDS; when unset in the test harness it
-        // is the 0..default sweep. (The variable is not set by cargo test.)
-        if std::env::var("XHARNESS_SEEDS").is_err() {
-            assert_eq!(seed_axis("env", 2), Some(vec![0, 1]));
-        }
     }
 }

@@ -186,11 +186,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Clean *and* sound: no violations on a complete trace.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && !self.truncated
-    }
-
     /// Panic with a readable listing if the report is not clean. The
     /// conformance suite calls this so a failure prints every violation,
     /// not just the first.
@@ -535,7 +530,6 @@ mod tests {
         let report = check_trace(&traces[0]);
         assert!(report.truncated);
         assert!(report.violations.is_empty());
-        assert!(!report.is_clean());
     }
 
     #[test]

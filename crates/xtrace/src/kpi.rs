@@ -1,11 +1,10 @@
 //! Public KPI extraction over recorded timelines.
 //!
-//! The experiments engine (`ablations check`) and any hand-run trace report
-//! need the same small set of schedule-quality numbers from a
-//! [`WorldTrace`]: how idle the ranks were, and how much of the makespan
-//! sat on the critical path. This module is the one place those are
-//! defined, so a KPI a plan cell reports and one printed by
-//! `trace_report --kpi` can never disagree on semantics.
+//! Every reader of a trace needs the same small set of schedule-quality
+//! numbers from a [`WorldTrace`]: how idle the ranks were, and how much of
+//! the makespan sat on the critical path. This module is the one place
+//! those are defined, so two reports of them can never disagree on
+//! semantics.
 //!
 //! All times are host-clock nanoseconds from the recorder — useful for
 //! *structure* (fractions, attribution), not wall-clock claims. The

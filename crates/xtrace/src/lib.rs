@@ -11,8 +11,8 @@
 //! * [`critical_path`] — the critical path through the send/receive
 //!   happens-before graph (which rank was the bottleneck, when);
 //! * [`trace_kpis`] — the public KPI-extraction API over timelines (idle
-//!   fraction, critical-path fraction) shared by the experiments engine
-//!   (`bench ablate`) and `trace_report --kpi`;
+//!   fraction, critical-path fraction), which `bench`'s transport
+//!   microbenchmark reads off its traced broadcast;
 //! * [`mod@replay`] — simulated-time replay of the trace under the α-β-γ
 //!   machine model, predicting time-to-solution on a real machine from the
 //!   recorded event structure rather than wall-clock of the simulation;

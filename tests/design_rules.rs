@@ -192,9 +192,9 @@ const RULES: &[Rule] = &[
     },
     // Under crates/bench/src every plain driver is called from the cell
     // runner (`ablate::run_cell`) and from nowhere else, and the α-β-γ price
-    // is taken in `kpi::factor_kpis` only. `bin/recovery.rs` calls
+    // is taken in `kpi::factor_kpis` only. `experiments/recovery.rs` calls
     // `conflux_lu_ft(` (not matched here); `experiments/generality.rs`
-    // keeps `mmm25d` / `cholesky_qr`, which are not plan algorithms.
+    // keeps `mmm25d` / `cholesky_qr`, which are not `ablate::Algo`s.
     Rule {
         name: "One cell runner",
         paths: &["crates/bench/src"],
@@ -351,8 +351,8 @@ const RULES: &[Rule] = &[
         }],
         ..RULE
     },
-    // A plan bounds a KPI absolutely, or not at all. The bands relative to
-    // a recorded trajectory never had a baseline to compare against, and
+    // A floor bounds a number absolutely, or not at all. The bands relative
+    // to a recorded trajectory never had a baseline to compare against, and
     // every quantity they banded is pinned exactly elsewhere (the golden
     // volumes, the committed results/) or by an absolute floor
     // (EXPERIMENTS.md, "Ablation methodology").
@@ -368,11 +368,16 @@ const RULES: &[Rule] = &[
             "\\bbaseline(",
             "registry",
         ],
-        allow: &[Allow {
-            file: "crates/bench/src/plan.rs",
-            at: At::Line("let stale = \"rel_drop\";"),
-            reason: "the unit test that a plan naming a trajectory band is rejected by name",
-        }],
+        ..RULE
+    },
+    // A host-clock floor is a `floor::Floor` constant beside the code that
+    // measures its number, checked by `floor::breaches`; no plan file, plan
+    // parser or tolerance table declares one (EXPERIMENTS.md, "Ablation
+    // methodology").
+    Rule {
+        name: "One gate per quantity: floors beside their code",
+        paths: &["crates/bench"],
+        forbid: &["AblationPlan", "parse_toml", "plans/", "tolerances"],
         ..RULE
     },
 ];
@@ -806,7 +811,8 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("One launch path: no child protocol", "crates/xmpi/src/launch.rs", "if std::env::var(\"XMPI_CHILD_RANK\").is_ok() {"),
     ("One launch path: two launchers", "tests/runtime_semantics.rs", "let out = xmpi::run_traced(4, cfg, body);"),
     ("One launch path: launch::run is the benchmark's name only", "examples/quickstart.rs", "use xmpi::launch::{run_ft, run};"),
-    ("One gate per quantity: no trajectory", "crates/bench/src/plan.rs", "    pub rel_drop: Option<f64>,"),
+    ("One gate per quantity: no trajectory", "crates/bench/src/floor.rs", "    pub rel_drop: Option<f64>,"),
+    ("One gate per quantity: floors beside their code", "crates/bench/src/bin/floors.rs", "let plan = AblationPlan::load(Path::new(\"plans/kernels.toml\"))?;"),
 ];
 
 #[test]
