@@ -236,17 +236,19 @@ mod tests {
         assert_eq!(Algo::from_name("blas"), None);
     }
 
-    /// The traced run under its perturbation seed (`trace_report`'s) and a
-    /// plain run (a figure's) of the same cell move the same traffic and
-    /// carry the same price, for every algorithm.
+    /// Both front doors — a figure's plain point and `trace_report`'s traced
+    /// cell — reach the same runner and carry the same price, for every
+    /// algorithm.
     #[test]
-    fn deterministic_kpis_are_seed_invariant() {
+    fn a_figures_point_and_the_traced_cell_agree() {
         use Algo::*;
         for algo in [Conflux, Confchox, TwodLu, TwodChol, SwapLu] {
-            let cell = Cell::auto(algo, 32, 4);
             let figure = crate::experiments::measure(algo, 32, 4, 77);
-            let traced = run_cell(&cell, 77, true).unwrap();
+            let traced = run_cell(&Cell::auto(algo, 32, 4), 77, true).unwrap();
             assert!(traced.trace.is_some() && figure.trace.is_none(), "{algo:?}");
+            let peak = figure.kpis.model_pct_peak;
+            assert!(figure.kpis.sim_time > 0.0, "{algo:?}");
+            assert!(peak > 0.0 && peak <= 100.0, "{algo:?}: {peak}");
             assert_eq!(figure.stats.max_rank_bytes(), traced.stats.max_rank_bytes());
             let (f, t) = (&figure.kpis, &traced.kpis);
             for (kpi, a, b) in [
@@ -257,6 +259,31 @@ mod tests {
             ] {
                 assert_eq!(a, b, "{algo:?}: {kpi}");
             }
+        }
+    }
+
+    /// Two perturbation seeds move the same traffic, so the price of a run
+    /// does not depend on the seed it was perturbed from.
+    #[test]
+    fn deterministic_kpis_are_seed_invariant() {
+        let cell = Cell::auto(Algo::Conflux, 32, 4);
+        let (grid, v) = grid_and_block(&cell).unwrap();
+        let a = random_matrix(32, 32, 77);
+        let [s0, s3] = [0, 3].map(|seed| {
+            xharness::run_perturbed(&PerturbConfig::new(seed), || {
+                plain_stats(Algo::Conflux, 32, v, grid, &a)
+            })
+        });
+        assert_eq!(s0.max_rank_bytes(), s3.max_rank_bytes());
+        assert_eq!(s0.total_msgs(), s3.total_msgs());
+        let [k0, k3] = [&s0, &s3].map(|s| factor_kpis(Algo::Conflux, 32, 4, s));
+        for (kpi, a, b) in [
+            ("sim_time", k0.sim_time, k3.sim_time),
+            ("words_per_rank", k0.words_per_rank, k3.words_per_rank),
+            ("msgs_per_rank", k0.msgs_per_rank, k3.msgs_per_rank),
+            ("model_pct_peak", k0.model_pct_peak, k3.model_pct_peak),
+        ] {
+            assert_eq!(a, b, "{kpi} must not depend on the perturbation seed");
         }
     }
 

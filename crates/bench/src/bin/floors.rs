@@ -8,7 +8,7 @@
 //! beside the code that measures its number, with its reason.
 
 use bench::experiments::{comm, kernels, recovery, transport, Report};
-use bench::floor::{breaches, Floor};
+use bench::floor::{verdict, Floor};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: floors kernels|comm|transport|recovery";
@@ -43,16 +43,14 @@ fn main() -> ExitCode {
             }
         };
     report.emit();
-    for (floor, value) in &gated {
-        println!("{:<24} {value:>12.4}   bound {}", floor.name, floor.bound);
-    }
-    let breaches = breaches(&gated);
-    for breach in &breaches {
-        println!("BREACH: {breach}");
-    }
-    if breaches.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match verdict(&gated) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(text) => {
+            print!("{text}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -294,23 +294,56 @@ mod tests {
         assert_eq!(tree.stats.total_bytes_sent(), expect);
     }
 
+    /// One small measurement (`p = 4`, 1024 elements, one rep) shared by the
+    /// report tests.
+    fn small_run() -> &'static CommRun {
+        static RUN: std::sync::OnceLock<CommRun> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| measure(4, 1024, 1))
+    }
+
     #[test]
     fn report_covers_the_grid_and_headline_kpis() {
-        let run = measure(4, 1024, 1);
-        let r = &run.report;
+        let r = &small_run().report;
         assert_eq!(r.id, "BENCH_comm");
         assert!(r.json["provenance"]["commit"].as_str().is_some());
         assert!(r.json["p2p"]["latency_us"].as_f64().unwrap() > 0.0);
         assert!(r.json["p2p"]["gbps"].as_f64().unwrap() > 0.0);
-        let cell = &r.json["bcast"][0];
+        let cells = r.json["bcast"].as_array().unwrap();
+        assert_eq!(cells.len(), 1);
         assert!(
-            cell["tree_us"].as_f64().unwrap() > 0.0 && cell["linear_us"].as_f64().unwrap() > 0.0
+            cells[0]["tree_us"].as_f64().unwrap() > 0.0
+                && cells[0]["linear_us"].as_f64().unwrap() > 0.0
         );
-        assert_eq!(cell["speedup"].as_f64(), Some(run.bcast_speedup));
         // Identical per-phase volume in the traced cell.
         assert_eq!(
             r.json["traced"]["linear_bytes"].as_u64(),
             r.json["traced"]["tree_bytes"].as_u64()
         );
+    }
+
+    /// The gated speedup is the measured cell's linear over tree time, the
+    /// number its report row carries.
+    #[test]
+    fn the_gated_speedup_is_linear_over_tree_at_the_measured_cell() {
+        let run = small_run();
+        let cell = &run.report.json["bcast"][0];
+        assert_eq!(
+            (cell["p"].as_u64(), cell["elems"].as_u64()),
+            (Some(4), Some(1024))
+        );
+        let (linear, tree) = (cell["linear_us"].as_f64(), cell["tree_us"].as_f64());
+        assert_eq!(
+            Some(run.bcast_speedup),
+            linear.zip(tree).map(|(l, t)| l / t)
+        );
+        assert_eq!(cell["speedup"].as_f64(), Some(run.bcast_speedup));
+    }
+
+    #[test]
+    fn a_run_records_the_speedup_under_its_floor() {
+        let run = small_run();
+        assert!(run.bcast_speedup.is_finite() && run.bcast_speedup > 0.0);
+        assert_eq!(run.gated(), [(BCAST_SPEEDUP, run.bcast_speedup)]);
+        assert!(run.report.text.contains("speedup"), "{}", run.report.text);
     }
 }

@@ -366,10 +366,15 @@ fn measure(n: usize, reps: usize) -> KernelRun {
 mod tests {
     use super::*;
 
+    /// One small measurement (`n = 24`, one rep) shared by the report tests.
+    fn small_run() -> &'static KernelRun {
+        static RUN: std::sync::OnceLock<KernelRun> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| measure(24, 1))
+    }
+
     #[test]
     fn report_covers_every_kernel_and_size() {
-        let k = measure(24, 1);
-        let r = &k.report;
+        let r = &small_run().report;
         assert_eq!(r.id, "BENCH_kernels");
         assert!(
             r.json["provenance"]["commit"].as_str().is_some(),
@@ -394,13 +399,46 @@ mod tests {
                 "missing {kernel}"
             );
         }
+        for series in ["gemm_speedup_vs_naive", "gemm_tuned_speedup_vs_scalar"] {
+            let points = r.json[series].as_array().unwrap();
+            assert_eq!(points.len(), 1, "{series}: one speedup point");
+            assert!(points[0]["speedup"].as_f64().unwrap() > 0.0, "{series}");
+        }
+    }
+
+    /// Each gated number is the ratio of the two reported rates it names,
+    /// at the measured size, and is reported under its floor.
+    #[test]
+    fn the_gated_ratios_are_ratios_of_the_reported_rates() {
+        let k = small_run();
+        let json = &k.report.json;
+        let rate = |kernel: &str| {
+            json["samples"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|s| s["kernel"] == kernel && s["n"].as_u64() == Some(24))
+                .and_then(|s| s["gflops"].as_f64())
+                .unwrap_or_else(|| panic!("no {kernel} sample at n = 24"))
+        };
+        assert_eq!(k.gemm_speedup, rate("gemm") / rate("gemm_naive"));
+        assert_eq!(k.tuned_speedup, rate("gemm") / rate("gemm_scalar"));
+        assert_eq!(k.update_vs_gemm, rate("update_rank32") / rate("par_gemm"));
+        for (series, value) in [
+            ("gemm_speedup_vs_naive", k.gemm_speedup),
+            ("gemm_tuned_speedup_vs_scalar", k.tuned_speedup),
+        ] {
+            assert_eq!(json[series][0]["n"].as_u64(), Some(24), "{series}");
+            assert_eq!(json[series][0]["speedup"].as_f64(), Some(value), "{series}");
+        }
         assert_eq!(
-            r.json["gemm_speedup_vs_naive"][0]["speedup"].as_f64(),
-            Some(k.gemm_speedup)
+            k.gated(),
+            [
+                (GEMM_SPEEDUP, k.gemm_speedup),
+                (TUNED_SPEEDUP, k.tuned_speedup),
+                (UPDATE_VS_GEMM, k.update_vs_gemm),
+            ]
         );
-        let gated = k.gated();
-        assert_eq!(gated.len(), 3);
-        assert!(gated.iter().all(|&(_, v)| v > 0.0), "{gated:?}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct Floor {
 
 /// Every measured `(floor, value)` whose value breaks its bound, as a line
 /// naming the number, its value and the bound. A NaN breaks every bound.
-pub fn breaches(gated: &[(Floor, f64)]) -> Vec<String> {
+fn breaches(gated: &[(Floor, f64)]) -> Vec<String> {
     gated
         .iter()
         .filter(|(floor, value)| !floor.bound.holds(*value))
@@ -61,34 +61,78 @@ pub fn breaches(gated: &[(Floor, f64)]) -> Vec<String> {
         .collect()
 }
 
+/// What the `floors` bin prints: each gated number with its value and its
+/// bound, then a `BREACH:` line for each number past its bound. `Err`
+/// carries the same text when there is any breach.
+pub fn verdict(gated: &[(Floor, f64)]) -> Result<String, String> {
+    let mut text = String::new();
+    for (floor, value) in gated {
+        text += &format!("{:<24} {value:>12.4}   bound {}\n", floor.name, floor.bound);
+    }
+    let breaches = breaches(gated);
+    for breach in &breaches {
+        text += &format!("BREACH: {breach}\n");
+    }
+    if breaches.is_empty() {
+        Ok(text)
+    } else {
+        Err(text)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{comm, kernels, recovery, transport};
 
+    const FLOOR: Floor = Floor {
+        name: "gemm_speedup",
+        bound: Bound::Min(2.0),
+    };
+    const CEILING: Floor = Floor {
+        name: "overhead",
+        bound: Bound::Max(0.1),
+    };
+
     #[test]
     fn a_value_past_its_bound_is_a_breach_that_names_the_number_and_the_bound() {
-        let floor = Floor {
-            name: "gemm_speedup",
-            bound: Bound::Min(2.0),
-        };
-        let ceiling = Floor {
-            name: "overhead",
-            bound: Bound::Max(0.1),
-        };
         assert_eq!(
-            breaches(&[(floor, 1.5), (ceiling, 0.25)]),
+            breaches(&[(FLOOR, 1.5), (CEILING, 0.25)]),
             [
                 "gemm_speedup = 1.5000 breaks its bound >= 2",
                 "overhead = 0.2500 breaks its bound <= 0.1",
             ]
         );
-        assert_eq!(breaches(&[(floor, f64::NAN)]).len(), 1);
+        assert_eq!(breaches(&[(FLOOR, f64::NAN)]).len(), 1);
+        assert_eq!(breaches(&[(CEILING, f64::NAN)]).len(), 1);
+    }
+
+    #[test]
+    fn values_on_or_inside_their_bounds_are_clean() {
         for value in [2.0, 2.5, f64::INFINITY] {
-            assert!(breaches(&[(floor, value)]).is_empty(), "{value}");
+            assert!(breaches(&[(FLOOR, value)]).is_empty(), "{value}");
         }
         for value in [0.1, 0.0, -0.05] {
-            assert!(breaches(&[(ceiling, value)]).is_empty(), "{value}");
+            assert!(breaches(&[(CEILING, value)]).is_empty(), "{value}");
+        }
+    }
+
+    /// The bin's verdict: a breached min fails it, and the `BREACH:` line
+    /// names the number, its value and the bound; with every bound held it
+    /// passes, still printing each number with its bound.
+    #[test]
+    fn a_breached_min_fails_the_verdict_and_names_the_number_and_the_bound() {
+        let text = verdict(&[(FLOOR, 1.5), (CEILING, 0.05)]).unwrap_err();
+        let breach: Vec<_> = text.lines().filter(|l| l.starts_with("BREACH: ")).collect();
+        assert_eq!(
+            breach,
+            ["BREACH: gemm_speedup = 1.5000 breaks its bound >= 2"],
+            "{text}"
+        );
+        let text = verdict(&[(FLOOR, 2.5), (CEILING, 0.05)]).unwrap();
+        assert!(!text.contains("BREACH"), "{text}");
+        for line in ["gemm_speedup", "bound >= 2", "overhead", "bound <= 0.1"] {
+            assert!(text.contains(line), "{line}: {text}");
         }
     }
 
