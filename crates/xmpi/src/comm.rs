@@ -4,13 +4,16 @@
 //! `(source, context, tag)` triple, channels are hashed onto a small set of
 //! shards, and each shard holds a mutex-protected map from channel to FIFO
 //! queue plus a condition variable. A send appends to the destination's
-//! channel queue and never blocks — the buffered-send semantics the paper's
-//! asynchronous MPI usage assumes. A receive matches the *head* of its
-//! channel queue in O(1) (amortized) instead of linearly scanning a single
-//! queue under a single lock; per-channel FIFO order is preserved because a
-//! sender's messages arrive in program order and only the head of a channel
-//! is ever matchable. Concurrent senders and the receiver contend only when
-//! their channels share a shard.
+//! channel queue and never waits for the destination to receive — the
+//! buffered-send semantics the paper's asynchronous MPI usage assumes (over
+//! sockets the sending thread writes the frame itself, and a receive with
+//! nothing to match reads the mesh itself: see [`crate::transport`]). A
+//! receive matches the *head* of its channel queue in O(1) (amortized)
+//! instead of linearly scanning a single queue under a single lock;
+//! per-channel FIFO order is preserved because a sender's messages arrive
+//! in program order and only the head of a channel is ever matchable.
+//! Concurrent senders and the receiver contend only when their channels
+//! share a shard.
 //!
 //! Payloads are zero-copy: a [`Payload`] holds its elements in a shared
 //! immutable [`Buf`], so enqueuing a send — and forwarding a broadcast down
@@ -27,7 +30,7 @@ use crate::liveness::{unwind_with, CrashUnwind, Liveness, PoisonUnwind};
 use crate::stats::{CollKind, Counters};
 use crate::trace::{Event, Recorder};
 use crate::transport::{LocalTransport, Transport};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -219,12 +222,32 @@ fn scan_channel(channels: &mut HashMap<ChannelKey, VecDeque<Message>>, key: &Cha
     Scan::Ready(msg.payload)
 }
 
+/// The queues of the channels hashing to one shard.
+type Channels = HashMap<ChannelKey, VecDeque<Message>>;
+
+/// A locked shard's channel queues.
+pub(crate) type ShardGuard<'a> = MutexGuard<'a, Channels>;
+
 /// One mailbox shard: the channels hashing here, plus the condition variable
 /// their receivers park on.
 #[derive(Default)]
-struct Shard {
-    channels: Mutex<HashMap<ChannelKey, VecDeque<Message>>>,
+pub(crate) struct Shard {
+    channels: Mutex<Channels>,
     arrived: Condvar,
+}
+
+impl Shard {
+    pub(crate) fn lock(&self) -> ShardGuard<'_> {
+        self.channels.lock()
+    }
+
+    /// Park on the shard, releasing `channels`, until a delivery or a wake
+    /// notifies it or `until` passes (or spuriously); the caller re-scans
+    /// either way.
+    pub(crate) fn wait(&self, channels: &mut ShardGuard<'_>, until: Instant) {
+        self.arrived
+            .wait_for(channels, until.saturating_duration_since(Instant::now()));
+    }
 }
 
 pub(crate) struct Mailbox {
@@ -246,8 +269,8 @@ impl Mailbox {
 
     /// Enqueue a message on channel `key` and wake the channel's shard —
     /// the single delivery primitive every [`crate::transport::Transport`]
-    /// funnels into (a local send directly, a socket send via the peer's
-    /// reader thread).
+    /// funnels into (a local send directly, a socket message by the thread
+    /// of the receiving process that read it off the mesh).
     pub(crate) fn deliver(&self, key: ChannelKey, payload: Payload, visible_at: Option<Instant>) {
         let shard = self.shard_for(&key);
         shard
@@ -326,8 +349,8 @@ pub(crate) struct Shared {
     /// branch per hook point, no other cost).
     pub hooks: Option<Arc<dyn SchedHooks>>,
     /// Crash liveness registry (two relaxed atomic loads per receive in a
-    /// healthy world). Shared with the transport's reader threads on
-    /// multi-process backends, which is why it sits behind an `Arc`.
+    /// healthy world). Shared with the socket transport, which marks the
+    /// deaths it reads off the mesh, which is why it sits behind an `Arc`.
     pub liveness: Arc<Liveness>,
 }
 
@@ -347,7 +370,7 @@ impl Shared {
 
     /// [`Shared::build`] over an explicit transport and liveness registry
     /// (the socket launcher constructs both before the world exists, so the
-    /// transport's reader threads can share the registry).
+    /// transport can share the registry).
     pub(crate) fn build_with(
         transport: Arc<dyn Transport>,
         liveness: Arc<Liveness>,
@@ -586,8 +609,8 @@ impl Comm {
         // Wire-level chaos: consulted once per non-self-send in program
         // order, *after* all accounting (a torn or reset frame's bytes were
         // put on the wire and counted by the sender; they are simply never
-        // credited to the receiver). The socket writer executes the fault
-        // literally; in-process the two fatal faults are mirrored as this
+        // credited to the receiver). The socket transport executes the fault
+        // literally as this thread writes the frame; in-process the two fatal faults are mirrored as this
         // sender's death — the outcome the socket world converges to once
         // peers detect the broken wire — and a torn write is a timing-only
         // no-op without a wire to tear.
@@ -702,20 +725,28 @@ impl Comm {
     /// message (arrival order) is matchable, the world is poisoned
     /// ([`XmpiError::RankDead`] if the source itself died, else
     /// [`XmpiError::WorldPoisoned`]), or the receive timeout
-    /// ([`recv_timeout`]) elapses ([`XmpiError::Timeout`]). Only the channel's own shard is locked while
-    /// waiting.
+    /// ([`recv_timeout`]) elapses ([`XmpiError::Timeout`]). Only the
+    /// channel's own shard is locked while scanning; between scans the
+    /// transport waits for arrivals ([`Transport::await_arrival`]: the
+    /// shard's condition variable in process, the mesh itself over
+    /// sockets).
     ///
     /// Already-delivered messages stay consumable in a poisoned world — the
-    /// scan runs *before* the liveness check, so a survivor draining its
-    /// mailbox during teardown or recovery sees everything that actually
-    /// arrived; only a wait that would *block* observes the poison.
+    /// scan runs *before* the liveness check, and a receive that finds the
+    /// world poisoned takes one more look at what has arrived (a socket
+    /// peer's frames still in the kernel's buffers) before it fails, so a
+    /// survivor draining its mailbox during teardown or recovery sees
+    /// everything that actually arrived; only a wait that would *block*
+    /// observes the poison.
     fn take_deadline(&self, src_world: usize, tag: u64) -> Result<Payload, XmpiError> {
         let my_world = self.world_rank();
-        let mbox = self.shared.transport.mailbox(my_world);
+        let transport = &self.shared.transport;
+        let mbox = transport.mailbox(my_world);
         let key = (src_world, self.ctx, tag);
         let shard = mbox.shard_for(&key);
         let deadline = Instant::now() + recv_timeout();
-        let mut channels = shard.channels.lock();
+        let mut looked_again = false;
+        let mut channels = shard.lock();
         loop {
             let wake_at = match scan_channel(&mut channels, &key) {
                 Scan::Ready(p) => return Ok(p),
@@ -723,14 +754,18 @@ impl Comm {
                 Scan::Absent => deadline,
             };
             if self.shared.liveness.is_poisoned() {
+                if !looked_again {
+                    looked_again = true;
+                    channels = transport.await_arrival(shard, channels, Instant::now());
+                    continue;
+                }
                 return Err(if self.shared.liveness.is_dead(src_world) {
                     XmpiError::RankDead { rank: src_world }
                 } else {
                     XmpiError::WorldPoisoned
                 });
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 // Release our shard before sweeping all shards for the
                 // pending count (the sweep locks each in turn).
                 drop(channels);
@@ -741,9 +776,9 @@ impl Comm {
                 });
             }
             // An in-flight visibility deadline wakes by timeout, a fresh
-            // arrival (or a crash notification) wakes by notify, and either
-            // way the loop re-scans.
-            shard.arrived.wait_for(&mut channels, wake_at - now);
+            // arrival (or a crash notification) by notify or on the mesh,
+            // and either way the loop re-scans.
+            channels = transport.await_arrival(shard, channels, wake_at);
         }
     }
 

@@ -31,10 +31,10 @@
 //! replays exactly under a fixed seed on both. Its effect is
 //! backend-specific:
 //!
-//! * on the **socket** backend the destination peer's writer thread
-//!   executes it literally: a [`WireFault::Torn`] write splits the frame
-//!   around a stall (the peer's read loop reassembles it — torn writes are
-//!   benign and must change nothing observable), a [`WireFault::Reset`]
+//! * on the **socket** backend the sending thread executes it literally
+//!   as it writes the frame: a [`WireFault::Torn`] write splits the frame
+//!   around a stall (the peer's frame reader reassembles it — torn writes
+//!   are benign and must change nothing observable), a [`WireFault::Reset`]
 //!   writes a prefix and shuts the stream down (the peer observes a
 //!   mid-frame EOF), and a [`WireFault::Hang`] silences the rank entirely —
 //!   data *and* heartbeats — until the failure detector declares it dead;
@@ -117,7 +117,8 @@ pub enum WireFault {
     Torn {
         /// Bytes written before the stall (`1..frame_len`).
         prefix: usize,
-        /// How long the writer stalls mid-frame.
+        /// How long the sender stalls mid-frame (reading its own inbound
+        /// streams meanwhile).
         stall: Duration,
     },
     /// Connection reset mid-frame: write `prefix` bytes, then shut the

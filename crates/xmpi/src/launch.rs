@@ -22,9 +22,10 @@
 //!    closes every child end after the last fork, and only then releases
 //!    the lock. No rank dials, accepts or shakes hands: its mesh is up
 //!    when it starts.
-//! 2. A child whose rank program returns tears its mesh down (the
-//!    heartbeat monitor, parked between beats, is unparked), writes its
-//!    report on its control end and exits.
+//! 2. A child whose rank program returns tears its mesh down on its own
+//!    thread (it sends `Fin`, stops its heartbeat monitor, which parks
+//!    between beats, and reads until every peer has sent `Fin` or gone),
+//!    writes its report on its control end and exits.
 //! 3. The parent `poll`s its `p` control ends, for at most what is left of
 //!    the world deadline, and reads each end as it becomes readable, up to
 //!    the end of its report (every report into the same body buffer).
@@ -73,7 +74,13 @@
 //!   holds a locked copy of it and must never take it: a rank process
 //!   makes [`Backend::Local`] ambient before its rank program runs, so a
 //!   world that program launches (a driver called inside a rank) runs on
-//!   threads of the rank process and never reaches the lock.
+//!   threads of the rank process and never reaches the lock;
+//! * the rank thread does its own socket I/O, so a rank process starts one
+//!   thread of its own, the mesh's heartbeat monitor (none for a one-rank
+//!   world or with heartbeats off). Starting it takes the standard
+//!   library's thread-start lock, which the child holds locked if another
+//!   thread of the parent was starting or ending at the fork; that is the
+//!   one hazard left here (ROADMAP item 11).
 //!
 //! (libc's own fork handlers keep `malloc` usable in the child.)
 //!
@@ -86,6 +93,7 @@ use crate::hooks;
 use crate::liveness::{CrashUnwind, Liveness, PoisonUnwind};
 use crate::socket::SocketTransport;
 use crate::stats::{RankStats, WorldStats};
+use crate::sys;
 use crate::trace;
 use crate::transport::Transport;
 use crate::wire::{self, Frame, FrameKind, Wire};
@@ -216,44 +224,6 @@ impl<R: Wire> Wire for Shipped<R> {
                 tag: 0,
             }),
         }
-    }
-}
-
-/// The few libc calls the launcher makes; std links libc already. The
-/// constants and the `pollfd` layout are Linux's.
-mod sys {
-    use std::ffi::{c_int, c_short, c_ulong, c_void};
-
-    pub(super) const SIGKILL: c_int = 9;
-    pub(super) const POLLIN: c_short = 1;
-    pub(super) const PROT_READ: c_int = 1;
-    pub(super) const PROT_WRITE: c_int = 2;
-    pub(super) const MAP_SHARED: c_int = 1;
-    pub(super) const MAP_ANONYMOUS: c_int = 0x20;
-
-    #[repr(C)]
-    pub(super) struct PollFd {
-        pub(super) fd: c_int,
-        pub(super) events: c_short,
-        pub(super) revents: c_short,
-    }
-
-    extern "C" {
-        pub(super) fn fork() -> c_int;
-        pub(super) fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
-        pub(super) fn kill(pid: c_int, sig: c_int) -> c_int;
-        pub(super) fn _exit(status: c_int) -> !;
-        pub(super) fn dup2(old: c_int, new: c_int) -> c_int;
-        pub(super) fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        pub(super) fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 
@@ -452,9 +422,10 @@ where
     let transport = match SocketTransport::new(mesh, my_rank, liveness.clone()) {
         Ok(t) => t,
         Err(e) => {
-            // Graceful launch degradation: the mesh's service threads did
-            // not start. Report the typed failure to the parent instead of
-            // panicking the child.
+            // Graceful launch degradation: the mesh could not be set up
+            // (a socket option, its wake pair or its monitor thread).
+            // Report the typed failure to the parent instead of panicking
+            // the child.
             ship_result::<R>(
                 &mut ctl,
                 my_rank,
@@ -498,7 +469,8 @@ where
     transport.shutdown(crashed);
     // Ship this process's view of the dead-rank roster: wire-level deaths
     // (resets, hung peers declared by the failure detector) are observed
-    // by reader/monitor threads, not by an unwinding rank program, so the
+    // by whichever thread read the mesh or the monitor, not by an
+    // unwinding rank program, so the
     // parent reconstructs the world's `crashed` set as the union of every
     // child's view — mirroring the in-process backend, where the roster is
     // read straight off the shared liveness registry.

@@ -53,9 +53,11 @@
 //!
 //! # Blocking operation
 //!
-//! Sends are buffered and never block; receives block until their message
-//! matches. Every point-to-point call and every collective completes before
-//! it returns.
+//! Sends are buffered: they never wait for the destination to receive (on
+//! the socket backend a send writes its frame itself, and while the
+//! destination's socket is full it reads its own inbound streams); receives
+//! block until their message matches. Every point-to-point call and every
+//! collective completes before it returns.
 //!
 //! # Schedule perturbation & fault injection
 //!
@@ -120,6 +122,7 @@ pub mod launch;
 mod liveness;
 pub(crate) mod socket;
 mod stats;
+mod sys;
 pub mod trace;
 pub(crate) mod transport;
 pub mod wire;

@@ -2,30 +2,35 @@
 //!
 //! The shared runtime layer — sharded mailboxes, [`crate::buf::Buf`]
 //! payloads, byte accounting, schedule hooks, crash liveness — is
-//! backend-agnostic. A [`Transport`] only decides how a sent payload reaches
-//! the destination rank's mailbox:
+//! backend-agnostic. A [`Transport`] decides how a sent payload reaches
+//! the destination rank's mailbox, and how a receive waits for it:
 //!
 //! * [`LocalTransport`] (the default): every rank is a thread of this
 //!   process; delivery is a refcount bump into the destination's in-memory
-//!   mailbox. Zero-copy, zero serialization.
+//!   mailbox, and a receive parks on its mailbox shard's condition
+//!   variable. Zero-copy, zero serialization.
 //! * the `socket` module's `SocketTransport`: every rank is its own OS
-//!   process; delivery frames the payload onto a UNIX-domain socket (see
-//!   [`crate::wire`]) and the peer's reader thread enqueues it into the
-//!   mailbox it hosts.
+//!   process; the sending thread writes the payload onto a UNIX-domain
+//!   socket (see [`crate::wire`]), and a receive with nothing to match
+//!   reads the mesh itself into the mailbox its process hosts.
 //!
-//! Receives never go through the transport: matching always happens against
+//! Matching never goes through the transport: it always happens against
 //! the mailbox the calling process hosts, so `take`/`scan` semantics (and
 //! therefore per-channel FIFO, visibility delays, and poison draining) are
 //! identical on every backend.
 
-use crate::comm::{ChannelKey, Mailbox, Payload};
+use crate::comm::{ChannelKey, Mailbox, Payload, Shard, ShardGuard};
 use crate::hooks::WireFault;
 use std::time::{Duration, Instant};
 
 /// A message transport connecting the ranks of one world.
 ///
-/// Sends are *buffered* on every backend: `deliver` must never block on the
-/// destination making progress.
+/// A send never waits for the destination to *receive*: in process,
+/// `deliver` only enqueues; over sockets it writes the frame itself and may
+/// wait while the destination's socket is full, reading this rank's own
+/// inbound streams meanwhile (so two head-on senders cannot deadlock), and
+/// a destination busy outside a comm call has its streams read within one
+/// heartbeat period by its monitor thread.
 pub(crate) trait Transport: Send + Sync {
     /// Number of ranks the transport connects.
     fn size(&self) -> usize;
@@ -70,6 +75,21 @@ pub(crate) trait Transport: Send + Sync {
     /// parked on a mailbox this process hosts (so blocked waits observe the
     /// poisoned world) and notify remote peers, if the backend has any.
     fn announce_crash(&self, src_world: usize);
+
+    /// Wait, with `shard` locked as `channels`, until a message may have
+    /// arrived in it or `until` passes (spurious returns are allowed: the
+    /// receive re-scans either way), and hand the lock back. By default a
+    /// receive parks on the shard's condition variable, which every
+    /// delivery and wake notifies.
+    fn await_arrival<'a>(
+        &self,
+        shard: &'a Shard,
+        mut channels: ShardGuard<'a>,
+        until: Instant,
+    ) -> ShardGuard<'a> {
+        shard.wait(&mut channels, until);
+        channels
+    }
 }
 
 /// The default in-process transport: one mailbox per rank, delivery is a

@@ -5,9 +5,13 @@
 //! * **Frames** — the unit of the rank×rank socket mesh. A [`Frame`] is a
 //!   fixed 41-byte little-endian header (magic, kind, source rank, context,
 //!   tag, injected delay, body length) followed by `len` body bytes.
-//!   Message frames carry a [`Payload`]'s raw elements; control frames
-//!   (`Fin`, `Crash`, `Ping`, `Result`) carry the mesh and launcher
-//!   protocol. Kind 5 is retired and decodes as malformed. Anything malformed — wrong magic, unknown kind, impossible
+//!   Message frames carry a [`Payload`]'s raw elements: [`write_message`]
+//!   writes them from the payload's own buffer, and [`FrameReader`] reads
+//!   them into the buffer the received payload owns, a nonblocking stream
+//!   as far as it has bytes. Control frames (`Fin`, `Crash`, `Ping`,
+//!   `Result`) carry the mesh and launcher protocol; [`write_frame`] and
+//!   [`read_frame`] move them whole. Kind 5 is retired and decodes as
+//!   malformed. Anything malformed — wrong magic, unknown kind, impossible
 //!   length, short read — decodes to the typed [`XmpiError::Truncated`]
 //!   instead of a panic, so a corrupted stream degrades into the same error
 //!   path as a truncated message.
@@ -22,9 +26,10 @@ use crate::buf::Buf;
 use crate::comm::Payload;
 use crate::error::XmpiError;
 use crate::stats::{CollCounts, CollKind, RankStats};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: `"XMPI"` as a little-endian u32.
 const MAGIC: u32 = 0x4950_4D58;
@@ -115,22 +120,181 @@ fn truncated(expected: usize, got: usize, src: usize, tag: u64) -> XmpiError {
     }
 }
 
+/// A frame header's fields, as [`parse_header`] checked them.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    kind: FrameKind,
+    src: u32,
+    ctx: u64,
+    tag: u64,
+    delay_ns: u64,
+    len: u64,
+}
+
+impl Header {
+    /// The fixed-size little-endian encoding of this header.
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
+        out[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        out[4] = self.kind as u8;
+        out[5..9].copy_from_slice(&self.src.to_le_bytes());
+        out[9..17].copy_from_slice(&self.ctx.to_le_bytes());
+        out[17..25].copy_from_slice(&self.tag.to_le_bytes());
+        out[25..33].copy_from_slice(&self.delay_ns.to_le_bytes());
+        out[33..41].copy_from_slice(&self.len.to_le_bytes());
+        out
+    }
+
+    /// The [`Frame`] of this header and `body`.
+    fn frame(self, body: Vec<u8>) -> Frame {
+        Frame {
+            kind: self.kind,
+            src: self.src,
+            ctx: self.ctx,
+            tag: self.tag,
+            delay_ns: self.delay_ns,
+            body,
+        }
+    }
+}
+
+/// Decode and check a frame header: a wrong magic, an unknown kind, a
+/// body over [`MAX_BODY_LEN`] or a message body that is not whole 8-byte
+/// elements is [`XmpiError::Truncated`].
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<Header, XmpiError> {
+    let word = |at: usize| {
+        let mut out = [0u8; 8];
+        out.copy_from_slice(&header[at..at + 8]);
+        u64::from_le_bytes(out)
+    };
+    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    if magic != MAGIC {
+        return Err(truncated(MAGIC as usize, magic as usize, 0, 0));
+    }
+    let Some(kind) = FrameKind::from_u8(header[4]) else {
+        return Err(truncated(
+            FrameKind::MsgF64 as usize,
+            header[4] as usize,
+            0,
+            0,
+        ));
+    };
+    let h = Header {
+        kind,
+        src: u32::from_le_bytes([header[5], header[6], header[7], header[8]]),
+        ctx: word(9),
+        tag: word(17),
+        delay_ns: word(25),
+        len: word(33),
+    };
+    if h.len > MAX_BODY_LEN {
+        return Err(truncated(
+            MAX_BODY_LEN as usize,
+            h.len as usize,
+            h.src as usize,
+            h.tag,
+        ));
+    }
+    if matches!(kind, FrameKind::MsgF64 | FrameKind::MsgU64) && !h.len.is_multiple_of(8) {
+        return Err(truncated(8, (h.len % 8) as usize, h.src as usize, h.tag));
+    }
+    Ok(h)
+}
+
 /// Serialize `frame` onto `w` (header + body, little-endian). The caller
 /// flushes; a frame is only "sent" once the stream is flushed.
 ///
 /// # Errors
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = frame.kind as u8;
-    header[5..9].copy_from_slice(&frame.src.to_le_bytes());
-    header[9..17].copy_from_slice(&frame.ctx.to_le_bytes());
-    header[17..25].copy_from_slice(&frame.tag.to_le_bytes());
-    header[25..33].copy_from_slice(&frame.delay_ns.to_le_bytes());
-    header[33..41].copy_from_slice(&(frame.body.len() as u64).to_le_bytes());
-    w.write_all(&header)?;
+    let header = Header {
+        kind: frame.kind,
+        src: frame.src,
+        ctx: frame.ctx,
+        tag: frame.tag,
+        delay_ns: frame.delay_ns,
+        len: frame.body.len() as u64,
+    };
+    w.write_all(&header.encode())?;
     w.write_all(&frame.body)
+}
+
+/// Write a payload as the message frame of channel `(src, ctx, tag)`: the
+/// header, then the payload's elements as little-endian words, taken
+/// straight from its buffer (no encoded copy on a little-endian host).
+/// The bytes are those of a [`Frame`] whose body is [`Wire::encode_slice`]
+/// of the elements. One vectored write carries header and body when `w`
+/// takes them whole.
+///
+/// # Errors
+/// Propagates the underlying I/O error; a writer that takes zero bytes is
+/// [`io::ErrorKind::WriteZero`].
+pub fn write_message(
+    w: &mut impl Write,
+    src: usize,
+    ctx: u64,
+    tag: u64,
+    delay_ns: u64,
+    payload: &Payload,
+) -> io::Result<()> {
+    let (kind, body) = match payload {
+        Payload::F64(b) => (FrameKind::MsgF64, words_le(b, |x| x.to_bits())),
+        Payload::U64(b) => (FrameKind::MsgU64, words_le(b, |x| x)),
+    };
+    let header = Header {
+        kind,
+        src: src as u32,
+        ctx,
+        tag,
+        delay_ns,
+        len: body.len() as u64,
+    }
+    .encode();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(&body)];
+    let mut left = &mut slices[..];
+    IoSlice::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The little-endian bytes of 8-byte words: the words' own memory on a
+/// little-endian host, an encoded copy on a big-endian one.
+fn words_le<T: Copy>(items: &[T], bits: impl Fn(T) -> u64) -> Cow<'_, [u8]> {
+    const { assert!(std::mem::size_of::<T>() == 8) };
+    if cfg!(target_endian = "little") {
+        // SAFETY: `T` is an 8-byte plain word (`f64` or `u64`): no padding,
+        // every byte initialized, and `u8` has alignment 1.
+        Cow::Borrowed(unsafe { std::slice::from_raw_parts(items.as_ptr().cast(), 8 * items.len()) })
+    } else {
+        Cow::Owned(items.iter().flat_map(|&x| bits(x).to_le_bytes()).collect())
+    }
+}
+
+/// The bytes of a word buffer, to read little-endian words into. Every
+/// bit pattern is a valid `f64` and `u64`, so any bytes read are sound;
+/// [`from_le_words`] puts them in host order afterwards.
+fn word_bytes_mut<T: Copy>(items: &mut [T]) -> &mut [u8] {
+    const { assert!(std::mem::size_of::<T>() == 8) };
+    // SAFETY: `T` is an 8-byte plain word (`f64` or `u64`) for which every
+    // byte pattern is a value; `u8` has alignment 1.
+    unsafe { std::slice::from_raw_parts_mut(items.as_mut_ptr().cast(), 8 * items.len()) }
+}
+
+/// Put little-endian words read by bytes into host order (nothing to do on
+/// a little-endian host).
+fn from_le_words<T: Copy>(items: &mut [T], swap: impl Fn(T) -> T) {
+    if cfg!(target_endian = "big") {
+        for x in items {
+            *x = swap(*x);
+        }
+    }
 }
 
 /// Fill `buf` from `r`, tolerating a clean EOF *before the first byte*:
@@ -179,112 +343,152 @@ pub(crate) fn read_frame_into(
         Ok(true) => {}
         Err(got) => return Err(truncated(HEADER_LEN, got, 0, 0)),
     }
-    let fixed = |range: std::ops::Range<usize>| -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out.copy_from_slice(&header[range]);
-        out
-    };
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if magic != MAGIC {
-        return Err(truncated(MAGIC as usize, magic as usize, 0, 0));
-    }
-    let Some(kind) = FrameKind::from_u8(header[4]) else {
-        return Err(truncated(
-            FrameKind::MsgF64 as usize,
-            header[4] as usize,
-            0,
-            0,
-        ));
-    };
-    let src = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-    let ctx = u64::from_le_bytes(fixed(9..17));
-    let tag = u64::from_le_bytes(fixed(17..25));
-    let delay_ns = u64::from_le_bytes(fixed(25..33));
-    let len = u64::from_le_bytes(fixed(33..41));
-    if len > MAX_BODY_LEN {
-        return Err(truncated(
-            MAX_BODY_LEN as usize,
-            len as usize,
-            src as usize,
-            tag,
-        ));
-    }
-    if matches!(kind, FrameKind::MsgF64 | FrameKind::MsgU64) && len % 8 != 0 {
-        return Err(truncated(8, (len % 8) as usize, src as usize, tag));
-    }
-    if body.capacity() < len as usize {
-        body = vec![0u8; len as usize];
+    let h = parse_header(&header)?;
+    let len = h.len as usize;
+    if body.capacity() < len {
+        body = vec![0u8; len];
     } else {
         body.clear();
-        body.resize(len as usize, 0);
+        body.resize(len, 0);
     }
     match read_full(r, &mut body) {
         Ok(_) if len == 0 => {}
         Ok(true) => {}
         Ok(false) | Err(_) => {
-            return Err(truncated(len as usize, 0, src as usize, tag));
+            return Err(truncated(len, 0, h.src as usize, h.tag));
         }
     }
-    Ok(Some(Frame {
-        kind,
-        src,
-        ctx,
-        tag,
-        delay_ns,
-        body,
-    }))
+    Ok(Some(h.frame(body)))
 }
 
-/// Encode a payload as a message frame for channel `(src, ctx, tag)`: its
-/// elements as the little-endian words [`Wire::encode_slice`] writes.
-pub fn payload_frame(src: usize, ctx: u64, tag: u64, delay_ns: u64, payload: &Payload) -> Frame {
-    let mut body = Vec::new();
-    let kind = match payload {
-        Payload::F64(b) => {
-            f64::encode_slice(b, &mut body);
-            FrameKind::MsgF64
+/// A frame [`FrameReader`] has read whole.
+#[derive(Debug)]
+pub enum Incoming {
+    /// A message frame, its body read straight into the payload's buffer.
+    /// The payload owns a **unique** [`Buf`] (refcount 1), so the
+    /// receiver's [`Buf::into_vec`] reclaims the allocation without a copy.
+    Message {
+        /// Channel `(src, ctx, tag)` of the message.
+        key: (usize, u64, u64),
+        /// Injected in-flight visibility delay in nanoseconds.
+        delay_ns: u64,
+        /// The message.
+        payload: Payload,
+    },
+    /// Any other frame, with its body bytes.
+    Control(Frame),
+}
+
+/// What one [`FrameReader::read_from`] call ended with.
+#[derive(Debug)]
+pub enum Step {
+    /// A whole frame.
+    Frame(Incoming),
+    /// The stream would block: the frame read so far stays in the reader.
+    Pending,
+    /// End of stream at a frame boundary.
+    Eof,
+}
+
+/// A frame body being read: message elements go straight into the
+/// buffer the payload will own.
+#[derive(Debug)]
+enum Body {
+    F64(Vec<f64>),
+    U64(Vec<u64>),
+    Bytes(Vec<u8>),
+}
+
+impl Body {
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            Body::F64(v) => word_bytes_mut(v),
+            Body::U64(v) => word_bytes_mut(v),
+            Body::Bytes(v) => v,
         }
-        Payload::U64(b) => {
-            u64::encode_slice(b, &mut body);
-            FrameKind::MsgU64
-        }
-    };
-    Frame {
-        kind,
-        src: src as u32,
-        ctx,
-        tag,
-        delay_ns,
-        body,
     }
 }
 
-/// Decode a message frame's body back into a [`Payload`], with
-/// [`Wire::decode_n`].
-///
-/// The reconstructed payload owns a **unique** [`Buf`] (refcount 1), so the
-/// receiver's [`Buf::into_vec`] reclaims the allocation without a copy —
-/// the same zero-copy hand-off the in-process transport gives a sole
-/// consumer.
-///
-/// # Errors
-/// [`XmpiError::Truncated`] if the frame is not a message frame or its body
-/// is not a whole number of 8-byte elements.
-pub fn frame_payload(frame: &Frame) -> Result<Payload, XmpiError> {
-    let (src, len) = (frame.src as usize, frame.body.len());
-    if !len.is_multiple_of(8) {
-        return Err(truncated(8, len % 8, src, frame.tag));
+/// Reads the frames of one stream incrementally, so a nonblocking stream
+/// can be read as far as it has bytes and resumed later. Header and body
+/// byte counts carry over between calls; a message body is read straight
+/// into its payload's element buffer, with no byte buffer and no decode
+/// copy in between. Accepts exactly the frames [`read_frame`] accepts.
+#[derive(Debug)]
+pub struct FrameReader {
+    header: [u8; HEADER_LEN],
+    /// Bytes of the header read, then (once `body` is set) of the body.
+    got: usize,
+    body: Option<(Header, Body)>,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader {
+            header: [0; HEADER_LEN],
+            got: 0,
+            body: None,
+        }
     }
-    let body = &mut &frame.body[..];
-    match frame.kind {
-        FrameKind::MsgF64 => Ok(Payload::F64(Buf::from(f64::decode_n(body, len / 8)?))),
-        FrameKind::MsgU64 => Ok(Payload::U64(Buf::from(u64::decode_n(body, len / 8)?))),
-        _ => Err(truncated(
-            FrameKind::MsgF64 as usize,
-            frame.kind as usize,
-            src,
-            frame.tag,
-        )),
+}
+
+impl FrameReader {
+    /// Read from `r` until a frame is whole, the stream would block, or
+    /// it ends.
+    ///
+    /// # Errors
+    /// [`XmpiError::Truncated`] on a malformed header, or on a stream that
+    /// ends or fails mid-frame. The reader is spent after an error.
+    pub fn read_from(&mut self, r: &mut impl Read) -> Result<Step, XmpiError> {
+        if self.body.is_none() {
+            while self.got < HEADER_LEN {
+                match r.read(&mut self.header[self.got..]) {
+                    Ok(0) if self.got == 0 => return Ok(Step::Eof),
+                    Ok(n) if n > 0 => self.got += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Step::Pending),
+                    _ => return Err(truncated(HEADER_LEN, self.got, 0, 0)),
+                }
+            }
+            let h = parse_header(&self.header)?;
+            let len = h.len as usize;
+            let body = match h.kind {
+                FrameKind::MsgF64 => Body::F64(vec![0.0; len / 8]),
+                FrameKind::MsgU64 => Body::U64(vec![0; len / 8]),
+                _ => Body::Bytes(vec![0; len]),
+            };
+            self.body = Some((h, body));
+            self.got = 0;
+        }
+        let (h, body) = self.body.as_mut().expect("a header was read");
+        let bytes = body.bytes_mut();
+        while self.got < bytes.len() {
+            match r.read(&mut bytes[self.got..]) {
+                Ok(n) if n > 0 => self.got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Step::Pending),
+                _ => return Err(truncated(bytes.len(), 0, h.src as usize, h.tag)),
+            }
+        }
+        let (h, body) = self.body.take().expect("a header was read");
+        self.got = 0;
+        let key = (h.src as usize, h.ctx, h.tag);
+        let payload = match body {
+            Body::F64(mut v) => {
+                from_le_words(&mut v, |x| f64::from_bits(u64::from_le(x.to_bits())));
+                Payload::F64(Buf::from(v))
+            }
+            Body::U64(mut v) => {
+                from_le_words(&mut v, u64::from_le);
+                Payload::U64(Buf::from(v))
+            }
+            Body::Bytes(b) => return Ok(Step::Frame(Incoming::Control(h.frame(b)))),
+        };
+        Ok(Step::Frame(Incoming::Message {
+            key,
+            delay_ns: h.delay_ns,
+            payload,
+        }))
     }
 }
 
@@ -728,10 +932,8 @@ impl Wire for RankStats {
 mod tests {
     use super::*;
 
-    fn roundtrip_frame(f: &Frame) -> Frame {
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, f).expect("vec write");
-        let mut cursor = &bytes[..];
+    fn roundtrip_frame(bytes: &[u8]) -> Frame {
+        let mut cursor = bytes;
         let got = read_frame(&mut cursor)
             .expect("well-formed frame")
             .expect("not EOF");
@@ -741,23 +943,26 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_preserves_all_fields() {
-        let f = payload_frame(
-            3,
-            0xdead_beef,
-            42,
-            1_000_000,
-            &Payload::from(vec![1.5, -0.0, f64::NAN]),
-        );
-        let g = roundtrip_frame(&f);
+        let mut bytes = Vec::new();
+        let payload = Payload::from(vec![1.5, -0.0, f64::NAN]);
+        write_message(&mut bytes, 3, 0xdead_beef, 42, 1_000_000, &payload).expect("vec write");
+        let g = roundtrip_frame(&bytes);
         assert_eq!(g.kind, FrameKind::MsgF64);
         assert_eq!(
             (g.src, g.ctx, g.tag, g.delay_ns),
             (3, 0xdead_beef, 42, 1_000_000)
         );
-        assert_eq!(g.body, f.body);
-        let Payload::F64(b) = frame_payload(&g).expect("payload decodes") else {
-            panic!("wrong payload kind");
+        assert_eq!(g.body, encode_vec(&vec![1.5, -0.0, f64::NAN])[8..]);
+        let mut r = &bytes[..];
+        let Ok(Step::Frame(Incoming::Message {
+            key,
+            delay_ns,
+            payload: Payload::F64(b),
+        })) = FrameReader::default().read_from(&mut r)
+        else {
+            panic!("an f64 message frame");
         };
+        assert_eq!((key, delay_ns), ((3, 0xdead_beef, 42), 1_000_000));
         assert_eq!(b[0].to_bits(), 1.5f64.to_bits());
         assert_eq!(b[1].to_bits(), (-0.0f64).to_bits());
         assert!(b[2].is_nan());

@@ -1,8 +1,10 @@
-//! Property tests of the socket wire codec: payload frames must round-trip
+//! Property tests of the socket wire codec: message frames must round-trip
 //! bit-exactly through arbitrarily chunked reads and writes (a UNIX socket
-//! never promises to move a frame in one syscall), and every malformed
-//! header must come back as a typed [`XmpiError::Truncated`] — never a
-//! panic, never a silent mis-parse. The result codec's bulk path for `f64`
+//! never promises to move a frame in one syscall), through a reader that
+//! would block between chunks (the mesh's streams are nonblocking), and
+//! with the bytes of a whole [`Frame`] whose body is the elements'
+//! encoding; every malformed header must come back as a typed
+//! [`XmpiError::Truncated`] — never a panic, never a silent mis-parse. The result codec's bulk path for `f64`
 //! and `u64` vectors must write exactly the bytes a per-element encoder
 //! writes, and reject a short or impossible length before allocating.
 
@@ -11,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{self, Read, Write};
 use xmpi::wire::{
-    decode_all, encode_vec, frame_payload, payload_frame, read_frame, write_frame, Frame,
-    FrameKind, HEADER_LEN, MAX_BODY_LEN,
+    decode_all, encode_vec, read_frame, write_frame, write_message, Frame, FrameKind, FrameReader,
+    Incoming, Step, HEADER_LEN, MAX_BODY_LEN,
 };
 use xmpi::{Payload, XmpiError};
 
@@ -35,15 +37,37 @@ impl Write for ChunkWriter {
 }
 
 /// Reader that yields at most `chunk` bytes per call — forces `read_frame`
-/// through split-read boundaries (header and body straddling reads).
+/// through split-read boundaries (header and body straddling reads). With
+/// `blocks`, every other call would block, as a nonblocking socket whose
+/// peer has not written the rest yet.
 struct ChunkReader<'a> {
     data: &'a [u8],
     pos: usize,
     chunk: usize,
+    blocks: bool,
+    blocked: bool,
+}
+
+impl<'a> ChunkReader<'a> {
+    fn new(data: &'a [u8], chunk: usize) -> Self {
+        ChunkReader {
+            data,
+            pos: 0,
+            chunk,
+            blocks: false,
+            blocked: false,
+        }
+    }
 }
 
 impl Read for ChunkReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.blocks {
+            self.blocked = !self.blocked;
+            if self.blocked {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+        }
         let n = buf.len().min(self.chunk).min(self.data.len() - self.pos);
         buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
         self.pos += n;
@@ -57,16 +81,83 @@ fn chunked_roundtrip(frame: &Frame, write_chunk: usize, read_chunk: usize) -> Fr
         chunk: write_chunk,
     };
     write_frame(&mut w, frame).expect("chunked write");
-    let mut r = ChunkReader {
-        data: &w.out,
-        pos: 0,
-        chunk: read_chunk,
-    };
+    let mut r = ChunkReader::new(&w.out, read_chunk);
     let got = read_frame(&mut r)
         .expect("well-formed frame")
         .expect("not EOF");
     assert_eq!(r.pos, w.out.len(), "frame must consume its bytes exactly");
     got
+}
+
+/// Write `payload` as a message frame through `write_chunk`-byte writes,
+/// and read it back with a [`FrameReader`] from `read_chunk`-byte reads
+/// that would block between chunks. The bytes must be those of the whole
+/// [`Frame`] whose body is the elements' encoding, and `read_frame` must
+/// read them as that frame.
+fn message_roundtrip(
+    key: (usize, u64, u64),
+    delay_ns: u64,
+    payload: &Payload,
+    write_chunk: usize,
+    read_chunk: usize,
+) -> Payload {
+    let mut w = ChunkWriter {
+        out: Vec::new(),
+        chunk: write_chunk,
+    };
+    write_message(&mut w, key.0, key.1, key.2, delay_ns, payload).expect("chunked write");
+    let (kind, elements) = match payload {
+        Payload::F64(b) => (FrameKind::MsgF64, encode_vec(&b.to_vec())),
+        Payload::U64(b) => (FrameKind::MsgU64, encode_vec(&b.to_vec())),
+    };
+    let whole = Frame {
+        kind,
+        src: key.0 as u32,
+        ctx: key.1,
+        tag: key.2,
+        delay_ns,
+        body: elements[8..].to_vec(),
+    };
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &whole).expect("vec write");
+    assert_eq!(
+        w.out, bytes,
+        "a message frame's bytes are its whole frame's"
+    );
+    assert_eq!(chunked_roundtrip(&whole, write_chunk, read_chunk), whole);
+
+    let mut r = ChunkReader::new(&w.out, read_chunk);
+    r.blocks = true;
+    let mut reader = FrameReader::default();
+    let got = loop {
+        match reader.read_from(&mut r).expect("well-formed frame") {
+            Step::Pending => continue,
+            Step::Frame(Incoming::Message {
+                key: k,
+                delay_ns: d,
+                payload,
+            }) => {
+                assert_eq!((k, d), (key, delay_ns));
+                break payload;
+            }
+            other => panic!("expected a message, got {other:?}"),
+        }
+    };
+    assert_eq!(r.pos, w.out.len(), "frame must consume its bytes exactly");
+    got
+}
+
+/// Every way a [`FrameReader`] can end on `bytes`, read whole: the first
+/// thing that is not a frame.
+fn read_past_frames(bytes: &[u8]) -> Result<Step, XmpiError> {
+    let mut r = bytes;
+    let mut reader = FrameReader::default();
+    loop {
+        match reader.read_from(&mut r) {
+            Ok(Step::Frame(_)) => {}
+            end => return end,
+        }
+    }
 }
 
 /// Deterministic f64 bit patterns (includes NaNs, infinities, subnormals —
@@ -136,11 +227,8 @@ proptest! {
     ) {
         let vals: Vec<f64> = (0..len as u64).map(|i| f64::from_bits(mix(seed ^ i))).collect();
         let bits: Vec<u64> = vals.iter().map(|x| x.to_bits()).collect();
-        let f = payload_frame(7, ctx, tag, delay_ns, &Payload::from(vals));
-        let g = chunked_roundtrip(&f, write_chunk, read_chunk);
-        prop_assert_eq!(g.kind, FrameKind::MsgF64);
-        prop_assert_eq!((g.src, g.ctx, g.tag, g.delay_ns), (7, ctx, tag, delay_ns));
-        let Payload::F64(buf) = frame_payload(&g).expect("payload decodes") else {
+        let g = message_roundtrip((7, ctx, tag), delay_ns, &Payload::from(vals), write_chunk, read_chunk);
+        let Payload::F64(buf) = g else {
             panic!("wrong payload kind");
         };
         let got_bits: Vec<u64> = buf.iter().map(|x| x.to_bits()).collect();
@@ -156,10 +244,8 @@ proptest! {
     ) {
         let vals: Vec<u64> = (0..len as u64).map(|i| mix(seed ^ i)).collect();
         let expect = vals.clone();
-        let f = payload_frame(3, 11, 22, 0, &Payload::from(vals));
-        let g = chunked_roundtrip(&f, write_chunk, read_chunk);
-        prop_assert_eq!(g.kind, FrameKind::MsgU64);
-        let Payload::U64(buf) = frame_payload(&g).expect("payload decodes") else {
+        let g = message_roundtrip((3, 11, 22), 0, &Payload::from(vals), write_chunk, read_chunk);
+        let Payload::U64(buf) = g else {
             panic!("wrong payload kind");
         };
         prop_assert_eq!(buf.to_vec(), expect);
@@ -198,12 +284,12 @@ proptest! {
         // A stream that ends mid-frame — at any byte of the header or the
         // body — must surface as `XmpiError::Truncated`, not hang or panic.
         let vals: Vec<f64> = (0..len).map(|i| i as f64).collect();
-        let f = payload_frame(1, 2, 3, 0, &Payload::from(vals));
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &f).expect("vec write");
+        write_message(&mut bytes, 1, 2, 3, 0, &Payload::from(vals)).expect("vec write");
         let cut = 1 + cut_pick % (bytes.len() - 1);
-        let mut r = ChunkReader { data: &bytes[..cut], pos: 0, chunk: 13 };
+        let mut r = ChunkReader::new(&bytes[..cut], 13);
         prop_assert!(matches!(read_frame(&mut r), Err(XmpiError::Truncated { .. })));
+        prop_assert!(matches!(read_past_frames(&bytes[..cut]), Err(XmpiError::Truncated { .. })));
     }
 
     #[test]
@@ -212,15 +298,15 @@ proptest! {
         flip in 1u8..=255,
         bad_kind_pick in 0u8..250,
     ) {
-        let f = payload_frame(0, 0, 0, 0, &Payload::from(vec![1.0, 2.0]));
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &f).expect("vec write");
+        write_message(&mut bytes, 0, 0, 0, 0, &Payload::from(vec![1.0, 2.0])).expect("vec write");
 
         // Any corrupted magic byte.
         let mut corrupt = bytes.clone();
         corrupt[magic_byte] ^= flip;
         let mut r: &[u8] = &corrupt;
         prop_assert!(matches!(read_frame(&mut r), Err(XmpiError::Truncated { .. })));
+        prop_assert!(matches!(read_past_frames(&corrupt), Err(XmpiError::Truncated { .. })));
 
         // Any kind byte outside the protocol (1..=7 are kinds, 5 retired).
         let bad_kind = if bad_kind_pick < 8 { 0 } else { bad_kind_pick };
@@ -228,6 +314,7 @@ proptest! {
         corrupt[4] = bad_kind;
         let mut r: &[u8] = &corrupt;
         prop_assert!(matches!(read_frame(&mut r), Err(XmpiError::Truncated { .. })));
+        prop_assert!(matches!(read_past_frames(&corrupt), Err(XmpiError::Truncated { .. })));
     }
 }
 
@@ -237,10 +324,8 @@ fn empty_payload_frames_roundtrip() {
         Payload::from(Vec::<f64>::new()),
         Payload::from(Vec::<u64>::new()),
     ] {
-        let f = payload_frame(0, 5, 6, 0, &payload);
-        assert!(f.body.is_empty());
-        let g = chunked_roundtrip(&f, 1, 1);
-        assert_eq!(frame_payload(&g).expect("decodes").bytes(), 0);
+        let g = message_roundtrip((0, 5, 6), 0, &payload, 1, 1);
+        assert_eq!(g.bytes(), 0);
     }
 }
 
@@ -249,9 +334,8 @@ fn huge_payload_frames_roundtrip() {
     // A panel-sized payload (4 MiB) through deliberately misaligned chunks.
     let n = 1 << 19;
     let vals: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-    let f = payload_frame(2, 9, 9, 0, &Payload::from(vals));
-    let g = chunked_roundtrip(&f, 4093, 8191);
-    let Payload::F64(buf) = frame_payload(&g).expect("decodes") else {
+    let g = message_roundtrip((2, 9, 9), 0, &Payload::from(vals), 4093, 8191);
+    let Payload::F64(buf) = g else {
         panic!("wrong payload kind");
     };
     assert_eq!(buf.len(), n);
@@ -268,6 +352,10 @@ fn oversized_length_is_rejected_before_allocating() {
     let mut r: &[u8] = &bytes;
     assert!(matches!(
         read_frame(&mut r),
+        Err(XmpiError::Truncated { .. })
+    ));
+    assert!(matches!(
+        read_past_frames(&bytes),
         Err(XmpiError::Truncated { .. })
     ));
 }
@@ -296,6 +384,10 @@ fn ragged_message_length_is_rejected() {
     let mut r: &[u8] = &bytes;
     assert!(matches!(
         read_frame(&mut r),
+        Err(XmpiError::Truncated { .. })
+    ));
+    assert!(matches!(
+        read_past_frames(&bytes),
         Err(XmpiError::Truncated { .. })
     ));
 }
@@ -345,13 +437,14 @@ fn header_len_matches_layout() {
 
 #[test]
 fn decoded_payload_reclaims_without_copy() {
-    // The socket receive path: a frame arrives, `frame_payload` rebuilds the
-    // payload, the consumer calls `into_vec`. The rebuilt `Buf` must be
-    // unique (refcount 1) so the reclaim is allocation hand-back, not a
-    // copy — the same zero-copy completion the in-process transport gives a
-    // sole consumer.
-    let f = payload_frame(0, 1, 2, 0, &Payload::from(vec![2.5f64; 512]));
-    let Payload::F64(buf) = frame_payload(&f).expect("decodes") else {
+    // The socket receive path: a frame arrives, the frame reader reads its
+    // body into the payload's buffer, the consumer calls `into_vec`. The
+    // `Buf` must be unique (refcount 1) so the reclaim is allocation
+    // hand-back, not a copy — the same zero-copy completion the in-process
+    // transport gives a sole consumer.
+    let Payload::F64(buf) =
+        message_roundtrip((0, 1, 2), 0, &Payload::from(vec![2.5f64; 512]), 97, 89)
+    else {
         panic!("wrong payload kind");
     };
     let ptr = buf.as_ptr();
@@ -362,8 +455,9 @@ fn decoded_payload_reclaims_without_copy() {
         "decoded Buf must be unique so into_vec reclaims the allocation"
     );
 
-    let f = payload_frame(0, 1, 2, 0, &Payload::from(vec![7u64; 512]));
-    let Payload::U64(buf) = frame_payload(&f).expect("decodes") else {
+    let Payload::U64(buf) =
+        message_roundtrip((0, 1, 2), 0, &Payload::from(vec![7u64; 512]), 97, 89)
+    else {
         panic!("wrong payload kind");
     };
     let ptr = buf.as_ptr();
@@ -378,6 +472,15 @@ fn ping_frames_roundtrip() {
     assert_eq!(g.kind, FrameKind::Ping);
     assert_eq!(g.src, 5);
     assert!(g.body.is_empty());
+    // The frame reader hands a control frame over whole.
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &f).expect("vec write");
+    let mut r: &[u8] = &bytes;
+    let Ok(Step::Frame(Incoming::Control(g))) = FrameReader::default().read_from(&mut r) else {
+        panic!("a control frame");
+    };
+    assert_eq!(g, f);
+    assert!(matches!(read_past_frames(&bytes), Ok(Step::Eof)));
 }
 
 #[test]
@@ -388,24 +491,32 @@ fn mid_header_and_mid_body_eofs_are_typed_and_lossless() {
     // and a complete frame *preceding* the cut must still decode — the torn
     // frame's bytes are dropped, never double-counted into an earlier or
     // later payload.
-    let whole = payload_frame(1, 0, 9, 0, &Payload::from(vec![4.0f64, 5.0]));
-    let torn = payload_frame(1, 0, 9, 0, &Payload::from(vec![6.0f64, 7.0, 8.0]));
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, &whole).expect("vec write");
+    write_message(&mut bytes, 1, 0, 9, 0, &Payload::from(vec![4.0f64, 5.0])).expect("vec write");
     let whole_len = bytes.len();
-    write_frame(&mut bytes, &torn).expect("vec write");
+    write_message(
+        &mut bytes,
+        1,
+        0,
+        9,
+        0,
+        &Payload::from(vec![6.0f64, 7.0, 8.0]),
+    )
+    .expect("vec write");
 
     for cut in [whole_len + 11, whole_len + HEADER_LEN + 13] {
         let mut r: &[u8] = &bytes[..cut];
-        let first = read_frame(&mut r)
-            .expect("first frame intact")
-            .expect("not EOF");
-        let Payload::F64(b) = frame_payload(&first).expect("decodes") else {
-            panic!("wrong payload kind");
+        let mut reader = FrameReader::default();
+        let Ok(Step::Frame(Incoming::Message {
+            payload: Payload::F64(b),
+            ..
+        })) = reader.read_from(&mut r)
+        else {
+            panic!("first frame intact");
         };
         assert_eq!(&b[..], &[4.0, 5.0], "preceding frame survives the cut");
         assert!(
-            matches!(read_frame(&mut r), Err(XmpiError::Truncated { .. })),
+            matches!(reader.read_from(&mut r), Err(XmpiError::Truncated { .. })),
             "cut at byte {cut} must be a typed mid-frame EOF"
         );
     }

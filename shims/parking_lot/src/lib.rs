@@ -3,7 +3,7 @@
 //! The build container has no network access, so the real crate cannot be
 //! fetched. This shim reproduces the subset of the API the workspace uses
 //! (`Mutex` and `Condvar` with `parking_lot` semantics: guard-returning
-//! `lock()`, no poisoning) on top of `std::sync`. Poisoned std locks are
+//! `lock()` and `try_lock()`, no poisoning) on top of `std::sync`. Poisoned std locks are
 //! recovered transparently — `parking_lot` has no poisoning, and the runtime
 //! propagates rank panics itself.
 
@@ -33,6 +33,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Never poisons.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Acquire the lock if it is free; `None` if another holder has it
+    /// (the calling thread included). Never blocks, never poisons.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(MutexGuard(g)),
+            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard(p.into_inner())),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
     }
 }
 
@@ -118,6 +128,28 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
+    }
+
+    #[test]
+    fn try_lock_takes_a_free_lock_and_refuses_a_held_one() {
+        let m = Arc::new(Mutex::new(1));
+        {
+            let mut g = m.try_lock().expect("a free lock");
+            *g += 1;
+            assert!(m.try_lock().is_none(), "held by this thread");
+            let m2 = m.clone();
+            let other = std::thread::spawn(move || m2.try_lock().is_none());
+            assert!(other.join().unwrap(), "held, seen from another thread");
+        }
+        assert_eq!(*m.try_lock().expect("released"), 2);
+        // A panic while holding the lock leaves it usable, as `lock` does.
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison it");
+        })
+        .join();
+        assert_eq!(*m.try_lock().expect("not poisoned"), 2);
     }
 
     #[test]
